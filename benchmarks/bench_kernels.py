@@ -23,6 +23,7 @@ from repro.geometry.predicates import WithinDistancePredicate
 from repro.geometry.rect import Rect
 from repro.index.hash_join import grid_hash_join
 from repro.index.plane_sweep import plane_sweep_pairs, plane_sweep_pairs_scalar
+from repro.index.flat import FlatRTree
 from repro.index.rtree import RTree
 from repro.index.aggregate_rtree import AggregateRTree
 from repro.network.config import NetworkConfig
@@ -52,6 +53,13 @@ def test_bench_rtree_bulk_load(benchmark):
     entries = dataset.entries()
     tree = benchmark(RTree.bulk_load, entries, 16)
     assert len(tree) == 5000
+
+
+def test_bench_flat_rtree_bulk_load(benchmark):
+    """The servers' build, on the same data as the pointer-tree bench above."""
+    dataset = uniform(n=5000, seed=5)
+    flat = benchmark(FlatRTree.from_mbr_array, dataset.mbrs, dataset.oids, 16)
+    assert flat.size == 5000
 
 
 def test_bench_rtree_window_queries(benchmark):

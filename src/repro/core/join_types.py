@@ -16,9 +16,11 @@ iceberg post-aggregation to the pair set.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Set, Tuple
 
+from repro.errors import InvalidInput
 from repro.geometry.predicates import (
     IntersectionPredicate,
     JoinPredicate,
@@ -55,6 +57,10 @@ class JoinSpec:
     min_matches: int = 1
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.epsilon) or self.epsilon < 0:
+            raise InvalidInput(
+                f"epsilon must be finite and non-negative, got {self.epsilon!r}"
+            )
         if self.kind in (JoinKind.DISTANCE, JoinKind.ICEBERG_SEMI) and self.epsilon <= 0:
             raise ValueError(f"{self.kind.value} joins require epsilon > 0")
         if self.kind is JoinKind.INTERSECTION and self.epsilon != 0.0:

@@ -29,6 +29,7 @@ from typing import Optional
 
 __all__ = [
     "ChannelFault",
+    "InvalidInput",
     "LedgerIsolationError",
     "QueryTimeout",
     "ReproError",
@@ -41,6 +42,17 @@ __all__ = [
 
 class ReproError(Exception):
     """Base class of all runtime-layer errors raised by this package."""
+
+
+class InvalidInput(ReproError, ValueError):
+    """Data or a query parameter from outside the package is unusable.
+
+    Raised at the boundary -- when a dataset is built, when a join is
+    specified -- for values the algorithms cannot terminate or answer on:
+    non-finite coordinates, a non-finite or negative ``epsilon``.
+    Subclasses ``ValueError``, which those sites raised for other bad
+    input before, so existing ``except`` clauses keep working.
+    """
 
 
 class ChannelFault(ReproError):

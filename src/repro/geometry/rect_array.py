@@ -14,6 +14,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.errors import InvalidInput
 from repro.geometry.rect import Rect
 
 #: dtype used for all MBR arrays.
@@ -30,11 +31,20 @@ def as_mbr_array(data: np.ndarray) -> np.ndarray:
 
     Accepts an ``(N, 2)`` point array (expanded to degenerate MBRs) or an
     ``(N, 4)`` MBR array.  Raises :class:`ValueError` for anything else or
-    for inverted rectangles.
+    for inverted rectangles, and :class:`~repro.errors.InvalidInput` for
+    NaN or infinite coordinates: a NaN row fails every "lies outside"
+    comparison, so it is counted in every window and no recursive
+    partitioning of the space ever sheds it.
     """
     arr = np.asarray(data, dtype=MBR_DTYPE)
     if arr.ndim != 2:
         raise ValueError(f"expected a 2D array, got shape {arr.shape}")
+    finite = np.isfinite(arr).all(axis=1)
+    if not finite.all():
+        bad = np.flatnonzero(~finite)
+        raise InvalidInput(
+            f"{bad.size} row(s) hold non-finite coordinates (first: row {bad[0]})"
+        )
     if arr.shape[1] == 2:
         arr = np.hstack([arr, arr])
     elif arr.shape[1] != 4:

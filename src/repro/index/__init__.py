@@ -11,11 +11,14 @@ node MBRs can be shipped between servers.
 Contents
 --------
 
-* :class:`~repro.index.rtree.RTree` -- a classical R-tree with quadratic
-  node split and STR bulk loading.
-* :class:`~repro.index.aggregate_rtree.AggregateRTree` -- an aR-tree-style
-  index whose internal nodes carry object counts, giving COUNT queries
-  that touch only partially-covered subtrees.
+* :class:`~repro.index.flat.FlatRTree` -- the servers' index: an R-tree
+  held as parallel arrays, STR bulk loaded straight from an MBR array.
+* :class:`~repro.index.aggregate_rtree.AggregateRTree` -- the aR-tree view
+  over it: subtree counts and areas, giving COUNT queries that touch only
+  partially-covered subtrees.
+* :class:`~repro.index.rtree.RTree` -- a classical insertable pointer
+  R-tree (quadratic split, STR bulk loading); off the serving path, kept
+  for applications and as the test oracle of the array-native build.
 * :class:`~repro.index.grid_index.GridIndex` -- a regular-grid bucket
   index (used for the in-memory PBSM-style hash join).
 * In-memory join kernels: :func:`~repro.index.plane_sweep.plane_sweep_join`
@@ -24,6 +27,7 @@ Contents
 
 from __future__ import annotations
 
+from repro.index.flat import FlatRTree
 from repro.index.rtree import RTree, RTreeNode, RTreeStats
 from repro.index.aggregate_rtree import AggregateRTree
 from repro.index.grid_index import GridIndex
@@ -31,6 +35,7 @@ from repro.index.plane_sweep import plane_sweep_join, plane_sweep_pairs
 from repro.index.hash_join import grid_hash_join
 
 __all__ = [
+    "FlatRTree",
     "RTree",
     "RTreeNode",
     "RTreeStats",

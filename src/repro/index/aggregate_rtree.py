@@ -2,36 +2,30 @@
 
 The paper notes that "COUNT queries can be answered fast by data structures
 such as the aR-tree or the aHRB-tree".  The server substrate therefore
-backs its COUNT primitive with this index: every internal node stores the
-number of objects in its subtree, so a COUNT query adds whole-subtree
-counts for nodes fully contained in the window and only descends into
+backs its COUNT primitive with this index: every node knows the number of
+objects in its subtree, so a COUNT query adds whole-subtree counts for
+nodes fully contained in the window and only descends into
 partially-covered subtrees.
 
-The structure is built on top of an STR-bulk-loaded :class:`RTree` and is
-read-only afterwards (servers in the paper are static data publishers).
+The structure is a thin view over an STR-bulk-loaded
+:class:`~repro.index.flat.FlatRTree` and is read-only (servers in the paper
+are static data publishers).  A subtree's count is the width of its entry
+range; the only aggregate stored on top of the flat arrays is the per-node
+total object-MBR area.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.geometry import rect_array
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
-from repro.index.rtree import RTree, RTreeNode
+from repro.index.flat import FlatRTree
 
 __all__ = ["AggregateRTree"]
-
-
-@dataclass
-class _AggInfo:
-    """Per-node aggregate payload."""
-
-    count: int
-    total_mbr_area: float
 
 
 class AggregateRTree:
@@ -56,13 +50,10 @@ class AggregateRTree:
     def __init__(
         self, entries: Sequence[Tuple[Rect, int]], max_entries: int = 16
     ) -> None:
-        self._tree = RTree.bulk_load(list(entries), max_entries=max_entries)
-        self._agg: Dict[int, _AggInfo] = {}
-        self._build_aggregates(self._tree.root)
-
-    # ------------------------------------------------------------------ #
-    # construction helpers
-    # ------------------------------------------------------------------ #
+        entries = list(entries)
+        mbrs = rect_array.rects_to_array([rect for rect, _ in entries])
+        oids = np.array([oid for _, oid in entries], dtype=np.int64)
+        self._adopt(FlatRTree.from_mbr_array(mbrs, oids, max_entries))
 
     @classmethod
     def from_mbr_array(
@@ -71,57 +62,47 @@ class AggregateRTree:
         oids: Optional[Sequence[int]] = None,
         max_entries: int = 16,
     ) -> "AggregateRTree":
-        """Build from an ``(N, 4)`` MBR array via the array-native STR path.
+        """Build from an ``(N, 4)`` MBR array; the servers' entry point.
 
         Structurally identical to ``AggregateRTree(entries)`` over the same
-        rows, but never materialises per-object :class:`Rect` instances --
-        this is the construction path the servers use.
+        rows, but never materialises per-object :class:`Rect` instances.
         """
-        return cls._from_tree(
-            RTree.from_mbr_array(mbrs, oids, max_entries=max_entries)
-        )
-
-    @classmethod
-    def _from_tree(cls, tree: RTree) -> "AggregateRTree":
         self = cls.__new__(cls)
-        self._tree = tree
-        self._agg = {}
-        self._build_aggregates(tree.root)
+        self._adopt(FlatRTree.from_mbr_array(mbrs, oids, max_entries))
         return self
 
-    def _build_aggregates(self, node: RTreeNode) -> _AggInfo:
-        if node.is_leaf:
-            # Vectorised leaf aggregates: one areas() kernel per leaf instead
-            # of a per-entry generator re-reading four Rect attributes per
-            # object.  The sequential sum over the list keeps float rounding
-            # identical to the scalar path.
-            mbrs, _ = node.leaf_arrays()
-            info = _AggInfo(
-                count=int(mbrs.shape[0]),
-                total_mbr_area=float(sum(rect_array.areas(mbrs).tolist())),
+    def _adopt(self, flat: FlatRTree) -> None:
+        self._flat = flat
+        n_nodes = flat.boxes.shape[0]
+        # Preorder puts a node's first child right after it, so the walk
+        # from a node down its first children ends at the next leaf id.
+        ids = np.arange(n_nodes, dtype=np.intp)
+        leaves = ids[flat.is_leaf]
+        self._level = leaves[np.searchsorted(leaves, ids)] - ids
+        # Per-node total object area, summed left to right over the leaf's
+        # entries, then over each node's children, one level at a time.
+        area = np.zeros(n_nodes, dtype=np.float64)
+        area[leaves] = _sequential_sums(
+            rect_array.areas(flat.entry_mbrs), flat.ent_start[leaves], flat.ent_end[leaves]
+        )
+        for level in range(1, self.height):
+            nodes = ids[self._level == level]
+            area[nodes] = _sequential_sums(
+                area[flat.child_ids], flat.child_start[nodes], flat.child_end[nodes]
             )
-        else:
-            count = 0
-            area = 0.0
-            for child in node.children:
-                child_info = self._build_aggregates(child)
-                count += child_info.count
-                area += child_info.total_mbr_area
-            info = _AggInfo(count=count, total_mbr_area=area)
-        self._agg[id(node)] = info
-        return info
+        self._area = area
 
     # ------------------------------------------------------------------ #
     # public API
     # ------------------------------------------------------------------ #
 
     def __len__(self) -> int:
-        return len(self._tree)
+        return self._flat.size
 
     @property
-    def rtree(self) -> RTree:
-        """The underlying R-tree (object retrieval, SemiJoin level access)."""
-        return self._tree
+    def height(self) -> int:
+        """Number of levels (a tree holding only a root leaf has height 1)."""
+        return int(self._level[0]) + 1
 
     def bounds(self) -> Optional[Rect]:
         """The MBR of every indexed object (``None`` for an empty index).
@@ -130,11 +111,22 @@ class AggregateRTree:
         them with each shard's bounds; reading the root MBR here keeps
         that routing consistent with what the index will actually answer.
         """
-        return self._tree.root.mbr
+        return Rect(*self._flat.boxes[0].tolist()) if len(self) else None
+
+    def second_to_last_level_mbrs(self) -> np.ndarray:
+        """The ``(K, 4)`` node MBRs SemiJoin transfers.
+
+        The leaf-parent level (the root MBR for a single-leaf tree, nothing
+        for an empty one), last node first: the order in which a stack-based
+        walk of a pointer tree meets them, which the frozen traces record.
+        """
+        if not len(self):
+            return rect_array.empty_mbrs()
+        return self._flat.boxes[self._level == min(1, self.height - 1)][::-1]
 
     def count(self, window: Rect) -> int:
         """Number of indexed objects intersecting the window."""
-        return self._count(self._tree.root, window)
+        return int(self._flat.count_batch(rect_array.rects_to_array([window]))[0])
 
     def count_batch(self, windows: Sequence[Rect]) -> List[int]:
         """Answer many COUNT queries in one vectorised frontier traversal.
@@ -142,39 +134,42 @@ class AggregateRTree:
         Whole subtrees contained in a window contribute their aggregate
         count without being descended, exactly as in :meth:`count`; all
         (node, window) pairs of a traversal step are tested in one
-        vectorised operation against the flattened tree snapshot.
+        vectorised operation.
         """
-        return self._tree.count_window_batch(windows)
+        wins = rect_array.rects_to_array(list(windows))
+        return self._flat.count_batch(wins).tolist()
 
     def window_query(self, window: Rect) -> List[int]:
-        """Object ids intersecting the window (delegates to the R-tree)."""
-        return self._tree.window_query(window)
+        """Object ids intersecting the window, in the tree's DFS order."""
+        return self._flat.window_query(window).tolist()
 
     def window_query_batch(self, windows: Sequence[Rect]) -> List[np.ndarray]:
-        """Batched window queries (delegates to the R-tree descent)."""
-        return self._tree.window_query_batch(windows)
+        """One ``int64`` oid array per window, from one frontier traversal."""
+        return self._flat.window_batch(rect_array.rects_to_array(list(windows)))
 
     def window_query_batch_flat(
         self, windows: Sequence[Rect]
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Batched window queries in CSR ``(bounds, oids)`` form."""
-        return self._tree.window_query_batch_flat(windows)
+        return self._flat.window_batch_flat(rect_array.rects_to_array(list(windows)))
 
     def range_query(self, center: Point, epsilon: float) -> List[int]:
-        """Object ids within ``epsilon`` of ``center`` (delegates to the R-tree)."""
-        return self._tree.range_query(center, epsilon)
+        """Object ids within ``epsilon`` of ``center``, in the tree's DFS order."""
+        if epsilon < 0:
+            raise ValueError("epsilon must be non-negative")
+        return self._flat.range_query(center, epsilon).tolist()
 
     def range_query_batch(
         self, centers: Sequence[Point], radii: Sequence[float]
     ) -> List[np.ndarray]:
-        """Batched range queries (delegates to the R-tree descent)."""
-        return self._tree.range_query_batch(centers, radii)
+        """One ``int64`` oid array per probe, from one frontier traversal."""
+        return self._flat.range_batch(*_probe_arrays(centers, radii))
 
     def range_query_batch_flat(
         self, centers: Sequence[Point], radii: Sequence[float]
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Batched range queries in CSR ``(bounds, oids)`` form."""
-        return self._tree.range_query_batch_flat(centers, radii)
+        return self._flat.range_batch_flat(*_probe_arrays(centers, radii))
 
     def total_mbr_area(self, window: Rect) -> float:
         """Total object-MBR area of objects intersecting the window.
@@ -183,7 +178,7 @@ class AggregateRTree:
         resolved by descending, so the result is exact (this is an index
         acceleration, not an estimate).
         """
-        return self._area(self._tree.root, window)
+        return self._total_area(0, window)
 
     def average_mbr_area(self, window: Rect) -> float:
         """Average object-MBR area over the window (0.0 for an empty window)."""
@@ -196,24 +191,45 @@ class AggregateRTree:
     # internals
     # ------------------------------------------------------------------ #
 
-    def _count(self, node: RTreeNode, window: Rect) -> int:
-        if node.mbr is None or not node.mbr.intersects(window):
-            return 0
-        if window.contains_rect(node.mbr):
-            return self._agg[id(node)].count
-        if node.is_leaf:
-            mbrs, _ = node.leaf_arrays()
-            return int(np.count_nonzero(rect_array.intersects_window(mbrs, window)))
-        return sum(self._count(child, window) for child in node.children)
-
-    def _area(self, node: RTreeNode, window: Rect) -> float:
-        if node.mbr is None or not node.mbr.intersects(window):
+    def _total_area(self, node: int, window: Rect) -> float:
+        # A descent, not a frontier: the sum must associate the way the
+        # tree nests for the float result to be reproducible.
+        flat = self._flat
+        box = Rect(*flat.boxes[node].tolist())
+        if flat.ent_start[node] == flat.ent_end[node] or not box.intersects(window):
             return 0.0
-        if window.contains_rect(node.mbr):
-            return self._agg[id(node)].total_mbr_area
-        if node.is_leaf:
-            mbrs, _ = node.leaf_arrays()
+        if window.contains_rect(box):
+            return float(self._area[node])
+        if flat.is_leaf[node]:
+            mbrs = flat.entry_mbrs[flat.ent_start[node] : flat.ent_end[node]]
             mask = rect_array.intersects_window(mbrs, window)
-            # Sequential sum keeps float rounding identical to the scalar path.
             return float(sum(rect_array.areas(mbrs[mask]).tolist()))
-        return sum(self._area(child, window) for child in node.children)
+        kids = flat.child_ids[flat.child_start[node] : flat.child_end[node]]
+        return sum(self._total_area(int(kid), window) for kid in kids)
+
+
+def _probe_arrays(
+    centers: Sequence[Point], radii: Sequence[float]
+) -> Tuple[np.ndarray, np.ndarray]:
+    if len(centers) != len(radii):
+        raise ValueError("radii must be parallel to centers")
+    if any(r < 0 for r in radii):
+        raise ValueError("epsilon must be non-negative")
+    pts = np.array([(p.x, p.y) for p in centers], dtype=np.float64).reshape(-1, 2)
+    return pts, np.asarray(radii, dtype=np.float64)
+
+
+def _sequential_sums(
+    values: np.ndarray, starts: np.ndarray, ends: np.ndarray
+) -> np.ndarray:
+    """``values[starts[i]:ends[i]]`` summed left to right, for every ``i``.
+
+    One column of every range per step, so each sum rounds exactly as a
+    scalar ``for`` loop over its range would.
+    """
+    width = ends - starts
+    out = np.zeros(starts.shape[0], dtype=np.float64)
+    for column in range(int(width.max(initial=0))):
+        live = width > column
+        out[live] += values[starts[live] + column]
+    return out

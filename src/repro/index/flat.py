@@ -1,116 +1,182 @@
-"""Flattened, read-only array view of an R-tree for batch execution.
+"""The array-native R-tree: a read-only structure-of-arrays index.
 
-The node-per-object R-tree in :mod:`repro.index.rtree` is ideal for
-incremental construction and single queries, but answering a *batch* of
-queries through it pays the per-node Python overhead once per (node, query)
-pair.  :class:`FlatRTree` converts a built tree into a structure-of-arrays
-form once (preorder DFS, subtree entries contiguous) and then answers whole
-query batches with frontier traversal: each step tests every active
-(node, query) pair in one vectorised operation and expands the survivors
-with ``np.repeat`` -- no per-node Python loop remains.
+:class:`FlatRTree` holds an R-tree as parallel arrays (nodes in preorder
+DFS, each subtree's entries contiguous) and answers whole query batches
+with frontier traversal: each step tests every active (node, query) pair in
+one vectorised operation and expands the survivors with ``np.repeat`` -- no
+per-node Python loop and no node object exists.
+
+:meth:`FlatRTree.from_mbr_array` is the index build the servers use: an STR
+bulk load that tiles level by level on arrays and writes the node arrays
+directly.  ``FlatRTree(tree)`` snapshots an insertable pointer
+:class:`~repro.index.rtree.RTree` into the same layout (that tree drops
+the snapshot on mutation); both produce identical arrays for the same bulk
+load, which the tests pin.
 
 Because the DFS layout keeps each subtree's entries contiguous, a node
 fully covered by a query window contributes its whole entry range without
 being descended, which is exactly the aggregate-R-tree COUNT shortcut: the
 subtree count is ``ent_end - ent_start``.
-
-The view is read-only; the owning tree invalidates it on mutation.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+import math
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.geometry.rect_array import expand_index_ranges
+from repro.geometry.point import Point
+from repro.geometry.rect import Rect
+from repro.geometry.rect_array import (
+    expand_index_ranges,
+    intersects_window,
+    min_distance_to_point,
+)
 
-__all__ = ["FlatRTree"]
+__all__ = ["FlatRTree", "str_tiling"]
 
 
 class FlatRTree:
-    """Structure-of-arrays snapshot of a built R-tree.
+    """A read-only R-tree in structure-of-arrays form.
 
     Parameters
     ----------
     tree:
-        A :class:`repro.index.rtree.RTree`.  The snapshot reflects the tree
-        at construction time.
+        A :class:`repro.index.rtree.RTree` to snapshot; the arrays reflect
+        the tree at construction time.  Use :meth:`from_mbr_array` to bulk
+        load from data without building a pointer tree.
     """
 
     def __init__(self, tree) -> None:
-        boxes: List[Tuple[float, float, float, float]] = []
-        is_leaf: List[bool] = []
-        ent_start: List[int] = []
-        ent_end: List[int] = []
-        child_start: List[int] = []
-        child_end: List[int] = []
-        child_ids: List[int] = []
-        entry_chunks: List[np.ndarray] = []
-        oid_chunks: List[np.ndarray] = []
+        nodes: List = []  # preorder; a node's id is its position
+        kids: List[List[int]] = []
+        spans: List[Tuple[int, int]] = []  # subtree entry range per node
+        leaves: List[Tuple[np.ndarray, np.ndarray]] = []
+        self.size = 0
 
-        n_entries = 0
-        # Iterative preorder DFS.  A node's id is assigned on first visit;
-        # its subtree occupies a contiguous entry range [ent_start, ent_end).
-        stack = [(tree.root, -1)]  # (node, parent id)
-        pending_children: List[List[int]] = []
-        order: List = []
-        while stack:
-            node, parent = stack.pop()
-            nid = len(order)
-            order.append(node)
-            m = node.mbr
-            boxes.append(
-                (m.xmin, m.ymin, m.xmax, m.ymax) if m is not None else (0.0, 0.0, 0.0, 0.0)
-            )
-            is_leaf.append(node.is_leaf)
-            ent_start.append(n_entries)
-            ent_end.append(n_entries)  # fixed up after the subtree is done
-            pending_children.append([])
-            if parent >= 0:
-                pending_children[parent].append(nid)
+        def visit(node) -> int:
+            nid = len(nodes)
+            nodes.append(node)
+            kids.append([])
+            spans.append((0, 0))
+            start = self.size
             if node.is_leaf:
-                mbrs, oids = node.leaf_arrays()
-                entry_chunks.append(mbrs)
-                oid_chunks.append(oids)
-                n_entries += int(oids.shape[0])
+                leaves.append(node.leaf_arrays())
+                self.size += leaves[-1][1].shape[0]
             else:
-                # Reversed push keeps the children in tree order on pop.
-                for child in reversed(node.children):
-                    stack.append((child, nid))
+                kids[nid] = [visit(child) for child in node.children]
+            spans[nid] = (start, self.size)
+            return nid
 
-        self.boxes = np.asarray(boxes, dtype=np.float64)
-        self.is_leaf = np.asarray(is_leaf, dtype=bool)
-        self.entry_mbrs = (
-            np.vstack(entry_chunks) if n_entries else np.empty((0, 4), dtype=np.float64)
+        visit(tree.root)
+        no_box = (0.0, 0.0, 0.0, 0.0)  # the root of an empty tree
+        self.boxes = np.array(
+            [n.mbr.as_tuple() if n.mbr is not None else no_box for n in nodes],
+            dtype=np.float64,
         )
-        self.entry_oids = (
-            np.concatenate(oid_chunks) if n_entries else np.empty(0, dtype=np.int64)
+        self.is_leaf = np.array([n.is_leaf for n in nodes], dtype=bool)
+        self.entry_mbrs = np.vstack([mbrs for mbrs, _ in leaves])
+        self.entry_oids = np.concatenate([oids for _, oids in leaves])
+        self.ent_start = np.array([lo for lo, _ in spans], dtype=np.intp)
+        self.ent_end = np.array([hi for _, hi in spans], dtype=np.intp)
+        fanout = np.array([len(k) for k in kids], dtype=np.intp)
+        self.child_end = np.cumsum(fanout)
+        self.child_start = self.child_end - fanout
+        self.child_ids = np.array([c for k in kids for c in k], dtype=np.intp)
+
+    @classmethod
+    def from_mbr_array(
+        cls,
+        mbrs: np.ndarray,
+        oids: Optional[Sequence[int]] = None,
+        max_entries: int = 16,
+    ) -> "FlatRTree":
+        """STR bulk load of an ``(N, 4)`` MBR array (oids default to ``range(N)``).
+
+        Tiles bottom-up on arrays -- each level is one STR tiling of the
+        boxes below it, its own boxes one ``reduceat`` -- then lays the
+        levels out in preorder top-down.  Every array equals, value and
+        dtype, what ``FlatRTree(RTree.from_mbr_array(...))`` holds.
+        """
+        if max_entries < 4:
+            raise ValueError("max_entries must be >= 4")
+        arr = np.ascontiguousarray(np.asarray(mbrs, dtype=np.float64)).reshape(-1, 4)
+        n = arr.shape[0]
+        if oids is None:
+            oid_arr = np.arange(n, dtype=np.int64)
+        else:
+            oid_arr = np.asarray(oids, dtype=np.int64)
+            if oid_arr.shape != (n,):
+                raise ValueError("oids must be a 1D array parallel to mbrs")
+
+        # Bottom-up.  Level k's nodes are the STR tiles of level k-1's boxes
+        # (level 0 tiles the entries); ``weight`` counts the entries below.
+        tiles = []
+        if n == 0:  # no data: a lone leaf over no entries
+            zeros = np.zeros(2, dtype=np.intp)
+            tiles.append((zeros[:0], zeros, np.zeros((1, 4)), zeros[:1]))
+        boxes, weight = arr, np.ones(n, dtype=np.intp)
+        while not tiles or boxes.shape[0] > 1:
+            perm, offs = str_tiling(boxes, max_entries)
+            members = boxes[perm]
+            boxes = np.hstack(
+                [
+                    np.minimum.reduceat(members[:, :2], offs[:-1]),
+                    np.maximum.reduceat(members[:, 2:], offs[:-1]),
+                ]
+            )
+            weight = np.add.reduceat(weight[perm], offs[:-1])
+            tiles.append((perm, offs, boxes, weight))
+
+        # Top-down.  ``order`` lists a level's nodes left to right: the
+        # parents' tiles, parent by parent.  Numbering the nodes level by
+        # level for now (the root, then its children, ...) makes a node's
+        # children one contiguous run of the next level's block, and the
+        # last ``order`` is the entries in depth-first order.
+        order = np.zeros(1, dtype=np.intp)
+        columns = []
+        block_end = 0
+        for level in range(len(tiles) - 1, -1, -1):
+            perm, offs, boxes, weight = tiles[level]
+            lo, hi = offs[order], offs[order + 1]
+            fanout = hi - lo if level else np.zeros_like(lo)
+            block_end += order.shape[0]
+            columns.append(
+                (
+                    boxes[order],
+                    np.cumsum(weight[order]),
+                    weight[order],
+                    block_end + np.cumsum(fanout),
+                    fanout,
+                )
+            )
+            order = perm[expand_index_ranges(lo, hi)[1]]
+        boxes, ent_end, weight, kid_end, fanout = (
+            np.concatenate(column) for column in zip(*columns)
         )
 
-        # Children ranges (into child_ids) and subtree entry ranges.  The
-        # preorder guarantees a subtree is the id range [nid, next sibling),
-        # so entry ranges can be fixed up from right to left.
-        starts = np.asarray(ent_start, dtype=np.intp)
-        ends = starts.copy()
-        leaf_sizes = iter([c.shape[0] for c in oid_chunks])
-        for nid in range(len(order)):
-            if self.is_leaf[nid]:
-                ends[nid] = starts[nid] + next(leaf_sizes)
-        for nid in range(len(order) - 1, -1, -1):
-            kids = pending_children[nid]
-            if kids:
-                ends[nid] = ends[kids[-1]]
-        for nid in range(len(order)):
-            child_start.append(len(child_ids))
-            child_ids.extend(pending_children[nid])
-            child_end.append(len(child_ids))
-        self.ent_start = starts
-        self.ent_end = ends
-        self.child_start = np.asarray(child_start, dtype=np.intp)
-        self.child_end = np.asarray(child_end, dtype=np.intp)
-        self.child_ids = np.asarray(child_ids, dtype=np.intp)
-        self.size = n_entries
+        # Renumber in preorder.  Blocks run root level first, so a stable
+        # sort on the first entry below a node puts a node before its
+        # descendants and after everything to its left.
+        pre = np.argsort(ent_end - weight, kind="stable")
+        node_id = np.empty_like(pre)
+        node_id[pre] = np.arange(pre.shape[0], dtype=np.intp)
+        kids = expand_index_ranges((kid_end - fanout)[pre], kid_end[pre])[1]
+        fanout = fanout[pre]
+
+        self = cls.__new__(cls)
+        self.boxes = boxes[pre]
+        self.is_leaf = fanout == 0
+        self.entry_mbrs = arr[order]
+        self.entry_oids = oid_arr[order]
+        self.ent_end = ent_end[pre]
+        self.ent_start = self.ent_end - weight[pre]
+        self.child_end = np.cumsum(fanout)
+        self.child_start = self.child_end - fanout
+        self.child_ids = node_id[kids]
+        self.size = n
+        return self
 
     # ------------------------------------------------------------------ #
     # batch queries
@@ -226,6 +292,40 @@ class FlatRTree:
         return self._flatten_by_query(q_chunks, e_chunks, P)
 
     # ------------------------------------------------------------------ #
+    # single queries
+    # ------------------------------------------------------------------ #
+
+    def window_query(self, window: Rect) -> np.ndarray:
+        """Oids of the entries meeting ``window``, in entry order."""
+        return self._descend(lambda boxes: intersects_window(boxes, window))
+
+    def range_query(self, center: Point, radius: float) -> np.ndarray:
+        """Oids of the entries within ``radius`` of ``center``, in entry order."""
+        return self._descend(
+            lambda boxes: min_distance_to_point(boxes, center.x, center.y) <= radius
+        )
+
+    def _descend(self, keep) -> np.ndarray:
+        """One query's descent: ``keep(boxes)`` masks the boxes it reaches.
+
+        A level's surviving nodes stay in left-to-right order, so the hits
+        come out in ascending entry position -- the order a recursive
+        depth-first descent reports them in, which the scalar payloads on
+        the wire have always had.  One query has no use for the frontier's
+        per-(node, query) bookkeeping and skips it.
+        """
+        nodes = np.zeros(1, dtype=np.intp)
+        while True:
+            nodes = nodes[keep(self.boxes[nodes])]
+            # Every leaf of an R-tree is at the same depth.
+            if nodes.shape[0] == 0 or self.is_leaf[nodes[0]]:
+                break
+            kid = expand_index_ranges(self.child_start[nodes], self.child_end[nodes])[1]
+            nodes = self.child_ids[kid]
+        ent = expand_index_ranges(self.ent_start[nodes], self.ent_end[nodes])[1]
+        return self.entry_oids[ent[keep(self.entry_mbrs[ent])]]
+
+    # ------------------------------------------------------------------ #
     # internals
     # ------------------------------------------------------------------ #
 
@@ -309,3 +409,23 @@ class FlatRTree:
         bounds = np.searchsorted(q_sorted, np.arange(n_queries + 1))
         return bounds, oids_sorted
 
+
+def str_tiling(boxes: np.ndarray, capacity: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Sort-Tile-Recursive grouping of ``N >= 1`` boxes into tiles of ``capacity``.
+
+    Rows are sorted by centre x (stable), cut into ``ceil(sqrt(N / capacity))``
+    vertical slices, each slice sorted by centre y (stable) and cut into
+    runs of ``capacity``.  Returns ``(perm, offs)``: tile ``i`` holds rows
+    ``perm[offs[i]:offs[i + 1]]``.  Equal keys keep input order.  The one
+    copy of the tiling math: the pointer tree's bulk load calls it too.
+    """
+    n = boxes.shape[0]
+    slice_count = math.ceil(math.sqrt(math.ceil(n / capacity)))
+    slice_size = math.ceil(n / slice_count)
+    cx = (boxes[:, 0] + boxes[:, 2]) / 2.0
+    cy = (boxes[:, 1] + boxes[:, 3]) / 2.0
+    slices = np.split(np.argsort(cx, kind="stable"), range(slice_size, n, slice_size))
+    perm = np.concatenate([s[np.argsort(cy[s], kind="stable")] for s in slices])
+    rank = np.arange(n, dtype=np.intp)
+    offs = np.append(rank[rank % slice_size % capacity == 0], n)
+    return perm, offs

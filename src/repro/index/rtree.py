@@ -1,17 +1,18 @@
-"""A classical R-tree.
+"""A classical, insertable pointer R-tree.
 
-This is the index substrate backing the spatial servers and the SemiJoin
-comparator.  Two construction paths are provided:
+The servers do not use this tree: they bulk load the array-native
+:class:`~repro.index.flat.FlatRTree` directly.  This module is the
+insertable index for applications built on the library and the oracle the
+tests hold the array-native build against.  Two construction paths:
 
 * one-by-one insertion with Guttman's *quadratic split* heuristic, and
 * *Sort-Tile-Recursive* (STR) bulk loading, which produces well-packed
-  trees and is what the servers use when a dataset is loaded wholesale.
+  trees; its tiling is :func:`repro.index.flat.str_tiling`, so both index
+  forms of one dataset have the same structure.
 
 The tree stores ``(mbr, oid)`` entries at the leaves.  Queries return
-object ids; callers resolve ids against their dataset container.  The
-SemiJoin algorithm additionally needs access to the MBRs of a whole tree
-*level* (the paper ships "the MBRs of the second to last level"), exposed
-via :meth:`RTree.level_mbrs`.
+object ids; callers resolve ids against their dataset container.  Batch
+queries run against :meth:`RTree.flat_view`.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import numpy as np
 from repro.geometry import rect_array
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
+from repro.index.flat import FlatRTree, str_tiling
 
 __all__ = ["RTree", "RTreeNode", "RTreeStats"]
 
@@ -35,15 +37,9 @@ class RTreeNode:
     Leaf nodes store ``entries`` as ``(Rect, oid)`` tuples; internal nodes
     store ``children`` (other nodes).  ``mbr`` is always the tight bound of
     the node's content and is maintained incrementally.
-
-    A leaf holds its content in one of two equivalent forms: the ``entries``
-    list of ``(Rect, oid)`` tuples, or the ``(mbrs, oids)`` array pair in
-    ``_leaf_cache``.  Array-bulk-loaded leaves start array-only and
-    materialise the tuple list lazily on first ``entries`` access, so the
-    hot construction path never builds per-object ``Rect`` instances.
     """
 
-    __slots__ = ("is_leaf", "level", "mbr", "children", "_entries", "_leaf_cache")
+    __slots__ = ("is_leaf", "level", "mbr", "children", "entries", "_leaf_cache")
 
     def __init__(
         self,
@@ -57,94 +53,34 @@ class RTreeNode:
         self.level = level
         self.mbr = mbr
         self.children: List["RTreeNode"] = children if children is not None else []
-        self._entries: Optional[List[Tuple[Rect, int]]] = (
-            entries if entries is not None else []
-        )
+        self.entries: List[Tuple[Rect, int]] = entries if entries is not None else []
         #: Lazily built ``(mbrs, oids)`` arrays of a leaf's entries, used by
-        #: the vectorised query paths; invalidated whenever ``entries``
-        #: mutates.  For array-bulk-loaded leaves this is the authoritative
-        #: storage and ``_entries`` is None until first requested.
+        #: the vectorised query paths; dropped whenever ``entries`` mutates.
         self._leaf_cache: Optional[Tuple[np.ndarray, np.ndarray]] = None
-
-    @classmethod
-    def leaf_from_arrays(cls, mbrs: np.ndarray, oids: np.ndarray) -> "RTreeNode":
-        """A level-0 leaf backed directly by ``(N, 4)`` MBR / oid arrays."""
-        node = cls(is_leaf=True, level=0)
-        node._entries = None
-        node._leaf_cache = (mbrs, oids)
-        if mbrs.shape[0]:
-            node.mbr = rect_array.bounding_rect(mbrs)
-        return node
-
-    @property
-    def entries(self) -> List[Tuple[Rect, int]]:
-        """Leaf entries as ``(Rect, oid)`` tuples (materialised on demand)."""
-        if self._entries is None:
-            mbrs, oids = self._leaf_cache  # type: ignore[misc]
-            self._entries = [
-                (Rect(float(m[0]), float(m[1]), float(m[2]), float(m[3])), int(o))
-                for m, o in zip(mbrs, oids)
-            ]
-        return self._entries
-
-    @entries.setter
-    def entries(self, value: List[Tuple[Rect, int]]) -> None:
-        self._entries = list(value)
-        self._leaf_cache = None
-
-    def num_entries(self) -> int:
-        """Leaf entry count without materialising the tuple list."""
-        if self._entries is not None:
-            return len(self._entries)
-        if self._leaf_cache is not None:
-            return int(self._leaf_cache[1].shape[0])
-        return 0
 
     def fanout(self) -> int:
         """Number of entries (leaf) or children (internal)."""
-        return self.num_entries() if self.is_leaf else len(self.children)
+        return len(self.entries) if self.is_leaf else len(self.children)
 
     def leaf_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         """The leaf's entries as parallel ``(N, 4)`` MBR / oid arrays."""
         if self._leaf_cache is None:
-            if self._entries:
-                mbrs = np.array(
-                    [(r.xmin, r.ymin, r.xmax, r.ymax) for r, _ in self._entries],
-                    dtype=np.float64,
-                )
-                oids = np.array([oid for _, oid in self._entries], dtype=np.int64)
-            else:
-                mbrs = np.empty((0, 4), dtype=np.float64)
-                oids = np.empty(0, dtype=np.int64)
-            self._leaf_cache = (mbrs, oids)
+            self._leaf_cache = (
+                rect_array.rects_to_array([r for r, _ in self.entries]),
+                np.array([oid for _, oid in self.entries], dtype=np.int64),
+            )
         return self._leaf_cache
 
     def invalidate_leaf_cache(self) -> None:
-        if self._entries is None and self._leaf_cache is not None:
-            # Array-backed leaf: materialise before dropping the arrays so
-            # the content survives the invalidation.
-            _ = self.entries
         self._leaf_cache = None
 
     def recompute_mbr(self) -> None:
         """Recompute the node MBR from its content."""
         if self.is_leaf:
-            if self._entries is None and self._leaf_cache is not None:
-                mbrs, _ = self._leaf_cache
-                self.mbr = (
-                    rect_array.bounding_rect(mbrs) if mbrs.shape[0] else None
-                )
-                return
             rects = [r for r, _ in self.entries]
         else:
             rects = [c.mbr for c in self.children if c.mbr is not None]
         self.mbr = Rect.bounding(rects) if rects else None
-
-    def subtree_object_count(self) -> int:
-        """Number of leaf entries in the subtree (O(nodes), used by stats/tests)."""
-        if self.is_leaf:
-            return self.num_entries()
-        return sum(child.subtree_object_count() for child in self.children)
 
 
 @dataclass(frozen=True)
@@ -184,8 +120,8 @@ class RTree:
             )
         self.root = RTreeNode(is_leaf=True, level=0)
         self._size = 0
-        #: Cached flattened snapshot for batch queries; dropped on mutation.
-        self._flat = None
+        #: Cached array snapshot for batch queries; dropped on mutation.
+        self._flat: Optional[FlatRTree] = None
 
     # ------------------------------------------------------------------ #
     # construction
@@ -237,35 +173,17 @@ class RTree:
         max_entries: int = 16,
         min_entries: Optional[int] = None,
     ) -> "RTree":
-        """Bulk load from an ``(N, 4)`` MBR array (oids default to ``range(N)``).
+        """:meth:`bulk_load` of the rows of an ``(N, 4)`` MBR array.
 
-        This is the array-native STR path: tiling is computed with stable
-        argsorts over the centre coordinate arrays and the leaves are backed
-        directly by row slices of the input, so no per-object ``Rect`` is
-        ever created.  The resulting tree is structurally identical to
-        ``bulk_load(list_of_entries)`` over the same rows in the same order
-        (both use stable sorts over the same centre keys).
+        Takes what :meth:`FlatRTree.from_mbr_array` takes (oids default to
+        ``range(N)``), which makes ``tree.flat_view()`` that build's oracle.
         """
-        arr = np.ascontiguousarray(np.asarray(mbrs, dtype=np.float64))
-        n = arr.shape[0]
-        tree = cls(max_entries=max_entries, min_entries=min_entries)
-        if n == 0:
-            return tree
-        if oids is None:
-            oid_arr = np.arange(n, dtype=np.int64)
-        else:
-            oid_arr = np.asarray(oids, dtype=np.int64)
-            if oid_arr.shape != (n,):
-                raise ValueError("oids must be a 1D array parallel to mbrs")
-        leaves = [
-            RTreeNode.leaf_from_arrays(
-                np.ascontiguousarray(arr[idx]), np.ascontiguousarray(oid_arr[idx])
-            )
-            for idx in _str_tile_indices(arr, max_entries)
-        ]
-        tree._size = n
-        tree.root = tree._pack_upwards(leaves)
-        return tree
+        rows = np.asarray(mbrs, dtype=np.float64).reshape(-1, 4).tolist()
+        oid_list = range(len(rows)) if oids is None else np.asarray(oids).tolist()
+        if len(oid_list) != len(rows):
+            raise ValueError("oids must be a 1D array parallel to mbrs")
+        entries = [(Rect(*row), oid) for row, oid in zip(rows, oid_list)]
+        return cls.bulk_load(entries, max_entries, min_entries)
 
     # ------------------------------------------------------------------ #
     # queries
@@ -289,78 +207,14 @@ class RTree:
         self._range_query(self.root, center, epsilon, out)
         return out
 
-    # ------------------------------------------------------------------ #
-    # batch queries (flattened array traversal answers many queries at once)
-    # ------------------------------------------------------------------ #
+    def flat_view(self) -> FlatRTree:
+        """The array snapshot of this tree, which answers batch queries.
 
-    def flat_view(self) -> "FlatRTree":
-        """The flattened array snapshot of this tree (built lazily).
-
-        The snapshot is cached and rebuilt after mutations; all batch
-        queries execute against it.
+        Built lazily, cached, and dropped by the next mutation.
         """
         if self._flat is None:
-            from repro.index.flat import FlatRTree
-
             self._flat = FlatRTree(self)
         return self._flat
-
-    def window_query_batch(self, windows: Sequence[Rect]) -> List[np.ndarray]:
-        """Answer many window queries in one vectorised frontier traversal.
-
-        Returns one ``int64`` oid array per window.  Each array holds the
-        same oid set a scalar :meth:`window_query` would produce; the order
-        within an array is a traversal detail.
-        """
-        wins = rect_array.rects_to_array(list(windows))
-        return self.flat_view().window_batch(wins)
-
-    def window_query_batch_flat(
-        self, windows: Sequence[Rect]
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Batched window queries in CSR form: ``(bounds, oids)``.
-
-        Window ``i``'s oids are ``oids[bounds[i]:bounds[i+1]]`` -- the same
-        arrays :meth:`window_query_batch` would slice into per-window
-        lists.  Consumers that concatenate per-window payloads anyway (the
-        servers' flat window endpoint, the SemiJoin relay) read this form
-        directly and skip the per-window materialisation.
-        """
-        wins = rect_array.rects_to_array(list(windows))
-        return self.flat_view().window_batch_flat(wins)
-
-    def count_window_batch(self, windows: Sequence[Rect]) -> List[int]:
-        """Result sizes of many window queries (aggregate-style shortcut)."""
-        wins = rect_array.rects_to_array(list(windows))
-        return [int(c) for c in self.flat_view().count_batch(wins)]
-
-    def range_query_batch(
-        self, centers: Sequence[Point], radii: Sequence[float]
-    ) -> List[np.ndarray]:
-        """Answer many range queries in one vectorised frontier traversal."""
-        if len(centers) != len(radii):
-            raise ValueError("radii must be parallel to centers")
-        if any(r < 0 for r in radii):
-            raise ValueError("epsilon must be non-negative")
-        pts = np.array([(p.x, p.y) for p in centers], dtype=np.float64).reshape(-1, 2)
-        rads = np.asarray(radii, dtype=np.float64)
-        return self.flat_view().range_batch(pts, rads)
-
-    def range_query_batch_flat(
-        self, centers: Sequence[Point], radii: Sequence[float]
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Batched range queries in CSR form: ``(bounds, oids)``.
-
-        Probe ``i``'s oids are ``oids[bounds[i]:bounds[i+1]]`` -- the same
-        arrays :meth:`range_query_batch` would slice into per-probe lists.
-        """
-        if len(centers) != len(radii):
-            raise ValueError("radii must be parallel to centers")
-        if any(r < 0 for r in radii):
-            raise ValueError("epsilon must be non-negative")
-        pts = np.array([(p.x, p.y) for p in centers], dtype=np.float64).reshape(-1, 2)
-        rads = np.asarray(radii, dtype=np.float64)
-        return self.flat_view().range_batch_flat(pts, rads)
 
     def nearest_neighbors(self, center: Point, k: int = 1) -> List[Tuple[float, int]]:
         """The ``k`` nearest objects to ``center`` as ``(distance, oid)`` pairs.
@@ -453,7 +307,7 @@ class RTree:
             node_count += 1
             if node.is_leaf:
                 leaf_count += 1
-                leaf_fill += node.num_entries()
+                leaf_fill += len(node.entries)
             else:
                 internal_fill += len(node.children)
         internal_count = node_count - leaf_count
@@ -704,39 +558,12 @@ def _str_tiles(
 ) -> Iterator[List[Tuple[Rect, object]]]:
     """Sort-Tile-Recursive grouping of entries into chunks of ``capacity``.
 
-    Delegates the tiling to :func:`_str_tile_indices` over the entry MBRs,
-    so the tiling math exists exactly once; stable argsort over the same
-    centre keys reproduces what stable ``sorted()`` calls would yield.
+    The tiling math exists once, in :func:`repro.index.flat.str_tiling`;
+    its stable argsorts reproduce what stable ``sorted()`` calls over the
+    same centre keys would yield.
     """
     if not entries:
         return
-    keys = np.array(
-        [(r.xmin, r.ymin, r.xmax, r.ymax) for r, _ in entries], dtype=np.float64
-    )
-    for idx in _str_tile_indices(keys, capacity):
-        yield [entries[i] for i in idx]
-
-
-def _str_tile_indices(mbrs: np.ndarray, capacity: int) -> Iterator[np.ndarray]:
-    """Array-native Sort-Tile-Recursive grouping over an ``(N, 4)`` MBR array.
-
-    Rows are sorted by centre x (stable), cut into vertical slices of
-    ``ceil(sqrt(N / capacity))`` groups, each slice sorted by centre y
-    (stable) and cut into runs of ``capacity``; yields one index array per
-    leaf.  Equal-key ties break in input order, so entry-list and array
-    construction build structurally identical trees.
-    """
-    n = mbrs.shape[0]
-    if n == 0:
-        return
-    leaf_count = math.ceil(n / capacity)
-    slice_count = max(1, math.ceil(math.sqrt(leaf_count)))
-    slice_size = math.ceil(n / slice_count)
-    cx = (mbrs[:, 0] + mbrs[:, 2]) / 2.0
-    cy = (mbrs[:, 1] + mbrs[:, 3]) / 2.0
-    order_x = np.argsort(cx, kind="stable")
-    for s in range(0, n, slice_size):
-        vertical = order_x[s : s + slice_size]
-        vertical = vertical[np.argsort(cy[vertical], kind="stable")]
-        for t in range(0, vertical.shape[0], capacity):
-            yield vertical[t : t + capacity]
+    perm, offs = str_tiling(rect_array.rects_to_array([r for r, _ in entries]), capacity)
+    for lo, hi in zip(offs[:-1].tolist(), offs[1:].tolist()):
+        yield [entries[i] for i in perm[lo:hi].tolist()]

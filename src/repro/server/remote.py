@@ -685,7 +685,7 @@ class IndexedRemoteServer(RemoteServer):
 
     def tree_height(self) -> int:
         """Height of the server's R-tree (metadata; accounted as an aggregate)."""
-        height = self._server.index.rtree.height
+        height = self._server.index.height
 
         def account(channel: Channel) -> None:
             channel.send_query(
@@ -719,11 +719,8 @@ class IndexedRemoteServer(RemoteServer):
         number of MBRs (an MBR weighs one ``B_obj``, like any other spatial
         object on the wire).
         """
-        rects = self._server.index.rtree.second_to_last_level_mbrs()
-        if rects:
-            mbrs = np.array([r.as_tuple() for r in rects], dtype=np.float64)
-        else:
-            mbrs = np.empty((0, 4))
+        mbrs = self._server.index.second_to_last_level_mbrs()
+        rects = [Rect(*row) for row in mbrs.tolist()]
         oids = np.arange(mbrs.shape[0], dtype=np.int64)
 
         def account(channel: Channel) -> None:

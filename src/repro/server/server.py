@@ -1,10 +1,10 @@
 """The spatial server proper.
 
 A :class:`SpatialServer` owns one :class:`~repro.datasets.dataset.SpatialDataset`
-and answers the primitive queries from an aggregate R-tree (COUNT and the
-area aggregate) and from its underlying R-tree (WINDOW, RANGE).  The server
-also keeps simple query statistics, which the experiments report to show
-how many aggregate vs. data queries each algorithm issued.
+and answers every primitive query (COUNT and the area aggregate, WINDOW,
+RANGE) from one array-native aggregate R-tree.  The server also keeps
+simple query statistics, which the experiments report to show how many
+aggregate vs. data queries each algorithm issued.
 """
 
 from __future__ import annotations
@@ -108,10 +108,9 @@ class SpatialServer(SpatialServerInterface):
     def shared_view(self) -> "SpatialServer":
         """A server sharing this one's immutable state, with fresh statistics.
 
-        The dataset, the aggregate R-tree (and its flattened snapshots) and
-        the oid lookup tables are shared by reference -- all read-only
-        during queries -- while the query-statistics counters are private
-        to the view.  The query broker hands every in-flight query its own
+        The dataset, the aggregate R-tree and the oid lookup tables are
+        shared by reference -- all read-only during queries -- while the
+        query-statistics counters are private to the view.  The query broker hands every in-flight query its own
         view of a cached server build, so concurrent queries meter their
         server statistics in full isolation without re-running the index
         construction.
@@ -183,8 +182,11 @@ class SpatialServer(SpatialServerInterface):
         return self._index.count_batch(windows)
 
     def prime_snapshot(self) -> None:
-        """Force lazy index snapshots so shared views are read-only."""
-        self._index.rtree.flat_view()
+        """Nothing to force: the index is its own snapshot, built eagerly.
+
+        Kept for callers that warm a server before timing it or before
+        fanning queries out over threads.
+        """
 
     @property
     def index(self) -> AggregateRTree:

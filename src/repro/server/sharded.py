@@ -199,9 +199,7 @@ class ShardedSpatialServer:
         return totals
 
     def prime_snapshot(self) -> None:
-        """Force every shard's lazy index snapshot (read-only views after)."""
-        for shard in self.shards:
-            shard.prime_snapshot()
+        """Nothing to force (see :meth:`SpatialServer.prime_snapshot`)."""
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
         return (

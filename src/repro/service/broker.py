@@ -662,26 +662,11 @@ class QueryBroker:
             dataset.rename(name), name=name, index_fanout=self.index_fanout
         )
 
-    @staticmethod
-    def _prime_snapshot(base) -> None:
-        """Force-build the server's flattened index snapshot(s).
-
-        The snapshot is otherwise built lazily by the first batch query.
-        With pooled advances that first query may come from several worker
-        threads at once; building it here, on the coordinating thread
-        before the wave fans out, keeps the shared read-only structures
-        truly read-only during concurrent execution.  A shard fleet primes
-        every shard.
-        """
-        base.prime_snapshot()
-
     def _build_stack(self, entry: _Admitted) -> None:
         """One isolated session stack per query: statistics views of the
         cached servers, fresh metered channels, a fresh device."""
         query = entry.query
         base_r, base_s = self._base_servers(query)
-        self._prime_snapshot(base_r)
-        self._prime_snapshot(base_s)
         entry.base_r, entry.base_s = base_r, base_s
         algorithm = entry.plan.algorithm
         resilience = None

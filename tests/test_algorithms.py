@@ -12,6 +12,7 @@ import pytest
 from repro.api import AdHocJoinSession, available_algorithms, quick_join
 from repro.core.join_types import JoinSpec
 from repro.datasets.synthetic import clustered, gaussian_mixture, uniform
+from repro.errors import InvalidInput
 from repro.geometry.rect import Rect
 
 from tests.conftest import brute_force_pairs
@@ -165,6 +166,15 @@ class TestSessionBehaviour:
         assert result.pairs == brute_force_pairs(r, s, 0.03)
         assert result.total_bytes > 0
         assert result.algorithm == "upjoin"
+
+    @pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), -1.0])
+    def test_entry_points_reject_unusable_epsilon(self, epsilon):
+        r = uniform(n=30, seed=18)
+        s = uniform(n=30, seed=19)
+        with pytest.raises(InvalidInput):
+            quick_join(r, s, algorithm="upjoin", epsilon=epsilon)
+        with pytest.raises(InvalidInput):
+            AdHocJoinSession(r, s).run(algorithm="naive", epsilon=epsilon, kind="iceberg")
 
     def test_semijoin_requires_indexed_session(self):
         r = uniform(n=30, seed=18)

@@ -48,8 +48,9 @@ class TestFlatTreeBatches:
             ds = uniform(n=500, seed=2)
         tree = RTree.bulk_load(ds.entries(), max_entries=8)
         windows = _random_windows(40, seed=9)
-        batched = tree.window_query_batch(windows)
-        counts = tree.count_window_batch(windows)
+        wins = rect_array.rects_to_array(windows)
+        batched = tree.flat_view().window_batch(wins)
+        counts = tree.flat_view().count_batch(wins).tolist()
         for window, oids, count in zip(windows, batched, counts):
             scalar = tree.window_query(window)
             assert sorted(oids.tolist()) == sorted(scalar)
@@ -61,7 +62,8 @@ class TestFlatTreeBatches:
         rng = np.random.default_rng(1)
         centers = [Point(float(x), float(y)) for x, y in rng.uniform(0, 1, size=(60, 2))]
         radii = rng.uniform(0.0, 0.1, size=60).tolist()
-        batched = tree.range_query_batch(centers, radii)
+        pts = np.array([(p.x, p.y) for p in centers])
+        batched = tree.flat_view().range_batch(pts, np.array(radii))
         for center, radius, oids in zip(centers, radii, batched):
             assert sorted(oids.tolist()) == sorted(tree.range_query(center, radius))
 
@@ -75,17 +77,21 @@ class TestFlatTreeBatches:
         tree = RTree(max_entries=4)
         for i in range(10):
             tree.insert(Rect(i * 0.1, 0.0, i * 0.1 + 0.05, 0.05), i)
-        everything = Rect(-1, -1, 2, 2)
-        assert tree.count_window_batch([everything]) == [10]
+        everything = np.array([[-1.0, -1.0, 2.0, 2.0]])
+        assert tree.flat_view().count_batch(everything).tolist() == [10]
         tree.insert(Rect(0.5, 0.5, 0.6, 0.6), 99)
-        assert tree.count_window_batch([everything]) == [11]
-        assert 99 in tree.window_query_batch([everything])[0].tolist()
+        assert tree.flat_view().count_batch(everything).tolist() == [11]
+        assert 99 in tree.flat_view().window_batch(everything)[0].tolist()
 
     def test_empty_tree_and_empty_batch(self):
-        tree = RTree(max_entries=4)
-        assert tree.window_query_batch([]) == []
-        assert tree.count_window_batch([Rect(0, 0, 1, 1)]) == [0]
-        assert tree.range_query_batch([], []) == []
+        flat = RTree(max_entries=4).flat_view()
+        assert flat.window_batch(np.empty((0, 4))) == []
+        assert flat.count_batch(np.array([[0.0, 0.0, 1.0, 1.0]])).tolist() == [0]
+        assert flat.range_batch(np.empty((0, 2)), np.empty(0)) == []
+        empty = AggregateRTree([], max_entries=4)
+        assert empty.window_query_batch([]) == []
+        assert empty.count_batch([Rect(0, 0, 1, 1)]) == [0]
+        assert empty.range_query_batch([], []) == []
 
 
 class TestServerBatches:

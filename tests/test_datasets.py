@@ -11,6 +11,7 @@ from repro.datasets.dataset import SpatialDataset
 from repro.datasets.loader import load_dataset, save_dataset
 from repro.datasets.railway import generate_railway_like
 from repro.datasets.synthetic import clustered, gaussian_mixture, uniform
+from repro.errors import InvalidInput, ReproError
 from repro.datasets.workloads import (
     PAPER_CLUSTER_COUNTS,
     WorkloadSpec,
@@ -31,6 +32,21 @@ class TestSpatialDataset:
     def test_duplicate_oids_rejected(self):
         with pytest.raises(ValueError):
             SpatialDataset(np.zeros((2, 4)), oids=np.array([1, 1]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rows_rejected(self, bad):
+        # Regression: an all-NaN row is "inside" every window (each of the
+        # "lies outside" comparisons is False), so UpJoin over the derived
+        # window kept repartitioning forever.  The dataset boundary now
+        # refuses it, typed, before any server or index is built.
+        mbrs = uniform(n=50, seed=1).mbrs.copy()
+        mbrs[7] = bad
+        with pytest.raises(InvalidInput, match="row 7") as info:
+            SpatialDataset(mbrs)
+        assert isinstance(info.value, ValueError)
+        assert isinstance(info.value, ReproError)
+        with pytest.raises(InvalidInput):
+            SpatialDataset.from_points(mbrs[:, :2])
 
     def test_window_mask_and_count(self):
         ds = SpatialDataset.from_points(np.array([[0.1, 0.1], [0.9, 0.9], [0.5, 0.5]]))

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.join_types import JoinKind, JoinSpec
 from repro.core.result import JoinResult, TraceEvent
+from repro.errors import InvalidInput
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.geometry.refpoint import (
@@ -30,6 +31,13 @@ class TestJoinSpec:
             JoinSpec(kind=JoinKind.INTERSECTION, epsilon=0.1)
         with pytest.raises(ValueError):
             JoinSpec(kind=JoinKind.DISTANCE, epsilon=0.1, min_matches=2)
+
+    @pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), -0.1])
+    def test_unusable_epsilon_is_typed(self, epsilon):
+        # nan slipped through the ``epsilon <= 0`` check and joined to nothing.
+        for build in (JoinSpec.distance, lambda e: JoinSpec.iceberg(e, 2)):
+            with pytest.raises(InvalidInput, match="epsilon"):
+                build(epsilon)
 
     def test_predicates(self):
         assert JoinSpec.intersection().predicate().probe_radius() == 0.0
