@@ -22,6 +22,7 @@ from repro.core.costmodel import CostModel
 from repro.core.join_types import JoinSpec
 from repro.core.result import JoinResult, TraceEvent
 from repro.device.pda import MobileDevice
+from repro.geometry import rect_array
 from repro.geometry.predicates import JoinPredicate
 from repro.geometry.rect import Rect
 
@@ -326,8 +327,6 @@ class MobileJoinAlgorithm(ABC):
         the same substrate MobiJoin's ``k x k`` grid step uses through
         :func:`~repro.geometry.rect_array.subdivide_window`.
         """
-        from repro.geometry import rect_array  # deferred: avoids a cycle
-
         return [
             Rect(x0, y0, x1, y1)
             for x0, y0, x1, y1 in rect_array.quadrant_cells(window).tolist()

@@ -167,10 +167,18 @@ class SpatialDataset:
     # ------------------------------------------------------------------ #
 
     def rename(self, name: str) -> "SpatialDataset":
-        """A shallow copy with a different name."""
-        return SpatialDataset(
+        """A shallow copy with a different name, sharing this dataset's arrays."""
+        return self._trusted(
             mbrs=self.mbrs, oids=self.oids, name=name, metadata=dict(self.metadata)
         )
+
+    @classmethod
+    def _trusted(cls, **fields) -> "SpatialDataset":
+        """Wrap the arrays of an existing dataset, which a public construction
+        validated and froze: no ``__post_init__`` (finite / inverted / unique scans)."""
+        self = object.__new__(cls)
+        self.__dict__.update(fields)
+        return self
 
     def entries(self) -> List[Tuple[Rect, int]]:
         """All ``(Rect, oid)`` pairs, materialised once and cached.

@@ -25,7 +25,7 @@ import numpy as np
 from repro.device.buffer import DeviceBuffer
 from repro.geometry.predicates import JoinPredicate
 from repro.geometry.rect import Rect
-from repro.index.hash_join import grid_hash_join, grid_hash_join_batch
+from repro.index.hash_join import JoinBatch, grid_hash_join, grid_hash_join_batch
 from repro.server.remote import ServerPair
 
 __all__ = [
@@ -250,25 +250,19 @@ def hash_based_spatial_join_batch(
                     )
                     pos += 1
 
-        # Feasible windows: one WINDOW batch per server, one segmented
-        # grid-hash kernel call over all of them.
+        # Feasible windows: one WINDOW batch per server, answered in CSR
+        # form, which is what the batch kernel joins -- no per-window split.
         if joins:
-            payloads_r = servers.r.window_batch([w for _, w, _ in joins])
-            payloads_s = servers.s.window_batch([ws for _, _, ws in joins])
-            pair_lists = grid_hash_join_batch(
-                [
-                    (rm, ro, sm, so)
-                    for (rm, ro), (sm, so) in zip(payloads_r, payloads_s)
-                ],
-                predicate,
-            )
-            for (idx, _, _), (rm, ro), (sm, so), pairs in zip(
-                joins, payloads_r, payloads_s, pair_lists
-            ):
+            flat_r = servers.r.window_batch_flat([w for _, w, _ in joins])
+            flat_s = servers.s.window_batch_flat([ws for _, _, ws in joins])
+            pair_lists = grid_hash_join_batch(JoinBatch(*flat_r, *flat_s), predicate)
+            got_r = np.diff(flat_r[2]).tolist()
+            got_s = np.diff(flat_s[2]).tolist()
+            for (idx, _, _), n_r, n_s, pairs in zip(joins, got_r, got_s, pair_lists):
                 result = results[idx]
-                result.objects_downloaded_r += int(ro.shape[0])
-                result.objects_downloaded_s += int(so.shape[0])
-                token = buffer.allocate(int(ro.shape[0]) + int(so.shape[0]))
+                result.objects_downloaded_r += n_r
+                result.objects_downloaded_s += n_s
+                token = buffer.allocate(n_r + n_s)
                 try:
                     result.pairs.extend(pairs)
                     result.windows_joined += 1

@@ -150,8 +150,12 @@ class AggregateRTree:
     def window_query_batch_flat(
         self, windows: Sequence[Rect]
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Batched window queries in CSR ``(bounds, oids)`` form."""
+        """Batched window queries in CSR ``(bounds, rows)`` form (see :meth:`entries_at`)."""
         return self._flat.window_batch_flat(rect_array.rects_to_array(list(windows)))
+
+    def entries_at(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The ``(mbrs, oids)`` of the entry rows a ``*_batch_flat`` query matched."""
+        return self._flat.entry_mbrs[rows], self._flat.entry_oids[rows]
 
     def range_query(self, center: Point, epsilon: float) -> List[int]:
         """Object ids within ``epsilon`` of ``center``, in the tree's DFS order."""
@@ -168,7 +172,7 @@ class AggregateRTree:
     def range_query_batch_flat(
         self, centers: Sequence[Point], radii: Sequence[float]
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Batched range queries in CSR ``(bounds, oids)`` form."""
+        """Batched range queries in CSR ``(bounds, rows)`` form (see :meth:`entries_at`)."""
         return self._flat.range_batch_flat(*_probe_arrays(centers, radii))
 
     def total_mbr_area(self, window: Rect) -> float:

@@ -203,21 +203,23 @@ class FlatRTree:
 
     def window_batch(self, wins: np.ndarray) -> List[np.ndarray]:
         """Qualifying oids for every window of a ``(W, 4)`` array."""
-        bounds, oids = self.window_batch_flat(wins)
+        bounds, rows = self.window_batch_flat(wins)
+        oids = self.entry_oids[rows]
         return [oids[bounds[i] : bounds[i + 1]] for i in range(wins.shape[0])]
 
     def window_batch_flat(self, wins: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Qualifying oids for a window batch, in CSR (offset-array) form.
+        """Qualifying entries for a window batch, in CSR (offset-array) form.
 
-        Returns ``(bounds, oids)`` with ``len(bounds) == W + 1``: the oids
-        of window ``i`` are ``oids[bounds[i]:bounds[i+1]]``.  Batch
-        consumers that concatenate per-window results anyway (the frontier
-        operator executors, the segmented join kernels) read this form
-        directly and skip the per-window list materialisation.
+        Returns ``(bounds, rows)`` with ``len(bounds) == W + 1``: the
+        entries of window ``i`` are ``rows[bounds[i]:bounds[i+1]]``,
+        positions into :attr:`entry_mbrs` / :attr:`entry_oids`.  The
+        traversal has just tested these very rows, so a consumer gathers
+        payload MBRs and oids with one take each and never looks an oid up
+        again.
         """
         W = wins.shape[0]
         if self.size == 0 or W == 0:
-            return np.zeros(W + 1, dtype=np.intp), np.empty(0, dtype=np.int64)
+            return np.zeros(W + 1, dtype=np.intp), np.empty(0, dtype=np.intp)
         q_chunks: List[np.ndarray] = []
         e_chunks: List[np.ndarray] = []
         for qids, contained_node, part_nodes, part_qids in self._frontier(wins):
@@ -238,23 +240,23 @@ class FlatRTree:
 
     def range_batch(self, pts: np.ndarray, radii: np.ndarray) -> List[np.ndarray]:
         """Qualifying oids for every probe of ``(P, 2)`` centres / radii."""
-        bounds, oids = self.range_batch_flat(pts, radii)
+        bounds, rows = self.range_batch_flat(pts, radii)
+        oids = self.entry_oids[rows]
         return [oids[bounds[i] : bounds[i + 1]] for i in range(pts.shape[0])]
 
     def range_batch_flat(
         self, pts: np.ndarray, radii: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Qualifying oids for a probe batch, in CSR (offset-array) form.
+        """Qualifying entries for a probe batch, in CSR (offset-array) form.
 
-        Returns ``(bounds, oids)`` with ``len(bounds) == P + 1``: the oids
-        of probe ``i`` are ``oids[bounds[i]:bounds[i+1]]``.  The NLSJ
-        bucket-response assembly reads this form directly, so all probe
-        payloads of a batch come from slices of one array instead of a
-        per-probe materialisation loop.
+        Returns ``(bounds, rows)`` with ``len(bounds) == P + 1``: the
+        entries of probe ``i`` are ``rows[bounds[i]:bounds[i+1]]``,
+        positions into :attr:`entry_mbrs` / :attr:`entry_oids` like
+        :meth:`window_batch_flat`'s.
         """
         P = pts.shape[0]
         if self.size == 0 or P == 0:
-            return np.zeros(P + 1, dtype=np.intp), np.empty(0, dtype=np.int64)
+            return np.zeros(P + 1, dtype=np.intp), np.empty(0, dtype=np.intp)
         q_chunks: List[np.ndarray] = []
         e_chunks: List[np.ndarray] = []
         nodes = np.zeros(1, dtype=np.intp)
@@ -398,16 +400,14 @@ class FlatRTree:
     def _flatten_by_query(
         self, q_chunks: List[np.ndarray], e_chunks: List[np.ndarray], n_queries: int
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Turn (query id, entry index) chunk pairs into CSR offsets + oids."""
+        """Turn (query id, entry row) chunk pairs into CSR offsets + rows."""
         if not q_chunks:
-            return np.zeros(n_queries + 1, dtype=np.intp), np.empty(0, dtype=np.int64)
+            return np.zeros(n_queries + 1, dtype=np.intp), np.empty(0, dtype=np.intp)
         q = np.concatenate(q_chunks)
         e = np.concatenate(e_chunks)
         order = np.argsort(q, kind="stable")
-        q_sorted = q[order]
-        oids_sorted = self.entry_oids[e[order]]
-        bounds = np.searchsorted(q_sorted, np.arange(n_queries + 1))
-        return bounds, oids_sorted
+        bounds = np.searchsorted(q[order], np.arange(n_queries + 1))
+        return bounds, e[order]
 
 
 def str_tiling(boxes: np.ndarray, capacity: int) -> Tuple[np.ndarray, np.ndarray]:

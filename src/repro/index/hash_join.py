@@ -10,25 +10,66 @@ sweep, removing duplicates with the reference-point rule.
 Exactness: for intersection joins the grid replicates by MBR overlap; for
 epsilon-distance joins the probe side is expanded by epsilon before
 hashing, so every qualifying pair co-occurs in at least one bucket.
+
+There is one implementation, :func:`grid_hash_join_batch`, which joins many
+independent windows in one pass; :func:`grid_hash_join` is its one-item
+case.
 """
 
 from __future__ import annotations
 
-import math
-from typing import List, Tuple
+from typing import List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.geometry import rect_array
-from repro.geometry.grid import RegularGrid
 from repro.geometry.predicates import JoinPredicate, WithinDistancePredicate
 from repro.geometry.rect import Rect
-from repro.index.plane_sweep import (
-    plane_sweep_pair_arrays,
-    plane_sweep_pair_arrays_segmented,
-)
+from repro.geometry.rect_array import expand_index_ranges
+from repro.index.plane_sweep import plane_sweep_pair_arrays_segmented
 
-__all__ = ["grid_hash_join", "grid_hash_join_batch"]
+__all__ = ["JoinBatch", "grid_hash_join", "grid_hash_join_batch"]
+
+#: An item this small would get a grid of at most 2 x 2 cells
+#: (``ceil(sqrt(n / 32)) <= 2``): hashing it costs more than the candidate
+#: pairs it saves, so it is swept whole.
+_GRID_FREE_MAX = 128
+#: Rows (both sides) one segmented sweep call takes, give or take a segment.
+_SWEEP_ROWS = 8192
+
+JoinItem = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+#: An explicit ``(bounds, cells_per_side)`` of one item; ``None`` keeps a default.
+Grid = Tuple[Optional[Rect], Optional[int]]
+
+
+class JoinBatch(NamedTuple):
+    """Many join items in CSR form, the shape ``window_batch_flat`` answers in.
+
+    Item ``k`` joins rows ``a_bounds[k]:a_bounds[k+1]`` of the A side with
+    rows ``b_bounds[k]:b_bounds[k+1]`` of the B side.
+    """
+
+    a_mbrs: np.ndarray
+    a_oids: np.ndarray
+    a_bounds: np.ndarray
+    b_mbrs: np.ndarray
+    b_oids: np.ndarray
+    b_bounds: np.ndarray
+
+    @classmethod
+    def from_items(cls, items: Sequence[JoinItem]) -> "JoinBatch":
+        """Concatenate ``(a_mbrs, a_oids, b_mbrs, b_oids)`` tuples."""
+
+        def side(mbrs: List[np.ndarray], oids: List[np.ndarray]):
+            return (
+                np.vstack([np.empty((0, 4)), *mbrs]),
+                np.concatenate([np.empty(0, np.int64), *(np.asarray(o, np.int64) for o in oids)]),
+                np.cumsum([0] + [m.shape[0] for m in mbrs]),
+            )
+
+        return cls(
+            *side([it[0] for it in items], [it[1] for it in items]),
+            *side([it[2] for it in items], [it[3] for it in items]),
+        )
 
 
 def grid_hash_join(
@@ -54,136 +95,185 @@ def grid_hash_join(
         Hashing space; defaults to the union MBR of both inputs.
     cells_per_side:
         Grid resolution; defaults to ``ceil(sqrt((|A| + |B|) / 32))`` so an
-        average bucket holds a few dozen objects.
+        average bucket holds a few dozen objects.  Inputs of at most 128
+        objects are swept without a grid unless one is asked for here.
 
     Returns
     -------
-    list of ``(a_oid, b_oid)`` pairs, duplicate-free.
+    list of ``(a_oid, b_oid)`` pairs, duplicate-free, sorted.
     """
-    na, nb = a_mbrs.shape[0], b_mbrs.shape[0]
-    if na == 0 or nb == 0:
-        return []
-    eps = predicate.probe_radius() if isinstance(predicate, WithinDistancePredicate) else 0.0
-
-    if bounds is None:
-        both = np.vstack([a_mbrs, b_mbrs])
-        bounds = rect_array.bounding_rect(both)
-        if bounds.width == 0 or bounds.height == 0 or eps > 0:
-            bounds = bounds.expanded(max(eps, 1e-9))
-    if cells_per_side is None:
-        cells_per_side = max(1, int(math.ceil(math.sqrt((na + nb) / 32.0))))
-    grid = RegularGrid(bounds, cells_per_side, cells_per_side)
-
-    cells_a, starts_a, objs_a = _hash_side(a_mbrs, grid, expand=0.0)
-    cells_b, starts_b, objs_b = _hash_side(b_mbrs, grid, expand=eps)
-
-    common, pos_a, pos_b = np.intersect1d(
-        cells_a, cells_b, assume_unique=True, return_indices=True
+    one_item = JoinBatch(
+        a_mbrs, a_oids, np.array([0, a_mbrs.shape[0]]),
+        b_mbrs, b_oids, np.array([0, b_mbrs.shape[0]]),
     )
-    pair_chunks: List[np.ndarray] = []
-    for ca, cb in zip(pos_a, pos_b):
-        ids_a = objs_a[starts_a[ca] : starts_a[ca + 1]]
-        ids_b = objs_b[starts_b[cb] : starts_b[cb + 1]]
-        i_idx, j_idx = plane_sweep_pair_arrays(a_mbrs[ids_a], b_mbrs[ids_b], predicate)
-        if i_idx.shape[0]:
-            pair_chunks.append(
-                np.column_stack([a_oids[ids_a[i_idx]], b_oids[ids_b[j_idx]]])
-            )
-    if not pair_chunks:
-        return []
-    # Deduplicate pairs rediscovered by neighbouring cells; np.unique sorts
-    # lexicographically, matching the historical sorted-set output.
-    unique = np.unique(np.concatenate(pair_chunks).astype(np.int64), axis=0)
-    return [(int(a), int(b)) for a, b in unique.tolist()]
+    grids = None if bounds is None and cells_per_side is None else {0: (bounds, cells_per_side)}
+    return grid_hash_join_batch(one_item, predicate, grids)[0]
 
 
 def grid_hash_join_batch(
-    items: List[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]],
+    items: Union[JoinBatch, Sequence[JoinItem]],
     predicate: JoinPredicate,
+    grids: Optional[Mapping[int, Grid]] = None,
 ) -> List[List[Tuple[int, int]]]:
-    """Join many independent ``(a_mbrs, a_oids, b_mbrs, b_oids)`` windows.
+    """Join many independent windows; one sorted duplicate-free pair list each.
 
-    Returns one duplicate-free pair list per item, identical to calling
-    :func:`grid_hash_join` per item.  Each item is hashed into its own grid
-    (same bounds / resolution rules as the single-item kernel), but the
-    hashing runs over the concatenation of all items at once -- per-item
-    grid parameters are broadcast per row, cell ids live in one global id
-    space offset per item -- and the per-bucket plane sweeps of *all* items
-    become the segments of a single
-    :func:`plane_sweep_pair_arrays_segmented` call.  This is the frontier
-    executor's in-memory kernel: one sweep invocation per level instead of
-    one per bucket per window, with no per-item Python loop left.
+    ``items`` is a :class:`JoinBatch` or a sequence of ``(a_mbrs, a_oids,
+    b_mbrs, b_oids)`` tuples.  ``grids`` maps item indices to an explicit
+    ``(bounds, cells_per_side)`` (either may be ``None``), overriding the
+    defaults documented on :func:`grid_hash_join`.
+
+    Each item above the grid-free threshold is hashed into its own grid,
+    but over the concatenation of all such items at once.  The matched
+    buckets of every hashed item and the grid-free items as a whole are
+    the segments of :func:`plane_sweep_pair_arrays_segmented`: a batch is
+    one or a few sweep calls, whatever the number of windows and buckets,
+    and there is no per-item Python loop.
     """
-    eps = predicate.probe_radius() if isinstance(predicate, WithinDistancePredicate) else 0.0
-    out: List[List[Tuple[int, int]]] = [[] for _ in items]
-    live = [
-        k
-        for k, (a_mbrs, _, b_mbrs, _) in enumerate(items)
-        if a_mbrs.shape[0] and b_mbrs.shape[0]
-    ]
-    if not live:
-        return out
-    n_a = np.array([items[k][0].shape[0] for k in live], dtype=np.intp)
-    n_b = np.array([items[k][2].shape[0] for k in live], dtype=np.intp)
-    a_all = np.vstack([items[k][0] for k in live])
-    b_all = np.vstack([items[k][2] for k in live])
-    a_oid_all = np.concatenate([np.asarray(items[k][1]) for k in live]).astype(np.int64)
-    b_oid_all = np.concatenate([np.asarray(items[k][3]) for k in live]).astype(np.int64)
-    off_a = np.concatenate([[0], np.cumsum(n_a)])
-    off_b = np.concatenate([[0], np.cumsum(n_b)])
+    batch = items if isinstance(items, JoinBatch) else JoinBatch.from_items(items)
+    grids = grids or {}
+    n_items = batch.a_bounds.shape[0] - 1
+    out: List[List[Tuple[int, int]]] = [[] for _ in range(n_items)]
+    n_a, n_b = np.diff(batch.a_bounds), np.diff(batch.b_bounds)
+    live = np.flatnonzero((n_a > 0) & (n_b > 0))
+    # The rows of the live items and, per row, its item's position in ``live``.
+    item_a, row_a = expand_index_ranges(batch.a_bounds[live], batch.a_bounds[live + 1])
+    item_b, row_b = expand_index_ranges(batch.b_bounds[live], batch.b_bounds[live + 1])
+    hashed = (n_a + n_b)[live] > _GRID_FREE_MAX
+    hashed[np.isin(live, list(grids))] = True  # an asked-for grid is built
+    in_grid = np.flatnonzero(hashed)
+    grid_a, grid_b = np.flatnonzero(hashed[item_a]), np.flatnonzero(hashed[item_b])
+    whole_a, whole_b = np.flatnonzero(~hashed[item_a]), np.flatnonzero(~hashed[item_b])
 
-    # Per-item hashing bounds (union MBR, expanded like the scalar kernel).
-    xmin = np.minimum(
-        np.minimum.reduceat(a_all[:, 0], off_a[:-1]),
-        np.minimum.reduceat(b_all[:, 0], off_b[:-1]),
+    pos_a, seg_a, pos_b, seg_b, bucket_item = _bucket_segments(
+        batch.a_mbrs[row_a[grid_a]],
+        n_a[live[in_grid]],
+        batch.b_mbrs[row_b[grid_b]],
+        n_b[live[in_grid]],
+        predicate,
+        {k: grids[item] for k, item in enumerate(live[in_grid].tolist()) if item in grids},
     )
-    ymin = np.minimum(
-        np.minimum.reduceat(a_all[:, 1], off_a[:-1]),
-        np.minimum.reduceat(b_all[:, 1], off_b[:-1]),
+    # Segment ids: the matched buckets first, then one per grid-free item;
+    # ``seg_item`` maps either kind to its item's position in ``live``.
+    n_buckets = bucket_item.shape[0]
+    rows_a = row_a[np.concatenate([grid_a[pos_a], whole_a])]
+    rows_b = row_b[np.concatenate([grid_b[pos_b], whole_b])]
+    seg_a = np.concatenate([seg_a, n_buckets + item_a[whole_a]])
+    seg_b = np.concatenate([seg_b, n_buckets + item_b[whole_b]])
+    seg_item = np.concatenate([in_grid[bucket_item], np.arange(live.shape[0])])
+    i_idx, j_idx = _sweep_in_runs(
+        batch.a_mbrs[rows_a], seg_a, batch.b_mbrs[rows_b], seg_b, seg_item.shape[0], predicate
     )
-    xmax = np.maximum(
-        np.maximum.reduceat(a_all[:, 2], off_a[:-1]),
-        np.maximum.reduceat(b_all[:, 2], off_b[:-1]),
+    owner = live[seg_item[seg_a[i_idx]]]
+    a_oid = np.asarray(batch.a_oids, dtype=np.int64)[rows_a[i_idx]]
+    b_oid = np.asarray(batch.b_oids, dtype=np.int64)[rows_b[j_idx]]
+    del rows_a, rows_b, seg_a, seg_b, i_idx, j_idx
+
+    # Sort by (item, a_oid, b_oid) and drop the pairs neighbouring buckets
+    # rediscovered: equal triples are adjacent after the sort.
+    order = np.lexsort((b_oid, a_oid, owner))
+    owner, a_oid, b_oid = owner[order], a_oid[order], b_oid[order]
+    fresh = np.ones(order.shape[0], dtype=bool)
+    fresh[1:] = (
+        (owner[1:] != owner[:-1]) | (a_oid[1:] != a_oid[:-1]) | (b_oid[1:] != b_oid[:-1])
     )
-    ymax = np.maximum(
-        np.maximum.reduceat(a_all[:, 3], off_a[:-1]),
-        np.maximum.reduceat(b_all[:, 3], off_b[:-1]),
-    )
+    pairs = list(zip(a_oid[fresh].tolist(), b_oid[fresh].tolist()))
+    starts = np.searchsorted(owner[fresh], np.arange(n_items + 1)).tolist()
+    for item in np.flatnonzero(np.diff(starts)).tolist():
+        out[item] = pairs[starts[item] : starts[item + 1]]
+    return out
+
+
+def _sweep_in_runs(
+    a_mbrs: np.ndarray,
+    seg_a: np.ndarray,
+    b_mbrs: np.ndarray,
+    seg_b: np.ndarray,
+    n_segs: int,
+    predicate: JoinPredicate,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The segmented sweep, ``_SWEEP_ROWS`` rows or so at a time.
+
+    Both segment arrays ascend.  The sweep's transients are several times
+    its input, so the segments go through it in runs: a frontier level is
+    one or a few calls, and one 20k x 20k item stays within the memory its
+    per-bucket sweeps took.
+    """
+    load = np.cumsum(np.bincount(seg_a, minlength=n_segs) + np.bincount(seg_b, minlength=n_segs))
+    later_runs = np.flatnonzero(np.diff(load // _SWEEP_ROWS)) + 1  # their first segments
+    cut_a = [0, *np.searchsorted(seg_a, later_runs).tolist(), seg_a.shape[0]]
+    cut_b = [0, *np.searchsorted(seg_b, later_runs).tolist(), seg_b.shape[0]]
+    i_parts, j_parts = [], []
+    for a_lo, a_hi, b_lo, b_hi in zip(cut_a, cut_a[1:], cut_b, cut_b[1:]):
+        i_idx, j_idx = plane_sweep_pair_arrays_segmented(
+            a_mbrs[a_lo:a_hi], seg_a[a_lo:a_hi], b_mbrs[b_lo:b_hi], seg_b[b_lo:b_hi], predicate
+        )
+        i_parts.append(i_idx + a_lo)
+        j_parts.append(j_idx + b_lo)
+    return np.concatenate(i_parts), np.concatenate(j_parts)
+
+
+def _bucket_segments(
+    a_all: np.ndarray,
+    n_a: np.ndarray,
+    b_all: np.ndarray,
+    n_b: np.ndarray,
+    predicate: JoinPredicate,
+    grids: Mapping[int, Grid],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Hash items into their own grids, all at once; match the buckets.
+
+    ``a_all`` / ``b_all`` hold the items' rows back to back, ``n_a`` /
+    ``n_b`` rows each (none empty); ``grids`` is keyed by position.  Returns ``(rows_a, bucket_a, rows_b,
+    bucket_b, bucket_item)``: the rows of every bucket occupied on both
+    sides (replicas included), tagged with a dense ascending bucket id,
+    and the item each bucket belongs to.
+    """
+    if n_a.shape[0] == 0:
+        none = np.empty(0, dtype=np.intp)
+        return none, none, none, none, none
+    eps = predicate.probe_radius() if isinstance(predicate, WithinDistancePredicate) else 0.0
+    off_a = np.concatenate([[0], np.cumsum(n_a)])[:-1]
+    off_b = np.concatenate([[0], np.cumsum(n_b)])[:-1]
+
+    # Per-item hashing space: the union MBR of both sides, grown so it has
+    # positive extent and holds the epsilon-expanded probe side.
+    xmin, ymin = np.minimum(
+        np.minimum.reduceat(a_all[:, :2], off_a), np.minimum.reduceat(b_all[:, :2], off_b)
+    ).T
+    xmax, ymax = np.maximum(
+        np.maximum.reduceat(a_all[:, 2:], off_a), np.maximum.reduceat(b_all[:, 2:], off_b)
+    ).T
     grow = np.where(
         (xmax - xmin == 0) | (ymax - ymin == 0) | (eps > 0), max(eps, 1e-9), 0.0
     )
     xmin, ymin, xmax, ymax = xmin - grow, ymin - grow, xmax + grow, ymax + grow
     k_side = np.maximum(1, np.ceil(np.sqrt((n_a + n_b) / 32.0)).astype(np.intp))
+    for k, (rect, cells) in grids.items():
+        if rect is not None:
+            xmin[k], ymin[k], xmax[k], ymax[k] = rect.as_tuple()
+        if cells is not None:
+            k_side[k] = cells
+    if np.any(k_side < 1):
+        raise ValueError("grid dimensions must be >= 1")
+    if np.any((xmax <= xmin) | (ymax <= ymin)):
+        raise ValueError("grid window must have positive extent")
     cw = (xmax - xmin) / k_side
     ch = (ymax - ymin) / k_side
     cell_base = np.concatenate([[0], np.cumsum(k_side * k_side)])
 
     def hash_rows(mbrs, counts, expand_by):
-        item_of = np.repeat(np.arange(len(live), dtype=np.intp), counts)
+        item_of = np.repeat(np.arange(counts.shape[0], dtype=np.intp), counts)
         nx = k_side[item_of]
-        ix0 = np.clip(
-            ((mbrs[:, 0] - expand_by - xmin[item_of]) / cw[item_of]).astype(np.intp),
-            0,
-            nx - 1,
-        )
-        ix1 = np.clip(
-            ((mbrs[:, 2] + expand_by - xmin[item_of]) / cw[item_of]).astype(np.intp),
-            0,
-            nx - 1,
-        )
-        iy0 = np.clip(
-            ((mbrs[:, 1] - expand_by - ymin[item_of]) / ch[item_of]).astype(np.intp),
-            0,
-            nx - 1,
-        )
-        iy1 = np.clip(
-            ((mbrs[:, 3] + expand_by - ymin[item_of]) / ch[item_of]).astype(np.intp),
-            0,
-            nx - 1,
-        )
+        x0, y0, w, h = xmin[item_of], ymin[item_of], cw[item_of], ch[item_of]
+        ix0 = np.clip(((mbrs[:, 0] - expand_by - x0) / w).astype(np.intp), 0, nx - 1)
+        ix1 = np.clip(((mbrs[:, 2] + expand_by - x0) / w).astype(np.intp), 0, nx - 1)
+        iy0 = np.clip(((mbrs[:, 1] - expand_by - y0) / h).astype(np.intp), 0, nx - 1)
+        iy1 = np.clip(((mbrs[:, 3] + expand_by - y0) / h).astype(np.intp), 0, nx - 1)
+        # Per-replica rank within its object, decomposed into (row, column)
+        # of the object's cell footprint.
         nx_span = ix1 - ix0 + 1
         rep = nx_span * (iy1 - iy0 + 1)
-        obj, rank = rect_array.expand_index_ranges(np.zeros_like(rep), rep)
+        obj, rank = expand_index_ranges(np.zeros_like(rep), rep)
         span = nx_span[obj]
         cell = (
             cell_base[item_of[obj]]
@@ -192,80 +282,17 @@ def grid_hash_join_batch(
             + rank % span
         )
         order = np.argsort(cell, kind="stable")
-        cell_sorted = cell[order]
-        obj_sorted = obj[order]
-        cells, first = np.unique(cell_sorted, return_index=True)
-        return cells, np.append(first, cell.shape[0]), obj_sorted
+        cells, first = np.unique(cell[order], return_index=True)
+        return cells, np.append(first, cell.shape[0]), obj[order]
 
     cells_a, starts_a, objs_a = hash_rows(a_all, n_a, 0.0)
     cells_b, starts_b, objs_b = hash_rows(b_all, n_b, eps)
-
     # Items never share a cell id (disjoint id ranges), so one global
     # intersection matches the occupied buckets of every item at once.
     common, pos_a, pos_b = np.intersect1d(
         cells_a, cells_b, assume_unique=True, return_indices=True
     )
-    if pos_a.shape[0] == 0:
-        return out
-    # One segment per matched bucket; expand both sides' CSR runs into flat
-    # row arrays tagged with the segment id.
-    seg_a, idx_a = rect_array.expand_index_ranges(starts_a[pos_a], starts_a[pos_a + 1])
-    seg_b, idx_b = rect_array.expand_index_ranges(starts_b[pos_b], starts_b[pos_b + 1])
-    rows_a = objs_a[idx_a]
-    rows_b = objs_b[idx_b]
-    seg_item_of = np.searchsorted(cell_base, common, side="right") - 1
-
-    i_idx, j_idx = plane_sweep_pair_arrays_segmented(
-        a_all[rows_a], seg_a, b_all[rows_b], seg_b, predicate
-    )
-    if i_idx.shape[0] == 0:
-        return out
-    live_arr = np.asarray(live, dtype=np.int64)
-    triples = np.column_stack(
-        [
-            live_arr[seg_item_of[seg_a[i_idx]]],
-            a_oid_all[rows_a[i_idx]],
-            b_oid_all[rows_b[j_idx]],
-        ]
-    )
-    # Global dedup + lexicographic sort; per item this reproduces the
-    # single-item kernel's sorted unique pair list exactly.
-    unique = np.unique(triples, axis=0)
-    owner = unique[:, 0]
-    bounds_per_item = np.searchsorted(owner, np.arange(len(items) + 1))
-    for item_idx in range(len(items)):
-        lo, hi = bounds_per_item[item_idx], bounds_per_item[item_idx + 1]
-        if hi > lo:
-            out[item_idx] = [(int(a), int(b)) for a, b in unique[lo:hi, 1:].tolist()]
-    return out
-
-
-def _hash_side(
-    mbrs: np.ndarray, grid: RegularGrid, expand: float
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Assign each MBR (optionally expanded) to every overlapping cell.
-
-    Returns ``(cells, starts, objs)``: the sorted unique occupied cell ids,
-    CSR-style offsets into ``objs`` (``len(cells) + 1`` entries), and the
-    object indices grouped by cell.  Replication of objects straddling cell
-    boundaries is expanded with ``np.repeat`` -- no per-object Python loop.
-    """
-    w = grid.window
-    cw, ch = grid.cell_width, grid.cell_height
-    ix0 = np.clip(((mbrs[:, 0] - expand - w.xmin) / cw).astype(np.intp), 0, grid.nx - 1)
-    ix1 = np.clip(((mbrs[:, 2] + expand - w.xmin) / cw).astype(np.intp), 0, grid.nx - 1)
-    iy0 = np.clip(((mbrs[:, 1] - expand - w.ymin) / ch).astype(np.intp), 0, grid.ny - 1)
-    iy1 = np.clip(((mbrs[:, 3] + expand - w.ymin) / ch).astype(np.intp), 0, grid.ny - 1)
-    nx_span = ix1 - ix0 + 1
-    rep = nx_span * (iy1 - iy0 + 1)
-    # Per-replica rank within its object, decomposed into (row, column) of
-    # the object's cell footprint.
-    obj, rank = rect_array.expand_index_ranges(np.zeros_like(rep), rep)
-    span = nx_span[obj]
-    cell = (iy0[obj] + rank // span) * grid.nx + ix0[obj] + rank % span
-    order = np.argsort(cell, kind="stable")
-    cell_sorted = cell[order]
-    obj_sorted = obj[order]
-    cells, first = np.unique(cell_sorted, return_index=True)
-    offsets = np.append(first, cell.shape[0])
-    return cells, offsets, obj_sorted
+    bucket_a, idx_a = expand_index_ranges(starts_a[pos_a], starts_a[pos_a + 1])
+    bucket_b, idx_b = expand_index_ranges(starts_b[pos_b], starts_b[pos_b + 1])
+    bucket_item = np.searchsorted(cell_base, common, side="right") - 1
+    return objs_a[idx_a], bucket_a, objs_b[idx_b], bucket_b, bucket_item

@@ -12,11 +12,13 @@ and epsilon-distance predicates.
 
 Two implementations are provided:
 
-* :func:`plane_sweep_pair_arrays` -- the production kernel.  The sweep is
-  expressed entirely in NumPy: candidate runs for every lead rectangle are
-  located with two ``searchsorted`` passes (one per lead side), expanded
-  into flat index arrays, and the exact predicate is evaluated over all
-  candidates at once.  No per-object Python loop remains.
+* :func:`plane_sweep_pair_arrays_segmented` -- the production kernel, many
+  independent sweeps in one call (:func:`plane_sweep_pair_arrays` is its
+  one-segment case).  The sweep is expressed entirely in NumPy: candidate
+  runs for every lead rectangle are located with two ``searchsorted``
+  passes (one per lead side), expanded into flat index arrays, and the
+  exact predicate is evaluated over all candidates at once.  No per-object
+  Python loop remains.
 * :func:`plane_sweep_pairs_scalar` -- the original per-lead sweep, kept as
   the reference implementation for the equivalence tests and the
   scalar-vs-vectorised micro-benchmark in ``benchmarks/bench_kernels.py``.
@@ -49,47 +51,16 @@ def plane_sweep_pair_arrays(
 
     Returns two parallel ``intp`` arrays of positional indices into the two
     input arrays.  Each qualifying pair appears exactly once; the order is
-    an implementation detail (callers needing determinism sort).
+    an implementation detail (callers needing determinism sort).  This is
+    the one-segment case of :func:`plane_sweep_pair_arrays_segmented`.
     """
-    na, nb = a_mbrs.shape[0], b_mbrs.shape[0]
-    if na == 0 or nb == 0:
-        empty = np.empty(0, dtype=np.intp)
-        return empty, empty
-    eps = predicate.probe_radius() if isinstance(predicate, WithinDistancePredicate) else 0.0
-
-    a_order = np.argsort(a_mbrs[:, 0], kind="stable")
-    b_order = np.argsort(b_mbrs[:, 0], kind="stable")
-    a_sorted = a_mbrs[a_order]
-    b_sorted = b_mbrs[b_order]
-    ax = np.ascontiguousarray(a_sorted[:, 0])
-    bx = np.ascontiguousarray(b_sorted[:, 0])
-
-    # A pair is a sweep candidate iff the eps-expanded x-extents overlap;
-    # the sweep's tie rule (A leads on equal xmin) splits the enumeration
-    # into two disjoint searchsorted passes, so each pair appears once.
-    lead_a, cand_b = expand_index_ranges(
-        np.searchsorted(bx, ax, side="left"),
-        np.searchsorted(bx, a_sorted[:, 2] + eps, side="right"),
+    return plane_sweep_pair_arrays_segmented(
+        a_mbrs,
+        np.zeros(a_mbrs.shape[0], dtype=np.int64),
+        b_mbrs,
+        np.zeros(b_mbrs.shape[0], dtype=np.int64),
+        predicate,
     )
-    lead_b, cand_a = expand_index_ranges(
-        np.searchsorted(ax, bx, side="right"),
-        np.searchsorted(ax, b_sorted[:, 2] + eps, side="right"),
-    )
-    i_idx = np.concatenate([lead_a, cand_a])
-    j_idx = np.concatenate([cand_b, lead_b])
-    if i_idx.shape[0] == 0:
-        return i_idx, j_idx
-
-    # Exact predicate over all candidates at once.
-    a_sel = a_sorted[i_idx]
-    b_sel = b_sorted[j_idx]
-    dx = np.maximum(np.maximum(a_sel[:, 0] - b_sel[:, 2], 0.0), b_sel[:, 0] - a_sel[:, 2])
-    dy = np.maximum(np.maximum(a_sel[:, 1] - b_sel[:, 3], 0.0), b_sel[:, 1] - a_sel[:, 3])
-    if eps > 0.0:
-        mask = dx * dx + dy * dy <= eps * eps
-    else:
-        mask = (dx <= 0.0) & (dy <= 0.0)
-    return a_order[i_idx[mask]], b_order[j_idx[mask]]
 
 
 def plane_sweep_pair_arrays_segmented(

@@ -124,12 +124,17 @@ class BucketRangeQuery(QueryMessage):
     centers: Tuple[Point, ...]
     epsilon: float
     radii: Optional[Tuple[float, ...]] = None
+    probe_count: Optional[int] = None
     kind: MessageKind = field(default=MessageKind.BUCKET_RANGE, init=False)
 
     def __post_init__(self) -> None:
         if self.epsilon < 0:
             raise ValueError("epsilon must be non-negative")
-        if not self.centers:
+        if self.probe_count is None:
+            object.__setattr__(self, "probe_count", len(self.centers))
+        elif self.centers and self.probe_count != len(self.centers):
+            raise ValueError("probe_count must equal the number of centers")
+        if self.probe_count < 1:
             raise ValueError("a bucket range query needs at least one probe point")
         if self.radii is not None:
             if len(self.radii) != len(self.centers):
@@ -137,8 +142,13 @@ class BucketRangeQuery(QueryMessage):
             if any(r < 0 for r in self.radii):
                 raise ValueError("radii must be non-negative")
 
+    @classmethod
+    def of_size(cls, probe_count: int, epsilon: float) -> "BucketRangeQuery":
+        """A query that carries only its size, for callers that just meter it."""
+        return cls((), epsilon, probe_count=probe_count)
+
     def payload_bytes(self, config: NetworkConfig) -> int:
-        return config.query_bytes + len(self.centers) * config.object_bytes
+        return config.query_bytes + self.probe_count * config.object_bytes
 
 
 @dataclass(frozen=True)

@@ -775,7 +775,6 @@ class IndexedRemoteServer(RemoteServer):
         """
         if not windows:
             return np.empty((0, 4)), np.empty(0, dtype=np.int64)
-        win_arr = np.array([w.as_tuple() for w in windows], dtype=np.float64)
         if flat:
             all_mbrs, all_oids, _ = self._server.window_batch_flat(list(windows))
         else:
@@ -796,14 +795,11 @@ class IndexedRemoteServer(RemoteServer):
         oids_out = all_oids[keep]
 
         def account(channel: Channel) -> None:
+            # The query string + one object per window: exactly what
+            # shipping the MBR list costs.
             channel.send_query(
-                BucketRangeQuery(
-                    tuple(Point(float(w[0]), float(w[1])) for w in win_arr), 0.0
-                ),
-                label="semijoin-windows",
+                BucketRangeQuery.of_size(len(windows), 0.0), label="semijoin-windows"
             )
-            # The probe payload above only accounts the query string + one
-            # object per window; exactly what shipping the MBR list costs.
             channel.send_response(
                 ObjectPayload(mbrs_out, oids_out), label="semijoin-objects"
             )
@@ -847,13 +843,7 @@ class IndexedRemoteServer(RemoteServer):
 
         def account(channel: Channel) -> None:
             channel.send_query(
-                BucketRangeQuery(
-                    tuple(
-                        Point(float((m[0] + m[2]) / 2.0), float((m[1] + m[3]) / 2.0))
-                        for m in mbrs
-                    ),
-                    max(epsilon, 0.0),
-                ),
+                BucketRangeQuery.of_size(mbrs.shape[0], max(epsilon, 0.0)),
                 label="semijoin-upload",
             )
             channel.send_response(

@@ -96,8 +96,8 @@ class SpatialServer(SpatialServerInterface):
                 dataset.mbrs, dataset.oids, max_entries=index_fanout
             )
         )
-        # Sorted oid -> row lookup for assembling result payloads without a
-        # per-object dict probe.
+        # Sorted oid -> row lookup of the scalar endpoints' by-oid payload
+        # assembly; the batch endpoints gather rows straight from the index.
         oids = np.asarray(dataset.oids, dtype=np.int64)
         self._row_order = np.argsort(oids, kind="stable")
         self._oids_sorted = oids[self._row_order]
@@ -229,15 +229,15 @@ class SpatialServer(SpatialServerInterface):
 
         Returns ``(mbrs, oids, bounds)`` in CSR form: the concatenated
         payloads of all windows in window order, window ``i`` owning rows
-        ``bounds[i]:bounds[i+1]`` (``len(bounds) == W + 1``).  All payload
-        rows are materialised with *one* sorted-oid lookup over the
-        concatenated result instead of one per window; statistics are
-        identical to a loop of :meth:`window` calls.
+        ``bounds[i]:bounds[i+1]`` (``len(bounds) == W + 1``).  The payload
+        is one take of the entry rows the index descent matched; statistics
+        are identical to a loop of :meth:`window` calls.
         """
         windows = list(windows)
         self.stats.window_queries += len(windows)
-        bounds, oid_arr = self._index.window_query_batch_flat(windows)
-        mbrs, oid_arr = self._materialise(oid_arr)
+        bounds, rows = self._index.window_query_batch_flat(windows)
+        mbrs, oid_arr = self._index.entries_at(rows)
+        self.stats.objects_returned += int(oid_arr.shape[0])
         return mbrs, oid_arr, bounds
 
     def count(self, window: Rect) -> int:
@@ -278,17 +278,17 @@ class SpatialServer(SpatialServerInterface):
 
         Returns ``(mbrs, oids, bounds)`` in CSR form: the concatenated
         payloads of all probes in probe order, probe ``i`` owning rows
-        ``bounds[i]:bounds[i+1]`` (``len(bounds) == P + 1``).  All payload
-        rows are materialised with *one* sorted-oid lookup over the
-        concatenated result instead of one per probe; statistics are
-        identical to a loop of :meth:`range` calls.
+        ``bounds[i]:bounds[i+1]`` (``len(bounds) == P + 1``).  The payload
+        is one take of the entry rows the index descent matched; statistics
+        are identical to a loop of :meth:`range` calls.
         """
         per_probe = [float(r) for r in radii]
         if any(r < 0 for r in per_probe):
             raise ValueError("epsilon must be non-negative")
         self.stats.range_queries += len(centers)
-        bounds, oid_arr = self._index.range_query_batch_flat(list(centers), per_probe)
-        mbrs, oid_arr = self._materialise(oid_arr)
+        bounds, rows = self._index.range_query_batch_flat(list(centers), per_probe)
+        mbrs, oid_arr = self._index.entries_at(rows)
+        self.stats.objects_returned += int(oid_arr.shape[0])
         return mbrs, oid_arr, bounds
 
     def bucket_range(
@@ -306,10 +306,9 @@ class SpatialServer(SpatialServerInterface):
         self.stats.bucket_range_queries += 1
         self.stats.bucket_range_probes += len(centers)
         per_probe = [epsilon] * len(centers) if radii is None else [float(r) for r in radii]
-        bounds, oid_arr = self._index.range_query_batch_flat(list(centers), per_probe)
-        counts = np.diff(bounds).astype(np.int64)
-        mbrs, oid_arr = self._materialise(oid_arr, count_stats=False)
-        probes = np.repeat(np.arange(len(centers), dtype=np.int64), counts)
+        bounds, rows = self._index.range_query_batch_flat(list(centers), per_probe)
+        mbrs, oid_arr = self._index.entries_at(rows)
+        probes = np.repeat(np.arange(len(centers), dtype=np.int64), np.diff(bounds))
         self.stats.objects_returned += int(oid_arr.shape[0])
         return mbrs, oid_arr, probes
 
@@ -319,9 +318,8 @@ class SpatialServer(SpatialServerInterface):
 
     # ------------------------------------------------------------------ #
 
-    def _materialise(
-        self, oids: Sequence[int], count_stats: bool = True
-    ) -> Tuple[np.ndarray, np.ndarray]:
+    def _materialise(self, oids: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
+        """Payload of a scalar query, looked up by oid (unknown oids raise)."""
         oid_arr = np.asarray(oids, dtype=np.int64)
         if oid_arr.shape[0]:
             pos = np.searchsorted(self._oids_sorted, oid_arr)
@@ -333,6 +331,5 @@ class SpatialServer(SpatialServerInterface):
             mbrs = self.dataset.mbrs[self._row_order[pos]]
         else:
             mbrs = np.empty((0, 4))
-        if count_stats:
-            self.stats.objects_returned += int(oid_arr.shape[0])
+        self.stats.objects_returned += int(oid_arr.shape[0])
         return mbrs, oid_arr

@@ -130,12 +130,21 @@ class TestMessages:
         probes = tuple(Point(0.1 * i, 0.1 * i) for i in range(5))
         q = BucketRangeQuery(probes, 0.05)
         assert q.payload_bytes(cfg) == cfg.query_bytes + 5 * cfg.object_bytes
+        sized = BucketRangeQuery.of_size(5, 0.05)
+        assert sized.payload_bytes(cfg) == q.payload_bytes(cfg)
+        assert sized.kind is q.kind and sized.is_query()
 
     def test_bucket_range_validation(self):
         with pytest.raises(ValueError):
             BucketRangeQuery((), 0.1)
         with pytest.raises(ValueError):
             BucketRangeQuery((Point(0, 0),), -0.1)
+        with pytest.raises(ValueError):
+            BucketRangeQuery.of_size(0, 0.1)
+        with pytest.raises(ValueError):
+            BucketRangeQuery.of_size(3, -0.1)
+        with pytest.raises(ValueError):
+            BucketRangeQuery((Point(0, 0),), 0.1, probe_count=2)
 
     def test_object_payload_size(self):
         cfg = NetworkConfig()
