@@ -2,8 +2,7 @@
 
 Each perf-lane benchmark (``pytest -m perf benchmarks/``) writes its own
 record under ``benchmarks/results/`` -- ``<name>_speedup.json``,
-``<name>_load.json``, ``<name>_overhead.json``, ``<name>_scaling.json``, or
-any future family.  This script folds **every** ``results/*.json`` file
+``<name>_overhead.json``, ``<name>_scaling.json``, or any future family.  This script folds **every** ``results/*.json`` file
 (except the summary itself) into ``benchmarks/results/summary.json`` so the
 performance trajectory of the repository stays readable in one place::
 

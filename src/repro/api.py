@@ -43,7 +43,7 @@ from repro.obs import MetricsRegistry, Tracer
 from repro.server.remote import ROUTER_POLICIES
 from repro.server.server import SpatialServer
 from repro.server.sharded import ShardedSpatialServer
-from repro.service.broker import DEFAULT_CACHE_MAX_BYTES, QueryBroker
+from repro.service.broker import DEFAULT_CACHE_MAX_BYTES, QueryBroker, resolve_broker
 from repro.service.executor import QueryService
 from repro.service.query import JoinQuery, QueryOutcome
 
@@ -73,10 +73,6 @@ __all__ = [
     "partition_dataset",
     "quick_join",
 ]
-
-#: Sentinel distinguishing "argument not given" from an explicit ``None``
-#: (``cache_max_bytes=None`` legitimately means *unbounded*).
-_UNSET = object()
 
 #: Public alias: the outcome type returned by every join execution.
 JoinOutcome = JoinResult
@@ -213,64 +209,33 @@ def quick_join(
 
 def batch_join(
     queries: Sequence[JoinQuery],
-    config: Optional[NetworkConfig] = None,
-    max_wave: Optional[int] = None,
-    workers: Optional[int] = None,
+    *,
     broker: Optional[QueryBroker] = None,
-    cache_max_bytes: object = _UNSET,
-    tracer: Optional[Tracer] = None,
-    metrics: Optional[MetricsRegistry] = None,
+    **broker_kwargs: object,
 ) -> List[QueryOutcome]:
     """Serve a batch of join queries through one query broker.
 
     Each query is planned (cheapest predicted algorithm unless the query
     names one), deduplicated against identical queries, and executed in
     deterministic waves with the COUNT exchanges of co-scheduled queries
-    coalesced per server.  ``workers`` > 0 advances the queries of each
-    wave on a thread pool between the coalesced barriers (0, the default,
-    is the inline serial path).  Outcomes arrive in submission order; each
+    coalesced per server.  Outcomes arrive in submission order; each
     result is bit-identical to running the same query standalone through
-    :func:`quick_join` / :func:`~repro.core.planner.run_join`, under any
-    worker count.
+    :func:`quick_join` / :func:`~repro.core.planner.run_join`.
 
-    ``cache_max_bytes`` bounds the broker's result cache (default
-    :data:`DEFAULT_CACHE_MAX_BYTES`; ``None`` means unbounded), and
-    ``tracer``/``metrics`` attach the read-only observability hooks (see
-    :mod:`repro.obs`) -- outcomes stay bit-identical with or without them.
+    ``broker_kwargs`` are :class:`QueryBroker` constructor arguments:
+    ``config`` and ``max_wave``; ``cache_max_bytes``, which bounds the
+    result cache (default :data:`DEFAULT_CACHE_MAX_BYTES`; ``None`` means
+    unbounded); ``tracer``/``metrics``, which attach the read-only
+    observability hooks (see :mod:`repro.obs`) -- outcomes stay
+    bit-identical with or without them.
 
     Pass a ``broker`` to reuse its server builds, result cache and
     calibration state across several batches.  A passed broker carries its
-    own configuration, so combining it with ``config``/``max_wave``/
-    ``workers``/``cache_max_bytes``/``tracer``/``metrics`` is an error
-    rather than a silent override.  For continuous (non-batch) admission
-    use :class:`repro.api.QueryService`.
+    own configuration, so combining it with any ``broker_kwargs`` is an
+    error rather than a silent override.  For continuous (non-batch)
+    admission use :class:`repro.api.QueryService`.
     """
-    if broker is not None:
-        if (
-            config is not None
-            or max_wave is not None
-            or workers is not None
-            or cache_max_bytes is not _UNSET
-            or tracer is not None
-            or metrics is not None
-        ):
-            raise ValueError(
-                "pass either a pre-built broker or config/max_wave/workers/"
-                "cache_max_bytes/tracer/metrics, not both"
-            )
-        return broker.run_batch(queries)
-    kwargs = {}
-    if max_wave is not None:
-        kwargs["max_wave"] = max_wave
-    if workers is not None:
-        kwargs["workers"] = workers
-    if cache_max_bytes is not _UNSET:
-        kwargs["cache_max_bytes"] = cache_max_bytes
-    if tracer is not None:
-        kwargs["tracer"] = tracer
-    if metrics is not None:
-        kwargs["metrics"] = metrics
-    return QueryBroker(config=config, **kwargs).run_batch(queries)
+    return resolve_broker(broker, broker_kwargs).run_batch(queries)
 
 
 class AdHocJoinSession:

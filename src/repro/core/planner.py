@@ -24,10 +24,12 @@ from repro.core.semijoin import SemiJoin
 from repro.core.srjoin import SrJoin
 from repro.core.upjoin import UpJoin
 from repro.datasets.dataset import SpatialDataset
+from repro.datasets.partition import PARTITION_SCHEMES
 from repro.device.pda import MobileDevice
+from repro.errors import InvalidInput
 from repro.geometry.rect import Rect
 from repro.network.config import NetworkConfig
-from repro.server.remote import ResilienceController, ServerPair
+from repro.server.remote import ROUTER_POLICIES, ResilienceController, ServerPair
 from repro.server.server import SpatialServer
 from repro.server.sharded import ShardedSpatialServer
 
@@ -36,9 +38,12 @@ __all__ = [
     "SELECTABLE_ALGORITHMS",
     "PlanDecision",
     "build_algorithm",
+    "build_resilience",
+    "build_server",
     "build_session_stack",
     "run_join",
     "select_algorithm",
+    "validate_stack_knobs",
 ]
 
 #: Registry of algorithm names accepted by the public API.
@@ -117,6 +122,44 @@ def select_algorithm(
     return PlanDecision(algorithm=chosen.lower(), predicted=predicted, overridden=False)
 
 
+def validate_stack_knobs(
+    shards_r: int,
+    shards_s: int,
+    shard_scheme: str,
+    replicas: int,
+    router: Optional[str],
+    deadline_s: Optional[float],
+) -> None:
+    """Reject unusable fleet / deadline knobs, whichever entry path set them.
+
+    The one validation site shared by :func:`build_session_stack` (hence
+    ``quick_join``, ``AdHocJoinSession`` and :func:`run_join`) and
+    :class:`~repro.service.query.JoinQuery`: a bad value raises
+    :class:`~repro.errors.InvalidInput` even when the knob would go unused
+    (a router on an unreplicated side, a scheme on an unsharded one).
+    """
+    if shards_r < 1 or shards_s < 1:
+        raise InvalidInput("shard counts must be >= 1")
+    if replicas < 1:
+        raise InvalidInput("replicas must be >= 1")
+    if shard_scheme not in PARTITION_SCHEMES:
+        raise InvalidInput(
+            f"unknown partition scheme {shard_scheme!r}; "
+            f"available: {PARTITION_SCHEMES}"
+        )
+    if router is not None and router not in ROUTER_POLICIES:
+        raise InvalidInput(
+            f"unknown replica router policy {router!r}; "
+            f"known: {sorted(ROUTER_POLICIES)}"
+        )
+    # ``not >=`` also rejects NaN, a budget that could never fire.
+    if deadline_s is not None and not deadline_s >= 0:
+        raise InvalidInput(
+            f"deadline_s must be a non-negative number of simulated seconds, "
+            f"got {deadline_s!r}"
+        )
+
+
 def build_session_stack(
     dataset_r: SpatialDataset,
     dataset_s: SpatialDataset,
@@ -170,34 +213,27 @@ def build_session_stack(
     observer plus fault/retry counters on the resilience controller.
     """
     config = config or NetworkConfig()
-    if replicas < 1:
-        raise ValueError("replicas must be >= 1")
+    validate_stack_knobs(shards_r, shards_s, shard_scheme, replicas, router, deadline_s)
     if indexed and replicas > 1:
         raise ValueError(
             "semijoin needs index-published servers; replicated fleets do "
             "not publish a single R-tree"
         )
     if servers is None:
-        server_r = _build_server(
+        server_r = build_server(
             dataset_r, "R", shards_r, shard_scheme, index_fanout, replicas
         )
-        server_s = _build_server(
+        server_s = build_server(
             dataset_s, "S", shards_s, shard_scheme, index_fanout, replicas
         )
     else:
         server_r, server_s = servers
-    resilience = None
-    if faults is not None or retry is not None or deadline_s is not None:
-        resilience = ResilienceController(
-            faults=faults, retry=retry, deadline_s=deadline_s
-        )
+    resilience = build_resilience(faults, retry, deadline_s, metrics)
     observer = None
     if metrics is not None:
         from repro.obs.metrics import ChannelMetricsObserver
 
         observer = ChannelMetricsObserver(metrics)
-        if resilience is not None:
-            resilience.metrics = metrics
     pair = ServerPair.connect(
         server_r,
         server_s,
@@ -211,7 +247,7 @@ def build_session_stack(
     return server_r, server_s, device
 
 
-def _build_server(
+def build_server(
     dataset: SpatialDataset,
     name: str,
     shards: int,
@@ -219,9 +255,12 @@ def _build_server(
     index_fanout: int,
     replicas: int = 1,
 ):
-    """One side's server build: a single server, or a (replicated) fleet."""
-    if shards < 1:
-        raise ValueError("shard counts must be >= 1")
+    """One side's server build: a single server, or a (replicated) fleet.
+
+    Replication rides on the fleet build even at ``shards == 1``: a
+    single-shard fleet with R replicas is still a fleet, with replica
+    channels, breaker units and failover routing.
+    """
     if shards == 1 and replicas == 1:
         return SpatialServer(dataset.rename(name), name=name, index_fanout=index_fanout)
     return ShardedSpatialServer(
@@ -232,6 +271,18 @@ def _build_server(
         index_fanout=index_fanout,
         replicas=replicas,
     )
+
+
+def build_resilience(
+    faults, retry, deadline_s: Optional[float], metrics=None
+) -> Optional[ResilienceController]:
+    """The per-session resilience controller, or None when no knob asks for one."""
+    if faults is None and retry is None and deadline_s is None:
+        return None
+    resilience = ResilienceController(faults=faults, retry=retry, deadline_s=deadline_s)
+    if metrics is not None:
+        resilience.metrics = metrics
+    return resilience
 
 
 def build_algorithm(

@@ -251,10 +251,6 @@ class MobileDevice:
         """Record that an algorithm decided to repartition a window."""
         self.counts.repartitions += 1
 
-    def note_aggregate_queries(self, n: int = 1) -> None:
-        """Record ``n`` aggregate (COUNT-style) queries issued by an algorithm."""
-        self.counts.aggregate_queries += n
-
     def reset(self) -> None:
         """Reset buffer, counters and both channels (fresh experiment run)."""
         self.buffer.reset()

@@ -14,9 +14,9 @@ Design rules:
   runtime-layer failures and never a programming error.
 * Where the seed code raised a stdlib type that callers may already catch,
   the typed replacement *also* subclasses that stdlib type
-  (:class:`QueryTimeout` is a ``TimeoutError``, :class:`ServiceClosed` and
-  :class:`LedgerIsolationError` are ``RuntimeError``), so the migration
-  cannot break existing ``except`` clauses.
+  (:class:`QueryTimeout` is a ``TimeoutError``, :class:`ServiceClosed` is a
+  ``RuntimeError``), so the migration cannot break existing ``except``
+  clauses.
 * Faults carry their provenance (server name, per-channel exchange index,
   fault kind) and a ``recoverable`` flag: the retry layer keeps retrying
   recoverable faults until its policy gives up; unrecoverable ones (a
@@ -30,7 +30,6 @@ from typing import Optional
 __all__ = [
     "ChannelFault",
     "InvalidInput",
-    "LedgerIsolationError",
     "QueryTimeout",
     "ReproError",
     "RetryExhausted",
@@ -128,14 +127,6 @@ class ServiceClosed(ReproError, RuntimeError):
     Raised on ``submit()`` after ``close()``, and used to fail every
     pending ticket when the service stops before executing it -- a waiter
     blocked in ``result()`` receives this instead of hanging forever.
-    """
-
-
-class LedgerIsolationError(ReproError, RuntimeError):
-    """A wave's session stacks alias mutable metering state.
-
-    Executing such a wave on a worker pool would corrupt ledgers
-    nondeterministically, so the executor refuses it up front.
     """
 
 

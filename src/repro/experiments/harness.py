@@ -313,18 +313,14 @@ def _run_cell(
     keep_runs: bool,
     cache: Optional[WorkloadCache],
     via_broker: bool = False,
-    broker_workers: int = 0,
 ) -> Dict[Tuple[str, object, int], _RunRecord]:
     """Run every series of the sweep on one (x, seed) cell.
 
     ``via_broker=True`` submits all series of the cell as one batch to a
     :class:`~repro.service.broker.QueryBroker` (sharing the cell's server
-    build; COUNT exchanges of co-scheduled series coalesce per server);
-    ``broker_workers`` > 0 additionally advances the wave's queries on the
-    broker's thread pool between the coalesced barriers.  Every per-series
-    result is bit-identical to the session path -- the broker guarantee,
-    which holds under any worker count -- so the sweep numbers cannot
-    depend on the route.
+    build; COUNT exchanges of co-scheduled series coalesce per server).
+    Every per-series result is bit-identical to the session path -- the
+    broker guarantee -- so the sweep numbers cannot depend on the route.
     """
     if cache is not None:
         cell = cache.get(x, seed)
@@ -347,7 +343,7 @@ def _run_cell(
         ]
         # The cache would collapse identical series into one shared result
         # object; sweeps keep the one-result-per-run shape instead.
-        broker = QueryBroker(config=config.config, cache=False, workers=broker_workers)
+        broker = QueryBroker(config=config.config, cache=False)
         outcomes = broker.run_batch(queries)
         for label, outcome in zip(config.series, outcomes):
             out[(label, x, seed)] = (
@@ -376,7 +372,7 @@ def _run_cell(
 
 
 #: Sweep state inherited by forked pool workers (set only around a pool run).
-_WORKER_STATE: Optional[Tuple[ExperimentConfig, bool, bool, bool, int]] = None
+_WORKER_STATE: Optional[Tuple[ExperimentConfig, bool, bool, bool]] = None
 
 
 def _worker_run_cell(
@@ -384,15 +380,12 @@ def _worker_run_cell(
 ) -> Dict[Tuple[str, object, int], _RunRecord]:
     """Pool worker: run one cell with a private per-cell cache."""
     assert _WORKER_STATE is not None, "worker state not inherited (non-fork start?)"
-    config, keep_runs, share_servers, via_broker, broker_workers = _WORKER_STATE
+    config, keep_runs, share_servers, via_broker = _WORKER_STATE
     x, seed = cell_key
     # A fresh per-cell cache still shares the cell's server build across
     # all series while keeping peak memory at one cell.
     cache = WorkloadCache(config) if share_servers else None
-    return _run_cell(
-        config, x, seed, keep_runs, cache,
-        via_broker=via_broker, broker_workers=broker_workers,
-    )
+    return _run_cell(config, x, seed, keep_runs, cache, via_broker=via_broker)
 
 
 def _run_cells_parallel(
@@ -402,7 +395,6 @@ def _run_cells_parallel(
     keep_runs: bool,
     share_servers: bool,
     via_broker: bool = False,
-    broker_workers: int = 0,
 ) -> Optional[Dict[Tuple[str, object, int], _RunRecord]]:
     """Fan the cells out over a ``fork`` pool; None when fork is unavailable.
 
@@ -419,7 +411,7 @@ def _run_cells_parallel(
     except ValueError:
         return None
     global _WORKER_STATE
-    _WORKER_STATE = (config, keep_runs, share_servers, via_broker, broker_workers)
+    _WORKER_STATE = (config, keep_runs, share_servers, via_broker)
     try:
         with ctx.Pool(processes=workers) as pool:
             chunks = pool.map(_worker_run_cell, list(cells), chunksize=1)
@@ -439,7 +431,6 @@ def run_experiment(
     share_servers: bool = True,
     workers: Optional[int] = None,
     via_broker: bool = False,
-    broker_workers: int = 0,
 ) -> ExperimentResult:
     """Execute a sweep: every series at every x-value, averaged over seeds.
 
@@ -465,10 +456,6 @@ def run_experiment(
         of a cell submitted as one batch, COUNT exchanges coalesced per
         server).  Bit-identical to the session path by the broker's
         equivalence guarantee; composes with ``workers``.
-    broker_workers:
-        Thread-pool width of each cell's broker when ``via_broker`` is set
-        (0 = the broker's inline serial path).  Results stay bit-identical
-        under any width; ignored without ``via_broker``.
     """
     seeds = config.seeds if repetitions is None else tuple(range(repetitions))
     cells = [(x, seed) for x in config.x_values for seed in seeds]
@@ -476,8 +463,7 @@ def run_experiment(
     raw: Optional[Dict[Tuple[str, object, int], _RunRecord]] = None
     if workers is not None and workers > 1 and len(cells) > 1:
         raw = _run_cells_parallel(
-            config, cells, workers, keep_runs, share_servers,
-            via_broker=via_broker, broker_workers=broker_workers,
+            config, cells, workers, keep_runs, share_servers, via_broker=via_broker
         )
     if raw is None:
         raw = {}
@@ -487,10 +473,7 @@ def run_experiment(
             # constructed (peak memory stays at a single cell).
             cache = WorkloadCache(config) if share_servers else None
             raw.update(
-                _run_cell(
-                    config, x, seed, keep_runs, cache,
-                    via_broker=via_broker, broker_workers=broker_workers,
-                )
+                _run_cell(config, x, seed, keep_runs, cache, via_broker=via_broker)
             )
 
     # Deterministic merge: iterate the canonical (series, x, seed) order so

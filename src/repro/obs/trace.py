@@ -212,7 +212,7 @@ class Tracer:
 
     One tracer per run (standalone session or broker); spans parent
     explicitly through :meth:`Span.child` / the ``parent`` argument, so
-    concurrent wave workers never race on an implicit "current span".
+    concurrent threads never race on an implicit "current span".
     """
 
     enabled = True

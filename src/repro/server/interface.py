@@ -45,8 +45,7 @@ class SpatialServerInterface(ABC):
 
         The paper notes that when a server lacks a native range query it can
         be simulated by a window query with side ``2 * epsilon``; servers in
-        this reproduction implement the exact circular semantics, and the
-        simulation fallback is available via :meth:`range_as_window`.
+        this reproduction implement the exact circular semantics.
         """
 
     # ------------------------------------------------------------------ #
@@ -101,18 +100,3 @@ class SpatialServerInterface(ABC):
     ) -> "list[Tuple[np.ndarray, np.ndarray]]":
         """Answer many epsilon-RANGE queries (default: a loop of :meth:`range`)."""
         return [self.range(c, float(r)) for c, r in zip(centers, radii)]
-
-    # ------------------------------------------------------------------ #
-    # conveniences shared by every implementation
-    # ------------------------------------------------------------------ #
-
-    def range_as_window(self, center: Point, epsilon: float) -> Tuple[np.ndarray, np.ndarray]:
-        """Simulate an epsilon-RANGE query with a ``2 epsilon`` window query."""
-        probe = Rect(
-            center.x - epsilon, center.y - epsilon, center.x + epsilon, center.y + epsilon
-        )
-        return self.window(probe)
-
-    def is_empty(self, window: Rect) -> bool:
-        """True when no object intersects ``window`` (one COUNT query)."""
-        return self.count(window) == 0

@@ -66,7 +66,7 @@ from repro.network.messages import (
     WindowQuery,
 )
 from repro.server.interface import SpatialServerInterface
-from repro.server.server import ServerQueryStats, SpatialServer
+from repro.server.server import SpatialServer
 from repro.server.sharded import ShardedSpatialServer
 
 __all__ = [
@@ -661,10 +661,6 @@ class RemoteServer(SpatialServerInterface):
         """The backing server's query-statistics counters."""
         return self._server.stats.as_dict()
 
-    def stat_objects(self) -> Tuple[ServerQueryStats, ...]:
-        """The mutable statistics objects behind this connection (audits)."""
-        return (self._server.stats,)
-
     def total_bytes(self) -> int:
         """Total wire bytes moved over this connection so far."""
         return self.channel.total_bytes
@@ -1228,9 +1224,6 @@ class ReplicatedRemoteServer(RemoteServer):
                 totals[key] = totals.get(key, 0) + value
         return totals
 
-    def stat_objects(self) -> Tuple[ServerQueryStats, ...]:
-        return tuple(rep.stats for rep in self._replicas)
-
     def total_bytes(self) -> int:
         return sum(chan.total_bytes for chan in self._channels_tuple)
 
@@ -1607,11 +1600,6 @@ class ShardedRemoteServer(SpatialServerInterface):
         """Fleet-summed backing-server statistics."""
         return self._fleet.stats.as_dict()
 
-    def stat_objects(self) -> Tuple[ServerQueryStats, ...]:
-        return tuple(
-            stats for proxy in self._proxies for stats in proxy.stat_objects()
-        )
-
     def total_bytes(self) -> int:
         """Total wire bytes over all shard connections so far."""
         return sum(proxy.total_bytes() for proxy in self._proxies)
@@ -1642,10 +1630,6 @@ class ServerPair:
     def reset(self) -> None:
         self.r.reset_channels()
         self.s.reset_channels()
-
-    def swapped(self) -> "ServerPair":
-        """The pair with roles exchanged (used by symmetric code paths)."""
-        return ServerPair(r=self.s, s=self.r)
 
     @staticmethod
     def connect(

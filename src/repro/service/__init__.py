@@ -8,12 +8,10 @@ waves, deduplicates it through the :class:`~repro.service.cache.ResultCache`
 cooperatively on the shared frontier engine -- coalescing the COUNT
 exchanges of all in-flight queries per backing server while keeping every
 query's metering ledger isolated and bit-identical to a standalone run.
-``QueryBroker(workers=N)`` advances the queries of a wave on a
-:class:`~repro.service.executor.WaveExecutor` thread pool between the
-coalesced barriers, and :class:`~repro.service.executor.QueryService` adds
-the asynchronous continuous-admission front-end (``submit``/``poll``/
-``result`` or callbacks) that turns the broker into a sustained-throughput
-server under open-loop load.
+:class:`~repro.service.executor.QueryService` adds the asynchronous
+continuous-admission front-end (``submit``/``poll``/``result`` or
+callbacks) that turns the broker into a sustained-throughput server under
+open-loop load.
 """
 
 from repro.service.broker import BrokerStats, QueryBroker
@@ -23,7 +21,7 @@ from repro.service.cache import (
     freeze_result,
     query_key,
 )
-from repro.service.executor import QueryService, WaveExecutor, audit_ledger_isolation
+from repro.service.executor import QueryService
 from repro.service.query import JoinQuery, QueryOutcome
 
 __all__ = [
@@ -33,8 +31,6 @@ __all__ = [
     "QueryOutcome",
     "QueryService",
     "ResultCache",
-    "WaveExecutor",
-    "audit_ledger_isolation",
     "dataset_token",
     "freeze_result",
     "query_key",

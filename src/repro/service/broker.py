@@ -33,21 +33,14 @@ buffer sizes -- and
    to running the query alone -- under any submission order, with the
    cache cold or warm (pinned by ``tests/test_service_equivalence.py``).
 
-   With ``workers >= 1`` the per-query advances *between* the coalesced
-   exchanges -- operator leaves, window/range downloads, trace assembly --
-   run on a :class:`~repro.service.executor.WaveExecutor` thread pool: the
-   leaves of different in-flight queries are independent per query (each
-   touches only its own audited session stack), so only the per-(server,
-   round) COUNT descent remains a rendezvous, evaluated once per round on
-   the coordinating thread in submission order.  ``workers=0`` (default)
-   is the inline serial path and stays the pinned bit-identity reference;
-   the pooled path is pinned against it by the same equivalence suite.
+   The per-query advances between the coalesced exchanges run inline on
+   the executing thread, one query after the other: they are GIL-bound
+   Python, and a thread pool over them measured 0.6-0.7x of this loop.
 
 Algorithms without a coalescible execution (the naive/fixed-grid
 comparators, SemiJoin, or ``execution="recursive"`` overrides) still run
 through the broker on their own isolated stacks; they simply contribute no
-shared rounds (their whole execution happens in the priming advance, which
-the pool runs concurrently with other queries' priming).
+shared rounds (their whole execution happens in the priming advance).
 """
 
 from __future__ import annotations
@@ -58,21 +51,25 @@ from dataclasses import dataclass, field
 from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro.core.costmodel import CalibratedCostModel
-from repro.core.planner import PlanDecision, build_algorithm, select_algorithm
+from repro.core.planner import (
+    PlanDecision,
+    build_algorithm,
+    build_resilience,
+    build_server,
+    select_algorithm,
+)
 from repro.core.result import JoinResult
 from repro.device.pda import MobileDevice
 from repro.errors import QueryTimeout, ReproError, ServerUnavailable
 from repro.network.config import NetworkConfig
 from repro.obs.metrics import ChannelMetricsObserver
 from repro.obs.trace import NULL_TRACER
-from repro.server.remote import ResilienceController, ServerPair
+from repro.server.remote import ServerPair
 from repro.server.server import SpatialServer
-from repro.server.sharded import ShardedSpatialServer
 from repro.service.cache import ResultCache, dataset_token, query_key
-from repro.service.executor import WaveExecutor, audit_ledger_isolation
 from repro.service.query import JoinQuery, QueryOutcome
 
-__all__ = ["BrokerStats", "DEFAULT_CACHE_MAX_BYTES", "QueryBroker"]
+__all__ = ["BrokerStats", "DEFAULT_CACHE_MAX_BYTES", "QueryBroker", "resolve_broker"]
 
 #: Default byte budget for broker-built result caches: enough for tens of
 #: thousands of typical cached results, small enough that a long-lived
@@ -221,12 +218,6 @@ class QueryBroker:
         into the selector's calibration factors *after* its batch
         finishes.  Off by default so that plan selection -- and therefore
         every result -- is independent of submission order.
-    workers:
-        Size of the wave executor's thread pool.  ``0`` (default) advances
-        every query inline on the executing thread -- the pinned serial
-        reference.  ``>= 1`` advances the queries of a wave concurrently
-        between the coalesced COUNT barriers; results are bit-identical
-        under any worker count.
     index_fanout:
         Fanout of server indexes built by the broker's server cache.
     breaker_threshold:
@@ -259,7 +250,6 @@ class QueryBroker:
         cache: object = True,
         selector: Optional[CalibratedCostModel] = None,
         calibrate: bool = False,
-        workers: int = 0,
         index_fanout: int = 16,
         breaker_threshold: int = 3,
         breaker_cooldown_waves: int = 2,
@@ -295,7 +285,6 @@ class QueryBroker:
                 metrics=metrics,
             )
         self.selector = selector or CalibratedCostModel(self.config)
-        self.executor = WaveExecutor(workers)
         self.stats = BrokerStats()
         # Guards the submission queue and the server-build cache: the async
         # service lane submits from client threads while the admission
@@ -355,10 +344,6 @@ class QueryBroker:
                 "repro_breaker_transitions_total",
                 "Circuit-breaker state transitions, by new state and server",
             )
-
-    @property
-    def workers(self) -> int:
-        return self.executor.workers
 
     def clear_caches(self) -> None:
         """Release the result cache and the cached server builds.
@@ -623,9 +608,10 @@ class QueryBroker:
             if pair is not None:
                 self._servers.move_to_end(key)
             else:
+                fleet = (query.shard_scheme, self.index_fanout, query.replicas)
                 pair = (
-                    self._build_base(query.dataset_r, "R", query.shards_r, query),
-                    self._build_base(query.dataset_s, "S", query.shards_s, query),
+                    build_server(query.dataset_r, "R", query.shards_r, *fleet),
+                    build_server(query.dataset_s, "S", query.shards_s, *fleet),
                 )
                 self._servers[key] = pair
                 # LRU bound for long-lived brokers: shed the coldest build
@@ -642,26 +628,6 @@ class QueryBroker:
                                 self._breakers.pop(unit.breaker_token, None)
         return pair
 
-    def _build_base(self, dataset, name: str, shards: int, query: JoinQuery):
-        """Build (and place) one side: a single server or a (replicated) fleet.
-
-        Replication rides on the fleet build even at ``shards == 1``: a
-        single-shard fleet with R replicas is still a fleet, with replica
-        channels, breaker units and failover routing.
-        """
-        if shards > 1 or query.replicas > 1:
-            return ShardedSpatialServer(
-                dataset,
-                name=name,
-                shards=shards,
-                scheme=query.shard_scheme,
-                index_fanout=self.index_fanout,
-                replicas=query.replicas,
-            )
-        return SpatialServer(
-            dataset.rename(name), name=name, index_fanout=self.index_fanout
-        )
-
     def _build_stack(self, entry: _Admitted) -> None:
         """One isolated session stack per query: statistics views of the
         cached servers, fresh metered channels, a fresh device."""
@@ -669,23 +635,14 @@ class QueryBroker:
         base_r, base_s = self._base_servers(query)
         entry.base_r, entry.base_s = base_r, base_s
         algorithm = entry.plan.algorithm
-        resilience = None
-        if (
-            query.faults is not None
-            or query.retry is not None
-            or query.deadline_s is not None
-        ):
-            resilience = ResilienceController(
-                faults=query.faults, retry=query.retry, deadline_s=query.deadline_s
-            )
-            if self.metrics is not None:
-                resilience.metrics = self.metrics
         pair = ServerPair.connect(
             base_r.shared_view(),
             base_s.shared_view(),
             config=query.config or self.config,
             indexed=algorithm == "semijoin",
-            resilience=resilience,
+            resilience=build_resilience(
+                query.faults, query.retry, query.deadline_s, self.metrics
+            ),
             router=query.router,
             replica_health=entry.replica_health,
             observer=self._channel_observer,
@@ -842,6 +799,18 @@ class QueryBroker:
                 return unit
         return None
 
+    def _charge_breaker(self, unit: SpatialServer) -> None:
+        """Book one failure against a unit; open its breaker at the threshold."""
+        breaker = self._breakers.get(unit.breaker_token)
+        if breaker is None:
+            breaker = self._breakers[unit.breaker_token] = _Breaker(unit)
+        breaker.failures += 1
+        if breaker.failures >= self.breaker_threshold:
+            breaker.open_until_wave = (
+                self._wave_counter + 1 + self.breaker_cooldown_waves
+            )
+            self._note_breaker_transition("open", unit.name)
+
     def _note_entry_failure(self, entry: _Admitted, error: BaseException) -> None:
         """Feed a query failure into the breaker bookkeeping.
 
@@ -855,18 +824,8 @@ class QueryBroker:
         if not isinstance(error, ServerUnavailable) or error.kind == "breaker":
             return
         unit = self._unit_for_server_name(entry, error.server)
-        if unit is None:
-            return
-        token = unit.breaker_token
-        breaker = self._breakers.get(token)
-        if breaker is None:
-            breaker = self._breakers[token] = _Breaker(unit)
-        breaker.failures += 1
-        if breaker.failures >= self.breaker_threshold:
-            breaker.open_until_wave = (
-                self._wave_counter + 1 + self.breaker_cooldown_waves
-            )
-            self._note_breaker_transition("open", unit.name)
+        if unit is not None:
+            self._charge_breaker(unit)
 
     def _note_replica_faults(self, entry: _Admitted) -> set:
         """Charge per-replica breakers for this query's mid-query failovers.
@@ -894,18 +853,8 @@ class QueryBroker:
                     continue
                 faulted.add(replica)
                 unit = self._unit_for_server_name(entry, replica)
-                if unit is None:
-                    continue
-                token = unit.breaker_token
-                breaker = self._breakers.get(token)
-                if breaker is None:
-                    breaker = self._breakers[token] = _Breaker(unit)
-                breaker.failures += 1
-                if breaker.failures >= self.breaker_threshold:
-                    breaker.open_until_wave = (
-                        self._wave_counter + 1 + self.breaker_cooldown_waves
-                    )
-                    self._note_breaker_transition("open", unit.name)
+                if unit is not None:
+                    self._charge_breaker(unit)
         return faulted
 
     def _note_entry_success(
@@ -937,28 +886,33 @@ class QueryBroker:
             entry.gen.close()
         self._note_entry_failure(entry, error)
 
-    def _settle(self, entries: List[_Admitted], errors: List) -> None:
-        """Apply per-query fan-out failures: typed faults isolate the
+    def _advance_all(self, entries: List[_Admitted], advance) -> None:
+        """Run ``advance(entry)`` for every entry, then settle the failures.
+
+        One query's fault must not abort its neighbours, so every entry
+        advances before any failure is applied: typed faults isolate the
         query; anything else is a bug and propagates (discarding the
-        batch, exactly as before the resilience layer existed)."""
-        for entry, error in zip(entries, errors):
-            if error is None:
-                continue
-            if isinstance(error, ReproError):
-                self._fail_entry(entry, error)
-            else:
+        batch, exactly as before the resilience layer existed).
+        """
+        failures: List[Tuple[_Admitted, Exception]] = []
+        for entry in entries:
+            try:
+                advance(entry)
+            except Exception as error:  # noqa: BLE001 -- settled below
+                failures.append((entry, error))
+        for entry, error in failures:
+            if not isinstance(error, ReproError):
                 raise error
+            self._fail_entry(entry, error)
 
     # ------------------------------------------------------------------ #
 
     def _execute_wave(self, wave: List[_Admitted], wave_index: int) -> None:
         """Drive all queries of one wave in lock-step coalesced rounds.
 
-        The per-query advances between rounds -- priming, leaf operators,
-        attribution -- fan out over the wave executor (inline when
-        ``workers=0``); the coalesced COUNT evaluation stays on this
-        thread, gathered and answered in submission order, so it is both
-        the physical rendezvous and the determinism barrier.
+        Between rounds every query advances in turn -- priming, leaf
+        operators, attribution; the coalesced COUNT evaluation is gathered
+        and answered in submission order.
 
         A query that raises a typed :class:`~repro.errors.ReproError` --
         an unrecoverable channel fault, retry exhaustion, a deadline
@@ -991,8 +945,8 @@ class QueryBroker:
         building: List[_Admitted] = []
         for entry in wave:
             if wave_span is not None:
-                # Created on the coordinator in submission order; the
-                # ticket label keeps sibling query spans id-distinct.
+                # Created in submission order; the ticket label keeps
+                # sibling query spans id-distinct.
                 entry.span = wave_span.child(
                     "query", ticket=entry.index, algorithm=entry.plan.algorithm
                 )
@@ -1009,21 +963,14 @@ class QueryBroker:
                 self._fail_entry(entry, error)
                 continue
             building.append(entry)
-        if self.executor.workers and building:
-            # Concurrent advances must never share mutable session state;
-            # refuse the wave rather than corrupt ledgers silently.
-            audit_ledger_isolation([entry.device for entry in building])
         # Priming runs non-cooperative queries to completion on their own
         # stack; frontier queries stop at their first COUNT round.
-        self._settle(
-            building,
-            self.executor.map_settle(lambda entry: self._advance(entry, None), building),
-        )
+        self._advance_all(building, lambda entry: self._advance(entry, None))
         active = [entry for entry in building if entry.pending is not None]
         round_index = 0
         while active:
             # Gather: one group per backing server across all active
-            # queries, in submission order (coordinating thread only).
+            # queries, in submission order.
             groups: Dict[int, _Group] = {}
             for entry in active:
                 for server_name, rects in entry.pending.items():
@@ -1033,8 +980,7 @@ class QueryBroker:
                     group = groups.setdefault(id(base), _Group(base))
                     group.slices.append((entry, server_name, len(group.windows), len(rects)))
                     group.windows.extend(rects)
-            # Evaluate: one batched snapshot descent per backing server --
-            # the shared rendezvous every worker barriers on.
+            # Evaluate: one batched snapshot descent per backing server.
             answers_for: Dict[Tuple[int, str], List[int]] = {}
             for group in groups.values():
                 group_span = None
@@ -1061,15 +1007,10 @@ class QueryBroker:
                     answers_for[(id(entry), server_name)] = values[start : start + n]
             # Attribute and advance: each query books its own share on its
             # own ledger, exactly as a standalone count_windows call would
-            # have.  The answer slices are fixed before the fan-out, and
-            # every advance touches only query-private state, so the pool's
-            # scheduling cannot influence any query's measurements.
-            self._settle(
+            # have.
+            self._advance_all(
                 active,
-                self.executor.map_settle(
-                    lambda entry: self._attribute_and_advance(entry, answers_for),
-                    active,
-                ),
+                lambda entry: self._attribute_and_advance(entry, answers_for),
             )
             active = [entry for entry in active if entry.pending is not None]
             round_index += 1
@@ -1140,3 +1081,18 @@ class QueryBroker:
         # The twin shares the broker selector's factor table, so observing
         # through it updates the one calibration state.
         selector.observe(algorithm, raw, outcome.result.total_cost)
+
+
+def resolve_broker(broker: Optional[QueryBroker], broker_kwargs: Dict) -> QueryBroker:
+    """The pre-built ``broker``, or one built from ``broker_kwargs``.
+
+    A passed broker carries its own configuration, so combining it with
+    any constructor argument is an error rather than a silent override.
+    """
+    if broker is None:
+        return QueryBroker(**broker_kwargs)
+    if broker_kwargs:
+        raise ValueError(
+            f"pass either a pre-built broker or {sorted(broker_kwargs)}, not both"
+        )
+    return broker

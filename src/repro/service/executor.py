@@ -1,37 +1,20 @@
-"""Wave-level parallel execution and the sustained-throughput service lane.
+"""The sustained-throughput service lane.
 
-Two pieces turn the batch-oriented :class:`~repro.service.broker.QueryBroker`
-into a server:
+:class:`QueryService` turns the batch-oriented
+:class:`~repro.service.broker.QueryBroker` into a server: an asynchronous
+continuous-admission front-end where ``submit()`` enqueues a query and
+returns a ticket immediately and ``poll()``/``result()`` (or a per-query
+callback) observe completion.  A background admission loop drains up to
+``max_wave`` queued queries per cycle and executes them as one broker
+wave, so arrivals during an executing wave accumulate into the next one --
+under open-loop load the broker behaves like a server (backlog coalesces
+into bigger, cheaper waves) instead of a batch executor that blocks
+admission while running.
 
-* :class:`WaveExecutor` -- a bounded worker pool over the per-query
-  generator advances of one wave.  The operator-leaf executions (HBSJ/NLSJ
-  batches, window/range downloads) of different in-flight queries are
-  independent per query: each runs on its own device, its own metered
-  channels and its own statistics views of the shared server build.  Only
-  the per-(server, round) coalesced COUNT descent is a shared rendezvous,
-  so the broker advances all queries of a round concurrently and
-  barriers at the exchange.  ``workers=0`` is the inline serial path --
-  the pinned bit-identity reference.  Before pooling a wave the executor
-  *audits* ledger isolation: every query's device, buffer, channels and
-  statistics objects must be private to that query (sharing the read-only
-  base servers is fine); aliased state would turn concurrent advances into
-  data races, so it is rejected up front rather than left to corrupt
-  ledgers silently.
-
-* :class:`QueryService` -- an asynchronous continuous-admission front-end:
-  ``submit()`` enqueues a query and returns a ticket immediately,
-  ``poll()``/``result()`` (or a per-query callback) observe completion.
-  A background admission loop drains up to ``max_wave`` queued queries per
-  cycle and executes them as one broker wave, so arrivals during an
-  executing wave accumulate into the next one -- under open-loop load the
-  broker behaves like a server (backlog coalesces into bigger, cheaper
-  waves) instead of a batch executor that blocks admission while running.
-
-Determinism: pooled advances only ever touch query-private state between
-barriers, and every coalesced exchange is gathered and answered in
-submission order on the coordinating thread, so results are bit-identical
-to ``workers=0`` under any worker count and any arrival interleaving
-(pinned by ``tests/test_service_equivalence.py``).
+Determinism: the admission thread is the only thread that executes waves,
+and every coalesced exchange is gathered and answered in submission order,
+so results are bit-identical to standalone runs under any arrival
+interleaving (pinned by ``tests/test_service_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -39,172 +22,14 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.errors import LedgerIsolationError, QueryTimeout, ServiceClosed
+from repro.errors import QueryTimeout, ServiceClosed
+from repro.service.broker import resolve_broker
 from repro.service.query import JoinQuery, QueryOutcome
 
-__all__ = ["QueryService", "WaveExecutor", "audit_ledger_isolation"]
-
-#: Distinguishes "argument not given" from an explicit ``None`` (which
-#: means *unbounded* for ``cache_max_bytes``).
-_UNSET = object()
-
-
-def audit_ledger_isolation(devices: Sequence) -> None:
-    """Verify the per-query session stacks of one wave are disjoint.
-
-    Every mutable object a pooled advance writes to -- the device, its
-    buffer and operator counters, both remote-server views, their metered
-    channels and their per-query statistics -- must belong to exactly one
-    query.  The shared base servers (datasets, index snapshots) are
-    deliberately *not* audited: they are read-only during a join and
-    sharing them is the whole point of the service.  Raises
-    :class:`~repro.errors.LedgerIsolationError` (a ``RuntimeError``) naming
-    the aliased component, because executing such a wave on a pool would
-    corrupt ledgers nondeterministically.
-    """
-    seen: Dict[int, str] = {}
-    for position, device in enumerate(devices):
-        components = {
-            "device": device,
-            "buffer": device.buffer,
-            "operator counters": device.counts,
-            "server view R": device.servers.r,
-            "server view S": device.servers.s,
-        }
-        # Every channel and every per-server statistics object behind a
-        # connection -- one each for a plain server, one per shard for a
-        # fleet, one per *replica* for a replicated fleet (``channels`` /
-        # ``stat_objects`` flatten replica state) -- must be private to
-        # its query.
-        for side, server in (("R", device.servers.r), ("S", device.servers.s)):
-            for i, channel in enumerate(server.channels):
-                components[f"channel {side}[{i}]"] = channel
-            for i, stats in enumerate(server.stat_objects()):
-                components[f"server stats {side}[{i}]"] = stats
-        for label, obj in components.items():
-            owner = seen.setdefault(id(obj), f"query #{position}")
-            if owner != f"query #{position}":
-                raise LedgerIsolationError(
-                    f"ledger isolation violated: {label} of query #{position} "
-                    f"is aliased with state of {owner}; refusing to execute "
-                    "the wave on a worker pool"
-                )
-
-
-class WaveExecutor:
-    """A bounded thread pool with deterministic, order-preserving fan-out.
-
-    ``workers=0`` executes inline on the calling thread (the serial
-    reference path); ``workers>=1`` lazily creates one
-    :class:`~concurrent.futures.ThreadPoolExecutor` and reuses it across
-    waves.  :meth:`map` always waits for *every* task before returning
-    (the wave barrier) and re-raises the first failure in item order, so
-    error behaviour does not depend on scheduling.
-    """
-
-    def __init__(self, workers: int = 0) -> None:
-        if workers < 0:
-            raise ValueError("workers must be >= 0 (0 = inline serial execution)")
-        self.workers = int(workers)
-        self._pool: Optional[ThreadPoolExecutor] = None
-        self._pool_lock = threading.Lock()
-
-    def map(self, fn: Callable, items: Sequence) -> None:
-        """Run ``fn(item)`` for every item; barrier until all complete.
-
-        Items are dispatched as one contiguous chunk per worker (not one
-        future per item): a wave's advances are many and individually
-        short, so per-future dispatch overhead would eat the coalescing
-        win the pool exists to preserve.  A chunk stops at its first
-        failing item -- mirroring the inline path -- and the error raised
-        is always the failure with the lowest item index, so error
-        behaviour does not depend on scheduling.
-        """
-        if self.workers == 0 or len(items) <= 1:
-            for item in items:
-                fn(item)
-            return
-        pool = self._ensure_pool()
-        chunks = max(1, min(self.workers, len(items)))
-        step = -(-len(items) // chunks)
-        bounds = [(start, items[start : start + step])
-                  for start in range(0, len(items), step)]
-
-        def run_chunk(start: int, chunk: Sequence):
-            for offset, item in enumerate(chunk):
-                try:
-                    fn(item)
-                except BaseException as error:  # noqa: BLE001 -- re-raised below
-                    return (start + offset, error)
-            return None
-
-        # Wait for the full wave even when an early item fails: later
-        # advances must not leak into the next round's gather.
-        futures = [pool.submit(run_chunk, start, chunk) for start, chunk in bounds]
-        failures = [f.result() for f in futures]
-        failures = [entry for entry in failures if entry is not None]
-        if failures:
-            raise min(failures)[1]
-
-    def map_settle(
-        self, fn: Callable, items: Sequence
-    ) -> List[Optional[BaseException]]:
-        """Run ``fn(item)`` for every item; collect per-item failures.
-
-        Unlike :meth:`map`, a failing item does not short-circuit anything:
-        every item runs (the wave's graceful-degradation contract -- one
-        query's channel fault must not abort its neighbours), and the
-        returned list holds each item's exception or ``None``, in item
-        order.  The inline and pooled paths behave identically.
-        """
-        results: List[Optional[BaseException]] = [None] * len(items)
-        if self.workers == 0 or len(items) <= 1:
-            for index, item in enumerate(items):
-                try:
-                    fn(item)
-                except Exception as error:  # noqa: BLE001 -- settled per item
-                    results[index] = error
-            return results
-        pool = self._ensure_pool()
-        chunks = max(1, min(self.workers, len(items)))
-        step = -(-len(items) // chunks)
-        bounds = [(start, items[start : start + step])
-                  for start in range(0, len(items), step)]
-
-        def run_chunk(start: int, chunk: Sequence):
-            for offset, item in enumerate(chunk):
-                try:
-                    fn(item)
-                except Exception as error:  # noqa: BLE001 -- settled per item
-                    results[start + offset] = error
-
-        futures = [pool.submit(run_chunk, start, chunk) for start, chunk in bounds]
-        for future in futures:
-            future.result()
-        return results
-
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        with self._pool_lock:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.workers, thread_name_prefix="repro-wave"
-                )
-            return self._pool
-
-    def close(self) -> None:
-        with self._pool_lock:
-            if self._pool is not None:
-                self._pool.shutdown(wait=True)
-                self._pool = None
-
-
-# --------------------------------------------------------------------------- #
-# the asynchronous service lane
-# --------------------------------------------------------------------------- #
+__all__ = ["QueryService"]
 
 
 @dataclass
@@ -227,16 +52,18 @@ class QueryService:
     ----------
     broker:
         A pre-built :class:`~repro.service.broker.QueryBroker` to serve
-        through (its ``workers``, cache and calibration state apply), or
-        ``None`` to build one from the remaining keyword arguments.
-    config, workers, max_wave, cache, calibrate:
-        Forwarded to the broker constructor when ``broker`` is ``None``;
-        combining them with a pre-built broker is an error rather than a
+        through (its cache, calibration state and hooks apply), or
+        ``None`` to build one from ``broker_kwargs``.
+    broker_kwargs:
+        :class:`~repro.service.broker.QueryBroker` constructor arguments
+        (``config``, ``max_wave``, ``cache``, ``calibrate``,
+        ``cache_max_bytes``, ``tracer``, ``metrics``, ...); combining any
+        of them with a pre-built broker is a ``ValueError`` rather than a
         silent override.
 
     Usage::
 
-        with QueryService(workers=4) as service:
+        with QueryService(max_wave=8) as service:
             tickets = [service.submit(q) for q in queries]   # non-blocking
             outcomes = [service.result(t) for t in tickets]  # blocks per query
 
@@ -249,51 +76,8 @@ class QueryService:
     observe it (and before the callback fires, on the service thread).
     """
 
-    def __init__(
-        self,
-        broker=None,
-        *,
-        config=None,
-        workers: Optional[int] = None,
-        max_wave: Optional[int] = None,
-        cache: object = True,
-        calibrate: bool = False,
-        cache_max_bytes: object = _UNSET,
-        tracer=None,
-        metrics=None,
-    ) -> None:
-        from repro.service.broker import QueryBroker  # deferred: avoid cycle
-
-        if broker is not None:
-            if (
-                config is not None
-                or workers is not None
-                or max_wave is not None
-                or cache_max_bytes is not _UNSET
-                or tracer is not None
-                or metrics is not None
-            ):
-                raise ValueError(
-                    "pass either a pre-built broker or "
-                    "config/workers/max_wave/cache_max_bytes/tracer/metrics, "
-                    "not both"
-                )
-            self.broker = broker
-        else:
-            kwargs: Dict[str, object] = {"cache": cache, "calibrate": calibrate}
-            if config is not None:
-                kwargs["config"] = config
-            if workers is not None:
-                kwargs["workers"] = workers
-            if max_wave is not None:
-                kwargs["max_wave"] = max_wave
-            if cache_max_bytes is not _UNSET:
-                kwargs["cache_max_bytes"] = cache_max_bytes
-            if tracer is not None:
-                kwargs["tracer"] = tracer
-            if metrics is not None:
-                kwargs["metrics"] = metrics
-            self.broker = QueryBroker(**kwargs)
+    def __init__(self, broker=None, **broker_kwargs) -> None:
+        self.broker = resolve_broker(broker, broker_kwargs)
         # Observability: the broker's hooks double as the service's (a
         # pre-built broker brings its own).  The latency histogram is
         # wall-clock and therefore lives outside every determinism
@@ -410,7 +194,6 @@ class QueryService:
             self._finish(ticket)
         if wait:
             self._thread.join()
-            self.broker.executor.close()
 
     def __enter__(self) -> "QueryService":
         return self

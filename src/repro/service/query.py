@@ -22,7 +22,7 @@ from typing import Optional, Tuple
 
 from repro.core.base import AlgorithmParameters
 from repro.core.join_types import JoinSpec
-from repro.core.planner import PlanDecision
+from repro.core.planner import PlanDecision, validate_stack_knobs
 from repro.core.result import JoinResult
 from repro.datasets.dataset import SpatialDataset
 from repro.geometry.rect import Rect
@@ -121,25 +121,14 @@ class JoinQuery:
     def __post_init__(self) -> None:
         if self.buffer_size <= 0:
             raise ValueError("buffer_size must be positive")
-        if self.shards_r < 1 or self.shards_s < 1:
-            raise ValueError("shard counts must be >= 1")
-        if self.replicas < 1:
-            raise ValueError("replicas must be >= 1")
-        from repro.datasets.partition import PARTITION_SCHEMES
-
-        if self.shard_scheme not in PARTITION_SCHEMES:
-            raise ValueError(
-                f"unknown partition scheme {self.shard_scheme!r}; "
-                f"available: {PARTITION_SCHEMES}"
-            )
-        if self.router is not None:
-            from repro.server.remote import ROUTER_POLICIES
-
-            if self.router not in ROUTER_POLICIES:
-                raise ValueError(
-                    f"unknown replica router policy {self.router!r}; "
-                    f"known: {sorted(ROUTER_POLICIES)}"
-                )
+        validate_stack_knobs(
+            self.shards_r,
+            self.shards_s,
+            self.shard_scheme,
+            self.replicas,
+            self.router,
+            self.deadline_s,
+        )
 
     def resolved_window(self) -> Rect:
         """The joined region (defaults to the union MBR of both datasets).

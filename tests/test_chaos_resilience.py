@@ -10,7 +10,7 @@ The resilience pinning invariant of PR 7, exercised end to end:
   ledger lane and never contaminates the paper's transfer figures.
 * **Determinism.**  The fault event sequence each server draws is a pure
   function of ``(plan seed, server name, exchange sequence)`` --
-  independent of broker wave width, worker count and submission order.
+  independent of broker wave width and submission order.
 * **Graceful degradation.**  Unrecoverable faults (mid-query disconnects,
   unavailability windows outlasting the retry budget, deadline overruns)
   surface typed errors; in a broker wave the failed query is isolated and
@@ -136,8 +136,8 @@ class TestFaultPlanDeterminism:
     @pytest.mark.parametrize("plan", RECOVERABLE_PLANS)
     def test_events_independent_of_scheduling(self, plan):
         """Per-server drawn fault sequences depend only on the plan seed
-        and the query's own exchange sequence -- never on wave width,
-        worker count or submission order."""
+        and the query's own exchange sequence -- never on wave width or
+        submission order."""
         r, s = _datasets()
         spec = JoinSpec.distance(0.03)
         names = sorted(ALGORITHMS)
@@ -148,16 +148,14 @@ class TestFaultPlanDeterminism:
             ).resilience["fault_events"]
             for name in names
         }
-        for max_wave, workers, order_seed in [(16, 0, None), (1, 0, 0), (16, 2, 1)]:
+        for max_wave, order_seed in [(16, None), (1, 0), (16, 1)]:
             queries = [
                 JoinQuery(r, s, spec, algorithm=name, buffer_size=BUFFER, faults=plan)
                 for name in names
             ]
             if order_seed is not None:
                 random.Random(order_seed).shuffle(queries)
-            outcomes = QueryBroker(
-                max_wave=max_wave, workers=workers, cache=False
-            ).run_batch(queries)
+            outcomes = QueryBroker(max_wave=max_wave, cache=False).run_batch(queries)
             for outcome in outcomes:
                 assert outcome.status == "ok"
                 assert (
@@ -189,16 +187,15 @@ class TestRecoverableChaosEquivalence:
         # and it never leaks into the primary-lane figures asserted above.
         assert (retry_total > 0) == (_faults_fired(summary) > 0)
 
-    @pytest.mark.parametrize("workers", [0, 2])
     @pytest.mark.parametrize("plan", RECOVERABLE_PLANS)
-    def test_broker_wave_bit_identity(self, plan, workers):
+    def test_broker_wave_bit_identity(self, plan):
         r, s = _datasets()
         spec = JoinSpec.distance(0.03)
         queries = [
             JoinQuery(r, s, spec, algorithm=name, buffer_size=BUFFER, faults=plan)
             for name in sorted(ALGORITHMS)
         ]
-        outcomes = QueryBroker(workers=workers).run_batch(queries)
+        outcomes = QueryBroker().run_batch(queries)
         for outcome in outcomes:
             assert outcome.status == "ok" and outcome.error is None
             clean = run_join(
@@ -271,8 +268,7 @@ class TestUnrecoverableFaults:
                      buffer_size=BUFFER, faults=plan)
         assert exc.value.last_fault.kind == "drop"
 
-    @pytest.mark.parametrize("workers", [0, 2])
-    def test_failed_query_is_isolated_from_its_wave(self, workers):
+    def test_failed_query_is_isolated_from_its_wave(self):
         r, s = _datasets()
         bad_plan = FaultPlan(seed=2, disconnects=(Disconnect("R", 1),))
         spec = JoinSpec.distance(0.03)
@@ -282,7 +278,7 @@ class TestUnrecoverableFaults:
                       faults=bad_plan),
             JoinQuery(r, s, spec, algorithm="mobijoin", buffer_size=BUFFER),
         ]
-        broker = QueryBroker(workers=workers)
+        broker = QueryBroker()
         outcomes = broker.run_batch(queries)
         assert [o.status for o in outcomes] == ["ok", "failed", "ok"]
         failed = outcomes[1]

@@ -343,12 +343,12 @@ class TestNoOpBitIdentity:
             _assert_identical(a.result, b.result)
         assert tracer.spans()
 
-    def test_fingerprint_stable_across_repeats_and_workers(self):
+    def test_fingerprint_stable_across_repeats(self):
         r, s = _datasets()
         spec = JoinSpec.distance(0.03)
         spec2 = JoinSpec.distance(0.05)
 
-        def run(workers):
+        def run():
             tracer = Tracer()
             queries = [
                 JoinQuery(r, s, spec, buffer_size=BUFFER),
@@ -356,13 +356,12 @@ class TestNoOpBitIdentity:
                 JoinQuery(r, s, spec2, buffer_size=BUFFER),
                 JoinQuery(r, s, spec, buffer_size=BUFFER),
             ]
-            QueryBroker(workers=workers, tracer=tracer).run_batch(queries)
+            QueryBroker(tracer=tracer).run_batch(queries)
             return tracer
 
-        base = run(0)
-        for tracer in (run(0), run(2), run(3)):
-            assert tracer.fingerprint() == base.fingerprint()
-            assert tracer.span_tree() == base.span_tree()
+        base, repeat = run(), run()
+        assert repeat.fingerprint() == base.fingerprint()
+        assert repeat.span_tree() == base.span_tree()
 
     def test_standalone_trace_fingerprint_repeatable(self):
         r, s = _datasets()

@@ -264,8 +264,7 @@ class TestReplicationBitIdentity:
         _assert_identical(routed, clean)
         assert _fingerprints(routed_dev) == _fingerprints(clean_dev)
 
-    @pytest.mark.parametrize("workers", [0, 2])
-    def test_brokered_replication_bit_identity(self, workers):
+    def test_brokered_replication_bit_identity(self):
         r, s = _datasets()
         spec = JoinSpec.distance(EPSILON)
         (ref,) = QueryBroker(cache=False).run_batch([
@@ -278,7 +277,7 @@ class TestReplicationBitIdentity:
                       faults=RECOVERABLE_PLAN)
             for name in FLEET_ALGORITHMS
         ]
-        outcomes = QueryBroker(cache=False, workers=workers).run_batch(queries)
+        outcomes = QueryBroker(cache=False).run_batch(queries)
         assert [o.status for o in outcomes] == ["ok"] * len(queries)
         srjoin = next(o for o in outcomes
                       if o.query.algorithm == "srjoin")
@@ -370,7 +369,7 @@ class TestFailover:
                              outages=replica_outages("R#0", 2, 0, 10_000,
                                                      indices=[0])),
         )
-        failed, survived = QueryBroker(cache=False, workers=2).run_batch(
+        failed, survived = QueryBroker(cache=False).run_batch(
             [doomed, survivor]
         )
         assert failed.status == "failed"

@@ -1,16 +1,15 @@
 """The service-lane additions: frozen cache hits, content-true dataset
-tokens, LRU eviction, the ledger-isolation audit and the asynchronous
+tokens, LRU eviction and the asynchronous
 :class:`~repro.service.executor.QueryService` front-end.
 
 Companion to ``tests/test_service_equivalence.py`` (which pins broker
-results bit-for-bit against standalone runs, pooled and serial); this file
+results bit-for-bit against standalone runs); this file
 pins the *correctness traps* the service fixes:
 
 * a cache hit aliases the stored result, so the stored result must be
   deep-frozen -- mutating a hit raises instead of poisoning the next hit,
 * dataset tokens digest dtype and shape, not just raw bytes,
 * eviction is LRU with exact accounting,
-* a wave whose per-query ledgers alias each other is refused up front,
 * ``submit``/``poll``/``result``/callbacks behave like a server while
   staying bit-identical to the synchronous batch path.
 """
@@ -23,7 +22,7 @@ import numpy as np
 import pytest
 
 from repro.core.join_types import JoinSpec
-from repro.core.planner import build_session_stack, run_join
+from repro.core.planner import run_join
 from repro.core.result import JoinResult
 from repro.datasets.synthetic import clustered
 from repro.service import (
@@ -31,7 +30,6 @@ from repro.service import (
     QueryBroker,
     QueryService,
     ResultCache,
-    audit_ledger_isolation,
     dataset_token,
     freeze_result,
 )
@@ -242,43 +240,6 @@ class TestLRUCache:
 
 
 # --------------------------------------------------------------------------- #
-# the ledger-isolation audit
-# --------------------------------------------------------------------------- #
-
-
-class TestLedgerIsolationAudit:
-    def test_disjoint_stacks_pass(self):
-        r, s = _datasets()
-        _, _, d1 = build_session_stack(r, s, buffer_size=BUFFER)
-        _, _, d2 = build_session_stack(r, s, buffer_size=BUFFER)
-        audit_ledger_isolation([d1, d2])  # no raise
-
-    def test_aliased_stack_is_refused(self):
-        r, s = _datasets()
-        _, _, device = build_session_stack(r, s, buffer_size=BUFFER)
-        with pytest.raises(RuntimeError, match="ledger isolation"):
-            audit_ledger_isolation([device, device])
-
-    def test_pooled_broker_runs_the_audit(self, monkeypatch):
-        import repro.service.broker as broker_mod
-
-        calls = []
-
-        def spy(devices):
-            calls.append(len(devices))
-
-        monkeypatch.setattr(broker_mod, "audit_ledger_isolation", spy)
-        r, s = _datasets()
-        queries = [_query(r, s, algorithm=a) for a in ("upjoin", "srjoin")]
-        QueryBroker(cache=False, workers=2).run_batch(queries)
-        assert calls == [2]
-        # The serial path never pays for the audit.
-        calls.clear()
-        QueryBroker(cache=False).run_batch(queries)
-        assert calls == []
-
-
-# --------------------------------------------------------------------------- #
 # the asynchronous service lane
 # --------------------------------------------------------------------------- #
 
@@ -288,7 +249,7 @@ class TestQueryService:
         r, s = _datasets()
         queries = [_query(r, s, algorithm=a) for a in ("upjoin", "srjoin", "mobijoin")]
         reference = QueryBroker(cache=False).run_batch(queries)
-        with QueryService(workers=2, cache=False) as service:
+        with QueryService(cache=False) as service:
             tickets = service.submit_all(queries)
             outcomes = [service.result(t, timeout=60) for t in tickets]
         for ref, out, ticket in zip(reference, outcomes, tickets):
@@ -301,7 +262,7 @@ class TestQueryService:
 
     def test_poll_and_drain(self):
         r, s = _datasets()
-        with QueryService(workers=0, cache=False) as service:
+        with QueryService(cache=False) as service:
             ticket = service.submit(_query(r, s))
             service.drain(timeout=60)
             assert service.poll(ticket)
@@ -319,7 +280,7 @@ class TestQueryService:
             seen.append(outcome)
             done.set()
 
-        with QueryService(workers=2, cache=False) as service:
+        with QueryService(cache=False) as service:
             ticket = service.submit(_query(r, s), callback=on_done)
             assert done.wait(60)
             outcome = service.result(ticket, timeout=60)
@@ -350,7 +311,7 @@ class TestQueryService:
 
     def test_close_finishes_queued_work_then_rejects_submissions(self):
         r, s = _datasets()
-        service = QueryService(workers=2, cache=False)
+        service = QueryService(cache=False)
         tickets = service.submit_all([_query(r, s, algorithm=a) for a in ("upjoin", "naive")])
         service.close(wait=True)
         for ticket in tickets:
@@ -365,11 +326,11 @@ class TestQueryService:
         continuous-admission win the load benchmark measures."""
         r, s = _datasets()
         queries = [_query(r, s, algorithm=a) for a in ("upjoin", "srjoin", "mobijoin", "naive")]
-        with QueryService(workers=0, cache=False) as burst:
+        with QueryService(cache=False) as burst:
             burst.submit_all(queries)
             burst.drain(timeout=120)
             burst_waves = burst.broker.stats.waves
-        with QueryService(workers=0, cache=False) as trickle:
+        with QueryService(cache=False) as trickle:
             for query in queries:
                 trickle.submit(query)
                 trickle.drain(timeout=120)
@@ -377,9 +338,22 @@ class TestQueryService:
         assert burst_waves < trickle_waves == len(queries)
 
     def test_broker_xor_kwargs(self):
+        """A pre-built broker plus *any* broker argument is refused, in
+        both entry points -- ``cache=`` / ``calibrate=`` included, whose
+        defaults are not ``None``."""
+        from repro.api import batch_join
+
         broker = QueryBroker(cache=False)
-        with pytest.raises(ValueError):
-            QueryService(broker, workers=2)
+        for kwargs in (
+            {"max_wave": 2},
+            {"cache": False},
+            {"calibrate": True},
+            {"cache": False, "calibrate": True},
+        ):
+            with pytest.raises(ValueError, match="pre-built broker"):
+                QueryService(broker, **kwargs)
+            with pytest.raises(ValueError, match="pre-built broker"):
+                batch_join([], broker=broker, **kwargs)
         service = QueryService(broker)
         assert service.broker is broker
         service.close()

@@ -339,92 +339,6 @@ class TestPlanSelection:
         assert after == pytest.approx(0.5 * 1.0 + 0.5 * measured / raw)
 
 
-class TestPooledWorkersEquivalence:
-    """workers>0 advances waves on a thread pool; results stay bit-identical.
-
-    ``workers=0`` (the inline serial path) is the pinned reference: every
-    case runs the same batch through pooled brokers and asserts pairs,
-    bytes, per-server stats, channel ledgers (down to the per-message
-    fingerprints) and traces are identical under any worker count and any
-    arrival order -- and identical to the standalone run.
-    """
-
-    @pytest.mark.parametrize("workers", [2, 4])
-    @pytest.mark.parametrize("order_seed", [None, 7])
-    def test_all_algorithms_pooled_vs_serial_and_standalone(self, workers, order_seed):
-        r, s = _datasets()
-        spec = JoinSpec.distance(0.03)
-        queries = [
-            JoinQuery(r, s, spec, algorithm=name, buffer_size=BUFFER)
-            for name in sorted(ALGORITHMS)
-        ]
-        if order_seed is not None:
-            random.Random(order_seed).shuffle(queries)
-        serial = QueryBroker(cache=False).run_batch(queries)
-        pooled = QueryBroker(cache=False, workers=workers).run_batch(queries)
-        assert [o.query for o in pooled] == queries
-        for ref, out in zip(serial, pooled):
-            assert out.algorithm == ref.algorithm
-            _assert_identical(out.result, ref.result)
-            assert out.ledger_fingerprints == ref.ledger_fingerprints
-            _assert_identical(out.result, _standalone(out.query, out.algorithm))
-
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_pooled_mixed_specs_and_ledger_fingerprints(self, workers):
-        r1, s1 = _datasets()
-        r2, s2 = _other_datasets()
-        queries = [
-            JoinQuery(r1, s1, JoinSpec.distance(0.03), algorithm="upjoin", buffer_size=64),
-            JoinQuery(r2, s2, JoinSpec.intersection(), algorithm="srjoin", buffer_size=128),
-            JoinQuery(r1, s1, JoinSpec.iceberg(0.05, 2), algorithm="mobijoin", buffer_size=96),
-            JoinQuery(r2, s2, JoinSpec.distance(0.02), algorithm="semijoin", buffer_size=96),
-            JoinQuery(r1, s1, JoinSpec.distance(0.03), algorithm="naive", buffer_size=64),
-        ]
-        serial = QueryBroker(cache=False).run_batch(queries)
-        pooled = QueryBroker(cache=False, workers=workers).run_batch(queries)
-        for ref, out in zip(serial, pooled):
-            _assert_identical(out.result, ref.result)
-            assert out.ledger_fingerprints == ref.ledger_fingerprints
-
-    def test_pooled_coalescing_still_happens(self):
-        r, s = _datasets()
-        spec = JoinSpec.distance(0.03)
-        queries = [
-            JoinQuery(r, s, spec, algorithm=name, buffer_size=BUFFER)
-            for name in ("upjoin", "srjoin", "mobijoin")
-        ]
-        broker = QueryBroker(cache=False, workers=4)
-        broker.run_batch(queries)
-        assert 0 < broker.stats.coalesced_exchanges < broker.stats.standalone_exchanges
-
-    def test_pooled_repeated_batches_deterministic(self):
-        r, s = _datasets()
-        spec = JoinSpec.distance(0.03)
-        queries = [
-            JoinQuery(r, s, spec, algorithm=name, buffer_size=BUFFER)
-            for name in ("upjoin", "srjoin", "mobijoin")
-        ]
-        first = QueryBroker(cache=False, workers=3).run_batch(queries)
-        second = QueryBroker(cache=False, workers=3).run_batch(queries)
-        for a, b in zip(first, second):
-            _assert_identical(a.result, b.result)
-            assert a.ledger_fingerprints == b.ledger_fingerprints
-
-    @pytest.mark.parametrize("workers", [2])
-    def test_pooled_failed_batch_does_not_leak(self, workers):
-        r, s = _datasets()
-        spec = JoinSpec.distance(0.03)
-        good = JoinQuery(r, s, spec, algorithm="upjoin", buffer_size=BUFFER)
-        bad = JoinQuery(r, s, spec, algorithm="upjoin", buffer_size=BUFFER,
-                        execution="bogus-mode")
-        broker = QueryBroker(workers=workers)
-        with pytest.raises(ValueError):
-            broker.run_batch([good, bad])
-        outcomes = broker.run_batch([good])
-        assert len(outcomes) == 1
-        _assert_identical(outcomes[0].result, _standalone(good, "upjoin"))
-
-
 class TestBrokerDeterminism:
     def test_repeated_batches_identical(self):
         r, s = _datasets()

@@ -34,7 +34,7 @@ from repro.datasets.partition import (
     shard_assignment,
 )
 from repro.datasets.synthetic import clustered, uniform
-from repro.errors import ServerUnavailable
+from repro.errors import InvalidInput, ServerUnavailable
 from repro.network.faults import FaultPlan, Outage
 from repro.server import ShardedSpatialServer, SpatialServer
 from repro.service import JoinQuery, QueryBroker
@@ -233,6 +233,31 @@ class TestShardedJoinEquivalence:
             JoinQuery(r, s, spec, shards_r=0)
         with pytest.raises(ValueError):
             JoinQuery(r, s, spec, shard_scheme="hilbert")
+
+    @pytest.mark.parametrize(
+        "knob",
+        [
+            {"router": "bogus"},  # unreplicated: the router would go unused
+            {"shard_scheme": "bogus"},  # unsharded: so would the scheme
+            {"deadline_s": -1.0},
+            {"deadline_s": float("nan")},  # ``elapsed > nan`` never fires
+        ],
+        ids=lambda knob: "-".join(f"{k}={v}" for k, v in knob.items()),
+    )
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda r, s, spec, **kw: quick_join(r, s, epsilon=EPSILON, **kw),
+            lambda r, s, spec, **kw: AdHocJoinSession(r, s, **kw),
+            lambda r, s, spec, **kw: run_join(r, s, spec, **kw),
+            lambda r, s, spec, **kw: JoinQuery(r, s, spec, **kw),
+        ],
+        ids=["quick_join", "AdHocJoinSession", "run_join", "JoinQuery"],
+    )
+    def test_knobs_validated_alike_on_every_entry_path(self, entry, knob):
+        r, s = _datasets(n=10)
+        with pytest.raises(InvalidInput):
+            entry(r, s, JoinSpec.distance(EPSILON), **knob)
 
 
 # --------------------------------------------------------------------------- #
