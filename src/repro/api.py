@@ -23,7 +23,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.base import AlgorithmParameters
 from repro.core.join_types import JoinSpec
-from repro.core.planner import ALGORITHMS, build_algorithm, build_session_stack
+from repro.core.planner import (
+    ALGORITHMS,
+    build_algorithm,
+    build_session_stack,
+    validate_window,
+)
 from repro.core.result import JoinResult
 from repro.datasets.dataset import SpatialDataset
 from repro.device.pda import MobileDevice
@@ -341,6 +346,7 @@ class AdHocJoinSession:
         **algorithm_kwargs: object,
     ) -> JoinResult:
         """Run one algorithm on this session's servers and record the result."""
+        validate_window(window)
         spec = self._spec_for(kind, epsilon, min_matches)
         params = AlgorithmParameters(
             alpha=alpha,

@@ -310,7 +310,7 @@ class FrontierAlgorithm(MobileJoinAlgorithm):
         the answers arrive, so it covers the full exchange -- including any
         :class:`RoundRetry` replays -- under the simulated clock.  Sibling
         rounds are distinguished by a per-run counter, keeping span ids
-        deterministic under any wave worker count.
+        deterministic under any wave width.
         """
         span = self._obs_span
         if span is None:

@@ -11,6 +11,7 @@ rebuilding R-trees for every algorithm).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
@@ -44,6 +45,7 @@ __all__ = [
     "run_join",
     "select_algorithm",
     "validate_stack_knobs",
+    "validate_window",
 ]
 
 #: Registry of algorithm names accepted by the public API.
@@ -158,6 +160,17 @@ def validate_stack_knobs(
             f"deadline_s must be a non-negative number of simulated seconds, "
             f"got {deadline_s!r}"
         )
+
+
+def validate_window(window: Optional[Rect]) -> None:
+    """Reject a join window no algorithm can subdivide to an answer.
+
+    An infinite extent never shrinks below the buffer and NaN fails every
+    comparison (so :class:`Rect` lets it through and the algorithms then
+    disagree); ``None`` is the default window, finite because datasets are.
+    """
+    if window is not None and not all(map(math.isfinite, window)):
+        raise InvalidInput(f"join window must have finite coordinates, got {window!r}")
 
 
 def build_session_stack(
@@ -356,6 +369,7 @@ def run_join(
         Optional observability hooks (see :mod:`repro.obs`); strictly
         read-only, the result is bit-identical with or without them.
     """
+    validate_window(window)
     indexed = algorithm.lower() == "semijoin"
     _, _, device = build_session_stack(
         dataset_r,

@@ -83,9 +83,6 @@ class QuadrantCounts:
     def total(self) -> float:
         return float(sum(self.counts))
 
-    def as_int_counts(self) -> Tuple[int, int, int, int]:
-        return tuple(int(round(c)) for c in self.counts)  # type: ignore[return-value]
-
 
 def quadrant_count_steps(
     server_name: str,

@@ -123,10 +123,6 @@ class SpatialDataset:
         row = self.mbrs[idx]
         return Rect(float(row[0]), float(row[1]), float(row[2]), float(row[3]))
 
-    def center_of(self, oid: int) -> Point:
-        """The centre point of one object by id."""
-        return self.rect_of(oid).center
-
     # ------------------------------------------------------------------ #
     # filtering (used by servers and oracles; vectorised)
     # ------------------------------------------------------------------ #

@@ -79,12 +79,6 @@ class WorkloadSpec:
     def with_clusters(self, clusters: int) -> "WorkloadSpec":
         return replace(self, clusters=clusters)
 
-    def with_seed(self, seed: int) -> "WorkloadSpec":
-        return replace(self, seed=seed)
-
-    def with_buffer(self, buffer_size: int) -> "WorkloadSpec":
-        return replace(self, buffer_size=buffer_size)
-
     def describe(self) -> str:
         return (
             f"{self.r_kind}({self.r_size}) x {self.s_kind}({self.s_size}), "

@@ -48,7 +48,8 @@ class InvalidInput(ReproError, ValueError):
 
     Raised at the boundary -- when a dataset is built, when a join is
     specified -- for values the algorithms cannot terminate or answer on:
-    non-finite coordinates, a non-finite or negative ``epsilon``.
+    non-finite coordinates, a non-finite or negative ``epsilon``, a join
+    window with a non-finite bound.
     Subclasses ``ValueError``, which those sites raised for other bad
     input before, so existing ``except`` clauses keep working.
     """

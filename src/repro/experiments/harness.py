@@ -55,7 +55,6 @@ __all__ = [
     "WorkloadCache",
     "WorkloadCell",
     "build_datasets",
-    "query_for_run",
     "run_experiment",
     "run_single",
 ]
@@ -113,9 +112,6 @@ class ExperimentResult:
     def x_values(self) -> Tuple[object, ...]:
         return self.config.x_values
 
-    def series_bytes(self, label: str) -> List[float]:
-        return self.series[label].mean_bytes
-
     def winner_at(self, x_value: object) -> str:
         """The cheapest series at one x-value (by mean bytes)."""
         idx = self.config.x_values.index(x_value)
@@ -168,63 +164,6 @@ def run_single(
     kwargs.setdefault("epsilon", spec.epsilon)
     kwargs.setdefault("bucket_queries", spec.bucket_queries)
     return session.run(**kwargs)  # type: ignore[arg-type]
-
-
-def query_for_run(
-    dataset_r: SpatialDataset,
-    dataset_s: SpatialDataset,
-    spec: WorkloadSpec,
-    run_kwargs: Dict[str, object],
-    buffer_size: int,
-    config: NetworkConfig,
-    servers: Optional[Tuple[SpatialServer, SpatialServer]] = None,
-) -> "JoinQuery":
-    """Translate one sweep run into a broker :class:`JoinQuery`.
-
-    The translation covers exactly the keyword surface of
-    :meth:`AdHocJoinSession.run`, so a cell executed through the broker is
-    the same query the session path runs (unknown keywords are rejected
-    rather than silently dropped).
-    """
-    from repro.core.base import AlgorithmParameters  # deferred: keeps import light
-    from repro.service.query import JoinQuery
-
-    kwargs = dict(run_kwargs)
-    kwargs.setdefault("epsilon", spec.epsilon)
-    kwargs.setdefault("bucket_queries", spec.bucket_queries)
-    algorithm = str(kwargs.pop("algorithm", "srjoin"))
-    join_spec = AdHocJoinSession._spec_for(
-        str(kwargs.pop("kind", "distance")),
-        float(kwargs.pop("epsilon")),  # type: ignore[arg-type]
-        int(kwargs.pop("min_matches", 1)),  # type: ignore[call-overload]
-    )
-    params = AlgorithmParameters(
-        alpha=float(kwargs.pop("alpha", 0.25)),  # type: ignore[arg-type]
-        rho=float(kwargs.pop("rho", 0.30)),  # type: ignore[arg-type]
-        grid_k=int(kwargs.pop("grid_k", 2)),  # type: ignore[call-overload]
-        bucket_queries=bool(kwargs.pop("bucket_queries")),
-        trace=bool(kwargs.pop("trace", True)),
-        seed=int(kwargs.pop("seed", 0)),  # type: ignore[call-overload]
-    )
-    window = kwargs.pop("window", None)
-    execution = kwargs.pop("execution", None)
-    run_buffer = kwargs.pop("buffer_size", None)
-    if kwargs:
-        raise ValueError(
-            f"run kwargs not routable through the broker: {sorted(kwargs)}"
-        )
-    return JoinQuery(
-        dataset_r=dataset_r,
-        dataset_s=dataset_s,
-        spec=join_spec,
-        algorithm=algorithm,
-        buffer_size=int(run_buffer) if run_buffer is not None else buffer_size,  # type: ignore[call-overload]
-        params=params,
-        window=window,  # type: ignore[arg-type]
-        config=config,
-        execution=str(execution) if execution is not None else None,
-        servers=servers,
-    )
 
 
 # --------------------------------------------------------------------------- #
@@ -312,16 +251,8 @@ def _run_cell(
     seed: int,
     keep_runs: bool,
     cache: Optional[WorkloadCache],
-    via_broker: bool = False,
 ) -> Dict[Tuple[str, object, int], _RunRecord]:
-    """Run every series of the sweep on one (x, seed) cell.
-
-    ``via_broker=True`` submits all series of the cell as one batch to a
-    :class:`~repro.service.broker.QueryBroker` (sharing the cell's server
-    build; COUNT exchanges of co-scheduled series coalesce per server).
-    Every per-series result is bit-identical to the session path -- the
-    broker guarantee -- so the sweep numbers cannot depend on the route.
-    """
+    """Run every series of the sweep on one (x, seed) cell."""
     if cache is not None:
         cell = cache.get(x, seed)
         dataset_r, dataset_s, spec = cell.dataset_r, cell.dataset_s, cell.spec
@@ -330,28 +261,6 @@ def _run_cell(
         dataset_r, dataset_s, spec = config.workload(x, seed)
         servers = None
     out: Dict[Tuple[str, object, int], _RunRecord] = {}
-    if via_broker:
-        from repro.service.broker import QueryBroker
-
-        buffer_size = spec.buffer_size or config.buffer_size
-        queries = [
-            query_for_run(
-                dataset_r, dataset_s, spec, run_kwargs,
-                buffer_size=buffer_size, config=config.config, servers=servers,
-            )
-            for run_kwargs in config.series.values()
-        ]
-        # The cache would collapse identical series into one shared result
-        # object; sweeps keep the one-result-per-run shape instead.
-        broker = QueryBroker(config=config.config, cache=False)
-        outcomes = broker.run_batch(queries)
-        for label, outcome in zip(config.series, outcomes):
-            out[(label, x, seed)] = (
-                float(outcome.result.total_bytes),
-                float(outcome.result.num_pairs),
-                outcome.result if keep_runs else None,
-            )
-        return out
     for label, run_kwargs in config.series.items():
         run = run_single(
             dataset_r,
@@ -372,7 +281,7 @@ def _run_cell(
 
 
 #: Sweep state inherited by forked pool workers (set only around a pool run).
-_WORKER_STATE: Optional[Tuple[ExperimentConfig, bool, bool, bool]] = None
+_WORKER_STATE: Optional[Tuple[ExperimentConfig, bool, bool]] = None
 
 
 def _worker_run_cell(
@@ -380,12 +289,12 @@ def _worker_run_cell(
 ) -> Dict[Tuple[str, object, int], _RunRecord]:
     """Pool worker: run one cell with a private per-cell cache."""
     assert _WORKER_STATE is not None, "worker state not inherited (non-fork start?)"
-    config, keep_runs, share_servers, via_broker = _WORKER_STATE
+    config, keep_runs, share_servers = _WORKER_STATE
     x, seed = cell_key
     # A fresh per-cell cache still shares the cell's server build across
     # all series while keeping peak memory at one cell.
     cache = WorkloadCache(config) if share_servers else None
-    return _run_cell(config, x, seed, keep_runs, cache, via_broker=via_broker)
+    return _run_cell(config, x, seed, keep_runs, cache)
 
 
 def _run_cells_parallel(
@@ -394,7 +303,6 @@ def _run_cells_parallel(
     workers: int,
     keep_runs: bool,
     share_servers: bool,
-    via_broker: bool = False,
 ) -> Optional[Dict[Tuple[str, object, int], _RunRecord]]:
     """Fan the cells out over a ``fork`` pool; None when fork is unavailable.
 
@@ -411,7 +319,7 @@ def _run_cells_parallel(
     except ValueError:
         return None
     global _WORKER_STATE
-    _WORKER_STATE = (config, keep_runs, share_servers, via_broker)
+    _WORKER_STATE = (config, keep_runs, share_servers)
     try:
         with ctx.Pool(processes=workers) as pool:
             chunks = pool.map(_worker_run_cell, list(cells), chunksize=1)
@@ -430,7 +338,6 @@ def run_experiment(
     *,
     share_servers: bool = True,
     workers: Optional[int] = None,
-    via_broker: bool = False,
 ) -> ExperimentResult:
     """Execute a sweep: every series at every x-value, averaged over seeds.
 
@@ -444,27 +351,20 @@ def run_experiment(
     share_servers:
         Share one pre-built server pair per (x-value, seed) cell across all
         algorithm series (the default).  ``False`` rebuilds the full stack
-        for every run -- the pre-sharing behaviour, kept for benchmarking
-        and for the equivalence tests.
+        for every run -- the reference the equivalence tests hold the
+        cache against.
     workers:
         When > 1, fan the (x-value, seed) cells out over a ``fork`` process
         pool of that size.  Results are merged in the canonical
         (series, x-value, seed) order and are bit-identical to a serial
         run; platforms without ``fork`` silently run serially.
-    via_broker:
-        Route every cell through the multi-tenant query broker (all series
-        of a cell submitted as one batch, COUNT exchanges coalesced per
-        server).  Bit-identical to the session path by the broker's
-        equivalence guarantee; composes with ``workers``.
     """
     seeds = config.seeds if repetitions is None else tuple(range(repetitions))
     cells = [(x, seed) for x in config.x_values for seed in seeds]
 
     raw: Optional[Dict[Tuple[str, object, int], _RunRecord]] = None
     if workers is not None and workers > 1 and len(cells) > 1:
-        raw = _run_cells_parallel(
-            config, cells, workers, keep_runs, share_servers, via_broker=via_broker
-        )
+        raw = _run_cells_parallel(config, cells, workers, keep_runs, share_servers)
     if raw is None:
         raw = {}
         for x, seed in cells:
@@ -472,9 +372,7 @@ def run_experiment(
             # server build, and the cell is released before the next one is
             # constructed (peak memory stays at a single cell).
             cache = WorkloadCache(config) if share_servers else None
-            raw.update(
-                _run_cell(config, x, seed, keep_runs, cache, via_broker=via_broker)
-            )
+            raw.update(_run_cell(config, x, seed, keep_runs, cache))
 
     # Deterministic merge: iterate the canonical (series, x, seed) order so
     # means, stds and run insertion order never depend on how (or where)

@@ -62,11 +62,6 @@ class RegularGrid:
         y1 = self.window.ymax if iy == self.ny - 1 else y0 + self.cell_height
         return Rect(x0, y0, x1, y1)
 
-    def cell_rect_linear(self, index: int) -> Rect:
-        """The rectangle of the cell with linear index ``index``."""
-        ix, iy = self.cell_coords(index)
-        return self.cell_rect(ix, iy)
-
     def cell_coords(self, index: int) -> Tuple[int, int]:
         """Convert a linear cell index into ``(ix, iy)`` coordinates."""
         if not 0 <= index < self.num_cells:
@@ -109,10 +104,6 @@ class RegularGrid:
         for iy in range(self.ny):
             for ix in range(self.nx):
                 yield ix, iy, self.cell_rect(ix, iy)
-
-    def all_cell_rects(self) -> List[Rect]:
-        """All cell rectangles in linear-index order."""
-        return [rect for _, _, rect in self.iter_cells()]
 
     # ------------------------------------------------------------------ #
 

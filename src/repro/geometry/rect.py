@@ -106,10 +106,6 @@ class Rect:
         return self.width * self.height
 
     @property
-    def perimeter(self) -> float:
-        return 2.0 * (self.width + self.height)
-
-    @property
     def center(self) -> Point:
         return Point((self.xmin + self.xmax) / 2.0, (self.ymin + self.ymax) / 2.0)
 
@@ -119,15 +115,6 @@ class Rect:
 
     def as_tuple(self) -> Tuple[float, float, float, float]:
         return (self.xmin, self.ymin, self.xmax, self.ymax)
-
-    def corners(self) -> List[Point]:
-        """The four corner points (xmin/ymin first, counter-clockwise)."""
-        return [
-            Point(self.xmin, self.ymin),
-            Point(self.xmax, self.ymin),
-            Point(self.xmax, self.ymax),
-            Point(self.xmin, self.ymax),
-        ]
 
     def __iter__(self) -> Iterator[float]:
         yield self.xmin
@@ -232,10 +219,6 @@ class Rect:
             self.xmax + margin,
             self.ymax + margin,
         )
-
-    def clipped_to(self, bounds: "Rect") -> Optional["Rect"]:
-        """Clip this rectangle to ``bounds`` (None when fully outside)."""
-        return self.intersection(bounds)
 
     def quadrants(self) -> List["Rect"]:
         """The four quadrants of the rectangle (2 x 2 regular split).

@@ -105,18 +105,6 @@ def count_in_window(mbrs: np.ndarray, window: Rect) -> int:
     return int(np.count_nonzero(intersects_window(mbrs, window)))
 
 
-def contained_in_window(mbrs: np.ndarray, window: Rect) -> np.ndarray:
-    """Boolean mask of MBRs fully contained in the window."""
-    if mbrs.shape[0] == 0:
-        return np.zeros(0, dtype=bool)
-    return (
-        (mbrs[:, 0] >= window.xmin)
-        & (mbrs[:, 1] >= window.ymin)
-        & (mbrs[:, 2] <= window.xmax)
-        & (mbrs[:, 3] <= window.ymax)
-    )
-
-
 def min_distance_to_point(mbrs: np.ndarray, x: float, y: float) -> np.ndarray:
     """Minimum Euclidean distance from each MBR to the point ``(x, y)``."""
     if mbrs.shape[0] == 0:

@@ -143,6 +143,10 @@ class AggregateRTree:
         """Object ids intersecting the window, in the tree's DFS order."""
         return self._flat.window_query(window).tolist()
 
+    def window_rows(self, window: Rect) -> np.ndarray:
+        """The entry rows :meth:`window_query` matched (see :meth:`entries_at`)."""
+        return self._flat.window_rows(window)
+
     def window_query_batch(self, windows: Sequence[Rect]) -> List[np.ndarray]:
         """One ``int64`` oid array per window, from one frontier traversal."""
         return self._flat.window_batch(rect_array.rects_to_array(list(windows)))
@@ -154,7 +158,7 @@ class AggregateRTree:
         return self._flat.window_batch_flat(rect_array.rects_to_array(list(windows)))
 
     def entries_at(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """The ``(mbrs, oids)`` of the entry rows a ``*_batch_flat`` query matched."""
+        """The ``(mbrs, oids)`` of the entry rows a ``*_rows`` / ``*_batch_flat`` query matched."""
         return self._flat.entry_mbrs[rows], self._flat.entry_oids[rows]
 
     def range_query(self, center: Point, epsilon: float) -> List[int]:
@@ -162,6 +166,10 @@ class AggregateRTree:
         if epsilon < 0:
             raise ValueError("epsilon must be non-negative")
         return self._flat.range_query(center, epsilon).tolist()
+
+    def range_rows(self, center: Point, epsilon: float) -> np.ndarray:
+        """The entry rows :meth:`range_query` matched (see :meth:`entries_at`)."""
+        return self._flat.range_rows(center, epsilon)
 
     def range_query_batch(
         self, centers: Sequence[Point], radii: Sequence[float]

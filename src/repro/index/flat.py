@@ -299,10 +299,18 @@ class FlatRTree:
 
     def window_query(self, window: Rect) -> np.ndarray:
         """Oids of the entries meeting ``window``, in entry order."""
+        return self.entry_oids[self.window_rows(window)]
+
+    def window_rows(self, window: Rect) -> np.ndarray:
+        """Entry rows meeting ``window``, ascending (see :meth:`window_batch_flat`)."""
         return self._descend(lambda boxes: intersects_window(boxes, window))
 
     def range_query(self, center: Point, radius: float) -> np.ndarray:
         """Oids of the entries within ``radius`` of ``center``, in entry order."""
+        return self.entry_oids[self.range_rows(center, radius)]
+
+    def range_rows(self, center: Point, radius: float) -> np.ndarray:
+        """Entry rows within ``radius`` of ``center``, ascending."""
         return self._descend(
             lambda boxes: min_distance_to_point(boxes, center.x, center.y) <= radius
         )
@@ -325,7 +333,7 @@ class FlatRTree:
             kid = expand_index_ranges(self.child_start[nodes], self.child_end[nodes])[1]
             nodes = self.child_ids[kid]
         ent = expand_index_ranges(self.ent_start[nodes], self.ent_end[nodes])[1]
-        return self.entry_oids[ent[keep(self.entry_mbrs[ent])]]
+        return ent[keep(self.entry_mbrs[ent])]
 
     # ------------------------------------------------------------------ #
     # internals

@@ -123,10 +123,6 @@ class GridIndex:
                     out.append(oid)
         return out
 
-    def bucket_entries(self, ix: int, iy: int) -> List[Tuple[Rect, int]]:
-        """Raw (possibly replicated) content of one bucket."""
-        return list(self._buckets.get(self.grid.cell_index(ix, iy), ()))
-
     def occupancy(self) -> Dict[int, int]:
         """Mapping of linear cell index to bucket size (diagnostics)."""
         return {cell: len(items) for cell, items in self._buckets.items()}

@@ -20,8 +20,8 @@ Two implementations are provided:
   exact predicate is evaluated over all candidates at once.  No per-object
   Python loop remains.
 * :func:`plane_sweep_pairs_scalar` -- the original per-lead sweep, kept as
-  the reference implementation for the equivalence tests and the
-  scalar-vs-vectorised micro-benchmark in ``benchmarks/bench_kernels.py``.
+  the reference implementation for the equivalence tests
+  (``tests/test_leaf_pipeline.py``).
 """
 
 from __future__ import annotations

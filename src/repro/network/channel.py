@@ -311,32 +311,6 @@ class Channel:
             "total_cost": self.total_cost,
         }
 
-    def retry_snapshot(self) -> Dict[str, float]:
-        """Summary of the retry lane (failed/duplicated attempt traffic)."""
-        return {
-            "name": self.name,
-            "retry_uplink_bytes": self.retry_uplink_bytes,
-            "retry_downlink_bytes": self.retry_downlink_bytes,
-            "retry_bytes": self.retry_bytes,
-            "retry_uplink_packets": self.retry_uplink_packets,
-            "retry_downlink_packets": self.retry_downlink_packets,
-            "retry_messages_up": self.retry_messages_up,
-            "retry_messages_down": self.retry_messages_down,
-        }
-
-    def retry_ledger_fingerprint(self) -> Tuple:
-        """Hashable digest of the retry lane (counters + record sequence)."""
-        return (
-            self.name,
-            self.retry_uplink_bytes,
-            self.retry_downlink_bytes,
-            self.retry_uplink_packets,
-            self.retry_downlink_packets,
-            self.retry_messages_up,
-            self.retry_messages_down,
-            self.retry_log.fingerprint(),
-        )
-
     def reset(self) -> None:
         """Zero all counters (both lanes) and clear the logs."""
         self.uplink_bytes = 0

@@ -71,10 +71,6 @@ class NetworkConfig:
         """A copy with different per-byte tariffs."""
         return replace(self, tariff_r=tariff_r, tariff_s=tariff_s)
 
-    def with_object_bytes(self, object_bytes: int) -> "NetworkConfig":
-        """A copy with a different object wire size."""
-        return replace(self, object_bytes=object_bytes)
-
     @staticmethod
     def wifi() -> "NetworkConfig":
         """The prototype's WiFi configuration (paper defaults)."""
@@ -84,8 +80,3 @@ class NetworkConfig:
     def dialup() -> "NetworkConfig":
         """A dial-up style configuration (MTU 576), mentioned in Section 3.1."""
         return NetworkConfig(mtu=576)
-
-    @staticmethod
-    def gprs(tariff: float = 1.0) -> "NetworkConfig":
-        """A GPRS-like configuration: small MTU and symmetric (paid) tariffs."""
-        return NetworkConfig(mtu=576, tariff_r=tariff, tariff_s=tariff)

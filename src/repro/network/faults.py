@@ -19,7 +19,7 @@ Determinism contract: each channel draws its events from its **own**
 substream, seeded by ``(plan seed, server name)`` and advanced once per
 exchange *attempt* on that channel.  A query's fault sequence therefore
 depends only on the plan and on the query's own exchange sequence -- never
-on wave width, worker count, submission order, or what other queries do.
+on wave width, submission order, or what other queries do.
 That is what lets the chaos suite pin fault-injected runs bit-identical to
 fault-free ones (the retry layer in :mod:`repro.server.remote` accounts all
 failure traffic on a separate ledger lane).
@@ -200,8 +200,8 @@ class FaultInjector:
     #: Uniforms are drawn from the generator in blocks of this size --
     #: ``Generator.random(n)`` consumes the bit stream exactly like ``n``
     #: scalar draws, so buffering changes nothing about the contract while
-    #: amortising the per-attempt RNG cost (the zero-fault overhead gate in
-    #: ``benchmarks/bench_resilience.py`` is what cares).
+    #: amortising the per-attempt RNG cost (``server.remote.self_s_per_op``
+    #: on ``BENCHMARK.json``'s ``fleet_faults`` workload is what cares).
     _BLOCK = 256
 
     def __init__(self, plan: FaultPlan, server_name: str) -> None:

@@ -4,7 +4,7 @@ A :class:`MetricsRegistry` hands out three instrument kinds -- monotonic
 :class:`Counter`, last-write-wins :class:`Gauge`, fixed-bucket
 :class:`Histogram` -- each supporting label sets (``metric.inc(1,
 server="R", lane="primary")``).  All state mutates under one registry
-re-entrant lock, so wave worker threads can bump the same counter safely.
+re-entrant lock, so service client threads can bump the same counter safely.
 
 Exposition formats:
 
@@ -298,8 +298,8 @@ class ChannelMetricsObserver:
     This is the hottest metrics path (one call per metered message batch),
     so it bypasses the generic ``Counter.inc`` label handling: canonical
     label keys are cached per (server, lane, direction) triple and all
-    three counters are bumped under one lock acquisition.  The overhead
-    record in ``benchmarks/bench_observability.py`` gates the result.
+    three counters are bumped under one lock acquisition
+    (``BENCHMARK.json``'s ``obs.enabled_overhead`` is what cares).
     """
 
     __slots__ = ("_bytes", "_packets", "_messages", "_lock", "_keys")

@@ -12,7 +12,7 @@ make it useful in a reproduction whose test suites pin bit-identity:
   thread ident.  Instrumentation labels every sibling distinctly (round
   and batch indexes, server names, tickets), so the id set of a run is a
   pure function of the workload: the same seed and queries produce the
-  same span tree under any worker count, and :func:`trace_fingerprint`
+  same span tree under any wave width, and :func:`trace_fingerprint`
   digests exactly the deterministic fields (ids, names, labels,
   annotations, simulated-time stamps, event sequences) into one stable
   hex string.
@@ -99,8 +99,8 @@ class NullTracer:
     """The default tracer: disabled, and every operation a no-op.
 
     Instrumentation sites guard on :attr:`enabled`, so the cost of the
-    disabled path is one attribute read per site -- the overhead record in
-    ``benchmarks/bench_observability.py`` gates it.
+    disabled path is one attribute read per site; ``BENCHMARK.json``'s
+    ``obs.enabled_overhead`` measures the enabled one.
     """
 
     __slots__ = ()

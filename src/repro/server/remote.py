@@ -649,6 +649,14 @@ class RemoteServer(SpatialServerInterface):
         """Zero every channel ledger of this connection."""
         self.channel.reset()
 
+    def failover_events(self) -> Tuple[Tuple[str, str, str, str], ...]:
+        """``(shard, replica, label, kind)`` per abandoned replica exchange.
+
+        Read by the broker to charge per-replica breakers; one channel has
+        no sibling to fail over to.
+        """
+        return ()
+
     def channel_snapshot(self) -> Dict[str, object]:
         """The connection's ledger snapshot (merged over all channels)."""
         return self.channel.snapshot()
@@ -1063,9 +1071,7 @@ class ReplicatedRemoteServer(RemoteServer):
         #: exchange, in exchange order -- the splice map of the merged
         #: primary ledger.
         self._primary_sequence: List[Tuple[int, int]] = []
-        #: ``(shard, replica_channel, label, kind)`` per abandoned replica
-        #: exchange (read by the broker to charge per-replica breakers).
-        self.failover_events: List[Tuple[str, str, str, str]] = []
+        self._failover_events: List[Tuple[str, str, str, str]] = []
 
     # ------------------------------------------------------------------ #
 
@@ -1109,7 +1115,7 @@ class ReplicatedRemoteServer(RemoteServer):
                     else err.last_fault.kind
                 )
                 self.router.note_failure(idx)
-                self.failover_events.append((self.name, channel.name, label, kind))
+                self._failover_events.append((self.name, channel.name, label, kind))
                 if self.resilience is not None:
                     self.resilience.note_failover(
                         self.name, channel.name, label, kind
@@ -1150,8 +1156,11 @@ class ReplicatedRemoteServer(RemoteServer):
         for channel in self._channels_tuple:
             channel.reset()
         self._primary_sequence.clear()
-        self.failover_events.clear()
+        self._failover_events.clear()
         self.router.reset()
+
+    def failover_events(self) -> Tuple[Tuple[str, str, str, str], ...]:
+        return tuple(self._failover_events)
 
     def channel_snapshot(self) -> Dict[str, object]:
         """Shard ledger snapshot: summed totals plus per-replica detail."""
@@ -1561,9 +1570,7 @@ class ShardedRemoteServer(SpatialServerInterface):
     def failover_events(self) -> Tuple[Tuple[str, str, str, str], ...]:
         """All ``(shard, replica, label, kind)`` failovers, shard order."""
         return tuple(
-            event
-            for proxy in self._proxies
-            for event in getattr(proxy, "failover_events", ())
+            event for proxy in self._proxies for event in proxy.failover_events()
         )
 
     def channel_snapshot(self) -> Dict[str, object]:

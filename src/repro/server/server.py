@@ -80,27 +80,16 @@ class SpatialServer(SpatialServerInterface):
         dataset: SpatialDataset,
         name: str = "server",
         index_fanout: int = 16,
-        index: Optional[AggregateRTree] = None,
     ) -> None:
         self.dataset = dataset
         self.name = name
         self.server_uid = next(_SERVER_UIDS)
         self.stats = ServerQueryStats()
         # Array-native bulk load straight off the dataset's MBR array; no
-        # per-object Rect materialisation.  ``index`` lets callers inject a
-        # pre-built (or legacy-built) aggregate tree.
-        self._index = (
-            index
-            if index is not None
-            else AggregateRTree.from_mbr_array(
-                dataset.mbrs, dataset.oids, max_entries=index_fanout
-            )
+        # per-object Rect materialisation.
+        self._index = AggregateRTree.from_mbr_array(
+            dataset.mbrs, dataset.oids, max_entries=index_fanout
         )
-        # Sorted oid -> row lookup of the scalar endpoints' by-oid payload
-        # assembly; the batch endpoints gather rows straight from the index.
-        oids = np.asarray(dataset.oids, dtype=np.int64)
-        self._row_order = np.argsort(oids, kind="stable")
-        self._oids_sorted = oids[self._row_order]
 
     def __len__(self) -> int:
         return len(self.dataset)
@@ -108,12 +97,12 @@ class SpatialServer(SpatialServerInterface):
     def shared_view(self) -> "SpatialServer":
         """A server sharing this one's immutable state, with fresh statistics.
 
-        The dataset, the aggregate R-tree and the oid lookup tables are
-        shared by reference -- all read-only during queries -- while the
-        query-statistics counters are private to the view.  The query broker hands every in-flight query its own
-        view of a cached server build, so concurrent queries meter their
-        server statistics in full isolation without re-running the index
-        construction.
+        The dataset and the aggregate R-tree are shared by reference -- both
+        read-only during queries -- while the query-statistics counters are
+        private to the view.  The query broker hands every in-flight query
+        its own view of a cached server build, so concurrent queries meter
+        their server statistics in full isolation without re-running the
+        index construction.
         """
         view = SpatialServer.__new__(SpatialServer)
         view.dataset = self.dataset
@@ -123,19 +112,17 @@ class SpatialServer(SpatialServerInterface):
         view.server_uid = self.server_uid
         view.stats = ServerQueryStats()
         view._index = self._index
-        view._row_order = self._row_order
-        view._oids_sorted = self._oids_sorted
         return view
 
     def replica_view(self, name: str) -> "SpatialServer":
         """A *replica* of this server: shared build, independent identity.
 
-        Like :meth:`shared_view`, the dataset, index and oid lookup tables
-        are shared by reference -- replicas publish one immutable shard
-        dataset build.  Unlike a view, a replica gets its own ``name``, a
-        *fresh* ``server_uid`` (and therefore its own ``breaker_token``)
-        and private statistics: replicas fail, breaker-trip and meter
-        independently even though they serve identical answers.
+        Like :meth:`shared_view`, the dataset and index are shared by
+        reference -- replicas publish one immutable shard dataset build.
+        Unlike a view, a replica gets its own ``name``, a *fresh*
+        ``server_uid`` (and therefore its own ``breaker_token``) and private
+        statistics: replicas fail, breaker-trip and meter independently even
+        though they serve identical answers.
         """
         replica = SpatialServer.__new__(SpatialServer)
         replica.dataset = self.dataset
@@ -143,8 +130,6 @@ class SpatialServer(SpatialServerInterface):
         replica.server_uid = next(_SERVER_UIDS)
         replica.stats = ServerQueryStats()
         replica._index = self._index
-        replica._row_order = self._row_order
-        replica._oids_sorted = self._oids_sorted
         return replica
 
     @property
@@ -205,8 +190,7 @@ class SpatialServer(SpatialServerInterface):
 
     def window(self, window: Rect) -> Tuple[np.ndarray, np.ndarray]:
         self.stats.window_queries += 1
-        oids = self._index.window_query(window)
-        return self._materialise(oids)
+        return self._payload(self._index.window_rows(window))
 
     def window_batch(self, windows: Sequence[Rect]) -> List[Tuple[np.ndarray, np.ndarray]]:
         """Answer a batch of WINDOW queries in one index descent.
@@ -236,9 +220,7 @@ class SpatialServer(SpatialServerInterface):
         windows = list(windows)
         self.stats.window_queries += len(windows)
         bounds, rows = self._index.window_query_batch_flat(windows)
-        mbrs, oid_arr = self._index.entries_at(rows)
-        self.stats.objects_returned += int(oid_arr.shape[0])
-        return mbrs, oid_arr, bounds
+        return (*self._payload(rows), bounds)
 
     def count(self, window: Rect) -> int:
         self.stats.count_queries += 1
@@ -253,8 +235,7 @@ class SpatialServer(SpatialServerInterface):
         if epsilon < 0:
             raise ValueError("epsilon must be non-negative")
         self.stats.range_queries += 1
-        oids = self._index.range_query(center, epsilon)
-        return self._materialise(oids)
+        return self._payload(self._index.range_rows(center, epsilon))
 
     def range_batch(
         self, centers: Sequence[Point], radii: Sequence[float]
@@ -287,9 +268,7 @@ class SpatialServer(SpatialServerInterface):
             raise ValueError("epsilon must be non-negative")
         self.stats.range_queries += len(centers)
         bounds, rows = self._index.range_query_batch_flat(list(centers), per_probe)
-        mbrs, oid_arr = self._index.entries_at(rows)
-        self.stats.objects_returned += int(oid_arr.shape[0])
-        return mbrs, oid_arr, bounds
+        return (*self._payload(rows), bounds)
 
     def bucket_range(
         self,
@@ -307,10 +286,8 @@ class SpatialServer(SpatialServerInterface):
         self.stats.bucket_range_probes += len(centers)
         per_probe = [epsilon] * len(centers) if radii is None else [float(r) for r in radii]
         bounds, rows = self._index.range_query_batch_flat(list(centers), per_probe)
-        mbrs, oid_arr = self._index.entries_at(rows)
         probes = np.repeat(np.arange(len(centers), dtype=np.int64), np.diff(bounds))
-        self.stats.objects_returned += int(oid_arr.shape[0])
-        return mbrs, oid_arr, probes
+        return (*self._payload(rows), probes)
 
     def average_mbr_area(self, window: Rect) -> float:
         self.stats.aggregate_queries += 1
@@ -318,18 +295,8 @@ class SpatialServer(SpatialServerInterface):
 
     # ------------------------------------------------------------------ #
 
-    def _materialise(self, oids: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
-        """Payload of a scalar query, looked up by oid (unknown oids raise)."""
-        oid_arr = np.asarray(oids, dtype=np.int64)
-        if oid_arr.shape[0]:
-            pos = np.searchsorted(self._oids_sorted, oid_arr)
-            if np.any(pos >= self._oids_sorted.shape[0]) or np.any(
-                self._oids_sorted[np.minimum(pos, self._oids_sorted.shape[0] - 1)]
-                != oid_arr
-            ):
-                raise KeyError("unknown oid in materialisation request")
-            mbrs = self.dataset.mbrs[self._row_order[pos]]
-        else:
-            mbrs = np.empty((0, 4))
+    def _payload(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """One take of the entry rows a descent matched, metered."""
+        mbrs, oid_arr = self._index.entries_at(rows)
         self.stats.objects_returned += int(oid_arr.shape[0])
         return mbrs, oid_arr

@@ -843,12 +843,7 @@ class QueryBroker:
         if entry.device is None:
             return faulted
         for side in (entry.device.servers.r, entry.device.servers.s):
-            events = getattr(side, "failover_events", None)
-            if events is None:
-                continue
-            for _shard, replica, _label, kind in (
-                events() if callable(events) else tuple(events)
-            ):
+            for _shard, replica, _label, kind in side.failover_events():
                 if kind != "unavailable" or replica in faulted:
                     continue
                 faulted.add(replica)

@@ -26,7 +26,7 @@ mutable containers become read-only views that raise on mutation
 (:func:`freeze_result`).  One caller mutating a hit can therefore never
 poison what the next caller is served.
 
-The cache is safe to share between the broker's pooled wave executor and
+The cache is safe to share between the broker's wave loop and
 any number of client threads: ``get``/``put``/``clear`` and the
 hit/miss/eviction counters are guarded by one lock, and eviction is LRU --
 a hit refreshes an entry's recency (``OrderedDict.move_to_end``), so a hot
@@ -250,7 +250,7 @@ class ResultCache:
     inserted (a single oversized result is cached alone rather than
     rejected).  ``None`` means unbounded on either axis; both bounds may be
     active at once.  All operations and counters are lock-guarded, so one
-    cache can back the pooled wave executor and concurrent service
+    cache can back the broker's wave loop and concurrent service
     submitters.
     """
 

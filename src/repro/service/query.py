@@ -22,7 +22,7 @@ from typing import Optional, Tuple
 
 from repro.core.base import AlgorithmParameters
 from repro.core.join_types import JoinSpec
-from repro.core.planner import PlanDecision, validate_stack_knobs
+from repro.core.planner import PlanDecision, validate_stack_knobs, validate_window
 from repro.core.result import JoinResult
 from repro.datasets.dataset import SpatialDataset
 from repro.geometry.rect import Rect
@@ -129,6 +129,7 @@ class JoinQuery:
             self.router,
             self.deadline_s,
         )
+        validate_window(self.window)
 
     def resolved_window(self) -> Rect:
         """The joined region (defaults to the union MBR of both datasets).

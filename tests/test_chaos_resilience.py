@@ -60,6 +60,8 @@ BUFFER = 96
 RECOVERABLE_PLANS = [
     FaultPlan(seed=3, drop_rate=0.10, stall_rate=0.08, duplicate_rate=0.08),
     FaultPlan(seed=9, drop_rate=0.12, duplicate_rate=0.05, stall_rate=0.05),
+    # Armed but zero-rate: the resilience stack attached, no fault drawn.
+    FaultPlan(seed=0),
 ]
 
 

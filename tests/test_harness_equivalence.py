@@ -16,7 +16,6 @@ change a single byte of the result: these tests pin
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.datasets.workloads import WorkloadSpec
 from repro.experiments.harness import (
@@ -104,29 +103,6 @@ class TestSweepEquivalence:
         serial = run_experiment(config)
         flooded = run_experiment(config, workers=16)
         assert _snapshot(serial) == _snapshot(flooded)
-
-    def test_broker_route_matches_session_route(self):
-        # via_broker submits every cell's series as one QueryBroker batch
-        # (shared server build, coalesced COUNT exchanges); results must be
-        # bit-identical to the AdHocJoinSession path -- including the mixed
-        # algorithm set with the indexed SemiJoin series.
-        config = _mixed_config()
-        session = run_experiment(config, keep_runs=True)
-        brokered = run_experiment(config, keep_runs=True, via_broker=True)
-        assert _snapshot(session) == _snapshot(brokered)
-        _assert_identical_runs(session, brokered)
-
-    def test_broker_route_rejects_unknown_run_kwargs(self):
-        from repro.experiments.harness import query_for_run
-        from repro.network.config import NetworkConfig
-
-        dataset_r, dataset_s, spec = _small_workload(1, 0)
-        with pytest.raises(ValueError, match="not routable"):
-            query_for_run(
-                dataset_r, dataset_s, spec,
-                {"algorithm": "upjoin", "bogus_kwarg": 1},
-                buffer_size=400, config=NetworkConfig(),
-            )
 
 
 class TestWorkloadCache:

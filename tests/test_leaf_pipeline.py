@@ -247,8 +247,6 @@ def test_batch_endpoints_equal_the_scalar_by_oid_path():
         assert np.array_equal(one_oids, oids[bounds[i] : bounds[i + 1]])
         assert np.array_equal(one_mbrs, mbrs[bounds[i] : bounds[i + 1]])
     assert server.stats.objects_returned == 2 * int(oids.shape[0])
-    with pytest.raises(KeyError):
-        server._materialise([int(dataset.oids.max()) + 1])
 
 
 # ---------------------------------------------------------------------- #

@@ -314,34 +314,42 @@ class TestReplicationBitIdentity:
 
 
 class TestFailover:
-    def test_replica_killed_mid_query_fails_over_without_drift(self):
+    @pytest.mark.parametrize("replicas, killed", [(2, 1), (3, 1), (3, 2)])
+    def test_replica_killed_mid_query_fails_over_without_drift(
+        self, replicas, killed
+    ):
         r, s = _datasets()
         clean, clean_dev = _run_stack(r, s, "srjoin", shards_r=2, shards_s=2)
-        killed, killed_dev = _run_stack(
-            r, s, "srjoin", shards_r=2, shards_s=2, replicas=2,
+        survived, survived_dev = _run_stack(
+            r, s, "srjoin", shards_r=2, shards_s=2, replicas=replicas,
             faults=FaultPlan(
                 seed=3,
-                outages=replica_outages("R#0", 2, 0, 10_000, indices=[0]),
+                outages=replica_outages(
+                    "R#0", replicas, 0, 10_000, indices=range(killed)
+                ),
             ),
         )
-        _assert_identical(killed, clean)
-        assert _fingerprints(killed_dev) == _fingerprints(clean_dev)
-        # Every lost exchange is ledgered as a failover off the dead
-        # replica, and the sibling carried all of the shard's traffic.
-        summary = killed.resilience
+        _assert_identical(survived, clean)
+        assert _fingerprints(survived_dev) == _fingerprints(clean_dev)
+        # Every lost exchange is ledgered as a failover off a dead
+        # replica, and the surviving siblings carried all of the shard's
+        # traffic.
+        summary = survived.resilience
         assert summary["failovers"] > 0
+        dead = {f"R#0/{index}" for index in range(killed)}
         assert all(
-            event[:2] == ("R#0", "R#0/0")
+            event[0] == "R#0" and event[1] in dead
             for event in summary["failover_events"]
         )
 
-    def test_all_replicas_down_fails_typed(self):
+    @pytest.mark.parametrize("replicas", [2, 3])
+    def test_all_replicas_down_fails_typed(self, replicas):
         r, s = _datasets()
         with pytest.raises(ServerUnavailable) as exc_info:
             _run_stack(
-                r, s, "srjoin", shards_r=2, shards_s=2, replicas=2,
+                r, s, "srjoin", shards_r=2, shards_s=2, replicas=replicas,
                 faults=FaultPlan(
-                    seed=3, outages=replica_outages("R#0", 2, 0, 10_000)
+                    seed=3, outages=replica_outages("R#0", replicas, 0, 10_000)
                 ),
             )
         err = exc_info.value

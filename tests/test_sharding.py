@@ -22,6 +22,8 @@ bounds intersect the request windows.  The contracts under test:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,7 @@ from repro.datasets.partition import (
 )
 from repro.datasets.synthetic import clustered, uniform
 from repro.errors import InvalidInput, ServerUnavailable
+from repro.geometry.rect import Rect
 from repro.network.faults import FaultPlan, Outage
 from repro.server import ShardedSpatialServer, SpatialServer
 from repro.service import JoinQuery, QueryBroker
@@ -241,6 +244,11 @@ class TestShardedJoinEquivalence:
             {"shard_scheme": "bogus"},  # unsharded: so would the scheme
             {"deadline_s": -1.0},
             {"deadline_s": float("nan")},  # ``elapsed > nan`` never fires
+            # An infinite window never subdivides below the buffer (four
+            # algorithms spin); NaN passes Rect's ordering check and splits
+            # the algorithms' answers.
+            {"window": Rect(-math.inf, -math.inf, math.inf, math.inf)},
+            {"window": Rect(math.nan, 0.0, 1.0, 1.0)},
         ],
         ids=lambda knob: "-".join(f"{k}={v}" for k, v in knob.items()),
     )
@@ -248,7 +256,9 @@ class TestShardedJoinEquivalence:
         "entry",
         [
             lambda r, s, spec, **kw: quick_join(r, s, epsilon=EPSILON, **kw),
-            lambda r, s, spec, **kw: AdHocJoinSession(r, s, **kw),
+            lambda r, s, spec, window=None, **kw: AdHocJoinSession(r, s, **kw).run(
+                epsilon=EPSILON, window=window
+            ),
             lambda r, s, spec, **kw: run_join(r, s, spec, **kw),
             lambda r, s, spec, **kw: JoinQuery(r, s, spec, **kw),
         ],
