@@ -8,6 +8,11 @@ algorithm-level experiments.
 
 from __future__ import annotations
 
+import time
+
+import numpy as np
+
+from repro.core.costmodel import CostModel
 from repro.datasets.synthetic import clustered, uniform
 from repro.geometry.point import Point
 from repro.geometry.predicates import WithinDistancePredicate
@@ -109,3 +114,26 @@ def test_bench_plane_sweep_scalar_reference(benchmark):
     predicate = WithinDistancePredicate(0.01)
     pairs = benchmark(plane_sweep_pairs_scalar, a, b, predicate)
     assert len(pairs) > 0
+
+
+def test_bench_level_cost_table(benchmark):
+    """One level of 1,024 windows costed in one call (c1..c4 and the argmin),
+    beside the same windows costed one row at a time (``extra_info``)."""
+    model = CostModel(NetworkConfig(), epsilon=0.002)
+    rng = np.random.default_rng(9)
+    corners = rng.uniform(0.0, 0.9, size=(1024, 2))
+    windows = np.hstack([corners, corners + rng.uniform(0.001, 0.1, size=(1024, 2))])
+    n_r = rng.integers(0, 2000, size=1024)
+    n_s = rng.integers(0, 2000, size=1024)
+
+    def level():
+        return model.breakdown(windows, n_r, n_s, buffer_size=100).cheapest()
+
+    rects = [Rect(*row) for row in windows.tolist()]
+    start = time.perf_counter()
+    one_row = [
+        model.breakdown(rect, r, s, buffer_size=100).cheapest()
+        for rect, r, s in zip(rects, n_r.tolist(), n_s.tolist())
+    ]
+    benchmark.extra_info["one_row_calls_s"] = time.perf_counter() - start
+    assert benchmark(level) == one_row

@@ -19,7 +19,8 @@ All wrap :mod:`repro.core.planner` (and, for batches,
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from collections import deque
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.base import AlgorithmParameters
 from repro.core.join_types import JoinSpec
@@ -57,6 +58,7 @@ __all__ = [
     "ChannelFault",
     "DEFAULT_CACHE_MAX_BYTES",
     "FaultPlan",
+    "HISTORY_LIMIT",
     "JoinOutcome",
     "JoinQuery",
     "MetricsRegistry",
@@ -81,6 +83,9 @@ __all__ = [
 
 #: Public alias: the outcome type returned by every join execution.
 JoinOutcome = JoinResult
+
+#: How many of its most recent results an :class:`AdHocJoinSession` keeps.
+HISTORY_LIMIT = 32
 
 
 def available_algorithms() -> List[str]:
@@ -316,13 +321,18 @@ class AdHocJoinSession:
             tracer=tracer,
             metrics=metrics,
         )
-        self._history: List[JoinResult] = []
+        self._history: Deque[JoinResult] = deque(maxlen=HISTORY_LIMIT)
 
     # ------------------------------------------------------------------ #
 
     @property
     def history(self) -> List[JoinResult]:
-        """Results of every run performed on this session."""
+        """The most recent results of this session, oldest first.
+
+        At most :data:`HISTORY_LIMIT` are kept: a result holds its full pair
+        set, so a long-lived session that kept them all would grow (and
+        slow) without bound.
+        """
         return list(self._history)
 
     def default_window(self) -> Rect:

@@ -227,8 +227,8 @@ class MobileJoinAlgorithm(ABC):
         """COUNT both servers over their query windows for a cell."""
         return self.count_window("R", window), self.count_window("S", window)
 
-    def should_stop_partitioning(self, window: Rect, depth: int) -> bool:
-        """True when further repartitioning cannot pay off.
+    def should_stop_partitioning(self, windows: np.ndarray, depths) -> np.ndarray:
+        """Mask of the ``(N, 4)`` windows whose repartitioning cannot pay off.
 
         Splitting stops at :data:`MAX_DEPTH`, and -- for distance joins --
         once a cell's children would be smaller than twice the S-side
@@ -236,28 +236,29 @@ class MobileJoinAlgorithm(ABC):
         nearly the same region as the parent's, so the extra aggregate
         queries can no longer expose prunable empty space.
         """
-        if depth >= MAX_DEPTH:
-            return True
+        stop = np.asarray(depths) >= MAX_DEPTH
         margin = self.predicate.window_margin
-        if margin <= 0:
-            return False
-        return min(window.width, window.height) / 2.0 <= 2.0 * margin
+        if margin > 0:
+            extent = np.minimum(
+                windows[:, 2] - windows[:, 0], windows[:, 3] - windows[:, 1]
+            )
+            stop = stop | (extent / 2.0 <= 2.0 * margin)
+        return stop
 
-    def refinement_worthwhile(self, window: Rect, count_r: int, count_s: int) -> bool:
-        """True when refining the window can possibly repay its statistics.
+    def refinement_worthwhile(self, data_cost):
+        """True where refining a window can possibly repay its statistics.
 
-        One more refinement level costs ``2 k^2`` aggregate queries before a
-        single byte of data is saved (Eq. 8's fixed term).  When the whole
-        window can be shipped for less than twice that amount, asking for
-        more statistics can never win -- the same economics as Eq. 10, lifted
-        from a single dataset to the repartitioning decision.  UpJoin and
-        SrJoin consult this before recursing; MobiJoin's own cost model
-        already embodies the trade-off through ``c4``.
+        ``data_cost`` is the window's ``c1`` without the buffer cut (a number
+        or an ``(N,)`` column).  One more refinement level costs ``2 k^2``
+        aggregate queries before a single byte of data is saved (Eq. 8's
+        fixed term).  When the whole window can be shipped for less than
+        twice that amount, asking for more statistics can never win -- the
+        same economics as Eq. 10, lifted from a single dataset to the
+        repartitioning decision.  UpJoin and SrJoin consult this before
+        recursing; MobiJoin's own cost model already embodies the trade-off
+        through ``c4``.
         """
         stats_cost = 2.0 * (self.params.grid_k ** 2) * self.cost_model.taq
-        data_cost = self.cost_model.c1(
-            window, count_r, count_s, buffer_size=None, enforce_buffer=False
-        )
         return data_cost > 2.0 * stats_cost
 
     def prune(self, window: Rect, depth: int, count_r: int, count_s: int) -> None:
@@ -306,18 +307,6 @@ class MobileJoinAlgorithm(ABC):
             window, self.predicate, outer=outer, bucket=self.params.bucket_queries
         )
         self._pairs.update(result.pairs)
-
-    def cheaper_nlsj_side(self, window: Rect, count_r: int, count_s: int) -> Tuple[str, float]:
-        """The cheaper NLSJ orientation: ``("R", c2)`` or ``("S", c3)``.
-
-        ``"R"`` means the outer relation is R (the paper's ``c2``);
-        ``"S"`` means the outer relation is S (``c3``).
-        """
-        c2 = self.cost_model.c2(window, count_r, count_s)
-        c3 = self.cost_model.c3(window, count_r, count_s)
-        if c3 <= c2:
-            return "S", c3
-        return "R", c2
 
     def quadrants_of(self, window: Rect) -> List[Rect]:
         """The 2 x 2 decomposition used by every repartitioning step.

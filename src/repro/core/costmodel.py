@@ -22,6 +22,26 @@ so planner estimates and measured bytes share one packetisation model.
 The model is *planning only*: measured totals always come from the
 channels.  Estimation error (for example from the uniformity assumption
 inside ``Tdq``) is part of what the paper studies.
+
+Array-valued equations
+----------------------
+
+Every equation has one implementation that costs ``N`` windows at once:
+counts are ``(N,)`` ``int64`` arrays, windows an ``(N, 4)`` MBR array (or
+``(N,)`` areas -- the equations only ever read a window's area), results
+``(N,)`` ``float64`` arrays.  A :class:`~repro.geometry.rect.Rect` with
+Python ``int`` counts is the one-window case of the same expressions and
+returns Python numbers.  The frontier engine costs a whole recursion level
+per call (``core/frontier.py``, "level cost table").
+
+Costs pick strategies and strategies pick bytes, so rounding is
+wire-visible.  The array expressions therefore keep the operation order of
+the scalar model they replaced, term by term (``((a + b) + c)``,
+``(t_inner * n_outer) * tdq``), use integer ceil-division for packets,
+``np.rint`` / ``np.ceil`` where it used ``round`` / ``math.ceil`` (both
+round half to even), and sum ``c4``'s cells in row-major order.
+``tests/oracles/costmodel_scalar.py`` freezes that scalar model and
+``tests/test_costmodel.py`` pins every method to it with ``==``.
 """
 
 from __future__ import annotations
@@ -30,6 +50,9 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Optional
 
+import numpy as np
+
+from repro.geometry import rect_array
 from repro.geometry.rect import Rect
 from repro.network.config import NetworkConfig
 from repro.network.packets import (
@@ -43,25 +66,68 @@ __all__ = ["CalibratedCostModel", "CostModel", "CostBreakdown"]
 #: A stand-in for the paper's "infinite" cost of an infeasible strategy.
 INFEASIBLE = math.inf
 
+#: Strategy names in tie-breaking order (the first minimum wins).
+STRATEGIES = ("c1", "c2", "c3", "c4")
+
+
+def _plain(value):
+    """A Python number for a zero-dimensional result, arrays untouched."""
+    if isinstance(value, (np.generic, np.ndarray)) and value.ndim == 0:
+        return value.item()
+    return value
+
+
+def _areas(window):
+    """Areas of a ``Rect``, an ``(N, 4)`` MBR array, or ``(N,)`` areas as given."""
+    if isinstance(window, Rect):
+        return window.area
+    window = np.asarray(window, dtype=np.float64)
+    return rect_array.areas(window) if window.ndim == 2 else window
+
+
+def _grid_cell_areas(window, k: int) -> np.ndarray:
+    """Cell areas of the regular ``k x k`` grid over each window.
+
+    Shape ``(k * k,)`` for a ``Rect`` and ``(N, k * k)`` for an ``(N, 4)``
+    array, row-major from the bottom-left cell; the edges are ``min + i *
+    step`` with the exact outer edge last, so every area equals
+    ``Rect.subdivide(k)[j].area`` bit for bit.
+    """
+    if isinstance(window, Rect):
+        window = np.array(window.as_tuple(), dtype=np.float64)
+    else:
+        window = np.asarray(window, dtype=np.float64)
+    x0, y0, x1, y1 = (window[..., i, None] for i in range(4))
+    steps = np.arange(k, dtype=np.float64)
+    xe = np.concatenate([x0 + steps * ((x1 - x0) / k), x1], axis=-1)
+    ye = np.concatenate([y0 + steps * ((y1 - y0) / k), y1], axis=-1)
+    widths, heights = np.diff(xe, axis=-1), np.diff(ye, axis=-1)
+    cells = widths[..., None, :] * heights[..., :, None]
+    return cells.reshape(*window.shape[:-1], k * k)
+
 
 @dataclass(frozen=True)
 class CostBreakdown:
-    """The four strategy costs for one window (plus the chosen minimum)."""
+    """The four strategy costs per window (numbers, or ``(N,)`` columns)."""
 
     c1_hbsj: float
     c2_nlsj_outer_r: float
     c3_nlsj_outer_s: float
     c4_repartition: float
 
-    def cheapest(self) -> str:
-        """Name of the cheapest strategy (ties resolved in c1..c4 order)."""
-        costs = {
-            "c1": self.c1_hbsj,
-            "c2": self.c2_nlsj_outer_r,
-            "c3": self.c3_nlsj_outer_s,
-            "c4": self.c4_repartition,
-        }
-        return min(costs, key=lambda k: (costs[k], k))
+    def cheapest(self):
+        """Name of the cheapest strategy (ties resolved in c1..c4 order).
+
+        A ``str`` for one window, a list of names for ``(N,)`` columns;
+        ``argmin`` returns the first minimum, which is the name order.
+        """
+        index = np.argmin(
+            [self.c1_hbsj, self.c2_nlsj_outer_r, self.c3_nlsj_outer_s, self.c4_repartition],
+            axis=0,
+        )
+        if index.ndim == 0:
+            return STRATEGIES[index]
+        return [STRATEGIES[i] for i in index.tolist()]
 
     def as_dict(self) -> Dict[str, float]:
         return {
@@ -74,6 +140,10 @@ class CostBreakdown:
 
 class CostModel:
     """Planner-side cost estimates, parameterised by the network config.
+
+    Every method takes one window (a ``Rect`` with ``int`` counts, Python
+    numbers back) or ``N`` windows (an ``(N, 4)`` MBR array or ``(N,)``
+    areas with ``(N,)`` ``int64`` counts, ``(N,)`` arrays back).
 
     Parameters
     ----------
@@ -97,42 +167,38 @@ class CostModel:
         self.config = config
         self.epsilon = epsilon
         self.bucket_queries = bucket_queries
+        # Constants of the equations, read once.
+        self._query = query_bytes(config)
+        #: Eq. 7: wire bytes of one aggregate query + its scalar answer.
+        self.taq = self._query + aggregate_answer_bytes(config)
+        self._object = config.object_bytes
+        self._tariff = {"R": float(config.tariff_r), "S": float(config.tariff_s)}
+        self._probe_disc = math.pi * epsilon * epsilon
 
     # ------------------------------------------------------------------ #
     # primitive quantities
     # ------------------------------------------------------------------ #
 
-    def tb(self, payload_bytes: int) -> int:
+    def tb(self, payload_bytes):
         """Eq. 1: wire bytes for a payload."""
         return transferred_bytes(payload_bytes, self.config)
 
-    def object_bytes(self, num_objects: int) -> int:
+    def object_bytes(self, num_objects):
         """Payload bytes of ``num_objects`` objects."""
-        return num_objects * self.config.object_bytes
+        return num_objects * self._object
 
-    @property
-    def taq(self) -> float:
-        """Eq. 7: wire bytes of one aggregate query + its scalar answer."""
-        return query_bytes(self.config) + aggregate_answer_bytes(self.config)
-
-    def expected_probe_matches(self, window: Rect, n_inner: int) -> float:
+    def expected_probe_matches(self, window, n_inner):
         """Expected objects returned by one epsilon-RANGE probe (uniform assumption).
 
         ``pi * eps^2 / (wx * wy) * |innerw|`` -- Section 3.1.  Degenerate
         windows fall back to assuming all inner objects match (the safe,
         pessimistic limit of the formula).
         """
-        area = window.area
-        if area <= 0:
-            return float(n_inner)
-        frac = math.pi * self.epsilon * self.epsilon / area
-        return min(float(n_inner), frac * n_inner)
+        return _plain(self._probe_matches(_areas(window), n_inner))
 
-    def tdq(self, window: Rect, n_inner: int) -> float:
+    def tdq(self, window, n_inner):
         """Eq. 3: bytes of one probe (query up, expected matches down)."""
-        expected = self.expected_probe_matches(window, n_inner)
-        payload = int(math.ceil(expected * self.config.object_bytes))
-        return query_bytes(self.config) + self.tb(payload)
+        return _plain(self._tdq(_areas(window), n_inner))
 
     # ------------------------------------------------------------------ #
     # the four strategies
@@ -140,41 +206,30 @@ class CostModel:
 
     def c1(
         self,
-        window: Rect,
-        n_r: int,
-        n_s: int,
+        window,
+        n_r,
+        n_s,
         buffer_size: Optional[int] = None,
         enforce_buffer: bool = True,
-    ) -> float:
+    ):
         """Eq. 2: HBSJ -- download both windows, join on the device."""
-        if enforce_buffer and buffer_size is not None and n_r + n_s > buffer_size:
-            return INFEASIBLE
-        cfg = self.config
-        cost = (cfg.tariff_r + cfg.tariff_s) * query_bytes(cfg)
-        cost += cfg.tariff_r * self.tb(self.object_bytes(n_r))
-        cost += cfg.tariff_s * self.tb(self.object_bytes(n_s))
-        return cost
+        tariff_r, tariff_s = self._tariff["R"], self._tariff["S"]
+        cost = (tariff_r + tariff_s) * self._query
+        cost = cost + tariff_r * self.tb(self.object_bytes(n_r))
+        cost = cost + tariff_s * self.tb(self.object_bytes(n_s))
+        if enforce_buffer and buffer_size is not None:
+            cost = np.where(n_r + n_s > buffer_size, INFEASIBLE, cost)
+        return _plain(cost)
 
-    def c2(self, window: Rect, n_r: int, n_s: int) -> float:
+    def c2(self, window, n_r, n_s):
         """Eq. 4 / Eq. 6: NLSJ with outer ``R`` probing ``S``."""
-        if self.bucket_queries:
-            return self._nlsj_bucket(window, n_outer=n_r, n_inner=n_s, outer="R")
-        return self._nlsj_per_object(window, n_outer=n_r, n_inner=n_s, outer="R")
+        return _plain(self._nlsj(_areas(window), n_outer=n_r, n_inner=n_s, outer="R"))
 
-    def c3(self, window: Rect, n_r: int, n_s: int) -> float:
+    def c3(self, window, n_r, n_s):
         """The symmetric case of ``c2``: outer ``S`` probing ``R``."""
-        if self.bucket_queries:
-            return self._nlsj_bucket(window, n_outer=n_s, n_inner=n_r, outer="S")
-        return self._nlsj_per_object(window, n_outer=n_s, n_inner=n_r, outer="S")
+        return _plain(self._nlsj(_areas(window), n_outer=n_s, n_inner=n_r, outer="S"))
 
-    def c4_estimate(
-        self,
-        window: Rect,
-        n_r: int,
-        n_s: int,
-        buffer_size: Optional[int],
-        k: int = 2,
-    ) -> float:
+    def c4_estimate(self, window, n_r, n_s, buffer_size: Optional[int], k: int = 2):
         """Eq. 8 under MobiJoin's uniformity heuristic.
 
         The window is assumed uniform *and small enough* that each of the
@@ -188,36 +243,52 @@ class CostModel:
         """
         if k < 2:
             raise ValueError("k must be >= 2")
-        cells = window.subdivide(k)
-        sub_r = int(round(n_r / (k * k)))
-        sub_s = int(round(n_s / (k * k)))
+        cells = _grid_cell_areas(window, k)
+        # Every cell of a window holds the same counts; a trailing axis of
+        # one broadcasts them (and the area-free c1) against the cell axis.
+        sub_r = np.rint(np.asarray(n_r)[..., None] / (k * k)).astype(np.int64)
+        sub_s = np.rint(np.asarray(n_s)[..., None] / (k * k)).astype(np.int64)
+        cheapest = np.minimum(
+            np.minimum(
+                self.c1(None, sub_r, sub_s, enforce_buffer=False),
+                self._nlsj(cells, n_outer=sub_r, n_inner=sub_s, outer="R"),
+            ),
+            self._nlsj(cells, n_outer=sub_s, n_inner=sub_r, outer="S"),
+        )
         cost = 2.0 * k * k * self.taq
-        for cell in cells:
-            c1 = self.c1(cell, sub_r, sub_s, buffer_size=None, enforce_buffer=False)
-            c2 = self.c2(cell, sub_r, sub_s)
-            c3 = self.c3(cell, sub_r, sub_s)
-            cost += min(c1, c2, c3)
-        return cost
+        for cell in range(k * k):  # row-major, the order the cells were summed in
+            cost = cost + cheapest[..., cell]
+        return _plain(cost)
 
     def breakdown(
         self,
-        window: Rect,
-        n_r: int,
-        n_s: int,
+        window,
+        n_r,
+        n_s,
         buffer_size: Optional[int],
         k: int = 2,
-        include_c4: bool = True,
+        include_c4=True,
     ) -> CostBreakdown:
-        """All four strategy estimates for one window."""
+        """All four strategy estimates.
+
+        ``include_c4`` is a ``bool`` or an ``(N,)`` mask: rows outside it
+        read ``INFEASIBLE`` for ``c4`` and are not estimated.
+        """
+        c1 = self.c1(window, n_r, n_s, buffer_size)
+        include = np.broadcast_to(np.asarray(include_c4, dtype=bool), np.shape(c1))
+        if include.all():
+            c4 = self.c4_estimate(window, n_r, n_s, buffer_size, k=k)
+        else:
+            c4 = np.full(include.shape, INFEASIBLE)
+            if include.any():
+                c4[include] = self.c4_estimate(
+                    window[include], n_r[include], n_s[include], buffer_size, k=k
+                )
         return CostBreakdown(
-            c1_hbsj=self.c1(window, n_r, n_s, buffer_size),
+            c1_hbsj=c1,
             c2_nlsj_outer_r=self.c2(window, n_r, n_s),
             c3_nlsj_outer_s=self.c3(window, n_r, n_s),
-            c4_repartition=(
-                self.c4_estimate(window, n_r, n_s, buffer_size, k=k)
-                if include_c4
-                else INFEASIBLE
-            ),
+            c4_repartition=_plain(c4),
         )
 
     # ------------------------------------------------------------------ #
@@ -245,40 +316,45 @@ class CostModel:
         return cost
 
     # ------------------------------------------------------------------ #
-    # internals
+    # internals (areas instead of windows; any broadcastable shapes)
     # ------------------------------------------------------------------ #
 
-    def _tariff(self, server: str) -> float:
-        return self.config.tariff_r if server == "R" else self.config.tariff_s
+    def _probe_matches(self, area, n_inner):
+        positive = np.greater(area, 0)
+        frac = self._probe_disc / np.where(positive, area, 1.0)
+        return np.where(positive, np.minimum(n_inner, frac * n_inner), n_inner)
 
-    def _nlsj_per_object(
-        self, window: Rect, n_outer: int, n_inner: int, outer: str
-    ) -> float:
+    def _tdq(self, area, n_inner):
+        expected = self._probe_matches(area, n_inner)
+        payload = np.ceil(expected * self._object).astype(np.int64)
+        return self._query + self.tb(payload)
+
+    def _nlsj(self, area, n_outer, n_inner, outer: str):
+        if self.bucket_queries:
+            return self._nlsj_bucket(area, n_outer, n_inner, outer)
+        return self._nlsj_per_object(area, n_outer, n_inner, outer)
+
+    def _nlsj_per_object(self, area, n_outer, n_inner, outer: str):
         """Eq. 4: one query + one response per outer object."""
-        inner = "S" if outer == "R" else "R"
-        cost = self._tariff(outer) * query_bytes(self.config)
-        cost += self._tariff(outer) * self.tb(self.object_bytes(n_outer))
-        cost += self._tariff(inner) * n_outer * self.tdq(window, n_inner)
-        return cost
+        t_outer = self._tariff[outer]
+        t_inner = self._tariff["S" if outer == "R" else "R"]
+        cost = t_outer * self._query
+        cost = cost + t_outer * self.tb(self.object_bytes(n_outer))
+        return cost + t_inner * n_outer * self._tdq(area, n_inner)
 
-    def _nlsj_bucket(
-        self, window: Rect, n_outer: int, n_inner: int, outer: str
-    ) -> float:
+    def _nlsj_bucket(self, area, n_outer, n_inner, outer: str):
         """Eq. 6: all probes shipped in one bucket request."""
-        inner = "S" if outer == "R" else "R"
-        cfg = self.config
-        cost = (cfg.tariff_r + cfg.tariff_s) * query_bytes(cfg)
+        t_outer = self._tariff[outer]
+        t_inner = self._tariff["S" if outer == "R" else "R"]
+        cost = (self._tariff["R"] + self._tariff["S"]) * self._query
         # Outer objects are downloaded from their server and uploaded to the
         # inner server inside the bucket request: both hops pay TB(|outer| * Bobj).
-        cost += (self._tariff(outer) + self._tariff(inner)) * self.tb(
-            self.object_bytes(n_outer)
-        )
-        expected = self.expected_probe_matches(window, n_inner)
-        payload = int(
-            math.ceil((expected * cfg.object_bytes + cfg.object_bytes) * n_outer)
-        )
-        cost += self._tariff(inner) * self.tb(payload)
-        return cost
+        cost = cost + (t_outer + t_inner) * self.tb(self.object_bytes(n_outer))
+        expected = self._probe_matches(area, n_inner)
+        payload = np.ceil(
+            (expected * self._object + self._object) * n_outer
+        ).astype(np.int64)
+        return cost + t_inner * self.tb(payload)
 
 
 class CalibratedCostModel:

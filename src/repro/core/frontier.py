@@ -36,8 +36,16 @@ Both drivers issue the same queries with the same payloads and record the
 same per-depth trace, so pairs, byte totals, server statistics and decision
 logs are bit-identical (pinned by ``tests/test_frontier_equivalence.py``
 and the frozen logs in ``tests/test_golden_traces.py``).  Tasks are
-algorithm-specific; the engine only requires them to expose ``window`` and
-``depth`` attributes (used for trace bookkeeping).
+algorithm-specific; the engine only requires them to expose ``window``,
+``depth``, ``count_r`` and ``count_s`` attributes (trace bookkeeping and
+the level cost table).
+
+Level cost table.  Everything a window's decision reads from the cost model
+is a function of its task alone -- the window, the (rounded) counts and the
+depth, all known when the level starts -- so the engine costs a whole level
+in one array-valued call (:meth:`FrontierAlgorithm._level_costs`) and hands
+each window's generator its row; no generator calls the cost model itself.
+See ARCHITECTURE.md, "Frontier execution".
 
 Sharded data plane (PR 8).  The engine addresses servers by their *logical*
 side names (``"R"``/``"S"``): a round's batch for one side may physically
@@ -52,7 +60,9 @@ over disjoint shards equal the union server's counts exactly).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Generator, List, Optional, Sequence
+from typing import Dict, Generator, Iterable, List, NamedTuple, Optional, Sequence
+
+import numpy as np
 
 from repro.core.base import MobileJoinAlgorithm
 from repro.errors import RoundRetry
@@ -60,9 +70,10 @@ from repro.core.result import JoinResult
 from repro.core.stats import CountRequest, execute_count_requests
 from repro.device.hbsj import HBSJRequest
 from repro.device.nlsj import NLSJRequest
+from repro.geometry import rect_array
 from repro.geometry.rect import Rect
 
-__all__ = ["FrontierAlgorithm", "OperatorLeaf"]
+__all__ = ["FrontierAlgorithm", "OperatorLeaf", "WindowCosts"]
 
 #: The protocol spoken by the cooperative drivers: yield one
 #: ``{server name: [query windows]}`` COUNT round (margins pre-applied) and
@@ -88,6 +99,24 @@ class OperatorLeaf:
     count_s: int
     counts_exact: bool = True
     outer: str = "S"
+
+
+class WindowCosts(NamedTuple):
+    """One window's row of the level cost table (UpJoin / SrJoin columns)."""
+
+    #: The task's counts rounded to integers, as every estimate uses them.
+    count_r: int
+    count_s: int
+    #: :meth:`~repro.core.base.MobileJoinAlgorithm.should_stop_partitioning`.
+    stop: bool
+    #: Eq. 2 without the buffer cut.
+    c1: float
+    #: The cheaper NLSJ orientation: ``"R"`` with ``c2``, or ``"S"`` with
+    #: ``c3`` (which also wins ties).
+    nlsj_outer: str
+    nlsj_cost: float
+    #: :meth:`~repro.core.base.MobileJoinAlgorithm.refinement_worthwhile`.
+    worthwhile: bool
 
 
 @dataclass
@@ -129,7 +158,7 @@ class FrontierAlgorithm(MobileJoinAlgorithm):
         """Build the root task for the joined window (counts already known)."""
         raise NotImplementedError
 
-    def _window_steps(self, task, rec):
+    def _window_steps(self, task, rec, costs):
         """The per-window decision generator.
 
         Yields lists of :class:`CountRequest` (raw query windows, margins
@@ -137,9 +166,65 @@ class FrontierAlgorithm(MobileJoinAlgorithm):
         ``None``, an :class:`OperatorLeaf`, or a list of child tasks.
         ``rec(action, detail, count_r, count_s, depth=..., window=...)``
         appends a trace event, defaulting to the task's own depth and
-        window.
+        window.  ``costs`` is the task's row of :meth:`_level_costs`
+        (``None`` when a count is not positive).
         """
         raise NotImplementedError
+
+    def _cost_rows(
+        self, windows: np.ndarray, count_r: np.ndarray, count_s: np.ndarray, stop: np.ndarray
+    ) -> Iterable:
+        """The cost-table rows of ``N`` windows, one per window, in order.
+
+        ``windows`` is ``(N, 4)``, the counts are rounded ``int64`` columns
+        and ``stop`` is the :meth:`should_stop_partitioning` mask.  This
+        default computes the :class:`WindowCosts` columns; an algorithm that
+        reads other columns overrides it.
+        """
+        model = self.cost_model
+        areas = rect_array.areas(windows)
+        c1 = model.c1(areas, count_r, count_s, enforce_buffer=False)
+        c2 = model.c2(areas, count_r, count_s)
+        c3 = model.c3(areas, count_r, count_s)
+        outer_s = c3 <= c2
+        return map(
+            WindowCosts._make,
+            zip(
+                count_r.tolist(),
+                count_s.tolist(),
+                stop.tolist(),
+                c1.tolist(),
+                np.where(outer_s, "S", "R").tolist(),
+                np.where(outer_s, c3, c2).tolist(),
+                self.refinement_worthwhile(c1).tolist(),
+            ),
+        )
+
+    # ------------------------------------------------------------------ #
+    # the level cost table
+    # ------------------------------------------------------------------ #
+
+    def _level_costs(self, tasks: Sequence) -> List:
+        """Cost every task of a level in one call: row ``i`` is for ``tasks[i]``.
+
+        The one place the frontier algorithms evaluate the cost model.  A
+        task with a non-positive count is pruned or re-counted before it is
+        costed, so its row is ``None``; the rest are costed together from
+        their windows, rounded counts and depths.  The rows hold Python
+        numbers (``.tolist()``), so trace details format as they always did.
+        The recursive driver costs a level of one.
+        """
+        rows: List = [None] * len(tasks)
+        live = [i for i, task in enumerate(tasks) if task.count_r > 0 and task.count_s > 0]
+        if live:
+            costed = [tasks[i] for i in live]
+            windows = np.array([task.window.as_tuple() for task in costed], dtype=np.float64)
+            stop = self.should_stop_partitioning(windows, [task.depth for task in costed])
+            count_r = np.rint([task.count_r for task in costed]).astype(np.int64)
+            count_s = np.rint([task.count_s for task in costed]).astype(np.int64)
+            for i, row in zip(live, self._cost_rows(windows, count_r, count_s, stop)):
+                rows[i] = row
+        return rows
 
     # ------------------------------------------------------------------ #
     # entry point shared by every frontier algorithm
@@ -189,7 +274,9 @@ class FrontierAlgorithm(MobileJoinAlgorithm):
     # ------------------------------------------------------------------ #
 
     def _execute_recursive(self, task) -> None:
-        gen = self._window_steps(task, self._task_recorder(task))
+        gen = self._window_steps(
+            task, self._task_recorder(task), self._level_costs([task])[0]
+        )
         outcome = None
         try:
             requests = gen.send(None)
@@ -258,7 +345,10 @@ class FrontierAlgorithm(MobileJoinAlgorithm):
         in-flight queries before answering.
         """
         while level:
-            runs = [self._start_run(task) for task in level]
+            runs = [
+                self._start_run(task, costs)
+                for task, costs in zip(level, self._level_costs(level))
+            ]
             yield from self._level_rounds(runs)
             leaves: List[OperatorLeaf] = []
             next_level: List = []
@@ -273,9 +363,11 @@ class FrontierAlgorithm(MobileJoinAlgorithm):
                     self._trace.extend(run.events)
             level = next_level
 
-    def _start_run(self, task) -> _Run:
+    def _start_run(self, task, costs) -> _Run:
         run = _Run(task=task, gen=None)  # type: ignore[arg-type]
-        run.gen = self._window_steps(task, self._task_recorder(task, sink=run.events))
+        run.gen = self._window_steps(
+            task, self._task_recorder(task, sink=run.events), costs
+        )
         self._advance_run(run, None)
         return run
 

@@ -27,7 +27,7 @@ bit-identical to the depth-first reference (``execution="recursive"``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, NamedTuple, Optional
 
 from repro.core.frontier import FrontierAlgorithm, OperatorLeaf
 from repro.core.stats import CountRequest
@@ -46,6 +46,16 @@ class _Task:
     depth: int
 
 
+class _Costs(NamedTuple):
+    """MobiJoin's cost-table row: the four estimates and their argmin."""
+
+    c1: float  # with the buffer cut
+    c2: float
+    c3: float
+    c4: float  # INFEASIBLE where partitioning must stop
+    choice: str
+
+
 class MobiJoin(FrontierAlgorithm):
     """The partition-and-prune baseline algorithm."""
 
@@ -56,7 +66,27 @@ class MobiJoin(FrontierAlgorithm):
     def _root_task(self, window: Rect, count_r: int, count_s: int, depth: int) -> _Task:
         return _Task(window=window, count_r=count_r, count_s=count_s, depth=depth)
 
-    def _window_steps(self, task: _Task, rec):
+    def _cost_rows(self, windows, count_r, count_s, stop):
+        breakdown = self.cost_model.breakdown(
+            windows,
+            count_r,
+            count_s,
+            buffer_size=self.buffer_size,
+            k=self.params.grid_k,
+            include_c4=~stop,
+        )
+        return map(
+            _Costs._make,
+            zip(
+                breakdown.c1_hbsj.tolist(),
+                breakdown.c2_nlsj_outer_r.tolist(),
+                breakdown.c3_nlsj_outer_s.tolist(),
+                breakdown.c4_repartition.tolist(),
+                breakdown.cheapest(),
+            ),
+        )
+
+    def _window_steps(self, task: _Task, rec, costs: Optional[_Costs]):
         window, depth = task.window, task.depth
         count_r, count_s = task.count_r, task.count_s
 
@@ -64,19 +94,10 @@ class MobiJoin(FrontierAlgorithm):
             self._prune_window(rec, count_r, count_s)
             return None
 
-        breakdown = self.cost_model.breakdown(
-            window,
-            count_r,
-            count_s,
-            buffer_size=self.buffer_size,
-            k=self.params.grid_k,
-            include_c4=not self.should_stop_partitioning(window, depth),
-        )
-        choice = breakdown.cheapest()
+        choice = costs.choice
         rec(
             "plan",
-            f"c1={breakdown.c1_hbsj:.0f} c2={breakdown.c2_nlsj_outer_r:.0f} "
-            f"c3={breakdown.c3_nlsj_outer_s:.0f} c4~{breakdown.c4_repartition:.0f} "
+            f"c1={costs.c1:.0f} c2={costs.c2:.0f} c3={costs.c3:.0f} c4~{costs.c4:.0f} "
             f"-> {choice}",
             count_r,
             count_s,

@@ -17,6 +17,7 @@ from typing import Optional
 
 from repro.core.base import AlgorithmParameters, MobileJoinAlgorithm
 from repro.core.join_types import JoinSpec
+from repro.device.hbsj import HBSJRequest
 from repro.device.pda import MobileDevice
 from repro.geometry.rect import Rect
 
@@ -97,15 +98,25 @@ class FixedGridJoin(MobileJoinAlgorithm):
         cells = window.subdivide(self.grid_size)
         if not self.prune_empty:
             for cell in cells:
-                self.apply_hbsj(cell, depth + 1, counts_exact=False)
+                self.record(depth + 1, cell, "HBSJ", "")
+            self._join_cells([HBSJRequest(window=cell) for cell in cells])
             return
         # All per-cell COUNTs of the grid go out as two batches (one per
         # server): same queries and bytes as the per-cell loop, answered in
         # one index descent each.
         counts_r = self.count_windows("R", cells)
         counts_s = self.count_windows("S", cells)
+        surviving = []
         for cell, cell_r, cell_s in zip(cells, counts_r, counts_s):
             if cell_r == 0 or cell_s == 0:
                 self.prune(cell, depth + 1, cell_r, cell_s)
                 continue
-            self.apply_hbsj(cell, depth + 1, cell_r, cell_s, counts_exact=True)
+            self.record(depth + 1, cell, "HBSJ", "", cell_r, cell_s)
+            surviving.append(HBSJRequest(window=cell, count_r=cell_r, count_s=cell_s))
+        self._join_cells(surviving)
+
+    def _join_cells(self, requests) -> None:
+        """Join the surviving cells through one batched HBSJ pipeline: the
+        same downloads and counters as one operator call per cell."""
+        for result in self.device.hbsj_batch(requests, self.predicate):
+            self._pairs.update(result.pairs)

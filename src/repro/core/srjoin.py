@@ -39,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.core.frontier import FrontierAlgorithm, OperatorLeaf
+from repro.core.frontier import FrontierAlgorithm, OperatorLeaf, WindowCosts
 from repro.core.stats import CountRequest, quadrant_count_steps
 from repro.core.uniformity import bitmaps_equal, density_bitmap
 from repro.geometry.rect import Rect
@@ -85,7 +85,7 @@ class SrJoin(FrontierAlgorithm):
             depth=depth,
         )
 
-    def _window_steps(self, task: _Task, rec):
+    def _window_steps(self, task: _Task, rec, costs: Optional[WindowCosts]):
         window, depth = task.window, task.depth
         count_r, count_s = task.count_r, task.count_s
 
@@ -95,16 +95,13 @@ class SrJoin(FrontierAlgorithm):
             self._prune_window(rec, int(count_r), int(count_s))
             return None
 
-        count_r, count_s = int(round(count_r)), int(round(count_s))
+        count_r, count_s = costs.count_r, costs.count_s
         if task.parent_similar is not None:
             # Lines 7-19: resolve the fate the parent's bitmap comparison
-            # implies for this quadrant.
-            c1 = self.cost_model.c1(
-                window, count_r, count_s, buffer_size=None, enforce_buffer=False
-            )
-            nlsj_outer, nlsj_cost = self.cheaper_nlsj_side(window, count_r, count_s)
+            # implies for this quadrant, from its row of the level cost table.
+            c1, nlsj_outer, nlsj_cost = costs.c1, costs.nlsj_outer, costs.nlsj_cost
 
-            if task.parent_similar or self.should_stop_partitioning(window, depth):
+            if task.parent_similar or costs.stop:
                 # Lines 7-11: distributions match (or the quadrant is too
                 # small for further refinement) -- finish it now.
                 return self._operator_leaf(
@@ -116,7 +113,7 @@ class SrJoin(FrontierAlgorithm):
             if (
                 c1 < 3.0 * self.cost_model.taq
                 or nlsj_cost < 3.0 * self.cost_model.taq
-                or not self.refinement_worthwhile(window, count_r, count_s)
+                or not costs.worthwhile
             ):
                 # The quadrant is too small for more statistics to pay off.
                 return self._operator_leaf(

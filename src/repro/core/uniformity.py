@@ -57,15 +57,15 @@ def confirms_uniformity(
     return abs(expected - probe_count) < alpha * total_count
 
 
-def worth_retrieving_statistics(count: int, model: CostModel) -> bool:
+def worth_retrieving_statistics(count, model: CostModel):
     """Eq. 10: ``TB(|Dw| * B_obj) > 3 * Taq``.
 
     When the window's objects are cheaper to ship than three aggregate
     queries, UpJoin does not bother asking for quadrant statistics (the
-    window is treated as uniform).
+    window is treated as uniform).  ``count`` is an ``int`` or an ``(N,)``
+    ``int64`` array (one verdict per element); a negative count is a
+    ``ValueError`` (raised by the packetisation model).
     """
-    if count < 0:
-        raise ValueError("count must be non-negative")
     return model.tb(model.object_bytes(count)) > 3.0 * model.taq
 
 

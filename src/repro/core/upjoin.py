@@ -40,8 +40,8 @@ stream, which makes the draw independent of traversal order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -85,6 +85,22 @@ class _Task:
     depth: int
 
 
+class _Costs(NamedTuple):
+    """UpJoin's cost-table row: the engine's
+    :class:`~repro.core.frontier.WindowCosts` columns plus Eq. 10 per dataset."""
+
+    count_r: int
+    count_s: int
+    stop: bool
+    c1: float
+    nlsj_outer: str
+    nlsj_cost: float
+    worthwhile: bool
+    #: :func:`worth_retrieving_statistics` of each rounded count.
+    stats_r: bool
+    stats_s: bool
+
+
 class UpJoin(FrontierAlgorithm):
     """The distribution-aware Uniform Partition Join.
 
@@ -116,7 +132,13 @@ class UpJoin(FrontierAlgorithm):
     # by both drivers.  Yields CountRequest batches; returns the outcome.
     # ------------------------------------------------------------------ #
 
-    def _window_steps(self, task: _Task, rec):
+    def _cost_rows(self, windows, count_r, count_s, stop):
+        stats_r = worth_retrieving_statistics(count_r, self.cost_model).tolist()
+        stats_s = worth_retrieving_statistics(count_s, self.cost_model).tolist()
+        shared = super()._cost_rows(windows, count_r, count_s, stop)
+        return [_Costs(*row, *stats) for row, *stats in zip(shared, stats_r, stats_s)]
+
+    def _window_steps(self, task: _Task, rec, costs: Optional[_Costs]):
         window, depth = task.window, task.depth
         count_r, count_s = task.count_r, task.count_s
         counts_exact = task.counts_exact
@@ -138,44 +160,38 @@ class UpJoin(FrontierAlgorithm):
                 self._prune_window(rec, exact_r, exact_s)
                 return None
             count_r, count_s, counts_exact = float(exact_r), float(exact_s), True
+            # The one decision input not known when the level started: cost
+            # the confirmed counts as a level of one.
+            costs = self._level_costs([replace(task, count_r=count_r, count_s=count_s)])[0]
+
+        # Line 8's strategy costs, read from the level cost table.  c4 is
+        # never estimated -- the decision to repartition is driven by the
+        # distribution, not by Eq. 8.  Unlike MobiJoin, c1 is evaluated
+        # without the hard buffer cut: the memory feasibility check happens
+        # at line 10 and an oversized-but-cheap HBSJ window is repartitioned
+        # (line 11), not pushed to NLSJ.
+        int_r, int_s = costs.count_r, costs.count_s
+        c1, nlsj_outer, nlsj_cost = costs.c1, costs.nlsj_outer, costs.nlsj_cost
 
         # Economics gate (Eq. 10 lifted to the window level): when the whole
         # window is cheaper to ship than the statistics another refinement
-        # level would cost, or the window is already at the epsilon scale,
+        # level would cost, or the window is already at the epsilon scale
+        # (or the depth limit), splitting cannot expose prunable space:
         # finish it with the cheapest operator without asking for more
         # statistics at all.
-        gate_r, gate_s = int(round(count_r)), int(round(count_s))
-        if self.should_stop_partitioning(window, depth) or not self.refinement_worthwhile(
-            window, gate_r, gate_s
-        ):
-            c1_gate = self.cost_model.c1(
-                window, gate_r, gate_s, buffer_size=None, enforce_buffer=False
-            )
-            outer_gate, nlsj_gate = self.cheaper_nlsj_side(window, gate_r, gate_s)
-            rec("finish-small", f"c1={c1_gate:.0f}", gate_r, gate_s)
+        if costs.stop or not costs.worthwhile:
+            rec("finish-small", f"c1={c1:.0f}", int_r, int_s)
             return self._cheapest_leaf(
-                window, gate_r, gate_s, c1_gate, outer_gate, nlsj_gate, counts_exact, rec
+                window, int_r, int_s, c1, nlsj_outer, nlsj_cost, counts_exact, rec
             )
 
         # Lines 2-7: characterise the distribution of each dataset.
         state_r = yield from self._characterise_steps(
-            window, "R", count_r, task.known_uniform_r, depth, rec
+            window, "R", count_r, int_r, costs.stats_r, task.known_uniform_r, depth, rec
         )
         state_s = yield from self._characterise_steps(
-            window, "S", count_s, task.known_uniform_s, depth, rec
+            window, "S", count_s, int_s, costs.stats_s, task.known_uniform_s, depth, rec
         )
-
-        # Line 8: strategy costs.  c4 is never estimated -- the decision to
-        # repartition is driven by the distribution, not by Eq. 8.  Unlike
-        # MobiJoin, c1 is evaluated without the hard buffer cut: the memory
-        # feasibility check happens at line 10 and an oversized-but-cheap
-        # HBSJ window is repartitioned (line 11), not pushed to NLSJ.
-        int_r = int(round(state_r.count))
-        int_s = int(round(state_s.count))
-        c1 = self.cost_model.c1(
-            window, int_r, int_s, buffer_size=None, enforce_buffer=False
-        )
-        nlsj_outer, nlsj_cost = self.cheaper_nlsj_side(window, int_r, int_s)
         rec(
             "plan",
             f"c1={c1:.0f} nlsj[{nlsj_outer}]={nlsj_cost:.0f} "
@@ -183,17 +199,6 @@ class UpJoin(FrontierAlgorithm):
             int_r,
             int_s,
         )
-
-        if self.should_stop_partitioning(window, depth) or not self.refinement_worthwhile(
-            window, int_r, int_s
-        ):
-            # Further splitting cannot expose prunable space (depth limit,
-            # epsilon-scale cell, or the remaining data is cheaper than the
-            # statistics another level would need): finish the window now.
-            return self._cheapest_leaf(
-                window, int_r, int_s, c1, nlsj_outer, nlsj_cost,
-                counts_exact and state_r.count_exact and state_s.count_exact, rec,
-            )
 
         # Lines 9-11: HBSJ branch.
         if c1 <= nlsj_cost:
@@ -230,11 +235,12 @@ class UpJoin(FrontierAlgorithm):
         window: Rect,
         server_name: str,
         count: float,
+        int_count: int,
+        worth_statistics: bool,
         known_uniform: bool,
         depth: int,
         rec,
     ):
-        int_count = int(round(count))
         if known_uniform:
             # Already characterised at an earlier step: estimate, don't query.
             return _SideState(
@@ -243,7 +249,7 @@ class UpJoin(FrontierAlgorithm):
                 uniform=True,
                 quadrants=estimate_quadrant_counts(window, count),
             )
-        if not worth_retrieving_statistics(int_count, self.cost_model):
+        if not worth_statistics:
             # Line 7: too small to justify statistics; assume uniform.
             rec("assume-uniform", f"{server_name} small ({int_count})")
             return _SideState(

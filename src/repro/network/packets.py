@@ -9,11 +9,14 @@ packets of at most ``MTU - B_H`` payload bytes each, and every packet pays
 These helpers convert logical payload sizes into wire bytes.  Every byte
 count reported by the experiments, and every estimate of the planning cost
 model, goes through :func:`transferred_bytes`.
+
+:func:`num_packets` and :func:`transferred_bytes` are written in integer
+arithmetic that is valid on a Python ``int`` (the channels' per-message
+metering) and on an ``int64`` array alike (the cost model's per-level
+tables): one implementation, exact on both.
 """
 
 from __future__ import annotations
-
-import math
 
 from repro.network.config import NetworkConfig
 
@@ -26,21 +29,23 @@ __all__ = [
 ]
 
 
-def num_packets(payload_bytes: int, config: NetworkConfig) -> int:
+def num_packets(payload_bytes, config: NetworkConfig):
     """Number of packets needed for ``payload_bytes`` of payload.
 
-    A zero-byte payload still needs no packets (the acknowledgement that
-    would carry it is accounted by the message that triggered it).
+    ``payload_bytes`` is an ``int`` or an ``int64`` array (one result per
+    element).  A zero-byte payload still needs no packets (the
+    acknowledgement that would carry it is accounted by the message that
+    triggered it).
     """
-    if payload_bytes < 0:
+    negative = payload_bytes < 0  # a bool for an int, a mask for an array
+    if negative if isinstance(negative, bool) else negative.any():
         raise ValueError("payload_bytes must be non-negative")
-    if payload_bytes == 0:
-        return 0
-    return math.ceil(payload_bytes / config.payload_per_packet)
+    # Integer ceil-division: exact for ints and arrays, and 0 -> 0.
+    return -(-payload_bytes // config.payload_per_packet)
 
 
-def transferred_bytes(payload_bytes: int, config: NetworkConfig) -> int:
-    """Wire bytes for a payload: Eq. 1, ``TB(B_D)``."""
+def transferred_bytes(payload_bytes, config: NetworkConfig):
+    """Wire bytes for a payload: Eq. 1, ``TB(B_D)`` (``int`` or ``int64`` array)."""
     return payload_bytes + config.header_bytes * num_packets(payload_bytes, config)
 
 

@@ -190,7 +190,8 @@ class ShardedSpatialServer:
         per-shard counts reproduces the union server's counts bit for bit
         (non-intersecting shards contribute zero).
         """
-        totals = [0] * len(list(windows))
+        windows = list(windows)  # every shard reads them: a one-shot iterable must not run dry
+        totals = [0] * len(windows)
         for shard in self.shards:
             if len(shard) == 0:
                 continue

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api import AdHocJoinSession, available_algorithms, quick_join
+from repro.api import HISTORY_LIMIT, AdHocJoinSession, available_algorithms, quick_join
 from repro.core.join_types import JoinSpec
 from repro.datasets.synthetic import clustered, gaussian_mixture, uniform
 from repro.errors import InvalidInput
@@ -158,6 +158,18 @@ class TestSessionBehaviour:
         assert first.total_bytes == second.total_bytes
         assert first.pairs == second.pairs
         assert len(session.history) == 2
+
+    def test_history_keeps_only_the_most_recent_results(self):
+        r = uniform(n=30, seed=15)
+        s = uniform(n=30, seed=16)
+        session = _session(r, s)
+        results = [
+            session.run(algorithm="naive", epsilon=0.02, seed=i)
+            for i in range(HISTORY_LIMIT + 3)
+        ]
+        history = session.history
+        assert len(history) == HISTORY_LIMIT
+        assert all(kept is run for kept, run in zip(history, results[3:]))  # newest last
 
     def test_quick_join_end_to_end(self):
         r = clustered(n=120, clusters=2, seed=17, std=0.05)

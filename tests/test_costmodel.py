@@ -4,14 +4,26 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.costmodel import INFEASIBLE, CostModel
+from repro.core.costmodel import INFEASIBLE, CostBreakdown, CostModel
+from repro.core.uniformity import worth_retrieving_statistics
 from repro.geometry.rect import Rect
 from repro.network.config import NetworkConfig
-from repro.network.packets import aggregate_answer_bytes, query_bytes, transferred_bytes
+from repro.network.packets import (
+    aggregate_answer_bytes,
+    num_packets,
+    query_bytes,
+    transferred_bytes,
+)
+
+from tests.oracles.costmodel_scalar import ScalarCostModel
+from tests.oracles.costmodel_scalar import cheapest as oracle_cheapest
+from tests.oracles.costmodel_scalar import num_packets as oracle_num_packets
+from tests.oracles.costmodel_scalar import transferred_bytes as oracle_transferred_bytes
 
 WINDOW = Rect(0.0, 0.0, 1.0, 1.0)
 
@@ -134,3 +146,181 @@ class TestStrategies:
         assert c1b >= c1
         assert model.c2(WINDOW, n_r + 10, n_s) >= c2
         assert model.c3(WINDOW, n_r, n_s + 10) >= c3
+
+
+# --------------------------------------------------------------------------- #
+# array-valued equations == the frozen scalar model, element by element
+# --------------------------------------------------------------------------- #
+
+BUFFER = 800
+EDGE_COUNTS = [0, 1, BUFFER - 1, BUFFER, BUFFER + 1, 100_000]
+
+configs = st.builds(
+    NetworkConfig,
+    mtu=st.sampled_from([1500, 576]),
+    tariff_r=st.sampled_from([1.0, 0.3, 5.0, 0.0]),
+    tariff_s=st.sampled_from([1.0, 2.5, 0.1]),
+    object_bytes=st.sampled_from([20, 36]),
+)
+epsilons = st.sampled_from([0.0, 0.002, 0.05, 2.0])
+counts = st.one_of(st.sampled_from(EDGE_COUNTS), st.integers(0, 100_000))
+coords = st.floats(-10.0, 10.0, allow_nan=False, width=64)
+extents = st.one_of(
+    st.sampled_from([0.0, 1e-6, 1.0]), st.floats(0.0, 20.0, allow_nan=False, width=64)
+)
+
+
+@st.composite
+def windows(draw):
+    x0, y0, w, h = draw(coords), draw(coords), draw(extents), draw(extents)
+    return Rect(x0, y0, x0 + w, y0 + h)
+
+
+# A level: windows (a zero-area and a 1e-12-area one always among them) + counts.
+levels = st.lists(st.tuples(windows(), counts, counts), min_size=1, max_size=12).map(
+    lambda rows: rows
+    + [(Rect(0.5, 0.5, 0.5, 0.5), 7, 9), (Rect(0.0, 0.0, 1e-6, 1e-6), BUFFER, 1)]
+)
+
+
+def _columns(level):
+    rects = [row[0] for row in level]
+    mbrs = np.array([r.as_tuple() for r in rects], dtype=np.float64)
+    n_r = np.array([row[1] for row in level], dtype=np.int64)
+    n_s = np.array([row[2] for row in level], dtype=np.int64)
+    return rects, mbrs, n_r, n_s
+
+
+def _exactly(column, expected):
+    """Element-wise ``==`` on Python numbers."""
+    assert isinstance(column, np.ndarray) and column.shape == (len(expected),)
+    assert column.tolist() == expected
+
+
+class TestArrayValuedEqualsScalarOracle:
+    @given(configs, epsilons, st.booleans(), levels)
+    @settings(max_examples=60, deadline=None)
+    def test_every_equation_matches_per_element(self, config, epsilon, bucket, level):
+        model = CostModel(config, epsilon=epsilon, bucket_queries=bucket)
+        oracle = ScalarCostModel(config, epsilon=epsilon, bucket_queries=bucket)
+        rects, mbrs, n_r, n_s = _columns(level)
+        rows = list(zip(rects, n_r.tolist(), n_s.tolist()))
+
+        assert model.taq == oracle.taq
+        _exactly(
+            model.tb(n_r * config.object_bytes),
+            [oracle.tb(n * config.object_bytes) for n in n_r.tolist()],
+        )
+        _exactly(
+            model.expected_probe_matches(mbrs, n_s),
+            [oracle.expected_probe_matches(w, s) for w, _, s in rows],
+        )
+        _exactly(model.tdq(mbrs, n_s), [oracle.tdq(w, s) for w, _, s in rows])
+        _exactly(
+            model.c1(mbrs, n_r, n_s, buffer_size=BUFFER),
+            [oracle.c1(w, r, s, buffer_size=BUFFER) for w, r, s in rows],
+        )
+        _exactly(
+            model.c1(mbrs, n_r, n_s, buffer_size=None, enforce_buffer=False),
+            [oracle.c1(w, r, s, None, enforce_buffer=False) for w, r, s in rows],
+        )
+        _exactly(model.c2(mbrs, n_r, n_s), [oracle.c2(w, r, s) for w, r, s in rows])
+        _exactly(model.c3(mbrs, n_r, n_s), [oracle.c3(w, r, s) for w, r, s in rows])
+        # (N,) areas are accepted in place of (N, 4) windows.
+        areas = np.array([w.area for w in rects])
+        _exactly(model.c3(areas, n_r, n_s), [oracle.c3(w, r, s) for w, r, s in rows])
+        _exactly(
+            worth_retrieving_statistics(n_r, model),
+            [oracle.tb(oracle.object_bytes(n)) > 3.0 * oracle.taq for n in n_r.tolist()],
+        )
+
+    @given(configs, epsilons, st.booleans(), levels, st.sampled_from([2, 3, 4]))
+    @settings(max_examples=40, deadline=None)
+    def test_c4_and_breakdown_match_per_element(self, config, epsilon, bucket, level, k):
+        model = CostModel(config, epsilon=epsilon, bucket_queries=bucket)
+        oracle = ScalarCostModel(config, epsilon=epsilon, bucket_queries=bucket)
+        rects, mbrs, n_r, n_s = _columns(level)
+        rows = list(zip(rects, n_r.tolist(), n_s.tolist()))
+
+        c4 = [oracle.c4_estimate(w, r, s, BUFFER, k=k) for w, r, s in rows]
+        _exactly(model.c4_estimate(mbrs, n_r, n_s, BUFFER, k=k), c4)
+
+        include = np.arange(len(rows)) % 3 != 0  # some rows may not repartition
+        breakdown = model.breakdown(mbrs, n_r, n_s, BUFFER, k=k, include_c4=include)
+        expected_c4 = [c if keep else INFEASIBLE for c, keep in zip(c4, include.tolist())]
+        _exactly(breakdown.c4_repartition, expected_c4)
+        assert breakdown.cheapest() == [
+            oracle_cheapest(
+                oracle.c1(w, r, s, BUFFER), oracle.c2(w, r, s), oracle.c3(w, r, s), c
+            )
+            for (w, r, s), c in zip(rows, expected_c4)
+        ]
+
+    @given(configs, epsilons, st.booleans(), levels, st.sampled_from([2, 3, 4]))
+    @settings(max_examples=30, deadline=None)
+    def test_one_window_is_the_one_row_case(self, config, epsilon, bucket, level, k):
+        """Rect + ints == a one-row array call == the row of an N-row call == oracle."""
+        model = CostModel(config, epsilon=epsilon, bucket_queries=bucket)
+        oracle = ScalarCostModel(config, epsilon=epsilon, bucket_queries=bucket)
+        rects, mbrs, n_r, n_s = _columns(level)
+        calls = {
+            "c1": lambda m, w, r, s: m.c1(w, r, s, buffer_size=BUFFER),
+            "c2": lambda m, w, r, s: m.c2(w, r, s),
+            "c3": lambda m, w, r, s: m.c3(w, r, s),
+            "c4": lambda m, w, r, s: m.c4_estimate(w, r, s, BUFFER, k=k),
+            "tdq": lambda m, w, r, s: m.tdq(w, s),
+        }
+        for name, call in calls.items():
+            level_column = call(model, mbrs, n_r, n_s).tolist()
+            for i, rect in enumerate(rects):
+                r, s = int(n_r[i]), int(n_s[i])
+                scalar = call(model, rect, r, s)
+                assert not isinstance(scalar, (np.ndarray, np.generic)), name
+                one_row = call(model, mbrs[i : i + 1], n_r[i : i + 1], n_s[i : i + 1])
+                assert scalar == one_row.tolist()[0] == level_column[i], name
+                assert scalar == call(oracle, rect, r, s), name
+
+    def test_cheapest_ties_resolve_in_name_order(self):
+        ties = CostBreakdown(
+            c1_hbsj=np.array([5.0, INFEASIBLE, 9.0, INFEASIBLE]),
+            c2_nlsj_outer_r=np.array([5.0, 3.0, 9.0, INFEASIBLE]),
+            c3_nlsj_outer_s=np.array([5.0, 3.0, 2.0, INFEASIBLE]),
+            c4_repartition=np.array([5.0, 3.0, 2.0, INFEASIBLE]),
+        )
+        assert ties.cheapest() == ["c1", "c2", "c3", "c1"]
+        for i, name in enumerate(ties.cheapest()):
+            row = [float(column[i]) for column in ties.as_dict().values()]
+            assert CostBreakdown(*row).cheapest() == name == oracle_cheapest(*row)
+
+    def test_packetisation_array_matches_oracle(self):
+        for config in (NetworkConfig(), NetworkConfig.dialup()):
+            per_packet = config.payload_per_packet
+            payloads = np.array(
+                [0, 1, per_packet - 1, per_packet, per_packet + 1, 7 * per_packet, 2_000_000],
+                dtype=np.int64,
+            )
+            _exactly(
+                num_packets(payloads, config),
+                [oracle_num_packets(p, config) for p in payloads.tolist()],
+            )
+            _exactly(
+                transferred_bytes(payloads, config),
+                [oracle_transferred_bytes(p, config) for p in payloads.tolist()],
+            )
+
+    def test_invalid_input_still_raises(self, model):
+        mbrs = np.array([[0.0, 0.0, 1.0, 1.0]] * 2)
+        bad = np.array([5, -1], dtype=np.int64)
+        good = np.array([5, 5], dtype=np.int64)
+        for call in (
+            lambda: model.c1(mbrs, bad, good),
+            lambda: model.c2(mbrs, bad, good),
+            lambda: model.c3(mbrs, good, bad),
+            lambda: model.c1(WINDOW, -1, 5),
+            lambda: model.c2(WINDOW, -1, 5),
+            lambda: num_packets(np.array([3, -3]), model.config),
+            lambda: model.c4_estimate(mbrs, good, good, BUFFER, k=1),
+            lambda: model.c4_estimate(WINDOW, 10, 10, BUFFER, k=0),
+        ):
+            with pytest.raises(ValueError):
+                call()

@@ -21,6 +21,7 @@ from typing import Dict, Tuple
 import pytest
 
 from repro.api import AdHocJoinSession
+from repro.core.naive import FixedGridJoin
 from repro.core.planner import ALGORITHMS
 from repro.datasets.railway import generate_railway_like
 from repro.datasets.synthetic import clustered, uniform
@@ -143,3 +144,85 @@ class TestDeterminism:
         assert first.operator_counts == second.operator_counts
         assert [e.action for e in first.trace] == [e.action for e in second.trace]
         assert [e.detail for e in first.trace] == [e.detail for e in second.trace]
+
+
+class _PerCellFixedGrid(FixedGridJoin):
+    """The per-cell loop ``FixedGridJoin`` ran before its cells were batched:
+    one depth-first scalar HBSJ operator per cell (kept as the oracle)."""
+
+    def _execute(self, window, count_r, count_s, depth):
+        if count_r == 0 or count_s == 0:
+            self.prune(window, depth, count_r, count_s)
+            return
+        cells = window.subdivide(self.grid_size)
+        if not self.prune_empty:
+            for cell in cells:
+                self.apply_hbsj(cell, depth + 1, counts_exact=False)
+            return
+        counts_r = self.count_windows("R", cells)
+        counts_s = self.count_windows("S", cells)
+        for cell, cell_r, cell_s in zip(cells, counts_r, counts_s):
+            if cell_r == 0 or cell_s == 0:
+                self.prune(cell, depth + 1, cell_r, cell_s)
+                continue
+            self.apply_hbsj(cell, depth + 1, cell_r, cell_s, counts_exact=True)
+
+
+FIXEDGRID_WORKLOADS = {
+    **{
+        f"clustered-seed{seed}": (
+            lambda seed=seed: (
+                clustered(n=70, clusters=1 + seed % 4, seed=seed),
+                clustered(n=70, clusters=1 + (seed + 1) % 3, seed=seed + 100, std=0.04),
+            ),
+            dict(kind="distance", epsilon=0.03),
+        )
+        for seed in range(4)
+    },
+    "uniform-vs-clustered": (
+        lambda: (uniform(n=60, seed=11), clustered(n=60, clusters=2, seed=12, std=0.06)),
+        dict(kind="distance", epsilon=0.05),
+    ),
+    "railway-extended": (
+        lambda: (
+            generate_railway_like(n_segments=60, seed=3, hubs=6),
+            clustered(n=60, clusters=3, seed=4, std=0.08),
+        ),
+        dict(kind="distance", epsilon=0.03),
+    ),
+    "railway-intersection": (
+        lambda: (
+            generate_railway_like(n_segments=70, seed=1, hubs=6),
+            generate_railway_like(n_segments=70, seed=51, hubs=5),
+        ),
+        dict(kind="intersection"),
+    ),
+}
+
+
+class TestFixedGridBatchedEqualsPerCell:
+    """One ``hbsj_batch`` over the surviving cells == one operator per cell."""
+
+    @pytest.mark.parametrize("prune_empty", [True, False], ids=["prune", "no-prune"])
+    @pytest.mark.parametrize("grid_size", [1, 4, 7])
+    @pytest.mark.parametrize("workload", sorted(FIXEDGRID_WORKLOADS))
+    def test_pairs_bytes_stats_and_trace(self, workload, grid_size, prune_empty, monkeypatch):
+        monkeypatch.setitem(ALGORITHMS, "fixedgrid-percell", _PerCellFixedGrid)
+        datasets, join = FIXEDGRID_WORKLOADS[workload]
+        # A buffer smaller than most cells: the operator has to split them.
+        session = _session(*datasets(), buffer_size=24)
+        batched, per_cell = (
+            session.run(algorithm=name, grid_size=grid_size, prune_empty=prune_empty, **join)
+            for name in ("fixedgrid", "fixedgrid-percell")
+        )
+        assert batched.sorted_pairs() == per_cell.sorted_pairs()
+        assert (batched.total_bytes, batched.bytes_r, batched.bytes_s) == (
+            per_cell.total_bytes, per_cell.bytes_r, per_cell.bytes_s,
+        )
+        assert batched.total_cost == per_cell.total_cost
+        assert batched.estimated_time_s == per_cell.estimated_time_s
+        assert batched.operator_counts == per_cell.operator_counts
+        assert batched.server_stats == per_cell.server_stats
+        assert batched.channel_stats == per_cell.channel_stats
+        assert batched.buffer_high_water_mark == per_cell.buffer_high_water_mark
+        assert batched.trace == per_cell.trace

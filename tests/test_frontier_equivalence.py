@@ -307,3 +307,47 @@ class TestFrontierDeterminism:
     def test_unknown_execution_mode_rejected(self, algorithm):
         with pytest.raises(ValueError):
             _run_mode(_uniform_pair(0), algorithm, "breadth-first", kind="intersection")
+
+
+class TestLevelCosting:
+    """The frontier driver costs a *level* per cost-model call, not a window.
+
+    A deterministic work count, so a change that re-introduces per-window
+    costing fails here rather than only in the wall-clock benchmark.
+    """
+
+    @pytest.mark.parametrize("algorithm", FRONTIER_ALGORITHMS)
+    def test_cost_model_calls_scale_with_levels_not_windows(self, algorithm, monkeypatch):
+        from repro.core.costmodel import CostModel
+
+        calls = []
+        for name in ("c1", "c2", "c3", "c4_estimate"):
+            original = getattr(CostModel, name)
+
+            def counted(self, *args, _original=original, _name=name, **kwargs):
+                calls.append(_name)
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(CostModel, name, counted)
+
+        datasets = (
+            clustered(n=2000, clusters=3, seed=3, std=0.05, name="R"),
+            clustered(n=2000, clusters=24, seed=4, std=0.03, name="S"),
+        )
+        evaluations = {}
+        for execution in ("frontier", "recursive"):
+            calls.clear()
+            result = _run_mode(
+                datasets, algorithm, execution,
+                kind="distance", epsilon=0.004, buffer_size=100,
+                window=Rect(0.0, 0.0, 1.0, 1.0),
+            )
+            evaluations[execution] = len(calls)
+        levels = len({event.depth for event in result.trace})
+        windows = len({(event.depth, event.window.as_tuple()) for event in result.trace})
+        assert levels >= 4 and windows >= 8 * levels, "workload too shallow to tell"
+        # At most c1 + c2 + c3 (+ c4 and its inner c1) per level, plus UpJoin's
+        # rare one-row re-costs of confirmed zeros.
+        assert evaluations["frontier"] <= 6 * levels
+        # The depth-first reference costs every window as a level of one.
+        assert evaluations["recursive"] > 6 * levels

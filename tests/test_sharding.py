@@ -142,6 +142,19 @@ class TestShardedJoinEquivalence:
             == plain.server_stats["R"]["objects_returned"]
         )
 
+    @pytest.mark.parametrize("as_input", [list, tuple, iter], ids=["list", "tuple", "iterator"])
+    def test_count_batch_matches_plain_for_any_iterable(self, as_input):
+        """Regression: a one-shot iterable was exhausted sizing the totals,
+        so every shard saw no windows and the answer was all zeros."""
+        data = clustered(n=2000, clusters=8, seed=1)
+        plain = SpatialServer(data, name="R")
+        fleet = ShardedSpatialServer(data, "R", shards=4, scheme="str")
+        windows = [Rect(0, 0, 1, 1), Rect(0, 0, 0.5, 0.5), Rect(0.4, 0.4, 0.6, 0.6)]
+        expected = [int(c) for c in plain.evaluate_count_batch(list(windows))]
+        assert expected[0] == 2000 and 0 < expected[1] < 2000
+        assert [int(c) for c in plain.evaluate_count_batch(as_input(windows))] == expected
+        assert fleet.evaluate_count_batch(as_input(windows)) == expected
+
     def test_empty_shards_never_break_the_join(self):
         r, s = _datasets(n=40)
         # More shards than clusters on clustered data: the grid leaves
