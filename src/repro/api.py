@@ -28,6 +28,7 @@ from repro.core.planner import (
     ALGORITHMS,
     build_algorithm,
     build_session_stack,
+    default_window,
     validate_window,
 )
 from repro.core.result import JoinResult
@@ -337,7 +338,7 @@ class AdHocJoinSession:
 
     def default_window(self) -> Rect:
         """The union MBR of both datasets (the default joined region)."""
-        return self.dataset_r.bounds().union(self.dataset_s.bounds())
+        return default_window(self.dataset_r, self.dataset_s)
 
     def run(
         self,

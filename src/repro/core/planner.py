@@ -42,6 +42,7 @@ __all__ = [
     "build_resilience",
     "build_server",
     "build_session_stack",
+    "default_window",
     "run_join",
     "select_algorithm",
     "validate_stack_knobs",
@@ -171,6 +172,21 @@ def validate_window(window: Optional[Rect]) -> None:
     """
     if window is not None and not all(map(math.isfinite, window)):
         raise InvalidInput(f"join window must have finite coordinates, got {window!r}")
+
+
+def default_window(dataset_r: SpatialDataset, dataset_s: SpatialDataset) -> Rect:
+    """The region a join covers when none is given: the union MBR of both datasets.
+
+    An empty side has no bounds and adds none, so the other side's MBR is
+    the window (and the join finds 0 pairs in it); with both sides empty
+    there is no region to join at all, which is the caller's mistake.
+    """
+    sides = [d.bounds() for d in (dataset_r, dataset_s) if len(d)]
+    if not sides:
+        raise InvalidInput(
+            "both datasets are empty: there is no default join window, pass window="
+        )
+    return sides[0].union(sides[-1])
 
 
 def build_session_stack(
@@ -391,5 +407,5 @@ def run_join(
     )
     algo = build_algorithm(algorithm, device, spec, params, **algorithm_kwargs)
     if window is None:
-        window = dataset_r.bounds().union(dataset_s.bounds())
+        window = default_window(dataset_r, dataset_s)
     return algo.run(window)

@@ -25,7 +25,7 @@ from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.index.flat import FlatRTree
 
-__all__ = ["AggregateRTree"]
+__all__ = ["AggregateRTree", "probe_arrays"]
 
 
 class AggregateRTree:
@@ -100,6 +100,11 @@ class AggregateRTree:
         return self._flat.size
 
     @property
+    def flat(self) -> FlatRTree:
+        """The underlying index arrays (a fleet lays its shards' out as one forest)."""
+        return self._flat
+
+    @property
     def height(self) -> int:
         """Number of levels (a tree holding only a root leaf has height 1)."""
         return int(self._level[0]) + 1
@@ -159,7 +164,7 @@ class AggregateRTree:
 
     def entries_at(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """The ``(mbrs, oids)`` of the entry rows a ``*_rows`` / ``*_batch_flat`` query matched."""
-        return self._flat.entry_mbrs[rows], self._flat.entry_oids[rows]
+        return self._flat.entries_at(rows)
 
     def range_query(self, center: Point, epsilon: float) -> List[int]:
         """Object ids within ``epsilon`` of ``center``, in the tree's DFS order."""
@@ -175,13 +180,13 @@ class AggregateRTree:
         self, centers: Sequence[Point], radii: Sequence[float]
     ) -> List[np.ndarray]:
         """One ``int64`` oid array per probe, from one frontier traversal."""
-        return self._flat.range_batch(*_probe_arrays(centers, radii))
+        return self._flat.range_batch(*probe_arrays(centers, radii))
 
     def range_query_batch_flat(
         self, centers: Sequence[Point], radii: Sequence[float]
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Batched range queries in CSR ``(bounds, rows)`` form (see :meth:`entries_at`)."""
-        return self._flat.range_batch_flat(*_probe_arrays(centers, radii))
+        return self._flat.range_batch_flat(*probe_arrays(centers, radii))
 
     def total_mbr_area(self, window: Rect) -> float:
         """Total object-MBR area of objects intersecting the window.
@@ -220,9 +225,10 @@ class AggregateRTree:
         return sum(self._total_area(int(kid), window) for kid in kids)
 
 
-def _probe_arrays(
+def probe_arrays(
     centers: Sequence[Point], radii: Sequence[float]
 ) -> Tuple[np.ndarray, np.ndarray]:
+    """Range probes as the ``(P, 2)`` centre / ``(P,)`` radius arrays the index takes."""
     if len(centers) != len(radii):
         raise ValueError("radii must be parallel to centers")
     if any(r < 0 for r in radii):

@@ -6,6 +6,23 @@ with frontier traversal: each step tests every active (node, query) pair in
 one vectorised operation and expands the survivors with ``np.repeat`` -- no
 per-node Python loop and no node object exists.
 
+Storage is literally structure-of-arrays: node boxes and entry MBRs are
+``(4, n)`` *column blocks* (:attr:`FlatRTree.node_cols`,
+:attr:`FlatRTree.entry_cols`; rows ``xmin, ymin, xmax, ymax``), so a
+traversal step gathers the boxes it reaches with one ``take`` and compares
+contiguous coordinate columns.  ``boxes`` / ``entry_mbrs`` are the
+``(n, 4)`` transposed *views* of those blocks -- nothing is held twice.
+
+An index is a forest with one tree.  :meth:`FlatRTree.forest` lays several
+trees out back to back (node ids, child ranges and entry positions shifted
+by what precedes them; the trees' entry arrays become slices of the forest's)
+and :attr:`FlatRTree.roots` names each tree's root node; the batch queries
+take an optional per-row ``roots`` array and start every row at its own
+root, so one descent answers rows that belong to different trees.  Each row
+descends exactly as it would through its own tree -- same steps, same
+order -- hence its answer, entry order included, is that tree's answer with
+the entry positions shifted by the tree's offset in the forest.
+
 :meth:`FlatRTree.from_mbr_array` is the index build the servers use: an STR
 bulk load that tiles level by level on arrays and writes the node arrays
 directly.  ``FlatRTree(tree)`` snapshots an insertable pointer
@@ -28,11 +45,7 @@ import numpy as np
 
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
-from repro.geometry.rect_array import (
-    expand_index_ranges,
-    intersects_window,
-    min_distance_to_point,
-)
+from repro.geometry.rect_array import expand_index_ranges
 
 __all__ = ["FlatRTree", "str_tiling"]
 
@@ -46,6 +59,16 @@ class FlatRTree:
         A :class:`repro.index.rtree.RTree` to snapshot; the arrays reflect
         the tree at construction time.  Use :meth:`from_mbr_array` to bulk
         load from data without building a pointer tree.
+
+    Attributes
+    ----------
+    node_cols, entry_cols:
+        ``(4, n)`` coordinate column blocks (rows ``xmin, ymin, xmax,
+        ymax``) of the node boxes and the entry MBRs; :attr:`boxes` and
+        :attr:`entry_mbrs` are their ``(n, 4)`` views.
+    roots:
+        The root node id of every tree laid out in this index: ``[0]``
+        unless :meth:`forest` built it.
     """
 
     def __init__(self, tree) -> None:
@@ -71,12 +94,13 @@ class FlatRTree:
 
         visit(tree.root)
         no_box = (0.0, 0.0, 0.0, 0.0)  # the root of an empty tree
-        self.boxes = np.array(
+        boxes = np.array(
             [n.mbr.as_tuple() if n.mbr is not None else no_box for n in nodes],
             dtype=np.float64,
         )
+        self.node_cols = np.ascontiguousarray(boxes.T)
         self.is_leaf = np.array([n.is_leaf for n in nodes], dtype=bool)
-        self.entry_mbrs = np.vstack([mbrs for mbrs, _ in leaves])
+        self.entry_cols = np.ascontiguousarray(np.vstack([mbrs for mbrs, _ in leaves]).T)
         self.entry_oids = np.concatenate([oids for _, oids in leaves])
         self.ent_start = np.array([lo for lo, _ in spans], dtype=np.intp)
         self.ent_end = np.array([hi for _, hi in spans], dtype=np.intp)
@@ -84,6 +108,17 @@ class FlatRTree:
         self.child_end = np.cumsum(fanout)
         self.child_start = self.child_end - fanout
         self.child_ids = np.array([c for k in kids for c in k], dtype=np.intp)
+        self.roots = np.zeros(1, dtype=np.intp)
+
+    @property
+    def boxes(self) -> np.ndarray:
+        """Node boxes as ``(n_nodes, 4)`` rows: a view of :attr:`node_cols`."""
+        return self.node_cols.T
+
+    @property
+    def entry_mbrs(self) -> np.ndarray:
+        """Entry MBRs as ``(size, 4)`` rows: a view of :attr:`entry_cols`."""
+        return self.entry_cols.T
 
     @classmethod
     def from_mbr_array(
@@ -166,9 +201,9 @@ class FlatRTree:
         fanout = fanout[pre]
 
         self = cls.__new__(cls)
-        self.boxes = boxes[pre]
+        self.node_cols = np.ascontiguousarray(boxes[pre].T)
         self.is_leaf = fanout == 0
-        self.entry_mbrs = arr[order]
+        self.entry_cols = np.ascontiguousarray(arr.take(order, axis=0).T)
         self.entry_oids = oid_arr[order]
         self.ent_end = ent_end[pre]
         self.ent_start = self.ent_end - weight[pre]
@@ -176,29 +211,69 @@ class FlatRTree:
         self.child_start = self.child_end - fanout
         self.child_ids = node_id[kids]
         self.size = n
+        self.roots = np.zeros(1, dtype=np.intp)
+        return self
+
+    @classmethod
+    def forest(cls, trees: Sequence["FlatRTree"]) -> "FlatRTree":
+        """Lay ``trees`` out back to back as one index with a root per tree.
+
+        Tree ``t`` keeps its node, child and entry order; its node ids grow
+        by the nodes before it, its entry positions by the entries before
+        it (``ent_start[roots[t]]``).  Afterwards every tree's
+        ``entry_cols`` / ``entry_oids`` *are* its slice of the forest's, so
+        a fleet holds its entries once however it is queried.
+        """
+
+        def offsets(lengths) -> np.ndarray:
+            return np.concatenate([[0], np.cumsum(lengths, dtype=np.intp)])
+
+        node_off = offsets([t.is_leaf.shape[0] for t in trees])
+        ent_off = offsets([t.size for t in trees])
+        kid_off = offsets([t.child_ids.shape[0] for t in trees])
+
+        def shifted(name: str, off: np.ndarray) -> np.ndarray:
+            return np.concatenate([getattr(t, name) + o for t, o in zip(trees, off)])
+
+        self = cls.__new__(cls)
+        self.node_cols = np.concatenate([t.node_cols for t in trees], axis=1)
+        self.is_leaf = np.concatenate([t.is_leaf for t in trees])
+        self.entry_cols = np.concatenate([t.entry_cols for t in trees], axis=1)
+        self.entry_oids = np.concatenate([t.entry_oids for t in trees])
+        self.ent_start = shifted("ent_start", ent_off)
+        self.ent_end = shifted("ent_end", ent_off)
+        self.child_start = shifted("child_start", kid_off)
+        self.child_end = shifted("child_end", kid_off)
+        self.child_ids = shifted("child_ids", node_off)
+        self.size = int(ent_off[-1])
+        self.roots = node_off[:-1]
+        for tree, lo, hi in zip(trees, ent_off, ent_off[1:]):
+            tree.entry_cols = self.entry_cols[:, lo:hi]
+            tree.entry_oids = self.entry_oids[lo:hi]
         return self
 
     # ------------------------------------------------------------------ #
     # batch queries
     # ------------------------------------------------------------------ #
 
-    def count_batch(self, wins: np.ndarray) -> np.ndarray:
-        """COUNT for every window of a ``(W, 4)`` array, aggregate-style."""
-        out = np.zeros(wins.shape[0], dtype=np.int64)
-        if self.size == 0 or wins.shape[0] == 0:
+    def count_batch(self, wins: np.ndarray, roots: Optional[np.ndarray] = None) -> np.ndarray:
+        """COUNT for every window of a ``(W, 4)`` array, aggregate-style.
+
+        ``roots`` (optional, ``(W,)`` node ids out of :attr:`roots`) starts
+        row ``i`` at ``roots[i]`` instead of node 0.
+        """
+        W = wins.shape[0]
+        out = np.zeros(W, dtype=np.int64)
+        if self.size == 0 or W == 0:
             return out
-        for qids, contained_node, part_nodes, part_qids in self._frontier(wins):
+        wcols = np.ascontiguousarray(wins.T)
+        for qids, contained_node, part_nodes, part_qids in self._frontier(wcols, roots):
             np.add.at(
-                out,
-                qids,
-                self.ent_end[contained_node] - self.ent_start[contained_node],
+                out, qids, self.ent_end.take(contained_node) - self.ent_start.take(contained_node)
             )
             if part_nodes.shape[0]:
-                row, ent = expand_index_ranges(
-                    self.ent_start[part_nodes], self.ent_end[part_nodes]
-                )
-                hit = self._entries_in_windows(ent, wins, part_qids[row])
-                np.add.at(out, part_qids[row[hit]], 1)
+                hit_qids, _ = self._entries_in_windows(part_nodes, part_qids, wcols)
+                out += np.bincount(hit_qids, minlength=W)
         return out
 
     def window_batch(self, wins: np.ndarray) -> List[np.ndarray]:
@@ -207,35 +282,35 @@ class FlatRTree:
         oids = self.entry_oids[rows]
         return [oids[bounds[i] : bounds[i + 1]] for i in range(wins.shape[0])]
 
-    def window_batch_flat(self, wins: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    def window_batch_flat(
+        self, wins: np.ndarray, roots: Optional[np.ndarray] = None
+    ) -> Tuple[np.ndarray, np.ndarray]:
         """Qualifying entries for a window batch, in CSR (offset-array) form.
 
         Returns ``(bounds, rows)`` with ``len(bounds) == W + 1``: the
         entries of window ``i`` are ``rows[bounds[i]:bounds[i+1]]``,
-        positions into :attr:`entry_mbrs` / :attr:`entry_oids`.  The
-        traversal has just tested these very rows, so a consumer gathers
-        payload MBRs and oids with one take each and never looks an oid up
-        again.
+        positions into :attr:`entry_cols` / :attr:`entry_oids` (gather
+        them with :meth:`entries_at`).  The traversal has just tested these
+        very rows, so a consumer never looks an oid up again.  ``roots`` as
+        in :meth:`count_batch`.
         """
         W = wins.shape[0]
         if self.size == 0 or W == 0:
             return np.zeros(W + 1, dtype=np.intp), np.empty(0, dtype=np.intp)
+        wcols = np.ascontiguousarray(wins.T)
         q_chunks: List[np.ndarray] = []
         e_chunks: List[np.ndarray] = []
-        for qids, contained_node, part_nodes, part_qids in self._frontier(wins):
+        for qids, contained_node, part_nodes, part_qids in self._frontier(wcols, roots):
             if contained_node.shape[0]:
                 row, ent = expand_index_ranges(
-                    self.ent_start[contained_node], self.ent_end[contained_node]
+                    self.ent_start.take(contained_node), self.ent_end.take(contained_node)
                 )
-                q_chunks.append(qids[row])
+                q_chunks.append(qids.take(row))
                 e_chunks.append(ent)
             if part_nodes.shape[0]:
-                row, ent = expand_index_ranges(
-                    self.ent_start[part_nodes], self.ent_end[part_nodes]
-                )
-                hit = self._entries_in_windows(ent, wins, part_qids[row])
-                q_chunks.append(part_qids[row[hit]])
-                e_chunks.append(ent[hit])
+                hit_qids, hit_ent = self._entries_in_windows(part_nodes, part_qids, wcols)
+                q_chunks.append(hit_qids)
+                e_chunks.append(hit_ent)
         return self._flatten_by_query(q_chunks, e_chunks, W)
 
     def range_batch(self, pts: np.ndarray, radii: np.ndarray) -> List[np.ndarray]:
@@ -245,53 +320,52 @@ class FlatRTree:
         return [oids[bounds[i] : bounds[i + 1]] for i in range(pts.shape[0])]
 
     def range_batch_flat(
-        self, pts: np.ndarray, radii: np.ndarray
+        self, pts: np.ndarray, radii: np.ndarray, roots: Optional[np.ndarray] = None
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Qualifying entries for a probe batch, in CSR (offset-array) form.
 
         Returns ``(bounds, rows)`` with ``len(bounds) == P + 1``: the
         entries of probe ``i`` are ``rows[bounds[i]:bounds[i+1]]``,
-        positions into :attr:`entry_mbrs` / :attr:`entry_oids` like
-        :meth:`window_batch_flat`'s.
+        positions like :meth:`window_batch_flat`'s.  ``roots`` as in
+        :meth:`count_batch`.
         """
         P = pts.shape[0]
         if self.size == 0 or P == 0:
             return np.zeros(P + 1, dtype=np.intp), np.empty(0, dtype=np.intp)
+        pcols = np.ascontiguousarray(pts.T)
         q_chunks: List[np.ndarray] = []
         e_chunks: List[np.ndarray] = []
-        nodes = np.zeros(1, dtype=np.intp)
-        qids = np.arange(P, dtype=np.intp)
-        nodes, qids = np.meshgrid(nodes, qids, indexing="ij")
-        nodes, qids = nodes.ravel(), qids.ravel()
+        nodes, qids = self._start(P, roots)
         while nodes.shape[0]:
-            keep = self._nodes_within(nodes, pts, radii, qids)
-            nodes, qids = nodes[keep], qids[keep]
-            if nodes.shape[0] == 0:
-                break
-            leaf = self.is_leaf[nodes]
-            lf_nodes, lf_qids = nodes[leaf], qids[leaf]
-            if lf_nodes.shape[0]:
-                row, ent = expand_index_ranges(
-                    self.ent_start[lf_nodes], self.ent_end[lf_nodes]
+            keep = np.flatnonzero(
+                _reaches(
+                    self.node_cols.take(nodes, axis=1),
+                    pcols.take(qids, axis=1),
+                    radii.take(qids),
                 )
-                q = lf_qids[row]
-                boxes = self.entry_mbrs[ent]
-                dx = np.maximum(
-                    np.maximum(boxes[:, 0] - pts[q, 0], 0.0), pts[q, 0] - boxes[:, 2]
-                )
-                dy = np.maximum(
-                    np.maximum(boxes[:, 1] - pts[q, 1], 0.0), pts[q, 1] - boxes[:, 3]
-                )
-                hit = np.hypot(dx, dy) <= radii[q]
-                q_chunks.append(q[hit])
-                e_chunks.append(ent[hit])
-            in_nodes, in_qids = nodes[~leaf], qids[~leaf]
-            row, kid = expand_index_ranges(
-                self.child_start[in_nodes], self.child_end[in_nodes]
             )
-            nodes = self.child_ids[kid]
-            qids = in_qids[row]
+            nodes, qids = nodes.take(keep), qids.take(keep)
+            leaf = self.is_leaf.take(nodes)
+            at_leaf, inner = np.flatnonzero(leaf), np.flatnonzero(~leaf)
+            if at_leaf.shape[0]:
+                row, ent = expand_index_ranges(
+                    self.ent_start.take(nodes.take(at_leaf)),
+                    self.ent_end.take(nodes.take(at_leaf)),
+                )
+                q = qids.take(at_leaf).take(row)
+                hit = np.flatnonzero(
+                    _reaches(
+                        self.entry_cols.take(ent, axis=1), pcols.take(q, axis=1), radii.take(q)
+                    )
+                )
+                q_chunks.append(q.take(hit))
+                e_chunks.append(ent.take(hit))
+            nodes, qids = self._children(nodes.take(inner), qids.take(inner))
         return self._flatten_by_query(q_chunks, e_chunks, P)
+
+    def entries_at(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The ``(mbrs, oids)`` payload of the entry rows a query matched: one take each."""
+        return self.entry_cols.take(rows, axis=1).T, self.entry_oids.take(rows)
 
     # ------------------------------------------------------------------ #
     # single queries
@@ -303,7 +377,8 @@ class FlatRTree:
 
     def window_rows(self, window: Rect) -> np.ndarray:
         """Entry rows meeting ``window``, ascending (see :meth:`window_batch_flat`)."""
-        return self._descend(lambda boxes: intersects_window(boxes, window))
+        wcol = np.array(window.as_tuple(), dtype=np.float64).reshape(4, 1)
+        return self._descend(lambda boxes: _meets(boxes, wcol))
 
     def range_query(self, center: Point, radius: float) -> np.ndarray:
         """Oids of the entries within ``radius`` of ``center``, in entry order."""
@@ -311,12 +386,10 @@ class FlatRTree:
 
     def range_rows(self, center: Point, radius: float) -> np.ndarray:
         """Entry rows within ``radius`` of ``center``, ascending."""
-        return self._descend(
-            lambda boxes: min_distance_to_point(boxes, center.x, center.y) <= radius
-        )
+        return self._descend(lambda boxes: _reaches(boxes, (center.x, center.y), radius))
 
     def _descend(self, keep) -> np.ndarray:
-        """One query's descent: ``keep(boxes)`` masks the boxes it reaches.
+        """One query's descent: ``keep(boxes)`` masks the ``(4, k)`` boxes it reaches.
 
         A level's surviving nodes stay in left-to-right order, so the hits
         come out in ascending entry position -- the order a recursive
@@ -326,84 +399,73 @@ class FlatRTree:
         """
         nodes = np.zeros(1, dtype=np.intp)
         while True:
-            nodes = nodes[keep(self.boxes[nodes])]
+            nodes = nodes[keep(self.node_cols.take(nodes, axis=1))]
             # Every leaf of an R-tree is at the same depth.
             if nodes.shape[0] == 0 or self.is_leaf[nodes[0]]:
                 break
             kid = expand_index_ranges(self.child_start[nodes], self.child_end[nodes])[1]
             nodes = self.child_ids[kid]
         ent = expand_index_ranges(self.ent_start[nodes], self.ent_end[nodes])[1]
-        return ent[keep(self.entry_mbrs[ent])]
+        return ent[keep(self.entry_cols.take(ent, axis=1))]
 
     # ------------------------------------------------------------------ #
     # internals
     # ------------------------------------------------------------------ #
 
-    def _frontier(self, wins: np.ndarray):
+    @staticmethod
+    def _start(n_rows: int, roots: Optional[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
+        """The first frontier: every row at its root (node 0 unless told)."""
+        qids = np.arange(n_rows, dtype=np.intp)
+        if roots is None:
+            return np.zeros(n_rows, dtype=np.intp), qids
+        return np.asarray(roots, dtype=np.intp), qids
+
+    def _children(self, nodes: np.ndarray, qids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The next frontier: every child of ``nodes``, paired with its row."""
+        row, kid = expand_index_ranges(self.child_start.take(nodes), self.child_end.take(nodes))
+        return self.child_ids.take(kid), qids.take(row)
+
+    def _frontier(self, wcols: np.ndarray, roots: Optional[np.ndarray]):
         """Level-synchronous traversal for window-shaped queries.
 
-        Yields, per step, the (query ids, contained node ids) pairs whose
-        subtree is fully covered, and the (leaf node ids, query ids) pairs
-        needing per-entry tests.  Partially covered internal nodes are
-        expanded into the next step's frontier.
+        ``wcols`` is the ``(4, W)`` column block of the windows.  Yields,
+        per step, the (query ids, contained node ids) pairs whose subtree
+        is fully covered, and the (leaf node ids, query ids) pairs needing
+        per-entry tests.  Partially covered internal nodes are expanded
+        into the next step's frontier.
         """
-        nodes = np.zeros(1, dtype=np.intp)
-        qids = np.arange(wins.shape[0], dtype=np.intp)
-        nodes, qids = np.meshgrid(nodes, qids, indexing="ij")
-        nodes, qids = nodes.ravel(), qids.ravel()
+        nodes, qids = self._start(wcols.shape[1], roots)
         while nodes.shape[0]:
-            nb = self.boxes[nodes]
-            wb = wins[qids]
-            inter = ~(
-                (nb[:, 2] < wb[:, 0])
-                | (wb[:, 2] < nb[:, 0])
-                | (nb[:, 3] < wb[:, 1])
-                | (wb[:, 3] < nb[:, 1])
-            )
-            nodes, qids, nb, wb = nodes[inter], qids[inter], nb[inter], wb[inter]
-            if nodes.shape[0] == 0:
+            nb = self.node_cols.take(nodes, axis=1)
+            wb = wcols.take(qids, axis=1)
+            keep = np.flatnonzero(_meets(nb, wb))
+            if keep.shape[0] == 0:
                 return
-            contained = (
-                (wb[:, 0] <= nb[:, 0])
-                & (wb[:, 1] <= nb[:, 1])
-                & (nb[:, 2] <= wb[:, 2])
-                & (nb[:, 3] <= wb[:, 3])
-            )
-            partial_nodes, partial_qids = nodes[~contained], qids[~contained]
-            leaf = self.is_leaf[partial_nodes]
+            nodes, qids = nodes.take(keep), qids.take(keep)
+            (nx0, ny0, nx1, ny1), (wx0, wy0, wx1, wy1) = nb.take(keep, axis=1), wb.take(keep, axis=1)
+            contained = (wx0 <= nx0) & (wy0 <= ny0) & (nx1 <= wx1) & (ny1 <= wy1)
+            inside, partial = np.flatnonzero(contained), np.flatnonzero(~contained)
+            partial_nodes, partial_qids = nodes.take(partial), qids.take(partial)
+            leaf = self.is_leaf.take(partial_nodes)
+            at_leaf, inner = np.flatnonzero(leaf), np.flatnonzero(~leaf)
             yield (
-                qids[contained],
-                nodes[contained],
-                partial_nodes[leaf],
-                partial_qids[leaf],
+                qids.take(inside),
+                nodes.take(inside),
+                partial_nodes.take(at_leaf),
+                partial_qids.take(at_leaf),
             )
-            in_nodes = partial_nodes[~leaf]
-            in_qids = partial_qids[~leaf]
-            row, kid = expand_index_ranges(
-                self.child_start[in_nodes], self.child_end[in_nodes]
-            )
-            nodes = self.child_ids[kid]
-            qids = in_qids[row]
+            nodes, qids = self._children(partial_nodes.take(inner), partial_qids.take(inner))
 
     def _entries_in_windows(
-        self, ent: np.ndarray, wins: np.ndarray, qids: np.ndarray
-    ) -> np.ndarray:
-        eb = self.entry_mbrs[ent]
-        wb = wins[qids]
-        return ~(
-            (eb[:, 2] < wb[:, 0])
-            | (wb[:, 2] < eb[:, 0])
-            | (eb[:, 3] < wb[:, 1])
-            | (wb[:, 3] < eb[:, 1])
+        self, leaves: np.ndarray, qids: np.ndarray, wcols: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The (query id, entry row) pairs of ``leaves``' entries meeting their window."""
+        row, ent = expand_index_ranges(self.ent_start.take(leaves), self.ent_end.take(leaves))
+        q = qids.take(row)
+        hit = np.flatnonzero(
+            _meets(self.entry_cols.take(ent, axis=1), wcols.take(q, axis=1))
         )
-
-    def _nodes_within(
-        self, nodes: np.ndarray, pts: np.ndarray, radii: np.ndarray, qids: np.ndarray
-    ) -> np.ndarray:
-        nb = self.boxes[nodes]
-        dx = np.maximum(np.maximum(nb[:, 0] - pts[qids, 0], 0.0), pts[qids, 0] - nb[:, 2])
-        dy = np.maximum(np.maximum(nb[:, 1] - pts[qids, 1], 0.0), pts[qids, 1] - nb[:, 3])
-        return np.hypot(dx, dy) <= radii[qids]
+        return q.take(hit), ent.take(hit)
 
     def _flatten_by_query(
         self, q_chunks: List[np.ndarray], e_chunks: List[np.ndarray], n_queries: int
@@ -416,6 +478,26 @@ class FlatRTree:
         order = np.argsort(q, kind="stable")
         bounds = np.searchsorted(q[order], np.arange(n_queries + 1))
         return bounds, e[order]
+
+
+def _meets(boxes, wins) -> np.ndarray:
+    """Closed boxes meeting closed windows, element by element.
+
+    Both are coordinate columns ``xmin, ymin, xmax, ymax`` (the rows of a
+    ``(4, k)`` block, or anything that broadcasts against them).
+    """
+    bx0, by0, bx1, by1 = boxes
+    wx0, wy0, wx1, wy1 = wins
+    return ~((bx1 < wx0) | (wx1 < bx0) | (by1 < wy0) | (wy1 < by0))
+
+
+def _reaches(boxes, pts, radii) -> np.ndarray:
+    """Boxes whose minimum distance to their point ``(x, y)`` is within its radius."""
+    bx0, by0, bx1, by1 = boxes
+    px, py = pts
+    dx = np.maximum(np.maximum(bx0 - px, 0.0), px - bx1)
+    dy = np.maximum(np.maximum(by0 - py, 0.0), py - by1)
+    return np.hypot(dx, dy) <= radii
 
 
 def str_tiling(boxes: np.ndarray, capacity: int) -> Tuple[np.ndarray, np.ndarray]:

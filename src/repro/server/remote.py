@@ -45,13 +45,15 @@ shard fails the same exchange does the proxy surface a typed
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ChannelFault, QueryTimeout, RetryExhausted, ServerUnavailable
+from repro.geometry import rect_array
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
+from repro.index.aggregate_rtree import probe_arrays
 from repro.network.channel import Channel
 from repro.network.config import NetworkConfig
 from repro.network.faults import FaultInjector, FaultKind, FaultPlan, RetryPolicy
@@ -67,7 +69,7 @@ from repro.network.messages import (
 )
 from repro.server.interface import SpatialServerInterface
 from repro.server.server import SpatialServer
-from repro.server.sharded import ShardedSpatialServer
+from repro.server.sharded import ShardedSpatialServer, sum_by_request
 
 __all__ = [
     "RemoteServer",
@@ -465,24 +467,45 @@ class RemoteServer(SpatialServerInterface):
         """
         windows = list(windows)
         mbrs, oids, bounds = self._server.window_batch_flat(windows)
-        if windows:
+        self._account_window_batch(windows, np.diff(bounds))
+        return mbrs, oids, bounds
 
-            def account(channel: Channel) -> None:
-                channel.send_uniform_batch(
-                    WindowQuery(windows[0]), len(windows), direction="up", label="window"
-                )
-                object_bytes = self.config.object_bytes
-                channel.send_payload_batch(
-                    MessageKind.OBJECTS,
-                    [int(c) * object_bytes for c in np.diff(bounds).tolist()],
-                    direction="down",
-                    label="window-result",
-                )
+    def window_batch_prefetched(self, windows: List[Rect], sizes: np.ndarray) -> None:
+        """Attribute a WINDOW batch evaluated elsewhere (``sizes[i]`` objects each).
 
+        The scatter proxy answers all its shards' sub-batches in one forest
+        descent, then books each shard's share here: backing-server
+        statistics and ledger exactly as :meth:`window_batch_flat` over the
+        same windows would have left them.
+        """
+        stats = self._server.stats
+        stats.window_queries += len(windows)
+        stats.objects_returned += int(sizes.sum())
+        self._account_window_batch(windows, sizes)
+
+    def _account_window_batch(self, windows: List[Rect], sizes: np.ndarray) -> None:
+        """The shared ledger write of one batched WINDOW exchange."""
+        if not windows:
             # An empty batch never hits the wire, so it draws no fault
             # event -- keeps fault streams aligned across execution paths.
-            self._exchange("window-batch", account)
-        return mbrs, oids, bounds
+            return
+
+        def account(channel: Channel) -> None:
+            channel.send_uniform_batch(
+                WindowQuery(windows[0]), len(windows), direction="up", label="window"
+            )
+            self._send_object_batch(channel, sizes, "window-result")
+
+        self._exchange("window-batch", account)
+
+    def _send_object_batch(self, channel: Channel, sizes: np.ndarray, label: str) -> None:
+        """One downlink object payload per request, ``sizes[i]`` objects each."""
+        channel.send_payload_batch(
+            MessageKind.OBJECTS,
+            (sizes * self.config.object_bytes).tolist(),
+            direction="down",
+            label=label,
+        )
 
     def count_batch(self, windows: Sequence[Rect]) -> List[int]:
         """Issue many COUNT queries, evaluated server-side in one descent.
@@ -580,25 +603,35 @@ class RemoteServer(SpatialServerInterface):
         are batched.
         """
         mbrs, oids, bounds = self._server.range_batch_flat(centers, radii)
-        if len(centers):
-
-            def account(channel: Channel) -> None:
-                channel.send_uniform_batch(
-                    RangeQuery(centers[0], float(radii[0])),
-                    len(centers),
-                    direction="up",
-                    label="range",
-                )
-                object_bytes = self.config.object_bytes
-                channel.send_payload_batch(
-                    MessageKind.OBJECTS,
-                    [int(c) * object_bytes for c in np.diff(bounds).tolist()],
-                    direction="down",
-                    label="range-result",
-                )
-
-            self._exchange("range-batch", account)
+        self._account_range_batch(centers, radii, np.diff(bounds))
         return mbrs, oids, bounds
+
+    def range_batch_prefetched(
+        self, centers: Sequence[Point], radii: Sequence[float], sizes: np.ndarray
+    ) -> None:
+        """Attribute a RANGE batch evaluated elsewhere (see :meth:`window_batch_prefetched`)."""
+        stats = self._server.stats
+        stats.range_queries += len(centers)
+        stats.objects_returned += int(sizes.sum())
+        self._account_range_batch(centers, radii, sizes)
+
+    def _account_range_batch(
+        self, centers: Sequence[Point], radii: Sequence[float], sizes: np.ndarray
+    ) -> None:
+        """The shared ledger write of one batched RANGE exchange."""
+        if not len(centers):
+            return
+
+        def account(channel: Channel) -> None:
+            channel.send_uniform_batch(
+                RangeQuery(centers[0], float(radii[0])),
+                len(centers),
+                direction="up",
+                label="range",
+            )
+            self._send_object_batch(channel, sizes, "range-result")
+
+        self._exchange("range-batch", account)
 
     def bucket_range(
         self,
@@ -609,20 +642,41 @@ class RemoteServer(SpatialServerInterface):
         centers = tuple(centers)
         radii_tuple = tuple(float(r) for r in radii) if radii is not None else None
         mbrs, oids, probes = self._server.bucket_range(centers, epsilon, radii_tuple)
+        self._account_bucket_range(centers, epsilon, radii_tuple, oids.shape[0])
+        return mbrs, oids, probes
+
+    def bucket_range_prefetched(
+        self,
+        centers: Tuple[Point, ...],
+        epsilon: float,
+        radii: Tuple[float, ...],
+        n_objects: int,
+    ) -> None:
+        """Attribute a bucket RANGE query evaluated elsewhere (``n_objects`` returned)."""
+        stats = self._server.stats
+        stats.bucket_range_queries += 1
+        stats.bucket_range_probes += len(centers)
+        stats.objects_returned += n_objects
+        self._account_bucket_range(centers, epsilon, radii, n_objects)
+
+    def _account_bucket_range(
+        self,
+        centers: Tuple[Point, ...],
+        epsilon: float,
+        radii: Optional[Tuple[float, ...]],
+        n_objects: int,
+    ) -> None:
+        """The shared ledger write of one bucket RANGE exchange."""
 
         def account(channel: Channel) -> None:
-            channel.send_query(
-                BucketRangeQuery(centers, epsilon, radii_tuple), label="bucket-range"
-            )
+            channel.send_query(BucketRangeQuery(centers, epsilon, radii), label="bucket-range")
             # Eq. 5 of the paper charges one extra object-sized separator per
             # probe in the bucket response (the "+ Bobj" term).
-            channel.send_response(
-                ObjectPayload(mbrs, oids, per_probe_overhead_objects=len(centers)),
-                label="bucket-range-result",
+            self._send_object_batch(
+                channel, np.array([n_objects + len(centers)]), "bucket-range-result"
             )
 
         self._exchange("bucket-range", account)
-        return mbrs, oids, probes
 
     def average_mbr_area(self, window: Rect) -> float:
         value = self._server.average_mbr_area(window)
@@ -1254,10 +1308,26 @@ class ShardedRemoteServer(SpatialServerInterface):
     probe is routed through its Chebyshev square ``centre +- radius``
     (min-distance <= radius implies the object MBR intersects that square,
     and every shard object's MBR lies inside the shard bounds, so routing
-    never loses an answer).  Answers are merged deterministically in
-    ascending shard order; summed COUNTs and merged payload row sets are
-    bit-identical to the union server's answers.  Requests routed to zero
-    shards produce empty answers without touching any wire.
+    never loses an answer).  Requests routed to zero shards produce empty
+    answers without touching any wire.
+
+    A batch endpoint is *evaluate once, attribute per shard*: the request
+    batch becomes ``(shard, request)`` rows (request-major, shards
+    ascending -- :meth:`ShardedSpatialServer.route`), **one** descent of
+    the fleet's forest answers every row, and each routed shard's proxy
+    then books its own rows through its ``*_prefetched`` endpoint.  The
+    merged answer is the descent's own output read at request boundaries
+    (summed COUNTs, payload rows request-major with shards ascending
+    inside a request), bit-identical to the union server's.  Four ordering
+    rules keep channels, ledgers, fault substreams, replica routers and
+    statistics identical to a shard-by-shard scatter:
+
+    1. shards are attributed in ascending order, one exchange each;
+    2. a shard no row routes to is not touched and draws no fault event;
+    3. a shard's statistics are bumped at its attribution step, on the
+       replica its router names at that moment, just before its exchange;
+    4. an unrecoverable fault at one shard propagates at once: the shards
+       after it stay unbooked.
     """
 
     def __init__(
@@ -1303,92 +1373,63 @@ class ShardedRemoteServer(SpatialServerInterface):
                     )
                 )
         self._proxies = tuple(proxies)
-        # Routing table: shard dataset bounds, None for empty shards (an
-        # empty shard never answers and is never routed to).
-        self._bounds = tuple(
-            shard.dataset.bounds() if len(shard) else None for shard in fleet.shards
-        )
 
     # ------------------------------------------------------------------ #
-    # routing
+    # routing and per-shard attribution
     # ------------------------------------------------------------------ #
 
     def _routed(self, window: Rect) -> List[int]:
-        """Shard indices whose (non-empty) bounds intersect the window."""
-        return [
-            i
-            for i, b in enumerate(self._bounds)
-            if b is not None and b.intersects(window)
-        ]
+        """Shard indices one window scatters to: the one-row case of the routing."""
+        return self._fleet.route(rect_array.rects_to_array([window]))[0].tolist()
 
     @staticmethod
-    def _probe_window(center: Point, radius: float) -> Rect:
-        """The Chebyshev square that makes range-probe routing safe."""
-        return Rect(
-            center.x - radius, center.y - radius, center.x + radius, center.y + radius
-        )
-
-    def _scatter(self, windows: Sequence[Rect]) -> List[Tuple[int, List[int]]]:
-        """Group request indices by routed shard, shards ascending."""
-        per_shard: Dict[int, List[int]] = {}
-        for wi, window in enumerate(windows):
-            for si in self._routed(window):
-                per_shard.setdefault(si, []).append(wi)
-        return sorted(per_shard.items())
+    def _probe_windows(pts: np.ndarray, radii: np.ndarray) -> np.ndarray:
+        """The Chebyshev squares that make range-probe routing safe."""
+        x, y = pts.T
+        return np.column_stack([x - radii, y - radii, x + radii, y + radii])
 
     @staticmethod
-    def _merge_payloads(
-        parts: Sequence[Tuple[np.ndarray, np.ndarray]]
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        if not parts:
-            return np.empty((0, 4)), np.empty(0, dtype=np.int64)
-        return (
-            np.vstack([m for m, _ in parts]),
-            np.concatenate([o for _, o in parts]),
-        )
+    def _by_shard(shard: np.ndarray) -> Iterator[Tuple[int, np.ndarray]]:
+        """``(shard, its row positions)``, shards ascending, rows in request order."""
+        order = np.argsort(shard, kind="stable")
+        for at in np.split(order, np.flatnonzero(np.diff(shard.take(order))) + 1):
+            if at.shape[0]:
+                yield int(shard[at[0]]), at
 
-    def _merge_flat(
-        self,
-        requests: Sequence[Rect],
-        shard_results: List[Tuple[List[int], np.ndarray, np.ndarray, np.ndarray]],
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Merge per-shard CSR answers back into request-order CSR form.
+    def _gather(self, query, book, requests: np.ndarray, *more: np.ndarray):
+        """Evaluate a payload batch once, book it per shard, gather the payload.
 
-        Within one request the shard payloads are concatenated in ascending
-        shard order (``shard_results`` arrives that way from
-        :meth:`_scatter`), so the merged rows are a deterministic function
-        of the request batch alone.
+        ``book(proxy, requests, sizes)`` attributes one shard's rows -- the
+        request indices it was routed, ascending, and the objects each
+        returned -- through that shard's ``*_prefetched`` endpoint.  Returns
+        ``(mbrs, oids, request, bounds)``: the merged payload (request-major,
+        shards ascending inside a request), the request of every row and
+        the row-level CSR offsets into the payload.
         """
-        per_request: List[List[Tuple[np.ndarray, np.ndarray]]] = [
-            [] for _ in requests
-        ]
-        for idxs, mbrs, oids, bounds in shard_results:
-            for j, wi in enumerate(idxs):
-                lo, hi = int(bounds[j]), int(bounds[j + 1])
-                if hi > lo:
-                    per_request[wi].append((mbrs[lo:hi], oids[lo:hi]))
-        out_bounds = np.zeros(len(per_request) + 1, dtype=np.int64)
-        mbr_parts: List[np.ndarray] = []
-        oid_parts: List[np.ndarray] = []
-        total = 0
-        for wi, chunks in enumerate(per_request):
-            for m, o in chunks:
-                total += int(o.shape[0])
-                mbr_parts.append(m)
-                oid_parts.append(o)
-            out_bounds[wi + 1] = total
-        mbrs = np.vstack(mbr_parts) if mbr_parts else np.empty((0, 4))
-        oids = (
-            np.concatenate(oid_parts) if oid_parts else np.empty(0, dtype=np.int64)
+        shard, request, (bounds, rows) = self._fleet.descend(query, requests, *more)
+        sizes = np.diff(bounds)
+        for si, at in self._by_shard(shard):
+            book(self._proxies[si], request.take(at).tolist(), sizes.take(at))
+        return (*self._fleet.forest.entries_at(rows), request, bounds)
+
+    def _gather_probes(self, centers, radii: List[float], book):
+        """:meth:`_gather` for range probes, routed through their Chebyshev squares."""
+        pts, reach = probe_arrays(centers, radii)
+        return self._gather(
+            self._fleet.forest.range_batch_flat, book, self._probe_windows(pts, reach), pts, reach
         )
-        return mbrs, oids, out_bounds
+
+    @staticmethod
+    def _request_bounds(request: np.ndarray, n_requests: int, bounds: np.ndarray) -> np.ndarray:
+        """Row-level CSR ``bounds`` read at request boundaries (rows are request-major)."""
+        return bounds.take(np.searchsorted(request, np.arange(n_requests + 1)))
 
     # ------------------------------------------------------------------ #
     # metered primitive queries (scatter to shards, merge answers)
     # ------------------------------------------------------------------ #
 
     def window(self, window: Rect) -> Tuple[np.ndarray, np.ndarray]:
-        return self._merge_payloads(
+        return _stack_payloads(
             [self._proxies[i].window(window) for i in self._routed(window)]
         )
 
@@ -1406,25 +1447,25 @@ class ShardedRemoteServer(SpatialServerInterface):
         self, windows: Sequence[Rect]
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         windows = list(windows)
-        shard_results = []
-        for si, idxs in self._scatter(windows):
-            m, o, b = self._proxies[si].window_batch_flat(
-                [windows[wi] for wi in idxs]
-            )
-            shard_results.append((idxs, m, o, b))
-        return self._merge_flat(windows, shard_results)
+        mbrs, oids, request, bounds = self._gather(
+            self._fleet.forest.window_batch_flat,
+            lambda proxy, mine, sizes: proxy.window_batch_prefetched(
+                [windows[i] for i in mine], sizes
+            ),
+            rect_array.rects_to_array(windows),
+        )
+        return mbrs, oids, self._request_bounds(request, len(windows), bounds)
 
     def count(self, window: Rect) -> int:
         return sum(self._proxies[i].count(window) for i in self._routed(window))
 
     def count_batch(self, windows: Sequence[Rect]) -> List[int]:
         windows = list(windows)
-        values = [0] * len(windows)
-        for si, idxs in self._scatter(windows):
-            sub = self._proxies[si].count_batch([windows[wi] for wi in idxs])
-            for wi, v in zip(idxs, sub):
-                values[wi] += int(v)
-        return values
+        shard, request, counts = self._fleet.descend(
+            self._fleet.forest.count_batch, rect_array.rects_to_array(windows)
+        )
+        self._attribute_counts(windows, shard, request)
+        return sum_by_request(request, counts, len(windows))
 
     def count_batch_prefetched(
         self, windows: Sequence[Rect], values: Sequence[int]
@@ -1441,18 +1482,28 @@ class ShardedRemoteServer(SpatialServerInterface):
         values = [int(v) for v in values]
         if len(values) != len(windows):
             raise ValueError("values must be parallel to windows")
-        for si, idxs in self._scatter(windows):
-            self._proxies[si].count_batch_prefetched(
-                [windows[wi] for wi in idxs], [0] * len(idxs)
-            )
+        self._attribute_counts(
+            windows, *self._fleet.route(rect_array.rects_to_array(windows))
+        )
         return values
+
+    def _attribute_counts(
+        self, windows: List[Rect], shard: np.ndarray, request: np.ndarray
+    ) -> None:
+        for si, at in self._by_shard(shard):
+            self._proxies[si].count_batch_prefetched(
+                [windows[i] for i in request.take(at).tolist()], [0] * at.shape[0]
+            )
 
     def range(self, center: Point, epsilon: float) -> Tuple[np.ndarray, np.ndarray]:
         if epsilon < 0:
             raise ValueError("epsilon must be non-negative")
-        probe = self._probe_window(center, epsilon)
-        return self._merge_payloads(
-            [self._proxies[i].range(center, epsilon) for i in self._routed(probe)]
+        probe = self._probe_windows(*probe_arrays([center], [epsilon]))
+        return _stack_payloads(
+            [
+                self._proxies[i].range(center, epsilon)
+                for i in self._fleet.route(probe)[0].tolist()
+            ]
         )
 
     def range_batch(
@@ -1469,16 +1520,14 @@ class ShardedRemoteServer(SpatialServerInterface):
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         centers = list(centers)
         per_probe = [float(r) for r in radii]
-        if any(r < 0 for r in per_probe):
-            raise ValueError("epsilon must be non-negative")
-        probes = [self._probe_window(c, r) for c, r in zip(centers, per_probe)]
-        shard_results = []
-        for si, idxs in self._scatter(probes):
-            m, o, b = self._proxies[si].range_batch_flat(
-                [centers[pi] for pi in idxs], [per_probe[pi] for pi in idxs]
-            )
-            shard_results.append((idxs, m, o, b))
-        return self._merge_flat(probes, shard_results)
+        mbrs, oids, request, bounds = self._gather_probes(
+            centers,
+            per_probe,
+            lambda proxy, mine, sizes: proxy.range_batch_prefetched(
+                [centers[i] for i in mine], [per_probe[i] for i in mine], sizes
+            ),
+        )
+        return mbrs, oids, self._request_bounds(request, len(centers), bounds)
 
     def bucket_range(
         self,
@@ -1496,30 +1545,18 @@ class ShardedRemoteServer(SpatialServerInterface):
         per_probe = (
             [epsilon] * len(centers) if radii is None else [float(r) for r in radii]
         )
-        probe_windows = [
-            self._probe_window(c, r) for c, r in zip(centers, per_probe)
-        ]
-        mbr_parts: List[np.ndarray] = []
-        oid_parts: List[np.ndarray] = []
-        probe_parts: List[np.ndarray] = []
-        for si, idxs in self._scatter(probe_windows):
-            m, o, p = self._proxies[si].bucket_range(
-                tuple(centers[pi] for pi in idxs),
+        mbrs, oids, request, bounds = self._gather_probes(
+            centers,
+            per_probe,
+            lambda proxy, mine, sizes: proxy.bucket_range_prefetched(
+                tuple(centers[i] for i in mine),
                 epsilon,
-                [per_probe[pi] for pi in idxs],
-            )
-            mbr_parts.append(m)
-            oid_parts.append(o)
-            probe_parts.append(np.asarray(idxs, dtype=np.int64)[np.asarray(p, dtype=np.int64)])
-        if not mbr_parts:
-            return np.empty((0, 4)), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        mbrs = np.vstack(mbr_parts)
-        oids = np.concatenate(oid_parts)
-        probe_idx = np.concatenate(probe_parts)
-        # Probe-major order with ascending shards inside each probe: the
-        # deterministic merge the equivalence tests pin down.
-        order = np.argsort(probe_idx, kind="stable")
-        return mbrs[order], oids[order], probe_idx[order]
+                tuple(per_probe[i] for i in mine),
+                int(sizes.sum()),
+            ),
+        )
+        # Probe-major with ascending shards inside each probe: the rows' own order.
+        return mbrs, oids, np.repeat(request, np.diff(bounds))
 
     def average_mbr_area(self, window: Rect) -> float:
         # Weighted mean of the per-shard aggregates; the weight (the
@@ -1614,6 +1651,18 @@ class ShardedRemoteServer(SpatialServerInterface):
     def total_cost(self) -> float:
         """Tariff-weighted cost over all shard connections so far."""
         return sum(proxy.total_cost() for proxy in self._proxies)
+
+
+def _stack_payloads(
+    parts: Sequence[Tuple[np.ndarray, np.ndarray]]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-shard ``(mbrs, oids)`` payloads of one scalar query, back to back."""
+    if not parts:
+        return np.empty((0, 4)), np.empty(0, dtype=np.int64)
+    return (
+        np.vstack([m for m, _ in parts]),
+        np.concatenate([o for _, o in parts]),
+    )
 
 
 @dataclass

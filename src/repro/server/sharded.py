@@ -10,9 +10,15 @@ the unit the query broker caches, primes, places and reuses:
 
 * ``shared_view()`` hands every in-flight query a statistics-isolated view
   of the whole fleet (each shard's index and dataset shared by reference);
+* ``forest`` lays the shard indexes out as one
+  :meth:`~repro.index.flat.FlatRTree.forest` (a root per shard; the shard
+  trees' entries are slices of it), and ``route()`` turns a request batch
+  into the ``(shard, window)`` rows it scatters to, so a whole scatter is
+  evaluated by *one* index descent whatever the shard count;
 * ``evaluate_count_batch()`` answers a coalesced COUNT batch for the wave
-  driver by summing the per-shard counts (shards partition the object set
-  exactly, so the sums equal the union server's counts bit for bit);
+  driver by that routed descent, summing the per-shard counts (shards
+  partition the object set exactly, so the sums equal the union server's
+  counts bit for bit);
 * ``breaker_units()`` exposes the shards as independently-breakable
   servers, so one misbehaving shard trips only its own circuit breaker.
 
@@ -32,12 +38,23 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
+import numpy as np
+
 from repro.datasets.dataset import SpatialDataset
 from repro.datasets.partition import partition_dataset
 from repro.geometry.rect import Rect
+from repro.geometry.rect_array import pairwise_intersects, rects_to_array
+from repro.index.flat import FlatRTree
 from repro.server.server import ServerQueryStats, SpatialServer
 
-__all__ = ["ShardedSpatialServer", "FleetStats"]
+__all__ = ["ShardedSpatialServer", "FleetStats", "sum_by_request"]
+
+
+def sum_by_request(request: np.ndarray, values: np.ndarray, n_requests: int) -> List[int]:
+    """Per-request totals of the per-row ``values`` of a scatter."""
+    totals = np.zeros(n_requests, dtype=np.int64)
+    np.add.at(totals, request, values)
+    return totals.tolist()
 
 
 class FleetStats:
@@ -142,6 +159,12 @@ class ShardedSpatialServer:
         self.stats = FleetStats(
             tuple(rep for group in self.replica_groups for rep in group)
         )
+        #: Every shard index in one layout, ``forest.roots[i]`` shard ``i``'s root.
+        self.forest = FlatRTree.forest([shard.index.flat for shard in self.shards])
+        # Routing table: the bounds (root boxes) of the non-empty shards;
+        # an empty shard never answers and is never routed to.
+        self._live = np.flatnonzero([len(shard) for shard in self.shards])
+        self._live_bounds = self.forest.boxes[self.forest.roots[self._live]]
 
     def __len__(self) -> int:
         return len(self.dataset)
@@ -168,6 +191,9 @@ class ShardedSpatialServer:
         view.stats = FleetStats(
             tuple(rep for group in view.replica_groups for rep in group)
         )
+        view.forest = self.forest
+        view._live = self._live
+        view._live_bounds = self._live_bounds
         return view
 
     def breaker_units(self) -> Tuple[SpatialServer, ...]:
@@ -183,21 +209,40 @@ class ShardedSpatialServer:
         """
         return self.replica_groups
 
+    def route(self, wins: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The ``(shard, window)`` rows a ``(W, 4)`` request batch scatters to.
+
+        A window goes to the non-empty shards whose bounds it intersects.
+        Returns parallel ``(shard, window)`` index arrays, window-major with
+        the shards of one window ascending -- the order the merged answer
+        lists them in.
+        """
+        window, live = np.nonzero(pairwise_intersects(wins, self._live_bounds))
+        return self._live.take(live), window
+
+    def descend(self, query, requests: np.ndarray, *more: np.ndarray):
+        """Route a request batch and answer its rows in one forest descent.
+
+        ``requests`` is the ``(N, 4)`` routing windows and ``query`` a batch
+        query of :attr:`forest`, called with ``more`` (what it takes per
+        request; the windows themselves by default) at the routed rows,
+        each row starting at its shard's root.  Statistics untouched.
+        Returns ``(shard, request, answer)``.
+        """
+        shard, request = self.route(requests)
+        args = [a.take(request, axis=0) for a in more or (requests,)]
+        return shard, request, query(*args, self.forest.roots.take(shard))
+
     def evaluate_count_batch(self, windows: Sequence[Rect]) -> List[int]:
         """Answer COUNTs for the wave driver, statistics untouched.
 
-        The shards partition the object set exactly, so summing the
-        per-shard counts reproduces the union server's counts bit for bit
-        (non-intersecting shards contribute zero).
+        One routed descent of the forest; the shards partition the object
+        set exactly, so summing a window's per-shard counts reproduces the
+        union server's count bit for bit.
         """
-        windows = list(windows)  # every shard reads them: a one-shot iterable must not run dry
-        totals = [0] * len(windows)
-        for shard in self.shards:
-            if len(shard) == 0:
-                continue
-            for i, value in enumerate(shard.evaluate_count_batch(windows)):
-                totals[i] += int(value)
-        return totals
+        wins = rects_to_array(list(windows))
+        _, request, counts = self.descend(self.forest.count_batch, wins)
+        return sum_by_request(request, counts, wins.shape[0])
 
     def prime_snapshot(self) -> None:
         """Nothing to force (see :meth:`SpatialServer.prime_snapshot`)."""

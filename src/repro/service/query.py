@@ -22,7 +22,12 @@ from typing import Optional, Tuple
 
 from repro.core.base import AlgorithmParameters
 from repro.core.join_types import JoinSpec
-from repro.core.planner import PlanDecision, validate_stack_knobs, validate_window
+from repro.core.planner import (
+    PlanDecision,
+    default_window,
+    validate_stack_knobs,
+    validate_window,
+)
 from repro.core.result import JoinResult
 from repro.datasets.dataset import SpatialDataset
 from repro.geometry.rect import Rect
@@ -143,7 +148,7 @@ class JoinQuery:
             return self.window
         window = self.__dict__.get("_resolved_window_cache")
         if window is None:
-            window = self.dataset_r.bounds().union(self.dataset_s.bounds())
+            window = default_window(self.dataset_r, self.dataset_s)
             object.__setattr__(self, "_resolved_window_cache", window)
         return window
 

@@ -1,0 +1,232 @@
+"""The fused scatter equals the shard-by-shard scatter it replaced.
+
+``ShardedRemoteServer`` answers a batch endpoint with **one** descent of
+the fleet's forest and then books every routed shard's share through that
+shard's own proxy.  ``tests/oracles/scatter_per_shard.py`` keeps the old
+scatter -- one proxy call, hence one index descent, per routed shard -- and
+this suite holds the two equal on everything a caller or an operator can
+observe: answers (row order included), per-channel ledgers on both lanes,
+per-replica server statistics, drawn fault events, failovers and the
+resilience summary; for every batch endpoint, shard count, replication
+factor, fault scenario and router policy.
+"""
+
+from __future__ import annotations
+
+import functools
+
+import numpy as np
+import pytest
+
+from repro.datasets.synthetic import clustered
+from repro.errors import ChannelFault
+from repro.geometry.point import Point
+from repro.geometry.rect import Rect
+from repro.index.flat import FlatRTree
+from repro.network.channel import Channel
+from repro.network.config import NetworkConfig
+from repro.network.faults import Disconnect, FaultPlan, Outage, RetryPolicy, replica_outages
+from repro.server import ShardedSpatialServer
+from repro.server.remote import ROUTER_POLICIES, ResilienceController, ShardedRemoteServer
+
+from tests.oracles import scatter_per_shard
+
+SHARD_COUNTS = (1, 4, 16)
+SCENARIOS = ("no_faults", "recoverable", "dead_replica")
+
+
+@functools.lru_cache(maxsize=None)
+def _build(shards: int, replicas: int) -> ShardedSpatialServer:
+    """One fleet build: four balanced STR shards; the 16-cell grid leaves seven empty."""
+    data = clustered(n=600, clusters=5, seed=21, std=0.05, name="S")
+    scheme = "grid" if shards == 16 else "str"
+    return ShardedSpatialServer(data, name="S", shards=shards, scheme=scheme, replicas=replicas)
+
+
+def _fleet(shards: int, replicas: int) -> ShardedSpatialServer:
+    """A statistics-isolated view of the cached build."""
+    return _build(shards, replicas).shared_view()
+
+
+def _plan(scenario: str, shards: int, replicas: int):
+    if scenario == "no_faults":
+        return None
+    fleet = _fleet(shards, replicas)
+    live = [name for name, shard in zip(fleet.shard_names, fleet.shards) if len(shard)]
+    victim = live[min(1, len(live) - 1)]
+    rates = dict(seed=13, drop_rate=0.2, stall_rate=0.15, duplicate_rate=0.15)
+    if scenario == "recoverable":
+        name = victim if replicas == 1 else f"{victim}/1"
+        return FaultPlan(outages=(Outage(name, 1, 2),), **rates)
+    return FaultPlan(outages=replica_outages(victim, replicas, 0, 10**9, indices=[0]), **rates)
+
+
+def _connect(shards: int, replicas: int, plan, router=None):
+    fleet = _fleet(shards, replicas)
+    resilience = ResilienceController(plan, RetryPolicy(max_attempts=8))
+    channels = [
+        Channel(NetworkConfig(), name=replica.name)
+        for group in fleet.replica_groups
+        for replica in group
+    ]
+    for channel in channels:
+        resilience.register(channel)
+    return ShardedRemoteServer(fleet, channels, resilience=resilience, router=router), resilience
+
+
+def _requests(seed: int):
+    """Request batches hitting no shard, one shard, a few and all of them."""
+    rng = np.random.default_rng(seed)
+    lo = rng.random((30, 2))
+    windows = [Rect(x, y, x + w, y + h) for (x, y), (w, h) in zip(lo, rng.random((30, 2)) * 0.3)]
+    windows += [Rect(-1.0, -1.0, 2.0, 2.0), Rect(5.0, 5.0, 6.0, 6.0), Rect(0.5, 0.5, 0.5, 0.5)]
+    centers = [Point(float(x), float(y)) for x, y in rng.random((25, 2))] + [Point(9.0, 9.0)]
+    radii = (rng.random(26) * 0.15).tolist()
+    radii[3] = 0.0
+    return windows, centers, radii
+
+
+def _script(endpoint: str):
+    """The argument tuples of four calls of one batch endpoint."""
+    calls = []
+    for seed in (1, 2, 3, 4):
+        windows, centers, radii = _requests(seed)
+        args = {
+            "count_batch": (windows,),
+            "window_batch_flat": (windows,),
+            "range_batch_flat": (centers, radii),
+            "bucket_range": (tuple(centers), 0.05, radii if seed % 2 else None),
+        }[endpoint]
+        calls.append(args)
+    return calls
+
+
+def _observables(proxy, resilience):
+    fleet = proxy.backing_server
+    return {
+        "ledger": proxy.ledger_fingerprint(),
+        "snapshot": proxy.channel_snapshot(),
+        "channels": [
+            (c.name, c.ledger_fingerprint(), c.retry_bytes, c.retry_log.fingerprint())
+            for c in proxy.channels
+        ],
+        "stats": fleet.stats.per_shard(),
+        "fault_events": resilience.fault_events(),
+        "failover_events": proxy.failover_events(),
+        "summary": resilience.summary(),
+    }
+
+
+def _same_answer(got, want) -> None:
+    if isinstance(want, list):
+        assert got == want
+        return
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and np.array_equal(g, w)
+
+
+def _cases():
+    for shards in SHARD_COUNTS:
+        for replicas in (1, 2):
+            for scenario in SCENARIOS:
+                if scenario == "dead_replica" and replicas == 1:
+                    continue  # nothing to fail over to: the typed-error suites own that
+                for router in sorted(ROUTER_POLICIES) if replicas > 1 else [None]:
+                    yield pytest.param(
+                        shards, replicas, scenario, router,
+                        id=f"{shards}x{replicas}-{scenario}-{router or 'plain'}",
+                    )
+
+
+@pytest.mark.parametrize("endpoint", scatter_per_shard.ENDPOINTS)
+@pytest.mark.parametrize("shards, replicas, scenario, router", list(_cases()))
+def test_fused_scatter_equals_per_shard_loop(endpoint, shards, replicas, scenario, router):
+    plan = _plan(scenario, shards, replicas)
+    fused, fused_res = _connect(shards, replicas, plan, router)
+    loop, loop_res = _connect(shards, replicas, plan, router)
+    for args in _script(endpoint):
+        _same_answer(
+            getattr(fused, endpoint)(*args), getattr(scatter_per_shard, endpoint)(loop, *args)
+        )
+    got, want = _observables(fused, fused_res), _observables(loop, loop_res)
+    for key in want:
+        assert got[key] == want[key], key
+    if scenario != "no_faults":
+        drawn = [kind for events in want["fault_events"].values() for _, kind, _ in events]
+        assert set(drawn) - {"ok"}, "the plan never bit: the case proves nothing"
+    if scenario == "dead_replica":
+        assert want["failover_events"]
+
+
+def test_count_batch_prefetched_books_what_count_batch_books():
+    windows, _, _ = _requests(4)
+    fused, fused_res = _connect(4, 2, _plan("recoverable", 4, 2), "round_robin")
+    loop, loop_res = _connect(4, 2, _plan("recoverable", 4, 2), "round_robin")
+    values = scatter_per_shard.count_batch(loop, windows)
+    assert fused.count_batch_prefetched(windows, values) == values
+    assert _observables(fused, fused_res) == _observables(loop, loop_res)
+
+
+@pytest.mark.parametrize("endpoint", scatter_per_shard.ENDPOINTS)
+def test_unrecoverable_fault_mid_scatter_leaves_later_shards_unbooked(endpoint):
+    plan = FaultPlan(seed=3, disconnects=(Disconnect("S#2", 0),))
+    fused, fused_res = _connect(4, 1, plan)
+    loop, loop_res = _connect(4, 1, plan)
+    args = _script(endpoint)[0]
+    with pytest.raises(ChannelFault):
+        getattr(fused, endpoint)(*args)
+    with pytest.raises(ChannelFault):
+        getattr(scatter_per_shard, endpoint)(loop, *args)
+    got, want = _observables(fused, fused_res), _observables(loop, loop_res)
+    assert got == want
+    stats = want["stats"]
+    assert any(stats["S#0"].values()) and any(stats["S#1"].values())
+    assert any(stats["S#2"].values())  # evaluated and booked, then its exchange died
+    assert not any(stats["S#3"].values())
+    assert fused.channels[3].total_bytes == 0 and not fused.channels[3].log.records
+
+
+class TestOneDescentPerScatter:
+    """One batch call of the scatter proxy is one ``FlatRTree`` batch call.
+
+    This is ``index.query.calls_per_op`` of ``BENCHMARK.json``'s
+    ``fleet_faults`` workload -- a count that repeats exactly -- held in
+    tier-1 so a change that re-introduces per-shard descents fails here and
+    not only in the wall-clock record.
+    """
+
+    QUERIES = ("count_batch", "window_batch_flat", "range_batch_flat", "window_batch", "range_batch")
+
+    @pytest.mark.parametrize("shards, replicas", [(1, 1), (4, 1), (4, 2), (16, 2)])
+    def test_descents_do_not_scale_with_shards_or_replicas(self, shards, replicas, monkeypatch):
+        calls = []
+        for name in self.QUERIES:
+            original = getattr(FlatRTree, name)
+
+            def counted(self, *args, _original=original, _name=name, **kwargs):
+                calls.append(_name)
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(FlatRTree, name, counted)
+
+        proxy, _ = _connect(shards, replicas, _plan("recoverable", shards, replicas))
+        windows, centers, radii = _requests(5)
+        for endpoint, args, descent in (
+            ("count_batch", (windows,), "count_batch"),
+            ("window_batch_flat", (windows,), "window_batch_flat"),
+            ("window_batch", (windows,), "window_batch_flat"),
+            ("range_batch_flat", (centers, radii), "range_batch_flat"),
+            ("range_batch", (centers, radii), "range_batch_flat"),
+            ("bucket_range", (tuple(centers), 0.05), "range_batch_flat"),
+        ):
+            calls.clear()
+            getattr(proxy, endpoint)(*args)
+            assert calls == [descent], endpoint
+        # The broker's coalesced COUNT is one routed descent too; booking
+        # its answer descends nothing.
+        calls.clear()
+        values = proxy.backing_server.evaluate_count_batch(windows)
+        assert calls == ["count_batch"]
+        proxy.count_batch_prefetched(windows, values)
+        assert calls == ["count_batch"]

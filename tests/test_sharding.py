@@ -35,6 +35,7 @@ from repro.datasets.partition import (
     partition_dataset,
     shard_assignment,
 )
+from repro.datasets.dataset import SpatialDataset
 from repro.datasets.synthetic import clustered, uniform
 from repro.errors import InvalidInput, ServerUnavailable
 from repro.geometry.rect import Rect
@@ -281,6 +282,65 @@ class TestShardedJoinEquivalence:
         r, s = _datasets(n=10)
         with pytest.raises(InvalidInput):
             entry(r, s, JoinSpec.distance(EPSILON), **knob)
+
+
+# --------------------------------------------------------------------------- #
+# the default join window with an empty side
+# --------------------------------------------------------------------------- #
+
+
+def _run_paths():
+    """The four entry paths, each returning the pairs of a window-less join."""
+
+    def brokered(r, s, spec, **kw):
+        (outcome,) = QueryBroker().run_batch([JoinQuery(r, s, spec, **kw)])
+        assert outcome.status == "ok", outcome.error
+        return outcome.result
+
+    return {
+        "quick_join": lambda r, s, spec, **kw: quick_join(r, s, epsilon=EPSILON, **kw),
+        "AdHocJoinSession": lambda r, s, spec, algorithm="srjoin", **kw: AdHocJoinSession(
+            r, s, indexed=False, **kw
+        ).run(algorithm, epsilon=EPSILON),
+        "run_join": lambda r, s, spec, **kw: run_join(r, s, spec, **kw),
+        "QueryBroker": brokered,
+    }
+
+
+class TestDefaultWindowWithAnEmptySide:
+    """No ``window=``: the union MBR of the sides that *have* an MBR.
+
+    Regression: all four paths died with an untyped ``ValueError: cannot
+    bound an empty MBR array`` while the same join with an explicit window
+    returned 0 pairs on every algorithm.
+    """
+
+    @pytest.mark.parametrize("entry", list(_run_paths()))
+    @pytest.mark.parametrize("empty_side", ["r", "s"])
+    @pytest.mark.parametrize(
+        "topology", [{}, {"shards_r": 4, "shards_s": 4, "replicas": 2}], ids=["plain", "fleet"]
+    )
+    def test_one_empty_side_joins_over_the_other_sides_bounds(
+        self, entry, empty_side, topology
+    ):
+        full, _ = _datasets(n=120)
+        empty = SpatialDataset(np.empty((0, 4)), name="E")
+        r, s = (empty, full) if empty_side == "r" else (full, empty)
+        run = _run_paths()[entry]
+        spec = JoinSpec.distance(EPSILON)
+        for algorithm in ("naive", "upjoin", "srjoin", "mobijoin", "fixedgrid"):
+            windowless = run(r, s, spec, algorithm=algorithm, **topology)
+            explicit = run_join(
+                r, s, spec, algorithm=algorithm, window=full.bounds(), **topology
+            )
+            assert len(windowless.pairs) == len(explicit.pairs) == 0
+            assert windowless.total_bytes == explicit.total_bytes
+
+    @pytest.mark.parametrize("entry", list(_run_paths()))
+    def test_two_empty_sides_are_a_typed_error(self, entry):
+        empty = SpatialDataset(np.empty((0, 4)), name="E")
+        with pytest.raises(InvalidInput, match="both datasets are empty"):
+            _run_paths()[entry](empty, empty.rename("F"), JoinSpec.distance(EPSILON))
 
 
 # --------------------------------------------------------------------------- #
