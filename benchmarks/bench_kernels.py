@@ -18,9 +18,8 @@ from repro.geometry.point import Point
 from repro.geometry.predicates import WithinDistancePredicate
 from repro.geometry.rect import Rect
 from repro.index.hash_join import grid_hash_join
-from repro.index.plane_sweep import plane_sweep_pairs, plane_sweep_pairs_scalar
+from repro.index.plane_sweep import plane_sweep_pairs
 from repro.index.flat import FlatRTree
-from repro.index.rtree import RTree
 from repro.index.aggregate_rtree import AggregateRTree
 from repro.network.config import NetworkConfig
 from repro.network.packets import transferred_bytes
@@ -44,15 +43,8 @@ def test_bench_grid_hash_kernel(benchmark):
     assert isinstance(pairs, list)
 
 
-def test_bench_rtree_bulk_load(benchmark):
-    dataset = uniform(n=5000, seed=5)
-    entries = dataset.entries()
-    tree = benchmark(RTree.bulk_load, entries, 16)
-    assert len(tree) == 5000
-
-
 def test_bench_flat_rtree_bulk_load(benchmark):
-    """The servers' build, on the same data as the pointer-tree bench above."""
+    """The servers' index build."""
     dataset = uniform(n=5000, seed=5)
     flat = benchmark(FlatRTree.from_mbr_array, dataset.mbrs, dataset.oids, 16)
     assert flat.size == 5000
@@ -60,7 +52,7 @@ def test_bench_flat_rtree_bulk_load(benchmark):
 
 def test_bench_rtree_window_queries(benchmark):
     dataset = uniform(n=5000, seed=6)
-    tree = RTree.bulk_load(dataset.entries(), max_entries=16)
+    tree = FlatRTree.from_mbr_array(dataset.mbrs, dataset.oids, max_entries=16)
     windows = [Rect(0.1 * i % 0.8, 0.07 * i % 0.8, 0.1 * i % 0.8 + 0.2, 0.07 * i % 0.8 + 0.2)
                for i in range(50)]
 
@@ -105,15 +97,6 @@ def test_bench_packetisation(benchmark):
 
     total = benchmark(run)
     assert total > 0
-
-
-def test_bench_plane_sweep_scalar_reference(benchmark):
-    """The seed's per-lead sweep, the oracle of tests/test_leaf_pipeline.py."""
-    a = uniform(n=2000, seed=1).mbrs
-    b = uniform(n=2000, seed=2).mbrs
-    predicate = WithinDistancePredicate(0.01)
-    pairs = benchmark(plane_sweep_pairs_scalar, a, b, predicate)
-    assert len(pairs) > 0
 
 
 def test_bench_level_cost_table(benchmark):

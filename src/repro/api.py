@@ -33,7 +33,7 @@ from repro.core.planner import (
 )
 from repro.core.result import JoinResult
 from repro.datasets.dataset import SpatialDataset
-from repro.device.pda import MobileDevice
+from repro.device.buffer import DeviceBuffer
 from repro.errors import (
     ChannelFault,
     QueryTimeout,
@@ -356,8 +356,16 @@ class AdHocJoinSession:
         buffer_size: Optional[int] = None,
         **algorithm_kwargs: object,
     ) -> JoinResult:
-        """Run one algorithm on this session's servers and record the result."""
+        """Run one algorithm on this session's servers and record the result.
+
+        ``buffer_size`` overrides the session's device buffer for this run;
+        ``algorithm_kwargs`` are the algorithm's own options (see
+        :func:`~repro.core.planner.build_algorithm`).
+        """
         validate_window(window)
+        # A fresh buffer per run, so a per-run size meets the constructor's
+        # capacity check before anything is exchanged.
+        buffer = DeviceBuffer(self.buffer_size if buffer_size is None else buffer_size)
         spec = self._spec_for(kind, epsilon, min_matches)
         params = AlgorithmParameters(
             alpha=alpha,
@@ -372,10 +380,7 @@ class AdHocJoinSession:
         self.server_s.stats.reset()
         if self.device.resilience is not None:
             self.device.resilience.reset()
-        if buffer_size is not None:
-            self.device.buffer.capacity = buffer_size
-        else:
-            self.device.buffer.capacity = self.buffer_size
+        self.device.buffer = buffer
         algo = build_algorithm(algorithm, self.device, spec, params, **algorithm_kwargs)
         result = algo.run(window or self.default_window())
         self._history.append(result)

@@ -5,9 +5,9 @@ SrJoin have in common: the device/servers handles, the cost model, pair
 collection, tracing, recursion-depth safety valves, and the final assembly
 of a :class:`~repro.core.result.JoinResult` from the measured channels.
 
-Subclasses implement :meth:`_execute` (the recursive planning logic) and
-call the provided ``apply_hbsj`` / ``apply_nlsj`` / ``prune`` helpers, which
-keep the bookkeeping consistent across algorithms.
+Subclasses implement :meth:`_execute` (the planning logic) and call the
+provided ``apply_hbsj`` / ``prune`` helpers, which keep the bookkeeping
+consistent across algorithms.
 """
 
 from __future__ import annotations
@@ -203,29 +203,17 @@ class MobileJoinAlgorithm(ABC):
             return window.expanded(margin)
         return window
 
-    def count_window(self, server_name: str, window: Rect) -> int:
-        """COUNT one server over its query window for a cell.
-
-        All pruning and statistics decisions of the algorithms go through
-        this helper so that COUNTs are consistent with the windows the
-        physical operators later download.
-        """
-        return self.device.count_window(server_name, self.query_window(server_name, window))
-
     def count_windows(self, server_name: str, windows: Sequence[Rect]) -> List[int]:
         """COUNT one server over the query windows of a batch of cells.
 
-        The per-cell margins of :meth:`query_window` are applied before the
-        batch is shipped, so the counts are identical to a loop of
-        :meth:`count_window` calls (and so are the metered bytes).
+        All pruning and statistics decisions of the algorithms go through
+        this helper: the per-cell margins of :meth:`query_window` are
+        applied before the batch is shipped, so COUNTs are consistent with
+        the windows the physical operators later download.
         """
         return self.device.count_windows(
             server_name, [self.query_window(server_name, w) for w in windows]
         )
-
-    def count_both(self, window: Rect) -> Tuple[int, int]:
-        """COUNT both servers over their query windows for a cell."""
-        return self.count_window("R", window), self.count_window("S", window)
 
     def should_stop_partitioning(self, windows: np.ndarray, depths) -> np.ndarray:
         """Mask of the ``(N, 4)`` windows whose repartitioning cannot pay off.
@@ -290,24 +278,6 @@ class MobileJoinAlgorithm(ABC):
         )
         self._pairs.update(result.pairs)
 
-    def apply_nlsj(
-        self,
-        window: Rect,
-        depth: int,
-        outer: str,
-        count_r: Optional[int] = None,
-        count_s: Optional[int] = None,
-    ) -> None:
-        """Run NLSJ on the window (outer side as given) and collect its pairs."""
-        self.record(
-            depth, window, "NLSJ", f"outer={outer}, bucket={self.params.bucket_queries}",
-            count_r, count_s,
-        )
-        result = self.device.nlsj(
-            window, self.predicate, outer=outer, bucket=self.params.bucket_queries
-        )
-        self._pairs.update(result.pairs)
-
     def quadrants_of(self, window: Rect) -> List[Rect]:
         """The 2 x 2 decomposition used by every repartitioning step.
 
@@ -334,10 +304,10 @@ class MobileJoinAlgorithm(ABC):
         """Append a trace event (no-op when tracing is disabled).
 
         ``sink`` redirects the event into a caller-owned buffer instead of
-        the global trace; UpJoin's frontier executor buffers each window's
-        events and splices them into the trace in window order, so the
-        per-depth decision log is identical to the depth-first execution
-        even though queries are batched across windows.
+        the global trace; the frontier engine buffers each window's events
+        and splices them into the trace in window order, so the per-depth
+        decision log is identical to a depth-first execution even though
+        queries are batched across windows.
         """
         if self.params.trace:
             (self._trace if sink is None else sink).append(

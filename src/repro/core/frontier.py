@@ -9,7 +9,7 @@ flushed -- so sibling windows at one recursion depth can legally share one
 batched round trip.
 
 This module factors that insight out of ``core/upjoin.py`` (where PR 3
-proved it) into an engine any algorithm can opt into:
+proved it) into the one engine that runs them:
 
 * The algorithm writes its per-window decision logic once, as a *request
   generator* (:meth:`FrontierAlgorithm._window_steps`): it yields batches
@@ -18,24 +18,22 @@ proved it) into an engine any algorithm can opt into:
   child tasks.  A window's fate is always resolved by the run that owns
   it (SrJoin's quadrants, for example, become child tasks carrying the
   parent's bitmap verdict and only *then* turn into leaves), which is
-  what keeps the per-depth decision log driver-independent.
-* ``execution="recursive"`` drives the generator depth-first: every
-  request is satisfied immediately with the same scalar/batched exchanges
-  the seed implementation issued, and leaves run as they are reached.
-  This is the bit-identical reference path.
-* ``execution="frontier"`` (the default) drives all windows of one
-  recursion depth in lock-step rounds: the pending COUNT requests of a
-  round are concatenated into one batched exchange per server (answered by
-  the server's flattened aggregate-tree snapshot in a single vectorised
-  descent), and the physical-operator leaves of the level run through the
-  device's batch executors (:meth:`~repro.device.pda.MobileDevice.hbsj_batch`
-  / :meth:`~repro.device.pda.MobileDevice.nlsj_batch`), which concatenate
+  what keeps the per-depth decision log independent of visiting order.
+* The engine drives all windows of one recursion depth in lock-step
+  rounds: the pending COUNT requests of a round are concatenated into one
+  batched exchange per server (answered by the server's flattened
+  aggregate-tree snapshot in a single vectorised descent), and the
+  physical-operator leaves of the level run through the device's batch
+  executors (:meth:`~repro.device.pda.MobileDevice.hbsj_batch` /
+  :meth:`~repro.device.pda.MobileDevice.nlsj_batch`), which concatenate
   window retrievals, probes and in-memory join kernels across leaves.
 
-Both drivers issue the same queries with the same payloads and record the
-same per-depth trace, so pairs, byte totals, server statistics and decision
-logs are bit-identical (pinned by ``tests/test_frontier_equivalence.py``
-and the frozen logs in ``tests/test_golden_traces.py``).  Tasks are
+The depth-first oracle (``tests/oracles/recursive_driver.py``) drives the
+same generators one window at a time over the scalar operators; both issue
+the same queries with the same payloads and record the same per-depth
+trace, so pairs, byte totals, server statistics and decision logs are
+bit-identical (pinned by ``tests/test_frontier_equivalence.py`` and the
+frozen logs in ``tests/test_golden_traces.py``).  Tasks are
 algorithm-specific; the engine only requires them to expose ``window``,
 ``depth``, ``count_r`` and ``count_s`` attributes (trace bookkeeping and
 the level cost table).
@@ -67,7 +65,7 @@ import numpy as np
 from repro.core.base import MobileJoinAlgorithm
 from repro.errors import RoundRetry
 from repro.core.result import JoinResult
-from repro.core.stats import CountRequest, execute_count_requests
+from repro.core.stats import CountRequest
 from repro.device.hbsj import HBSJRequest
 from repro.device.nlsj import NLSJRequest
 from repro.geometry import rect_array
@@ -121,7 +119,7 @@ class WindowCosts(NamedTuple):
 
 @dataclass
 class _Run:
-    """Execution state of one window's step generator (frontier driver)."""
+    """Execution state of one window's step generator."""
 
     task: object
     gen: Generator
@@ -134,21 +132,8 @@ class FrontierAlgorithm(MobileJoinAlgorithm):
     """Base class of algorithms driven by the frontier engine.
 
     Subclasses implement :meth:`_root_task` and :meth:`_window_steps`; the
-    engine provides both execution drivers behind the ``execution``
-    constructor argument (``"frontier"`` default, ``"recursive"`` the
-    depth-first reference -- both bit-identical in pairs, bytes and
-    per-depth traces).
+    engine executes them level by level.
     """
-
-    def __init__(self, device, spec, params=None, execution: str = "frontier") -> None:
-        super().__init__(device, spec, params)
-        execution = execution.lower()
-        if execution not in ("frontier", "recursive"):
-            raise ValueError(
-                f"unknown execution mode {execution!r}; "
-                "expected 'frontier' or 'recursive'"
-            )
-        self.execution = execution
 
     # ------------------------------------------------------------------ #
     # to be provided by each algorithm
@@ -212,7 +197,6 @@ class FrontierAlgorithm(MobileJoinAlgorithm):
         costed, so its row is ``None``; the rest are costed together from
         their windows, rounded counts and depths.  The rows hold Python
         numbers (``.tolist()``), so trace details format as they always did.
-        The recursive driver costs a level of one.
         """
         rows: List = [None] * len(tasks)
         live = [i for i, task in enumerate(tasks) if task.count_r > 0 and task.count_s > 0]
@@ -231,18 +215,20 @@ class FrontierAlgorithm(MobileJoinAlgorithm):
     # ------------------------------------------------------------------ #
 
     def _execute(self, window: Rect, count_r: int, count_s: int, depth: int) -> None:
-        root = self._root_task(window, count_r, count_s, depth)
-        if self.execution == "recursive":
-            self._execute_recursive(root)
-        else:
-            self._execute_frontier([root])
+        gen = self._frontier_levels([self._root_task(window, count_r, count_s, depth)])
+        try:
+            batches = gen.send(None)
+            while True:
+                batches = gen.send(self._exchange_counts(batches))
+        except StopIteration:
+            pass
 
     def _prune_window(self, rec, count_r: int, count_s: int) -> None:
         """Record a pruned window (one side empty) inside a step generator.
 
         The counter update and the trace wording must stay in lock-step
-        across every algorithm's generator -- the frontier/recursive
-        equivalence suite and the golden-trace fixtures compare both.
+        across every algorithm's generator -- the depth-first equivalence
+        suite and the golden-trace fixtures compare both.
         """
         self.device.counts.windows_pruned += 1
         rec("prune", "empty side", count_r, count_s)
@@ -250,10 +236,10 @@ class FrontierAlgorithm(MobileJoinAlgorithm):
     def _task_recorder(self, task, sink: Optional[List] = None):
         """A trace recorder bound to one task (and optionally a sink).
 
-        The frontier driver buffers each window's events in a run-owned
-        sink and splices them into the trace in window order, so the
-        per-depth decision log is identical to the depth-first execution
-        even though queries are batched across windows.
+        The engine buffers each window's events in a run-owned sink and
+        splices them into the trace in window order, so the per-depth
+        decision log is identical to a depth-first execution even though
+        queries are batched across windows.
         """
 
         def rec(action, detail="", count_r=None, count_s=None, depth=None, window=None):
@@ -270,65 +256,14 @@ class FrontierAlgorithm(MobileJoinAlgorithm):
         return rec
 
     # ------------------------------------------------------------------ #
-    # depth-first reference driver
+    # level-order driver
     # ------------------------------------------------------------------ #
-
-    def _execute_recursive(self, task) -> None:
-        gen = self._window_steps(
-            task, self._task_recorder(task), self._level_costs([task])[0]
-        )
-        outcome = None
-        try:
-            requests = gen.send(None)
-            while True:
-                requests = gen.send(execute_count_requests(self.device, requests))
-        except StopIteration as stop:
-            outcome = stop.value
-        if outcome is None:
-            return
-        if isinstance(outcome, OperatorLeaf):
-            self._run_leaf(outcome)
-            return
-        for child in outcome:
-            self._execute_recursive(child)
-
-    def _run_leaf(self, leaf: OperatorLeaf) -> None:
-        """Execute one physical-operator leaf immediately (reference path)."""
-        if leaf.op == "hbsj":
-            result = self.device.hbsj(
-                leaf.window,
-                self.predicate,
-                count_r=leaf.count_r if leaf.counts_exact else None,
-                count_s=leaf.count_s if leaf.counts_exact else None,
-            )
-        else:
-            result = self.device.nlsj(
-                leaf.window,
-                self.predicate,
-                outer=leaf.outer,
-                bucket=self.params.bucket_queries,
-            )
-        self._pairs.update(result.pairs)
-
-    # ------------------------------------------------------------------ #
-    # level-order frontier driver
-    # ------------------------------------------------------------------ #
-
-    def _execute_frontier(self, level: List) -> None:
-        gen = self._frontier_levels(level)
-        try:
-            batches = gen.send(None)
-            while True:
-                batches = gen.send(self._exchange_counts(batches))
-        except StopIteration:
-            pass
 
     def _exchange_counts(
         self, batches: Dict[str, List[Rect]]
     ) -> Dict[str, List[int]]:
         """Answer one COUNT round through this query's own device --
-        one batched exchange per server, exactly as ``_drive_level`` always
-        flushed it."""
+        one batched exchange per server."""
         return {
             server: self.device.count_windows(server, rects) if rects else []
             for server, rects in batches.items()
@@ -425,7 +360,7 @@ class FrontierAlgorithm(MobileJoinAlgorithm):
 
         Each round gathers the pending COUNT requests of all still-active
         windows into one ``{server: [windows]}`` batch -- the same queries,
-        in task order, that the depth-first driver issues one window at a
+        in task order, that a depth-first execution issues one window at a
         time -- and yields it to the caller, which executes the exchange
         and sends the counts back.  The standalone driver answers through
         this query's own device (:meth:`_exchange_counts`); the broker's
@@ -471,13 +406,7 @@ class FrontierAlgorithm(MobileJoinAlgorithm):
         ``*_prefetched`` accounting endpoints), keeping pairs, bytes,
         statistics and decision traces bit-identical to a standalone
         :meth:`run`.
-
-        ``execution="recursive"`` queries cannot share exchanges; the
-        generator then runs the join standalone on the first advance and
-        returns its result without yielding.
         """
-        if self.execution != "frontier":
-            return self.run(window)
         self._pairs.clear()
         self._trace.clear()
         span = self._obs_open(window)

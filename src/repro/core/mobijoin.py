@@ -17,11 +17,11 @@ this estimate wildly optimistic or pessimistic (Figure 2), which is exactly
 what UpJoin and SrJoin fix.
 
 The per-window logic is a request generator (:meth:`MobiJoin._window_steps`)
-executed by the shared frontier engine (:mod:`repro.core.frontier`):
-``execution="frontier"`` (default) batches the ``2 k^2`` repartitioning
-COUNTs of every window at a recursion depth into one exchange per server
-and runs all operator leaves of the level through the batch executors,
-bit-identical to the depth-first reference (``execution="recursive"``).
+executed by the shared frontier engine (:mod:`repro.core.frontier`), which
+batches the ``2 k^2`` repartitioning COUNTs of every window at a recursion
+depth into one exchange per server and runs all operator leaves of the
+level through the batch executors, bit-identical to the depth-first oracle
+(``tests/oracles/recursive_driver.py``).
 """
 
 from __future__ import annotations

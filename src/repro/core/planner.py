@@ -11,6 +11,7 @@ rebuilding R-trees for every algorithm).
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence, Tuple
@@ -321,13 +322,26 @@ def build_algorithm(
     params: Optional[AlgorithmParameters] = None,
     **algorithm_kwargs: object,
 ) -> MobileJoinAlgorithm:
-    """Instantiate an algorithm by registry name."""
+    """Instantiate an algorithm by registry name.
+
+    ``algorithm_kwargs`` are the algorithm's own constructor options
+    (``grid_size`` / ``prune_empty`` for ``fixedgrid``, ``enforce_buffer``
+    for ``naive``); one it does not take is :class:`~repro.errors.InvalidInput`.
+    """
     key = name.lower()
     if key not in ALGORITHMS:
         raise ValueError(
             f"unknown algorithm {name!r}; available: {sorted(ALGORITHMS)}"
         )
     cls = ALGORITHMS[key]
+    if algorithm_kwargs:
+        accepted = tuple(inspect.signature(cls).parameters)[3:]  # after device, spec, params
+        unknown = sorted(set(algorithm_kwargs) - set(accepted))
+        if unknown:
+            raise InvalidInput(
+                f"algorithm {key!r} takes no option {', '.join(map(repr, unknown))}; "
+                f"it accepts: {', '.join(accepted) or 'none'}"
+            )
     return cls(device, spec, params, **algorithm_kwargs)  # type: ignore[call-arg]
 
 

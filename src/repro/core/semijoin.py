@@ -20,12 +20,10 @@ Every hop is metered, so the comparison against UpJoin/SrJoin in Figure
 applied in our problem" in practice (servers do not publish indexes); it is
 reproduced here strictly as the comparator.
 
-Like the frontier-driven algorithms, SemiJoin carries two execution modes:
-``execution="scalar"`` is the seed protocol loop (per-window payload relay,
-per-pair result collection) kept as the bit-identical reference, and
-``execution="batch"`` (the default) runs the same protocol over the flat
-CSR window endpoints -- one concatenated relay assembly, vectorised
-deduplication and pair collection.  Both ship the same messages with the
+The protocol runs over the flat CSR window endpoints -- one concatenated
+relay assembly, vectorised deduplication and pair collection.  The seed's
+per-window payload relay and per-pair collection loop lives on as
+``tests/oracles/semijoin_scalar.py``; both ship the same messages with the
 same payloads, so pairs, bytes and statistics are identical (pinned by
 ``tests/test_batch_queries.py``).
 """
@@ -56,16 +54,8 @@ class SemiJoin(MobileJoinAlgorithm):
         device: MobileDevice,
         spec: JoinSpec,
         params: Optional[AlgorithmParameters] = None,
-        execution: str = "batch",
     ) -> None:
         super().__init__(device, spec, params)
-        execution = execution.lower()
-        if execution not in ("batch", "scalar"):
-            raise ValueError(
-                f"unknown execution mode {execution!r}; "
-                "expected 'batch' or 'scalar'"
-            )
-        self.execution = execution
         for proxy in (device.servers.r, device.servers.s):
             if not isinstance(proxy, IndexedRemoteServer):
                 raise TypeError(
@@ -115,13 +105,8 @@ class SemiJoin(MobileJoinAlgorithm):
             return
 
         # Step 3: the small server returns its qualifying objects; the PDA
-        # relays them to the large server.  The batch mode reads the flat
-        # CSR relay assembly; the scalar mode keeps the seed's per-window
-        # payload-list protocol loop.  Both ship identical messages.
-        if self.execution == "batch":
-            small_mbrs, small_oids = small.upload_windows_and_collect_flat(probe_windows)
-        else:
-            small_mbrs, small_oids = small.upload_windows_and_collect(probe_windows)
+        # relays them to the large server.
+        small_mbrs, small_oids = small.upload_windows_and_collect(probe_windows)
         self.record(depth, window, "semijoin-objects", f"{small_oids.shape[0]} small-side objects")
         if small_oids.shape[0] == 0:
             return
@@ -130,16 +115,9 @@ class SemiJoin(MobileJoinAlgorithm):
         # own data and returns the result rows.
         pairs = large.upload_objects_and_join(small_mbrs, small_oids, epsilon)
         self.record(depth, window, "semijoin-join", f"{len(pairs)} result pairs")
-        if self.execution == "batch":
-            # One array pass: orient the (small, large) columns as (R, S)
-            # and pour them into the pair set without a per-pair loop.
-            arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-            if not small_is_r:
-                arr = arr[:, ::-1]
-            self._pairs.update(map(tuple, arr.tolist()))
-        else:
-            for small_oid, large_oid in pairs:
-                if small_is_r:
-                    self._pairs.add((int(small_oid), int(large_oid)))
-                else:
-                    self._pairs.add((int(large_oid), int(small_oid)))
+        # One array pass: orient the (small, large) columns as (R, S) and
+        # pour them into the pair set without a per-pair loop.
+        arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        if not small_is_r:
+            arr = arr[:, ::-1]
+        self._pairs.update(map(tuple, arr.tolist()))

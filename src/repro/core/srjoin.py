@@ -28,10 +28,9 @@ task per quadrant, carrying the parent's bitmap verdict and the quadrant's
 (confirmed) counts; the *child* then resolves its fate -- prune, operator
 leaf, or recurse into its own statistics retrieval.  Keeping every trace
 event inside the run that owns its window is what makes the per-depth
-decision log identical between ``execution="recursive"`` (the depth-first
-reference) and ``execution="frontier"`` (the level-order batched default):
-both drivers visit the windows of a depth in the same lexicographic path
-order.
+decision log identical between the engine's level-order execution and the
+depth-first oracle (``tests/oracles/recursive_driver.py``): both visit the
+windows of a depth in the same lexicographic path order.
 """
 
 from __future__ import annotations

@@ -11,30 +11,27 @@ derived value becomes an *underestimate*; it is then only used for cost
 estimation, and whenever it would drive a pruning decision (derived value
 of zero) a real COUNT query is issued so no result pair can ever be lost.
 
-The retrieval logic is written once as a *request generator*
+The retrieval logic is a *request generator*
 (:func:`quadrant_count_steps`): it yields :class:`CountRequest` batches and
-receives the counts, so the same decision code can be driven either
-depth-first (one exchange per window, :func:`fetch_quadrant_counts`) or by
-the shared level-order frontier engine (:mod:`repro.core.frontier`, used
-by UpJoin and SrJoin), which concatenates the requests of every window at
-a recursion depth into one batched COUNT exchange per server.  Both
-drivers issue the same queries with the same payloads, so the metered
-bytes are bit-identical.
+receives the counts.  The shared level-order frontier engine
+(:mod:`repro.core.frontier`, used by UpJoin and SrJoin) drives it,
+concatenating the requests of every window at a recursion depth into one
+batched COUNT exchange per server; the depth-first oracle
+(``tests/oracles/recursive_driver.py``) answers each request on its own.
+Both issue the same queries with the same payloads, so the metered bytes
+are bit-identical.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, List, Optional, Sequence, Tuple
+from typing import Generator, List, Tuple
 
-from repro.device.pda import MobileDevice
 from repro.geometry.rect import Rect
 
 __all__ = [
     "CountRequest",
     "QuadrantCounts",
-    "execute_count_requests",
-    "fetch_quadrant_counts",
     "estimate_quadrant_counts",
     "quadrant_count_steps",
 ]
@@ -45,15 +42,10 @@ class CountRequest:
     """One batch of COUNT queries a planning step wants answered.
 
     ``rects`` are *raw* query windows (all margins already applied).
-    ``scalar`` marks requests the depth-first reference driver must issue as
-    individual ``count_window`` calls to stay true to the seed execution;
-    the frontier driver batches scalar and non-scalar requests alike (the
-    wire accounting is per query either way, so the bytes cannot differ).
     """
 
     server: str
     rects: Tuple[Rect, ...]
-    scalar: bool = False
 
 
 #: The protocol spoken by planning-step generators: yield a list of
@@ -91,11 +83,28 @@ def quadrant_count_steps(
     derive_fourth: bool = True,
     margin: float = 0.0,
 ) -> CountSteps:
-    """Request-generator form of the quadrant-statistics retrieval.
+    """Retrieve the quadrant counts of ``window`` for one server.
 
-    Yields :class:`CountRequest` batches and receives the counts; returns
-    the assembled :class:`QuadrantCounts`.  See
-    :func:`fetch_quadrant_counts` for the parameter semantics.
+    A request generator: yields :class:`CountRequest` batches and receives
+    the counts; returns the assembled :class:`QuadrantCounts`.
+
+    Parameters
+    ----------
+    server_name:
+        ``"R"`` or ``"S"``.
+    window:
+        The window being decomposed.
+    parent_count:
+        The already-known count of the whole window (from the caller's
+        earlier COUNT query), used to derive the last quadrant.
+    derive_fourth:
+        Apply the three-queries-plus-derivation optimisation.  When the
+        derived value would be non-positive a real COUNT is issued instead,
+        so pruning decisions are always based on exact zeros.
+    margin:
+        Per-side expansion applied to each quadrant before counting
+        (``epsilon / 2`` for distance joins), keeping the statistics
+        consistent with the windows the physical operators download.
     """
     quadrants = tuple(window.quadrants())
     probes = [q.expanded(margin) if margin > 0 else q for q in quadrants]
@@ -115,9 +124,7 @@ def quadrant_count_steps(
             # Derived value suspicious (0 or negative, possible for extended
             # objects or overlapping expanded quadrants): confirm with a
             # real query before anyone prunes on it.
-            real = (
-                yield [CountRequest(server_name, (probes[3],), scalar=True)]
-            )[0][0]
+            real = (yield [CountRequest(server_name, (probes[3],))])[0][0]
             issued += 1
             counts.append(float(real))
             exact.append(True)
@@ -128,66 +135,6 @@ def quadrant_count_steps(
         exact=tuple(exact),  # type: ignore[arg-type]
         queries_issued=issued,
     )
-
-
-def execute_count_requests(
-    device: MobileDevice, requests: Sequence[CountRequest]
-) -> List[List[int]]:
-    """Satisfy count requests immediately, exactly as the seed code did.
-
-    Scalar requests become individual ``count_window`` exchanges; the rest
-    go through the device's batched endpoint.  This is the depth-first
-    reference driver shared by :func:`fetch_quadrant_counts` and UpJoin's
-    ``execution="recursive"`` mode.
-    """
-    out: List[List[int]] = []
-    for req in requests:
-        if req.scalar:
-            out.append([device.count_window(req.server, r) for r in req.rects])
-        else:
-            out.append(device.count_windows(req.server, list(req.rects)))
-    return out
-
-
-def fetch_quadrant_counts(
-    device: MobileDevice,
-    server_name: str,
-    window: Rect,
-    parent_count: int,
-    derive_fourth: bool = True,
-    margin: float = 0.0,
-) -> QuadrantCounts:
-    """Retrieve the quadrant counts of ``window`` for one server.
-
-    Parameters
-    ----------
-    device:
-        The mobile device (its COUNT calls are metered and counted).
-    server_name:
-        ``"R"`` or ``"S"``.
-    window:
-        The window being decomposed.
-    parent_count:
-        The already-known count of the whole window (from the caller's
-        earlier COUNT query), used to derive the last quadrant.
-    derive_fourth:
-        Apply the three-queries-plus-derivation optimisation.  When the
-        derived value would be non-positive a real COUNT is issued instead,
-        so pruning decisions are always based on exact zeros.
-    margin:
-        Per-side expansion applied to each quadrant before counting
-        (``epsilon / 2`` for distance joins), keeping the statistics
-        consistent with the windows the physical operators download.
-    """
-    gen = quadrant_count_steps(
-        server_name, window, parent_count, derive_fourth=derive_fourth, margin=margin
-    )
-    try:
-        requests = gen.send(None)
-        while True:
-            requests = gen.send(execute_count_requests(device, requests))
-    except StopIteration as stop:
-        return stop.value
 
 
 def estimate_quadrant_counts(window: Rect, parent_count: float) -> QuadrantCounts:

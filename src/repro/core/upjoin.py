@@ -27,15 +27,15 @@ Execution
 ---------
 
 The decision logic above is written once, as a per-window *request
-generator* (:meth:`UpJoin._window_steps`), and executed by the shared
-frontier engine (:mod:`repro.core.frontier`): ``execution="recursive"`` is
-the depth-first reference, ``execution="frontier"`` (default) the
-level-order batched executor.  Both produce bit-identical pairs, bytes and
-per-depth traces (the randomized property suite in
-``tests/test_frontier_equivalence.py`` pins this).  The location of the
-uniformity-confirmation probe is derived deterministically from
-``(seed, depth, side, window)`` rather than from a shared sequential
-stream, which makes the draw independent of traversal order.
+generator* (:meth:`UpJoin._window_steps`), and executed level by level by
+the shared frontier engine (:mod:`repro.core.frontier`).  The depth-first
+oracle (``tests/oracles/recursive_driver.py``) drives the same generator
+one window at a time to bit-identical pairs, bytes and per-depth traces
+(the randomized property suite in ``tests/test_frontier_equivalence.py``
+pins this).  The location of the uniformity-confirmation probe is derived
+deterministically from ``(seed, depth, side, window)`` rather than from a
+shared sequential stream, which makes the draw independent of traversal
+order.
 """
 
 from __future__ import annotations
@@ -102,15 +102,7 @@ class _Costs(NamedTuple):
 
 
 class UpJoin(FrontierAlgorithm):
-    """The distribution-aware Uniform Partition Join.
-
-    Parameters
-    ----------
-    execution:
-        ``"frontier"`` (default) for the level-order batched executor,
-        ``"recursive"`` for the depth-first reference execution.  Both
-        produce bit-identical pairs, bytes and per-depth traces.
-    """
+    """The distribution-aware Uniform Partition Join."""
 
     name = "upjoin"
 
@@ -128,8 +120,8 @@ class UpJoin(FrontierAlgorithm):
         )
 
     # ------------------------------------------------------------------ #
-    # per-window decision logic (lines 1-14 of Figure 3), shared verbatim
-    # by both drivers.  Yields CountRequest batches; returns the outcome.
+    # per-window decision logic (lines 1-14 of Figure 3).  Yields
+    # CountRequest batches; returns the outcome.
     # ------------------------------------------------------------------ #
 
     def _cost_rows(self, windows, count_r, count_s, stop):
@@ -150,12 +142,8 @@ class UpJoin(FrontierAlgorithm):
             if counts_exact:
                 self._prune_window(rec, int(count_r), int(count_s))
                 return None
-            exact_r = (
-                yield [CountRequest("R", (self.query_window("R", window),), scalar=True)]
-            )[0][0]
-            exact_s = (
-                yield [CountRequest("S", (self.query_window("S", window),), scalar=True)]
-            )[0][0]
+            exact_r = (yield [CountRequest("R", (self.query_window("R", window),))])[0][0]
+            exact_s = (yield [CountRequest("S", (self.query_window("S", window),))])[0][0]
             if exact_r == 0 or exact_s == 0:
                 self._prune_window(rec, exact_r, exact_s)
                 return None
@@ -274,13 +262,7 @@ class UpJoin(FrontierAlgorithm):
             u, v = self._probe_uv(window, depth, server_name)
             probe = window.sample_subwindow(0.5, 0.5, u, v)
             probe_count = (
-                yield [
-                    CountRequest(
-                        server_name,
-                        (self.query_window(server_name, probe),),
-                        scalar=True,
-                    )
-                ]
+                yield [CountRequest(server_name, (self.query_window(server_name, probe),))]
             )[0][0]
             uniform = confirms_uniformity(int_count, probe_count, self.params.alpha)
             rec(
@@ -299,11 +281,11 @@ class UpJoin(FrontierAlgorithm):
     def _probe_uv(self, window: Rect, depth: int, server_name: str) -> Tuple[float, float]:
         """Placement of the confirmation window, derived per (window, side).
 
-        The draw must not depend on traversal order -- the depth-first and
-        frontier executors visit windows in different global orders -- so
-        instead of consuming a shared sequential stream, each probe gets its
-        own deterministic stream keyed on the algorithm seed, the recursion
-        depth, the side and the window coordinates.
+        The draw must not depend on traversal order -- the frontier engine
+        and the depth-first oracle visit windows in different global orders
+        -- so instead of consuming a shared sequential stream, each probe
+        gets its own deterministic stream keyed on the algorithm seed, the
+        recursion depth, the side and the window coordinates.
         """
         # Little-endian canonical byte view: the derived stream (and with it
         # the frozen golden traces/figures) must not depend on host

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List
 
+from repro.errors import InvalidInput
+
 __all__ = ["DeviceBuffer", "BufferExceededError"]
 
 
@@ -36,7 +38,7 @@ class DeviceBuffer:
 
     def __post_init__(self) -> None:
         if self.capacity < 1:
-            raise ValueError("buffer capacity must be >= 1")
+            raise InvalidInput(f"buffer capacity must be >= 1, got {self.capacity!r}")
 
     # ------------------------------------------------------------------ #
 

@@ -25,7 +25,7 @@ import numpy as np
 from repro.device.buffer import DeviceBuffer
 from repro.geometry.predicates import JoinPredicate
 from repro.geometry.rect import Rect
-from repro.index.hash_join import JoinBatch, grid_hash_join, grid_hash_join_batch
+from repro.index.hash_join import JoinBatch, grid_hash_join_batch
 from repro.server.remote import ServerPair
 
 __all__ = [
@@ -48,7 +48,7 @@ class HBSJRequest:
 
     ``count_r`` / ``count_s`` carry already-known exact counts (R over the
     window, S over the margin-expanded window); ``None`` means the executor
-    issues its own feasibility COUNTs, exactly like the scalar operator.
+    issues its own feasibility COUNTs.
     """
 
     window: Rect
@@ -87,9 +87,8 @@ def hash_based_spatial_join(
     buffer: DeviceBuffer,
     count_r: Optional[int] = None,
     count_s: Optional[int] = None,
-    _depth: int = 0,
 ) -> HBSJResult:
-    """Execute HBSJ on ``window``.
+    """Execute HBSJ on ``window``: the one-request case of the batch form.
 
     Parameters
     ----------
@@ -108,53 +107,9 @@ def hash_based_spatial_join(
         extra COUNT is issued for the feasibility check; otherwise the
         operator issues its own counts.
     """
-    result = HBSJResult()
-    margin = predicate.window_margin
-    window_s = window.expanded(margin) if margin > 0 else window
-
-    if count_r is None:
-        count_r = servers.r.count(window)
-        result.count_queries += 1
-    if count_s is None:
-        count_s = servers.s.count(window_s)
-        result.count_queries += 1
-
-    if count_r == 0 or count_s == 0:
-        result.windows_pruned += 1
-        return result
-
-    if count_r + count_s <= buffer.capacity:
-        _join_in_memory(servers, window, window_s, predicate, buffer, result)
-        return result
-
-    if _depth >= MAX_RECURSION_DEPTH or _too_small_to_split(window, margin):
-        # Further splitting cannot shrink the working set (coincident points
-        # or cells already at the epsilon scale): probe instead of splitting.
-        _fallback_nested_loop(servers, window, predicate, buffer, result)
-        return result
-
-    # Too big for the buffer: split into quadrants, prune, recurse.  The
-    # per-quadrant feasibility COUNTs the children would issue on entry are
-    # batched here instead -- same queries, same bytes, one index descent.
-    result.recursive_splits += 1
-    quadrants = window.quadrants()
-    quad_counts_r = servers.r.count_batch(quadrants)
-    quad_counts_s = servers.s.count_batch(
-        [q.expanded(margin) if margin > 0 else q for q in quadrants]
-    )
-    result.count_queries += 2 * len(quadrants)
-    for quadrant, qr, qs in zip(quadrants, quad_counts_r, quad_counts_s):
-        sub = hash_based_spatial_join(
-            servers,
-            quadrant,
-            predicate,
-            buffer,
-            count_r=qr,
-            count_s=qs,
-            _depth=_depth + 1,
-        )
-        result.merge(sub)
-    return result
+    return hash_based_spatial_join_batch(
+        servers, [HBSJRequest(window, count_r, count_s)], predicate, buffer
+    )[0]
 
 
 def hash_based_spatial_join_batch(
@@ -165,14 +120,14 @@ def hash_based_spatial_join_batch(
 ) -> List[HBSJResult]:
     """Execute many HBSJ invocations with level-order batched exchanges.
 
-    Per-request results (pairs and all counters) are identical to a loop
-    of :func:`hash_based_spatial_join` calls, and so are the wire bytes:
-    the operator's internal quadrant recursion is processed as a frontier,
-    so the feasibility COUNTs, the quadrant-split COUNTs and the window
-    downloads of every active window at a recursion step travel in one
-    batched exchange per server, and the in-memory joins of all
-    buffer-feasible windows collapse into a single segmented grid-hash
-    kernel call.
+    Per-request results (pairs and all counters) and the wire bytes are
+    those of running the requests one at a time (pinned against the
+    depth-first ``tests/oracles/operators_scalar.py``): the operator's
+    internal quadrant recursion is processed as a frontier, so the
+    feasibility COUNTs, the quadrant-split COUNTs and the window downloads
+    of every active window at a recursion step travel in one batched
+    exchange per server, and the in-memory joins of all buffer-feasible
+    windows collapse into a single segmented grid-hash kernel call.
     """
     from repro.device.nlsj import (  # local: avoid cycle
         NLSJRequest,
@@ -294,44 +249,3 @@ def _too_small_to_split(window: Rect, margin: float) -> bool:
     if margin <= 0:
         return False
     return min(window.width, window.height) / 2.0 <= 2.0 * margin
-
-
-def _join_in_memory(
-    servers: ServerPair,
-    window: Rect,
-    window_s: Rect,
-    predicate: JoinPredicate,
-    buffer: DeviceBuffer,
-    result: HBSJResult,
-) -> None:
-    """Download both sides and join them on the device."""
-    r_mbrs, r_oids = servers.r.window(window)
-    s_mbrs, s_oids = servers.s.window(window_s)
-    result.objects_downloaded_r += int(r_oids.shape[0])
-    result.objects_downloaded_s += int(s_oids.shape[0])
-
-    token = buffer.allocate(int(r_oids.shape[0]) + int(s_oids.shape[0]))
-    try:
-        result.pairs.extend(grid_hash_join(r_mbrs, r_oids, s_mbrs, s_oids, predicate))
-        result.windows_joined += 1
-    finally:
-        buffer.release(token)
-
-
-def _fallback_nested_loop(
-    servers: ServerPair,
-    window: Rect,
-    predicate: JoinPredicate,
-    buffer: DeviceBuffer,
-    result: HBSJResult,
-) -> None:
-    """Finish an un-splittable, over-budget window with NLSJ probing."""
-    from repro.device.nlsj import nested_loop_spatial_join  # local: avoid cycle
-
-    nlsj = nested_loop_spatial_join(
-        servers, window, predicate, buffer, outer="R", bucket=False
-    )
-    result.pairs.extend(nlsj.pairs)
-    result.nlsj_fallbacks += 1
-    result.objects_downloaded_r += nlsj.outer_objects
-    result.objects_downloaded_s += nlsj.inner_objects_received

@@ -38,7 +38,7 @@ from repro.geometry.predicates import (
     WithinDistancePredicate,
 )
 from repro.geometry.rect import Rect
-from repro.server.remote import RemoteServer, ServerPair
+from repro.server.remote import ServerPair
 
 __all__ = [
     "NLSJRequest",
@@ -83,7 +83,7 @@ def nested_loop_spatial_join(
     outer: str = "S",
     bucket: bool = False,
 ) -> NLSJResult:
-    """Execute NLSJ on ``window``.
+    """Execute NLSJ on ``window``: the one-request case of the batch form.
 
     Parameters
     ----------
@@ -103,38 +103,9 @@ def nested_loop_spatial_join(
     bucket:
         Use the bucket range query (one request carrying all probes).
     """
-    outer = outer.upper()
-    if outer not in ("R", "S"):
-        raise ValueError("outer must be 'R' or 'S'")
-    result = NLSJResult(outer=outer)
-
-    outer_server: RemoteServer = servers.r if outer == "R" else servers.s
-    inner_server: RemoteServer = servers.s if outer == "R" else servers.r
-
-    margin = predicate.window_margin
-    outer_window = window if outer == "R" else (
-        window.expanded(margin) if margin > 0 else window
-    )
-
-    outer_mbrs, outer_oids = outer_server.window(outer_window)
-    n_outer = int(outer_oids.shape[0])
-    result.outer_objects = n_outer
-    if n_outer == 0:
-        return result
-
-    token = buffer.allocate(min(n_outer, buffer.capacity))
-    try:
-        if bucket:
-            _probe_bucket(
-                inner_server, outer_mbrs, outer_oids, window, predicate, result, outer
-            )
-        else:
-            _probe_one_by_one(
-                inner_server, outer_mbrs, outer_oids, window, predicate, result, outer
-            )
-    finally:
-        buffer.release(token)
-    return result
+    return nested_loop_spatial_join_batch(
+        servers, [NLSJRequest(window, outer)], predicate, buffer, bucket=bucket
+    )[0]
 
 
 def nested_loop_spatial_join_batch(
@@ -146,15 +117,15 @@ def nested_loop_spatial_join_batch(
 ) -> List[NLSJResult]:
     """Execute many NLSJ invocations with batched exchanges and kernels.
 
-    The per-request results (pairs, probe/object counters) are identical to
-    a loop of :func:`nested_loop_spatial_join` calls, and so are the wire
-    bytes: outer downloads are concatenated into one WINDOW batch per
-    server, the epsilon probes of every request into one RANGE batch per
-    inner server (each probe still metered as its own exchange), and the
-    candidate verification runs once over offset arrays instead of once per
-    probe.  Bucket queries stay one exchange per request -- merging them
-    would change the wire payloads -- but their verification is vectorised
-    the same way.
+    The per-request results (pairs, probe/object counters) and the wire
+    bytes are those of running the requests one at a time (pinned against
+    ``tests/oracles/operators_scalar.py``): outer downloads are
+    concatenated into one WINDOW batch per server, the epsilon probes of
+    every request into one RANGE batch per inner server (each probe still
+    metered as its own exchange), and the candidate verification runs once
+    over offset arrays instead of once per probe.  Bucket queries stay one
+    exchange per request -- merging them would change the wire payloads --
+    but their verification is vectorised the same way.
     """
     for req in requests:
         if req.outer.upper() not in ("R", "S"):
@@ -266,102 +237,8 @@ def nested_loop_spatial_join_batch(
 
 
 # -------------------------------------------------------------------------- #
-# probing strategies
+# candidate verification
 # -------------------------------------------------------------------------- #
-
-
-def _probe_one_by_one(
-    inner_server: RemoteServer,
-    outer_mbrs: np.ndarray,
-    outer_oids: np.ndarray,
-    window: Rect,
-    predicate: JoinPredicate,
-    result: NLSJResult,
-    outer: str,
-) -> None:
-    # One metered range exchange per outer object, exactly as before; the
-    # server-side evaluation of all probes happens in one batched descent.
-    centers, radii = _probe_geometry(outer_mbrs, predicate)
-    payloads = inner_server.range_batch(centers, radii)
-    for row, oid, (inner_mbrs, inner_oids) in zip(outer_mbrs, outer_oids, payloads):
-        outer_rect = Rect(float(row[0]), float(row[1]), float(row[2]), float(row[3]))
-        result.probes_sent += 1
-        result.inner_objects_received += int(inner_oids.shape[0])
-        _collect_matches(
-            outer_rect, int(oid), inner_mbrs, inner_oids, window, predicate, result, outer
-        )
-
-
-def _probe_bucket(
-    inner_server: RemoteServer,
-    outer_mbrs: np.ndarray,
-    outer_oids: np.ndarray,
-    window: Rect,
-    predicate: JoinPredicate,
-    result: NLSJResult,
-    outer: str,
-) -> None:
-    centers, radii = _probe_geometry(outer_mbrs, predicate)
-    radius = _bucket_radius(outer_mbrs, predicate)
-    inner_mbrs, inner_oids, probe_idx = inner_server.bucket_range(centers, radius, radii)
-    result.bucket_queries += 1
-    result.probes_sent += len(centers)
-    result.inner_objects_received += int(inner_oids.shape[0])
-    # Split the concatenated response into per-probe groups without an
-    # all-pairs mask scan per probe.
-    order = np.argsort(probe_idx, kind="stable")
-    sorted_idx = probe_idx[order]
-    bounds = np.searchsorted(sorted_idx, np.arange(len(centers) + 1))
-    for i, oid in enumerate(outer_oids):
-        sel = order[bounds[i] : bounds[i + 1]]
-        if sel.shape[0] == 0:
-            continue
-        row = outer_mbrs[i]
-        outer_rect = Rect(float(row[0]), float(row[1]), float(row[2]), float(row[3]))
-        _collect_matches(
-            outer_rect,
-            int(oid),
-            inner_mbrs[sel],
-            inner_oids[sel],
-            window,
-            predicate,
-            result,
-            outer,
-        )
-
-
-def _collect_matches(
-    outer_rect: Rect,
-    outer_oid: int,
-    inner_mbrs: np.ndarray,
-    inner_oids: np.ndarray,
-    window: Rect,
-    predicate: JoinPredicate,
-    result: NLSJResult,
-    outer: str,
-) -> None:
-    """Verify probe candidates and report qualifying pairs.
-
-    The verification is vectorised over the candidate array.  The R partner
-    of every reported pair must intersect the unexpanded window: when the
-    outer relation is R that holds by construction, when the outer relation
-    is S it is checked on each candidate, so a partitioned execution assigns
-    every pair to at least the cell(s) the R object touches and never to
-    unrelated cells.
-    """
-    if inner_mbrs.shape[0] == 0:
-        return
-    if outer == "R" and not outer_rect.intersects(window):
-        return
-    outer_row = np.array([outer_rect.as_tuple()], dtype=np.float64)
-    mask = predicate.matches_matrix(outer_row, inner_mbrs)[0]
-    if outer != "R":
-        mask &= rect_array.intersects_window(inner_mbrs, window)
-    matched = inner_oids[mask]
-    if outer == "R":
-        result.pairs.extend((outer_oid, int(ioid)) for ioid in matched.tolist())
-    else:
-        result.pairs.extend((int(ioid), outer_oid) for ioid in matched.tolist())
 
 
 def _verify_candidates(
@@ -374,12 +251,15 @@ def _verify_candidates(
     predicate: JoinPredicate,
     outer: str,
 ) -> List[Tuple[int, int]]:
-    """Vectorised twin of :func:`_collect_matches` over offset arrays.
+    """Verify probe candidates over offset arrays; report qualifying pairs.
 
     ``probe_idx`` assigns every candidate row to the outer object whose
     probe returned it.  The exact-predicate arithmetic matches
-    ``predicate.matches_matrix`` term for term, so the reported pairs are
-    identical to the per-probe loop.
+    ``predicate.matches_matrix`` term for term.  The R partner of every
+    reported pair must intersect the unexpanded window: checked on the
+    outer rows when the outer relation is R, on each candidate when it is
+    S, so a partitioned execution assigns every pair to at least the
+    cell(s) the R object touches and never to unrelated cells.
     """
     if cand_mbrs.shape[0] == 0:
         return []
@@ -391,8 +271,6 @@ def _verify_candidates(
         mask = dx * dx + dy * dy <= eps * eps
     else:
         mask = (dx <= 0.0) & (dy <= 0.0)
-    # The R partner of every reported pair must intersect the unexpanded
-    # window (see _collect_matches).
     if outer == "R":
         mask &= rect_array.intersects_window(outer_mbrs, window)[probe_idx]
     else:

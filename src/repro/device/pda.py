@@ -14,18 +14,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.device.buffer import DeviceBuffer
-from repro.device.hbsj import (
-    HBSJRequest,
-    HBSJResult,
-    hash_based_spatial_join,
-    hash_based_spatial_join_batch,
-)
-from repro.device.nlsj import (
-    NLSJRequest,
-    NLSJResult,
-    nested_loop_spatial_join,
-    nested_loop_spatial_join_batch,
-)
+from repro.device.hbsj import HBSJRequest, HBSJResult, hash_based_spatial_join_batch
+from repro.device.nlsj import NLSJRequest, NLSJResult, nested_loop_spatial_join_batch
 from repro.geometry.predicates import JoinPredicate
 from repro.geometry.rect import Rect
 from repro.network.config import NetworkConfig
@@ -159,19 +149,8 @@ class MobileDevice:
         count_r: Optional[int] = None,
         count_s: Optional[int] = None,
     ) -> HBSJResult:
-        """Run hash-based spatial join on a window."""
-        self.counts.hbsj_invocations += 1
-        result = hash_based_spatial_join(
-            self.servers,
-            window,
-            predicate,
-            self.buffer,
-            count_r=count_r,
-            count_s=count_s,
-        )
-        self.counts.count_queries += result.count_queries
-        self.counts.windows_pruned += result.windows_pruned
-        return result
+        """Run hash-based spatial join on a window: a batch of one."""
+        return self.hbsj_batch([HBSJRequest(window, count_r, count_s)], predicate)[0]
 
     def nlsj(
         self,
@@ -180,20 +159,16 @@ class MobileDevice:
         outer: str = "S",
         bucket: bool = False,
     ) -> NLSJResult:
-        """Run nested-loop spatial join on a window."""
-        self.counts.nlsj_invocations += 1
-        return nested_loop_spatial_join(
-            self.servers, window, predicate, self.buffer, outer=outer, bucket=bucket
-        )
+        """Run nested-loop spatial join on a window: a batch of one."""
+        return self.nlsj_batch([NLSJRequest(window, outer)], predicate, bucket=bucket)[0]
 
     def hbsj_batch(
         self, requests: Sequence[HBSJRequest], predicate: JoinPredicate
     ) -> List[HBSJResult]:
         """Run many HBSJ invocations through the batched executor.
 
-        Bookkeeping is identical to a loop of :meth:`hbsj` calls: one
-        invocation per request, and the per-request count/prune counters
-        are merged the same way.
+        Books one invocation per request and merges every request's
+        count / prune counters into the device's.
         """
         self.counts.hbsj_invocations += len(requests)
         results = hash_based_spatial_join_batch(
@@ -237,9 +212,8 @@ class MobileDevice:
         failed over to a sibling replica is counted on the channel that
         actually carried it) -- is reduced with the link model's NumPy
         closed form (a handful of array reductions per channel, regardless
-        of log length); the per-record scalar walk survives as
-        ``link.estimate_channel_time(channel, method="scalar")`` and the
-        wifi tests pin the two within float tolerance.
+        of log length); the wifi tests pin it within float tolerance of the
+        per-record walk in ``tests/oracles/wifi_event.py``.
         """
         return sum(
             self.link.estimate_channel_time(chan)

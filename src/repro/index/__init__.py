@@ -16,19 +16,18 @@ Contents
 * :class:`~repro.index.aggregate_rtree.AggregateRTree` -- the aR-tree view
   over it: subtree counts and areas, giving COUNT queries that touch only
   partially-covered subtrees.
-* :class:`~repro.index.rtree.RTree` -- a classical insertable pointer
-  R-tree (quadratic split, STR bulk loading); off the serving path, kept
-  for applications and as the test oracle of the array-native build.
 * :class:`~repro.index.grid_index.GridIndex` -- a regular-grid bucket
   index (used for the in-memory PBSM-style hash join).
 * In-memory join kernels: :func:`~repro.index.plane_sweep.plane_sweep_join`
   and :func:`~repro.index.hash_join.grid_hash_join`.
+
+The insertable pointer R-tree the array-native build is pinned against is a
+test oracle (``tests/oracles/pointer_rtree.py``), not part of the package.
 """
 
 from __future__ import annotations
 
 from repro.index.flat import FlatRTree
-from repro.index.rtree import RTree, RTreeNode, RTreeStats
 from repro.index.aggregate_rtree import AggregateRTree
 from repro.index.grid_index import GridIndex
 from repro.index.plane_sweep import plane_sweep_join, plane_sweep_pairs
@@ -36,9 +35,6 @@ from repro.index.hash_join import grid_hash_join
 
 __all__ = [
     "FlatRTree",
-    "RTree",
-    "RTreeNode",
-    "RTreeStats",
     "AggregateRTree",
     "GridIndex",
     "plane_sweep_join",

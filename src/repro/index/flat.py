@@ -23,12 +23,12 @@ descends exactly as it would through its own tree -- same steps, same
 order -- hence its answer, entry order included, is that tree's answer with
 the entry positions shifted by the tree's offset in the forest.
 
-:meth:`FlatRTree.from_mbr_array` is the index build the servers use: an STR
-bulk load that tiles level by level on arrays and writes the node arrays
-directly.  ``FlatRTree(tree)`` snapshots an insertable pointer
-:class:`~repro.index.rtree.RTree` into the same layout (that tree drops
-the snapshot on mutation); both produce identical arrays for the same bulk
-load, which the tests pin.
+:meth:`FlatRTree.from_mbr_array` is the index build: an STR bulk load that
+tiles level by level on arrays and writes the node arrays directly.  The
+constructor takes those arrays as they are -- it is the one place that says
+what an index holds.  The tests pin the build, array for array, against a
+pointer R-tree flattened into the same layout
+(``tests/oracles/pointer_rtree.py``).
 
 Because the DFS layout keeps each subtree's entries contiguous, a node
 fully covered by a query window contributes its whole entry range without
@@ -53,12 +53,8 @@ __all__ = ["FlatRTree", "str_tiling"]
 class FlatRTree:
     """A read-only R-tree in structure-of-arrays form.
 
-    Parameters
-    ----------
-    tree:
-        A :class:`repro.index.rtree.RTree` to snapshot; the arrays reflect
-        the tree at construction time.  Use :meth:`from_mbr_array` to bulk
-        load from data without building a pointer tree.
+    The constructor stores the arrays it is given; build an index with
+    :meth:`from_mbr_array` (from data) or :meth:`forest` (from indexes).
 
     Attributes
     ----------
@@ -66,49 +62,46 @@ class FlatRTree:
         ``(4, n)`` coordinate column blocks (rows ``xmin, ymin, xmax,
         ymax``) of the node boxes and the entry MBRs; :attr:`boxes` and
         :attr:`entry_mbrs` are their ``(n, 4)`` views.
+    is_leaf:
+        Per node (preorder; a node's id is its position): has no children.
+    entry_oids:
+        Object id of every entry, depth-first, parallel to ``entry_cols``.
+    ent_start, ent_end:
+        Per node, the range of entry positions its subtree holds.
+    child_start, child_end, child_ids:
+        Per node, its range in ``child_ids``, which lists children's node
+        ids left to right.
+    size:
+        Number of entries.
     roots:
         The root node id of every tree laid out in this index: ``[0]``
         unless :meth:`forest` built it.
     """
 
-    def __init__(self, tree) -> None:
-        nodes: List = []  # preorder; a node's id is its position
-        kids: List[List[int]] = []
-        spans: List[Tuple[int, int]] = []  # subtree entry range per node
-        leaves: List[Tuple[np.ndarray, np.ndarray]] = []
-        self.size = 0
-
-        def visit(node) -> int:
-            nid = len(nodes)
-            nodes.append(node)
-            kids.append([])
-            spans.append((0, 0))
-            start = self.size
-            if node.is_leaf:
-                leaves.append(node.leaf_arrays())
-                self.size += leaves[-1][1].shape[0]
-            else:
-                kids[nid] = [visit(child) for child in node.children]
-            spans[nid] = (start, self.size)
-            return nid
-
-        visit(tree.root)
-        no_box = (0.0, 0.0, 0.0, 0.0)  # the root of an empty tree
-        boxes = np.array(
-            [n.mbr.as_tuple() if n.mbr is not None else no_box for n in nodes],
-            dtype=np.float64,
-        )
-        self.node_cols = np.ascontiguousarray(boxes.T)
-        self.is_leaf = np.array([n.is_leaf for n in nodes], dtype=bool)
-        self.entry_cols = np.ascontiguousarray(np.vstack([mbrs for mbrs, _ in leaves]).T)
-        self.entry_oids = np.concatenate([oids for _, oids in leaves])
-        self.ent_start = np.array([lo for lo, _ in spans], dtype=np.intp)
-        self.ent_end = np.array([hi for _, hi in spans], dtype=np.intp)
-        fanout = np.array([len(k) for k in kids], dtype=np.intp)
-        self.child_end = np.cumsum(fanout)
-        self.child_start = self.child_end - fanout
-        self.child_ids = np.array([c for k in kids for c in k], dtype=np.intp)
-        self.roots = np.zeros(1, dtype=np.intp)
+    def __init__(
+        self,
+        node_cols: np.ndarray,
+        is_leaf: np.ndarray,
+        entry_cols: np.ndarray,
+        entry_oids: np.ndarray,
+        ent_start: np.ndarray,
+        ent_end: np.ndarray,
+        child_start: np.ndarray,
+        child_end: np.ndarray,
+        child_ids: np.ndarray,
+        roots: Optional[np.ndarray] = None,
+    ) -> None:
+        self.node_cols = node_cols
+        self.is_leaf = is_leaf
+        self.entry_cols = entry_cols
+        self.entry_oids = entry_oids
+        self.ent_start = ent_start
+        self.ent_end = ent_end
+        self.child_start = child_start
+        self.child_end = child_end
+        self.child_ids = child_ids
+        self.size = int(entry_oids.shape[0])
+        self.roots = np.zeros(1, dtype=np.intp) if roots is None else roots
 
     @property
     def boxes(self) -> np.ndarray:
@@ -131,8 +124,7 @@ class FlatRTree:
 
         Tiles bottom-up on arrays -- each level is one STR tiling of the
         boxes below it, its own boxes one ``reduceat`` -- then lays the
-        levels out in preorder top-down.  Every array equals, value and
-        dtype, what ``FlatRTree(RTree.from_mbr_array(...))`` holds.
+        levels out in preorder top-down.
         """
         if max_entries < 4:
             raise ValueError("max_entries must be >= 4")
@@ -200,19 +192,19 @@ class FlatRTree:
         kids = expand_index_ranges((kid_end - fanout)[pre], kid_end[pre])[1]
         fanout = fanout[pre]
 
-        self = cls.__new__(cls)
-        self.node_cols = np.ascontiguousarray(boxes[pre].T)
-        self.is_leaf = fanout == 0
-        self.entry_cols = np.ascontiguousarray(arr.take(order, axis=0).T)
-        self.entry_oids = oid_arr[order]
-        self.ent_end = ent_end[pre]
-        self.ent_start = self.ent_end - weight[pre]
-        self.child_end = np.cumsum(fanout)
-        self.child_start = self.child_end - fanout
-        self.child_ids = node_id[kids]
-        self.size = n
-        self.roots = np.zeros(1, dtype=np.intp)
-        return self
+        ent_end = ent_end[pre]
+        child_end = np.cumsum(fanout)
+        return cls(
+            node_cols=np.ascontiguousarray(boxes[pre].T),
+            is_leaf=fanout == 0,
+            entry_cols=np.ascontiguousarray(arr.take(order, axis=0).T),
+            entry_oids=oid_arr[order],
+            ent_start=ent_end - weight[pre],
+            ent_end=ent_end,
+            child_start=child_end - fanout,
+            child_end=child_end,
+            child_ids=node_id[kids],
+        )
 
     @classmethod
     def forest(cls, trees: Sequence["FlatRTree"]) -> "FlatRTree":
@@ -235,22 +227,22 @@ class FlatRTree:
         def shifted(name: str, off: np.ndarray) -> np.ndarray:
             return np.concatenate([getattr(t, name) + o for t, o in zip(trees, off)])
 
-        self = cls.__new__(cls)
-        self.node_cols = np.concatenate([t.node_cols for t in trees], axis=1)
-        self.is_leaf = np.concatenate([t.is_leaf for t in trees])
-        self.entry_cols = np.concatenate([t.entry_cols for t in trees], axis=1)
-        self.entry_oids = np.concatenate([t.entry_oids for t in trees])
-        self.ent_start = shifted("ent_start", ent_off)
-        self.ent_end = shifted("ent_end", ent_off)
-        self.child_start = shifted("child_start", kid_off)
-        self.child_end = shifted("child_end", kid_off)
-        self.child_ids = shifted("child_ids", node_off)
-        self.size = int(ent_off[-1])
-        self.roots = node_off[:-1]
+        forest = cls(
+            node_cols=np.concatenate([t.node_cols for t in trees], axis=1),
+            is_leaf=np.concatenate([t.is_leaf for t in trees]),
+            entry_cols=np.concatenate([t.entry_cols for t in trees], axis=1),
+            entry_oids=np.concatenate([t.entry_oids for t in trees]),
+            ent_start=shifted("ent_start", ent_off),
+            ent_end=shifted("ent_end", ent_off),
+            child_start=shifted("child_start", kid_off),
+            child_end=shifted("child_end", kid_off),
+            child_ids=shifted("child_ids", node_off),
+            roots=node_off[:-1],
+        )
         for tree, lo, hi in zip(trees, ent_off, ent_off[1:]):
-            tree.entry_cols = self.entry_cols[:, lo:hi]
-            tree.entry_oids = self.entry_oids[lo:hi]
-        return self
+            tree.entry_cols = forest.entry_cols[:, lo:hi]
+            tree.entry_oids = forest.entry_oids[lo:hi]
+        return forest
 
     # ------------------------------------------------------------------ #
     # batch queries
@@ -507,7 +499,7 @@ def str_tiling(boxes: np.ndarray, capacity: int) -> Tuple[np.ndarray, np.ndarray
     vertical slices, each slice sorted by centre y (stable) and cut into
     runs of ``capacity``.  Returns ``(perm, offs)``: tile ``i`` holds rows
     ``perm[offs[i]:offs[i + 1]]``.  Equal keys keep input order.  The one
-    copy of the tiling math: the pointer tree's bulk load calls it too.
+    copy of the tiling math: the pointer-tree oracle's bulk load calls it too.
     """
     n = boxes.shape[0]
     slice_count = math.ceil(math.sqrt(math.ceil(n / capacity)))

@@ -10,18 +10,14 @@ The kernel works on ``(N, 4)`` MBR arrays plus parallel oid arrays and
 returns oid pairs.  It is exact (no false negatives) for both intersection
 and epsilon-distance predicates.
 
-Two implementations are provided:
-
-* :func:`plane_sweep_pair_arrays_segmented` -- the production kernel, many
-  independent sweeps in one call (:func:`plane_sweep_pair_arrays` is its
-  one-segment case).  The sweep is expressed entirely in NumPy: candidate
-  runs for every lead rectangle are located with two ``searchsorted``
-  passes (one per lead side), expanded into flat index arrays, and the
-  exact predicate is evaluated over all candidates at once.  No per-object
-  Python loop remains.
-* :func:`plane_sweep_pairs_scalar` -- the original per-lead sweep, kept as
-  the reference implementation for the equivalence tests
-  (``tests/test_leaf_pipeline.py``).
+:func:`plane_sweep_pair_arrays_segmented` is the kernel: many independent
+sweeps in one call (:func:`plane_sweep_pair_arrays` is its one-segment
+case).  The sweep is expressed entirely in NumPy: candidate runs for every
+lead rectangle are located with two ``searchsorted`` passes (one per lead
+side), expanded into flat index arrays, and the exact predicate is
+evaluated over all candidates at once.  No per-object Python loop remains;
+the original per-lead sweep is the test oracle
+``tests/oracles/plane_sweep_scalar.py`` (``tests/test_leaf_pipeline.py``).
 """
 
 from __future__ import annotations
@@ -38,7 +34,6 @@ __all__ = [
     "plane_sweep_pairs",
     "plane_sweep_pair_arrays",
     "plane_sweep_pair_arrays_segmented",
-    "plane_sweep_pairs_scalar",
 ]
 
 
@@ -159,78 +154,6 @@ def plane_sweep_pairs(
     """
     i_idx, j_idx = plane_sweep_pair_arrays(a_mbrs, b_mbrs, predicate)
     return list(zip(i_idx.tolist(), j_idx.tolist()))
-
-
-def plane_sweep_pairs_scalar(
-    a_mbrs: np.ndarray,
-    b_mbrs: np.ndarray,
-    predicate: JoinPredicate,
-) -> List[Tuple[int, int]]:
-    """The original per-lead sweep (reference kernel, not on the hot path)."""
-    na, nb = a_mbrs.shape[0], b_mbrs.shape[0]
-    if na == 0 or nb == 0:
-        return []
-    eps = predicate.probe_radius() if isinstance(predicate, WithinDistancePredicate) else 0.0
-
-    a_order = np.argsort(a_mbrs[:, 0], kind="stable")
-    b_order = np.argsort(b_mbrs[:, 0], kind="stable")
-    a_sorted = a_mbrs[a_order]
-    b_sorted = b_mbrs[b_order]
-
-    pairs: List[Tuple[int, int]] = []
-    ai = bi = 0
-    while ai < na and bi < nb:
-        if a_sorted[ai, 0] <= b_sorted[bi, 0]:
-            _sweep_one(
-                a_sorted, ai, b_sorted, bi, eps, predicate, pairs, a_first=True,
-                a_order=a_order, b_order=b_order,
-            )
-            ai += 1
-        else:
-            _sweep_one(
-                b_sorted, bi, a_sorted, ai, eps, predicate, pairs, a_first=False,
-                a_order=a_order, b_order=b_order,
-            )
-            bi += 1
-    return pairs
-
-
-def _sweep_one(
-    lead: np.ndarray,
-    lead_idx: int,
-    other: np.ndarray,
-    other_start: int,
-    eps: float,
-    predicate: JoinPredicate,
-    pairs: List[Tuple[int, int]],
-    a_first: bool,
-    a_order: np.ndarray,
-    b_order: np.ndarray,
-) -> None:
-    """Match ``lead[lead_idx]`` against ``other[other_start:]`` while x-extents overlap."""
-    lx_max = lead[lead_idx, 2] + eps
-    j = other_start
-    n_other = other.shape[0]
-    lead_rect = lead[lead_idx]
-    # Vectorised candidate cut: other entries whose xmin exceeds the lead's
-    # xmax + eps can never match (inputs are sorted by xmin).
-    limit = int(np.searchsorted(other[other_start:, 0], lx_max, side="right")) + other_start
-    if limit <= other_start:
-        return
-    cand = other[other_start:limit]
-    # y-axis and exact predicate test, vectorised over the candidate run.
-    dy = np.maximum(np.maximum(lead_rect[1] - cand[:, 3], 0.0), cand[:, 1] - lead_rect[3])
-    dx = np.maximum(np.maximum(lead_rect[0] - cand[:, 2], 0.0), cand[:, 0] - lead_rect[2])
-    if eps > 0.0:
-        mask = dx * dx + dy * dy <= eps * eps
-    else:
-        mask = (dx <= 0.0) & (dy <= 0.0)
-    for off in np.nonzero(mask)[0]:
-        j = other_start + int(off)
-        if a_first:
-            pairs.append((int(a_order[lead_idx]), int(b_order[j])))
-        else:
-            pairs.append((int(a_order[j]), int(b_order[lead_idx])))
 
 
 def plane_sweep_join(

@@ -14,10 +14,10 @@ exactly that:
 * :class:`~repro.network.channel.Channel` -- a byte-accounting conduit; all
   traffic of one PDA-server connection flows through one channel, which is
   the measured ground truth for every experiment.
-* :mod:`~repro.network.simulation` -- a small discrete-event simulation
-  kernel (a stand-in for ``simpy``, which is not available offline).
 * :class:`~repro.network.wifi.WifiLinkModel` -- an IEEE 802.11b timing
-  model used to estimate response times from the byte counts.
+  model used to estimate response times from the byte counts (closed
+  form; the discrete-event replay it is pinned against is
+  ``tests/oracles/wifi_event.py``).
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from repro.network.messages import (
     WindowQuery,
 )
 from repro.network.channel import Channel, TrafficLog, TrafficRecord
-from repro.network.simulation import Event, EventQueue, SimProcess, Simulator
 from repro.network.wifi import WifiLinkModel
 
 __all__ = [
@@ -66,9 +65,5 @@ __all__ = [
     "Channel",
     "TrafficLog",
     "TrafficRecord",
-    "Event",
-    "EventQueue",
-    "SimProcess",
-    "Simulator",
     "WifiLinkModel",
 ]

@@ -3,8 +3,7 @@
 The prototype in the paper connects the PDA through an 802.11b WiFi
 interface.  Byte counts (the optimisation metric) do not depend on link
 timing, but the library also reports *estimated response times*, which is
-useful for the examples and lets the discrete-event simulation reproduce
-the request/response protocol end to end.
+useful for the examples.
 
 The model is deliberately simple and standard:
 
@@ -24,14 +23,13 @@ with per-packet latencies applied to every packet of the exchange.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, List, Optional, Tuple
+from typing import List
 
 import numpy as np
 
 from repro.network.channel import Channel, TrafficRecord
 from repro.network.config import NetworkConfig
 from repro.network.packets import num_packets, transferred_bytes
-from repro.network.simulation import Simulator
 
 __all__ = ["WifiLinkModel"]
 
@@ -74,9 +72,10 @@ class WifiLinkModel:
     def record_delay(self, rec: TrafficRecord) -> float:
         """Replay delay of one logged message (the per-record timing model).
 
-        Every replay flavour -- the sequential estimate, the discrete-event
-        process and the NumPy closed form -- must agree with this formula;
-        it is defined once here.
+        :meth:`replay_time` is the closed form of summing this over a log;
+        the discrete-event oracle (``tests/oracles/wifi_event.py``) replays
+        it record by record and the wifi tests pin the two against each
+        other.
         """
         delay = rec.packets * self.per_packet_latency_s
         delay += (rec.wire_bytes * 8.0) / self.goodput_bps
@@ -84,57 +83,24 @@ class WifiLinkModel:
             delay += self.server_latency_s
         return delay
 
-    def estimate_channel_time(self, channel: Channel, method: str = "closed-form") -> float:
+    def estimate_channel_time(self, channel: Channel) -> float:
         """Estimated wall-clock seconds to replay all traffic of a channel.
 
         Requests and responses are replayed sequentially (the device blocks
         on each response, as the prototype does), so the estimate is simply
         the sum of per-message transfer times plus one server latency per
-        uplink message.  ``method="closed-form"`` (default) evaluates that
-        sum with NumPy over the whole log at once (:meth:`replay_time`,
-        three array reductions); ``method="scalar"`` walks the records one
-        by one -- the reference the fast path is pinned against (equal
-        within float tolerance; only the summation order differs).
+        uplink message (:meth:`replay_time`).
         """
-        if method == "closed-form":
-            return self.replay_time(channel.log.records)
-        if method != "scalar":
-            raise ValueError(
-                f"unknown method {method!r}; expected 'closed-form' or 'scalar'"
-            )
-        return sum(self.record_delay(rec) for rec in channel.log.records)
-
-    # ------------------------------------------------------------------ #
-    # discrete-event replay
-    # ------------------------------------------------------------------ #
-
-    def replay_process(
-        self, sim: Simulator, records: List[TrafficRecord], name: str = "replay"
-    ) -> "Generator":
-        """A simulation process that replays a traffic log message by message.
-
-        Useful for protocol-level experiments: several channels can be
-        replayed concurrently on one :class:`Simulator` to study contention-
-        free pipelining effects (the byte metric is unaffected).
-        """
-
-        def _proc() -> Generator:
-            for rec in records:
-                yield self.record_delay(rec)
-            return sim.now
-
-        return _proc()
+        return self.replay_time(channel.log.records)
 
     def replay_time(self, records: List[TrafficRecord]) -> float:
         """Closed-form replay time of one traffic log.
 
-        A replay process only ever yields pure delays, so its finish time
-        is the sum of per-record delays -- no event interleaving can change
-        it.  The sum is evaluated with NumPy over the whole log at once
-        (three array reductions) instead of stepping the generator kernel
-        record by record; it is the vectorised form of summing
-        :meth:`record_delay` and the wifi tests pin the two against each
-        other.
+        A replay only ever waits out pure delays, so its finish time is the
+        sum of per-record delays -- no event interleaving can change it.
+        The sum is evaluated with NumPy over the whole log at once (three
+        array reductions): the vectorised form of summing
+        :meth:`record_delay`.
         """
         n = len(records)
         if n == 0:
@@ -148,27 +114,13 @@ class WifiLinkModel:
             + uplinks * self.server_latency_s
         )
 
-    def simulate_channels(self, channels: List[Channel], method: str = "closed-form") -> float:
+    def simulate_channels(self, channels: List[Channel]) -> float:
         """Replay several channels concurrently; returns the makespan.
 
         Channels replay independently (no contention is modelled), so the
         makespan is the slowest channel's total replay time.
-        ``method="closed-form"`` (default) aggregates each channel's
-        traffic log with NumPy (:meth:`replay_time`); ``method="event"``
-        steps the discrete-event kernel record by record -- the reference
-        the fast path is pinned against (equal within float tolerance; the
-        summation order differs).
         """
-        if method == "closed-form":
-            return max(
-                (self.replay_time(channel.log.records) for channel in channels),
-                default=0.0,
-            )
-        if method != "event":
-            raise ValueError(
-                f"unknown method {method!r}; expected 'closed-form' or 'event'"
-            )
-        sim = Simulator()
-        for i, channel in enumerate(channels):
-            sim.process(self.replay_process(sim, channel.log.records), name=f"ch{i}")
-        return sim.run_all()
+        return max(
+            (self.replay_time(channel.log.records) for channel in channels),
+            default=0.0,
+        )

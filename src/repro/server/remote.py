@@ -803,50 +803,15 @@ class IndexedRemoteServer(RemoteServer):
         upload is charged as an object payload (one ``B_obj`` per MBR) and
         the response as a normal object payload.  Duplicate objects that
         fall in several windows are returned once (the server deduplicates
-        before shipping, as the original algorithm does).
-        """
-        return self._relay_windows(windows, flat=False)
-
-    def upload_windows_and_collect_flat(
-        self, windows: Sequence[Rect]
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Flat-assembly form of :meth:`upload_windows_and_collect`.
-
-        Ships the same query and response payloads (the ledger is
-        byte-identical); the server side reads the CSR window batch
-        directly, so the relayed object set is assembled over one
-        concatenated array instead of a per-window payload list that is
-        vstacked client-side.  This is the batch path of the SemiJoin
-        comparator; the per-window relay is its bit-identical scalar
-        reference.
-        """
-        return self._relay_windows(windows, flat=True)
-
-    def _relay_windows(
-        self, windows: Sequence[Rect], flat: bool
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """The shared protocol of both relay forms.
-
-        Only the server-side row assembly differs between the scalar and
-        flat paths; the metering (query upload, deduplicated object
-        response) is written once so the two can never drift apart.
+        before shipping, as the original algorithm does).  The server side
+        reads the CSR window batch directly, so the relayed object set is
+        assembled over one concatenated array.
         """
         if not windows:
             return np.empty((0, 4)), np.empty(0, dtype=np.int64)
-        if flat:
-            all_mbrs, all_oids, _ = self._server.window_batch_flat(list(windows))
-        else:
-            payloads = self._server.window_batch(list(windows))
-            all_mbrs = (
-                np.vstack([m for m, _ in payloads]) if payloads else np.empty((0, 4))
-            )
-            all_oids = (
-                np.concatenate([o for _, o in payloads])
-                if payloads
-                else np.empty(0, dtype=np.int64)
-            )
+        all_mbrs, all_oids, _ = self._server.window_batch_flat(list(windows))
         # Deduplicate objects returned by several windows, keeping the
-        # first-seen order (as the original per-window relay did).
+        # first-seen order.
         _, first = np.unique(all_oids, return_index=True)
         keep = np.sort(first)
         mbrs_out = all_mbrs[keep]
@@ -864,6 +829,9 @@ class IndexedRemoteServer(RemoteServer):
 
         self._exchange("semijoin-windows", account)
         return mbrs_out, oids_out
+
+    #: The name ``benchmarks/e2e/layers.py`` (frozen) still patches.
+    upload_windows_and_collect_flat = upload_windows_and_collect
 
     def upload_objects_and_join(
         self,

@@ -38,9 +38,9 @@ buffer sizes -- and
    Python, and a thread pool over them measured 0.6-0.7x of this loop.
 
 Algorithms without a coalescible execution (the naive/fixed-grid
-comparators, SemiJoin, or ``execution="recursive"`` overrides) still run
-through the broker on their own isolated stacks; they simply contribute no
-shared rounds (their whole execution happens in the priming advance).
+comparators and SemiJoin) still run through the broker on their own
+isolated stacks; they simply contribute no shared rounds (their whole
+execution happens in the priming advance).
 """
 
 from __future__ import annotations
@@ -653,11 +653,8 @@ class QueryBroker:
         # The query's own "join" span (opened by the algorithm at run
         # start) parents under its wave-level query span.
         entry.device.trace_root = entry.span
-        kwargs: Dict[str, object] = {}
-        if query.execution is not None:
-            kwargs["execution"] = query.execution
         algo = build_algorithm(
-            algorithm, entry.device, query.spec, query.resolved_params(), **kwargs
+            algorithm, entry.device, query.spec, query.resolved_params()
         )
         entry.gen = algo.run_cooperative(query.resolved_window())
 

@@ -9,8 +9,7 @@ bytes:
   digest covers dtype and shape as well as the raw bytes, so two arrays
   that merely serialize to the same byte string never collide),
 * the join spec,
-* the algorithm that actually runs (post plan-selection) and its
-  execution-mode override,
+* the algorithm that actually runs (post plan-selection),
 * the device/network configuration: buffer size, algorithm parameters,
   joined window and wire constants.
 
@@ -192,7 +191,6 @@ def query_key(query: JoinQuery, algorithm: str, default_config) -> Tuple:
         dataset_token(query.dataset_s),
         query.spec,
         algorithm.lower(),
-        query.execution,
         query.buffer_size,
         query.resolved_params(),
         query.resolved_window().as_tuple(),

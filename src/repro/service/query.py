@@ -67,11 +67,6 @@ class JoinQuery:
         Joined region; defaults to the union MBR of both datasets.
     config:
         Wire constants / tariffs; ``None`` inherits the broker's config.
-    execution:
-        Execution-mode override forwarded to algorithms that accept one
-        (``"frontier"``/``"recursive"`` for the engine-driven algorithms,
-        ``"batch"``/``"scalar"`` for SemiJoin); ``None`` keeps each
-        algorithm's default.
     servers:
         Optional pre-built base ``(server_r, server_s)`` pair (e.g. from
         the experiment harness's workload cache); the broker still hands
@@ -110,7 +105,6 @@ class JoinQuery:
     params: Optional[AlgorithmParameters] = None
     window: Optional[Rect] = None
     config: Optional[NetworkConfig] = None
-    execution: Optional[str] = None
     servers: Optional[Tuple[SpatialServer, SpatialServer]] = field(
         default=None, compare=False
     )

@@ -1,18 +1,20 @@
-"""A classical, insertable pointer R-tree.
+"""The insertable pointer R-tree ``repro.index.rtree`` shipped until PR 19.
 
-The servers do not use this tree: they bulk load the array-native
-:class:`~repro.index.flat.FlatRTree` directly.  This module is the
-insertable index for applications built on the library and the oracle the
-tests hold the array-native build against.  Two construction paths:
+Oracle of the array-native index build: :func:`flatten` snapshots a pointer
+tree into the :class:`~repro.index.flat.FlatRTree` layout, and
+``tests/test_flat_build.py`` holds ``FlatRTree.from_mbr_array(...)`` to
+``flatten(RTree.from_mbr_array(...))`` array for array (value and dtype).
+Verbatim in behaviour.  Two construction paths:
 
 * one-by-one insertion with Guttman's *quadratic split* heuristic, and
-* *Sort-Tile-Recursive* (STR) bulk loading, which produces well-packed
-  trees; its tiling is :func:`repro.index.flat.str_tiling`, so both index
-  forms of one dataset have the same structure.
+* *Sort-Tile-Recursive* (STR) bulk loading; its tiling is the shipped
+  :func:`repro.index.flat.str_tiling` (the one copy of the tiling math), so
+  both index forms of one dataset have the same structure.
 
 The tree stores ``(mbr, oid)`` entries at the leaves.  Queries return
 object ids; callers resolve ids against their dataset container.  Batch
-queries run against :meth:`RTree.flat_view`.
+queries run against :meth:`RTree.flat_view`.  This is also where a
+moving-object (insert / delete) index would start from.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.index.flat import FlatRTree, str_tiling
 
-__all__ = ["RTree", "RTreeNode", "RTreeStats"]
+__all__ = ["RTree", "RTreeNode", "RTreeStats", "flatten"]
 
 
 class RTreeNode:
@@ -176,7 +178,7 @@ class RTree:
         """:meth:`bulk_load` of the rows of an ``(N, 4)`` MBR array.
 
         Takes what :meth:`FlatRTree.from_mbr_array` takes (oids default to
-        ``range(N)``), which makes ``tree.flat_view()`` that build's oracle.
+        ``range(N)``), which makes :func:`flatten` of it that build's oracle.
         """
         rows = np.asarray(mbrs, dtype=np.float64).reshape(-1, 4).tolist()
         oid_list = range(len(rows)) if oids is None else np.asarray(oids).tolist()
@@ -213,7 +215,7 @@ class RTree:
         Built lazily, cached, and dropped by the next mutation.
         """
         if self._flat is None:
-            self._flat = FlatRTree(self)
+            self._flat = flatten(self)
         return self._flat
 
     def nearest_neighbors(self, center: Point, k: int = 1) -> List[Tuple[float, int]]:
@@ -567,3 +569,50 @@ def _str_tiles(
     perm, offs = str_tiling(rect_array.rects_to_array([r for r, _ in entries]), capacity)
     for lo, hi in zip(offs[:-1].tolist(), offs[1:].tolist()):
         yield [entries[i] for i in perm[lo:hi].tolist()]
+
+
+def flatten(tree: RTree) -> FlatRTree:
+    """Snapshot ``tree`` as a :class:`FlatRTree`: nodes in preorder, entries depth-first.
+
+    The arrays reflect the tree at call time (``FlatRTree(tree)`` until PR 19).
+    """
+    nodes: List[RTreeNode] = []  # preorder; a node's id is its position
+    kids: List[List[int]] = []
+    spans: List[Tuple[int, int]] = []  # subtree entry range per node
+    leaves: List[Tuple[np.ndarray, np.ndarray]] = []
+    size = 0
+
+    def visit(node: RTreeNode) -> int:
+        nonlocal size
+        nid = len(nodes)
+        nodes.append(node)
+        kids.append([])
+        spans.append((0, 0))
+        start = size
+        if node.is_leaf:
+            leaves.append(node.leaf_arrays())
+            size += leaves[-1][1].shape[0]
+        else:
+            kids[nid] = [visit(child) for child in node.children]
+        spans[nid] = (start, size)
+        return nid
+
+    visit(tree.root)
+    no_box = (0.0, 0.0, 0.0, 0.0)  # the root of an empty tree
+    boxes = np.array(
+        [n.mbr.as_tuple() if n.mbr is not None else no_box for n in nodes],
+        dtype=np.float64,
+    )
+    fanout = np.array([len(k) for k in kids], dtype=np.intp)
+    child_end = np.cumsum(fanout)
+    return FlatRTree(
+        node_cols=np.ascontiguousarray(boxes.T),
+        is_leaf=np.array([n.is_leaf for n in nodes], dtype=bool),
+        entry_cols=np.ascontiguousarray(np.vstack([mbrs for mbrs, _ in leaves]).T),
+        entry_oids=np.concatenate([oids for _, oids in leaves]),
+        ent_start=np.array([lo for lo, _ in spans], dtype=np.intp),
+        ent_end=np.array([hi for _, hi in spans], dtype=np.intp),
+        child_start=child_end - fanout,
+        child_end=child_end,
+        child_ids=np.array([c for k in kids for c in k], dtype=np.intp),
+    )

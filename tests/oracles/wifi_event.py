@@ -1,22 +1,23 @@
-"""A small discrete-event simulation kernel.
+"""The discrete-event replay of a traffic log ``repro.network`` shipped until PR 19.
 
-The paper evaluates on a real PDA, but this reproduction runs everything on
-a workstation; response-time behaviour of the request/response protocol is
-therefore *simulated*.  ``simpy`` is not available offline, so this module
-provides a minimal generator-based process kernel with the same flavour:
+Oracle of :meth:`repro.network.wifi.WifiLinkModel.replay_time` (the NumPy
+closed form behind ``estimate_channel_time`` and ``simulate_channels``):
 
-* :class:`Simulator` owns the virtual clock and the event queue;
-* a :class:`SimProcess` is a Python generator that ``yield``-s either a
-  delay in seconds (``float``), an :class:`Event` to wait for, or another
-  process to join;
-* :class:`Event` supports ``succeed(value)`` and can be awaited by any
-  number of processes.
+* the generator-based simulation kernel (``Simulator``, ``SimProcess``,
+  ``Event``, ``EventQueue`` -- a stand-in for ``simpy``), verbatim from
+  ``src/repro/network/simulation.py``;
+* :func:`estimate_channel_time_scalar` -- the per-record walk that was
+  ``estimate_channel_time(method="scalar")``;
+* :func:`simulate_channels_event` -- the event-stepped makespan that was
+  ``simulate_channels(method="event")``.
+
+Both replays charge :meth:`WifiLinkModel.record_delay` per message, the one
+statement of the timing model; only the summation differs from the closed
+form (``tests/test_simulation_wifi.py`` pins them within float tolerance).
 
 The kernel is deterministic: ties in time are broken by insertion order.
-It is used by :mod:`repro.network.wifi` to model request/response timing
-over an 802.11b link and by the protocol-level tests; it is *not* on the
-byte-accounting path, so its presence or absence never changes the byte
-totals reported by the experiments.
+A process is a Python generator that ``yield``-s a delay in seconds, an
+:class:`Event` to wait for, or another process to join.
 """
 
 from __future__ import annotations
@@ -26,7 +27,15 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
 
-__all__ = ["Event", "EventQueue", "SimProcess", "Simulator"]
+__all__ = [
+    "Event",
+    "EventQueue",
+    "SimProcess",
+    "Simulator",
+    "estimate_channel_time_scalar",
+    "replay_process",
+    "simulate_channels_event",
+]
 
 
 class Event:
@@ -187,3 +196,28 @@ class Simulator:
 
     def _schedule_resume(self, proc: SimProcess, send_value: Any, delay: float = 0.0) -> None:
         self._queue.push(self.now + delay, proc, send_value)
+
+
+# ---------------------------------------------------------------------- #
+# replaying traffic logs
+# ---------------------------------------------------------------------- #
+
+
+def estimate_channel_time_scalar(link, channel) -> float:
+    """Walk the channel's records one by one, summing their delays."""
+    return sum(link.record_delay(rec) for rec in channel.log.records)
+
+
+def replay_process(link, sim: Simulator, records) -> Generator:
+    """A simulation process that replays a traffic log message by message."""
+    for rec in records:
+        yield link.record_delay(rec)
+    return sim.now
+
+
+def simulate_channels_event(link, channels) -> float:
+    """Replay the channels concurrently on one simulator; returns the makespan."""
+    sim = Simulator()
+    for i, channel in enumerate(channels):
+        sim.process(replay_process(link, sim, channel.log.records), name=f"ch{i}")
+    return sim.run_all()

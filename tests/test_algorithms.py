@@ -188,6 +188,45 @@ class TestSessionBehaviour:
         with pytest.raises(InvalidInput):
             AdHocJoinSession(r, s).run(algorithm="naive", epsilon=epsilon, kind="iceberg")
 
+    @pytest.mark.parametrize("algorithm", ALL_ALGORITHMS)
+    @pytest.mark.parametrize("buffer_size", [0, -1])
+    def test_run_rejects_an_unusable_buffer_before_any_exchange(self, algorithm, buffer_size):
+        # A per-run buffer_size used to be assigned past the constructor's
+        # check: 0 joined on a zero-slot device, -1 died mid-join (or not at
+        # all, on naive / semijoin) after exchanges had been metered.
+        session = _session(uniform(n=60, seed=18), uniform(n=60, seed=19))
+        with pytest.raises(InvalidInput):
+            session.run(algorithm=algorithm, epsilon=0.01, buffer_size=buffer_size)
+        assert session.device.total_bytes() == 0
+        assert session.history == []
+        # The session is intact: the next run uses its own buffer size.
+        assert session.run(algorithm=algorithm, epsilon=0.01).pairs == brute_force_pairs(
+            session.dataset_r, session.dataset_s, 0.01
+        )
+
+    def test_unknown_algorithm_option_is_invalid_input_on_every_entry_point(self):
+        from repro.core.planner import build_algorithm, build_session_stack, run_join
+
+        r, s = uniform(n=30, seed=18), uniform(n=30, seed=19)
+        session = AdHocJoinSession(r, s)
+        # The message names the algorithm and what it does accept.
+        with pytest.raises(InvalidInput, match=r"'upjoin'.*'grid_size'.*accepts: none"):
+            session.run("upjoin", epsilon=0.05, grid_size=3)
+        with pytest.raises(InvalidInput, match=r"'fixedgrid'.*accepts: grid_size, prune_empty"):
+            run_join(r, s, JoinSpec.distance(0.05), algorithm="fixedgrid", enforce_buffer=True)
+        # The removed execution switch is an unknown option like any other.
+        for algorithm in ALL_ALGORITHMS:
+            with pytest.raises(InvalidInput, match="execution"):
+                session.run(algorithm, epsilon=0.05, execution="recursive")
+        _, _, device = build_session_stack(r, s)
+        with pytest.raises(InvalidInput, match=r"'naive'.*accepts: enforce_buffer"):
+            build_algorithm("naive", device, JoinSpec.distance(0.05), grid_size=3)
+        assert session.device.total_bytes() == device.total_bytes() == 0
+        # The options an algorithm does take still reach it.
+        coarse = session.run("fixedgrid", epsilon=0.05, grid_size=2, prune_empty=False)
+        assert coarse.pairs == brute_force_pairs(r, s, 0.05)
+        assert coarse.operator_counts["hbsj_invocations"] == 4
+
     def test_semijoin_requires_indexed_session(self):
         r = uniform(n=30, seed=18)
         s = uniform(n=30, seed=19)

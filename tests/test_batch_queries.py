@@ -19,11 +19,14 @@ from repro.geometry.point import Point
 from repro.geometry.predicates import IntersectionPredicate, WithinDistancePredicate
 from repro.geometry.rect import Rect
 from repro.index.aggregate_rtree import AggregateRTree
-from repro.index.plane_sweep import plane_sweep_pairs, plane_sweep_pairs_scalar
-from repro.index.rtree import RTree
+from repro.index.plane_sweep import plane_sweep_pairs
 from repro.network.config import NetworkConfig
 from repro.server.remote import ServerPair
 from repro.server.server import SpatialServer
+
+from tests.oracles.plane_sweep_scalar import plane_sweep_pairs_scalar
+from tests.oracles.pointer_rtree import RTree
+from tests.oracles.semijoin_scalar import ScalarSemiJoin
 
 
 def _random_windows(n: int, seed: int):
@@ -203,23 +206,24 @@ class TestWindowBatchFlat:
 
 
 class TestSemiJoinBatchExecution:
-    """``execution="batch"`` == the scalar protocol loop, bit for bit."""
+    """SemiJoin's flat relay == the scalar protocol loop (the oracle), bit for bit."""
 
-    def _run(self, execution, seed=41, epsilon=0.04):
+    def _run(self, scalar, seed=41, epsilon=0.04):
+        from unittest import mock
+
         from repro.api import AdHocJoinSession
+        from repro.core.planner import ALGORITHMS
 
         r = clustered(n=150, clusters=3, seed=seed, name="R")
         s = uniform(n=90, seed=seed + 7, name="S")
         session = AdHocJoinSession(r, s, buffer_size=200, indexed=True)
-        return session.run(
-            algorithm="semijoin", kind="distance", epsilon=epsilon,
-            execution=execution,
-        )
+        with mock.patch.dict(ALGORITHMS, {"semijoin": ScalarSemiJoin} if scalar else {}):
+            return session.run(algorithm="semijoin", kind="distance", epsilon=epsilon)
 
     @pytest.mark.parametrize("seed", [41, 42, 43])
     def test_batch_equals_scalar(self, seed):
-        batch = self._run("batch", seed=seed)
-        scalar = self._run("scalar", seed=seed)
+        batch = self._run(False, seed=seed)
+        scalar = self._run(True, seed=seed)
         assert batch.sorted_pairs() == scalar.sorted_pairs()
         assert batch.total_bytes == scalar.total_bytes
         assert batch.bytes_r == scalar.bytes_r
@@ -228,18 +232,6 @@ class TestSemiJoinBatchExecution:
         assert batch.channel_stats == scalar.channel_stats
         assert [e.action for e in batch.trace] == [e.action for e in scalar.trace]
         assert [e.detail for e in batch.trace] == [e.detail for e in scalar.trace]
-
-    def test_batch_is_the_default(self):
-        import inspect
-
-        from repro.core.planner import ALGORITHMS
-
-        sig = inspect.signature(ALGORITHMS["semijoin"].__init__)
-        assert sig.parameters["execution"].default == "batch"
-
-    def test_unknown_execution_rejected(self):
-        with pytest.raises(ValueError):
-            self._run("frontier")
 
 
 class TestBrokerDeterminismCompact:

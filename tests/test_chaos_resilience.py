@@ -428,7 +428,7 @@ class TestResumableRounds:
         r, s = _datasets()
         spec = JoinSpec.distance(0.03)
         _, _, device = build_session_stack(r, s, buffer_size=BUFFER)
-        algo = build_algorithm("srjoin", device, spec, execution="frontier")
+        algo = build_algorithm("srjoin", device, spec)
         window = r.bounds().union(s.bounds())
 
         def snapshot(batches):
@@ -459,9 +459,7 @@ class TestResumableRounds:
                 break
         assert rounds > 0
         _, _, twin_device = build_session_stack(r, s, buffer_size=BUFFER)
-        reference = build_algorithm(
-            "srjoin", twin_device, spec, execution="frontier"
-        ).run(window)
+        reference = build_algorithm("srjoin", twin_device, spec).run(window)
         _assert_identical(result, reference)
 
 

@@ -1,6 +1,14 @@
-"""Tests for the device substrate: buffer, HBSJ, NLSJ, MobileDevice."""
+"""Tests for the device substrate: buffer, HBSJ, NLSJ, MobileDevice.
+
+Every operator case runs the shipped one-request form and the scalar oracle
+(``tests/oracles/operators_scalar.py``) on twin stacks and asserts equal
+result objects, operator counters, server statistics and channel ledgers.
+"""
 
 from __future__ import annotations
+
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +24,7 @@ from repro.server.remote import ServerPair
 from repro.server.server import SpatialServer
 
 from tests.conftest import brute_force_pairs
+from tests.oracles import operators_scalar
 
 WINDOW = Rect(0.0, 0.0, 1.0, 1.0)
 
@@ -71,63 +80,152 @@ class TestDeviceBuffer:
         assert buf.high_water_mark == 0 and buf.used == 0
 
 
+# --------------------------------------------------------------------------- #
+# the operators: the shipped one-request forms against the scalar oracle
+# --------------------------------------------------------------------------- #
+
+
+@pytest.fixture(params=["device", "function"])
+def via(request):
+    """Which one-request form runs: ``MobileDevice.hbsj`` / ``.nlsj`` or the
+    free ``hash_based_spatial_join`` / ``nested_loop_spatial_join``."""
+    return request.param
+
+
+def _assert_twin_stacks_equal(shipped: MobileDevice, oracle: MobileDevice, ordered: bool):
+    """Same operator counters, buffer peak, server statistics and channel
+    totals; the same ledger records -- in the same order unless a window
+    split (the scalar twin visits quadrants depth-first, the batch form
+    level by level)."""
+    assert shipped.counts == oracle.counts
+    assert shipped.buffer.high_water_mark == oracle.buffer.high_water_mark
+    for a, b in (
+        (shipped.servers.r, oracle.servers.r),
+        (shipped.servers.s, oracle.servers.s),
+    ):
+        assert a.backing_server.stats == b.backing_server.stats
+        assert a.channel.snapshot() == b.channel.snapshot()
+        got, want = a.channel.log.records, b.channel.log.records
+        assert got == want if ordered else Counter(got) == Counter(want)
+
+
+def _run_hbsj(via, r, s, buffer_size, predicate, **counts):
+    """HBSJ on twin stacks, shipped vs oracle, asserted equal; the shipped result."""
+    shipped = MobileDevice(_servers(r, s), buffer_size=buffer_size)
+    oracle = MobileDevice(_servers(r, s), buffer_size=buffer_size)
+    if via == "device":
+        got = shipped.hbsj(WINDOW, predicate, **counts)
+        want = operators_scalar.device_hbsj(oracle, WINDOW, predicate, **counts)
+    else:
+        got = hash_based_spatial_join(
+            shipped.servers, WINDOW, predicate, shipped.buffer, **counts
+        )
+        want = operators_scalar.hash_based_spatial_join(
+            oracle.servers, WINDOW, predicate, oracle.buffer, **counts
+        )
+    ordered = want.recursive_splits == 0
+    if not ordered:
+        got, want = (replace(res, pairs=sorted(res.pairs)) for res in (got, want))
+    assert got == want
+    _assert_twin_stacks_equal(shipped, oracle, ordered)
+    assert shipped.buffer.high_water_mark <= buffer_size
+    return got
+
+
+def _run_nlsj(via, r, s, buffer_size, predicate, window=WINDOW, **options):
+    """NLSJ on twin stacks, shipped vs oracle, asserted equal; the shipped
+    result and the shipped stack's byte total."""
+    shipped = MobileDevice(_servers(r, s), buffer_size=buffer_size)
+    oracle = MobileDevice(_servers(r, s), buffer_size=buffer_size)
+    if via == "device":
+        got = shipped.nlsj(window, predicate, **options)
+        want = operators_scalar.device_nlsj(oracle, window, predicate, **options)
+    else:
+        got = nested_loop_spatial_join(
+            shipped.servers, window, predicate, shipped.buffer, **options
+        )
+        want = operators_scalar.nested_loop_spatial_join(
+            oracle.servers, window, predicate, oracle.buffer, **options
+        )
+    assert got == want
+    _assert_twin_stacks_equal(shipped, oracle, ordered=True)
+    return got, shipped.total_bytes()
+
+
 class TestHBSJ:
     @pytest.mark.parametrize("eps", [0.02, 0.05])
-    def test_exact_when_fitting_in_buffer(self, eps):
+    def test_exact_when_fitting_in_buffer(self, via, eps):
         r = uniform(n=120, seed=1)
         s = uniform(n=120, seed=2)
-        servers = _servers(r, s)
-        buffer = DeviceBuffer(capacity=1000)
-        result = hash_based_spatial_join(
-            servers, WINDOW, WithinDistancePredicate(eps), buffer
-        )
+        result = _run_hbsj(via, r, s, 1000, WithinDistancePredicate(eps))
         assert set(result.pairs) == brute_force_pairs(r, s, eps)
         assert result.windows_joined == 1
         assert result.recursive_splits == 0
+        assert result.count_queries == 2  # its own feasibility COUNTs
 
-    def test_exact_with_recursive_partitioning(self):
+    def test_exact_with_recursive_partitioning(self, via):
         r = clustered(n=300, clusters=3, seed=3, std=0.05)
         s = clustered(n=300, clusters=3, seed=3, std=0.06)
-        servers = _servers(r, s)
-        buffer = DeviceBuffer(capacity=150)  # cannot hold both windows
-        result = hash_based_spatial_join(
-            servers, WINDOW, WithinDistancePredicate(0.03), buffer
-        )
+        # 150 slots cannot hold both windows: the operator splits into quadrants.
+        result = _run_hbsj(via, r, s, 150, WithinDistancePredicate(0.03))
         assert set(result.pairs) == brute_force_pairs(r, s, 0.03)
         assert result.recursive_splits >= 1
-        assert buffer.high_water_mark <= 150
 
-    def test_prunes_empty_windows(self):
+    def test_prunes_empty_windows(self, via):
         r = gaussian_mixture(n=100, centers=[(0.2, 0.2)], std=0.02, seed=4)
         s = gaussian_mixture(n=100, centers=[(0.8, 0.8)], std=0.02, seed=5)
-        servers = _servers(r, s)
-        buffer = DeviceBuffer(capacity=90)  # forces splitting, then pruning
-        result = hash_based_spatial_join(
-            servers, WINDOW, WithinDistancePredicate(0.02), buffer
-        )
+        # 90 slots force splitting, then pruning.
+        result = _run_hbsj(via, r, s, 90, WithinDistancePredicate(0.02))
         assert result.pairs == []
         assert result.windows_pruned >= 1
 
-    def test_buffer_never_exceeded(self):
-        r = clustered(n=400, clusters=2, seed=6, std=0.02)
-        s = clustered(n=400, clusters=2, seed=6, std=0.02)
-        servers = _servers(r, s)
-        buffer = DeviceBuffer(capacity=120)
-        hash_based_spatial_join(servers, WINDOW, WithinDistancePredicate(0.01), buffer)
-        assert buffer.high_water_mark <= 120
-
-    def test_trusted_counts_skip_feasibility_queries(self):
-        r = uniform(n=50, seed=7)
-        s = uniform(n=50, seed=8)
-        servers = _servers(r, s)
-        buffer = DeviceBuffer(capacity=500)
-        result = hash_based_spatial_join(
-            servers, WINDOW, IntersectionPredicate(), buffer, count_r=50, count_s=50
-        )
+    def test_empty_side_prunes_the_window_itself(self, via):
+        r = gaussian_mixture(n=60, centers=[(0.2, 0.2)], std=0.02, seed=4)
+        s = uniform(n=60, seed=5)
+        result = _run_hbsj(via, r, s, 500, IntersectionPredicate(), count_r=0, count_s=60)
+        assert result.windows_pruned == 1 and result.windows_joined == 0
         assert result.count_queries == 0
 
-    def test_intersection_join_of_rect_data(self):
-        rng = np.random.default_rng(11)
+    def test_buffer_never_exceeded(self, via):
+        r = clustered(n=400, clusters=2, seed=6, std=0.02)
+        s = clustered(n=400, clusters=2, seed=6, std=0.02)
+        _run_hbsj(via, r, s, 120, WithinDistancePredicate(0.01))
+
+    def test_trusted_counts_skip_feasibility_queries(self, via):
+        r = uniform(n=50, seed=7)
+        s = uniform(n=50, seed=8)
+        result = _run_hbsj(via, r, s, 500, IntersectionPredicate(), count_r=50, count_s=50)
+        assert result.count_queries == 0
+
+    def test_one_known_count_issues_the_other(self, via):
+        r = uniform(n=50, seed=7)
+        s = uniform(n=50, seed=8)
+        result = _run_hbsj(via, r, s, 500, IntersectionPredicate(), count_r=50)
+        assert result.count_queries == 1
+
+    def test_epsilon_scale_window_falls_back_to_nlsj(self, via):
+        # Half the window side is within twice the S-side expansion, so
+        # splitting cannot shrink the working set: the over-budget window is
+        # finished by NLSJ probing instead.
+        r = uniform(n=80, seed=21)
+        s = uniform(n=80, seed=22)
+        result = _run_hbsj(via, r, s, 40, WithinDistancePredicate(0.3))
+        assert set(result.pairs) == brute_force_pairs(r, s, 0.3)
+        assert result.nlsj_fallbacks == 1 and result.recursive_splits == 0
+
+    def test_recursion_depth_limit_falls_back_to_nlsj(self, via, monkeypatch):
+        from repro.device import hbsj
+
+        monkeypatch.setattr(hbsj, "MAX_RECURSION_DEPTH", 1)
+        monkeypatch.setattr(operators_scalar, "MAX_RECURSION_DEPTH", 1)
+        # No margin, so only the depth limit can stop the splitting.
+        r = uniform(n=200, seed=23)
+        s = uniform(n=200, seed=24)
+        result = _run_hbsj(via, r, s, 60, IntersectionPredicate())
+        assert result.recursive_splits == 1
+        assert result.nlsj_fallbacks >= 1
+
+    def test_intersection_join_of_rect_data(self, via):
         from repro.datasets.dataset import SpatialDataset
 
         def boxes(seed):
@@ -137,10 +235,7 @@ class TestHBSJ:
             return SpatialDataset(np.hstack([lo, np.minimum(hi, 1.0)]))
 
         r, s = boxes(1), boxes(2)
-        servers = _servers(r, s)
-        result = hash_based_spatial_join(
-            servers, WINDOW, IntersectionPredicate(), DeviceBuffer(capacity=1000)
-        )
+        result = _run_hbsj(via, r, s, 1000, IntersectionPredicate())
         from repro.geometry import rect_array
 
         matrix = rect_array.pairwise_intersects(r.mbrs, s.mbrs)
@@ -153,58 +248,62 @@ class TestHBSJ:
 class TestNLSJ:
     @pytest.mark.parametrize("outer", ["R", "S"])
     @pytest.mark.parametrize("bucket", [False, True])
-    def test_exact_results(self, outer, bucket):
+    def test_exact_results(self, via, outer, bucket):
         r = clustered(n=90, clusters=2, seed=9, std=0.05)
         s = clustered(n=110, clusters=2, seed=9, std=0.05)
-        servers = _servers(r, s)
-        result = nested_loop_spatial_join(
-            servers,
-            WINDOW,
-            WithinDistancePredicate(0.04),
-            DeviceBuffer(capacity=500),
-            outer=outer,
-            bucket=bucket,
+        result, _ = _run_nlsj(
+            via, r, s, 500, WithinDistancePredicate(0.04), outer=outer, bucket=bucket
         )
         assert set(result.pairs) == brute_force_pairs(r, s, 0.04)
         assert result.outer == outer
 
-    def test_bucket_uses_single_request(self):
+    @pytest.mark.parametrize("outer", ["R", "S"])
+    def test_outer_larger_than_the_buffer_is_capped(self, via, outer):
+        r = uniform(n=70, seed=25)
+        s = uniform(n=70, seed=26)
+        result, _ = _run_nlsj(via, r, s, 20, WithinDistancePredicate(0.03), outer=outer)
+        assert set(result.pairs) == brute_force_pairs(r, s, 0.03)
+
+    def test_bucket_uses_single_request(self, via):
         r = uniform(n=60, seed=10)
         s = uniform(n=60, seed=11)
-        servers = _servers(r, s)
-        result = nested_loop_spatial_join(
-            servers, WINDOW, WithinDistancePredicate(0.05),
-            DeviceBuffer(capacity=500), outer="R", bucket=True,
+        result, _ = _run_nlsj(
+            via, r, s, 500, WithinDistancePredicate(0.05), outer="R", bucket=True
         )
         assert result.bucket_queries == 1
         assert result.probes_sent == result.outer_objects
 
-    def test_bucket_saves_header_bytes(self):
+    def test_bucket_saves_header_bytes(self, via):
         r = uniform(n=200, seed=12)
         s = uniform(n=200, seed=13)
         pred = WithinDistancePredicate(0.01)
-        servers_a = _servers(r, s)
-        nested_loop_spatial_join(servers_a, WINDOW, pred, DeviceBuffer(500), outer="R", bucket=False)
-        servers_b = _servers(r, s)
-        nested_loop_spatial_join(servers_b, WINDOW, pred, DeviceBuffer(500), outer="R", bucket=True)
-        assert servers_b.total_bytes() < servers_a.total_bytes()
+        _, probing = _run_nlsj(via, r, s, 500, pred, outer="R", bucket=False)
+        _, bucketed = _run_nlsj(via, r, s, 500, pred, outer="R", bucket=True)
+        assert bucketed < probing
 
-    def test_invalid_outer(self):
-        servers = _servers(uniform(n=5, seed=1), uniform(n=5, seed=2))
+    def test_invalid_outer(self, via):
+        r, s = uniform(n=5, seed=1), uniform(n=5, seed=2)
+        device = MobileDevice(_servers(r, s), buffer_size=10)
+        run = {
+            "device": lambda: device.nlsj(WINDOW, IntersectionPredicate(), outer="X"),
+            "function": lambda: nested_loop_spatial_join(
+                device.servers, WINDOW, IntersectionPredicate(), device.buffer, outer="X"
+            ),
+        }[via]
         with pytest.raises(ValueError):
-            nested_loop_spatial_join(
-                servers, WINDOW, IntersectionPredicate(), DeviceBuffer(10), outer="X"
+            run()
+        with pytest.raises(ValueError):
+            operators_scalar.nested_loop_spatial_join(
+                device.servers, WINDOW, IntersectionPredicate(), device.buffer, outer="X"
             )
+        assert device.total_bytes() == 0  # rejected before any exchange, both ways
 
-    def test_empty_outer_short_circuits(self):
+    def test_empty_outer_short_circuits(self, via):
         r = gaussian_mixture(n=50, centers=[(0.1, 0.1)], std=0.01, seed=3)
         s = uniform(n=50, seed=4)
-        servers = _servers(r, s)
-        result = nested_loop_spatial_join(
-            servers,
-            Rect(0.7, 0.7, 0.9, 0.9),  # region empty of R
-            WithinDistancePredicate(0.01),
-            DeviceBuffer(100),
+        result, _ = _run_nlsj(
+            via, r, s, 100, WithinDistancePredicate(0.01),
+            window=Rect(0.7, 0.7, 0.9, 0.9),  # region empty of R
             outer="R",
         )
         assert result.pairs == [] and result.probes_sent == 0

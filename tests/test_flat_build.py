@@ -1,8 +1,9 @@
 """The array-native STR build equals the pointer-tree oracle, array for array.
 
 ``FlatRTree.from_mbr_array`` is the only index build on the serving path.
-Its contract is bit-identity with ``FlatRTree(RTree.from_mbr_array(...))``:
-the same nine arrays, same values, same dtypes.  That equality is what
+Its contract is bit-identity with ``flatten(RTree.from_mbr_array(...))``
+(``tests/oracles/pointer_rtree.py``): the same nine arrays, same values,
+same dtypes.  That equality is what
 keeps wire bytes, link time, pair order and every golden trace unchanged,
 so it is pinned here over the awkward sizes and geometries.
 """
@@ -20,7 +21,8 @@ from repro.geometry import rect_array
 from repro.geometry.rect import Rect
 from repro.index.aggregate_rtree import AggregateRTree
 from repro.index.flat import FlatRTree, str_tiling
-from repro.index.rtree import RTree
+
+from tests.oracles.pointer_rtree import RTree, flatten
 
 ARRAYS = (
     "boxes is_leaf entry_mbrs entry_oids ent_start ent_end "
@@ -48,7 +50,7 @@ def _mbrs(n: int, geometry: str, seed: int) -> np.ndarray:
 
 
 def _oracle(mbrs: np.ndarray, oids: np.ndarray, fanout: int) -> FlatRTree:
-    return FlatRTree(RTree.from_mbr_array(mbrs, oids, max_entries=fanout))
+    return flatten(RTree.from_mbr_array(mbrs, oids, max_entries=fanout))
 
 
 def _assert_same_arrays(built: FlatRTree, oracle: FlatRTree) -> None:

@@ -3,8 +3,9 @@
 The shared frontier engine (:mod:`repro.core.frontier`) may only change
 *when* exchanges are flushed, never what crosses the wire or what the
 planner decides.  This suite runs every frontier-driven algorithm (UpJoin,
-SrJoin and the MobiJoin baseline) in both execution modes over randomized
-workload families (uniform, clustered, skewed, empty-side, duplicate-heavy,
+SrJoin and the MobiJoin baseline) through the engine and through the
+depth-first oracle (``tests/oracles/recursive_driver.py``, whose leaves run
+the scalar oracle operators) over randomized workload families (uniform, clustered, skewed, empty-side, duplicate-heavy,
 degenerate zero-area rectangles) and asserts equality of
 
 * the result pair set,
@@ -33,6 +34,8 @@ from repro.datasets.dataset import SpatialDataset
 from repro.datasets.railway import generate_railway_like
 from repro.datasets.synthetic import clustered, uniform
 from repro.geometry.rect import Rect
+
+from tests.oracles.recursive_driver import depth_first_algorithms
 
 #: The algorithms driven by the shared frontier engine.
 FRONTIER_ALGORITHMS = ("upjoin", "srjoin", "mobijoin")
@@ -146,14 +149,16 @@ def _trace_by_depth(result) -> Dict[int, List[tuple]]:
 
 
 def _run_mode(datasets, algorithm: str, execution: str, **run_kwargs):
+    """Run through the shipped engine (``"frontier"``) or the oracle (``"recursive"``)."""
+    if execution == "recursive":
+        with depth_first_algorithms():
+            return _run_mode(datasets, algorithm, "frontier", **run_kwargs)
     r, s = datasets
     session = AdHocJoinSession(r, s, buffer_size=run_kwargs.pop("buffer_size", 96))
     window = run_kwargs.pop("window", None) or Rect(0.0, 0.0, 1.0, 1.0).union(
         r.bounds() if len(r) else Rect(0, 0, 1, 1)
     )
-    return session.run(
-        algorithm=algorithm, execution=execution, window=window, **run_kwargs
-    )
+    return session.run(algorithm=algorithm, window=window, **run_kwargs)
 
 
 def _assert_modes_identical(datasets, algorithm: str = "upjoin", **run_kwargs) -> None:
@@ -303,11 +308,6 @@ class TestFrontierDeterminism:
         assert [e.action for e in runs[0].trace] == [e.action for e in runs[1].trace]
         assert [e.detail for e in runs[0].trace] == [e.detail for e in runs[1].trace]
 
-    @pytest.mark.parametrize("algorithm", FRONTIER_ALGORITHMS)
-    def test_unknown_execution_mode_rejected(self, algorithm):
-        with pytest.raises(ValueError):
-            _run_mode(_uniform_pair(0), algorithm, "breadth-first", kind="intersection")
-
 
 class TestLevelCosting:
     """The frontier driver costs a *level* per cost-model call, not a window.
@@ -349,5 +349,5 @@ class TestLevelCosting:
         # At most c1 + c2 + c3 (+ c4 and its inner c1) per level, plus UpJoin's
         # rare one-row re-costs of confirmed zeros.
         assert evaluations["frontier"] <= 6 * levels
-        # The depth-first reference costs every window as a level of one.
+        # The depth-first oracle costs every window as a level of one.
         assert evaluations["recursive"] > 6 * levels

@@ -10,8 +10,8 @@ operator choice) cannot drift silently even when the byte totals happen to
 cancel out.
 
 Events are frozen grouped by recursion depth, the granularity at which the
-depth-first reference execution and the frontier executor are defined to
-agree; both execution modes are checked against the same fixture.
+depth-first oracle (``tests/oracles/recursive_driver.py``) and the frontier
+engine are defined to agree; both are checked against the same fixture.
 
 Regenerate (only when a planner change is intentional and reviewed) with::
 
@@ -21,6 +21,7 @@ Regenerate (only when a planner change is intentional and reviewed) with::
 from __future__ import annotations
 
 import json
+from contextlib import nullcontext
 from pathlib import Path
 from typing import Dict, List
 
@@ -52,15 +53,20 @@ def _decision_log(
 ) -> Dict[str, List[List[object]]]:
     dataset_r, dataset_s = build_datasets(spec)
     session = AdHocJoinSession(dataset_r, dataset_s, buffer_size=spec.buffer_size)
-    result = session.run(
-        algorithm=algorithm,
-        execution=execution,
-        kind="distance",
-        epsilon=spec.epsilon,
-        bucket_queries=spec.bucket_queries,
-        window=spec.window,
-        seed=0,
-    )
+    mode = nullcontext()
+    if execution == "recursive":  # the depth-first oracle; --regen never imports it
+        from tests.oracles.recursive_driver import depth_first_algorithms
+
+        mode = depth_first_algorithms()
+    with mode:
+        result = session.run(
+            algorithm=algorithm,
+            kind="distance",
+            epsilon=spec.epsilon,
+            bucket_queries=spec.bucket_queries,
+            window=spec.window,
+            seed=0,
+        )
     grouped: Dict[str, List[List[object]]] = {}
     for event in result.trace:
         grouped.setdefault(str(event.depth), []).append(

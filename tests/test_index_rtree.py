@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.index.aggregate_rtree import AggregateRTree
-from repro.index.rtree import RTree
+
+from tests.oracles.pointer_rtree import RTree
 
 
 def _random_entries(n: int, seed: int = 0, extent: float = 0.0):

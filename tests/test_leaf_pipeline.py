@@ -26,10 +26,11 @@ from repro.geometry.point import Point
 from repro.geometry.predicates import IntersectionPredicate, WithinDistancePredicate
 from repro.geometry.rect import Rect
 from repro.index.hash_join import JoinBatch, grid_hash_join, grid_hash_join_batch
-from repro.index.plane_sweep import plane_sweep_pairs_scalar
 from repro.server import ShardedSpatialServer
 from repro.server.remote import ServerPair
 from repro.server.server import SpatialServer
+
+from tests.oracles.plane_sweep_scalar import plane_sweep_pairs_scalar
 
 PREDICATES = [IntersectionPredicate(), WithinDistancePredicate(0.03)]
 

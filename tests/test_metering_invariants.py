@@ -22,6 +22,7 @@ bit-identical -- that is the contract the performance work is held to.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from typing import Dict, List
 
 import pytest
@@ -31,6 +32,8 @@ from repro.core.planner import ALGORITHMS
 from repro.datasets.synthetic import clustered
 from repro.network.messages import MessageKind
 from repro.network.packets import transferred_bytes
+
+from tests.oracles.recursive_driver import depth_first_algorithms
 
 ALGO_NAMES = sorted(ALGORITHMS)
 #: Algorithms that speak only the standard query protocol (SemiJoin reuses
@@ -249,18 +252,18 @@ class TestBatchedExchangeLedger:
     def test_frontier_ledger_equals_recursive(self, algorithm, bucket):
         """End to end: the frontier execution's batched quadrant/probe COUNT
         and operator exchanges leave the same per-query ledger on both
-        channels as the depth-first execution, for every engine-driven
+        channels as the depth-first oracle, for every engine-driven
         algorithm."""
         ledgers = {}
         for execution in ("recursive", "frontier"):
             session = _fresh_session()
-            session.run(
-                algorithm=algorithm,
-                execution=execution,
-                kind="distance",
-                epsilon=0.04,
-                bucket_queries=bucket,
-            )
+            with depth_first_algorithms() if execution == "recursive" else nullcontext():
+                session.run(
+                    algorithm=algorithm,
+                    kind="distance",
+                    epsilon=0.04,
+                    bucket_queries=bucket,
+                )
             ledgers[execution] = {
                 side: self._ledger(server.channel)
                 for side, server in (

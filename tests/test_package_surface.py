@@ -1,0 +1,114 @@
+"""The shipped package has one implementation per operation and no knob to pick another.
+
+The reference twins (pointer R-tree, depth-first driver, scalar operators,
+per-lead sweep, event-replay kernel, SemiJoin's scalar loop) live in
+``tests/oracles/``; this guard keeps them, and the options that used to
+select them, out of ``src/repro/``.
+"""
+
+from __future__ import annotations
+
+import ast
+import dataclasses
+import hashlib
+import inspect
+from pathlib import Path
+
+import numpy as np
+
+import repro.api
+from repro.core.planner import ALGORITHMS
+from repro.index import flat
+from repro.index.flat import FlatRTree
+from repro.network.wifi import WifiLinkModel
+from repro.service.query import JoinQuery
+
+from tests import test_benchmark_targets
+from tests.oracles import pointer_rtree
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "repro"
+ORACLES = ROOT / "tests" / "oracles"
+
+#: Names a caller could use to pick between implementations of one operation.
+SELECTOR_NAMES = {"execution", "method"}
+
+
+def _imported_modules(path: Path):
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.module
+
+
+def test_the_package_never_imports_the_tests_or_an_oracle():
+    oracle_names = {path.stem for path in ORACLES.glob("*.py")} - {"__init__"}
+    assert len(oracle_names) >= 9
+    offenders = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for module in _imported_modules(path):
+            parts = set(module.split("."))
+            if parts & ({"tests", "oracles"} | oracle_names):
+                offenders.append((str(path.relative_to(ROOT)), module))
+    assert not offenders
+    # ... and what moved out did not leave a copy behind.
+    assert not (PACKAGE / "index" / "rtree.py").exists()
+    assert not (PACKAGE / "network" / "simulation.py").exists()
+
+
+def _public_callables():
+    """Every function, constructor and public method the entry points expose."""
+    owners = [getattr(repro.api, name) for name in repro.api.__all__]
+    owners += [*ALGORITHMS.values(), WifiLinkModel, JoinQuery]
+    for owner in owners:
+        if inspect.isfunction(owner):
+            yield owner.__qualname__, owner
+        elif inspect.isclass(owner):
+            yield owner.__qualname__, owner
+            for name, member in inspect.getmembers(owner, inspect.isfunction):
+                if not name.startswith("_"):
+                    yield f"{owner.__qualname__}.{name}", member
+
+
+def test_no_entry_point_takes_an_implementation_selector():
+    offenders = []
+    seen = 0
+    for name, target in _public_callables():
+        try:
+            parameters = inspect.signature(target).parameters
+        except (TypeError, ValueError):  # a constant or an uninspectable builtin
+            continue
+        seen += 1
+        offenders += [(name, p) for p in parameters if p in SELECTOR_NAMES]
+        if dataclasses.is_dataclass(target):
+            offenders += [
+                (name, f.name) for f in dataclasses.fields(target) if f.name in SELECTOR_NAMES
+            ]
+    assert seen > 50
+    assert not offenders
+
+
+def test_every_flat_rtree_is_built_by_the_field_constructor():
+    rng = np.random.default_rng(5)
+    lo = rng.random((300, 2))
+    mbrs = np.hstack([lo, lo + 0.01])
+    built = FlatRTree.from_mbr_array(mbrs, max_entries=8)
+    forest = FlatRTree.forest(
+        [FlatRTree.from_mbr_array(mbrs[:100]), FlatRTree.from_mbr_array(mbrs[100:])]
+    )
+    flattened = pointer_rtree.flatten(pointer_rtree.RTree.from_mbr_array(mbrs, max_entries=8))
+    fields = set(inspect.signature(FlatRTree).parameters) | {"size"}
+    for index in (built, forest, flattened):
+        assert set(vars(index)) == fields
+    # The constructor is the one place that assigns them.
+    for source in (inspect.getsource(flat), inspect.getsource(pointer_rtree.flatten)):
+        assert "__new__" not in source
+
+
+def test_the_benchmark_target_guard_is_unmodified_and_passes():
+    # benchmarks/e2e/layers.py is frozen; so is the test that holds src/ to it.
+    digest = hashlib.sha256(Path(test_benchmark_targets.__file__).read_bytes()).hexdigest()
+    assert digest == "62403bb2c5433b95872ae5db6c6296747b73136ea13a281b93ec08642c1e490b"
+    test_benchmark_targets.test_every_traced_target_resolves()
+    test_benchmark_targets.test_sized_targets_take_the_batch_first()

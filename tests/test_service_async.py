@@ -295,14 +295,16 @@ class TestQueryService:
             with pytest.raises(KeyError):
                 service.result(ticket, timeout=60)
 
-    def test_failure_is_delivered_to_the_waiter(self):
+    def test_failure_is_delivered_to_the_waiter(self, monkeypatch):
+        from repro.core.srjoin import SrJoin
+
+        def broken(*args, **kwargs):  # an untyped error in the middle of a wave
+            raise ValueError("injected mid-wave failure")
+
+        monkeypatch.setattr(SrJoin, "_root_task", broken)
         r, s = _datasets()
-        bad = JoinQuery(
-            r, s, JoinSpec.distance(0.03), algorithm="upjoin",
-            buffer_size=BUFFER, execution="bogus-mode",
-        )
         with QueryService(cache=False) as service:
-            ticket = service.submit(bad)
+            ticket = service.submit(_query(r, s, algorithm="srjoin"))
             with pytest.raises(ValueError):
                 service.result(ticket, timeout=60)
             # The service survives a failed wave.

@@ -32,6 +32,8 @@ from repro.datasets.synthetic import clustered, uniform
 from repro.geometry.rect import Rect
 from repro.service import JoinQuery, QueryBroker
 
+from tests.oracles.recursive_driver import depth_first_algorithms
+
 BUFFER = 96
 
 
@@ -66,8 +68,12 @@ def _standalone(query: JoinQuery, algorithm: str):
         config=query.config,
         params=query.params,
         window=query.window,
-        **({"execution": query.execution} if query.execution is not None else {}),
     )
+
+
+def _raise_value_error(*args, **kwargs):
+    """Stands in for an algorithm bug: an untyped error in the middle of a wave."""
+    raise ValueError("injected mid-wave failure")
 
 
 def _assert_identical(result, reference) -> None:
@@ -178,14 +184,30 @@ class TestBrokerEqualsStandalone:
                 outcome.result, _standalone(outcome.query, outcome.algorithm)
             )
 
-    def test_recursive_execution_override_through_broker(self):
+    @pytest.mark.parametrize("algorithm", ["upjoin", "srjoin", "mobijoin"])
+    def test_broker_equals_the_depth_first_oracle(self, algorithm):
+        """The broker's coalesced waves against a reference that shares neither
+        the driver nor the operators (``tests/oracles/recursive_driver.py``):
+        everything but the global interleaving of the trace, which a
+        depth-first run nests and the engine emits level by level."""
         r, s = _datasets()
         query = JoinQuery(
-            r, s, JoinSpec.distance(0.03), algorithm="upjoin",
-            buffer_size=BUFFER, execution="recursive",
+            r, s, JoinSpec.distance(0.03), algorithm=algorithm, buffer_size=BUFFER
         )
         (outcome,) = QueryBroker().run_batch([query])
-        _assert_identical(outcome.result, _standalone(query, "upjoin"))
+        with depth_first_algorithms():
+            reference = _standalone(query, algorithm)
+        result = outcome.result
+        assert result.sorted_pairs() == reference.sorted_pairs()
+        assert result.total_bytes == reference.total_bytes
+        assert (result.bytes_r, result.bytes_s) == (reference.bytes_r, reference.bytes_s)
+        assert result.total_cost == reference.total_cost
+        assert result.operator_counts == reference.operator_counts
+        assert result.server_stats == reference.server_stats
+        assert result.channel_stats == reference.channel_stats
+        assert result.buffer_high_water_mark == reference.buffer_high_water_mark
+        by_depth = lambda res: sorted(_trace_tuples(res), key=lambda event: event[0])
+        assert by_depth(result) == by_depth(reference)
 
 
 class TestResultCache:
@@ -243,13 +265,13 @@ class TestResultCache:
         assert outcomes[0].result.sorted_pairs() == outcomes[1].result.sorted_pairs()
         assert outcomes[0].result.total_bytes == outcomes[1].result.total_bytes
 
-    def test_failed_batch_does_not_leak_into_the_next(self):
+    def test_failed_batch_does_not_leak_into_the_next(self, monkeypatch):
         """A query raising mid-wave discards the batch, not the broker."""
         r, s = _datasets()
         spec = JoinSpec.distance(0.03)
         good = JoinQuery(r, s, spec, algorithm="upjoin", buffer_size=BUFFER)
-        bad = JoinQuery(r, s, spec, algorithm="upjoin", buffer_size=BUFFER,
-                        execution="bogus-mode")
+        bad = JoinQuery(r, s, spec, algorithm="srjoin", buffer_size=BUFFER)
+        monkeypatch.setattr(ALGORITHMS["srjoin"], "_root_task", _raise_value_error)
         broker = QueryBroker()
         with pytest.raises(ValueError):
             broker.run_batch([good, bad])
@@ -310,6 +332,25 @@ class TestPlanSelection:
         assert outcome.algorithm in SELECTABLE_ALGORITHMS
         assert not outcome.plan.overridden
         _assert_identical(outcome.result, _standalone(query, outcome.algorithm))
+
+    def test_execution_is_not_a_query_field(self):
+        # The per-query execution switch used to be forwarded to whichever
+        # algorithm the planner picked: a query that left the choice open
+        # took its whole batch down with an untyped TypeError whenever the
+        # pick (naive, fixedgrid) had no such argument.
+        import dataclasses
+
+        r, s = _datasets()
+        spec = JoinSpec.distance(0.01)
+        assert "execution" not in {f.name for f in dataclasses.fields(JoinQuery)}
+        with pytest.raises(TypeError, match="execution"):
+            JoinQuery(r, s, spec, algorithm=None, execution="recursive", buffer_size=100)
+        query = JoinQuery(r, s, spec, algorithm=None, buffer_size=100)
+        broker = QueryBroker()
+        assert broker.explain(query).algorithm == "naive"
+        (outcome,) = broker.run_batch([query])
+        assert outcome.status == "ok" and outcome.algorithm == "naive"
+        _assert_identical(outcome.result, _standalone(query, "naive"))
 
     def test_unknown_algorithm_rejected_at_submission(self):
         r, s = _datasets()

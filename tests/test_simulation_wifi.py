@@ -1,4 +1,8 @@
-"""Tests for the discrete-event simulation kernel and the WiFi link model."""
+"""Tests for the WiFi link model and its discrete-event oracle.
+
+The simulation kernel and the per-record replays live in
+``tests/oracles/wifi_event.py``; the shipped link model is closed-form only.
+"""
 
 from __future__ import annotations
 
@@ -7,11 +11,16 @@ import pytest
 from repro.network.channel import Channel
 from repro.network.config import NetworkConfig
 from repro.network.messages import CountQuery, ObjectPayload, ScalarResponse, WindowQuery
-from repro.network.simulation import Simulator
 from repro.network.wifi import WifiLinkModel
 from repro.geometry.rect import Rect
 
 import numpy as np
+
+from tests.oracles.wifi_event import (
+    Simulator,
+    estimate_channel_time_scalar,
+    simulate_channels_event,
+)
 
 
 class TestSimulator:
@@ -210,41 +219,36 @@ class TestClosedFormReplay:
     def test_closed_form_matches_discrete_event(self, seed):
         link = WifiLinkModel()
         channels = self._traffic_channels(seed)
-        fast = link.simulate_channels(channels, method="closed-form")
-        reference = link.simulate_channels(channels, method="event")
+        fast = link.simulate_channels(channels)
+        reference = simulate_channels_event(link, channels)
         assert fast == pytest.approx(reference, rel=1e-12, abs=1e-15)
-        # The closed form is the default.
-        assert link.simulate_channels(channels) == fast
 
     def test_replay_time_matches_estimate(self):
         # For a single channel the closed form, the discrete-event replay
         # and the sequential estimate all describe the same total.
         link = WifiLinkModel()
         (channel,) = [self._traffic_channels(3)[0]]
-        assert link.replay_time(channel.log.records) == pytest.approx(
-            link.estimate_channel_time(channel), rel=1e-12
+        closed_form = link.replay_time(channel.log.records)
+        assert link.estimate_channel_time(channel) == closed_form
+        assert closed_form == pytest.approx(
+            simulate_channels_event(link, [channel]), rel=1e-12
+        )
+        assert closed_form == pytest.approx(
+            estimate_channel_time_scalar(link, channel), rel=1e-12
         )
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_estimate_closed_form_matches_scalar_walk(self, seed):
-        # estimate_channel_time defaults to the NumPy closed form; the
-        # per-record scalar walk is the reference it is pinned against
-        # (within float tolerance -- only the summation order differs).
+        # estimate_channel_time is the NumPy closed form; the per-record
+        # scalar walk is the reference it is pinned against (within float
+        # tolerance -- only the summation order differs).
         link = WifiLinkModel()
         for channel in self._traffic_channels(seed):
             fast = link.estimate_channel_time(channel)
-            reference = link.estimate_channel_time(channel, method="scalar")
+            reference = estimate_channel_time_scalar(link, channel)
             assert fast == pytest.approx(reference, rel=1e-12, abs=1e-15)
 
-    def test_estimate_unknown_method_rejected(self):
-        link = WifiLinkModel()
-        channel = self._traffic_channels(4)[0]
-        with pytest.raises(ValueError):
-            link.estimate_channel_time(channel, method="bogus")
-
-    def test_empty_and_unknown_method(self):
+    def test_no_channels_is_zero(self):
         link = WifiLinkModel()
         assert link.simulate_channels([]) == 0.0
-        assert link.simulate_channels([], method="event") == 0.0
-        with pytest.raises(ValueError):
-            link.simulate_channels([], method="bogus")
+        assert simulate_channels_event(link, []) == 0.0

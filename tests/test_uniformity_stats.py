@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.costmodel import CostModel
-from repro.core.stats import estimate_quadrant_counts, fetch_quadrant_counts
+from repro.core.stats import estimate_quadrant_counts
 from repro.core.uniformity import (
     bitmaps_equal,
     confirms_uniformity,
@@ -22,6 +22,8 @@ from repro.geometry.rect import Rect
 from repro.network.config import NetworkConfig
 from repro.server.remote import ServerPair
 from repro.server.server import SpatialServer
+
+from tests.oracles.recursive_driver import fetch_quadrant_counts
 
 WINDOW = Rect(0.0, 0.0, 1.0, 1.0)
 
