@@ -5,9 +5,13 @@ SrJoin have in common: the device/servers handles, the cost model, pair
 collection, tracing, recursion-depth safety valves, and the final assembly
 of a :class:`~repro.core.result.JoinResult` from the measured channels.
 
-Subclasses implement :meth:`_execute` (the planning logic) and call the
-provided ``apply_hbsj`` / ``prune`` helpers, which keep the bookkeeping
-consistent across algorithms.
+Subclasses implement :meth:`_steps` (the planning logic, as a step
+generator -- see :mod:`repro.device.steps`) and use the provided
+``hbsj_steps`` / ``count_round`` / ``prune`` helpers, which keep the
+bookkeeping consistent across algorithms.  :meth:`run` drives the generator
+through the query's own connections; :meth:`run_cooperative` hands it to an
+external driver (the query broker), which may evaluate its steps together
+with other queries'.
 """
 
 from __future__ import annotations
@@ -21,7 +25,10 @@ import numpy as np
 from repro.core.costmodel import CostModel
 from repro.core.join_types import JoinSpec
 from repro.core.result import JoinResult, TraceEvent
+from repro.device.hbsj import HBSJRequest
 from repro.device.pda import MobileDevice
+from repro.device.steps import COUNT, Request, Step, Steps, run_steps
+from repro.errors import RoundRetry
 from repro.geometry import rect_array
 from repro.geometry.predicates import JoinPredicate
 from repro.geometry.rect import Rect
@@ -152,29 +159,72 @@ class MobileJoinAlgorithm(ABC):
             res.trace_span = span
         return span
 
-    def run_cooperative(self, window: Rect):
-        """Generator form of :meth:`run` for the query broker's wave driver.
+    def run_cooperative(self, window: Rect) -> Steps:
+        """Generator form of :meth:`run` for an external driver (the query broker).
 
-        The protocol: yield ``{server name: [query windows]}`` COUNT rounds
-        and receive ``{server name: [counts]}``, returning the
-        :class:`~repro.core.result.JoinResult` via ``StopIteration``.  This
-        base implementation never yields -- algorithms without a
-        coalescible execution simply run standalone (on their own metered
-        stack) when the driver first advances the generator.
-        :class:`~repro.core.frontier.FrontierAlgorithm` overrides it to
-        expose the engine's per-round COUNT batches for cross-query
-        coalescing.
+        Yields every server evaluation of the run as a step
+        (:mod:`repro.device.steps`) -- the root COUNTs, the planning rounds,
+        the operators' downloads and probes -- and returns the
+        :class:`~repro.core.result.JoinResult` via ``StopIteration``.  The
+        driver decides how a step is evaluated but must book it on this
+        query's own connections in step order
+        (:func:`~repro.device.steps.book_step`), which keeps pairs, bytes,
+        statistics, fault streams and decision traces bit-identical to
+        :meth:`run`.
+
+        This is also the one re-offer point: a driver that hits a
+        transient failure while evaluating a step can
+        ``throw(RoundRetry)`` into the generator, which then offers the
+        *identical* step again instead of unwinding (and destroying the
+        query's execution state).  Answering a step is idempotent -- its
+        requests are a pure function of the execution state, which the
+        retry does not touch.
         """
-        return self.run(window)
-        yield  # pragma: no cover -- marks this function as a generator
+        steps = self._cooperative_steps(window)
+        try:
+            step = next(steps)
+            while True:
+                try:
+                    answers = yield step
+                except RoundRetry:
+                    continue
+                step = steps.send(answers)
+        except StopIteration as stop:
+            return stop.value
+        finally:
+            steps.close()
+
+    def _cooperative_steps(self, window: Rect) -> Steps:
+        self._pairs.clear()
+        self._trace.clear()
+        span = self._obs_open(window)
+        try:
+            count_r, count_s = yield from self.count_round(
+                [
+                    Request(COUNT, "R", ([self.query_window("R", window)],)),
+                    Request(COUNT, "S", ([self.query_window("S", window)],)),
+                ]
+            )
+            count_r, count_s = int(count_r[0]), int(count_s[0])
+            self.record(0, window, "start", f"{self.name}", count_r, count_s)
+            yield from self._steps(window, count_r, count_s, depth=0)
+            return self._assemble(window)
+        finally:
+            if span is not None:
+                span.close(sim=self.device.sim_now())
 
     # ------------------------------------------------------------------ #
     # to be provided by each algorithm
     # ------------------------------------------------------------------ #
 
     @abstractmethod
+    def _steps(self, window: Rect, count_r: int, count_s: int, depth: int) -> Steps:
+        """Plan and execute the join of one window (counts already known),
+        offering every server evaluation as a step."""
+
     def _execute(self, window: Rect, count_r: int, count_s: int, depth: int) -> None:
-        """Plan and execute the join of one window (counts already known)."""
+        """:meth:`_steps` driven through the query's own connections."""
+        run_steps(self._steps(window, count_r, count_s, depth), self.device.servers)
 
     # ------------------------------------------------------------------ #
     # helpers shared by the algorithms
@@ -215,6 +265,35 @@ class MobileJoinAlgorithm(ABC):
             server_name, [self.query_window(server_name, w) for w in windows]
         )
 
+    def count_round(self, step: Step) -> Steps:
+        """Offer one planning round of COUNT requests; returns its answers.
+
+        The generator twin of :meth:`count_windows` (the windows are raw
+        query windows, margins applied): books the windows on the device's
+        COUNT counter and, while tracing, wraps the round in a "round" span
+        that opens before the step is offered and closes when the answers
+        arrive -- any :class:`RoundRetry` replay included -- under the
+        simulated clock.  Sibling rounds are told apart by a per-run
+        counter, keeping span ids deterministic under any wave width.
+        """
+        windows = sum(len(request.args[0]) for request in step)
+        self.device.counts.count_queries += windows
+        span = self._obs_span
+        if span is None:
+            return (yield step)
+        round_span = span.child(
+            "round",
+            sim=self.device.sim_now(),
+            round=self._obs_round,
+            servers=",".join(sorted(request.side for request in step)),
+            windows=windows,
+        )
+        self._obs_round += 1
+        try:
+            return (yield step)
+        finally:
+            round_span.close(sim=self.device.sim_now())
+
     def should_stop_partitioning(self, windows: np.ndarray, depths) -> np.ndarray:
         """Mask of the ``(N, 4)`` windows whose repartitioning cannot pay off.
 
@@ -254,15 +333,15 @@ class MobileJoinAlgorithm(ABC):
         self.device.counts.windows_pruned += 1
         self.record(depth, window, "prune", "empty side", count_r, count_s)
 
-    def apply_hbsj(
+    def hbsj_steps(
         self,
         window: Rect,
         depth: int,
         count_r: Optional[int] = None,
         count_s: Optional[int] = None,
         counts_exact: bool = True,
-    ) -> None:
-        """Run HBSJ on the window and collect its pairs.
+    ) -> Steps:
+        """Run HBSJ on the window and collect its pairs (a step generator).
 
         When the counts are only estimates (``counts_exact=False``) they are
         not forwarded to the operator, which will issue its own COUNT
@@ -270,13 +349,17 @@ class MobileJoinAlgorithm(ABC):
         accuracy is crucial, i.e. when applying the physical operators".
         """
         self.record(depth, window, "HBSJ", "", count_r, count_s)
-        result = self.device.hbsj(
+        request = HBSJRequest(
             window,
-            self.predicate,
             count_r=count_r if counts_exact else None,
             count_s=count_s if counts_exact else None,
         )
+        (result,) = yield from self.device.hbsj_steps([request], self.predicate)
         self._pairs.update(result.pairs)
+
+    def apply_hbsj(self, window: Rect, depth: int, *counts, **options) -> None:
+        """:meth:`hbsj_steps` driven through the query's own connections."""
+        run_steps(self.hbsj_steps(window, depth, *counts, **options), self.device.servers)
 
     def quadrants_of(self, window: Rect) -> List[Rect]:
         """The 2 x 2 decomposition used by every repartitioning step.

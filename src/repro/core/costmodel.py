@@ -321,8 +321,12 @@ class CostModel:
 
     def _probe_matches(self, area, n_inner):
         positive = np.greater(area, 0)
-        frac = self._probe_disc / np.where(positive, area, 1.0)
-        return np.where(positive, np.minimum(n_inner, frac * n_inner), n_inner)
+        # A denormal area overflows the fraction to inf, and inf * 0 objects
+        # is nan: ``fmin`` then keeps the count, as the scalar model's
+        # ``min(n, nan)`` does -- every inner object matches.
+        with np.errstate(over="ignore", invalid="ignore"):
+            frac = self._probe_disc / np.where(positive, area, 1.0)
+            return np.where(positive, np.fmin(n_inner, frac * n_inner), n_inner)
 
     def _tdq(self, area, n_inner):
         expected = self._probe_matches(area, n_inner)

@@ -24,9 +24,15 @@ proved it) into the one engine that runs them:
   batched exchange per server (answered by the server's flattened
   aggregate-tree snapshot in a single vectorised descent), and the
   physical-operator leaves of the level run through the device's batch
-  executors (:meth:`~repro.device.pda.MobileDevice.hbsj_batch` /
-  :meth:`~repro.device.pda.MobileDevice.nlsj_batch`), which concatenate
+  operators (:meth:`~repro.device.pda.MobileDevice.hbsj_steps` /
+  :meth:`~repro.device.pda.MobileDevice.nlsj_steps`), which concatenate
   window retrievals, probes and in-memory join kernels across leaves.
+* The engine itself is a step generator (:mod:`repro.device.steps`): every
+  COUNT round and every operator exchange is *yielded*, never performed.
+  :meth:`~repro.core.base.MobileJoinAlgorithm.run` answers the steps
+  through the query's own connections; the query broker answers the steps
+  of all in-flight queries together, one descent per backing build and
+  query kind.
 
 The depth-first oracle (``tests/oracles/recursive_driver.py``) drives the
 same generators one window at a time over the scalar operators; both issue
@@ -63,22 +69,14 @@ from typing import Dict, Generator, Iterable, List, NamedTuple, Optional, Sequen
 import numpy as np
 
 from repro.core.base import MobileJoinAlgorithm
-from repro.errors import RoundRetry
-from repro.core.result import JoinResult
 from repro.core.stats import CountRequest
 from repro.device.hbsj import HBSJRequest
 from repro.device.nlsj import NLSJRequest
+from repro.device.steps import COUNT, Request, Steps
 from repro.geometry import rect_array
 from repro.geometry.rect import Rect
 
 __all__ = ["FrontierAlgorithm", "OperatorLeaf", "WindowCosts"]
-
-#: The protocol spoken by the cooperative drivers: yield one
-#: ``{server name: [query windows]}`` COUNT round (margins pre-applied) and
-#: receive ``{server name: [counts]}`` back.  The standalone driver answers
-#: each round through this query's own device; the query broker coalesces
-#: the rounds of all in-flight queries into one exchange per backing server.
-CountRounds = Generator[Dict[str, List[Rect]], Dict[str, List[int]], None]
 
 
 @dataclass(frozen=True)
@@ -214,14 +212,12 @@ class FrontierAlgorithm(MobileJoinAlgorithm):
     # entry point shared by every frontier algorithm
     # ------------------------------------------------------------------ #
 
-    def _execute(self, window: Rect, count_r: int, count_s: int, depth: int) -> None:
-        gen = self._frontier_levels([self._root_task(window, count_r, count_s, depth)])
-        try:
-            batches = gen.send(None)
-            while True:
-                batches = gen.send(self._exchange_counts(batches))
-        except StopIteration:
-            pass
+    def _steps(self, window: Rect, count_r: int, count_s: int, depth: int) -> Steps:
+        return self._frontier_levels([self._root_task(window, count_r, count_s, depth)])
+
+    #: ``benchmarks/e2e/layers.py`` (frozen) times the cooperative run of the
+    #: engine algorithms under this class's name.
+    run_cooperative = MobileJoinAlgorithm.run_cooperative
 
     def _prune_window(self, rec, count_r: int, count_s: int) -> None:
         """Record a pruned window (one side empty) inside a step generator.
@@ -259,25 +255,13 @@ class FrontierAlgorithm(MobileJoinAlgorithm):
     # level-order driver
     # ------------------------------------------------------------------ #
 
-    def _exchange_counts(
-        self, batches: Dict[str, List[Rect]]
-    ) -> Dict[str, List[int]]:
-        """Answer one COUNT round through this query's own device --
-        one batched exchange per server."""
-        return {
-            server: self.device.count_windows(server, rects) if rects else []
-            for server, rects in batches.items()
-        }
+    def _frontier_levels(self, level: List) -> Steps:
+        """The level-order execution as a step generator.
 
-    def _frontier_levels(self, level: List) -> CountRounds:
-        """The level-order execution as a generator over COUNT rounds.
-
-        Everything except the COUNT exchanges happens inside the generator
-        (leaf operators run through the device's batch executors between
-        levels, traces splice in window order); only the per-round batched
-        COUNTs are yielded outward, so an external driver -- the query
-        broker's wave executor -- can merge them with the rounds of other
-        in-flight queries before answering.
+        Per level: the lock-step COUNT rounds of its windows, then the
+        steps of the batch operators that finish its leaves.  Everything
+        else -- decisions, in-memory joins, the trace spliced in window
+        order -- happens inside the generator between steps.
         """
         while level:
             runs = [
@@ -292,7 +276,7 @@ class FrontierAlgorithm(MobileJoinAlgorithm):
                     leaves.append(run.outcome)
                 elif run.outcome is not None:
                     next_level.extend(run.outcome)
-            self._run_leaves_batched(leaves)
+            yield from self._run_leaves_batched(leaves)
             if self.params.trace:
                 for run in runs:
                     self._trace.extend(run.events)
@@ -314,58 +298,14 @@ class FrontierAlgorithm(MobileJoinAlgorithm):
             run.pending = None
             run.outcome = stop.value
 
-    def _resumable_round(self, batches: Dict[str, List[Rect]]) -> CountRounds:
-        """Yield one COUNT round, re-yielding it on :class:`RoundRetry`.
-
-        A driver that hits a transient failure while evaluating a coalesced
-        round can ``throw(RoundRetry)`` into the generator: instead of
-        unwinding (and destroying the query's execution state), the
-        generator offers the *identical* round again on the next advance.
-        The exchange is idempotent -- the round's windows are a pure
-        function of the frontier state, which the retry does not touch.
-        """
-        while True:
-            try:
-                return (yield batches)
-            except RoundRetry:
-                continue
-
-    def _traced_round(self, batches: Dict[str, List[Rect]]) -> CountRounds:
-        """A :meth:`_resumable_round` wrapped in a "round" span.
-
-        The span opens before the round is offered outward and closes when
-        the answers arrive, so it covers the full exchange -- including any
-        :class:`RoundRetry` replays -- under the simulated clock.  Sibling
-        rounds are distinguished by a per-run counter, keeping span ids
-        deterministic under any wave width.
-        """
-        span = self._obs_span
-        if span is None:
-            return (yield from self._resumable_round(batches))
-        round_span = span.child(
-            "round",
-            sim=self.device.sim_now(),
-            round=self._obs_round,
-            servers=",".join(sorted(batches)),
-            windows=sum(len(rects) for rects in batches.values()),
-        )
-        self._obs_round += 1
-        try:
-            return (yield from self._resumable_round(batches))
-        finally:
-            round_span.close(sim=self.device.sim_now())
-
-    def _level_rounds(self, runs: List[_Run]) -> CountRounds:
+    def _level_rounds(self, runs: List[_Run]) -> Steps:
         """Advance every window of the level in lock-step rounds.
 
         Each round gathers the pending COUNT requests of all still-active
-        windows into one ``{server: [windows]}`` batch -- the same queries,
-        in task order, that a depth-first execution issues one window at a
-        time -- and yields it to the caller, which executes the exchange
-        and sends the counts back.  The standalone driver answers through
-        this query's own device (:meth:`_exchange_counts`); the broker's
-        wave driver coalesces the batches of every in-flight query that
-        targets the same server before answering.
+        windows into one COUNT request per server -- the same queries, in
+        task order, that a depth-first execution issues one window at a
+        time -- and offers them as one step
+        (:meth:`~repro.core.base.MobileJoinAlgorithm.count_round`).
         """
         pending = [run for run in runs if run.pending is not None]
         while pending:
@@ -373,7 +313,10 @@ class FrontierAlgorithm(MobileJoinAlgorithm):
             for run in pending:
                 for req in run.pending:
                     batches.setdefault(req.server, []).extend(req.rects)
-            answers = yield from self._traced_round(batches)
+            counts = yield from self.count_round(
+                [Request(COUNT, server, (rects,)) for server, rects in batches.items()]
+            )
+            answers = dict(zip(batches, counts))
             cursors = {server: 0 for server in batches}
             still_pending: List[_Run] = []
             for run in pending:
@@ -387,47 +330,7 @@ class FrontierAlgorithm(MobileJoinAlgorithm):
                     still_pending.append(run)
             pending = still_pending
 
-    # ------------------------------------------------------------------ #
-    # cooperative driver (the query broker's wave executor)
-    # ------------------------------------------------------------------ #
-
-    def run_cooperative(
-        self, window: Rect
-    ) -> Generator[Dict[str, List[Rect]], Dict[str, List[int]], JoinResult]:
-        """Generator form of :meth:`run` for the multi-query wave driver.
-
-        Yields ``{server name: [query windows]}`` COUNT rounds (margins
-        already applied) and receives ``{server name: [counts]}`` per
-        round; all other traffic -- operator leaves, window and range
-        downloads -- flows through this query's own metered device
-        directly, inside the generator.  The caller decides how each COUNT
-        round is evaluated, but must attribute the exchange to this
-        query's ledger exactly as the device would (the broker uses the
-        ``*_prefetched`` accounting endpoints), keeping pairs, bytes,
-        statistics and decision traces bit-identical to a standalone
-        :meth:`run`.
-        """
-        self._pairs.clear()
-        self._trace.clear()
-        span = self._obs_open(window)
-        try:
-            answers = yield from self._traced_round(
-                {
-                    "R": [self.query_window("R", window)],
-                    "S": [self.query_window("S", window)],
-                }
-            )
-            count_r = int(answers["R"][0])
-            count_s = int(answers["S"][0])
-            self.record(0, window, "start", f"{self.name}", count_r, count_s)
-            root = self._root_task(window, count_r, count_s, depth=0)
-            yield from self._frontier_levels([root])
-            return self._assemble(window)
-        finally:
-            if span is not None:
-                span.close(sim=self.device.sim_now())
-
-    def _run_leaves_batched(self, leaves: Sequence[OperatorLeaf]) -> None:
+    def _run_leaves_batched(self, leaves: Sequence[OperatorLeaf]) -> Steps:
         """Execute the level's physical-operator leaves through the batch
         operators: one batched download / probe / kernel pipeline per
         operator kind instead of one device call per window."""
@@ -453,16 +356,17 @@ class FrontierAlgorithm(MobileJoinAlgorithm):
                 )
                 for leaf in hbsj_leaves
             ]
-            for result in self.device.hbsj_batch(requests, self.predicate):
+            for result in (yield from self.device.hbsj_steps(requests, self.predicate)):
                 self._pairs.update(result.pairs)
         if nlsj_leaves:
             requests = [
                 NLSJRequest(window=leaf.window, outer=leaf.outer)
                 for leaf in nlsj_leaves
             ]
-            for result in self.device.nlsj_batch(
+            results = yield from self.device.nlsj_steps(
                 requests, self.predicate, bucket=self.params.bucket_queries
-            ):
+            )
+            for result in results:
                 self._pairs.update(result.pairs)
         if leaves_span is not None:
             leaves_span.close(sim=self.device.sim_now())

@@ -19,6 +19,7 @@ from repro.core.base import AlgorithmParameters, MobileJoinAlgorithm
 from repro.core.join_types import JoinSpec
 from repro.device.hbsj import HBSJRequest
 from repro.device.pda import MobileDevice
+from repro.device.steps import COUNT, Request, Steps
 from repro.geometry.rect import Rect
 
 __all__ = ["NaiveDownloadJoin", "FixedGridJoin"]
@@ -45,19 +46,19 @@ class NaiveDownloadJoin(MobileJoinAlgorithm):
         super().__init__(device, spec, params)
         self.enforce_buffer = enforce_buffer
 
-    def _execute(self, window: Rect, count_r: int, count_s: int, depth: int) -> None:
+    def _steps(self, window: Rect, count_r: int, count_s: int, depth: int) -> Steps:
         if count_r == 0 or count_s == 0:
             self.prune(window, depth, count_r, count_s)
             return
         if self.enforce_buffer:
             # Let the HBSJ operator spill recursively; it re-counts as needed.
-            self.apply_hbsj(window, depth, count_r, count_s, counts_exact=True)
+            yield from self.hbsj_steps(window, depth, count_r, count_s, counts_exact=True)
             return
         # Temporarily lift the buffer constraint for the wholesale download.
         original_capacity = self.device.buffer.capacity
         self.device.buffer.capacity = max(original_capacity, count_r + count_s)
         try:
-            self.apply_hbsj(window, depth, count_r, count_s, counts_exact=True)
+            yield from self.hbsj_steps(window, depth, count_r, count_s, counts_exact=True)
         finally:
             self.device.buffer.capacity = original_capacity
 
@@ -91,7 +92,7 @@ class FixedGridJoin(MobileJoinAlgorithm):
         self.grid_size = grid_size
         self.prune_empty = prune_empty
 
-    def _execute(self, window: Rect, count_r: int, count_s: int, depth: int) -> None:
+    def _steps(self, window: Rect, count_r: int, count_s: int, depth: int) -> Steps:
         if count_r == 0 or count_s == 0:
             self.prune(window, depth, count_r, count_s)
             return
@@ -99,13 +100,17 @@ class FixedGridJoin(MobileJoinAlgorithm):
         if not self.prune_empty:
             for cell in cells:
                 self.record(depth + 1, cell, "HBSJ", "")
-            self._join_cells([HBSJRequest(window=cell) for cell in cells])
+            yield from self._join_cells([HBSJRequest(window=cell) for cell in cells])
             return
         # All per-cell COUNTs of the grid go out as two batches (one per
         # server): same queries and bytes as the per-cell loop, answered in
         # one index descent each.
-        counts_r = self.count_windows("R", cells)
-        counts_s = self.count_windows("S", cells)
+        counts_r, counts_s = yield from self.count_round(
+            [
+                Request(COUNT, side, ([self.query_window(side, cell) for cell in cells],))
+                for side in ("R", "S")
+            ]
+        )
         surviving = []
         for cell, cell_r, cell_s in zip(cells, counts_r, counts_s):
             if cell_r == 0 or cell_s == 0:
@@ -113,10 +118,10 @@ class FixedGridJoin(MobileJoinAlgorithm):
                 continue
             self.record(depth + 1, cell, "HBSJ", "", cell_r, cell_s)
             surviving.append(HBSJRequest(window=cell, count_r=cell_r, count_s=cell_s))
-        self._join_cells(surviving)
+        yield from self._join_cells(surviving)
 
-    def _join_cells(self, requests) -> None:
+    def _join_cells(self, requests) -> Steps:
         """Join the surviving cells through one batched HBSJ pipeline: the
         same downloads and counters as one operator call per cell."""
-        for result in self.device.hbsj_batch(requests, self.predicate):
+        for result in (yield from self.device.hbsj_steps(requests, self.predicate)):
             self._pairs.update(result.pairs)

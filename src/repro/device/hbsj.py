@@ -23,6 +23,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.device.buffer import DeviceBuffer
+from repro.device.nlsj import NLSJRequest, nested_loop_spatial_join_steps
+from repro.device.steps import COUNT, WINDOW, Request, Steps, run_steps
 from repro.geometry.predicates import JoinPredicate
 from repro.geometry.rect import Rect
 from repro.index.hash_join import JoinBatch, grid_hash_join_batch
@@ -33,6 +35,7 @@ __all__ = [
     "HBSJResult",
     "hash_based_spatial_join",
     "hash_based_spatial_join_batch",
+    "hash_based_spatial_join_steps",
 ]
 
 #: Safety valve against pathological inputs (e.g. more coincident points
@@ -118,103 +121,117 @@ def hash_based_spatial_join_batch(
     predicate: JoinPredicate,
     buffer: DeviceBuffer,
 ) -> List[HBSJResult]:
-    """Execute many HBSJ invocations with level-order batched exchanges.
+    """Execute many HBSJ invocations: :func:`hash_based_spatial_join_steps`
+    driven through the query's own connections."""
+    return run_steps(hash_based_spatial_join_steps(requests, predicate, buffer), servers)
+
+
+class _Cell:
+    """One window of the operator's worklist."""
+
+    __slots__ = ("idx", "window", "window_s", "count_r", "count_s", "depth")
+
+    def __init__(
+        self,
+        idx: int,
+        window: Rect,
+        margin: float,
+        count_r: Optional[int],
+        count_s: Optional[int],
+        depth: int,
+    ) -> None:
+        self.idx = idx  # the request this window belongs to
+        self.window = window
+        self.window_s = window.expanded(margin) if margin > 0 else window
+        self.count_r = count_r
+        self.count_s = count_s
+        self.depth = depth
+
+
+def hash_based_spatial_join_steps(
+    requests: Sequence[HBSJRequest], predicate: JoinPredicate, buffer: DeviceBuffer
+) -> Steps:
+    """The HBSJ operator for many invocations, as a step generator.
 
     Per-request results (pairs and all counters) and the wire bytes are
     those of running the requests one at a time (pinned against the
     depth-first ``tests/oracles/operators_scalar.py``): the operator's
     internal quadrant recursion is processed as a frontier, so the
-    feasibility COUNTs, the quadrant-split COUNTs and the window downloads
-    of every active window at a recursion step travel in one batched
-    exchange per server, and the in-memory joins of all buffer-feasible
-    windows collapse into a single segmented grid-hash kernel call.
+    feasibility COUNTs of every active window travel in one step, the
+    quadrant-split COUNTs and the window downloads of a recursion level in
+    the next (one request per server and kind; see
+    :mod:`repro.device.steps`), and the in-memory joins of all
+    buffer-feasible windows collapse into a single segmented grid-hash
+    kernel call.  Returns the ``List[HBSJResult]``.
     """
-    from repro.device.nlsj import (  # local: avoid cycle
-        NLSJRequest,
-        nested_loop_spatial_join_batch,
-    )
-
     margin = predicate.window_margin
     results = [HBSJResult() for _ in requests]
-    # Worklist items: (request idx, window, expanded S window, cr, cs, depth).
-    items: List[Tuple[int, Rect, Rect, Optional[int], Optional[int], int]] = [
-        (
-            i,
-            req.window,
-            req.window.expanded(margin) if margin > 0 else req.window,
-            req.count_r,
-            req.count_s,
-            0,
-        )
+    cells = [
+        _Cell(i, req.window, margin, req.count_r, req.count_s, 0)
         for i, req in enumerate(requests)
     ]
-    while items:
-        # Resolve missing feasibility counts, one COUNT batch per server.
-        need_r = [k for k, it in enumerate(items) if it[3] is None]
-        if need_r:
-            got = servers.r.count_batch([items[k][1] for k in need_r])
-            for k, value in zip(need_r, got):
-                idx, w, ws, _, cs, depth = items[k]
-                items[k] = (idx, w, ws, int(value), cs, depth)
-                results[idx].count_queries += 1
-        need_s = [k for k, it in enumerate(items) if it[4] is None]
-        if need_s:
-            got = servers.s.count_batch([items[k][2] for k in need_s])
-            for k, value in zip(need_s, got):
-                idx, w, ws, cr, _, depth = items[k]
-                items[k] = (idx, w, ws, cr, int(value), depth)
-                results[idx].count_queries += 1
+    while cells:
+        # Resolve missing feasibility counts: one COUNT request per server.
+        step, asked = [], []
+        for side, count, window in (("R", "count_r", "window"), ("S", "count_s", "window_s")):
+            need = [cell for cell in cells if getattr(cell, count) is None]
+            if need:
+                step.append(Request(COUNT, side, ([getattr(cell, window) for cell in need],)))
+                asked.append((count, need))
+        if step:
+            for (count, need), values in zip(asked, (yield step)):
+                for cell, value in zip(need, values):
+                    setattr(cell, count, int(value))
+                    results[cell.idx].count_queries += 1
 
-        joins: List[Tuple[int, Rect, Rect]] = []
-        splits: List[Tuple[int, Rect, int]] = []
-        fallbacks: List[Tuple[int, Rect]] = []
-        for idx, w, ws, cr, cs, depth in items:
-            if cr == 0 or cs == 0:
-                results[idx].windows_pruned += 1
-            elif cr + cs <= buffer.capacity:
-                joins.append((idx, w, ws))
-            elif depth >= MAX_RECURSION_DEPTH or _too_small_to_split(w, margin):
-                fallbacks.append((idx, w))
+        joins: List[_Cell] = []
+        splits: List[_Cell] = []
+        fallbacks: List[_Cell] = []
+        for cell in cells:
+            if cell.count_r == 0 or cell.count_s == 0:
+                results[cell.idx].windows_pruned += 1
+            elif cell.count_r + cell.count_s <= buffer.capacity:
+                joins.append(cell)
+            elif cell.depth >= MAX_RECURSION_DEPTH or _too_small_to_split(cell.window, margin):
+                fallbacks.append(cell)
             else:
-                splits.append((idx, w, depth))
+                splits.append(cell)
 
-        # Splits: batch the per-quadrant feasibility COUNTs of every
-        # splitting window into one exchange per server.
-        next_items: List[Tuple[int, Rect, Rect, Optional[int], Optional[int], int]] = []
+        # One step for the level: the per-quadrant feasibility COUNTs of
+        # every splitting window, then the downloads of every feasible one.
+        step = []
         if splits:
-            split_quads = [w.quadrants() for _, w, _ in splits]
-            all_quads: List[Rect] = [q for quads in split_quads for q in quads]
-            quad_counts_r = servers.r.count_batch(all_quads)
-            quad_counts_s = servers.s.count_batch(
-                [q.expanded(margin) if margin > 0 else q for q in all_quads]
-            )
-            pos = 0
-            for (idx, w, depth), quads in zip(splits, split_quads):
-                results[idx].recursive_splits += 1
-                results[idx].count_queries += 8
-                for quadrant in quads:
-                    next_items.append(
-                        (
-                            idx,
-                            quadrant,
-                            quadrant.expanded(margin) if margin > 0 else quadrant,
-                            int(quad_counts_r[pos]),
-                            int(quad_counts_s[pos]),
-                            depth + 1,
-                        )
-                    )
-                    pos += 1
-
-        # Feasible windows: one WINDOW batch per server, answered in CSR
-        # form, which is what the batch kernel joins -- no per-window split.
+            children = [
+                _Cell(cell.idx, quadrant, margin, None, None, cell.depth + 1)
+                for cell in splits
+                for quadrant in cell.window.quadrants()
+            ]
+            step.append(Request(COUNT, "R", ([child.window for child in children],)))
+            step.append(Request(COUNT, "S", ([child.window_s for child in children],)))
         if joins:
-            flat_r = servers.r.window_batch_flat([w for _, w, _ in joins])
-            flat_s = servers.s.window_batch_flat([ws for _, _, ws in joins])
+            step.append(Request(WINDOW, "R", ([cell.window for cell in joins],)))
+            step.append(Request(WINDOW, "S", ([cell.window_s for cell in joins],)))
+        answers = (yield step) if step else []
+
+        cells = []
+        if splits:
+            counts_r, counts_s, *answers = answers
+            for cell in splits:
+                results[cell.idx].recursive_splits += 1
+                results[cell.idx].count_queries += 8
+            for child, count_r, count_s in zip(children, counts_r, counts_s):
+                child.count_r, child.count_s = int(count_r), int(count_s)
+            cells = children
+
+        # Feasible windows arrive in CSR form, which is what the batch
+        # kernel joins -- no per-window split.
+        if joins:
+            flat_r, flat_s = answers
             pair_lists = grid_hash_join_batch(JoinBatch(*flat_r, *flat_s), predicate)
             got_r = np.diff(flat_r[2]).tolist()
             got_s = np.diff(flat_s[2]).tolist()
-            for (idx, _, _), n_r, n_s, pairs in zip(joins, got_r, got_s, pair_lists):
-                result = results[idx]
+            for cell, n_r, n_s, pairs in zip(joins, got_r, got_s, pair_lists):
+                result = results[cell.idx]
                 result.objects_downloaded_r += n_r
                 result.objects_downloaded_s += n_s
                 token = buffer.allocate(n_r + n_s)
@@ -226,21 +243,18 @@ def hash_based_spatial_join_batch(
 
         # Un-splittable over-budget windows: finish with batched NLSJ.
         if fallbacks:
-            sub_results = nested_loop_spatial_join_batch(
-                servers,
-                [NLSJRequest(window=w, outer="R") for _, w in fallbacks],
+            sub_results = yield from nested_loop_spatial_join_steps(
+                [NLSJRequest(window=cell.window, outer="R") for cell in fallbacks],
                 predicate,
                 buffer,
                 bucket=False,
             )
-            for (idx, _), nlsj in zip(fallbacks, sub_results):
-                result = results[idx]
+            for cell, nlsj in zip(fallbacks, sub_results):
+                result = results[cell.idx]
                 result.pairs.extend(nlsj.pairs)
                 result.nlsj_fallbacks += 1
                 result.objects_downloaded_r += nlsj.outer_objects
                 result.objects_downloaded_s += nlsj.inner_objects_received
-
-        items = next_items
     return results
 
 

@@ -30,6 +30,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.device.buffer import DeviceBuffer
+from repro.device.steps import BUCKET, RANGE, WINDOW, Request, Steps, run_steps
 from repro.geometry import rect_array
 from repro.geometry.point import Point
 from repro.geometry.predicates import (
@@ -45,6 +46,7 @@ __all__ = [
     "NLSJResult",
     "nested_loop_spatial_join",
     "nested_loop_spatial_join_batch",
+    "nested_loop_spatial_join_steps",
 ]
 
 
@@ -115,108 +117,103 @@ def nested_loop_spatial_join_batch(
     buffer: DeviceBuffer,
     bucket: bool = False,
 ) -> List[NLSJResult]:
-    """Execute many NLSJ invocations with batched exchanges and kernels.
+    """Execute many NLSJ invocations: :func:`nested_loop_spatial_join_steps`
+    driven through the query's own connections."""
+    return run_steps(
+        nested_loop_spatial_join_steps(requests, predicate, buffer, bucket=bucket), servers
+    )
+
+
+def nested_loop_spatial_join_steps(
+    requests: Sequence[NLSJRequest],
+    predicate: JoinPredicate,
+    buffer: DeviceBuffer,
+    bucket: bool = False,
+) -> Steps:
+    """The NLSJ operator for many invocations, as a step generator.
 
     The per-request results (pairs, probe/object counters) and the wire
     bytes are those of running the requests one at a time (pinned against
-    ``tests/oracles/operators_scalar.py``): outer downloads are
-    concatenated into one WINDOW batch per server, the epsilon probes of
-    every request into one RANGE batch per inner server (each probe still
-    metered as its own exchange), and the candidate verification runs once
-    over offset arrays instead of once per probe.  Bucket queries stay one
-    exchange per request -- merging them would change the wire payloads --
-    but their verification is vectorised the same way.
+    ``tests/oracles/operators_scalar.py``).  Two steps (see
+    :mod:`repro.device.steps`): the outer downloads, concatenated into one
+    WINDOW request per outer server; then the epsilon probes of every
+    request as one RANGE request per inner server (each probe still metered
+    as its own exchange), verified once over offset arrays instead of once
+    per probe.  Bucket queries stay one BUCKET request per invocation --
+    merging them would change the wire payloads -- but share the step and
+    are verified the same way.  Returns the ``List[NLSJResult]``.
     """
-    for req in requests:
-        if req.outer.upper() not in ("R", "S"):
-            raise ValueError("outer must be 'R' or 'S'")
-    results = [NLSJResult(outer=req.outer.upper()) for req in requests]
+    outers = [req.outer.upper() for req in requests]
+    if any(outer not in ("R", "S") for outer in outers):
+        raise ValueError("outer must be 'R' or 'S'")
+    results = [NLSJResult(outer=outer) for outer in outers]
     margin = predicate.window_margin
 
-    # Outer downloads: one WINDOW batch per outer server, request order
-    # preserved within each group.
+    # Outer downloads: one WINDOW request per outer server, invocation
+    # order preserved within each.
+    step, asked = [], []
+    for side in ("R", "S"):
+        idxs = [i for i, outer in enumerate(outers) if outer == side]
+        if idxs:
+            wins = [requests[i].window for i in idxs]
+            if side == "S" and margin > 0:
+                wins = [w.expanded(margin) for w in wins]
+            step.append(Request(WINDOW, side, (wins,)))
+            asked.append(idxs)
     downloads: List[Optional[Tuple[np.ndarray, np.ndarray]]] = [None] * len(requests)
-    for outer_name, server in (("R", servers.r), ("S", servers.s)):
-        idxs = [i for i, req in enumerate(requests) if req.outer.upper() == outer_name]
-        if not idxs:
-            continue
-        wins = []
-        for i in idxs:
-            w = requests[i].window
-            if outer_name == "S" and margin > 0:
-                w = w.expanded(margin)
-            wins.append(w)
-        for i, payload in zip(idxs, server.window_batch(wins)):
-            downloads[i] = payload
-    for i, (outer_mbrs, outer_oids) in enumerate(downloads):
-        results[i].outer_objects = int(outer_oids.shape[0])
+    for idxs, (mbrs, oids, bounds) in zip(asked, (yield step) if step else ()):
+        for k, i in enumerate(idxs):
+            lo, hi = bounds[k], bounds[k + 1]
+            downloads[i] = (mbrs[lo:hi], oids[lo:hi])
+            results[i].outer_objects = int(hi - lo)
 
+    # Probes.  ``asked`` lists, per request of the step, ``(invocation,
+    # first probe, probe count)`` for the invocations it carries.
+    step, asked = [], []
     if bucket:
-        for i, req in enumerate(requests):
-            outer_mbrs, outer_oids = downloads[i]
-            if outer_oids.shape[0] == 0:
-                continue
-            inner_server = servers.s if req.outer.upper() == "R" else servers.r
-            centers, radii = _probe_geometry(outer_mbrs, predicate)
-            radius = _bucket_radius(outer_mbrs, predicate)
-            inner_mbrs, inner_oids, probe_idx = inner_server.bucket_range(
-                centers, radius, radii
-            )
-            result = results[i]
-            result.bucket_queries += 1
-            result.probes_sent += len(centers)
-            result.inner_objects_received += int(inner_oids.shape[0])
-            token = buffer.allocate(min(int(outer_oids.shape[0]), buffer.capacity))
-            try:
-                result.pairs.extend(
-                    _verify_candidates(
-                        outer_mbrs,
-                        outer_oids,
-                        inner_mbrs,
-                        inner_oids,
-                        probe_idx,
-                        req.window,
-                        predicate,
-                        req.outer.upper(),
-                    )
-                )
-            finally:
-                buffer.release(token)
-        return results
-
-    # Non-bucket probes: concatenate every request's probes into one RANGE
-    # batch per inner server (inner = S for outer R, inner = R for outer S).
-    for inner_name, inner_server in (("S", servers.s), ("R", servers.r)):
-        spans: List[Tuple[int, int, int]] = []  # (request idx, start, count)
-        centers_all: List[Point] = []
-        radii_all: List[float] = []
-        for i, req in enumerate(requests):
-            inner_of_req = "S" if req.outer.upper() == "R" else "R"
-            outer_mbrs, outer_oids = downloads[i]
-            if inner_of_req != inner_name or outer_oids.shape[0] == 0:
-                continue
-            centers, radii = _probe_geometry(outer_mbrs, predicate)
-            spans.append((i, len(centers_all), len(centers)))
-            centers_all.extend(centers)
-            radii_all.extend(radii)
-        if not spans:
-            continue
-        # The probe responses arrive flat (one concatenated payload array in
-        # CSR probe order): each request's candidate block is a slice, not a
-        # per-probe vstack.
-        all_mbrs, all_oids, bounds = inner_server.range_batch_flat(
-            centers_all, radii_all
-        )
+        # One BUCKET request per invocation, in invocation order.
+        for i, outer in enumerate(outers):
+            outer_mbrs = downloads[i][0]
+            if outer_mbrs.shape[0]:
+                centers, radii = _probe_geometry(outer_mbrs, predicate)
+                radius = _bucket_radius(outer_mbrs, predicate)
+                step.append(Request(BUCKET, "S" if outer == "R" else "R", (centers, radius, radii)))
+                asked.append([(i, 0, len(centers))])
+    else:
+        # Every invocation's probes concatenated into one RANGE request per
+        # inner server (inner = S for outer R, inner = R for outer S).
+        for inner in ("S", "R"):
+            spans: List[Tuple[int, int, int]] = []
+            centers_all: List[Point] = []
+            radii_all: List[float] = []
+            for i, outer in enumerate(outers):
+                outer_mbrs = downloads[i][0]
+                if outer != inner and outer_mbrs.shape[0]:
+                    centers, radii = _probe_geometry(outer_mbrs, predicate)
+                    spans.append((i, len(centers_all), len(centers)))
+                    centers_all.extend(centers)
+                    radii_all.extend(radii)
+            if spans:
+                step.append(Request(RANGE, inner, (centers_all, radii_all)))
+                asked.append(spans)
+    for spans, (all_mbrs, all_oids, index) in zip(asked, (yield step) if step else ()):
+        # ``index`` assigns candidate rows to probes.  A BUCKET answer names
+        # the probe of every row; a RANGE answer is flat (one concatenated
+        # payload, ``index`` its CSR offsets in probe order), so an
+        # invocation's candidate block is a slice of it.
         for i, start, n in spans:
             outer_mbrs, outer_oids = downloads[i]
             result = results[i]
-            lo, hi = int(bounds[start]), int(bounds[start + n])
-            counts = np.diff(bounds[start : start + n + 1])
+            if bucket:
+                result.bucket_queries += 1
+                cand_mbrs, cand_oids, probe_idx = all_mbrs, all_oids, index
+            else:
+                bounds = index[start : start + n + 1]
+                cand_mbrs = all_mbrs[bounds[0] : bounds[-1]]
+                cand_oids = all_oids[bounds[0] : bounds[-1]]
+                probe_idx = np.repeat(np.arange(n, dtype=np.intp), np.diff(bounds))
             result.probes_sent += n
-            result.inner_objects_received += hi - lo
-            cand_mbrs = all_mbrs[lo:hi]
-            cand_oids = all_oids[lo:hi]
-            probe_idx = np.repeat(np.arange(n, dtype=np.intp), counts)
+            result.inner_objects_received += int(cand_oids.shape[0])
             token = buffer.allocate(min(int(outer_oids.shape[0]), buffer.capacity))
             try:
                 result.pairs.extend(
@@ -228,7 +225,7 @@ def nested_loop_spatial_join_batch(
                         probe_idx,
                         requests[i].window,
                         predicate,
-                        requests[i].outer.upper(),
+                        outers[i],
                     )
                 )
             finally:

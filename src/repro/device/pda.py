@@ -14,8 +14,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.device.buffer import DeviceBuffer
-from repro.device.hbsj import HBSJRequest, HBSJResult, hash_based_spatial_join_batch
-from repro.device.nlsj import NLSJRequest, NLSJResult, nested_loop_spatial_join_batch
+from repro.device.hbsj import HBSJRequest, HBSJResult, hash_based_spatial_join_steps
+from repro.device.nlsj import NLSJRequest, NLSJResult, nested_loop_spatial_join_steps
+from repro.device.steps import Steps, run_steps
 from repro.geometry.predicates import JoinPredicate
 from repro.geometry.rect import Rect
 from repro.network.config import NetworkConfig
@@ -123,12 +124,13 @@ class MobileDevice:
     def count_windows_prefetched(
         self, server_name: str, windows: Sequence[Rect], values: Sequence[int]
     ) -> List[int]:
-        """Attribute a COUNT batch answered by a coalesced cross-query exchange.
+        """Attribute a COUNT batch evaluated elsewhere (``values`` its answers).
 
-        The query broker evaluates the windows of many queries against one
-        backing server in a single snapshot descent; each query's share is
-        booked here so operator counters, server statistics and channel
-        ledgers match a :meth:`count_windows` call exactly.
+        Books operator counters, server statistics and channel ledgers
+        exactly as a :meth:`count_windows` call over the same windows.  The
+        query broker books whole steps (:func:`repro.device.steps.book_step`)
+        and no longer calls this; ``benchmarks/e2e/layers.py`` (frozen)
+        still names it.
         """
         self.counts.count_queries += len(windows)
         server = self.servers.r if server_name.upper() == "R" else self.servers.s
@@ -165,19 +167,8 @@ class MobileDevice:
     def hbsj_batch(
         self, requests: Sequence[HBSJRequest], predicate: JoinPredicate
     ) -> List[HBSJResult]:
-        """Run many HBSJ invocations through the batched executor.
-
-        Books one invocation per request and merges every request's
-        count / prune counters into the device's.
-        """
-        self.counts.hbsj_invocations += len(requests)
-        results = hash_based_spatial_join_batch(
-            self.servers, requests, predicate, self.buffer
-        )
-        for result in results:
-            self.counts.count_queries += result.count_queries
-            self.counts.windows_pruned += result.windows_pruned
-        return results
+        """Run many HBSJ invocations: :meth:`hbsj_steps` on this device's connections."""
+        return run_steps(self.hbsj_steps(requests, predicate), self.servers)
 
     def nlsj_batch(
         self,
@@ -185,10 +176,34 @@ class MobileDevice:
         predicate: JoinPredicate,
         bucket: bool = False,
     ) -> List[NLSJResult]:
-        """Run many NLSJ invocations through the batched executor."""
+        """Run many NLSJ invocations: :meth:`nlsj_steps` on this device's connections."""
+        return run_steps(self.nlsj_steps(requests, predicate, bucket=bucket), self.servers)
+
+    def hbsj_steps(self, requests: Sequence[HBSJRequest], predicate: JoinPredicate) -> Steps:
+        """Many HBSJ invocations as a step generator (:mod:`repro.device.steps`).
+
+        Books one invocation per request and merges every request's
+        count / prune counters into the device's; returns the results.
+        """
+        self.counts.hbsj_invocations += len(requests)
+        results = yield from hash_based_spatial_join_steps(requests, predicate, self.buffer)
+        for result in results:
+            self.counts.count_queries += result.count_queries
+            self.counts.windows_pruned += result.windows_pruned
+        return results
+
+    def nlsj_steps(
+        self,
+        requests: Sequence[NLSJRequest],
+        predicate: JoinPredicate,
+        bucket: bool = False,
+    ) -> Steps:
+        """Many NLSJ invocations as a step generator; returns the results."""
         self.counts.nlsj_invocations += len(requests)
-        return nested_loop_spatial_join_batch(
-            self.servers, requests, predicate, self.buffer, bucket=bucket
+        return (
+            yield from nested_loop_spatial_join_steps(
+                requests, predicate, self.buffer, bucket=bucket
+            )
         )
 
     # ------------------------------------------------------------------ #

@@ -87,9 +87,14 @@ class TrafficLog:
         broker-coalesced query's wire traffic record for record against its
         standalone reference run (cross-query coalescing may share the
         physical evaluation, never the attributed ledger).
+
+        The batch sends append one record *object* many times (``n``
+        identical messages, equal payload sizes), so each distinct object is
+        digested once per call and the log is read through that table.
         """
-        return tuple(
-            (
+        ids = list(map(id, self.records))
+        digests = {
+            key: (
                 rec.direction,
                 rec.kind.value,
                 rec.payload_bytes,
@@ -97,8 +102,9 @@ class TrafficLog:
                 rec.packets,
                 rec.label,
             )
-            for rec in self.records
-        )
+            for key, rec in dict(zip(ids, self.records)).items()
+        }
+        return tuple(map(digests.__getitem__, ids))
 
     def clear(self) -> None:
         self.records.clear()

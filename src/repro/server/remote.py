@@ -68,8 +68,8 @@ from repro.network.messages import (
     WindowQuery,
 )
 from repro.server.interface import SpatialServerInterface
-from repro.server.server import SpatialServer
-from repro.server.sharded import ShardedSpatialServer, sum_by_request
+from repro.server.server import Prefetched, SpatialServer
+from repro.server.sharded import ShardedSpatialServer, probe_squares, sum_by_request
 
 __all__ = [
     "RemoteServer",
@@ -483,6 +483,19 @@ class RemoteServer(SpatialServerInterface):
         stats.objects_returned += int(sizes.sum())
         self._account_window_batch(windows, sizes)
 
+    def book_window_batch(
+        self, windows: List[Rect], answer: Prefetched
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`window_batch_flat` over windows the backing build already answered.
+
+        ``answer`` is the build's :meth:`~SpatialServer.evaluate_window_batch`
+        of exactly these windows (the wave driver hands every query its
+        share of one descent over many queries' windows).  Statistics and
+        ledger are booked as :meth:`window_batch_flat` books them.
+        """
+        self.window_batch_prefetched(windows, np.diff(answer.bounds))
+        return answer.mbrs, answer.oids, answer.bounds
+
     def _account_window_batch(self, windows: List[Rect], sizes: np.ndarray) -> None:
         """The shared ledger write of one batched WINDOW exchange."""
         if not windows:
@@ -615,6 +628,13 @@ class RemoteServer(SpatialServerInterface):
         stats.objects_returned += int(sizes.sum())
         self._account_range_batch(centers, radii, sizes)
 
+    def book_range_batch(
+        self, centers: Sequence[Point], radii: Sequence[float], answer: Prefetched
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`range_batch_flat` over probes already answered (see :meth:`book_window_batch`)."""
+        self.range_batch_prefetched(centers, radii, np.diff(answer.bounds))
+        return answer.mbrs, answer.oids, answer.bounds
+
     def _account_range_batch(
         self, centers: Sequence[Point], radii: Sequence[float], sizes: np.ndarray
     ) -> None:
@@ -658,6 +678,24 @@ class RemoteServer(SpatialServerInterface):
         stats.bucket_range_probes += len(centers)
         stats.objects_returned += n_objects
         self._account_bucket_range(centers, epsilon, radii, n_objects)
+
+    def book_bucket_range(
+        self,
+        centers: Sequence[Point],
+        epsilon: float,
+        radii: Sequence[float],
+        answer: Prefetched,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`bucket_range` over probes already answered (see :meth:`book_window_batch`).
+
+        ``answer`` evaluated the probes with their per-probe ``radii``, as
+        the bucket query itself does.
+        """
+        self.bucket_range_prefetched(
+            tuple(centers), epsilon, tuple(radii), int(answer.oids.shape[0])
+        )
+        probes = np.repeat(answer.request, np.diff(answer.bounds))
+        return answer.mbrs, answer.oids, probes
 
     def _account_bucket_range(
         self,
@@ -1351,12 +1389,6 @@ class ShardedRemoteServer(SpatialServerInterface):
         return self._fleet.route(rect_array.rects_to_array([window]))[0].tolist()
 
     @staticmethod
-    def _probe_windows(pts: np.ndarray, radii: np.ndarray) -> np.ndarray:
-        """The Chebyshev squares that make range-probe routing safe."""
-        x, y = pts.T
-        return np.column_stack([x - radii, y - radii, x + radii, y + radii])
-
-    @staticmethod
     def _by_shard(shard: np.ndarray) -> Iterator[Tuple[int, np.ndarray]]:
         """``(shard, its row positions)``, shards ascending, rows in request order."""
         order = np.argsort(shard, kind="stable")
@@ -1364,28 +1396,17 @@ class ShardedRemoteServer(SpatialServerInterface):
             if at.shape[0]:
                 yield int(shard[at[0]]), at
 
-    def _gather(self, query, book, requests: np.ndarray, *more: np.ndarray):
-        """Evaluate a payload batch once, book it per shard, gather the payload.
+    def _book(self, answer: Prefetched, book) -> np.ndarray:
+        """Book one evaluated payload batch shard by shard; the row sizes.
 
         ``book(proxy, requests, sizes)`` attributes one shard's rows -- the
         request indices it was routed, ascending, and the objects each
-        returned -- through that shard's ``*_prefetched`` endpoint.  Returns
-        ``(mbrs, oids, request, bounds)``: the merged payload (request-major,
-        shards ascending inside a request), the request of every row and
-        the row-level CSR offsets into the payload.
+        returned -- through that shard's ``*_prefetched`` endpoint.
         """
-        shard, request, (bounds, rows) = self._fleet.descend(query, requests, *more)
-        sizes = np.diff(bounds)
-        for si, at in self._by_shard(shard):
-            book(self._proxies[si], request.take(at).tolist(), sizes.take(at))
-        return (*self._fleet.forest.entries_at(rows), request, bounds)
-
-    def _gather_probes(self, centers, radii: List[float], book):
-        """:meth:`_gather` for range probes, routed through their Chebyshev squares."""
-        pts, reach = probe_arrays(centers, radii)
-        return self._gather(
-            self._fleet.forest.range_batch_flat, book, self._probe_windows(pts, reach), pts, reach
-        )
+        sizes = np.diff(answer.bounds)
+        for si, at in self._by_shard(answer.shard):
+            book(self._proxies[si], answer.request.take(at).tolist(), sizes.take(at))
+        return sizes
 
     @staticmethod
     def _request_bounds(request: np.ndarray, n_requests: int, bounds: np.ndarray) -> np.ndarray:
@@ -1415,14 +1436,27 @@ class ShardedRemoteServer(SpatialServerInterface):
         self, windows: Sequence[Rect]
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         windows = list(windows)
-        mbrs, oids, request, bounds = self._gather(
-            self._fleet.forest.window_batch_flat,
+        return self.book_window_batch(windows, self._fleet.evaluate_window_batch(windows))
+
+    def book_window_batch(
+        self, windows: List[Rect], answer: Prefetched
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Book, shard by shard, a WINDOW batch the fleet already evaluated.
+
+        The book half of :meth:`window_batch_flat`; the wave driver calls it
+        with this query's share of a descent it made for many queries.
+        """
+        self._book(
+            answer,
             lambda proxy, mine, sizes: proxy.window_batch_prefetched(
                 [windows[i] for i in mine], sizes
             ),
-            rect_array.rects_to_array(windows),
         )
-        return mbrs, oids, self._request_bounds(request, len(windows), bounds)
+        return (
+            answer.mbrs,
+            answer.oids,
+            self._request_bounds(answer.request, len(windows), answer.bounds),
+        )
 
     def count(self, window: Rect) -> int:
         return sum(self._proxies[i].count(window) for i in self._routed(window))
@@ -1466,7 +1500,7 @@ class ShardedRemoteServer(SpatialServerInterface):
     def range(self, center: Point, epsilon: float) -> Tuple[np.ndarray, np.ndarray]:
         if epsilon < 0:
             raise ValueError("epsilon must be non-negative")
-        probe = self._probe_windows(*probe_arrays([center], [epsilon]))
+        probe = probe_squares(*probe_arrays([center], [epsilon]))
         return _stack_payloads(
             [
                 self._proxies[i].range(center, epsilon)
@@ -1488,14 +1522,25 @@ class ShardedRemoteServer(SpatialServerInterface):
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         centers = list(centers)
         per_probe = [float(r) for r in radii]
-        mbrs, oids, request, bounds = self._gather_probes(
-            centers,
-            per_probe,
+        return self.book_range_batch(
+            centers, per_probe, self._fleet.evaluate_range_batch(centers, per_probe)
+        )
+
+    def book_range_batch(
+        self, centers: Sequence[Point], radii: Sequence[float], answer: Prefetched
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The book half of :meth:`range_batch_flat` (see :meth:`book_window_batch`)."""
+        self._book(
+            answer,
             lambda proxy, mine, sizes: proxy.range_batch_prefetched(
-                [centers[i] for i in mine], [per_probe[i] for i in mine], sizes
+                [centers[i] for i in mine], [radii[i] for i in mine], sizes
             ),
         )
-        return mbrs, oids, self._request_bounds(request, len(centers), bounds)
+        return (
+            answer.mbrs,
+            answer.oids,
+            self._request_bounds(answer.request, len(centers), answer.bounds),
+        )
 
     def bucket_range(
         self,
@@ -1513,18 +1558,29 @@ class ShardedRemoteServer(SpatialServerInterface):
         per_probe = (
             [epsilon] * len(centers) if radii is None else [float(r) for r in radii]
         )
-        mbrs, oids, request, bounds = self._gather_probes(
-            centers,
-            per_probe,
+        return self.book_bucket_range(
+            centers, epsilon, per_probe, self._fleet.evaluate_range_batch(centers, per_probe)
+        )
+
+    def book_bucket_range(
+        self,
+        centers: Sequence[Point],
+        epsilon: float,
+        radii: Sequence[float],
+        answer: Prefetched,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The book half of :meth:`bucket_range`: one bucket exchange per routed shard."""
+        sizes = self._book(
+            answer,
             lambda proxy, mine, sizes: proxy.bucket_range_prefetched(
                 tuple(centers[i] for i in mine),
                 epsilon,
-                tuple(per_probe[i] for i in mine),
+                tuple(radii[i] for i in mine),
                 int(sizes.sum()),
             ),
         )
         # Probe-major with ascending shards inside each probe: the rows' own order.
-        return mbrs, oids, np.repeat(request, np.diff(bounds))
+        return answer.mbrs, answer.oids, np.repeat(answer.request, sizes)
 
     def average_mbr_area(self, window: Rect) -> float:
         # Weighted mean of the per-shard aggregates; the weight (the

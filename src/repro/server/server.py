@@ -21,7 +21,7 @@ from repro.geometry.rect import Rect
 from repro.index.aggregate_rtree import AggregateRTree
 from repro.server.interface import SpatialServerInterface
 
-__all__ = ["SpatialServer", "ServerQueryStats"]
+__all__ = ["SpatialServer", "ServerQueryStats", "Prefetched"]
 
 #: Monotonic registration ids: every server *build* (not view) gets a fresh
 #: uid, so ``breaker_token`` stays unique across the process lifetime even
@@ -60,6 +60,49 @@ class ServerQueryStats:
         self.bucket_range_probes = 0
         self.aggregate_queries = 0
         self.objects_returned = 0
+
+
+class Prefetched:
+    """The answer rows of one stat-free payload descent, gathered once.
+
+    Row ``k`` answers request ``request[k]`` on shard ``shard[k]`` with the
+    payload rows ``bounds[k]:bounds[k + 1]`` of ``mbrs`` / ``oids``.  Rows
+    are request-major (a fleet lists the shards of one request ascending;
+    a plain server has exactly one row per request, on shard 0), so the
+    share of a contiguous run of requests is one slice of every array:
+    ``answer[i:j]`` is that share, its requests renumbered from 0.  A
+    build evaluates, a connection to the same build books
+    (``book_window_batch`` / ``book_range_batch`` / ``book_bucket_range``);
+    nothing else needs to look inside.
+    """
+
+    __slots__ = ("shard", "request", "bounds", "mbrs", "oids")
+
+    def __init__(
+        self,
+        shard: np.ndarray,
+        request: np.ndarray,
+        bounds: np.ndarray,
+        mbrs: np.ndarray,
+        oids: np.ndarray,
+    ) -> None:
+        self.shard = shard
+        self.request = request
+        self.bounds = bounds
+        self.mbrs = mbrs
+        self.oids = oids
+
+    def __getitem__(self, requests: slice) -> "Prefetched":
+        first = requests.start
+        a, b = np.searchsorted(self.request, (first, requests.stop)).tolist()
+        lo, hi = self.bounds[a], self.bounds[b]
+        return Prefetched(
+            self.shard[a:b],
+            self.request[a:b] - first,
+            self.bounds[a : b + 1] - lo,
+            self.mbrs[lo:hi],
+            self.oids[lo:hi],
+        )
 
 
 class SpatialServer(SpatialServerInterface):
@@ -165,6 +208,23 @@ class SpatialServer(SpatialServerInterface):
         stat side effects.
         """
         return self._index.count_batch(windows)
+
+    def evaluate_window_batch(self, windows: Sequence[Rect]) -> Prefetched:
+        """Answer WINDOWs without touching query statistics (see :class:`Prefetched`)."""
+        return self._prefetched(self._index.window_query_batch_flat(windows))
+
+    def evaluate_range_batch(
+        self, centers: Sequence[Point], radii: Sequence[float]
+    ) -> Prefetched:
+        """Answer RANGE probes without touching query statistics."""
+        return self._prefetched(self._index.range_query_batch_flat(centers, radii))
+
+    def _prefetched(self, answer: Tuple[np.ndarray, np.ndarray]) -> Prefetched:
+        bounds, rows = answer
+        request = np.arange(bounds.shape[0] - 1, dtype=np.intp)
+        return Prefetched(
+            np.zeros_like(request), request, bounds, *self._index.entries_at(rows)
+        )
 
     def prime_snapshot(self) -> None:
         """Nothing to force: the index is its own snapshot, built eagerly.

@@ -18,7 +18,9 @@ the unit the query broker caches, primes, places and reuses:
 * ``evaluate_count_batch()`` answers a coalesced COUNT batch for the wave
   driver by that routed descent, summing the per-shard counts (shards
   partition the object set exactly, so the sums equal the union server's
-  counts bit for bit);
+  counts bit for bit); ``evaluate_window_batch()`` / ``evaluate_range_batch()``
+  are its payload siblings, and what every scatter of the client-side
+  proxy evaluates before it books the routed shards;
 * ``breaker_units()`` exposes the shards as independently-breakable
   servers, so one misbehaving shard trips only its own circuit breaker.
 
@@ -42,12 +44,14 @@ import numpy as np
 
 from repro.datasets.dataset import SpatialDataset
 from repro.datasets.partition import partition_dataset
+from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.geometry.rect_array import pairwise_intersects, rects_to_array
+from repro.index.aggregate_rtree import probe_arrays
 from repro.index.flat import FlatRTree
-from repro.server.server import ServerQueryStats, SpatialServer
+from repro.server.server import Prefetched, ServerQueryStats, SpatialServer
 
-__all__ = ["ShardedSpatialServer", "FleetStats", "sum_by_request"]
+__all__ = ["ShardedSpatialServer", "FleetStats", "probe_squares", "sum_by_request"]
 
 
 def sum_by_request(request: np.ndarray, values: np.ndarray, n_requests: int) -> List[int]:
@@ -55,6 +59,16 @@ def sum_by_request(request: np.ndarray, values: np.ndarray, n_requests: int) -> 
     totals = np.zeros(n_requests, dtype=np.int64)
     np.add.at(totals, request, values)
     return totals.tolist()
+
+
+def probe_squares(pts: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """The Chebyshev squares ``centre +- radius`` that make range-probe routing safe.
+
+    Min-distance <= radius implies the object's MBR meets that square, and
+    a shard's objects lie inside its bounds, so routing loses no answer.
+    """
+    x, y = pts.T
+    return np.column_stack([x - radii, y - radii, x + radii, y + radii])
 
 
 class FleetStats:
@@ -243,6 +257,31 @@ class ShardedSpatialServer:
         wins = rects_to_array(list(windows))
         _, request, counts = self.descend(self.forest.count_batch, wins)
         return sum_by_request(request, counts, wins.shape[0])
+
+    def evaluate_window_batch(self, windows: Sequence[Rect]) -> Prefetched:
+        """Answer WINDOWs in one routed descent, statistics untouched.
+
+        One row per ``(window, routed shard)``, window-major with shards
+        ascending: the merged answer a scatter returns, still carrying the
+        shard of every row so each shard's share can be booked afterwards.
+        """
+        return self._prefetched(self.forest.window_batch_flat, rects_to_array(list(windows)))
+
+    def evaluate_range_batch(
+        self, centers: Sequence[Point], radii: Sequence[float]
+    ) -> Prefetched:
+        """Answer RANGE probes in one routed descent, statistics untouched.
+
+        Probes are routed through their :func:`probe_squares`.
+        """
+        pts, reach = probe_arrays(centers, radii)
+        return self._prefetched(
+            self.forest.range_batch_flat, probe_squares(pts, reach), pts, reach
+        )
+
+    def _prefetched(self, query, requests: np.ndarray, *more: np.ndarray) -> Prefetched:
+        shard, request, (bounds, rows) = self.descend(query, requests, *more)
+        return Prefetched(shard, request, bounds, *self.forest.entries_at(rows))
 
     def prime_snapshot(self) -> None:
         """Nothing to force (see :meth:`SpatialServer.prime_snapshot`)."""

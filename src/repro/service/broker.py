@@ -20,34 +20,36 @@ buffer sizes -- and
    serves a query without executing anything, and identical queries inside
    one submission share a single execution;
 
-3. **executes** each wave cooperatively on the shared frontier engine.
-   Every query runs on its own session stack -- own metered channels, own
-   device, own statistics *view* of a cached server build
-   (:meth:`~repro.server.server.SpatialServer.shared_view`) -- and the
-   pending COUNT requests of all in-flight queries that target the same
-   backing server are coalesced into one batched snapshot descent per
-   (server, round).  The coalesced values are attributed back to each
-   query's own ledger through the prefetched accounting endpoints
-   (:meth:`~repro.device.pda.MobileDevice.count_windows_prefetched`), so
-   pairs, bytes, server statistics and decision traces are bit-identical
-   to running the query alone -- under any submission order, with the
-   cache cold or warm (pinned by ``tests/test_service_equivalence.py``).
+3. **executes** each wave cooperatively.  Every query runs on its own
+   session stack -- own metered channels, own device, own statistics
+   *view* of a cached server build
+   (:meth:`~repro.server.server.SpatialServer.shared_view`) -- as a step
+   generator (:mod:`repro.device.steps`): it *offers* every server
+   evaluation it needs, COUNT rounds and the operators' WINDOW downloads
+   and RANGE probes alike.  Per wave round the broker takes one step from
+   each in-flight query, evaluates all rows of one query kind that target
+   the same backing build in **one** stat-free descent, and has every
+   query book its own share on its own connections
+   (:func:`~repro.device.steps.book_step`), so pairs, bytes, server
+   statistics, fault streams and decision traces are bit-identical to
+   running the query alone -- under any submission order, with the cache
+   cold or warm (pinned by ``tests/test_service_equivalence.py`` and
+   ``tests/test_wave_fusion.py``).
 
-   The per-query advances between the coalesced exchanges run inline on
+   The per-query advances between the coalesced evaluations run inline on
    the executing thread, one query after the other: they are GIL-bound
    Python, and a thread pool over them measured 0.6-0.7x of this loop.
 
-Algorithms without a coalescible execution (the naive/fixed-grid
-comparators and SemiJoin) still run through the broker on their own
-isolated stacks; they simply contribute no shared rounds (their whole
-execution happens in the priming advance).
+SemiJoin's index relay is no step kind: it still runs through the broker
+on its own isolated stack, inside the advance that follows its root COUNT
+round, and contributes no further shared rounds.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro.core.costmodel import CalibratedCostModel
@@ -60,6 +62,7 @@ from repro.core.planner import (
 )
 from repro.core.result import JoinResult
 from repro.device.pda import MobileDevice
+from repro.device.steps import COUNT, Kind, Step, book_step
 from repro.errors import QueryTimeout, ReproError, ServerUnavailable
 from repro.network.config import NetworkConfig
 from repro.obs.metrics import ChannelMetricsObserver
@@ -92,11 +95,11 @@ class BrokerStats:
     queries_executed: int = 0
     cache_hits: int = 0
     waves: int = 0
-    #: Batched COUNT exchanges actually evaluated: one per (backing server,
-    #: round) across all in-flight queries of a wave.
+    #: Batched evaluations actually made: one per (backing server, query
+    #: kind, round) across all in-flight queries of a wave.
     coalesced_exchanges: int = 0
     #: Exchanges the same queries would have flushed standalone: one per
-    #: (query, server, round).
+    #: request of every step they offered.
     standalone_exchanges: int = 0
     #: COUNT windows answered through coalesced exchanges.
     coalesced_count_queries: int = 0
@@ -139,7 +142,8 @@ class _Admitted:
     base_s: Optional[SpatialServer] = None
     device: Optional[MobileDevice] = None
     gen: Optional[Generator] = None
-    pending: Optional[Dict[str, list]] = None
+    #: The step the query offered and waits to have answered.
+    pending: Optional[Step] = None
     result: Optional[JoinResult] = None
     fingerprints: Optional[Tuple[Tuple, Tuple]] = None
     #: The typed error that isolated this query from its wave, if any.
@@ -177,15 +181,27 @@ class _Breaker:
     open_until_wave: Optional[int] = None
 
 
-@dataclass
 class _Group:
-    """One coalesced COUNT exchange: all windows of a round that target the
-    same backing server."""
+    """One coalesced evaluation: all rows of a round that ask one backing
+    build for one query kind."""
 
-    base: SpatialServer
-    windows: list = field(default_factory=list)
-    #: ``(entry, server name, start offset, count)`` slices into ``windows``.
-    slices: list = field(default_factory=list)
+    def __init__(self, base: SpatialServer, kind: Kind) -> None:
+        self.base = base
+        self.kind = kind
+        #: The per-row columns ``kind.evaluate`` takes, requests back to back.
+        self.columns: Tuple[list, ...] = tuple([] for _ in kind.columns)
+        #: Member requests (what standalone runs would flush one by one).
+        self.requests = 0
+        #: The build's answer to all rows; a request's share is a slice of it.
+        self.answer = None
+
+    def add(self, args: tuple) -> Tuple["_Group", int, int]:
+        """Append one request's rows; its slot in this group."""
+        first = len(self.columns[0])
+        for column, position in zip(self.columns, self.kind.columns):
+            column.extend(args[position])
+        self.requests += 1
+        return self, first, len(self.columns[0]) - first
 
 
 class QueryBroker:
@@ -333,11 +349,11 @@ class QueryBroker:
             )
             self._m_exchanges = metrics.counter(
                 "repro_coalesced_exchanges_total",
-                "Coalesced COUNT exchanges evaluated (one per server, round)",
+                "Coalesced evaluations made (one per server, query kind, round)",
             )
             self._m_round_windows = metrics.histogram(
                 "repro_round_windows",
-                "COUNT windows answered per coalesced exchange",
+                "Windows / probes answered per coalesced evaluation",
                 buckets=(1, 2, 4, 8, 16, 32, 64, 128, 256),
             )
             self._m_breaker = metrics.counter(
@@ -436,7 +452,7 @@ class QueryBroker:
         share one execution (the first occurrence leads) when the result
         cache is enabled.  The remaining distinct queries run in waves of
         at most ``max_wave``, all queries of a wave advancing in lock-step
-        rounds with their COUNT exchanges coalesced per backing server.
+        rounds with the steps they offer evaluated together per backing server.
 
         The batch is taken off the queue up front: if a query raises
         mid-wave the whole batch is discarded rather than left to leak
@@ -667,21 +683,16 @@ class QueryBroker:
             entry.result = stop.value
 
     @staticmethod
-    def _attribute_and_advance(
-        entry: _Admitted, answers_for: Dict[Tuple[int, str], List[int]]
-    ) -> None:
-        """Book one query's share of a coalesced round, then advance it."""
-        answers: Dict[str, List[int]] = {}
-        for server_name, rects in entry.pending.items():
-            if rects:
-                answers[server_name] = entry.device.count_windows_prefetched(
-                    server_name,
-                    rects,
-                    answers_for[(id(entry), server_name)],
-                )
-            else:
-                answers[server_name] = []
-        QueryBroker._advance(entry, answers)
+    def _book_and_advance(entry: _Admitted, slots: List[Tuple["_Group", int, int]]) -> None:
+        """Book one query's shares of the round's evaluations, then advance it.
+
+        ``slots`` is parallel to the step the query offered: the group each
+        request's rows joined, their first row there and their number.
+        """
+        shares = [group.answer[first : first + n] for group, first, n in slots]
+        QueryBroker._advance(
+            entry, book_step(entry.device.servers, entry.pending, shares)
+        )
 
     # -------------------------- circuit breaker ----------------------- #
 
@@ -902,9 +913,9 @@ class QueryBroker:
     def _execute_wave(self, wave: List[_Admitted], wave_index: int) -> None:
         """Drive all queries of one wave in lock-step coalesced rounds.
 
-        Between rounds every query advances in turn -- priming, leaf
-        operators, attribution; the coalesced COUNT evaluation is gathered
-        and answered in submission order.
+        Between rounds every query advances in turn -- priming, decisions,
+        in-memory joins, booking; the steps the queries offer are gathered
+        and evaluated in submission order.
 
         A query that raises a typed :class:`~repro.errors.ReproError` --
         an unrecoverable channel fault, retry exhaustion, a deadline
@@ -932,6 +943,32 @@ class QueryBroker:
                 self._wave_span.close()
                 self._wave_span = None
 
+    def _evaluate(self, group: _Group, round_index: int) -> None:
+        """Answer all rows of one group in one descent of its backing build."""
+        base, kind = group.base, group.kind
+        rows = len(group.columns[0])
+        span = None
+        if self._wave_span is not None:
+            span = self._wave_span.child(
+                "coalesced",
+                round=round_index,
+                kind=kind.name,
+                server=base.name,
+                rows=rows,
+                requests=group.requests,
+            )
+        group.answer = getattr(base, kind.evaluate)(*group.columns)
+        if span is not None:
+            span.close()
+        self.stats.bump(
+            coalesced_exchanges=1,
+            coalesced_count_queries=rows if kind is COUNT else 0,
+            standalone_exchanges=group.requests,
+        )
+        if self._m_exchanges is not None:
+            self._m_exchanges.inc(server=base.name, kind=kind.name)
+            self._m_round_windows.observe(rows)
+
     def _run_wave(self, wave: List[_Admitted]) -> None:
         wave_span = self._wave_span
         building: List[_Admitted] = []
@@ -955,54 +992,32 @@ class QueryBroker:
                 self._fail_entry(entry, error)
                 continue
             building.append(entry)
-        # Priming runs non-cooperative queries to completion on their own
-        # stack; frontier queries stop at their first COUNT round.
+        # Priming stops every query at the first step it offers, its root
+        # COUNT round.
         self._advance_all(building, lambda entry: self._advance(entry, None))
         active = [entry for entry in building if entry.pending is not None]
         round_index = 0
         while active:
-            # Gather: one group per backing server across all active
-            # queries, in submission order.
-            groups: Dict[int, _Group] = {}
+            # Gather: one group per (backing build, query kind) across the
+            # steps of all active queries, in submission order.
+            groups: Dict[Tuple[int, str], _Group] = {}
+            slots: Dict[int, List[Tuple[_Group, int, int]]] = {}
             for entry in active:
-                for server_name, rects in entry.pending.items():
-                    if not rects:
-                        continue
-                    base = entry.base_r if server_name.upper() == "R" else entry.base_s
-                    group = groups.setdefault(id(base), _Group(base))
-                    group.slices.append((entry, server_name, len(group.windows), len(rects)))
-                    group.windows.extend(rects)
-            # Evaluate: one batched snapshot descent per backing server.
-            answers_for: Dict[Tuple[int, str], List[int]] = {}
+                mine = slots[entry.index] = []
+                for kind, side, args in entry.pending:
+                    base = entry.base_r if side.upper() == "R" else entry.base_s
+                    group = groups.get((id(base), kind.name))
+                    if group is None:
+                        group = groups[id(base), kind.name] = _Group(base, kind)
+                    mine.append(group.add(args))
+            # Evaluate: one stat-free descent per group.
             for group in groups.values():
-                group_span = None
-                if wave_span is not None:
-                    group_span = wave_span.child(
-                        "coalesced-count",
-                        round=round_index,
-                        server=group.base.name,
-                        windows=len(group.windows),
-                        queries=len(group.slices),
-                    )
-                values = group.base.evaluate_count_batch(group.windows)
-                if group_span is not None:
-                    group_span.close()
-                self.stats.bump(
-                    coalesced_exchanges=1,
-                    coalesced_count_queries=len(group.windows),
-                    standalone_exchanges=len(group.slices),
-                )
-                if self._m_exchanges is not None:
-                    self._m_exchanges.inc(server=group.base.name)
-                    self._m_round_windows.observe(len(group.windows))
-                for entry, server_name, start, n in group.slices:
-                    answers_for[(id(entry), server_name)] = values[start : start + n]
-            # Attribute and advance: each query books its own share on its
-            # own ledger, exactly as a standalone count_windows call would
-            # have.
+                self._evaluate(group, round_index)
+            # Book and advance: each query books its own shares on its own
+            # connections, in step order, exactly as answering the step
+            # alone would have.
             self._advance_all(
-                active,
-                lambda entry: self._attribute_and_advance(entry, answers_for),
+                active, lambda entry: self._book_and_advance(entry, slots[entry.index])
             )
             active = [entry for entry in active if entry.pending is not None]
             round_index += 1

@@ -23,10 +23,12 @@ The resilience pinning invariant of PR 7, exercised end to end:
 from __future__ import annotations
 
 import random
+from collections import Counter
 from typing import Dict, List
 
 import pytest
 
+from repro.core.base import AlgorithmParameters
 from repro.core.join_types import JoinSpec
 from repro.core.planner import (
     ALGORITHMS,
@@ -35,6 +37,7 @@ from repro.core.planner import (
     run_join,
 )
 from repro.datasets.synthetic import clustered, uniform
+from repro.device.steps import answer_step
 from repro.errors import (
     ChannelFault,
     QueryTimeout,
@@ -49,6 +52,7 @@ from repro.network.faults import (
     Outage,
     RetryPolicy,
 )
+from repro.obs import Tracer
 from repro.service import JoinQuery, QueryBroker
 
 pytestmark = pytest.mark.chaos
@@ -424,43 +428,76 @@ class TestCircuitBreaker:
 
 
 class TestResumableRounds:
-    def test_round_retry_reoffers_identical_round_and_result(self):
-        r, s = _datasets()
-        spec = JoinSpec.distance(0.03)
-        _, _, device = build_session_stack(r, s, buffer_size=BUFFER)
-        algo = build_algorithm("srjoin", device, spec)
+    """``throw(RoundRetry)`` into a cooperative run re-offers the very same
+    step -- a COUNT round or an operator's WINDOW / RANGE step alike --
+    instead of unwinding, and the run ends as if nothing had happened."""
+
+    @staticmethod
+    def _snapshot(step):
+        """Everything a driver could evaluate a step from, by value."""
+
+        def plain(value):
+            if isinstance(value, (list, tuple)):
+                return tuple(plain(item) for item in value)
+            return getattr(value, "as_tuple", lambda: value)()
+
+        return [(kind.name, side, plain(args)) for kind, side, args in step]
+
+    @pytest.mark.parametrize(
+        "algorithm, bucket", [("srjoin", False), ("mobijoin", False), ("upjoin", True)]
+    )
+    def test_round_retry_reoffers_identical_step_and_result(self, algorithm, bucket):
+        # Large enough for every algorithm to finish windows with both operators.
+        r = clustered(n=600, clusters=8, seed=11, name="R")
+        s = clustered(n=600, clusters=9, seed=12, std=0.05, name="S")
+        spec = JoinSpec.distance(0.015)
+        params = AlgorithmParameters(bucket_queries=bucket)
+        _, _, device = build_session_stack(r, s, buffer_size=60)
+        algo = build_algorithm(algorithm, device, spec, params)
         window = r.bounds().union(s.bounds())
 
-        def snapshot(batches):
-            return {
-                server: [rect.as_tuple() for rect in rects]
-                for server, rects in batches.items()
-            }
-
         gen = algo.run_cooperative(window)
-        batches = next(gen)
-        rounds = 0
+        step = next(gen)
+        retried = Counter()
         result = None
         while True:
-            # A transient failure mid-round: the generator must offer the
-            # very same round again instead of unwinding.
-            offered = snapshot(batches)
-            batches = gen.throw(RoundRetry())
-            assert snapshot(batches) == offered
-            rounds += 1
-            answers = {
-                server: device.count_windows(server, rects) if rects else []
-                for server, rects in batches.items()
-            }
+            # A transient failure mid-step: the generator must offer the
+            # very same step again (twice in a row, too) instead of unwinding.
+            offered = self._snapshot(step)
+            for _ in range(2):
+                step = gen.throw(RoundRetry())
+                assert self._snapshot(step) == offered
+            retried.update(kind.name for kind, _, _ in step)
             try:
-                batches = gen.send(answers)
+                step = gen.send(answer_step(device.servers, step))
             except StopIteration as stop:
                 result = stop.value
                 break
-        assert rounds > 0
-        _, _, twin_device = build_session_stack(r, s, buffer_size=BUFFER)
-        reference = build_algorithm("srjoin", twin_device, spec).run(window)
+        # The retries covered planning rounds and leaf steps.
+        assert retried["count"] > 0 and retried["window"] > 0
+        assert retried["bucket" if bucket else "range"] > 0
+        _, _, twin_device = build_session_stack(r, s, buffer_size=60)
+        reference = build_algorithm(algorithm, twin_device, spec, params).run(window)
         _assert_identical(result, reference)
+        for mine, twin in (
+            (device.servers.r, twin_device.servers.r),
+            (device.servers.s, twin_device.servers.s),
+        ):
+            assert mine.ledger_fingerprint() == twin.ledger_fingerprint()
+            assert mine.channel.retry_log.records == twin.channel.retry_log.records == []
+
+    def test_closing_a_suspended_run_closes_its_spans(self):
+        """The broker isolates a failed query by closing its generator: the
+        "join" span must close with it, not at garbage collection."""
+        r, s = _datasets()
+        tracer = Tracer()
+        _, _, device = build_session_stack(r, s, buffer_size=BUFFER, tracer=tracer)
+        algo = build_algorithm("upjoin", device, JoinSpec.distance(0.03))
+        gen = algo.run_cooperative(r.bounds().union(s.bounds()))
+        step = next(gen)
+        gen.send(answer_step(device.servers, step))
+        gen.close()
+        assert tracer.spans() and all(span.wall_end is not None for span in tracer.spans())
 
 
 # --------------------------------------------------------------------------- #

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -170,8 +171,15 @@ extents = st.one_of(
 )
 
 
+#: Sides whose products are denormal areas (the probe fraction overflows to inf).
+tiny_extents = st.sampled_from([5e-324, 1e-320, 1e-313, 1e-160, 1e-155, 1e-6, 1.0])
+
+
 @st.composite
 def windows(draw):
+    if draw(st.integers(0, 4)) == 0:
+        # Anchored at the origin, or the tiny side is absorbed by the corner.
+        return Rect(0.0, 0.0, draw(tiny_extents), draw(tiny_extents))
     x0, y0, w, h = draw(coords), draw(coords), draw(extents), draw(extents)
     return Rect(x0, y0, x0 + w, y0 + h)
 
@@ -279,6 +287,29 @@ class TestArrayValuedEqualsScalarOracle:
                 one_row = call(model, mbrs[i : i + 1], n_r[i : i + 1], n_s[i : i + 1])
                 assert scalar == one_row.tolist()[0] == level_column[i], name
                 assert scalar == call(oracle, rect, r, s), name
+
+    @pytest.mark.parametrize("area", [5e-324, 1e-320, 1e-313])
+    @pytest.mark.parametrize("bucket", [False, True])
+    def test_denormal_areas_match_the_oracle_without_warnings(self, area, bucket):
+        """``pi eps^2 / area`` overflows to inf and ``inf * 0`` objects is nan:
+        the scalar model's ``min(n, nan)`` keeps ``n``, and so must the array one
+        (it used to cast the nan to ``INT64_MIN`` payload bytes)."""
+        config = NetworkConfig()
+        model = CostModel(config, epsilon=0.002, bucket_queries=bucket)
+        oracle = ScalarCostModel(config, epsilon=0.002, bucket_queries=bucket)
+        window = Rect(0.0, 0.0, 1.0, area)
+        assert window.area == area
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for n_outer in (0, 1, 7):
+                for n_inner in (0, 1, 7):
+                    assert model.c2(window, n_outer, n_inner) == oracle.c2(window, n_outer, n_inner)
+                    assert model.c3(window, n_inner, n_outer) == oracle.c3(window, n_inner, n_outer)
+                    assert model.tdq(window, n_inner) == oracle.tdq(window, n_inner)
+            counts = np.array([0, 1, 7], dtype=np.int64)
+            areas = np.full(3, area)
+            _exactly(model.tdq(areas, counts), [oracle.tdq(window, n) for n in (0, 1, 7)])
+        assert CostModel(config, epsilon=0.002).c2(Rect(0, 0, 1e-160, 1e-155), 5, 0) == 668.0
 
     def test_cheapest_ties_resolve_in_name_order(self):
         ties = CostBreakdown(

@@ -3,6 +3,9 @@
 Every operator case runs the shipped one-request form and the scalar oracle
 (``tests/oracles/operators_scalar.py``) on twin stacks and asserts equal
 result objects, operator counters, server statistics and channel ledgers.
+It also drives the operator's step generator by hand and asserts the step
+sequence -- kind, side and row count of every request -- so the wire order
+is pinned where it is decided, not only through the ledgers it leaves.
 """
 
 from __future__ import annotations
@@ -15,9 +18,10 @@ import pytest
 
 from repro.datasets.synthetic import clustered, gaussian_mixture, uniform
 from repro.device.buffer import BufferExceededError, DeviceBuffer
-from repro.device.hbsj import hash_based_spatial_join
-from repro.device.nlsj import nested_loop_spatial_join
+from repro.device.hbsj import HBSJRequest, hash_based_spatial_join
+from repro.device.nlsj import NLSJRequest, nested_loop_spatial_join
 from repro.device.pda import MobileDevice
+from repro.device.steps import answer_step
 from repro.geometry.predicates import IntersectionPredicate, WithinDistancePredicate
 from repro.geometry.rect import Rect
 from repro.server.remote import ServerPair
@@ -109,6 +113,56 @@ def _assert_twin_stacks_equal(shipped: MobileDevice, oracle: MobileDevice, order
         assert got == want if ordered else Counter(got) == Counter(want)
 
 
+def _drive_by_hand(steps, servers):
+    """Answer a step generator step by step; its result and the shape
+    ``[(kind, side, rows), ...]`` of every step it offered."""
+    shapes = []
+    try:
+        step = next(steps)
+        while True:
+            assert step, "an operator never offers an empty step"
+            shapes.append([(kind.name, side, len(args[0])) for kind, side, args in step])
+            step = steps.send(answer_step(servers, step))
+    except StopIteration as stop:
+        return stop.value, shapes
+
+
+def _hbsj_steps(r, s, buffer_size, predicate, requests=None, **counts):
+    """The step shapes of HBSJ driven by hand (== the locally-driven batch form)."""
+    requests = requests or [HBSJRequest(WINDOW, **counts)]
+    by_hand = MobileDevice(_servers(r, s), buffer_size=buffer_size)
+    shipped = MobileDevice(_servers(r, s), buffer_size=buffer_size)
+    got, shapes = _drive_by_hand(by_hand.hbsj_steps(requests, predicate), by_hand.servers)
+    assert got == shipped.hbsj_batch(requests, predicate)
+    _assert_twin_stacks_equal(by_hand, shipped, ordered=True)
+    return shapes
+
+
+def _nlsj_steps(r, s, buffer_size, predicate, requests, bucket=False):
+    """The step shapes of NLSJ driven by hand (== the locally-driven batch form)."""
+    by_hand = MobileDevice(_servers(r, s), buffer_size=buffer_size)
+    shipped = MobileDevice(_servers(r, s), buffer_size=buffer_size)
+    got, shapes = _drive_by_hand(
+        by_hand.nlsj_steps(requests, predicate, bucket=bucket), by_hand.servers
+    )
+    assert got == shipped.nlsj_batch(requests, predicate, bucket=bucket)
+    _assert_twin_stacks_equal(by_hand, shipped, ordered=True)
+    return shapes
+
+
+def _is_hbsj_level(step) -> bool:
+    """A recursion level's step: [COUNT R 4k, COUNT S 4k] then [WINDOW R j, WINDOW S j]."""
+    kinds = [(kind, side) for kind, side, _ in step]
+    rows = [n for _, _, n in step]
+    splits = kinds[:2] == [("count", "R"), ("count", "S")]
+    rest = kinds[2:] if splits else kinds
+    return (
+        rest in ([], [("window", "R"), ("window", "S")])
+        and (not splits or (rows[0] == rows[1] and rows[0] % 4 == 0))
+        and (not rest or rows[-1] == rows[-2])
+    )
+
+
 def _run_hbsj(via, r, s, buffer_size, predicate, **counts):
     """HBSJ on twin stacks, shipped vs oracle, asserted equal; the shipped result."""
     shipped = MobileDevice(_servers(r, s), buffer_size=buffer_size)
@@ -162,6 +216,10 @@ class TestHBSJ:
         assert result.windows_joined == 1
         assert result.recursive_splits == 0
         assert result.count_queries == 2  # its own feasibility COUNTs
+        assert _hbsj_steps(r, s, 1000, WithinDistancePredicate(eps)) == [
+            [("count", "R", 1), ("count", "S", 1)],
+            [("window", "R", 1), ("window", "S", 1)],
+        ]
 
     def test_exact_with_recursive_partitioning(self, via):
         r = clustered(n=300, clusters=3, seed=3, std=0.05)
@@ -170,6 +228,18 @@ class TestHBSJ:
         result = _run_hbsj(via, r, s, 150, WithinDistancePredicate(0.03))
         assert set(result.pairs) == brute_force_pairs(r, s, 0.03)
         assert result.recursive_splits >= 1
+        feasibility, *levels = _hbsj_steps(r, s, 150, WithinDistancePredicate(0.03))
+        assert feasibility == [("count", "R", 1), ("count", "S", 1)]
+        assert levels[0] == [("count", "R", 4), ("count", "S", 4)]
+        assert all(_is_hbsj_level(step) for step in levels)
+        # Quadrant COUNTs and downloads of one level share a step, COUNTs first.
+        assert any(len(step) == 4 for step in levels)
+        assert sum(step[0][2] for step in levels if step[0][0] == "count") == (
+            4 * result.recursive_splits
+        )
+        assert sum(step[-1][2] for step in levels if step[-1][0] == "window") == (
+            result.windows_joined
+        )
 
     def test_prunes_empty_windows(self, via):
         r = gaussian_mixture(n=100, centers=[(0.2, 0.2)], std=0.02, seed=4)
@@ -178,6 +248,10 @@ class TestHBSJ:
         result = _run_hbsj(via, r, s, 90, WithinDistancePredicate(0.02))
         assert result.pairs == []
         assert result.windows_pruned >= 1
+        feasibility, *levels = _hbsj_steps(r, s, 90, WithinDistancePredicate(0.02))
+        assert feasibility == [("count", "R", 1), ("count", "S", 1)]
+        # Every quadrant has an empty side: nothing is ever downloaded.
+        assert levels == [[("count", "R", 4), ("count", "S", 4)]]
 
     def test_empty_side_prunes_the_window_itself(self, via):
         r = gaussian_mixture(n=60, centers=[(0.2, 0.2)], std=0.02, seed=4)
@@ -185,6 +259,7 @@ class TestHBSJ:
         result = _run_hbsj(via, r, s, 500, IntersectionPredicate(), count_r=0, count_s=60)
         assert result.windows_pruned == 1 and result.windows_joined == 0
         assert result.count_queries == 0
+        assert _hbsj_steps(r, s, 500, IntersectionPredicate(), count_r=0, count_s=60) == []
 
     def test_buffer_never_exceeded(self, via):
         r = clustered(n=400, clusters=2, seed=6, std=0.02)
@@ -196,12 +271,19 @@ class TestHBSJ:
         s = uniform(n=50, seed=8)
         result = _run_hbsj(via, r, s, 500, IntersectionPredicate(), count_r=50, count_s=50)
         assert result.count_queries == 0
+        assert _hbsj_steps(r, s, 500, IntersectionPredicate(), count_r=50, count_s=50) == [
+            [("window", "R", 1), ("window", "S", 1)]
+        ]
 
     def test_one_known_count_issues_the_other(self, via):
         r = uniform(n=50, seed=7)
         s = uniform(n=50, seed=8)
         result = _run_hbsj(via, r, s, 500, IntersectionPredicate(), count_r=50)
         assert result.count_queries == 1
+        assert _hbsj_steps(r, s, 500, IntersectionPredicate(), count_r=50) == [
+            [("count", "S", 1)],
+            [("window", "R", 1), ("window", "S", 1)],
+        ]
 
     def test_epsilon_scale_window_falls_back_to_nlsj(self, via):
         # Half the window side is within twice the S-side expansion, so
@@ -212,6 +294,12 @@ class TestHBSJ:
         result = _run_hbsj(via, r, s, 40, WithinDistancePredicate(0.3))
         assert set(result.pairs) == brute_force_pairs(r, s, 0.3)
         assert result.nlsj_fallbacks == 1 and result.recursive_splits == 0
+        # The fallback is NLSJ with outer R: download R, probe S once per object.
+        assert _hbsj_steps(r, s, 40, WithinDistancePredicate(0.3)) == [
+            [("count", "R", 1), ("count", "S", 1)],
+            [("window", "R", 1)],
+            [("range", "S", 80)],
+        ]
 
     def test_recursion_depth_limit_falls_back_to_nlsj(self, via, monkeypatch):
         from repro.device import hbsj
@@ -224,6 +312,33 @@ class TestHBSJ:
         result = _run_hbsj(via, r, s, 60, IntersectionPredicate())
         assert result.recursive_splits == 1
         assert result.nlsj_fallbacks >= 1
+        shapes = _hbsj_steps(r, s, 60, IntersectionPredicate())
+        fallbacks = result.nlsj_fallbacks
+        assert shapes[:2] == [
+            [("count", "R", 1), ("count", "S", 1)],
+            [("count", "R", 4), ("count", "S", 4)],
+        ]
+        # The quadrants that still do not fit finish with NLSJ, after the
+        # downloads of the ones that do.
+        if result.windows_joined:
+            joined = result.windows_joined
+            assert shapes[2] == [("window", "R", joined), ("window", "S", joined)]
+        assert shapes[-2] == [("window", "R", fallbacks)]
+        assert [(kind, side) for kind, side, _ in shapes[-1]] == [("range", "S")]
+        assert len(shapes) == 4 + bool(result.windows_joined)
+
+    def test_a_batch_shares_each_step_in_ledger_order(self):
+        """Two invocations, one splitting and one feasible: the level's step
+        carries the quadrant COUNTs of the first and the downloads of the
+        second, COUNTs first -- the order the exchanges reach the ledgers."""
+        r = uniform(n=200, seed=27)
+        s = uniform(n=200, seed=28)
+        requests = [HBSJRequest(WINDOW), HBSJRequest(Rect(0.0, 0.0, 0.3, 0.3))]
+        assert _hbsj_steps(r, s, 150, WithinDistancePredicate(0.01), requests) == [
+            [("count", "R", 2), ("count", "S", 2)],
+            [("count", "R", 4), ("count", "S", 4), ("window", "R", 1), ("window", "S", 1)],
+            [("window", "R", 4), ("window", "S", 4)],
+        ]
 
     def test_intersection_join_of_rect_data(self, via):
         from repro.datasets.dataset import SpatialDataset
@@ -256,6 +371,13 @@ class TestNLSJ:
         )
         assert set(result.pairs) == brute_force_pairs(r, s, 0.04)
         assert result.outer == outer
+        inner = "S" if outer == "R" else "R"
+        assert _nlsj_steps(
+            r, s, 500, WithinDistancePredicate(0.04), [NLSJRequest(WINDOW, outer)], bucket=bucket
+        ) == [
+            [("window", outer, 1)],
+            [("bucket" if bucket else "range", inner, result.outer_objects)],
+        ]
 
     @pytest.mark.parametrize("outer", ["R", "S"])
     def test_outer_larger_than_the_buffer_is_capped(self, via, outer):
@@ -307,6 +429,33 @@ class TestNLSJ:
             outer="R",
         )
         assert result.pairs == [] and result.probes_sent == 0
+        # Nothing to probe with: the operator ends after the download.
+        requests = [NLSJRequest(Rect(0.7, 0.7, 0.9, 0.9), "R")]
+        for bucket in (False, True):
+            assert _nlsj_steps(
+                r, s, 100, WithinDistancePredicate(0.01), requests, bucket=bucket
+            ) == [[("window", "R", 1)]]
+
+    def test_a_batch_groups_its_requests_per_server_in_ledger_order(self):
+        """Mixed outers in one batch: downloads R then S; per-probe RANGEs
+        to S (outer R) then to R (outer S); bucket queries one per invocation,
+        in invocation order."""
+        r = uniform(n=40, seed=31)
+        s = uniform(n=50, seed=32)
+        pred = WithinDistancePredicate(0.05)
+        halves = [Rect(0.0, 0.0, 0.5, 1.0), Rect(0.5, 0.0, 1.0, 1.0), Rect(0.0, 0.0, 1.0, 0.5)]
+        requests = [NLSJRequest(w, o) for w, o in zip(halves, ("S", "R", "S"))]
+        device = MobileDevice(_servers(r, s), buffer_size=500)
+        n = [res.outer_objects for res in device.nlsj_batch(requests, pred)]
+        assert all(n)
+        assert _nlsj_steps(r, s, 500, pred, requests) == [
+            [("window", "R", 1), ("window", "S", 2)],
+            [("range", "S", n[1]), ("range", "R", n[0] + n[2])],
+        ]
+        assert _nlsj_steps(r, s, 500, pred, requests, bucket=True) == [
+            [("window", "R", 1), ("window", "S", 2)],
+            [("bucket", "R", n[0]), ("bucket", "S", n[1]), ("bucket", "R", n[2])],
+        ]
 
 
 class TestMobileDevice:

@@ -226,3 +226,28 @@ class TestChannel:
     def test_negative_tariff_raises(self):
         with pytest.raises(ValueError):
             Channel(NetworkConfig(), tariff=-0.5)
+
+    def test_fingerprint_reads_shared_records_like_distinct_ones(self):
+        """The batch sends append one record object many times; the digest is
+        the tuple of per-record 6-tuples all the same -- repeated,
+        interleaved and retry-lane records included."""
+        config = NetworkConfig()
+        channel = Channel(config, name="R")
+        window = Rect(0, 0, 1, 1)
+        sizes = [40, 0, 40, 3000, 0, 40]
+        channel.send_uniform_batch(CountQuery(window), 3, direction="up", label="count")
+        channel.send_payload_batch(MessageKind.OBJECTS, sizes, direction="down", label="objs")
+        channel.send_query(CountQuery(window), label="count")  # equal to, not the same as
+        channel.send_uniform_batch(CountQuery(window), 2, direction="up", label="count")
+        with channel.fault_lane("both"):
+            channel.send_uniform_batch(WindowQuery(window), 2, direction="up", label="window")
+            channel.send_payload_batch(MessageKind.OBJECTS, [40, 40], direction="down", label="objs")
+        for log, n in ((channel.log, 12), (channel.retry_log, 4)):
+            expected = tuple(
+                (r.direction, r.kind.value, r.payload_bytes, r.wire_bytes, r.packets, r.label)
+                for r in log.records
+            )
+            assert len(expected) == n and len({id(r) for r in log.records}) < n
+            assert log.fingerprint() == expected
+        assert channel.ledger_fingerprint()[-1] == channel.log.fingerprint()
+        assert [row[2] for row in channel.log.fingerprint()[3:9]] == sizes

@@ -31,7 +31,13 @@ PACKAGE = ROOT / "src" / "repro"
 ORACLES = ROOT / "tests" / "oracles"
 
 #: Names a caller could use to pick between implementations of one operation.
-SELECTOR_NAMES = {"execution", "method"}
+SELECTOR_NAMES = {"execution", "method", "fuse", "coalesce"}
+
+#: The batch and scalar endpoints of a server connection.
+CONNECTION_ENDPOINTS = {
+    "count", "count_batch", "window", "window_batch", "window_batch_flat", "range",
+    "range_batch", "range_batch_flat", "bucket_range", "average_mbr_area",
+}
 
 
 def _imported_modules(path: Path):
@@ -87,6 +93,55 @@ def test_no_entry_point_takes_an_implementation_selector():
             ]
     assert seen > 50
     assert not offenders
+
+
+def _touches_servers(tree: ast.AST):
+    """Attribute reads on a ``servers`` name (``getattr`` included) and calls
+    of a connection endpoint; handing ``servers`` on to a driver is neither."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in ("servers", "ServerPair"):
+                yield f"{node.value.id}.{node.attr}"
+        if isinstance(node, ast.Call):
+            func, args = node.func, node.args
+            if isinstance(func, ast.Attribute) and func.attr in CONNECTION_ENDPOINTS:
+                yield f".{func.attr}()"
+            if isinstance(func, ast.Name) and func.id == "getattr":
+                if isinstance(args[0], ast.Name) and args[0].id == "servers":
+                    yield "getattr(servers, ...)"
+
+
+def test_the_operators_ask_for_server_work_and_never_do_it():
+    # The operator bodies are step generators: whoever drives them answers.
+    # A ``servers.r.window_batch_flat(...)`` creeping back into one would
+    # run inside a brokered query's advance, invisible to the wave driver.
+    for name in ("hbsj.py", "nlsj.py"):
+        tree = ast.parse((PACKAGE / "device" / name).read_text())
+        assert list(_touches_servers(tree)) == [], name
+    # ... and the protocol module touches them in its two answering
+    # functions only (evaluate-and-book, book-what-was-evaluated).
+    answering = {}
+    for node in ast.parse((PACKAGE / "device" / "steps.py").read_text()).body:
+        touched = list(_touches_servers(node))
+        if touched:
+            answering[node.name] = touched
+    assert set(answering) == {"answer_step", "book_step"}
+    # One operator body each: the generator; the list-returning forms drive it.
+    from repro.device import hbsj, nlsj
+
+    for module, steps, batch, single in (
+        (hbsj, "hash_based_spatial_join_steps", "hash_based_spatial_join_batch",
+         "hash_based_spatial_join"),
+        (nlsj, "nested_loop_spatial_join_steps", "nested_loop_spatial_join_batch",
+         "nested_loop_spatial_join"),
+    ):
+        assert inspect.isgeneratorfunction(getattr(module, steps))
+        for name in (batch, single):
+            function = getattr(module, name)
+            assert not inspect.isgeneratorfunction(function)
+            body = [n for n in ast.parse(inspect.getsource(function)).body[0].body
+                    if not isinstance(n, ast.Expr)]  # the docstring
+            assert len(body) == 1 and isinstance(body[0], ast.Return), name
 
 
 def test_every_flat_rtree_is_built_by_the_field_constructor():

@@ -24,10 +24,12 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Tuple
 
+import numpy as np
 import pytest
 
 from repro.core.join_types import JoinSpec
 from repro.core.planner import ALGORITHMS, SELECTABLE_ALGORITHMS, run_join
+from repro.datasets.dataset import SpatialDataset
 from repro.datasets.synthetic import clustered, uniform
 from repro.geometry.rect import Rect
 from repro.service import JoinQuery, QueryBroker
@@ -351,6 +353,22 @@ class TestPlanSelection:
         (outcome,) = broker.run_batch([query])
         assert outcome.status == "ok" and outcome.algorithm == "naive"
         _assert_identical(outcome.result, _standalone(query, "naive"))
+
+    def test_denormal_window_over_an_empty_side_plans_and_spares_its_neighbour(self):
+        # Costing this window divides by a denormal area: inf * 0 objects was
+        # nan, the nan an INT64_MIN payload, and the untyped ValueError raised
+        # while planning took the healthy neighbour down with it.
+        r, s = _datasets()
+        spec = JoinSpec.distance(0.002)
+        empty = SpatialDataset(np.empty((0, 4)), name="S")
+        broken = JoinQuery(
+            r, empty, spec, buffer_size=BUFFER, window=Rect(0.0, 0.0, 1e-160, 1e-155)
+        )
+        healthy = JoinQuery(r, s, spec, buffer_size=BUFFER)
+        first, second = QueryBroker().run_batch([broken, healthy])
+        assert (first.status, second.status) == ("ok", "ok")
+        assert first.result.pairs == set()
+        _assert_identical(second.result, _standalone(healthy, second.algorithm))
 
     def test_unknown_algorithm_rejected_at_submission(self):
         r, s = _datasets()
