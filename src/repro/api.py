@@ -26,6 +26,7 @@ from repro.core.base import AlgorithmParameters
 from repro.core.join_types import JoinSpec
 from repro.core.planner import (
     ALGORITHMS,
+    StackConfig,
     build_algorithm,
     build_session_stack,
     default_window,
@@ -75,6 +76,7 @@ __all__ = [
     "ROUTER_POLICIES",
     "ServiceClosed",
     "ShardedSpatialServer",
+    "StackConfig",
     "Tracer",
     "available_algorithms",
     "batch_join",
@@ -146,35 +148,10 @@ def quick_join(
         Joined region; defaults to the union of the dataset bounds.
     seed:
         Seed for algorithm-internal randomness.
-    faults:
-        Optional seeded :class:`~repro.network.faults.FaultPlan` injected
-        at the channel boundary (chaos testing / resilience drills).  Under
-        any plan whose operations eventually succeed, the result is
-        bit-identical to the fault-free run on the primary metering lane.
-    retry:
-        Optional :class:`~repro.network.faults.RetryPolicy` governing
-        backoff between retried exchanges (defaults to the standard policy
-        whenever a resilience stack is attached).
-    deadline_s:
-        Optional per-query budget in simulated seconds; crossing it raises
-        a typed :class:`~repro.errors.QueryTimeout`.
-    shards_r, shards_s, shard_scheme:
-        Shard counts per side and the partitioning scheme.  A count > 1
-        publishes that side as a partitioned
-        :class:`~repro.server.sharded.ShardedSpatialServer` fleet; requests
-        are scattered to the shards they intersect and merged, with one
-        metered channel (and fault substream) per shard.  Join pairs are
-        bit-identical to the unsharded run; byte totals reflect the
-        scatter.  SemiJoin requires unsharded servers.
-    replicas, router:
-        Replication factor per shard and replica-routing policy.  A factor
-        > 1 publishes every shard on R replica servers sharing one index
-        build, each with its own channel and fault substream; a lost
-        exchange fails over to a sibling replica mid-query, and the
-        primary metering lane stays bit-identical to the unreplicated
-        fault-free run under any recoverable plan.  ``router`` names a
-        :data:`~repro.server.remote.ROUTER_POLICIES` entry (``None`` ->
-        healthy-first).  SemiJoin requires unreplicated servers.
+    shards_r, shards_s, shard_scheme, replicas, router, faults, retry, deadline_s:
+        Fleet topology and resilience of the stack -- keyword sugar for the
+        fields of one :class:`~repro.core.planner.StackConfig`, documented
+        (and validated) there.
     tracer, metrics:
         Optional observability hooks (see :mod:`repro.obs`): a
         :class:`Tracer` records a deterministic span tree of the run, a
@@ -285,16 +262,11 @@ class AdHocJoinSession:
         algorithms without rebuilding the R-trees.  Channels and the device
         are created fresh for this session regardless.
 
-        ``faults``/``retry``/``deadline_s`` attach a resilience stack to
-        the session's channels: faults are injected deterministically from
-        the plan's seed, recoverable ones are retried with backoff, and
-        every run's primary metering lane stays bit-identical to the
-        fault-free run (retry traffic is ledgered on a separate lane).
-
-        ``shards_r``/``shards_s``/``shard_scheme`` publish a side as a
-        partitioned shard fleet, and ``replicas``/``router`` publish each
-        shard on R failover replicas (see :func:`quick_join`); both are
-        ignored when ``servers`` injects pre-built instances.
+        The fleet-topology and resilience keywords (``shards_r`` ...
+        ``deadline_s``) are sugar for the fields of the session's
+        :class:`~repro.core.planner.StackConfig` (kept as :attr:`stack`),
+        documented and validated there; its topology members go unused
+        when ``servers`` injects pre-built instances.
 
         ``tracer``/``metrics`` attach the read-only observability hooks
         (see :mod:`repro.obs`) for every run on this session.
@@ -303,6 +275,16 @@ class AdHocJoinSession:
         self.dataset_s = dataset_s
         self.config = config or NetworkConfig()
         self.buffer_size = buffer_size
+        self.stack = StackConfig(
+            shards_r=shards_r,
+            shards_s=shards_s,
+            shard_scheme=shard_scheme,
+            replicas=replicas,
+            router=router,
+            faults=faults,
+            retry=retry,
+            deadline_s=deadline_s,
+        )
         self.server_r, self.server_s, self.device = build_session_stack(
             dataset_r,
             dataset_s,
@@ -311,14 +293,7 @@ class AdHocJoinSession:
             indexed=indexed,
             index_fanout=index_fanout,
             servers=servers,
-            faults=faults,
-            retry=retry,
-            deadline_s=deadline_s,
-            shards_r=shards_r,
-            shards_s=shards_s,
-            shard_scheme=shard_scheme,
-            replicas=replicas,
-            router=router,
+            stack=self.stack,
             tracer=tracer,
             metrics=metrics,
         )
@@ -363,6 +338,7 @@ class AdHocJoinSession:
         :func:`~repro.core.planner.build_algorithm`).
         """
         validate_window(window)
+        algorithm = self.stack.check_algorithm(algorithm)
         # A fresh buffer per run, so a per-run size meets the constructor's
         # capacity check before anything is exchanged.
         buffer = DeviceBuffer(self.buffer_size if buffer_size is None else buffer_size)

@@ -31,7 +31,14 @@ from repro.device.pda import MobileDevice
 from repro.errors import InvalidInput
 from repro.geometry.rect import Rect
 from repro.network.config import NetworkConfig
-from repro.server.remote import ROUTER_POLICIES, ResilienceController, ServerPair
+from repro.network.faults import FaultPlan, RetryPolicy
+from repro.obs.metrics import ChannelMetricsObserver
+from repro.server.remote import (
+    ROUTER_POLICIES,
+    SEMIJOIN_NEEDS_ONE_INDEX,
+    ResilienceController,
+    ServerPair,
+)
 from repro.server.server import SpatialServer
 from repro.server.sharded import ShardedSpatialServer
 
@@ -39,14 +46,12 @@ __all__ = [
     "ALGORITHMS",
     "SELECTABLE_ALGORITHMS",
     "PlanDecision",
+    "StackConfig",
     "build_algorithm",
-    "build_resilience",
-    "build_server",
     "build_session_stack",
     "default_window",
     "run_join",
     "select_algorithm",
-    "validate_stack_knobs",
     "validate_window",
 ]
 
@@ -70,6 +75,16 @@ SELECTABLE_ALGORITHMS: Tuple[str, ...] = (
     "naive",
     "fixedgrid",
 )
+
+
+def _algorithm_key(name: str) -> str:
+    """The registry key of an algorithm name, or :class:`InvalidInput`."""
+    key = name.lower()
+    if key not in ALGORITHMS:
+        raise InvalidInput(
+            f"unknown algorithm {name!r}; available: {sorted(ALGORITHMS)}"
+        )
+    return key
 
 
 @dataclass(frozen=True)
@@ -116,52 +131,175 @@ def select_algorithm(
     predicted = model.predict(spec, window, n_r, n_s)
     predicted = {name: predicted[name.lower()] for name in pool}
     if algorithm is not None:
-        key = algorithm.lower()
-        if key not in ALGORITHMS:
-            raise ValueError(
-                f"unknown algorithm {algorithm!r}; available: {sorted(ALGORITHMS)}"
-            )
-        return PlanDecision(algorithm=key, predicted=predicted, overridden=True)
+        return PlanDecision(
+            algorithm=_algorithm_key(algorithm), predicted=predicted, overridden=True
+        )
     chosen = min(predicted, key=lambda k: (predicted[k], k))
     return PlanDecision(algorithm=chosen.lower(), predicted=predicted, overridden=False)
 
 
-def validate_stack_knobs(
-    shards_r: int,
-    shards_s: int,
-    shard_scheme: str,
-    replicas: int,
-    router: Optional[str],
-    deadline_s: Optional[float],
-) -> None:
-    """Reject unusable fleet / deadline knobs, whichever entry path set them.
+@dataclass(frozen=True)
+class StackConfig:
+    """The one description of a session stack's topology and resilience.
 
-    The one validation site shared by :func:`build_session_stack` (hence
-    ``quick_join``, ``AdHocJoinSession`` and :func:`run_join`) and
-    :class:`~repro.service.query.JoinQuery`: a bad value raises
-    :class:`~repro.errors.InvalidInput` even when the knob would go unused
-    (a router on an unreplicated side, a scheme on an unsharded one).
+    Every layer below :mod:`repro.api` receives these eight knobs as one
+    frozen value -- validated here, once, at construction, whichever entry
+    path set them and even where a knob would go unused (a router on an
+    unreplicated side, a scheme on an unsharded one).  It is hashable: the
+    whole config is a member of the result-cache key, and :attr:`topology`
+    is the member of the broker's server-build key.
+
+    Parameters
+    ----------
+    shards_r, shards_s, shard_scheme:
+        Shard counts per side and the partitioning scheme (a
+        :data:`~repro.datasets.partition.PARTITION_SCHEMES` name).  A count
+        > 1 publishes that side as a partitioned
+        :class:`~repro.server.sharded.ShardedSpatialServer` fleet; requests
+        are scattered to the shards they intersect and merged, with one
+        metered channel, ledger, breaker and fault substream per shard.
+        Join pairs are bit-identical to the unsharded run; byte totals
+        reflect the scatter.
+    replicas, router:
+        Replication factor per shard and replica-routing policy.  A factor
+        > 1 publishes every shard (of both sides, even at one shard) on R
+        replica servers sharing one index build, each with its own channel,
+        breaker and fault substream; a lost exchange fails over to a
+        sibling replica mid-query, and the primary metering lane stays
+        bit-identical to the unreplicated fault-free run under any
+        recoverable plan.  ``router`` names a
+        :data:`~repro.server.remote.ROUTER_POLICIES` entry (``None`` ->
+        healthy-first).
+    faults, retry, deadline_s:
+        The per-session :class:`~repro.server.remote.ResilienceController`:
+        a seeded :class:`~repro.network.faults.FaultPlan` injected at the
+        channel boundary, the :class:`~repro.network.faults.RetryPolicy`
+        answering it (the standard policy whenever a controller is
+        attached), and a per-query budget in simulated seconds whose
+        crossing raises :class:`~repro.errors.QueryTimeout`.  Under any
+        plan whose operations eventually succeed the result is
+        bit-identical to the fault-free run on the primary metering lane.
     """
-    if shards_r < 1 or shards_s < 1:
-        raise InvalidInput("shard counts must be >= 1")
-    if replicas < 1:
-        raise InvalidInput("replicas must be >= 1")
-    if shard_scheme not in PARTITION_SCHEMES:
-        raise InvalidInput(
-            f"unknown partition scheme {shard_scheme!r}; "
-            f"available: {PARTITION_SCHEMES}"
+
+    shards_r: int = 1
+    shards_s: int = 1
+    shard_scheme: str = "grid"
+    replicas: int = 1
+    router: Optional[str] = None
+    faults: Optional[FaultPlan] = None
+    retry: Optional[RetryPolicy] = None
+    deadline_s: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        if self.shards_r < 1 or self.shards_s < 1:
+            raise InvalidInput("shard counts must be >= 1")
+        if self.replicas < 1:
+            raise InvalidInput("replicas must be >= 1")
+        if self.shard_scheme not in PARTITION_SCHEMES:
+            raise InvalidInput(
+                f"unknown partition scheme {self.shard_scheme!r}; "
+                f"available: {PARTITION_SCHEMES}"
+            )
+        if self.router is not None and self.router not in ROUTER_POLICIES:
+            raise InvalidInput(
+                f"unknown replica router policy {self.router!r}; "
+                f"known: {sorted(ROUTER_POLICIES)}"
+            )
+        # ``not >=`` also rejects NaN, a budget that could never fire.
+        if self.deadline_s is not None and not self.deadline_s >= 0:
+            raise InvalidInput(
+                f"deadline_s must be a non-negative number of simulated seconds, "
+                f"got {self.deadline_s!r}"
+            )
+
+    @property
+    def fleet(self) -> bool:
+        """True when any side is sharded or replicated."""
+        return self.shards_r > 1 or self.shards_s > 1 or self.replicas > 1
+
+    @property
+    def topology(self) -> Tuple[int, int, str, int]:
+        """What decides the server builds (and nothing that does not)."""
+        return (self.shards_r, self.shards_s, self.shard_scheme, self.replicas)
+
+    def check_algorithm(self, name: str) -> str:
+        """The registry key of ``name``, if it can run on this stack.
+
+        The one SemiJoin-on-a-fleet rule for stacks built from a config;
+        :meth:`ServerPair.connect` holds its twin for injected servers.
+        """
+        key = _algorithm_key(name)
+        if key == "semijoin" and self.fleet:
+            raise InvalidInput(SEMIJOIN_NEEDS_ONE_INDEX)
+        return key
+
+    def servers(
+        self,
+        dataset_r: SpatialDataset,
+        dataset_s: SpatialDataset,
+        index_fanout: int = 16,
+    ) -> Tuple[SpatialServer, SpatialServer]:
+        """Build both sides: a single server each, or a (replicated) fleet.
+
+        Replication rides on the fleet build even at one shard: a
+        single-shard fleet with R replicas is still a fleet, with replica
+        channels, breaker units and failover routing.
+        """
+
+        def side(dataset: SpatialDataset, name: str, shards: int):
+            if shards == 1 and self.replicas == 1:
+                return SpatialServer(
+                    dataset.rename(name), name=name, index_fanout=index_fanout
+                )
+            return ShardedSpatialServer(
+                dataset,
+                name=name,
+                shards=shards,
+                scheme=self.shard_scheme,
+                index_fanout=index_fanout,
+                replicas=self.replicas,
+            )
+
+        return side(dataset_r, "R", self.shards_r), side(dataset_s, "S", self.shards_s)
+
+    def resilience(self, metrics=None) -> Optional[ResilienceController]:
+        """A fresh per-session controller, or None when no knob asks for one."""
+        if self.faults is None and self.retry is None and self.deadline_s is None:
+            return None
+        return ResilienceController(self.faults, self.retry, self.deadline_s, metrics)
+
+    def connect(
+        self,
+        server_r: SpatialServer,
+        server_s: SpatialServer,
+        config: NetworkConfig,
+        indexed: bool = False,
+        buffer_size: int = 800,
+        tracer=None,
+        metrics=None,
+        replica_health: Optional[Dict[str, str]] = None,
+    ) -> MobileDevice:
+        """Fresh metered connections to two servers, and the device on them.
+
+        The one connect path of sessions and the broker.  ``tracer`` /
+        ``metrics`` are the strictly read-only observability hooks, which
+        travel beside the config (a tracer keys nothing): a
+        :class:`repro.obs.Tracer` on the device, a
+        :class:`repro.obs.MetricsRegistry` behind a per-channel traffic
+        observer and the controller's fault/retry counters.
+        ``replica_health`` maps replica names to the broker's breaker verdicts.
+        """
+        pair = ServerPair.connect(
+            server_r,
+            server_s,
+            config=config,
+            indexed=indexed,
+            resilience=self.resilience(metrics),
+            router=self.router,
+            replica_health=replica_health,
+            observer=ChannelMetricsObserver(metrics) if metrics is not None else None,
         )
-    if router is not None and router not in ROUTER_POLICIES:
-        raise InvalidInput(
-            f"unknown replica router policy {router!r}; "
-            f"known: {sorted(ROUTER_POLICIES)}"
-        )
-    # ``not >=`` also rejects NaN, a budget that could never fire.
-    if deadline_s is not None and not deadline_s >= 0:
-        raise InvalidInput(
-            f"deadline_s must be a non-negative number of simulated seconds, "
-            f"got {deadline_s!r}"
-        )
+        return MobileDevice(pair, buffer_size=buffer_size, tracer=tracer)
 
 
 def validate_window(window: Optional[Rect]) -> None:
@@ -198,14 +336,7 @@ def build_session_stack(
     indexed: bool = False,
     index_fanout: int = 16,
     servers: Optional[Tuple[SpatialServer, SpatialServer]] = None,
-    faults=None,
-    retry=None,
-    deadline_s: Optional[float] = None,
-    shards_r: int = 1,
-    shards_s: int = 1,
-    shard_scheme: str = "grid",
-    replicas: int = 1,
-    router: Optional[str] = None,
+    stack: StackConfig = StackConfig(),
     tracer=None,
     metrics=None,
 ) -> Tuple[SpatialServer, SpatialServer, MobileDevice]:
@@ -214,105 +345,30 @@ def build_session_stack(
     ``servers`` injects pre-built ``(server_r, server_s)`` instances --
     server-side state (dataset, aggregate R-tree, flattened snapshots) is
     immutable during a join, so the experiment harness builds each server
-    once per workload and shares it across algorithm runs.  The metered
-    channels and the device are always fresh, so byte accounting starts
-    from zero either way.
+    once per workload and shares it across algorithm runs (the topology
+    members of ``stack`` then go unused).  The metered channels and the
+    device are always fresh, so byte accounting starts from zero either way.
 
-    ``shards_r``/``shards_s`` (> 1) publish that side as a
-    :class:`~repro.server.sharded.ShardedSpatialServer` fleet split by
-    ``shard_scheme``; the connection then scatters every request to the
-    shards it intersects and merges the answers, with one metered channel
-    per shard.  SemiJoin (``indexed=True``) requires unsharded servers.
-
-    ``replicas`` (> 1) publishes each shard on R replica servers sharing
-    one index build, each with its own channel and fault substream; the
-    connection routes every exchange through the ``router`` policy (a
-    :data:`~repro.server.remote.ROUTER_POLICIES` name, default
-    healthy-first) and fails over to a sibling replica on retry
-    exhaustion.  Replication applies to both sides and requires sharded-
-    capable algorithms (i.e. not SemiJoin).
-
-    ``faults``/``retry``/``deadline_s`` attach a per-session
-    :class:`~repro.server.remote.ResilienceController` (a seeded
-    :class:`~repro.network.faults.FaultPlan`, a retry policy, and a
-    simulated-time deadline budget) to both connections.
-
-    ``tracer``/``metrics`` attach the (strictly read-only) observability
-    hooks: a :class:`repro.obs.Tracer` on the device and, when a
-    :class:`repro.obs.MetricsRegistry` is given, a per-channel traffic
-    observer plus fault/retry counters on the resilience controller.
+    ``stack`` is the :class:`StackConfig` describing fleet topology and
+    resilience; ``indexed=True`` asks for SemiJoin-capable connections and
+    therefore for a stack SemiJoin can run on.  ``tracer`` / ``metrics``
+    are the read-only observability hooks (:meth:`StackConfig.connect`).
     """
-    config = config or NetworkConfig()
-    validate_stack_knobs(shards_r, shards_s, shard_scheme, replicas, router, deadline_s)
-    if indexed and replicas > 1:
-        raise ValueError(
-            "semijoin needs index-published servers; replicated fleets do "
-            "not publish a single R-tree"
-        )
+    if indexed:
+        stack.check_algorithm("semijoin")
     if servers is None:
-        server_r = build_server(
-            dataset_r, "R", shards_r, shard_scheme, index_fanout, replicas
-        )
-        server_s = build_server(
-            dataset_s, "S", shards_s, shard_scheme, index_fanout, replicas
-        )
-    else:
-        server_r, server_s = servers
-    resilience = build_resilience(faults, retry, deadline_s, metrics)
-    observer = None
-    if metrics is not None:
-        from repro.obs.metrics import ChannelMetricsObserver
-
-        observer = ChannelMetricsObserver(metrics)
-    pair = ServerPair.connect(
+        servers = stack.servers(dataset_r, dataset_s, index_fanout)
+    server_r, server_s = servers
+    device = stack.connect(
         server_r,
         server_s,
-        config=config,
+        config=config or NetworkConfig(),
         indexed=indexed,
-        resilience=resilience,
-        router=router,
-        observer=observer,
+        buffer_size=buffer_size,
+        tracer=tracer,
+        metrics=metrics,
     )
-    device = MobileDevice(pair, buffer_size=buffer_size, tracer=tracer)
     return server_r, server_s, device
-
-
-def build_server(
-    dataset: SpatialDataset,
-    name: str,
-    shards: int,
-    scheme: str,
-    index_fanout: int,
-    replicas: int = 1,
-):
-    """One side's server build: a single server, or a (replicated) fleet.
-
-    Replication rides on the fleet build even at ``shards == 1``: a
-    single-shard fleet with R replicas is still a fleet, with replica
-    channels, breaker units and failover routing.
-    """
-    if shards == 1 and replicas == 1:
-        return SpatialServer(dataset.rename(name), name=name, index_fanout=index_fanout)
-    return ShardedSpatialServer(
-        dataset,
-        name=name,
-        shards=shards,
-        scheme=scheme,
-        index_fanout=index_fanout,
-        replicas=replicas,
-    )
-
-
-def build_resilience(
-    faults, retry, deadline_s: Optional[float], metrics=None
-) -> Optional[ResilienceController]:
-    """The per-session resilience controller, or None when no knob asks for one."""
-    if faults is None and retry is None and deadline_s is None:
-        return None
-    resilience = ResilienceController(faults=faults, retry=retry, deadline_s=deadline_s)
-    if metrics is not None:
-        resilience.metrics = metrics
-    return resilience
 
 
 def build_algorithm(
@@ -328,11 +384,7 @@ def build_algorithm(
     (``grid_size`` / ``prune_empty`` for ``fixedgrid``, ``enforce_buffer``
     for ``naive``); one it does not take is :class:`~repro.errors.InvalidInput`.
     """
-    key = name.lower()
-    if key not in ALGORITHMS:
-        raise ValueError(
-            f"unknown algorithm {name!r}; available: {sorted(ALGORITHMS)}"
-        )
+    key = _algorithm_key(name)
     cls = ALGORITHMS[key]
     if algorithm_kwargs:
         accepted = tuple(inspect.signature(cls).parameters)[3:]  # after device, spec, params
@@ -355,14 +407,7 @@ def run_join(
     params: Optional[AlgorithmParameters] = None,
     window: Optional[Rect] = None,
     index_fanout: int = 16,
-    faults=None,
-    retry=None,
-    deadline_s: Optional[float] = None,
-    shards_r: int = 1,
-    shards_s: int = 1,
-    shard_scheme: str = "grid",
-    replicas: int = 1,
-    router: Optional[str] = None,
+    stack: StackConfig = StackConfig(),
     tracer=None,
     metrics=None,
     **algorithm_kwargs: object,
@@ -385,41 +430,26 @@ def run_join(
         Algorithm tunables (alpha, rho, bucket queries, ...).
     window:
         The joined region; defaults to the union MBR of both datasets.
-    faults, retry, deadline_s:
-        Optional resilience stack: a seeded fault plan to inject, the
-        retry policy answering it, and a per-query simulated-time deadline.
-    shards_r, shards_s, shard_scheme:
-        Shard counts per side (> 1 publishes the side as a partitioned
-        server fleet) and the partitioning scheme.
-    replicas, router:
-        Replication factor per shard (> 1 publishes every shard on R
-        replica servers with mid-query failover) and the replica-routing
-        policy name (default healthy-first).
+    stack:
+        Fleet topology and resilience (:class:`StackConfig`).
     tracer, metrics:
         Optional observability hooks (see :mod:`repro.obs`); strictly
         read-only, the result is bit-identical with or without them.
     """
     validate_window(window)
-    indexed = algorithm.lower() == "semijoin"
+    key = stack.check_algorithm(algorithm)
     _, _, device = build_session_stack(
         dataset_r,
         dataset_s,
         buffer_size=buffer_size,
         config=config,
-        indexed=indexed,
+        indexed=key == "semijoin",
         index_fanout=index_fanout,
-        faults=faults,
-        retry=retry,
-        deadline_s=deadline_s,
-        shards_r=shards_r,
-        shards_s=shards_s,
-        shard_scheme=shard_scheme,
-        replicas=replicas,
-        router=router,
+        stack=stack,
         tracer=tracer,
         metrics=metrics,
     )
-    algo = build_algorithm(algorithm, device, spec, params, **algorithm_kwargs)
+    algo = build_algorithm(key, device, spec, params, **algorithm_kwargs)
     if window is None:
         window = default_window(dataset_r, dataset_s)
     return algo.run(window)

@@ -27,7 +27,6 @@ from repro.datasets.workloads import (
     paper_cluster_sweep,
     random_query_windows,
 )
-from repro.datasets.loader import load_dataset, save_dataset
 
 __all__ = [
     "SpatialDataset",
@@ -41,6 +40,4 @@ __all__ = [
     "WorkloadSpec",
     "paper_cluster_sweep",
     "random_query_windows",
-    "load_dataset",
-    "save_dataset",
 ]

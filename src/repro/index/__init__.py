@@ -16,8 +16,6 @@ Contents
 * :class:`~repro.index.aggregate_rtree.AggregateRTree` -- the aR-tree view
   over it: subtree counts and areas, giving COUNT queries that touch only
   partially-covered subtrees.
-* :class:`~repro.index.grid_index.GridIndex` -- a regular-grid bucket
-  index (used for the in-memory PBSM-style hash join).
 * In-memory join kernels: :func:`~repro.index.plane_sweep.plane_sweep_join`
   and :func:`~repro.index.hash_join.grid_hash_join`.
 
@@ -29,14 +27,12 @@ from __future__ import annotations
 
 from repro.index.flat import FlatRTree
 from repro.index.aggregate_rtree import AggregateRTree
-from repro.index.grid_index import GridIndex
 from repro.index.plane_sweep import plane_sweep_join, plane_sweep_pairs
 from repro.index.hash_join import grid_hash_join
 
 __all__ = [
     "FlatRTree",
     "AggregateRTree",
-    "GridIndex",
     "plane_sweep_join",
     "plane_sweep_pairs",
     "grid_hash_join",

@@ -73,30 +73,3 @@ class SpatialServerInterface(ABC):
     @abstractmethod
     def average_mbr_area(self, window: Rect) -> float:
         """Scalar aggregate: average object-MBR area inside ``window``."""
-
-    # ------------------------------------------------------------------ #
-    # batch entry points (part of the client contract)
-    # ------------------------------------------------------------------ #
-    #
-    # The physical operators ship query batches so implementations can
-    # amortise evaluation over one index descent.  The defaults below fall
-    # back to a loop of scalar queries -- semantically (and, for metered
-    # implementations, byte-wise) the batch forms are always equivalent to
-    # that loop, which is the invariant ``tests/test_batch_queries.py``
-    # pins for the built-in servers.
-
-    def window_batch(
-        self, windows: Sequence[Rect]
-    ) -> "list[Tuple[np.ndarray, np.ndarray]]":
-        """Answer many WINDOW queries (default: a loop of :meth:`window`)."""
-        return [self.window(w) for w in windows]
-
-    def count_batch(self, windows: Sequence[Rect]) -> "list[int]":
-        """Answer many COUNT queries (default: a loop of :meth:`count`)."""
-        return [self.count(w) for w in windows]
-
-    def range_batch(
-        self, centers: Sequence[Point], radii: Sequence[float]
-    ) -> "list[Tuple[np.ndarray, np.ndarray]]":
-        """Answer many epsilon-RANGE queries (default: a loop of :meth:`range`)."""
-        return [self.range(c, float(r)) for c, r in zip(centers, radii)]

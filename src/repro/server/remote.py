@@ -49,7 +49,13 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import ChannelFault, QueryTimeout, RetryExhausted, ServerUnavailable
+from repro.errors import (
+    ChannelFault,
+    InvalidInput,
+    QueryTimeout,
+    RetryExhausted,
+    ServerUnavailable,
+)
 from repro.geometry import rect_array
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
@@ -83,6 +89,7 @@ __all__ = [
     "LeastRetryBytesRouter",
     "ROUTER_POLICIES",
     "make_router",
+    "SEMIJOIN_NEEDS_ONE_INDEX",
     "ServerPair",
 ]
 
@@ -101,6 +108,9 @@ class ResilienceController:
         Optional per-query deadline budget in *simulated* seconds.  Stall
         latencies and retry backoffs advance the clock; crossing the budget
         raises :class:`QueryTimeout`.
+    metrics:
+        Optional read-only :class:`repro.obs.MetricsRegistry` counting
+        faults, retries and failovers.
 
     One controller per query: its injectors are keyed by channel (server)
     name, so the fault stream each server sees depends only on the plan
@@ -113,6 +123,7 @@ class ResilienceController:
         faults: Optional[FaultPlan] = None,
         retry: Optional[RetryPolicy] = None,
         deadline_s: Optional[float] = None,
+        metrics=None,
     ) -> None:
         self.plan = faults
         self.retry = retry if retry is not None else RetryPolicy()
@@ -131,12 +142,10 @@ class ResilienceController:
         self._channels: List[Channel] = []
         # Observability hooks -- strictly read-only.  ``trace_span`` is the
         # owning query's span (set by the algorithm at run start); fault,
-        # retry and failover events append there.  ``metrics`` is an
-        # optional MetricsRegistry.  Both stay None by default, and the
-        # healthy no-injector fast path in :meth:`exchange` never touches
-        # them.
+        # retry and failover events append there.  The healthy no-injector
+        # fast path in :meth:`exchange` touches neither hook.
         self.trace_span = None
-        self.metrics = None
+        self.metrics = metrics
 
     # ------------------------------------------------------------------ #
 
@@ -1071,6 +1080,31 @@ ROUTER_POLICIES: Dict[str, type] = {
 }
 
 
+#: The ledger totals a fleet snapshot sums over its members' snapshots.
+_SUMMED_SNAPSHOT_KEYS = (
+    "uplink_bytes",
+    "downlink_bytes",
+    "total_bytes",
+    "uplink_packets",
+    "downlink_packets",
+    "messages_up",
+    "messages_down",
+    "total_cost",
+)
+
+
+def _merge_snapshots(
+    name: str, tariff: float, detail_key: str, snaps: List[Dict[str, object]]
+) -> Dict[str, object]:
+    """One ledger snapshot over member snapshots: summed totals plus the detail."""
+    merged: Dict[str, object] = {"name": name}
+    for key in _SUMMED_SNAPSHOT_KEYS:
+        merged[key] = sum(snap[key] for snap in snaps)
+    merged["tariff"] = tariff
+    merged[detail_key] = snaps
+    return merged
+
+
 def make_router(policy: Optional[str] = None) -> ReplicaRouter:
     """Instantiate a replica-routing policy by name (``None`` -> default)."""
     if policy is None:
@@ -1225,22 +1259,7 @@ class ReplicatedRemoteServer(RemoteServer):
     def channel_snapshot(self) -> Dict[str, object]:
         """Shard ledger snapshot: summed totals plus per-replica detail."""
         replica_snaps = [chan.snapshot() for chan in self._channels_tuple]
-        summed = (
-            "uplink_bytes",
-            "downlink_bytes",
-            "total_bytes",
-            "uplink_packets",
-            "downlink_packets",
-            "messages_up",
-            "messages_down",
-            "total_cost",
-        )
-        merged: Dict[str, object] = {"name": self.name}
-        for key in summed:
-            merged[key] = sum(snap[key] for snap in replica_snaps)
-        merged["tariff"] = self.tariff
-        merged["replicas"] = replica_snaps
-        return merged
+        return _merge_snapshots(self.name, self.tariff, "replicas", replica_snaps)
 
     def ledger_fingerprint(self) -> Tuple:
         """The shard's merged primary-lane fingerprint (replica-agnostic).
@@ -1637,22 +1656,7 @@ class ShardedRemoteServer(SpatialServerInterface):
     def channel_snapshot(self) -> Dict[str, object]:
         """Fleet ledger snapshot: summed totals plus per-shard detail."""
         shard_snaps = [proxy.channel_snapshot() for proxy in self._proxies]
-        summed = (
-            "uplink_bytes",
-            "downlink_bytes",
-            "total_bytes",
-            "uplink_packets",
-            "downlink_packets",
-            "messages_up",
-            "messages_down",
-            "total_cost",
-        )
-        merged: Dict[str, object] = {"name": self.name}
-        for key in summed:
-            merged[key] = sum(snap[key] for snap in shard_snaps)
-        merged["tariff"] = self.tariff
-        merged["shards"] = shard_snaps
-        return merged
+        return _merge_snapshots(self.name, self.tariff, "shards", shard_snaps)
 
     def ledger_fingerprint(self) -> Tuple:
         """Per-shard primary-lane fingerprints, shard order.
@@ -1687,6 +1691,15 @@ def _stack_payloads(
         np.vstack([m for m, _ in parts]),
         np.concatenate([o for _, o in parts]),
     )
+
+
+#: Why SemiJoin cannot run on a fleet -- the one wording of the rule, for
+#: injected servers (:meth:`ServerPair.connect`) and for stacks built from a
+#: :class:`~repro.core.planner.StackConfig` (its ``check_algorithm``).
+SEMIJOIN_NEEDS_ONE_INDEX = (
+    "semijoin needs index-published servers; a sharded or replicated fleet "
+    "does not publish a single R-tree"
+)
 
 
 @dataclass
@@ -1742,10 +1755,7 @@ class ServerPair:
             server_s, ShardedSpatialServer
         )
         if indexed and sharded:
-            raise ValueError(
-                "semijoin needs index-published servers; sharded fleets do not "
-                "publish a single R-tree"
-            )
+            raise InvalidInput(SEMIJOIN_NEEDS_ONE_INDEX)
         proxy_cls = IndexedRemoteServer if indexed else RemoteServer
 
         def _connect_one(server, tariff: float):

@@ -53,21 +53,13 @@ from dataclasses import dataclass
 from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro.core.costmodel import CalibratedCostModel
-from repro.core.planner import (
-    PlanDecision,
-    build_algorithm,
-    build_resilience,
-    build_server,
-    select_algorithm,
-)
+from repro.core.planner import PlanDecision, build_algorithm, select_algorithm
 from repro.core.result import JoinResult
 from repro.device.pda import MobileDevice
 from repro.device.steps import COUNT, Kind, Step, book_step
 from repro.errors import QueryTimeout, ReproError, ServerUnavailable
 from repro.network.config import NetworkConfig
-from repro.obs.metrics import ChannelMetricsObserver
 from repro.obs.trace import NULL_TRACER
-from repro.server.remote import ServerPair
 from repro.server.server import SpatialServer
 from repro.service.cache import ResultCache, dataset_token, query_key
 from repro.service.query import JoinQuery, QueryOutcome
@@ -132,10 +124,13 @@ class BrokerStats:
 class _Admitted:
     """Broker-internal state of one submitted query."""
 
-    index: int
     query: JoinQuery
-    plan: PlanDecision
-    key: Tuple
+    #: The plan and the cache key; both None when planning itself failed
+    #: (``failure`` then holds the typed error and nothing executes).
+    plan: Optional[PlanDecision]
+    key: Optional[Tuple]
+    #: Position in the outcome list of the batch (assigned on queueing).
+    index: int = -1
     outcome: Optional[QueryOutcome] = None
     # wave-execution state
     base_r: Optional[SpatialServer] = None
@@ -179,6 +174,11 @@ class _Breaker:
     unit: SpatialServer
     failures: int = 0
     open_until_wave: Optional[int] = None
+
+
+def _failure_status(failure: BaseException) -> str:
+    """``"timeout"`` for a crossed deadline budget, ``"failed"`` otherwise."""
+    return "timeout" if isinstance(failure, QueryTimeout) else "failed"
 
 
 class _Group:
@@ -288,9 +288,6 @@ class QueryBroker:
         self.calibrate = calibrate
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics
-        self._channel_observer = (
-            ChannelMetricsObserver(metrics) if metrics is not None else None
-        )
         if isinstance(cache, ResultCache):
             self.cache = cache
         else:
@@ -409,36 +406,47 @@ class QueryBroker:
     # submission / admission
     # ------------------------------------------------------------------ #
 
+    def _plan(self, query: JoinQuery) -> _Admitted:
+        """Plan and key one query; queues nothing."""
+        plan = self.explain(query)
+        return _Admitted(
+            query=query, plan=plan, key=query_key(query, plan.algorithm, self.config)
+        )
+
+    def _enqueue(self, entries: List[_Admitted]) -> List[int]:
+        with self._lock:
+            for entry in entries:
+                entry.index = len(self._pending)
+                self._pending.append(entry)
+        self.stats.bump(queries_submitted=len(entries))
+        return [entry.index for entry in entries]
+
     def submit(self, query: JoinQuery) -> int:
-        """Validate, plan and enqueue one query; returns its ticket index.
+        """Plan and enqueue one query; returns its ticket index.
 
         Tickets are positions in the outcome list of the next
-        :meth:`execute` call.
+        :meth:`execute` call.  A query that cannot be planned raises and
+        is not queued.
         """
-        # explain() -> select_algorithm() rejects unknown algorithm names.
-        plan = self.explain(query)
-        if plan.algorithm == "semijoin" and (
-            query.shards_r > 1 or query.shards_s > 1 or query.replicas > 1
-        ):
-            raise ValueError(
-                "semijoin needs index-published servers; sharded or "
-                "replicated fleets do not publish a single R-tree"
-            )
-        key = query_key(query, plan.algorithm, self.config)
-        with self._lock:
-            entry = _Admitted(
-                index=len(self._pending), query=query, plan=plan, key=key
-            )
-            self._pending.append(entry)
-        self.stats.bump(queries_submitted=1)
-        return entry.index
-
-    def submit_all(self, queries: Sequence[JoinQuery]) -> List[int]:
-        return [self.submit(query) for query in queries]
+        return self._enqueue([self._plan(query)])[0]
 
     def run_batch(self, queries: Sequence[JoinQuery]) -> List[QueryOutcome]:
-        """Submit a batch and execute it; outcomes in submission order."""
-        self.submit_all(queries)
+        """Submit a batch and execute it; outcomes in submission order.
+
+        Atomic: every query is planned and keyed before any is queued, so
+        a raise while planning leaves nothing behind for the next batch.
+        The planning-time twin of :meth:`_fail_entry`: a typed
+        :class:`~repro.errors.ReproError` while planning one query becomes
+        that query's ``"failed"`` outcome and its neighbours run untouched;
+        anything else is a bug and propagates.
+        """
+        batch = []
+        for query in queries:
+            try:
+                batch.append(self._plan(query))
+            except ReproError as error:
+                batch.append(_Admitted(query=query, plan=None, key=None, failure=error))
+        self._enqueue(batch)
         return self.execute()
 
     # ------------------------------------------------------------------ #
@@ -485,26 +493,7 @@ class QueryBroker:
             self._execute_wave(wave, wave_index)
             for entry in wave:
                 if entry.failure is not None:
-                    # Graceful degradation: the failed query is isolated
-                    # from its wave -- no cached result, no calibration,
-                    # a typed error on the outcome.
-                    entry.outcome = QueryOutcome(
-                        query=entry.query,
-                        result=None,
-                        plan=entry.plan,
-                        status=(
-                            "timeout"
-                            if isinstance(entry.failure, QueryTimeout)
-                            else "failed"
-                        ),
-                        error=entry.failure,
-                        cached=False,
-                        wave=wave_index,
-                        ledger_fingerprints=entry.fingerprints,
-                    )
-                    self.stats.bump(queries_failed=1)
-                    if self._m_queries is not None:
-                        self._m_queries.inc(status=entry.outcome.status)
+                    self._settle_failure(entry, wave_index)
                     continue
                 assert entry.result is not None
                 # put() deep-freezes the result in place (same object), so
@@ -561,6 +550,23 @@ class QueryBroker:
     # internals
     # ------------------------------------------------------------------ #
 
+    def _settle_failure(self, entry: _Admitted, wave: int) -> None:
+        """Graceful degradation: a query that failed -- to plan, or inside
+        its wave -- is isolated: no cached result, no calibration, the typed
+        error on its outcome."""
+        entry.outcome = QueryOutcome(
+            query=entry.query,
+            result=None,
+            plan=entry.plan,
+            status=_failure_status(entry.failure),
+            error=entry.failure,
+            wave=wave,
+            ledger_fingerprints=entry.fingerprints,
+        )
+        self.stats.bump(queries_failed=1)
+        if self._m_queries is not None:
+            self._m_queries.inc(status=entry.outcome.status)
+
     def _admit(self, batch: List[_Admitted]):
         """Split a batch into executable leaders and cache followers.
 
@@ -573,6 +579,10 @@ class QueryBroker:
         followers: List[_Admitted] = []
         to_execute: List[_Admitted] = []
         for entry in batch:
+            if entry.failure is not None:
+                # Failed to plan: nothing to execute, nothing to look up.
+                self._settle_failure(entry, wave=-1)
+                continue
             if not self.cache.enabled:
                 to_execute.append(entry)
                 continue
@@ -603,10 +613,11 @@ class QueryBroker:
     def _base_servers(self, query: JoinQuery) -> Tuple[SpatialServer, SpatialServer]:
         """The cached server build backing one query's dataset pair.
 
-        The build key carries the query's shard layout: the same dataset
-        pair served unsharded and as a 4-shard fleet are two distinct
-        (placed) builds, each with its own per-shard ledgers and breaker
-        units.
+        The build key carries the stack's :attr:`~repro.core.planner.
+        StackConfig.topology` and none of its resilience members: the same
+        dataset pair served unsharded and as a 4-shard fleet are two
+        distinct (placed) builds, each with its own per-shard ledgers and
+        breaker units, while a fault plan or deadline never forks a build.
         """
         if query.servers is not None:
             return query.servers
@@ -614,20 +625,15 @@ class QueryBroker:
             dataset_token(query.dataset_r),
             dataset_token(query.dataset_s),
             self.index_fanout,
-            query.shards_r,
-            query.shards_s,
-            query.shard_scheme,
-            query.replicas,
+            query.stack.topology,
         )
         with self._lock:
             pair = self._servers.get(key)
             if pair is not None:
                 self._servers.move_to_end(key)
             else:
-                fleet = (query.shard_scheme, self.index_fanout, query.replicas)
-                pair = (
-                    build_server(query.dataset_r, "R", query.shards_r, *fleet),
-                    build_server(query.dataset_s, "S", query.shards_s, *fleet),
+                pair = query.stack.servers(
+                    query.dataset_r, query.dataset_s, self.index_fanout
                 )
                 self._servers[key] = pair
                 # LRU bound for long-lived brokers: shed the coldest build
@@ -651,20 +657,15 @@ class QueryBroker:
         base_r, base_s = self._base_servers(query)
         entry.base_r, entry.base_s = base_r, base_s
         algorithm = entry.plan.algorithm
-        pair = ServerPair.connect(
+        entry.device = query.stack.connect(
             base_r.shared_view(),
             base_s.shared_view(),
             config=query.config or self.config,
             indexed=algorithm == "semijoin",
-            resilience=build_resilience(
-                query.faults, query.retry, query.deadline_s, self.metrics
-            ),
-            router=query.router,
+            buffer_size=query.buffer_size,
+            tracer=self.tracer,
+            metrics=self.metrics,
             replica_health=entry.replica_health,
-            observer=self._channel_observer,
-        )
-        entry.device = MobileDevice(
-            pair, buffer_size=query.buffer_size, tracer=self.tracer
         )
         # The query's own "join" span (opened by the algorithm at run
         # start) parents under its wave-level query span.
@@ -1043,11 +1044,7 @@ class QueryBroker:
                     entry.span.annotate(status="ok")
                 else:
                     entry.span.annotate(
-                        status=(
-                            "timeout"
-                            if isinstance(entry.failure, QueryTimeout)
-                            else "failed"
-                        ),
+                        status=_failure_status(entry.failure),
                         error=type(entry.failure).__name__,
                     )
                 if entry.result is not None:

@@ -195,23 +195,13 @@ def query_key(query: JoinQuery, algorithm: str, default_config) -> Tuple:
         query.resolved_params(),
         query.resolved_window().as_tuple(),
         config,
-        # Resilience knobs: a fault-injected run's primary lane is pinned
-        # bit-identical to the fault-free run, but its resilience summary
-        # (and failure mode) is not -- different plans must not share an
-        # entry.
-        query.faults,
-        query.retry,
-        query.deadline_s,
-        # Sharding changes byte totals and per-shard ledgers (never the
-        # pairs), so differently-sharded runs are distinct results.
-        query.shards_r,
-        query.shards_s,
-        query.shard_scheme,
-        # Replication changes the per-replica ledger detail and failure
-        # behaviour (never the pairs or primary totals); the router policy
-        # decides which replicas serve, so both key the entry.
-        query.replicas,
-        query.router,
+        # The whole stack description.  A fault-injected run's primary lane
+        # is pinned bit-identical to the fault-free run, but its resilience
+        # summary (and failure mode) is not; sharding changes byte totals
+        # and per-shard ledgers, replication the per-replica detail, and
+        # the router which replicas serve (none of them the pairs) -- so
+        # queries differing in any one knob are distinct results.
+        query.stack,
     )
 
 

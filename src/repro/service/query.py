@@ -24,15 +24,14 @@ from repro.core.base import AlgorithmParameters
 from repro.core.join_types import JoinSpec
 from repro.core.planner import (
     PlanDecision,
+    StackConfig,
     default_window,
-    validate_stack_knobs,
     validate_window,
 )
 from repro.core.result import JoinResult
 from repro.datasets.dataset import SpatialDataset
 from repro.geometry.rect import Rect
 from repro.network.config import NetworkConfig
-from repro.network.faults import FaultPlan, RetryPolicy
 from repro.server.server import SpatialServer
 
 __all__ = ["JoinQuery", "QueryOutcome"]
@@ -71,30 +70,16 @@ class JoinQuery:
         Optional pre-built base ``(server_r, server_s)`` pair (e.g. from
         the experiment harness's workload cache); the broker still hands
         the execution its own statistics views of them.
-    faults:
-        Optional seeded :class:`~repro.network.faults.FaultPlan` to inject
-        into this query's channels (chaos testing / resilience drills).
-    retry:
-        Optional :class:`~repro.network.faults.RetryPolicy`; defaults to
-        the standard policy when a resilience stack is attached.
-    deadline_s:
-        Optional per-query deadline budget in simulated seconds; crossing
-        it fails the query with a typed ``QueryTimeout``.
-    shards_r, shards_s, shard_scheme:
-        Shard counts per side and the partitioning scheme.  A count > 1
-        makes the broker build (and cache) that side as a partitioned
-        :class:`~repro.server.sharded.ShardedSpatialServer` fleet with
-        per-shard channels, ledgers, breakers and fault substreams; join
-        pairs stay bit-identical to the unsharded run.  SemiJoin queries
-        must stay unsharded.
-    replicas, router:
-        Replication factor per shard and replica-routing policy name.  A
-        factor > 1 publishes every shard on R replica servers sharing one
-        index build (per-replica channels, breakers and fault substreams);
-        the connection fails a lost exchange over to a sibling replica
-        mid-query.  ``router`` is a
-        :data:`~repro.server.remote.ROUTER_POLICIES` name (``None`` ->
-        healthy-first).  SemiJoin queries must stay unreplicated.
+    stack:
+        Fleet topology and resilience of the query's stack
+        (:class:`~repro.core.planner.StackConfig`): the broker builds (and
+        caches) each side as the server or shard fleet it describes and
+        attaches its fault plan, retry policy and deadline to this query's
+        own channels.
+
+    A query is validated whole at construction -- its stack, its window and
+    that a named algorithm exists and can run on that stack -- so an
+    unrunnable query cannot be built, let alone queued.
     """
 
     dataset_r: SpatialDataset
@@ -108,26 +93,13 @@ class JoinQuery:
     servers: Optional[Tuple[SpatialServer, SpatialServer]] = field(
         default=None, compare=False
     )
-    faults: Optional["FaultPlan"] = None
-    retry: Optional["RetryPolicy"] = None
-    deadline_s: Optional[float] = None
-    shards_r: int = 1
-    shards_s: int = 1
-    shard_scheme: str = "grid"
-    replicas: int = 1
-    router: Optional[str] = None
+    stack: StackConfig = StackConfig()
 
     def __post_init__(self) -> None:
         if self.buffer_size <= 0:
             raise ValueError("buffer_size must be positive")
-        validate_stack_knobs(
-            self.shards_r,
-            self.shards_s,
-            self.shard_scheme,
-            self.replicas,
-            self.router,
-            self.deadline_s,
-        )
+        if self.algorithm is not None:
+            self.stack.check_algorithm(self.algorithm)
         validate_window(self.window)
 
     def resolved_window(self) -> Rect:
@@ -162,7 +134,8 @@ class QueryOutcome:
 
     query: JoinQuery
     result: Optional[JoinResult]
-    plan: PlanDecision
+    #: ``None`` when planning itself failed (``status == "failed"``).
+    plan: Optional[PlanDecision]
     #: ``"ok"``, ``"failed"`` (unrecoverable fault / retry exhaustion) or
     #: ``"timeout"`` (per-query deadline budget exceeded).
     status: str = "ok"
@@ -172,7 +145,7 @@ class QueryOutcome:
     #: query earlier in the same submission); the result object is shared
     #: with the execution that produced it.
     cached: bool = False
-    #: Index of the wave that executed the query (-1 for cache hits).
+    #: Index of the wave that executed the query (-1: cache hit, or unplanned).
     wave: int = -1
     #: ``(R, S)`` channel ledger fingerprints of the execution that
     #: produced the result (:meth:`~repro.network.channel.Channel.
@@ -190,5 +163,5 @@ class QueryOutcome:
     service_latency_s: Optional[float] = None
 
     @property
-    def algorithm(self) -> str:
-        return self.plan.algorithm
+    def algorithm(self) -> Optional[str]:
+        return self.plan.algorithm if self.plan is not None else None

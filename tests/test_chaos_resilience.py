@@ -32,6 +32,7 @@ from repro.core.base import AlgorithmParameters
 from repro.core.join_types import JoinSpec
 from repro.core.planner import (
     ALGORITHMS,
+    StackConfig,
     build_algorithm,
     build_session_stack,
     run_join,
@@ -150,13 +151,17 @@ class TestFaultPlanDeterminism:
 
         reference = {
             name: run_join(
-                r, s, spec, algorithm=name, buffer_size=BUFFER, faults=plan
+                r, s, spec, algorithm=name, buffer_size=BUFFER,
+                stack=StackConfig(faults=plan),
             ).resilience["fault_events"]
             for name in names
         }
         for max_wave, order_seed in [(16, None), (1, 0), (16, 1)]:
             queries = [
-                JoinQuery(r, s, spec, algorithm=name, buffer_size=BUFFER, faults=plan)
+                JoinQuery(
+                    r, s, spec, algorithm=name, buffer_size=BUFFER,
+                    stack=StackConfig(faults=plan),
+                )
                 for name in names
             ]
             if order_seed is not None:
@@ -183,7 +188,8 @@ class TestRecoverableChaosEquivalence:
         spec = JoinSpec.distance(0.03)
         clean = run_join(r, s, spec, algorithm=algorithm, buffer_size=BUFFER)
         faulty = run_join(
-            r, s, spec, algorithm=algorithm, buffer_size=BUFFER, faults=plan
+            r, s, spec, algorithm=algorithm, buffer_size=BUFFER,
+            stack=StackConfig(faults=plan),
         )
         assert clean.resilience is None
         _assert_identical(faulty, clean)
@@ -198,7 +204,10 @@ class TestRecoverableChaosEquivalence:
         r, s = _datasets()
         spec = JoinSpec.distance(0.03)
         queries = [
-            JoinQuery(r, s, spec, algorithm=name, buffer_size=BUFFER, faults=plan)
+            JoinQuery(
+                r, s, spec, algorithm=name, buffer_size=BUFFER,
+                stack=StackConfig(faults=plan),
+            )
             for name in sorted(ALGORITHMS)
         ]
         outcomes = QueryBroker().run_batch(queries)
@@ -219,8 +228,8 @@ class TestRecoverableChaosEquivalence:
         r, s = _datasets()
         plan = RECOVERABLE_PLANS[0]
         query = JoinQuery(
-            r, s, JoinSpec.intersection(), algorithm="upjoin",
-            buffer_size=BUFFER, faults=plan,
+            r, s, JoinSpec.intersection(), algorithm="upjoin", buffer_size=BUFFER,
+            stack=StackConfig(faults=plan),
         )
         (outcome,) = QueryBroker().run_batch([query])
         assert outcome.status == "ok"
@@ -237,8 +246,10 @@ class TestRecoverableChaosEquivalence:
         patient = RetryPolicy(max_attempts=12, base_backoff_s=0.01)
         clean = run_join(r, s, JoinSpec.distance(0.03), algorithm="srjoin",
                          buffer_size=BUFFER)
-        faulty = run_join(r, s, JoinSpec.distance(0.03), algorithm="srjoin",
-                          buffer_size=BUFFER, faults=plan, retry=patient)
+        faulty = run_join(
+            r, s, JoinSpec.distance(0.03), algorithm="srjoin", buffer_size=BUFFER,
+            stack=StackConfig(faults=plan, retry=patient),
+        )
         _assert_identical(faulty, clean)
 
 
@@ -252,8 +263,10 @@ class TestUnrecoverableFaults:
         r, s = _datasets()
         plan = FaultPlan(seed=2, disconnects=(Disconnect("R", 2),))
         with pytest.raises(ChannelFault) as exc:
-            run_join(r, s, JoinSpec.distance(0.03), algorithm="mobijoin",
-                     buffer_size=BUFFER, faults=plan)
+            run_join(
+                r, s, JoinSpec.distance(0.03), algorithm="mobijoin", buffer_size=BUFFER,
+                stack=StackConfig(faults=plan),
+            )
         assert exc.value.kind == "disconnect"
         assert not exc.value.recoverable
 
@@ -261,8 +274,10 @@ class TestUnrecoverableFaults:
         r, s = _datasets()
         plan = FaultPlan(seed=2, outages=(Outage("S", 0, 10_000),))
         with pytest.raises(ServerUnavailable) as exc:
-            run_join(r, s, JoinSpec.distance(0.03), algorithm="naive",
-                     buffer_size=BUFFER, faults=plan)
+            run_join(
+                r, s, JoinSpec.distance(0.03), algorithm="naive", buffer_size=BUFFER,
+                stack=StackConfig(faults=plan),
+            )
         assert exc.value.server == "S"
         assert exc.value.kind == "unavailable"
 
@@ -270,8 +285,10 @@ class TestUnrecoverableFaults:
         r, s = _datasets()
         plan = FaultPlan(seed=2, drop_rate=1.0)
         with pytest.raises(RetryExhausted) as exc:
-            run_join(r, s, JoinSpec.distance(0.03), algorithm="srjoin",
-                     buffer_size=BUFFER, faults=plan)
+            run_join(
+                r, s, JoinSpec.distance(0.03), algorithm="srjoin", buffer_size=BUFFER,
+                stack=StackConfig(faults=plan),
+            )
         assert exc.value.last_fault.kind == "drop"
 
     def test_failed_query_is_isolated_from_its_wave(self):
@@ -280,8 +297,10 @@ class TestUnrecoverableFaults:
         spec = JoinSpec.distance(0.03)
         queries = [
             JoinQuery(r, s, spec, algorithm="upjoin", buffer_size=BUFFER),
-            JoinQuery(r, s, spec, algorithm="srjoin", buffer_size=BUFFER,
-                      faults=bad_plan),
+            JoinQuery(
+                r, s, spec, algorithm="srjoin", buffer_size=BUFFER,
+                stack=StackConfig(faults=bad_plan),
+            ),
             JoinQuery(r, s, spec, algorithm="mobijoin", buffer_size=BUFFER),
         ]
         broker = QueryBroker()
@@ -299,8 +318,10 @@ class TestUnrecoverableFaults:
     def test_failed_outcome_is_never_cached(self):
         r, s = _datasets()
         plan = FaultPlan(seed=2, disconnects=(Disconnect("R", 1),))
-        query = JoinQuery(r, s, JoinSpec.distance(0.03), algorithm="srjoin",
-                          buffer_size=BUFFER, faults=plan)
+        query = JoinQuery(
+            r, s, JoinSpec.distance(0.03), algorithm="srjoin", buffer_size=BUFFER,
+            stack=StackConfig(faults=plan),
+        )
         broker = QueryBroker()
         first = broker.run_batch([query])[0]
         second = broker.run_batch([query])[0]
@@ -315,8 +336,10 @@ class TestDeadlineBudget:
     def test_standalone_timeout_is_typed(self):
         r, s = _datasets()
         with pytest.raises(QueryTimeout) as exc:
-            run_join(r, s, JoinSpec.distance(0.03), algorithm="upjoin",
-                     buffer_size=BUFFER, faults=self.STALL_PLAN, deadline_s=2.5)
+            run_join(
+                r, s, JoinSpec.distance(0.03), algorithm="upjoin", buffer_size=BUFFER,
+                stack=StackConfig(faults=self.STALL_PLAN, deadline_s=2.5),
+            )
         # Back-compat: the typed error still is a stdlib TimeoutError.
         assert isinstance(exc.value, TimeoutError)
 
@@ -324,8 +347,10 @@ class TestDeadlineBudget:
         r, s = _datasets()
         spec = JoinSpec.distance(0.03)
         queries = [
-            JoinQuery(r, s, spec, algorithm="upjoin", buffer_size=BUFFER,
-                      faults=self.STALL_PLAN, deadline_s=2.5),
+            JoinQuery(
+                r, s, spec, algorithm="upjoin", buffer_size=BUFFER,
+                stack=StackConfig(faults=self.STALL_PLAN, deadline_s=2.5),
+            ),
             JoinQuery(r, s, spec, algorithm="srjoin", buffer_size=BUFFER),
         ]
         outcomes = QueryBroker().run_batch(queries)
@@ -341,9 +366,10 @@ class TestDeadlineBudget:
         r, s = _datasets()
         clean = run_join(r, s, JoinSpec.distance(0.03), algorithm="srjoin",
                          buffer_size=BUFFER)
-        bounded = run_join(r, s, JoinSpec.distance(0.03), algorithm="srjoin",
-                           buffer_size=BUFFER, faults=RECOVERABLE_PLANS[0],
-                           deadline_s=10_000.0)
+        bounded = run_join(
+            r, s, JoinSpec.distance(0.03), algorithm="srjoin", buffer_size=BUFFER,
+            stack=StackConfig(faults=RECOVERABLE_PLANS[0], deadline_s=10_000.0),
+        )
         _assert_identical(bounded, clean)
 
 
@@ -357,8 +383,10 @@ class TestCircuitBreaker:
 
     def _queries(self, r, s, *specs_and_plans):
         return [
-            JoinQuery(r, s, spec, algorithm="naive", buffer_size=BUFFER,
-                      faults=plan)
+            JoinQuery(
+                r, s, spec, algorithm="naive", buffer_size=BUFFER,
+                stack=StackConfig(faults=plan),
+            )
             for spec, plan in specs_and_plans
         ]
 

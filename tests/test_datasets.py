@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.datasets.dataset import SpatialDataset
-from repro.datasets.loader import load_dataset, save_dataset
 from repro.datasets.railway import generate_railway_like
 from repro.datasets.synthetic import clustered, gaussian_mixture, uniform
 from repro.errors import InvalidInput, ReproError
@@ -215,12 +214,3 @@ class TestWorkloadsAndLoader:
             random_query_windows(-1)
         with pytest.raises(ValueError):
             random_query_windows(1, relative_size=0.0)
-
-    def test_save_and_load_roundtrip(self, tmp_path):
-        ds = clustered(n=50, clusters=2, seed=5)
-        path = save_dataset(ds, tmp_path / "sample")
-        loaded = load_dataset(path)
-        assert np.array_equal(loaded.mbrs, ds.mbrs)
-        assert np.array_equal(loaded.oids, ds.oids)
-        assert loaded.name == ds.name
-        assert loaded.metadata["clusters"] == 2

@@ -1,4 +1,4 @@
-"""Unit tests for repro.geometry.point and repro.geometry.segment."""
+"""Unit tests for repro.geometry.point."""
 
 from __future__ import annotations
 
@@ -9,8 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry.point import Point
-from repro.geometry.rect import Rect
-from repro.geometry.segment import Segment
 
 coords = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False, allow_infinity=False)
 
@@ -49,55 +47,3 @@ class TestPoint:
     def test_distance_symmetry(self, x1, y1, x2, y2):
         a, b = Point(x1, y1), Point(x2, y2)
         assert a.distance_to(b) == pytest.approx(b.distance_to(a))
-
-
-class TestSegment:
-    def test_length_and_midpoint(self):
-        seg = Segment(Point(0, 0), Point(3, 4))
-        assert seg.length == pytest.approx(5.0)
-        assert seg.midpoint() == Point(1.5, 2.0)
-
-    def test_mbr_covers_endpoints(self):
-        seg = Segment(Point(0.8, 0.1), Point(0.2, 0.9))
-        mbr = seg.mbr()
-        assert mbr == Rect(0.2, 0.1, 0.8, 0.9)
-
-    def test_interpolate_endpoints(self):
-        seg = Segment(Point(0, 0), Point(1, 2))
-        assert seg.interpolate(0.0) == Point(0, 0)
-        assert seg.interpolate(1.0) == Point(1, 2)
-        assert seg.interpolate(0.5) == Point(0.5, 1.0)
-
-    def test_interpolate_out_of_range_raises(self):
-        with pytest.raises(ValueError):
-            Segment(Point(0, 0), Point(1, 1)).interpolate(1.5)
-
-    def test_split_preserves_total_length(self):
-        seg = Segment(Point(0, 0), Point(1, 1))
-        pieces = seg.split(7)
-        assert len(pieces) == 7
-        assert sum(p.length for p in pieces) == pytest.approx(seg.length)
-        assert pieces[0].p1 == seg.p1 and pieces[-1].p2 == seg.p2
-
-    def test_split_invalid_raises(self):
-        with pytest.raises(ValueError):
-            Segment(Point(0, 0), Point(1, 1)).split(0)
-
-    def test_distance_to_point_projection(self):
-        seg = Segment(Point(0, 0), Point(2, 0))
-        assert seg.distance_to_point(Point(1, 1)) == pytest.approx(1.0)
-        assert seg.distance_to_point(Point(3, 0)) == pytest.approx(1.0)
-        assert seg.distance_to_point(Point(-1, 0)) == pytest.approx(1.0)
-
-    def test_degenerate_segment_distance(self):
-        seg = Segment(Point(0.5, 0.5), Point(0.5, 0.5))
-        assert seg.distance_to_point(Point(0.5, 1.0)) == pytest.approx(0.5)
-
-    @given(coords, coords, coords, coords, coords, coords)
-    @settings(max_examples=60)
-    def test_point_distance_bounded_by_endpoint_distances(self, x1, y1, x2, y2, px, py):
-        seg = Segment(Point(x1, y1), Point(x2, y2))
-        p = Point(px, py)
-        d = seg.distance_to_point(p)
-        assert d <= seg.p1.distance_to(p) + 1e-9
-        assert d <= seg.p2.distance_to(p) + 1e-9

@@ -161,6 +161,76 @@ def test_every_flat_rtree_is_built_by_the_field_constructor():
         assert "__new__" not in source
 
 
+#: The stack knobs; the first four name a topology and nothing else.
+STACK_KNOBS = (
+    "shards_r", "shards_s", "shard_scheme", "replicas", "router", "faults", "retry",
+    "deadline_s",
+)
+
+#: Who may spell a topology knob: the config class, its two keyword-sugar
+#: entry points, and what consumes ``replicas`` under that very name (the
+#: fleet constructor and the fault-plan helper that names replica channels
+#: take the count; the failover proxy takes the replica servers themselves).
+TOPOLOGY_KNOB_OWNERS = {
+    "core/planner.py:StackConfig",
+    "api.py:quick_join",
+    "api.py:AdHocJoinSession.__init__",
+    "server/sharded.py:ShardedSpatialServer.__init__",
+    "network/faults.py:replica_outages",
+    "server/remote.py:ReplicatedRemoteServer.__init__",
+}
+
+
+def _signatures(path: Path):
+    """``(qualified name, names)`` per function (its parameters) and per
+    class (its annotated fields) of one module."""
+
+    def walk(body, prefix):
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                every = [*args.posonlyargs, *args.args, *args.kwonlyargs]
+                yield prefix + node.name, {a.arg for a in every}
+                yield from walk(node.body, prefix + node.name + ".")
+            elif isinstance(node, ast.ClassDef):
+                fields = {
+                    n.target.id for n in node.body
+                    if isinstance(n, ast.AnnAssign) and isinstance(n.target, ast.Name)
+                }
+                yield prefix + node.name, fields
+                yield from walk(node.body, prefix + node.name + ".")
+
+    module = str(path.relative_to(PACKAGE))
+    for name, names in walk(ast.parse(path.read_text()).body, ""):
+        yield f"{module}:{name}", names
+
+
+def test_a_stack_is_described_in_one_place():
+    from repro.core import planner
+
+    spellers, both_ways, seen = set(), [], 0
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for name, names in _signatures(path):
+            seen += 1
+            if names & set(STACK_KNOBS[:4]):
+                spellers.add(name)
+            if "stack" in names and names & set(STACK_KNOBS):
+                both_ways.append(name)
+    assert seen > 500
+    assert spellers == TOPOLOGY_KNOB_OWNERS
+    assert not both_ways
+    assert tuple(f.name for f in dataclasses.fields(planner.StackConfig)) == STACK_KNOBS
+    # Everything below ``repro.api`` takes the config, not the knobs ...
+    for target in (planner.build_session_stack, planner.run_join, JoinQuery):
+        parameters = set(inspect.signature(target).parameters)
+        assert "stack" in parameters and not parameters & set(STACK_KNOBS), target
+    # ... and the loose-knob helpers it absorbed are no second route.
+    gone = {"validate_stack_knobs", "build_server", "build_resilience"}
+    assert not gone & (set(planner.__all__) | set(vars(planner)))
+    files = [p.name for p in PACKAGE.rglob("*.py") if "shards_r" in p.read_text()]
+    assert sorted(files) == ["api.py", "planner.py"]
+
+
 def test_the_benchmark_target_guard_is_unmodified_and_passes():
     # benchmarks/e2e/layers.py is frozen; so is the test that holds src/ to it.
     digest = hashlib.sha256(Path(test_benchmark_targets.__file__).read_bytes()).hexdigest()

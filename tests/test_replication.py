@@ -27,7 +27,12 @@ from typing import List
 import pytest
 
 from repro.core.join_types import JoinSpec
-from repro.core.planner import build_algorithm, build_session_stack, run_join
+from repro.core.planner import (
+    StackConfig,
+    build_algorithm,
+    build_session_stack,
+    run_join,
+)
 from repro.core.result import JoinResult
 from repro.datasets.synthetic import clustered
 from repro.errors import ServerUnavailable
@@ -124,7 +129,9 @@ def _run_stack(r, s, algorithm, **stack_kwargs):
     """Run one algorithm over a fresh session stack; returns
     ``(result, device)`` so tests can read fingerprints off the
     connections."""
-    _, _, device = build_session_stack(r, s, buffer_size=BUFFER, **stack_kwargs)
+    _, _, device = build_session_stack(
+        r, s, buffer_size=BUFFER, stack=StackConfig(**stack_kwargs)
+    )
     algo = build_algorithm(algorithm, device, JoinSpec.distance(EPSILON))
     window = r.bounds().union(s.bounds())
     return algo.run(window), device
@@ -186,9 +193,9 @@ class TestReplicatedFleetConstruction:
         with pytest.raises(ValueError):
             ShardedSpatialServer(r, name="R", shards=2, replicas=0)
         with pytest.raises(ValueError):
-            JoinQuery(r, r, JoinSpec.distance(EPSILON), replicas=0)
+            JoinQuery(r, r, JoinSpec.distance(EPSILON), stack=StackConfig(replicas=0))
         with pytest.raises(ValueError):
-            JoinQuery(r, r, JoinSpec.distance(EPSILON), router="nearest")
+            JoinQuery(r, r, JoinSpec.distance(EPSILON), stack=StackConfig(router="nearest"))
         with pytest.raises(ValueError):
             make_router("nearest")
         assert isinstance(make_router(None), HealthyFirstRouter)
@@ -210,12 +217,14 @@ class TestReplicatedFleetConstruction:
         r, s = _datasets(n=30)
         spec = JoinSpec.distance(EPSILON)
         with pytest.raises(ValueError):
-            run_join(r, s, spec, algorithm="semijoin", buffer_size=BUFFER,
-                     replicas=2)
-        with pytest.raises(ValueError):
-            QueryBroker().submit(
-                JoinQuery(r, s, spec, algorithm="semijoin",
-                          buffer_size=BUFFER, replicas=2)
+            run_join(
+                r, s, spec, algorithm="semijoin", buffer_size=BUFFER,
+                stack=StackConfig(replicas=2),
+            )
+        with pytest.raises(ValueError):  # unconstructible, so never submitted
+            JoinQuery(
+                r, s, spec, algorithm="semijoin", buffer_size=BUFFER,
+                stack=StackConfig(replicas=2),
             )
 
 
@@ -229,11 +238,14 @@ class TestReplicationBitIdentity:
     def test_fault_free_replication_is_invisible(self, algorithm):
         r, s = _datasets()
         spec = JoinSpec.distance(EPSILON)
-        plain = run_join(r, s, spec, algorithm=algorithm, buffer_size=BUFFER,
-                         shards_r=2, shards_s=2)
-        replicated = run_join(r, s, spec, algorithm=algorithm,
-                              buffer_size=BUFFER, shards_r=2, shards_s=2,
-                              replicas=2)
+        plain = run_join(
+            r, s, spec, algorithm=algorithm, buffer_size=BUFFER,
+            stack=StackConfig(shards_r=2, shards_s=2),
+        )
+        replicated = run_join(
+            r, s, spec, algorithm=algorithm, buffer_size=BUFFER,
+            stack=StackConfig(shards_r=2, shards_s=2, replicas=2),
+        )
         _assert_identical(replicated, plain)
 
     @pytest.mark.parametrize("algorithm", FLEET_ALGORITHMS)
@@ -268,13 +280,18 @@ class TestReplicationBitIdentity:
         r, s = _datasets()
         spec = JoinSpec.distance(EPSILON)
         (ref,) = QueryBroker(cache=False).run_batch([
-            JoinQuery(r, s, spec, algorithm="srjoin", buffer_size=BUFFER,
-                      shards_r=2, shards_s=2)
+            JoinQuery(
+                r, s, spec, algorithm="srjoin", buffer_size=BUFFER,
+                stack=StackConfig(shards_r=2, shards_s=2),
+            )
         ])
         queries = [
-            JoinQuery(r, s, JoinSpec.distance(EPSILON), algorithm=name,
-                      buffer_size=BUFFER, shards_r=2, shards_s=2, replicas=2,
-                      faults=RECOVERABLE_PLAN)
+            JoinQuery(
+                r, s, JoinSpec.distance(EPSILON), algorithm=name, buffer_size=BUFFER,
+                stack=StackConfig(
+                    shards_r=2, shards_s=2, replicas=2, faults=RECOVERABLE_PLAN
+                ),
+            )
             for name in FLEET_ALGORITHMS
         ]
         outcomes = QueryBroker(cache=False).run_batch(queries)
@@ -291,16 +308,26 @@ class TestReplicationBitIdentity:
         spec = JoinSpec.distance(EPSILON)
         broker = QueryBroker(cache=True)
         first = broker.run_batch([
-            JoinQuery(r, s, spec, algorithm="srjoin", buffer_size=BUFFER,
-                      shards_r=2, shards_s=2)
+            JoinQuery(
+                r, s, spec, algorithm="srjoin", buffer_size=BUFFER,
+                stack=StackConfig(shards_r=2, shards_s=2),
+            )
         ])[0]
         again, replicated, rerouted = broker.run_batch([
-            JoinQuery(r, s, spec, algorithm="srjoin", buffer_size=BUFFER,
-                      shards_r=2, shards_s=2),
-            JoinQuery(r, s, spec, algorithm="srjoin", buffer_size=BUFFER,
-                      shards_r=2, shards_s=2, replicas=2),
-            JoinQuery(r, s, spec, algorithm="srjoin", buffer_size=BUFFER,
-                      shards_r=2, shards_s=2, replicas=2, router="round_robin"),
+            JoinQuery(
+                r, s, spec, algorithm="srjoin", buffer_size=BUFFER,
+                stack=StackConfig(shards_r=2, shards_s=2),
+            ),
+            JoinQuery(
+                r, s, spec, algorithm="srjoin", buffer_size=BUFFER,
+                stack=StackConfig(shards_r=2, shards_s=2, replicas=2),
+            ),
+            JoinQuery(
+                r, s, spec, algorithm="srjoin", buffer_size=BUFFER,
+                stack=StackConfig(
+                    shards_r=2, shards_s=2, replicas=2, router="round_robin"
+                ),
+            ),
         ])
         assert again.cached and first.result is again.result
         assert not replicated.cached
@@ -361,21 +388,26 @@ class TestFailover:
         r, s = _datasets()
         spec = JoinSpec.distance(EPSILON)
         (ref,) = QueryBroker(cache=False).run_batch([
-            JoinQuery(r, s, spec, algorithm="srjoin", buffer_size=BUFFER,
-                      shards_r=2, shards_s=2)
+            JoinQuery(
+                r, s, spec, algorithm="srjoin", buffer_size=BUFFER,
+                stack=StackConfig(shards_r=2, shards_s=2),
+            )
         ])
         doomed = JoinQuery(
             r, s, spec, algorithm="srjoin", buffer_size=BUFFER,
-            shards_r=2, shards_s=2, replicas=2,
-            faults=FaultPlan(seed=3,
-                             outages=replica_outages("R#0", 2, 0, 10_000)),
+            stack=StackConfig(
+                shards_r=2, shards_s=2, replicas=2,
+                faults=FaultPlan(seed=3, outages=replica_outages("R#0", 2, 0, 10_000)),
+            ),
         )
         survivor = JoinQuery(
             r, s, spec, algorithm="srjoin", buffer_size=BUFFER,
-            shards_r=2, shards_s=2, replicas=2,
-            faults=FaultPlan(seed=3,
-                             outages=replica_outages("R#0", 2, 0, 10_000,
-                                                     indices=[0])),
+            stack=StackConfig(
+                shards_r=2, shards_s=2, replicas=2,
+                faults=FaultPlan(
+                    seed=3, outages=replica_outages("R#0", 2, 0, 10_000, indices=[0])
+                ),
+            ),
         )
         failed, survived = QueryBroker(cache=False).run_batch(
             [doomed, survivor]
@@ -388,10 +420,12 @@ class TestFailover:
         _assert_identical(survived.result, ref.result)
         assert survived.ledger_fingerprints == ref.ledger_fingerprints
 
-    def _query(self, r, s, eps, **kwargs):
+    def _query(self, r, s, eps, faults=None, **kwargs):
         kwargs.setdefault("buffer_size", BUFFER)
-        return JoinQuery(r, s, JoinSpec.distance(eps), algorithm="srjoin",
-                         shards_r=2, shards_s=2, replicas=2, **kwargs)
+        return JoinQuery(
+            r, s, JoinSpec.distance(eps), algorithm="srjoin", **kwargs,
+            stack=StackConfig(shards_r=2, shards_s=2, replicas=2, faults=faults),
+        )
 
     @staticmethod
     def _shard_bytes(outcome, shard):

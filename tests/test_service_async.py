@@ -24,7 +24,9 @@ import pytest
 from repro.core.join_types import JoinSpec
 from repro.core.planner import run_join
 from repro.core.result import JoinResult
+from repro.datasets.dataset import SpatialDataset
 from repro.datasets.synthetic import clustered
+from repro.errors import InvalidInput
 from repro.service import (
     JoinQuery,
     QueryBroker,
@@ -310,6 +312,36 @@ class TestQueryService:
             # The service survives a failed wave.
             ok = service.submit(_query(r, s))
             assert service.result(ok, timeout=60).result.num_pairs > 0
+
+    def test_a_query_that_cannot_be_planned_fails_its_own_ticket_only(self):
+        """Regression: it failed its batch neighbours with its own error and
+        the next, unrelated ticket with ``ServiceClosed("broker returned 2
+        outcomes for a batch of 1 queries")``."""
+        r, s = _datasets()
+        empty = SpatialDataset(np.empty((0, 4)), name="E")
+        windowless = JoinQuery(empty, empty.rename("F"), JoinSpec.distance(0.03))
+        entered, release = threading.Event(), threading.Event()
+
+        def blocker(_outcome):
+            entered.set()
+            release.wait(60)
+
+        with QueryService(cache=False) as service:
+            service.submit(_query(r, s), callback=blocker)
+            assert entered.wait(60)
+            # Queued behind the wedged loop, so the three form one batch.
+            before, failed, after = service.submit_all(
+                [_query(r, s), windowless, _query(r, s, algorithm="naive")]
+            )
+            release.set()
+            outcome = service.result(failed, timeout=60)
+            assert outcome.status == "failed" and outcome.ticket == failed
+            assert isinstance(outcome.error, InvalidInput)
+            for ticket in (before, after):
+                assert service.result(ticket, timeout=60).status == "ok"
+            assert service.broker.stats.waves == 2
+            later = service.submit(_query(r, s, algorithm="srjoin"))
+            assert service.result(later, timeout=60).status == "ok"
 
     def test_close_finishes_queued_work_then_rejects_submissions(self):
         r, s = _datasets()

@@ -27,12 +27,15 @@ from typing import Dict, List, Tuple
 import numpy as np
 import pytest
 
+from repro.core.costmodel import CalibratedCostModel
 from repro.core.join_types import JoinSpec
-from repro.core.planner import ALGORITHMS, SELECTABLE_ALGORITHMS, run_join
+from repro.core.planner import ALGORITHMS, SELECTABLE_ALGORITHMS, StackConfig, run_join
 from repro.datasets.dataset import SpatialDataset
 from repro.datasets.synthetic import clustered, uniform
+from repro.errors import InvalidInput
 from repro.geometry.rect import Rect
 from repro.service import JoinQuery, QueryBroker
+from repro.service.cache import query_key
 
 from tests.oracles.recursive_driver import depth_first_algorithms
 
@@ -280,6 +283,72 @@ class TestResultCache:
         outcomes = broker.run_batch([good])
         assert len(outcomes) == 1
         _assert_identical(outcomes[0].result, _standalone(good, "upjoin"))
+
+    def test_a_batch_that_fails_to_plan_does_not_leak_into_the_next(self, monkeypatch):
+        """Planning is all-or-nothing: the queries planned before the raise
+        used to stay queued and come back with the next batch's outcomes."""
+        r, s = _datasets()
+        spec = JoinSpec.distance(0.03)
+        queries = [
+            JoinQuery(r, s, spec, algorithm=name, buffer_size=BUFFER)
+            for name in ("upjoin", "srjoin", "mobijoin")
+        ]
+        predict, calls = CalibratedCostModel.predict, iter(range(1, 10))
+
+        def second_prediction_raises(self, *args, **kwargs):
+            if next(calls) == 2:
+                raise RuntimeError("injected planner bug")
+            return predict(self, *args, **kwargs)
+
+        monkeypatch.setattr(CalibratedCostModel, "predict", second_prediction_raises)
+        broker = QueryBroker()
+        with pytest.raises(RuntimeError, match="injected planner bug"):
+            broker.run_batch(queries)
+        assert broker.stats.queries_submitted == 0
+        (outcome,) = broker.run_batch([queries[2]])
+        assert outcome.query is queries[2]
+        _assert_identical(outcome.result, _standalone(queries[2], "mobijoin"))
+
+    def test_a_query_that_cannot_be_planned_fails_alone(self):
+        """A typed error while planning is that query's ``failed`` outcome."""
+        r, s = _datasets()
+        spec = JoinSpec.distance(0.03)
+        empty = SpatialDataset(np.empty((0, 4)), name="E")
+        good = JoinQuery(r, s, spec, algorithm="upjoin", buffer_size=BUFFER)
+        windowless = JoinQuery(empty, empty.rename("F"), spec, buffer_size=BUFFER)
+        other = JoinQuery(r, s, spec, algorithm="naive", buffer_size=BUFFER)
+        broker = QueryBroker()
+        first, failed, third = broker.run_batch([good, windowless, other])
+        assert [o.status for o in (first, failed, third)] == ["ok", "failed", "ok"]
+        assert isinstance(failed.error, InvalidInput)
+        assert failed.query is windowless and failed.result is None
+        assert failed.plan is None and failed.algorithm is None
+        assert broker.stats.queries_failed == 1 and broker.stats.queries_executed == 2
+        _assert_identical(first.result, _standalone(good, "upjoin"))
+        _assert_identical(third.result, _standalone(other, "naive"))
+
+    def test_the_whole_stack_config_keys_the_cache(self):
+        r, s = _datasets()
+        spec = JoinSpec.distance(0.03)
+
+        def key(**knobs):
+            query = JoinQuery(r, s, spec, algorithm="srjoin", stack=StackConfig(**knobs))
+            return query_key(query, "srjoin", None)
+
+        fleet = dict(shards_r=2, shards_s=2, replicas=2)
+        assert key(**fleet) != key(**fleet, router="round_robin")
+        assert key() != key(deadline_s=1e9)
+        assert key() != key(shards_s=2)
+        assert key(**fleet) == key(**fleet)
+        # No ``stack=`` at all is the default stack: one entry, one execution.
+        bare = JoinQuery(r, s, spec, algorithm="srjoin")
+        assert query_key(bare, "srjoin", None) == key()
+        broker = QueryBroker()
+        cold, warm = broker.run_batch(
+            [bare, JoinQuery(r, s, spec, algorithm="srjoin", stack=StackConfig())]
+        )
+        assert warm.cached and warm.result is cold.result
+        assert broker.stats.cache_hits == 1 and broker.stats.queries_executed == 1
 
     def test_result_cache_eviction_is_bounded(self):
         from repro.service import ResultCache

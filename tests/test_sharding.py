@@ -22,14 +22,16 @@ bounds intersect the request windows.  The contracts under test:
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
 from repro.api import AdHocJoinSession, quick_join
 from repro.core.join_types import JoinSpec
-from repro.core.planner import run_join
+from repro.core.planner import StackConfig, run_join
 from repro.datasets.partition import (
     PARTITION_SCHEMES,
     partition_dataset,
@@ -39,12 +41,20 @@ from repro.datasets.dataset import SpatialDataset
 from repro.datasets.synthetic import clustered, uniform
 from repro.errors import InvalidInput, ServerUnavailable
 from repro.geometry.rect import Rect
-from repro.network.faults import FaultPlan, Outage
+from repro.network.faults import FaultPlan, Outage, RetryPolicy
 from repro.server import ShardedSpatialServer, SpatialServer
 from repro.service import JoinQuery, QueryBroker
 
 BUFFER = 96
 EPSILON = 0.03
+
+
+def _with_stack(keywords: dict) -> dict:
+    """The same keywords, the loose stack knobs among them (the ``repro.api``
+    sugar) folded into the ``stack=`` every layer below the API takes."""
+    knobs = {f.name for f in dataclasses.fields(StackConfig)} & set(keywords)
+    rest = {k: v for k, v in keywords.items() if k not in knobs}
+    return dict(rest, stack=StackConfig(**{k: keywords[k] for k in knobs}))
 
 
 def _datasets(n: int = 110):
@@ -132,7 +142,7 @@ class TestShardedJoinEquivalence:
         plain = run_join(r, s, spec, algorithm=algorithm, buffer_size=BUFFER)
         sharded = run_join(
             r, s, spec, algorithm=algorithm, buffer_size=BUFFER,
-            shards_r=3, shards_s=4, shard_scheme=scheme,
+            stack=StackConfig(shards_r=3, shards_s=4, shard_scheme=scheme),
         )
         assert sharded.sorted_pairs() == plain.sorted_pairs()
         assert sharded.objects == plain.objects
@@ -218,11 +228,13 @@ class TestShardedJoinEquivalence:
         spec = JoinSpec.distance(EPSILON)
         standalone = run_join(
             r, s, spec, algorithm="srjoin", buffer_size=BUFFER,
-            shards_r=2, shards_s=3,
+            stack=StackConfig(shards_r=2, shards_s=3),
         )
         (outcome,) = QueryBroker(cache=False).run_batch([
-            JoinQuery(r, s, spec, algorithm="srjoin", buffer_size=BUFFER,
-                      shards_r=2, shards_s=3)
+            JoinQuery(
+                r, s, spec, algorithm="srjoin", buffer_size=BUFFER,
+                stack=StackConfig(shards_r=2, shards_s=3),
+            )
         ])
         assert outcome.status == "ok"
         brokered = outcome.result
@@ -235,21 +247,55 @@ class TestShardedJoinEquivalence:
         r, s = _datasets(n=30)
         spec = JoinSpec.distance(EPSILON)
         with pytest.raises(ValueError):
-            run_join(r, s, spec, algorithm="semijoin", buffer_size=BUFFER,
-                     shards_r=2)
-        with pytest.raises(ValueError):
-            QueryBroker().submit(
-                JoinQuery(r, s, spec, algorithm="semijoin",
-                          buffer_size=BUFFER, shards_s=2)
+            run_join(
+                r, s, spec, algorithm="semijoin", buffer_size=BUFFER,
+                stack=StackConfig(shards_r=2),
+            )
+        with pytest.raises(ValueError):  # unconstructible, so never submitted
+            JoinQuery(
+                r, s, spec, algorithm="semijoin", buffer_size=BUFFER,
+                stack=StackConfig(shards_s=2),
             )
 
     def test_query_validation(self):
         r, s = _datasets(n=10)
         spec = JoinSpec.distance(EPSILON)
         with pytest.raises(ValueError):
-            JoinQuery(r, s, spec, shards_r=0)
+            JoinQuery(r, s, spec, stack=StackConfig(shards_r=0))
         with pytest.raises(ValueError):
-            JoinQuery(r, s, spec, shard_scheme="hilbert")
+            JoinQuery(r, s, spec, stack=StackConfig(shard_scheme="hilbert"))
+
+    @pytest.mark.parametrize(
+        "knob, message",
+        [
+            ({"shards_r": 0}, "shard counts must be >= 1"),
+            ({"shards_s": -1}, "shard counts must be >= 1"),
+            ({"replicas": 0}, "replicas must be >= 1"),
+            # Rejected even where the knob would go unused (no replication,
+            # no sharding).
+            ({"router": "bogus"}, "unknown replica router policy 'bogus'; known: ["),
+            ({"shard_scheme": "bogus"}, "unknown partition scheme 'bogus'; available: ("),
+            ({"deadline_s": -1.0}, "deadline_s must be a non-negative number"),
+            ({"deadline_s": float("nan")}, "deadline_s must be a non-negative number"),
+        ],
+    )
+    def test_a_stack_config_is_validated_at_construction(self, knob, message):
+        with pytest.raises(InvalidInput, match=re.escape(message)):
+            StackConfig(**knob)
+
+    def test_stack_configs_are_values(self):
+        assert StackConfig() == StackConfig()
+        assert hash(StackConfig()) == hash(StackConfig())
+        different = dict(
+            shards_r=2, shards_s=2, shard_scheme="str", replicas=2, router="round_robin",
+            faults=FaultPlan(seed=1), retry=RetryPolicy(max_attempts=2), deadline_s=1.0,
+        )
+        assert set(different) == {f.name for f in dataclasses.fields(StackConfig)}
+        for name, value in different.items():
+            assert StackConfig(**{name: value}) != StackConfig(), name
+        fleet = StackConfig(shards_s=3, shard_scheme="str", deadline_s=2.0)
+        assert fleet.fleet and fleet.topology == (1, 3, "str", 1)
+        assert not StackConfig(faults=FaultPlan(seed=1)).fleet
 
     @pytest.mark.parametrize(
         "knob",
@@ -263,6 +309,10 @@ class TestShardedJoinEquivalence:
             # the algorithms' answers.
             {"window": Rect(-math.inf, -math.inf, math.inf, math.inf)},
             {"window": Rect(math.nan, 0.0, 1.0, 1.0)},
+            # An algorithm that does not exist, or cannot run on the stack.
+            {"algorithm": "bogus"},
+            {"algorithm": "semijoin", "shards_r": 2},
+            {"algorithm": "semijoin", "replicas": 2},
         ],
         ids=lambda knob: "-".join(f"{k}={v}" for k, v in knob.items()),
     )
@@ -270,11 +320,11 @@ class TestShardedJoinEquivalence:
         "entry",
         [
             lambda r, s, spec, **kw: quick_join(r, s, epsilon=EPSILON, **kw),
-            lambda r, s, spec, window=None, **kw: AdHocJoinSession(r, s, **kw).run(
-                epsilon=EPSILON, window=window
-            ),
-            lambda r, s, spec, **kw: run_join(r, s, spec, **kw),
-            lambda r, s, spec, **kw: JoinQuery(r, s, spec, **kw),
+            lambda r, s, spec, window=None, algorithm="srjoin", **kw: AdHocJoinSession(
+                r, s, indexed=False, **kw
+            ).run(algorithm, epsilon=EPSILON, window=window),
+            lambda r, s, spec, **kw: run_join(r, s, spec, **_with_stack(kw)),
+            lambda r, s, spec, **kw: JoinQuery(r, s, spec, **_with_stack(kw)),
         ],
         ids=["quick_join", "AdHocJoinSession", "run_join", "JoinQuery"],
     )
@@ -282,6 +332,18 @@ class TestShardedJoinEquivalence:
         r, s = _datasets(n=10)
         with pytest.raises(InvalidInput):
             entry(r, s, JoinSpec.distance(EPSILON), **knob)
+
+    def test_injected_fleets_reject_semijoin_at_connect(self):
+        # No StackConfig describes pre-built servers: the twin of
+        # ``check_algorithm`` sits where they are connected, same wording.
+        r, s = _datasets(n=10)
+        fleet_r = ShardedSpatialServer(r, name="R", shards=2)
+        fleet_s = ShardedSpatialServer(s, name="S", shards=2)
+        with pytest.raises(InvalidInput) as injected:
+            AdHocJoinSession(r, s, servers=(fleet_r, fleet_s), indexed=True)
+        with pytest.raises(InvalidInput) as built:
+            StackConfig(shards_r=2).check_algorithm("semijoin")
+        assert str(injected.value) == str(built.value)
 
 
 # --------------------------------------------------------------------------- #
@@ -293,8 +355,9 @@ def _run_paths():
     """The four entry paths, each returning the pairs of a window-less join."""
 
     def brokered(r, s, spec, **kw):
-        (outcome,) = QueryBroker().run_batch([JoinQuery(r, s, spec, **kw)])
-        assert outcome.status == "ok", outcome.error
+        (outcome,) = QueryBroker().run_batch([JoinQuery(r, s, spec, **_with_stack(kw))])
+        if outcome.error is not None:  # a query that cannot be planned fails alone
+            raise outcome.error
         return outcome.result
 
     return {
@@ -302,7 +365,7 @@ def _run_paths():
         "AdHocJoinSession": lambda r, s, spec, algorithm="srjoin", **kw: AdHocJoinSession(
             r, s, indexed=False, **kw
         ).run(algorithm, epsilon=EPSILON),
-        "run_join": lambda r, s, spec, **kw: run_join(r, s, spec, **kw),
+        "run_join": lambda r, s, spec, **kw: run_join(r, s, spec, **_with_stack(kw)),
         "QueryBroker": brokered,
     }
 
@@ -331,7 +394,8 @@ class TestDefaultWindowWithAnEmptySide:
         for algorithm in ("naive", "upjoin", "srjoin", "mobijoin", "fixedgrid"):
             windowless = run(r, s, spec, algorithm=algorithm, **topology)
             explicit = run_join(
-                r, s, spec, algorithm=algorithm, window=full.bounds(), **topology
+                r, s, spec, algorithm=algorithm, window=full.bounds(),
+                stack=StackConfig(**topology),
             )
             assert len(windowless.pairs) == len(explicit.pairs) == 0
             assert windowless.total_bytes == explicit.total_bytes
@@ -381,8 +445,10 @@ class TestBreakerIdentity:
         # the whole logical side.
         outage = FaultPlan(seed=6, outages=(Outage("R#0", 0, 10_000),))
         (first,) = broker.run_batch([
-            JoinQuery(r, s, spec, algorithm="naive", buffer_size=BUFFER,
-                      shards_r=3, faults=outage)
+            JoinQuery(
+                r, s, spec, algorithm="naive", buffer_size=BUFFER,
+                stack=StackConfig(shards_r=3, faults=outage),
+            )
         ])
         assert first.status == "failed"
         assert isinstance(first.error, ServerUnavailable)
@@ -391,8 +457,10 @@ class TestBreakerIdentity:
         # Still within the cooldown: the next query on the same fleet is
         # shed by the open shard breaker without executing.
         (shed,) = broker.run_batch([
-            JoinQuery(r, s, spec, algorithm="naive", buffer_size=BUFFER,
-                      shards_r=3)
+            JoinQuery(
+                r, s, spec, algorithm="naive", buffer_size=BUFFER,
+                stack=StackConfig(shards_r=3),
+            )
         ])
         assert shed.status == "failed"
         assert shed.error.kind == "breaker"
@@ -401,8 +469,10 @@ class TestBreakerIdentity:
         broker.clear_caches()
         assert broker._breakers == {}
         (healed,) = broker.run_batch([
-            JoinQuery(r, s, spec, algorithm="naive", buffer_size=BUFFER,
-                      shards_r=3)
+            JoinQuery(
+                r, s, spec, algorithm="naive", buffer_size=BUFFER,
+                stack=StackConfig(shards_r=3),
+            )
         ])
         assert healed.status == "ok"
         plain = run_join(r, s, spec, algorithm="naive", buffer_size=BUFFER)

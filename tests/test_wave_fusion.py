@@ -27,7 +27,7 @@ import pytest
 
 from repro.core.base import AlgorithmParameters
 from repro.core.join_types import JoinSpec
-from repro.core.planner import build_algorithm, build_session_stack
+from repro.core.planner import StackConfig, build_algorithm, build_session_stack
 from repro.datasets.synthetic import clustered
 from repro.errors import ChannelFault
 from repro.geometry.rect import Rect
@@ -85,7 +85,7 @@ def _queries(topology: str, faults, bucket: bool, windows=None) -> List[JoinQuer
     return [
         JoinQuery(
             r, s, SPEC, algorithm=algorithm, buffer_size=BUFFER, params=params,
-            window=window, faults=faults, **TOPOLOGIES[topology],
+            window=window, stack=StackConfig(faults=faults, **TOPOLOGIES[topology]),
         )
         for window in (windows or _windows()[:2])
         for algorithm in ALGORITHMS
@@ -137,9 +137,7 @@ def _standalone(query: JoinQuery):
     """The query alone on a fresh stack: ``(result or error, its device)``."""
     _, _, device = build_session_stack(
         query.dataset_r, query.dataset_s, buffer_size=query.buffer_size,
-        faults=query.faults, retry=query.retry, shards_r=query.shards_r,
-        shards_s=query.shards_s, shard_scheme=query.shard_scheme,
-        replicas=query.replicas, router=query.router,
+        stack=query.stack,
     )
     algo = build_algorithm(query.algorithm, device, query.spec, query.resolved_params())
     try:
@@ -328,8 +326,10 @@ class TestFusedEqualsStandalone:
         doomed = JoinQuery(
             victim.dataset_r, victim.dataset_s, victim.spec, algorithm=victim.algorithm,
             buffer_size=BUFFER, window=victim.window,
-            faults=FaultPlan(seed=0, disconnects=(Disconnect(channel, at),)),
-            **TOPOLOGIES[topology],
+            stack=StackConfig(
+                faults=FaultPlan(seed=0, disconnects=(Disconnect(channel, at),)),
+                **TOPOLOGIES[topology],
+            ),
         )
         queries[victim_at] = doomed
         outcomes = QueryBroker(cache=False).run_batch(queries)
