@@ -10,8 +10,10 @@ Modules
 * :mod:`repro.core.uniformity` -- the uniformity test (Eq. 9), the
   "is it worth asking for statistics" rule (Eq. 10) and the density
   bitmaps (Eq. 11).
-* :mod:`repro.core.stats` -- quadrant COUNT retrieval with the
-  three-queries-plus-derivation optimisation.
+* :mod:`repro.core.frontier` -- the level-order engine the three adaptive
+  algorithms run on: a recursion depth decided as one table of columns,
+  quadrant COUNT retrieval with the three-queries-plus-derivation
+  optimisation.
 * :mod:`repro.core.mobijoin` -- the MobiJoin baseline (Section 3.2).
 * :mod:`repro.core.upjoin` -- the Uniform Partition Join (Section 4.1).
 * :mod:`repro.core.srjoin` -- the Similarity Related Join (Section 4.2).

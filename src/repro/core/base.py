@@ -16,9 +16,11 @@ with other queries'.
 
 from __future__ import annotations
 
+import math
+import numbers
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -28,10 +30,10 @@ from repro.core.result import JoinResult, TraceEvent
 from repro.device.hbsj import HBSJRequest
 from repro.device.pda import MobileDevice
 from repro.device.steps import COUNT, Request, Step, Steps, run_steps
-from repro.errors import RoundRetry
-from repro.geometry import rect_array
+from repro.errors import InvalidInput, RoundRetry
 from repro.geometry.predicates import JoinPredicate
 from repro.geometry.rect import Rect
+from repro.index.pairs import PairBlocks
 
 __all__ = ["MobileJoinAlgorithm", "AlgorithmParameters"]
 
@@ -61,12 +63,13 @@ class AlgorithmParameters:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        # ``nan`` fails the first comparison, ``inf`` the finiteness test.
         if not 0.0 < self.alpha <= 1.0:
-            raise ValueError("alpha must lie in (0, 1]")
-        if self.rho <= 0:
-            raise ValueError("rho must be positive")
-        if self.grid_k < 2:
-            raise ValueError("grid_k must be >= 2")
+            raise InvalidInput("alpha must lie in (0, 1]")
+        if not (self.rho > 0 and math.isfinite(self.rho)):
+            raise InvalidInput("rho must be positive")
+        if not (isinstance(self.grid_k, numbers.Integral) and self.grid_k >= 2):
+            raise InvalidInput("grid_k must be >= 2")
 
 
 class MobileJoinAlgorithm(ABC):
@@ -100,7 +103,9 @@ class MobileJoinAlgorithm(ABC):
             epsilon=self.predicate.probe_radius(),
             bucket_queries=self.params.bucket_queries,
         )
-        self._pairs: Set[Tuple[int, int]] = set()
+        #: Every pair block the operators reported, duplicates and all;
+        #: :meth:`_assemble` deduplicates once.
+        self._pairs = PairBlocks()
         self._trace: List[TraceEvent] = []
         self._rng = np.random.default_rng(self.params.seed)
         # Observability state: the run's "join" span (None while the
@@ -115,23 +120,10 @@ class MobileJoinAlgorithm(ABC):
     # ------------------------------------------------------------------ #
 
     def run(self, window: Rect) -> JoinResult:
-        """Execute the join over ``window`` and assemble the result."""
-        self._pairs.clear()
-        self._trace.clear()
-        span = self._obs_open(window)
-        try:
-            # The root counts go through the batch helper (size 1) so the
-            # exchange sequence -- bytes *and* fault-stream labels -- matches
-            # the broker's cooperative driver, which answers the root round
-            # through the batched prefetch accounting.
-            count_r = self.count_windows("R", [window])[0]
-            count_s = self.count_windows("S", [window])[0]
-            self.record(0, window, "start", f"{self.name}", count_r, count_s)
-            self._execute(window, count_r, count_s, depth=0)
-            return self._assemble(window)
-        finally:
-            if span is not None:
-                span.close(sim=self.device.sim_now())
+        """Execute the join over ``window`` and assemble the result: the
+        steps of :meth:`run_cooperative`, answered one exchange per request
+        on the query's own connections."""
+        return run_steps(self._cooperative_steps(window), self.device.servers)
 
     def _obs_open(self, window: Rect):
         """Open the run's "join" span (None when the tracer is off).
@@ -221,10 +213,6 @@ class MobileJoinAlgorithm(ABC):
     def _steps(self, window: Rect, count_r: int, count_s: int, depth: int) -> Steps:
         """Plan and execute the join of one window (counts already known),
         offering every server evaluation as a step."""
-
-    def _execute(self, window: Rect, count_r: int, count_s: int, depth: int) -> None:
-        """:meth:`_steps` driven through the query's own connections."""
-        run_steps(self._steps(window, count_r, count_s, depth), self.device.servers)
 
     # ------------------------------------------------------------------ #
     # helpers shared by the algorithms
@@ -355,24 +343,11 @@ class MobileJoinAlgorithm(ABC):
             count_s=count_s if counts_exact else None,
         )
         (result,) = yield from self.device.hbsj_steps([request], self.predicate)
-        self._pairs.update(result.pairs)
+        self._pairs.extend(result.pairs)
 
     def apply_hbsj(self, window: Rect, depth: int, *counts, **options) -> None:
         """:meth:`hbsj_steps` driven through the query's own connections."""
         run_steps(self.hbsj_steps(window, depth, *counts, **options), self.device.servers)
-
-    def quadrants_of(self, window: Rect) -> List[Rect]:
-        """The 2 x 2 decomposition used by every repartitioning step.
-
-        Built from the bulk :func:`~repro.geometry.rect_array.quadrant_cells`
-        kernel (midpoint split, bit-identical to :meth:`Rect.quadrants`),
-        the same substrate MobiJoin's ``k x k`` grid step uses through
-        :func:`~repro.geometry.rect_array.subdivide_window`.
-        """
-        return [
-            Rect(x0, y0, x1, y1)
-            for x0, y0, x1, y1 in rect_array.quadrant_cells(window).tolist()
-        ]
 
     def record(
         self,
@@ -409,18 +384,21 @@ class MobileJoinAlgorithm(ABC):
     # ------------------------------------------------------------------ #
 
     def _assemble(self, window: Rect) -> JoinResult:
+        # The one place pairs become Python objects: every block the
+        # operators reported is concatenated and deduplicated once, and the
+        # public ``set`` of tuples is built from the distinct rows.
+        answer = self.spec.finalise(self._pairs.block())
         span = self._obs_span
         merge_span = None
         if span is not None:
             merge_span = span.child(
-                "merge", sim=self.device.sim_now(), candidates=len(self._pairs)
+                "merge", sim=self.device.sim_now(), candidates=answer.pairs.shape[0]
             )
-        answer = self.spec.finalise(self._pairs)
         servers = self.device.servers
         result = JoinResult(
             algorithm=self.name,
             spec=self.spec,
-            pairs=set(answer.pairs),
+            pairs=set(zip(answer.pairs[:, 0].tolist(), answer.pairs[:, 1].tolist())),
             objects=answer.objects,
             total_bytes=servers.total_bytes(),
             bytes_r=servers.r.total_bytes(),

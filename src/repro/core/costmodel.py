@@ -115,16 +115,18 @@ class CostBreakdown:
     c3_nlsj_outer_s: float
     c4_repartition: float
 
-    def cheapest(self):
-        """Name of the cheapest strategy (ties resolved in c1..c4 order).
-
-        A ``str`` for one window, a list of names for ``(N,)`` columns;
-        ``argmin`` returns the first minimum, which is the name order.
-        """
-        index = np.argmin(
+    def cheapest_index(self):
+        """Position in :data:`STRATEGIES` of the cheapest strategy (ties
+        resolved in c1..c4 order: ``argmin`` returns the first minimum)."""
+        return np.argmin(
             [self.c1_hbsj, self.c2_nlsj_outer_r, self.c3_nlsj_outer_s, self.c4_repartition],
             axis=0,
         )
+
+    def cheapest(self):
+        """Name of the cheapest strategy: a ``str`` for one window, a list
+        of names for ``(N,)`` columns."""
+        index = self.cheapest_index()
         if index.ndim == 0:
             return STRATEGIES[index]
         return [STRATEGIES[i] for i in index.tolist()]

@@ -6,49 +6,42 @@ then either prune it, finish it with a physical operator, or decompose it
 and recurse.  The paper's recursion constrains *which* windows are queried
 and what bytes cross the wire -- not the order in which exchanges are
 flushed -- so sibling windows at one recursion depth can legally share one
-batched round trip.
+batched round trip.  They also share one *decision*: everything a window's
+fate depends on is a handful of numbers, so the windows of a depth are kept
+as columns (a :class:`Level`) and decided together, as a table.
 
-This module factors that insight out of ``core/upjoin.py`` (where PR 3
-proved it) into the one engine that runs them:
+* A :class:`LevelTable` is the decision state of one level.  The algorithm
+  supplies its rule as column operations over *cohorts* -- index arrays of
+  the windows that took the same branch so far: :meth:`LevelTable.start`
+  decides what the level's own counts allow and :meth:`LevelTable.ask`
+  registers, for a cohort, the COUNT rows its windows need next and the
+  method that continues with the answers.  No object is built per window.
+* Wire order is the contract (the depth-first oracle and the golden traces
+  pin it): round ``k`` of a level carries each still-undecided window's
+  ``k``-th request, rows per server in window order, servers in the order
+  the windows first ask for them (:meth:`LevelTable._round`).  Windows
+  drift out of phase -- one needs a fourth quadrant COUNT, its neighbour
+  does not -- which is why a round merges the cohorts of several stages.
+* The engine (:meth:`FrontierAlgorithm._steps`) runs level after level: the
+  table's lock-step rounds, then the level's physical-operator leaves
+  through the device's batch operators
+  (:meth:`~repro.device.pda.MobileDevice.hbsj_steps` /
+  :meth:`~repro.device.pda.MobileDevice.nlsj_steps`), then the level's
+  trace rows, spliced in window order.  It is a step generator
+  (:mod:`repro.device.steps`): every COUNT round and every operator
+  exchange is *yielded*, never performed; ``run`` answers the steps through
+  the query's own connections, the query broker answers the steps of all
+  in-flight queries together.
 
-* The algorithm writes its per-window decision logic once, as a *request
-  generator* (:meth:`FrontierAlgorithm._window_steps`): it yields batches
-  of :class:`~repro.core.stats.CountRequest` and returns a terminal
-  outcome -- ``None`` (pruned), an :class:`OperatorLeaf`, or a list of
-  child tasks.  A window's fate is always resolved by the run that owns
-  it (SrJoin's quadrants, for example, become child tasks carrying the
-  parent's bitmap verdict and only *then* turn into leaves), which is
-  what keeps the per-depth decision log independent of visiting order.
-* The engine drives all windows of one recursion depth in lock-step
-  rounds: the pending COUNT requests of a round are concatenated into one
-  batched exchange per server (answered by the server's flattened
-  aggregate-tree snapshot in a single vectorised descent), and the
-  physical-operator leaves of the level run through the device's batch
-  operators (:meth:`~repro.device.pda.MobileDevice.hbsj_steps` /
-  :meth:`~repro.device.pda.MobileDevice.nlsj_steps`), which concatenate
-  window retrievals, probes and in-memory join kernels across leaves.
-* The engine itself is a step generator (:mod:`repro.device.steps`): every
-  COUNT round and every operator exchange is *yielded*, never performed.
-  :meth:`~repro.core.base.MobileJoinAlgorithm.run` answers the steps
-  through the query's own connections; the query broker answers the steps
-  of all in-flight queries together, one descent per backing build and
-  query kind.
-
-The depth-first oracle (``tests/oracles/recursive_driver.py``) drives the
-same generators one window at a time over the scalar operators; both issue
-the same queries with the same payloads and record the same per-depth
-trace, so pairs, byte totals, server statistics and decision logs are
-bit-identical (pinned by ``tests/test_frontier_equivalence.py`` and the
-frozen logs in ``tests/test_golden_traces.py``).  Tasks are
-algorithm-specific; the engine only requires them to expose ``window``,
-``depth``, ``count_r`` and ``count_s`` attributes (trace bookkeeping and
-the level cost table).
-
-Level cost table.  Everything a window's decision reads from the cost model
-is a function of its task alone -- the window, the (rounded) counts and the
-depth, all known when the level starts -- so the engine costs a whole level
-in one array-valued call (:meth:`FrontierAlgorithm._level_costs`) and hands
-each window's generator its row; no generator calls the cost model itself.
+Float work stays column by column in the scalar operation order, and trace
+details are formatted from ``.tolist()`` Python numbers: costs pick
+strategies and strategies pick bytes, so a last-bit drift is wire-visible.
+The per-window generators this table replaced live on, behaviour-intact, as
+``tests/oracles/frontier_generators.py``; ``tests/test_level_table.py``
+holds the table against them level by level, and the depth-first driver
+(``tests/oracles/recursive_driver.py``) runs them one window at a time to
+bit-identical pairs, bytes, statistics and decision logs
+(``tests/test_frontier_equivalence.py``, ``tests/test_golden_traces.py``).
 See ARCHITECTURE.md, "Frontier execution".
 
 Sharded data plane (PR 8).  The engine addresses servers by their *logical*
@@ -57,316 +50,474 @@ scatter across a fleet of shard servers when the connection behind that
 name is a :class:`~repro.server.remote.ShardedRemoteServer`.  The scatter,
 the per-shard metering and the deterministic merge all live in the
 connection layer; the engine's rounds, decision traces and therefore its
-pair sets are bit-identical whichever data plane answers them (COUNT sums
-over disjoint shards equal the union server's counts exactly).
+pair sets are bit-identical whichever data plane answers them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Generator, Iterable, List, NamedTuple, Optional, Sequence
+from dataclasses import dataclass
+from itertools import repeat
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Type
 
 import numpy as np
 
 from repro.core.base import MobileJoinAlgorithm
-from repro.core.stats import CountRequest
+from repro.core.result import TraceEvent
 from repro.device.hbsj import HBSJRequest
 from repro.device.nlsj import NLSJRequest
 from repro.device.steps import COUNT, Request, Steps
 from repro.geometry import rect_array
 from repro.geometry.rect import Rect
 
-__all__ = ["FrontierAlgorithm", "OperatorLeaf", "WindowCosts"]
+__all__ = ["CostedTable", "FrontierAlgorithm", "Level", "LevelTable"]
 
-
-@dataclass(frozen=True)
-class OperatorLeaf:
-    """A window the planner finished with a physical operator.
-
-    ``counts_exact=False`` means the counts are estimates and must not be
-    forwarded to the operator, which will issue its own COUNT queries --
-    the paper's "issue additional aggregate queries only when accuracy is
-    crucial, i.e. when applying the physical operators".
-    """
-
-    op: str  # "hbsj" | "nlsj"
-    window: Rect
-    count_r: int
-    count_s: int
-    counts_exact: bool = True
-    outer: str = "S"
-
-
-class WindowCosts(NamedTuple):
-    """One window's row of the level cost table (UpJoin / SrJoin columns)."""
-
-    #: The task's counts rounded to integers, as every estimate uses them.
-    count_r: int
-    count_s: int
-    #: :meth:`~repro.core.base.MobileJoinAlgorithm.should_stop_partitioning`.
-    stop: bool
-    #: Eq. 2 without the buffer cut.
-    c1: float
-    #: The cheaper NLSJ orientation: ``"R"`` with ``c2``, or ``"S"`` with
-    #: ``c3`` (which also wins ties).
-    nlsj_outer: str
-    nlsj_cost: float
-    #: :meth:`~repro.core.base.MobileJoinAlgorithm.refinement_worthwhile`.
-    worthwhile: bool
+SIDES = ("R", "S")
+#: :attr:`LevelTable.op` codes (0: no operator finishes the window).
+HBSJ, NLSJ = 1, 2
 
 
 @dataclass
-class _Run:
-    """Execution state of one window's step generator."""
+class Level:
+    """The windows of one recursion depth, as columns (row ``i`` is window ``i``)."""
 
-    task: object
-    gen: Generator
-    events: List = field(default_factory=list)
-    pending: Optional[List[CountRequest]] = None
-    outcome: Optional[object] = None
+    depth: int
+    #: ``(N, 4)`` cells, in the lexicographic path order of the recursion.
+    windows: np.ndarray
+    #: ``(N,)`` ``float64`` counts: real COUNT answers or uniformity estimates
+    #: (R over the cell, S over the margin-expanded cell).
+    count_r: np.ndarray
+    count_s: np.ndarray
+    #: ``(N,)`` ``bool``: both counts came from real COUNT queries.
+    exact: np.ndarray
+    #: What the parent decided for its children, one ``(N,)`` column each
+    #: (UpJoin: the datasets known uniform; SrJoin: the bitmap verdict).
+    flags: Tuple[np.ndarray, ...] = ()
+
+    def __len__(self) -> int:
+        return self.windows.shape[0]
+
+    @classmethod
+    def root(cls, window: Rect, count_r: int, count_s: int, depth: int, *flags) -> "Level":
+        """The level of one the join starts from (counts are real)."""
+        return cls(
+            depth,
+            np.array([window.as_tuple()], dtype=np.float64),
+            np.array([count_r], dtype=np.float64),
+            np.array([count_s], dtype=np.float64),
+            np.ones(1, dtype=bool),
+            tuple(np.array([flag]) for flag in flags),
+        )
 
 
-class FrontierAlgorithm(MobileJoinAlgorithm):
-    """Base class of algorithms driven by the frontier engine.
+class _Ask(NamedTuple):
+    """One cohort's next request (see :meth:`LevelTable.ask`)."""
 
-    Subclasses implement :meth:`_root_task` and :meth:`_window_steps`; the
-    engine executes them level by level.
+    idx: np.ndarray
+    then: Callable
+    per_window: object
+    rows: Dict[str, np.ndarray]
+
+
+class LevelTable:
+    """The decision state of one frontier level, as columns.
+
+    Subclasses implement :meth:`start` (and the continuations they hand to
+    :meth:`ask`); :meth:`steps` drives them.  What a decision leaves behind
+    is columns too: :attr:`op` / :attr:`outer_s` / :attr:`counts_exact` for
+    the leaves, :attr:`children` for the next level, and the trace rows.
     """
+
+    def __init__(self, algo: "FrontierAlgorithm", level: Level) -> None:
+        self.algo = algo
+        self.level = level
+        self.windows = level.windows
+        n = len(level)
+        #: The counts rounded to integers, as every estimate and leaf uses them.
+        self.int_r = np.rint(level.count_r).astype(np.int64)
+        self.int_s = np.rint(level.count_s).astype(np.int64)
+        #: The physical operator that finishes the window, if one does.
+        self.op = np.zeros(n, dtype=np.int8)
+        #: NLSJ leaves: the outer relation is S.
+        self.outer_s = np.ones(n, dtype=bool)
+        #: HBSJ leaves: the counts are real and may be forwarded to the operator.
+        self.counts_exact = np.ones(n, dtype=bool)
+        self.children: Optional[Level] = None
+        self._asks: List[_Ask] = []
+        self._trace: List[tuple] = []
+        self._rects: Optional[List[Rect]] = None
+        self._quad_windows: List[np.ndarray] = []
 
     # ------------------------------------------------------------------ #
     # to be provided by each algorithm
     # ------------------------------------------------------------------ #
 
-    def _root_task(self, window: Rect, count_r: int, count_s: int, depth: int):
-        """Build the root task for the joined window (counts already known)."""
+    def start(self) -> None:
+        """Decide what the level's own columns allow; :meth:`ask` for the rest."""
         raise NotImplementedError
 
-    def _window_steps(self, task, rec, costs):
-        """The per-window decision generator.
+    def finish(self) -> None:
+        """Called once no window waits for an answer (build :attr:`children`)."""
 
-        Yields lists of :class:`CountRequest` (raw query windows, margins
-        pre-applied) and receives one list of counts per request; returns
-        ``None``, an :class:`OperatorLeaf`, or a list of child tasks.
-        ``rec(action, detail, count_r, count_s, depth=..., window=...)``
-        appends a trace event, defaulting to the task's own depth and
-        window.  ``costs`` is the task's row of :meth:`_level_costs`
-        (``None`` when a count is not positive).
+    # ------------------------------------------------------------------ #
+    # the lock-step rounds
+    # ------------------------------------------------------------------ #
+
+    def steps(self) -> Steps:
+        """Decide the level, offering its COUNT rounds as steps; returns ``self``."""
+        self.start()
+        while self._asks:
+            asks, self._asks = self._asks, []
+            yield from self._round(asks)
+        self.finish()
+        return self
+
+    def ask(self, idx: np.ndarray, then: Callable, per_window, **rows: np.ndarray) -> None:
+        """Register the next request of the windows ``idx`` (ascending).
+
+        ``rows[side]`` holds the query windows (margins applied) for that
+        server, window after window, ``per_window`` rows each (an ``int`` or
+        an ``(len(idx),)`` column; the same for both sides).  Once the round
+        is answered, ``then(idx, *counts)`` continues with one flat ``int64``
+        count column per side asked, in the order given -- ``R`` before
+        ``S``, the order a window's own requests are written in.
         """
-        raise NotImplementedError
+        if idx.size:
+            self._asks.append(_Ask(idx, then, per_window, rows))
 
-    def _cost_rows(
-        self, windows: np.ndarray, count_r: np.ndarray, count_s: np.ndarray, stop: np.ndarray
-    ) -> Iterable:
-        """The cost-table rows of ``N`` windows, one per window, in order.
+    def _round(self, asks: List["_Ask"]) -> Steps:
+        """One lock-step round: every undecided window's next request.
 
-        ``windows`` is ``(N, 4)``, the counts are rounded ``int64`` columns
-        and ``stop`` is the :meth:`should_stop_partitioning` mask.  This
-        default computes the :class:`WindowCosts` columns; an algorithm that
-        reads other columns overrides it.
+        The requests a depth-first execution issues one window at a time,
+        as one COUNT request per server: rows in window order, servers in
+        the order the windows first name them (a window that asks both
+        names ``R`` first).
         """
-        model = self.cost_model
+        if len(asks) == 1:
+            # One cohort: its rows are the requests (R first when it asks both).
+            (ask,) = asks
+            step = [Request(COUNT, side, (rows,)) for side, rows in ask.rows.items()]
+            answers = yield from self.algo.count_round(step)
+            ask.then(ask.idx, *(np.asarray(answer, dtype=np.int64) for answer in answers))
+            return
+        by_side: Dict[str, List[_Ask]] = {}
+        for ask in asks:
+            for side in ask.rows:
+                by_side.setdefault(side, []).append(ask)
+        sides = sorted(by_side, key=lambda side: (min(a.idx[0] for a in by_side[side]), side))
+        step, merges = [], []
+        for side in sides:
+            members = by_side[side]
+            rows, src = members[0].rows[side], None
+            if len(members) > 1:
+                # Several cohorts ask this server: interleave their rows by window.
+                idx = np.concatenate([a.idx for a in members])
+                per = np.concatenate([np.broadcast_to(a.per_window, a.idx.shape) for a in members])
+                order = np.argsort(idx, kind="stable")
+                first = (np.cumsum(per) - per)[order]
+                _, src = rect_array.expand_index_ranges(first, first + per[order])
+                rows = np.concatenate([a.rows[side] for a in members])[src]
+            step.append(Request(COUNT, side, (rows,)))
+            merges.append(src)
+        answers = yield from self.algo.count_round(step)
+        shares: Dict[Tuple[int, str], np.ndarray] = {}
+        for side, src, answer in zip(sides, merges, answers):
+            counts = np.asarray(answer, dtype=np.int64)
+            if src is not None:
+                cohort_major = np.empty_like(counts)
+                cohort_major[src] = counts
+                counts = cohort_major
+            at = 0
+            for ask in by_side[side]:
+                n_rows = ask.rows[side].shape[0]
+                shares[id(ask), side] = counts[at : at + n_rows]
+                at += n_rows
+        for ask in asks:
+            ask.then(ask.idx, *(shares[id(ask), side] for side in ask.rows))
+
+    # ------------------------------------------------------------------ #
+    # quadrant statistics (three COUNTs, the fourth derived or confirmed)
+    # ------------------------------------------------------------------ #
+
+    def quad_windows(self, side: int) -> np.ndarray:
+        """``(N, 4, 4)``: every window's quadrants as server ``side`` is asked
+        for them (R raw, S grown by the predicate margin)."""
+        if not self._quad_windows:
+            cells = rect_array.quadrant_cells(self.windows)
+            self._quad_windows = [
+                cells, rect_array.expand(cells, self.algo.predicate.window_margin)
+            ]
+        return self._quad_windows[side]
+
+    def quadrant_counts(self, side: int, idx: np.ndarray, then: Callable) -> None:
+        """Retrieve the quadrant counts of windows ``idx`` from server ``side``.
+
+        Section 4.1: "UpJoin can identify a skewed dataset by issuing only
+        three aggregate queries, since |Dw'4| = |Dw| - sum(|Dw'i|)".  The
+        derivation is exact for points; for extended objects it is an
+        underestimate, so a derived value that is not positive is confirmed
+        with a real COUNT in the next round before anyone prunes on it.
+        Fills ``self.quads[side]`` / ``self.quad_exact[side]`` (which the
+        table allocates) and calls ``then(idx)`` -- per cohort, as the
+        counts complete.
+        """
+        name = SIDES[side]
+        quads, exact = self.quads[side], self.quad_exact[side]
+        total = (self.int_r, self.int_s)[side]
+
+        def lead(idx: np.ndarray, counts: np.ndarray) -> None:
+            lead3 = counts.reshape(-1, 3).astype(np.float64)
+            quads[idx, :3] = lead3
+            # parent - sum(counts), summed left to right.
+            derived = total[idx] - ((lead3[:, 0] + lead3[:, 1]) + lead3[:, 2])
+            positive = derived > 0
+            quads[idx, 3] = derived
+            exact[idx, 3] = ~positive
+            if positive.all():
+                then(idx)
+            else:
+                suspicious = idx[~positive]
+                self.ask(suspicious, fourth, 1, **{name: self.quad_windows(side)[suspicious, 3]})
+                then(idx[positive])
+
+        def fourth(idx: np.ndarray, counts: np.ndarray) -> None:
+            quads[idx, 3] = counts
+            then(idx)
+
+        self.ask(idx, lead, 3, **{name: self.quad_windows(side)[idx, :3].reshape(-1, 4)})
+
+    # ------------------------------------------------------------------ #
+    # outcomes
+    # ------------------------------------------------------------------ #
+
+    def prune(self, idx: np.ndarray, count_r: np.ndarray, count_s: np.ndarray) -> None:
+        """Windows with an empty side produce no work (the counts are
+        recorded truncated, as ``int()`` did).
+
+        The counter update and the trace wording stay in lock-step across
+        the algorithms -- the depth-first equivalence suite and the
+        golden-trace fixtures compare both.
+        """
+        self.algo.device.counts.windows_pruned += idx.size
+        self.rec(
+            idx, "prune", "empty side", (), count_r.astype(np.int64), count_s.astype(np.int64)
+        )
+
+    def leaves(self, idx: np.ndarray, hbsj: np.ndarray, counts_exact: np.ndarray) -> None:
+        """Finish windows ``idx`` with HBSJ where ``hbsj``, NLSJ (outer
+        :attr:`outer_s`) elsewhere."""
+        self.op[idx] = np.where(hbsj, HBSJ, NLSJ)
+        self.counts_exact[idx] = counts_exact
+        self.rec(idx[hbsj], "HBSJ", counts=True)
+        nlsj = idx[~hbsj]
+        self.rec(
+            nlsj,
+            "NLSJ",
+            "outer={}, bucket=" + str(self.algo.params.bucket_queries),
+            (np.where(self.outer_s[nlsj], "S", "R"),),
+            counts=True,
+        )
+
+    def child_level(self, parents: np.ndarray, cells, count_r, count_s, exact, *flags) -> None:
+        """Set :attr:`children`: ``cells`` / counts / ``exact`` hold one row
+        per parent in ``parents`` and one column per child; ``flags`` are
+        per-parent columns every child of a parent inherits."""
+        if parents.size:
+            fan_out = count_r.shape[1]
+            self.children = Level(
+                self.level.depth + 1,
+                cells.reshape(-1, 4),
+                count_r.reshape(-1).astype(np.float64),
+                count_s.reshape(-1).astype(np.float64),
+                exact.reshape(-1),
+                tuple(np.repeat(flag, fan_out) for flag in flags),
+            )
+
+    # ------------------------------------------------------------------ #
+    # trace rows
+    # ------------------------------------------------------------------ #
+
+    def rec(
+        self,
+        idx: np.ndarray,
+        action: str,
+        detail: str = "",
+        columns: Sequence = (),
+        count_r: Optional[np.ndarray] = None,
+        count_s: Optional[np.ndarray] = None,
+        counts: bool = False,
+    ) -> None:
+        """Record one trace event per window of ``idx`` (no-op when tracing is off).
+
+        ``detail`` is a ``str.format`` template over ``columns`` (parallel
+        to ``idx``; formatted from Python numbers); ``counts=True`` records
+        the windows' integer counts, ``count_r`` / ``count_s`` other ones.
+        The rows are buffered and spliced per level in window order
+        (:meth:`events`), so the per-depth decision log is identical to a
+        depth-first execution even though windows are decided together.
+        """
+        if not self.algo.params.trace or not idx.size:
+            return
+        if columns:
+            values = (np.asarray(column).tolist() for column in columns)
+            details = [detail.format(*row) for row in zip(*values)]
+        else:
+            details = repeat(detail)
+        if counts:
+            count_r, count_s = self.int_r[idx], self.int_s[idx]
+        self._trace.append(
+            (
+                idx,
+                action,
+                details,
+                repeat(None) if count_r is None else count_r.tolist(),
+                repeat(None) if count_s is None else count_s.tolist(),
+            )
+        )
+
+    def rects(self, idx: np.ndarray) -> List[Rect]:
+        """:class:`Rect` objects of windows ``idx`` (all built once while tracing)."""
+        if self.algo.params.trace:
+            if self._rects is None:
+                self._rects = [Rect(*row) for row in self.windows.tolist()]
+            return [self._rects[i] for i in idx.tolist()]
+        return [Rect(*row) for row in self.windows[idx].tolist()]
+
+    def events(self) -> List[TraceEvent]:
+        """The level's trace rows, each window's own events in the order
+        they were recorded, windows in level order."""
+        if not self._trace:
+            return []
+        rows = [
+            row
+            for idx, action, details, count_r, count_s in self._trace
+            for row in zip(idx.tolist(), repeat(action), details, count_r, count_s)
+        ]
+        where = np.concatenate([batch[0] for batch in self._trace])
+        rects = self.rects(np.arange(len(self.level)))
+        depth = self.level.depth
+        return [
+            TraceEvent(depth, rects[i], action, detail, count_r, count_s)
+            for i, action, detail, count_r, count_s in map(
+                rows.__getitem__, np.argsort(where, kind="stable").tolist()
+            )
+        ]
+
+
+class CostedTable(LevelTable):
+    """A level table with the cost columns UpJoin and SrJoin decide from."""
+
+    def __init__(self, algo: "FrontierAlgorithm", level: Level) -> None:
+        super().__init__(algo, level)
+        n = len(level)
+        #: :meth:`~repro.core.base.MobileJoinAlgorithm.should_stop_partitioning`.
+        self.stop = np.zeros(n, dtype=bool)
+        #: Eq. 2 without the buffer cut.
+        self.c1 = np.zeros(n)
+        #: The cheaper NLSJ orientation (:attr:`outer_s`: ``c3``, which also
+        #: wins ties; else ``c2``).
+        self.nlsj_cost = np.zeros(n)
+        #: :meth:`~repro.core.base.MobileJoinAlgorithm.refinement_worthwhile`.
+        self.worthwhile = np.zeros(n, dtype=bool)
+        self.quads = np.zeros((2, n, 4))
+        self.quad_exact = np.ones((2, n, 4), dtype=bool)
+
+    def cost(self, idx: np.ndarray) -> None:
+        """Cost windows ``idx`` (both integer counts positive) in one call.
+
+        The one place these algorithms evaluate the cost model: a window is
+        costed when its level starts, or -- an estimated zero that a real
+        COUNT refuted -- together with the others confirmed in that round.
+        """
+        algo, model = self.algo, self.algo.cost_model
+        windows, count_r, count_s = self.windows[idx], self.int_r[idx], self.int_s[idx]
         areas = rect_array.areas(windows)
         c1 = model.c1(areas, count_r, count_s, enforce_buffer=False)
         c2 = model.c2(areas, count_r, count_s)
         c3 = model.c3(areas, count_r, count_s)
         outer_s = c3 <= c2
-        return map(
-            WindowCosts._make,
-            zip(
-                count_r.tolist(),
-                count_s.tolist(),
-                stop.tolist(),
-                c1.tolist(),
-                np.where(outer_s, "S", "R").tolist(),
-                np.where(outer_s, c3, c2).tolist(),
-                self.refinement_worthwhile(c1).tolist(),
-            ),
-        )
+        self.stop[idx] = algo.should_stop_partitioning(windows, self.level.depth)
+        self.c1[idx] = c1
+        self.outer_s[idx] = outer_s
+        self.nlsj_cost[idx] = np.where(outer_s, c3, c2)
+        self.worthwhile[idx] = algo.refinement_worthwhile(c1)
 
-    # ------------------------------------------------------------------ #
-    # the level cost table
-    # ------------------------------------------------------------------ #
 
-    def _level_costs(self, tasks: Sequence) -> List:
-        """Cost every task of a level in one call: row ``i`` is for ``tasks[i]``.
+class FrontierAlgorithm(MobileJoinAlgorithm):
+    """Base class of algorithms driven by the frontier engine.
 
-        The one place the frontier algorithms evaluate the cost model.  A
-        task with a non-positive count is pruned or re-counted before it is
-        costed, so its row is ``None``; the rest are costed together from
-        their windows, rounded counts and depths.  The rows hold Python
-        numbers (``.tolist()``), so trace details format as they always did.
-        """
-        rows: List = [None] * len(tasks)
-        live = [i for i, task in enumerate(tasks) if task.count_r > 0 and task.count_s > 0]
-        if live:
-            costed = [tasks[i] for i in live]
-            windows = np.array([task.window.as_tuple() for task in costed], dtype=np.float64)
-            stop = self.should_stop_partitioning(windows, [task.depth for task in costed])
-            count_r = np.rint([task.count_r for task in costed]).astype(np.int64)
-            count_s = np.rint([task.count_s for task in costed]).astype(np.int64)
-            for i, row in zip(live, self._cost_rows(windows, count_r, count_s, stop)):
-                rows[i] = row
-        return rows
+    Subclasses name their :class:`LevelTable` and implement
+    :meth:`_root_task`; the engine executes them level by level.
+    """
 
-    # ------------------------------------------------------------------ #
-    # entry point shared by every frontier algorithm
-    # ------------------------------------------------------------------ #
+    #: The algorithm's decision rule.
+    table: Type[LevelTable]
 
-    def _steps(self, window: Rect, count_r: int, count_s: int, depth: int) -> Steps:
-        return self._frontier_levels([self._root_task(window, count_r, count_s, depth)])
+    def _root_task(self, window: Rect, count_r: int, count_s: int, depth: int) -> Level:
+        """The level of one for the joined window (counts already known)."""
+        raise NotImplementedError
 
     #: ``benchmarks/e2e/layers.py`` (frozen) times the cooperative run of the
     #: engine algorithms under this class's name.
     run_cooperative = MobileJoinAlgorithm.run_cooperative
 
-    def _prune_window(self, rec, count_r: int, count_s: int) -> None:
-        """Record a pruned window (one side empty) inside a step generator.
-
-        The counter update and the trace wording must stay in lock-step
-        across every algorithm's generator -- the depth-first equivalence
-        suite and the golden-trace fixtures compare both.
-        """
-        self.device.counts.windows_pruned += 1
-        rec("prune", "empty side", count_r, count_s)
-
-    def _task_recorder(self, task, sink: Optional[List] = None):
-        """A trace recorder bound to one task (and optionally a sink).
-
-        The engine buffers each window's events in a run-owned sink and
-        splices them into the trace in window order, so the per-depth
-        decision log is identical to a depth-first execution even though
-        queries are batched across windows.
-        """
-
-        def rec(action, detail="", count_r=None, count_s=None, depth=None, window=None):
-            self.record(
-                task.depth if depth is None else depth,
-                task.window if window is None else window,
-                action,
-                detail,
-                count_r,
-                count_s,
-                sink=sink,
-            )
-
-        return rec
-
-    # ------------------------------------------------------------------ #
-    # level-order driver
-    # ------------------------------------------------------------------ #
-
-    def _frontier_levels(self, level: List) -> Steps:
+    def _steps(self, window: Rect, count_r: int, count_s: int, depth: int) -> Steps:
         """The level-order execution as a step generator.
 
-        Per level: the lock-step COUNT rounds of its windows, then the
-        steps of the batch operators that finish its leaves.  Everything
-        else -- decisions, in-memory joins, the trace spliced in window
-        order -- happens inside the generator between steps.
+        Per level: the lock-step COUNT rounds of its table, then the steps
+        of the batch operators that finish its leaves.  Everything else --
+        decisions, in-memory joins, the trace spliced in window order --
+        happens inside the generator between steps.
         """
-        while level:
-            runs = [
-                self._start_run(task, costs)
-                for task, costs in zip(level, self._level_costs(level))
-            ]
-            yield from self._level_rounds(runs)
-            leaves: List[OperatorLeaf] = []
-            next_level: List = []
-            for run in runs:
-                if isinstance(run.outcome, OperatorLeaf):
-                    leaves.append(run.outcome)
-                elif run.outcome is not None:
-                    next_level.extend(run.outcome)
-            yield from self._run_leaves_batched(leaves)
-            if self.params.trace:
-                for run in runs:
-                    self._trace.extend(run.events)
-            level = next_level
+        level = self._root_task(window, count_r, count_s, depth)
+        while level is not None:
+            table = yield from self.table(self, level).steps()
+            yield from self._run_leaves(table)
+            self._trace.extend(table.events())
+            level = table.children
 
-    def _start_run(self, task, costs) -> _Run:
-        run = _Run(task=task, gen=None)  # type: ignore[arg-type]
-        run.gen = self._window_steps(
-            task, self._task_recorder(task, sink=run.events), costs
-        )
-        self._advance_run(run, None)
-        return run
-
-    @staticmethod
-    def _advance_run(run: _Run, response) -> None:
-        try:
-            run.pending = run.gen.send(response)
-        except StopIteration as stop:
-            run.pending = None
-            run.outcome = stop.value
-
-    def _level_rounds(self, runs: List[_Run]) -> Steps:
-        """Advance every window of the level in lock-step rounds.
-
-        Each round gathers the pending COUNT requests of all still-active
-        windows into one COUNT request per server -- the same queries, in
-        task order, that a depth-first execution issues one window at a
-        time -- and offers them as one step
-        (:meth:`~repro.core.base.MobileJoinAlgorithm.count_round`).
-        """
-        pending = [run for run in runs if run.pending is not None]
-        while pending:
-            batches: Dict[str, List[Rect]] = {}
-            for run in pending:
-                for req in run.pending:
-                    batches.setdefault(req.server, []).extend(req.rects)
-            counts = yield from self.count_round(
-                [Request(COUNT, server, (rects,)) for server, rects in batches.items()]
-            )
-            answers = dict(zip(batches, counts))
-            cursors = {server: 0 for server in batches}
-            still_pending: List[_Run] = []
-            for run in pending:
-                response: List[List[int]] = []
-                for req in run.pending:
-                    start = cursors[req.server]
-                    cursors[req.server] = start + len(req.rects)
-                    response.append(answers[req.server][start : start + len(req.rects)])
-                self._advance_run(run, response)
-                if run.pending is not None:
-                    still_pending.append(run)
-            pending = still_pending
-
-    def _run_leaves_batched(self, leaves: Sequence[OperatorLeaf]) -> Steps:
+    def _run_leaves(self, table: LevelTable) -> Steps:
         """Execute the level's physical-operator leaves through the batch
         operators: one batched download / probe / kernel pipeline per
         operator kind instead of one device call per window."""
-        hbsj_leaves = [leaf for leaf in leaves if leaf.op == "hbsj"]
-        nlsj_leaves = [leaf for leaf in leaves if leaf.op == "nlsj"]
+        hbsj, nlsj = np.flatnonzero(table.op == HBSJ), np.flatnonzero(table.op == NLSJ)
+        if not hbsj.size and not nlsj.size:
+            return
         span = self._obs_span
         leaves_span = None
-        if span is not None and leaves:
+        if span is not None:
             leaves_span = span.child(
                 "leaves",
                 sim=self.device.sim_now(),
                 batch=self._obs_leaf_batch,
-                hbsj=len(hbsj_leaves),
-                nlsj=len(nlsj_leaves),
+                hbsj=hbsj.size,
+                nlsj=nlsj.size,
             )
             self._obs_leaf_batch += 1
-        if hbsj_leaves:
+        if hbsj.size:
+            # Estimated counts are not forwarded: the operator issues its own
+            # COUNTs -- the paper's "issue additional aggregate queries only
+            # when accuracy is crucial, i.e. when applying the physical
+            # operators".
             requests = [
-                HBSJRequest(
-                    window=leaf.window,
-                    count_r=leaf.count_r if leaf.counts_exact else None,
-                    count_s=leaf.count_s if leaf.counts_exact else None,
+                HBSJRequest(window, count_r, count_s) if exact else HBSJRequest(window)
+                for window, count_r, count_s, exact in zip(
+                    table.rects(hbsj),
+                    table.int_r[hbsj].tolist(),
+                    table.int_s[hbsj].tolist(),
+                    table.counts_exact[hbsj].tolist(),
                 )
-                for leaf in hbsj_leaves
             ]
             for result in (yield from self.device.hbsj_steps(requests, self.predicate)):
-                self._pairs.update(result.pairs)
-        if nlsj_leaves:
+                self._pairs.extend(result.pairs)
+        if nlsj.size:
             requests = [
-                NLSJRequest(window=leaf.window, outer=leaf.outer)
-                for leaf in nlsj_leaves
+                NLSJRequest(window, "S" if outer_s else "R")
+                for window, outer_s in zip(table.rects(nlsj), table.outer_s[nlsj].tolist())
             ]
             results = yield from self.device.nlsj_steps(
                 requests, self.predicate, bucket=self.params.bucket_queries
             )
             for result in results:
-                self._pairs.update(result.pairs)
+                self._pairs.extend(result.pairs)
         if leaves_span is not None:
             leaves_span.close(sim=self.device.sim_now())

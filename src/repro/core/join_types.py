@@ -9,8 +9,8 @@ The paper evaluates three query types (Section 1):
   least 10 restaurants").
 
 A :class:`JoinSpec` captures the query; algorithms execute the underlying
-pairwise join and :meth:`JoinSpec.finalise` applies the semi-join /
-iceberg post-aggregation to the pair set.
+pairwise join and :meth:`JoinSpec.finalise` deduplicates the pair blocks
+they collected and applies the semi-join / iceberg post-aggregation.
 """
 
 from __future__ import annotations
@@ -18,7 +18,9 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import List
+
+import numpy as np
 
 from repro.errors import InvalidInput
 from repro.geometry.predicates import (
@@ -26,6 +28,7 @@ from repro.geometry.predicates import (
     JoinPredicate,
     WithinDistancePredicate,
 )
+from repro.index.pairs import as_block, unique_pairs
 
 __all__ = ["JoinKind", "JoinSpec"]
 
@@ -62,13 +65,13 @@ class JoinSpec:
                 f"epsilon must be finite and non-negative, got {self.epsilon!r}"
             )
         if self.kind in (JoinKind.DISTANCE, JoinKind.ICEBERG_SEMI) and self.epsilon <= 0:
-            raise ValueError(f"{self.kind.value} joins require epsilon > 0")
+            raise InvalidInput(f"{self.kind.value} joins require epsilon > 0")
         if self.kind is JoinKind.INTERSECTION and self.epsilon != 0.0:
-            raise ValueError("intersection joins do not take an epsilon")
+            raise InvalidInput("intersection joins do not take an epsilon")
         if self.min_matches < 1:
-            raise ValueError("min_matches must be >= 1")
+            raise InvalidInput("min_matches must be >= 1")
         if self.kind is not JoinKind.ICEBERG_SEMI and self.min_matches != 1:
-            raise ValueError("min_matches is only meaningful for iceberg semi-joins")
+            raise InvalidInput("min_matches is only meaningful for iceberg semi-joins")
 
     # ------------------------------------------------------------------ #
     # constructors
@@ -102,21 +105,19 @@ class JoinSpec:
             return IntersectionPredicate()
         return WithinDistancePredicate(epsilon=self.epsilon)
 
-    def finalise(self, pairs: Iterable[Tuple[int, int]]) -> "JoinAnswer":
-        """Turn the raw pair set into the query answer.
+    def finalise(self, pairs) -> "JoinAnswer":
+        """Turn the raw pairs (a ``(k, 2)`` block, duplicates and all, or any
+        iterable of pairs) into the query answer.
 
-        For pair joins the answer is the (deduplicated, sorted) pair list;
-        for the iceberg semi-join it is the list of R object ids with at
+        For pair joins the answer is the deduplicated, sorted pair block;
+        for the iceberg semi-join also the ascending R object ids with at
         least ``min_matches`` distinct partners.
         """
-        unique_pairs: Set[Tuple[int, int]] = set(pairs)
+        block = unique_pairs(as_block(pairs))
         if not self.is_semi_join:
-            return JoinAnswer(pairs=sorted(unique_pairs), objects=[])
-        per_r: Dict[int, int] = {}
-        for r_oid, _ in unique_pairs:
-            per_r[r_oid] = per_r.get(r_oid, 0) + 1
-        qualifying = sorted(oid for oid, cnt in per_r.items() if cnt >= self.min_matches)
-        return JoinAnswer(pairs=sorted(unique_pairs), objects=qualifying)
+            return JoinAnswer(pairs=block, objects=[])
+        oids, partners = np.unique(block[:, 0], return_counts=True)
+        return JoinAnswer(pairs=block, objects=oids[partners >= self.min_matches].tolist())
 
     def describe(self) -> str:
         if self.kind is JoinKind.INTERSECTION:
@@ -130,9 +131,10 @@ class JoinSpec:
 class JoinAnswer:
     """The finalised answer of a join query.
 
-    ``pairs`` always holds the deduplicated qualifying pairs (useful for
-    verification); ``objects`` is non-empty only for semi-join queries.
+    ``pairs`` always holds the deduplicated qualifying pairs as a sorted
+    ``(k, 2)`` ``int64`` block (useful for verification); ``objects`` is
+    non-empty only for semi-join queries.
     """
 
-    pairs: List[Tuple[int, int]] = field(default_factory=list)
+    pairs: np.ndarray
     objects: List[int] = field(default_factory=list)

@@ -124,4 +124,4 @@ class FixedGridJoin(MobileJoinAlgorithm):
         """Join the surviving cells through one batched HBSJ pipeline: the
         same downloads and counters as one operator call per cell."""
         for result in (yield from self.device.hbsj_steps(requests, self.predicate)):
-            self._pairs.update(result.pairs)
+            self._pairs.extend(result.pairs)

@@ -30,9 +30,7 @@ same payloads, so pairs, bytes and statistics are identical (pinned by
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
-
-import numpy as np
+from typing import Optional
 
 from repro.core.base import AlgorithmParameters, MobileJoinAlgorithm
 from repro.core.join_types import JoinSpec
@@ -123,9 +121,5 @@ class SemiJoin(MobileJoinAlgorithm):
         # own data and returns the result rows.
         pairs = large.upload_objects_and_join(small_mbrs, small_oids, epsilon)
         self.record(depth, window, "semijoin-join", f"{len(pairs)} result pairs")
-        # One array pass: orient the (small, large) columns as (R, S) and
-        # pour them into the pair set without a per-pair loop.
-        arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-        if not small_is_r:
-            arr = arr[:, ::-1]
-        self._pairs.update(map(tuple, arr.tolist()))
+        # Orient the (small, large) columns as (R, S).
+        self._pairs.extend(pairs if small_is_r else pairs[:, ::-1])

@@ -26,257 +26,259 @@ run.
 Execution
 ---------
 
-The decision logic above is written once, as a per-window *request
-generator* (:meth:`UpJoin._window_steps`), and executed level by level by
-the shared frontier engine (:mod:`repro.core.frontier`).  The depth-first
-oracle (``tests/oracles/recursive_driver.py``) drives the same generator
-one window at a time to bit-identical pairs, bytes and per-depth traces
-(the randomized property suite in ``tests/test_frontier_equivalence.py``
-pins this).  The location of the uniformity-confirmation probe is derived
-deterministically from ``(seed, depth, side, window)`` rather than from a
-shared sequential stream, which makes the draw independent of traversal
-order.
+The decision logic above is written once, as column operations over the
+windows of a recursion depth (:class:`UpJoinTable`), and executed level by
+level by the shared frontier engine (:mod:`repro.core.frontier`).  A
+window's requests form a fixed sequence it walks as far as its answers send
+it -- confirm an estimated zero on R, then on S; three quadrant COUNTs on R,
+the fourth if the derived one is not positive, the confirmation probe if
+Eq. 9 holds; the same on S -- and round ``k`` of a level carries every
+window's ``k``-th request.  The per-window generator this replaced
+(``tests/oracles/frontier_generators.py``) and the depth-first driver
+(``tests/oracles/recursive_driver.py``) reproduce pairs, bytes and per-depth
+traces bit for bit (``tests/test_level_table.py``,
+``tests/test_frontier_equivalence.py``).  The location of the
+uniformity-confirmation probe is derived deterministically from ``(seed,
+depth, side, window)`` rather than from a shared sequential stream, which
+makes the draw independent of traversal order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import List, NamedTuple, Optional, Tuple
+from functools import partial
+from typing import Tuple
 
 import numpy as np
 
-from repro.core.frontier import FrontierAlgorithm, OperatorLeaf
-from repro.core.stats import (
-    CountRequest,
-    QuadrantCounts,
-    estimate_quadrant_counts,
-    quadrant_count_steps,
-)
+from repro.core.frontier import SIDES, CostedTable, FrontierAlgorithm, Level
 from repro.core.uniformity import (
     confirms_uniformity,
     is_uniform,
     worth_retrieving_statistics,
 )
+from repro.geometry import rect_array
 from repro.geometry.rect import Rect
 
 __all__ = ["UpJoin"]
 
 
-@dataclass(frozen=True)
-class _SideState:
-    """Per-dataset knowledge about the current window."""
+class UpJoinTable(CostedTable):
+    """Lines 1-14 of Figure 3 for every window of a level at once.
 
-    count: float
-    count_exact: bool
-    uniform: bool
-    quadrants: Optional[QuadrantCounts]
+    ``level.flags`` are the datasets already known uniform (R, S): such a
+    dataset's count is an estimate, and so are its quadrant counts.
+    """
 
-
-@dataclass(frozen=True)
-class _Task:
-    """One window pending a planning decision at some recursion depth."""
-
-    window: Rect
-    count_r: float
-    count_s: float
-    counts_exact: bool
-    known_uniform_r: bool
-    known_uniform_s: bool
-    depth: int
-
-
-class _Costs(NamedTuple):
-    """UpJoin's cost-table row: the engine's
-    :class:`~repro.core.frontier.WindowCosts` columns plus Eq. 10 per dataset."""
-
-    count_r: int
-    count_s: int
-    stop: bool
-    c1: float
-    nlsj_outer: str
-    nlsj_cost: float
-    worthwhile: bool
-    #: :func:`worth_retrieving_statistics` of each rounded count.
-    stats_r: bool
-    stats_s: bool
-
-
-class UpJoin(FrontierAlgorithm):
-    """The distribution-aware Uniform Partition Join."""
-
-    name = "upjoin"
-
-    # ------------------------------------------------------------------ #
-
-    def _root_task(self, window: Rect, count_r: int, count_s: int, depth: int) -> _Task:
-        return _Task(
-            window=window,
-            count_r=float(count_r),
-            count_s=float(count_s),
-            counts_exact=True,
-            known_uniform_r=False,
-            known_uniform_s=False,
-            depth=depth,
-        )
-
-    # ------------------------------------------------------------------ #
-    # per-window decision logic (lines 1-14 of Figure 3).  Yields
-    # CountRequest batches; returns the outcome.
-    # ------------------------------------------------------------------ #
-
-    def _cost_rows(self, windows, count_r, count_s, stop):
-        stats_r = worth_retrieving_statistics(count_r, self.cost_model).tolist()
-        stats_s = worth_retrieving_statistics(count_s, self.cost_model).tolist()
-        shared = super()._cost_rows(windows, count_r, count_s, stop)
-        return [_Costs(*row, *stats) for row, *stats in zip(shared, stats_r, stats_s)]
-
-    def _window_steps(self, task: _Task, rec, costs: Optional[_Costs]):
-        window, depth = task.window, task.depth
-        count_r, count_s = task.count_r, task.count_s
-        counts_exact = task.counts_exact
+    def start(self) -> None:
+        level, n = self.level, len(self.level)
+        self.count = [level.count_r, level.count_s]
+        self.exact = level.exact
+        #: Per dataset: the verdict so far, and whether quadrant counts were retrieved.
+        self.uniform = [level.flags[0].copy(), level.flags[1].copy()]
+        self.have_quads = np.zeros((2, n), dtype=bool)
+        #: Eq. 10 per dataset.
+        self.stats = np.zeros((2, n), dtype=bool)
+        self._split = []
 
         # Line 1: prune windows where at least one dataset is empty.  An
         # estimated (inexact) zero is confirmed before pruning, so extended
         # objects can never be lost to the count-derivation shortcut.
-        if count_r <= 0 or count_s <= 0:
-            if counts_exact:
-                self._prune_window(rec, int(count_r), int(count_s))
-                return None
-            exact_r = (yield [CountRequest("R", (self.query_window("R", window),))])[0][0]
-            exact_s = (yield [CountRequest("S", (self.query_window("S", window),))])[0][0]
-            if exact_r == 0 or exact_s == 0:
-                self._prune_window(rec, exact_r, exact_s)
-                return None
-            count_r, count_s, counts_exact = float(exact_r), float(exact_s), True
-            # The one decision input not known when the level started: cost
-            # the confirmed counts as a level of one.
-            costs = self._level_costs([replace(task, count_r=count_r, count_s=count_s)])[0]
+        empty = (level.count_r <= 0) | (level.count_s <= 0)
+        dead = np.flatnonzero(empty & level.exact)
+        self.prune(dead, level.count_r[dead], level.count_s[dead])
+        doubtful = np.flatnonzero(empty & ~level.exact)
+        self.ask(doubtful, self._recounted_r, 1, R=self.windows[doubtful])
+        self._costed(np.flatnonzero(~empty))
 
-        # Line 8's strategy costs, read from the level cost table.  c4 is
-        # never estimated -- the decision to repartition is driven by the
-        # distribution, not by Eq. 8.  Unlike MobiJoin, c1 is evaluated
-        # without the hard buffer cut: the memory feasibility check happens
-        # at line 10 and an oversized-but-cheap HBSJ window is repartitioned
-        # (line 11), not pushed to NLSJ.
-        int_r, int_s = costs.count_r, costs.count_s
-        c1, nlsj_outer, nlsj_cost = costs.c1, costs.nlsj_outer, costs.nlsj_cost
+    def _recounted_r(self, idx: np.ndarray, real_r: np.ndarray) -> None:
+        self.ask(
+            idx,
+            partial(self._recounted_s, real_r),
+            1,
+            S=rect_array.expand(self.windows[idx], self.algo.predicate.window_margin),
+        )
 
+    def _recounted_s(self, real_r: np.ndarray, idx: np.ndarray, real_s: np.ndarray) -> None:
+        empty = (real_r == 0) | (real_s == 0)
+        self.prune(idx[empty], real_r[empty], real_s[empty])
+        idx, real_r, real_s = idx[~empty], real_r[~empty], real_s[~empty]
+        if idx.size:
+            # The one decision input not known when the level started: the
+            # confirmed counts are costed as one sub-table.
+            self.count = [self.count[0].copy(), self.count[1].copy()]
+            self.exact = self.exact.copy()
+            self.count[0][idx], self.count[1][idx], self.exact[idx] = real_r, real_s, True
+            self.int_r[idx], self.int_s[idx] = real_r, real_s
+            self._costed(idx)
+
+    def _costed(self, idx: np.ndarray) -> None:
+        """Line 8's strategy costs, then the economics gate.
+
+        c4 is never estimated -- the decision to repartition is driven by
+        the distribution, not by Eq. 8.  Unlike MobiJoin, c1 is evaluated
+        without the hard buffer cut: the memory feasibility check happens at
+        line 10 and an oversized-but-cheap HBSJ window is repartitioned
+        (line 11), not pushed to NLSJ.
+        """
+        if not idx.size:
+            return
+        self.cost(idx)
+        model = self.algo.cost_model
+        self.stats[0, idx] = worth_retrieving_statistics(self.int_r[idx], model)
+        self.stats[1, idx] = worth_retrieving_statistics(self.int_s[idx], model)
         # Economics gate (Eq. 10 lifted to the window level): when the whole
         # window is cheaper to ship than the statistics another refinement
         # level would cost, or the window is already at the epsilon scale
         # (or the depth limit), splitting cannot expose prunable space:
         # finish it with the cheapest operator without asking for more
         # statistics at all.
-        if costs.stop or not costs.worthwhile:
-            rec("finish-small", f"c1={c1:.0f}", int_r, int_s)
-            return self._cheapest_leaf(
-                window, int_r, int_s, c1, nlsj_outer, nlsj_cost, counts_exact, rec
-            )
-
-        # Lines 2-7: characterise the distribution of each dataset.
-        state_r = yield from self._characterise_steps(
-            window, "R", count_r, int_r, costs.stats_r, task.known_uniform_r, depth, rec
-        )
-        state_s = yield from self._characterise_steps(
-            window, "S", count_s, int_s, costs.stats_s, task.known_uniform_s, depth, rec
-        )
-        rec(
-            "plan",
-            f"c1={c1:.0f} nlsj[{nlsj_outer}]={nlsj_cost:.0f} "
-            f"uniformR={state_r.uniform} uniformS={state_s.uniform}",
-            int_r,
-            int_s,
-        )
-
-        # Lines 9-11: HBSJ branch.
-        if c1 <= nlsj_cost:
-            if state_r.uniform and state_s.uniform and self.fits_in_buffer(int_r, int_s):
-                rec("HBSJ", "", int_r, int_s)
-                return OperatorLeaf(
-                    "hbsj", window, int_r, int_s,
-                    counts_exact=counts_exact
-                    and state_r.count_exact
-                    and state_s.count_exact,
-                )
-            return self._split_outcome(window, state_r, state_s, depth, rec)
-
-        # Lines 12-14: NLSJ branch.  The inner relation is the one being
-        # probed (the opposite of the outer download side); per the paper it
-        # is the *larger* dataset that must be uniform for NLSJ to be safe.
-        inner_uniform = state_r.uniform if nlsj_outer == "S" else state_s.uniform
-        if inner_uniform:
-            rec(
-                "NLSJ",
-                f"outer={nlsj_outer}, bucket={self.params.bucket_queries}",
-                int_r,
-                int_s,
-            )
-            return OperatorLeaf("nlsj", window, int_r, int_s, outer=nlsj_outer)
-        return self._split_outcome(window, state_r, state_s, depth, rec)
+        small = self.stop[idx] | ~self.worthwhile[idx]
+        done = idx[small]
+        self.rec(done, "finish-small", "c1={:.0f}", (self.c1[done],), counts=True)
+        fits = self.int_r[done] + self.int_s[done] <= self.algo.buffer_size
+        self.leaves(done, (self.c1[done] <= self.nlsj_cost[done]) & fits, self.exact[done])
+        self._characterise(0, idx[~small])
 
     # ------------------------------------------------------------------ #
     # distribution characterisation (lines 2-7 of Figure 3)
     # ------------------------------------------------------------------ #
 
-    def _characterise_steps(
-        self,
-        window: Rect,
-        server_name: str,
-        count: float,
-        int_count: int,
-        worth_statistics: bool,
-        known_uniform: bool,
-        depth: int,
-        rec,
-    ):
-        if known_uniform:
-            # Already characterised at an earlier step: estimate, don't query.
-            return _SideState(
-                count=count,
-                count_exact=False,
-                uniform=True,
-                quadrants=estimate_quadrant_counts(window, count),
-            )
-        if not worth_statistics:
-            # Line 7: too small to justify statistics; assume uniform.
-            rec("assume-uniform", f"{server_name} small ({int_count})")
-            return _SideState(
-                count=count,
-                count_exact=True,
-                uniform=True,
-                quadrants=None,
-            )
+    def _characterise(self, side: int, idx: np.ndarray) -> None:
+        if not idx.size:
+            return
+        # Already characterised at an earlier step: estimate, don't query.
+        known = self.uniform[side][idx]
+        worth = self.stats[side, idx]
+        # Line 7: too small to justify statistics; assume uniform.
+        small = idx[~known & ~worth]
+        self.uniform[side][small] = True
+        total = (self.int_r, self.int_s)[side]
+        self.rec(small, "assume-uniform", SIDES[side] + " small ({})", (total[small],))
         # Lines 4-5: impose the grid and retrieve quadrant counts (R is
         # counted on the raw quadrants, S on their epsilon-expanded query
         # windows, consistently with the physical operators).
-        quadrants = yield from quadrant_count_steps(
-            server_name,
-            window,
-            int_count,
-            derive_fourth=True,
-            margin=self.predicate.window_margin if server_name.upper() == "S" else 0.0,
-        )
-        uniform = is_uniform(int_count, quadrants.counts, self.params.alpha)
-        if uniform:
-            # Line 6: confirm with one randomly located quadrant-sized COUNT.
-            u, v = self._probe_uv(window, depth, server_name)
-            probe = window.sample_subwindow(0.5, 0.5, u, v)
-            probe_count = (
-                yield [CountRequest(server_name, (self.query_window(server_name, probe),))]
-            )[0][0]
-            uniform = confirms_uniformity(int_count, probe_count, self.params.alpha)
-            rec(
-                "confirm-uniform",
-                f"{server_name}: probe={probe_count} -> {'uniform' if uniform else 'skewed'}",
+        asked = idx[~known & worth]
+        self.have_quads[side, asked] = True
+        self.quadrant_counts(side, asked, partial(self._test_uniform, side))
+        self._characterised(side, idx[known | ~worth])
+
+    def _test_uniform(self, side: int, idx: np.ndarray) -> None:
+        """Eq. 9 over the four quadrant counts; line 6 confirms a positive
+        test with one randomly located quadrant-sized COUNT."""
+        if not idx.size:
+            return
+        total, alpha = (self.int_r, self.int_s)[side], self.algo.params.alpha
+        uniform = is_uniform(total[idx], self.quads[side][idx], alpha)
+        self.uniform[side][idx] = uniform
+        skewed = idx[~uniform]
+        self.rec(skewed, "skewed", SIDES[side])
+        self._characterised(side, skewed)
+        idx = idx[uniform]
+        if idx.size:
+            name, algo, depth = SIDES[side], self.algo, self.level.depth
+            probes = [
+                algo.query_window(
+                    name, window.sample_subwindow(0.5, 0.5, *algo._probe_uv(window, depth, name))
+                )
+                for window in self.rects(idx)
+            ]
+            self.ask(
+                idx,
+                partial(self._probed, side),
+                1,
+                **{name: np.array([p.as_tuple() for p in probes], dtype=np.float64)},
             )
-        else:
-            rec("skewed", server_name)
-        return _SideState(
-            count=count,
-            count_exact=True,
-            uniform=uniform,
-            quadrants=quadrants,
+
+    def _probed(self, side: int, idx: np.ndarray, probe: np.ndarray) -> None:
+        total = (self.int_r, self.int_s)[side][idx]
+        uniform = confirms_uniformity(total, probe, self.algo.params.alpha)
+        self.uniform[side][idx] = uniform
+        self.rec(
+            idx,
+            "confirm-uniform",
+            SIDES[side] + ": probe={} -> {}",
+            (probe, np.where(uniform, "uniform", "skewed")),
         )
+        self._characterised(side, idx)
+
+    def _characterised(self, side: int, idx: np.ndarray) -> None:
+        if side == 0:
+            self._characterise(1, idx)
+        elif idx.size:
+            self._decide(idx)
+
+    # ------------------------------------------------------------------ #
+    # lines 9-14
+    # ------------------------------------------------------------------ #
+
+    def _decide(self, idx: np.ndarray) -> None:
+        uniform_r, uniform_s = self.uniform[0][idx], self.uniform[1][idx]
+        outer_s = self.outer_s[idx]
+        self.rec(
+            idx,
+            "plan",
+            "c1={:.0f} nlsj[{}]={:.0f} uniformR={} uniformS={}",
+            (self.c1[idx], np.where(outer_s, "S", "R"), self.nlsj_cost[idx], uniform_r, uniform_s),
+            counts=True,
+        )
+        # Lines 9-11: HBSJ is cheapest -- run it only when both datasets are
+        # uniform and the windows fit the buffer.
+        cheaper_hbsj = self.c1[idx] <= self.nlsj_cost[idx]
+        fits = self.int_r[idx] + self.int_s[idx] <= self.algo.buffer_size
+        hbsj = cheaper_hbsj & uniform_r & uniform_s & fits
+        # Lines 12-14: NLSJ is cheapest.  The inner relation is the one being
+        # probed (the opposite of the outer download side); per the paper it
+        # is the *larger* dataset that must be uniform for NLSJ to be safe.
+        nlsj = ~cheaper_hbsj & np.where(outer_s, uniform_r, uniform_s)
+        leaf = hbsj | nlsj
+        # A dataset's count is exact unless it arrived known uniform.
+        flags = self.level.flags
+        self.leaves(
+            idx[leaf], hbsj[leaf], (self.exact[idx] & ~flags[0][idx] & ~flags[1][idx])[leaf]
+        )
+        # Lines 11/14: decompose into the four quadrants.
+        split = idx[~leaf]
+        self.algo.device.counts.repartitions += split.size
+        self.rec(split, "repartition", "2x2 grid")
+        self._split.append(split)
+
+    def finish(self) -> None:
+        """The quadrants of every repartitioned window, in window order.
+
+        Quadrant counts retrieved during characterisation are reused; a
+        dataset that was never decomposed (small or previously uniform)
+        contributes estimated quarter counts, which conserve the parent
+        total exactly (division by four is exact in binary floating point,
+        so repeated estimation down a recursion path conserves mass).
+        """
+        split = np.sort(np.concatenate([np.empty(0, dtype=np.intp), *self._split]))
+        if not split.size:
+            return
+        counts, exact = [], []
+        for side in (0, 1):
+            have = self.have_quads[side, split, None]
+            counts.append(
+                np.where(have, self.quads[side][split], (self.count[side][split] / 4.0)[:, None])
+            )
+            exact.append(have & self.quad_exact[side][split])
+        self.child_level(
+            split,
+            self.quad_windows(0)[split],
+            *counts,
+            exact[0] & exact[1],
+            self.uniform[0][split],
+            self.uniform[1][split],
+        )
+
+
+class UpJoin(FrontierAlgorithm):
+    """The distribution-aware Uniform Partition Join."""
+
+    name = "upjoin"
+    table = UpJoinTable
+
+    def _root_task(self, window: Rect, count_r: int, count_s: int, depth: int) -> Level:
+        return Level.root(window, count_r, count_s, depth, False, False)
 
     def _probe_uv(self, window: Rect, depth: int, server_name: str) -> Tuple[float, float]:
         """Placement of the confirmation window, derived per (window, side).
@@ -300,56 +302,3 @@ class UpJoin(FrontierAlgorithm):
         rng = np.random.default_rng(np.random.SeedSequence(entropy))
         u, v = rng.uniform(0.0, 1.0, size=2)
         return float(u), float(v)
-
-    # ------------------------------------------------------------------ #
-    # terminal outcomes
-    # ------------------------------------------------------------------ #
-
-    def _cheapest_leaf(
-        self,
-        window: Rect,
-        count_r: int,
-        count_s: int,
-        c1: float,
-        nlsj_outer: str,
-        nlsj_cost: float,
-        counts_exact: bool,
-        rec,
-    ) -> OperatorLeaf:
-        if c1 <= nlsj_cost and self.fits_in_buffer(count_r, count_s):
-            rec("HBSJ", "", count_r, count_s)
-            return OperatorLeaf("hbsj", window, count_r, count_s, counts_exact=counts_exact)
-        rec(
-            "NLSJ",
-            f"outer={nlsj_outer}, bucket={self.params.bucket_queries}",
-            count_r,
-            count_s,
-        )
-        return OperatorLeaf("nlsj", window, count_r, count_s, outer=nlsj_outer)
-
-    def _split_outcome(
-        self, window: Rect, state_r: _SideState, state_s: _SideState, depth: int, rec
-    ) -> List[_Task]:
-        """Lines 11/14: decompose into the four quadrants.
-
-        Quadrant counts retrieved (or estimated) during characterisation are
-        reused; a dataset that was never decomposed (small or previously
-        uniform) contributes estimated quarter counts, which conserve the
-        parent total exactly.
-        """
-        self.device.note_repartition()
-        rec("repartition", "2x2 grid")
-        quad_r = state_r.quadrants or estimate_quadrant_counts(window, state_r.count)
-        quad_s = state_s.quadrants or estimate_quadrant_counts(window, state_s.count)
-        return [
-            _Task(
-                window=cell,
-                count_r=quad_r.count(i),
-                count_s=quad_s.count(i),
-                counts_exact=quad_r.is_exact(i) and quad_s.is_exact(i),
-                known_uniform_r=state_r.uniform,
-                known_uniform_s=state_s.uniform,
-                depth=depth + 1,
-            )
-            for i, cell in enumerate(self.quadrants_of(window))
-        ]

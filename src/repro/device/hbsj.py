@@ -18,16 +18,18 @@ result set deduplicates pairs rediscovered by neighbouring cells.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.device.buffer import DeviceBuffer
 from repro.device.nlsj import NLSJRequest, nested_loop_spatial_join_steps
 from repro.device.steps import COUNT, WINDOW, Request, Steps, run_steps
+from repro.geometry import rect_array
 from repro.geometry.predicates import JoinPredicate
 from repro.geometry.rect import Rect
 from repro.index.hash_join import JoinBatch, grid_hash_join_batch
+from repro.index.pairs import PairBlocks
 from repro.server.remote import ServerPair
 
 __all__ = [
@@ -61,9 +63,9 @@ class HBSJRequest:
 
 @dataclass
 class HBSJResult:
-    """Outcome of one HBSJ invocation."""
+    """Outcome of one HBSJ invocation (``pairs`` in discovery order)."""
 
-    pairs: List[Tuple[int, int]] = field(default_factory=list)
+    pairs: PairBlocks = field(default_factory=PairBlocks)
     windows_joined: int = 0
     windows_pruned: int = 0
     recursive_splits: int = 0
@@ -129,20 +131,18 @@ def hash_based_spatial_join_batch(
 class _Cell:
     """One window of the operator's worklist."""
 
-    __slots__ = ("idx", "window", "window_s", "count_r", "count_s", "depth")
+    __slots__ = ("idx", "window", "count_r", "count_s", "depth")
 
     def __init__(
         self,
         idx: int,
         window: Rect,
-        margin: float,
         count_r: Optional[int],
         count_s: Optional[int],
         depth: int,
     ) -> None:
         self.idx = idx  # the request this window belongs to
         self.window = window
-        self.window_s = window.expanded(margin) if margin > 0 else window
         self.count_r = count_r
         self.count_s = count_s
         self.depth = depth
@@ -165,18 +165,25 @@ def hash_based_spatial_join_steps(
     kernel call.  Returns the ``List[HBSJResult]``.
     """
     margin = predicate.window_margin
+
+    def ask(kind, cells: List[_Cell], sides=(0, 1)) -> List[Request]:
+        """One request per side over the cells: R is asked for the raw
+        ``(N, 4)`` rows, S for the rows grown by the margin."""
+        rows = rect_array.rects_to_array([cell.window for cell in cells])
+        both = rows, rect_array.expand(rows, margin)
+        return [Request(kind, "RS"[side], (both[side],)) for side in sides]
+
     results = [HBSJResult() for _ in requests]
     cells = [
-        _Cell(i, req.window, margin, req.count_r, req.count_s, 0)
-        for i, req in enumerate(requests)
+        _Cell(i, req.window, req.count_r, req.count_s, 0) for i, req in enumerate(requests)
     ]
     while cells:
         # Resolve missing feasibility counts: one COUNT request per server.
         step, asked = [], []
-        for side, count, window in (("R", "count_r", "window"), ("S", "count_s", "window_s")):
+        for side, count in enumerate(("count_r", "count_s")):
             need = [cell for cell in cells if getattr(cell, count) is None]
             if need:
-                step.append(Request(COUNT, side, ([getattr(cell, window) for cell in need],)))
+                step += ask(COUNT, need, (side,))
                 asked.append((count, need))
         if step:
             for (count, need), values in zip(asked, (yield step)):
@@ -202,15 +209,13 @@ def hash_based_spatial_join_steps(
         step = []
         if splits:
             children = [
-                _Cell(cell.idx, quadrant, margin, None, None, cell.depth + 1)
+                _Cell(cell.idx, quadrant, None, None, cell.depth + 1)
                 for cell in splits
                 for quadrant in cell.window.quadrants()
             ]
-            step.append(Request(COUNT, "R", ([child.window for child in children],)))
-            step.append(Request(COUNT, "S", ([child.window_s for child in children],)))
+            step += ask(COUNT, children)
         if joins:
-            step.append(Request(WINDOW, "R", ([cell.window for cell in joins],)))
-            step.append(Request(WINDOW, "S", ([cell.window_s for cell in joins],)))
+            step += ask(WINDOW, joins)
         answers = (yield step) if step else []
 
         cells = []
@@ -227,16 +232,18 @@ def hash_based_spatial_join_steps(
         # kernel joins -- no per-window split.
         if joins:
             flat_r, flat_s = answers
-            pair_lists = grid_hash_join_batch(JoinBatch(*flat_r, *flat_s), predicate)
+            pairs, starts = grid_hash_join_batch(JoinBatch(*flat_r, *flat_s), predicate)
             got_r = np.diff(flat_r[2]).tolist()
             got_s = np.diff(flat_s[2]).tolist()
-            for cell, n_r, n_s, pairs in zip(joins, got_r, got_s, pair_lists):
+            starts = starts.tolist()
+            for cell, n_r, n_s, lo, hi in zip(joins, got_r, got_s, starts, starts[1:]):
                 result = results[cell.idx]
                 result.objects_downloaded_r += n_r
                 result.objects_downloaded_s += n_s
                 token = buffer.allocate(n_r + n_s)
                 try:
-                    result.pairs.extend(pairs)
+                    if hi > lo:
+                        result.pairs.extend(pairs[lo:hi])
                     result.windows_joined += 1
                 finally:
                     buffer.release(token)

@@ -39,6 +39,7 @@ from repro.geometry.predicates import (
     WithinDistancePredicate,
 )
 from repro.geometry.rect import Rect
+from repro.index.pairs import PairBlocks
 from repro.server.remote import ServerPair
 
 __all__ = [
@@ -60,9 +61,9 @@ class NLSJRequest:
 
 @dataclass
 class NLSJResult:
-    """Outcome of one NLSJ invocation."""
+    """Outcome of one NLSJ invocation (``pairs`` in discovery order)."""
 
-    pairs: List[Tuple[int, int]] = field(default_factory=list)
+    pairs: PairBlocks = field(default_factory=PairBlocks)
     outer: str = "R"
     outer_objects: int = 0
     probes_sent: int = 0
@@ -247,8 +248,8 @@ def _verify_candidates(
     window: Rect,
     predicate: JoinPredicate,
     outer: str,
-) -> List[Tuple[int, int]]:
-    """Verify probe candidates over offset arrays; report qualifying pairs.
+) -> np.ndarray:
+    """Verify probe candidates over offset arrays; the qualifying ``(r, s)`` block.
 
     ``probe_idx`` assigns every candidate row to the outer object whose
     probe returned it.  The exact-predicate arithmetic matches
@@ -258,8 +259,6 @@ def _verify_candidates(
     S, so a partitioned execution assigns every pair to at least the
     cell(s) the R object touches and never to unrelated cells.
     """
-    if cand_mbrs.shape[0] == 0:
-        return []
     a = outer_mbrs[probe_idx]
     dx = np.maximum(np.maximum(a[:, 0] - cand_mbrs[:, 2], 0.0), cand_mbrs[:, 0] - a[:, 2])
     dy = np.maximum(np.maximum(a[:, 1] - cand_mbrs[:, 3], 0.0), cand_mbrs[:, 1] - a[:, 3])
@@ -275,8 +274,8 @@ def _verify_candidates(
     matched_outer = outer_oids[probe_idx[mask]]
     matched_inner = cand_oids[mask]
     if outer == "R":
-        return list(zip(matched_outer.tolist(), matched_inner.tolist()))
-    return list(zip(matched_inner.tolist(), matched_outer.tolist()))
+        return np.column_stack((matched_outer, matched_inner))
+    return np.column_stack((matched_inner, matched_outer))
 
 
 # -------------------------------------------------------------------------- #

@@ -19,6 +19,7 @@ from repro.device.nlsj import NLSJRequest, NLSJResult, nested_loop_spatial_join_
 from repro.device.steps import Steps, run_steps
 from repro.geometry.predicates import JoinPredicate
 from repro.geometry.rect import Rect
+from repro.geometry.rect_array import Windows
 from repro.network.config import NetworkConfig
 from repro.network.wifi import WifiLinkModel
 from repro.obs.trace import NULL_TRACER
@@ -110,7 +111,7 @@ class MobileDevice:
         server = self.servers.r if server_name.upper() == "R" else self.servers.s
         return server.count(window)
 
-    def count_windows(self, server_name: str, windows: Sequence[Rect]) -> List[int]:
+    def count_windows(self, server_name: str, windows: Windows) -> List[int]:
         """COUNT a batch of windows on one server.
 
         The batch is evaluated in a single index descent server-side; each
@@ -122,7 +123,7 @@ class MobileDevice:
         return server.count_batch(windows)
 
     def count_windows_prefetched(
-        self, server_name: str, windows: Sequence[Rect], values: Sequence[int]
+        self, server_name: str, windows: Windows, values: Sequence[int]
     ) -> List[int]:
         """Attribute a COUNT batch evaluated elsewhere (``values`` its answers).
 
@@ -225,10 +226,11 @@ class MobileDevice:
         sharded connection, one per *replica* for a replicated fleet (the
         ``channels`` property flattens replica channels, so traffic that
         failed over to a sibling replica is counted on the channel that
-        actually carried it) -- is reduced with the link model's NumPy
-        closed form (a handful of array reductions per channel, regardless
-        of log length); the wifi tests pin it within float tolerance of the
-        per-record walk in ``tests/oracles/wifi_event.py``.
+        actually carried it) -- contributes the link model's closed form
+        over the packet, byte and uplink totals the channel already keeps
+        (three integers per channel, whatever the log length); the wifi
+        tests pin it within float tolerance of the per-record walk in
+        ``tests/oracles/wifi_event.py``.
         """
         return sum(
             self.link.estimate_channel_time(chan)

@@ -10,7 +10,7 @@ loops, per the HPC guide's "vectorise the hot path" rule.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -19,6 +19,10 @@ from repro.geometry.rect import Rect
 
 #: dtype used for all MBR arrays.
 MBR_DTYPE = np.float64
+
+#: What every window-taking batch endpoint accepts: ``Rect``s or the ``(N, 4)``
+#: array the frontier engine builds (:func:`rects_to_array` converts, once).
+Windows = Union[Sequence[Rect], np.ndarray]
 
 
 def empty_mbrs() -> np.ndarray:
@@ -175,50 +179,47 @@ def expand_index_ranges(
     return row, idx
 
 
-def subdivide_window(window: Rect, kx: int, ky: Optional[int] = None) -> np.ndarray:
+def _as_windows(window) -> Tuple[np.ndarray, bool]:
+    """``(N, 4)`` windows of a :class:`Rect` (one row) or an array, and which it was."""
+    if isinstance(window, Rect):
+        return np.array([window.as_tuple()], dtype=MBR_DTYPE), True
+    return window, False
+
+
+def subdivide_window(window, kx: int, ky: Optional[int] = None) -> np.ndarray:
     """Cell bounds of a regular ``kx x ky`` grid over ``window``.
 
-    Returns a ``(kx * ky, 4)`` MBR array, row-major from the bottom-left
-    cell.  The interior edges are computed as ``min + i * step`` (exact
-    outer edges), elementwise-identical to the scalar loop this kernel
-    replaced, so grid cells -- which become query windows -- are
-    bit-identical to the seed decomposition.  This is the bulk form behind
-    :meth:`repro.geometry.rect.Rect.subdivide`, shared by every
-    algorithm's repartitioning/grid step.
+    ``window`` is a :class:`Rect` (returns a ``(kx * ky, 4)`` MBR array) or an
+    ``(N, 4)`` array of windows (returns ``(N, kx * ky, 4)``), cells row-major
+    from the bottom-left.  The interior edges are ``min + i * step`` with the
+    exact outer edge last -- elementwise the scalar loop this kernel replaced,
+    so grid cells, which become query windows, are bit-identical to the seed
+    decomposition.  The bulk form behind :meth:`repro.geometry.rect.Rect.subdivide`
+    and MobiJoin's repartitioning of a whole frontier level.
     """
     if ky is None:
         ky = kx
     if kx < 1 or ky < 1:
         raise ValueError("grid dimensions must be >= 1")
-    if kx * ky <= 16:
-        # Tiny grids (the algorithms' default 2 x 2 repartitioning, the
-        # cost model's c4 estimate): scalar edge arithmetic beats the
-        # array-kernel setup cost.  Same formula, same floats.
-        dx, dy = window.width / kx, window.height / ky
-        xe = [window.xmin + i * dx for i in range(kx)] + [window.xmax]
-        ye = [window.ymin + j * dy for j in range(ky)] + [window.ymax]
-        return np.array(
-            [
-                (xe[i], ye[j], xe[i + 1], ye[j + 1])
-                for j in range(ky)
-                for i in range(kx)
-            ],
-            dtype=MBR_DTYPE,
-        )
-    xs = window.xmin + np.arange(kx + 1, dtype=MBR_DTYPE) * (window.width / kx)
-    ys = window.ymin + np.arange(ky + 1, dtype=MBR_DTYPE) * (window.height / ky)
-    xs[0], xs[kx] = window.xmin, window.xmax
-    ys[0], ys[ky] = window.ymin, window.ymax
-    out = np.empty((kx * ky, 4), dtype=MBR_DTYPE)
-    out[:, 0] = np.tile(xs[:-1], ky)
-    out[:, 1] = np.repeat(ys[:-1], kx)
-    out[:, 2] = np.tile(xs[1:], ky)
-    out[:, 3] = np.repeat(ys[1:], kx)
-    return out
+    windows, single = _as_windows(window)
+    x0, y0, x1, y1 = (windows[:, i, None] for i in range(4))
+    xe = np.concatenate([x0 + np.arange(kx, dtype=MBR_DTYPE) * ((x1 - x0) / kx), x1], axis=1)
+    ye = np.concatenate([y0 + np.arange(ky, dtype=MBR_DTYPE) * ((y1 - y0) / ky), y1], axis=1)
+    out = np.empty((windows.shape[0], ky, kx, 4), dtype=MBR_DTYPE)
+    out[..., 0] = xe[:, None, :-1]
+    out[..., 1] = ye[:, :-1, None]
+    out[..., 2] = xe[:, None, 1:]
+    out[..., 3] = ye[:, 1:, None]
+    out = out.reshape(-1, kx * ky, 4)
+    return out[0] if single else out
 
 
-def quadrant_cells(window: Rect) -> np.ndarray:
-    """The 2 x 2 quadrant bounds of ``window`` as a ``(4, 4)`` MBR array.
+_QUADRANT_COLUMNS = [0, 1, 4, 5, 4, 1, 2, 5, 0, 5, 4, 3, 4, 5, 2, 3]
+
+
+def quadrant_cells(window) -> np.ndarray:
+    """The 2 x 2 quadrant bounds of ``window``: a ``(4, 4)`` MBR array for a
+    :class:`Rect`, ``(N, 4, 4)`` for an ``(N, 4)`` array of windows.
 
     Row-major from the bottom-left: SW, SE, NW, NE.  The split point is the
     midpoint ``(min + max) / 2`` -- the formula the partition-based
@@ -226,17 +227,11 @@ def quadrant_cells(window: Rect) -> np.ndarray:
     ``min + width / 2`` on some inputs, so it is kept separate from
     :func:`subdivide_window` to preserve the frozen traces and figures.
     """
-    cx = (window.xmin + window.xmax) / 2.0
-    cy = (window.ymin + window.ymax) / 2.0
-    return np.array(
-        [
-            (window.xmin, window.ymin, cx, cy),
-            (cx, window.ymin, window.xmax, cy),
-            (window.xmin, cy, cx, window.ymax),
-            (cx, cy, window.xmax, window.ymax),
-        ],
-        dtype=MBR_DTYPE,
-    )
+    windows, single = _as_windows(window)
+    # Columns x0 y0 x1 y1 cx cy, then one take into the four cells.
+    edges = np.concatenate([windows, (windows[:, :2] + windows[:, 2:]) / 2.0], axis=1)
+    out = edges[:, _QUADRANT_COLUMNS].reshape(-1, 4, 4)
+    return out[0] if single else out
 
 
 def clip_to_window(mbrs: np.ndarray, window: Rect) -> Tuple[np.ndarray, np.ndarray]:
@@ -257,8 +252,16 @@ def clip_to_window(mbrs: np.ndarray, window: Rect) -> Tuple[np.ndarray, np.ndarr
     return clipped, valid
 
 
-def rects_to_array(rects: "Sequence[Rect]") -> np.ndarray:
-    """Pack a sequence of :class:`Rect` into an ``(N, 4)`` MBR array."""
+def rects_to_array(rects) -> np.ndarray:
+    """Pack a sequence of :class:`Rect` into an ``(N, 4)`` MBR array.
+
+    An ``(N, 4)`` array passes through untouched: every window-taking batch
+    endpoint accepts either form and converts here, once.
+    """
+    if isinstance(rects, np.ndarray):
+        return rects
+    if not isinstance(rects, (list, tuple)):
+        rects = list(rects)
     if not rects:
         return empty_mbrs()
     return np.array([r.as_tuple() for r in rects], dtype=MBR_DTYPE)
@@ -297,15 +300,11 @@ def pairwise_within_distance(a: np.ndarray, b: np.ndarray, epsilon: float) -> np
 
 
 def expand(mbrs: np.ndarray, margin: float) -> np.ndarray:
-    """Return a copy of the MBR array grown by ``margin`` on every side."""
+    """Return a copy of the MBR array (any shape ``(..., 4)``) grown by
+    ``margin`` on every side: ``Rect.expanded`` row by row, bit for bit."""
     if margin < 0:
         raise ValueError("margin must be non-negative")
-    out = mbrs.copy()
-    out[:, 0] -= margin
-    out[:, 1] -= margin
-    out[:, 2] += margin
-    out[:, 3] += margin
-    return out
+    return mbrs + np.array([-margin, -margin, margin, margin])
 
 
 def split_by_grid(

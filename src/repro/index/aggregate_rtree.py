@@ -23,6 +23,7 @@ import numpy as np
 from repro.geometry import rect_array
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
+from repro.geometry.rect_array import Windows
 from repro.index.flat import FlatRTree
 
 __all__ = ["AggregateRTree", "probe_arrays"]
@@ -133,16 +134,16 @@ class AggregateRTree:
         """Number of indexed objects intersecting the window."""
         return int(self._flat.count_batch(rect_array.rects_to_array([window]))[0])
 
-    def count_batch(self, windows: Sequence[Rect]) -> List[int]:
+    def count_batch(self, windows: Windows) -> List[int]:
         """Answer many COUNT queries in one vectorised frontier traversal.
 
         Whole subtrees contained in a window contribute their aggregate
         count without being descended, exactly as in :meth:`count`; all
         (node, window) pairs of a traversal step are tested in one
-        vectorised operation.
+        vectorised operation.  ``windows`` (here and in the other batch
+        queries) is a sequence of :class:`Rect` or an ``(N, 4)`` array.
         """
-        wins = rect_array.rects_to_array(list(windows))
-        return self._flat.count_batch(wins).tolist()
+        return self._flat.count_batch(rect_array.rects_to_array(windows)).tolist()
 
     def window_query(self, window: Rect) -> List[int]:
         """Object ids intersecting the window, in the tree's DFS order."""
@@ -152,15 +153,15 @@ class AggregateRTree:
         """The entry rows :meth:`window_query` matched (see :meth:`entries_at`)."""
         return self._flat.window_rows(window)
 
-    def window_query_batch(self, windows: Sequence[Rect]) -> List[np.ndarray]:
+    def window_query_batch(self, windows: Windows) -> List[np.ndarray]:
         """One ``int64`` oid array per window, from one frontier traversal."""
-        return self._flat.window_batch(rect_array.rects_to_array(list(windows)))
+        return self._flat.window_batch(rect_array.rects_to_array(windows))
 
     def window_query_batch_flat(
-        self, windows: Sequence[Rect]
+        self, windows: Windows
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Batched window queries in CSR ``(bounds, rows)`` form (see :meth:`entries_at`)."""
-        return self._flat.window_batch_flat(rect_array.rects_to_array(list(windows)))
+        return self._flat.window_batch_flat(rect_array.rects_to_array(windows))
 
     def entries_at(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """The ``(mbrs, oids)`` of the entry rows a ``*_rows`` / ``*_batch_flat`` query matched."""

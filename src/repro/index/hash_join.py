@@ -56,6 +56,14 @@ class JoinBatch(NamedTuple):
     b_bounds: np.ndarray
 
     @classmethod
+    def one(cls, a_mbrs, a_oids, b_mbrs, b_oids) -> "JoinBatch":
+        """A batch of one item, its arrays taken as they are."""
+        return cls(
+            a_mbrs, a_oids, np.array([0, a_mbrs.shape[0]]),
+            b_mbrs, b_oids, np.array([0, b_mbrs.shape[0]]),
+        )
+
+    @classmethod
     def from_items(cls, items: Sequence[JoinItem]) -> "JoinBatch":
         """Concatenate ``(a_mbrs, a_oids, b_mbrs, b_oids)`` tuples."""
 
@@ -102,25 +110,25 @@ def grid_hash_join(
     -------
     list of ``(a_oid, b_oid)`` pairs, duplicate-free, sorted.
     """
-    one_item = JoinBatch(
-        a_mbrs, a_oids, np.array([0, a_mbrs.shape[0]]),
-        b_mbrs, b_oids, np.array([0, b_mbrs.shape[0]]),
-    )
     grids = None if bounds is None and cells_per_side is None else {0: (bounds, cells_per_side)}
-    return grid_hash_join_batch(one_item, predicate, grids)[0]
+    pairs, _ = grid_hash_join_batch(JoinBatch.one(a_mbrs, a_oids, b_mbrs, b_oids), predicate, grids)
+    return list(map(tuple, pairs.tolist()))
 
 
 def grid_hash_join_batch(
     items: Union[JoinBatch, Sequence[JoinItem]],
     predicate: JoinPredicate,
     grids: Optional[Mapping[int, Grid]] = None,
-) -> List[List[Tuple[int, int]]]:
-    """Join many independent windows; one sorted duplicate-free pair list each.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Join many independent windows; the pairs of all of them as one block.
 
     ``items`` is a :class:`JoinBatch` or a sequence of ``(a_mbrs, a_oids,
     b_mbrs, b_oids)`` tuples.  ``grids`` maps item indices to an explicit
     ``(bounds, cells_per_side)`` (either may be ``None``), overriding the
-    defaults documented on :func:`grid_hash_join`.
+    defaults documented on :func:`grid_hash_join`.  Returns ``(pairs,
+    starts)``: a ``(k, 2)`` ``int64`` block of ``(a_oid, b_oid)`` rows, item
+    after item, each item's rows sorted and duplicate-free, item ``i`` owning
+    rows ``starts[i]:starts[i + 1]``.
 
     Each item above the grid-free threshold is hashed into its own grid,
     but over the concatenation of all such items at once.  The matched
@@ -132,7 +140,6 @@ def grid_hash_join_batch(
     batch = items if isinstance(items, JoinBatch) else JoinBatch.from_items(items)
     grids = grids or {}
     n_items = batch.a_bounds.shape[0] - 1
-    out: List[List[Tuple[int, int]]] = [[] for _ in range(n_items)]
     n_a, n_b = np.diff(batch.a_bounds), np.diff(batch.b_bounds)
     live = np.flatnonzero((n_a > 0) & (n_b > 0))
     # The rows of the live items and, per row, its item's position in ``live``.
@@ -176,11 +183,8 @@ def grid_hash_join_batch(
     fresh[1:] = (
         (owner[1:] != owner[:-1]) | (a_oid[1:] != a_oid[:-1]) | (b_oid[1:] != b_oid[:-1])
     )
-    pairs = list(zip(a_oid[fresh].tolist(), b_oid[fresh].tolist()))
-    starts = np.searchsorted(owner[fresh], np.arange(n_items + 1)).tolist()
-    for item in np.flatnonzero(np.diff(starts)).tolist():
-        out[item] = pairs[starts[item] : starts[item + 1]]
-    return out
+    pairs = np.column_stack((a_oid[fresh], b_oid[fresh]))
+    return pairs, np.searchsorted(owner[fresh], np.arange(n_items + 1))
 
 
 def _sweep_in_runs(

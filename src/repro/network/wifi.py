@@ -25,8 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-import numpy as np
-
 from repro.network.channel import Channel, TrafficRecord
 from repro.network.config import NetworkConfig
 from repro.network.packets import num_packets, transferred_bytes
@@ -89,28 +87,36 @@ class WifiLinkModel:
         Requests and responses are replayed sequentially (the device blocks
         on each response, as the prototype does), so the estimate is simply
         the sum of per-message transfer times plus one server latency per
-        uplink message (:meth:`replay_time`).
+        uplink message.  The channel sums packets, wire bytes and uplink
+        messages of its primary lane as the log grows (the metering
+        invariants pin those totals equal to the log's), so this reads three
+        integers whatever the log length -- :meth:`replay_time` of the log,
+        without the walk.
         """
-        return self.replay_time(channel.log.records)
+        return self._delay(
+            channel.uplink_packets + channel.downlink_packets,
+            channel.total_bytes,
+            channel.messages_up,
+        )
 
     def replay_time(self, records: List[TrafficRecord]) -> float:
         """Closed-form replay time of one traffic log.
 
         A replay only ever waits out pure delays, so its finish time is the
-        sum of per-record delays -- no event interleaving can change it.
-        The sum is evaluated with NumPy over the whole log at once (three
-        array reductions): the vectorised form of summing
-        :meth:`record_delay`.
+        sum of per-record delays -- no event interleaving can change it: the
+        closed form of summing :meth:`record_delay` (integer sums below
+        ``2**53``, so exact in any order).
         """
-        n = len(records)
-        if n == 0:
-            return 0.0
-        packets = np.fromiter((rec.packets for rec in records), dtype=np.float64, count=n)
-        wire = np.fromiter((rec.wire_bytes for rec in records), dtype=np.float64, count=n)
-        uplinks = sum(1 for rec in records if rec.direction == "up")
+        return self._delay(
+            sum(rec.packets for rec in records),
+            sum(rec.wire_bytes for rec in records),
+            sum(1 for rec in records if rec.direction == "up"),
+        )
+
+    def _delay(self, packets: int, wire_bytes: int, uplinks: int) -> float:
         return float(
-            packets.sum() * self.per_packet_latency_s
-            + (wire.sum() * 8.0) / self.goodput_bps
+            packets * self.per_packet_latency_s
+            + (wire_bytes * 8.0) / self.goodput_bps
             + uplinks * self.server_latency_s
         )
 
@@ -120,7 +126,4 @@ class WifiLinkModel:
         Channels replay independently (no contention is modelled), so the
         makespan is the slowest channel's total replay time.
         """
-        return max(
-            (self.replay_time(channel.log.records) for channel in channels),
-            default=0.0,
-        )
+        return max(map(self.estimate_channel_time, channels), default=0.0)

@@ -59,6 +59,7 @@ from repro.errors import (
 from repro.geometry import rect_array
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
+from repro.geometry.rect_array import Windows
 from repro.index.aggregate_rtree import probe_arrays
 from repro.network.channel import Channel
 from repro.network.config import NetworkConfig
@@ -362,6 +363,11 @@ class ResilienceController:
         }
 
 
+#: The batched protocols' query strings are sized by kind, never by window:
+#: a uniform batch is accounted through one stand-in message.
+_ANY_WINDOW = Rect(0.0, 0.0, 0.0, 0.0)
+
+
 class RemoteServer(SpatialServerInterface):
     """A metered proxy in front of a :class:`SpatialServer`.
 
@@ -445,7 +451,7 @@ class RemoteServer(SpatialServerInterface):
         return value
 
     def window_batch(
-        self, windows: Sequence[Rect]
+        self, windows: Windows
     ) -> List[Tuple[np.ndarray, np.ndarray]]:
         """Issue many WINDOW queries, evaluated server-side in one descent.
 
@@ -454,15 +460,14 @@ class RemoteServer(SpatialServerInterface):
         per-window payloads are slices of the flat assembly of
         :meth:`window_batch_flat`.
         """
-        windows = list(windows)
         mbrs, oids, bounds = self.window_batch_flat(windows)
         return [
             (mbrs[bounds[i] : bounds[i + 1]], oids[bounds[i] : bounds[i + 1]])
-            for i in range(len(windows))
+            for i in range(len(bounds) - 1)
         ]
 
     def window_batch_flat(
-        self, windows: Sequence[Rect]
+        self, windows: Windows
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Issue many WINDOW queries; responses assembled flat in one pass.
 
@@ -474,12 +479,11 @@ class RemoteServer(SpatialServerInterface):
         counts -- only the server-side evaluation and the response assembly
         are batched.
         """
-        windows = list(windows)
         mbrs, oids, bounds = self._server.window_batch_flat(windows)
-        self._account_window_batch(windows, np.diff(bounds))
+        self._account_window_batch(np.diff(bounds))
         return mbrs, oids, bounds
 
-    def window_batch_prefetched(self, windows: List[Rect], sizes: np.ndarray) -> None:
+    def window_batch_prefetched(self, windows: Windows, sizes: np.ndarray) -> None:
         """Attribute a WINDOW batch evaluated elsewhere (``sizes[i]`` objects each).
 
         The scatter proxy answers all its shards' sub-batches in one forest
@@ -490,10 +494,10 @@ class RemoteServer(SpatialServerInterface):
         stats = self._server.stats
         stats.window_queries += len(windows)
         stats.objects_returned += int(sizes.sum())
-        self._account_window_batch(windows, sizes)
+        self._account_window_batch(sizes)
 
     def book_window_batch(
-        self, windows: List[Rect], answer: Prefetched
+        self, windows: Windows, answer: Prefetched
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """:meth:`window_batch_flat` over windows the backing build already answered.
 
@@ -505,16 +509,17 @@ class RemoteServer(SpatialServerInterface):
         self.window_batch_prefetched(windows, np.diff(answer.bounds))
         return answer.mbrs, answer.oids, answer.bounds
 
-    def _account_window_batch(self, windows: List[Rect], sizes: np.ndarray) -> None:
-        """The shared ledger write of one batched WINDOW exchange."""
-        if not windows:
+    def _account_window_batch(self, sizes: np.ndarray) -> None:
+        """The shared ledger write of one batched WINDOW exchange (one query
+        string per window, whatever the window: ``sizes`` has one entry each)."""
+        if not sizes.shape[0]:
             # An empty batch never hits the wire, so it draws no fault
             # event -- keeps fault streams aligned across execution paths.
             return
 
         def account(channel: Channel) -> None:
             channel.send_uniform_batch(
-                WindowQuery(windows[0]), len(windows), direction="up", label="window"
+                WindowQuery(_ANY_WINDOW), sizes.shape[0], direction="up", label="window"
             )
             self._send_object_batch(channel, sizes, "window-result")
 
@@ -529,18 +534,17 @@ class RemoteServer(SpatialServerInterface):
             label=label,
         )
 
-    def count_batch(self, windows: Sequence[Rect]) -> List[int]:
+    def count_batch(self, windows: Windows) -> List[int]:
         """Issue many COUNT queries, evaluated server-side in one descent.
 
         Accounting is bit-identical to a loop of :meth:`count` calls.
         """
-        windows = list(windows)
         values = self._server.count_batch(windows)
-        self._account_count_batch(windows)
+        self._account_count_batch(len(windows))
         return values
 
     def count_batch_prefetched(
-        self, windows: Sequence[Rect], values: Sequence[int]
+        self, windows: Windows, values: Sequence[int]
     ) -> List[int]:
         """Attribute a COUNT batch answered by a coalesced exchange.
 
@@ -552,15 +556,14 @@ class RemoteServer(SpatialServerInterface):
         exactly what :meth:`count_batch` over the same windows would have
         produced; only the evaluation was shared.
         """
-        windows = list(windows)
         values = [int(v) for v in values]
         if len(values) != len(windows):
             raise ValueError("values must be parallel to windows")
         self._server.stats.count_queries += len(windows)
-        self._account_count_batch(windows)
+        self._account_count_batch(len(windows))
         return values
 
-    def _account_count_batch(self, windows: List[Rect]) -> None:
+    def _account_count_batch(self, n: int) -> None:
         """The shared ledger write of one batched COUNT exchange.
 
         Routed through :meth:`_exchange` with one label for both the
@@ -569,18 +572,13 @@ class RemoteServer(SpatialServerInterface):
         fault events whichever way it executes.  Empty batches never hit
         the wire and draw nothing.
         """
-        if not windows:
+        if not n:
             return
 
         def account(channel: Channel) -> None:
+            channel.send_uniform_batch(CountQuery(_ANY_WINDOW), n, direction="up", label="count")
             channel.send_uniform_batch(
-                CountQuery(windows[0]), len(windows), direction="up", label="count"
-            )
-            channel.send_uniform_batch(
-                ScalarResponse(0.0),
-                len(windows),
-                direction="down",
-                label="count-result",
+                ScalarResponse(0.0), n, direction="down", label="count-result"
             )
 
         self._exchange("count-batch", account)
@@ -841,7 +839,7 @@ class IndexedRemoteServer(RemoteServer):
         return rects
 
     def upload_windows_and_collect(
-        self, windows: Sequence[Rect]
+        self, windows: Windows
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Ship a batch of windows (MBRs) to the server; get back all objects inside.
 
@@ -856,7 +854,7 @@ class IndexedRemoteServer(RemoteServer):
         """
         if not windows:
             return np.empty((0, 4)), np.empty(0, dtype=np.int64)
-        all_mbrs, all_oids, _ = self._server.window_batch_flat(list(windows))
+        all_mbrs, all_oids, _ = self._server.window_batch_flat(windows)
         # Deduplicate objects returned by several windows, keeping the
         # first-seen order.
         _, first = np.unique(all_oids, return_index=True)
@@ -885,31 +883,32 @@ class IndexedRemoteServer(RemoteServer):
         mbrs: np.ndarray,
         oids: np.ndarray,
         epsilon: float,
-    ) -> List[Tuple[int, int]]:
+    ) -> np.ndarray:
         """Ship foreign objects to this server and let it perform the final join.
 
         This is SemiJoin's last step: the qualifying objects of the small
         dataset are uploaded (through the PDA) and the server joins them
-        against its own data with an in-memory kernel, returning
-        ``(foreign_oid, local_oid)`` pairs.  The upload is charged as an
-        object payload, the result as one object-sized row per pair.
+        against its own data with an in-memory kernel, returning the sorted
+        ``(foreign_oid, local_oid)`` pairs as a ``(k, 2)`` ``int64`` block.
+        The upload is charged as an object payload, the result as one
+        object-sized row per pair.
         """
         from repro.geometry.predicates import (  # local import: avoids a cycle
             IntersectionPredicate,
             WithinDistancePredicate,
         )
-        from repro.index.hash_join import grid_hash_join
+        from repro.index.hash_join import JoinBatch, grid_hash_join_batch
 
         if mbrs.shape[0] == 0:
-            return []
+            return np.empty((0, 2), dtype=np.int64)
         predicate = (
             WithinDistancePredicate(epsilon=epsilon)
             if epsilon > 0
             else IntersectionPredicate()
         )
         local = self._server.dataset
-        pairs = grid_hash_join(
-            mbrs, oids, local.mbrs, local.oids, predicate
+        pairs, _ = grid_hash_join_batch(
+            JoinBatch.one(mbrs, oids, local.mbrs, local.oids), predicate
         )
         result_mbrs = np.zeros((len(pairs), 4), dtype=np.float64)
         result_oids = np.arange(len(pairs), dtype=np.int64)
@@ -1442,34 +1441,32 @@ class ShardedRemoteServer(SpatialServerInterface):
         )
 
     def window_batch(
-        self, windows: Sequence[Rect]
+        self, windows: Windows
     ) -> List[Tuple[np.ndarray, np.ndarray]]:
-        windows = list(windows)
         mbrs, oids, bounds = self.window_batch_flat(windows)
         return [
             (mbrs[bounds[i] : bounds[i + 1]], oids[bounds[i] : bounds[i + 1]])
-            for i in range(len(windows))
+            for i in range(len(bounds) - 1)
         ]
 
     def window_batch_flat(
-        self, windows: Sequence[Rect]
+        self, windows: Windows
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        windows = list(windows)
+        windows = rect_array.rects_to_array(windows)
         return self.book_window_batch(windows, self._fleet.evaluate_window_batch(windows))
 
     def book_window_batch(
-        self, windows: List[Rect], answer: Prefetched
+        self, windows: Windows, answer: Prefetched
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Book, shard by shard, a WINDOW batch the fleet already evaluated.
 
         The book half of :meth:`window_batch_flat`; the wave driver calls it
         with this query's share of a descent it made for many queries.
         """
+        windows = rect_array.rects_to_array(windows)
         self._book(
             answer,
-            lambda proxy, mine, sizes: proxy.window_batch_prefetched(
-                [windows[i] for i in mine], sizes
-            ),
+            lambda proxy, mine, sizes: proxy.window_batch_prefetched(windows[mine], sizes),
         )
         return (
             answer.mbrs,
@@ -1480,16 +1477,14 @@ class ShardedRemoteServer(SpatialServerInterface):
     def count(self, window: Rect) -> int:
         return sum(self._proxies[i].count(window) for i in self._routed(window))
 
-    def count_batch(self, windows: Sequence[Rect]) -> List[int]:
-        windows = list(windows)
-        shard, request, counts = self._fleet.descend(
-            self._fleet.forest.count_batch, rect_array.rects_to_array(windows)
-        )
+    def count_batch(self, windows: Windows) -> List[int]:
+        windows = rect_array.rects_to_array(windows)
+        shard, request, counts = self._fleet.descend(self._fleet.forest.count_batch, windows)
         self._attribute_counts(windows, shard, request)
         return sum_by_request(request, counts, len(windows))
 
     def count_batch_prefetched(
-        self, windows: Sequence[Rect], values: Sequence[int]
+        self, windows: Windows, values: Sequence[int]
     ) -> List[int]:
         """Attribute a broker-coalesced COUNT batch across the shards.
 
@@ -1499,21 +1494,19 @@ class ShardedRemoteServer(SpatialServerInterface):
         :meth:`count_batch` over the same windows would have charged (the
         per-shard values are irrelevant to the uniform accounting).
         """
-        windows = list(windows)
         values = [int(v) for v in values]
         if len(values) != len(windows):
             raise ValueError("values must be parallel to windows")
-        self._attribute_counts(
-            windows, *self._fleet.route(rect_array.rects_to_array(windows))
-        )
+        windows = rect_array.rects_to_array(windows)
+        self._attribute_counts(windows, *self._fleet.route(windows))
         return values
 
     def _attribute_counts(
-        self, windows: List[Rect], shard: np.ndarray, request: np.ndarray
+        self, windows: np.ndarray, shard: np.ndarray, request: np.ndarray
     ) -> None:
         for si, at in self._by_shard(shard):
             self._proxies[si].count_batch_prefetched(
-                [windows[i] for i in request.take(at).tolist()], [0] * at.shape[0]
+                windows[request.take(at)], [0] * at.shape[0]
             )
 
     def range(self, center: Point, epsilon: float) -> Tuple[np.ndarray, np.ndarray]:

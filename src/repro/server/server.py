@@ -18,6 +18,7 @@ import numpy as np
 from repro.datasets.dataset import SpatialDataset
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
+from repro.geometry.rect_array import Windows
 from repro.index.aggregate_rtree import AggregateRTree
 from repro.server.interface import SpatialServerInterface
 
@@ -199,7 +200,7 @@ class SpatialServer(SpatialServerInterface):
         """
         return ((self,),)
 
-    def evaluate_count_batch(self, windows: Sequence[Rect]) -> List[int]:
+    def evaluate_count_batch(self, windows: Windows) -> List[int]:
         """Answer COUNTs without touching query statistics.
 
         The broker's wave executor evaluates each coalesced batch once on
@@ -209,7 +210,7 @@ class SpatialServer(SpatialServerInterface):
         """
         return self._index.count_batch(windows)
 
-    def evaluate_window_batch(self, windows: Sequence[Rect]) -> Prefetched:
+    def evaluate_window_batch(self, windows: Windows) -> Prefetched:
         """Answer WINDOWs without touching query statistics (see :class:`Prefetched`)."""
         return self._prefetched(self._index.window_query_batch_flat(windows))
 
@@ -252,22 +253,21 @@ class SpatialServer(SpatialServerInterface):
         self.stats.window_queries += 1
         return self._payload(self._index.window_rows(window))
 
-    def window_batch(self, windows: Sequence[Rect]) -> List[Tuple[np.ndarray, np.ndarray]]:
+    def window_batch(self, windows: Windows) -> List[Tuple[np.ndarray, np.ndarray]]:
         """Answer a batch of WINDOW queries in one index descent.
 
         Statistics are updated exactly as if :meth:`window` had been called
         once per window; the per-window payloads are slices of the flat
         assembly of :meth:`window_batch_flat`.
         """
-        windows = list(windows)
         mbrs, oids, bounds = self.window_batch_flat(windows)
         return [
             (mbrs[bounds[i] : bounds[i + 1]], oids[bounds[i] : bounds[i + 1]])
-            for i in range(len(windows))
+            for i in range(len(bounds) - 1)
         ]
 
     def window_batch_flat(
-        self, windows: Sequence[Rect]
+        self, windows: Windows
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Answer a batch of WINDOW queries, response assembled in one pass.
 
@@ -277,7 +277,6 @@ class SpatialServer(SpatialServerInterface):
         is one take of the entry rows the index descent matched; statistics
         are identical to a loop of :meth:`window` calls.
         """
-        windows = list(windows)
         self.stats.window_queries += len(windows)
         bounds, rows = self._index.window_query_batch_flat(windows)
         return (*self._payload(rows), bounds)
@@ -286,7 +285,7 @@ class SpatialServer(SpatialServerInterface):
         self.stats.count_queries += 1
         return self._index.count(window)
 
-    def count_batch(self, windows: Sequence[Rect]) -> List[int]:
+    def count_batch(self, windows: Windows) -> List[int]:
         """Answer a batch of COUNT queries in one aggregate-tree descent."""
         self.stats.count_queries += len(windows)
         return self._index.count_batch(windows)

@@ -45,8 +45,7 @@ import numpy as np
 from repro.datasets.dataset import SpatialDataset
 from repro.datasets.partition import partition_dataset
 from repro.geometry.point import Point
-from repro.geometry.rect import Rect
-from repro.geometry.rect_array import pairwise_intersects, rects_to_array
+from repro.geometry.rect_array import Windows, pairwise_intersects, rects_to_array
 from repro.index.aggregate_rtree import probe_arrays
 from repro.index.flat import FlatRTree
 from repro.server.server import Prefetched, ServerQueryStats, SpatialServer
@@ -247,25 +246,25 @@ class ShardedSpatialServer:
         args = [a.take(request, axis=0) for a in more or (requests,)]
         return shard, request, query(*args, self.forest.roots.take(shard))
 
-    def evaluate_count_batch(self, windows: Sequence[Rect]) -> List[int]:
+    def evaluate_count_batch(self, windows: Windows) -> List[int]:
         """Answer COUNTs for the wave driver, statistics untouched.
 
         One routed descent of the forest; the shards partition the object
         set exactly, so summing a window's per-shard counts reproduces the
         union server's count bit for bit.
         """
-        wins = rects_to_array(list(windows))
+        wins = rects_to_array(windows)
         _, request, counts = self.descend(self.forest.count_batch, wins)
         return sum_by_request(request, counts, wins.shape[0])
 
-    def evaluate_window_batch(self, windows: Sequence[Rect]) -> Prefetched:
+    def evaluate_window_batch(self, windows: Windows) -> Prefetched:
         """Answer WINDOWs in one routed descent, statistics untouched.
 
         One row per ``(window, routed shard)``, window-major with shards
         ascending: the merged answer a scatter returns, still carrying the
         shard of every row so each shard's share can be booked afterwards.
         """
-        return self._prefetched(self.forest.window_batch_flat, rects_to_array(list(windows)))
+        return self._prefetched(self.forest.window_batch_flat, rects_to_array(windows))
 
     def evaluate_range_batch(
         self, centers: Sequence[Point], radii: Sequence[float]

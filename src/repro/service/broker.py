@@ -50,14 +50,18 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, Generator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.costmodel import CalibratedCostModel
 from repro.core.planner import PlanDecision, build_algorithm, select_algorithm
 from repro.core.result import JoinResult
 from repro.device.pda import MobileDevice
-from repro.device.steps import COUNT, Kind, Step, book_step
+from repro.device.steps import COUNT, WINDOW, Kind, Step, book_step
 from repro.errors import QueryTimeout, ReproError, ServerUnavailable
+from repro.geometry import rect_array
 from repro.network.config import NetworkConfig
 from repro.obs.trace import NULL_TRACER
 from repro.server.server import SpatialServer
@@ -188,8 +192,9 @@ class _Group:
     def __init__(self, base: SpatialServer, kind: Kind) -> None:
         self.base = base
         self.kind = kind
-        #: The per-row columns ``kind.evaluate`` takes, requests back to back.
-        self.columns: Tuple[list, ...] = tuple([] for _ in kind.columns)
+        #: The per-row columns ``kind.evaluate`` takes, one part per request.
+        self.parts: Tuple[list, ...] = tuple([] for _ in kind.columns)
+        self.rows = 0
         #: Member requests (what standalone runs would flush one by one).
         self.requests = 0
         #: The build's answer to all rows; a request's share is a slice of it.
@@ -197,11 +202,20 @@ class _Group:
 
     def add(self, args: tuple) -> Tuple["_Group", int, int]:
         """Append one request's rows; its slot in this group."""
-        first = len(self.columns[0])
-        for column, position in zip(self.columns, self.kind.columns):
-            column.extend(args[position])
+        first, rows = self.rows, len(args[self.kind.columns[0]])
+        for parts, position in zip(self.parts, self.kind.columns):
+            parts.append(args[position])
+        self.rows += rows
         self.requests += 1
-        return self, first, len(self.columns[0]) - first
+        return self, first, rows
+
+    def columns(self) -> list:
+        """The requests' rows back to back: windows (``Rect`` lists or the
+        ``(N, 4)`` arrays the frontier tables build) as one array, probe
+        centres and radii as lists."""
+        if self.kind in (COUNT, WINDOW):
+            return [np.concatenate([rect_array.rects_to_array(part) for part in self.parts[0]])]
+        return [list(chain.from_iterable(parts)) for parts in self.parts]
 
 
 class QueryBroker:
@@ -947,7 +961,7 @@ class QueryBroker:
     def _evaluate(self, group: _Group, round_index: int) -> None:
         """Answer all rows of one group in one descent of its backing build."""
         base, kind = group.base, group.kind
-        rows = len(group.columns[0])
+        rows = group.rows
         span = None
         if self._wave_span is not None:
             span = self._wave_span.child(
@@ -958,7 +972,7 @@ class QueryBroker:
                 rows=rows,
                 requests=group.requests,
             )
-        group.answer = getattr(base, kind.evaluate)(*group.columns)
+        group.answer = getattr(base, kind.evaluate)(*group.columns())
         if span is not None:
             span.close()
         self.stats.bump(

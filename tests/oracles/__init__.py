@@ -19,9 +19,14 @@ oracle                    shipped code it mirrors                         suite 
 ``operators_scalar``      ``device.hbsj`` / ``device.nlsj`` batch forms   ``test_device.py`` (and every       408927d
                           and their one-request cases, ``MobileDevice.    suite that runs the depth-first
                           hbsj`` / ``.nlsj``                              driver)
+``frontier_generators``   the level tables of ``core.frontier`` /         ``test_level_table.py``,            364127c
+                          ``upjoin`` / ``mobijoin`` / ``srjoin`` (one     ``test_uniformity_stats.py`` (and
+                          ``_window_steps`` generator per window, the     every suite that runs the
+                          old ``core/stats.py``, ``WindowCosts``, the     depth-first driver)
+                          one-window Eq. 9 / Eq. 11, ``level_rounds``)
 ``recursive_driver``      ``FrontierAlgorithm``'s level-order engine      ``test_frontier_equivalence.py``,   408927d
-                          (drives the shipped ``_window_steps``; leaves   ``test_golden_traces.py``,
-                          run ``operators_scalar``)                       ``test_metering_invariants.py``,
+                          (drives ``frontier_generators`` one window at   ``test_golden_traces.py``,
+                          a time; leaves run ``operators_scalar``)        ``test_metering_invariants.py``,
                                                                           ``test_service_equivalence.py``
 ``plane_sweep_scalar``    ``index.plane_sweep`` segmented kernel,         ``test_leaf_pipeline.py``,          408927d
                           ``index.hash_join`` over it                     ``test_batch_queries.py``

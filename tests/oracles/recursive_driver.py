@@ -1,13 +1,15 @@
 """The depth-first driver ``FrontierAlgorithm(execution="recursive")`` ran until PR 19.
 
 Oracle of the frontier engine's level-order execution
-(:meth:`repro.core.frontier.FrontierAlgorithm._frontier_levels`).  It drives
-the *shipped* per-window decision code -- ``_root_task``, ``_window_steps``,
-``_level_costs`` (a level of one) -- one window at a time: every COUNT
-request is answered immediately through the device, a leaf runs as soon as
-it is reached, children recurse in order.  Leaves run the *oracle* operators
-(:mod:`tests.oracles.operators_scalar`), so "Frontier = recursive" checks
-the driver and the batch operators against code that shares neither.
+(:meth:`repro.core.frontier.FrontierAlgorithm._steps`) and, since PR 22, of
+the level tables it decides with.  It drives the *oracle* per-window
+decision generators (:mod:`tests.oracles.frontier_generators`:
+``_root_task``, ``_window_steps``, ``_level_costs`` of a level of one) one
+window at a time: every COUNT request is answered immediately through the
+device, a leaf runs as soon as it is reached, children recurse in order.
+Leaves run the *oracle* operators (:mod:`tests.oracles.operators_scalar`),
+so "Frontier = recursive" checks the tables, the driver and the batch
+operators against code that shares none of them.
 
 :func:`depth_first` turns one engine algorithm class into its depth-first
 twin; :func:`depth_first_algorithms` swaps the twins into the planner's
@@ -21,10 +23,16 @@ from contextlib import contextmanager
 from typing import Iterator, List, Sequence
 
 from repro.core import planner
-from repro.core.frontier import FrontierAlgorithm, OperatorLeaf
-from repro.core.stats import CountRequest, QuadrantCounts, quadrant_count_steps
+from repro.core.frontier import FrontierAlgorithm
 from repro.device.pda import MobileDevice
 
+from tests.oracles.frontier_generators import (
+    GENERATORS,
+    CountRequest,
+    OperatorLeaf,
+    QuadrantCounts,
+    quadrant_count_steps,
+)
 from tests.oracles.operators_scalar import device_hbsj, device_nlsj
 
 __all__ = [
@@ -45,7 +53,8 @@ def execute_count_requests(
 def fetch_quadrant_counts(
     device: MobileDevice, server_name: str, window, parent_count: int, **options
 ) -> QuadrantCounts:
-    """Drive :func:`~repro.core.stats.quadrant_count_steps` to its result, depth-first."""
+    """Drive :func:`~tests.oracles.frontier_generators.quadrant_count_steps`
+    to its result, depth-first."""
     gen = quadrant_count_steps(server_name, window, parent_count, **options)
     try:
         requests = gen.send(None)
@@ -55,7 +64,7 @@ def fetch_quadrant_counts(
         return stop.value
 
 
-def _execute_recursive(algo: FrontierAlgorithm, task) -> None:
+def _execute_recursive(algo, task) -> None:
     gen = algo._window_steps(task, algo._task_recorder(task), algo._level_costs([task])[0])
     outcome = None
     try:
@@ -73,7 +82,7 @@ def _execute_recursive(algo: FrontierAlgorithm, task) -> None:
         _execute_recursive(algo, child)
 
 
-def _run_leaf(algo: FrontierAlgorithm, leaf: OperatorLeaf) -> None:
+def _run_leaf(algo, leaf: OperatorLeaf) -> None:
     """Execute one physical-operator leaf immediately, on the oracle operators."""
     if leaf.op == "hbsj":
         result = device_hbsj(
@@ -91,15 +100,19 @@ def _run_leaf(algo: FrontierAlgorithm, leaf: OperatorLeaf) -> None:
             outer=leaf.outer,
             bucket=algo.params.bucket_queries,
         )
-    algo._pairs.update(result.pairs)
+    algo._pairs.extend(result.pairs)
 
 
 def depth_first(cls: type) -> type:
     """The depth-first twin of one :class:`FrontierAlgorithm` subclass."""
 
-    class DepthFirst(cls):
-        def _execute(self, window, count_r, count_s, depth) -> None:
+    class DepthFirst(GENERATORS[cls]):
+        def _steps(self, window, count_r, count_s, depth):
+            # Every exchange runs on the query's own connections: a step
+            # generator that offers no step.
             _execute_recursive(self, self._root_task(window, count_r, count_s, depth))
+            return
+            yield
 
     DepthFirst.__name__ = f"DepthFirst{cls.__name__}"
     return DepthFirst

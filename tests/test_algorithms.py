@@ -204,6 +204,42 @@ class TestSessionBehaviour:
             session.dataset_r, session.dataset_s, 0.01
         )
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            dict(alpha=0.0),
+            dict(alpha=1.5),
+            dict(alpha=float("nan")),
+            dict(alpha=float("inf")),
+            dict(rho=0.0),
+            dict(rho=-0.3),
+            dict(rho=float("nan")),  # passed ``rho <= 0`` and compared False ever after
+            dict(rho=float("inf")),  # no quadrant was ever dense
+            dict(grid_k=1),
+            dict(grid_k=2.5),  # died inside the cost model's np.arange
+            dict(grid_k=float("nan")),
+        ],
+        ids=lambda bad: "{}={}".format(*next(iter(bad.items()))),
+    )
+    def test_unusable_tunables_are_typed_before_any_exchange(self, bad):
+        from repro.core.base import AlgorithmParameters
+
+        # Bare ValueErrors until PR 22; nan / inf / 2.5 were accepted.
+        with pytest.raises(InvalidInput, match=next(iter(bad))):
+            AlgorithmParameters(**bad)
+        session = _session(uniform(n=60, seed=18), uniform(n=60, seed=19))
+        with pytest.raises(InvalidInput):
+            session.run(algorithm="mobijoin", epsilon=0.01, **bad)
+        assert session.device.total_bytes() == 0
+
+    def test_usable_tunables_at_the_edges_are_accepted(self):
+        import numpy as np
+
+        from repro.core.base import AlgorithmParameters
+
+        params = AlgorithmParameters(alpha=1.0, rho=1e-9, grid_k=np.int64(3))
+        assert params.grid_k == 3
+
     def test_unknown_algorithm_option_is_invalid_input_on_every_entry_point(self):
         from repro.core.planner import build_algorithm, build_session_stack, run_join
 

@@ -150,7 +150,14 @@ class _PerCellFixedGrid(FixedGridJoin):
     """The per-cell loop ``FixedGridJoin`` ran before its cells were batched:
     one depth-first scalar HBSJ operator per cell (kept as the oracle)."""
 
-    def _execute(self, window, count_r, count_s, depth):
+    def _steps(self, window, count_r, count_s, depth):
+        # Every exchange runs on the query's own connections: a step
+        # generator that offers no step.
+        self._per_cell(window, count_r, count_s, depth)
+        return
+        yield
+
+    def _per_cell(self, window, count_r, count_s, depth):
         if count_r == 0 or count_s == 0:
             self.prune(window, depth, count_r, count_s)
             return

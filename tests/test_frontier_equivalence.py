@@ -351,3 +351,74 @@ class TestLevelCosting:
         assert evaluations["frontier"] <= 6 * levels
         # The depth-first oracle costs every window as a level of one.
         assert evaluations["recursive"] > 6 * levels
+
+
+class TestLevelDecisions:
+    """A level is decided by a handful of column operations, however wide.
+
+    The deterministic twin of the wall-clock claim: the Python-level calls
+    into the level tables, and (tracing off) the ``Rect`` objects built
+    outside the leaf requests, grow with levels and rounds, not with
+    windows.  A change that re-introduces a per-window decision path fails
+    here rather than only in the benchmark.
+    """
+
+    @pytest.mark.parametrize("algorithm", ["upjoin", "mobijoin"])
+    def test_decision_work_scales_with_levels_and_rounds(self, algorithm, monkeypatch):
+        import inspect
+
+        from repro.core import frontier, mobijoin, upjoin
+
+        seen = {"calls": 0, "rects": 0, "levels": 0, "rounds": 0, "windows": 0, "leaves": 0}
+
+        def counting(function, key, amount=lambda *args: 1):
+            def counted(*args, **kwargs):
+                seen[key] += amount(*args)
+                return function(*args, **kwargs)
+
+            return counted
+
+        tables = (
+            frontier.LevelTable, frontier.CostedTable, upjoin.UpJoinTable, mobijoin.MobiJoinTable
+        )
+        for table in tables:
+            for name, function in list(vars(table).items()):
+                if inspect.isfunction(function):
+                    monkeypatch.setattr(table, name, counting(function, "calls"))
+        steps = counting(frontier.LevelTable.steps, "levels")
+        steps = counting(steps, "windows", lambda table: len(table.level))
+        monkeypatch.setattr(frontier.LevelTable, "steps", steps)
+        monkeypatch.setattr(
+            frontier.LevelTable, "_round", counting(frontier.LevelTable._round, "rounds")
+        )
+
+        def leaves_not_run(self, table):
+            seen["leaves"] += int(np.count_nonzero(table.op))
+            return
+            yield
+
+        monkeypatch.setattr(frontier.FrontierAlgorithm, "_run_leaves", leaves_not_run)
+        monkeypatch.setattr(Rect, "__post_init__", counting(Rect.__post_init__, "rects"))
+
+        datasets = (
+            clustered(n=30000, clusters=128, seed=42, name="R"),
+            clustered(n=30000, clusters=128, seed=542, name="S"),
+        )
+        session = AdHocJoinSession(*datasets, buffer_size=100)
+        work = {}
+        for trace in (True, False):
+            seen.update(dict.fromkeys(seen, 0))
+            session.run(algorithm=algorithm, kind="distance", epsilon=0.002, trace=trace)
+            work[trace] = dict(seen)
+        for counts in work.values():
+            steps = counts["levels"] + counts["rounds"]
+            assert counts["windows"] >= 1000 and counts["windows"] >= 25 * steps, (
+                "workload too narrow to tell"
+            )
+            assert counts["leaves"] >= 500
+            # ~25-35 table calls per level, ~10 per round, whatever the width.
+            assert counts["calls"] <= 60 * steps
+        # Tracing builds one Rect per window; without it only UpJoin's rare
+        # confirmation probes build any (the leaf requests are not run here).
+        assert work[True]["rects"] >= work[True]["windows"]
+        assert work[False]["rects"] <= 4 * (work[False]["levels"] + work[False]["rounds"])

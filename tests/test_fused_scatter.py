@@ -187,6 +187,90 @@ def test_unrecoverable_fault_mid_scatter_leaves_later_shards_unbooked(endpoint):
     assert fused.channels[3].total_bytes == 0 and not fused.channels[3].log.records
 
 
+# ---------------------------------------------------------------------- #
+# windows as an (N, 4) array == the same windows as a list of Rect
+# ---------------------------------------------------------------------- #
+
+
+def _stack(topology: str):
+    """A connection of one topology, its resilience controller and the
+    backing build (for the stat-free ``evaluate_*`` endpoints)."""
+    from repro.server.remote import RemoteServer
+    from repro.server.server import SpatialServer
+
+    if topology == "plain":
+        plan = FaultPlan(seed=13, drop_rate=0.2, stall_rate=0.15, duplicate_rate=0.15)
+        resilience = ResilienceController(plan, RetryPolicy(max_attempts=8))
+        channel = Channel(NetworkConfig(), name="S")
+        resilience.register(channel)
+        server = SpatialServer(clustered(n=600, clusters=5, seed=21, std=0.05, name="S"), name="S")
+        return RemoteServer(server, channel, resilience=resilience), resilience
+    shards, replicas = {"sharded-4x4": (16, 1), "replicated": (4, 2)}[topology]
+    return _connect(shards, replicas, _plan("recoverable", shards, replicas), None)
+
+
+def _observed(proxy, resilience):
+    return {
+        "ledger": proxy.ledger_fingerprint(),
+        "snapshot": proxy.channel_snapshot(),
+        "retry": [(c.name, c.retry_bytes, c.retry_log.fingerprint()) for c in proxy.channels],
+        "stats": proxy.server_stats(),
+        "fault_events": resilience.fault_events(),
+        "summary": resilience.summary(),
+    }
+
+
+def _same_payload(got, want) -> None:
+    """Equal answers of one endpoint: counts, CSR triples, per-window
+    ``(mbrs, oids)`` pairs or a ``Prefetched``, arrays compared exactly."""
+    if hasattr(want, "bounds") and not isinstance(want, tuple):
+        got, want = ([getattr(a, name) for name in a.__slots__] for a in (got, want))
+    if isinstance(want, (list, tuple)):
+        assert type(got) is type(want) and len(got) == len(want)
+        for g, w in zip(got, want):
+            _same_payload(g, w)
+    elif isinstance(want, np.ndarray):
+        assert isinstance(got, np.ndarray) and got.shape == want.shape
+        assert np.array_equal(got, want)
+    else:
+        assert got == want
+
+
+@pytest.mark.parametrize("topology", ["plain", "sharded-4x4", "replicated"])
+def test_window_arrays_and_rect_lists_are_answered_and_booked_alike(topology):
+    """Every window-taking batch endpoint -- connection and backing build --
+    takes the frontier tables' ``(N, 4)`` array as is: same answers, server
+    statistics, both ledger lanes and drawn fault events as the ``List[Rect]``."""
+    by_list, list_res = _stack(topology)
+    by_array, array_res = _stack(topology)
+    for seed in (1, 2, 3):
+        windows, _, _ = _requests(seed)
+        rows = np.array([w.as_tuple() for w in windows])
+        for endpoint in ("count_batch", "window_batch_flat", "window_batch"):
+            _same_payload(getattr(by_array, endpoint)(rows), getattr(by_list, endpoint)(windows))
+        # The broker's path: evaluate on the build, book on the connection.
+        builds = by_array.backing_server, by_list.backing_server
+        values = [build.evaluate_count_batch(w) for build, w in zip(builds, (rows, windows))]
+        assert values[0] == values[1]
+        assert by_array.count_batch_prefetched(rows, values[0]) == by_list.count_batch_prefetched(
+            windows, values[1]
+        )
+        answers = [build.evaluate_window_batch(w) for build, w in zip(builds, (rows, windows))]
+        _same_payload(*answers)
+        _same_payload(
+            by_array.book_window_batch(rows, answers[0]),
+            by_list.book_window_batch(windows, answers[1]),
+        )
+        # No window at all is no exchange, either way.
+        assert by_array.count_batch(np.empty((0, 4))) == by_list.count_batch([]) == []
+    got, want = _observed(by_array, array_res), _observed(by_list, list_res)
+    for key in want:
+        assert got[key] == want[key], key
+    drawn = [kind for events in want["fault_events"].values() for _, kind, _ in events]
+    assert set(drawn) - {"ok"}, "the plan never bit: the case proves nothing"
+    assert want["stats"]["count_queries"] and want["stats"]["objects_returned"]
+
+
 class TestOneDescentPerScatter:
     """One batch call of the scatter proxy is one ``FlatRTree`` batch call.
 

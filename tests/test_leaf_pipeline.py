@@ -68,6 +68,15 @@ def _oracle(item, predicate):
     )
 
 
+def _per_item(result):
+    """``grid_hash_join_batch``'s ``(pairs, starts)`` block as one pair list per item."""
+    pairs, starts = result
+    assert pairs.dtype == np.int64 and pairs.ndim == 2 and pairs.shape[1] == 2
+    assert starts[0] == 0 and starts[-1] == pairs.shape[0]
+    rows = list(map(tuple, pairs.tolist()))
+    return [rows[lo:hi] for lo, hi in zip(starts.tolist(), starts.tolist()[1:])]
+
+
 def _item(na: int, nb: int, seed: int, kind: str = "boxes"):
     return (*_side(na, seed, kind), *_side(nb, seed + 1000, kind))
 
@@ -94,12 +103,12 @@ def _straddling_batch():
 @pytest.mark.parametrize("predicate", PREDICATES, ids=["intersects", "within"])
 def test_scalar_entry_is_the_one_item_batch_is_the_oracle(predicate):
     batch = _straddling_batch()
-    together = grid_hash_join_batch(batch, predicate)
+    together = _per_item(grid_hash_join_batch(batch, predicate))
     assert len(together) == len(batch)
     for item, from_batch in zip(batch, together):
         expected = _oracle(item, predicate)
         assert grid_hash_join(*item, predicate) == expected
-        assert grid_hash_join_batch([item], predicate)[0] == expected
+        assert _per_item(grid_hash_join_batch([item], predicate)) == [expected]
         assert from_batch == expected
     assert any(together) and not all(together)
 
@@ -109,14 +118,16 @@ def test_csr_form_equals_item_form(predicate):
     batch = _straddling_batch()
     csr = JoinBatch.from_items(batch)
     assert csr.a_bounds.tolist()[:4] == [0, 63, 127, 192]
-    assert grid_hash_join_batch(csr, predicate) == grid_hash_join_batch(batch, predicate)
+    assert _per_item(grid_hash_join_batch(csr, predicate)) == _per_item(
+        grid_hash_join_batch(batch, predicate)
+    )
 
 
 def test_empty_batch_and_all_dead_items():
     predicate = IntersectionPredicate()
-    assert grid_hash_join_batch([], predicate) == []
+    assert _per_item(grid_hash_join_batch([], predicate)) == []
     empty = (np.empty((0, 4)), np.empty(0, dtype=np.int64))
-    assert grid_hash_join_batch([(*empty, *_side(5, 1))], predicate) == [[]]
+    assert _per_item(grid_hash_join_batch([(*empty, *_side(5, 1))], predicate)) == [[]]
 
 
 @pytest.mark.parametrize("cells", [1, 2, 7])
@@ -132,7 +143,7 @@ def test_grid_overrides_are_per_item(cells):
         predicate,
         grids={0: (Rect(-1.0, -1.0, 2.0, 2.0), cells), 2: (None, cells)},
     )
-    assert got == expected
+    assert _per_item(got) == expected
     with pytest.raises(ValueError):
         grid_hash_join(*batch[0], predicate, cells_per_side=0)
     with pytest.raises(ValueError):
@@ -156,7 +167,7 @@ def test_grid_overrides_are_per_item(cells):
 def test_property_batch_equals_oracle(shapes, seed, eps):
     predicate = WithinDistancePredicate(eps) if eps > 0 else IntersectionPredicate()
     batch = [_item(na, nb, seed + k, kind) for k, (na, nb, kind) in enumerate(shapes)]
-    assert grid_hash_join_batch(batch, predicate) == [
+    assert _per_item(grid_hash_join_batch(batch, predicate)) == [
         _oracle(item, predicate) for item in batch
     ]
 
@@ -167,9 +178,9 @@ def test_sweep_runs_do_not_change_the_answer(monkeypatch):
 
     predicate = WithinDistancePredicate(0.03)
     batch = _straddling_batch()
-    expected = grid_hash_join_batch(batch, predicate)
+    expected = _per_item(grid_hash_join_batch(batch, predicate))
     monkeypatch.setattr(hash_join, "_SWEEP_ROWS", 50)
-    assert grid_hash_join_batch(batch, predicate) == expected
+    assert _per_item(grid_hash_join_batch(batch, predicate)) == expected
 
 
 # ---------------------------------------------------------------------- #

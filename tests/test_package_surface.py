@@ -144,6 +144,46 @@ def test_the_operators_ask_for_server_work_and_never_do_it():
             assert len(body) == 1 and isinstance(body[0], ast.Return), name
 
 
+def test_a_frontier_level_is_decided_as_a_table_never_window_by_window():
+    # The per-window decision generators (and the request / statistics
+    # objects they exchanged) moved to tests/oracles/frontier_generators.py
+    # when a level became a table of columns; nothing in the package defines
+    # or imports them again.  (``HBSJRequest`` / ``NLSJRequest`` may keep a
+    # ``Rect`` per *leaf*.)
+    moved = {"CountRequest", "QuadrantCounts", "WindowCosts", "quadrant_count_steps"}
+    offenders = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [alias.name.rsplit(".", 1)[-1] for alias in node.names]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            else:
+                continue
+            offenders += [
+                (str(path.relative_to(ROOT)), name)
+                for name in names
+                if name == "_window_steps" or name in moved
+            ]
+    assert not offenders
+    assert not (PACKAGE / "core" / "stats.py").exists()
+    # The oracle still holds them, for the suites that compare.
+    from tests.oracles import frontier_generators
+
+    assert moved <= set(frontier_generators.__all__)
+    for generator in frontier_generators.GENERATORS.values():
+        assert inspect.isgeneratorfunction(generator._window_steps)
+    # One path: a table class per algorithm, no generator beside it.
+    from repro.core.frontier import FrontierAlgorithm, LevelTable
+
+    for name, cls in ALGORITHMS.items():
+        if issubclass(cls, FrontierAlgorithm):
+            assert issubclass(cls.table, LevelTable), name
+            assert not inspect.isgeneratorfunction(cls.table.start), name
+
+
 def test_every_flat_rtree_is_built_by_the_field_constructor():
     rng = np.random.default_rng(5)
     lo = rng.random((300, 2))

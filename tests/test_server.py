@@ -175,4 +175,5 @@ class TestIndexedRemoteServer:
             (int(s_dataset.oids[i]), int(r_dataset.oids[j]))
             for i, j in zip(*np.nonzero(matrix))
         }
-        assert set(pairs) == expected
+        assert pairs.dtype == np.int64 and pairs.shape[1:] == (2,)
+        assert set(map(tuple, pairs.tolist())) == expected

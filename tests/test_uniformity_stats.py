@@ -1,14 +1,21 @@
 """Tests for the uniformity test (Eq. 9), statistics rule (Eq. 10), density
-bitmaps (Eq. 11) and quadrant-count retrieval."""
+bitmaps (Eq. 11) and quadrant-count retrieval.
+
+The shipped tests are array-valued (one verdict per window of a frontier
+level); ``TestColumnsEqualTheScalarOriginals`` holds every row of them equal
+to the one-window originals kept in ``tests/oracles/frontier_generators.py``,
+which also owns the quadrant-count generator since the level tables took
+over (``fetch_quadrant_counts`` drives it).
+"""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.costmodel import CostModel
-from repro.core.stats import estimate_quadrant_counts
 from repro.core.uniformity import (
     bitmaps_equal,
     confirms_uniformity,
@@ -23,6 +30,8 @@ from repro.network.config import NetworkConfig
 from repro.server.remote import ServerPair
 from repro.server.server import SpatialServer
 
+from tests.oracles import frontier_generators as scalar
+from tests.oracles.frontier_generators import estimate_quadrant_counts
 from tests.oracles.recursive_driver import fetch_quadrant_counts
 
 WINDOW = Rect(0.0, 0.0, 1.0, 1.0)
@@ -121,6 +130,48 @@ class TestEquation11:
         assert not bitmaps_equal((True, False, True, False), (True, True, True, False))
         with pytest.raises(ValueError):
             bitmaps_equal((True,), (True, False))
+
+
+class TestColumnsEqualTheScalarOriginals:
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.integers(min_value=1, max_value=60),
+        st.sampled_from([0.05, 0.25, 1.0]),
+        st.sampled_from([0.3, 1.0, 2.5]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_one_verdict_per_row_equal_to_the_one_window_functions(self, seed, n, alpha, rho):
+        rng = np.random.default_rng(seed)
+        lo = rng.uniform(0.0, 1.0, size=(n, 2))
+        extent = rng.uniform(0.0, 0.5, size=(n, 2)) * rng.choice([0.0, 1.0], size=(n, 2), p=[0.1, 0.9])
+        windows = np.hstack([lo, lo + extent])
+        totals = rng.integers(0, 400, size=n) * rng.choice([0, 1], size=n, p=[0.1, 0.9])
+        # Around the quarter, so both verdicts occur; zeros, fractions and
+        # negative derived counts included.
+        counts = totals[:, None] / 4.0 + rng.normal(0.0, 1.0, size=(n, 4)) * totals[:, None] * alpha
+        counts = np.where(rng.random((n, 4)) < 0.2, np.floor(counts), counts)
+        probes = counts[:, 0]
+        rects = [Rect(*row) for row in windows.tolist()]
+        quadrants = np.array([[q.as_tuple() for q in rect.quadrants()] for rect in rects])
+
+        uniform_rows = is_uniform(totals, counts, alpha)
+        confirmed = confirms_uniformity(totals, probes, alpha)
+        bits = density_bitmap(windows, quadrants, totals, counts, rho)
+        assert uniform_rows.shape == confirmed.shape == (n,) and bits.shape == (n, 4)
+        for i, rect in enumerate(rects):
+            total, row = int(totals[i]), counts[i].tolist()
+            assert uniform_rows[i] == scalar.is_uniform(total, row, alpha)
+            assert confirmed[i] == scalar.confirms_uniformity(total, row[0], alpha)
+            want = scalar.density_bitmap(rect, rect.quadrants(), total, row, rho)
+            assert tuple(bits[i].tolist()) == want
+            # ... and the one-window call of the shipped functions agrees.
+            assert is_uniform(total, row, alpha) is bool(uniform_rows[i])
+            assert density_bitmap(rect, rect.quadrants(), total, row, rho) == want
+        other = density_bitmap(windows, quadrants, totals, counts[:, ::-1], rho)
+        equal = bitmaps_equal(bits, other)
+        assert equal.tolist() == [
+            scalar.bitmaps_equal(a, b) for a, b in zip(bits.tolist(), other.tolist())
+        ]
 
 
 def _device_for(dataset_r, dataset_s, buffer_size=500) -> MobileDevice:
