@@ -14,15 +14,21 @@ import numpy as np
 
 from repro.core.costmodel import CostModel
 from repro.datasets.synthetic import clustered, uniform
+from repro.device.hbsj import HBSJColumns
+from repro.device.pda import MobileDevice
+from repro.device.steps import run_steps
+from repro.geometry import rect_array
 from repro.geometry.point import Point
 from repro.geometry.predicates import WithinDistancePredicate
 from repro.geometry.rect import Rect
 from repro.index.hash_join import grid_hash_join
-from repro.index.plane_sweep import plane_sweep_pairs
+from repro.index.plane_sweep import plane_sweep_pair_arrays_segmented, plane_sweep_pairs
 from repro.index.flat import FlatRTree
 from repro.index.aggregate_rtree import AggregateRTree
 from repro.network.config import NetworkConfig
 from repro.network.packets import transferred_bytes
+from repro.server.remote import ServerPair
+from repro.server.server import SpatialServer
 
 
 def test_bench_plane_sweep_kernel(benchmark):
@@ -31,6 +37,62 @@ def test_bench_plane_sweep_kernel(benchmark):
     predicate = WithinDistancePredicate(0.01)
     pairs = benchmark(plane_sweep_pairs, a, b, predicate)
     assert len(pairs) > 0
+
+
+def test_bench_segmented_sweep_at_workload_shape(benchmark):
+    """One sweep call as ``warm_session`` makes them (PR 23 capture: a median
+    call is ~8,100 rows in ~140-190 segments): ~170 leaf cells of clustered
+    points, each cell's R rows against the S rows of the cell grown by
+    epsilon 0.002, one segment per cell."""
+    eps = 0.002
+    r = clustered(n=20000, clusters=128, seed=41000)
+    s = clustered(n=20000, clusters=128, seed=41500)
+    cells = rect_array.subdivide_window(Rect(0.0, 0.0, 1.0, 1.0), 64).reshape(-1, 4)
+    sides = ([], []), ([], [])
+    rows = segments = 0
+    for cell in cells:
+        window = Rect(*cell.tolist())
+        mine = [
+            data.mbrs[rect_array.intersects_window(data.mbrs, grown)]
+            for data, grown in ((r, window), (s, window.expanded(eps)))
+        ]
+        if all(0 < m.shape[0] <= 60 for m in mine) and rows < 8000:
+            for (mbrs, segs), m in zip(sides, mine):
+                mbrs.append(m)
+                segs.append(np.full(m.shape[0], segments))
+            rows += sum(m.shape[0] for m in mine)
+            segments += 1
+    (a, a_seg), (b, b_seg) = ((np.vstack(m), np.concatenate(g)) for m, g in sides)
+    benchmark.extra_info.update(rows=rows, segments=segments)
+    i_idx, _ = benchmark(
+        plane_sweep_pair_arrays_segmented, a, a_seg, b, b_seg, WithinDistancePredicate(eps)
+    )
+    assert rows > 6000 and segments > 100 and i_idx.shape[0] > 0
+
+
+def test_bench_hbsj_operator_body(benchmark):
+    """The HBSJ operator over 1,000 leaves of <= 100 objects with trusted
+    counts, as a frontier level hands them over, on a primed stack: two
+    WINDOW descents, one kernel call and the operator's own bookkeeping."""
+    eps = 0.002
+    r = clustered(n=20000, clusters=128, seed=41000)
+    s = clustered(n=20000, clusters=128, seed=41500)
+    servers = ServerPair.connect(SpatialServer(r, name="R"), SpatialServer(s, name="S"))
+    device = MobileDevice(servers, buffer_size=100)
+    cells = rect_array.subdivide_window(Rect(0.0, 0.0, 1.0, 1.0), 96).reshape(-1, 4)
+    count_r = np.array(servers.r.count_batch(cells))
+    count_s = np.array(servers.s.count_batch(rect_array.expand(cells, eps)))
+    leaves = np.flatnonzero((count_r > 0) & (count_s > 0) & (count_r + count_s <= 100))[:1000]
+    requests = HBSJColumns(cells[leaves], count_r[leaves], count_s[leaves])
+    assert leaves.size == 1000
+
+    def run():
+        device.reset()
+        return run_steps(device.hbsj_steps(requests, WithinDistancePredicate(eps)), servers)
+
+    table = benchmark(run)
+    assert len(table.pairs) > 0 and table.windows_joined.sum() == 1000
+    assert device.counts.hbsj_invocations == 1000 and device.counts.count_queries == 0
 
 
 def test_bench_grid_hash_kernel(benchmark):

@@ -342,8 +342,8 @@ class MobileJoinAlgorithm(ABC):
             count_r=count_r if counts_exact else None,
             count_s=count_s if counts_exact else None,
         )
-        (result,) = yield from self.device.hbsj_steps([request], self.predicate)
-        self._pairs.extend(result.pairs)
+        table = yield from self.device.hbsj_steps([request], self.predicate)
+        self._pairs.extend(table.pairs)
 
     def apply_hbsj(self, window: Rect, depth: int, *counts, **options) -> None:
         """:meth:`hbsj_steps` driven through the query's own connections."""

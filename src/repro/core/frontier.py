@@ -63,8 +63,8 @@ import numpy as np
 
 from repro.core.base import MobileJoinAlgorithm
 from repro.core.result import TraceEvent
-from repro.device.hbsj import HBSJRequest
-from repro.device.nlsj import NLSJRequest
+from repro.device.hbsj import UNKNOWN, HBSJColumns
+from repro.device.nlsj import NLSJColumns
 from repro.device.steps import COUNT, Request, Steps
 from repro.geometry import rect_array
 from repro.geometry.rect import Rect
@@ -478,7 +478,7 @@ class FrontierAlgorithm(MobileJoinAlgorithm):
     def _run_leaves(self, table: LevelTable) -> Steps:
         """Execute the level's physical-operator leaves through the batch
         operators: one batched download / probe / kernel pipeline per
-        operator kind instead of one device call per window."""
+        operator kind, fed the table's own columns -- no object per leaf."""
         hbsj, nlsj = np.flatnonzero(table.op == HBSJ), np.flatnonzero(table.op == NLSJ)
         if not hbsj.size and not nlsj.size:
             return
@@ -498,26 +498,22 @@ class FrontierAlgorithm(MobileJoinAlgorithm):
             # COUNTs -- the paper's "issue additional aggregate queries only
             # when accuracy is crucial, i.e. when applying the physical
             # operators".
-            requests = [
-                HBSJRequest(window, count_r, count_s) if exact else HBSJRequest(window)
-                for window, count_r, count_s, exact in zip(
-                    table.rects(hbsj),
-                    table.int_r[hbsj].tolist(),
-                    table.int_s[hbsj].tolist(),
-                    table.counts_exact[hbsj].tolist(),
-                )
-            ]
-            for result in (yield from self.device.hbsj_steps(requests, self.predicate)):
-                self._pairs.extend(result.pairs)
-        if nlsj.size:
-            requests = [
-                NLSJRequest(window, "S" if outer_s else "R")
-                for window, outer_s in zip(table.rects(nlsj), table.outer_s[nlsj].tolist())
-            ]
-            results = yield from self.device.nlsj_steps(
-                requests, self.predicate, bucket=self.params.bucket_queries
+            exact = table.counts_exact[hbsj]
+            found = yield from self.device.hbsj_steps(
+                HBSJColumns(
+                    table.windows[hbsj],
+                    np.where(exact, table.int_r[hbsj], UNKNOWN),
+                    np.where(exact, table.int_s[hbsj], UNKNOWN),
+                ),
+                self.predicate,
             )
-            for result in results:
-                self._pairs.extend(result.pairs)
+            self._pairs.extend(found.pairs)
+        if nlsj.size:
+            found = yield from self.device.nlsj_steps(
+                NLSJColumns(table.windows[nlsj], table.outer_s[nlsj]),
+                self.predicate,
+                bucket=self.params.bucket_queries,
+            )
+            self._pairs.extend(found.pairs)
         if leaves_span is not None:
             leaves_span.close(sim=self.device.sim_now())

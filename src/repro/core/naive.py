@@ -123,5 +123,5 @@ class FixedGridJoin(MobileJoinAlgorithm):
     def _join_cells(self, requests) -> Steps:
         """Join the surviving cells through one batched HBSJ pipeline: the
         same downloads and counters as one operator call per cell."""
-        for result in (yield from self.device.hbsj_steps(requests, self.predicate)):
-            self._pairs.extend(result.pairs)
+        table = yield from self.device.hbsj_steps(requests, self.predicate)
+        self._pairs.extend(table.pairs)

@@ -10,15 +10,18 @@ can verify the constraint was never violated.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List
+from typing import Dict
 
-from repro.errors import InvalidInput
+import numpy as np
+
+from repro.errors import InvalidInput, ReproError
 
 __all__ = ["DeviceBuffer", "BufferExceededError"]
 
 
-class BufferExceededError(RuntimeError):
-    """Raised when an operator tries to hold more objects than the buffer allows."""
+class BufferExceededError(ReproError, RuntimeError):
+    """Raised when an operator tries to hold more objects than the buffer
+    allows (typed: in a broker wave it fails that query, not the batch)."""
 
 
 @dataclass
@@ -34,7 +37,9 @@ class DeviceBuffer:
     capacity: int
     used: int = 0
     high_water_mark: int = 0
-    _allocations: List[int] = field(default_factory=list, repr=False)
+    #: Live allocations by token; a released token's slot is reclaimed.
+    _allocations: Dict[int, int] = field(default_factory=dict, repr=False)
+    _next_token: int = field(default=0, repr=False)
 
     def __post_init__(self) -> None:
         if self.capacity < 1:
@@ -63,24 +68,41 @@ class DeviceBuffer:
             the buffer constraint honest in the face of estimation errors.
         """
         if not self.can_fit(num_objects):
-            raise BufferExceededError(
-                f"cannot hold {num_objects} more objects: "
-                f"{self.used}/{self.capacity} slots already used"
-            )
+            raise self._exceeded(num_objects)
         self.used += num_objects
         self.high_water_mark = max(self.high_water_mark, self.used)
-        self._allocations.append(num_objects)
-        return len(self._allocations) - 1
+        token = self._next_token
+        self._next_token += 1
+        self._allocations[token] = num_objects
+        return token
 
     def release(self, token: int) -> None:
-        """Release a previous allocation by token."""
-        if not 0 <= token < len(self._allocations):
+        """Release a previous allocation by token (a second release is a no-op)."""
+        if not 0 <= token < self._next_token:
             raise ValueError(f"unknown allocation token {token}")
-        amount = self._allocations[token]
-        if amount == 0:
+        self.used -= self._allocations.pop(token, 0)
+
+    def hold_in_turn(self, sizes: np.ndarray) -> None:
+        """Hold ``sizes[0]`` objects, release them, hold ``sizes[1]``, ...
+
+        The accounting of one operator level in one call: the overflow
+        condition, the error and the :attr:`high_water_mark` are those of an
+        :meth:`allocate` / :meth:`release` pair per entry, in order.
+        """
+        if not sizes.shape[0]:
             return
-        self.used -= amount
-        self._allocations[token] = 0
+        over = self.used + sizes > self.capacity
+        if over.any():
+            first = int(over.argmax())
+            self.hold_in_turn(sizes[:first])
+            raise self._exceeded(int(sizes[first]))
+        self.high_water_mark = max(self.high_water_mark, self.used + int(sizes.max()))
+
+    def _exceeded(self, num_objects: int) -> BufferExceededError:
+        return BufferExceededError(
+            f"cannot hold {num_objects} more objects: "
+            f"{self.used}/{self.capacity} slots already used"
+        )
 
     def release_all(self) -> None:
         """Drop every allocation (end of an operator invocation)."""

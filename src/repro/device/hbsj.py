@@ -17,14 +17,14 @@ result set deduplicates pairs rediscovered by neighbouring cells.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from dataclasses import dataclass, field, fields
+from typing import List, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.device.buffer import DeviceBuffer
-from repro.device.nlsj import NLSJRequest, nested_loop_spatial_join_steps
-from repro.device.steps import COUNT, WINDOW, Request, Steps, run_steps
+from repro.device.nlsj import NLSJColumns, nested_loop_spatial_join_steps
+from repro.device.steps import COUNT, WINDOW, OperatorTable, Request, Steps, run_steps
 from repro.geometry import rect_array
 from repro.geometry.predicates import JoinPredicate
 from repro.geometry.rect import Rect
@@ -33,8 +33,11 @@ from repro.index.pairs import PairBlocks
 from repro.server.remote import ServerPair
 
 __all__ = [
+    "HBSJColumns",
     "HBSJRequest",
     "HBSJResult",
+    "HBSJTable",
+    "UNKNOWN",
     "hash_based_spatial_join",
     "hash_based_spatial_join_batch",
     "hash_based_spatial_join_steps",
@@ -45,6 +48,8 @@ __all__ = [
 #: small for further partitioning to separate data, the operator falls back
 #: to buffer-friendly nested-loop probing instead of splitting forever.
 MAX_RECURSION_DEPTH = 16
+#: The "not known" mark of a count column: the operator issues its own COUNT.
+UNKNOWN = -1
 
 
 @dataclass(frozen=True)
@@ -85,6 +90,44 @@ class HBSJResult:
         self.nlsj_fallbacks += other.nlsj_fallbacks
 
 
+class HBSJColumns(NamedTuple):
+    """Many HBSJ invocations as columns: what the operator body runs on."""
+
+    #: ``(N, 4)`` windows.
+    windows: np.ndarray
+    #: ``(N,)`` ``int64`` trusted counts (R over the window, S over the
+    #: margin-expanded window); :data:`UNKNOWN` where there is none.
+    count_r: np.ndarray
+    count_s: np.ndarray
+
+    @classmethod
+    def of(cls, requests: "HBSJRequests") -> "HBSJColumns":
+        """The columns of a request list (columns pass through)."""
+        if isinstance(requests, cls):
+            return requests
+
+        def column(counts) -> np.ndarray:
+            return np.array([UNKNOWN if c is None else c for c in counts], dtype=np.int64)
+
+        return cls(
+            rect_array.rects_to_array([req.window for req in requests]),
+            column(req.count_r for req in requests),
+            column(req.count_s for req in requests),
+        )
+
+
+HBSJRequests = Union[HBSJColumns, Sequence[HBSJRequest]]
+
+
+class HBSJTable(OperatorTable):
+    """The outcomes of many HBSJ invocations; a ``Sequence[HBSJResult]``."""
+
+    counters = tuple(f.name for f in fields(HBSJResult))[1:]  # all but ``pairs``
+
+    def result(self, i: int, pairs, **counters: int) -> HBSJResult:
+        return HBSJResult(pairs, **counters)
+
+
 def hash_based_spatial_join(
     servers: ServerPair,
     window: Rect,
@@ -119,154 +162,123 @@ def hash_based_spatial_join(
 
 def hash_based_spatial_join_batch(
     servers: ServerPair,
-    requests: Sequence[HBSJRequest],
+    requests: HBSJRequests,
     predicate: JoinPredicate,
     buffer: DeviceBuffer,
 ) -> List[HBSJResult]:
     """Execute many HBSJ invocations: :func:`hash_based_spatial_join_steps`
     driven through the query's own connections."""
-    return run_steps(hash_based_spatial_join_steps(requests, predicate, buffer), servers)
-
-
-class _Cell:
-    """One window of the operator's worklist."""
-
-    __slots__ = ("idx", "window", "count_r", "count_s", "depth")
-
-    def __init__(
-        self,
-        idx: int,
-        window: Rect,
-        count_r: Optional[int],
-        count_s: Optional[int],
-        depth: int,
-    ) -> None:
-        self.idx = idx  # the request this window belongs to
-        self.window = window
-        self.count_r = count_r
-        self.count_s = count_s
-        self.depth = depth
+    return list(run_steps(hash_based_spatial_join_steps(requests, predicate, buffer), servers))
 
 
 def hash_based_spatial_join_steps(
-    requests: Sequence[HBSJRequest], predicate: JoinPredicate, buffer: DeviceBuffer
+    requests: HBSJRequests, predicate: JoinPredicate, buffer: DeviceBuffer
 ) -> Steps:
     """The HBSJ operator for many invocations, as a step generator.
 
-    Per-request results (pairs and all counters) and the wire bytes are
-    those of running the requests one at a time (pinned against the
-    depth-first ``tests/oracles/operators_scalar.py``): the operator's
-    internal quadrant recursion is processed as a frontier, so the
-    feasibility COUNTs of every active window travel in one step, the
-    quadrant-split COUNTs and the window downloads of a recursion level in
-    the next (one request per server and kind; see
-    :mod:`repro.device.steps`), and the in-memory joins of all
-    buffer-feasible windows collapse into a single segmented grid-hash
-    kernel call.  Returns the ``List[HBSJResult]``.
+    ``requests`` is a request list or :class:`HBSJColumns`; the body runs on
+    the columns and returns an :class:`HBSJTable`.  Per-invocation results
+    and the wire bytes are those of running the invocations one at a time
+    (pinned against the depth-first ``tests/oracles/operators_scalar.py``).
+    The quadrant recursion is a frontier whose worklist is columns -- the
+    ``(C, 4)`` cells of a depth, the invocation each belongs to (ascending)
+    and their two counts: the feasibility COUNTs of every active cell travel
+    in one step, the quadrant-split COUNTs and the downloads of a level in
+    the next (one request per server and kind; :mod:`repro.device.steps`),
+    the prune / join / split / fallback classes are masks, and the joins of
+    all buffer-feasible cells are one segmented grid-hash kernel call whose
+    block is kept whole.
     """
+    cells, count_r, count_s = HBSJColumns.of(requests)
+    table = HBSJTable(cells.shape[0])
+    owner = np.arange(table.n, dtype=np.intp)
+    count_r, count_s = count_r.copy(), count_s.copy()
     margin = predicate.window_margin
 
-    def ask(kind, cells: List[_Cell], sides=(0, 1)) -> List[Request]:
-        """One request per side over the cells: R is asked for the raw
-        ``(N, 4)`` rows, S for the rows grown by the margin."""
-        rows = rect_array.rects_to_array([cell.window for cell in cells])
-        both = rows, rect_array.expand(rows, margin)
-        return [Request(kind, "RS"[side], (both[side],)) for side in sides]
-
-    results = [HBSJResult() for _ in requests]
-    cells = [
-        _Cell(i, req.window, req.count_r, req.count_s, 0) for i, req in enumerate(requests)
-    ]
-    while cells:
-        # Resolve missing feasibility counts: one COUNT request per server.
-        step, asked = [], []
-        for side, count in enumerate(("count_r", "count_s")):
-            need = [cell for cell in cells if getattr(cell, count) is None]
-            if need:
-                step += ask(COUNT, need, (side,))
-                asked.append((count, need))
+    depth = 0
+    while cells.shape[0]:
+        # Resolve missing feasibility counts: one COUNT request per server
+        # (R is asked for the raw rows, S for the rows grown by the margin).
+        need_r, need_s = np.flatnonzero(count_r == UNKNOWN), np.flatnonzero(count_s == UNKNOWN)
+        step = []
+        if need_r.size:
+            step.append(Request(COUNT, "R", (cells[need_r],)))
+        if need_s.size:
+            step.append(Request(COUNT, "S", (rect_array.expand(cells[need_s], margin),)))
         if step:
-            for (count, need), values in zip(asked, (yield step)):
-                for cell, value in zip(need, values):
-                    setattr(cell, count, int(value))
-                    results[cell.idx].count_queries += 1
+            answers = iter((yield step))
+            for need, counts in ((need_r, count_r), (need_s, count_s)):
+                if need.size:
+                    counts[need] = next(answers)
+                    np.add.at(table.count_queries, owner[need], 1)
 
-        joins: List[_Cell] = []
-        splits: List[_Cell] = []
-        fallbacks: List[_Cell] = []
-        for cell in cells:
-            if cell.count_r == 0 or cell.count_s == 0:
-                results[cell.idx].windows_pruned += 1
-            elif cell.count_r + cell.count_s <= buffer.capacity:
-                joins.append(cell)
-            elif cell.depth >= MAX_RECURSION_DEPTH or _too_small_to_split(cell.window, margin):
-                fallbacks.append(cell)
-            else:
-                splits.append(cell)
+        empty = (count_r == 0) | (count_s == 0)
+        fits = ~empty & (count_r + count_s <= buffer.capacity)
+        over = ~empty & ~fits
+        stuck = over & _unsplittable(cells, margin, depth)
+        joins, splits, fallbacks = (np.flatnonzero(m) for m in (fits, over & ~stuck, stuck))
+        np.add.at(table.windows_pruned, owner[empty], 1)
 
         # One step for the level: the per-quadrant feasibility COUNTs of
-        # every splitting window, then the downloads of every feasible one.
+        # every splitting cell, then the downloads of every feasible one.
         step = []
-        if splits:
-            children = [
-                _Cell(cell.idx, quadrant, None, None, cell.depth + 1)
-                for cell in splits
-                for quadrant in cell.window.quadrants()
-            ]
-            step += ask(COUNT, children)
-        if joins:
-            step += ask(WINDOW, joins)
+        if splits.size:
+            children = rect_array.quadrant_cells(cells[splits]).reshape(-1, 4)
+            step += _both_sides(COUNT, children, margin)
+        if joins.size:
+            step += _both_sides(WINDOW, cells[joins], margin)
         answers = (yield step) if step else []
 
-        cells = []
-        if splits:
-            counts_r, counts_s, *answers = answers
-            for cell in splits:
-                results[cell.idx].recursive_splits += 1
-                results[cell.idx].count_queries += 8
-            for child, count_r, count_s in zip(children, counts_r, counts_s):
-                child.count_r, child.count_s = int(count_r), int(count_s)
-            cells = children
-
-        # Feasible windows arrive in CSR form, which is what the batch
-        # kernel joins -- no per-window split.
-        if joins:
-            flat_r, flat_s = answers
+        # Feasible cells arrive in CSR form, which is what the batch kernel
+        # joins -- no per-cell split, and its block is kept as it is.
+        if joins.size:
+            flat_r, flat_s = answers[-2:]
             pairs, starts = grid_hash_join_batch(JoinBatch(*flat_r, *flat_s), predicate)
-            got_r = np.diff(flat_r[2]).tolist()
-            got_s = np.diff(flat_s[2]).tolist()
-            starts = starts.tolist()
-            for cell, n_r, n_s, lo, hi in zip(joins, got_r, got_s, starts, starts[1:]):
-                result = results[cell.idx]
-                result.objects_downloaded_r += n_r
-                result.objects_downloaded_s += n_s
-                token = buffer.allocate(n_r + n_s)
-                try:
-                    if hi > lo:
-                        result.pairs.extend(pairs[lo:hi])
-                    result.windows_joined += 1
-                finally:
-                    buffer.release(token)
+            got_r, got_s = np.diff(flat_r[2]), np.diff(flat_s[2])
+            mine = owner[joins]
+            np.add.at(table.objects_downloaded_r, mine, got_r)
+            np.add.at(table.objects_downloaded_s, mine, got_s)
+            np.add.at(table.windows_joined, mine, 1)
+            buffer.hold_in_turn(got_r + got_s)
+            table.add_pairs(pairs, np.repeat(mine, np.diff(starts)))
 
-        # Un-splittable over-budget windows: finish with batched NLSJ.
-        if fallbacks:
-            sub_results = yield from nested_loop_spatial_join_steps(
-                [NLSJRequest(window=cell.window, outer="R") for cell in fallbacks],
+        # Un-splittable over-budget cells: finish with batched NLSJ (outer R).
+        if fallbacks.size:
+            probed = yield from nested_loop_spatial_join_steps(
+                NLSJColumns(cells[fallbacks], np.zeros(fallbacks.size, dtype=bool)),
                 predicate,
                 buffer,
                 bucket=False,
             )
-            for cell, nlsj in zip(fallbacks, sub_results):
-                result = results[cell.idx]
-                result.pairs.extend(nlsj.pairs)
-                result.nlsj_fallbacks += 1
-                result.objects_downloaded_r += nlsj.outer_objects
-                result.objects_downloaded_s += nlsj.inner_objects_received
-    return results
+            mine = owner[fallbacks]
+            np.add.at(table.nlsj_fallbacks, mine, 1)
+            np.add.at(table.objects_downloaded_r, mine, probed.outer_objects)
+            np.add.at(table.objects_downloaded_s, mine, probed.inner_objects_received)
+            for pairs, sub in zip(probed.pairs.blocks, probed.owners):
+                table.add_pairs(pairs, mine[sub])
+
+        if not splits.size:
+            break
+        np.add.at(table.recursive_splits, owner[splits], 1)
+        np.add.at(table.count_queries, owner[splits], 8)
+        cells, owner = children, np.repeat(owner[splits], 4)
+        count_r, count_s = (np.asarray(answer, dtype=np.int64) for answer in answers[:2])
+        depth += 1
+    return table
 
 
-def _too_small_to_split(window: Rect, margin: float) -> bool:
-    """True when child cells would be dominated by the S-side expansion."""
+def _both_sides(kind, rows: np.ndarray, margin: float) -> List[Request]:
+    """One request per server over the rows: R raw, S grown by the margin."""
+    return [Request(kind, "R", (rows,)), Request(kind, "S", (rect_array.expand(rows, margin),))]
+
+
+def _unsplittable(cells: np.ndarray, margin: float, depth: int) -> np.ndarray:
+    """Where splitting cannot shrink the working set: the recursion is at
+    its depth limit, or child cells would be dominated by the S-side
+    expansion (``True`` per cell; the fallback is NLSJ probing)."""
+    if depth >= MAX_RECURSION_DEPTH:
+        return np.ones(cells.shape[0], dtype=bool)
     if margin <= 0:
-        return False
-    return min(window.width, window.height) / 2.0 <= 2.0 * margin
+        return np.zeros(cells.shape[0], dtype=bool)
+    extent = np.minimum(cells[:, 2] - cells[:, 0], cells[:, 3] - cells[:, 1])
+    return extent / 2.0 <= 2.0 * margin

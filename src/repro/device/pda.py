@@ -14,8 +14,20 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.device.buffer import DeviceBuffer
-from repro.device.hbsj import HBSJRequest, HBSJResult, hash_based_spatial_join_steps
-from repro.device.nlsj import NLSJRequest, NLSJResult, nested_loop_spatial_join_steps
+from repro.device.hbsj import (
+    HBSJColumns,
+    HBSJRequest,
+    HBSJRequests,
+    HBSJResult,
+    hash_based_spatial_join_steps,
+)
+from repro.device.nlsj import (
+    NLSJColumns,
+    NLSJRequest,
+    NLSJRequests,
+    NLSJResult,
+    nested_loop_spatial_join_steps,
+)
 from repro.device.steps import Steps, run_steps
 from repro.geometry.predicates import JoinPredicate
 from repro.geometry.rect import Rect
@@ -165,42 +177,38 @@ class MobileDevice:
         """Run nested-loop spatial join on a window: a batch of one."""
         return self.nlsj_batch([NLSJRequest(window, outer)], predicate, bucket=bucket)[0]
 
-    def hbsj_batch(
-        self, requests: Sequence[HBSJRequest], predicate: JoinPredicate
-    ) -> List[HBSJResult]:
+    def hbsj_batch(self, requests: HBSJRequests, predicate: JoinPredicate) -> List[HBSJResult]:
         """Run many HBSJ invocations: :meth:`hbsj_steps` on this device's connections."""
-        return run_steps(self.hbsj_steps(requests, predicate), self.servers)
+        return list(run_steps(self.hbsj_steps(requests, predicate), self.servers))
 
     def nlsj_batch(
-        self,
-        requests: Sequence[NLSJRequest],
-        predicate: JoinPredicate,
-        bucket: bool = False,
+        self, requests: NLSJRequests, predicate: JoinPredicate, bucket: bool = False
     ) -> List[NLSJResult]:
         """Run many NLSJ invocations: :meth:`nlsj_steps` on this device's connections."""
-        return run_steps(self.nlsj_steps(requests, predicate, bucket=bucket), self.servers)
+        return list(run_steps(self.nlsj_steps(requests, predicate, bucket=bucket), self.servers))
 
-    def hbsj_steps(self, requests: Sequence[HBSJRequest], predicate: JoinPredicate) -> Steps:
-        """Many HBSJ invocations as a step generator (:mod:`repro.device.steps`).
+    def hbsj_steps(self, requests: HBSJRequests, predicate: JoinPredicate) -> Steps:
+        """Many HBSJ invocations (a request list or :class:`HBSJColumns`) as a
+        step generator (:mod:`repro.device.steps`).
 
-        Books one invocation per request and merges every request's
-        count / prune counters into the device's; returns the results.
+        Books one invocation per request and adds their count / prune
+        counters to the device's; returns the operator's
+        :class:`~repro.device.hbsj.HBSJTable`.
         """
-        self.counts.hbsj_invocations += len(requests)
-        results = yield from hash_based_spatial_join_steps(requests, predicate, self.buffer)
-        for result in results:
-            self.counts.count_queries += result.count_queries
-            self.counts.windows_pruned += result.windows_pruned
-        return results
+        requests = HBSJColumns.of(requests)
+        self.counts.hbsj_invocations += requests.windows.shape[0]
+        table = yield from hash_based_spatial_join_steps(requests, predicate, self.buffer)
+        self.counts.count_queries += int(table.count_queries.sum())
+        self.counts.windows_pruned += int(table.windows_pruned.sum())
+        return table
 
     def nlsj_steps(
-        self,
-        requests: Sequence[NLSJRequest],
-        predicate: JoinPredicate,
-        bucket: bool = False,
+        self, requests: NLSJRequests, predicate: JoinPredicate, bucket: bool = False
     ) -> Steps:
-        """Many NLSJ invocations as a step generator; returns the results."""
-        self.counts.nlsj_invocations += len(requests)
+        """Many NLSJ invocations (a request list or :class:`NLSJColumns`) as a
+        step generator; returns the operator's :class:`~repro.device.nlsj.NLSJTable`."""
+        requests = NLSJColumns.of(requests)
+        self.counts.nlsj_invocations += requests.windows.shape[0]
         return (
             yield from nested_loop_spatial_join_steps(
                 requests, predicate, self.buffer, bucket=bucket

@@ -28,8 +28,12 @@ statistics and fault streams cannot tell the drivers apart.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from typing import Generator, List, NamedTuple, Tuple
 
+import numpy as np
+
+from repro.index.pairs import PairBlocks
 from repro.server.remote import ServerPair
 
 __all__ = [
@@ -38,6 +42,7 @@ __all__ = [
     "RANGE",
     "WINDOW",
     "Kind",
+    "OperatorTable",
     "Request",
     "Step",
     "Steps",
@@ -82,6 +87,54 @@ class Request(NamedTuple):
 Step = List[Request]
 #: A step generator: yields steps, receives their answers, returns its result.
 Steps = Generator[Step, list, object]
+
+
+class OperatorTable(Sequence):
+    """What a batched operator returns: its invocations' outcomes, as columns.
+
+    One ``int64`` column per name in :attr:`counters` (row ``i`` is
+    invocation ``i``) and :attr:`pairs`, the blocks as the kernels produced
+    them -- what an algorithm keeps.  Row ``k`` of a block was found by
+    invocation ``owner[k]``, owners ascending, so an invocation's share is
+    one slice of every block; it is cut, and the invocation's result object
+    built, only for whoever indexes or iterates the table (a ``Sequence`` of
+    them, equal to the list): the one-request API and the tests.
+    """
+
+    counters: Tuple[str, ...] = ()
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+        self.pairs = PairBlocks()
+        #: Parallel to ``pairs.blocks``: the invocation of every row.
+        self.owners: List[np.ndarray] = []
+        for name in self.counters:
+            setattr(self, name, np.zeros(n, dtype=np.int64))
+
+    def add_pairs(self, pairs: np.ndarray, owner: np.ndarray) -> None:
+        if pairs.shape[0]:
+            self.pairs.blocks.append(pairs)
+            self.owners.append(owner)
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, i: int):
+        """Invocation ``i``'s result object (``self.result`` builds it)."""
+        if not -self.n <= i < self.n:
+            raise IndexError(i)
+        i %= self.n
+        mine = PairBlocks()
+        for pairs, owner in zip(self.pairs.blocks, self.owners):
+            lo, hi = np.searchsorted(owner, (i, i + 1)).tolist()
+            if hi > lo:
+                mine.blocks.append(pairs[lo:hi])
+        return self.result(i, mine, **{name: int(getattr(self, name)[i]) for name in self.counters})
+
+    def __eq__(self, other) -> bool:
+        return list(self) == list(other)
+
+    __hash__ = None  # type: ignore[assignment]
 
 
 def answer_step(servers: ServerPair, step: Step) -> list:

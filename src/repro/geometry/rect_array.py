@@ -174,8 +174,8 @@ def expand_index_ranges(
         empty = np.empty(0, dtype=np.intp)
         return empty, empty
     row = np.repeat(np.arange(starts.shape[0], dtype=np.intp), counts)
-    offs = np.cumsum(counts) - counts
-    idx = np.arange(total, dtype=np.intp) - np.repeat(offs, counts) + np.repeat(starts, counts)
+    idx = np.arange(total, dtype=np.intp)
+    idx += (starts - (np.cumsum(counts) - counts))[row]
     return row, idx
 
 

@@ -16,17 +16,18 @@ total object-MBR area.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.errors import InvalidInput
 from repro.geometry import rect_array
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.geometry.rect_array import Windows
 from repro.index.flat import FlatRTree
 
-__all__ = ["AggregateRTree", "probe_arrays"]
+__all__ = ["AggregateRTree", "Probes", "bucket_probe_arrays", "probe_arrays"]
 
 
 class AggregateRTree:
@@ -177,14 +178,12 @@ class AggregateRTree:
         """The entry rows :meth:`range_query` matched (see :meth:`entries_at`)."""
         return self._flat.range_rows(center, epsilon)
 
-    def range_query_batch(
-        self, centers: Sequence[Point], radii: Sequence[float]
-    ) -> List[np.ndarray]:
+    def range_query_batch(self, centers: "Probes", radii: Sequence[float]) -> List[np.ndarray]:
         """One ``int64`` oid array per probe, from one frontier traversal."""
         return self._flat.range_batch(*probe_arrays(centers, radii))
 
     def range_query_batch_flat(
-        self, centers: Sequence[Point], radii: Sequence[float]
+        self, centers: "Probes", radii: Sequence[float]
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Batched range queries in CSR ``(bounds, rows)`` form (see :meth:`entries_at`)."""
         return self._flat.range_batch_flat(*probe_arrays(centers, radii))
@@ -226,16 +225,42 @@ class AggregateRTree:
         return sum(self._total_area(int(kid), window) for kid in kids)
 
 
-def probe_arrays(
-    centers: Sequence[Point], radii: Sequence[float]
+Probes = Union[Sequence[Point], np.ndarray]
+
+
+def probe_arrays(centers: Probes, radii: Sequence[float]) -> Tuple[np.ndarray, np.ndarray]:
+    """Range probes as the ``(P, 2)`` centre / ``(P,)`` radius arrays the index takes.
+
+    ``centers`` is a sequence of :class:`Point` or already the ``(P, 2)``
+    array: every probe-taking endpoint accepts either and converts here,
+    once, at its boundary -- which is also where probes are checked, before
+    anything is answered, metered or booked.  A negative or non-finite radius
+    (``nan`` would match nothing, ``inf`` everything) or a non-finite centre
+    is :class:`~repro.errors.InvalidInput`.
+    """
+    if isinstance(centers, np.ndarray):
+        pts = centers.reshape(-1, 2)
+    else:
+        pts = np.array([(p.x, p.y) for p in centers], dtype=np.float64).reshape(-1, 2)
+    reach = np.asarray(radii, dtype=np.float64)
+    if reach.shape != (pts.shape[0],):
+        raise InvalidInput("radii must be parallel to centers")
+    if (reach < 0).any():
+        raise InvalidInput("epsilon must be non-negative")
+    if not (np.isfinite(reach).all() and np.isfinite(pts).all()):
+        raise InvalidInput("range probes need finite centres and radii")
+    return pts, reach
+
+
+def bucket_probe_arrays(
+    centers: Probes, epsilon: float, radii: Optional[Sequence[float]]
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Range probes as the ``(P, 2)`` centre / ``(P,)`` radius arrays the index takes."""
-    if len(centers) != len(radii):
-        raise ValueError("radii must be parallel to centers")
-    if any(r < 0 for r in radii):
-        raise ValueError("epsilon must be non-negative")
-    pts = np.array([(p.x, p.y) for p in centers], dtype=np.float64).reshape(-1, 2)
-    return pts, np.asarray(radii, dtype=np.float64)
+    """The probes of one bucket query as checked arrays (:func:`probe_arrays`);
+    ``epsilon``, the bucket's own radius, is every probe's when ``radii`` is ``None``."""
+    if not len(centers):
+        raise InvalidInput("bucket_range needs at least one probe point")
+    probe_arrays(centers[:1], [epsilon])
+    return probe_arrays(centers, np.full(len(centers), epsilon) if radii is None else radii)
 
 
 def _sequential_sums(

@@ -146,15 +146,23 @@ def grid_hash_join_batch(
     item_a, row_a = expand_index_ranges(batch.a_bounds[live], batch.a_bounds[live + 1])
     item_b, row_b = expand_index_ranges(batch.b_bounds[live], batch.b_bounds[live + 1])
     hashed = (n_a + n_b)[live] > _GRID_FREE_MAX
-    hashed[np.isin(live, list(grids))] = True  # an asked-for grid is built
+    if grids:
+        hashed[np.isin(live, list(grids))] = True  # an asked-for grid is built
     in_grid = np.flatnonzero(hashed)
     grid_a, grid_b = np.flatnonzero(hashed[item_a]), np.flatnonzero(hashed[item_b])
     whole_a, whole_b = np.flatnonzero(~hashed[item_a]), np.flatnonzero(~hashed[item_b])
+    # Rows are gathered as column takes (the batch endpoints' payloads have
+    # contiguous columns): ``mbrs[at]``, laid out as the hash stage and the
+    # sweep read it.
+    a_cols, b_cols = np.ascontiguousarray(batch.a_mbrs.T), np.ascontiguousarray(batch.b_mbrs.T)
+
+    def rows(cols: np.ndarray, at: np.ndarray) -> np.ndarray:
+        return cols.take(at, axis=1).T
 
     pos_a, seg_a, pos_b, seg_b, bucket_item = _bucket_segments(
-        batch.a_mbrs[row_a[grid_a]],
+        rows(a_cols, row_a[grid_a]),
         n_a[live[in_grid]],
-        batch.b_mbrs[row_b[grid_b]],
+        rows(b_cols, row_b[grid_b]),
         n_b[live[in_grid]],
         predicate,
         {k: grids[item] for k, item in enumerate(live[in_grid].tolist()) if item in grids},
@@ -168,7 +176,7 @@ def grid_hash_join_batch(
     seg_b = np.concatenate([seg_b, n_buckets + item_b[whole_b]])
     seg_item = np.concatenate([in_grid[bucket_item], np.arange(live.shape[0])])
     i_idx, j_idx = _sweep_in_runs(
-        batch.a_mbrs[rows_a], seg_a, batch.b_mbrs[rows_b], seg_b, seg_item.shape[0], predicate
+        rows(a_cols, rows_a), seg_a, rows(b_cols, rows_b), seg_b, seg_item.shape[0], predicate
     )
     owner = live[seg_item[seg_a[i_idx]]]
     a_oid = np.asarray(batch.a_oids, dtype=np.int64)[rows_a[i_idx]]
@@ -285,18 +293,22 @@ def _bucket_segments(
             + ix0[obj]
             + rank % span
         )
+        # The one sort of the hash stage; the occupied cells are where the
+        # sorted ids change.
         order = np.argsort(cell, kind="stable")
-        cells, first = np.unique(cell[order], return_index=True)
-        return cells, np.append(first, cell.shape[0]), obj[order]
+        cell = cell[order]
+        first = np.flatnonzero(np.concatenate(([True], cell[1:] != cell[:-1])))
+        return cell[first], np.append(first, cell.shape[0]), obj[order]
 
     cells_a, starts_a, objs_a = hash_rows(a_all, n_a, 0.0)
     cells_b, starts_b, objs_b = hash_rows(b_all, n_b, eps)
-    # Items never share a cell id (disjoint id ranges), so one global
-    # intersection matches the occupied buckets of every item at once.
-    common, pos_a, pos_b = np.intersect1d(
-        cells_a, cells_b, assume_unique=True, return_indices=True
-    )
+    # Items never share a cell id (disjoint id ranges), so one global match
+    # of the two ascending id lists pairs the occupied buckets of every item.
+    pos_b = np.searchsorted(cells_b, cells_a)
+    pos_b[pos_b == cells_b.shape[0]] = 0
+    pos_a = np.flatnonzero(cells_b[pos_b] == cells_a)
+    pos_b = pos_b[pos_a]
     bucket_a, idx_a = expand_index_ranges(starts_a[pos_a], starts_a[pos_a + 1])
     bucket_b, idx_b = expand_index_ranges(starts_b[pos_b], starts_b[pos_b + 1])
-    bucket_item = np.searchsorted(cell_base, common, side="right") - 1
+    bucket_item = np.searchsorted(cell_base, cells_a[pos_a], side="right") - 1
     return objs_a[idx_a], bucket_a, objs_b[idx_b], bucket_b, bucket_item

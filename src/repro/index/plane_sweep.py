@@ -12,11 +12,12 @@ and epsilon-distance predicates.
 
 :func:`plane_sweep_pair_arrays_segmented` is the kernel: many independent
 sweeps in one call (:func:`plane_sweep_pair_arrays` is its one-segment
-case).  The sweep is expressed entirely in NumPy: candidate runs for every
-lead rectangle are located with two ``searchsorted`` passes (one per lead
-side), expanded into flat index arrays, and the exact predicate is
-evaluated over all candidates at once.  No per-object Python loop remains;
-the original per-lead sweep is the test oracle
+case).  The sweep is expressed entirely in NumPy: each side is ordered once
+by a composite ``(segment, xmin)`` key, candidate runs for every lead
+rectangle are located with ``searchsorted`` passes over those keys (one
+pair per lead side), expanded into flat index arrays, and the exact
+predicate is evaluated over all candidates at once.  No per-object Python
+loop remains; the original per-lead sweep is the test oracle
 ``tests/oracles/plane_sweep_scalar.py`` (``tests/test_leaf_pipeline.py``).
 """
 
@@ -76,11 +77,31 @@ def plane_sweep_pair_arrays_segmented(
     batching collapses hundreds of tiny per-window (or per-bucket) sweep
     invocations into a single kernel call.
 
-    The within-segment x-ordering is reduced to integer ranks over the
-    union of all boundary values, so the composite ``(segment, x)`` keys
-    compare exactly like the per-segment float comparisons -- no precision
-    is lost to key packing, and the sweep's tie rule (A leads on equal
-    xmin) is preserved verbatim.
+    Ordering argument.  Each side is sorted once, by the float key
+    ``K(seg, x) = seg * span + (x - lo)`` of its ``xmin``: ``lo`` is the
+    smallest ``xmin`` of the call, ``span`` a power of two above its
+    x-extent (``eps`` included), so ``seg * span`` is exact and every
+    offset lies in ``[0, span)``.  Float rounding is monotone, hence ``K``
+    never decreases along ``(seg, x)`` order -- it may only *tie* where it
+    runs out of bits (coordinates near ``1e12`` under segment ids near
+    ``1e6``).  That is all the sweep needs:
+
+    * *range starts are exact.*  Pass 1 pairs lead ``a`` with the ``b`` of
+      ``K(b) >= K(a)``, pass 2 lead ``b`` with the ``a`` of ``K(a) >
+      K(b)``.  The two conditions are complementary on the very same keys,
+      so every pair is enumerated at most once whatever the rounding, and
+      ``a`` leads on equal keys as it does on equal ``xmin``.
+    * *range ends are supersets.*  A lead's run ends at ``K(seg, xmax +
+      eps)``, the same function of a larger ``x``; by monotonicity no row
+      the scalar sweep would reach has a larger key, so no slack is added
+      and none is needed.  Where keys tie the run also holds rows of
+      neighbouring ``x`` or neighbouring segments: the candidates grow, and
+      the mask -- segment equality, the sweep's own x-cut ``other.xmin <=
+      lead.xmax + eps`` (both ways round, which is the cut of whichever row
+      leads) and the exact predicate -- removes them again.
+
+    No input takes another path: there is no ``lexsort``, no ``unique``
+    and no rank table, one stable ``argsort`` per side.
     """
     na, nb = a_mbrs.shape[0], b_mbrs.shape[0]
     if na == 0 or nb == 0:
@@ -90,56 +111,47 @@ def plane_sweep_pair_arrays_segmented(
         raise ValueError("segment arrays must be parallel to the MBR arrays")
     eps = predicate.probe_radius() if isinstance(predicate, WithinDistancePredicate) else 0.0
 
-    a_seg = np.asarray(a_segs, dtype=np.int64)
-    b_seg = np.asarray(b_segs, dtype=np.int64)
-    a_order = np.lexsort((a_mbrs[:, 0], a_seg))
-    b_order = np.lexsort((b_mbrs[:, 0], b_seg))
-    a_sorted = a_mbrs[a_order]
-    b_sorted = b_mbrs[b_order]
-    a_seg_s = a_seg[a_order]
-    b_seg_s = b_seg[b_order]
-    ax = a_sorted[:, 0]
-    bx = b_sorted[:, 0]
-    ax_hi = a_sorted[:, 2] + eps
-    bx_hi = b_sorted[:, 2] + eps
+    # Coordinate columns, contiguous: every later gather is a column take.
+    a_cols, b_cols = np.ascontiguousarray(a_mbrs.T), np.ascontiguousarray(b_mbrs.T)
+    lo = min(a_cols[0].min(), b_cols[0].min())
+    extent = (max(a_cols[2].max(), b_cols[2].max()) + eps) - lo
+    span = np.ldexp(1.0, np.frexp(extent)[1])
 
-    # Exact integer ranks of every boundary value: v1 <= v2 iff
-    # rank(v1) <= rank(v2) because all four arrays' values are present in
-    # the union.
-    uniq = np.unique(np.concatenate([ax, ax_hi, bx, bx_hi]))
-    r_ax = np.searchsorted(uniq, ax)
-    r_axhi = np.searchsorted(uniq, ax_hi)
-    r_bx = np.searchsorted(uniq, bx)
-    r_bxhi = np.searchsorted(uniq, bx_hi)
-    stride = np.int64(uniq.shape[0] + 1)
-    a_key = a_seg_s * stride + r_ax
-    b_key = b_seg_s * stride + r_bx
+    def ordered(cols: np.ndarray, segs: np.ndarray):
+        """One side in key order: its permutation, columns, segments, and
+        the keys its runs start (``xmin``) and end (``xmax + eps``) at."""
+        segs = np.asarray(segs, dtype=np.int64)
+        order = np.argsort(segs * span + (cols[0] - lo), kind="stable")
+        cols, segs = cols.take(order, axis=1), segs.take(order)
+        base = segs * span
+        return order, cols, segs, base + (cols[0] - lo), base + ((cols[2] + eps) - lo)
 
-    # Same disjoint two-pass enumeration as the unsegmented kernel, with
-    # the segment id folded into the sort key: pass 1 takes bx >= ax, pass
-    # 2 takes ax > bx, both within the lead's segment only.
+    a_order, a_cols, a_segs, a_key, a_end = ordered(a_cols, a_segs)
+    b_order, b_cols, b_segs, b_key, b_end = ordered(b_cols, b_segs)
+
     lead_a, cand_b = expand_index_ranges(
-        np.searchsorted(b_key, a_seg_s * stride + r_ax, side="left"),
-        np.searchsorted(b_key, a_seg_s * stride + r_axhi, side="right"),
+        np.searchsorted(b_key, a_key, side="left"), np.searchsorted(b_key, a_end, side="right")
     )
     lead_b, cand_a = expand_index_ranges(
-        np.searchsorted(a_key, b_seg_s * stride + r_bx, side="right"),
-        np.searchsorted(a_key, b_seg_s * stride + r_bxhi, side="right"),
+        np.searchsorted(a_key, b_key, side="right"), np.searchsorted(a_key, b_end, side="right")
     )
     i_idx = np.concatenate([lead_a, cand_a])
     j_idx = np.concatenate([cand_b, lead_b])
     if i_idx.shape[0] == 0:
         return i_idx, j_idx
 
-    a_sel = a_sorted[i_idx]
-    b_sel = b_sorted[j_idx]
-    dx = np.maximum(np.maximum(a_sel[:, 0] - b_sel[:, 2], 0.0), b_sel[:, 0] - a_sel[:, 2])
-    dy = np.maximum(np.maximum(a_sel[:, 1] - b_sel[:, 3], 0.0), b_sel[:, 1] - a_sel[:, 3])
+    ax0, ay0, ax1, ay1 = (col.take(i_idx) for col in a_cols)
+    bx0, by0, bx1, by1 = (col.take(j_idx) for col in b_cols)
+    dx = np.maximum(np.maximum(ax0 - bx1, 0.0), bx0 - ax1)
+    dy = np.maximum(np.maximum(ay0 - by1, 0.0), by0 - ay1)
     if eps > 0.0:
         mask = dx * dx + dy * dy <= eps * eps
+        mask &= (bx0 <= ax1 + eps) & (ax0 <= bx1 + eps)
     else:
+        # Touching or overlapping extents: the x-cut is the predicate's own.
         mask = (dx <= 0.0) & (dy <= 0.0)
-    return a_order[i_idx[mask]], b_order[j_idx[mask]]
+    mask &= a_segs.take(i_idx) == b_segs.take(j_idx)
+    return a_order.take(i_idx[mask]), b_order.take(j_idx[mask])
 
 
 def plane_sweep_pairs(

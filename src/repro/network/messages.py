@@ -115,15 +115,13 @@ class BucketRangeQuery(QueryMessage):
     The request payload is the query string plus the probe objects
     themselves (``|probe| * B_obj``), matching the paper's bucket NLSJ cost
     ``(b_R + b_S) * TB(|Rw| * B_obj)`` -- the probes are first downloaded
-    from one server and then uploaded to the other.  ``radii`` optionally
-    carries a per-probe search radius (used when the probe objects are
-    extended MBRs of different sizes); the probe object already encodes its
-    own extent on the wire, so the payload size is unchanged.
+    from one server and then uploaded to the other.  A probe object encodes
+    its own extent on the wire, so per-probe search radii (which the
+    connections check and the servers apply) add nothing to the payload.
     """
 
     centers: Tuple[Point, ...]
     epsilon: float
-    radii: Optional[Tuple[float, ...]] = None
     probe_count: Optional[int] = None
     kind: MessageKind = field(default=MessageKind.BUCKET_RANGE, init=False)
 
@@ -136,11 +134,6 @@ class BucketRangeQuery(QueryMessage):
             raise ValueError("probe_count must equal the number of centers")
         if self.probe_count < 1:
             raise ValueError("a bucket range query needs at least one probe point")
-        if self.radii is not None:
-            if len(self.radii) != len(self.centers):
-                raise ValueError("radii must be parallel to centers")
-            if any(r < 0 for r in self.radii):
-                raise ValueError("radii must be non-negative")
 
     @classmethod
     def of_size(cls, probe_count: int, epsilon: float) -> "BucketRangeQuery":

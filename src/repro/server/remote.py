@@ -60,7 +60,7 @@ from repro.geometry import rect_array
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.geometry.rect_array import Windows
-from repro.index.aggregate_rtree import probe_arrays
+from repro.index.aggregate_rtree import Probes, bucket_probe_arrays, probe_arrays
 from repro.network.channel import Channel
 from repro.network.config import NetworkConfig
 from repro.network.faults import FaultInjector, FaultKind, FaultPlan, RetryPolicy
@@ -75,7 +75,7 @@ from repro.network.messages import (
     WindowQuery,
 )
 from repro.server.interface import SpatialServerInterface
-from repro.server.server import Prefetched, SpatialServer
+from repro.server.server import Prefetched, SpatialServer, per_request
 from repro.server.sharded import ShardedSpatialServer, probe_squares, sum_by_request
 
 __all__ = [
@@ -363,9 +363,10 @@ class ResilienceController:
         }
 
 
-#: The batched protocols' query strings are sized by kind, never by window:
-#: a uniform batch is accounted through one stand-in message.
+#: The batched protocols' query strings are sized by kind, never by window
+#: or probe: a uniform batch is accounted through one stand-in message.
 _ANY_WINDOW = Rect(0.0, 0.0, 0.0, 0.0)
+_ANY_POINT = Point(0.0, 0.0)
 
 
 class RemoteServer(SpatialServerInterface):
@@ -460,11 +461,7 @@ class RemoteServer(SpatialServerInterface):
         per-window payloads are slices of the flat assembly of
         :meth:`window_batch_flat`.
         """
-        mbrs, oids, bounds = self.window_batch_flat(windows)
-        return [
-            (mbrs[bounds[i] : bounds[i + 1]], oids[bounds[i] : bounds[i + 1]])
-            for i in range(len(bounds) - 1)
-        ]
+        return per_request(*self.window_batch_flat(windows))
 
     def window_batch_flat(
         self, windows: Windows
@@ -594,7 +591,7 @@ class RemoteServer(SpatialServerInterface):
         return mbrs, oids
 
     def range_batch(
-        self, centers: Sequence[Point], radii: Sequence[float]
+        self, centers: Probes, radii: Sequence[float]
     ) -> List[Tuple[np.ndarray, np.ndarray]]:
         """Issue many RANGE probes, evaluated server-side in one descent.
 
@@ -603,18 +600,16 @@ class RemoteServer(SpatialServerInterface):
         to a loop of :meth:`range` calls.  The per-probe payloads are
         slices of the flat assembly of :meth:`range_batch_flat`.
         """
-        mbrs, oids, bounds = self.range_batch_flat(centers, radii)
-        return [
-            (mbrs[bounds[i] : bounds[i + 1]], oids[bounds[i] : bounds[i + 1]])
-            for i in range(len(centers))
-        ]
+        return per_request(*self.range_batch_flat(centers, radii))
 
     def range_batch_flat(
-        self, centers: Sequence[Point], radii: Sequence[float]
+        self, centers: Probes, radii: Sequence[float]
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Issue many RANGE probes; responses assembled flat in one pass.
 
-        Returns ``(mbrs, oids, bounds)`` in CSR form, all probe payloads
+        ``centers`` is a sequence of :class:`Point` or a ``(P, 2)`` array,
+        checked before anything is booked.  Returns
+        ``(mbrs, oids, bounds)`` in CSR form, all probe payloads
         concatenated in probe order (probe ``i`` owns rows
         ``bounds[i]:bounds[i+1]``).  The ledger is bit-identical to a loop
         of :meth:`range` calls: one uplink query record per probe and one
@@ -623,38 +618,35 @@ class RemoteServer(SpatialServerInterface):
         are batched.
         """
         mbrs, oids, bounds = self._server.range_batch_flat(centers, radii)
-        self._account_range_batch(centers, radii, np.diff(bounds))
+        self._account_range_batch(np.diff(bounds))
         return mbrs, oids, bounds
 
     def range_batch_prefetched(
-        self, centers: Sequence[Point], radii: Sequence[float], sizes: np.ndarray
+        self, centers: Probes, radii: Sequence[float], sizes: np.ndarray
     ) -> None:
         """Attribute a RANGE batch evaluated elsewhere (see :meth:`window_batch_prefetched`)."""
+        probe_arrays(centers, radii)
         stats = self._server.stats
         stats.range_queries += len(centers)
         stats.objects_returned += int(sizes.sum())
-        self._account_range_batch(centers, radii, sizes)
+        self._account_range_batch(sizes)
 
     def book_range_batch(
-        self, centers: Sequence[Point], radii: Sequence[float], answer: Prefetched
+        self, centers: Probes, radii: Sequence[float], answer: Prefetched
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """:meth:`range_batch_flat` over probes already answered (see :meth:`book_window_batch`)."""
         self.range_batch_prefetched(centers, radii, np.diff(answer.bounds))
         return answer.mbrs, answer.oids, answer.bounds
 
-    def _account_range_batch(
-        self, centers: Sequence[Point], radii: Sequence[float], sizes: np.ndarray
-    ) -> None:
-        """The shared ledger write of one batched RANGE exchange."""
-        if not len(centers):
+    def _account_range_batch(self, sizes: np.ndarray) -> None:
+        """The shared ledger write of one batched RANGE exchange (one query
+        string per probe, whatever the probe: ``sizes`` has one entry each)."""
+        if not sizes.shape[0]:
             return
 
         def account(channel: Channel) -> None:
             channel.send_uniform_batch(
-                RangeQuery(centers[0], float(radii[0])),
-                len(centers),
-                direction="up",
-                label="range",
+                RangeQuery(_ANY_POINT, 0.0), sizes.shape[0], direction="up", label="range"
             )
             self._send_object_batch(channel, sizes, "range-result")
 
@@ -662,33 +654,28 @@ class RemoteServer(SpatialServerInterface):
 
     def bucket_range(
         self,
-        centers: Sequence[Point],
+        centers: Probes,
         epsilon: float,
         radii: Optional[Sequence[float]] = None,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        centers = tuple(centers)
-        radii_tuple = tuple(float(r) for r in radii) if radii is not None else None
-        mbrs, oids, probes = self._server.bucket_range(centers, epsilon, radii_tuple)
-        self._account_bucket_range(centers, epsilon, radii_tuple, oids.shape[0])
+        mbrs, oids, probes = self._server.bucket_range(centers, epsilon, radii)
+        self._account_bucket_range(len(centers), epsilon, oids.shape[0])
         return mbrs, oids, probes
 
     def bucket_range_prefetched(
-        self,
-        centers: Tuple[Point, ...],
-        epsilon: float,
-        radii: Tuple[float, ...],
-        n_objects: int,
+        self, centers: Probes, epsilon: float, radii: Sequence[float], n_objects: int
     ) -> None:
         """Attribute a bucket RANGE query evaluated elsewhere (``n_objects`` returned)."""
+        bucket_probe_arrays(centers, epsilon, radii)
         stats = self._server.stats
         stats.bucket_range_queries += 1
         stats.bucket_range_probes += len(centers)
         stats.objects_returned += n_objects
-        self._account_bucket_range(centers, epsilon, radii, n_objects)
+        self._account_bucket_range(len(centers), epsilon, n_objects)
 
     def book_bucket_range(
         self,
-        centers: Sequence[Point],
+        centers: Probes,
         epsilon: float,
         radii: Sequence[float],
         answer: Prefetched,
@@ -698,27 +685,19 @@ class RemoteServer(SpatialServerInterface):
         ``answer`` evaluated the probes with their per-probe ``radii``, as
         the bucket query itself does.
         """
-        self.bucket_range_prefetched(
-            tuple(centers), epsilon, tuple(radii), int(answer.oids.shape[0])
-        )
+        self.bucket_range_prefetched(centers, epsilon, radii, int(answer.oids.shape[0]))
         probes = np.repeat(answer.request, np.diff(answer.bounds))
         return answer.mbrs, answer.oids, probes
 
-    def _account_bucket_range(
-        self,
-        centers: Tuple[Point, ...],
-        epsilon: float,
-        radii: Optional[Tuple[float, ...]],
-        n_objects: int,
-    ) -> None:
+    def _account_bucket_range(self, n_probes: int, epsilon: float, n_objects: int) -> None:
         """The shared ledger write of one bucket RANGE exchange."""
 
         def account(channel: Channel) -> None:
-            channel.send_query(BucketRangeQuery(centers, epsilon, radii), label="bucket-range")
+            channel.send_query(BucketRangeQuery.of_size(n_probes, epsilon), label="bucket-range")
             # Eq. 5 of the paper charges one extra object-sized separator per
             # probe in the bucket response (the "+ Bobj" term).
             self._send_object_batch(
-                channel, np.array([n_objects + len(centers)]), "bucket-range-result"
+                channel, np.array([n_objects + n_probes]), "bucket-range-result"
             )
 
         self._exchange("bucket-range", account)
@@ -1423,7 +1402,7 @@ class ShardedRemoteServer(SpatialServerInterface):
         """
         sizes = np.diff(answer.bounds)
         for si, at in self._by_shard(answer.shard):
-            book(self._proxies[si], answer.request.take(at).tolist(), sizes.take(at))
+            book(self._proxies[si], answer.request.take(at), sizes.take(at))
         return sizes
 
     @staticmethod
@@ -1443,11 +1422,7 @@ class ShardedRemoteServer(SpatialServerInterface):
     def window_batch(
         self, windows: Windows
     ) -> List[Tuple[np.ndarray, np.ndarray]]:
-        mbrs, oids, bounds = self.window_batch_flat(windows)
-        return [
-            (mbrs[bounds[i] : bounds[i + 1]], oids[bounds[i] : bounds[i + 1]])
-            for i in range(len(bounds) - 1)
-        ]
+        return per_request(*self.window_batch_flat(windows))
 
     def window_batch_flat(
         self, windows: Windows
@@ -1510,8 +1485,6 @@ class ShardedRemoteServer(SpatialServerInterface):
             )
 
     def range(self, center: Point, epsilon: float) -> Tuple[np.ndarray, np.ndarray]:
-        if epsilon < 0:
-            raise ValueError("epsilon must be non-negative")
         probe = probe_squares(*probe_arrays([center], [epsilon]))
         return _stack_payloads(
             [
@@ -1521,74 +1494,55 @@ class ShardedRemoteServer(SpatialServerInterface):
         )
 
     def range_batch(
-        self, centers: Sequence[Point], radii: Sequence[float]
+        self, centers: Probes, radii: Sequence[float]
     ) -> List[Tuple[np.ndarray, np.ndarray]]:
-        mbrs, oids, bounds = self.range_batch_flat(centers, radii)
-        return [
-            (mbrs[bounds[i] : bounds[i + 1]], oids[bounds[i] : bounds[i + 1]])
-            for i in range(len(centers))
-        ]
+        return per_request(*self.range_batch_flat(centers, radii))
 
     def range_batch_flat(
-        self, centers: Sequence[Point], radii: Sequence[float]
+        self, centers: Probes, radii: Sequence[float]
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        centers = list(centers)
-        per_probe = [float(r) for r in radii]
-        return self.book_range_batch(
-            centers, per_probe, self._fleet.evaluate_range_batch(centers, per_probe)
-        )
+        probes = probe_arrays(centers, radii)
+        return self.book_range_batch(*probes, self._fleet.evaluate_range_batch(*probes))
 
     def book_range_batch(
-        self, centers: Sequence[Point], radii: Sequence[float], answer: Prefetched
+        self, centers: Probes, radii: Sequence[float], answer: Prefetched
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The book half of :meth:`range_batch_flat` (see :meth:`book_window_batch`)."""
+        pts, reach = probe_arrays(centers, radii)
         self._book(
             answer,
-            lambda proxy, mine, sizes: proxy.range_batch_prefetched(
-                [centers[i] for i in mine], [radii[i] for i in mine], sizes
-            ),
+            lambda proxy, mine, sizes: proxy.range_batch_prefetched(pts[mine], reach[mine], sizes),
         )
         return (
             answer.mbrs,
             answer.oids,
-            self._request_bounds(answer.request, len(centers), answer.bounds),
+            self._request_bounds(answer.request, pts.shape[0], answer.bounds),
         )
 
     def bucket_range(
         self,
-        centers: Sequence[Point],
+        centers: Probes,
         epsilon: float,
         radii: Optional[Sequence[float]] = None,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        centers = tuple(centers)
-        if epsilon < 0:
-            raise ValueError("epsilon must be non-negative")
-        if not centers:
-            raise ValueError("bucket_range needs at least one probe point")
-        if radii is not None and len(radii) != len(centers):
-            raise ValueError("radii must be parallel to centers")
-        per_probe = (
-            [epsilon] * len(centers) if radii is None else [float(r) for r in radii]
-        )
+        probes = bucket_probe_arrays(centers, epsilon, radii)
         return self.book_bucket_range(
-            centers, epsilon, per_probe, self._fleet.evaluate_range_batch(centers, per_probe)
+            probes[0], epsilon, probes[1], self._fleet.evaluate_range_batch(*probes)
         )
 
     def book_bucket_range(
         self,
-        centers: Sequence[Point],
+        centers: Probes,
         epsilon: float,
         radii: Sequence[float],
         answer: Prefetched,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The book half of :meth:`bucket_range`: one bucket exchange per routed shard."""
+        pts, reach = bucket_probe_arrays(centers, epsilon, radii)
         sizes = self._book(
             answer,
             lambda proxy, mine, sizes: proxy.bucket_range_prefetched(
-                tuple(centers[i] for i in mine),
-                epsilon,
-                tuple(radii[i] for i in mine),
-                int(sizes.sum()),
+                pts[mine], epsilon, reach[mine], int(sizes.sum())
             ),
         )
         # Probe-major with ascending shards inside each probe: the rows' own order.

@@ -19,10 +19,15 @@ from repro.datasets.dataset import SpatialDataset
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.geometry.rect_array import Windows
-from repro.index.aggregate_rtree import AggregateRTree
+from repro.index.aggregate_rtree import (
+    AggregateRTree,
+    Probes,
+    bucket_probe_arrays,
+    probe_arrays,
+)
 from repro.server.interface import SpatialServerInterface
 
-__all__ = ["SpatialServer", "ServerQueryStats", "Prefetched"]
+__all__ = ["SpatialServer", "ServerQueryStats", "Prefetched", "per_request"]
 
 #: Monotonic registration ids: every server *build* (not view) gets a fresh
 #: uid, so ``breaker_token`` stays unique across the process lifetime even
@@ -104,6 +109,14 @@ class Prefetched:
             self.mbrs[lo:hi],
             self.oids[lo:hi],
         )
+
+
+def per_request(
+    mbrs: np.ndarray, oids: np.ndarray, bounds: np.ndarray
+) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """A flat (CSR) answer cut into one ``(mbrs, oids)`` payload per request."""
+    cuts = bounds.tolist()
+    return [(mbrs[lo:hi], oids[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
 
 
 class SpatialServer(SpatialServerInterface):
@@ -214,9 +227,7 @@ class SpatialServer(SpatialServerInterface):
         """Answer WINDOWs without touching query statistics (see :class:`Prefetched`)."""
         return self._prefetched(self._index.window_query_batch_flat(windows))
 
-    def evaluate_range_batch(
-        self, centers: Sequence[Point], radii: Sequence[float]
-    ) -> Prefetched:
+    def evaluate_range_batch(self, centers: Probes, radii: Sequence[float]) -> Prefetched:
         """Answer RANGE probes without touching query statistics."""
         return self._prefetched(self._index.range_query_batch_flat(centers, radii))
 
@@ -260,11 +271,7 @@ class SpatialServer(SpatialServerInterface):
         once per window; the per-window payloads are slices of the flat
         assembly of :meth:`window_batch_flat`.
         """
-        mbrs, oids, bounds = self.window_batch_flat(windows)
-        return [
-            (mbrs[bounds[i] : bounds[i + 1]], oids[bounds[i] : bounds[i + 1]])
-            for i in range(len(bounds) - 1)
-        ]
+        return per_request(*self.window_batch_flat(windows))
 
     def window_batch_flat(
         self, windows: Windows
@@ -291,13 +298,12 @@ class SpatialServer(SpatialServerInterface):
         return self._index.count_batch(windows)
 
     def range(self, center: Point, epsilon: float) -> Tuple[np.ndarray, np.ndarray]:
-        if epsilon < 0:
-            raise ValueError("epsilon must be non-negative")
+        probe_arrays([center], [epsilon])
         self.stats.range_queries += 1
         return self._payload(self._index.range_rows(center, epsilon))
 
     def range_batch(
-        self, centers: Sequence[Point], radii: Sequence[float]
+        self, centers: Probes, radii: Sequence[float]
     ) -> List[Tuple[np.ndarray, np.ndarray]]:
         """Answer a batch of RANGE queries in one index descent.
 
@@ -305,47 +311,36 @@ class SpatialServer(SpatialServerInterface):
         once per probe; the per-probe payloads are slices of the flat
         assembly of :meth:`range_batch_flat`.
         """
-        mbrs, oids, bounds = self.range_batch_flat(centers, radii)
-        return [
-            (mbrs[bounds[i] : bounds[i + 1]], oids[bounds[i] : bounds[i + 1]])
-            for i in range(len(centers))
-        ]
+        return per_request(*self.range_batch_flat(centers, radii))
 
     def range_batch_flat(
-        self, centers: Sequence[Point], radii: Sequence[float]
+        self, centers: Probes, radii: Sequence[float]
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Answer a batch of RANGE queries, response assembled in one pass.
 
-        Returns ``(mbrs, oids, bounds)`` in CSR form: the concatenated
-        payloads of all probes in probe order, probe ``i`` owning rows
-        ``bounds[i]:bounds[i+1]`` (``len(bounds) == P + 1``).  The payload
-        is one take of the entry rows the index descent matched; statistics
-        are identical to a loop of :meth:`range` calls.
+        ``centers`` is a sequence of :class:`Point` or a ``(P, 2)`` array,
+        checked before anything is counted.  Returns ``(mbrs, oids, bounds)`` in CSR form:
+        the concatenated payloads of all probes in probe order, probe ``i``
+        owning rows ``bounds[i]:bounds[i+1]`` (``len(bounds) == P + 1``).
+        The payload is one take of the entry rows the index descent matched;
+        statistics are identical to a loop of :meth:`range` calls.
         """
-        per_probe = [float(r) for r in radii]
-        if any(r < 0 for r in per_probe):
-            raise ValueError("epsilon must be non-negative")
-        self.stats.range_queries += len(centers)
-        bounds, rows = self._index.range_query_batch_flat(list(centers), per_probe)
+        pts, reach = probe_arrays(centers, radii)
+        self.stats.range_queries += pts.shape[0]
+        bounds, rows = self._index.range_query_batch_flat(pts, reach)
         return (*self._payload(rows), bounds)
 
     def bucket_range(
         self,
-        centers: Sequence[Point],
+        centers: Probes,
         epsilon: float,
         radii: Optional[Sequence[float]] = None,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if epsilon < 0:
-            raise ValueError("epsilon must be non-negative")
-        if not centers:
-            raise ValueError("bucket_range needs at least one probe point")
-        if radii is not None and len(radii) != len(centers):
-            raise ValueError("radii must be parallel to centers")
+        pts, reach = bucket_probe_arrays(centers, epsilon, radii)
         self.stats.bucket_range_queries += 1
-        self.stats.bucket_range_probes += len(centers)
-        per_probe = [epsilon] * len(centers) if radii is None else [float(r) for r in radii]
-        bounds, rows = self._index.range_query_batch_flat(list(centers), per_probe)
-        probes = np.repeat(np.arange(len(centers), dtype=np.int64), np.diff(bounds))
+        self.stats.bucket_range_probes += pts.shape[0]
+        bounds, rows = self._index.range_query_batch_flat(pts, reach)
+        probes = np.repeat(np.arange(pts.shape[0], dtype=np.int64), np.diff(bounds))
         return (*self._payload(rows), probes)
 
     def average_mbr_area(self, window: Rect) -> float:

@@ -44,9 +44,8 @@ import numpy as np
 
 from repro.datasets.dataset import SpatialDataset
 from repro.datasets.partition import partition_dataset
-from repro.geometry.point import Point
 from repro.geometry.rect_array import Windows, pairwise_intersects, rects_to_array
-from repro.index.aggregate_rtree import probe_arrays
+from repro.index.aggregate_rtree import Probes, probe_arrays
 from repro.index.flat import FlatRTree
 from repro.server.server import Prefetched, ServerQueryStats, SpatialServer
 
@@ -266,9 +265,7 @@ class ShardedSpatialServer:
         """
         return self._prefetched(self.forest.window_batch_flat, rects_to_array(windows))
 
-    def evaluate_range_batch(
-        self, centers: Sequence[Point], radii: Sequence[float]
-    ) -> Prefetched:
+    def evaluate_range_batch(self, centers: Probes, radii: Sequence[float]) -> Prefetched:
         """Answer RANGE probes in one routed descent, statistics untouched.
 
         Probes are routed through their :func:`probe_squares`.

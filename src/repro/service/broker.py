@@ -50,7 +50,6 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from itertools import chain
 from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -62,6 +61,7 @@ from repro.device.pda import MobileDevice
 from repro.device.steps import COUNT, WINDOW, Kind, Step, book_step
 from repro.errors import QueryTimeout, ReproError, ServerUnavailable
 from repro.geometry import rect_array
+from repro.index.aggregate_rtree import probe_arrays
 from repro.network.config import NetworkConfig
 from repro.obs.trace import NULL_TRACER
 from repro.server.server import SpatialServer
@@ -210,12 +210,14 @@ class _Group:
         return self, first, rows
 
     def columns(self) -> list:
-        """The requests' rows back to back: windows (``Rect`` lists or the
-        ``(N, 4)`` arrays the frontier tables build) as one array, probe
-        centres and radii as lists."""
+        """The requests' rows back to back, as arrays: windows (``Rect``
+        lists or the ``(N, 4)`` arrays the frontier tables build) as one
+        ``(N, 4)`` array, probes (``Point`` lists or the operators' arrays)
+        as ``(P, 2)`` centres and ``(P,)`` radii."""
         if self.kind in (COUNT, WINDOW):
             return [np.concatenate([rect_array.rects_to_array(part) for part in self.parts[0]])]
-        return [list(chain.from_iterable(parts)) for parts in self.parts]
+        probes = [probe_arrays(*probe) for probe in zip(*self.parts)]
+        return [np.concatenate(column) for column in zip(*probes)]
 
 
 class QueryBroker:

@@ -7,6 +7,8 @@ returns -- same result sets, same server statistics, same wire bytes.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -149,6 +151,33 @@ class TestServerBatches:
             pair_a.r.backing_server.stats.as_dict()
             == pair_b.r.backing_server.stats.as_dict()
         )
+
+    @pytest.mark.parametrize("endpoint", ["range_batch_flat", "bucket_range"])
+    def test_probe_arrays_match_the_scalar_loop_too(self, endpoint):
+        """The operators hand probes over as a ``(P, 2)`` / ``(P,)`` pair: the
+        same rows, statistics and ledger records as the ``Point`` loop (one
+        exchange per probe, or the one bucket exchange)."""
+        pair_a = self._pair()
+        pair_b = self._pair()
+        rng = np.random.default_rng(31)
+        pts = rng.uniform(0, 1, size=(15, 2))
+        radii = rng.uniform(0.0, 0.08, size=15)
+        centers = [Point(float(x), float(y)) for x, y in pts]
+        if endpoint == "range_batch_flat":
+            mbrs, oids, bounds = pair_a.r.range_batch_flat(pts, radii)
+            looped = [pair_b.r.range(c, e) for c, e in zip(centers, radii.tolist())]
+            assert bounds.tolist() == np.cumsum([0] + [len(o) for _, o in looped]).tolist()
+        else:
+            mbrs, oids, probes = pair_a.r.bucket_range(pts, 0.08, radii)
+            _, want_oids, want_probes = pair_b.r.bucket_range(centers, 0.08, radii.tolist())
+            looped = [(None, want_oids)]
+            assert probes.tolist() == want_probes.tolist()
+        assert oids.tolist() == np.concatenate([o for _, o in looped]).tolist()
+        assert mbrs.shape == (oids.shape[0], 4)
+        # A batch writes its queries, then its payloads; the loop alternates.
+        assert Counter(pair_a.r.channel.log.records) == Counter(pair_b.r.channel.log.records)
+        assert pair_a.r.channel.snapshot() == pair_b.r.channel.snapshot()
+        assert pair_a.r.backing_server.stats == pair_b.r.backing_server.stats
 
 
 class TestWindowBatchFlat:

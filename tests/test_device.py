@@ -6,6 +6,12 @@ result objects, operator counters, server statistics and channel ledgers.
 It also drives the operator's step generator by hand and asserts the step
 sequence -- kind, side and row count of every request -- so the wire order
 is pinned where it is decided, not only through the ledgers it leaves.
+
+Every case also runs the *columnar* form -- ``HBSJColumns`` / ``NLSJColumns``
+handed to ``MobileDevice.hbsj_steps`` / ``.nlsj_steps``, which is how a
+frontier level runs its leaves -- on a third stack: the same steps (``==`` on
+every row), the same per-request result objects out of the operator's table
+and the same stack state as the request-list form.
 """
 
 from __future__ import annotations
@@ -18,10 +24,11 @@ import pytest
 
 from repro.datasets.synthetic import clustered, gaussian_mixture, uniform
 from repro.device.buffer import BufferExceededError, DeviceBuffer
-from repro.device.hbsj import HBSJRequest, hash_based_spatial_join
-from repro.device.nlsj import NLSJRequest, nested_loop_spatial_join
+from repro.device.hbsj import UNKNOWN, HBSJColumns, HBSJRequest, hash_based_spatial_join
+from repro.device.nlsj import NLSJColumns, NLSJRequest, nested_loop_spatial_join
 from repro.device.pda import MobileDevice
 from repro.device.steps import answer_step
+from repro.errors import ReproError
 from repro.geometry.predicates import IntersectionPredicate, WithinDistancePredicate
 from repro.geometry.rect import Rect
 from repro.server.remote import ServerPair
@@ -83,6 +90,46 @@ class TestDeviceBuffer:
         buf.reset()
         assert buf.high_water_mark == 0 and buf.used == 0
 
+    def test_released_slots_are_reclaimed(self):
+        """1,000 allocate / release cycles used to leave 1,000 zeroed entries."""
+        buf = DeviceBuffer(capacity=10)
+        held = buf.allocate(2)
+        for _ in range(1000):
+            buf.release(buf.allocate(3))
+        assert len(buf._allocations) == 1 and buf.used == 2
+        buf.release(held)
+        assert not buf._allocations and buf.used == 0 and buf.high_water_mark == 5
+
+    def test_overrun_is_a_typed_runtime_error(self):
+        assert issubclass(BufferExceededError, ReproError)
+        assert issubclass(BufferExceededError, RuntimeError)
+
+    @pytest.mark.parametrize("used", [0, 4])
+    @pytest.mark.parametrize(
+        "sizes", [[], [0], [3, 6, 1], [6, 6, 6], [2, 7, 3], [1, 2, 11, 9, 12], [11]]
+    )
+    def test_hold_in_turn_is_allocate_release_per_entry(self, used, sizes):
+        """The per-level call: same high-water mark, same overflow condition,
+        same error (and the same state when it is raised) as the loop."""
+
+        def outcome(run):
+            buf = DeviceBuffer(capacity=10)
+            buf.allocate(used)
+            try:
+                run(buf)
+                error = None
+            except BufferExceededError as exc:
+                error = str(exc)
+            return error, buf.used, buf.high_water_mark, len(buf._allocations)
+
+        def loop(buf):
+            for size in sizes:
+                buf.release(buf.allocate(size))
+
+        got = outcome(lambda buf: buf.hold_in_turn(np.array(sizes, dtype=np.int64)))
+        assert got == outcome(loop)
+        assert (got[0] is None) == (used + max(sizes, default=0) <= 10)
+
 
 # --------------------------------------------------------------------------- #
 # the operators: the shipped one-request forms against the scalar oracle
@@ -127,26 +174,92 @@ def _drive_by_hand(steps, servers):
         return stop.value, shapes
 
 
+def _hbsj_columns(requests) -> HBSJColumns:
+    """The requests as a frontier level states them: its own arrays."""
+    return HBSJColumns(
+        np.array([req.window.as_tuple() for req in requests]),
+        np.array([UNKNOWN if req.count_r is None else req.count_r for req in requests]),
+        np.array([UNKNOWN if req.count_s is None else req.count_s for req in requests]),
+    )
+
+
+def _nlsj_columns(requests) -> NLSJColumns:
+    return NLSJColumns(
+        np.array([req.window.as_tuple() for req in requests]),
+        np.array([req.outer.upper() == "S" for req in requests]),
+    )
+
+
+def _drive_recording(steps, servers):
+    """:func:`_drive_by_hand`, also keeping every request's rows as arrays."""
+    rows = []
+
+    def recorded(steps):
+        answers = None
+        try:
+            while True:
+                step = steps.send(answers)
+                rows.append(
+                    [
+                        (kind.name, side, [np.asarray(a, dtype=float) for a in args])
+                        for kind, side, args in step
+                    ]
+                )
+                answers = yield step
+        except StopIteration as stop:
+            return stop.value
+
+    result, shapes = _drive_by_hand(recorded(steps), servers)
+    return result, shapes, rows
+
+
+def _assert_same_rows(got, want):
+    """``==`` on every coordinate of every request of every step."""
+    assert len(got) == len(want)
+    for step_a, step_b in zip(got, want):
+        assert [(k, s) for k, s, _ in step_a] == [(k, s) for k, s, _ in step_b]
+        for (_, _, args_a), (_, _, args_b) in zip(step_a, step_b):
+            assert len(args_a) == len(args_b)
+            for a, b in zip(args_a, args_b):
+                assert a.shape == b.shape and np.array_equal(a, b)
+
+
 def _hbsj_steps(r, s, buffer_size, predicate, requests=None, **counts):
-    """The step shapes of HBSJ driven by hand (== the locally-driven batch form)."""
+    """The step shapes of HBSJ driven by hand (== the locally-driven batch form
+    == the columnar form, rows included)."""
     requests = requests or [HBSJRequest(WINDOW, **counts)]
     by_hand = MobileDevice(_servers(r, s), buffer_size=buffer_size)
     shipped = MobileDevice(_servers(r, s), buffer_size=buffer_size)
-    got, shapes = _drive_by_hand(by_hand.hbsj_steps(requests, predicate), by_hand.servers)
+    columnar = MobileDevice(_servers(r, s), buffer_size=buffer_size)
+    got, shapes, rows = _drive_recording(by_hand.hbsj_steps(requests, predicate), by_hand.servers)
     assert got == shipped.hbsj_batch(requests, predicate)
     _assert_twin_stacks_equal(by_hand, shipped, ordered=True)
+    table, column_shapes, column_rows = _drive_recording(
+        columnar.hbsj_steps(_hbsj_columns(requests), predicate), columnar.servers
+    )
+    assert column_shapes == shapes and list(table) == list(got)
+    _assert_same_rows(column_rows, rows)
+    _assert_twin_stacks_equal(columnar, shipped, ordered=True)
     return shapes
 
 
 def _nlsj_steps(r, s, buffer_size, predicate, requests, bucket=False):
-    """The step shapes of NLSJ driven by hand (== the locally-driven batch form)."""
+    """The step shapes of NLSJ driven by hand (== the locally-driven batch form
+    == the columnar form, rows included)."""
     by_hand = MobileDevice(_servers(r, s), buffer_size=buffer_size)
     shipped = MobileDevice(_servers(r, s), buffer_size=buffer_size)
-    got, shapes = _drive_by_hand(
+    columnar = MobileDevice(_servers(r, s), buffer_size=buffer_size)
+    got, shapes, rows = _drive_recording(
         by_hand.nlsj_steps(requests, predicate, bucket=bucket), by_hand.servers
     )
     assert got == shipped.nlsj_batch(requests, predicate, bucket=bucket)
     _assert_twin_stacks_equal(by_hand, shipped, ordered=True)
+    table, column_shapes, column_rows = _drive_recording(
+        columnar.nlsj_steps(_nlsj_columns(requests), predicate, bucket=bucket), columnar.servers
+    )
+    assert column_shapes == shapes and list(table) == list(got)
+    _assert_same_rows(column_rows, rows)
+    _assert_twin_stacks_equal(columnar, shipped, ordered=True)
     return shapes
 
 
@@ -177,6 +290,12 @@ def _run_hbsj(via, r, s, buffer_size, predicate, **counts):
         want = operators_scalar.hash_based_spatial_join(
             oracle.servers, WINDOW, predicate, oracle.buffer, **counts
         )
+    # The columnar form: the same result out of the table, the same stack.
+    columnar = MobileDevice(_servers(r, s), buffer_size=buffer_size)
+    (from_table,) = columnar.hbsj_batch(_hbsj_columns([HBSJRequest(WINDOW, **counts)]), predicate)
+    assert from_table == got
+    if via == "device":
+        _assert_twin_stacks_equal(columnar, shipped, ordered=True)
     ordered = want.recursive_splits == 0
     if not ordered:
         got, want = (replace(res, pairs=sorted(res.pairs)) for res in (got, want))
@@ -203,6 +322,15 @@ def _run_nlsj(via, r, s, buffer_size, predicate, window=WINDOW, **options):
         )
     assert got == want
     _assert_twin_stacks_equal(shipped, oracle, ordered=True)
+    columnar = MobileDevice(_servers(r, s), buffer_size=buffer_size)
+    (from_table,) = columnar.nlsj_batch(
+        _nlsj_columns([NLSJRequest(window, options.get("outer", "S"))]),
+        predicate,
+        bucket=options.get("bucket", False),
+    )
+    assert from_table == want
+    if via == "device":
+        _assert_twin_stacks_equal(columnar, oracle, ordered=True)
     return got, shipped.total_bytes()
 
 

@@ -422,3 +422,83 @@ class TestLevelDecisions:
         # confirmation probes build any (the leaf requests are not run here).
         assert work[True]["rects"] >= work[True]["windows"]
         assert work[False]["rects"] <= 4 * (work[False]["levels"] + work[False]["rounds"])
+
+    @pytest.mark.parametrize("algorithm", ["upjoin", "mobijoin"])
+    def test_leaves_run_without_an_object_per_leaf(self, algorithm, monkeypatch):
+        """The leaves of a level go to the operators as the table's own
+        columns: with tracing off a 1,000+-leaf run builds ``Rect`` /
+        ``Point`` / ``HBSJRequest`` / ``NLSJRequest`` objects in proportion to
+        its levels and rounds, not to its leaves (it built a ``Rect`` and a
+        request per leaf and a ``Point`` per NLSJ outer object)."""
+        from repro.core import frontier
+        from repro.device.hbsj import HBSJRequest
+        from repro.device.nlsj import NLSJRequest
+        from repro.geometry.point import Point
+
+        seen = {"objects": 0, "steps": 0, "leaves": 0}
+
+        def counting(function, key, amount=lambda *args: 1):
+            def counted(*args, **kwargs):
+                seen[key] += amount(*args)
+                return function(*args, **kwargs)
+
+            return counted
+
+        for cls in (Rect, Point, HBSJRequest, NLSJRequest):
+            monkeypatch.setattr(cls, "__init__", counting(cls.__init__, "objects"))
+        for name in ("steps", "_round"):
+            function = getattr(frontier.LevelTable, name)
+            monkeypatch.setattr(frontier.LevelTable, name, counting(function, "steps"))
+        run_leaves = counting(
+            frontier.FrontierAlgorithm._run_leaves,
+            "leaves",
+            lambda self, table: int(np.count_nonzero(table.op)),
+        )
+        monkeypatch.setattr(frontier.FrontierAlgorithm, "_run_leaves", run_leaves)
+
+        datasets = (
+            clustered(n=40000, clusters=128, seed=42, name="R"),
+            clustered(n=40000, clusters=128, seed=542, name="S"),
+        )
+        session = AdHocJoinSession(*datasets, buffer_size=100)
+        seen.update(dict.fromkeys(seen, 0))
+        result = session.run(algorithm=algorithm, kind="distance", epsilon=0.002, trace=False)
+        operators = result.operator_counts
+        assert seen["leaves"] >= 1000
+        assert seen["leaves"] == operators["hbsj_invocations"] + operators["nlsj_invocations"]
+        assert seen["objects"] <= 4 * seen["steps"] < seen["leaves"] / 4
+
+
+class TestSweepOrdersOnce:
+    """One segmented sweep call orders each side once, however many segments.
+
+    The deterministic twin of the kernel's wall-clock claim: one ``argsort``
+    per side and no ``lexsort`` / ``unique`` (the two sorts, the ``4n``-value
+    ``unique`` and the eight rank look-ups the sweep used to make were 70% of
+    its time).
+    """
+
+    @pytest.mark.parametrize("segments", [1, 40, 2000])
+    def test_one_argsort_per_side_and_no_rank_table(self, segments, monkeypatch):
+        from repro.geometry.predicates import WithinDistancePredicate
+        from repro.index.plane_sweep import plane_sweep_pair_arrays_segmented
+
+        rng = np.random.default_rng(segments)
+        lo = rng.random((6000, 2))
+        a, b = (np.hstack([side, side + 0.001]) for side in (lo, lo + 0.0005))
+        a_seg = b_seg = rng.integers(0, segments, size=6000)
+        calls = defaultdict(int)
+        for name in ("argsort", "lexsort", "unique", "sort"):
+            original = getattr(np, name)
+
+            def counted(*args, _original=original, _name=name, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np, name, counted)
+        i_idx, _ = plane_sweep_pair_arrays_segmented(
+            a, a_seg, b, b_seg, WithinDistancePredicate(0.002)
+        )
+        monkeypatch.undo()
+        assert i_idx.shape[0] > 0
+        assert dict(calls) == {"argsort": 2}

@@ -271,6 +271,111 @@ def test_window_arrays_and_rect_lists_are_answered_and_booked_alike(topology):
     assert want["stats"]["count_queries"] and want["stats"]["objects_returned"]
 
 
+@pytest.mark.parametrize("topology", ["plain", "sharded-4x4", "replicated"])
+def test_probe_arrays_and_point_lists_are_answered_and_booked_alike(topology):
+    """Every probe-taking batch endpoint -- connection and backing build --
+    takes the operators' ``(P, 2)`` centre / ``(P,)`` radius arrays as is:
+    same answers, server statistics, both ledger lanes and drawn fault
+    events as the equivalent ``List[Point]`` / ``List[float]``."""
+    by_list, list_res = _stack(topology)
+    by_array, array_res = _stack(topology)
+    for seed in (1, 2, 3):
+        _, centers, radii = _requests(seed)
+        pts = np.array([(p.x, p.y) for p in centers])
+        reach = np.array(radii)
+        for endpoint in ("range_batch_flat", "range_batch"):
+            _same_payload(
+                getattr(by_array, endpoint)(pts, reach), getattr(by_list, endpoint)(centers, radii)
+            )
+        for per_probe in ((reach, radii), (None, None)):
+            _same_payload(
+                by_array.bucket_range(pts, 0.05, per_probe[0]),
+                by_list.bucket_range(centers, 0.05, per_probe[1]),
+            )
+        # The broker's path: evaluate on the build, book on the connection.
+        builds = by_array.backing_server, by_list.backing_server
+        answers = [
+            build.evaluate_range_batch(*probes)
+            for build, probes in zip(builds, ((pts, reach), (centers, radii)))
+        ]
+        _same_payload(*answers)
+        _same_payload(
+            by_array.book_range_batch(pts, reach, answers[0]),
+            by_list.book_range_batch(centers, radii, answers[1]),
+        )
+        _same_payload(
+            by_array.book_bucket_range(pts, 0.2, reach, answers[0]),
+            by_list.book_bucket_range(centers, 0.2, radii, answers[1]),
+        )
+        # No probe at all is no exchange, either way.
+        _same_payload(
+            by_array.range_batch_flat(np.empty((0, 2)), np.empty(0)),
+            by_list.range_batch_flat([], []),
+        )
+    got, want = _observed(by_array, array_res), _observed(by_list, list_res)
+    for key in want:
+        assert got[key] == want[key], key
+    drawn = [kind for events in want["fault_events"].values() for _, kind, _ in events]
+    assert set(drawn) - {"ok"}, "the plan never bit: the case proves nothing"
+    stats = want["stats"]
+    assert stats["range_queries"] and stats["bucket_range_probes"] and stats["objects_returned"]
+
+
+_BAD_PROBES = {
+    "nan-radius": ([Point(0.5, 0.5)], [float("nan")]),
+    "inf-radius": ([Point(0.5, 0.5)], [float("inf")]),
+    "negative-radius": ([Point(0.5, 0.5)], [-0.1]),
+    "nan-centre": ([Point(float("nan"), 0.5)], [0.1]),
+    "inf-centre": ([Point(0.5, float("inf"))], [0.1]),
+}
+
+
+@pytest.mark.parametrize("as_arrays", [False, True], ids=["points", "arrays"])
+@pytest.mark.parametrize("bad", sorted(_BAD_PROBES))
+@pytest.mark.parametrize("topology", ["plain", "sharded-4x4", "replicated"])
+def test_unusable_probes_are_rejected_before_anything_is_booked(topology, bad, as_arrays):
+    """A non-finite or negative radius and a non-finite centre used to be
+    answered silently (``nan`` matches nothing, ``inf`` the whole dataset),
+    metered and counted; now every probe-taking entry path raises
+    ``InvalidInput`` -- the negative case with the message it always had --
+    with no statistic bumped, no byte booked and no fault event drawn."""
+    from repro.errors import InvalidInput
+
+    proxy, resilience = _stack(topology)
+    build = proxy.backing_server
+    untouched = _observed(proxy, resilience)
+    _, good_centers, good_radii = _requests(1)
+    answer = build.evaluate_range_batch(good_centers[:1], good_radii[:1])
+    centers, radii = _BAD_PROBES[bad]
+    if as_arrays:
+        centers, radii = np.array([(p.x, p.y) for p in centers]), np.array(radii)
+    message = "epsilon must be non-negative" if bad == "negative-radius" else "finite"
+    attempts = [
+        lambda: proxy.range_batch_flat(centers, radii),
+        lambda: proxy.range_batch(centers, radii),
+        lambda: proxy.bucket_range(centers, 0.05, radii),
+        lambda: build.evaluate_range_batch(centers, radii),
+        lambda: proxy.book_range_batch(centers, radii, answer),
+        lambda: proxy.book_bucket_range(centers, 0.05, radii, answer),
+    ]
+    if "radius" in bad:
+        # The bucket's own epsilon is every probe's radius when there is no column.
+        attempts.append(lambda: proxy.bucket_range(good_centers[:1], float(radii[0])))
+        attempts.append(lambda: proxy.range(good_centers[0], float(radii[0])))
+    for attempt in attempts:
+        with pytest.raises(InvalidInput, match=message):
+            attempt()
+    assert _observed(proxy, resilience) == untouched
+    if topology == "plain":
+        for attempt in (
+            lambda: build.range_batch_flat(centers, radii),
+            lambda: build.bucket_range(centers, 0.05, radii),
+        ):
+            with pytest.raises(InvalidInput, match=message):
+                attempt()
+        assert not any(build.stats.as_dict().values())
+
+
 class TestOneDescentPerScatter:
     """One batch call of the scatter proxy is one ``FlatRTree`` batch call.
 

@@ -184,6 +184,98 @@ def test_sweep_runs_do_not_change_the_answer(monkeypatch):
 
 
 # ---------------------------------------------------------------------- #
+# (a') the segmented sweep itself, against the scalar sweep per segment
+# ---------------------------------------------------------------------- #
+
+_SCALES = {"tiny": (1e-9,), "unit": (1.0,), "huge": (1e12,), "mixed": (1e-9, 1.0, 1e12)}
+_SEGMENT_IDS = {
+    "one": [0],
+    "few": [0, 1, 2],
+    "sparse": [0, 1000, 10**6],
+    "many": list(range(2000)),
+    "sparse-many": list(range(10**6, 10**6 + 400)),
+}
+
+
+def _lattice_side(rng, n: int, scales, segment_ids):
+    """``n`` boxes on a coarse lattice (so equal ``xmin``, coincident points
+    and touching extents abound), a third of them zero-width, zero-height or
+    both, each at one of ``scales``; and an unsorted segment id per box."""
+    scale = rng.choice(scales, size=(n, 1))
+    lo = rng.integers(0, 12, size=(n, 2)).astype(float)
+    extent = rng.choice([0.0, 0.0, 1.0, 3.0], size=(n, 2))
+    mbrs = np.hstack([lo * scale, (lo + extent) * scale])
+    return mbrs, rng.choice(segment_ids, size=n)
+
+
+@given(
+    st.integers(min_value=0, max_value=10**6),
+    st.sampled_from(sorted(_SCALES)),
+    st.sampled_from(sorted(_SEGMENT_IDS)),
+    st.sampled_from([None, 0.0, 0.5, 1.0, 2.5]),
+    st.integers(min_value=0, max_value=150),
+    st.integers(min_value=0, max_value=150),
+)
+@settings(max_examples=200, deadline=None)
+def test_property_segmented_sweep_equals_scalar_sweep_per_segment(
+    seed, scale, segment_ids, eps, na, nb
+):
+    """Equal ``xmin`` on both sides (A leads on ties), zero-width and
+    zero-area boxes, coincident points, epsilon 0 and > 0, both predicates,
+    coordinates at 1e-9 / 1 / 1e12 and mixed in one call, unsorted and sparse
+    segment ids, one to ~2,000 segments, an empty side.  ``mixed`` under ids
+    near ``10**6`` is where the composite key has no bits left for the small
+    coordinates (its ulp there is ~256): whole segments tie, the candidate
+    runs grow, the answer may not change.  The index-pair *set* equals the
+    scalar sweep's segment by segment, and no pair is reported twice."""
+    from repro.index.plane_sweep import plane_sweep_pair_arrays_segmented
+
+    rng = np.random.default_rng(seed)
+    scales = _SCALES[scale]
+    if eps is None:
+        predicate = IntersectionPredicate()
+    else:
+        predicate = WithinDistancePredicate(eps * scales[-1] if scale != "mixed" else eps)
+    a, a_seg = _lattice_side(rng, na, scales, _SEGMENT_IDS[segment_ids])
+    b, b_seg = _lattice_side(rng, nb, scales, _SEGMENT_IDS[segment_ids])
+    i_idx, j_idx = plane_sweep_pair_arrays_segmented(a, a_seg, b, b_seg, predicate)
+    got = list(zip(i_idx.tolist(), j_idx.tolist()))
+    assert len(got) == len(set(got)), "a pair was enumerated twice"
+    expected = set()
+    for seg in np.intersect1d(a_seg, b_seg).tolist():
+        rows_a, rows_b = np.flatnonzero(a_seg == seg), np.flatnonzero(b_seg == seg)
+        expected.update(
+            (int(rows_a[i]), int(rows_b[j]))
+            for i, j in plane_sweep_pairs_scalar(a[rows_a], b[rows_b], predicate)
+        )
+    assert set(got) == expected
+
+
+def test_sweep_survives_a_key_with_no_bits_left_for_xmin():
+    """1e12-wide extent under segment ids of 10**6: rows a unit apart share a
+    key, so every run spans its whole segment neighbourhood -- and the mask
+    still returns the scalar sweep's pairs."""
+    from repro.index.plane_sweep import plane_sweep_pair_arrays_segmented
+
+    rng = np.random.default_rng(5)
+    a, a_seg = _lattice_side(rng, 300, (1.0,), [10**6, 10**6 + 1])
+    b, b_seg = _lattice_side(rng, 300, (1.0,), [10**6, 10**6 + 1])
+    a[0], b[0] = [1e12, 0.0, 1e12, 0.0], [1e12, 0.0, 1e12, 1.0]  # stretch the extent
+    predicate = WithinDistancePredicate(1.0)
+    key = (10**6 + 1) * 2.0**40
+    assert np.nextafter(key, np.inf) - key > 12  # the lattice is 12 wide
+    i_idx, j_idx = plane_sweep_pair_arrays_segmented(a, a_seg, b, b_seg, predicate)
+    expected = {
+        (int(ra[i]), int(rb[j]))
+        for seg in (10**6, 10**6 + 1)
+        for ra, rb in [(np.flatnonzero(a_seg == seg), np.flatnonzero(b_seg == seg))]
+        for i, j in plane_sweep_pairs_scalar(a[ra], b[rb], predicate)
+    }
+    assert len(expected) > 1000
+    assert sorted(zip(i_idx.tolist(), j_idx.tolist())) == sorted(expected)
+
+
+# ---------------------------------------------------------------------- #
 # (b) payload rows come straight from the index
 # ---------------------------------------------------------------------- #
 

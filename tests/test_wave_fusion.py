@@ -357,6 +357,53 @@ class TestFusedEqualsStandalone:
                 assert _result_facts(outcome.result) == _result_facts(reference)
                 assert _observables(devices[ticket]) == _observables(alone)
 
+    def test_a_buffer_overrun_fails_that_query_alone(self, devices, monkeypatch):
+        """An operator that overruns the buffer -- here an HBSJ request whose
+        trusted counts are wrong -- raises the typed ``BufferExceededError``:
+        the broker fails that query, at the download that overran, and the
+        neighbours in its wave finish bit-identical to their standalone
+        runs.  (As a bare ``RuntimeError`` it discarded the whole batch.)"""
+        from repro.core import planner
+        from repro.core.base import MobileJoinAlgorithm
+        from repro.device.buffer import BufferExceededError
+        from repro.device.hbsj import HBSJRequest
+
+        class TrustsWrongCounts(MobileJoinAlgorithm):
+            name = "overrun"
+
+            def _steps(self, window, count_r, count_s, depth):
+                request = HBSJRequest(window, count_r=1, count_s=1)
+                table = yield from self.device.hbsj_steps([request], self.predicate)
+                self._pairs.extend(table.pairs)
+
+        monkeypatch.setitem(planner.ALGORITHMS, "overrun", TrustsWrongCounts)
+        queries = _queries("plain", None, bucket=False)
+        victim_at = 2
+        victim = queries[victim_at]
+        queries[victim_at] = doomed = JoinQuery(
+            victim.dataset_r, victim.dataset_s, victim.spec, algorithm="overrun",
+            buffer_size=BUFFER, window=victim.window,
+        )
+        outcomes = QueryBroker(cache=False).run_batch(queries)
+
+        _, _, device = build_session_stack(
+            doomed.dataset_r, doomed.dataset_s, buffer_size=BUFFER, stack=doomed.stack
+        )
+        algo = build_algorithm("overrun", device, doomed.spec, doomed.resolved_params())
+        with pytest.raises(BufferExceededError) as alone:
+            algo.run(doomed.resolved_window())
+        failed = outcomes[victim_at]
+        assert failed.status == "failed" and failed.result is None
+        assert (type(failed.error), str(failed.error)) == (BufferExceededError, str(alone.value))
+        assert _observables(devices[victim_at]) == _observables(device)
+        assert device.servers.r.backing_server.stats.objects_returned > BUFFER
+        for ticket, (query, outcome) in enumerate(zip(queries, outcomes)):
+            if ticket != victim_at:
+                reference, on_its_own = _standalone(query)
+                assert outcome.status == "ok"
+                assert _result_facts(outcome.result) == _result_facts(reference)
+                assert _observables(devices[ticket]) == _observables(on_its_own)
+
 
 def _flat(fingerprint):
     """Channel-level fingerprints of a connection fingerprint (a fleet nests them)."""
