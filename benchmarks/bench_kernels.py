@@ -112,6 +112,46 @@ def test_bench_flat_rtree_bulk_load(benchmark):
     assert flat.size == 5000
 
 
+def test_bench_page_build(benchmark):
+    """The page table the batch descents read, derived from a built index on
+    its first batch query -- ``cold_join`` pays it twice per op (50k entries
+    each), so it has to stay a few per cent of the bulk load above."""
+    tree = FlatRTree.from_mbr_array(clustered(n=50000, clusters=128, seed=41000).mbrs, max_entries=16)
+
+    def build():
+        tree._pages = None
+        return tree._page_table()
+
+    pages, _, _ = benchmark(build)
+    assert pages.shape[0] == 4 and pages.shape[2] == 16
+
+
+def _workload_windows(tree: FlatRTree, cells_per_side: int, n: int, grow: float) -> np.ndarray:
+    """``n`` occupied quadtree cells, evenly picked, each side grown by ``grow``."""
+    cells = rect_array.subdivide_window(Rect(0.0, 0.0, 1.0, 1.0), cells_per_side)
+    busy = cells[tree.count_batch(cells) > 0]
+    return busy[np.linspace(0, busy.shape[0] - 1, n).astype(int)] + [-grow, -grow, grow, grow]
+
+
+def test_bench_count_batch_at_workload_shape(benchmark):
+    """One COUNT round as ``warm_session`` makes them (PR 24 capture: 276
+    calls / 43,492 windows per cycle = 157 per call, depth-5 and depth-6
+    quadtree cells of 20k clustered points, ~11 pages opened per window)."""
+    tree = FlatRTree.from_mbr_array(clustered(n=20000, clusters=128, seed=41000).mbrs, max_entries=16)
+    wins = _workload_windows(tree, 32, 157, 0.0)
+    counts = benchmark(tree.count_batch, wins)
+    assert counts.min() > 0
+
+
+def test_bench_window_batch_at_workload_shape(benchmark):
+    """One WINDOW round at ``warm_session``'s shape (133 windows per call:
+    leaf cells, the S side grown by epsilon 0.002)."""
+    tree = FlatRTree.from_mbr_array(clustered(n=20000, clusters=128, seed=41500).mbrs, max_entries=16)
+    wins = _workload_windows(tree, 64, 133, 0.002)
+    bounds, rows = benchmark(tree.window_batch_flat, wins)
+    assert bounds[-1] == rows.shape[0] > 0
+
+
 def test_bench_rtree_window_queries(benchmark):
     dataset = uniform(n=5000, seed=6)
     tree = FlatRTree.from_mbr_array(dataset.mbrs, dataset.oids, max_entries=16)

@@ -267,6 +267,21 @@ def rects_to_array(rects) -> np.ndarray:
     return np.array([r.as_tuple() for r in rects], dtype=MBR_DTYPE)
 
 
+def window_array(windows: Windows) -> np.ndarray:
+    """Query windows as the checked ``(N, 4)`` array the index descends with.
+
+    :func:`rects_to_array` plus the one check every window-taking endpoint
+    of a server or connection makes before anything is answered, counted or
+    booked: a non-finite coordinate is :class:`~repro.errors.InvalidInput`
+    (a ``nan`` edge fails every "lies outside" comparison, so the window
+    would match the whole dataset).
+    """
+    wins = rects_to_array(windows)
+    if not np.isfinite(wins).all():
+        raise InvalidInput("query windows need finite coordinates")
+    return wins
+
+
 def pairwise_intersects(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """All-pairs intersection test between two MBR arrays.
 

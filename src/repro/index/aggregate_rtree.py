@@ -133,7 +133,7 @@ class AggregateRTree:
 
     def count(self, window: Rect) -> int:
         """Number of indexed objects intersecting the window."""
-        return int(self._flat.count_batch(rect_array.rects_to_array([window]))[0])
+        return int(self._flat.count_batch(rect_array.window_array([window]))[0])
 
     def count_batch(self, windows: Windows) -> List[int]:
         """Answer many COUNT queries in one vectorised frontier traversal.
@@ -144,25 +144,26 @@ class AggregateRTree:
         vectorised operation.  ``windows`` (here and in the other batch
         queries) is a sequence of :class:`Rect` or an ``(N, 4)`` array.
         """
-        return self._flat.count_batch(rect_array.rects_to_array(windows)).tolist()
+        return self._flat.count_batch(rect_array.window_array(windows)).tolist()
 
     def window_query(self, window: Rect) -> List[int]:
         """Object ids intersecting the window, in the tree's DFS order."""
-        return self._flat.window_query(window).tolist()
+        return self._flat.entry_oids[self.window_rows(window)].tolist()
 
     def window_rows(self, window: Rect) -> np.ndarray:
         """The entry rows :meth:`window_query` matched (see :meth:`entries_at`)."""
+        rect_array.window_array([window])
         return self._flat.window_rows(window)
 
     def window_query_batch(self, windows: Windows) -> List[np.ndarray]:
         """One ``int64`` oid array per window, from one frontier traversal."""
-        return self._flat.window_batch(rect_array.rects_to_array(windows))
+        return self._flat.window_batch(rect_array.window_array(windows))
 
     def window_query_batch_flat(
         self, windows: Windows
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Batched window queries in CSR ``(bounds, rows)`` form (see :meth:`entries_at`)."""
-        return self._flat.window_batch_flat(rect_array.rects_to_array(windows))
+        return self._flat.window_batch_flat(rect_array.window_array(windows))
 
     def entries_at(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """The ``(mbrs, oids)`` of the entry rows a ``*_rows`` / ``*_batch_flat`` query matched."""

@@ -2,16 +2,49 @@
 
 :class:`FlatRTree` holds an R-tree as parallel arrays (nodes in preorder
 DFS, each subtree's entries contiguous) and answers whole query batches
-with frontier traversal: each step tests every active (node, query) pair in
-one vectorised operation and expands the survivors with ``np.repeat`` -- no
-per-node Python loop and no node object exists.
+level by level: each step *opens* every active (node, query) pair's page in
+one vectorised operation -- no per-node Python loop and no node object
+exists.
 
 Storage is literally structure-of-arrays: node boxes and entry MBRs are
 ``(4, n)`` *column blocks* (:attr:`FlatRTree.node_cols`,
-:attr:`FlatRTree.entry_cols`; rows ``xmin, ymin, xmax, ymax``), so a
-traversal step gathers the boxes it reaches with one ``take`` and compares
-contiguous coordinate columns.  ``boxes`` / ``entry_mbrs`` are the
-``(n, 4)`` transposed *views* of those blocks -- nothing is held twice.
+:attr:`FlatRTree.entry_cols`; rows ``xmin, ymin, xmax, ymax``); ``boxes`` /
+``entry_mbrs`` are their ``(n, 4)`` transposed *views*.  The constructor
+arrays are what an index *is* (the build, :meth:`FlatRTree.forest`,
+:meth:`FlatRTree.entries_at`, the single-query descents and the area
+aggregate read them).  What the batch descents read is derived from them on
+the first batch query:
+
+**A node is a page.**  The page table is a ``(4, n_nodes + n_trees, M)``
+block: row ``v`` of plane ``c`` holds coordinate ``c`` of the ``M`` boxes
+directly below node ``v`` -- the children of an inner node, the entries of a
+leaf -- side by side, as an R-tree page lays them out on disk.  A step of a
+descent gathers the pages of the nodes it opens with **one** ``take``, tests
+each page's ``M`` slots against its row's query by broadcasting, and opens
+the children that are reached but not covered next.  The frontier therefore
+holds *(node to open, query)* pairs, not *(child, query)* pairs, and no
+coordinate is gathered per child.  Three details make this exact:
+
+* *Negated maxima.*  A slot stores ``xmin, ymin, -xmax, -ymax``.  A closed
+  box meets a closed window iff ``xmin <= wx1, ymin <= wy1, xmax >= wx0,
+  ymax >= wy0``, i.e. ``slot <= [wx1, wy1, -wx0, -wy0]`` on all four planes;
+  it lies inside the window iff ``slot >= [wx0, wy0, -wx1, -wy1]``.  Float
+  negation is exact and reverses order (``-0.0 == 0.0`` either way), so on
+  finite input these are the very comparisons of ``_meets`` (``~(a < b)``
+  is ``a >= b`` unless a side is ``nan``) and of containment.  A probe's
+  distance test negates the two planes back -- exact again -- and calls the
+  one ``_reaches``.  Non-finite windows and probes never get here:
+  ``rect_array.window_array`` / ``aggregate_rtree.probe_arrays`` reject them
+  at the server and connection boundary.
+* *Padding.*  A page with fewer than ``M`` boxes is padded with ``nan``
+  (not ``inf``): every comparison with ``nan`` is false and every distance
+  to it is ``nan``, so a padding slot matches no window or probe, the
+  largest finite ones included.
+* *Order.*  Pages are opened in frontier order (by query, then left to
+  right) and a page's slots are read left to right, so a query's entries
+  come out as they always have: depth by depth, the entry ranges of the
+  subtrees covered at a depth before that depth's leaf hits.  Entry order
+  is wire format (payload order, hence pair order, hence traces).
 
 An index is a forest with one tree.  :meth:`FlatRTree.forest` lays several
 trees out back to back (node ids, child ranges and entry positions shifted
@@ -30,10 +63,10 @@ what an index holds.  The tests pin the build, array for array, against a
 pointer R-tree flattened into the same layout
 (``tests/oracles/pointer_rtree.py``).
 
-Because the DFS layout keeps each subtree's entries contiguous, a node
-fully covered by a query window contributes its whole entry range without
-being descended, which is exactly the aggregate-R-tree COUNT shortcut: the
-subtree count is ``ent_end - ent_start``.
+Because the DFS layout keeps each subtree's entries contiguous, a child
+fully covered by a query window contributes its whole entry range when its
+parent is opened, without being opened itself -- exactly the aggregate-R-tree
+COUNT shortcut: the subtree count is ``ent_end - ent_start``.
 """
 
 from __future__ import annotations
@@ -70,7 +103,8 @@ class FlatRTree:
         Per node, the range of entry positions its subtree holds.
     child_start, child_end, child_ids:
         Per node, its range in ``child_ids``, which lists children's node
-        ids left to right.
+        ids left to right (ranges in node order, like the leaves' entry
+        ranges).
     size:
         Number of entries.
     roots:
@@ -102,6 +136,7 @@ class FlatRTree:
         self.child_ids = child_ids
         self.size = int(entry_oids.shape[0])
         self.roots = np.zeros(1, dtype=np.intp) if roots is None else roots
+        self._pages = None  # derived from the fields above on first batch query
 
     @property
     def boxes(self) -> np.ndarray:
@@ -258,14 +293,9 @@ class FlatRTree:
         out = np.zeros(W, dtype=np.int64)
         if self.size == 0 or W == 0:
             return out
-        wcols = np.ascontiguousarray(wins.T)
-        for qids, contained_node, part_nodes, part_qids in self._frontier(wcols, roots):
-            np.add.at(
-                out, qids, self.ent_end.take(contained_node) - self.ent_start.take(contained_node)
-            )
-            if part_nodes.shape[0]:
-                hit_qids, _ = self._entries_in_windows(part_nodes, part_qids, wcols)
-                out += np.bincount(hit_qids, minlength=W)
+        for qids, contained, leaf_qids, _, row, _ in self._frontier(W, roots, *_window_tests(wins)):
+            np.add.at(out, qids, self.ent_end.take(contained) - self.ent_start.take(contained))
+            out += np.bincount(leaf_qids.take(row), minlength=W)
         return out
 
     def window_batch(self, wins: np.ndarray) -> List[np.ndarray]:
@@ -286,24 +316,7 @@ class FlatRTree:
         very rows, so a consumer never looks an oid up again.  ``roots`` as
         in :meth:`count_batch`.
         """
-        W = wins.shape[0]
-        if self.size == 0 or W == 0:
-            return np.zeros(W + 1, dtype=np.intp), np.empty(0, dtype=np.intp)
-        wcols = np.ascontiguousarray(wins.T)
-        q_chunks: List[np.ndarray] = []
-        e_chunks: List[np.ndarray] = []
-        for qids, contained_node, part_nodes, part_qids in self._frontier(wcols, roots):
-            if contained_node.shape[0]:
-                row, ent = expand_index_ranges(
-                    self.ent_start.take(contained_node), self.ent_end.take(contained_node)
-                )
-                q_chunks.append(qids.take(row))
-                e_chunks.append(ent)
-            if part_nodes.shape[0]:
-                hit_qids, hit_ent = self._entries_in_windows(part_nodes, part_qids, wcols)
-                q_chunks.append(hit_qids)
-                e_chunks.append(hit_ent)
-        return self._flatten_by_query(q_chunks, e_chunks, W)
+        return self._rows_by_query(wins.shape[0], roots, *_window_tests(wins))
 
     def range_batch(self, pts: np.ndarray, radii: np.ndarray) -> List[np.ndarray]:
         """Qualifying oids for every probe of ``(P, 2)`` centres / radii."""
@@ -321,39 +334,14 @@ class FlatRTree:
         positions like :meth:`window_batch_flat`'s.  ``roots`` as in
         :meth:`count_batch`.
         """
-        P = pts.shape[0]
-        if self.size == 0 or P == 0:
-            return np.zeros(P + 1, dtype=np.intp), np.empty(0, dtype=np.intp)
-        pcols = np.ascontiguousarray(pts.T)
-        q_chunks: List[np.ndarray] = []
-        e_chunks: List[np.ndarray] = []
-        nodes, qids = self._start(P, roots)
-        while nodes.shape[0]:
-            keep = np.flatnonzero(
-                _reaches(
-                    self.node_cols.take(nodes, axis=1),
-                    pcols.take(qids, axis=1),
-                    radii.take(qids),
-                )
-            )
-            nodes, qids = nodes.take(keep), qids.take(keep)
-            leaf = self.is_leaf.take(nodes)
-            at_leaf, inner = np.flatnonzero(leaf), np.flatnonzero(~leaf)
-            if at_leaf.shape[0]:
-                row, ent = expand_index_ranges(
-                    self.ent_start.take(nodes.take(at_leaf)),
-                    self.ent_end.take(nodes.take(at_leaf)),
-                )
-                q = qids.take(at_leaf).take(row)
-                hit = np.flatnonzero(
-                    _reaches(
-                        self.entry_cols.take(ent, axis=1), pcols.take(q, axis=1), radii.take(q)
-                    )
-                )
-                q_chunks.append(q.take(hit))
-                e_chunks.append(ent.take(hit))
-            nodes, qids = self._children(nodes.take(inner), qids.take(inner))
-        return self._flatten_by_query(q_chunks, e_chunks, P)
+        px, py = np.ascontiguousarray(pts.T)
+
+        def reached(page: np.ndarray, qids: np.ndarray) -> np.ndarray:
+            x0, y0, nx1, ny1 = page
+            at = px.take(qids)[:, None], py.take(qids)[:, None]
+            return _reaches((x0, y0, -nx1, -ny1), at, radii.take(qids)[:, None])
+
+        return self._rows_by_query(pts.shape[0], roots, reached, None)
 
     def entries_at(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """The ``(mbrs, oids)`` payload of the entry rows a query matched: one take each."""
@@ -404,72 +392,106 @@ class FlatRTree:
     # internals
     # ------------------------------------------------------------------ #
 
-    @staticmethod
-    def _start(n_rows: int, roots: Optional[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
-        """The first frontier: every row at its root (node 0 unless told)."""
-        qids = np.arange(n_rows, dtype=np.intp)
-        if roots is None:
-            return np.zeros(n_rows, dtype=np.intp), qids
-        return np.asarray(roots, dtype=np.intp), qids
+    def _page_table(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The page table ``(pages, base, kids)``, built on first use.
 
-    def _children(self, nodes: np.ndarray, qids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """The next frontier: every child of ``nodes``, paired with its row."""
-        row, kid = expand_index_ranges(self.child_start.take(nodes), self.child_end.take(nodes))
-        return self.child_ids.take(kid), qids.take(row)
-
-    def _frontier(self, wcols: np.ndarray, roots: Optional[np.ndarray]):
-        """Level-synchronous traversal for window-shaped queries.
-
-        ``wcols`` is the ``(4, W)`` column block of the windows.  Yields,
-        per step, the (query ids, contained node ids) pairs whose subtree
-        is fully covered, and the (leaf node ids, query ids) pairs needing
-        per-entry tests.  Partially covered internal nodes are expanded
-        into the next step's frontier.
+        ``pages[:, v]`` is node ``v``'s page (module docstring) and
+        ``pages[:, n_nodes + t]`` the *root page* of tree ``t``, whose one
+        slot is that tree's root box -- a descent starts like any other
+        step.  Slot ``c`` of page ``v`` is entry row ``base[v] + c`` if
+        ``v`` is a leaf, else node ``kids[base[v] + c]`` (``kids`` is
+        ``child_ids`` followed by ``roots``).  Both kinds of range run in
+        node order, so the real slots, row by row, are the entries (the
+        children) in the order their arrays already list them.
         """
-        nodes, qids = self._start(wcols.shape[1], roots)
-        while nodes.shape[0]:
-            nb = self.node_cols.take(nodes, axis=1)
-            wb = wcols.take(qids, axis=1)
-            keep = np.flatnonzero(_meets(nb, wb))
-            if keep.shape[0] == 0:
-                return
-            nodes, qids = nodes.take(keep), qids.take(keep)
-            (nx0, ny0, nx1, ny1), (wx0, wy0, wx1, wy1) = nb.take(keep, axis=1), wb.take(keep, axis=1)
-            contained = (wx0 <= nx0) & (wy0 <= ny0) & (nx1 <= wx1) & (ny1 <= wy1)
-            inside, partial = np.flatnonzero(contained), np.flatnonzero(~contained)
-            partial_nodes, partial_qids = nodes.take(partial), qids.take(partial)
-            leaf = self.is_leaf.take(partial_nodes)
-            at_leaf, inner = np.flatnonzero(leaf), np.flatnonzero(~leaf)
-            yield (
-                qids.take(inside),
-                nodes.take(inside),
-                partial_nodes.take(at_leaf),
-                partial_qids.take(at_leaf),
-            )
-            nodes, qids = self._children(partial_nodes.take(inner), partial_qids.take(inner))
+        if self._pages is None:
+            trees = self.child_ids.shape[0] + np.arange(self.roots.shape[0], dtype=np.intp)
+            kids = np.concatenate([self.child_ids, self.roots])
+            base = np.concatenate([np.where(self.is_leaf, self.ent_start, self.child_start), trees])
+            end = np.concatenate([np.where(self.is_leaf, self.ent_end, self.child_end), trees + 1])
+            n_nodes = self.is_leaf.shape[0]
+            real = np.arange((end - base).max()) < (end - base)[:, None]
+            entries = real[:n_nodes] & self.is_leaf[:, None]
+            real[:n_nodes] ^= entries  # what is left: child and root boxes
+            pages = np.full((4, *real.shape), np.nan)
+            for page, below, boxes in zip(pages, self.entry_cols, self.node_cols):
+                page[:n_nodes][entries] = below
+                page[real] = boxes.take(kids)
+            np.negative(pages[2:], out=pages[2:])
+            self._pages = pages, base, kids
+        return self._pages
 
-    def _entries_in_windows(
-        self, leaves: np.ndarray, qids: np.ndarray, wcols: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """The (query id, entry row) pairs of ``leaves``' entries meeting their window."""
-        row, ent = expand_index_ranges(self.ent_start.take(leaves), self.ent_end.take(leaves))
-        q = qids.take(row)
-        hit = np.flatnonzero(
-            _meets(self.entry_cols.take(ent, axis=1), wcols.take(q, axis=1))
+    def _open(self, nodes: np.ndarray) -> np.ndarray:
+        """The ``(4, k, M)`` pages of ``nodes``: the one gather of box coordinates a step makes."""
+        return self._page_table()[0].take(nodes, axis=1)
+
+    def _frontier(self, n_rows: int, roots: Optional[np.ndarray], met, inside):
+        """Level-synchronous descent of ``n_rows`` queries, a page per (node, query).
+
+        ``met(page, qids)`` masks the ``(k, M)`` slots of the ``(4, k, M)``
+        opened pages that each row's query reaches; ``inside`` likewise the
+        slots it covers whole (``None``: none ever).  Yields per depth
+        ``(qids, nodes, leaf_qids, leaves, row, col)``: the (query, node)
+        pairs whose subtree is covered, then the (query, leaf) pairs opened
+        at that depth with their qualifying entries -- slot ``col[i]`` of
+        pair ``row[i]``.  Children met but not covered are opened next.
+        Every list is in frontier order: by query, then left to right.
+        """
+        pages, base, kids = self._page_table()
+        M = pages.shape[2]
+        nodes = self.is_leaf.shape[0] + (
+            np.zeros(n_rows, dtype=np.intp) if roots is None else np.searchsorted(self.roots, roots)
         )
-        return q.take(hit), ent.take(hit)
+        qids = np.arange(n_rows, dtype=np.intp)
+        covered_q = covered = qids[:0]
+        while nodes.shape[0]:
+            page = self._open(nodes)
+            at = np.flatnonzero(met(page, qids))
+            row, col = np.divmod(at, M)
+            kid, q = kids.take(base.take(nodes).take(row) + col), qids.take(row)
+            if inside is not None:
+                whole = inside(page.reshape(4, -1).take(at, axis=1)[:, :, None], q)[:, 0]
+                covered_q, covered = q.compress(whole), kid.compress(whole)
+                part = np.flatnonzero(~whole)
+                kid, q = kid.take(part), q.take(part)
+            leaf = self.is_leaf.take(kid)
+            leaves, leaf_q = kid.compress(leaf), q.compress(leaf)
+            hit = np.flatnonzero(met(self._open(leaves), leaf_q)) if leaves.shape[0] else leaves
+            yield covered_q, covered, leaf_q, leaves, *np.divmod(hit, M)
+            inner = np.flatnonzero(~leaf)
+            nodes, qids = kid.take(inner), q.take(inner)
 
-    def _flatten_by_query(
-        self, q_chunks: List[np.ndarray], e_chunks: List[np.ndarray], n_queries: int
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Turn (query id, entry row) chunk pairs into CSR offsets + rows."""
-        if not q_chunks:
-            return np.zeros(n_queries + 1, dtype=np.intp), np.empty(0, dtype=np.intp)
+    def _rows_by_query(self, n_rows: int, roots, met, inside) -> Tuple[np.ndarray, np.ndarray]:
+        """The entry rows a :meth:`_frontier` descent qualifies, in CSR form."""
+        if self.size == 0 or n_rows == 0:
+            return np.zeros(n_rows + 1, dtype=np.intp), np.empty(0, dtype=np.intp)
+        q_chunks: List[np.ndarray] = []
+        e_chunks: List[np.ndarray] = []
+        for qids, contained, leaf_qids, leaves, row, col in self._frontier(n_rows, roots, met, inside):
+            if contained.shape[0]:
+                of, ent = expand_index_ranges(self.ent_start.take(contained), self.ent_end.take(contained))
+                q_chunks.append(qids.take(of))
+                e_chunks.append(ent)
+            q_chunks.append(leaf_qids.take(row))
+            e_chunks.append(self.ent_start.take(leaves).take(row) + col)
+        # Chunks are per depth; a stable sort by query keeps each query's depth order.
         q = np.concatenate(q_chunks)
-        e = np.concatenate(e_chunks)
         order = np.argsort(q, kind="stable")
-        bounds = np.searchsorted(q[order], np.arange(n_queries + 1))
-        return bounds, e[order]
+        return np.searchsorted(q[order], np.arange(n_rows + 1)), np.concatenate(e_chunks)[order]
+
+
+#: A box ``xmin, ymin, xmax, ymax`` times this is its page slot ``xmin, ymin, -xmax, -ymax``.
+_SIGN = np.array([1.0, 1.0, -1.0, -1.0])
+
+
+def _window_tests(wins: np.ndarray):
+    """``(met, inside)`` of :meth:`FlatRTree._frontier` for ``(W, 4)`` windows."""
+    reach = np.ascontiguousarray((wins[:, [2, 3, 0, 1]] * _SIGN).T)  # slot <= wx1, wy1, -wx0, -wy0
+    cover = np.ascontiguousarray((wins * _SIGN).T)  # slot >= wx0, wy0, -wx1, -wy1
+    return (
+        lambda page, qids: np.logical_and.reduce(page <= reach.take(qids, axis=1)[:, :, None]),
+        lambda page, qids: np.logical_and.reduce(page >= cover.take(qids, axis=1)[:, :, None]),
+    )
 
 
 def _meets(boxes, wins) -> np.ndarray:
@@ -489,7 +511,10 @@ def _reaches(boxes, pts, radii) -> np.ndarray:
     px, py = pts
     dx = np.maximum(np.maximum(bx0 - px, 0.0), px - bx1)
     dy = np.maximum(np.maximum(by0 - py, 0.0), py - by1)
-    return np.hypot(dx, dy) <= radii
+    # A distance is no smaller than either of its components, so only boxes
+    # within the radius on both axes need the (slow) hypotenuse.
+    near = (dx <= radii) & (dy <= radii)
+    return near & (np.hypot(dx, dy, out=dx, where=near) <= radii)
 
 
 def str_tiling(boxes: np.ndarray, capacity: int) -> Tuple[np.ndarray, np.ndarray]:

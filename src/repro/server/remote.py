@@ -488,6 +488,7 @@ class RemoteServer(SpatialServerInterface):
         statistics and ledger exactly as :meth:`window_batch_flat` over the
         same windows would have left them.
         """
+        rect_array.window_array(windows)
         stats = self._server.stats
         stats.window_queries += len(windows)
         stats.objects_returned += int(sizes.sum())
@@ -556,6 +557,7 @@ class RemoteServer(SpatialServerInterface):
         values = [int(v) for v in values]
         if len(values) != len(windows):
             raise ValueError("values must be parallel to windows")
+        rect_array.window_array(windows)
         self._server.stats.count_queries += len(windows)
         self._account_count_batch(len(windows))
         return values
@@ -1383,7 +1385,7 @@ class ShardedRemoteServer(SpatialServerInterface):
 
     def _routed(self, window: Rect) -> List[int]:
         """Shard indices one window scatters to: the one-row case of the routing."""
-        return self._fleet.route(rect_array.rects_to_array([window]))[0].tolist()
+        return self._fleet.route(rect_array.window_array([window]))[0].tolist()
 
     @staticmethod
     def _by_shard(shard: np.ndarray) -> Iterator[Tuple[int, np.ndarray]]:
@@ -1427,7 +1429,7 @@ class ShardedRemoteServer(SpatialServerInterface):
     def window_batch_flat(
         self, windows: Windows
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        windows = rect_array.rects_to_array(windows)
+        windows = rect_array.window_array(windows)
         return self.book_window_batch(windows, self._fleet.evaluate_window_batch(windows))
 
     def book_window_batch(
@@ -1438,7 +1440,7 @@ class ShardedRemoteServer(SpatialServerInterface):
         The book half of :meth:`window_batch_flat`; the wave driver calls it
         with this query's share of a descent it made for many queries.
         """
-        windows = rect_array.rects_to_array(windows)
+        windows = rect_array.window_array(windows)
         self._book(
             answer,
             lambda proxy, mine, sizes: proxy.window_batch_prefetched(windows[mine], sizes),
@@ -1453,7 +1455,7 @@ class ShardedRemoteServer(SpatialServerInterface):
         return sum(self._proxies[i].count(window) for i in self._routed(window))
 
     def count_batch(self, windows: Windows) -> List[int]:
-        windows = rect_array.rects_to_array(windows)
+        windows = rect_array.window_array(windows)
         shard, request, counts = self._fleet.descend(self._fleet.forest.count_batch, windows)
         self._attribute_counts(windows, shard, request)
         return sum_by_request(request, counts, len(windows))
@@ -1472,7 +1474,7 @@ class ShardedRemoteServer(SpatialServerInterface):
         values = [int(v) for v in values]
         if len(values) != len(windows):
             raise ValueError("values must be parallel to windows")
-        windows = rect_array.rects_to_array(windows)
+        windows = rect_array.window_array(windows)
         self._attribute_counts(windows, *self._fleet.route(windows))
         return values
 

@@ -261,8 +261,9 @@ class SpatialServer(SpatialServerInterface):
     # ------------------------------------------------------------------ #
 
     def window(self, window: Rect) -> Tuple[np.ndarray, np.ndarray]:
+        rows = self._index.window_rows(window)  # checks the window: nothing is counted before
         self.stats.window_queries += 1
-        return self._payload(self._index.window_rows(window))
+        return self._payload(rows)
 
     def window_batch(self, windows: Windows) -> List[Tuple[np.ndarray, np.ndarray]]:
         """Answer a batch of WINDOW queries in one index descent.
@@ -284,18 +285,20 @@ class SpatialServer(SpatialServerInterface):
         is one take of the entry rows the index descent matched; statistics
         are identical to a loop of :meth:`window` calls.
         """
-        self.stats.window_queries += len(windows)
         bounds, rows = self._index.window_query_batch_flat(windows)
+        self.stats.window_queries += len(windows)
         return (*self._payload(rows), bounds)
 
     def count(self, window: Rect) -> int:
+        value = self._index.count(window)
         self.stats.count_queries += 1
-        return self._index.count(window)
+        return value
 
     def count_batch(self, windows: Windows) -> List[int]:
         """Answer a batch of COUNT queries in one aggregate-tree descent."""
+        values = self._index.count_batch(windows)
         self.stats.count_queries += len(windows)
-        return self._index.count_batch(windows)
+        return values
 
     def range(self, center: Point, epsilon: float) -> Tuple[np.ndarray, np.ndarray]:
         probe_arrays([center], [epsilon])
@@ -344,8 +347,9 @@ class SpatialServer(SpatialServerInterface):
         return (*self._payload(rows), probes)
 
     def average_mbr_area(self, window: Rect) -> float:
+        value = self._index.average_mbr_area(window)
         self.stats.aggregate_queries += 1
-        return self._index.average_mbr_area(window)
+        return value
 
     # ------------------------------------------------------------------ #
 

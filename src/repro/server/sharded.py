@@ -44,7 +44,7 @@ import numpy as np
 
 from repro.datasets.dataset import SpatialDataset
 from repro.datasets.partition import partition_dataset
-from repro.geometry.rect_array import Windows, pairwise_intersects, rects_to_array
+from repro.geometry.rect_array import Windows, pairwise_intersects, window_array
 from repro.index.aggregate_rtree import Probes, probe_arrays
 from repro.index.flat import FlatRTree
 from repro.server.server import Prefetched, ServerQueryStats, SpatialServer
@@ -252,7 +252,7 @@ class ShardedSpatialServer:
         set exactly, so summing a window's per-shard counts reproduces the
         union server's count bit for bit.
         """
-        wins = rects_to_array(windows)
+        wins = window_array(windows)
         _, request, counts = self.descend(self.forest.count_batch, wins)
         return sum_by_request(request, counts, wins.shape[0])
 
@@ -263,7 +263,7 @@ class ShardedSpatialServer:
         ascending: the merged answer a scatter returns, still carrying the
         shard of every row so each shard's share can be booked afterwards.
         """
-        return self._prefetched(self.forest.window_batch_flat, rects_to_array(windows))
+        return self._prefetched(self.forest.window_batch_flat, window_array(windows))
 
     def evaluate_range_batch(self, centers: Probes, radii: Sequence[float]) -> Prefetched:
         """Answer RANGE probes in one routed descent, statistics untouched.

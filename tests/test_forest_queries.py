@@ -13,8 +13,15 @@ queries start every row at its own root.  Two contracts are pinned here:
   (the package's own until PR 18) return, and the ``_meets`` / ``_reaches``
   column kernels equal the ``~(a < b)`` row-wise forms on the same inputs.
   Inputs are NaN-free by the typed boundary (``as_mbr_array``,
-  ``validate_window`` and ``JoinSpec`` reject non-finite values), which is
-  the only case the two forms could differ in.
+  ``validate_window``, ``window_array``, ``probe_arrays`` and ``JoinSpec``
+  reject non-finite values), which is the only case the two forms could
+  differ in.
+* **pages = arrays** (PR 24).  The page table the batch descents read is
+  derived from the nine constructor arrays: every real slot is the child
+  box / entry MBR those arrays give (maxima negated), every slot reference
+  round-trips to the child id / entry row, everything else is ``nan``
+  padding -- and the descents stay ``==`` the row-wise oracle and the
+  per-tree loop on windows chosen to sit on slot and page boundaries.
 """
 
 from __future__ import annotations
@@ -24,6 +31,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import AdHocJoinSession
+from repro.datasets.synthetic import clustered
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.index import flat
@@ -212,3 +221,158 @@ def test_empty_forest_and_empty_batches(n_trees):
     none = np.zeros((0, 4))
     assert full.count_batch(none, full.roots[:0]).shape == (0,)
     assert full.window_batch_flat(none, full.roots[:0])[0].tolist() == [0]
+
+
+# ---------------------------------------------------------------------- #
+# the page table (PR 24)
+# ---------------------------------------------------------------------- #
+
+SCALES = (1e-9, 1.0, 1e12)
+FLOAT_MAX = np.finfo(np.float64).max
+
+
+def _page_sizes(fanout: int):
+    """Tree sizes with partly filled last pages at every level."""
+    return [0, 1, fanout, fanout + 1, fanout * fanout + 1, 70, 300]
+
+
+def _assert_pages_equal_arrays(index: FlatRTree) -> None:
+    pages, base, kids = index._page_table()
+    n_nodes, n_trees = index.is_leaf.shape[0], index.roots.shape[0]
+    assert pages.dtype == np.float64 and pages.shape[:2] == (4, n_nodes + n_trees)
+    for v in range(n_nodes + n_trees):
+        if v >= n_nodes:  # the root page of a tree: one slot, its root box
+            below = index.roots[v - n_nodes : v - n_nodes + 1]
+            boxes, refs = index.boxes[below], kids[base[v] : base[v] + 1]
+        elif index.is_leaf[v]:
+            below = np.arange(index.ent_start[v], index.ent_end[v])
+            boxes, refs = index.entry_mbrs[below], base[v] + np.arange(below.shape[0])
+        else:
+            below = index.child_ids[index.child_start[v] : index.child_end[v]]
+            boxes, refs = index.boxes[below], kids[base[v] : base[v] + below.shape[0]]
+        width = below.shape[0]
+        assert refs.tolist() == below.tolist(), v  # child ids / entry rows round-trip
+        assert np.array_equal(pages[:, v, :width], (boxes * [1.0, 1.0, -1.0, -1.0]).T), v
+        assert np.isnan(pages[:, v, width:]).all(), v  # padding can match nothing
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    geometry=st.sampled_from(GEOMETRIES),
+    fanout=st.sampled_from((4, 8, 16)),
+    n_trees=st.sampled_from(TREE_COUNTS),
+    seed=st.integers(0, 2**16),
+)
+def test_page_table_equals_the_nine_arrays(geometry, fanout, n_trees, seed):
+    rng = np.random.default_rng(seed)
+    sizes = rng.choice(_page_sizes(fanout), n_trees).tolist()  # unequal heights, empty trees
+    if n_trees == 1 and seed % 4 == 0:
+        sizes = [5000 + seed % 17]
+    trees = [
+        FlatRTree.from_mbr_array(_mbrs(n, geometry, seed + t), max_entries=fanout)
+        for t, n in enumerate(sizes)
+    ]
+    for tree in trees:
+        _assert_pages_equal_arrays(tree)
+    forest = FlatRTree.forest(trees)
+    _assert_pages_equal_arrays(forest)
+    assert forest._page_table()[0].shape[2] == max(t._page_table()[0].shape[2] for t in trees)
+
+
+def _boundary_windows(mbrs: np.ndarray, tree: FlatRTree, seed: int) -> np.ndarray:
+    """Windows on the comparisons' edges: equal to a box, touching one from
+    each side, degenerate at a corner, around the last real slot of every
+    partly filled leaf page, the largest finite window, and far misses."""
+    rng = np.random.default_rng(seed)
+    last = tree.ent_end[tree.is_leaf & (tree.ent_end > tree.ent_start)] - 1
+    picked = np.concatenate([last[:12], rng.integers(0, mbrs.shape[0], 12)])
+    boxes = np.vstack([tree.entry_mbrs[picked], tree.boxes[rng.integers(0, tree.boxes.shape[0], 6)]])
+    x0, y0, x1, y1 = boxes.T
+    span = (mbrs[:, 2:].max(axis=0) - mbrs[:, :2].min(axis=0)).max() + 1.0
+    return np.vstack(
+        [
+            boxes,  # equals a box exactly: met and covered
+            np.column_stack([x1, y1, x1 + span, y1 + span]),  # touches its upper corner
+            np.column_stack([x0 - span, y0 - span, x0, y0]),  # ... and its lower one
+            np.column_stack([x0, y0, x0, y0]),  # zero area, on a corner
+            np.column_stack([x0, y0 - span, x0, y1 + span]),  # zero width, through an edge
+            np.column_stack([np.nextafter(x1, np.inf), y0, x1 + span, y1]),  # one ulp off: misses
+            [[-FLOAT_MAX, -FLOAT_MAX, FLOAT_MAX, FLOAT_MAX], [FLOAT_MAX, FLOAT_MAX, FLOAT_MAX, FLOAT_MAX]],
+        ]
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    geometry=st.sampled_from(GEOMETRIES),
+    fanout=st.sampled_from((4, 8, 16)),
+    scale=st.sampled_from(SCALES),
+    n_trees=st.sampled_from((1, 3)),
+    seed=st.integers(0, 2**16),
+)
+def test_descents_on_slot_and_page_boundaries(geometry, fanout, scale, n_trees, seed):
+    rng = np.random.default_rng(seed)
+    sizes = [int(n) for n in rng.choice(_page_sizes(fanout)[1:], n_trees)]
+    data = [_mbrs(n, geometry, seed + t) * scale + t * 0.3 * scale for t, n in enumerate(sizes)]
+    twins = [FlatRTree.from_mbr_array(mbrs, max_entries=fanout) for mbrs in data]
+    wins = np.vstack([_boundary_windows(mbrs, twin, seed) for mbrs, twin in zip(data, twins)])
+    # Probes at the windows' corners (the largest-float rows would overflow
+    # a distance): radius 0, the exact gap to the far corner, and half of it.
+    sane = np.where(np.abs(wins) == FLOAT_MAX, 0.0, wins)
+    pts = sane[:, :2]
+    radii = np.hypot(sane[:, 2] - sane[:, 0], sane[:, 3] - sane[:, 1]) * (np.arange(wins.shape[0]) % 3) / 2
+    for tree in twins:  # no ``roots``: the row-wise oracle
+        assert tree.count_batch(wins).tolist() == flat_rowwise.count_batch(tree, wins).tolist()
+        for got, want in (
+            (tree.window_batch_flat(wins), flat_rowwise.window_batch_flat(tree, wins)),
+            (tree.range_batch_flat(pts, radii), flat_rowwise.range_batch_flat(tree, pts, radii)),
+        ):
+            assert got[0].tolist() == want[0].tolist()
+            assert got[1].tolist() == want[1].tolist()  # entry order included
+    if n_trees == 1:
+        return
+    # ``roots``: every (tree, window) row of one forest descent is its tree's answer.
+    forest = FlatRTree.forest([FlatRTree.from_mbr_array(m, max_entries=fanout) for m in data])
+    tree_of_row, window_of_row = _rows(n_trees, wins.shape[0], seed)
+    row_wins, roots = wins[window_of_row], forest.roots[tree_of_row]
+    counts = forest.count_batch(row_wins, roots)
+    answers = {
+        "window": forest.window_batch_flat(row_wins, roots),
+        "range": forest.range_batch_flat(pts[window_of_row], radii[window_of_row], roots),
+    }
+    want = {"window": {}, "range": {}}
+    for t, tree in enumerate(twins):
+        mine = np.flatnonzero(tree_of_row == t)
+        assert counts[mine].tolist() == tree.count_batch(row_wins[mine]).tolist()
+        want["window"][t] = (mine, tree.window_batch_flat(row_wins[mine]))
+        want["range"][t] = (mine, tree.range_batch_flat(pts[window_of_row][mine], radii[window_of_row][mine]))
+    for kind, (got_bounds, got_ent) in answers.items():
+        for row, expected in enumerate(_per_tree_csr(forest, twins, tree_of_row, want[kind])):
+            assert got_ent[got_bounds[row] : got_bounds[row + 1]].tolist() == expected.tolist(), (kind, row)
+
+
+def test_pages_exist_once_per_index_that_answers_batches():
+    """A fleet pays for one page table -- the forest's -- however it is
+    sharded, replicated, viewed or queried; shard trees never build one."""
+    r = clustered(n=3000, clusters=8, seed=5, std=0.05, name="R")
+    s = clustered(n=3000, clusters=8, seed=6, std=0.05, name="S")
+    session = AdHocJoinSession(
+        r, s, buffer_size=100, indexed=False, shards_r=4, shards_s=4, shard_scheme="str", replicas=2
+    )
+    found = {session.run(algorithm, epsilon=0.01).num_pairs for algorithm in ("upjoin", "srjoin", "mobijoin")}
+    assert len(found) == 1 and found.pop() > 0
+    for fleet in (session.server_r, session.server_s):
+        table = fleet.forest._pages
+        assert table is not None and fleet.forest._page_table() is table  # built once
+        assert fleet.shared_view().forest._pages is table
+        for replica in fleet.breaker_units():
+            assert replica.index.flat._pages is None
+            assert replica.replica_view("x").index.flat is replica.index.flat
+
+
+def test_page_table_costs_one_copy_of_the_entries():
+    data = clustered(n=20000, clusters=128, seed=41000)
+    tree = FlatRTree.from_mbr_array(data.mbrs, max_entries=16)
+    pages, base, kids = tree._page_table()
+    inner = (np.count_nonzero(~tree.is_leaf) + 1) * pages[:, 0].nbytes  # + the root page
+    assert pages.nbytes + base.nbytes + kids.nbytes <= 1.1 * tree.entry_cols.nbytes + inner

@@ -502,3 +502,54 @@ class TestSweepOrdersOnce:
         monkeypatch.undo()
         assert i_idx.shape[0] > 0
         assert dict(calls) == {"argsort": 2}
+
+
+class TestDescentsOpenPages:
+    """One COUNT / WINDOW batch reads box coordinates only as page rows.
+
+    The deterministic twin of the descents' wall-clock claim: a call makes
+    one page gather per inner level (the root page included) and one for the
+    leaves, whatever the number of windows -- not eight coordinate gathers
+    per (child, query) -- never reads ``node_cols`` / ``entry_cols``, and
+    expands index ranges only for the entries of subtrees a WINDOW covers.
+    """
+
+    @pytest.mark.parametrize("windows", [1, 40, 2000])
+    def test_one_page_gather_per_level_and_kind(self, windows, monkeypatch):
+        from repro.datasets.synthetic import clustered
+        from repro.index import flat
+        from repro.index.aggregate_rtree import AggregateRTree
+
+        index = AggregateRTree.from_mbr_array(clustered(n=20000, clusters=128, seed=41000).mbrs)
+        tree, height = index.flat, index.height
+        rng = np.random.default_rng(windows)
+        lo = rng.random((windows, 2)) * 0.9
+        wins = np.hstack([lo, lo + rng.random((windows, 2)) * 0.1])
+        want = tree.count_batch(wins), tree.window_batch_flat(wins)
+
+        opened, expanded = defaultdict(int), []
+        open_pages, expand = flat.FlatRTree._open, flat.expand_index_ranges
+
+        def counted_open(self, nodes):
+            first = int(nodes[0])
+            opened["leaf" if first < self.is_leaf.shape[0] and self.is_leaf[first] else "inner"] += 1
+            return open_pages(self, nodes)
+
+        def counted_expand(starts, ends):
+            expanded.append(starts.shape[0])
+            return expand(starts, ends)
+
+        monkeypatch.setattr(flat.FlatRTree, "_open", counted_open)
+        monkeypatch.setattr(flat, "expand_index_ranges", counted_expand)
+        # The columns are not there to be gathered from: pages are all a descent reads.
+        monkeypatch.setattr(tree, "node_cols", None)
+        monkeypatch.setattr(tree, "entry_cols", None)
+        counts = tree.count_batch(wins)
+        assert dict(opened) == {"inner": height, "leaf": 1} and not expanded
+        opened.clear()
+        bounds, rows = tree.window_batch_flat(wins)
+        assert dict(opened) == {"inner": height, "leaf": 1} and len(expanded) <= height
+        monkeypatch.undo()
+        assert counts.tolist() == want[0].tolist() and counts.sum() > 0
+        assert bounds.tolist() == want[1][0].tolist() and rows.tolist() == want[1][1].tolist()
+

@@ -376,6 +376,62 @@ def test_unusable_probes_are_rejected_before_anything_is_booked(topology, bad, a
         assert not any(build.stats.as_dict().values())
 
 
+_BAD_WINDOWS = {
+    "nan": Rect(0.0, 0.0, float("nan"), 1.0),
+    "inf": Rect(0.0, 0.0, float("inf"), 1.0),
+    "-inf": Rect(float("-inf"), 0.0, 1.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("as_arrays", [False, True], ids=["rects", "arrays"])
+@pytest.mark.parametrize("bad", sorted(_BAD_WINDOWS))
+@pytest.mark.parametrize("topology", ["plain", "sharded-4x4", "replicated"])
+def test_unusable_windows_are_rejected_before_anything_is_booked(topology, bad, as_arrays):
+    """A non-finite window used to be answered silently (a ``nan`` edge
+    fails every "lies outside" test, so COUNT answered the whole dataset),
+    counted and booked; now every window-taking entry path raises
+    ``InvalidInput`` where probe-taking ones do, with no statistic bumped,
+    no byte booked and no fault event drawn.  ``nan`` is also the one input
+    on which the index's page comparisons and the ``~(a < b)`` forms differ."""
+    from repro.errors import InvalidInput
+
+    proxy, resilience = _stack(topology)
+    build = proxy.backing_server
+    untouched = _observed(proxy, resilience)
+    good, _, _ = _requests(1)
+    window = _BAD_WINDOWS[bad]
+    windows = [good[0], window]
+    answer = build.evaluate_window_batch(good[:2])
+    if as_arrays:
+        windows = np.array([w.as_tuple() for w in windows])
+    attempts = [
+        lambda: proxy.count_batch(windows),
+        lambda: proxy.window_batch_flat(windows),
+        lambda: proxy.window_batch(windows),
+        lambda: proxy.count(window),
+        lambda: proxy.window(window),
+        lambda: build.evaluate_count_batch(windows),
+        lambda: build.evaluate_window_batch(windows),
+        lambda: proxy.count_batch_prefetched(windows, [0, 0]),
+        lambda: proxy.book_window_batch(windows, answer),
+    ]
+    if topology == "plain":
+        attempts += [
+            lambda: build.count_batch(windows),
+            lambda: build.window_batch_flat(windows),
+            lambda: build.count(window),
+            lambda: build.window(window),
+            lambda: build.average_mbr_area(window),
+            lambda: build.index.count(window),
+            lambda: build.index.window_query(window),
+        ]
+    for attempt in attempts:
+        with pytest.raises(InvalidInput, match="finite"):
+            attempt()
+    assert _observed(proxy, resilience) == untouched
+    assert not any(proxy.server_stats().values())
+
+
 class TestOneDescentPerScatter:
     """One batch call of the scatter proxy is one ``FlatRTree`` batch call.
 

@@ -193,8 +193,12 @@ def test_every_flat_rtree_is_built_by_the_field_constructor():
         [FlatRTree.from_mbr_array(mbrs[:100]), FlatRTree.from_mbr_array(mbrs[100:])]
     )
     flattened = pointer_rtree.flatten(pointer_rtree.RTree.from_mbr_array(mbrs, max_entries=8))
-    fields = set(inspect.signature(FlatRTree).parameters) | {"size"}
+    # The constructor fields, ``size`` and the page table derived from them
+    # on the first batch query (PR 24) -- nothing else.
+    fields = set(inspect.signature(FlatRTree).parameters) | {"size", "_pages"}
     for index in (built, forest, flattened):
+        assert set(vars(index)) == fields
+        index.count_batch(np.array([[0.0, 0.0, 1.0, 1.0]]))
         assert set(vars(index)) == fields
     # The constructor is the one place that assigns them.
     for source in (inspect.getsource(flat), inspect.getsource(pointer_rtree.flatten)):
