@@ -8,10 +8,10 @@ of a :class:`~repro.core.result.JoinResult` from the measured channels.
 Subclasses implement :meth:`_steps` (the planning logic, as a step
 generator -- see :mod:`repro.device.steps`) and use the provided
 ``hbsj_steps`` / ``count_round`` / ``prune`` helpers, which keep the
-bookkeeping consistent across algorithms.  :meth:`run` drives the generator
-through the query's own connections; :meth:`run_cooperative` hands it to an
-external driver (the query broker), which may evaluate its steps together
-with other queries'.
+bookkeeping consistent across algorithms.  :meth:`run_cooperative` is the
+generator; :meth:`run` drives it as a wave of one
+(:func:`~repro.device.steps.run_steps`), the query broker together with the
+steps of other queries -- the same gather / evaluate / book loop either way.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import math
 import numbers
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
@@ -120,10 +120,9 @@ class MobileJoinAlgorithm(ABC):
     # ------------------------------------------------------------------ #
 
     def run(self, window: Rect) -> JoinResult:
-        """Execute the join over ``window`` and assemble the result: the
-        steps of :meth:`run_cooperative`, answered one exchange per request
-        on the query's own connections."""
-        return run_steps(self._cooperative_steps(window), self.device.servers)
+        """Execute the join over ``window`` and assemble the result:
+        :meth:`run_cooperative` driven as a wave of one."""
+        return run_steps(self.run_cooperative(window), self.device.servers)
 
     def _obs_open(self, window: Rect):
         """Open the run's "join" span (None when the tracer is off).
@@ -157,12 +156,12 @@ class MobileJoinAlgorithm(ABC):
         Yields every server evaluation of the run as a step
         (:mod:`repro.device.steps`) -- the root COUNTs, the planning rounds,
         the operators' downloads and probes -- and returns the
-        :class:`~repro.core.result.JoinResult` via ``StopIteration``.  The
-        driver decides how a step is evaluated but must book it on this
-        query's own connections in step order
-        (:func:`~repro.device.steps.book_step`), which keeps pairs, bytes,
-        statistics, fault streams and decision traces bit-identical to
-        :meth:`run`.
+        :class:`~repro.core.result.JoinResult` via ``StopIteration``.  A
+        driver evaluates a step's rows alone (:meth:`run`) or with other
+        queries' (the query broker) but books them on this query's own
+        connections in step order (:func:`~repro.device.steps.book_step`),
+        which keeps pairs, bytes, statistics, fault streams and decision
+        traces bit-identical whoever drives it.
 
         This is also the one re-offer point: a driver that hits a
         transient failure while evaluating a step can
@@ -241,27 +240,16 @@ class MobileJoinAlgorithm(ABC):
             return window.expanded(margin)
         return window
 
-    def count_windows(self, server_name: str, windows: Sequence[Rect]) -> List[int]:
-        """COUNT one server over the query windows of a batch of cells.
-
-        All pruning and statistics decisions of the algorithms go through
-        this helper: the per-cell margins of :meth:`query_window` are
-        applied before the batch is shipped, so COUNTs are consistent with
-        the windows the physical operators later download.
-        """
-        return self.device.count_windows(
-            server_name, [self.query_window(server_name, w) for w in windows]
-        )
-
     def count_round(self, step: Step) -> Steps:
         """Offer one planning round of COUNT requests; returns its answers.
 
-        The generator twin of :meth:`count_windows` (the windows are raw
-        query windows, margins applied): books the windows on the device's
-        COUNT counter and, while tracing, wraps the round in a "round" span
-        that opens before the step is offered and closes when the answers
-        arrive -- any :class:`RoundRetry` replay included -- under the
-        simulated clock.  Sibling rounds are told apart by a per-run
+        Every planning COUNT of the algorithms is offered here, on query
+        windows with the margins of :meth:`query_window` applied -- so
+        COUNTs are consistent with the windows the physical operators later
+        download.  Books the windows on the device's COUNT counter and,
+        while tracing, wraps the round in a "round" span that opens before
+        the step is offered and closes when the answers arrive -- any
+        :class:`RoundRetry` replay included -- under the simulated clock.  Sibling rounds are told apart by a per-run
         counter, keeping span ids deterministic under any wave width.
         """
         windows = sum(len(request.args[0]) for request in step)
@@ -344,10 +332,6 @@ class MobileJoinAlgorithm(ABC):
         )
         table = yield from self.device.hbsj_steps([request], self.predicate)
         self._pairs.extend(table.pairs)
-
-    def apply_hbsj(self, window: Rect, depth: int, *counts, **options) -> None:
-        """:meth:`hbsj_steps` driven through the query's own connections."""
-        run_steps(self.hbsj_steps(window, depth, *counts, **options), self.device.servers)
 
     def record(
         self,

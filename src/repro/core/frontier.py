@@ -29,9 +29,9 @@ as columns (a :class:`Level`) and decided together, as a table.
   :meth:`~repro.device.pda.MobileDevice.nlsj_steps`), then the level's
   trace rows, spliced in window order.  It is a step generator
   (:mod:`repro.device.steps`): every COUNT round and every operator
-  exchange is *yielded*, never performed; ``run`` answers the steps through
-  the query's own connections, the query broker answers the steps of all
-  in-flight queries together.
+  exchange is *yielded*, never performed; ``run`` answers the steps as a
+  wave of one, the query broker answers the steps of all in-flight queries
+  together.
 
 Float work stays column by column in the scalar operation order, and trace
 details are formatted from ``.tolist()`` Python numbers: costs pick

@@ -102,11 +102,8 @@ class SemiJoin(MobileJoinAlgorithm):
         if epsilon > 0:
             level_arr = rect_array.expand(level_arr, epsilon)
         clipped, valid = rect_array.clip_to_window(level_arr, window.expanded(epsilon))
-        probe_windows = [
-            Rect(float(r[0]), float(r[1]), float(r[2]), float(r[3]))
-            for r in clipped[valid]
-        ]
-        if not probe_windows:
+        probe_windows = clipped[valid]
+        if not probe_windows.shape[0]:
             self.record(depth, window, "semijoin-empty", "no level MBR intersects the window")
             return
 

@@ -140,10 +140,9 @@ class MobileDevice:
         """Attribute a COUNT batch evaluated elsewhere (``values`` its answers).
 
         Books operator counters, server statistics and channel ledgers
-        exactly as a :meth:`count_windows` call over the same windows.  The
-        query broker books whole steps (:func:`repro.device.steps.book_step`)
-        and no longer calls this; ``benchmarks/e2e/layers.py`` (frozen)
-        still names it.
+        exactly as a :meth:`count_windows` call over the same windows.  Step
+        drivers book whole steps (:func:`repro.device.steps.book_step`) and
+        never call this; ``benchmarks/e2e/layers.py`` (frozen) still names it.
         """
         self.counts.count_queries += len(windows)
         server = self.servers.r if server_name.upper() == "R" else self.servers.s

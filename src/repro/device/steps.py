@@ -13,26 +13,28 @@ server connection; they yield **steps** and receive the answers:
   in the order their exchanges are written to the query's ledgers;
 * the answer to a step is the parallel list of what the endpoints return.
 
-Whoever drives the generator decides *how* a step is evaluated, never
-*what* is booked.  :func:`answer_step` asks the query's own connections,
-request by request -- :func:`run_steps` drives a whole generator that way,
-which is what ``MobileDevice.hbsj_batch`` / ``.nlsj_batch``, the free
-operator functions and ``MobileJoinAlgorithm.run`` do.  The query broker
-instead collects the steps of every in-flight query, evaluates all rows of
-one kind against one backing build in a single stat-free descent
-(``Kind.evaluate``), and has each query book its own share with
-:func:`book_step`.  Either way a query's connections see the same
-exchanges, in the same order, with the same payload sizes: ledgers,
-statistics and fault streams cannot tell the drivers apart.
+There is one way to answer steps, for one query or for many: **gather**
+the requests into one :class:`Group` per (backing build, kind), **evaluate**
+each group in one stat-free descent of its build (``Kind.evaluate``), and
+have every query **book** its own share on its own connections, in step
+order (:func:`book_step`, ``Kind.book``).  :func:`run_steps` is that loop
+over a wave of one query -- what ``MobileJoinAlgorithm.run``,
+``MobileDevice.hbsj_batch`` / ``.nlsj_batch`` and the free operator
+functions drive -- and the query broker runs the same :func:`gather` and
+:func:`book_step` over the steps of every in-flight query.  A connection's
+own batch endpoints are the same composition, ``book(evaluate(...))``, so
+ledgers, statistics and fault streams cannot tell who answered.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from typing import Generator, List, NamedTuple, Tuple
+from typing import Dict, Generator, Iterable, List, NamedTuple, Tuple
 
 import numpy as np
 
+from repro.geometry import rect_array
+from repro.index.aggregate_rtree import probe_arrays
 from repro.index.pairs import PairBlocks
 from repro.server.remote import ServerPair
 
@@ -41,39 +43,39 @@ __all__ = [
     "COUNT",
     "RANGE",
     "WINDOW",
+    "Group",
     "Kind",
     "OperatorTable",
     "Request",
     "Step",
     "Steps",
-    "answer_step",
     "book_step",
+    "gather",
     "run_steps",
 ]
 
 
 class Kind(NamedTuple):
-    """One primitive query kind: the three endpoints that can serve it."""
+    """One primitive query kind: how a backing build answers it and how a
+    connection books the answer."""
 
     name: str
-    #: Connection endpoint that evaluates and books a request: ``ask(*args)``.
-    ask: str
     #: Backing-build endpoint that answers the rows of many requests in one
     #: descent without touching statistics: ``evaluate(*columns)``.
     evaluate: str
     #: Positions in ``args`` of the per-row columns ``evaluate`` takes.
     columns: Tuple[int, ...]
     #: Connection endpoint that books a request whose rows were evaluated
-    #: elsewhere and returns what ``ask`` would have: ``book(*args, share)``.
+    #: and returns the request's answer: ``book(*args, share)``.
     book: str
 
 
-COUNT = Kind("count", "count_batch", "evaluate_count_batch", (0,), "count_batch_prefetched")
-WINDOW = Kind("window", "window_batch_flat", "evaluate_window_batch", (0,), "book_window_batch")
-RANGE = Kind("range", "range_batch_flat", "evaluate_range_batch", (0, 1), "book_range_batch")
+COUNT = Kind("count", "evaluate_count_batch", (0,), "count_batch_prefetched")
+WINDOW = Kind("window", "evaluate_window_batch", (0,), "book_window_batch")
+RANGE = Kind("range", "evaluate_range_batch", (0, 1), "book_range_batch")
 #: One bucket query: ``args`` are ``(centers, radius, radii)``; its probes
 #: are evaluated with their per-probe ``radii``.
-BUCKET = Kind("bucket", "bucket_range", "evaluate_range_batch", (0, 2), "book_bucket_range")
+BUCKET = Kind("bucket", "evaluate_range_batch", (0, 2), "book_bucket_range")
 
 
 class Request(NamedTuple):
@@ -137,31 +139,110 @@ class OperatorTable(Sequence):
     __hash__ = None  # type: ignore[assignment]
 
 
-def answer_step(servers: ServerPair, step: Step) -> list:
-    """Answer a step through the query's own connections, one exchange per request."""
-    return [
-        getattr(getattr(servers, side.lower()), kind.ask)(*args) for kind, side, args in step
-    ]
+class Group:
+    """One evaluation: all rows of a step -- or of a wave round's steps --
+    that ask one backing build for one query kind."""
+
+    __slots__ = ("base", "kind", "members", "offsets", "answer")
+
+    def __init__(self, base, kind: Kind) -> None:
+        self.base = base
+        self.kind = kind
+        #: The member requests' ``args``, in the order they joined; member
+        #: ``i`` owns rows ``offsets[i]:offsets[i + 1]`` of the evaluation.
+        self.members: List[tuple] = []
+        self.offsets = [0]
+        #: The build's answer to all rows.
+        self.answer = None
+
+    @property
+    def rows(self) -> int:
+        return self.offsets[-1]
+
+    def add(self, args: tuple) -> Tuple["Group", int]:
+        """Append one request's rows; its slot ``(group, member)``."""
+        self.members.append(args)
+        self.offsets.append(self.offsets[-1] + len(args[self.kind.columns[0]]))
+        return self, len(self.members) - 1
+
+    def evaluate(self) -> None:
+        """Answer every row in one descent of the backing build.
+
+        A lone member's columns go as they are; several members' rows go
+        back to back as arrays -- windows (``Rect`` lists or the frontier
+        tables' ``(N, 4)`` arrays) as one ``(N, 4)`` array, probes as
+        ``(P, 2)`` centres and ``(P,)`` radii.
+        """
+        members, at = self.members, self.kind.columns
+        if len(members) == 1:
+            columns = [members[0][i] for i in at]
+        elif len(at) == 1:
+            columns = [np.concatenate([rect_array.rects_to_array(args[at[0]]) for args in members])]
+        else:
+            probes = [probe_arrays(*(args[i] for i in at)) for args in members]
+            columns = [np.concatenate(column) for column in zip(*probes)]
+        self.answer = getattr(self.base, self.kind.evaluate)(*columns)
+
+    def share(self, member: int):
+        """Member ``member``'s share of the answer (a lone member's is all of it)."""
+        if len(self.members) == 1:
+            return self.answer
+        return self.answer[self.offsets[member] : self.offsets[member + 1]]
 
 
-def book_step(servers: ServerPair, step: Step, shares: list) -> list:
-    """Book a step whose rows were evaluated elsewhere; the same answers.
+#: Where one request's rows went: its group and its member index there.
+Slot = Tuple[Group, int]
 
-    ``shares[i]`` is request ``i``'s share of a ``Kind.evaluate`` result.
-    Requests are booked in step order and a fault at one leaves the later
-    ones unbooked, as :func:`answer_step` would.
+
+def gather(queries: Iterable[Tuple[tuple, Step]]) -> Tuple[List[Group], List[List[Slot]]]:
+    """Group the requests of many queries' steps by (backing build, kind).
+
+    ``queries`` yields ``((base_r, base_s), step)`` per query: the builds
+    that back its two sides and the step it offers.  Returns the groups, in
+    the order their first request was met, and per query the slot of each
+    request of its step.
+    """
+    groups: Dict[Tuple[int, str], Group] = {}
+    slots: List[List[Slot]] = []
+    for (base_r, base_s), step in queries:
+        mine = []
+        for kind, side, args in step:
+            base = base_r if side.upper() == "R" else base_s
+            key = (id(base), kind.name)
+            group = groups.get(key)
+            if group is None:
+                group = groups[key] = Group(base, kind)
+            mine.append(group.add(args))
+        slots.append(mine)
+    return list(groups.values()), slots
+
+
+def book_step(servers: ServerPair, step: Step, slots: List[Slot]) -> list:
+    """Book a step on the query's own connections once its groups are
+    evaluated; returns the step's answers.
+
+    ``slots`` is what :func:`gather` returned for this step.  Requests are
+    booked in step order and a fault at one leaves the later ones unbooked.
     """
     return [
-        getattr(getattr(servers, side.lower()), kind.book)(*args, share)
-        for (kind, side, args), share in zip(step, shares)
+        getattr(servers.r if side.upper() == "R" else servers.s, kind.book)(
+            *args, group.share(member)
+        )
+        for (kind, side, args), (group, member) in zip(step, slots)
     ]
 
 
 def run_steps(steps: Steps, servers: ServerPair):
-    """Drive a step generator to its return value on the query's own connections."""
+    """Drive a step generator to its return value: each step gathered,
+    evaluated on the connections' backing builds and booked on the
+    connections -- a wave of one."""
+    builds = servers.backing
     try:
         step = next(steps)
         while True:
-            step = steps.send(answer_step(servers, step))
+            groups, (slots,) = gather([(builds, step)])
+            for group in groups:
+                group.evaluate()
+            step = steps.send(book_step(servers, step, slots))
     except StopIteration as stop:
         return stop.value

@@ -140,22 +140,6 @@ def min_distance_to_rect(mbrs: np.ndarray, rect: Rect) -> np.ndarray:
     return np.hypot(dx, dy)
 
 
-def within_distance_of_rect(mbrs: np.ndarray, rect: Rect, epsilon: float) -> np.ndarray:
-    """Boolean mask of MBRs whose minimum distance to ``rect`` is <= epsilon.
-
-    Matches :meth:`repro.geometry.rect.Rect.within_distance` exactly
-    (squared-distance comparison, closed bound), so the vectorised
-    refinement paths report the same pairs as the scalar predicate.
-    """
-    if epsilon < 0:
-        raise ValueError("epsilon must be non-negative")
-    if mbrs.shape[0] == 0:
-        return np.zeros(0, dtype=bool)
-    dx = np.maximum(np.maximum(mbrs[:, 0] - rect.xmax, 0.0), rect.xmin - mbrs[:, 2])
-    dy = np.maximum(np.maximum(mbrs[:, 1] - rect.ymax, 0.0), rect.ymin - mbrs[:, 3])
-    return dx * dx + dy * dy <= epsilon * epsilon
-
-
 def expand_index_ranges(
     starts: np.ndarray, ends: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -320,31 +304,3 @@ def expand(mbrs: np.ndarray, margin: float) -> np.ndarray:
     if margin < 0:
         raise ValueError("margin must be non-negative")
     return mbrs + np.array([-margin, -margin, margin, margin])
-
-
-def split_by_grid(
-    mbrs: np.ndarray, window: Rect, kx: int, ky: int
-) -> Tuple[np.ndarray, ...]:
-    """Assign each MBR centre to a cell of a ``kx x ky`` grid over ``window``.
-
-    Returns a tuple of index arrays, one per cell in row-major order from
-    the bottom-left cell, partitioning ``range(len(mbrs))`` by the grid cell
-    containing each MBR's centre (centre-based declustering; replication-
-    free, used only for diagnostics -- the join algorithms themselves use
-    intersection-based windows served by the servers).
-    """
-    if kx < 1 or ky < 1:
-        raise ValueError("grid dimensions must be >= 1")
-    n = mbrs.shape[0]
-    if n == 0:
-        return tuple(np.empty(0, dtype=np.intp) for _ in range(kx * ky))
-    c = centers(mbrs)
-    fx = np.clip(((c[:, 0] - window.xmin) / max(window.width, 1e-300)) * kx, 0, kx - 1)
-    fy = np.clip(((c[:, 1] - window.ymin) / max(window.height, 1e-300)) * ky, 0, ky - 1)
-    cell = fy.astype(np.intp) * kx + fx.astype(np.intp)
-    order = np.argsort(cell, kind="stable")
-    sorted_cells = cell[order]
-    boundaries = np.searchsorted(sorted_cells, np.arange(kx * ky + 1))
-    return tuple(
-        order[boundaries[i] : boundaries[i + 1]] for i in range(kx * ky)
-    )

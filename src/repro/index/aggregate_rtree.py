@@ -155,10 +155,6 @@ class AggregateRTree:
         rect_array.window_array([window])
         return self._flat.window_rows(window)
 
-    def window_query_batch(self, windows: Windows) -> List[np.ndarray]:
-        """One ``int64`` oid array per window, from one frontier traversal."""
-        return self._flat.window_batch(rect_array.window_array(windows))
-
     def window_query_batch_flat(
         self, windows: Windows
     ) -> Tuple[np.ndarray, np.ndarray]:
@@ -178,10 +174,6 @@ class AggregateRTree:
     def range_rows(self, center: Point, epsilon: float) -> np.ndarray:
         """The entry rows :meth:`range_query` matched (see :meth:`entries_at`)."""
         return self._flat.range_rows(center, epsilon)
-
-    def range_query_batch(self, centers: "Probes", radii: Sequence[float]) -> List[np.ndarray]:
-        """One ``int64`` oid array per probe, from one frontier traversal."""
-        return self._flat.range_batch(*probe_arrays(centers, radii))
 
     def range_query_batch_flat(
         self, centers: "Probes", radii: Sequence[float]

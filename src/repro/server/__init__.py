@@ -24,7 +24,6 @@ Two layers:
 
 from __future__ import annotations
 
-from repro.server.interface import SpatialServerInterface
 from repro.server.server import SpatialServer
 from repro.server.sharded import FleetStats, ShardedSpatialServer
 from repro.server.remote import (
@@ -35,7 +34,6 @@ from repro.server.remote import (
 )
 
 __all__ = [
-    "SpatialServerInterface",
     "SpatialServer",
     "ShardedSpatialServer",
     "FleetStats",

@@ -11,6 +11,15 @@ a byte-accounting :class:`~repro.network.channel.Channel`:
 ``RemoteServer`` therefore *is* the measurement harness: the byte totals of
 every experiment are read off its channels after the join finishes.
 
+Every batch endpoint is ``book(evaluate(...))``: the backing build answers
+the rows without touching its statistics (``evaluate_*``) and the
+connection books the answer (``count_batch_prefetched`` / ``book_*``) --
+the backing server's statistics by the one
+:class:`~repro.server.server.ServerQueryStats` rule of the kind, then the
+exchange.  The step driver (:mod:`repro.device.steps`) calls the same two
+halves, for one query or a whole wave, so nothing booked can tell who
+evaluated the rows.
+
 :class:`IndexedRemoteServer` additionally exposes the R-tree level MBRs and
 a "forwarded window" operation; only the SemiJoin comparator uses it (the
 paper assumes R-tree-published servers for that algorithm alone).
@@ -74,9 +83,8 @@ from repro.network.messages import (
     ScalarResponse,
     WindowQuery,
 )
-from repro.server.interface import SpatialServerInterface
 from repro.server.server import Prefetched, SpatialServer, per_request
-from repro.server.sharded import ShardedSpatialServer, probe_squares, sum_by_request
+from repro.server.sharded import RoutedCounts, ShardedSpatialServer, probe_squares
 
 __all__ = [
     "RemoteServer",
@@ -369,7 +377,7 @@ _ANY_WINDOW = Rect(0.0, 0.0, 0.0, 0.0)
 _ANY_POINT = Point(0.0, 0.0)
 
 
-class RemoteServer(SpatialServerInterface):
+class RemoteServer:
     """A metered proxy in front of a :class:`SpatialServer`.
 
     Parameters
@@ -424,7 +432,7 @@ class RemoteServer(SpatialServerInterface):
 
     @property
     def backing_server(self) -> SpatialServer:
-        """The server behind the proxy (tests and oracles only)."""
+        """The server behind the proxy: what a step is evaluated on."""
         return self._server
 
     # ------------------------------------------------------------------ #
@@ -474,42 +482,22 @@ class RemoteServer(SpatialServerInterface):
         of :meth:`window` calls: one uplink query record per window and one
         downlink object payload per window, sized from the per-window row
         counts -- only the server-side evaluation and the response assembly
-        are batched.
+        are batched.  It is :meth:`book_window_batch` of the backing build's
+        own evaluation.
         """
-        mbrs, oids, bounds = self._server.window_batch_flat(windows)
-        self._account_window_batch(np.diff(bounds))
-        return mbrs, oids, bounds
+        return self.book_window_batch(windows, self._server.evaluate_window_batch(windows))
 
     def window_batch_prefetched(self, windows: Windows, sizes: np.ndarray) -> None:
-        """Attribute a WINDOW batch evaluated elsewhere (``sizes[i]`` objects each).
+        """Book a WINDOW batch evaluated elsewhere (``sizes[i]`` objects each).
 
-        The scatter proxy answers all its shards' sub-batches in one forest
-        descent, then books each shard's share here: backing-server
-        statistics and ledger exactly as :meth:`window_batch_flat` over the
-        same windows would have left them.
+        The one booking rule of the kind: the backing server's statistics,
+        then one exchange of one query string per window (whatever the
+        window) and one object payload per window.  The scatter proxy
+        answers all its shards' sub-batches in one forest descent, then
+        books each shard's share here.
         """
-        rect_array.window_array(windows)
-        stats = self._server.stats
-        stats.window_queries += len(windows)
-        stats.objects_returned += int(sizes.sum())
-        self._account_window_batch(sizes)
-
-    def book_window_batch(
-        self, windows: Windows, answer: Prefetched
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """:meth:`window_batch_flat` over windows the backing build already answered.
-
-        ``answer`` is the build's :meth:`~SpatialServer.evaluate_window_batch`
-        of exactly these windows (the wave driver hands every query its
-        share of one descent over many queries' windows).  Statistics and
-        ledger are booked as :meth:`window_batch_flat` books them.
-        """
-        self.window_batch_prefetched(windows, np.diff(answer.bounds))
-        return answer.mbrs, answer.oids, answer.bounds
-
-    def _account_window_batch(self, sizes: np.ndarray) -> None:
-        """The shared ledger write of one batched WINDOW exchange (one query
-        string per window, whatever the window: ``sizes`` has one entry each)."""
+        wins = rect_array.window_array(windows)
+        self._server.stats.book_window(wins.shape[0], int(sizes.sum()))
         if not sizes.shape[0]:
             # An empty batch never hits the wire, so it draws no fault
             # event -- keeps fault streams aligned across execution paths.
@@ -522,6 +510,18 @@ class RemoteServer(SpatialServerInterface):
             self._send_object_batch(channel, sizes, "window-result")
 
         self._exchange("window-batch", account)
+
+    def book_window_batch(
+        self, windows: Windows, answer: Prefetched
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`window_batch_flat` over windows the backing build already answered.
+
+        ``answer`` is the build's :meth:`~SpatialServer.evaluate_window_batch`
+        of exactly these windows (a step driver hands every query its
+        share of one descent over many queries' windows).
+        """
+        self.window_batch_prefetched(windows, np.diff(answer.bounds))
+        return answer.mbrs, answer.oids, answer.bounds
 
     def _send_object_batch(self, channel: Channel, sizes: np.ndarray, label: str) -> None:
         """One downlink object payload per request, ``sizes[i]`` objects each."""
@@ -537,42 +537,26 @@ class RemoteServer(SpatialServerInterface):
 
         Accounting is bit-identical to a loop of :meth:`count` calls.
         """
-        values = self._server.count_batch(windows)
-        self._account_count_batch(len(windows))
-        return values
+        return self.count_batch_prefetched(windows, self._server.evaluate_count_batch(windows))
 
     def count_batch_prefetched(
         self, windows: Windows, values: Sequence[int]
     ) -> List[int]:
-        """Attribute a COUNT batch answered by a coalesced exchange.
+        """Book a COUNT batch answered elsewhere (``values`` its counts).
 
-        The query broker's wave driver evaluates the COUNT windows of every
-        in-flight query that targets the same backing server in one
-        snapshot descent, then attributes each query's share back to its
-        own connection through this method.  The per-query ledger --
-        backing-server statistics, traffic records, byte totals -- is
-        exactly what :meth:`count_batch` over the same windows would have
-        produced; only the evaluation was shared.
+        The one booking rule of the kind: the backing server's statistics,
+        then one exchange of one query string and one scalar response per
+        window -- what a loop of :meth:`count` calls writes.  An empty batch
+        never hits the wire and draws no fault event.
         """
-        values = [int(v) for v in values]
+        values = values.tolist() if isinstance(values, np.ndarray) else list(values)
         if len(values) != len(windows):
             raise ValueError("values must be parallel to windows")
         rect_array.window_array(windows)
-        self._server.stats.count_queries += len(windows)
-        self._account_count_batch(len(windows))
-        return values
-
-    def _account_count_batch(self, n: int) -> None:
-        """The shared ledger write of one batched COUNT exchange.
-
-        Routed through :meth:`_exchange` with one label for both the
-        standalone (:meth:`count_batch`) and broker-coalesced
-        (:meth:`count_batch_prefetched`) paths, so a query draws the same
-        fault events whichever way it executes.  Empty batches never hit
-        the wire and draw nothing.
-        """
+        n = len(values)
+        self._server.stats.book_count(n)
         if not n:
-            return
+            return values
 
         def account(channel: Channel) -> None:
             channel.send_uniform_batch(CountQuery(_ANY_WINDOW), n, direction="up", label="count")
@@ -581,6 +565,7 @@ class RemoteServer(SpatialServerInterface):
             )
 
         self._exchange("count-batch", account)
+        return values
 
     def range(self, center: Point, epsilon: float) -> Tuple[np.ndarray, np.ndarray]:
         mbrs, oids = self._server.range(center, epsilon)
@@ -616,33 +601,19 @@ class RemoteServer(SpatialServerInterface):
         ``bounds[i]:bounds[i+1]``).  The ledger is bit-identical to a loop
         of :meth:`range` calls: one uplink query record per probe and one
         downlink object payload per probe, sized from the per-probe row
-        counts -- only the server-side evaluation and the response assembly
-        are batched.
+        counts.  It is :meth:`book_range_batch` of the backing build's own
+        evaluation.
         """
-        mbrs, oids, bounds = self._server.range_batch_flat(centers, radii)
-        self._account_range_batch(np.diff(bounds))
-        return mbrs, oids, bounds
+        return self.book_range_batch(
+            centers, radii, self._server.evaluate_range_batch(centers, radii)
+        )
 
     def range_batch_prefetched(
         self, centers: Probes, radii: Sequence[float], sizes: np.ndarray
     ) -> None:
-        """Attribute a RANGE batch evaluated elsewhere (see :meth:`window_batch_prefetched`)."""
-        probe_arrays(centers, radii)
-        stats = self._server.stats
-        stats.range_queries += len(centers)
-        stats.objects_returned += int(sizes.sum())
-        self._account_range_batch(sizes)
-
-    def book_range_batch(
-        self, centers: Probes, radii: Sequence[float], answer: Prefetched
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """:meth:`range_batch_flat` over probes already answered (see :meth:`book_window_batch`)."""
-        self.range_batch_prefetched(centers, radii, np.diff(answer.bounds))
-        return answer.mbrs, answer.oids, answer.bounds
-
-    def _account_range_batch(self, sizes: np.ndarray) -> None:
-        """The shared ledger write of one batched RANGE exchange (one query
-        string per probe, whatever the probe: ``sizes`` has one entry each)."""
+        """Book a RANGE batch evaluated elsewhere (see :meth:`window_batch_prefetched`)."""
+        pts, _ = probe_arrays(centers, radii)
+        self._server.stats.book_range(pts.shape[0], int(sizes.sum()))
         if not sizes.shape[0]:
             return
 
@@ -654,26 +625,49 @@ class RemoteServer(SpatialServerInterface):
 
         self._exchange("range-batch", account)
 
+    def book_range_batch(
+        self, centers: Probes, radii: Sequence[float], answer: Prefetched
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`range_batch_flat` over probes already answered (see :meth:`book_window_batch`)."""
+        self.range_batch_prefetched(centers, radii, np.diff(answer.bounds))
+        return answer.mbrs, answer.oids, answer.bounds
+
     def bucket_range(
         self,
         centers: Probes,
         epsilon: float,
         radii: Optional[Sequence[float]] = None,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        mbrs, oids, probes = self._server.bucket_range(centers, epsilon, radii)
-        self._account_bucket_range(len(centers), epsilon, oids.shape[0])
-        return mbrs, oids, probes
+        """Bucket epsilon-RANGE: many probes in one request, one exchange.
+
+        Returns ``(mbrs, oids, probe_index)``, ``probe_index[i]`` the probe
+        that produced row ``i``.  Rows are *not* deduplicated across probes
+        -- the server answers each probe independently, as a sequence of
+        range queries would, and the client pays the duplicated bytes.
+        ``radii`` overrides ``epsilon`` per probe.  It is
+        :meth:`book_bucket_range` of the backing build's own evaluation.
+        """
+        pts, reach = bucket_probe_arrays(centers, epsilon, radii)
+        return self.book_bucket_range(
+            pts, epsilon, reach, self._server.evaluate_range_batch(pts, reach)
+        )
 
     def bucket_range_prefetched(
         self, centers: Probes, epsilon: float, radii: Sequence[float], n_objects: int
     ) -> None:
-        """Attribute a bucket RANGE query evaluated elsewhere (``n_objects`` returned)."""
-        bucket_probe_arrays(centers, epsilon, radii)
-        stats = self._server.stats
-        stats.bucket_range_queries += 1
-        stats.bucket_range_probes += len(centers)
-        stats.objects_returned += n_objects
-        self._account_bucket_range(len(centers), epsilon, n_objects)
+        """Book a bucket RANGE query evaluated elsewhere (``n_objects`` returned)."""
+        n_probes = bucket_probe_arrays(centers, epsilon, radii)[0].shape[0]
+        self._server.stats.book_bucket(n_probes, n_objects)
+
+        def account(channel: Channel) -> None:
+            channel.send_query(BucketRangeQuery.of_size(n_probes, epsilon), label="bucket-range")
+            # Eq. 5 of the paper charges one extra object-sized separator per
+            # probe in the bucket response (the "+ Bobj" term).
+            self._send_object_batch(
+                channel, np.array([n_objects + n_probes]), "bucket-range-result"
+            )
+
+        self._exchange("bucket-range", account)
 
     def book_bucket_range(
         self,
@@ -690,19 +684,6 @@ class RemoteServer(SpatialServerInterface):
         self.bucket_range_prefetched(centers, epsilon, radii, int(answer.oids.shape[0]))
         probes = np.repeat(answer.request, np.diff(answer.bounds))
         return answer.mbrs, answer.oids, probes
-
-    def _account_bucket_range(self, n_probes: int, epsilon: float, n_objects: int) -> None:
-        """The shared ledger write of one bucket RANGE exchange."""
-
-        def account(channel: Channel) -> None:
-            channel.send_query(BucketRangeQuery.of_size(n_probes, epsilon), label="bucket-range")
-            # Eq. 5 of the paper charges one extra object-sized separator per
-            # probe in the bucket response (the "+ Bobj" term).
-            self._send_object_batch(
-                channel, np.array([n_objects + n_probes]), "bucket-range-result"
-            )
-
-        self._exchange("bucket-range", account)
 
     def average_mbr_area(self, window: Rect) -> float:
         value = self._server.average_mbr_area(window)
@@ -831,9 +812,11 @@ class IndexedRemoteServer(RemoteServer):
         fall in several windows are returned once (the server deduplicates
         before shipping, as the original algorithm does).  The server side
         reads the CSR window batch directly, so the relayed object set is
-        assembled over one concatenated array.
+        assembled over one concatenated array.  ``windows`` is a sequence of
+        :class:`Rect` or an ``(N, 4)`` array.
         """
-        if not windows:
+        windows = rect_array.window_array(windows)
+        if not windows.shape[0]:
             return np.empty((0, 4)), np.empty(0, dtype=np.int64)
         all_mbrs, all_oids, _ = self._server.window_batch_flat(windows)
         # Deduplicate objects returned by several windows, keeping the
@@ -1299,11 +1282,11 @@ class ReplicatedRemoteServer(RemoteServer):
         return sum(chan.total_cost for chan in self._channels_tuple)
 
 
-class ShardedRemoteServer(SpatialServerInterface):
+class ShardedRemoteServer:
     """A metered scatter/merge proxy in front of a shard fleet.
 
-    The device-side algorithms see one :class:`SpatialServerInterface`
-    endpoint; underneath, every shard has its own ordinary
+    The device-side algorithms see one connection with the endpoints of a
+    :class:`RemoteServer`; underneath, every shard has its own ordinary
     :class:`RemoteServer` on its own :class:`Channel` (named after the
     shard, e.g. ``"R#2"``), so per-shard byte ledgers, retry lanes and
     deterministic fault substreams come for free.
@@ -1316,15 +1299,16 @@ class ShardedRemoteServer(SpatialServerInterface):
     never loses an answer).  Requests routed to zero shards produce empty
     answers without touching any wire.
 
-    A batch endpoint is *evaluate once, attribute per shard*: the request
+    A batch endpoint is *evaluate once, attribute per shard* -- the
+    composition ``book(evaluate(...))`` of a plain connection: the request
     batch becomes ``(shard, request)`` rows (request-major, shards
     ascending -- :meth:`ShardedSpatialServer.route`), **one** descent of
-    the fleet's forest answers every row, and each routed shard's proxy
-    then books its own rows through its ``*_prefetched`` endpoint.  The
-    merged answer is the descent's own output read at request boundaries
-    (summed COUNTs, payload rows request-major with shards ascending
-    inside a request), bit-identical to the union server's.  Four ordering
-    rules keep channels, ledgers, fault substreams, replica routers and
+    the fleet's forest answers every row, and the booker hands each routed
+    shard's proxy its own rows through that proxy's ``*_prefetched``
+    booker.  The merged answer is the descent's own output read at request
+    boundaries (summed COUNTs, payload rows request-major with shards
+    ascending inside a request), bit-identical to the union server's.  Four
+    ordering rules keep channels, ledgers, fault substreams, replica routers and
     statistics identical to a shard-by-shard scatter:
 
     1. shards are attributed in ascending order, one exchange each;
@@ -1395,17 +1379,16 @@ class ShardedRemoteServer(SpatialServerInterface):
             if at.shape[0]:
                 yield int(shard[at[0]]), at
 
-    def _book(self, answer: Prefetched, book) -> np.ndarray:
-        """Book one evaluated payload batch shard by shard; the row sizes.
+    def _book(self, answer, per_row: np.ndarray, book) -> None:
+        """Book one evaluated batch shard by shard.
 
-        ``book(proxy, requests, sizes)`` attributes one shard's rows -- the
-        request indices it was routed, ascending, and the objects each
-        returned -- through that shard's ``*_prefetched`` endpoint.
+        ``book(proxy, requests, values)`` attributes one shard's rows -- the
+        request indices it was routed, ascending, and their ``per_row``
+        values (objects returned, or counted) -- through that shard's
+        ``*_prefetched`` booker.
         """
-        sizes = np.diff(answer.bounds)
         for si, at in self._by_shard(answer.shard):
-            book(self._proxies[si], answer.request.take(at), sizes.take(at))
-        return sizes
+            book(self._proxies[si], answer.request.take(at), per_row.take(at))
 
     @staticmethod
     def _request_bounds(request: np.ndarray, n_requests: int, bounds: np.ndarray) -> np.ndarray:
@@ -1437,12 +1420,13 @@ class ShardedRemoteServer(SpatialServerInterface):
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Book, shard by shard, a WINDOW batch the fleet already evaluated.
 
-        The book half of :meth:`window_batch_flat`; the wave driver calls it
-        with this query's share of a descent it made for many queries.
+        The book half of :meth:`window_batch_flat`; a step driver calls it
+        with this query's share of a descent it made for one or many queries.
         """
         windows = rect_array.window_array(windows)
         self._book(
             answer,
+            np.diff(answer.bounds),
             lambda proxy, mine, sizes: proxy.window_batch_prefetched(windows[mine], sizes),
         )
         return (
@@ -1456,35 +1440,26 @@ class ShardedRemoteServer(SpatialServerInterface):
 
     def count_batch(self, windows: Windows) -> List[int]:
         windows = rect_array.window_array(windows)
-        shard, request, counts = self._fleet.descend(self._fleet.forest.count_batch, windows)
-        self._attribute_counts(windows, shard, request)
-        return sum_by_request(request, counts, len(windows))
+        return self.count_batch_prefetched(windows, self._fleet.evaluate_count_batch(windows))
 
-    def count_batch_prefetched(
-        self, windows: Windows, values: Sequence[int]
-    ) -> List[int]:
-        """Attribute a broker-coalesced COUNT batch across the shards.
+    def count_batch_prefetched(self, windows: Windows, values: RoutedCounts) -> List[int]:
+        """Book, shard by shard, a COUNT batch the fleet already evaluated.
 
-        The wave driver evaluated the merged counts once on the fleet
-        build (:meth:`ShardedSpatialServer.evaluate_count_batch`); here
-        each routed shard's ledger and statistics are charged exactly what
-        :meth:`count_batch` over the same windows would have charged (the
-        per-shard values are irrelevant to the uniform accounting).
+        ``values`` is the fleet's :meth:`ShardedSpatialServer.evaluate_count_batch`
+        of exactly these windows (or a step driver's share of one): its
+        routed rows say which shards to charge, so booking routes nothing
+        again.  Each routed shard is charged exactly what :meth:`count_batch`
+        over the same windows charges it.
         """
-        values = [int(v) for v in values]
-        if len(values) != len(windows):
-            raise ValueError("values must be parallel to windows")
         windows = rect_array.window_array(windows)
-        self._attribute_counts(windows, *self._fleet.route(windows))
-        return values
-
-    def _attribute_counts(
-        self, windows: np.ndarray, shard: np.ndarray, request: np.ndarray
-    ) -> None:
-        for si, at in self._by_shard(shard):
-            self._proxies[si].count_batch_prefetched(
-                windows[request.take(at)], [0] * at.shape[0]
-            )
+        if len(values) != windows.shape[0]:
+            raise ValueError("values must be parallel to windows")
+        self._book(
+            values,
+            values.rows,
+            lambda proxy, mine, counts: proxy.count_batch_prefetched(windows[mine], counts),
+        )
+        return list(values)
 
     def range(self, center: Point, epsilon: float) -> Tuple[np.ndarray, np.ndarray]:
         probe = probe_squares(*probe_arrays([center], [epsilon]))
@@ -1513,6 +1488,7 @@ class ShardedRemoteServer(SpatialServerInterface):
         pts, reach = probe_arrays(centers, radii)
         self._book(
             answer,
+            np.diff(answer.bounds),
             lambda proxy, mine, sizes: proxy.range_batch_prefetched(pts[mine], reach[mine], sizes),
         )
         return (
@@ -1527,9 +1503,9 @@ class ShardedRemoteServer(SpatialServerInterface):
         epsilon: float,
         radii: Optional[Sequence[float]] = None,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        probes = bucket_probe_arrays(centers, epsilon, radii)
+        pts, reach = bucket_probe_arrays(centers, epsilon, radii)
         return self.book_bucket_range(
-            probes[0], epsilon, probes[1], self._fleet.evaluate_range_batch(*probes)
+            pts, epsilon, reach, self._fleet.evaluate_range_batch(pts, reach)
         )
 
     def book_bucket_range(
@@ -1541,8 +1517,10 @@ class ShardedRemoteServer(SpatialServerInterface):
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The book half of :meth:`bucket_range`: one bucket exchange per routed shard."""
         pts, reach = bucket_probe_arrays(centers, epsilon, radii)
-        sizes = self._book(
+        sizes = np.diff(answer.bounds)
+        self._book(
             answer,
+            sizes,
             lambda proxy, mine, sizes: proxy.bucket_range_prefetched(
                 pts[mine], epsilon, reach[mine], int(sizes.sum())
             ),
@@ -1578,7 +1556,7 @@ class ShardedRemoteServer(SpatialServerInterface):
 
     @property
     def backing_server(self) -> ShardedSpatialServer:
-        """The shard fleet behind the proxy (tests and oracles only)."""
+        """The shard fleet behind the proxy: what a step is evaluated on."""
         return self._fleet
 
     @property
@@ -1660,6 +1638,11 @@ class ServerPair:
 
     r: RemoteServer
     s: RemoteServer
+
+    @property
+    def backing(self) -> Tuple[object, object]:
+        """The builds behind the two connections: what a step is evaluated on."""
+        return self.r.backing_server, self.s.backing_server
 
     def total_bytes(self) -> int:
         """Total wire bytes over both connections (the figures' metric)."""

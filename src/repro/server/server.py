@@ -25,7 +25,6 @@ from repro.index.aggregate_rtree import (
     bucket_probe_arrays,
     probe_arrays,
 )
-from repro.server.interface import SpatialServerInterface
 
 __all__ = ["SpatialServer", "ServerQueryStats", "Prefetched", "per_request"]
 
@@ -57,6 +56,26 @@ class ServerQueryStats:
             "aggregate_queries": self.aggregate_queries,
             "objects_returned": self.objects_returned,
         }
+
+    # The one statistics rule of each query kind: what answering a batch of
+    # it counts, whoever evaluated the batch.
+
+    def book_count(self, windows: int) -> None:
+        self.count_queries += windows
+
+    def book_window(self, windows: int, objects: int) -> None:
+        self.window_queries += windows
+        self.objects_returned += objects
+
+    def book_range(self, probes: int, objects: int) -> None:
+        self.range_queries += probes
+        self.objects_returned += objects
+
+    def book_bucket(self, probes: int, objects: int) -> None:
+        """One bucket query carrying ``probes`` probes."""
+        self.bucket_range_queries += 1
+        self.bucket_range_probes += probes
+        self.objects_returned += objects
 
     def reset(self) -> None:
         self.window_queries = 0
@@ -119,7 +138,7 @@ def per_request(
     return [(mbrs[lo:hi], oids[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
 
 
-class SpatialServer(SpatialServerInterface):
+class SpatialServer:
     """An index-backed, non-cooperative spatial data server.
 
     Parameters
@@ -214,13 +233,8 @@ class SpatialServer(SpatialServerInterface):
         return ((self,),)
 
     def evaluate_count_batch(self, windows: Windows) -> List[int]:
-        """Answer COUNTs without touching query statistics.
-
-        The broker's wave executor evaluates each coalesced batch once on
-        the shared build and attributes per-query statistics separately via
-        the prefetch path; this entry point keeps that evaluation free of
-        stat side effects.
-        """
+        """Answer COUNTs without touching query statistics: the evaluate
+        half of every COUNT, whose connection books the statistics."""
         return self._index.count_batch(windows)
 
     def evaluate_window_batch(self, windows: Windows) -> Prefetched:
@@ -261,9 +275,11 @@ class SpatialServer(SpatialServerInterface):
     # ------------------------------------------------------------------ #
 
     def window(self, window: Rect) -> Tuple[np.ndarray, np.ndarray]:
-        rows = self._index.window_rows(window)  # checks the window: nothing is counted before
-        self.stats.window_queries += 1
-        return self._payload(rows)
+        """WINDOW query: ``(mbrs, oids)`` of the objects intersecting ``window``."""
+        # ``window_rows`` checks the window: nothing is counted before.
+        mbrs, oids = self._index.entries_at(self._index.window_rows(window))
+        self.stats.book_window(1, oids.shape[0])
+        return mbrs, oids
 
     def window_batch(self, windows: Windows) -> List[Tuple[np.ndarray, np.ndarray]]:
         """Answer a batch of WINDOW queries in one index descent.
@@ -285,25 +301,29 @@ class SpatialServer(SpatialServerInterface):
         is one take of the entry rows the index descent matched; statistics
         are identical to a loop of :meth:`window` calls.
         """
-        bounds, rows = self._index.window_query_batch_flat(windows)
-        self.stats.window_queries += len(windows)
-        return (*self._payload(rows), bounds)
+        answer = self.evaluate_window_batch(windows)
+        self.stats.book_window(answer.request.shape[0], answer.oids.shape[0])
+        return answer.mbrs, answer.oids, answer.bounds
 
     def count(self, window: Rect) -> int:
+        """COUNT query: the number of objects intersecting ``window``."""
         value = self._index.count(window)
-        self.stats.count_queries += 1
+        self.stats.book_count(1)
         return value
 
     def count_batch(self, windows: Windows) -> List[int]:
         """Answer a batch of COUNT queries in one aggregate-tree descent."""
-        values = self._index.count_batch(windows)
-        self.stats.count_queries += len(windows)
+        values = self.evaluate_count_batch(windows)
+        self.stats.book_count(len(values))
         return values
 
     def range(self, center: Point, epsilon: float) -> Tuple[np.ndarray, np.ndarray]:
+        """epsilon-RANGE query: the objects within ``epsilon`` of ``center``
+        (exact circular semantics, not the paper's square-window stand-in)."""
         probe_arrays([center], [epsilon])
-        self.stats.range_queries += 1
-        return self._payload(self._index.range_rows(center, epsilon))
+        mbrs, oids = self._index.entries_at(self._index.range_rows(center, epsilon))
+        self.stats.book_range(1, oids.shape[0])
+        return mbrs, oids
 
     def range_batch(
         self, centers: Probes, radii: Sequence[float]
@@ -328,10 +348,9 @@ class SpatialServer(SpatialServerInterface):
         The payload is one take of the entry rows the index descent matched;
         statistics are identical to a loop of :meth:`range` calls.
         """
-        pts, reach = probe_arrays(centers, radii)
-        self.stats.range_queries += pts.shape[0]
-        bounds, rows = self._index.range_query_batch_flat(pts, reach)
-        return (*self._payload(rows), bounds)
+        answer = self.evaluate_range_batch(centers, radii)
+        self.stats.book_range(answer.request.shape[0], answer.oids.shape[0])
+        return answer.mbrs, answer.oids, answer.bounds
 
     def bucket_range(
         self,
@@ -339,22 +358,15 @@ class SpatialServer(SpatialServerInterface):
         epsilon: float,
         radii: Optional[Sequence[float]] = None,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Bucket epsilon-RANGE: ``(mbrs, oids, probe_index)`` of many probes,
+        each answered independently (no deduplication across probes)."""
         pts, reach = bucket_probe_arrays(centers, epsilon, radii)
-        self.stats.bucket_range_queries += 1
-        self.stats.bucket_range_probes += pts.shape[0]
-        bounds, rows = self._index.range_query_batch_flat(pts, reach)
-        probes = np.repeat(np.arange(pts.shape[0], dtype=np.int64), np.diff(bounds))
-        return (*self._payload(rows), probes)
+        answer = self.evaluate_range_batch(pts, reach)
+        self.stats.book_bucket(pts.shape[0], answer.oids.shape[0])
+        return answer.mbrs, answer.oids, np.repeat(answer.request, np.diff(answer.bounds))
 
     def average_mbr_area(self, window: Rect) -> float:
+        """Scalar aggregate: the average object-MBR area inside ``window``."""
         value = self._index.average_mbr_area(window)
         self.stats.aggregate_queries += 1
         return value
-
-    # ------------------------------------------------------------------ #
-
-    def _payload(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """One take of the entry rows a descent matched, metered."""
-        mbrs, oid_arr = self._index.entries_at(rows)
-        self.stats.objects_returned += int(oid_arr.shape[0])
-        return mbrs, oid_arr

@@ -15,12 +15,13 @@ the unit the query broker caches, primes, places and reuses:
   trees' entries are slices of it), and ``route()`` turns a request batch
   into the ``(shard, window)`` rows it scatters to, so a whole scatter is
   evaluated by *one* index descent whatever the shard count;
-* ``evaluate_count_batch()`` answers a coalesced COUNT batch for the wave
-  driver by that routed descent, summing the per-shard counts (shards
-  partition the object set exactly, so the sums equal the union server's
-  counts bit for bit); ``evaluate_window_batch()`` / ``evaluate_range_batch()``
-  are its payload siblings, and what every scatter of the client-side
-  proxy evaluates before it books the routed shards;
+* ``evaluate_count_batch()`` answers a COUNT batch by that routed descent,
+  summing the per-shard counts (shards partition the object set exactly, so
+  the sums equal the union server's counts bit for bit) and keeping the
+  routed rows (:class:`RoutedCounts`); ``evaluate_window_batch()`` /
+  ``evaluate_range_batch()`` are its payload siblings.  They are what every
+  scatter of the client-side proxy -- and the step driver -- evaluates
+  before the proxy books the routed shards;
 * ``breaker_units()`` exposes the shards as independently-breakable
   servers, so one misbehaving shard trips only its own circuit breaker.
 
@@ -49,14 +50,33 @@ from repro.index.aggregate_rtree import Probes, probe_arrays
 from repro.index.flat import FlatRTree
 from repro.server.server import Prefetched, ServerQueryStats, SpatialServer
 
-__all__ = ["ShardedSpatialServer", "FleetStats", "probe_squares", "sum_by_request"]
+__all__ = ["ShardedSpatialServer", "FleetStats", "RoutedCounts", "probe_squares"]
 
 
-def sum_by_request(request: np.ndarray, values: np.ndarray, n_requests: int) -> List[int]:
-    """Per-request totals of the per-row ``values`` of a scatter."""
-    totals = np.zeros(n_requests, dtype=np.int64)
-    np.add.at(totals, request, values)
-    return totals.tolist()
+class RoutedCounts(list):
+    """A fleet's COUNT answer: the per-window totals (a ``List[int]``) and
+    the routed rows they sum.
+
+    Row ``k`` is ``rows[k]`` objects of shard ``shard[k]`` in window
+    ``request[k]``, request-major with shards ascending, like
+    :class:`~repro.server.server.Prefetched`; ``answer[i:j]`` is the share
+    of windows ``i..j-1``, renumbered from 0.
+    """
+
+    def __init__(self, totals, shard: np.ndarray, request: np.ndarray, rows: np.ndarray):
+        super().__init__(totals)
+        self.shard = shard
+        self.request = request
+        self.rows = rows
+
+    def __getitem__(self, key):
+        if not isinstance(key, slice):
+            return super().__getitem__(key)
+        first, stop, _ = key.indices(len(self))
+        a, b = np.searchsorted(self.request, (first, stop)).tolist()
+        return RoutedCounts(
+            super().__getitem__(key), self.shard[a:b], self.request[a:b] - first, self.rows[a:b]
+        )
 
 
 def probe_squares(pts: np.ndarray, radii: np.ndarray) -> np.ndarray:
@@ -98,10 +118,7 @@ class FleetStats:
 
     def __getattr__(self, key: str) -> int:
         # Counter reads (``stats.count_queries`` etc.) sum over the fleet.
-        if key.startswith("_"):
-            raise AttributeError(key)
-        probe = ServerQueryStats()
-        if not hasattr(probe, key):
+        if key not in ServerQueryStats.__dataclass_fields__:
             raise AttributeError(key)
         return sum(getattr(shard.stats, key) for shard in self._shards)
 
@@ -245,16 +262,18 @@ class ShardedSpatialServer:
         args = [a.take(request, axis=0) for a in more or (requests,)]
         return shard, request, query(*args, self.forest.roots.take(shard))
 
-    def evaluate_count_batch(self, windows: Windows) -> List[int]:
-        """Answer COUNTs for the wave driver, statistics untouched.
+    def evaluate_count_batch(self, windows: Windows) -> "RoutedCounts":
+        """Answer COUNTs in one routed descent, statistics untouched.
 
-        One routed descent of the forest; the shards partition the object
-        set exactly, so summing a window's per-shard counts reproduces the
-        union server's count bit for bit.
+        The shards partition the object set exactly, so summing a window's
+        per-shard counts reproduces the union server's count bit for bit;
+        the answer keeps the routed rows, so its booking routes nothing again.
         """
         wins = window_array(windows)
-        _, request, counts = self.descend(self.forest.count_batch, wins)
-        return sum_by_request(request, counts, wins.shape[0])
+        shard, request, counts = self.descend(self.forest.count_batch, wins)
+        totals = np.zeros(wins.shape[0], dtype=np.int64)
+        np.add.at(totals, request, counts)
+        return RoutedCounts(totals.tolist(), shard, request, counts)
 
     def evaluate_window_batch(self, windows: Windows) -> Prefetched:
         """Answer WINDOWs in one routed descent, statistics untouched.

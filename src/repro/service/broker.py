@@ -27,14 +27,16 @@ buffer sizes -- and
    generator (:mod:`repro.device.steps`): it *offers* every server
    evaluation it needs, COUNT rounds and the operators' WINDOW downloads
    and RANGE probes alike.  Per wave round the broker takes one step from
-   each in-flight query, evaluates all rows of one query kind that target
-   the same backing build in **one** stat-free descent, and has every
-   query book its own share on its own connections
-   (:func:`~repro.device.steps.book_step`), so pairs, bytes, server
-   statistics, fault streams and decision traces are bit-identical to
-   running the query alone -- under any submission order, with the cache
-   cold or warm (pinned by ``tests/test_service_equivalence.py`` and
-   ``tests/test_wave_fusion.py``).
+   each in-flight query, gathers all rows of one query kind that target
+   the same backing build into one group evaluated in **one** stat-free
+   descent, and has every query book its own share on its own connections
+   (:func:`~repro.device.steps.gather` /
+   :func:`~repro.device.steps.book_step`).  That is the loop a standalone
+   run drives too (:func:`~repro.device.steps.run_steps`, a wave of one),
+   so pairs, bytes, server statistics, fault streams and decision traces
+   are bit-identical to running the query alone by construction -- under
+   any submission order, with the cache cold or warm (pinned by
+   ``tests/test_service_equivalence.py`` and ``tests/test_wave_fusion.py``).
 
    The per-query advances between the coalesced evaluations run inline on
    the executing thread, one query after the other: they are GIL-bound
@@ -52,16 +54,12 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.core.costmodel import CalibratedCostModel
 from repro.core.planner import PlanDecision, build_algorithm, select_algorithm
 from repro.core.result import JoinResult
 from repro.device.pda import MobileDevice
-from repro.device.steps import COUNT, WINDOW, Kind, Step, book_step
+from repro.device.steps import COUNT, Group, Step, book_step, gather
 from repro.errors import QueryTimeout, ReproError, ServerUnavailable
-from repro.geometry import rect_array
-from repro.index.aggregate_rtree import probe_arrays
 from repro.network.config import NetworkConfig
 from repro.obs.trace import NULL_TRACER
 from repro.server.server import SpatialServer
@@ -183,41 +181,6 @@ class _Breaker:
 def _failure_status(failure: BaseException) -> str:
     """``"timeout"`` for a crossed deadline budget, ``"failed"`` otherwise."""
     return "timeout" if isinstance(failure, QueryTimeout) else "failed"
-
-
-class _Group:
-    """One coalesced evaluation: all rows of a round that ask one backing
-    build for one query kind."""
-
-    def __init__(self, base: SpatialServer, kind: Kind) -> None:
-        self.base = base
-        self.kind = kind
-        #: The per-row columns ``kind.evaluate`` takes, one part per request.
-        self.parts: Tuple[list, ...] = tuple([] for _ in kind.columns)
-        self.rows = 0
-        #: Member requests (what standalone runs would flush one by one).
-        self.requests = 0
-        #: The build's answer to all rows; a request's share is a slice of it.
-        self.answer = None
-
-    def add(self, args: tuple) -> Tuple["_Group", int, int]:
-        """Append one request's rows; its slot in this group."""
-        first, rows = self.rows, len(args[self.kind.columns[0]])
-        for parts, position in zip(self.parts, self.kind.columns):
-            parts.append(args[position])
-        self.rows += rows
-        self.requests += 1
-        return self, first, rows
-
-    def columns(self) -> list:
-        """The requests' rows back to back, as arrays: windows (``Rect``
-        lists or the ``(N, 4)`` arrays the frontier tables build) as one
-        ``(N, 4)`` array, probes (``Point`` lists or the operators' arrays)
-        as ``(P, 2)`` centres and ``(P,)`` radii."""
-        if self.kind in (COUNT, WINDOW):
-            return [np.concatenate([rect_array.rects_to_array(part) for part in self.parts[0]])]
-        probes = [probe_arrays(*probe) for probe in zip(*self.parts)]
-        return [np.concatenate(column) for column in zip(*probes)]
 
 
 class QueryBroker:
@@ -699,18 +662,6 @@ class QueryBroker:
             entry.pending = None
             entry.result = stop.value
 
-    @staticmethod
-    def _book_and_advance(entry: _Admitted, slots: List[Tuple["_Group", int, int]]) -> None:
-        """Book one query's shares of the round's evaluations, then advance it.
-
-        ``slots`` is parallel to the step the query offered: the group each
-        request's rows joined, their first row there and their number.
-        """
-        shares = [group.answer[first : first + n] for group, first, n in slots]
-        QueryBroker._advance(
-            entry, book_step(entry.device.servers, entry.pending, shares)
-        )
-
     # -------------------------- circuit breaker ----------------------- #
 
     def _note_breaker_transition(self, state: str, unit_name: str) -> None:
@@ -960,10 +911,10 @@ class QueryBroker:
                 self._wave_span.close()
                 self._wave_span = None
 
-    def _evaluate(self, group: _Group, round_index: int) -> None:
+    def _evaluate(self, group: Group, round_index: int) -> None:
         """Answer all rows of one group in one descent of its backing build."""
         base, kind = group.base, group.kind
-        rows = group.rows
+        rows, requests = group.rows, len(group.members)
         span = None
         if self._wave_span is not None:
             span = self._wave_span.child(
@@ -972,15 +923,15 @@ class QueryBroker:
                 kind=kind.name,
                 server=base.name,
                 rows=rows,
-                requests=group.requests,
+                requests=requests,
             )
-        group.answer = getattr(base, kind.evaluate)(*group.columns())
+        group.evaluate()
         if span is not None:
             span.close()
         self.stats.bump(
             coalesced_exchanges=1,
             coalesced_count_queries=rows if kind is COUNT else 0,
-            standalone_exchanges=group.requests,
+            standalone_exchanges=requests,
         )
         if self._m_exchanges is not None:
             self._m_exchanges.inc(server=base.name, kind=kind.name)
@@ -1016,25 +967,22 @@ class QueryBroker:
         round_index = 0
         while active:
             # Gather: one group per (backing build, query kind) across the
-            # steps of all active queries, in submission order.
-            groups: Dict[Tuple[int, str], _Group] = {}
-            slots: Dict[int, List[Tuple[_Group, int, int]]] = {}
-            for entry in active:
-                mine = slots[entry.index] = []
-                for kind, side, args in entry.pending:
-                    base = entry.base_r if side.upper() == "R" else entry.base_s
-                    group = groups.get((id(base), kind.name))
-                    if group is None:
-                        group = groups[id(base), kind.name] = _Group(base, kind)
-                    mine.append(group.add(args))
+            # steps of all active queries, in submission order -- the cached
+            # builds, so the queries' statistics views share a descent.
+            groups, gathered = gather(
+                ((entry.base_r, entry.base_s), entry.pending) for entry in active
+            )
+            slots = {entry.index: mine for entry, mine in zip(active, gathered)}
             # Evaluate: one stat-free descent per group.
-            for group in groups.values():
+            for group in groups:
                 self._evaluate(group, round_index)
             # Book and advance: each query books its own shares on its own
-            # connections, in step order, exactly as answering the step
-            # alone would have.
+            # connections, in step order -- what its standalone run books.
             self._advance_all(
-                active, lambda entry: self._book_and_advance(entry, slots[entry.index])
+                active,
+                lambda entry: self._advance(
+                    entry, book_step(entry.device.servers, entry.pending, slots[entry.index])
+                ),
             )
             active = [entry for entry in active if entry.pending is not None]
             round_index += 1

@@ -94,9 +94,7 @@ class TestFlatTreeBatches:
         assert flat.count_batch(np.array([[0.0, 0.0, 1.0, 1.0]])).tolist() == [0]
         assert flat.range_batch(np.empty((0, 2)), np.empty(0)) == []
         empty = AggregateRTree([], max_entries=4)
-        assert empty.window_query_batch([]) == []
         assert empty.count_batch([Rect(0, 0, 1, 1)]) == [0]
-        assert empty.range_query_batch([], []) == []
 
 
 class TestServerBatches:
@@ -262,6 +260,29 @@ class TestSemiJoinBatchExecution:
         assert [e.action for e in batch.trace] == [e.action for e in scalar.trace]
         assert [e.detail for e in batch.trace] == [e.detail for e in scalar.trace]
 
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_relay_takes_a_window_array(self, n):
+        """``upload_windows_and_collect`` takes ``Windows``, yet ``if not
+        windows`` raised an untyped ``ValueError`` on every ``(N, 4)`` array:
+        an array relays what the same windows as ``Rect`` s relay."""
+        windows = [Rect(0.0, 0.0, 0.6, 0.6), Rect(0.3, 0.3, 1.0, 1.0)][:n]
+        rows = np.array([w.as_tuple() for w in windows]).reshape(-1, 4)
+        by_list, by_array = (
+            ServerPair.connect(
+                SpatialServer(clustered(n=200, clusters=3, seed=47, name="R"), name="R"),
+                SpatialServer(uniform(n=50, seed=48, name="S"), name="S"),
+                indexed=True,
+            )
+            for _ in range(2)
+        )
+        got = by_array.r.upload_windows_and_collect(rows)
+        want = by_list.r.upload_windows_and_collect(windows)
+        assert want[1].shape[0] if n else not want[1].shape[0]
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and np.array_equal(g, w)
+        assert by_array.r.channel.snapshot() == by_list.r.channel.snapshot()
+        assert by_array.r.server_stats() == by_list.r.server_stats()
+
 
 class TestBrokerDeterminismCompact:
     """Shuffled submission order => identical per-query results and bytes."""
@@ -322,17 +343,6 @@ class TestRectArrayBatchKernels:
         row, idx = rect_array.expand_index_ranges(starts, ends)
         assert row.tolist() == [0, 0, 2, 2, 2]
         assert idx.tolist() == [3, 4, 5, 6, 7]
-
-    def test_within_distance_of_rect_matches_predicate(self):
-        rng = np.random.default_rng(41)
-        pts = rng.uniform(0, 1, (150, 2))
-        mbrs = np.column_stack([pts, pts + rng.uniform(0, 0.05, (150, 2))])
-        rect = Rect(0.4, 0.4, 0.55, 0.6)
-        eps = 0.07
-        mask = rect_array.within_distance_of_rect(mbrs, rect, eps)
-        for row, hit in zip(mbrs, mask):
-            other = Rect(*(float(v) for v in row))
-            assert bool(hit) == rect.within_distance(other, eps)
 
     def test_clip_to_window_matches_intersection(self):
         windows = _random_windows(50, seed=43)

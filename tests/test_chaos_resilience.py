@@ -38,7 +38,7 @@ from repro.core.planner import (
     run_join,
 )
 from repro.datasets.synthetic import clustered, uniform
-from repro.device.steps import answer_step
+from repro.device.steps import run_steps
 from repro.errors import (
     ChannelFault,
     QueryTimeout,
@@ -484,23 +484,25 @@ class TestResumableRounds:
         algo = build_algorithm(algorithm, device, spec, params)
         window = r.bounds().union(s.bounds())
 
-        gen = algo.run_cooperative(window)
-        step = next(gen)
         retried = Counter()
-        result = None
-        while True:
-            # A transient failure mid-step: the generator must offer the
-            # very same step again (twice in a row, too) instead of unwinding.
-            offered = self._snapshot(step)
-            for _ in range(2):
-                step = gen.throw(RoundRetry())
-                assert self._snapshot(step) == offered
-            retried.update(kind.name for kind, _, _ in step)
-            try:
-                step = gen.send(answer_step(device.servers, step))
-            except StopIteration as stop:
-                result = stop.value
-                break
+
+        def retrying(gen):
+            """Relays ``gen``'s steps to the driver, throwing a transient
+            failure into it twice before offering each one: the generator
+            must offer the very same step again instead of unwinding."""
+            step = next(gen)
+            while True:
+                offered = self._snapshot(step)
+                for _ in range(2):
+                    step = gen.throw(RoundRetry())
+                    assert self._snapshot(step) == offered
+                retried.update(kind.name for kind, _, _ in step)
+                try:
+                    step = gen.send((yield step))
+                except StopIteration as stop:
+                    return stop.value
+
+        result = run_steps(retrying(algo.run_cooperative(window)), device.servers)
         # The retries covered planning rounds and leaf steps.
         assert retried["count"] > 0 and retried["window"] > 0
         assert retried["bucket" if bucket else "range"] > 0
@@ -522,8 +524,11 @@ class TestResumableRounds:
         _, _, device = build_session_stack(r, s, buffer_size=BUFFER, tracer=tracer)
         algo = build_algorithm("upjoin", device, JoinSpec.distance(0.03))
         gen = algo.run_cooperative(r.bounds().union(s.bounds()))
-        step = next(gen)
-        gen.send(answer_step(device.servers, step))
+
+        def first_step_only():
+            gen.send((yield next(gen)))
+
+        run_steps(first_step_only(), device.servers)
         gen.close()
         assert tracer.spans() and all(span.wall_end is not None for span in tracer.spans())
 

@@ -3,9 +3,9 @@
 Every operator case runs the shipped one-request form and the scalar oracle
 (``tests/oracles/operators_scalar.py``) on twin stacks and asserts equal
 result objects, operator counters, server statistics and channel ledgers.
-It also drives the operator's step generator by hand and asserts the step
-sequence -- kind, side and row count of every request -- so the wire order
-is pinned where it is decided, not only through the ledgers it leaves.
+It also records the steps the operator's generator offers and asserts the
+step sequence -- kind, side and row count of every request -- so the wire
+order is pinned where it is decided, not only through the ledgers it leaves.
 
 Every case also runs the *columnar* form -- ``HBSJColumns`` / ``NLSJColumns``
 handed to ``MobileDevice.hbsj_steps`` / ``.nlsj_steps``, which is how a
@@ -27,7 +27,7 @@ from repro.device.buffer import BufferExceededError, DeviceBuffer
 from repro.device.hbsj import UNKNOWN, HBSJColumns, HBSJRequest, hash_based_spatial_join
 from repro.device.nlsj import NLSJColumns, NLSJRequest, nested_loop_spatial_join
 from repro.device.pda import MobileDevice
-from repro.device.steps import answer_step
+from repro.device.steps import run_steps
 from repro.errors import ReproError
 from repro.geometry.predicates import IntersectionPredicate, WithinDistancePredicate
 from repro.geometry.rect import Rect
@@ -160,20 +160,6 @@ def _assert_twin_stacks_equal(shipped: MobileDevice, oracle: MobileDevice, order
         assert got == want if ordered else Counter(got) == Counter(want)
 
 
-def _drive_by_hand(steps, servers):
-    """Answer a step generator step by step; its result and the shape
-    ``[(kind, side, rows), ...]`` of every step it offered."""
-    shapes = []
-    try:
-        step = next(steps)
-        while True:
-            assert step, "an operator never offers an empty step"
-            shapes.append([(kind.name, side, len(args[0])) for kind, side, args in step])
-            step = steps.send(answer_step(servers, step))
-    except StopIteration as stop:
-        return stop.value, shapes
-
-
 def _hbsj_columns(requests) -> HBSJColumns:
     """The requests as a frontier level states them: its own arrays."""
     return HBSJColumns(
@@ -191,14 +177,18 @@ def _nlsj_columns(requests) -> NLSJColumns:
 
 
 def _drive_recording(steps, servers):
-    """:func:`_drive_by_hand`, also keeping every request's rows as arrays."""
-    rows = []
+    """Drive a step generator with :func:`run_steps`, recording what it
+    offers: its result, the shape ``[(kind, side, rows), ...]`` of every
+    step and every request's rows as arrays."""
+    shapes, rows = [], []
 
-    def recorded(steps):
+    def recorded():
         answers = None
         try:
             while True:
                 step = steps.send(answers)
+                assert step, "an operator never offers an empty step"
+                shapes.append([(kind.name, side, len(args[0])) for kind, side, args in step])
                 rows.append(
                     [
                         (kind.name, side, [np.asarray(a, dtype=float) for a in args])
@@ -209,8 +199,7 @@ def _drive_recording(steps, servers):
         except StopIteration as stop:
             return stop.value
 
-    result, shapes = _drive_by_hand(recorded(steps), servers)
-    return result, shapes, rows
+    return run_steps(recorded(), servers), shapes, rows
 
 
 def _assert_same_rows(got, want):
@@ -225,15 +214,15 @@ def _assert_same_rows(got, want):
 
 
 def _hbsj_steps(r, s, buffer_size, predicate, requests=None, **counts):
-    """The step shapes of HBSJ driven by hand (== the locally-driven batch form
+    """The step shapes of HBSJ, recorded (== the locally-driven batch form
     == the columnar form, rows included)."""
     requests = requests or [HBSJRequest(WINDOW, **counts)]
-    by_hand = MobileDevice(_servers(r, s), buffer_size=buffer_size)
+    recording = MobileDevice(_servers(r, s), buffer_size=buffer_size)
     shipped = MobileDevice(_servers(r, s), buffer_size=buffer_size)
     columnar = MobileDevice(_servers(r, s), buffer_size=buffer_size)
-    got, shapes, rows = _drive_recording(by_hand.hbsj_steps(requests, predicate), by_hand.servers)
+    got, shapes, rows = _drive_recording(recording.hbsj_steps(requests, predicate), recording.servers)
     assert got == shipped.hbsj_batch(requests, predicate)
-    _assert_twin_stacks_equal(by_hand, shipped, ordered=True)
+    _assert_twin_stacks_equal(recording, shipped, ordered=True)
     table, column_shapes, column_rows = _drive_recording(
         columnar.hbsj_steps(_hbsj_columns(requests), predicate), columnar.servers
     )
@@ -244,16 +233,16 @@ def _hbsj_steps(r, s, buffer_size, predicate, requests=None, **counts):
 
 
 def _nlsj_steps(r, s, buffer_size, predicate, requests, bucket=False):
-    """The step shapes of NLSJ driven by hand (== the locally-driven batch form
+    """The step shapes of NLSJ, recorded (== the locally-driven batch form
     == the columnar form, rows included)."""
-    by_hand = MobileDevice(_servers(r, s), buffer_size=buffer_size)
+    recording = MobileDevice(_servers(r, s), buffer_size=buffer_size)
     shipped = MobileDevice(_servers(r, s), buffer_size=buffer_size)
     columnar = MobileDevice(_servers(r, s), buffer_size=buffer_size)
     got, shapes, rows = _drive_recording(
-        by_hand.nlsj_steps(requests, predicate, bucket=bucket), by_hand.servers
+        recording.nlsj_steps(requests, predicate, bucket=bucket), recording.servers
     )
     assert got == shipped.nlsj_batch(requests, predicate, bucket=bucket)
-    _assert_twin_stacks_equal(by_hand, shipped, ordered=True)
+    _assert_twin_stacks_equal(recording, shipped, ordered=True)
     table, column_shapes, column_rows = _drive_recording(
         columnar.nlsj_steps(_nlsj_columns(requests), predicate, bucket=bucket), columnar.servers
     )

@@ -25,6 +25,7 @@ from repro.core.naive import FixedGridJoin
 from repro.core.planner import ALGORITHMS
 from repro.datasets.railway import generate_railway_like
 from repro.datasets.synthetic import clustered, uniform
+from repro.device.steps import run_steps
 
 ALGO_NAMES = sorted(ALGORITHMS)
 
@@ -164,15 +165,18 @@ class _PerCellFixedGrid(FixedGridJoin):
         cells = window.subdivide(self.grid_size)
         if not self.prune_empty:
             for cell in cells:
-                self.apply_hbsj(cell, depth + 1, counts_exact=False)
+                self._hbsj(cell, depth + 1, counts_exact=False)
             return
-        counts_r = self.count_windows("R", cells)
-        counts_s = self.count_windows("S", cells)
+        counts_r = self.device.count_windows("R", [self.query_window("R", c) for c in cells])
+        counts_s = self.device.count_windows("S", [self.query_window("S", c) for c in cells])
         for cell, cell_r, cell_s in zip(cells, counts_r, counts_s):
             if cell_r == 0 or cell_s == 0:
                 self.prune(cell, depth + 1, cell_r, cell_s)
                 continue
-            self.apply_hbsj(cell, depth + 1, cell_r, cell_s, counts_exact=True)
+            self._hbsj(cell, depth + 1, cell_r, cell_s, counts_exact=True)
+
+    def _hbsj(self, cell, depth, *counts, **options):
+        run_steps(self.hbsj_steps(cell, depth, *counts, **options), self.device.servers)
 
 
 FIXEDGRID_WORKLOADS = {

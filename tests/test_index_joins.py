@@ -128,12 +128,6 @@ class TestRectArray:
         mbrs = rect_array.points_to_mbrs(np.array([[0.1, 0.1], [0.5, 0.5], [0.9, 0.9]]))
         assert rect_array.count_in_window(mbrs, Rect(0.0, 0.0, 0.6, 0.6)) == 2
 
-    def test_split_by_grid_partitions_all_objects(self):
-        mbrs = _random_mbrs(100, seed=11)
-        cells = rect_array.split_by_grid(mbrs, Rect(0, 0, 1, 1), 3, 3)
-        assert sum(len(c) for c in cells) == 100
-        assert sorted(np.concatenate(cells).tolist()) == list(range(100))
-
     def test_within_distance_of_point_negative_eps_raises(self):
         with pytest.raises(ValueError):
             rect_array.within_distance_of_point(np.empty((0, 4)), 0.0, 0.0, -1.0)

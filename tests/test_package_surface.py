@@ -118,14 +118,22 @@ def test_the_operators_ask_for_server_work_and_never_do_it():
     for name in ("hbsj.py", "nlsj.py"):
         tree = ast.parse((PACKAGE / "device" / name).read_text())
         assert list(_touches_servers(tree)) == [], name
-    # ... and the protocol module touches them in its two answering
-    # functions only (evaluate-and-book, book-what-was-evaluated).
-    answering = {}
+    # ... and the protocol module reaches a connection in its one booking
+    # path only; the driver reads nothing of the pair but the builds behind
+    # it, which it evaluates on.
+    touching = {}
     for node in ast.parse((PACKAGE / "device" / "steps.py").read_text()).body:
         touched = list(_touches_servers(node))
         if touched:
-            answering[node.name] = touched
-    assert set(answering) == {"answer_step", "book_step"}
+            touching[node.name] = touched
+    assert set(touching) == {"book_step", "run_steps"}
+    assert touching["run_steps"] == ["servers.backing"]
+    # A kind is evaluated by a build and booked by a connection: there is
+    # no third way to answer it.
+    from repro.device import steps
+
+    assert steps.Kind._fields == ("name", "evaluate", "columns", "book")
+    assert not hasattr(steps, "answer_step")
     # One operator body each: the generator; the list-returning forms drive it.
     from repro.device import hbsj, nlsj
 
@@ -142,6 +150,47 @@ def test_the_operators_ask_for_server_work_and_never_do_it():
             body = [n for n in ast.parse(inspect.getsource(function)).body[0].body
                     if not isinstance(n, ast.Expr)]  # the docstring
             assert len(body) == 1 and isinstance(body[0], ast.Return), name
+
+
+def _counter_writes(node: ast.AST, counters, function=None):
+    """``(function, counter)`` per write of a statistics counter --
+    ``stats.<counter>`` or ``<...>.stats.<counter>`` -- outside
+    ``ServerQueryStats``, whose methods are the rules."""
+    if isinstance(node, ast.ClassDef) and node.name == "ServerQueryStats":
+        return
+    if isinstance(node, ast.FunctionDef):
+        function = node.name
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    else:
+        targets = [node.target] if isinstance(node, ast.AugAssign) else []
+    for target in targets:
+        if isinstance(target, ast.Attribute) and target.attr in counters:
+            if "stats" in (getattr(target.value, "id", None), getattr(target.value, "attr", None)):
+                yield function, target.attr
+    for child in ast.iter_child_nodes(node):
+        yield from _counter_writes(child, counters, function)
+
+
+def test_one_statistics_rule_per_query_kind():
+    # What answering a COUNT / WINDOW / RANGE / bucket batch counts is one
+    # ``ServerQueryStats.book_*`` method each.  No connection writes a
+    # counter, and no server endpoint re-states a rule beside it.
+    from repro.server.server import ServerQueryStats
+
+    counters = {field.name for field in dataclasses.fields(ServerQueryStats)}
+    remote = ast.parse((PACKAGE / "server" / "remote.py").read_text())
+    assert list(_counter_writes(remote, counters)) == []
+    step_kinds = counters - {"aggregate_queries"}
+    offenders = [
+        (path.name, *write)
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for write in _counter_writes(ast.parse(path.read_text()), step_kinds)
+    ]
+    assert offenders == []
+    assert {"book_count", "book_window", "book_range", "book_bucket"} <= set(vars(ServerQueryStats))
+    # ... and the ABC of scalar methods nothing called or checked is gone.
+    assert not (PACKAGE / "server" / "interface.py").exists()
 
 
 def test_a_frontier_level_is_decided_as_a_table_never_window_by_window():

@@ -273,6 +273,67 @@ class TestOneDescentPerWaveStep:
                 assert not inside
 
 
+class TestStandaloneIsAWaveOfOne:
+    """``run_join`` answers its steps with the broker's own loop over one
+    query: every step is gathered, evaluated on the backing builds -- at
+    most once per (build, kind) -- and booked on the connections; no build
+    endpoint that bumps statistics is ever asked."""
+
+    ASKED = ("count_batch", "window_batch_flat", "range_batch_flat", "bucket_range")
+    EVALUATED = ("evaluate_count_batch", "evaluate_window_batch", "evaluate_range_batch")
+
+    @pytest.mark.parametrize("bucket", [False, True], ids=["per-probe", "bucket"])
+    @pytest.mark.parametrize("topology", ["plain", "sharded", "replicated"])
+    def test_steps_are_evaluated_on_the_builds_and_booked(self, monkeypatch, topology, bucket):
+        from repro.core.planner import SELECTABLE_ALGORITHMS, run_join
+        from repro.device import steps
+        from repro.server import ShardedSpatialServer, SpatialServer
+
+        log: List[tuple] = []
+
+        def spy(cls, name, event):
+            original = getattr(cls, name)
+
+            def spied(self, *args, **kwargs):
+                log.append((event, name, id(self)))
+                return original(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, name, spied)
+
+        for name in self.ASKED:
+            spy(SpatialServer, name, "asked")
+        for cls in (SpatialServer, ShardedSpatialServer):
+            for name in self.EVALUATED:
+                spy(cls, name, "evaluated")
+        book_step = steps.book_step
+
+        def booked(*args):
+            log.append(("booked",))
+            return book_step(*args)
+
+        monkeypatch.setattr(steps, "book_step", booked)
+
+        r, s = _datasets()
+        params = AlgorithmParameters(bucket_queries=bucket)
+        for algorithm in SELECTABLE_ALGORITHMS:
+            run_join(
+                r, s, SPEC, algorithm=algorithm, buffer_size=BUFFER, params=params,
+                window=_windows()[1], stack=StackConfig(**TOPOLOGIES[topology]),
+            )
+        assert not [event for event in log if event[0] == "asked"]
+        per_step: List[List[tuple]] = [[]]
+        for event in log:
+            if event[0] == "booked":
+                per_step.append([])
+            else:
+                per_step[-1].append(event[1:])
+        assert per_step.pop() == []  # nothing is evaluated that is not booked
+        for evaluations in per_step:
+            assert evaluations and len(evaluations) == len(set(evaluations))
+        made = {name for evaluations in per_step for name, _ in evaluations}
+        assert made == set(self.EVALUATED)
+
+
 # --------------------------------------------------------------------------- #
 # attribution: every query equals its standalone run
 # --------------------------------------------------------------------------- #
