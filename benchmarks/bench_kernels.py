@@ -191,6 +191,66 @@ def test_bench_range_queries(benchmark):
     benchmark(run)
 
 
+_SENDS = ("send_query", "send_response", "send_uniform_batch", "send_payload_batch", "reset")
+
+
+def _captured_ledger_calls(workload: str = "warm_session", seed: int = 41):
+    """Every ``Channel`` send / reset of one cycle of a ``benchmarks/e2e``
+    workload (the harness is imported, never edited), with the channels'
+    configs and names and what the cycle left on them."""
+    from benchmarks.e2e import harness
+    from repro.network.channel import Channel
+
+    channels, calls = {}, []
+
+    def wrap(name, inner):
+        def wrapper(self, *args, **kwargs):
+            key = channels.setdefault(id(self), (len(channels), self))[0]
+            out = inner(self, *args, **kwargs)
+            calls.append((name, key, args, kwargs, out))
+            return out
+
+        return wrapper
+
+    originals = {name: vars(Channel)[name] for name in _SENDS}
+    w = harness.make_workload(harness.load_spec(workload), seed)
+    w.setup()
+    w.warm_up()
+    try:
+        for name, inner in originals.items():
+            setattr(Channel, name, wrap(name, inner))
+        w.begin_cycle()
+        for slot in range(w.cycle_len):
+            w.run_op(slot)
+    finally:
+        for name, inner in originals.items():
+            setattr(Channel, name, inner)
+    made = [chan for _, chan in sorted(channels.values(), key=lambda item: item[0])]
+    return w.cycle_len, made, calls
+
+
+def test_bench_ledger_at_workload_shape(benchmark):
+    """The traffic ledger as one ``warm_session`` cycle (seed 41) writes it:
+    its captured sends replayed into fresh channels, with every call's wire
+    bytes and every channel's final totals and ledger fingerprint asserted."""
+    from repro.network.channel import Channel
+
+    cycle_len, made, calls = _captured_ledger_calls()
+    assert any(name == "send_payload_batch" for name, *_ in calls)
+
+    def replay():
+        fresh = [Channel(chan.config, tariff=chan.tariff, name=chan.name) for chan in made]
+        wire = [getattr(fresh[key], name)(*args, **kwargs) for name, key, args, kwargs, _ in calls]
+        return fresh, wire
+
+    fresh, wire = benchmark(replay)
+    benchmark.extra_info.update(calls=len(calls), messages=sum(len(c.log) for c in made))
+    benchmark.extra_info["ms_per_op"] = 1e3 * benchmark.stats.stats.min / cycle_len
+    assert wire == [out for *_, out in calls]
+    assert [c.ledger_fingerprint() for c in fresh] == [c.ledger_fingerprint() for c in made]
+    assert [c.snapshot() for c in fresh] == [c.snapshot() for c in made]
+
+
 def test_bench_packetisation(benchmark):
     cfg = NetworkConfig()
 

@@ -56,13 +56,12 @@ pair sets are bit-identical whichever data plane answers them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Type
 
 import numpy as np
 
 from repro.core.base import MobileJoinAlgorithm
-from repro.core.result import TraceEvent
+from repro.core.result import LevelTrace, TraceBatch
 from repro.device.hbsj import UNKNOWN, HBSJColumns
 from repro.device.nlsj import NLSJColumns
 from repro.device.steps import COUNT, Request, Steps
@@ -143,8 +142,7 @@ class LevelTable:
         self.counts_exact = np.ones(n, dtype=bool)
         self.children: Optional[Level] = None
         self._asks: List[_Ask] = []
-        self._trace: List[tuple] = []
-        self._rects: Optional[List[Rect]] = None
+        self._trace: List[TraceBatch] = []
         self._quad_windows: List[np.ndarray] = []
 
     # ------------------------------------------------------------------ #
@@ -346,61 +344,31 @@ class LevelTable:
         count_s: Optional[np.ndarray] = None,
         counts: bool = False,
     ) -> None:
-        """Record one trace event per window of ``idx`` (no-op when tracing is off).
+        """Record one trace row per window of ``idx`` (no-op when tracing is off).
 
         ``detail`` is a ``str.format`` template over ``columns`` (parallel
-        to ``idx``; formatted from Python numbers); ``counts=True`` records
-        the windows' integer counts, ``count_r`` / ``count_s`` other ones.
-        The rows are buffered and spliced per level in window order
-        (:meth:`events`), so the per-depth decision log is identical to a
-        depth-first execution even though windows are decided together.
+        to ``idx``; formatted from Python numbers when read); ``counts=True``
+        records the windows' integer counts, ``count_r`` / ``count_s`` other
+        ones.  The rows stay columns -- one :class:`TraceBatch` per call --
+        and are spliced per level in window order (:meth:`events`), so the
+        per-depth decision log is identical to a depth-first execution even
+        though windows are decided together.
         """
         if not self.algo.params.trace or not idx.size:
             return
-        if columns:
-            values = (np.asarray(column).tolist() for column in columns)
-            details = [detail.format(*row) for row in zip(*values)]
-        else:
-            details = repeat(detail)
         if counts:
             count_r, count_s = self.int_r[idx], self.int_s[idx]
-        self._trace.append(
-            (
-                idx,
-                action,
-                details,
-                repeat(None) if count_r is None else count_r.tolist(),
-                repeat(None) if count_s is None else count_s.tolist(),
-            )
-        )
+        columns = tuple(np.array(column) for column in columns)
+        self._trace.append(TraceBatch(idx, action, detail, columns, count_r, count_s))
 
     def rects(self, idx: np.ndarray) -> List[Rect]:
-        """:class:`Rect` objects of windows ``idx`` (all built once while tracing)."""
-        if self.algo.params.trace:
-            if self._rects is None:
-                self._rects = [Rect(*row) for row in self.windows.tolist()]
-            return [self._rects[i] for i in idx.tolist()]
+        """:class:`Rect` objects of windows ``idx`` (built for these rows only)."""
         return [Rect(*row) for row in self.windows[idx].tolist()]
 
-    def events(self) -> List[TraceEvent]:
-        """The level's trace rows, each window's own events in the order
-        they were recorded, windows in level order."""
-        if not self._trace:
-            return []
-        rows = [
-            row
-            for idx, action, details, count_r, count_s in self._trace
-            for row in zip(idx.tolist(), repeat(action), details, count_r, count_s)
-        ]
-        where = np.concatenate([batch[0] for batch in self._trace])
-        rects = self.rects(np.arange(len(self.level)))
-        depth = self.level.depth
-        return [
-            TraceEvent(depth, rects[i], action, detail, count_r, count_s)
-            for i, action, detail, count_r, count_s in map(
-                rows.__getitem__, np.argsort(where, kind="stable").tolist()
-            )
-        ]
+    def events(self) -> LevelTrace:
+        """The level's trace table: each window's own rows in the order they
+        were recorded, windows in level order (no event is built here)."""
+        return LevelTrace(self.level.depth, self.windows, self._trace)
 
 
 class CostedTable(LevelTable):
@@ -472,7 +440,8 @@ class FrontierAlgorithm(MobileJoinAlgorithm):
         while level is not None:
             table = yield from self.table(self, level).steps()
             yield from self._run_leaves(table)
-            self._trace.extend(table.events())
+            if self.params.trace:
+                self._trace.append(table.events())
             level = table.children
 
     def _run_leaves(self, table: LevelTable) -> Steps:

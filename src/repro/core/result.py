@@ -4,17 +4,36 @@ A :class:`JoinResult` is what every algorithm returns: the qualifying pairs
 (and, for semi-joins, the qualifying objects), the measured transfer bytes
 broken down per server and per direction, the operator bookkeeping, and an
 optional step-by-step trace that the examples print and the tests inspect.
+
+The trace is kept as the columns it was decided from and becomes objects
+only when read.  A frontier level's rows stay a :class:`LevelTrace` -- the
+level's ``(N, 4)`` windows plus one :class:`TraceBatch` per recording call
+(window indices, action, detail template and its argument columns, counts)
+-- and :attr:`JoinResult.trace` is a :class:`Trace`: those tables and the
+few events recorded one at a time (``start``, SemiJoin, naive, FixedGrid;
+kept as :class:`TraceRows` of constructor arguments) concatenated into one
+read-only ``Sequence[TraceEvent]``.  An event, its :class:`Rect` and its
+detail string are built when indexed or iterated, details from
+``.tolist()`` Python numbers; ``len`` builds nothing.  The tables hold
+arrays, strings and numbers only, so a result pins no algorithm, table or
+device, and pickles.
 """
 
 from __future__ import annotations
 
+import operator
+from bisect import bisect_right
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from itertools import accumulate, chain, repeat, starmap
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro.core.join_types import JoinSpec
 from repro.geometry.rect import Rect
 
-__all__ = ["JoinResult", "TraceEvent"]
+__all__ = ["JoinResult", "LevelTrace", "Trace", "TraceBatch", "TraceEvent", "TraceRows"]
 
 
 @dataclass(frozen=True)
@@ -35,6 +54,137 @@ class TraceEvent:
             counts = f" |Rw|={self.count_r} |Sw|={self.count_s}"
         detail = f" ({self.detail})" if self.detail else ""
         return f"{indent}{self.action}{counts}{detail} @ {self.window}"
+
+
+class TraceBatch(NamedTuple):
+    """One recording call of a level table: a row per window of ``idx``."""
+
+    idx: np.ndarray
+    action: str
+    #: A ``str.format`` template over ``columns`` (verbatim without them).
+    detail: str
+    columns: Tuple[np.ndarray, ...]
+    count_r: Optional[np.ndarray]
+    count_s: Optional[np.ndarray]
+
+    def rows(self) -> Iterator[tuple]:
+        """``(window index, action, detail, count_r, count_s)`` of every row."""
+        details = repeat(self.detail)
+        if self.columns:
+            values = zip(*(column.tolist() for column in self.columns))
+            details = [self.detail.format(*row) for row in values]
+        counts = (repeat(None) if c is None else c.tolist() for c in (self.count_r, self.count_s))
+        return zip(self.idx.tolist(), repeat(self.action), details, *counts)
+
+    def row(self, r: int) -> tuple:
+        """Row ``r`` alone (what :meth:`rows` yields ``r``-th)."""
+        detail = self.detail
+        if self.columns:
+            detail = detail.format(*(column[r].item() for column in self.columns))
+        counts = (None if c is None else c[r].item() for c in (self.count_r, self.count_s))
+        return (int(self.idx[r]), self.action, detail, *counts)
+
+
+class _Events(SequenceABC):
+    """A read-only ``Sequence[TraceEvent]`` whose events are built on read."""
+
+    __slots__ = ()
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self._event(k) for k in range(len(self))[index]]
+        k = operator.index(index)
+        if not -len(self) <= k < len(self):
+            raise IndexError("trace index out of range")
+        return self._event(k % len(self))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (list, _Events)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({list(self)!r})"
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError(f"{type(self).__name__} is read-only; copy it with list() first")
+
+    append = extend = insert = remove = pop = clear = sort = reverse = _read_only
+
+
+class TraceRows(_Events):
+    """Events recorded one at a time, kept as their constructor arguments."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self) -> None:
+        self.rows: List[tuple] = []
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def _event(self, k: int) -> TraceEvent:
+        return TraceEvent(*self.rows[k])
+
+    def __iter__(self) -> Iterator[TraceEvent]:
+        return starmap(TraceEvent, self.rows)
+
+
+class LevelTrace(_Events):
+    """The trace rows of one frontier level, as recorded.
+
+    Row ``k`` is batch row ``order[k]`` of the concatenated ``batches``:
+    ``order`` sorts their window indices stably, so windows follow level
+    order and each window's own rows keep their recording order -- the
+    per-depth log of a depth-first execution.
+    """
+
+    __slots__ = ("depth", "windows", "batches", "order", "_starts")
+
+    def __init__(self, depth: int, windows: np.ndarray, batches: Sequence[TraceBatch]) -> None:
+        self.depth = depth
+        self.windows = windows
+        self.batches = tuple(batches)
+        self._starts = [0, *accumulate(batch.idx.size for batch in self.batches)]
+        where = [batch.idx for batch in self.batches]
+        self.order = np.argsort(np.concatenate(where or [np.empty(0, np.intp)]), kind="stable")
+
+    def __len__(self) -> int:
+        return self._starts[-1]
+
+    def _event(self, k: int) -> TraceEvent:
+        j = int(self.order[k])
+        b = bisect_right(self._starts, j) - 1
+        i, *rest = self.batches[b].row(j - self._starts[b])
+        return TraceEvent(self.depth, Rect(*self.windows[i].tolist()), *rest)
+
+    def __iter__(self) -> Iterator[TraceEvent]:
+        rows = [row for batch in self.batches for row in batch.rows()]
+        windows, depth = self.windows.tolist(), self.depth
+        for i, *rest in map(rows.__getitem__, self.order.tolist()):
+            yield TraceEvent(depth, Rect(*windows[i]), *rest)
+
+
+class Trace(_Events):
+    """A join's decision log: eager events and level tables, in order."""
+
+    __slots__ = ("_parts", "_ends")
+
+    def __init__(self, parts: Sequence[Sequence[TraceEvent]] = ()) -> None:
+        self._parts = tuple(parts)
+        self._ends = list(accumulate(map(len, self._parts)))
+
+    def __len__(self) -> int:
+        return self._ends[-1] if self._ends else 0
+
+    def _event(self, k: int) -> TraceEvent:
+        p = bisect_right(self._ends, k)
+        return self._parts[p][k - (self._ends[p - 1] if p else 0)]
+
+    def __iter__(self) -> Iterator[TraceEvent]:
+        return chain.from_iterable(self._parts)
 
 
 @dataclass
@@ -61,7 +211,7 @@ class JoinResult:
     channel_stats: Dict[str, Dict[str, float]] = field(default_factory=dict)
     buffer_high_water_mark: int = 0
     #: Step-by-step trace (may be empty when tracing is disabled).
-    trace: List[TraceEvent] = field(default_factory=list)
+    trace: Sequence[TraceEvent] = field(default_factory=Trace)
     #: Retry/fault counters and retry-lane traffic of a fault-injected run
     #: (``None`` when the session ran without a fault plan).  Never part of
     #: the paper's transfer figures -- those read the primary lane only.

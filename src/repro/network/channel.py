@@ -11,8 +11,13 @@ the payload with Eq. 1 and accumulate:
 
 Channels are the *measurement* layer: algorithms may estimate costs with
 the planning model in :mod:`repro.core.costmodel`, but all reported totals
-come from here.  A :class:`TrafficLog` optionally keeps a per-message trace
-for debugging and for the protocol-level discrete-event simulation.
+come from here.  Each lane also keeps a :class:`TrafficLog`, the
+per-message ledger that fingerprints, the metering invariants and the
+discrete-event replay read.  It is stored as columns: one entry per send
+call -- direction, kind, label and the payload sizes (one size and a count
+for a uniform batch, an ``int64`` array for a payload batch) -- and Eq. 1
+runs once per call, on the array.  :class:`TrafficRecord` objects and
+fingerprint tuples are built only when the log is read.
 
 Since PR 7 a channel carries **two ledger lanes**.  The *primary* lane is
 the one described above -- the paper's transfer figures, fingerprints and
@@ -31,8 +36,11 @@ from __future__ import annotations
 
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import repeat
 from typing import Dict, Iterator, List, Optional, Tuple
+
+import numpy as np
 
 from repro.network.config import NetworkConfig
 from repro.network.messages import Message, MessageKind
@@ -57,23 +65,58 @@ class TrafficRecord:
     label: str = ""
 
 
-@dataclass
 class TrafficLog:
-    """Optional per-message trace of a channel."""
+    """The per-message ledger of one channel lane, one entry per exchange.
 
-    records: List[TrafficRecord] = field(default_factory=list)
-    enabled: bool = True
+    An entry is ``(direction, kind, label, sizes, n)``: ``n`` messages whose
+    payload sizes are ``sizes`` -- one size for all of them (a single
+    message or a uniform batch) or an ``(n,)`` ``int64`` array.  Wire bytes
+    and packets are Eq. 1 of the sizes, derived when the log is read.
+    """
 
-    def add(self, record: TrafficRecord) -> None:
-        if self.enabled:
-            self.records.append(record)
+    __slots__ = ("config", "_entries", "_messages")
+
+    def __init__(self, config: NetworkConfig) -> None:
+        self.config = config
+        self._entries: List[Tuple[str, MessageKind, str, object, int]] = []
+        self._messages = 0
+
+    def add(self, direction: str, kind: MessageKind, label: str, sizes, n: int) -> None:
+        self._entries.append((direction, kind, label, sizes, n))
+        self._messages += n
+
+    def __len__(self) -> int:
+        """Messages logged (nothing is built)."""
+        return self._messages
+
+    def _rows(self, make) -> Iterator:
+        """``make(direction, kind, payload, wire, packets, label)`` per
+        message, called once per distinct size of an entry."""
+        config = self.config
+        for direction, kind, label, sizes, n in self._entries:
+            if not isinstance(sizes, np.ndarray):
+                wire, packets = transferred_bytes(sizes, config), num_packets(sizes, config)
+                yield from repeat(make(direction, kind, sizes, wire, packets, label), n)
+                continue
+            distinct, inverse = np.unique(sizes, return_inverse=True)
+            wire, packets = transferred_bytes(distinct, config), num_packets(distinct, config)
+            rows = [
+                make(direction, kind, *row, label)
+                for row in zip(distinct.tolist(), wire.tolist(), packets.tolist())
+            ]
+            yield from map(rows.__getitem__, inverse.tolist())
+
+    @property
+    def records(self) -> List[TrafficRecord]:
+        """One :class:`TrafficRecord` per message, built on read."""
+        return list(self._rows(TrafficRecord))
 
     def count_by_kind(self) -> Dict[MessageKind, int]:
-        """Message counts per kind (single C-level pass)."""
+        """Message counts per kind (reads :attr:`records`)."""
         return dict(Counter(rec.kind for rec in self.records))
 
     def bytes_by_kind(self) -> Dict[MessageKind, int]:
-        """Wire-byte totals per kind (single pass)."""
+        """Wire-byte totals per kind (reads :attr:`records`)."""
         out: Counter = Counter()
         for rec in self.records:
             out[rec.kind] += rec.wire_bytes
@@ -86,28 +129,15 @@ class TrafficLog:
         same order.  The query-service equivalence suite uses this to pin a
         broker-coalesced query's wire traffic record for record against its
         standalone reference run (cross-query coalescing may share the
-        physical evaluation, never the attributed ledger).
-
-        The batch sends append one record *object* many times (``n``
-        identical messages, equal payload sizes), so each distinct object is
-        digested once per call and the log is read through that table.
+        physical evaluation, never the attributed ledger).  One 6-tuple
+        ``(direction, kind value, payload, wire, packets, label)`` per
+        message, built from the entries without a record object.
         """
-        ids = list(map(id, self.records))
-        digests = {
-            key: (
-                rec.direction,
-                rec.kind.value,
-                rec.payload_bytes,
-                rec.wire_bytes,
-                rec.packets,
-                rec.label,
-            )
-            for key, rec in dict(zip(ids, self.records)).items()
-        }
-        return tuple(map(digests.__getitem__, ids))
+        return tuple(self._rows(lambda direction, kind, *rest: (direction, kind.value, *rest)))
 
     def clear(self) -> None:
-        self.records.clear()
+        self._entries.clear()
+        self._messages = 0
 
 
 class Channel:
@@ -121,8 +151,6 @@ class Channel:
         Per-byte price of this connection (``b_R`` or ``b_S``).
     name:
         Server name for reports (conventionally ``"R"`` or ``"S"``).
-    log:
-        Optional traffic log; a fresh (enabled) log is created by default.
     observer:
         Optional read-only traffic observer with an ``on_traffic(server,
         lane, direction, wire, packets, messages)`` method (see
@@ -134,7 +162,6 @@ class Channel:
         config: NetworkConfig,
         tariff: float = 1.0,
         name: str = "server",
-        log: Optional[TrafficLog] = None,
         observer=None,
     ) -> None:
         if tariff < 0:
@@ -142,7 +169,7 @@ class Channel:
         self.config = config
         self.tariff = tariff
         self.name = name
-        self.log = log if log is not None else TrafficLog()
+        self.log = TrafficLog(config)
         # Read-only traffic observer (e.g. ChannelMetricsObserver); called
         # after the ledgers update, never consulted for accounting.
         self.observer = observer
@@ -160,7 +187,7 @@ class Channel:
         self.retry_downlink_packets = 0
         self.retry_messages_up = 0
         self.retry_messages_down = 0
-        self.retry_log = TrafficLog()
+        self.retry_log = TrafficLog(config)
         # None = primary lane; "up"/"down"/"both" = retry lane scoped to
         # those directions (the other direction is suppressed, not primary).
         self._fault_lane: Optional[str] = None
@@ -204,11 +231,11 @@ class Channel:
 
     def send_query(self, message: Message, label: str = "") -> int:
         """Account an uplink message; returns its wire bytes."""
-        return self._account(message, direction="up", label=label)
+        return self._send("up", message.kind, label, message.payload_bytes(self.config), 1)
 
     def send_response(self, message: Message, label: str = "") -> int:
         """Account a downlink message; returns its wire bytes."""
-        return self._account(message, direction="down", label=label)
+        return self._send("down", message.kind, label, message.payload_bytes(self.config), 1)
 
     def send_uniform_batch(
         self, message: Message, n: int, direction: str = "up", label: str = ""
@@ -219,71 +246,28 @@ class Channel:
         :meth:`send_response` calls would produce -- message payloads of the
         batched protocols (query strings, scalar answers) do not depend on
         the query parameters, so one packetisation suffices for the whole
-        batch and the traffic log receives ``n`` identical records.
+        batch and the traffic log receives one entry of one size and ``n``.
         """
         if n <= 0:
             return 0
-        log = self._lane_log(direction)
-        if log is SUPPRESSED:
-            return 0
-        payload = message.payload_bytes(self.config)
-        wire = transferred_bytes(payload, self.config)
-        packets = num_packets(payload, self.config)
-        self._bump(direction, wire * n, packets * n, n)
-        if log.enabled:
-            record = TrafficRecord(
-                direction=direction,
-                kind=message.kind,
-                payload_bytes=payload,
-                wire_bytes=wire,
-                packets=packets,
-                label=label,
-            )
-            log.records.extend([record] * n)
-        return wire * n
+        return self._send(direction, message.kind, label, message.payload_bytes(self.config), n)
 
     def send_payload_batch(
         self,
         kind: MessageKind,
-        payload_sizes: List[int],
+        payload_sizes,
         direction: str = "down",
         label: str = "",
     ) -> int:
         """Account many messages of one kind by payload size; returns wire total.
 
-        Used for batched object responses, whose payloads vary per query.
-        Packetisation results are memoised per distinct size, so a batch of
-        mostly-small (or empty) responses costs a handful of Eq. 1
-        evaluations instead of one per message.  The per-record ledger is
-        identical to a loop of scalar sends.
+        Used for batched object responses, whose payloads vary per query:
+        ``payload_sizes`` (a list or an array) is kept as one ``int64``
+        column and packetised by one array evaluation of Eq. 1.  The
+        per-record ledger is identical to a loop of scalar sends.
         """
-        log = self._lane_log(direction)
-        if log is SUPPRESSED:
-            return 0
-        total_wire = 0
-        total_packets = 0
-        cache: Dict[int, TrafficRecord] = {}
-        records = log.records if log.enabled else None
-        for payload in payload_sizes:
-            record = cache.get(payload)
-            if record is None:
-                wire = transferred_bytes(payload, self.config)
-                packets = num_packets(payload, self.config)
-                record = TrafficRecord(
-                    direction=direction,
-                    kind=kind,
-                    payload_bytes=payload,
-                    wire_bytes=wire,
-                    packets=packets,
-                    label=label,
-                )
-                cache[payload] = record
-            total_wire += record.wire_bytes
-            total_packets += record.packets
-            if records is not None:
-                records.append(record)
-        self._bump(direction, total_wire, total_packets, len(payload_sizes))
-        return total_wire
+        sizes = np.array(payload_sizes, dtype=np.int64)
+        return self._send(direction, kind, label, sizes, sizes.shape[0])
 
     def ledger_fingerprint(self) -> Tuple:
         """Counters plus the per-message log digest, as one hashable value.
@@ -381,26 +365,19 @@ class Channel:
                 messages,
             )
 
-    def _account(self, message: Message, direction: str, label: str) -> int:
+    def _send(self, direction: str, kind: MessageKind, label: str, sizes, n: int) -> int:
+        """Account ``n`` messages of payload ``sizes`` (one size for all or an
+        ``(n,)`` array) on the active lane as one log entry; returns their
+        wire bytes."""
         log = self._lane_log(direction)
         if log is SUPPRESSED:
             return 0
-        payload = message.payload_bytes(self.config)
-        wire = transferred_bytes(payload, self.config)
-        packets = num_packets(payload, self.config)
-        self._bump(direction, wire, packets, 1)
-        # Disabled fast path: skip TrafficRecord construction entirely --
-        # byte/packet totals above are unaffected, so metering-off runs pay
-        # nothing per message beyond the counter updates.
-        if log.enabled:
-            log.add(
-                TrafficRecord(
-                    direction=direction,
-                    kind=message.kind,
-                    payload_bytes=payload,
-                    wire_bytes=wire,
-                    packets=packets,
-                    label=label,
-                )
-            )
+        wire = transferred_bytes(sizes, self.config)
+        packets = num_packets(sizes, self.config)
+        if isinstance(sizes, np.ndarray):
+            wire, packets = int(wire.sum()), int(packets.sum())
+        else:
+            wire, packets = wire * n, packets * n
+        self._bump(direction, wire, packets, n)
+        log.add(direction, kind, label, sizes, n)
         return wire

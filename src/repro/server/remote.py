@@ -526,10 +526,7 @@ class RemoteServer:
     def _send_object_batch(self, channel: Channel, sizes: np.ndarray, label: str) -> None:
         """One downlink object payload per request, ``sizes[i]`` objects each."""
         channel.send_payload_batch(
-            MessageKind.OBJECTS,
-            (sizes * self.config.object_bytes).tolist(),
-            direction="down",
-            label=label,
+            MessageKind.OBJECTS, sizes * self.config.object_bytes, direction="down", label=label
         )
 
     def count_batch(self, windows: Windows) -> List[int]:
@@ -1124,7 +1121,7 @@ class ReplicatedRemoteServer(RemoteServer):
         self.resilience = resilience
         self.router = router if router is not None else HealthyFirstRouter()
         self.router.bind(tuple(rep.name for rep in replicas), channels)
-        #: ``(replica_index, primary_record_count)`` per successful
+        #: ``(replica_index, primary_message_count)`` per successful
         #: exchange, in exchange order -- the splice map of the merged
         #: primary ledger.
         self._primary_sequence: List[Tuple[int, int]] = []
@@ -1155,7 +1152,7 @@ class ReplicatedRemoteServer(RemoteServer):
         order = self.router.order()
         for position, idx in enumerate(order):
             channel = self._channels_tuple[idx]
-            before = len(channel.log.records)
+            before = len(channel.log)
             try:
                 if self.resilience is None:
                     account(channel)
@@ -1179,9 +1176,7 @@ class ReplicatedRemoteServer(RemoteServer):
                     )
                 continue
             self.router.note_success(idx)
-            self._primary_sequence.append(
-                (idx, len(channel.log.records) - before)
-            )
+            self._primary_sequence.append((idx, len(channel.log) - before))
             return
         raise ServerUnavailable(
             f"all {len(order)} replicas of shard {self.name!r} unavailable "
@@ -1227,30 +1222,20 @@ class ReplicatedRemoteServer(RemoteServer):
     def ledger_fingerprint(self) -> Tuple:
         """The shard's merged primary-lane fingerprint (replica-agnostic).
 
-        Splices the per-replica primary records back into exchange order
-        using the ``(replica, record_count)`` sequence captured at exchange
-        time, and sums the per-replica primary counters.  Shaped exactly
-        like :meth:`Channel.ledger_fingerprint` of a single shard channel
-        (record tuples carry no channel name), so a replicated shard under
-        a recoverable plan fingerprints bit-identically to the unreplicated
-        fault-free shard.
+        Splices the per-replica primary log digests back into exchange
+        order using the ``(replica, message_count)`` sequence captured at
+        exchange time, and sums the per-replica primary counters.  Shaped
+        exactly like :meth:`Channel.ledger_fingerprint` of a single shard
+        channel (record tuples carry no channel name), so a replicated shard
+        under a recoverable plan fingerprints bit-identically to the
+        unreplicated fault-free shard.
         """
-        cursors = [0] * len(self._channels_tuple)
+        digests = [chan.log.fingerprint() for chan in self._channels_tuple]
+        cursors = [0] * len(digests)
         merged_records: List[Tuple] = []
         for idx, count in self._primary_sequence:
-            records = self._channels_tuple[idx].log.records
             start = cursors[idx]
-            merged_records.extend(
-                (
-                    rec.direction,
-                    rec.kind.value,
-                    rec.payload_bytes,
-                    rec.wire_bytes,
-                    rec.packets,
-                    rec.label,
-                )
-                for rec in records[start : start + count]
-            )
+            merged_records.extend(digests[idx][start : start + count])
             cursors[idx] = start + count
         sums = [0] * 6
         for chan in self._channels_tuple:

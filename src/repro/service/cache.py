@@ -41,7 +41,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.core.result import JoinResult
+from repro.core.result import JoinResult, Trace
 from repro.datasets.dataset import SpatialDataset
 from repro.service.query import JoinQuery
 
@@ -117,11 +117,13 @@ def freeze_result(result: JoinResult) -> JoinResult:
     compares equal to its mutable twin: ``pairs`` becomes a ``frozenset``
     (``==`` against a plain set holds), lists become :class:`FrozenList`,
     dicts become :class:`FrozenDict` (nested one level for the per-server
-    stats).  Freezing in place keeps object identity: the outcome handed to
-    the executing query and every later cache hit share one immutable
-    result, so ``hit.result is original.result`` stays true while
-    ``hit.result.pairs.add(...)`` (and friends) raise instead of silently
-    corrupting all future hits.  Idempotent.
+    stats); the trace, already a read-only lazy
+    :class:`~repro.core.result.Trace`, is kept as it is.  Freezing in place
+    keeps object identity: the outcome handed to the executing query and
+    every later cache hit share one immutable result, so ``hit.result is
+    original.result`` stays true while ``hit.result.pairs.add(...)`` (and
+    friends) raise instead of silently corrupting all future hits.
+    Idempotent.
     """
     if getattr(result, "_frozen", False):
         return result
@@ -130,7 +132,8 @@ def freeze_result(result: JoinResult) -> JoinResult:
     result.operator_counts = FrozenDict(result.operator_counts)
     result.server_stats = _freeze_stats(result.server_stats)
     result.channel_stats = _freeze_stats(result.channel_stats)
-    result.trace = FrozenList(result.trace)
+    if not isinstance(result.trace, Trace):
+        result.trace = FrozenList(result.trace)
     if result.resilience is not None:
         result.resilience = _freeze_deep(result.resilience)
     result._frozen = True

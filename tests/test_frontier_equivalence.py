@@ -357,7 +357,7 @@ class TestLevelDecisions:
     """A level is decided by a handful of column operations, however wide.
 
     The deterministic twin of the wall-clock claim: the Python-level calls
-    into the level tables, and (tracing off) the ``Rect`` objects built
+    into the level tables, and (traced or not) the ``Rect`` objects built
     outside the leaf requests, grow with levels and rounds, not with
     windows.  A change that re-introduces a per-window decision path fails
     here rather than only in the benchmark.
@@ -418,10 +418,56 @@ class TestLevelDecisions:
             assert counts["leaves"] >= 500
             # ~25-35 table calls per level, ~10 per round, whatever the width.
             assert counts["calls"] <= 60 * steps
-        # Tracing builds one Rect per window; without it only UpJoin's rare
-        # confirmation probes build any (the leaf requests are not run here).
-        assert work[True]["rects"] >= work[True]["windows"]
-        assert work[False]["rects"] <= 4 * (work[False]["levels"] + work[False]["rounds"])
+            # Only UpJoin's rare confirmation probes build a Rect (the leaf
+            # requests are not run here); tracing records columns, not Rects.
+            assert counts["rects"] <= 4 * steps
+
+    @pytest.mark.parametrize("algorithm", ["upjoin", "mobijoin"])
+    def test_logs_stay_columns_until_read(self, algorithm, monkeypatch):
+        """A traced 1,000+-window run builds no ``TraceEvent`` and no
+        ``TrafficRecord``, and no more ``Rect`` objects than an untraced one
+        (levels and rounds, not windows): the decision trace and the traffic
+        ledger are columns until ``result.trace`` / ``log.records`` is read.
+        (It built an event, a ``Rect`` and a detail string per decided window,
+        and a record per message.)"""
+        from repro.core import frontier
+        from repro.core.result import TraceEvent
+        from repro.network.channel import TrafficRecord
+
+        seen = {"events": 0, "records": 0, "rects": 0, "steps": 0, "windows": 0}
+
+        def counting(function, key, amount=lambda *args: 1):
+            def counted(*args, **kwargs):
+                seen[key] += amount(*args)
+                return function(*args, **kwargs)
+
+            return counted
+
+        for cls, key in ((TraceEvent, "events"), (TrafficRecord, "records"), (Rect, "rects")):
+            monkeypatch.setattr(cls, "__init__", counting(cls.__init__, key))
+        steps = counting(frontier.LevelTable.steps, "windows", lambda table: len(table.level))
+        monkeypatch.setattr(frontier.LevelTable, "steps", counting(steps, "steps"))
+        monkeypatch.setattr(
+            frontier.LevelTable, "_round", counting(frontier.LevelTable._round, "steps")
+        )
+
+        datasets = (
+            clustered(n=30000, clusters=128, seed=42, name="R"),
+            clustered(n=30000, clusters=128, seed=542, name="S"),
+        )
+        session = AdHocJoinSession(*datasets, buffer_size=100)
+        seen.update(dict.fromkeys(seen, 0))
+        result = session.run(algorithm=algorithm, kind="distance", epsilon=0.002, trace=True)
+        assert seen["windows"] >= 1000
+        assert seen["events"] == 0 and seen["records"] == 0
+        assert seen["rects"] <= 4 * seen["steps"] < seen["windows"]
+
+        assert len(result.trace) >= seen["windows"] and seen["events"] == 0
+        assert len(list(result.trace)) == seen["events"] == len(result.trace)
+        servers = session.device.servers
+        logs = [servers.r.channel.log, servers.s.channel.log]
+        assert [len(log.records) for log in logs] == [len(log) for log in logs]
+        assert seen["records"] > 0
 
     @pytest.mark.parametrize("algorithm", ["upjoin", "mobijoin"])
     def test_leaves_run_without_an_object_per_leaf(self, algorithm, monkeypatch):

@@ -103,6 +103,111 @@ class TestJoinResult:
 
 
 # ---------------------------------------------------------------------- #
+# the lazy trace: a read-only Sequence[TraceEvent] built on read
+# ---------------------------------------------------------------------- #
+
+
+def _traced_session():
+    from repro.api import AdHocJoinSession
+    from repro.datasets.synthetic import clustered
+
+    return AdHocJoinSession(
+        clustered(n=3000, clusters=16, seed=3, name="R"),
+        clustered(n=3000, clusters=16, seed=4, name="S"),
+        buffer_size=100,
+    )
+
+
+@pytest.fixture(scope="module", params=["upjoin", "mobijoin", "fixedgrid"])
+def traced(request):
+    return _traced_session().run(algorithm=request.param, epsilon=0.004)
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Counts the ``TraceEvent`` objects built while the test runs."""
+    seen = [0]
+    init = TraceEvent.__init__
+
+    def counted(self, *args, **kwargs):
+        seen[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(TraceEvent, "__init__", counted)
+    return seen
+
+
+class TestLazyTrace:
+    def test_equals_a_list_of_events_both_ways(self, traced):
+        events = list(traced.trace)
+        assert len(events) > 15 and all(type(event) is TraceEvent for event in events)
+        assert traced.trace == events and events == traced.trace
+        assert not traced.trace != events
+        assert traced.trace != events[:-1] and events[1:] != traced.trace
+        assert traced.trace != tuple(events)  # a list, not any sequence
+
+    def test_index_slice_and_len(self, traced, built):
+        n = len(traced.trace)
+        assert built[0] == 0  # len builds nothing
+        events = list(traced.trace)
+        assert [traced.trace[k] for k in range(n)] == events
+        assert [traced.trace[k] for k in range(-n, 0)] == events
+        for cut in (slice(3, 11), slice(None, None, -3), slice(-5, None), slice(n + 4, None)):
+            assert traced.trace[cut] == events[cut]
+        for bad in (n, -n - 1):
+            with pytest.raises(IndexError):
+                traced.trace[bad]
+        assert events[7] in traced.trace and traced.trace.index(events[7]) == events.index(events[7])
+
+    def test_format_trace_builds_only_what_it_prints(self, traced, built):
+        text = traced.format_trace(max_events=15)
+        assert built[0] == 15
+        assert text == "\n".join(event.format() for event in list(traced.trace)[:15])
+        assert traced.format_trace() == "\n".join(event.format() for event in traced.trace)
+
+    def test_pickle_round_trip(self, traced):
+        import pickle
+
+        again = pickle.loads(pickle.dumps(traced))
+        assert again.trace == traced.trace and again == traced
+
+    def test_frozen_result_stays_lazy_and_read_only(self, traced):
+        import copy
+        import operator
+
+        from repro.core.result import Trace
+        from repro.service.cache import freeze_result
+
+        frozen = freeze_result(copy.copy(traced))
+        assert type(frozen.trace) is Trace and frozen.trace is traced.trace
+        for mutate in (
+            lambda t: t.pop(),
+            lambda t: t.append(t[0]),
+            lambda t: t.clear(),
+            lambda t: operator.setitem(t, 0, t[1]),
+        ):
+            with pytest.raises(TypeError):
+                mutate(frozen.trace)
+        assert frozen.trace == list(traced.trace)
+
+    def test_a_kept_result_pins_no_device(self):
+        """The trace holds arrays, strings and numbers only: a session's
+        history of results must not keep 32 algorithm / table / device
+        stacks alive."""
+        import gc
+        import weakref
+
+        session = _traced_session()
+        results = [session.run(algorithm=name, epsilon=0.004) for name in ("upjoin", "mobijoin")]
+        device = weakref.ref(session.device)
+        del session
+        gc.collect()
+        assert device() is None
+        assert all(len(result.trace) > 20 for result in results)
+        assert all(len(list(result.trace)) == len(result.trace) for result in results)
+
+
+# ---------------------------------------------------------------------- #
 # finalise / _assemble on pair blocks == the set-based form they replaced
 # ---------------------------------------------------------------------- #
 
