@@ -11,6 +11,7 @@ from __future__ import annotations
 import time
 
 import numpy as np
+import pytest
 
 from repro.core.costmodel import CostModel
 from repro.datasets.synthetic import clustered, uniform
@@ -22,6 +23,7 @@ from repro.geometry.point import Point
 from repro.geometry.predicates import WithinDistancePredicate
 from repro.geometry.rect import Rect
 from repro.index.hash_join import grid_hash_join
+from repro.index.pairs import unique_pairs
 from repro.index.plane_sweep import plane_sweep_pair_arrays_segmented, plane_sweep_pairs
 from repro.index.flat import FlatRTree
 from repro.index.aggregate_rtree import AggregateRTree
@@ -93,6 +95,27 @@ def test_bench_hbsj_operator_body(benchmark):
     table = benchmark(run)
     assert len(table.pairs) > 0 and table.windows_joined.sum() == 1000
     assert device.counts.hbsj_invocations == 1000 and device.counts.count_queries == 0
+
+
+@pytest.mark.parametrize("rows", [5_000, 3_500_000], ids=["warm-answer", "200k-answer"])
+def test_bench_unique_pairs_at_workload_shape(benchmark, rows):
+    """The answer's dedupe, one integer-key sort, at a median ``warm_session``
+    answer (~4,800 distinct rows of 20k-object oids) and at a 200k x 200k
+    UpJoin's (~2.9M distinct of 3.5M): ``array_equal`` to the two-key
+    ``lexsort`` it replaced (``tests/oracles/pairs_lexsort.py``), whose time
+    is in ``extra_info``."""
+    from tests.oracles.pairs_lexsort import unique_pairs as lexsort_unique_pairs
+
+    n = 20_000 if rows < 10_000 else 200_000
+    rng = np.random.default_rng(rows)
+    block = rng.integers(0, n, size=(rows, 2), dtype=np.int64)
+    block[rows // 6 :: 5] = block[: len(block[rows // 6 :: 5])]  # neighbour buckets' repeats
+    start = time.perf_counter()
+    want = lexsort_unique_pairs(block)
+    benchmark.extra_info["lexsort_s"] = time.perf_counter() - start
+    got = benchmark(unique_pairs, block)
+    benchmark.extra_info.update(rows=rows, distinct=got.shape[0])
+    assert np.array_equal(got, want)
 
 
 def test_bench_grid_hash_kernel(benchmark):

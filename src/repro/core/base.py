@@ -33,7 +33,7 @@ from repro.device.steps import COUNT, Request, Step, Steps, run_steps
 from repro.errors import InvalidInput, RoundRetry
 from repro.geometry.predicates import JoinPredicate
 from repro.geometry.rect import Rect
-from repro.index.pairs import PairBlocks
+from repro.index.pairs import PairBlocks, PairSet
 
 __all__ = ["MobileJoinAlgorithm", "AlgorithmParameters"]
 
@@ -369,9 +369,9 @@ class MobileJoinAlgorithm(ABC):
     # ------------------------------------------------------------------ #
 
     def _assemble(self, window: Rect) -> JoinResult:
-        # The one place pairs become Python objects: every block the
-        # operators reported is concatenated and deduplicated once, and the
-        # public ``set`` of tuples is built from the distinct rows.
+        # Every block the operators reported is concatenated and
+        # deduplicated once; the public pairs are a set view over the
+        # sorted distinct block, not a tuple per pair.
         answer = self.spec.finalise(self._pairs.block())
         span = self._obs_span
         merge_span = None
@@ -383,7 +383,7 @@ class MobileJoinAlgorithm(ABC):
         result = JoinResult(
             algorithm=self.name,
             spec=self.spec,
-            pairs=set(zip(answer.pairs[:, 0].tolist(), answer.pairs[:, 1].tolist())),
+            pairs=PairSet.over(answer.pairs),
             objects=answer.objects,
             total_bytes=servers.total_bytes(),
             bytes_r=servers.r.total_bytes(),

@@ -26,12 +26,13 @@ from bisect import bisect_right
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, repeat, starmap
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import AbstractSet, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.join_types import JoinSpec
 from repro.geometry.rect import Rect
+from repro.index.pairs import PairSet
 
 __all__ = ["JoinResult", "LevelTrace", "Trace", "TraceBatch", "TraceEvent", "TraceRows"]
 
@@ -193,8 +194,9 @@ class JoinResult:
 
     algorithm: str
     spec: JoinSpec
-    #: Deduplicated qualifying pairs ``(r_oid, s_oid)``.
-    pairs: Set[Tuple[int, int]] = field(default_factory=set)
+    #: Deduplicated qualifying pairs ``(r_oid, s_oid)``, a read-only view
+    #: over their sorted ``(k, 2)`` block (other pairs given are turned into one).
+    pairs: PairSet = field(default_factory=PairSet)
     #: Qualifying R objects (iceberg / semi-join answers only).
     objects: List[int] = field(default_factory=list)
     #: Measured wire bytes, total and per server.
@@ -217,6 +219,10 @@ class JoinResult:
     #: the paper's transfer figures -- those read the primary lane only.
     resilience: Optional[Dict] = None
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.pairs, PairSet):
+            self.pairs = PairSet(self.pairs)
+
     # ------------------------------------------------------------------ #
 
     @property
@@ -229,9 +235,9 @@ class JoinResult:
 
     def sorted_pairs(self) -> List[Tuple[int, int]]:
         """Qualifying pairs in deterministic order."""
-        return sorted(self.pairs)
+        return list(self.pairs)
 
-    def matches_pairs(self, expected: Set[Tuple[int, int]]) -> bool:
+    def matches_pairs(self, expected: AbstractSet[Tuple[int, int]]) -> bool:
         """Exact-answer check against an oracle pair set."""
         return self.pairs == set(expected)
 

@@ -5,7 +5,8 @@ regular grid -- replicating objects that straddle cell boundaries -- and
 joins matching buckets.  This kernel is the in-memory workhorse of the
 device's HBSJ operator: after downloading ``Rw`` and ``Sw`` the PDA hashes
 both into a grid sized for the buffer and joins bucket pairs with a plane
-sweep, removing duplicates with the reference-point rule.
+sweep, then sorts the pairs on one integer key per ``(item, a_oid, b_oid)``
+and drops the equal neighbours two buckets found (:func:`~repro.index.pairs.unique_rows`).
 
 Exactness: for intersection joins the grid replicates by MBR overlap; for
 epsilon-distance joins the probe side is expanded by epsilon before
@@ -25,6 +26,7 @@ import numpy as np
 from repro.geometry.predicates import JoinPredicate, WithinDistancePredicate
 from repro.geometry.rect import Rect
 from repro.geometry.rect_array import expand_index_ranges
+from repro.index.pairs import unique_rows
 from repro.index.plane_sweep import plane_sweep_pair_arrays_segmented
 
 __all__ = ["JoinBatch", "grid_hash_join", "grid_hash_join_batch"]
@@ -184,15 +186,9 @@ def grid_hash_join_batch(
     del rows_a, rows_b, seg_a, seg_b, i_idx, j_idx
 
     # Sort by (item, a_oid, b_oid) and drop the pairs neighbouring buckets
-    # rediscovered: equal triples are adjacent after the sort.
-    order = np.lexsort((b_oid, a_oid, owner))
-    owner, a_oid, b_oid = owner[order], a_oid[order], b_oid[order]
-    fresh = np.ones(order.shape[0], dtype=bool)
-    fresh[1:] = (
-        (owner[1:] != owner[:-1]) | (a_oid[1:] != a_oid[:-1]) | (b_oid[1:] != b_oid[:-1])
-    )
-    pairs = np.column_stack((a_oid[fresh], b_oid[fresh]))
-    return pairs, np.searchsorted(owner[fresh], np.arange(n_items + 1))
+    # rediscovered: one integer-key sort of the triples.
+    owner, a_oid, b_oid = unique_rows(owner, a_oid, b_oid)
+    return np.column_stack((a_oid, b_oid)), np.searchsorted(owner, np.arange(n_items + 1))
 
 
 def _sweep_in_runs(

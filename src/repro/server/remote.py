@@ -721,7 +721,11 @@ class RemoteServer:
 
     def ledger_fingerprint(self) -> Tuple:
         """Bit-exact fingerprint of the connection's primary-lane ledger."""
-        return self.channel.ledger_fingerprint()
+        return self.ledger_reader()()
+
+    def ledger_reader(self) -> Callable[[], Tuple]:
+        """:meth:`ledger_fingerprint` to call later: holds the channels, not the server."""
+        return self.channel.ledger_fingerprint
 
     def server_stats(self) -> Dict[str, int]:
         """The backing server's query-statistics counters."""
@@ -1053,6 +1057,11 @@ _SUMMED_SNAPSHOT_KEYS = (
 )
 
 
+#: The primary-lane counters of a ledger fingerprint, in its order.
+_LEDGER_TOTALS = ("uplink_bytes", "downlink_bytes", "uplink_packets", "downlink_packets",
+                  "messages_up", "messages_down")
+
+
 def _merge_snapshots(
     name: str, tariff: float, detail_key: str, snaps: List[Dict[str, object]]
 ) -> Dict[str, object]:
@@ -1219,7 +1228,7 @@ class ReplicatedRemoteServer(RemoteServer):
         replica_snaps = [chan.snapshot() for chan in self._channels_tuple]
         return _merge_snapshots(self.name, self.tariff, "replicas", replica_snaps)
 
-    def ledger_fingerprint(self) -> Tuple:
+    def ledger_reader(self) -> Callable[[], Tuple]:
         """The shard's merged primary-lane fingerprint (replica-agnostic).
 
         Splices the per-replica primary log digests back into exchange
@@ -1230,27 +1239,21 @@ class ReplicatedRemoteServer(RemoteServer):
         under a recoverable plan fingerprints bit-identically to the
         unreplicated fault-free shard.
         """
-        digests = [chan.log.fingerprint() for chan in self._channels_tuple]
-        cursors = [0] * len(digests)
-        merged_records: List[Tuple] = []
-        for idx, count in self._primary_sequence:
-            start = cursors[idx]
-            merged_records.extend(digests[idx][start : start + count])
-            cursors[idx] = start + count
-        sums = [0] * 6
-        for chan in self._channels_tuple:
-            for j, key in enumerate(
-                (
-                    "uplink_bytes",
-                    "downlink_bytes",
-                    "uplink_packets",
-                    "downlink_packets",
-                    "messages_up",
-                    "messages_down",
-                )
-            ):
-                sums[j] += getattr(chan, key)
-        return (self.name, *sums, tuple(merged_records))
+        name, channels = self.name, self._channels_tuple
+        sequence = tuple(self._primary_sequence)
+
+        def fingerprint() -> Tuple:
+            digests = [chan.log.fingerprint() for chan in channels]
+            cursors = [0] * len(digests)
+            merged_records: List[Tuple] = []
+            for idx, count in sequence:
+                start = cursors[idx]
+                merged_records.extend(digests[idx][start : start + count])
+                cursors[idx] = start + count
+            sums = [sum(getattr(chan, key) for chan in channels) for key in _LEDGER_TOTALS]
+            return (name, *sums, tuple(merged_records))
+
+        return fingerprint
 
     def server_stats(self) -> Dict[str, int]:
         """Replica-summed statistics (evaluation may move on failover)."""
@@ -1574,11 +1577,16 @@ class ShardedRemoteServer:
         """Per-shard primary-lane fingerprints, shard order.
 
         A replicated shard contributes its replica-agnostic merged
-        fingerprint (see :meth:`ReplicatedRemoteServer.ledger_fingerprint`),
+        fingerprint (see :meth:`ReplicatedRemoteServer.ledger_reader`),
         so the fleet fingerprint of a replicated run equals the
         unreplicated one whenever the primary ledgers match.
         """
-        return tuple(proxy.ledger_fingerprint() for proxy in self._proxies)
+        return self.ledger_reader()()
+
+    def ledger_reader(self) -> Callable[[], Tuple]:
+        """:meth:`ledger_fingerprint` to call later: holds the channels only."""
+        readers = [proxy.ledger_reader() for proxy in self._proxies]
+        return lambda: tuple(read() for read in readers)
 
     def server_stats(self) -> Dict[str, int]:
         """Fleet-summed backing-server statistics."""

@@ -52,7 +52,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Generator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro.core.costmodel import CalibratedCostModel
 from repro.core.planner import PlanDecision, build_algorithm, select_algorithm
@@ -142,7 +142,7 @@ class _Admitted:
     #: The step the query offered and waits to have answered.
     pending: Optional[Step] = None
     result: Optional[JoinResult] = None
-    fingerprints: Optional[Tuple[Tuple, Tuple]] = None
+    ledger_readers: Optional[Tuple[Callable[[], Tuple], ...]] = None
     #: The typed error that isolated this query from its wave, if any.
     failure: Optional[BaseException] = None
     #: Breaker verdicts for individual replicas (``name -> "down"/"probe"``),
@@ -485,7 +485,7 @@ class QueryBroker:
                     plan=entry.plan,
                     cached=False,
                     wave=wave_index,
-                    ledger_fingerprints=entry.fingerprints,
+                    ledger_readers=entry.ledger_readers,
                 )
                 if self._m_queries is not None:
                     self._m_queries.inc(status="ok")
@@ -540,7 +540,7 @@ class QueryBroker:
             status=_failure_status(entry.failure),
             error=entry.failure,
             wave=wave,
-            ledger_fingerprints=entry.fingerprints,
+            ledger_readers=entry.ledger_readers,
         )
         self.stats.bump(queries_failed=1)
         if self._m_queries is not None:
@@ -987,15 +987,15 @@ class QueryBroker:
             active = [entry for entry in active if entry.pending is not None]
             round_index += 1
         for entry in wave:
-            # Keep the ledger digest for provenance (also for failed
-            # queries whose stack got built: the primary lane must hold
-            # no trace of the failure), then release the per-query
-            # execution state (results are kept).
+            # Keep the ledgers for provenance, digested only when read
+            # (also for failed queries whose stack got built: the primary
+            # lane must hold no trace of the failure), then release the
+            # per-query execution state (results are kept).
             faulted: set = set()
             if entry.device is not None:
-                entry.fingerprints = (
-                    entry.device.servers.r.ledger_fingerprint(),
-                    entry.device.servers.s.ledger_fingerprint(),
+                entry.ledger_readers = (
+                    entry.device.servers.r.ledger_reader(),
+                    entry.device.servers.s.ledger_reader(),
                 )
                 # Replica losses absorbed by failover still charge the
                 # losing replicas' breakers (read off the connections

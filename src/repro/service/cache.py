@@ -20,8 +20,8 @@ dataset rather than once per query.
 
 Cache hits return the *same* :class:`~repro.core.result.JoinResult` object
 the original execution produced -- but that object is **deep-frozen** at
-:meth:`ResultCache.put`: its pair set becomes a ``frozenset`` and its
-mutable containers become read-only views that raise on mutation
+:meth:`ResultCache.put`: its mutable containers become read-only views
+that raise on mutation, next to the pair set, which already is one
 (:func:`freeze_result`).  One caller mutating a hit can therefore never
 poison what the next caller is served.
 
@@ -43,6 +43,7 @@ import numpy as np
 
 from repro.core.result import JoinResult, Trace
 from repro.datasets.dataset import SpatialDataset
+from repro.index.pairs import PairSet
 from repro.service.query import JoinQuery
 
 __all__ = [
@@ -114,11 +115,11 @@ def freeze_result(result: JoinResult) -> JoinResult:
     """Deep-freeze a result in place; returns the same object.
 
     Every container field is replaced by a read-only equivalent that still
-    compares equal to its mutable twin: ``pairs`` becomes a ``frozenset``
-    (``==`` against a plain set holds), lists become :class:`FrozenList`,
+    compares equal to its mutable twin: lists become :class:`FrozenList`,
     dicts become :class:`FrozenDict` (nested one level for the per-server
-    stats); the trace, already a read-only lazy
-    :class:`~repro.core.result.Trace`, is kept as it is.  Freezing in place
+    stats); the pairs, a read-only :class:`~repro.index.pairs.PairSet`
+    view, and the trace, a read-only lazy
+    :class:`~repro.core.result.Trace`, are kept as they are.  Freezing in place
     keeps object identity: the outcome handed to the executing query and
     every later cache hit share one immutable result, so ``hit.result is
     original.result`` stays true while ``hit.result.pairs.add(...)`` (and
@@ -127,7 +128,8 @@ def freeze_result(result: JoinResult) -> JoinResult:
     """
     if getattr(result, "_frozen", False):
         return result
-    result.pairs = frozenset(result.pairs)
+    if not isinstance(result.pairs, PairSet):
+        result.pairs = PairSet(result.pairs)
     result.objects = FrozenList(result.objects)
     result.operator_counts = FrozenDict(result.operator_counts)
     result.server_stats = _freeze_stats(result.server_stats)

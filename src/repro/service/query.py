@@ -18,7 +18,8 @@ was served from the result cache).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from functools import cached_property
+from typing import Callable, Optional, Tuple
 
 from repro.core.base import AlgorithmParameters
 from repro.core.join_types import JoinSpec
@@ -147,13 +148,11 @@ class QueryOutcome:
     cached: bool = False
     #: Index of the wave that executed the query (-1: cache hit, or unplanned).
     wave: int = -1
-    #: ``(R, S)`` channel ledger fingerprints of the execution that
-    #: produced the result (:meth:`~repro.network.channel.Channel.
-    #: ledger_fingerprint`); ``None`` for cache-served outcomes.  The
-    #: equivalence suite pins these record for record against standalone
-    #: runs -- coalescing may share evaluations, never the attributed
-    #: ledger.
-    ledger_fingerprints: Optional[Tuple[Tuple, Tuple]] = None
+    #: ``(R, S)`` :meth:`~repro.server.remote.RemoteServer.ledger_reader`
+    #: calls (channels only: no device, no server build); ``None`` if cached.
+    ledger_readers: Optional[Tuple[Callable[[], Tuple], ...]] = field(
+        default=None, repr=False, compare=False
+    )
     #: Ticket of the asynchronous submission that produced this outcome
     #: (:meth:`~repro.service.executor.QueryService.submit`); ``None`` for
     #: synchronous ``run_batch`` outcomes.
@@ -165,3 +164,13 @@ class QueryOutcome:
     @property
     def algorithm(self) -> Optional[str]:
         return self.plan.algorithm if self.plan is not None else None
+
+    @cached_property
+    def ledger_fingerprints(self) -> Optional[Tuple[Tuple, Tuple]]:
+        """``(R, S)`` channel ledger fingerprints of the execution, digested
+        on first read; ``None`` for cache-served outcomes.  The equivalence
+        suite pins these record for record against standalone runs --
+        coalescing may share evaluations, never the attributed ledger."""
+        if self.ledger_readers is None:
+            return None
+        return tuple(read() for read in self.ledger_readers)

@@ -36,5 +36,8 @@ oracle                    shipped code it mirrors                         suite 
 ``semijoin_scalar``       ``SemiJoin`` flat relay +                       ``test_batch_queries.py``           408927d
                           ``IndexedRemoteServer.upload_windows_and_
                           collect``
+``pairs_lexsort``         ``index.pairs.unique_pairs`` / ``unique_rows``  ``test_leaf_pipeline.py``           c645f5d
+                          (the one-key dedupe) and ``grid_hash_join_
+                          batch``'s dedupe of its triples
 ========================  ==============================================  ==================================  =========
 """

@@ -172,6 +172,141 @@ def test_property_batch_equals_oracle(shapes, seed, eps):
     ]
 
 
+def _hostile_oids(rng, n: int, mode: str) -> np.ndarray:
+    """``n`` distinct oids nowhere near ``arange``."""
+    if mode == "near+2**62":
+        return 2**62 + rng.permutation(50 * n + 7)[:n].astype(np.int64) * 11
+    if mode == "near-2**62":
+        return -(2**62) - rng.permutation(50 * n + 7)[:n].astype(np.int64) * 13
+    if mode == "negative":
+        return -rng.permutation(10 * n + 3)[:n].astype(np.int64) - 1
+    # Over all of int64: the spans' product is far above 2**63.
+    return np.unique(rng.integers(-(2**63), 2**63 - 1, size=2 * n, dtype=np.int64))[:n]
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=140),
+            st.integers(min_value=0, max_value=140),
+            st.sampled_from(["boxes", "coincident", "wide"]),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+    st.integers(min_value=0, max_value=5000),
+    st.sampled_from(["near+2**62", "near-2**62", "negative", "spread"]),
+    st.sampled_from([0.0, 0.03]),
+)
+@settings(max_examples=25, deadline=None)
+def test_property_batch_equals_oracle_at_hostile_oids(shapes, seed, mode, eps):
+    """The kernel's one-key dedupe at oids where the key needs large minima
+    (near +-2**62) or dense ranks (spread over ``int64``): still the scalar
+    oracle's pairs, list order included."""
+    rng = np.random.default_rng(seed)
+    predicate = WithinDistancePredicate(eps) if eps > 0 else IntersectionPredicate()
+    batch = []
+    for k, (na, nb, kind) in enumerate(shapes):
+        a_mbrs, _, b_mbrs, _ = _item(na, nb, seed + k, kind)
+        batch.append((a_mbrs, _hostile_oids(rng, na, mode), b_mbrs, _hostile_oids(rng, nb, mode)))
+    assert _per_item(grid_hash_join_batch(batch, predicate)) == [
+        _oracle(item, predicate) for item in batch
+    ]
+
+
+def _oid_columns(rng, rows: int, mode: str) -> np.ndarray:
+    """A ``(rows, 2)`` pair block with many repeats."""
+    if mode == "dense":
+        return rng.integers(0, 12, size=(rows, 2))
+    if mode == "near+2**62":
+        return 2**62 + rng.integers(-40, 40, size=(rows, 2))
+    if mode == "near-2**62":
+        return -(2**62) + rng.integers(-40, 40, size=(rows, 2))
+    if mode == "both-ends":
+        return rng.choice(np.array([-(2**62), -5, 0, 7, 2**62 - 1]), size=(rows, 2))
+    values = rng.integers(-(2**63), 2**63 - 1, size=max(1, rows // 3), dtype=np.int64)
+    return rng.choice(values, size=(rows, 2))
+
+
+@given(
+    st.integers(min_value=0, max_value=10**6),
+    st.integers(min_value=0, max_value=400),
+    st.sampled_from(["dense", "near+2**62", "near-2**62", "both-ends", "spread"]),
+)
+@settings(max_examples=120, deadline=None)
+def test_property_unique_pairs_equals_the_lexsort_oracle(seed, rows, mode):
+    from repro.index.pairs import unique_pairs, unique_rows
+    from tests.oracles.pairs_lexsort import unique_pairs as oracle_pairs
+    from tests.oracles.pairs_lexsort import unique_triples
+
+    rng = np.random.default_rng(seed)
+    block = _oid_columns(rng, rows, mode).astype(np.int64)
+    got = unique_pairs(block)
+    assert got.dtype == np.int64 and got.shape[1] == 2
+    assert np.array_equal(got, oracle_pairs(block))
+    owner = np.sort(rng.integers(0, 5, size=rows))
+    for got_col, want_col in zip(
+        unique_rows(owner, block[:, 0], block[:, 1]),
+        unique_triples(owner, block[:, 0], block[:, 1]),
+    ):
+        assert got_col.dtype == np.int64 and np.array_equal(got_col, want_col)
+
+
+def test_unique_pairs_on_empty_and_all_duplicate_blocks():
+    from repro.index.pairs import unique_pairs
+
+    empty = unique_pairs(np.empty((0, 2), np.int64))
+    assert empty.shape == (0, 2) and empty.dtype == np.int64
+    for row in ([3, 4], [-(2**62), 2**62], [2**63 - 1, -(2**63)]):
+        block = np.array([row] * 50, dtype=np.int64)
+        assert unique_pairs(block).tolist() == [row]
+
+
+@pytest.mark.parametrize(
+    "span_b, ranked",
+    [(2**32 - 1, False), (2**32, True), (2**32 + 1, True)],
+    ids=["just-below", "at", "just-above"],
+)
+def test_unique_pairs_across_the_key_limit(span_b, ranked):
+    """Spans of ``2**31`` x ``span_b``: a product just below ``2**63`` is
+    keyed by minima, at or above it by dense ranks -- the same answer."""
+    from repro.index.pairs import row_key, unique_pairs
+    from tests.oracles.pairs_lexsort import unique_pairs as oracle_pairs
+
+    rng = np.random.default_rng(span_b)
+    low_a, low_b = -(2**40), 2**61
+    corners = np.array([[low_a, low_b], [low_a + 2**31 - 1, low_b + span_b - 1]])
+    inner = np.column_stack(
+        (low_a + rng.integers(0, 2**31, 500), low_b + rng.integers(0, span_b, 500))
+    )
+    block = np.vstack([inner, corners, inner[:100], corners]).astype(np.int64)
+    _, radix = row_key((block[:, 0], block[:, 1]))
+    assert [isinstance(origin, np.ndarray) for _, origin in radix] == [ranked, ranked]
+    assert np.array_equal(unique_pairs(block), oracle_pairs(block))
+
+
+def test_a_key_that_ranks_cannot_fit_raises(monkeypatch):
+    """With the limit lowered to 64: 7 x 7 spans are keyed by minima, sparse
+    columns by ranks, and three columns of 10 distinct values each raise
+    instead of colliding."""
+    import repro.index.pairs as pairs
+    from tests.oracles.pairs_lexsort import unique_triples
+
+    monkeypatch.setattr(pairs, "_KEY_LIMIT", 64)
+    small = np.array([[0, 6], [6, 0], [3, 3], [0, 6]], dtype=np.int64)
+    assert pairs.row_key((small[:, 0], small[:, 1]))[1] == [(7, 0), (7, 0)]
+    sparse = np.array([[0, 90], [80, 0], [3, 3], [80, 0]], dtype=np.int64)
+    assert [span for span, _ in pairs.row_key((sparse[:, 0], sparse[:, 1]))[1]] == [3, 3]
+    assert pairs.unique_pairs(sparse).tolist() == [[0, 90], [3, 3], [80, 0]]
+    column = np.arange(10, dtype=np.int64) * 1000
+    with pytest.raises(OverflowError):
+        pairs.unique_rows(column, column[::-1].copy(), column)
+    owner, five = np.zeros(10, np.int64), column % 5000
+    got = pairs.unique_rows(owner, five, five[::-1].copy())
+    want = unique_triples(owner, five, five[::-1].copy())
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
 def test_sweep_runs_do_not_change_the_answer(monkeypatch):
     """Many segments pushed through the sweep a few rows at a time."""
     import repro.index.hash_join as hash_join

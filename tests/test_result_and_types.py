@@ -281,7 +281,129 @@ class TestPairBlocks:
         assert list(algo._pairs) == everything and len(algo._pairs) == len(everything)
         result = algo._assemble(Rect(0, 0, 1, 1))
         want_pairs, want_objects = _finalise_by_sets(spec, everything)
-        assert type(result.pairs) is set and result.pairs == set(want_pairs)
+        assert not result.pairs.block.flags.writeable and result.pairs == set(want_pairs)
         assert all(type(a) is int and type(b) is int for a, b in result.pairs)
         assert result.objects == want_objects
         assert result.sorted_pairs() == want_pairs
+
+
+# ---------------------------------------------------------------------- #
+# JoinResult.pairs: a read-only set view over the sorted distinct block
+# ---------------------------------------------------------------------- #
+
+
+def _view(pairs):
+    from repro.index.pairs import PairSet
+
+    return PairSet(pairs)
+
+
+class TestPairSetView:
+    PAIRS = {(1, 2), (1, 5), (3, 4), (-7, 2**62), (2**40, -(2**62))}
+
+    def test_equals_set_and_frozenset_both_ways(self):
+        view = _view(self.PAIRS)
+        for other in (set(self.PAIRS), frozenset(self.PAIRS)):
+            assert view == other and other == view
+            assert not view != other and not other != view
+            smaller = type(other)(list(self.PAIRS)[1:])
+            assert view != smaller and smaller != view
+            assert not view == smaller and not smaller == view
+        assert view == _view(list(self.PAIRS) * 3) and view != _view([(1, 2)])
+        assert view != sorted(self.PAIRS)  # a set, not any collection
+
+    def test_set_operators_with_a_set_on_either_side(self):
+        view, other = _view(self.PAIRS), {(1, 2), (9, 9), (3, 4)}
+        want = set(self.PAIRS)
+        assert view - other == want - other and other - view == other - want
+        assert view & other == want & other and other & view == other & want
+        assert view | other == want | other and other | view == other | want
+        assert view ^ other == want ^ other and view.isdisjoint({(0, 0)})
+        assert frozenset(view) == frozenset(want) and set(view) == want
+        assert view <= want | other and view < want | other and not view < want
+
+    def test_len_iteration_and_membership(self):
+        view = _view(list(self.PAIRS) + [(1, 2)])
+        assert len(view) == len(self.PAIRS) and view.block.shape == (len(self.PAIRS), 2)
+        assert list(view) == sorted(self.PAIRS)
+        assert all(type(a) is int and type(b) is int for a, b in view)
+        for pair in self.PAIRS:
+            assert pair in view and np.array(pair) in view
+        for absent in [(1, 3), (2**62, -7), (-(2**63), 0), (2**70, 1), (1,), (1, 2, 3), "ab", 5, (1.5, 2)]:
+            assert absent not in view
+        assert (1, 2) not in _view([]) and len(_view([])) == 0 and list(_view([])) == []
+
+    def test_membership_on_a_block_spread_over_int64(self):
+        """Oids spread over all of ``int64``: the dedupe key ranks them."""
+        from repro.index.pairs import row_key
+
+        rng = np.random.default_rng(3)
+        block = rng.integers(-(2**63), 2**63 - 1, size=(300, 2), dtype=np.int64)
+        view = _view(block)
+        _, radix = row_key((block[:, 0], block[:, 1]))
+        assert all(isinstance(origin, np.ndarray) for _, origin in radix)
+        assert all(pair in view for pair in map(tuple, block.tolist()))
+        assert (int(block[0, 0]), int(block[1, 1])) not in view
+        assert (int(block[0, 0]) + 1, int(block[0, 1])) not in view
+        assert (2**70, int(block[0, 1])) not in view and (-(2**70), 0) not in view
+
+    def test_read_only_unhashable_and_pickles(self):
+        import pickle
+
+        view = _view(self.PAIRS)
+        with pytest.raises(AttributeError):
+            view.add((0, 0))
+        with pytest.raises(AttributeError):
+            view.discard((1, 2))
+        with pytest.raises(ValueError):
+            view.block[0, 0] = 99
+        with pytest.raises(TypeError):
+            hash(view)
+        again = pickle.loads(pickle.dumps(view))
+        assert again == view and again == set(self.PAIRS) and (3, 4) in again
+        assert not again.block.flags.writeable
+
+    def test_result_turns_any_pairs_into_the_view(self):
+        from repro.index.pairs import PairSet
+
+        result = JoinResult(algorithm="x", spec=JoinSpec.distance(0.1), pairs=[(3, 4), (1, 2), (3, 4)])
+        assert type(result.pairs) is PairSet and result.pairs.block.tolist() == [[1, 2], [3, 4]]
+        assert result.sorted_pairs() == [(1, 2), (3, 4)] and result.num_pairs == 2
+        assert result.matches_pairs({(1, 2), (3, 4)}) and result.matches_pairs([(3, 4), (1, 2)])
+        assert not result.matches_pairs({(1, 2)})
+        assert type(JoinResult(algorithm="x", spec=JoinSpec.distance(0.1)).pairs) is PairSet
+
+    def test_a_cached_result_keeps_its_view(self):
+        from repro.service.cache import ResultCache
+
+        result = _traced_session().run(algorithm="upjoin", epsilon=0.004)
+        view = result.pairs
+        cache = ResultCache()
+        stored = cache.put(("k",), result)
+        assert stored is result and cache.get(("k",)) is result
+        assert result.pairs is view  # no frozenset copy
+        with pytest.raises(AttributeError):
+            stored.pairs.add((-1, -1))
+
+    def test_a_kept_result_holds_fewer_blocks_than_pairs(self):
+        """A 20k x 20k answer is one array, not a tuple per pair: the
+        allocations a kept result retains are independent of its size (a
+        ``set`` of tuples retained about three per pair)."""
+        import gc
+        import sys
+
+        from repro.api import AdHocJoinSession
+        from repro.datasets.synthetic import clustered
+
+        session = AdHocJoinSession(
+            clustered(n=20000, clusters=128, seed=1, name="R"),
+            clustered(n=20000, clusters=128, seed=2, name="S"),
+            buffer_size=100,
+        )
+        session.run(algorithm="upjoin", epsilon=0.005)  # builds and pages
+        gc.collect()
+        before = sys.getallocatedblocks()
+        result = session.run(algorithm="upjoin", epsilon=0.005)
+        gc.collect()
+        retained = sys.getallocatedblocks() - before
+        assert len(result.pairs) > 20000 and retained < len(result.pairs)

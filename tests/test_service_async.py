@@ -470,3 +470,76 @@ class TestTypedServiceErrors:
             second = service.submit(_query(r, s, algorithm="naive"))
             assert service.result(first, timeout=60).result.num_pairs > 0
             assert service.result(second, timeout=60).result.num_pairs > 0
+
+
+# --------------------------------------------------------------------------- #
+# ledger fingerprints: digested on first read, device released
+# --------------------------------------------------------------------------- #
+
+
+class TestLazyLedgerFingerprints:
+    """``QueryOutcome.ledger_fingerprints`` is digested when first read, from
+    readers that hold the channels only: equal to what an eager digest at
+    the end of the wave gave, for failed queries too, and no outcome keeps
+    its device alive."""
+
+    @staticmethod
+    def _queries(r, s):
+        from repro.core.planner import StackConfig
+        from repro.network.faults import Disconnect, FaultPlan
+
+        fleet = StackConfig(shards_r=2, shards_s=2, replicas=2, faults=FaultPlan(seed=3, drop_rate=0.2))
+        doomed = StackConfig(faults=FaultPlan(seed=0, disconnects=(Disconnect("S", 1),)))
+        return [
+            _query(r, s),
+            _query(r, s, algorithm="mobijoin", stack=fleet),
+            _query(r, s, algorithm="srjoin", stack=doomed),
+        ]
+
+    def test_digested_on_read_equal_to_the_eager_digest(self, monkeypatch):
+        import gc
+        import weakref
+
+        from repro.network.channel import TrafficLog
+
+        r, s = _datasets()
+        eager = []
+        note = QueryBroker._note_replica_faults
+
+        def digest_then_note(self, entry):
+            servers = entry.device.servers
+            eager.append((servers.r.ledger_fingerprint(), servers.s.ledger_fingerprint()))
+            return note(self, entry)
+
+        monkeypatch.setattr(QueryBroker, "_note_replica_faults", digest_then_note)
+        QueryBroker(cache=False).run_batch(self._queries(r, s))
+        monkeypatch.undo()
+
+        devices, digests = [], [0]
+        build, fingerprint = QueryBroker._build_stack, TrafficLog.fingerprint
+
+        def recorded(self, entry):
+            build(self, entry)
+            devices.append(weakref.ref(entry.device))
+
+        def counted(self):
+            digests[0] += 1
+            return fingerprint(self)
+
+        monkeypatch.setattr(QueryBroker, "_build_stack", recorded)
+        monkeypatch.setattr(TrafficLog, "fingerprint", counted)
+        outcomes = QueryBroker(cache=False).run_batch(self._queries(r, s))
+        gc.collect()
+        assert [o.status for o in outcomes] == ["ok", "ok", "failed"]
+        assert digests[0] == 0 and len(devices) == 3
+        assert [ref() for ref in devices] == [None, None, None]
+        assert [o.ledger_fingerprints for o in outcomes] == eager and digests[0] > 0
+        assert outcomes[1].ledger_fingerprints is outcomes[1].ledger_fingerprints
+        assert eager[1][0] and len(eager[1][0]) == 2  # per-shard digests
+
+    def test_a_cache_served_outcome_has_none(self):
+        r, s = _datasets()
+        cold, warm = QueryBroker().run_batch([_query(r, s), _query(r, s)])
+        assert not cold.cached and cold.ledger_fingerprints is not None
+        assert warm.cached and warm.ledger_fingerprints is None
+        assert warm.ledger_readers is None
