@@ -37,6 +37,7 @@ from repro.datasets.dataset import SpatialDataset
 from repro.device.buffer import DeviceBuffer
 from repro.errors import (
     ChannelFault,
+    InvalidInput,
     QueryTimeout,
     ReproError,
     RetryExhausted,
@@ -48,7 +49,6 @@ from repro.network.config import NetworkConfig
 from repro.network.faults import FaultPlan, RetryPolicy
 from repro.datasets.partition import PARTITION_SCHEMES, partition_dataset
 from repro.obs import MetricsRegistry, Tracer
-from repro.server.remote import ROUTER_POLICIES
 from repro.server.server import SpatialServer
 from repro.server.sharded import ShardedSpatialServer
 from repro.service.broker import DEFAULT_CACHE_MAX_BYTES, QueryBroker, resolve_broker
@@ -73,7 +73,6 @@ __all__ = [
     "RetryExhausted",
     "RetryPolicy",
     "ServerUnavailable",
-    "ROUTER_POLICIES",
     "ServiceClosed",
     "ShardedSpatialServer",
     "StackConfig",
@@ -117,7 +116,6 @@ def quick_join(
     shards_s: int = 1,
     shard_scheme: str = "grid",
     replicas: int = 1,
-    router: Optional[str] = None,
     tracer: Optional[Tracer] = None,
     metrics: Optional[MetricsRegistry] = None,
 ) -> JoinResult:
@@ -148,7 +146,7 @@ def quick_join(
         Joined region; defaults to the union of the dataset bounds.
     seed:
         Seed for algorithm-internal randomness.
-    shards_r, shards_s, shard_scheme, replicas, router, faults, retry, deadline_s:
+    shards_r, shards_s, shard_scheme, replicas, faults, retry, deadline_s:
         Fleet topology and resilience of the stack -- keyword sugar for the
         fields of one :class:`~repro.core.planner.StackConfig`, documented
         (and validated) there.
@@ -178,7 +176,6 @@ def quick_join(
         shards_s=shards_s,
         shard_scheme=shard_scheme,
         replicas=replicas,
-        router=router,
         tracer=tracer,
         metrics=metrics,
     )
@@ -241,7 +238,6 @@ class AdHocJoinSession:
         buffer_size: int = 800,
         config: Optional[NetworkConfig] = None,
         indexed: bool = True,
-        index_fanout: int = 16,
         servers: Optional[Tuple[SpatialServer, SpatialServer]] = None,
         faults: Optional[FaultPlan] = None,
         retry: Optional[RetryPolicy] = None,
@@ -250,7 +246,6 @@ class AdHocJoinSession:
         shards_s: int = 1,
         shard_scheme: str = "grid",
         replicas: int = 1,
-        router: Optional[str] = None,
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
@@ -280,7 +275,6 @@ class AdHocJoinSession:
             shards_s=shards_s,
             shard_scheme=shard_scheme,
             replicas=replicas,
-            router=router,
             faults=faults,
             retry=retry,
             deadline_s=deadline_s,
@@ -291,7 +285,6 @@ class AdHocJoinSession:
             buffer_size=buffer_size,
             config=self.config,
             indexed=indexed,
-            index_fanout=index_fanout,
             servers=servers,
             stack=self.stack,
             tracer=tracer,
@@ -381,4 +374,4 @@ class AdHocJoinSession:
             return JoinSpec.distance(epsilon)
         if k in ("iceberg", "iceberg_semi", "semi"):
             return JoinSpec.iceberg(epsilon, min_matches)
-        raise ValueError(f"unknown join kind {kind!r}")
+        raise InvalidInput(f"unknown join kind {kind!r}")

@@ -60,6 +60,7 @@ from repro.network.packets import (
     query_bytes,
     transferred_bytes,
 )
+from repro.server.server import INDEX_FANOUT
 
 __all__ = ["CalibratedCostModel", "CostModel", "CostBreakdown"]
 
@@ -385,12 +386,15 @@ class CalibratedCostModel:
 
     Every prediction is multiplied by the algorithm's *calibration factor*
     (1.0 until taught).  :meth:`observe` folds a measured run back into the
-    factor as an exponential moving average of measured/predicted, so a
-    broker serving a stable workload converges onto the observed cost
-    scale of each algorithm without changing the underlying model.  The
-    front-end stays planning-only: measured totals always come from the
-    channels.
+    factor as an exponential moving average of measured/predicted (weight
+    :attr:`SMOOTHING` on the new ratio), so a broker serving a stable
+    workload converges onto the observed cost scale of each algorithm
+    without changing the underlying model.  The front-end stays
+    planning-only: measured totals always come from the channels.
     """
+
+    #: Weight of a new measured/predicted ratio in the calibration average.
+    SMOOTHING = 0.5
 
     def __init__(
         self,
@@ -398,19 +402,13 @@ class CalibratedCostModel:
         buffer_size: int = 800,
         bucket_queries: bool = False,
         grid_k: int = 2,
-        index_fanout: int = 16,
-        smoothing: float = 0.5,
     ) -> None:
         if buffer_size <= 0:
             raise ValueError("buffer_size must be positive")
-        if not 0.0 < smoothing <= 1.0:
-            raise ValueError("smoothing must lie in (0, 1]")
         self.config = config
         self.buffer_size = buffer_size
         self.bucket_queries = bucket_queries
         self.grid_k = grid_k
-        self.index_fanout = index_fanout
-        self.smoothing = smoothing
         self._factors: Dict[str, float] = {}
 
     # ------------------------------------------------------------------ #
@@ -441,8 +439,6 @@ class CalibratedCostModel:
             buffer_size=buffer_size,
             bucket_queries=bucket_queries,
             grid_k=grid_k,
-            index_fanout=self.index_fanout,
-            smoothing=self.smoothing,
         )
         twin._factors = self._factors  # shared by design
         return twin
@@ -464,7 +460,7 @@ class CalibratedCostModel:
         if not math.isfinite(predicted) or predicted <= 0 or measured < 0:
             return old
         ratio = measured / predicted
-        new = (1.0 - self.smoothing) * old + self.smoothing * ratio
+        new = (1.0 - self.SMOOTHING) * old + self.SMOOTHING * ratio
         self._factors[key] = new
         return new
 
@@ -507,7 +503,7 @@ class CalibratedCostModel:
             "upjoin": adaptive_derived,
             "srjoin": adaptive_derived,
             "semijoin": model.semijoin_estimate(
-                n_level_mbrs=max(1, math.ceil(n_large / self.index_fanout)),
+                n_level_mbrs=max(1, math.ceil(n_large / INDEX_FANOUT)),
                 n_small_objects=n_small,
                 n_result_rows=n_small,
             ),

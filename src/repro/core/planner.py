@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import inspect
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
@@ -33,12 +34,7 @@ from repro.geometry.rect import Rect
 from repro.network.config import NetworkConfig
 from repro.network.faults import FaultPlan, RetryPolicy
 from repro.obs.metrics import ChannelMetricsObserver
-from repro.server.remote import (
-    ROUTER_POLICIES,
-    SEMIJOIN_NEEDS_ONE_INDEX,
-    ResilienceController,
-    ServerPair,
-)
+from repro.server.remote import SEMIJOIN_NEEDS_ONE_INDEX, ResilienceController, ServerPair
 from repro.server.server import SpatialServer
 from repro.server.sharded import ShardedSpatialServer
 
@@ -142,17 +138,17 @@ def select_algorithm(
 class StackConfig:
     """The one description of a session stack's topology and resilience.
 
-    Every layer below :mod:`repro.api` receives these eight knobs as one
+    Every layer below :mod:`repro.api` receives these seven knobs as one
     frozen value -- validated here, once, at construction, whichever entry
-    path set them and even where a knob would go unused (a router on an
-    unreplicated side, a scheme on an unsharded one).  It is hashable: the
+    path set them and even where a knob would go unused (a scheme on an
+    unsharded side).  It is hashable: the
     whole config is a member of the result-cache key, and :attr:`topology`
     is the member of the broker's server-build key.
 
     Parameters
     ----------
     shards_r, shards_s, shard_scheme:
-        Shard counts per side and the partitioning scheme (a
+        Shard counts per side (integers >= 1) and the partitioning scheme (a
         :data:`~repro.datasets.partition.PARTITION_SCHEMES` name).  A count
         > 1 publishes that side as a partitioned
         :class:`~repro.server.sharded.ShardedSpatialServer` fleet; requests
@@ -160,16 +156,15 @@ class StackConfig:
         metered channel, ledger, breaker and fault substream per shard.
         Join pairs are bit-identical to the unsharded run; byte totals
         reflect the scatter.
-    replicas, router:
-        Replication factor per shard and replica-routing policy.  A factor
-        > 1 publishes every shard (of both sides, even at one shard) on R
+    replicas:
+        Replication factor per shard (an integer >= 1).  A factor > 1
+        publishes every shard (of both sides, even at one shard) on R
         replica servers sharing one index build, each with its own channel,
         breaker and fault substream; a lost exchange fails over to a
-        sibling replica mid-query, and the primary metering lane stays
-        bit-identical to the unreplicated fault-free run under any
-        recoverable plan.  ``router`` names a
-        :data:`~repro.server.remote.ROUTER_POLICIES` entry (``None`` ->
-        healthy-first).
+        sibling replica mid-query (in the one health order of
+        :class:`~repro.server.remote.ReplicatedRemoteServer`), and the
+        primary metering lane stays bit-identical to the unreplicated
+        fault-free run under any recoverable plan.
     faults, retry, deadline_s:
         The per-session :class:`~repro.server.remote.ResilienceController`:
         a seeded :class:`~repro.network.faults.FaultPlan` injected at the
@@ -185,25 +180,20 @@ class StackConfig:
     shards_s: int = 1
     shard_scheme: str = "grid"
     replicas: int = 1
-    router: Optional[str] = None
     faults: Optional[FaultPlan] = None
     retry: Optional[RetryPolicy] = None
     deadline_s: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.shards_r < 1 or self.shards_s < 1:
-            raise InvalidInput("shard counts must be >= 1")
-        if self.replicas < 1:
-            raise InvalidInput("replicas must be >= 1")
+        for count in (self.shards_r, self.shards_s):
+            if not (isinstance(count, numbers.Integral) and count >= 1):
+                raise InvalidInput(f"shard counts must be >= 1 and integral, got {count!r}")
+        if not (isinstance(self.replicas, numbers.Integral) and self.replicas >= 1):
+            raise InvalidInput(f"replicas must be >= 1 and integral, got {self.replicas!r}")
         if self.shard_scheme not in PARTITION_SCHEMES:
             raise InvalidInput(
                 f"unknown partition scheme {self.shard_scheme!r}; "
                 f"available: {PARTITION_SCHEMES}"
-            )
-        if self.router is not None and self.router not in ROUTER_POLICIES:
-            raise InvalidInput(
-                f"unknown replica router policy {self.router!r}; "
-                f"known: {sorted(ROUTER_POLICIES)}"
             )
         # ``not >=`` also rejects NaN, a budget that could never fire.
         if self.deadline_s is not None and not self.deadline_s >= 0:
@@ -234,10 +224,7 @@ class StackConfig:
         return key
 
     def servers(
-        self,
-        dataset_r: SpatialDataset,
-        dataset_s: SpatialDataset,
-        index_fanout: int = 16,
+        self, dataset_r: SpatialDataset, dataset_s: SpatialDataset
     ) -> Tuple[SpatialServer, SpatialServer]:
         """Build both sides: a single server each, or a (replicated) fleet.
 
@@ -248,15 +235,12 @@ class StackConfig:
 
         def side(dataset: SpatialDataset, name: str, shards: int):
             if shards == 1 and self.replicas == 1:
-                return SpatialServer(
-                    dataset.rename(name), name=name, index_fanout=index_fanout
-                )
+                return SpatialServer(dataset.rename(name), name=name)
             return ShardedSpatialServer(
                 dataset,
                 name=name,
                 shards=shards,
                 scheme=self.shard_scheme,
-                index_fanout=index_fanout,
                 replicas=self.replicas,
             )
 
@@ -295,7 +279,6 @@ class StackConfig:
             config=config,
             indexed=indexed,
             resilience=self.resilience(metrics),
-            router=self.router,
             replica_health=replica_health,
             observer=ChannelMetricsObserver(metrics) if metrics is not None else None,
         )
@@ -334,7 +317,6 @@ def build_session_stack(
     buffer_size: int = 800,
     config: Optional[NetworkConfig] = None,
     indexed: bool = False,
-    index_fanout: int = 16,
     servers: Optional[Tuple[SpatialServer, SpatialServer]] = None,
     stack: StackConfig = StackConfig(),
     tracer=None,
@@ -357,7 +339,7 @@ def build_session_stack(
     if indexed:
         stack.check_algorithm("semijoin")
     if servers is None:
-        servers = stack.servers(dataset_r, dataset_s, index_fanout)
+        servers = stack.servers(dataset_r, dataset_s)
     server_r, server_s = servers
     device = stack.connect(
         server_r,
@@ -406,7 +388,6 @@ def run_join(
     config: Optional[NetworkConfig] = None,
     params: Optional[AlgorithmParameters] = None,
     window: Optional[Rect] = None,
-    index_fanout: int = 16,
     stack: StackConfig = StackConfig(),
     tracer=None,
     metrics=None,
@@ -444,7 +425,6 @@ def run_join(
         buffer_size=buffer_size,
         config=config,
         indexed=key == "semijoin",
-        index_fanout=index_fanout,
         stack=stack,
         tracer=tracer,
         metrics=metrics,

@@ -9,6 +9,7 @@ can verify the constraint was never violated.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Dict
 
@@ -31,7 +32,8 @@ class DeviceBuffer:
     Parameters
     ----------
     capacity:
-        Maximum number of objects that may reside on the device at once.
+        Maximum number of objects that may reside on the device at once
+        (an integer >= 1).
     """
 
     capacity: int
@@ -42,8 +44,10 @@ class DeviceBuffer:
     _next_token: int = field(default=0, repr=False)
 
     def __post_init__(self) -> None:
-        if self.capacity < 1:
-            raise InvalidInput(f"buffer capacity must be >= 1, got {self.capacity!r}")
+        if not (isinstance(self.capacity, numbers.Integral) and self.capacity >= 1):
+            raise InvalidInput(
+                f"buffer capacity must be >= 1 and integral, got {self.capacity!r}"
+            )
 
     # ------------------------------------------------------------------ #
 

@@ -22,22 +22,15 @@ pre-built :class:`~repro.server.server.SpatialServer` instances (held in a
 :class:`WorkloadCache`) across all series of a cell: index construction is
 O(x-values x seeds) instead of O(series x x-values x seeds).  Only the
 metered channels and the device are rebuilt per run, so byte accounting is
-bit-identical to a cold build.
-
-``run_experiment(..., workers=N)`` additionally fans the independent
-(x-value, seed) cells out over a ``fork`` process pool.  Each worker
-computes its cells exactly as the serial path would (same datasets, same
-seeds, same algorithms); the parent merges the per-run numbers in the
-canonical (series, x-value, seed) order, so the resulting
-:class:`ExperimentResult` is bit-identical to a serial run regardless of
-worker count or scheduling.
+bit-identical to a cold build.  Cells run one after the other, in the
+process that called :func:`run_experiment`.
 """
 
 from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.api import AdHocJoinSession
 from repro.core.result import JoinResult
@@ -167,7 +160,7 @@ def run_single(
 
 
 # --------------------------------------------------------------------------- #
-# the execution layer: shared immutable server stacks + parallel sweeps
+# the execution layer: shared immutable server stacks
 # --------------------------------------------------------------------------- #
 
 
@@ -205,9 +198,8 @@ class WorkloadCache:
     O(x-values x seeds) shared builds.
     """
 
-    def __init__(self, config: ExperimentConfig, index_fanout: int = 16) -> None:
+    def __init__(self, config: ExperimentConfig) -> None:
         self.config = config
-        self.index_fanout = index_fanout
         self.hits = 0
         self.misses = 0
         self._cells: Dict[Tuple[object, int], WorkloadCell] = {}
@@ -230,12 +222,8 @@ class WorkloadCache:
             dataset_r=dataset_r,
             dataset_s=dataset_s,
             spec=spec,
-            server_r=SpatialServer(
-                dataset_r.rename("R"), name="R", index_fanout=self.index_fanout
-            ),
-            server_s=SpatialServer(
-                dataset_s.rename("S"), name="S", index_fanout=self.index_fanout
-            ),
+            server_r=SpatialServer(dataset_r.rename("R"), name="R"),
+            server_s=SpatialServer(dataset_s.rename("S"), name="S"),
         )
         self._cells[key] = cell
         return cell
@@ -280,64 +268,12 @@ def _run_cell(
     return out
 
 
-#: Sweep state inherited by forked pool workers (set only around a pool run).
-_WORKER_STATE: Optional[Tuple[ExperimentConfig, bool, bool]] = None
-
-
-def _worker_run_cell(
-    cell_key: Tuple[object, int]
-) -> Dict[Tuple[str, object, int], _RunRecord]:
-    """Pool worker: run one cell with a private per-cell cache."""
-    assert _WORKER_STATE is not None, "worker state not inherited (non-fork start?)"
-    config, keep_runs, share_servers = _WORKER_STATE
-    x, seed = cell_key
-    # A fresh per-cell cache still shares the cell's server build across
-    # all series while keeping peak memory at one cell.
-    cache = WorkloadCache(config) if share_servers else None
-    return _run_cell(config, x, seed, keep_runs, cache)
-
-
-def _run_cells_parallel(
-    config: ExperimentConfig,
-    cells: Sequence[Tuple[object, int]],
-    workers: int,
-    keep_runs: bool,
-    share_servers: bool,
-) -> Optional[Dict[Tuple[str, object, int], _RunRecord]]:
-    """Fan the cells out over a ``fork`` pool; None when fork is unavailable.
-
-    The workload factories in :mod:`repro.experiments.figures` are closures
-    and cannot cross a pickling process boundary, so the sweep state is
-    handed to the workers through fork-time memory inheritance (the
-    module-global ``_WORKER_STATE``).  Platforms without ``fork`` fall back
-    to the serial path.
-    """
-    import multiprocessing as mp
-
-    try:
-        ctx = mp.get_context("fork")
-    except ValueError:
-        return None
-    global _WORKER_STATE
-    _WORKER_STATE = (config, keep_runs, share_servers)
-    try:
-        with ctx.Pool(processes=workers) as pool:
-            chunks = pool.map(_worker_run_cell, list(cells), chunksize=1)
-    finally:
-        _WORKER_STATE = None
-    merged: Dict[Tuple[str, object, int], _RunRecord] = {}
-    for chunk in chunks:
-        merged.update(chunk)
-    return merged
-
-
 def run_experiment(
     config: ExperimentConfig,
     repetitions: Optional[int] = None,
     keep_runs: bool = False,
     *,
     share_servers: bool = True,
-    workers: Optional[int] = None,
 ) -> ExperimentResult:
     """Execute a sweep: every series at every x-value, averaged over seeds.
 
@@ -353,30 +289,18 @@ def run_experiment(
         algorithm series (the default).  ``False`` rebuilds the full stack
         for every run -- the reference the equivalence tests hold the
         cache against.
-    workers:
-        When > 1, fan the (x-value, seed) cells out over a ``fork`` process
-        pool of that size.  Results are merged in the canonical
-        (series, x-value, seed) order and are bit-identical to a serial
-        run; platforms without ``fork`` silently run serially.
     """
     seeds = config.seeds if repetitions is None else tuple(range(repetitions))
-    cells = [(x, seed) for x in config.x_values for seed in seeds]
-
-    raw: Optional[Dict[Tuple[str, object, int], _RunRecord]] = None
-    if workers is not None and workers > 1 and len(cells) > 1:
-        raw = _run_cells_parallel(config, cells, workers, keep_runs, share_servers)
-    if raw is None:
-        raw = {}
-        for x, seed in cells:
+    raw: Dict[Tuple[str, object, int], _RunRecord] = {}
+    for x in config.x_values:
+        for seed in seeds:
             # One fresh cache per cell: every series of the cell shares the
             # server build, and the cell is released before the next one is
             # constructed (peak memory stays at a single cell).
             cache = WorkloadCache(config) if share_servers else None
             raw.update(_run_cell(config, x, seed, keep_runs, cache))
 
-    # Deterministic merge: iterate the canonical (series, x, seed) order so
-    # means, stds and run insertion order never depend on how (or where)
-    # the cells were executed.
+    # The series are reported series-major, then x, then seed.
     result = ExperimentResult(config=config)
     for label in config.series:
         series = SeriesResult(label=label)

@@ -39,8 +39,9 @@ fault-free run; only the retry lane and the resilience counters differ.
 
 Replication (PR 9).  A shard published on R > 1 replicas is fronted by a
 :class:`ReplicatedRemoteServer`: one channel (and one deterministic fault
-substream) per replica, with every exchange routed through a pluggable
-:class:`ReplicaRouter`.  When an exchange exhausts its retries on one
+substream) per replica, with every exchange tried on the replicas in one
+health order (probe, healthy, failed this query, down; index within a
+rank).  When an exchange exhausts its retries on one
 replica, the proxy *fails over*: the identical request is replayed against
 a sibling replica (idempotent request ids make the replay safe).  The
 failed attempts were already accounted on the losing replica's retry lane,
@@ -92,12 +93,6 @@ __all__ = [
     "ReplicatedRemoteServer",
     "ShardedRemoteServer",
     "ResilienceController",
-    "ReplicaRouter",
-    "HealthyFirstRouter",
-    "RoundRobinRouter",
-    "LeastRetryBytesRouter",
-    "ROUTER_POLICIES",
-    "make_router",
     "SEMIJOIN_NEEDS_ONE_INDEX",
     "ServerPair",
 ]
@@ -891,159 +886,6 @@ class IndexedRemoteServer(RemoteServer):
         return pairs
 
 
-class ReplicaRouter:
-    """Deterministic replica-choice policy for one shard's replica set.
-
-    The router ranks the replicas of one shard before every exchange;
-    :class:`ReplicatedRemoteServer` tries them in that order, failing over
-    to the next candidate when an exchange exhausts its retries.  Ranking
-    consults two kinds of state:
-
-    * **broker marks** (:meth:`mark_down` / :meth:`mark_probe`): breaker
-      verdicts applied at admission time -- a cooling replica is routed
-      around (tried last-resort only), a half-open replica is *preferred*
-      so the probe traffic reaches the recovering server;
-    * **session failures** (:meth:`note_failure`): replicas that already
-      failed an exchange of this query sink below the healthy ones for the
-      rest of the query (cleared by :meth:`reset`, i.e. per run).
-
-    Within a rank the tie-break is policy-specific but always
-    deterministic: same marks, same history, same order.  Subclasses
-    override :meth:`_key` (the within-rank sort key) and optionally
-    :meth:`_advance` (state evolved once per routed exchange).
-    """
-
-    policy = "healthy"
-
-    def __init__(self) -> None:
-        self._names: Tuple[str, ...] = ()
-        self._channels: Tuple[Channel, ...] = ()
-        self._down: set = set()
-        self._probe: set = set()
-        self._failed: set = set()
-
-    def bind(self, names: Sequence[str], channels: Sequence[Channel]) -> None:
-        """Attach the replica names/channels this router chooses among."""
-        self._names = tuple(names)
-        self._channels = tuple(channels)
-
-    # -- broker health marks ------------------------------------------- #
-
-    def mark_down(self, name: str) -> None:
-        """Route around ``name`` (its breaker is open and still cooling)."""
-        if name in self._names:
-            self._down.add(name)
-            self._probe.discard(name)
-
-    def mark_probe(self, name: str) -> None:
-        """Prefer ``name`` (half-open breaker: send the probe to it)."""
-        if name in self._names:
-            self._probe.add(name)
-            self._down.discard(name)
-
-    # -- session failure memory ---------------------------------------- #
-
-    def note_failure(self, idx: int) -> None:
-        self._failed.add(idx)
-
-    def note_success(self, idx: int) -> None:
-        self._failed.discard(idx)
-
-    def reset(self) -> None:
-        """Forget session failures (broker marks survive; they are per-stack)."""
-        self._failed.clear()
-
-    # -- ordering ------------------------------------------------------- #
-
-    def _rank(self, idx: int) -> int:
-        name = self._names[idx]
-        if name in self._down:
-            return 3
-        if idx in self._failed:
-            return 2
-        if name in self._probe:
-            return 0
-        return 1
-
-    def _key(self, idx: int):
-        """Within-rank tie-break; the default is the stable replica index."""
-        return idx
-
-    def _ordered(self) -> List[int]:
-        return sorted(
-            range(len(self._names)), key=lambda i: (self._rank(i), self._key(i), i)
-        )
-
-    def _advance(self) -> None:
-        """Evolve per-exchange state (default: stateless)."""
-
-    def order(self) -> List[int]:
-        """Full candidate order for one exchange (advances policy state)."""
-        out = self._ordered()
-        self._advance()
-        return out
-
-    def peek(self) -> int:
-        """The replica the *next* :meth:`order` call will try first.
-
-        Never advances state: the proxy evaluates the backing server on the
-        peeked replica, then routes the accounting through :meth:`order`,
-        and the two must agree.
-        """
-        return self._ordered()[0]
-
-
-class HealthyFirstRouter(ReplicaRouter):
-    """Default policy: healthy replicas first, stable index tie-break."""
-
-    policy = "healthy"
-
-    def _ordered(self) -> List[int]:
-        # Fast path for the overwhelmingly common state: no marks, no
-        # session failures.  Rank and tie-break then both reduce to the
-        # stable replica index, so the order is the identity -- skipping
-        # the sort keeps zero-fault replication overhead near zero
-        # (peek + order run before every exchange).
-        if not self._down and not self._probe and not self._failed:
-            return list(range(len(self._names)))
-        return super()._ordered()
-
-
-class RoundRobinRouter(ReplicaRouter):
-    """Rotate the preferred replica one step per routed exchange."""
-
-    policy = "round_robin"
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._cursor = 0
-
-    def _key(self, idx: int):
-        n = len(self._names)
-        return (idx - self._cursor) % n if n else 0
-
-    def _advance(self) -> None:
-        n = len(self._names)
-        if n:
-            self._cursor = (self._cursor + 1) % n
-
-
-class LeastRetryBytesRouter(ReplicaRouter):
-    """Prefer the replica whose channel has burned the fewest retry bytes."""
-
-    policy = "least_retry_bytes"
-
-    def _key(self, idx: int):
-        return (self._channels[idx].retry_bytes, idx)
-
-
-ROUTER_POLICIES: Dict[str, type] = {
-    "healthy": HealthyFirstRouter,
-    "round_robin": RoundRobinRouter,
-    "least_retry_bytes": LeastRetryBytesRouter,
-}
-
-
 #: The ledger totals a fleet snapshot sums over its members' snapshots.
 _SUMMED_SNAPSHOT_KEYS = (
     "uplink_bytes",
@@ -1074,37 +916,35 @@ def _merge_snapshots(
     return merged
 
 
-def make_router(policy: Optional[str] = None) -> ReplicaRouter:
-    """Instantiate a replica-routing policy by name (``None`` -> default)."""
-    if policy is None:
-        return HealthyFirstRouter()
-    if isinstance(policy, ReplicaRouter):
-        return policy
-    cls = ROUTER_POLICIES.get(policy)
-    if cls is None:
-        raise ValueError(
-            f"unknown replica router policy {policy!r}; "
-            f"known: {sorted(ROUTER_POLICIES)}"
-        )
-    return cls()
-
-
 class ReplicatedRemoteServer(RemoteServer):
     """A metered failover proxy in front of one shard's replica set.
 
     Looks exactly like a :class:`RemoteServer` for the shard (same metered
     methods, same evaluate-once structure) but holds one channel per
-    replica.  Every exchange is routed by a :class:`ReplicaRouter`; on
-    retry exhaustion against one replica the identical request is replayed
-    on the next candidate (the failed attempts stay on the loser's retry
-    lane), and only when every replica fails does the exchange surface a
-    shard-level :class:`~repro.errors.ServerUnavailable`.
+    replica.  Every exchange tries the replicas in one order; on retry
+    exhaustion against one replica the identical request is replayed on
+    the next (the failed attempts stay on the loser's retry lane), and only
+    when every replica fails does the exchange surface a shard-level
+    :class:`~repro.errors.ServerUnavailable`.
+
+    The order ranks each replica by what is known of its health, and breaks
+    ties by replica index:
+
+    0. *probe* -- the broker's half-open breaker verdict, so the probe
+       traffic reaches the recovering replica;
+    1. healthy;
+    2. failed an exchange of this query (forgotten by :meth:`reset_channels`);
+    3. *down* -- the broker's verdict for a breaker still cooling: tried
+       last-resort only.
+
+    The broker marks (:meth:`apply_health`) live as long as the stack.  The
+    backing evaluation runs on the head of the order (:attr:`_server`).
 
     The merged primary ledger is the failover invariant:
     :meth:`ledger_fingerprint` splices the per-replica primary records back
     into exchange order, yielding a fingerprint bit-identical to the one
     the unreplicated shard channel would produce -- whichever replicas
-    served, under any recoverable plan, with any router policy.
+    served, under any recoverable plan.
     """
 
     def __init__(
@@ -1113,7 +953,6 @@ class ReplicatedRemoteServer(RemoteServer):
         replicas: Sequence[SpatialServer],
         channels: Sequence[Channel],
         resilience: Optional[ResilienceController] = None,
-        router: Optional[ReplicaRouter] = None,
     ) -> None:
         replicas = tuple(replicas)
         channels = tuple(channels)
@@ -1123,13 +962,16 @@ class ReplicatedRemoteServer(RemoteServer):
             raise ValueError("a replicated proxy needs at least one replica")
         self.name = name
         self._replicas = replicas
+        self._names = tuple(rep.name for rep in replicas)
         self._channels_tuple = channels
         # Representative channel: config/tariff reads only (all replica
         # channels share both); never written to directly.
         self.channel = channels[0]
         self.resilience = resilience
-        self.router = router if router is not None else HealthyFirstRouter()
-        self.router.bind(tuple(rep.name for rep in replicas), channels)
+        #: Broker marks by replica name, and this query's failed indices.
+        self._down: set = set()
+        self._probe: set = set()
+        self._failed: set = set()
         #: ``(replica_index, primary_message_count)`` per successful
         #: exchange, in exchange order -- the splice map of the merged
         #: primary ledger.
@@ -1138,28 +980,47 @@ class ReplicatedRemoteServer(RemoteServer):
 
     # ------------------------------------------------------------------ #
 
+    def _rank(self, idx: int) -> Tuple[int, int]:
+        name = self._names[idx]
+        if name in self._down:
+            return 3, idx
+        if idx in self._failed:
+            return 2, idx
+        if name in self._probe:
+            return 0, idx
+        return 1, idx
+
+    def _order(self) -> Sequence[int]:
+        """Replica indices in the order the next exchange tries them."""
+        # Nothing marked is the common state, and its order is the identity:
+        # skipping the sort keeps fault-free replication nearly free (the
+        # order is read twice per exchange).
+        if not self._down and not self._probe and not self._failed:
+            return range(len(self._replicas))
+        return sorted(range(len(self._replicas)), key=self._rank)
+
     @property
     def _server(self) -> SpatialServer:
-        """The replica the next exchange will be routed to first.
+        """The replica the next exchange is tried on first.
 
-        Evaluation (and its statistics) follows the router's current first
-        choice; replicas share one immutable build, so the answer is the
-        same whichever replica evaluates.
+        Evaluation (and its statistics) follows the head of the order;
+        replicas share one immutable build, so the answer is the same
+        whichever replica evaluates.
         """
-        return self._replicas[self.router.peek()]
+        return self._replicas[self._order()[0]]
 
     def _exchange(self, label: str, account: Callable[[Channel], None]) -> None:
         """Route one exchange across the replicas, failing over on loss.
 
-        Candidates are tried in router order.  A candidate that exhausts
+        Candidates are tried in :meth:`_order`.  A candidate that exhausts
         its retries (or is declared unavailable) has already accounted its
         attempts on its own retry lane; the exchange is then replayed
         verbatim on the next candidate.  Unrecoverable faults (link
         disconnect) and deadline timeouts are not failover events -- they
         abort the query as before.
         """
-        order = self.router.order()
-        for position, idx in enumerate(order):
+        order = self._order()
+        for idx in order:
             channel = self._channels_tuple[idx]
             before = len(channel.log)
             try:
@@ -1177,14 +1038,14 @@ class ReplicatedRemoteServer(RemoteServer):
                     if isinstance(err, ChannelFault)
                     else err.last_fault.kind
                 )
-                self.router.note_failure(idx)
+                self._failed.add(idx)
                 self._failover_events.append((self.name, channel.name, label, kind))
                 if self.resilience is not None:
                     self.resilience.note_failover(
                         self.name, channel.name, label, kind
                     )
                 continue
-            self.router.note_success(idx)
+            self._failed.discard(idx)
             self._primary_sequence.append((idx, len(channel.log) - before))
             return
         raise ServerUnavailable(
@@ -1199,10 +1060,14 @@ class ReplicatedRemoteServer(RemoteServer):
     def apply_health(self, health: Dict[str, str]) -> None:
         """Apply broker breaker verdicts (``"down"`` / ``"probe"`` by name)."""
         for name, state in health.items():
+            if name not in self._names:
+                continue
             if state == "down":
-                self.router.mark_down(name)
+                self._down.add(name)
+                self._probe.discard(name)
             elif state == "probe":
-                self.router.mark_probe(name)
+                self._probe.add(name)
+                self._down.discard(name)
 
     # ------------------------------------------------------------------ #
     # connection introspection (one channel per replica)
@@ -1218,7 +1083,7 @@ class ReplicatedRemoteServer(RemoteServer):
             channel.reset()
         self._primary_sequence.clear()
         self._failover_events.clear()
-        self.router.reset()
+        self._failed.clear()
 
     def failover_events(self) -> Tuple[Tuple[str, str, str, str], ...]:
         return tuple(self._failover_events)
@@ -1296,13 +1161,14 @@ class ShardedRemoteServer:
     booker.  The merged answer is the descent's own output read at request
     boundaries (summed COUNTs, payload rows request-major with shards
     ascending inside a request), bit-identical to the union server's.  Four
-    ordering rules keep channels, ledgers, fault substreams, replica routers and
-    statistics identical to a shard-by-shard scatter:
+    ordering rules keep channels, ledgers, fault substreams, replica orders
+    and statistics identical to a shard-by-shard scatter:
 
     1. shards are attributed in ascending order, one exchange each;
     2. a shard no row routes to is not touched and draws no fault event;
     3. a shard's statistics are bumped at its attribution step, on the
-       replica its router names at that moment, just before its exchange;
+       replica at the head of its replica order at that moment, just before
+       its exchange;
     4. an unrecoverable fault at one shard propagates at once: the shards
        after it stay unbooked.
     """
@@ -1312,7 +1178,6 @@ class ShardedRemoteServer:
         fleet: ShardedSpatialServer,
         channels: Sequence[Channel],
         resilience: Optional[ResilienceController] = None,
-        router: Optional[str] = None,
     ) -> None:
         channels = tuple(channels)
         expected = sum(len(group) for group in fleet.replica_groups)
@@ -1324,12 +1189,10 @@ class ShardedRemoteServer:
         self._fleet = fleet
         self.name = fleet.name
         self.resilience = resilience
-        self.router_policy = router
         # One proxy per shard: a plain RemoteServer for an unreplicated
         # shard (bit-identical to the PR 8 plane), a failover
-        # ReplicatedRemoteServer -- with its own router instance -- when
-        # the shard has siblings.  Channels arrive replica-major in fleet
-        # order: R#0/0, R#0/1, ..., R#1/0, ...
+        # ReplicatedRemoteServer when the shard has siblings.  Channels
+        # arrive replica-major in fleet order: R#0/0, R#0/1, ..., R#1/0, ...
         proxies: List[RemoteServer] = []
         pos = 0
         for group, shard_name in zip(fleet.replica_groups, fleet.shard_names):
@@ -1342,11 +1205,7 @@ class ShardedRemoteServer:
             else:
                 proxies.append(
                     ReplicatedRemoteServer(
-                        shard_name,
-                        group,
-                        group_chans,
-                        resilience=resilience,
-                        router=make_router(router),
+                        shard_name, group, group_chans, resilience=resilience
                     )
                 )
         self._proxies = tuple(proxies)
@@ -1557,7 +1416,7 @@ class ShardedRemoteServer:
             proxy.reset_channels()
 
     def apply_replica_health(self, health: Dict[str, str]) -> None:
-        """Push broker breaker verdicts down to the per-shard routers."""
+        """Push broker breaker verdicts down to the replicated shards."""
         for proxy in self._proxies:
             if isinstance(proxy, ReplicatedRemoteServer):
                 proxy.apply_health(health)
@@ -1656,7 +1515,6 @@ class ServerPair:
         config: Optional[NetworkConfig] = None,
         indexed: bool = False,
         resilience: Optional[ResilienceController] = None,
-        router: Optional[str] = None,
         replica_health: Optional[Dict[str, str]] = None,
         observer=None,
     ) -> "ServerPair":
@@ -1668,12 +1526,10 @@ class ServerPair:
         substream) per *replica*.  ``resilience`` (if given) is shared by
         both sides: one retry policy, one deadline budget and one
         fault-plan instantiation per query, with a separate deterministic
-        fault stream per channel name.  ``router`` names the
-        :data:`ROUTER_POLICIES` entry replicated shards route through
-        (``None`` -> healthy-first); ``replica_health`` maps replica names
-        to ``"down"`` / ``"probe"`` breaker verdicts applied to the routers
-        at connect time.  ``observer`` is a read-only traffic observer
-        threaded into every channel (see :class:`Channel`).
+        fault stream per channel name.  ``replica_health`` maps replica
+        names to ``"down"`` / ``"probe"`` breaker verdicts applied to the
+        replicated shards at connect time.  ``observer`` is a read-only
+        traffic observer threaded into every channel (see :class:`Channel`).
         """
         config = config or NetworkConfig()
         sharded = isinstance(server_r, ShardedSpatialServer) or isinstance(
@@ -1693,9 +1549,7 @@ class ServerPair:
                 if resilience is not None:
                     for chan in chans:
                         resilience.register(chan)
-                proxy = ShardedRemoteServer(
-                    server, chans, resilience=resilience, router=router
-                )
+                proxy = ShardedRemoteServer(server, chans, resilience=resilience)
                 if replica_health:
                     proxy.apply_replica_health(replica_health)
                 return proxy

@@ -26,7 +26,11 @@ from repro.index.aggregate_rtree import (
     probe_arrays,
 )
 
-__all__ = ["SpatialServer", "ServerQueryStats", "Prefetched", "per_request"]
+__all__ = ["INDEX_FANOUT", "SpatialServer", "ServerQueryStats", "Prefetched", "per_request"]
+
+#: Fanout of every server's aggregate R-tree: each server publishes one tree
+#: built at this fanout (SemiJoin's level-size estimate reads it too).
+INDEX_FANOUT = 16
 
 #: Monotonic registration ids: every server *build* (not view) gets a fresh
 #: uid, so ``breaker_token`` stays unique across the process lifetime even
@@ -147,16 +151,11 @@ class SpatialServer:
         The published dataset.
     name:
         Server name used in traces (conventionally ``"R"`` or ``"S"``).
-    index_fanout:
-        Fanout of the internal aggregate R-tree.
+
+    The index is an aggregate R-tree of fanout :data:`INDEX_FANOUT`.
     """
 
-    def __init__(
-        self,
-        dataset: SpatialDataset,
-        name: str = "server",
-        index_fanout: int = 16,
-    ) -> None:
+    def __init__(self, dataset: SpatialDataset, name: str = "server") -> None:
         self.dataset = dataset
         self.name = name
         self.server_uid = next(_SERVER_UIDS)
@@ -164,7 +163,7 @@ class SpatialServer:
         # Array-native bulk load straight off the dataset's MBR array; no
         # per-object Rect materialisation.
         self._index = AggregateRTree.from_mbr_array(
-            dataset.mbrs, dataset.oids, max_entries=index_fanout
+            dataset.mbrs, dataset.oids, max_entries=INDEX_FANOUT
         )
 
     def __len__(self) -> int:

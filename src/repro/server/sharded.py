@@ -137,8 +137,6 @@ class ShardedSpatialServer:
         Number of shards (>= 1; empty shards are legal and never answer).
     scheme:
         Partitioning scheme, see :data:`~repro.datasets.partition.PARTITION_SCHEMES`.
-    index_fanout:
-        Fanout of each shard's aggregate R-tree.
     replicas:
         Replication factor R (>= 1).  With R == 1 the fleet is exactly the
         PR 8 sharded plane (shard servers named ``"<name>#<i>"``); with
@@ -152,7 +150,6 @@ class ShardedSpatialServer:
         name: str = "server",
         shards: int = 2,
         scheme: str = "grid",
-        index_fanout: int = 16,
         replicas: int = 1,
     ) -> None:
         if replicas < 1:
@@ -168,9 +165,7 @@ class ShardedSpatialServer:
             # unreplicated fleet stays bit-identical to the PR 8 plane
             # (channel names key ledgers and fault substreams).
             primary_name = part.name if replicas == 1 else f"{part.name}/0"
-            primary = SpatialServer(
-                part, name=primary_name, index_fanout=index_fanout
-            )
+            primary = SpatialServer(part, name=primary_name)
             group = [primary]
             for j in range(1, replicas):
                 group.append(primary.replica_view(f"{part.name}/{j}"))

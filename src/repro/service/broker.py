@@ -146,7 +146,7 @@ class _Admitted:
     #: The typed error that isolated this query from its wave, if any.
     failure: Optional[BaseException] = None
     #: Breaker verdicts for individual replicas (``name -> "down"/"probe"``),
-    #: computed at admission and pushed into the replica routers so a
+    #: computed at admission and pushed into the replicated shards so a
     #: cooling replica is routed around and a half-open one receives the
     #: probe traffic.
     replica_health: Optional[Dict[str, str]] = None
@@ -205,16 +205,13 @@ class QueryBroker:
         Payload byte budget of the broker-built result cache
         (:data:`DEFAULT_CACHE_MAX_BYTES` by default; ``None`` for
         unbounded).  Ignored when a pre-built cache is passed.
-    selector:
-        The calibrated cost-model front-end; a fresh one (factors at 1.0)
-        is built from ``config`` by default.
     calibrate:
         When True, every executed query's measured cost is folded back
-        into the selector's calibration factors *after* its batch
-        finishes.  Off by default so that plan selection -- and therefore
-        every result -- is independent of submission order.
-    index_fanout:
-        Fanout of server indexes built by the broker's server cache.
+        into the calibration factors of :attr:`selector` (the broker's
+        :class:`~repro.core.costmodel.CalibratedCostModel`, built from
+        ``config`` with every factor at 1.0) *after* its batch finishes.
+        Off by default so that plan selection -- and therefore every
+        result -- is independent of submission order.
     breaker_threshold:
         Consecutive :class:`ServerUnavailable` failures against one
         backing server before its circuit breaker opens and the broker
@@ -243,9 +240,7 @@ class QueryBroker:
         config: Optional[NetworkConfig] = None,
         max_wave: int = 16,
         cache: object = True,
-        selector: Optional[CalibratedCostModel] = None,
         calibrate: bool = False,
-        index_fanout: int = 16,
         breaker_threshold: int = 3,
         breaker_cooldown_waves: int = 2,
         cache_max_bytes: Optional[int] = DEFAULT_CACHE_MAX_BYTES,
@@ -263,7 +258,6 @@ class QueryBroker:
             raise ValueError("max_server_builds must be >= 1 (or None)")
         self.config = config or NetworkConfig()
         self.max_wave = max_wave
-        self.index_fanout = index_fanout
         self.calibrate = calibrate
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics
@@ -276,7 +270,7 @@ class QueryBroker:
                 max_bytes=cache_max_bytes,
                 metrics=metrics,
             )
-        self.selector = selector or CalibratedCostModel(self.config)
+        self.selector = CalibratedCostModel(self.config)
         self.stats = BrokerStats()
         # Guards the submission queue and the server-build cache: the async
         # service lane submits from client threads while the admission
@@ -603,7 +597,6 @@ class QueryBroker:
         key = (
             dataset_token(query.dataset_r),
             dataset_token(query.dataset_s),
-            self.index_fanout,
             query.stack.topology,
         )
         with self._lock:
@@ -611,9 +604,7 @@ class QueryBroker:
             if pair is not None:
                 self._servers.move_to_end(key)
             else:
-                pair = query.stack.servers(
-                    query.dataset_r, query.dataset_s, self.index_fanout
-                )
+                pair = query.stack.servers(query.dataset_r, query.dataset_s)
                 self._servers[key] = pair
                 # LRU bound for long-lived brokers: shed the coldest build
                 # (in-flight queries keep their own references, so a build
@@ -694,7 +685,7 @@ class QueryBroker:
         around, tried last-resort only) and a half-open replica is marked
         ``"probe"`` (preferred, so the probe traffic reaches the
         recovering server); the marks land in ``entry.replica_health`` and
-        are applied to the replica routers at connect time.
+        are applied to the replicated shards at connect time.
         """
         base_r, base_s = self._base_servers(entry.query)
         entry.base_r, entry.base_s = base_r, base_s

@@ -203,9 +203,9 @@ def query_key(query: JoinQuery, algorithm: str, default_config) -> Tuple:
         # The whole stack description.  A fault-injected run's primary lane
         # is pinned bit-identical to the fault-free run, but its resilience
         # summary (and failure mode) is not; sharding changes byte totals
-        # and per-shard ledgers, replication the per-replica detail, and
-        # the router which replicas serve (none of them the pairs) -- so
-        # queries differing in any one knob are distinct results.
+        # and per-shard ledgers, replication the per-replica detail (none
+        # of them the pairs) -- so queries differing in any one knob are
+        # distinct results.
         query.stack,
     )
 

@@ -6,7 +6,7 @@ own proxy endpoint (one index descent *per shard*) in ascending shard
 order, and merge the per-shard answers request-major, shards ascending.
 ``proxy`` is a live :class:`~repro.server.remote.ShardedRemoteServer`; the
 oracle drives its per-shard proxies directly, so channels, ledgers, fault
-substreams, replica routers and statistics are the real ones.
+substreams, replica orders and statistics are the real ones.
 """
 
 from __future__ import annotations

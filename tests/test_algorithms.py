@@ -148,6 +148,11 @@ class TestSessionBehaviour:
         s = uniform(n=20, seed=14)
         with pytest.raises(ValueError):
             _session(r, s).run(algorithm="quantumjoin", epsilon=0.1)
+        # An unknown join kind was the last bare ValueError on this path.
+        with pytest.raises(InvalidInput, match="unknown join kind 'bogus'"):
+            _session(r, s).run(algorithm="naive", epsilon=0.1, kind="bogus")
+        with pytest.raises(InvalidInput, match="unknown join kind 'bogus'"):
+            quick_join(r, s, algorithm="naive", epsilon=0.1, kind="bogus")
 
     def test_runs_are_isolated(self):
         r = uniform(n=100, seed=15)
@@ -189,11 +194,12 @@ class TestSessionBehaviour:
             AdHocJoinSession(r, s).run(algorithm="naive", epsilon=epsilon, kind="iceberg")
 
     @pytest.mark.parametrize("algorithm", ALL_ALGORITHMS)
-    @pytest.mark.parametrize("buffer_size", [0, -1])
+    @pytest.mark.parametrize("buffer_size", [0, -1, 2.5, float("nan"), "800"])
     def test_run_rejects_an_unusable_buffer_before_any_exchange(self, algorithm, buffer_size):
         # A per-run buffer_size used to be assigned past the constructor's
         # check: 0 joined on a zero-slot device, -1 died mid-join (or not at
-        # all, on naive / semijoin) after exchanges had been metered.
+        # all, on naive / semijoin) after exchanges had been metered; 2.5 ran,
+        # nan and "800" failed with untyped errors.
         session = _session(uniform(n=60, seed=18), uniform(n=60, seed=19))
         with pytest.raises(InvalidInput):
             session.run(algorithm=algorithm, epsilon=0.01, buffer_size=buffer_size)

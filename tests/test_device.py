@@ -28,7 +28,7 @@ from repro.device.hbsj import UNKNOWN, HBSJColumns, HBSJRequest, hash_based_spat
 from repro.device.nlsj import NLSJColumns, NLSJRequest, nested_loop_spatial_join
 from repro.device.pda import MobileDevice
 from repro.device.steps import run_steps
-from repro.errors import ReproError
+from repro.errors import InvalidInput, ReproError
 from repro.geometry.predicates import IntersectionPredicate, WithinDistancePredicate
 from repro.geometry.rect import Rect
 from repro.server.remote import ServerPair
@@ -48,8 +48,10 @@ def _servers(dataset_r, dataset_s) -> ServerPair:
 
 class TestDeviceBuffer:
     def test_capacity_validation(self):
-        with pytest.raises(ValueError):
-            DeviceBuffer(capacity=0)
+        for capacity in (0, 2.5, float("nan"), "800"):
+            with pytest.raises(InvalidInput, match="buffer capacity must be >= 1 and integral"):
+                DeviceBuffer(capacity=capacity)
+        assert DeviceBuffer(capacity=np.int64(1)).capacity == 1
 
     def test_allocate_and_release(self):
         buf = DeviceBuffer(capacity=100)

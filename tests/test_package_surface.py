@@ -18,6 +18,7 @@ import numpy as np
 
 import repro.api
 from repro.core.planner import ALGORITHMS
+from repro.experiments.harness import run_experiment
 from repro.index import flat
 from repro.index.flat import FlatRTree
 from repro.network.wifi import WifiLinkModel
@@ -32,6 +33,11 @@ ORACLES = ROOT / "tests" / "oracles"
 
 #: Names a caller could use to pick between implementations of one operation.
 SELECTOR_NAMES = {"execution", "method", "fuse", "coalesce"}
+
+#: Options no caller ever set, each turned into the one value in use: the
+#: healthy-first replica order, index fanout 16, a serial sweep, the
+#: broker's default-built cost model and its calibration weight.
+REMOVED_OPTIONS = {"router", "index_fanout", "workers", "selector", "smoothing"}
 
 #: The batch and scalar endpoints of a server connection.
 CONNECTION_ENDPOINTS = {
@@ -66,7 +72,7 @@ def test_the_package_never_imports_the_tests_or_an_oracle():
 def _public_callables():
     """Every function, constructor and public method the entry points expose."""
     owners = [getattr(repro.api, name) for name in repro.api.__all__]
-    owners += [*ALGORITHMS.values(), WifiLinkModel, JoinQuery]
+    owners += [*ALGORITHMS.values(), WifiLinkModel, JoinQuery, run_experiment]
     for owner in owners:
         if inspect.isfunction(owner):
             yield owner.__qualname__, owner
@@ -86,13 +92,22 @@ def test_no_entry_point_takes_an_implementation_selector():
         except (TypeError, ValueError):  # a constant or an uninspectable builtin
             continue
         seen += 1
-        offenders += [(name, p) for p in parameters if p in SELECTOR_NAMES]
+        offenders += [(name, p) for p in parameters if p in SELECTOR_NAMES | REMOVED_OPTIONS]
         if dataclasses.is_dataclass(target):
             offenders += [
-                (name, f.name) for f in dataclasses.fields(target) if f.name in SELECTOR_NAMES
+                (name, f.name)
+                for f in dataclasses.fields(target)
+                if f.name in SELECTOR_NAMES | REMOVED_OPTIONS
             ]
     assert seen > 50
     assert not offenders
+    # ... nor does anything below the entry points.
+    assert [
+        (name, names & REMOVED_OPTIONS)
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for name, names in _signatures(path)
+        if names & REMOVED_OPTIONS
+    ] == []
 
 
 def _touches_servers(tree: ast.AST):
@@ -255,10 +270,7 @@ def test_every_flat_rtree_is_built_by_the_field_constructor():
 
 
 #: The stack knobs; the first four name a topology and nothing else.
-STACK_KNOBS = (
-    "shards_r", "shards_s", "shard_scheme", "replicas", "router", "faults", "retry",
-    "deadline_s",
-)
+STACK_KNOBS = ("shards_r", "shards_s", "shard_scheme", "replicas", "faults", "retry", "deadline_s")
 
 #: Who may spell a topology knob: the config class, its two keyword-sugar
 #: entry points, and what consumes ``replicas`` under that very name (the
@@ -312,6 +324,7 @@ def test_a_stack_is_described_in_one_place():
     assert seen > 500
     assert spellers == TOPOLOGY_KNOB_OWNERS
     assert not both_ways
+    assert len(dataclasses.fields(planner.StackConfig)) == 7
     assert tuple(f.name for f in dataclasses.fields(planner.StackConfig)) == STACK_KNOBS
     # Everything below ``repro.api`` takes the config, not the knobs ...
     for target in (planner.build_session_stack, planner.run_join, JoinQuery):

@@ -7,7 +7,10 @@ The replication invariant of PR 9, exercised end to end:
   a query measures.  Under any recoverable fault plan, pairs,
   primary-lane bytes, statistics, decision traces and the merged
   shard-level ledger fingerprints are bit-identical to the fault-free
-  unreplicated run, standalone and brokered, for every router policy.
+  unreplicated run, standalone and brokered.
+* **One replica order.**  A replicated shard tries its replicas probe
+  first, then healthy, then failed this query, then down, by index within
+  a rank; the backing evaluation runs on the head of that order.
 * **Graceful degradation.**  Only when *every* replica of a shard is
   unavailable does the query surface a typed
   :class:`~repro.errors.ServerUnavailable`; in a broker wave the failed
@@ -36,13 +39,12 @@ from repro.core.planner import (
 from repro.core.result import JoinResult
 from repro.datasets.synthetic import clustered
 from repro.errors import ServerUnavailable
-from repro.network.faults import FaultPlan, replica_outages
-from repro.server import ShardedSpatialServer
-from repro.server.remote import (
-    ROUTER_POLICIES,
-    HealthyFirstRouter,
-    make_router,
-)
+from repro.geometry.rect import Rect
+from repro.network.channel import Channel
+from repro.network.config import NetworkConfig
+from repro.network.faults import FaultPlan, Outage, replica_outages
+from repro.server import ShardedSpatialServer, SpatialServer
+from repro.server.remote import ReplicatedRemoteServer, ResilienceController
 from repro.service import JoinQuery, QueryBroker
 from repro.service.cache import ResultCache, result_weight
 
@@ -194,13 +196,6 @@ class TestReplicatedFleetConstruction:
             ShardedSpatialServer(r, name="R", shards=2, replicas=0)
         with pytest.raises(ValueError):
             JoinQuery(r, r, JoinSpec.distance(EPSILON), stack=StackConfig(replicas=0))
-        with pytest.raises(ValueError):
-            JoinQuery(r, r, JoinSpec.distance(EPSILON), stack=StackConfig(router="nearest"))
-        with pytest.raises(ValueError):
-            make_router("nearest")
-        assert isinstance(make_router(None), HealthyFirstRouter)
-        router = HealthyFirstRouter()
-        assert make_router(router) is router
 
     def test_replica_outages_helper(self):
         outs = replica_outages("R#0", 3, 5, 100)
@@ -265,13 +260,12 @@ class TestReplicationBitIdentity:
         assert _fingerprints(stormy_dev) == _fingerprints(clean_dev)
         assert stormy.resilience is not None
 
-    @pytest.mark.parametrize("policy", sorted(ROUTER_POLICIES))
-    def test_every_router_policy_is_bit_identical(self, policy):
+    def test_three_replicas_under_chaos_are_bit_identical(self):
         r, s = _datasets()
         clean, clean_dev = _run_stack(r, s, "srjoin", shards_r=2, shards_s=2)
         routed, routed_dev = _run_stack(
             r, s, "srjoin", shards_r=2, shards_s=2, replicas=3,
-            router=policy, faults=RECOVERABLE_PLAN,
+            faults=RECOVERABLE_PLAN,
         )
         _assert_identical(routed, clean)
         assert _fingerprints(routed_dev) == _fingerprints(clean_dev)
@@ -302,8 +296,8 @@ class TestReplicationBitIdentity:
         assert srjoin.ledger_fingerprints == ref.ledger_fingerprints
 
     def test_replication_keys_the_result_cache(self):
-        """Replication factor and router policy are part of the cache key:
-        per-replica ledger detail differs, so runs must not share entries."""
+        """The replication factor is part of the cache key: per-replica
+        ledger detail differs, so runs must not share entries."""
         r, s = _datasets()
         spec = JoinSpec.distance(EPSILON)
         broker = QueryBroker(cache=True)
@@ -313,7 +307,7 @@ class TestReplicationBitIdentity:
                 stack=StackConfig(shards_r=2, shards_s=2),
             )
         ])[0]
-        again, replicated, rerouted = broker.run_batch([
+        again, replicated = broker.run_batch([
             JoinQuery(
                 r, s, spec, algorithm="srjoin", buffer_size=BUFFER,
                 stack=StackConfig(shards_r=2, shards_s=2),
@@ -322,17 +316,108 @@ class TestReplicationBitIdentity:
                 r, s, spec, algorithm="srjoin", buffer_size=BUFFER,
                 stack=StackConfig(shards_r=2, shards_s=2, replicas=2),
             ),
-            JoinQuery(
-                r, s, spec, algorithm="srjoin", buffer_size=BUFFER,
-                stack=StackConfig(
-                    shards_r=2, shards_s=2, replicas=2, router="round_robin"
-                ),
-            ),
         ])
         assert again.cached and first.result is again.result
         assert not replicated.cached
-        assert not rerouted.cached
         assert replicated.result.sorted_pairs() == first.result.sorted_pairs()
+
+
+# --------------------------------------------------------------------------- #
+# the one replica order
+# --------------------------------------------------------------------------- #
+
+
+class TestReplicaOrder:
+    """Probe < healthy < failed this query < down, by index within a rank."""
+
+    NAMES = ("R#0/0", "R#0/1", "R#0/2")
+    WINDOW = Rect(0.0, 0.0, 1.0, 1.0)
+
+    def _proxy(self, dead=(), brief=()):
+        """A shard on three replicas; the replicas in ``dead`` never answer,
+        those in ``brief`` miss their first exchange only."""
+        r, _ = _datasets(n=40)
+        primary = SpatialServer(r, name=self.NAMES[0])
+        replicas = [primary] + [primary.replica_view(name) for name in self.NAMES[1:]]
+        attempts = ResilienceController().retry.max_attempts
+        plan = FaultPlan(
+            seed=3,
+            outages=tuple(Outage(self.NAMES[i], 0, 10**9) for i in dead)
+            + tuple(Outage(self.NAMES[i], 0, attempts) for i in brief),
+        )
+        resilience = ResilienceController(plan)
+        channels = [Channel(NetworkConfig(), name=name) for name in self.NAMES]
+        proxy = ReplicatedRemoteServer("R#0", replicas, channels, resilience=resilience)
+        return proxy, replicas
+
+    @staticmethod
+    def _head_evaluates(proxy, replicas) -> None:
+        """The backing evaluation runs on the head of the order."""
+        head = list(proxy._order())[0]
+        assert proxy.backing_server is replicas[head]
+        before = [rep.stats.count_queries for rep in replicas]
+        proxy.count_batch([TestReplicaOrder.WINDOW])
+        after = [rep.stats.count_queries for rep in replicas]
+        assert [b - a for a, b in zip(before, after)] == [int(i == head) for i in range(3)]
+
+    def test_nothing_marked_keeps_index_order(self):
+        proxy, replicas = self._proxy()
+        assert list(proxy._order()) == [0, 1, 2]
+        self._head_evaluates(proxy, replicas)
+        # A verdict for a replica of another shard changes nothing.
+        proxy.apply_health({"R#1/0": "down", "S#0/2": "probe"})
+        assert list(proxy._order()) == [0, 1, 2]
+
+    def test_probe_comes_first_and_down_comes_last(self):
+        proxy, replicas = self._proxy()
+        proxy.apply_health({"R#0/0": "down", "R#0/2": "probe"})
+        assert list(proxy._order()) == [2, 1, 0]
+        self._head_evaluates(proxy, replicas)
+        # A later verdict replaces an earlier one.
+        proxy.apply_health({"R#0/0": "probe", "R#0/2": "down"})
+        assert list(proxy._order()) == [0, 1, 2]
+
+    def test_a_failed_replica_sinks_below_the_healthy_ones(self):
+        proxy, replicas = self._proxy(dead=[0])
+        proxy.count_batch([self.WINDOW])
+        assert [event[1] for event in proxy.failover_events()] == ["R#0/0"]
+        assert list(proxy._order()) == [1, 2, 0]
+        self._head_evaluates(proxy, replicas)
+        # Failing this query outranks a probe verdict; only down sinks lower.
+        proxy.apply_health({"R#0/0": "probe"})
+        assert list(proxy._order()) == [1, 2, 0]
+        proxy.apply_health({"R#0/1": "down"})
+        assert list(proxy._order()) == [2, 0, 1]
+
+    def test_a_failed_replica_that_carries_an_exchange_is_healthy_again(self):
+        proxy, replicas = self._proxy(dead=[0], brief=[1])
+        proxy.apply_health({"R#0/2": "down"})
+        proxy.count_batch([self.WINDOW])  # 0 and 1 fail, the down replica carries it
+        assert list(proxy._order()) == [0, 1, 2]
+        proxy.count_batch([self.WINDOW])  # 0 fails again, 1 is back
+        assert [event[1] for event in proxy.failover_events()] == ["R#0/0", "R#0/1", "R#0/0"]
+        assert list(proxy._order()) == [1, 0, 2]
+        self._head_evaluates(proxy, replicas)
+
+    def test_ties_break_by_index(self):
+        proxy, replicas = self._proxy(dead=[0, 1])
+        proxy.count_batch([self.WINDOW])
+        assert list(proxy._order()) == [2, 0, 1]
+        proxy.apply_health({"R#0/1": "probe", "R#0/2": "probe"})
+        assert list(proxy._order()) == [2, 0, 1]
+        proxy.apply_health({"R#0/2": "down"})
+        assert list(proxy._order()) == [0, 1, 2]
+        self._head_evaluates(proxy, replicas)
+
+    def test_reset_forgets_failures_but_keeps_broker_marks(self):
+        proxy, replicas = self._proxy(dead=[0])
+        proxy.count_batch([self.WINDOW])
+        proxy.apply_health({"R#0/2": "probe"})
+        assert list(proxy._order()) == [2, 1, 0]
+        proxy.reset_channels()
+        assert list(proxy._order()) == [2, 0, 1]
+        assert proxy.failover_events() == ()
+        self._head_evaluates(proxy, replicas)
 
 
 # --------------------------------------------------------------------------- #

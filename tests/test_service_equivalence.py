@@ -336,7 +336,7 @@ class TestResultCache:
             return query_key(query, "srjoin", None)
 
         fleet = dict(shards_r=2, shards_s=2, replicas=2)
-        assert key(**fleet) != key(**fleet, router="round_robin")
+        assert key(**fleet) != key(shards_r=2, shards_s=2)
         assert key() != key(deadline_s=1e9)
         assert key() != key(shards_s=2)
         assert key(**fleet) == key(**fleet)

@@ -271,12 +271,16 @@ class TestShardedJoinEquivalence:
             ({"shards_r": 0}, "shard counts must be >= 1"),
             ({"shards_s": -1}, "shard counts must be >= 1"),
             ({"replicas": 0}, "replicas must be >= 1"),
-            # Rejected even where the knob would go unused (no replication,
-            # no sharding).
-            ({"router": "bogus"}, "unknown replica router policy 'bogus'; known: ["),
+            # Non-integral counts died inside partitioning (``float modulo``)
+            # or with a TypeError.
+            ({"shards_r": 2.5}, "shard counts must be >= 1 and integral, got 2.5"),
+            # Rejected even where the knob would go unused (no sharding).
             ({"shard_scheme": "bogus"}, "unknown partition scheme 'bogus'; available: ("),
             ({"deadline_s": -1.0}, "deadline_s must be a non-negative number"),
             ({"deadline_s": float("nan")}, "deadline_s must be a non-negative number"),
+            ({"shards_s": "2"}, "shard counts must be >= 1 and integral, got '2'"),
+            ({"replicas": 1.5}, "replicas must be >= 1 and integral, got 1.5"),
+            ({"replicas": float("nan")}, "replicas must be >= 1 and integral, got nan"),
         ],
     )
     def test_a_stack_config_is_validated_at_construction(self, knob, message):
@@ -287,7 +291,7 @@ class TestShardedJoinEquivalence:
         assert StackConfig() == StackConfig()
         assert hash(StackConfig()) == hash(StackConfig())
         different = dict(
-            shards_r=2, shards_s=2, shard_scheme="str", replicas=2, router="round_robin",
+            shards_r=2, shards_s=2, shard_scheme="str", replicas=2,
             faults=FaultPlan(seed=1), retry=RetryPolicy(max_attempts=2), deadline_s=1.0,
         )
         assert set(different) == {f.name for f in dataclasses.fields(StackConfig)}
@@ -300,8 +304,9 @@ class TestShardedJoinEquivalence:
     @pytest.mark.parametrize(
         "knob",
         [
-            {"router": "bogus"},  # unreplicated: the router would go unused
-            {"shard_scheme": "bogus"},  # unsharded: so would the scheme
+            {"shard_scheme": "bogus"},  # unsharded: the scheme would go unused
+            {"shards_r": 2.5},
+            {"replicas": 1.5},
             {"deadline_s": -1.0},
             {"deadline_s": float("nan")},  # ``elapsed > nan`` never fires
             # An infinite window never subdivides below the buffer (four
