@@ -17,7 +17,6 @@ steps of other queries -- the same gather / evaluate / book loop either way.
 from __future__ import annotations
 
 import math
-import numbers
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
@@ -30,7 +29,7 @@ from repro.core.result import JoinResult, Trace, TraceEvent, TraceRows
 from repro.device.hbsj import HBSJRequest
 from repro.device.pda import MobileDevice
 from repro.device.steps import COUNT, Request, Step, Steps, run_steps
-from repro.errors import InvalidInput, RoundRetry
+from repro.errors import InvalidInput, RoundRetry, require_count
 from repro.geometry.predicates import JoinPredicate
 from repro.geometry.rect import Rect
 from repro.index.pairs import PairBlocks, PairSet
@@ -70,8 +69,7 @@ class AlgorithmParameters:
             raise InvalidInput("alpha must lie in (0, 1]")
         if not (self.rho > 0 and math.isfinite(self.rho)):
             raise InvalidInput("rho must be positive")
-        if not (isinstance(self.grid_k, numbers.Integral) and self.grid_k >= 2):
-            raise InvalidInput("grid_k must be >= 2")
+        require_count(self.grid_k, "grid_k", minimum=2)
 
 
 class MobileJoinAlgorithm(ABC):

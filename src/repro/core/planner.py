@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import inspect
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
@@ -29,7 +28,7 @@ from repro.core.upjoin import UpJoin
 from repro.datasets.dataset import SpatialDataset
 from repro.datasets.partition import PARTITION_SCHEMES
 from repro.device.pda import MobileDevice
-from repro.errors import InvalidInput
+from repro.errors import InvalidInput, require_count
 from repro.geometry.rect import Rect
 from repro.network.config import NetworkConfig
 from repro.network.faults import FaultPlan, RetryPolicy
@@ -161,10 +160,10 @@ class StackConfig:
         publishes every shard (of both sides, even at one shard) on R
         replica servers sharing one index build, each with its own channel,
         breaker and fault substream; a lost exchange fails over to a
-        sibling replica mid-query (in the one health order of
-        :class:`~repro.server.remote.ReplicatedRemoteServer`), and the
-        primary metering lane stays bit-identical to the unreplicated
-        fault-free run under any recoverable plan.
+        sibling replica mid-query (in the one health order of the shard's
+        :class:`~repro.server.remote.RemoteServer`, whose plain case is a
+        set of one), and the primary metering lane stays bit-identical to
+        the unreplicated fault-free run under any recoverable plan.
     faults, retry, deadline_s:
         The per-session :class:`~repro.server.remote.ResilienceController`:
         a seeded :class:`~repro.network.faults.FaultPlan` injected at the
@@ -186,10 +185,8 @@ class StackConfig:
 
     def __post_init__(self) -> None:
         for count in (self.shards_r, self.shards_s):
-            if not (isinstance(count, numbers.Integral) and count >= 1):
-                raise InvalidInput(f"shard counts must be >= 1 and integral, got {count!r}")
-        if not (isinstance(self.replicas, numbers.Integral) and self.replicas >= 1):
-            raise InvalidInput(f"replicas must be >= 1 and integral, got {self.replicas!r}")
+            require_count(count, "shard counts")
+        require_count(self.replicas, "replicas")
         if self.shard_scheme not in PARTITION_SCHEMES:
             raise InvalidInput(
                 f"unknown partition scheme {self.shard_scheme!r}; "

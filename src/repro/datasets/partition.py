@@ -30,6 +30,7 @@ from typing import List, Tuple
 import numpy as np
 
 from repro.datasets.dataset import SpatialDataset
+from repro.errors import require_count
 
 __all__ = ["PARTITION_SCHEMES", "partition_dataset", "shard_assignment"]
 
@@ -59,8 +60,7 @@ def shard_assignment(
     the two schemes.  ``shards`` may exceed the object count (the surplus
     shards come out empty) and never needs to divide it.
     """
-    if shards < 1:
-        raise ValueError("shards must be >= 1")
+    require_count(shards, "shards")
     if scheme not in PARTITION_SCHEMES:
         raise ValueError(
             f"unknown partition scheme {scheme!r}; available: {PARTITION_SCHEMES}"

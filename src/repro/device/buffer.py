@@ -9,13 +9,12 @@ can verify the constraint was never violated.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 from typing import Dict
 
 import numpy as np
 
-from repro.errors import InvalidInput, ReproError
+from repro.errors import ReproError, require_count
 
 __all__ = ["DeviceBuffer", "BufferExceededError"]
 
@@ -44,10 +43,7 @@ class DeviceBuffer:
     _next_token: int = field(default=0, repr=False)
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.capacity, numbers.Integral) and self.capacity >= 1):
-            raise InvalidInput(
-                f"buffer capacity must be >= 1 and integral, got {self.capacity!r}"
-            )
+        require_count(self.capacity, "buffer capacity")
 
     # ------------------------------------------------------------------ #
 

@@ -25,6 +25,8 @@ Design rules:
 
 from __future__ import annotations
 
+import math
+import numbers
 from typing import Optional
 
 __all__ = [
@@ -36,6 +38,8 @@ __all__ = [
     "RoundRetry",
     "ServerUnavailable",
     "ServiceClosed",
+    "require_count",
+    "require_finite",
 ]
 
 
@@ -53,6 +57,23 @@ class InvalidInput(ReproError, ValueError):
     Subclasses ``ValueError``, which those sites raised for other bad
     input before, so existing ``except`` clauses keep working.
     """
+
+
+def require_count(value, what: str, minimum: int = 1, unbounded: bool = False) -> None:
+    """The one rule for a count: an integer >= ``minimum`` (or, if
+    ``unbounded``, ``None`` for no bound), else :class:`InvalidInput`."""
+    if value is None and unbounded:
+        return
+    if not (isinstance(value, numbers.Integral) and value >= minimum):
+        bound = " (or None for unbounded)" if unbounded else ""
+        raise InvalidInput(f"{what} must be >= {minimum} and integral{bound}, got {value!r}")
+
+
+def require_finite(value, what: str, minimum: float = 0.0) -> None:
+    """A finite real >= ``minimum``, else :class:`InvalidInput` (NaN included,
+    which slips through a ``value < minimum`` check)."""
+    if not (isinstance(value, numbers.Real) and math.isfinite(value) and value >= minimum):
+        raise InvalidInput(f"{what} must be finite and >= {minimum:g}, got {value!r}")
 
 
 class ChannelFault(ReproError):

@@ -39,6 +39,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.errors import require_count, require_finite
+
 __all__ = [
     "Disconnect",
     "FaultEvent",
@@ -99,8 +101,7 @@ def replica_outages(
     outages instead.  ``indices`` selects which replicas to kill (default:
     all of them, i.e. the whole shard goes dark).
     """
-    if replicas < 1:
-        raise ValueError("replicas must be >= 1")
+    require_count(replicas, "replicas")
     chosen = range(replicas) if indices is None else indices
     out = []
     for j in chosen:
@@ -164,8 +165,7 @@ class FaultPlan:
                 raise ValueError(f"{name} must lie in [0, 1]")
         if self.drop_rate + self.stall_rate + self.duplicate_rate > 1.0 + 1e-12:
             raise ValueError("fault rates must sum to at most 1")
-        if self.stall_latency_s < 0:
-            raise ValueError("stall_latency_s must be non-negative")
+        require_finite(self.stall_latency_s, "stall_latency_s")
         # Normalise to tuples so hand-built plans with lists still hash.
         object.__setattr__(self, "outages", tuple(self.outages))
         object.__setattr__(self, "disconnects", tuple(self.disconnects))
@@ -270,12 +270,12 @@ class RetryPolicy:
     max_backoff_s: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        if self.base_backoff_s < 0 or self.max_backoff_s < 0:
-            raise ValueError("backoff times must be non-negative")
-        if self.backoff_factor < 1.0:
-            raise ValueError("backoff_factor must be >= 1")
+        # A non-finite duration would make the simulated clock NaN, and a
+        # NaN clock never crosses a deadline.
+        require_count(self.max_attempts, "max_attempts")
+        require_finite(self.base_backoff_s, "base_backoff_s")
+        require_finite(self.max_backoff_s, "max_backoff_s")
+        require_finite(self.backoff_factor, "backoff_factor", minimum=1.0)
 
     def backoff_for(self, failed_attempts: int) -> float:
         """Simulated wait before the retry following the n-th failure."""

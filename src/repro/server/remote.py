@@ -37,19 +37,20 @@ retry lane and the one successful attempt on the primary lane.  The primary
 ledger of a fault-injected run is therefore structurally identical to the
 fault-free run; only the retry lane and the resilience counters differ.
 
-Replication (PR 9).  A shard published on R > 1 replicas is fronted by a
-:class:`ReplicatedRemoteServer`: one channel (and one deterministic fault
-substream) per replica, with every exchange tried on the replicas in one
-health order (probe, healthy, failed this query, down; index within a
-rank).  When an exchange exhausts its retries on one
-replica, the proxy *fails over*: the identical request is replayed against
-a sibling replica (idempotent request ids make the replay safe).  The
-failed attempts were already accounted on the losing replica's retry lane,
-and the winning replica accounts the exchange on its primary lane -- so the
-shard-level merged primary ledger stays bit-identical to the unreplicated
-fault-free run under any recoverable plan.  Only when every replica of a
-shard fails the same exchange does the proxy surface a typed
-:class:`~repro.errors.ServerUnavailable` for the whole shard.
+Replication.  A connection is a *replica set*: a plain server is a
+set of one, and a shard published on R replicas is a set of R, with one
+channel (and one deterministic fault substream) per replica and every
+exchange tried on the replicas in one health order (probe, healthy, failed
+this query, down; index within a rank).  When an exchange exhausts its
+retries on one replica, the proxy *fails over*: the identical request is
+replayed against a sibling replica (idempotent request ids make the replay
+safe).  The failed attempts were already accounted on the losing replica's
+retry lane, and the winning replica accounts the exchange on its primary
+lane -- so the shard-level merged primary ledger stays bit-identical to the
+unreplicated fault-free run under any recoverable plan.  Only when every
+replica of a shard fails the same exchange does the proxy surface a typed
+:class:`~repro.errors.ServerUnavailable` for the whole shard; a set of one
+has no sibling, so its replica's own typed error propagates unchanged.
 """
 
 from __future__ import annotations
@@ -85,12 +86,11 @@ from repro.network.messages import (
     WindowQuery,
 )
 from repro.server.server import Prefetched, SpatialServer, per_request
-from repro.server.sharded import RoutedCounts, ShardedSpatialServer, probe_squares
+from repro.server.sharded import FleetStats, RoutedCounts, ShardedSpatialServer, probe_squares
 
 __all__ = [
     "RemoteServer",
     "IndexedRemoteServer",
-    "ReplicatedRemoteServer",
     "ShardedRemoteServer",
     "ResilienceController",
     "SEMIJOIN_NEEDS_ONE_INDEX",
@@ -318,7 +318,7 @@ class ResilienceController:
     def note_failover(self, shard: str, replica: str, label: str, kind: str) -> None:
         """Record one mid-query failover (a replica exchange abandoned).
 
-        Called by :class:`ReplicatedRemoteServer` after an exchange
+        Called by :class:`RemoteServer` after an exchange
         exhausted its retries on one replica and is about to replay on a
         sibling; the broker reads the per-replica events to charge the
         right breaker units.
@@ -371,51 +371,152 @@ class ResilienceController:
 _ANY_WINDOW = Rect(0.0, 0.0, 0.0, 0.0)
 _ANY_POINT = Point(0.0, 0.0)
 
-
 class RemoteServer:
-    """A metered proxy in front of a :class:`SpatialServer`.
+    """A metered proxy in front of one server, or one shard's replica set.
 
     Parameters
     ----------
-    server:
-        The backing server.
-    channel:
-        The accounting channel for this connection.  One channel per
-        server; the experiment reads the totals from it.
+    replicas:
+        The backing servers: a plain server alone, or the R replicas of one
+        shard (one immutable build under R names).
+    channels:
+        One accounting channel per replica, parallel to ``replicas``; the
+        experiment reads the totals from them.
     resilience:
         Optional shared :class:`ResilienceController`; when present every
         exchange runs through its fault/retry protocol.
+    name:
+        The connection's name (a shard's); defaults to the lone server's.
+
+    Every exchange tries the replicas in one order (see the module notes on
+    failover), which ranks each replica by what is known of its health and
+    breaks ties by replica index:
+
+    0. *probe* -- the broker's half-open breaker verdict, so the probe
+       traffic reaches the recovering replica;
+    1. healthy;
+    2. failed an exchange of this query (forgotten by :meth:`reset_channels`);
+    3. *down* -- the broker's verdict for a breaker still cooling: tried
+       last-resort only.
+
+    The broker marks (:meth:`apply_health`) live as long as the stack.
     """
 
     def __init__(
         self,
-        server: SpatialServer,
-        channel: Channel,
+        replicas: Sequence[SpatialServer],
+        channels: Sequence[Channel],
         resilience: Optional[ResilienceController] = None,
+        name: Optional[str] = None,
     ) -> None:
-        self._server = server
-        self.channel = channel
-        self.name = server.name
+        replicas = tuple(replicas)
+        channels = tuple(channels)
+        if len(channels) != len(replicas):
+            raise ValueError("one channel per replica required")
+        if not replicas:
+            raise ValueError("a connection needs at least one replica")
+        self.name = replicas[0].name if name is None else name
+        self._replicas = replicas
+        self._names = tuple(rep.name for rep in replicas)
+        self._channels = channels
+        # Representative channel: config/tariff reads (all replica channels
+        # share both); at R = 1 the connection's one channel.
+        self.channel = channels[0]
         self.resilience = resilience
+        #: Broker marks by replica name, and this query's failed indices.
+        self._down: set = set()
+        self._probe: set = set()
+        self._failed: set = set()
+        self._reorder()
+        #: ``(replica_index, its primary log length)`` whenever the replica
+        #: that carries the exchanges changes, in exchange order -- the
+        #: splice map of the merged primary ledger.
+        self._runs: List[Tuple[int, int]] = []
+        self._serving: Optional[int] = None
+        self._failover_events: List[Tuple[str, str, str, str]] = []
 
     # ------------------------------------------------------------------ #
+    # the replica order and the failover loop
+    # ------------------------------------------------------------------ #
+
+    def _rank(self, idx: int) -> Tuple[int, int]:
+        name = self._names[idx]
+        if name in self._down:
+            return 3, idx
+        if idx in self._failed:
+            return 2, idx
+        if name in self._probe:
+            return 0, idx
+        return 1, idx
+
+    def _reorder(self) -> None:
+        """Rank the replicas again (after a mark or a failure changed).
+
+        Every booking reads the order and its head, :attr:`_server` -- the
+        replica the backing evaluation and its statistics follow.
+        """
+        self._tried = tuple(sorted(range(len(self._replicas)), key=self._rank))
+        self._server = self._replicas[self._tried[0]]
+
+    def _order(self) -> Tuple[int, ...]:
+        """Replica indices in the order the next exchange tries them."""
+        return self._tried
 
     def _exchange(self, label: str, account: Callable[[Channel], None]) -> None:
-        """Account one logical exchange, via the resilience layer if any.
+        """Account one logical exchange, failing over between replicas on loss.
 
-        The server evaluation must already have happened (exactly once)
-        when this is called; ``account`` only writes channel records.  It
-        takes the channel to write to as a parameter so a replicated proxy
-        can replay the identical exchange onto a sibling replica's channel
-        (see :class:`ReplicatedRemoteServer`); a single-channel proxy
-        always passes its own channel.
+        The server evaluation already happened (exactly once); ``account``
+        writes the records to the channel it is given, so the identical
+        exchange can be replayed onto the next candidate's channel once one
+        exhausts its retries.  Unrecoverable faults (link disconnect),
+        deadline timeouts and any loss on a set of one abort the query.
         """
-        if self.resilience is None:
-            account(self.channel)
-        else:
-            self.resilience.exchange(
-                self.channel, label, lambda: account(self.channel)
-            )
+        order = self._tried
+        for idx in order:
+            channel = self._channels[idx]
+            if idx != self._serving:
+                self._runs.append((idx, len(channel.log)))
+                self._serving = idx
+            try:
+                if self.resilience is None:
+                    account(channel)
+                else:
+                    self.resilience.exchange(channel, label, lambda: account(channel))
+            except (ChannelFault, RetryExhausted) as err:
+                if len(order) == 1 or (isinstance(err, ChannelFault) and not err.recoverable):
+                    raise
+                kind = err.kind if isinstance(err, ChannelFault) else err.last_fault.kind
+                self._failed.add(idx)
+                self._reorder()
+                self._failover_events.append((self.name, channel.name, label, kind))
+                if self.resilience is not None:
+                    self.resilience.note_failover(self.name, channel.name, label, kind)
+                continue
+            if idx in self._failed:
+                self._failed.discard(idx)
+                self._reorder()
+            return
+        raise ServerUnavailable(
+            f"all {len(order)} replicas of shard {self.name!r} unavailable "
+            f"during {label!r}",
+            server=self.name,
+            op_index=None,
+            kind="unavailable",
+            recoverable=True,
+        )
+
+    def apply_health(self, health: Dict[str, str]) -> None:
+        """Apply broker breaker verdicts (``"down"`` / ``"probe"`` by name)."""
+        for name, state in health.items():
+            if name not in self._names:
+                continue
+            if state == "down":
+                self._down.add(name)
+                self._probe.discard(name)
+            elif state == "probe":
+                self._probe.add(name)
+                self._down.discard(name)
+        self._reorder()
 
     @property
     def config(self) -> NetworkConfig:
@@ -690,49 +791,79 @@ class RemoteServer:
         return value
 
     # ------------------------------------------------------------------ #
-    # connection introspection (one channel here; a shard fleet has many)
+    # connection introspection (one channel per replica)
     # ------------------------------------------------------------------ #
 
     @property
     def channels(self) -> Tuple[Channel, ...]:
-        """All accounting channels behind this connection."""
-        return (self.channel,)
+        """All accounting channels behind this connection, replica order."""
+        return self._channels
 
     def reset_channels(self) -> None:
-        """Zero every channel ledger of this connection."""
-        self.channel.reset()
+        """Zero every channel ledger and forget this query's failures."""
+        for channel in self._channels:
+            channel.reset()
+        self._runs.clear()
+        self._serving = None
+        self._failover_events.clear()
+        self._failed.clear()
+        self._reorder()
 
     def failover_events(self) -> Tuple[Tuple[str, str, str, str], ...]:
-        """``(shard, replica, label, kind)`` per abandoned replica exchange.
-
-        Read by the broker to charge per-replica breakers; one channel has
-        no sibling to fail over to.
-        """
-        return ()
+        """``(shard, replica, label, kind)`` per abandoned replica exchange."""
+        return tuple(self._failover_events)
 
     def channel_snapshot(self) -> Dict[str, object]:
-        """The connection's ledger snapshot (merged over all channels)."""
-        return self.channel.snapshot()
+        """The ledger snapshot: the channel's own at R = 1, else summed
+        totals plus per-replica detail."""
+        snaps = [chan.snapshot() for chan in self._channels]
+        if len(snaps) == 1:
+            return snaps[0]
+        return _merge_snapshots(self.name, self.tariff, "replicas", snaps)
 
     def ledger_fingerprint(self) -> Tuple:
         """Bit-exact fingerprint of the connection's primary-lane ledger."""
         return self.ledger_reader()()
 
     def ledger_reader(self) -> Callable[[], Tuple]:
-        """:meth:`ledger_fingerprint` to call later: holds the channels, not the server."""
-        return self.channel.ledger_fingerprint
+        """The merged primary-lane fingerprint, to call later (holds the channels).
+
+        Splices the per-replica primary log digests back into exchange
+        order (a run of exchanges one replica carried is the slice of its
+        log up to where its next run starts) and sums the per-replica
+        primary counters.  Shaped like :meth:`Channel.ledger_fingerprint`
+        (records carry no channel name), so it is replica-agnostic: a
+        replicated shard under a recoverable plan fingerprints like the
+        unreplicated fault-free shard, and a set of one like its channel.
+        """
+        name, channels = self.name, self._channels
+        runs = tuple(self._runs)
+        ends = [len(chan.log) for chan in channels]
+
+        def fingerprint() -> Tuple:
+            digests = [chan.log.fingerprint() for chan in channels]
+            stop = list(ends)
+            spans = []
+            for idx, start in reversed(runs):
+                spans.append(digests[idx][start : stop[idx]])
+                stop[idx] = start
+            records = tuple(record for span in reversed(spans) for record in span)
+            sums = [sum(getattr(chan, key) for chan in channels) for key in _LEDGER_TOTALS]
+            return (name, *sums, records)
+
+        return fingerprint
 
     def server_stats(self) -> Dict[str, int]:
-        """The backing server's query-statistics counters."""
-        return self._server.stats.as_dict()
+        """Replica-summed statistics (evaluation may move on failover)."""
+        return FleetStats(self._replicas).as_dict()
 
     def total_bytes(self) -> int:
         """Total wire bytes moved over this connection so far."""
-        return self.channel.total_bytes
+        return sum(chan.total_bytes for chan in self._channels)
 
     def total_cost(self) -> float:
         """Tariff-weighted cost of this connection so far."""
-        return self.channel.total_cost
+        return sum(chan.total_cost for chan in self._channels)
 
 
 class IndexedRemoteServer(RemoteServer):
@@ -916,233 +1047,15 @@ def _merge_snapshots(
     return merged
 
 
-class ReplicatedRemoteServer(RemoteServer):
-    """A metered failover proxy in front of one shard's replica set.
-
-    Looks exactly like a :class:`RemoteServer` for the shard (same metered
-    methods, same evaluate-once structure) but holds one channel per
-    replica.  Every exchange tries the replicas in one order; on retry
-    exhaustion against one replica the identical request is replayed on
-    the next (the failed attempts stay on the loser's retry lane), and only
-    when every replica fails does the exchange surface a shard-level
-    :class:`~repro.errors.ServerUnavailable`.
-
-    The order ranks each replica by what is known of its health, and breaks
-    ties by replica index:
-
-    0. *probe* -- the broker's half-open breaker verdict, so the probe
-       traffic reaches the recovering replica;
-    1. healthy;
-    2. failed an exchange of this query (forgotten by :meth:`reset_channels`);
-    3. *down* -- the broker's verdict for a breaker still cooling: tried
-       last-resort only.
-
-    The broker marks (:meth:`apply_health`) live as long as the stack.  The
-    backing evaluation runs on the head of the order (:attr:`_server`).
-
-    The merged primary ledger is the failover invariant:
-    :meth:`ledger_fingerprint` splices the per-replica primary records back
-    into exchange order, yielding a fingerprint bit-identical to the one
-    the unreplicated shard channel would produce -- whichever replicas
-    served, under any recoverable plan.
-    """
-
-    def __init__(
-        self,
-        name: str,
-        replicas: Sequence[SpatialServer],
-        channels: Sequence[Channel],
-        resilience: Optional[ResilienceController] = None,
-    ) -> None:
-        replicas = tuple(replicas)
-        channels = tuple(channels)
-        if len(channels) != len(replicas):
-            raise ValueError("one channel per replica required")
-        if not replicas:
-            raise ValueError("a replicated proxy needs at least one replica")
-        self.name = name
-        self._replicas = replicas
-        self._names = tuple(rep.name for rep in replicas)
-        self._channels_tuple = channels
-        # Representative channel: config/tariff reads only (all replica
-        # channels share both); never written to directly.
-        self.channel = channels[0]
-        self.resilience = resilience
-        #: Broker marks by replica name, and this query's failed indices.
-        self._down: set = set()
-        self._probe: set = set()
-        self._failed: set = set()
-        #: ``(replica_index, primary_message_count)`` per successful
-        #: exchange, in exchange order -- the splice map of the merged
-        #: primary ledger.
-        self._primary_sequence: List[Tuple[int, int]] = []
-        self._failover_events: List[Tuple[str, str, str, str]] = []
-
-    # ------------------------------------------------------------------ #
-
-    def _rank(self, idx: int) -> Tuple[int, int]:
-        name = self._names[idx]
-        if name in self._down:
-            return 3, idx
-        if idx in self._failed:
-            return 2, idx
-        if name in self._probe:
-            return 0, idx
-        return 1, idx
-
-    def _order(self) -> Sequence[int]:
-        """Replica indices in the order the next exchange tries them."""
-        # Nothing marked is the common state, and its order is the identity:
-        # skipping the sort keeps fault-free replication nearly free (the
-        # order is read twice per exchange).
-        if not self._down and not self._probe and not self._failed:
-            return range(len(self._replicas))
-        return sorted(range(len(self._replicas)), key=self._rank)
-
-    @property
-    def _server(self) -> SpatialServer:
-        """The replica the next exchange is tried on first.
-
-        Evaluation (and its statistics) follows the head of the order;
-        replicas share one immutable build, so the answer is the same
-        whichever replica evaluates.
-        """
-        return self._replicas[self._order()[0]]
-
-    def _exchange(self, label: str, account: Callable[[Channel], None]) -> None:
-        """Route one exchange across the replicas, failing over on loss.
-
-        Candidates are tried in :meth:`_order`.  A candidate that exhausts
-        its retries (or is declared unavailable) has already accounted its
-        attempts on its own retry lane; the exchange is then replayed
-        verbatim on the next candidate.  Unrecoverable faults (link
-        disconnect) and deadline timeouts are not failover events -- they
-        abort the query as before.
-        """
-        order = self._order()
-        for idx in order:
-            channel = self._channels_tuple[idx]
-            before = len(channel.log)
-            try:
-                if self.resilience is None:
-                    account(channel)
-                else:
-                    self.resilience.exchange(
-                        channel, label, lambda: account(channel)
-                    )
-            except (ChannelFault, RetryExhausted) as err:
-                if isinstance(err, ChannelFault) and not err.recoverable:
-                    raise
-                kind = (
-                    err.kind
-                    if isinstance(err, ChannelFault)
-                    else err.last_fault.kind
-                )
-                self._failed.add(idx)
-                self._failover_events.append((self.name, channel.name, label, kind))
-                if self.resilience is not None:
-                    self.resilience.note_failover(
-                        self.name, channel.name, label, kind
-                    )
-                continue
-            self._failed.discard(idx)
-            self._primary_sequence.append((idx, len(channel.log) - before))
-            return
-        raise ServerUnavailable(
-            f"all {len(order)} replicas of shard {self.name!r} unavailable "
-            f"during {label!r}",
-            server=self.name,
-            op_index=None,
-            kind="unavailable",
-            recoverable=True,
-        )
-
-    def apply_health(self, health: Dict[str, str]) -> None:
-        """Apply broker breaker verdicts (``"down"`` / ``"probe"`` by name)."""
-        for name, state in health.items():
-            if name not in self._names:
-                continue
-            if state == "down":
-                self._down.add(name)
-                self._probe.discard(name)
-            elif state == "probe":
-                self._probe.add(name)
-                self._down.discard(name)
-
-    # ------------------------------------------------------------------ #
-    # connection introspection (one channel per replica)
-    # ------------------------------------------------------------------ #
-
-    @property
-    def channels(self) -> Tuple[Channel, ...]:
-        """All replica channels, replica order."""
-        return self._channels_tuple
-
-    def reset_channels(self) -> None:
-        for channel in self._channels_tuple:
-            channel.reset()
-        self._primary_sequence.clear()
-        self._failover_events.clear()
-        self._failed.clear()
-
-    def failover_events(self) -> Tuple[Tuple[str, str, str, str], ...]:
-        return tuple(self._failover_events)
-
-    def channel_snapshot(self) -> Dict[str, object]:
-        """Shard ledger snapshot: summed totals plus per-replica detail."""
-        replica_snaps = [chan.snapshot() for chan in self._channels_tuple]
-        return _merge_snapshots(self.name, self.tariff, "replicas", replica_snaps)
-
-    def ledger_reader(self) -> Callable[[], Tuple]:
-        """The shard's merged primary-lane fingerprint (replica-agnostic).
-
-        Splices the per-replica primary log digests back into exchange
-        order using the ``(replica, message_count)`` sequence captured at
-        exchange time, and sums the per-replica primary counters.  Shaped
-        exactly like :meth:`Channel.ledger_fingerprint` of a single shard
-        channel (record tuples carry no channel name), so a replicated shard
-        under a recoverable plan fingerprints bit-identically to the
-        unreplicated fault-free shard.
-        """
-        name, channels = self.name, self._channels_tuple
-        sequence = tuple(self._primary_sequence)
-
-        def fingerprint() -> Tuple:
-            digests = [chan.log.fingerprint() for chan in channels]
-            cursors = [0] * len(digests)
-            merged_records: List[Tuple] = []
-            for idx, count in sequence:
-                start = cursors[idx]
-                merged_records.extend(digests[idx][start : start + count])
-                cursors[idx] = start + count
-            sums = [sum(getattr(chan, key) for chan in channels) for key in _LEDGER_TOTALS]
-            return (name, *sums, tuple(merged_records))
-
-        return fingerprint
-
-    def server_stats(self) -> Dict[str, int]:
-        """Replica-summed statistics (evaluation may move on failover)."""
-        totals: Dict[str, int] = {}
-        for rep in self._replicas:
-            for key, value in rep.stats.as_dict().items():
-                totals[key] = totals.get(key, 0) + value
-        return totals
-
-    def total_bytes(self) -> int:
-        return sum(chan.total_bytes for chan in self._channels_tuple)
-
-    def total_cost(self) -> float:
-        return sum(chan.total_cost for chan in self._channels_tuple)
-
-
 class ShardedRemoteServer:
     """A metered scatter/merge proxy in front of a shard fleet.
 
     The device-side algorithms see one connection with the endpoints of a
-    :class:`RemoteServer`; underneath, every shard has its own ordinary
-    :class:`RemoteServer` on its own :class:`Channel` (named after the
-    shard, e.g. ``"R#2"``), so per-shard byte ledgers, retry lanes and
-    deterministic fault substreams come for free.
+    :class:`RemoteServer`; underneath, every shard is its own
+    :class:`RemoteServer` over its replica set, one :class:`Channel` per
+    replica (named after it, e.g. ``"R#2"`` or ``"R#2/1"``), so per-shard
+    byte ledgers, retry lanes, deterministic fault substreams and failover
+    come for free.
 
     Routing is by bounds intersection: a request window is scattered only
     to the non-empty shards whose dataset bounds it intersects; a range
@@ -1189,25 +1102,15 @@ class ShardedRemoteServer:
         self._fleet = fleet
         self.name = fleet.name
         self.resilience = resilience
-        # One proxy per shard: a plain RemoteServer for an unreplicated
-        # shard (bit-identical to the PR 8 plane), a failover
-        # ReplicatedRemoteServer when the shard has siblings.  Channels
-        # arrive replica-major in fleet order: R#0/0, R#0/1, ..., R#1/0, ...
+        # One replica-set connection per shard.  Channels arrive
+        # replica-major in fleet order: R#0/0, R#0/1, ..., R#1/0, ...
         proxies: List[RemoteServer] = []
         pos = 0
         for group, shard_name in zip(fleet.replica_groups, fleet.shard_names):
-            group_chans = channels[pos : pos + len(group)]
+            proxies.append(
+                RemoteServer(group, channels[pos : pos + len(group)], resilience, shard_name)
+            )
             pos += len(group)
-            if len(group) == 1:
-                proxies.append(
-                    RemoteServer(group[0], group_chans[0], resilience=resilience)
-                )
-            else:
-                proxies.append(
-                    ReplicatedRemoteServer(
-                        shard_name, group, group_chans, resilience=resilience
-                    )
-                )
         self._proxies = tuple(proxies)
 
     # ------------------------------------------------------------------ #
@@ -1415,11 +1318,10 @@ class ShardedRemoteServer:
         for proxy in self._proxies:
             proxy.reset_channels()
 
-    def apply_replica_health(self, health: Dict[str, str]) -> None:
-        """Push broker breaker verdicts down to the replicated shards."""
+    def apply_health(self, health: Dict[str, str]) -> None:
+        """Push broker breaker verdicts down to every shard's replica set."""
         for proxy in self._proxies:
-            if isinstance(proxy, ReplicatedRemoteServer):
-                proxy.apply_health(health)
+            proxy.apply_health(health)
 
     def failover_events(self) -> Tuple[Tuple[str, str, str, str], ...]:
         """All ``(shard, replica, label, kind)`` failovers, shard order."""
@@ -1433,13 +1335,8 @@ class ShardedRemoteServer:
         return _merge_snapshots(self.name, self.tariff, "shards", shard_snaps)
 
     def ledger_fingerprint(self) -> Tuple:
-        """Per-shard primary-lane fingerprints, shard order.
-
-        A replicated shard contributes its replica-agnostic merged
-        fingerprint (see :meth:`ReplicatedRemoteServer.ledger_reader`),
-        so the fleet fingerprint of a replicated run equals the
-        unreplicated one whenever the primary ledgers match.
-        """
+        """Per-shard primary-lane fingerprints, shard order (each shard's
+        replica-agnostic, see :meth:`RemoteServer.ledger_reader`)."""
         return self.ledger_reader()()
 
     def ledger_reader(self) -> Callable[[], Tuple]:
@@ -1526,10 +1423,11 @@ class ServerPair:
         substream) per *replica*.  ``resilience`` (if given) is shared by
         both sides: one retry policy, one deadline budget and one
         fault-plan instantiation per query, with a separate deterministic
-        fault stream per channel name.  ``replica_health`` maps replica
-        names to ``"down"`` / ``"probe"`` breaker verdicts applied to the
-        replicated shards at connect time.  ``observer`` is a read-only
-        traffic observer threaded into every channel (see :class:`Channel`).
+        fault stream per channel name.  ``replica_health`` maps breaker
+        unit names to ``"down"`` / ``"probe"`` breaker verdicts, applied to
+        either side's replica sets at connect time.  ``observer`` is a
+        read-only traffic observer threaded into every channel (see
+        :class:`Channel`).
         """
         config = config or NetworkConfig()
         sharded = isinstance(server_r, ShardedSpatialServer) or isinstance(
@@ -1540,23 +1438,22 @@ class ServerPair:
         proxy_cls = IndexedRemoteServer if indexed else RemoteServer
 
         def _connect_one(server, tariff: float):
-            if isinstance(server, ShardedSpatialServer):
-                chans = [
-                    Channel(config, tariff=tariff, name=replica.name, observer=observer)
-                    for group in server.replica_groups
-                    for replica in group
-                ]
-                if resilience is not None:
-                    for chan in chans:
-                        resilience.register(chan)
-                proxy = ShardedRemoteServer(server, chans, resilience=resilience)
-                if replica_health:
-                    proxy.apply_replica_health(replica_health)
-                return proxy
-            chan = Channel(config, tariff=tariff, name=server.name, observer=observer)
+            # One channel per breaker unit: the server itself, or every
+            # replica of every shard, replica-major in fleet order.
+            chans = [
+                Channel(config, tariff=tariff, name=unit.name, observer=observer)
+                for unit in server.breaker_units()
+            ]
             if resilience is not None:
-                resilience.register(chan)
-            return proxy_cls(server, chan, resilience=resilience)
+                for chan in chans:
+                    resilience.register(chan)
+            if isinstance(server, ShardedSpatialServer):
+                proxy = ShardedRemoteServer(server, chans, resilience=resilience)
+            else:
+                proxy = proxy_cls((server,), chans, resilience=resilience)
+            if replica_health:
+                proxy.apply_health(replica_health)
+            return proxy
 
         return ServerPair(
             r=_connect_one(server_r, config.tariff_r),

@@ -4,9 +4,11 @@ The sharded data plane splits a published dataset across N
 :class:`~repro.server.server.SpatialServer` instances (one per shard of a
 deterministic :func:`~repro.datasets.partition.partition_dataset` split) and
 presents them as one logical server build.  The fleet itself never answers
-queries -- the client side talks to every shard through its own metered
-connection (:class:`~repro.server.remote.ShardedRemoteServer`) -- but it is
-the unit the query broker caches, primes, places and reuses:
+queries -- the client side talks to the fleet through one scatter/merge
+connection (:class:`~repro.server.remote.ShardedRemoteServer`) that holds a
+:class:`~repro.server.remote.RemoteServer` per shard over the shard's
+replica set -- but it is the unit the query broker caches, primes, places
+and reuses:
 
 * ``shared_view()`` hands every in-flight query a statistics-isolated view
   of the whole fleet (each shard's index and dataset shared by reference);
@@ -22,8 +24,10 @@ the unit the query broker caches, primes, places and reuses:
   ``evaluate_range_batch()`` are its payload siblings.  They are what every
   scatter of the client-side proxy -- and the step driver -- evaluates
   before the proxy books the routed shards;
-* ``breaker_units()`` exposes the shards as independently-breakable
-  servers, so one misbehaving shard trips only its own circuit breaker.
+* ``breaker_units()`` exposes every replica of every shard as an
+  independently-breakable server, so one misbehaving shard (or replica)
+  trips only its own circuit breaker, and ``breaker_groups()`` groups them
+  by shard: the broker sheds a query only when a whole group is open.
 
 Shard servers are named ``"<name>#<i>"``; those names key the per-shard
 channels, ledgers and deterministic fault substreams.
@@ -33,8 +37,9 @@ servers named ``"<name>#<i>/<j>"`` (``j`` in ``0..R-1``).  Replicas share
 one immutable shard dataset build (:meth:`SpatialServer.replica_view`) but
 each has its own ``breaker_token``, its own metered channel and its own
 deterministic fault substream, so they fail and recover independently --
-the client fails a scattered exchange over to a sibling replica instead of
-failing the query.
+the shard's connection fails a scattered exchange over to a sibling replica
+instead of failing the query.  At R == 1 a shard is a replica set of one:
+the same connection, with nothing to fail over to.
 """
 
 from __future__ import annotations
@@ -45,6 +50,7 @@ import numpy as np
 
 from repro.datasets.dataset import SpatialDataset
 from repro.datasets.partition import partition_dataset
+from repro.errors import require_count
 from repro.geometry.rect_array import Windows, pairwise_intersects, window_array
 from repro.index.aggregate_rtree import Probes, probe_arrays
 from repro.index.flat import FlatRTree
@@ -152,8 +158,7 @@ class ShardedSpatialServer:
         scheme: str = "grid",
         replicas: int = 1,
     ) -> None:
-        if replicas < 1:
-            raise ValueError(f"replicas must be >= 1, got {replicas}")
+        require_count(replicas, "replicas")
         self.dataset = dataset.rename(name)
         self.name = name
         self.scheme = scheme

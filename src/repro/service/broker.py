@@ -59,7 +59,7 @@ from repro.core.planner import PlanDecision, build_algorithm, select_algorithm
 from repro.core.result import JoinResult
 from repro.device.pda import MobileDevice
 from repro.device.steps import COUNT, Group, Step, book_step, gather
-from repro.errors import QueryTimeout, ReproError, ServerUnavailable
+from repro.errors import QueryTimeout, ReproError, ServerUnavailable, require_count
 from repro.network.config import NetworkConfig
 from repro.obs.trace import NULL_TRACER
 from repro.server.server import SpatialServer
@@ -145,9 +145,9 @@ class _Admitted:
     ledger_readers: Optional[Tuple[Callable[[], Tuple], ...]] = None
     #: The typed error that isolated this query from its wave, if any.
     failure: Optional[BaseException] = None
-    #: Breaker verdicts for individual replicas (``name -> "down"/"probe"``),
-    #: computed at admission and pushed into the replicated shards so a
-    #: cooling replica is routed around and a half-open one receives the
+    #: Breaker verdicts by unit name (``name -> "down"/"probe"``), computed
+    #: at admission and pushed into the connections' replica sets so a
+    #: cooling replica is routed around and a half-open unit receives the
     #: probe traffic.
     replica_health: Optional[Dict[str, str]] = None
     #: The query's span under the wave span (None while tracing is off).
@@ -159,15 +159,16 @@ class _Breaker:
     """Per-breaker-unit circuit breaker state.
 
     A *unit* is one independently-breakable server: a plain base server,
-    or one shard of a fleet.  The registry keys breakers by the unit's
-    stable :attr:`~repro.server.server.SpatialServer.breaker_token`
+    or one replica of a fleet's shard.  The registry keys breakers by the
+    unit's stable :attr:`~repro.server.server.SpatialServer.breaker_token`
     (``(name, registration uid)``), never by ``id()``: a new server that
     recycles a dead server's object id (routine once shard fleets are
     built, dropped and rebuilt) gets a fresh token and therefore starts
     with a closed breaker.
 
-    States: *closed* while ``open_until_wave`` is ``None``; *open* (shed
-    every query touching this server) until the broker's wave counter
+    States: *closed* while ``open_until_wave`` is ``None``; *open* (routed
+    around, or shedding the query when no unit of its group is left; see
+    :meth:`QueryBroker._check_breaker`) until the broker's wave counter
     reaches ``open_until_wave``; then *half-open* -- the next query probes
     the server, with ``failures`` primed one short of the threshold so a
     single failed probe re-opens the breaker while a success closes it.
@@ -248,14 +249,10 @@ class QueryBroker:
         tracer=None,
         metrics=None,
     ) -> None:
-        if max_wave < 1:
-            raise ValueError("max_wave must be >= 1")
-        if breaker_threshold < 1:
-            raise ValueError("breaker_threshold must be >= 1")
-        if breaker_cooldown_waves < 1:
-            raise ValueError("breaker_cooldown_waves must be >= 1")
-        if max_server_builds is not None and max_server_builds < 1:
-            raise ValueError("max_server_builds must be >= 1 (or None)")
+        require_count(max_wave, "max_wave")
+        require_count(breaker_threshold, "breaker_threshold")
+        require_count(breaker_cooldown_waves, "breaker_cooldown_waves")
+        require_count(max_server_builds, "max_server_builds", unbounded=True)
         self.config = config or NetworkConfig()
         self.max_wave = max_wave
         self.calibrate = calibrate
@@ -670,22 +667,24 @@ class QueryBroker:
             self._m_breaker.inc(state=state, server=unit_name)
 
     def _check_breaker(self, entry: _Admitted) -> None:
-        """Shed the query up front if a backing server's breaker is open.
+        """Shed the query up front if a failover group has no unit left.
 
-        An open breaker past its cooldown flips to half-open: the query
-        is let through as the probe, with the failure count primed one
-        short of the threshold so a single failed probe re-opens it.
+        Breaker units are walked per failover group
+        (:meth:`~repro.server.server.SpatialServer.breaker_groups`: a plain
+        server is a group of one, a shard its replicas), one rule for all:
 
-        Breaker units are walked per failover domain
-        (:meth:`~repro.server.server.SpatialServer.breaker_groups`): a
-        single-unit group (plain server, unreplicated shard) keeps the
-        shed/half-open semantics above; a replica group sheds only when
-        *every* replica of the shard is open and still cooling.  A cooling
-        replica with an available sibling is marked ``"down"`` (routed
-        around, tried last-resort only) and a half-open replica is marked
-        ``"probe"`` (preferred, so the probe traffic reaches the
-        recovering server); the marks land in ``entry.replica_health`` and
-        are applied to the replicated shards at connect time.
+        * the query is shed when *every* unit of a group is open and still
+          cooling;
+        * an open unit past its cooldown goes half-open: the query is let
+          through as the probe, with the failure count primed one short of
+          the threshold so a single failed probe re-opens it, and the unit
+          is marked ``"probe"`` (its connection tries it first, so the
+          probe traffic reaches the recovering server);
+        * a cooling unit with a sibling is marked ``"down"`` (routed
+          around, tried last-resort only).
+
+        The marks land in ``entry.replica_health`` and are applied to the
+        connections at connect time.
         """
         base_r, base_s = self._base_servers(entry.query)
         entry.base_r, entry.base_s = base_r, base_s
@@ -702,41 +701,19 @@ class QueryBroker:
                         cooling.append((unit, breaker))
                     else:
                         half_open.append((unit, breaker))
-                if len(group) == 1:
-                    # Plain server / unreplicated shard: no sibling to
-                    # fail over to, so one open unit sheds the query.
-                    if cooling:
-                        unit, breaker = cooling[0]
-                        self.stats.bump(breaker_rejections=1)
-                        raise ServerUnavailable(
-                            f"circuit breaker open for server {unit.name!r} "
-                            f"(until wave {breaker.open_until_wave}, "
-                            f"now {self._wave_counter})",
-                            server=unit.name,
-                            kind="breaker",
-                            recoverable=False,
-                        )
-                    for unit, breaker in half_open:
-                        # Half-open: probe with this query.
-                        breaker.open_until_wave = None
-                        breaker.failures = self.breaker_threshold - 1
-                        self._note_breaker_transition("half-open", unit.name)
-                    continue
-                # Replica group: shed only when the whole shard is dark.
                 if len(cooling) == len(group):
-                    shard_name = group[0].name.rsplit("/", 1)[0]
+                    # A replica's name is its shard's plus "/j".
+                    name = group[0].name.rsplit("/", 1)[0]
                     until = max(b.open_until_wave for _, b in cooling)
                     self.stats.bump(breaker_rejections=1)
                     raise ServerUnavailable(
-                        f"circuit breakers open for every replica of shard "
-                        f"{shard_name!r} (until wave {until}, "
-                        f"now {self._wave_counter})",
-                        server=shard_name,
+                        f"circuit breaker open for every replica of {name!r} "
+                        f"(until wave {until}, now {self._wave_counter})",
+                        server=name,
                         kind="breaker",
                         recoverable=False,
                     )
                 for unit, breaker in half_open:
-                    # Half-open: flip, and steer the probe to this replica.
                     breaker.open_until_wave = None
                     breaker.failures = self.breaker_threshold - 1
                     health[unit.name] = "probe"

@@ -43,6 +43,7 @@ import numpy as np
 
 from repro.core.result import JoinResult, Trace
 from repro.datasets.dataset import SpatialDataset
+from repro.errors import require_count
 from repro.index.pairs import PairSet
 from repro.service.query import JoinQuery
 
@@ -254,10 +255,8 @@ class ResultCache:
         max_bytes: Optional[int] = None,
         metrics=None,
     ) -> None:
-        if max_entries is not None and max_entries < 1:
-            raise ValueError("max_entries must be >= 1 (or None for unbounded)")
-        if max_bytes is not None and max_bytes < 1:
-            raise ValueError("max_bytes must be >= 1 (or None for unbounded)")
+        require_count(max_entries, "max_entries", unbounded=True)
+        require_count(max_bytes, "max_bytes", unbounded=True)
         self.enabled = enabled
         self.max_entries = max_entries
         self.max_bytes = max_bytes

@@ -22,6 +22,7 @@ The resilience pinning invariant of PR 7, exercised end to end:
 
 from __future__ import annotations
 
+import math
 import random
 from collections import Counter
 from typing import Dict, List
@@ -41,6 +42,7 @@ from repro.datasets.synthetic import clustered, uniform
 from repro.device.steps import run_steps
 from repro.errors import (
     ChannelFault,
+    InvalidInput,
     QueryTimeout,
     RetryExhausted,
     RoundRetry,
@@ -55,6 +57,7 @@ from repro.network.faults import (
 )
 from repro.obs import Tracer
 from repro.service import JoinQuery, QueryBroker
+from repro.service.cache import ResultCache
 
 pytestmark = pytest.mark.chaos
 
@@ -372,6 +375,40 @@ class TestDeadlineBudget:
         )
         _assert_identical(bounded, clean)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "make, field",
+        [
+            (RetryPolicy, "base_backoff_s"),
+            (RetryPolicy, "max_backoff_s"),
+            (RetryPolicy, "backoff_factor"),
+            (FaultPlan, "stall_latency_s"),
+        ],
+    )
+    def test_a_non_finite_duration_is_refused(self, make, field, bad):
+        """A NaN backoff or stall made the simulated clock NaN, and a NaN
+        clock never crosses a deadline: the budget silently turned off
+        (``backoff_factor=nan`` even passed its ``< 1`` check)."""
+        with pytest.raises(InvalidInput, match=f"{field} must be finite"):
+            make(**{field: bad})
+
+    @pytest.mark.parametrize("bad", [2.5, 0, math.nan, "3"])
+    def test_max_attempts_is_a_count(self, bad):
+        with pytest.raises(InvalidInput, match="max_attempts must be >= 1 and integral"):
+            RetryPolicy(max_attempts=bad)
+
+    def test_a_finite_policy_still_times_out(self):
+        r, s = _datasets()
+        with pytest.raises(QueryTimeout):
+            run_join(
+                r, s, JoinSpec.distance(0.03), algorithm="upjoin", buffer_size=BUFFER,
+                stack=StackConfig(
+                    faults=FaultPlan(seed=2, drop_rate=0.5),
+                    retry=RetryPolicy(max_attempts=50, base_backoff_s=0.01),
+                    deadline_s=0.01,
+                ),
+            )
+
 
 # --------------------------------------------------------------------------- #
 # circuit breaker
@@ -448,6 +485,34 @@ class TestCircuitBreaker:
         ]
         assert all(o.error.kind == "breaker" for o in outcomes[1:4])
         assert broker.stats.breaker_rejections == 3
+
+    @pytest.mark.parametrize(
+        "make, knob, unbounded",
+        [
+            (QueryBroker, "max_wave", False),
+            (QueryBroker, "breaker_threshold", False),
+            (QueryBroker, "breaker_cooldown_waves", False),
+            (QueryBroker, "max_server_builds", True),
+            (QueryBroker, "cache_max_bytes", True),
+            (ResultCache, "max_entries", True),
+            (ResultCache, "max_bytes", True),
+        ],
+    )
+    @pytest.mark.parametrize("bad", [2.5, 1.5, 0, math.nan, math.inf, "2"])
+    def test_broker_and_cache_counts_are_checked_at_construction(
+        self, make, knob, unbounded, bad
+    ):
+        """``max_wave=2.5`` constructed and then died inside ``run_batch``;
+        ``breaker_cooldown_waves=nan`` made an open breaker half-open at once,
+        so it never shed."""
+        with pytest.raises(InvalidInput, match=f"{knob.replace('cache_', '')} must be >= 1"):
+            make(**{knob: bad})
+        assert make(**{knob: 2}) is not None
+        if unbounded:
+            make(**{knob: None})
+        else:
+            with pytest.raises(InvalidInput):
+                make(**{knob: None})
 
 
 # --------------------------------------------------------------------------- #

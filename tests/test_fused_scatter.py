@@ -151,8 +151,8 @@ def test_fused_scatter_equals_per_shard_loop(endpoint, shards, replicas, scenari
     loop, loop_res = _connect(shards, replicas, plan)
     if marks in ("probe", "down"):
         verdicts = {f"{name}/1": marks for name in fused.backing_server.shard_names}
-        fused.apply_replica_health(verdicts)
-        loop.apply_replica_health(verdicts)
+        fused.apply_health(verdicts)
+        loop.apply_health(verdicts)
     for args in _script(endpoint):
         _same_answer(
             getattr(fused, endpoint)(*args), getattr(scatter_per_shard, endpoint)(loop, *args)
@@ -218,7 +218,7 @@ def _stack(topology: str):
         channel = Channel(NetworkConfig(), name="S")
         resilience.register(channel)
         server = SpatialServer(clustered(n=600, clusters=5, seed=21, std=0.05, name="S"), name="S")
-        return RemoteServer(server, channel, resilience=resilience), resilience
+        return RemoteServer((server,), (channel,), resilience=resilience), resilience
     shards, replicas = {"sharded-4x4": (16, 1), "replicated": (4, 2)}[topology]
     return _connect(shards, replicas, _plan("recoverable", shards, replicas))
 

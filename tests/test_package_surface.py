@@ -275,14 +275,14 @@ STACK_KNOBS = ("shards_r", "shards_s", "shard_scheme", "replicas", "faults", "re
 #: Who may spell a topology knob: the config class, its two keyword-sugar
 #: entry points, and what consumes ``replicas`` under that very name (the
 #: fleet constructor and the fault-plan helper that names replica channels
-#: take the count; the failover proxy takes the replica servers themselves).
+#: take the count; a connection takes the replica servers themselves).
 TOPOLOGY_KNOB_OWNERS = {
     "core/planner.py:StackConfig",
     "api.py:quick_join",
     "api.py:AdHocJoinSession.__init__",
     "server/sharded.py:ShardedSpatialServer.__init__",
     "network/faults.py:replica_outages",
-    "server/remote.py:ReplicatedRemoteServer.__init__",
+    "server/remote.py:RemoteServer.__init__",
 }
 
 
@@ -335,6 +335,89 @@ def test_a_stack_is_described_in_one_place():
     assert not gone & (set(planner.__all__) | set(vars(planner)))
     files = [p.name for p in PACKAGE.rglob("*.py") if "shards_r" in p.read_text()]
     assert sorted(files) == ["api.py", "planner.py"]
+
+
+#: The classes of ``server/remote.py``: per-query resilience state, the
+#: connection to one server or one shard's replica set, its SemiJoin
+#: subclass, the fleet's scatter/merge connection and the session's pair.
+REMOTE_CLASSES = {
+    "ResilienceController", "RemoteServer", "IndexedRemoteServer", "ShardedRemoteServer",
+    "ServerPair",
+}
+
+#: Connection classes, past and present.
+CONNECTION_CLASSES = {
+    "RemoteServer", "IndexedRemoteServer", "ShardedRemoteServer", "ReplicatedRemoteServer",
+}
+
+
+def _branch_tests(tree: ast.AST):
+    """The conditions of every ``if``, conditional expression, loop and
+    comprehension filter under ``tree``."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.If, ast.IfExp, ast.While)):
+            yield node.test
+        elif isinstance(node, ast.comprehension):
+            yield from node.ifs
+
+
+def test_one_connection_class_per_server_and_per_shard():
+    # A plain server is a replica set of one: one class serves it and a
+    # shard's replicas alike, so nothing picks a class by a group's size.
+    remote = ast.parse((PACKAGE / "server" / "remote.py").read_text())
+    assert {node.name for node in remote.body if isinstance(node, ast.ClassDef)} == REMOTE_CLASSES
+    checks = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+                named = {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node.args[1])}
+                checks += [(str(path.relative_to(PACKAGE)), name) for name in named & CONNECTION_CLASSES]
+    # ... and no caller dispatches on one, but SemiJoin asking for the published index.
+    assert checks == [("core/semijoin.py", "IndexedRemoteServer")]
+    sharded = next(
+        node for node in remote.body
+        if isinstance(node, ast.ClassDef) and node.name == "ShardedRemoteServer"
+    )
+    init = next(node for node in sharded.body if getattr(node, "name", None) == "__init__")
+    sized = {
+        ast.unparse(call.args[0])
+        for test in _branch_tests(init)
+        for call in ast.walk(test)
+        if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "len"
+    }
+    assert sized == {"channels"}  # the one-channel-per-replica check, nothing per group
+
+
+def test_a_kept_answer_holds_no_object_per_pair():
+    """Nothing under ``src/`` builds a tuple per pair: a kept 20k x 20k
+    answer is a ``PairSet`` over one block, and what the package allocated
+    for it (traced by file) is far below its pair count."""
+    import gc
+    import tracemalloc
+
+    from repro.api import AdHocJoinSession
+    from repro.datasets.synthetic import clustered
+    from repro.index.pairs import PairSet
+
+    session = AdHocJoinSession(
+        clustered(n=20000, clusters=128, seed=1, name="R"),
+        clustered(n=20000, clusters=128, seed=2, name="S"),
+        buffer_size=100,
+    )
+    session.run(algorithm="upjoin", epsilon=0.005)  # builds and pages the indexes
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = session.run(algorithm="upjoin", epsilon=0.005)
+        gc.collect()
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    ours = snapshot.filter_traces([tracemalloc.Filter(True, str(PACKAGE / "*"))])
+    allocations = sum(stat.count for stat in ours.statistics("filename"))
+    pairs = result.pairs
+    assert type(pairs) is PairSet and pairs.block.shape == (len(pairs), 2)
+    assert len(pairs) > 20000 and allocations < len(pairs) // 20, allocations
 
 
 def test_the_benchmark_target_guard_is_unmodified_and_passes():

@@ -38,13 +38,13 @@ from repro.core.planner import (
 )
 from repro.core.result import JoinResult
 from repro.datasets.synthetic import clustered
-from repro.errors import ServerUnavailable
+from repro.errors import QueryTimeout, ServerUnavailable
 from repro.geometry.rect import Rect
 from repro.network.channel import Channel
 from repro.network.config import NetworkConfig
 from repro.network.faults import FaultPlan, Outage, replica_outages
 from repro.server import ShardedSpatialServer, SpatialServer
-from repro.server.remote import ReplicatedRemoteServer, ResilienceController
+from repro.server.remote import RemoteServer, ResilienceController
 from repro.service import JoinQuery, QueryBroker
 from repro.service.cache import ResultCache, result_weight
 
@@ -347,7 +347,7 @@ class TestReplicaOrder:
         )
         resilience = ResilienceController(plan)
         channels = [Channel(NetworkConfig(), name=name) for name in self.NAMES]
-        proxy = ReplicatedRemoteServer("R#0", replicas, channels, resilience=resilience)
+        proxy = RemoteServer(replicas, channels, resilience=resilience, name="R#0")
         return proxy, replicas
 
     @staticmethod
@@ -418,6 +418,52 @@ class TestReplicaOrder:
         assert list(proxy._order()) == [2, 0, 1]
         assert proxy.failover_events() == ()
         self._head_evaluates(proxy, replicas)
+
+    @staticmethod
+    def _lone(name, plan, deadline_s=None, shard=None):
+        """A set of one: a plain server (or a shard's only replica)."""
+        r, _ = _datasets(n=40)
+        server = SpatialServer(r, name=name)
+        channel = Channel(NetworkConfig(), name=name)
+        resilience = ResilienceController(plan, deadline_s=deadline_s)
+        resilience.register(channel)
+        proxy = RemoteServer((server,), (channel,), resilience=resilience, name=shard)
+        return proxy, server, channel, resilience
+
+    def test_a_lone_replica_has_nothing_to_fail_over_to(self):
+        dead = FaultPlan(seed=3, outages=(Outage("R#0/0", 0, 10**9),))
+        proxy, _, _, resilience = self._lone("R#0/0", dead, shard="R#0")
+        assert list(proxy._order()) == [0]
+        proxy.apply_health({"R#0/0": "down"})
+        assert list(proxy._order()) == [0]
+        with pytest.raises(ServerUnavailable) as info:
+            proxy.count_batch([self.WINDOW])
+        # The replica's own verdict, not a shard-level one.
+        assert (info.value.server, info.value.kind) == ("R#0/0", "unavailable")
+        assert info.value.op_index is not None
+        assert proxy.failover_events() == ()
+        assert resilience.summary()["failovers"] == 0
+        assert list(proxy._order()) == [0]
+
+    def test_a_plain_server_is_a_set_of_one(self):
+        chaos = FaultPlan(seed=5, drop_rate=0.2, stall_rate=0.2, duplicate_rate=0.2)
+        proxy, server, channel, resilience = self._lone("R", chaos)
+        assert proxy.name == "R" and proxy.channels == (channel,)
+        proxy.count_batch([self.WINDOW, Rect(0.2, 0.2, 0.6, 0.6)])
+        proxy.window_batch_flat([self.WINDOW])
+        assert resilience.summary()["retries"] and not resilience.summary()["failovers"]
+        assert proxy.ledger_fingerprint() == channel.ledger_fingerprint()
+        assert proxy.channel_snapshot() == channel.snapshot()
+        assert proxy.server_stats() == server.stats.as_dict()
+        assert (proxy.total_bytes(), proxy.total_cost()) == (channel.total_bytes, channel.total_cost)
+
+    def test_a_stall_past_the_deadline_stays_on_the_merged_ledger(self):
+        stall = FaultPlan(seed=5, stall_rate=1.0, stall_latency_s=1.0)
+        proxy, _, channel, _ = self._lone("R", stall, deadline_s=0.5)
+        with pytest.raises(QueryTimeout):
+            proxy.count_batch([self.WINDOW])
+        assert channel.messages_up == 1  # the stalled exchange was delivered
+        assert proxy.ledger_fingerprint() == channel.ledger_fingerprint()
 
 
 # --------------------------------------------------------------------------- #
