@@ -25,7 +25,7 @@ from repro.geometry.rect import Rect
 from repro.index.hash_join import grid_hash_join
 from repro.index.pairs import unique_pairs
 from repro.index.plane_sweep import plane_sweep_pair_arrays_segmented, plane_sweep_pairs
-from repro.index.flat import FlatRTree
+from repro.index.flat import FlatRTree, str_tiling
 from repro.index.aggregate_rtree import AggregateRTree
 from repro.network.config import NetworkConfig
 from repro.network.packets import transferred_bytes
@@ -133,6 +133,28 @@ def test_bench_flat_rtree_bulk_load(benchmark):
     dataset = uniform(n=5000, seed=5)
     flat = benchmark(FlatRTree.from_mbr_array, dataset.mbrs, dataset.oids, 16)
     assert flat.size == 5000
+
+
+def test_bench_bulk_load_at_cold_join_shape(benchmark):
+    """The index build as ``cold_join`` pays it twice per op: 50k points of
+    ``clustered(k=64)``."""
+    dataset = clustered(n=50000, clusters=64, seed=41000)
+    flat = benchmark(FlatRTree.from_mbr_array, dataset.mbrs, dataset.oids, 16)
+    assert flat.size == 50000
+
+
+def test_bench_str_tiling_at_cold_join_shape(benchmark):
+    """That build's level-0 STR tiling: two exact stable orders and one
+    packed ``int64`` sort."""
+    mbrs = clustered(n=50000, clusters=64, seed=41000).mbrs
+    perm, offs = benchmark(str_tiling, mbrs, 16)
+    assert perm.shape == (50000,) and offs[-1] == 50000
+
+
+def test_bench_clustered_generator_at_cold_join_shape(benchmark):
+    """One of the two datasets a ``cold_join`` op generates."""
+    dataset = benchmark(clustered, n=50000, clusters=64, seed=41000)
+    assert len(dataset) == 50000
 
 
 def test_bench_page_build(benchmark):

@@ -18,6 +18,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from repro.datasets.dataset import SpatialDataset
+from repro.errors import InvalidInput, require_count, require_finite
 from repro.geometry.rect import Rect, UNIT_RECT
 
 __all__ = ["clustered", "uniform", "gaussian_mixture"]
@@ -47,12 +48,11 @@ def clustered(
     bounds:
         Data space (defaults to the unit square).
     """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if clusters < 1:
-        raise ValueError("clusters must be >= 1")
-    if std <= 0:
-        raise ValueError("std must be positive")
+    require_count(n, "n", minimum=0)
+    require_count(clusters, "clusters")
+    require_finite(std, "std")
+    if std == 0:
+        raise InvalidInput("std must be > 0")
     rng = np.random.default_rng(seed)
     centers = np.column_stack(
         [
@@ -85,8 +85,7 @@ def uniform(
     name: Optional[str] = None,
 ) -> SpatialDataset:
     """Uniformly distributed points over ``bounds``."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
+    require_count(n, "n", minimum=0)
     rng = np.random.default_rng(seed)
     points = np.column_stack(
         [
@@ -115,8 +114,10 @@ def gaussian_mixture(
     Used to construct the adversarial layouts of Figures 2 and 4 of the
     paper (clusters placed in specific quadrants) and by the examples.
     """
-    if n < 0:
-        raise ValueError("n must be non-negative")
+    require_count(n, "n", minimum=0)
+    require_finite(std, "std")
+    if std == 0:
+        raise InvalidInput("std must be > 0")
     if not centers:
         raise ValueError("at least one centre is required")
     centers_arr = np.asarray(centers, dtype=np.float64)
@@ -128,6 +129,8 @@ def gaussian_mixture(
         weights_arr = np.asarray(weights, dtype=np.float64)
         if weights_arr.shape != (len(centers),):
             raise ValueError("weights must be parallel to centers")
+        if not np.isfinite(weights_arr).all():
+            raise InvalidInput("weights must be finite")
         if np.any(weights_arr < 0) or weights_arr.sum() == 0:
             raise ValueError("weights must be non-negative and not all zero")
         weights_arr = weights_arr / weights_arr.sum()
@@ -160,19 +163,20 @@ def _rejection_gaussian(
     clamped; with the default parameters this never triggers in practice
     but keeps the generator total.
     """
-    n = means.shape[0]
-    points = np.empty((n, 2), dtype=np.float64)
-    pending = np.arange(n)
-    for _ in range(max_rounds):
+    def inside(draw: np.ndarray) -> np.ndarray:
+        x, y = draw[:, 0], draw[:, 1]
+        return (x >= bounds.xmin) & (x <= bounds.xmax) & (y >= bounds.ymin) & (y <= bounds.ymax)
+
+    # Round one draws every row straight into the output; later rounds
+    # re-draw only the rows still outside, in row order, so the RNG stream
+    # and every output byte are those of a round-by-round rejection loop.
+    points = means + rng.normal(0.0, std, size=means.shape)
+    pending = np.flatnonzero(~inside(points))
+    for _ in range(max_rounds - 1):
         if pending.size == 0:
             break
         draw = means[pending] + rng.normal(0.0, std, size=(pending.size, 2))
-        ok = (
-            (draw[:, 0] >= bounds.xmin)
-            & (draw[:, 0] <= bounds.xmax)
-            & (draw[:, 1] >= bounds.ymin)
-            & (draw[:, 1] <= bounds.ymax)
-        )
+        ok = inside(draw)
         points[pending[ok]] = draw[ok]
         pending = pending[~ok]
     if pending.size:

@@ -76,6 +76,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.errors import require_count
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.geometry.rect_array import expand_index_ranges
@@ -161,9 +162,8 @@ class FlatRTree:
         boxes below it, its own boxes one ``reduceat`` -- then lays the
         levels out in preorder top-down.
         """
-        if max_entries < 4:
-            raise ValueError("max_entries must be >= 4")
-        arr = np.ascontiguousarray(np.asarray(mbrs, dtype=np.float64)).reshape(-1, 4)
+        require_count(max_entries, "max_entries", minimum=4)
+        arr = np.asarray(mbrs, dtype=np.float64).reshape(-1, 4)
         n = arr.shape[0]
         if oids is None:
             oid_arr = np.arange(n, dtype=np.int64)
@@ -174,22 +174,25 @@ class FlatRTree:
 
         # Bottom-up.  Level k's nodes are the STR tiles of level k-1's boxes
         # (level 0 tiles the entries); ``weight`` counts the entries below.
+        # Boxes are ``(4, k)`` coordinate columns, so a level's boxes are
+        # one ``reduceat`` per contiguous column pair.
         tiles = []
         if n == 0:  # no data: a lone leaf over no entries
             zeros = np.zeros(2, dtype=np.intp)
-            tiles.append((zeros[:0], zeros, np.zeros((1, 4)), zeros[:1]))
-        boxes, weight = arr, np.ones(n, dtype=np.intp)
-        while not tiles or boxes.shape[0] > 1:
-            perm, offs = str_tiling(boxes, max_entries)
-            members = boxes[perm]
-            boxes = np.hstack(
+            tiles.append((zeros[:0], zeros, np.zeros((4, 1)), zeros[:1]))
+        entries = np.ascontiguousarray(arr.T)
+        cols, weight = entries, np.ones(n, dtype=np.intp)
+        while not tiles or cols.shape[1] > 1:
+            perm, offs = str_tiling(cols.T, max_entries)
+            members, starts = cols.take(perm, axis=1), offs[:-1]
+            cols = np.concatenate(
                 [
-                    np.minimum.reduceat(members[:, :2], offs[:-1]),
-                    np.maximum.reduceat(members[:, 2:], offs[:-1]),
+                    np.minimum.reduceat(members[:2], starts, axis=1),
+                    np.maximum.reduceat(members[2:], starts, axis=1),
                 ]
             )
-            weight = np.add.reduceat(weight[perm], offs[:-1])
-            tiles.append((perm, offs, boxes, weight))
+            weight = np.add.reduceat(weight[perm], starts)
+            tiles.append((perm, offs, cols, weight))
 
         # Top-down.  ``order`` lists a level's nodes left to right: the
         # parents' tiles, parent by parent.  Numbering the nodes level by
@@ -200,13 +203,13 @@ class FlatRTree:
         columns = []
         block_end = 0
         for level in range(len(tiles) - 1, -1, -1):
-            perm, offs, boxes, weight = tiles[level]
+            perm, offs, cols, weight = tiles[level]
             lo, hi = offs[order], offs[order + 1]
             fanout = hi - lo if level else np.zeros_like(lo)
             block_end += order.shape[0]
             columns.append(
                 (
-                    boxes[order],
+                    cols.take(order, axis=1),
                     np.cumsum(weight[order]),
                     weight[order],
                     block_end + np.cumsum(fanout),
@@ -214,14 +217,14 @@ class FlatRTree:
                 )
             )
             order = perm[expand_index_ranges(lo, hi)[1]]
-        boxes, ent_end, weight, kid_end, fanout = (
-            np.concatenate(column) for column in zip(*columns)
+        cols, ent_end, weight, kid_end, fanout = (
+            np.concatenate(column, axis=-1) for column in zip(*columns)
         )
 
         # Renumber in preorder.  Blocks run root level first, so a stable
         # sort on the first entry below a node puts a node before its
         # descendants and after everything to its left.
-        pre = np.argsort(ent_end - weight, kind="stable")
+        pre = _stable_order(ent_end - weight)
         node_id = np.empty_like(pre)
         node_id[pre] = np.arange(pre.shape[0], dtype=np.intp)
         kids = expand_index_ranges((kid_end - fanout)[pre], kid_end[pre])[1]
@@ -230,9 +233,9 @@ class FlatRTree:
         ent_end = ent_end[pre]
         child_end = np.cumsum(fanout)
         return cls(
-            node_cols=np.ascontiguousarray(boxes[pre].T),
+            node_cols=cols.take(pre, axis=1),
             is_leaf=fanout == 0,
-            entry_cols=np.ascontiguousarray(arr.take(order, axis=0).T),
+            entry_cols=entries.take(order, axis=1),
             entry_oids=oid_arr[order],
             ent_start=ent_end - weight[pre],
             ent_end=ent_end,
@@ -525,14 +528,50 @@ def str_tiling(boxes: np.ndarray, capacity: int) -> Tuple[np.ndarray, np.ndarray
     runs of ``capacity``.  Returns ``(perm, offs)``: tile ``i`` holds rows
     ``perm[offs[i]:offs[i + 1]]``.  Equal keys keep input order.  The one
     copy of the tiling math: the pointer-tree oracle's bulk load calls it too.
+
+    Three sorts and no loop over slices: the x order, one global y order
+    whose ties follow the x order -- so every slice's rows appear in it in
+    their per-slice stable order -- and one ``int64`` sort of
+    ``(slice, y rank)`` that groups them by slice.
     """
     n = boxes.shape[0]
     slice_count = math.ceil(math.sqrt(math.ceil(n / capacity)))
     slice_size = math.ceil(n / slice_count)
     cx = (boxes[:, 0] + boxes[:, 2]) / 2.0
     cy = (boxes[:, 1] + boxes[:, 3]) / 2.0
-    slices = np.split(np.argsort(cx, kind="stable"), range(slice_size, n, slice_size))
-    perm = np.concatenate([s[np.argsort(cy[s], kind="stable")] for s in slices])
     rank = np.arange(n, dtype=np.intp)
+    by_x = _stable_order(cx)
+    x_pos = np.empty_like(by_x)
+    x_pos[by_x] = rank
+    by_y = _stable_order(cy, then=x_pos)
+    key = x_pos[by_y] // slice_size * n + rank
+    key.sort()
+    perm = by_y[key % n]
     offs = np.append(rank[rank % slice_size % capacity == 0], n)
     return perm, offs
+
+
+def _stable_order(keys: np.ndarray, then: Optional[np.ndarray] = None) -> np.ndarray:
+    """Exactly ``np.argsort(keys, kind="stable")`` without a stable sort
+    (numpy's is a timsort, several times slower than its SIMD sorts).
+
+    Rows with equal keys come in row order, or in ``then`` order when
+    ``then`` -- a permutation of ``range(n)`` -- is given.  The unstable
+    ``argsort``, then a repair of the tied runs only: their rows are
+    re-sorted by ``run * n + tiebreak``.  A tie is ``==`` (``-0.0`` ties
+    ``0.0``); NaNs sort last as one run.
+    """
+    n = keys.shape[0]
+    order = np.argsort(keys)
+    ranked = keys[order]
+    tie = ranked[1:] == ranked[:-1]
+    if ranked.dtype.kind == "f" and n and np.isnan(ranked[-1]):
+        tie |= np.isnan(ranked[:-1])
+    if not tie.any():
+        return order
+    starts = np.concatenate(([True], ~tie))
+    at = np.flatnonzero(~(starts & np.append(starts[1:], True)))  # rows in a tied run
+    rows = order[at]
+    tiebreak = rows if then is None else then[rows]
+    order[at] = rows[np.argsort(np.cumsum(starts[at]) * n + tiebreak)]
+    return order

@@ -561,8 +561,9 @@ def _str_tiles(
     """Sort-Tile-Recursive grouping of entries into chunks of ``capacity``.
 
     The tiling math exists once, in :func:`repro.index.flat.str_tiling`;
-    its stable argsorts reproduce what stable ``sorted()`` calls over the
-    same centre keys would yield.
+    its orders (``_stable_order``: equal keys keep input order) reproduce
+    what stable ``sorted()`` calls over the same centre keys would yield --
+    ``tests/test_flat_build.py`` holds it to such a list reference.
     """
     if not entries:
         return

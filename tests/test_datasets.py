@@ -135,6 +135,32 @@ class TestSyntheticGenerators:
         with pytest.raises(ValueError):
             gaussian_mixture(n=10, centers=[(0.5, 0.5)], weights=[0.5, 0.5])
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            pytest.param(lambda: clustered(n=2.5), id="clustered-fractional-n"),
+            pytest.param(lambda: clustered(clusters=2.5), id="clustered-fractional-clusters"),
+            pytest.param(lambda: clustered(n=1000, std=np.inf), id="clustered-infinite-std"),
+            pytest.param(lambda: clustered(std=np.nan), id="clustered-nan-std"),
+            pytest.param(lambda: uniform(n=2.5), id="uniform-fractional-n"),
+            pytest.param(lambda: gaussian_mixture(2.5, [(0.5, 0.5)]), id="mixture-fractional-n"),
+            pytest.param(lambda: gaussian_mixture(10, [(0.5, 0.5)], std=-1), id="mixture-negative-std"),
+            pytest.param(lambda: gaussian_mixture(10, [(0.5, 0.5)], std=0.0), id="mixture-zero-std"),
+            pytest.param(
+                lambda: gaussian_mixture(10, [(0.2, 0.2), (0.8, 0.8)], weights=[np.nan, 1.0]),
+                id="mixture-nan-weight",
+            ),
+            pytest.param(
+                lambda: gaussian_mixture(10, [(0.2, 0.2), (0.8, 0.8)], weights=[np.inf, 1.0]),
+                id="mixture-infinite-weight",
+            ),
+        ],
+    )
+    def test_bad_arguments_are_invalid_input(self, make):
+        # A typed error, still a ValueError for existing ``except`` clauses.
+        with pytest.raises(InvalidInput):
+            make()
+
     @given(st.integers(min_value=0, max_value=500), st.integers(min_value=1, max_value=64))
     @settings(max_examples=20, deadline=None)
     def test_property_all_points_inside_bounds(self, n, k):

@@ -17,6 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.datasets.synthetic import clustered
+from repro.errors import InvalidInput
 from repro.geometry import rect_array
 from repro.geometry.rect import Rect
 from repro.index.aggregate_rtree import AggregateRTree
@@ -117,10 +119,29 @@ def _reference_tiling(boxes, capacity):
 def test_tiling_equals_list_reference(fanout, geometry, n, seed):
     # The pointer-tree oracle shares str_tiling with the build under test,
     # so the tiling itself is held against an independent reference.
-    boxes = _mbrs(n, geometry, seed)
+    _assert_tiling_is_reference(_mbrs(n, geometry, seed), fanout)
+
+
+def _assert_tiling_is_reference(boxes, fanout):
     perm, offs = str_tiling(boxes, fanout)
     tiles = [perm[lo:hi].tolist() for lo, hi in zip(offs[:-1], offs[1:])]
     assert tiles == _reference_tiling(boxes.tolist(), fanout)
+
+
+def test_tiling_equals_list_reference_at_workload_shape():
+    # cold_join's shape: 50k clustered points, almost no tied centres.
+    _assert_tiling_is_reference(clustered(n=50000, clusters=64, seed=41000).mbrs, 16)
+
+
+def test_tiling_equals_list_reference_on_a_lattice():
+    # Every centre on a 7 x 7 grid: all rows sit in tied runs on both axes.
+    # Dyadic coordinates keep every computed centre exactly on its grid point.
+    rng = np.random.default_rng(7)
+    lattice = rng.integers(0, 7, (20000, 2)) / 8.0
+    half = rng.integers(0, 4, (20000, 2)) / 64.0
+    boxes = np.hstack([lattice - half, lattice + half])
+    assert np.unique((boxes[:, :2] + boxes[:, 2:]) / 2.0, axis=0).shape == (49, 2)
+    _assert_tiling_is_reference(boxes, 16)
 
 
 def test_single_queries_on_an_inserted_tree_keep_descent_order():
@@ -145,6 +166,11 @@ def test_default_oids_and_argument_checks():
         FlatRTree.from_mbr_array(mbrs, oids=[1, 2, 3])
     with pytest.raises(ValueError):
         FlatRTree.from_mbr_array(mbrs, max_entries=3)
+
+
+def test_fractional_fanout_is_invalid_input():
+    with pytest.raises(InvalidInput):  # not a tree of 2- and 9-entry leaves
+        FlatRTree.from_mbr_array(_mbrs(40, "rects", 1), max_entries=4.5)
 
 
 def _pointer_area(node, window: Rect) -> float:
