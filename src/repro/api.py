@@ -215,7 +215,7 @@ def batch_join(
     bit-identical with or without them.
 
     Pass a ``broker`` to reuse its server builds, result cache and
-    calibration state across several batches.  A passed broker carries its
+    circuit breakers across several batches.  A passed broker carries its
     own configuration, so combining it with any ``broker_kwargs`` is an
     error rather than a silent override.  For continuous (non-batch)
     admission use :class:`repro.api.QueryService`.

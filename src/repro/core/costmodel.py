@@ -62,7 +62,7 @@ from repro.network.packets import (
 )
 from repro.server.server import INDEX_FANOUT
 
-__all__ = ["CalibratedCostModel", "CostModel", "CostBreakdown"]
+__all__ = ["CostModel", "CostBreakdown", "predict_algorithm_costs"]
 
 #: A stand-in for the paper's "infinite" cost of an infeasible strategy.
 INFEASIBLE = math.inf
@@ -364,13 +364,24 @@ class CostModel:
         return cost + t_inner * self.tb(payload)
 
 
-class CalibratedCostModel:
-    """The query service's algorithm-level planning front-end.
+def predict_algorithm_costs(
+    spec,
+    window: Rect,
+    n_r: int,
+    n_s: int,
+    config: NetworkConfig,
+    buffer_size: int,
+    bucket_queries: bool,
+    grid_k: int,
+) -> Dict[str, float]:
+    """Predicted tariff-weighted wire cost of every registry algorithm.
 
-    The Section 3.1 equations cost *strategies* for one window; the query
-    broker needs a coarser signal -- which registry algorithm should run a
-    whole query.  This front-end maps each algorithm name to a closed-form
-    root-window estimate built from the same equations:
+    The query broker's planning signal: the Section 3.1 equations cost
+    *strategies* for one window, the broker needs to know which registry
+    algorithm should run a whole query.  Each algorithm name maps to a
+    closed-form root-window estimate built from the same equations, under
+    the query's own configuration, buffer, ``bucket_queries`` and
+    ``grid_k``:
 
     * ``naive``     -- ship both windows wholesale (``c1`` without the
       buffer cut);
@@ -384,130 +395,37 @@ class CalibratedCostModel:
       split are enough);
     * ``semijoin``  -- the Section 5.3 relay estimate from index metadata.
 
-    Every prediction is multiplied by the algorithm's *calibration factor*
-    (1.0 until taught).  :meth:`observe` folds a measured run back into the
-    factor as an exponential moving average of measured/predicted (weight
-    :attr:`SMOOTHING` on the new ratio), so a broker serving a stable
-    workload converges onto the observed cost scale of each algorithm
-    without changing the underlying model.  The front-end stays
-    planning-only: measured totals always come from the channels.
+    ``spec`` is a :class:`~repro.core.join_types.JoinSpec`; its predicate's
+    probe radius parameterises the underlying :class:`CostModel`.  The
+    prediction is a pure function of its arguments: measured totals always
+    come from the channels and never feed back into it.
     """
-
-    #: Weight of a new measured/predicted ratio in the calibration average.
-    SMOOTHING = 0.5
-
-    def __init__(
-        self,
-        config: NetworkConfig,
-        buffer_size: int = 800,
-        bucket_queries: bool = False,
-        grid_k: int = 2,
-    ) -> None:
-        if buffer_size <= 0:
-            raise ValueError("buffer_size must be positive")
-        self.config = config
-        self.buffer_size = buffer_size
-        self.bucket_queries = bucket_queries
-        self.grid_k = grid_k
-        self._factors: Dict[str, float] = {}
-
-    # ------------------------------------------------------------------ #
-
-    def for_query(
-        self,
-        config: NetworkConfig,
-        buffer_size: int,
-        bucket_queries: bool,
-        grid_k: int,
-    ) -> "CalibratedCostModel":
-        """A twin of this front-end under per-query configuration.
-
-        The twin *shares* this front-end's calibration factors (one
-        calibration state per broker, whatever each query's buffer or
-        tariffs are); everything else is taken from the arguments.  Returns
-        ``self`` when nothing differs.
-        """
-        if (
-            config == self.config
-            and buffer_size == self.buffer_size
-            and bucket_queries == self.bucket_queries
-            and grid_k == self.grid_k
-        ):
-            return self
-        twin = CalibratedCostModel(
-            config,
-            buffer_size=buffer_size,
-            bucket_queries=bucket_queries,
-            grid_k=grid_k,
-        )
-        twin._factors = self._factors  # shared by design
-        return twin
-
-    def factor(self, algorithm: str) -> float:
-        """The current calibration factor of one algorithm (1.0 untaught)."""
-        return self._factors.get(algorithm.lower(), 1.0)
-
-    def observe(self, algorithm: str, predicted: float, measured: float) -> float:
-        """Fold one measured run into the algorithm's calibration factor.
-
-        ``predicted`` must be the *raw* (uncalibrated) estimate the factor
-        multiplied, i.e. ``predict()[algorithm] / factor(algorithm)`` at
-        planning time; degenerate observations (zero or infinite
-        predictions) are ignored.  Returns the updated factor.
-        """
-        key = algorithm.lower()
-        old = self.factor(key)
-        if not math.isfinite(predicted) or predicted <= 0 or measured < 0:
-            return old
-        ratio = measured / predicted
-        new = (1.0 - self.SMOOTHING) * old + self.SMOOTHING * ratio
-        self._factors[key] = new
-        return new
-
-    def predict(
-        self,
-        spec,
-        window: Rect,
-        n_r: int,
-        n_s: int,
-        calibrated: bool = True,
-    ) -> Dict[str, float]:
-        """Predicted tariff-weighted wire cost of every registry algorithm.
-
-        ``spec`` is a :class:`~repro.core.join_types.JoinSpec`; its
-        predicate's probe radius parameterises the underlying
-        :class:`CostModel`.  ``calibrated=False`` returns the raw model
-        estimates (used to keep :meth:`observe` idempotent in the factor).
-        """
-        model = CostModel(
-            self.config,
-            epsilon=spec.predicate().probe_radius(),
-            bucket_queries=self.bucket_queries,
-        )
-        k = self.grid_k
-        c1_free = model.c1(window, n_r, n_s, buffer_size=None, enforce_buffer=False)
-        c1 = model.c1(window, n_r, n_s, self.buffer_size)
-        c2 = model.c2(window, n_r, n_s)
-        c3 = model.c3(window, n_r, n_s)
-        c4 = model.c4_estimate(window, n_r, n_s, self.buffer_size, k=k)
-        # Section 4.1: |Dw'4| = |Dw| - sum(|Dw'i|) saves one of the four
-        # quadrant COUNTs per dataset per split.
-        c4_derived = c4 - 2.0 * (k * k) * model.taq / 4.0
-        adaptive = min(c1, c2, c3, c4)
-        adaptive_derived = min(c1, c2, c3, c4_derived)
-        n_small, n_large = min(n_r, n_s), max(n_r, n_s)
-        costs = {
-            "naive": c1_free,
-            "fixedgrid": c4,
-            "mobijoin": adaptive,
-            "upjoin": adaptive_derived,
-            "srjoin": adaptive_derived,
-            "semijoin": model.semijoin_estimate(
-                n_level_mbrs=max(1, math.ceil(n_large / INDEX_FANOUT)),
-                n_small_objects=n_small,
-                n_result_rows=n_small,
-            ),
-        }
-        if not calibrated:
-            return costs
-        return {name: cost * self.factor(name) for name, cost in costs.items()}
+    model = CostModel(
+        config,
+        epsilon=spec.predicate().probe_radius(),
+        bucket_queries=bucket_queries,
+    )
+    k = grid_k
+    c1_free = model.c1(window, n_r, n_s, buffer_size=None, enforce_buffer=False)
+    c1 = model.c1(window, n_r, n_s, buffer_size)
+    c2 = model.c2(window, n_r, n_s)
+    c3 = model.c3(window, n_r, n_s)
+    c4 = model.c4_estimate(window, n_r, n_s, buffer_size, k=k)
+    # Section 4.1: |Dw'4| = |Dw| - sum(|Dw'i|) saves one of the four
+    # quadrant COUNTs per dataset per split.
+    c4_derived = c4 - 2.0 * (k * k) * model.taq / 4.0
+    adaptive = min(c1, c2, c3, c4)
+    adaptive_derived = min(c1, c2, c3, c4_derived)
+    n_small, n_large = min(n_r, n_s), max(n_r, n_s)
+    return {
+        "naive": c1_free,
+        "fixedgrid": c4,
+        "mobijoin": adaptive,
+        "upjoin": adaptive_derived,
+        "srjoin": adaptive_derived,
+        "semijoin": model.semijoin_estimate(
+            n_level_mbrs=max(1, math.ceil(n_large / INDEX_FANOUT)),
+            n_small_objects=n_small,
+            n_result_rows=n_small,
+        ),
+    }

@@ -14,10 +14,10 @@ from __future__ import annotations
 import inspect
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.core.base import AlgorithmParameters, MobileJoinAlgorithm
-from repro.core.costmodel import CalibratedCostModel
+from repro.core.costmodel import predict_algorithm_costs
 from repro.core.join_types import JoinSpec
 from repro.core.mobijoin import MobiJoin
 from repro.core.naive import FixedGridJoin, NaiveDownloadJoin
@@ -86,8 +86,8 @@ def _algorithm_key(name: str) -> str:
 class PlanDecision:
     """The outcome of algorithm selection for one query.
 
-    ``predicted`` maps every candidate algorithm to its calibrated
-    transfer-cost estimate; ``algorithm`` is the one that will run.  When
+    ``predicted`` maps every selectable algorithm to its predicted
+    transfer cost; ``algorithm`` is the one that will run.  When
     the query named an algorithm explicitly, ``overridden`` is True and
     ``predicted`` still reports what the model would have thought -- the
     broker's ``explain()`` surfaces both so predicted vs. chosen plans stay
@@ -104,33 +104,34 @@ class PlanDecision:
 
 
 def select_algorithm(
-    model: CalibratedCostModel,
     spec: JoinSpec,
     window: Rect,
     n_r: int,
     n_s: int,
+    config: NetworkConfig,
+    buffer_size: int,
+    params: AlgorithmParameters,
     algorithm: Optional[str] = None,
-    candidates: Optional[Sequence[str]] = None,
 ) -> PlanDecision:
     """Pick the algorithm for one query, or honour an explicit override.
 
-    ``candidates`` defaults to :data:`SELECTABLE_ALGORITHMS`; an explicit
-    ``algorithm`` (any registry name) short-circuits the choice but the
-    prediction set is still computed and reported, so callers can compare
-    the override against the model's preference.
+    The pick is the cheapest of :data:`SELECTABLE_ALGORITHMS` under
+    :func:`~repro.core.costmodel.predict_algorithm_costs` for the query's
+    own configuration, buffer and parameters.  An explicit ``algorithm``
+    (any registry name) short-circuits the choice but the prediction set is
+    still computed and reported, so callers can compare the override
+    against the model's preference.
     """
-    pool = tuple(candidates) if candidates is not None else SELECTABLE_ALGORITHMS
-    for name in pool:
-        if name.lower() not in ALGORITHMS:
-            raise ValueError(f"unknown candidate algorithm {name!r}")
-    predicted = model.predict(spec, window, n_r, n_s)
-    predicted = {name: predicted[name.lower()] for name in pool}
+    predicted = predict_algorithm_costs(
+        spec, window, n_r, n_s, config, buffer_size, params.bucket_queries, params.grid_k
+    )
+    predicted = {name: predicted[name] for name in SELECTABLE_ALGORITHMS}
     if algorithm is not None:
         return PlanDecision(
             algorithm=_algorithm_key(algorithm), predicted=predicted, overridden=True
         )
     chosen = min(predicted, key=lambda k: (predicted[k], k))
-    return PlanDecision(algorithm=chosen.lower(), predicted=predicted, overridden=False)
+    return PlanDecision(algorithm=chosen, predicted=predicted, overridden=False)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,10 @@
 """The multi-tenant query service.
 
 A serving layer over the join substrate: :class:`JoinQuery` describes one
-client request, :class:`QueryBroker` plans it (calibrated cost-model
-front-end with explicit-algorithm override), admits it in deterministic
-waves, deduplicates it through the :class:`~repro.service.cache.ResultCache`
+client request, and :meth:`QueryBroker.run_batch` (the broker's one entry
+point) plans it (the cheapest predicted algorithm, a pure function of the
+query, or an explicit override), admits it in deterministic waves,
+deduplicates it through the :class:`~repro.service.cache.ResultCache`
 (LRU, lock-guarded, results deep-frozen at insertion) and executes it
 cooperatively on the shared frontier engine -- coalescing the COUNT
 exchanges of all in-flight queries per backing server while keeping every

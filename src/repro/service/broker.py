@@ -3,22 +3,23 @@
 PRs 1-4 built the substrate for serving many clients at once: immutable
 shared server stacks, batched COUNT/WINDOW/RANGE endpoints, and a
 level-order frontier engine that amortises exchanges *within* one query.
-This module adds the serving layer itself.  A :class:`QueryBroker` accepts
-batches of join queries -- possibly over different dataset pairs, specs and
-buffer sizes -- and
+This module adds the serving layer itself.  A :class:`QueryBroker` has one
+entry point, :meth:`QueryBroker.run_batch`: it takes a batch of join
+queries -- possibly over different dataset pairs, specs and buffer sizes --
+and
 
-1. **plans** each query: the calibrated cost-model front-end
-   (:class:`~repro.core.costmodel.CalibratedCostModel`) predicts every
-   registry algorithm's transfer cost and
-   :func:`~repro.core.planner.select_algorithm` picks the cheapest; an
-   explicit ``algorithm=`` on the query overrides the choice, and
+1. **plans** each query: :func:`~repro.core.planner.select_algorithm`
+   predicts every selectable algorithm's transfer cost from the query's own
+   configuration (:func:`~repro.core.costmodel.predict_algorithm_costs`, a
+   pure function of the query) and picks the cheapest; an explicit
+   ``algorithm=`` on the query overrides the choice, and
    :meth:`QueryBroker.explain` reports predicted vs. chosen either way;
 
 2. **admits** the planned queries in deterministic waves of at most
    ``max_wave``, deduplicating identical queries through the result cache
    (keyed on datasets, spec, algorithm and configuration): a warm cache
    serves a query without executing anything, and identical queries inside
-   one submission share a single execution;
+   one batch share a single execution;
 
 3. **executes** each wave cooperatively.  Every query runs on its own
    session stack -- own metered channels, own device, own statistics
@@ -54,7 +55,6 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
-from repro.core.costmodel import CalibratedCostModel
 from repro.core.planner import PlanDecision, build_algorithm, select_algorithm
 from repro.core.result import JoinResult
 from repro.device.pda import MobileDevice
@@ -79,10 +79,10 @@ class BrokerStats:
     """Service-level accounting (metering of the joins themselves stays on
     each query's own channels).
 
-    Counter updates go through :meth:`bump`, which holds the stats lock:
-    the async service lane increments ``queries_submitted`` from client
-    threads while the admission thread advances the wave counters, so
-    plain unguarded ``+=`` would drop updates.
+    Counter updates go through :meth:`bump`, which holds the stats lock.
+    Only the thread running :meth:`QueryBroker.run_batch` bumps them, but
+    client threads of the async service lane read :meth:`as_dict` while a
+    batch runs, and the lock gives them a consistent snapshot.
     """
 
     queries_submitted: int = 0
@@ -131,8 +131,8 @@ class _Admitted:
     #: (``failure`` then holds the typed error and nothing executes).
     plan: Optional[PlanDecision]
     key: Optional[Tuple]
-    #: Position in the outcome list of the batch (assigned on queueing).
-    index: int = -1
+    #: Position of the query in its batch (and in the outcome list).
+    index: int
     outcome: Optional[QueryOutcome] = None
     # wave-execution state
     base_r: Optional[SpatialServer] = None
@@ -206,13 +206,6 @@ class QueryBroker:
         Payload byte budget of the broker-built result cache
         (:data:`DEFAULT_CACHE_MAX_BYTES` by default; ``None`` for
         unbounded).  Ignored when a pre-built cache is passed.
-    calibrate:
-        When True, every executed query's measured cost is folded back
-        into the calibration factors of :attr:`selector` (the broker's
-        :class:`~repro.core.costmodel.CalibratedCostModel`, built from
-        ``config`` with every factor at 1.0) *after* its batch finishes.
-        Off by default so that plan selection -- and therefore every
-        result -- is independent of submission order.
     breaker_threshold:
         Consecutive :class:`ServerUnavailable` failures against one
         backing server before its circuit breaker opens and the broker
@@ -241,7 +234,6 @@ class QueryBroker:
         config: Optional[NetworkConfig] = None,
         max_wave: int = 16,
         cache: object = True,
-        calibrate: bool = False,
         breaker_threshold: int = 3,
         breaker_cooldown_waves: int = 2,
         cache_max_bytes: Optional[int] = DEFAULT_CACHE_MAX_BYTES,
@@ -255,7 +247,6 @@ class QueryBroker:
         require_count(max_server_builds, "max_server_builds", unbounded=True)
         self.config = config or NetworkConfig()
         self.max_wave = max_wave
-        self.calibrate = calibrate
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics
         if isinstance(cache, ResultCache):
@@ -267,13 +258,10 @@ class QueryBroker:
                 max_bytes=cache_max_bytes,
                 metrics=metrics,
             )
-        self.selector = CalibratedCostModel(self.config)
         self.stats = BrokerStats()
-        # Guards the submission queue and the server-build cache: the async
-        # service lane submits from client threads while the admission
-        # thread executes.
+        # Guards the server-build cache and the breakers: a client thread
+        # may call clear_caches() while the admission thread executes.
         self._lock = threading.RLock()
-        self._pending: List[_Admitted] = []
         self.max_server_builds = max_server_builds
         self._servers: "OrderedDict[Tuple, Tuple[SpatialServer, SpatialServer]]" = (
             OrderedDict()
@@ -284,7 +272,7 @@ class QueryBroker:
         #: (``(name, registration uid)``) -- see :class:`_Breaker`.
         self._breakers: Dict[Tuple[str, int], _Breaker] = {}
         #: Monotone wave clock driving breaker cooldowns (counts every
-        #: executed wave across all ``execute()`` calls).
+        #: executed wave across all ``run_batch()`` calls).
         self._wave_counter = 0
         # --- observability state (all None / 0 while hooks are off) ---
         #: Monotone batch counter labelling "execute" spans.
@@ -354,90 +342,49 @@ class QueryBroker:
         prediction set is reported either way so the override can be
         compared against the model's own preference.
         """
-        params = query.resolved_params()
-        # Predict under the query's own configuration, sharing the broker's
-        # calibration state.
-        selector = self.selector.for_query(
-            query.config or self.config,
-            buffer_size=query.buffer_size,
-            bucket_queries=params.bucket_queries,
-            grid_k=params.grid_k,
-        )
         return select_algorithm(
-            selector,
             query.spec,
             query.resolved_window(),
             len(query.dataset_r),
             len(query.dataset_s),
+            config=query.config or self.config,
+            buffer_size=query.buffer_size,
+            params=query.resolved_params(),
             algorithm=query.algorithm,
         )
 
     # ------------------------------------------------------------------ #
-    # submission / admission
+    # admission and execution
     # ------------------------------------------------------------------ #
-
-    def _plan(self, query: JoinQuery) -> _Admitted:
-        """Plan and key one query; queues nothing."""
-        plan = self.explain(query)
-        return _Admitted(
-            query=query, plan=plan, key=query_key(query, plan.algorithm, self.config)
-        )
-
-    def _enqueue(self, entries: List[_Admitted]) -> List[int]:
-        with self._lock:
-            for entry in entries:
-                entry.index = len(self._pending)
-                self._pending.append(entry)
-        self.stats.bump(queries_submitted=len(entries))
-        return [entry.index for entry in entries]
-
-    def submit(self, query: JoinQuery) -> int:
-        """Plan and enqueue one query; returns its ticket index.
-
-        Tickets are positions in the outcome list of the next
-        :meth:`execute` call.  A query that cannot be planned raises and
-        is not queued.
-        """
-        return self._enqueue([self._plan(query)])[0]
 
     def run_batch(self, queries: Sequence[JoinQuery]) -> List[QueryOutcome]:
-        """Submit a batch and execute it; outcomes in submission order.
+        """Plan and execute a batch; outcomes in submission order.
 
-        Atomic: every query is planned and keyed before any is queued, so
-        a raise while planning leaves nothing behind for the next batch.
-        The planning-time twin of :meth:`_fail_entry`: a typed
-        :class:`~repro.errors.ReproError` while planning one query becomes
-        that query's ``"failed"`` outcome and its neighbours run untouched;
-        anything else is a bug and propagates.
-        """
-        batch = []
-        for query in queries:
-            try:
-                batch.append(self._plan(query))
-            except ReproError as error:
-                batch.append(_Admitted(query=query, plan=None, key=None, failure=error))
-        self._enqueue(batch)
-        return self.execute()
-
-    # ------------------------------------------------------------------ #
-    # execution
-    # ------------------------------------------------------------------ #
-
-    def execute(self) -> List[QueryOutcome]:
-        """Run every pending query; returns outcomes in submission order.
+        Every query is planned and keyed before any executes, so a raise
+        while planning leaves nothing behind (not even a
+        ``queries_submitted`` count).  The planning-time twin of
+        :meth:`_fail_entry`: a typed :class:`~repro.errors.ReproError`
+        while planning one query becomes that query's ``"failed"`` outcome
+        and its neighbours run untouched; anything else is a bug and
+        propagates.
 
         Warm cache hits never execute; identical queries within the batch
         share one execution (the first occurrence leads) when the result
         cache is enabled.  The remaining distinct queries run in waves of
         at most ``max_wave``, all queries of a wave advancing in lock-step
-        rounds with the steps they offer evaluated together per backing server.
-
-        The batch is taken off the queue up front: if a query raises
-        mid-wave the whole batch is discarded rather than left to leak
-        into the next :meth:`execute` call.
+        rounds with the steps they offer evaluated together per backing
+        server.
         """
-        with self._lock:
-            batch, self._pending = self._pending, []
+        batch = []
+        for index, query in enumerate(queries):
+            try:
+                plan = self.explain(query)
+                key = query_key(query, plan.algorithm, self.config)
+            except ReproError as error:
+                batch.append(_Admitted(query, None, None, index, failure=error))
+            else:
+                batch.append(_Admitted(query, plan, key, index))
+        self.stats.bump(queries_submitted=len(batch))
         if self.tracer.enabled:
             self._batch_counter += 1
             self._batch_span = self.tracer.span(
@@ -506,15 +453,7 @@ class QueryBroker:
                 self.stats.bump(queries_failed=1)
                 if self._m_queries is not None:
                     self._m_queries.inc(status=lead.status)
-        outcomes = []
-        for entry in sorted(batch, key=lambda e: e.index):
-            assert entry.outcome is not None
-            outcomes.append(entry.outcome)
-        if self.calibrate:
-            for outcome in outcomes:
-                if not outcome.cached and outcome.status == "ok":
-                    self._observe(outcome)
-        return outcomes
+        return [entry.outcome for entry in batch]
 
     # ------------------------------------------------------------------ #
     # internals
@@ -522,8 +461,8 @@ class QueryBroker:
 
     def _settle_failure(self, entry: _Admitted, wave: int) -> None:
         """Graceful degradation: a query that failed -- to plan, or inside
-        its wave -- is isolated: no cached result, no calibration, the typed
-        error on its outcome."""
+        its wave -- is isolated: no cached result, the typed error on its
+        outcome."""
         entry.outcome = QueryOutcome(
             query=entry.query,
             result=None,
@@ -619,14 +558,13 @@ class QueryBroker:
 
     def _build_stack(self, entry: _Admitted) -> None:
         """One isolated session stack per query: statistics views of the
-        cached servers, fresh metered channels, a fresh device."""
+        cached servers (looked up once, by :meth:`_check_breaker`), fresh
+        metered channels, a fresh device."""
         query = entry.query
-        base_r, base_s = self._base_servers(query)
-        entry.base_r, entry.base_s = base_r, base_s
         algorithm = entry.plan.algorithm
         entry.device = query.stack.connect(
-            base_r.shared_view(),
-            base_s.shared_view(),
+            entry.base_r.shared_view(),
+            entry.base_s.shared_view(),
             config=query.config or self.config,
             indexed=algorithm == "semijoin",
             buffer_size=query.buffer_size,
@@ -987,36 +925,6 @@ class QueryBroker:
                 entry.span.close()
             entry.gen = None
             entry.device = None
-
-    def _observe(self, outcome: QueryOutcome) -> None:
-        """Fold one measured run into the selector's calibration factors.
-
-        The raw prediction must come from the same per-query front-end twin
-        that planned the query (same buffer, tariffs, grid fan-out), or the
-        factor would absorb the configuration difference instead of the
-        model error.
-        """
-        algorithm = outcome.plan.algorithm
-        if algorithm not in outcome.plan.predicted:
-            return
-        query = outcome.query
-        params = query.resolved_params()
-        selector = self.selector.for_query(
-            query.config or self.config,
-            buffer_size=query.buffer_size,
-            bucket_queries=params.bucket_queries,
-            grid_k=params.grid_k,
-        )
-        raw = selector.predict(
-            query.spec,
-            query.resolved_window(),
-            len(query.dataset_r),
-            len(query.dataset_s),
-            calibrated=False,
-        )[algorithm]
-        # The twin shares the broker selector's factor table, so observing
-        # through it updates the one calibration state.
-        selector.observe(algorithm, raw, outcome.result.total_cost)
 
 
 def resolve_broker(broker: Optional[QueryBroker], broker_kwargs: Dict) -> QueryBroker:

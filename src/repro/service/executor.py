@@ -52,11 +52,11 @@ class QueryService:
     ----------
     broker:
         A pre-built :class:`~repro.service.broker.QueryBroker` to serve
-        through (its cache, calibration state and hooks apply), or
+        through (its caches, breakers and hooks apply), or
         ``None`` to build one from ``broker_kwargs``.
     broker_kwargs:
         :class:`~repro.service.broker.QueryBroker` constructor arguments
-        (``config``, ``max_wave``, ``cache``, ``calibrate``,
+        (``config``, ``max_wave``, ``cache``, ``breaker_threshold``,
         ``cache_max_bytes``, ``tracer``, ``metrics``, ...); combining any
         of them with a pre-built broker is a ``ValueError`` rather than a
         silent override.

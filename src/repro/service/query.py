@@ -3,11 +3,11 @@
 A :class:`JoinQuery` is one client request: which two datasets to join,
 under which :class:`~repro.core.join_types.JoinSpec`, with which device and
 wire configuration -- and, optionally, which algorithm (``algorithm=None``
-lets the broker's calibrated cost-model front-end choose).  Queries are
-plain immutable descriptions; all execution state (servers, channels,
-device) is owned by the broker, which is what lets many queries over the
-same datasets share one server build while keeping their metering ledgers
-fully isolated.
+lets the broker pick the cheapest predicted one).  Queries are plain
+immutable descriptions; all execution state (servers, channels, device) is
+owned by the broker, which is what lets many queries over the same
+datasets share one server build while keeping their metering ledgers fully
+isolated.
 
 A :class:`QueryOutcome` pairs the query with its measured
 :class:`~repro.core.result.JoinResult`, the plan decision that picked its
@@ -56,9 +56,10 @@ class JoinQuery:
     spec:
         The join query (intersection / distance / iceberg).
     algorithm:
-        Explicit registry algorithm, or ``None`` to let the calibrated
-        cost-model front-end choose among
-        :data:`~repro.core.planner.SELECTABLE_ALGORITHMS`.
+        Explicit registry algorithm, or ``None`` to let the broker pick
+        the cheapest predicted one of
+        :data:`~repro.core.planner.SELECTABLE_ALGORITHMS`
+        (:func:`~repro.core.planner.select_algorithm`).
     buffer_size:
         Device buffer capacity in objects for this query.
     params:

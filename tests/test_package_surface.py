@@ -36,8 +36,12 @@ SELECTOR_NAMES = {"execution", "method", "fuse", "coalesce"}
 
 #: Options no caller ever set, each turned into the one value in use: the
 #: healthy-first replica order, index fanout 16, a serial sweep, the
-#: broker's default-built cost model and its calibration weight.
-REMOVED_OPTIONS = {"router", "index_fanout", "workers", "selector", "smoothing"}
+#: broker's default-built cost model, its calibration weight, calibration
+#: itself (on, or raw predictions) and the planner's candidate pool.
+REMOVED_OPTIONS = {
+    "router", "index_fanout", "workers", "selector", "smoothing", "calibrate",
+    "calibrated", "candidates",
+}
 
 #: The batch and scalar endpoints of a server connection.
 CONNECTION_ENDPOINTS = {
@@ -108,6 +112,20 @@ def test_no_entry_point_takes_an_implementation_selector():
         for name, names in _signatures(path)
         if names & REMOVED_OPTIONS
     ] == []
+
+
+def test_the_broker_has_one_entry_point_and_a_stateless_planner():
+    # ``run_batch`` is the way in (``QueryService`` keeps its own queue and
+    # calls it), and a plan is a pure function of its query: no learned
+    # correction, no selector object, no per-query twin of one.
+    from repro.core import costmodel
+    from repro.service.broker import QueryBroker
+
+    broker = QueryBroker()
+    for name in ("submit", "execute", "selector", "calibrate", "_pending"):
+        assert not hasattr(broker, name), name
+    assert not hasattr(costmodel, "CalibratedCostModel")
+    assert len(inspect.signature(QueryBroker).parameters) == 9
 
 
 def _touches_servers(tree: ast.AST):

@@ -16,6 +16,7 @@ pins the *correctness traps* the service fixes:
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import numpy as np
@@ -373,16 +374,16 @@ class TestQueryService:
 
     def test_broker_xor_kwargs(self):
         """A pre-built broker plus *any* broker argument is refused, in
-        both entry points -- ``cache=`` / ``calibrate=`` included, whose
-        defaults are not ``None``."""
+        both entry points -- ``cache=`` / ``breaker_threshold=`` included,
+        whose defaults are not ``None``."""
         from repro.api import batch_join
 
         broker = QueryBroker(cache=False)
         for kwargs in (
             {"max_wave": 2},
             {"cache": False},
-            {"calibrate": True},
-            {"cache": False, "calibrate": True},
+            {"breaker_threshold": 3},
+            {"cache": False, "breaker_threshold": 3},
         ):
             with pytest.raises(ValueError, match="pre-built broker"):
                 QueryService(broker, **kwargs)
@@ -457,6 +458,62 @@ class TestTypedServiceErrors:
         service.close(wait=True)
         # The in-flight query still completed normally.
         assert service.result(first, timeout=0).result.num_pairs > 0
+        with pytest.raises(ServiceClosed):
+            service.submit(_query(r, s))
+
+    @pytest.mark.parametrize("cancel_pending", [False, True])
+    def test_close_racing_submit_settles_every_ticket(self, cancel_pending):
+        """Client threads keep submitting while another thread closes the
+        service: each ``submit`` either raises ``ServiceClosed`` or returns
+        a ticket whose ``result()`` completes (ok, or ``ServiceClosed`` for
+        a cancelled one), ``drain()`` returns, and no thread hangs."""
+        from repro.errors import ServiceClosed
+
+        r, s = _datasets()
+        service = QueryService()
+        start, submitted = threading.Barrier(5), threading.Event()
+        tickets, ends, errors = [], [], []
+
+        def client():
+            start.wait(60)
+            try:
+                for _ in range(100):
+                    try:
+                        tickets.append(service.submit(_query(r, s, algorithm="naive")))
+                    except ServiceClosed:
+                        ends.append("refused")
+                        return
+                    submitted.set()
+                ends.append("done")
+            except Exception as error:  # noqa: BLE001 -- reported below
+                errors.append(error)
+
+        def closer():
+            start.wait(60)
+            submitted.wait(60)  # close while the clients are mid-stream
+            service.close(wait=True, cancel_pending=cancel_pending)
+
+        threads = [threading.Thread(target=client) for _ in range(4)]
+        threads.append(threading.Thread(target=closer))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # more interleavings of submit and close
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == [] and len(ends) == 4 and tickets
+        service.drain(timeout=60)
+        statuses = []
+        for ticket in tickets:
+            try:
+                statuses.append(service.result(ticket, timeout=60).status)
+            except ServiceClosed:
+                statuses.append("closed")
+        assert set(statuses) <= ({"ok", "closed"} if cancel_pending else {"ok"})
         with pytest.raises(ServiceClosed):
             service.submit(_query(r, s))
 

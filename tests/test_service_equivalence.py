@@ -21,19 +21,29 @@ orders, and with the result cache cold and warm.
 
 from __future__ import annotations
 
+import itertools
 import random
+from collections import Counter
 from typing import Dict, List, Tuple
 
 import numpy as np
 import pytest
 
-from repro.core.costmodel import CalibratedCostModel
+from repro.core import planner
+from repro.core.base import AlgorithmParameters
 from repro.core.join_types import JoinSpec
-from repro.core.planner import ALGORITHMS, SELECTABLE_ALGORITHMS, StackConfig, run_join
+from repro.core.planner import (
+    ALGORITHMS,
+    SELECTABLE_ALGORITHMS,
+    StackConfig,
+    run_join,
+    select_algorithm,
+)
 from repro.datasets.dataset import SpatialDataset
 from repro.datasets.synthetic import clustered, uniform
 from repro.errors import InvalidInput
 from repro.geometry.rect import Rect
+from repro.network.config import NetworkConfig
 from repro.service import JoinQuery, QueryBroker
 from repro.service.cache import query_key
 
@@ -293,14 +303,14 @@ class TestResultCache:
             JoinQuery(r, s, spec, algorithm=name, buffer_size=BUFFER)
             for name in ("upjoin", "srjoin", "mobijoin")
         ]
-        predict, calls = CalibratedCostModel.predict, iter(range(1, 10))
+        predict, calls = planner.predict_algorithm_costs, iter(range(1, 10))
 
-        def second_prediction_raises(self, *args, **kwargs):
+        def second_prediction_raises(*args, **kwargs):
             if next(calls) == 2:
                 raise RuntimeError("injected planner bug")
-            return predict(self, *args, **kwargs)
+            return predict(*args, **kwargs)
 
-        monkeypatch.setattr(CalibratedCostModel, "predict", second_prediction_raises)
+        monkeypatch.setattr(planner, "predict_algorithm_costs", second_prediction_raises)
         broker = QueryBroker()
         with pytest.raises(RuntimeError, match="injected planner bug"):
             broker.run_batch(queries)
@@ -439,32 +449,35 @@ class TestPlanSelection:
         assert first.result.pairs == set()
         _assert_identical(second.result, _standalone(healthy, second.algorithm))
 
-    def test_unknown_algorithm_rejected_at_submission(self):
+    def test_unknown_algorithm_rejected_at_construction(self):
         r, s = _datasets()
-        broker = QueryBroker()
-        with pytest.raises(ValueError):
-            broker.submit(JoinQuery(r, s, JoinSpec.intersection(), algorithm="bogus"))
+        with pytest.raises(InvalidInput, match="unknown algorithm 'bogus'"):
+            JoinQuery(r, s, JoinSpec.intersection(), algorithm="bogus")
 
-    def test_calibration_learns_measured_scale(self):
-        r, s = _datasets()
-        spec = JoinSpec.distance(0.03)
-        broker = QueryBroker(calibrate=True)
-        query = JoinQuery(r, s, spec, algorithm="upjoin", buffer_size=BUFFER)
-        before = broker.selector.factor("upjoin")
-        broker.run_batch([query])
-        after = broker.selector.factor("upjoin")
-        assert before == 1.0
-        assert after != 1.0
-        # The factor moved toward measured/raw-predicted -- with the raw
-        # prediction taken under the *query's* configuration (buffer 96),
-        # not the broker defaults.
-        raw = broker.selector.for_query(
-            broker.config, buffer_size=BUFFER, bucket_queries=False, grid_k=2
-        ).predict(spec, query.resolved_window(), len(r), len(s), calibrated=False)[
-            "upjoin"
-        ]
-        measured = _standalone(query, "upjoin").total_cost
-        assert after == pytest.approx(0.5 * 1.0 + 0.5 * measured / raw)
+    def test_upjoin_ties_srjoin_so_the_planner_never_picks_upjoin(self):
+        """UpJoin and SrJoin get one prediction and ties break alphabetically,
+        so over 1,200 buffers x epsilons x counts x window sides the pick is
+        SrJoin on the tie and never UpJoin.  The pick counts are pinned: a
+        change to the root estimates moves them only on purpose."""
+        counts = (0, 10, 100, 1000, 20000)
+        picks = Counter()
+        for buffer, epsilon, n_r, n_s, side in itertools.product(
+            (50, 100, 800, 5000), (0, 0.001, 0.005, 0.03), counts, counts, (0.01, 0.3, 1.0)
+        ):
+            spec = JoinSpec.distance(epsilon) if epsilon else JoinSpec.intersection()
+            plan = select_algorithm(
+                spec,
+                Rect(0.0, 0.0, side, side),
+                n_r,
+                n_s,
+                config=NetworkConfig(),
+                buffer_size=buffer,
+                params=AlgorithmParameters(),
+            )
+            assert plan.predicted["upjoin"] == plan.predicted["srjoin"]
+            assert plan.algorithm != "upjoin"
+            picks[plan.algorithm] += 1
+        assert picks == {"mobijoin": 912, "naive": 248, "srjoin": 40}
 
 
 class TestBrokerDeterminism:
