@@ -197,6 +197,52 @@ def test_bench_window_batch_at_workload_shape(benchmark):
     assert bounds[-1] == rows.shape[0] > 0
 
 
+@pytest.mark.parametrize("windows", [1, 4, 37])
+@pytest.mark.parametrize("kind", ["count", "window", "range"])
+def test_bench_small_descent(benchmark, kind, windows):
+    """A descent's fixed cost: one COUNT / WINDOW / RANGE call of a few rows
+    (``broker_waves`` asks 37 windows per call on average, many calls far
+    fewer), on a 20k tree whose page table is built."""
+    tree = FlatRTree.from_mbr_array(clustered(n=20000, clusters=128, seed=41000).mbrs, max_entries=16)
+    wins = _workload_windows(tree, 32, windows, 0.002)
+    tree._page_table()
+    if kind == "count":
+        assert benchmark(tree.count_batch, wins).min() > 0
+    elif kind == "window":
+        bounds, rows = benchmark(tree.window_batch_flat, wins)
+        assert bounds[-1] == rows.shape[0] > 0
+    else:
+        centres, radii = (wins[:, :2] + wins[:, 2:]) / 2, np.full(windows, 0.01)
+        bounds, rows = benchmark(tree.range_batch_flat, centres, radii)
+        assert bounds[-1] == rows.shape[0]
+
+
+@pytest.mark.parametrize("items", [1, 4])
+def test_bench_small_grid_free_join(benchmark, items):
+    """A leaf join's fixed cost: one batch of ``items`` grid-free windows,
+    under 200 rows in all, as a narrow frontier level hands them over."""
+    from repro.index.hash_join import JoinBatch, grid_hash_join_batch
+
+    eps = 0.002
+    r = clustered(n=20000, clusters=128, seed=41000)
+    s = clustered(n=20000, clusters=128, seed=41500)
+    picked = []
+    for cell in rect_array.subdivide_window(Rect(0.0, 0.0, 1.0, 1.0), 64).reshape(-1, 4):
+        window = Rect(*cell.tolist())
+        a, b = (
+            data.mbrs[rect_array.intersects_window(data.mbrs, grown)]
+            for data, grown in ((r, window), (s, window.expanded(eps)))
+        )
+        if 0 < a.shape[0] and 0 < b.shape[0] and a.shape[0] + b.shape[0] <= 150 // items:
+            picked.append((a, np.arange(a.shape[0]), b, np.arange(b.shape[0])))
+        if len(picked) == items:
+            break
+    batch = JoinBatch.from_items(picked)
+    assert len(picked) == items and batch.a_bounds[-1] + batch.b_bounds[-1] < 200
+    pairs, starts = benchmark(grid_hash_join_batch, batch, WithinDistancePredicate(eps))
+    assert starts.shape == (items + 1,)
+
+
 def test_bench_rtree_window_queries(benchmark):
     dataset = uniform(n=5000, seed=6)
     tree = FlatRTree.from_mbr_array(dataset.mbrs, dataset.oids, max_entries=16)

@@ -14,11 +14,14 @@ descents and the two in-memory join kernels, and pickles *version-agnostic*
 arguments: plain arrays, the queried trees as their constructor arrays, the
 predicate as ``(class name, probe radius)``.  ``replay`` rebuilds them in one
 subprocess per checkout and round (``<checkout>/src`` first on ``sys.path``),
-times every call, prints the per-method minimum over the rounds --
-alternating the checkouts when given two -- and saves the first round's
-outputs as ``<capture stem>.<checkout name>.npz``.  ``compare`` is
+times every call -- alternating the checkouts when given two -- and saves
+the first round's outputs as ``<capture stem>.<checkout name>.npz``.  Per
+method it prints the smallest pass total, the sum over calls of each call's
+minimum across rounds, and a call's fixed cost (the intercept of a
+least-squares line of call time against rows).  ``compare`` is
 ``array_equal`` + dtype, call by call.  Timings on a shared box wobble +-10%
-even as a minimum: read ratios, over several alternations.
+even as a minimum pass: judge a change by the sum of call minima, over at
+least five alternating rounds.
 """
 
 from __future__ import annotations
@@ -119,18 +122,20 @@ def _worker(capture_path: str, checkout: str, save: str) -> None:
         name, radius = spec
         return predicates.WithinDistancePredicate(radius) if name == "WithinDistancePredicate" else getattr(predicates, name)()
 
-    seconds, outputs = {}, {}
+    timed, outputs = [], {}
     gc.collect()
     for i, (name, key, args) in enumerate(cap["calls"]):
         if name in DESCENTS:
-            call = getattr(trees[key], name)
+            call, rows = getattr(trees[key], name), args[0].shape[0]
         elif name == "sweep":
             call, args = plane_sweep_pair_arrays_segmented, (*args[:4], predicate(args[4]))
+            rows = args[0].shape[0] + args[2].shape[0]
         else:
             call, args = grid_hash_join_batch, (JoinBatch(*args[0]), predicate(args[1]), args[2] or None)
+            rows = args[0].a_mbrs.shape[0] + args[0].b_mbrs.shape[0]
         t0 = time.perf_counter()
         result = call(*args)
-        seconds[name] = seconds.get(name, 0.0) + time.perf_counter() - t0
+        timed.append((name, rows, time.perf_counter() - t0))
         if save:
             parts = result if isinstance(result, tuple) else (result,)
             if name == "sweep":  # its pair order is an implementation detail
@@ -140,11 +145,22 @@ def _worker(capture_path: str, checkout: str, save: str) -> None:
                 outputs[f"{i:06d}.{name}.{k}"] = part
     if save:
         np.savez(save, **outputs)
-    print(json.dumps(seconds))
+    print(json.dumps(timed))
 
 
 def replay(capture_path: Path, checkouts, rounds: int) -> None:
-    best = {}
+    """Per checkout and method, three readings over ``rounds`` passes:
+
+    * ``min pass``: the smallest per-pass total (what one pass costs when
+      nothing interferes with the whole of it);
+    * ``sum of call minima``: every call's fastest round, summed -- noise
+      that hits one call in one pass drops out, so this is the steadier
+      reading on a busy box;
+    * ``intercept us``: the fixed cost of a call, the intercept of a
+      least-squares line through the call minima against the call's rows
+      (windows / probes for a descent, both sides' rows for a kernel).
+    """
+    passes, minima = {}, {}
     for rnd in range(rounds):
         # Alternate which checkout runs first.
         for checkout in checkouts if rnd % 2 == 0 else checkouts[::-1]:
@@ -154,16 +170,35 @@ def replay(capture_path: Path, checkouts, rounds: int) -> None:
                 [sys.executable, __file__, "_worker", str(capture_path), checkout, save],
                 check=True, capture_output=True, text=True,
             )
-            seconds = json.loads(done.stdout.strip().splitlines()[-1])
-            mine = best.setdefault(label, {})
-            for name, value in seconds.items():
-                mine[name] = min(mine.get(name, value), value)
+            timed = json.loads(done.stdout.strip().splitlines()[-1])
+            names, rows, seconds = map(np.array, zip(*timed))
+            minima[label] = np.minimum(minima.get(label, seconds), seconds)
+            mine = passes.setdefault(label, {})
+            for name in dict.fromkeys(names.tolist()):
+                total = seconds[names == name].sum()
+                mine[name] = min(mine.get(name, total), total)
+    # Every checkout replays the same calls in the same order.
+    of = {name: names == name for name in dict.fromkeys(names.tolist())}
+    readings = {
+        label: {
+            "min pass": mine,
+            "sum of call minima": {name: minima[label][at].sum() for name, at in of.items()},
+            "intercept us": {
+                name: 1e6 * np.polyfit(rows[at], minima[label][at], 1)[1] for name, at in of.items()
+            },
+        }
+        for label, mine in passes.items()
+    }
     # ``join`` contains the sweeps it makes; ``sweep`` replays them on their own.
-    for label, mine in best.items():
-        print(label, json.dumps({k: round(v, 4) for k, v in mine.items()}))
-    if len(best) == 2:
-        (a, ta), (b, tb) = best.items()
-        print(f"{a} / {b}", json.dumps({k: round(ta[k] / tb[k], 3) for k in ta if tb.get(k)}))
+    for label, reading in readings.items():
+        for what, values in reading.items():
+            digits = 1 if what == "intercept us" else 4
+            print(label, what, json.dumps({k: round(float(v), digits) for k, v in values.items()}))
+    if len(readings) == 2:
+        (a, ra), (b, rb) = readings.items()
+        for what in ("min pass", "sum of call minima"):
+            ratios = {k: round(float(v / rb[what][k]), 3) for k, v in ra[what].items() if rb[what].get(k)}
+            print(f"{a} / {b}", what, json.dumps(ratios))
 
 
 def compare(a_path: str, b_path: str) -> int:

@@ -23,7 +23,9 @@ descent gathers the pages of the nodes it opens with **one** ``take``, tests
 each page's ``M`` slots against its row's query by broadcasting, and opens
 the children that are reached but not covered next.  The frontier therefore
 holds *(node to open, query)* pairs, not *(child, query)* pairs, and no
-coordinate is gathered per child.  Three details make this exact:
+coordinate is gathered per child; it starts at the root nodes, whose own
+boxes are never tested (see :meth:`FlatRTree._frontier`).  Three details
+make this exact:
 
 * *Negated maxima.*  A slot stores ``xmin, ymin, -xmax, -ymax``.  A closed
   box meets a closed window iff ``xmin <= wx1, ymin <= wy1, xmax >= wx0,
@@ -296,9 +298,9 @@ class FlatRTree:
         out = np.zeros(W, dtype=np.int64)
         if self.size == 0 or W == 0:
             return out
-        for qids, contained, leaf_qids, _, row, _ in self._frontier(W, roots, *_window_tests(wins)):
-            np.add.at(out, qids, self.ent_end.take(contained) - self.ent_start.take(contained))
-            out += np.bincount(leaf_qids.take(row), minlength=W)
+        qids, covered, leaf_q, _, mask = self._frontier(W, roots, *_window_tests(wins))
+        np.add.at(out, qids, self.ent_end.take(covered) - self.ent_start.take(covered))
+        np.add.at(out, leaf_q, np.add.reduce(mask, axis=1))
         return out
 
     def window_batch(self, wins: np.ndarray) -> List[np.ndarray]:
@@ -395,33 +397,27 @@ class FlatRTree:
     # internals
     # ------------------------------------------------------------------ #
 
-    def _page_table(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The page table ``(pages, base, kids)``, built on first use.
+    def _page_table(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The page table ``(pages, base)``, built on first use.
 
-        ``pages[:, v]`` is node ``v``'s page (module docstring) and
-        ``pages[:, n_nodes + t]`` the *root page* of tree ``t``, whose one
-        slot is that tree's root box -- a descent starts like any other
-        step.  Slot ``c`` of page ``v`` is entry row ``base[v] + c`` if
-        ``v`` is a leaf, else node ``kids[base[v] + c]`` (``kids`` is
-        ``child_ids`` followed by ``roots``).  Both kinds of range run in
-        node order, so the real slots, row by row, are the entries (the
+        ``pages[:, v]`` is node ``v``'s page (module docstring).  Slot ``c``
+        of page ``v`` is entry row ``base[v] + c`` if ``v`` is a leaf, else
+        node ``child_ids[base[v] + c]``.  Both kinds of range run in node
+        order, so the real slots, row by row, are the entries (the
         children) in the order their arrays already list them.
         """
         if self._pages is None:
-            trees = self.child_ids.shape[0] + np.arange(self.roots.shape[0], dtype=np.intp)
-            kids = np.concatenate([self.child_ids, self.roots])
-            base = np.concatenate([np.where(self.is_leaf, self.ent_start, self.child_start), trees])
-            end = np.concatenate([np.where(self.is_leaf, self.ent_end, self.child_end), trees + 1])
-            n_nodes = self.is_leaf.shape[0]
-            real = np.arange((end - base).max()) < (end - base)[:, None]
-            entries = real[:n_nodes] & self.is_leaf[:, None]
-            real[:n_nodes] ^= entries  # what is left: child and root boxes
+            base = np.where(self.is_leaf, self.ent_start, self.child_start)
+            width = np.where(self.is_leaf, self.ent_end, self.child_end) - base
+            real = np.arange(width.max()) < width[:, None]
+            entries = real & self.is_leaf[:, None]
+            real ^= entries  # what is left: child boxes
             pages = np.full((4, *real.shape), np.nan)
             for page, below, boxes in zip(pages, self.entry_cols, self.node_cols):
-                page[:n_nodes][entries] = below
-                page[real] = boxes.take(kids)
+                page[entries] = below
+                page[real] = boxes.take(self.child_ids)
             np.negative(pages[2:], out=pages[2:])
-            self._pages = pages, base, kids
+            self._pages = pages, base
         return self._pages
 
     def _open(self, nodes: np.ndarray) -> np.ndarray:
@@ -433,54 +429,65 @@ class FlatRTree:
 
         ``met(page, qids)`` masks the ``(k, M)`` slots of the ``(4, k, M)``
         opened pages that each row's query reaches; ``inside`` likewise the
-        slots it covers whole (``None``: none ever).  Yields per depth
-        ``(qids, nodes, leaf_qids, leaves, row, col)``: the (query, node)
-        pairs whose subtree is covered, then the (query, leaf) pairs opened
-        at that depth with their qualifying entries -- slot ``col[i]`` of
-        pair ``row[i]``.  Children met but not covered are opened next.
-        Every list is in frontier order: by query, then left to right.
+        slots it covers whole (``None``: none ever).  Returns ``(qids,
+        nodes, leaf_qids, leaves, met)``: the (query, node) pairs whose
+        subtree is covered, then the (query, leaf) pairs opened with the
+        ``(k, M)`` mask of the leaf entries met, each depth by depth and
+        within a depth by query, then left to right.  Children met but not
+        covered are opened next.
+
+        Row ``i`` starts by opening its root (``roots[i]``, else node 0):
+        a root box bounds every box below it, so skipping its test changes
+        no count, row or row order.  A missed root's children are all
+        missed (``_meets`` and ``_reaches`` are monotone in the box bounds);
+        a covered root's children are all covered, and their entry ranges
+        join up into the root's range; every entry is still tested.  A
+        level of one tree is all inner or all leaf pages, so it is settled
+        once; only a forest of unequal heights mixes them and splits.
         """
-        pages, base, kids = self._page_table()
+        pages, base = self._page_table()
         M = pages.shape[2]
-        nodes = self.is_leaf.shape[0] + (
-            np.zeros(n_rows, dtype=np.intp) if roots is None else np.searchsorted(self.roots, roots)
-        )
+        nodes = np.zeros(n_rows, dtype=np.intp) if roots is None else roots
         qids = np.arange(n_rows, dtype=np.intp)
-        covered_q = covered = qids[:0]
+        none = qids[:0]
+        found = [none], [none], [none], [none], [np.zeros((0, M), dtype=bool)]
         while nodes.shape[0]:
             page = self._open(nodes)
-            at = np.flatnonzero(met(page, qids))
+            mask = met(page, qids)
+            leaf = self.is_leaf.take(nodes)
+            if np.logical_and.reduce(leaf):  # a tree's leaf level: the last
+                for chunks, part in zip(found[2:], (qids, nodes, mask)):
+                    chunks.append(part)
+                break
+            if np.logical_or.reduce(leaf):  # a forest whose trees differ in height
+                for chunks, part in zip(found[2:], (qids, nodes, mask)):
+                    chunks.append(part.compress(leaf, axis=0))
+                mask = mask & ~leaf[:, None]
+            at = mask.ravel().nonzero()[0]
             row, col = np.divmod(at, M)
-            kid, q = kids.take(base.take(nodes).take(row) + col), qids.take(row)
+            kid, q = self.child_ids.take(base.take(nodes.take(row)) + col), qids.take(row)
             if inside is not None:
                 whole = inside(page.reshape(4, -1).take(at, axis=1)[:, :, None], q)[:, 0]
-                covered_q, covered = q.compress(whole), kid.compress(whole)
-                part = np.flatnonzero(~whole)
+                found[0].append(q.compress(whole))
+                found[1].append(kid.compress(whole))
+                part = (~whole).nonzero()[0]
                 kid, q = kid.take(part), q.take(part)
-            leaf = self.is_leaf.take(kid)
-            leaves, leaf_q = kid.compress(leaf), q.compress(leaf)
-            hit = np.flatnonzero(met(self._open(leaves), leaf_q)) if leaves.shape[0] else leaves
-            yield covered_q, covered, leaf_q, leaves, *np.divmod(hit, M)
-            inner = np.flatnonzero(~leaf)
-            nodes, qids = kid.take(inner), q.take(inner)
+            nodes, qids = kid, q
+        return [np.concatenate(chunks) for chunks in found]
 
     def _rows_by_query(self, n_rows: int, roots, met, inside) -> Tuple[np.ndarray, np.ndarray]:
         """The entry rows a :meth:`_frontier` descent qualifies, in CSR form."""
         if self.size == 0 or n_rows == 0:
             return np.zeros(n_rows + 1, dtype=np.intp), np.empty(0, dtype=np.intp)
-        q_chunks: List[np.ndarray] = []
-        e_chunks: List[np.ndarray] = []
-        for qids, contained, leaf_qids, leaves, row, col in self._frontier(n_rows, roots, met, inside):
-            if contained.shape[0]:
-                of, ent = expand_index_ranges(self.ent_start.take(contained), self.ent_end.take(contained))
-                q_chunks.append(qids.take(of))
-                e_chunks.append(ent)
-            q_chunks.append(leaf_qids.take(row))
-            e_chunks.append(self.ent_start.take(leaves).take(row) + col)
-        # Chunks are per depth; a stable sort by query keeps each query's depth order.
-        q = np.concatenate(q_chunks)
+        qids, covered, leaf_q, leaves, mask = self._frontier(n_rows, roots, met, inside)
+        of, ent = expand_index_ranges(self.ent_start.take(covered), self.ent_end.take(covered))
+        row, col = np.divmod(mask.ravel().nonzero()[0], mask.shape[1])
+        # A query's leaf entries are met at its tree's leaf depth, after every
+        # depth it covered a subtree at: a stable sort by query keeps its order.
+        q = np.concatenate([qids.take(of), leaf_q.take(row)])
         order = np.argsort(q, kind="stable")
-        return np.searchsorted(q[order], np.arange(n_rows + 1)), np.concatenate(e_chunks)[order]
+        rows = np.concatenate([ent, self.ent_start.take(leaves.take(row)) + col])
+        return np.searchsorted(q[order], np.arange(n_rows + 1)), rows[order]
 
 
 #: A box ``xmin, ymin, xmax, ymax`` times this is its page slot ``xmin, ymin, -xmax, -ymax``.

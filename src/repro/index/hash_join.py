@@ -143,16 +143,14 @@ def grid_hash_join_batch(
     grids = grids or {}
     n_items = batch.a_bounds.shape[0] - 1
     n_a, n_b = np.diff(batch.a_bounds), np.diff(batch.b_bounds)
-    live = np.flatnonzero((n_a > 0) & (n_b > 0))
+    live = ((n_a > 0) & (n_b > 0)).nonzero()[0]
     # The rows of the live items and, per row, its item's position in ``live``.
     item_a, row_a = expand_index_ranges(batch.a_bounds[live], batch.a_bounds[live + 1])
     item_b, row_b = expand_index_ranges(batch.b_bounds[live], batch.b_bounds[live + 1])
     hashed = (n_a + n_b)[live] > _GRID_FREE_MAX
     if grids:
         hashed[np.isin(live, list(grids))] = True  # an asked-for grid is built
-    in_grid = np.flatnonzero(hashed)
-    grid_a, grid_b = np.flatnonzero(hashed[item_a]), np.flatnonzero(hashed[item_b])
-    whole_a, whole_b = np.flatnonzero(~hashed[item_a]), np.flatnonzero(~hashed[item_b])
+    in_grid = hashed.nonzero()[0]
     # Rows are gathered as column takes (the batch endpoints' payloads have
     # contiguous columns): ``mbrs[at]``, laid out as the hash stage and the
     # sweep read it.
@@ -161,22 +159,27 @@ def grid_hash_join_batch(
     def rows(cols: np.ndarray, at: np.ndarray) -> np.ndarray:
         return cols.take(at, axis=1).T
 
-    pos_a, seg_a, pos_b, seg_b, bucket_item = _bucket_segments(
-        rows(a_cols, row_a[grid_a]),
-        n_a[live[in_grid]],
-        rows(b_cols, row_b[grid_b]),
-        n_b[live[in_grid]],
-        predicate,
-        {k: grids[item] for k, item in enumerate(live[in_grid].tolist()) if item in grids},
-    )
     # Segment ids: the matched buckets first, then one per grid-free item;
     # ``seg_item`` maps either kind to its item's position in ``live``.
-    n_buckets = bucket_item.shape[0]
-    rows_a = row_a[np.concatenate([grid_a[pos_a], whole_a])]
-    rows_b = row_b[np.concatenate([grid_b[pos_b], whole_b])]
-    seg_a = np.concatenate([seg_a, n_buckets + item_a[whole_a]])
-    seg_b = np.concatenate([seg_b, n_buckets + item_b[whole_b]])
-    seg_item = np.concatenate([in_grid[bucket_item], np.arange(live.shape[0])])
+    rows_a, rows_b, seg_a, seg_b = row_a, row_b, item_a, item_b
+    seg_item = np.arange(live.shape[0])
+    if in_grid.shape[0]:
+        grid_a, grid_b = hashed[item_a].nonzero()[0], hashed[item_b].nonzero()[0]
+        whole_a, whole_b = (~hashed[item_a]).nonzero()[0], (~hashed[item_b]).nonzero()[0]
+        pos_a, bucket_a, pos_b, bucket_b, bucket_item = _bucket_segments(
+            rows(a_cols, row_a[grid_a]),
+            n_a[live[in_grid]],
+            rows(b_cols, row_b[grid_b]),
+            n_b[live[in_grid]],
+            predicate,
+            {k: grids[item] for k, item in enumerate(live[in_grid].tolist()) if item in grids},
+        )
+        n_buckets = bucket_item.shape[0]
+        rows_a = row_a[np.concatenate([grid_a[pos_a], whole_a])]
+        rows_b = row_b[np.concatenate([grid_b[pos_b], whole_b])]
+        seg_a = np.concatenate([bucket_a, n_buckets + item_a[whole_a]])
+        seg_b = np.concatenate([bucket_b, n_buckets + item_b[whole_b]])
+        seg_item = np.concatenate([in_grid[bucket_item], seg_item])
     i_idx, j_idx = _sweep_in_runs(
         rows(a_cols, rows_a), seg_a, rows(b_cols, rows_b), seg_b, seg_item.shape[0], predicate
     )
@@ -204,8 +207,10 @@ def _sweep_in_runs(
     Both segment arrays ascend.  The sweep's transients are several times
     its input, so the segments go through it in runs: a frontier level is
     one or a few calls, and one 20k x 20k item stays within the memory its
-    per-bucket sweeps took.
+    per-bucket sweeps took.  A batch under one run's rows is that one run.
     """
+    if seg_a.shape[0] + seg_b.shape[0] < _SWEEP_ROWS:
+        return plane_sweep_pair_arrays_segmented(a_mbrs, seg_a, b_mbrs, seg_b, predicate)
     load = np.cumsum(np.bincount(seg_a, minlength=n_segs) + np.bincount(seg_b, minlength=n_segs))
     later_runs = np.flatnonzero(np.diff(load // _SWEEP_ROWS)) + 1  # their first segments
     cut_a = [0, *np.searchsorted(seg_a, later_runs).tolist(), seg_a.shape[0]]
@@ -231,14 +236,12 @@ def _bucket_segments(
     """Hash items into their own grids, all at once; match the buckets.
 
     ``a_all`` / ``b_all`` hold the items' rows back to back, ``n_a`` /
-    ``n_b`` rows each (none empty); ``grids`` is keyed by position.  Returns ``(rows_a, bucket_a, rows_b,
+    ``n_b`` rows each (at least one item, none empty); ``grids`` is keyed
+    by position.  Returns ``(rows_a, bucket_a, rows_b,
     bucket_b, bucket_item)``: the rows of every bucket occupied on both
     sides (replicas included), tagged with a dense ascending bucket id,
     and the item each bucket belongs to.
     """
-    if n_a.shape[0] == 0:
-        none = np.empty(0, dtype=np.intp)
-        return none, none, none, none, none
     eps = predicate.probe_radius() if isinstance(predicate, WithinDistancePredicate) else 0.0
     off_a = np.concatenate([[0], np.cumsum(n_a)])[:-1]
     off_b = np.concatenate([[0], np.cumsum(n_b)])[:-1]

@@ -121,10 +121,10 @@ def plane_sweep_pair_arrays_segmented(
         """One side in key order: its permutation, columns, segments, and
         the keys its runs start (``xmin``) and end (``xmax + eps``) at."""
         segs = np.asarray(segs, dtype=np.int64)
-        order = np.argsort(segs * span + (cols[0] - lo), kind="stable")
+        key = segs * span + (cols[0] - lo)
+        order = np.argsort(key, kind="stable")
         cols, segs = cols.take(order, axis=1), segs.take(order)
-        base = segs * span
-        return order, cols, segs, base + (cols[0] - lo), base + ((cols[2] + eps) - lo)
+        return order, cols, segs, key.take(order), segs * span + ((cols[2] + eps) - lo)
 
     a_order, a_cols, a_segs, a_key, a_end = ordered(a_cols, a_segs)
     b_order, b_cols, b_segs, b_key, b_end = ordered(b_cols, b_segs)

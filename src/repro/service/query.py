@@ -31,6 +31,7 @@ from repro.core.planner import (
 )
 from repro.core.result import JoinResult
 from repro.datasets.dataset import SpatialDataset
+from repro.errors import require_count
 from repro.geometry.rect import Rect
 from repro.network.config import NetworkConfig
 from repro.server.server import SpatialServer
@@ -98,8 +99,7 @@ class JoinQuery:
     stack: StackConfig = StackConfig()
 
     def __post_init__(self) -> None:
-        if self.buffer_size <= 0:
-            raise ValueError("buffer_size must be positive")
+        require_count(self.buffer_size, "buffer_size")
         if self.algorithm is not None:
             self.stack.check_algorithm(self.algorithm)
         validate_window(self.window)

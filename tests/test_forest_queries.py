@@ -237,19 +237,17 @@ def _page_sizes(fanout: int):
 
 
 def _assert_pages_equal_arrays(index: FlatRTree) -> None:
-    pages, base, kids = index._page_table()
-    n_nodes, n_trees = index.is_leaf.shape[0], index.roots.shape[0]
-    assert pages.dtype == np.float64 and pages.shape[:2] == (4, n_nodes + n_trees)
-    for v in range(n_nodes + n_trees):
-        if v >= n_nodes:  # the root page of a tree: one slot, its root box
-            below = index.roots[v - n_nodes : v - n_nodes + 1]
-            boxes, refs = index.boxes[below], kids[base[v] : base[v] + 1]
-        elif index.is_leaf[v]:
+    pages, base = index._page_table()
+    n_nodes = index.is_leaf.shape[0]
+    # No page for a root: a descent starts by opening the root node itself.
+    assert pages.dtype == np.float64 and pages.shape[:2] == (4, n_nodes) and base.shape == (n_nodes,)
+    for v in range(n_nodes):
+        if index.is_leaf[v]:
             below = np.arange(index.ent_start[v], index.ent_end[v])
             boxes, refs = index.entry_mbrs[below], base[v] + np.arange(below.shape[0])
         else:
             below = index.child_ids[index.child_start[v] : index.child_end[v]]
-            boxes, refs = index.boxes[below], kids[base[v] : base[v] + below.shape[0]]
+            boxes, refs = index.boxes[below], index.child_ids[base[v] : base[v] + below.shape[0]]
         width = below.shape[0]
         assert refs.tolist() == below.tolist(), v  # child ids / entry rows round-trip
         assert np.array_equal(pages[:, v, :width], (boxes * [1.0, 1.0, -1.0, -1.0]).T), v
@@ -373,6 +371,7 @@ def test_pages_exist_once_per_index_that_answers_batches():
 def test_page_table_costs_one_copy_of_the_entries():
     data = clustered(n=20000, clusters=128, seed=41000)
     tree = FlatRTree.from_mbr_array(data.mbrs, max_entries=16)
-    pages, base, kids = tree._page_table()
-    inner = (np.count_nonzero(~tree.is_leaf) + 1) * pages[:, 0].nbytes  # + the root page
-    assert pages.nbytes + base.nbytes + kids.nbytes <= 1.1 * tree.entry_cols.nbytes + inner
+    pages, base = tree._page_table()
+    inner = np.count_nonzero(~tree.is_leaf) * pages[:, 0].nbytes  # no root page
+    assert pages.shape[1] == tree.is_leaf.shape[0]
+    assert pages.nbytes + base.nbytes <= 1.1 * tree.entry_cols.nbytes + inner

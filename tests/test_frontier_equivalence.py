@@ -553,32 +553,23 @@ class TestSweepOrdersOnce:
 class TestDescentsOpenPages:
     """One COUNT / WINDOW batch reads box coordinates only as page rows.
 
-    The deterministic twin of the descents' wall-clock claim: a call makes
-    one page gather per inner level (the root page included) and one for the
-    leaves, whatever the number of windows -- not eight coordinate gathers
-    per (child, query) -- never reads ``node_cols`` / ``entry_cols``, and
-    expands index ranges only for the entries of subtrees a WINDOW covers.
+    The deterministic twin of the descents' wall-clock claim: a call starts
+    at the root node and makes one page gather per level -- ``height - 1``
+    of inner nodes, one of leaves -- whatever the number of windows and
+    trees, not eight coordinate gathers per (child, query); it never reads
+    ``node_cols`` / ``entry_cols``, and a WINDOW expands index ranges once,
+    for the entries of every subtree it covers.
     """
 
-    @pytest.mark.parametrize("windows", [1, 40, 2000])
-    def test_one_page_gather_per_level_and_kind(self, windows, monkeypatch):
-        from repro.datasets.synthetic import clustered
+    @staticmethod
+    def _count_gathers(tree, monkeypatch):
         from repro.index import flat
-        from repro.index.aggregate_rtree import AggregateRTree
-
-        index = AggregateRTree.from_mbr_array(clustered(n=20000, clusters=128, seed=41000).mbrs)
-        tree, height = index.flat, index.height
-        rng = np.random.default_rng(windows)
-        lo = rng.random((windows, 2)) * 0.9
-        wins = np.hstack([lo, lo + rng.random((windows, 2)) * 0.1])
-        want = tree.count_batch(wins), tree.window_batch_flat(wins)
 
         opened, expanded = defaultdict(int), []
         open_pages, expand = flat.FlatRTree._open, flat.expand_index_ranges
 
         def counted_open(self, nodes):
-            first = int(nodes[0])
-            opened["leaf" if first < self.is_leaf.shape[0] and self.is_leaf[first] else "inner"] += 1
+            opened["leaf" if self.is_leaf[nodes].all() else "inner"] += 1
             return open_pages(self, nodes)
 
         def counted_expand(starts, ends):
@@ -590,12 +581,67 @@ class TestDescentsOpenPages:
         # The columns are not there to be gathered from: pages are all a descent reads.
         monkeypatch.setattr(tree, "node_cols", None)
         monkeypatch.setattr(tree, "entry_cols", None)
+        return opened, expanded
+
+    @staticmethod
+    def _windows(n, seed):
+        rng = np.random.default_rng(seed)
+        lo = rng.random((n, 2)) * 0.9
+        return np.hstack([lo, lo + rng.random((n, 2)) * 0.1])
+
+    @pytest.mark.parametrize("windows", [1, 40, 2000])
+    def test_one_page_gather_per_level_and_kind(self, windows, monkeypatch):
+        from repro.datasets.synthetic import clustered
+        from repro.index.aggregate_rtree import AggregateRTree
+
+        index = AggregateRTree.from_mbr_array(clustered(n=20000, clusters=128, seed=41000).mbrs)
+        tree, height = index.flat, index.height
+        wins = self._windows(windows, windows)
+        want = tree.count_batch(wins), tree.window_batch_flat(wins)
+
+        opened, expanded = self._count_gathers(tree, monkeypatch)
         counts = tree.count_batch(wins)
-        assert dict(opened) == {"inner": height, "leaf": 1} and not expanded
+        assert dict(opened) == {"inner": height - 1, "leaf": 1} and not expanded
         opened.clear()
         bounds, rows = tree.window_batch_flat(wins)
-        assert dict(opened) == {"inner": height, "leaf": 1} and len(expanded) <= height
+        assert dict(opened) == {"inner": height - 1, "leaf": 1} and len(expanded) == 1
         monkeypatch.undo()
         assert counts.tolist() == want[0].tolist() and counts.sum() > 0
         assert bounds.tolist() == want[1][0].tolist() and rows.tolist() == want[1][1].tolist()
+
+    @pytest.mark.parametrize("windows", [1, 40])
+    def test_a_forest_of_unequal_heights_keeps_the_budget(self, windows, monkeypatch):
+        """An empty tree, a one-leaf tree and a three-level tree: their roots
+        are opened together, and the short trees' leaves settle at depth 0."""
+        from repro.datasets.synthetic import uniform
+        from repro.index.aggregate_rtree import AggregateRTree
+        from repro.index.flat import FlatRTree
+
+        sizes = (0, 10, 3000)
+        indexes = [AggregateRTree.from_mbr_array(uniform(n=n, seed=n).mbrs) for n in sizes]
+        assert [index.height for index in indexes] == [1, 1, 3]
+        trees = [index.flat for index in indexes]
+        forest = FlatRTree.forest(trees)
+        wins = np.vstack([self._windows(windows, windows), [[0.0, 0.0, 1.0, 1.0]]])
+        tree_of_row = np.arange(3 * wins.shape[0]) % 3
+        row_wins, roots = wins[np.arange(3 * wins.shape[0]) // 3], forest.roots[tree_of_row]
+        want = [(t.count_batch(wins), t.window_batch_flat(wins)) for t in trees]
+        forest._page_table()  # built from the columns, before they go
+
+        opened, expanded = self._count_gathers(forest, monkeypatch)
+        counts = forest.count_batch(row_wins, roots)
+        assert dict(opened) == {"inner": 2, "leaf": 1} and not expanded
+        opened.clear()
+        bounds, rows = forest.window_batch_flat(row_wins, roots)
+        assert dict(opened) == {"inner": 2, "leaf": 1} and len(expanded) == 1
+        monkeypatch.undo()
+        offsets = forest.ent_start[forest.roots]
+        for t, (want_counts, (want_bounds, want_rows)) in enumerate(want):
+            mine = np.flatnonzero(tree_of_row == t)
+            assert counts[mine].tolist() == want_counts.tolist()
+            got = [rows[bounds[i] : bounds[i + 1]] - offsets[t] for i in mine]
+            assert [g.tolist() for g in got] == [
+                want_rows[want_bounds[k] : want_bounds[k + 1]].tolist() for k in range(wins.shape[0])
+            ]
+        assert counts.sum() > 0
 

@@ -309,6 +309,10 @@ class TestShardedJoinEquivalence:
             {"replicas": 1.5},
             {"deadline_s": -1.0},
             {"deadline_s": float("nan")},  # ``elapsed > nan`` never fires
+            # A buffer is a count of objects: not fractional, NaN or a string.
+            {"buffer_size": 2.5},
+            {"buffer_size": float("nan")},
+            {"buffer_size": "800"},
             # An infinite window never subdivides below the buffer (four
             # algorithms spin); NaN passes Rect's ordering check and splits
             # the algorithms' answers.
