@@ -127,6 +127,62 @@ def test_bench_grid_hash_kernel(benchmark):
     assert isinstance(pairs, list)
 
 
+def _cell_join_batch(shape: str):
+    """``(JoinBatch, predicate)`` of one ``test_bench_cell_join`` shape."""
+    from repro.datasets.railway import generate_railway_like
+    from repro.geometry.predicates import IntersectionPredicate
+    from repro.index.hash_join import JoinBatch
+
+    if shape == "20k-clustered":
+        r = clustered(n=20000, clusters=128, seed=41000)
+        s = clustered(n=20000, clusters=128, seed=41500)
+        return JoinBatch.one(r.mbrs, r.oids, s.mbrs, s.oids), WithinDistancePredicate(0.002)
+    if shape == "level-of-128":
+        # Leaf cells of a depth-6 quadtree with <= 128 objects in all, as a
+        # frontier level hands them over.
+        eps = 0.002
+        r = clustered(n=20000, clusters=128, seed=41000)
+        s = clustered(n=20000, clusters=128, seed=41500)
+        items = []
+        for cell in rect_array.subdivide_window(Rect(0.0, 0.0, 1.0, 1.0), 64).reshape(-1, 4):
+            window = Rect(*cell.tolist())
+            a, b = (
+                data.mbrs[rect_array.intersects_window(data.mbrs, grown)]
+                for data, grown in ((r, window), (s, window.expanded(eps)))
+            )
+            if a.shape[0] and b.shape[0] and a.shape[0] + b.shape[0] <= 128:
+                items.append((a, np.arange(a.shape[0]), b, np.arange(b.shape[0])))
+        return JoinBatch.from_items(items), WithinDistancePredicate(eps)
+    rail = generate_railway_like(n_segments=35_000 if "35k" in shape else 5_000, seed=1)
+    if shape == "railway-x-railway-35k":
+        other = generate_railway_like(n_segments=35_000, seed=2)
+        return JoinBatch.one(rail.mbrs, rail.oids, other.mbrs, other.oids), IntersectionPredicate()
+    # Fig. 8's shape: railway segments against 1,000 clustered points.
+    points = clustered(n=1000, clusters=8, seed=3)
+    batch = JoinBatch.one(rail.mbrs, rail.oids, points.mbrs, points.oids)
+    return batch, WithinDistancePredicate(0.005)
+
+
+@pytest.mark.parametrize(
+    "shape",
+    ["20k-clustered", "level-of-128", "railway-5k", "railway-35k", "railway-x-railway-35k"],
+)
+def test_bench_cell_join(benchmark, shape):
+    """The epsilon-cell kernel: a 20k x 20k ``clustered`` item, a frontier
+    level of <= 128-object items, railway (5k / 35k segments) x 1,000
+    clustered points at epsilon 0.005 (Fig. 8's shape) and a 35k railway x
+    railway intersection join -- extended x extended and dense, the one
+    input class where the grid-hash-plus-sweep kernel it replaced was
+    faster (ARCHITECTURE.md, "One in-memory join kernel")."""
+    from repro.index.hash_join import grid_hash_join_batch
+
+    batch, predicate = _cell_join_batch(shape)
+    pairs, starts = benchmark(grid_hash_join_batch, batch, predicate)
+    rows = batch.a_mbrs.shape[0] + batch.b_mbrs.shape[0]
+    benchmark.extra_info.update(items=starts.shape[0] - 1, rows=rows, pairs=pairs.shape[0])
+    assert pairs.shape[0] > 0 and starts[-1] == pairs.shape[0]
+
+
 def test_bench_flat_rtree_bulk_load(benchmark):
     """The servers' index build."""
     dataset = uniform(n=5000, seed=5)
@@ -217,9 +273,9 @@ def test_bench_small_descent(benchmark, kind, windows):
 
 
 @pytest.mark.parametrize("items", [1, 4])
-def test_bench_small_grid_free_join(benchmark, items):
-    """A leaf join's fixed cost: one batch of ``items`` grid-free windows,
-    under 200 rows in all, as a narrow frontier level hands them over."""
+def test_bench_small_join_batch(benchmark, items):
+    """A leaf join's fixed cost: one batch of ``items`` windows, under 200
+    rows in all, as a narrow frontier level hands them over."""
     from repro.index.hash_join import JoinBatch, grid_hash_join_batch
 
     eps = 0.002

@@ -1,8 +1,8 @@
 """Capture the index / kernel calls a workload really makes; replay them on any checkout.
 
-Sizes a change to ``index/flat.py``, ``index/plane_sweep.py`` or
-``index/hash_join.py`` in seconds and proves its outputs unchanged on the
-calls the end-to-end workloads make (run from the repo root)::
+Sizes a change to ``index/flat.py`` or ``index/hash_join.py`` in seconds
+and proves its outputs unchanged on the calls the end-to-end workloads make
+(run from the repo root)::
 
     python3 benchmarks/replay_calls.py capture warm_session 41 --out /root/scratch/warm.pkl
     python3 benchmarks/replay_calls.py replay /root/scratch/warm.pkl /root/scratch/parent . --rounds 9
@@ -10,7 +10,8 @@ calls the end-to-end workloads make (run from the repo root)::
 
 ``capture`` runs one cycle of a ``benchmarks/e2e`` workload (the harness is
 imported, never edited) with wrappers around the three ``FlatRTree`` batch
-descents and the two in-memory join kernels, and pickles *version-agnostic*
+descents, the join kernel and the plane sweep (which no workload reaches
+since the kernel stopped calling it), and pickles *version-agnostic*
 arguments: plain arrays, the queried trees as their constructor arrays, the
 predicate as ``(class name, probe radius)``.  ``replay`` rebuilds them in one
 subprocess per checkout and round (``<checkout>/src`` first on ``sys.path``),
@@ -73,17 +74,16 @@ def capture(workload: str, seed: int, out: Path) -> None:
         calls.append(("sweep", None, (*args, predicate_of(predicate))))
         return inner(a, a_segs, b, b_segs, predicate)
 
-    def join(items, predicate, grids=None, inner=hash_join.grid_hash_join_batch):
+    def join(items, predicate, inner=hash_join.grid_hash_join_batch):
         batch = items if isinstance(items, hash_join.JoinBatch) else hash_join.JoinBatch.from_items(items)
         fields = tuple(np.array(f) for f in batch)
-        calls.append(("join", None, (fields, predicate_of(predicate), dict(grids or {}))))
-        return inner(items, predicate, grids)
+        calls.append(("join", None, (fields, predicate_of(predicate))))
+        return inner(items, predicate)
 
     for name in DESCENTS:
         descent(name)
     # ``from x import f`` copies the reference: rebind every module that holds one.
     plane_sweep.plane_sweep_pair_arrays_segmented = sweep
-    hash_join.plane_sweep_pair_arrays_segmented = sweep
     hash_join.grid_hash_join_batch = join
     hbsj.grid_hash_join_batch = join
 
@@ -131,7 +131,9 @@ def _worker(capture_path: str, checkout: str, save: str) -> None:
             call, args = plane_sweep_pair_arrays_segmented, (*args[:4], predicate(args[4]))
             rows = args[0].shape[0] + args[2].shape[0]
         else:
-            call, args = grid_hash_join_batch, (JoinBatch(*args[0]), predicate(args[1]), args[2] or None)
+            # (Captures made before the kernel lost its ``grids=`` option
+            # carry an empty third argument.)
+            call, args = grid_hash_join_batch, (JoinBatch(*args[0]), predicate(args[1]))
             rows = args[0].a_mbrs.shape[0] + args[0].b_mbrs.shape[0]
         t0 = time.perf_counter()
         result = call(*args)
@@ -189,7 +191,8 @@ def replay(capture_path: Path, checkouts, rounds: int) -> None:
         }
         for label, mine in passes.items()
     }
-    # ``join`` contains the sweeps it makes; ``sweep`` replays them on their own.
+    # In a capture of a checkout whose kernel swept (before the epsilon-cell
+    # join), ``join`` contains the sweeps it made; ``sweep`` replays them alone.
     for label, reading in readings.items():
         for what, values in reading.items():
             digits = 1 if what == "intercept us" else 4

@@ -14,7 +14,7 @@ The package is organised around the paper's architecture:
 ``repro.index``
     Spatial index substrates: an R-tree (STR bulk loading), an aggregate
     R-tree (fast COUNT / aggregate window queries) and the in-memory join
-    kernels (plane sweep, grid hash).
+    kernel (an epsilon-cell neighbourhood join).
 
 ``repro.network``
     The wireless transfer-cost substrate: packetisation (Eq. 1 of the

@@ -7,7 +7,7 @@ matters to the algorithms is
 * the two *physical operators* the device can execute on a window:
 
   - **HBSJ** (hash-based spatial join): download both windows and join them
-    in memory with a PBSM-style grid hash, recursively partitioning when
+    in memory with the epsilon-cell join kernel, recursively partitioning when
     the buffer is too small;
   - **NLSJ** (nested-loop spatial join): download one side and probe the
     other server with one epsilon-RANGE query per object (or a single

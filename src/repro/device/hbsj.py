@@ -2,7 +2,7 @@
 
 ``HBSJ(w)`` downloads every R object intersecting ``w`` and every S object
 intersecting the epsilon-expanded window, then joins them on the device
-with the PBSM-style grid-hash kernel.  When the two downloads would not fit
+with the epsilon-cell join kernel.  When the two downloads would not fit
 in the device buffer, the operator recursively partitions ``w`` into
 quadrants, prunes empty quadrants with COUNT queries and retries -- exactly
 the "decompose the window into several subparts which can be accommodated

@@ -43,9 +43,8 @@ def as_mbr_array(data: np.ndarray) -> np.ndarray:
     arr = np.asarray(data, dtype=MBR_DTYPE)
     if arr.ndim != 2:
         raise ValueError(f"expected a 2D array, got shape {arr.shape}")
-    finite = np.isfinite(arr).all(axis=1)
-    if not finite.all():
-        bad = np.flatnonzero(~finite)
+    if not np.isfinite(arr).all():  # the per-row mask only to name the rows
+        bad = np.flatnonzero(~np.isfinite(arr).all(axis=1))
         raise InvalidInput(
             f"{bad.size} row(s) hold non-finite coordinates (first: row {bad[0]})"
         )
@@ -148,7 +147,7 @@ def expand_index_ranges(
     Returns ``(row, index)``: for every row ``r`` and every ``i`` in its
     range, one pair ``(r, i)``.  Negative-length ranges count as empty.
     This is the CSR-expansion primitive underneath all batch kernels (the
-    plane sweep's candidate runs, the grid hash's cell replication, the
+    epsilon-cell join's cell replication, the plane sweep's candidate runs, the
     flattened R-tree's frontier expansion).
     """
     counts = ends - starts
@@ -271,7 +270,7 @@ def pairwise_intersects(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     Returns a boolean matrix of shape ``(len(a), len(b))``.  Used only by
     small in-memory joins and by the brute-force oracle in the tests; the
-    production kernels use plane sweep / grid hashing instead.
+    production kernel is the epsilon-cell join of ``repro.index.hash_join``.
     """
     if a.shape[0] == 0 or b.shape[0] == 0:
         return np.zeros((a.shape[0], b.shape[0]), dtype=bool)

@@ -16,8 +16,10 @@ Contents
 * :class:`~repro.index.aggregate_rtree.AggregateRTree` -- the aR-tree view
   over it: subtree counts and areas, giving COUNT queries that touch only
   partially-covered subtrees.
-* In-memory join kernels: :func:`~repro.index.plane_sweep.plane_sweep_join`
-  and :func:`~repro.index.hash_join.grid_hash_join`.
+* The in-memory join kernel, an epsilon-cell neighbourhood join:
+  :func:`~repro.index.hash_join.grid_hash_join` (one item) and
+  ``grid_hash_join_batch``; :func:`~repro.index.plane_sweep.plane_sweep_join`
+  is the plane sweep it replaced, kept for its exported names.
 
 The insertable pointer R-tree the array-native build is pinned against is a
 test oracle (``tests/oracles/pointer_rtree.py``), not part of the package.

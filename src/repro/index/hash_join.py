@@ -1,46 +1,84 @@
-"""Grid-hash (PBSM-style) in-memory join kernel.
+"""The in-memory join kernel: one epsilon-cell neighbourhood join.
 
-PBSM (Patel & DeWitt, SIGMOD 1996) hashes both inputs into the cells of a
-regular grid -- replicating objects that straddle cell boundaries -- and
-joins matching buckets.  This kernel is the in-memory workhorse of the
-device's HBSJ operator: after downloading ``Rw`` and ``Sw`` the PDA hashes
-both into a grid sized for the buffer and joins bucket pairs with a plane
-sweep, then sorts the pairs on one integer key per ``(item, a_oid, b_oid)``
-and drops the equal neighbours two buckets found (:func:`~repro.index.pairs.unique_rows`).
+Every leaf window ends in HBSJ: the PDA downloads ``Rw`` and ``Sw`` and
+joins them in memory.  :func:`grid_hash_join_batch` joins all the windows
+(*items*) of a frontier level in one pass, with no Python loop over items:
 
-Exactness: for intersection joins the grid replicates by MBR overlap; for
-epsilon-distance joins the probe side is expanded by epsilon before
-hashing, so every qualifying pair co-occurs in at least one bucket.
+* each item gets its own grid of square cells of side
+  ``max(eps * (1 + 2**-20) + 2**-500, extent / sqrt(rows / _PER_CELL))``
+  over the union MBR of its two sides (``extent`` the longer of its width
+  and height), with empty cells around it; the grids of all items share
+  one global cell numbering, row-major, item after item;
+* a row sits in every cell its own MBR covers (a point in one);
+* the B side is sorted once by cell id (one integer ``argsort``) into a
+  dense cell -> run table (``bincount`` + ``cumsum``);
+* an A row reads, for every row band of its footprint grown by one cell,
+  the one contiguous run of B cells from one left of its first cell to one
+  right of its last: a point reads the three bands of its 3 x 3
+  neighbourhood;
+* the candidates go through the exact mask in chunks of about ``_CHUNK``,
+  and :func:`~repro.index.pairs.unique_rows` sorts the accepted pairs by
+  ``(item, a_oid, b_oid)`` and drops the repeats a B row covering several
+  cells of one neighbourhood produced.
 
-There is one implementation, :func:`grid_hash_join_batch`, which joins many
-independent windows in one pass; :func:`grid_hash_join` is its one-item
-case.
+The mask is the plane sweep's (``tests/oracles/plane_sweep_scalar.py``):
+``dx <= 0 and dy <= 0`` without epsilon, else ``dx * dx + dy * dy <= eps *
+eps`` and both x-cuts ``b.xmin <= a.xmax + eps``, ``a.xmin <= b.xmax +
+eps``, ``dx`` / ``dy`` the two boxes' separations per axis.
+
+Exactness.  Whenever the mask accepts ``(a, b)``, some cell of ``a`` and
+some cell of ``b`` are at most one apart on each axis, so ``b`` is in a run
+``a`` reads.  Per axis:
+
+* *overlap*: the extents share a coordinate, and the cell index
+  ``int((x - lo) / side)`` composes monotone rounded operations, so that
+  coordinate's cell is in both rows' cell ranges.  The difference of two
+  doubles is zero only when they are equal (gradual underflow), so without
+  epsilon the mask accepts nothing else, at every scale.
+* *gap* ``g > 0``: the mask holds ``fl(g)**2 <= eps**2`` up to rounding --
+  relative ``2**-53`` per operation where the squares are normal, absolute
+  ``2**-1075`` where they underflow -- so ``g <= eps * (1 + 2**-51) +
+  2**-536``.  For a tiny epsilon that second term is all of it (and ``eps
+  * (1 + 2**-20)`` rounds back to ``eps`` when epsilon is denormal): the
+  absolute ``2**-500`` in the side covers it; from ``2**-480`` up the
+  relative margin does.  Either way ``side > g * (1 + 2**-22)``.  So the
+  two cell coordinates are less than ``1 - 2**-23`` apart before
+  rounding, and rounding moves each by at most ``2**-52`` times the item's
+  cell count (``<= 2 * sqrt(rows) + 1``), at any coordinate scale: the
+  floors differ by at most one.
+
+The top cell row and column of an item are those of its MBR's ``xmax`` /
+``ymax``, by the very expression that places rows, so no row leaves its
+grid, and the empty cells around it keep every read inside the item.
+Hence the output is the mask's pair set, item by item, sorted and
+duplicate-free (``tests/test_cell_join.py``).  :func:`grid_hash_join` is
+the one-item case.
 """
 
 from __future__ import annotations
 
-from typing import List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import List, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.geometry.predicates import JoinPredicate, WithinDistancePredicate
-from repro.geometry.rect import Rect
 from repro.geometry.rect_array import expand_index_ranges
 from repro.index.pairs import unique_rows
-from repro.index.plane_sweep import plane_sweep_pair_arrays_segmented
 
 __all__ = ["JoinBatch", "grid_hash_join", "grid_hash_join_batch"]
 
-#: An item this small would get a grid of at most 2 x 2 cells
-#: (``ceil(sqrt(n / 32)) <= 2``): hashing it costs more than the candidate
-#: pairs it saves, so it is swept whole.
-_GRID_FREE_MAX = 128
-#: Rows (both sides) one segmented sweep call takes, give or take a segment.
-_SWEEP_ROWS = 8192
+#: Rows (both sides) an item's cells hold on average, when its extent and
+#: not epsilon sizes them.
+_PER_CELL = 0.25
+#: Candidate pairs one mask evaluation takes (whole bands: one band of
+#: more candidates is a chunk of its own).
+_CHUNK = 1 << 17
+#: The cell side's margins over epsilon: relative, and absolute for the
+#: squares that underflow (see the module docstring).
+_MARGIN = 2.0**-20
+_FLOOR = 2.0**-500
 
 JoinItem = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-#: An explicit ``(bounds, cells_per_side)`` of one item; ``None`` keeps a default.
-Grid = Tuple[Optional[Rect], Optional[int]]
 
 
 class JoinBatch(NamedTuple):
@@ -88,226 +126,167 @@ def grid_hash_join(
     b_mbrs: np.ndarray,
     b_oids: np.ndarray,
     predicate: JoinPredicate,
-    bounds: Rect | None = None,
-    cells_per_side: int | None = None,
 ) -> List[Tuple[int, int]]:
-    """Join two in-memory MBR arrays with a PBSM-style grid hash.
-
-    Parameters
-    ----------
-    a_mbrs, b_mbrs:
-        ``(N, 4)`` MBR arrays.
-    a_oids, b_oids:
-        Parallel object-id arrays.
-    predicate:
-        Join predicate (intersection or epsilon-distance).
-    bounds:
-        Hashing space; defaults to the union MBR of both inputs.
-    cells_per_side:
-        Grid resolution; defaults to ``ceil(sqrt((|A| + |B|) / 32))`` so an
-        average bucket holds a few dozen objects.  Inputs of at most 128
-        objects are swept without a grid unless one is asked for here.
-
-    Returns
-    -------
-    list of ``(a_oid, b_oid)`` pairs, duplicate-free, sorted.
-    """
-    grids = None if bounds is None and cells_per_side is None else {0: (bounds, cells_per_side)}
-    pairs, _ = grid_hash_join_batch(JoinBatch.one(a_mbrs, a_oids, b_mbrs, b_oids), predicate, grids)
+    """Join two in-memory ``(N, 4)`` MBR arrays and their parallel oids
+    under an intersection or epsilon-distance predicate: the sorted,
+    duplicate-free ``(a_oid, b_oid)`` pairs."""
+    pairs, _ = grid_hash_join_batch(JoinBatch.one(a_mbrs, a_oids, b_mbrs, b_oids), predicate)
     return list(map(tuple, pairs.tolist()))
 
 
 def grid_hash_join_batch(
     items: Union[JoinBatch, Sequence[JoinItem]],
     predicate: JoinPredicate,
-    grids: Optional[Mapping[int, Grid]] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Join many independent windows; the pairs of all of them as one block.
 
     ``items`` is a :class:`JoinBatch` or a sequence of ``(a_mbrs, a_oids,
-    b_mbrs, b_oids)`` tuples.  ``grids`` maps item indices to an explicit
-    ``(bounds, cells_per_side)`` (either may be ``None``), overriding the
-    defaults documented on :func:`grid_hash_join`.  Returns ``(pairs,
-    starts)``: a ``(k, 2)`` ``int64`` block of ``(a_oid, b_oid)`` rows, item
-    after item, each item's rows sorted and duplicate-free, item ``i`` owning
-    rows ``starts[i]:starts[i + 1]``.
-
-    Each item above the grid-free threshold is hashed into its own grid,
-    but over the concatenation of all such items at once.  The matched
-    buckets of every hashed item and the grid-free items as a whole are
-    the segments of :func:`plane_sweep_pair_arrays_segmented`: a batch is
-    one or a few sweep calls, whatever the number of windows and buckets,
-    and there is no per-item Python loop.
+    b_mbrs, b_oids)`` tuples.  Returns ``(pairs, starts)``: a ``(k, 2)``
+    ``int64`` block of ``(a_oid, b_oid)`` rows, item after item, each item's
+    rows sorted and duplicate-free, item ``i`` owning rows
+    ``starts[i]:starts[i + 1]``.
     """
     batch = items if isinstance(items, JoinBatch) else JoinBatch.from_items(items)
-    grids = grids or {}
     n_items = batch.a_bounds.shape[0] - 1
-    n_a, n_b = np.diff(batch.a_bounds), np.diff(batch.b_bounds)
-    live = ((n_a > 0) & (n_b > 0)).nonzero()[0]
-    # The rows of the live items and, per row, its item's position in ``live``.
-    item_a, row_a = expand_index_ranges(batch.a_bounds[live], batch.a_bounds[live + 1])
-    item_b, row_b = expand_index_ranges(batch.b_bounds[live], batch.b_bounds[live + 1])
-    hashed = (n_a + n_b)[live] > _GRID_FREE_MAX
-    if grids:
-        hashed[np.isin(live, list(grids))] = True  # an asked-for grid is built
-    in_grid = hashed.nonzero()[0]
-    # Rows are gathered as column takes (the batch endpoints' payloads have
-    # contiguous columns): ``mbrs[at]``, laid out as the hash stage and the
-    # sweep read it.
-    a_cols, b_cols = np.ascontiguousarray(batch.a_mbrs.T), np.ascontiguousarray(batch.b_mbrs.T)
+    live = (np.diff(batch.a_bounds) > 0) & (np.diff(batch.b_bounds) > 0)
+    a, a_oids, n_a = _live_rows(batch.a_mbrs, batch.a_oids, batch.a_bounds, live)
+    b, b_oids, n_b = _live_rows(batch.b_mbrs, batch.b_oids, batch.b_bounds, live)
+    eps = predicate.probe_radius() if isinstance(predicate, WithinDistancePredicate) else 0.0
+    i_idx, j_idx = _cell_join(a, n_a, b, n_b, eps)
+    owner = np.repeat(live.nonzero()[0], n_a)[i_idx]
+    a_oid, b_oid = a_oids[i_idx], b_oids[j_idx]
+    del a, b, i_idx, j_idx
 
-    def rows(cols: np.ndarray, at: np.ndarray) -> np.ndarray:
-        return cols.take(at, axis=1).T
-
-    # Segment ids: the matched buckets first, then one per grid-free item;
-    # ``seg_item`` maps either kind to its item's position in ``live``.
-    rows_a, rows_b, seg_a, seg_b = row_a, row_b, item_a, item_b
-    seg_item = np.arange(live.shape[0])
-    if in_grid.shape[0]:
-        grid_a, grid_b = hashed[item_a].nonzero()[0], hashed[item_b].nonzero()[0]
-        whole_a, whole_b = (~hashed[item_a]).nonzero()[0], (~hashed[item_b]).nonzero()[0]
-        pos_a, bucket_a, pos_b, bucket_b, bucket_item = _bucket_segments(
-            rows(a_cols, row_a[grid_a]),
-            n_a[live[in_grid]],
-            rows(b_cols, row_b[grid_b]),
-            n_b[live[in_grid]],
-            predicate,
-            {k: grids[item] for k, item in enumerate(live[in_grid].tolist()) if item in grids},
-        )
-        n_buckets = bucket_item.shape[0]
-        rows_a = row_a[np.concatenate([grid_a[pos_a], whole_a])]
-        rows_b = row_b[np.concatenate([grid_b[pos_b], whole_b])]
-        seg_a = np.concatenate([bucket_a, n_buckets + item_a[whole_a]])
-        seg_b = np.concatenate([bucket_b, n_buckets + item_b[whole_b]])
-        seg_item = np.concatenate([in_grid[bucket_item], seg_item])
-    i_idx, j_idx = _sweep_in_runs(
-        rows(a_cols, rows_a), seg_a, rows(b_cols, rows_b), seg_b, seg_item.shape[0], predicate
-    )
-    owner = live[seg_item[seg_a[i_idx]]]
-    a_oid = np.asarray(batch.a_oids, dtype=np.int64)[rows_a[i_idx]]
-    b_oid = np.asarray(batch.b_oids, dtype=np.int64)[rows_b[j_idx]]
-    del rows_a, rows_b, seg_a, seg_b, i_idx, j_idx
-
-    # Sort by (item, a_oid, b_oid) and drop the pairs neighbouring buckets
-    # rediscovered: one integer-key sort of the triples.
+    # Sort by (item, a_oid, b_oid) and drop the repeats: one integer-key
+    # sort of the triples.
     owner, a_oid, b_oid = unique_rows(owner, a_oid, b_oid)
-    return np.column_stack((a_oid, b_oid)), np.searchsorted(owner, np.arange(n_items + 1))
+    starts = np.zeros(n_items + 1, dtype=np.int64)
+    np.cumsum(np.bincount(owner, minlength=n_items), out=starts[1:])
+    return np.column_stack((a_oid, b_oid)), starts
 
 
-def _sweep_in_runs(
-    a_mbrs: np.ndarray,
-    seg_a: np.ndarray,
-    b_mbrs: np.ndarray,
-    seg_b: np.ndarray,
-    n_segs: int,
-    predicate: JoinPredicate,
+def _live_rows(
+    mbrs: np.ndarray, oids: np.ndarray, bounds: np.ndarray, live: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One side's rows of the ``live`` items: ``(4, n)`` coordinate columns
+    (contiguous, as the batch endpoints' payloads already are), oids and
+    rows per item."""
+    counts = np.diff(bounds)
+    rows = slice(bounds[0], bounds[-1])
+    mbrs, oids = mbrs[rows], np.asarray(oids, dtype=np.int64)[rows]
+    if not live.all():
+        keep = np.repeat(live, counts)
+        mbrs, oids, counts = mbrs[keep], oids[keep], counts[live]
+    return np.ascontiguousarray(mbrs.T), oids, counts
+
+
+def _cell_join(
+    a: np.ndarray, n_a: np.ndarray, b: np.ndarray, n_b: np.ndarray, eps: float
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """The segmented sweep, ``_SWEEP_ROWS`` rows or so at a time.
+    """Every ``(i, j)`` of A column ``i`` and B column ``j`` of one item that
+    the mask accepts, each at least once.
 
-    Both segment arrays ascend.  The sweep's transients are several times
-    its input, so the segments go through it in runs: a frontier level is
-    one or a few calls, and one 20k x 20k item stays within the memory its
-    per-bucket sweeps took.  A batch under one run's rows is that one run.
+    ``a`` / ``b`` are ``(4, n)`` coordinate columns holding the items' rows
+    back to back, ``n_a`` / ``n_b`` the rows per item (none empty).
     """
-    if seg_a.shape[0] + seg_b.shape[0] < _SWEEP_ROWS:
-        return plane_sweep_pair_arrays_segmented(a_mbrs, seg_a, b_mbrs, seg_b, predicate)
-    load = np.cumsum(np.bincount(seg_a, minlength=n_segs) + np.bincount(seg_b, minlength=n_segs))
-    later_runs = np.flatnonzero(np.diff(load // _SWEEP_ROWS)) + 1  # their first segments
-    cut_a = [0, *np.searchsorted(seg_a, later_runs).tolist(), seg_a.shape[0]]
-    cut_b = [0, *np.searchsorted(seg_b, later_runs).tolist(), seg_b.shape[0]]
-    i_parts, j_parts = [], []
-    for a_lo, a_hi, b_lo, b_hi in zip(cut_a, cut_a[1:], cut_b, cut_b[1:]):
-        i_idx, j_idx = plane_sweep_pair_arrays_segmented(
-            a_mbrs[a_lo:a_hi], seg_a[a_lo:a_hi], b_mbrs[b_lo:b_hi], seg_b[b_lo:b_hi], predicate
+    if n_a.shape[0] == 0:
+        empty = np.empty(0, dtype=np.intp)
+        return empty, empty
+    # Per item: the union MBR of both sides, the cell side, the cells per
+    # axis (the highest is the cell of the MBR's top edge) and the first id
+    # of its cells.  Cell ``(x, y)`` of an item is ``base + (y + 1) * (nx +
+    # 1) + x``: an empty row of cells below and above the item's, and one
+    # empty cell between two rows -- to the right of one, the left of the
+    # next -- so every neighbour an A row reads is inside its item.
+    first_a, first_b = np.cumsum(n_a) - n_a, np.cumsum(n_b) - n_b
+    lo = np.minimum(
+        np.minimum.reduceat(a[:2], first_a, axis=1), np.minimum.reduceat(b[:2], first_b, axis=1)
+    )
+    hi = np.maximum(
+        np.maximum.reduceat(a[2:], first_a, axis=1), np.maximum.reduceat(b[2:], first_b, axis=1)
+    )
+    items = np.arange(n_a.shape[0])
+    item = np.concatenate([np.repeat(items, n_a), np.repeat(items, n_b)])
+    corner = np.concatenate([a, b], axis=1)
+    # An extent beyond the float range makes the side infinite: the item is
+    # one cell (``fmax`` turns the ``inf / inf`` of its rows into 0).
+    with np.errstate(over="ignore", invalid="ignore"):
+        extent = hi - lo
+        side = np.maximum(
+            eps * (1.0 + _MARGIN) + _FLOOR, extent.max(axis=0) / np.sqrt((n_a + n_b) / _PER_CELL)
         )
-        i_parts.append(i_idx + a_lo)
-        j_parts.append(j_idx + b_lo)
+        nx, ny = np.fmax(extent / side, 0.0).astype(np.intp) + 1
+        # Both sides' rows at once: the cells of each row's low and high
+        # corner, its item's row stride and the id of its first cell.
+        corner -= np.vstack([lo, lo]).take(item, axis=1)
+        corner /= side.take(item)
+        np.fmax(corner, 0.0, out=corner)
+    size = (nx + 1) * (ny + 2)
+    base = np.cumsum(size) - size + 1  # and cell 0 is empty, left of the first row
+    x0, y0, x1, y1 = corner.astype(np.intp)
+    stride = (nx + 1).take(item)
+    rows = (x0, y0, x1, y1, stride, base.take(item) + (y0 + 1) * stride + x0)
+    split = a.shape[1]
+    del item, corner, x0, y0, x1, y1, stride
+
+    # B: every cell a row covers, sorted by id into a cell -> run table.
+    x0, y0, x1, y1, stride, cell = (v[split:] for v in rows)
+    wide = x1 - x0 + 1
+    covered = wide * (y1 - y0 + 1)
+    b_rows = np.arange(covered.shape[0])
+    if covered.shape[0] != covered.sum():  # some row covers more than one cell
+        b_rows, rank = expand_index_ranges(np.zeros_like(covered), covered)
+        wide = wide.take(b_rows)
+        cell = cell.take(b_rows) + rank // wide * stride.take(b_rows) + rank % wide
+    order = np.argsort(cell)  # the kernel's one sort
+    b_rows = b_rows.take(order)
+    b_cells = b.take(b_rows, axis=1)  # the rows of every cell, cell after cell
+    run = np.zeros(base[-1] + size[-1] + 1, dtype=np.intp)
+    np.cumsum(np.bincount(cell, minlength=run.shape[0] - 1), out=run[1:])
+    del x0, y0, x1, y1, stride, cell, wide, covered, order
+
+    # A: per row band of its footprint grown by one cell, one run of B
+    # cells, from one left of its first cell to one right of its last.
+    x0, y0, x1, y1, stride, first = (v[:split] for v in rows)
+    if np.array_equal(y0, y1):  # one cell tall: the three bands of 3 x 3 cells
+        band_row = np.repeat(np.arange(y0.shape[0]), 3)
+        left = ((first - 1)[:, None] + np.array([-1, 0, 1]) * stride[:, None]).ravel()
+    else:
+        band_row, band = expand_index_ranges(np.zeros_like(y0), y1 - y0 + 3)
+        left = first.take(band_row) + (band - 1) * stride.take(band_row) - 1
+    run_lo = run.take(left)
+    count = run.take(left + (x1 - x0 + 3).take(band_row)) - run_lo
+    del rows, x0, x1, y0, y1, stride, first, left
+
+    # The candidates, run by run: candidate ``t`` of a band reads B slot
+    # ``t + shift`` of its band.  Chunks hold whole bands.
+    end = np.cumsum(count)
+    shift = run_lo - end + count
+    cuts = [0, end.shape[0]]
+    if end[-1] > _CHUNK:
+        cuts[1:1] = (np.flatnonzero(np.diff(end // _CHUNK)) + 1).tolist()
+    i_parts, j_parts = [], []
+    for start, stop in zip(cuts, cuts[1:]):
+        take = count[start:stop]
+        i_idx = np.repeat(band_row[start:stop], take)
+        at = np.repeat(shift[start:stop], take)
+        at += np.arange(end[start] - take[0], end[stop - 1])
+        keep = _mask(a.take(i_idx, axis=1), b_cells.take(at, axis=1), eps)
+        i_parts.append(i_idx[keep])
+        j_parts.append(b_rows.take(at[keep]))
     return np.concatenate(i_parts), np.concatenate(j_parts)
 
 
-def _bucket_segments(
-    a_all: np.ndarray,
-    n_a: np.ndarray,
-    b_all: np.ndarray,
-    n_b: np.ndarray,
-    predicate: JoinPredicate,
-    grids: Mapping[int, Grid],
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Hash items into their own grids, all at once; match the buckets.
-
-    ``a_all`` / ``b_all`` hold the items' rows back to back, ``n_a`` /
-    ``n_b`` rows each (at least one item, none empty); ``grids`` is keyed
-    by position.  Returns ``(rows_a, bucket_a, rows_b,
-    bucket_b, bucket_item)``: the rows of every bucket occupied on both
-    sides (replicas included), tagged with a dense ascending bucket id,
-    and the item each bucket belongs to.
-    """
-    eps = predicate.probe_radius() if isinstance(predicate, WithinDistancePredicate) else 0.0
-    off_a = np.concatenate([[0], np.cumsum(n_a)])[:-1]
-    off_b = np.concatenate([[0], np.cumsum(n_b)])[:-1]
-
-    # Per-item hashing space: the union MBR of both sides, grown so it has
-    # positive extent and holds the epsilon-expanded probe side.
-    xmin, ymin = np.minimum(
-        np.minimum.reduceat(a_all[:, :2], off_a), np.minimum.reduceat(b_all[:, :2], off_b)
-    ).T
-    xmax, ymax = np.maximum(
-        np.maximum.reduceat(a_all[:, 2:], off_a), np.maximum.reduceat(b_all[:, 2:], off_b)
-    ).T
-    grow = np.where(
-        (xmax - xmin == 0) | (ymax - ymin == 0) | (eps > 0), max(eps, 1e-9), 0.0
-    )
-    xmin, ymin, xmax, ymax = xmin - grow, ymin - grow, xmax + grow, ymax + grow
-    k_side = np.maximum(1, np.ceil(np.sqrt((n_a + n_b) / 32.0)).astype(np.intp))
-    for k, (rect, cells) in grids.items():
-        if rect is not None:
-            xmin[k], ymin[k], xmax[k], ymax[k] = rect.as_tuple()
-        if cells is not None:
-            k_side[k] = cells
-    if np.any(k_side < 1):
-        raise ValueError("grid dimensions must be >= 1")
-    if np.any((xmax <= xmin) | (ymax <= ymin)):
-        raise ValueError("grid window must have positive extent")
-    cw = (xmax - xmin) / k_side
-    ch = (ymax - ymin) / k_side
-    cell_base = np.concatenate([[0], np.cumsum(k_side * k_side)])
-
-    def hash_rows(mbrs, counts, expand_by):
-        item_of = np.repeat(np.arange(counts.shape[0], dtype=np.intp), counts)
-        nx = k_side[item_of]
-        x0, y0, w, h = xmin[item_of], ymin[item_of], cw[item_of], ch[item_of]
-        ix0 = np.clip(((mbrs[:, 0] - expand_by - x0) / w).astype(np.intp), 0, nx - 1)
-        ix1 = np.clip(((mbrs[:, 2] + expand_by - x0) / w).astype(np.intp), 0, nx - 1)
-        iy0 = np.clip(((mbrs[:, 1] - expand_by - y0) / h).astype(np.intp), 0, nx - 1)
-        iy1 = np.clip(((mbrs[:, 3] + expand_by - y0) / h).astype(np.intp), 0, nx - 1)
-        # Per-replica rank within its object, decomposed into (row, column)
-        # of the object's cell footprint.
-        nx_span = ix1 - ix0 + 1
-        rep = nx_span * (iy1 - iy0 + 1)
-        obj, rank = expand_index_ranges(np.zeros_like(rep), rep)
-        span = nx_span[obj]
-        cell = (
-            cell_base[item_of[obj]]
-            + (iy0[obj] + rank // span) * nx[obj]
-            + ix0[obj]
-            + rank % span
-        )
-        # The one sort of the hash stage; the occupied cells are where the
-        # sorted ids change.
-        order = np.argsort(cell, kind="stable")
-        cell = cell[order]
-        first = np.flatnonzero(np.concatenate(([True], cell[1:] != cell[:-1])))
-        return cell[first], np.append(first, cell.shape[0]), obj[order]
-
-    cells_a, starts_a, objs_a = hash_rows(a_all, n_a, 0.0)
-    cells_b, starts_b, objs_b = hash_rows(b_all, n_b, eps)
-    # Items never share a cell id (disjoint id ranges), so one global match
-    # of the two ascending id lists pairs the occupied buckets of every item.
-    pos_b = np.searchsorted(cells_b, cells_a)
-    pos_b[pos_b == cells_b.shape[0]] = 0
-    pos_a = np.flatnonzero(cells_b[pos_b] == cells_a)
-    pos_b = pos_b[pos_a]
-    bucket_a, idx_a = expand_index_ranges(starts_a[pos_a], starts_a[pos_a + 1])
-    bucket_b, idx_b = expand_index_ranges(starts_b[pos_b], starts_b[pos_b + 1])
-    bucket_item = np.searchsorted(cell_base, cells_a[pos_a], side="right") - 1
-    return objs_a[idx_a], bucket_a, objs_b[idx_b], bucket_b, bucket_item
+def _mask(a: np.ndarray, b: np.ndarray, eps: float) -> np.ndarray:
+    """The plane sweep's exact test between parallel ``(4, k)`` columns;
+    ``d`` holds the separations ``(dx, dy)`` of each pair."""
+    with np.errstate(over="ignore"):  # a separation beyond the float range is inf
+        d = np.maximum(np.maximum(a[:2] - b[2:], 0.0), b[:2] - a[2:])
+        if eps > 0.0:
+            d *= d
+            mask = d[0] + d[1] <= eps * eps
+            mask &= b[0] <= a[2] + eps
+            mask &= a[0] <= b[2] + eps
+            return mask
+    # Touching or overlapping extents: the x-cut is the predicate's own.
+    return (d <= 0.0).all(axis=0)

@@ -1,24 +1,21 @@
-"""Plane-sweep in-memory join kernel.
+"""Plane-sweep in-memory join (not on any workload's path).
 
-The mobile device joins two downloaded object sets in memory.  For small
-sets a plane sweep along the x-axis is the standard filter-step kernel
-(Brinkhoff et al., SIGMOD 1993, adapted to unindexed inputs): sort both
-inputs by ``xmin`` and sweep, testing only pairs whose x-extents overlap
-(within ``epsilon`` for distance joins).
+A plane sweep along the x-axis is the standard filter-step kernel for two
+unindexed inputs (Brinkhoff et al., SIGMOD 1993): sort both by ``xmin`` and
+test only pairs whose x-extents overlap (within ``epsilon`` for distance
+joins).  The device's join kernel is the epsilon-cell join of
+:mod:`repro.index.hash_join`, which shares this sweep's exact mask but no
+code; this module stays because ``repro.index`` exports
+:func:`plane_sweep_join` / :func:`plane_sweep_pairs` and the end-to-end
+benchmark's layer table names its functions.  It moves to ``tests/oracles/``
+once the benchmark stops naming them.
 
-The kernel works on ``(N, 4)`` MBR arrays plus parallel oid arrays and
-returns oid pairs.  It is exact (no false negatives) for both intersection
-and epsilon-distance predicates.
-
-:func:`plane_sweep_pair_arrays_segmented` is the kernel: many independent
+:func:`plane_sweep_pair_arrays_segmented` is the sweep: many independent
 sweeps in one call (:func:`plane_sweep_pair_arrays` is its one-segment
-case).  The sweep is expressed entirely in NumPy: each side is ordered once
-by a composite ``(segment, xmin)`` key, candidate runs for every lead
-rectangle are located with ``searchsorted`` passes over those keys (one
-pair per lead side), expanded into flat index arrays, and the exact
-predicate is evaluated over all candidates at once.  No per-object Python
-loop remains; the original per-lead sweep is the test oracle
-``tests/oracles/plane_sweep_scalar.py`` (``tests/test_leaf_pipeline.py``).
+case), each side ordered once by a composite ``(segment, xmin)`` key,
+candidate runs located with ``searchsorted`` over those keys, and the exact
+predicate evaluated over all candidates at once.  The per-lead sweep is the
+test oracle ``tests/oracles/plane_sweep_scalar.py``.
 """
 
 from __future__ import annotations

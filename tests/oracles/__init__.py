@@ -28,8 +28,9 @@ oracle                    shipped code it mirrors                         suite 
                           (drives ``frontier_generators`` one window at   ``test_golden_traces.py``,
                           a time; leaves run ``operators_scalar``)        ``test_metering_invariants.py``,
                                                                           ``test_service_equivalence.py``
-``plane_sweep_scalar``    ``index.plane_sweep`` segmented kernel,         ``test_leaf_pipeline.py``,          408927d
-                          ``index.hash_join`` over it                     ``test_batch_queries.py``
+``plane_sweep_scalar``    ``index.plane_sweep`` segmented kernel and      ``test_leaf_pipeline.py``,          408927d
+                          the epsilon-cell join ``index.hash_join``       ``test_cell_join.py``,
+                                                                          ``test_batch_queries.py``
 ``wifi_event``            ``WifiLinkModel.replay_time`` (closed form      ``test_simulation_wifi.py``         408927d
                           behind ``estimate_channel_time`` /
                           ``simulate_channels``)

@@ -1,12 +1,14 @@
 """The per-lead plane sweep ``repro.index.plane_sweep`` shipped until PR 19.
 
-Oracle of the segmented NumPy kernel
+Oracle of the segmented NumPy sweep
 (:func:`repro.index.plane_sweep.plane_sweep_pair_arrays_segmented` and its
-one-segment and batch wrappers): sort both inputs by ``xmin``, advance the
-smaller front, and match each lead rectangle against the other side's run
-whose x-extents overlap.  Verbatim in behaviour;
-``tests/test_leaf_pipeline.py`` and ``tests/test_batch_queries.py`` hold the
-shipped kernels to its pair *set*.
+one-segment wrappers) and of the epsilon-cell join kernel
+(:mod:`repro.index.hash_join`), whose mask is this sweep's: sort both
+inputs by ``xmin``, advance the smaller front, and match each lead
+rectangle against the other side's run whose x-extents overlap.  Verbatim
+in behaviour; ``tests/test_leaf_pipeline.py``, ``tests/test_cell_join.py``
+and ``tests/test_batch_queries.py`` hold the shipped code to its pair
+*set*.
 """
 
 from __future__ import annotations

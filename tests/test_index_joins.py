@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import InvalidInput
 from repro.geometry import rect_array
 from repro.geometry.predicates import IntersectionPredicate, WithinDistancePredicate
 from repro.geometry.rect import Rect
@@ -80,12 +81,13 @@ class TestGridHashJoin:
         assert got == expected
 
     def test_no_duplicates_despite_replication(self):
-        # Objects straddling many cells must still be reported once.
+        # An object covering every cell, on either side, must still be
+        # reported once per partner.
         a = np.array([[0.0, 0.0, 1.0, 1.0]])
         b = _random_mbrs(50, seed=6)
-        pairs = grid_hash_join(
-            a, np.array([1]), b, np.arange(50), IntersectionPredicate(), cells_per_side=5
-        )
+        pairs = grid_hash_join(a, np.array([1]), b, np.arange(50), IntersectionPredicate())
+        assert len(pairs) == len(set(pairs)) == 50
+        pairs = grid_hash_join(b, np.arange(50), a, np.array([1]), IntersectionPredicate())
         assert len(pairs) == len(set(pairs)) == 50
 
     def test_empty_sides(self):
@@ -98,18 +100,13 @@ class TestGridHashJoin:
         st.integers(min_value=0, max_value=80),
         st.integers(min_value=0, max_value=5000),
         st.floats(min_value=0.0, max_value=0.1),
-        st.integers(min_value=1, max_value=6),
     )
     @settings(max_examples=30, deadline=None)
-    def test_property_exact(self, na, nb, seed, eps, cells):
+    def test_property_exact(self, na, nb, seed, eps):
         a = _random_mbrs(na, seed=seed, extent=0.05)
         b = _random_mbrs(nb, seed=seed + 17, extent=0.05)
         predicate = WithinDistancePredicate(eps) if eps > 0 else IntersectionPredicate()
-        got = set(
-            grid_hash_join(
-                a, np.arange(na), b, np.arange(nb), predicate, cells_per_side=cells
-            )
-        )
+        got = set(grid_hash_join(a, np.arange(na), b, np.arange(nb), predicate))
         assert got == _oracle_pairs(a, b, predicate)
 
 
@@ -123,6 +120,20 @@ class TestRectArray:
     def test_as_mbr_array_rejects_inverted(self):
         with pytest.raises(ValueError):
             rect_array.as_mbr_array(np.array([[0.5, 0.5, 0.1, 0.6]]))
+
+    def test_as_mbr_array_names_the_first_non_finite_row(self):
+        arr = np.zeros((50000, 4))
+        arr[7, 2], arr[900, 0], arr[901] = np.nan, np.inf, -np.inf
+        with pytest.raises(
+            InvalidInput, match=r"^3 row\(s\) hold non-finite coordinates \(first: row 7\)$"
+        ):
+            rect_array.as_mbr_array(arr)
+        points = np.zeros((10, 2))
+        points[4, 1] = np.nan
+        with pytest.raises(
+            InvalidInput, match=r"^1 row\(s\) hold non-finite coordinates \(first: row 4\)$"
+        ):
+            rect_array.as_mbr_array(points)
 
     def test_count_in_window(self):
         mbrs = rect_array.points_to_mbrs(np.array([[0.1, 0.1], [0.5, 0.5], [0.9, 0.9]]))

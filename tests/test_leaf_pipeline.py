@@ -4,8 +4,8 @@ Three contracts:
 
 * :func:`grid_hash_join` is the one-item case of
   :func:`grid_hash_join_batch`, and both equal the scalar plane-sweep oracle
-  -- list order included -- whichever way an item goes through the kernel
-  (swept whole at up to 128 objects, hashed into a grid above);
+  -- list order included -- whatever the item's size, shape and neighbours
+  in the batch (``tests/test_cell_join.py`` has the hostile geometry);
 * the payload rows the batch endpoints return are the dataset's MBRs at the
   returned oids, on plain, sharded and replicated servers;
 * :meth:`SpatialDataset.rename` shares its source's arrays and the public
@@ -83,13 +83,15 @@ def _item(na: int, nb: int, seed: int, kind: str = "boxes"):
 
 
 def _straddling_batch():
-    """Items on both sides of the grid-free threshold, and the odd ones."""
+    """Items of 127, 128 and 129 objects (the old kernel's grid-free
+    threshold), an empty side, wide boxes, points, coincident points and
+    duplicate geometry."""
     empty = (np.empty((0, 4)), np.empty(0, dtype=np.int64))
     a_dup, a_dup_oids = _side(40, 7)
     return [
-        _item(63, 64, 1),  # 127: swept whole
-        _item(64, 64, 2),  # 128: swept whole, the last size that is
-        _item(65, 64, 3),  # 129: hashed, 3 x 3
+        _item(63, 64, 1),
+        _item(64, 64, 2),
+        _item(65, 64, 3),
         (*_side(30, 4), *empty),
         (*empty, *_side(30, 5)),
         _item(300, 250, 6, "wide"),
@@ -131,24 +133,16 @@ def test_empty_batch_and_all_dead_items():
     assert _per_item(grid_hash_join_batch([(*empty, *_side(5, 1))], predicate)) == [[]]
 
 
-@pytest.mark.parametrize("cells", [1, 2, 7])
-def test_grid_overrides_are_per_item(cells):
-    """An explicit grid forces hashing, even below the grid-free threshold,
-    and changes no answer; other items of the batch keep their defaults."""
+def test_items_of_one_batch_are_independent():
+    """A wide item beside a larger and a smaller one: each item's answer is
+    the one it has alone, whatever grid its neighbours get."""
     predicate = WithinDistancePredicate(0.03)
     batch = [_item(40, 40, 11, "wide"), _item(150, 150, 12), _item(20, 30, 13)]
     expected = [_oracle(item, predicate) for item in batch]
     assert expected[0]
-    got = grid_hash_join_batch(
-        batch,
-        predicate,
-        grids={0: (Rect(-1.0, -1.0, 2.0, 2.0), cells), 2: (None, cells)},
-    )
-    assert _per_item(got) == expected
-    with pytest.raises(ValueError):
-        grid_hash_join(*batch[0], predicate, cells_per_side=0)
-    with pytest.raises(ValueError):
-        grid_hash_join(*batch[0], predicate, bounds=Rect(0.0, 0.0, 0.0, 1.0))
+    assert _per_item(grid_hash_join_batch(batch, predicate)) == expected
+    for item, want in zip(batch, expected):
+        assert _per_item(grid_hash_join_batch([item], predicate)) == [want]
 
 
 @given(
@@ -308,14 +302,14 @@ def test_a_key_that_ranks_cannot_fit_raises(monkeypatch):
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
-def test_sweep_runs_do_not_change_the_answer(monkeypatch):
-    """Many segments pushed through the sweep a few rows at a time."""
+def test_chunks_do_not_change_the_answer(monkeypatch):
+    """The candidates pushed through the mask a few dozen at a time."""
     import repro.index.hash_join as hash_join
 
     predicate = WithinDistancePredicate(0.03)
     batch = _straddling_batch()
     expected = _per_item(grid_hash_join_batch(batch, predicate))
-    monkeypatch.setattr(hash_join, "_SWEEP_ROWS", 50)
+    monkeypatch.setattr(hash_join, "_CHUNK", 50)
     assert _per_item(grid_hash_join_batch(batch, predicate)) == expected
 
 
