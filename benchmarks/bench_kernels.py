@@ -370,6 +370,66 @@ def test_bench_ledger_at_workload_shape(benchmark):
     assert [c.snapshot() for c in fresh] == [c.snapshot() for c in made]
 
 
+def test_bench_fleet_booking(benchmark):
+    """Booking one ``fleet_faults``-shaped COUNT, WINDOW and RANGE batch.
+
+    4 STR shards x 2 replicas of 20k clustered points, 5% drop / stall /
+    duplicate and replica 0 of ``S#1`` dead for good, so every exchange to
+    that shard fails over (``fleet_faults`` asks ~178 windows per descent;
+    here 178 occupied depth-5 cells, and 178 probes of radius 0.002).  The
+    batches are evaluated once, outside the timing; a round books the three
+    on channels and fault streams reset to their origin, so every round
+    books the same exchanges and draws the same events.  ``extra_info``
+    carries the exchanges and messages a round books.
+    """
+    from repro.network.channel import Channel
+    from repro.network.faults import FaultPlan, replica_outages
+    from repro.server.remote import ResilienceController, ShardedRemoteServer
+    from repro.server.sharded import ShardedSpatialServer
+
+    data = clustered(n=20000, clusters=128, seed=41500, name="S")
+    fleet = ShardedSpatialServer(data, name="S", shards=4, scheme="str", replicas=2)
+    plan = FaultPlan(
+        seed=41,
+        drop_rate=0.05,
+        stall_rate=0.05,
+        duplicate_rate=0.05,
+        outages=replica_outages("S#1", 2, 0, 10**9, indices=[0]),
+    )
+    resilience = ResilienceController(plan)
+    channels = [Channel(NetworkConfig(), name=unit.name) for unit in fleet.breaker_units()]
+    for channel in channels:
+        resilience.register(channel)
+    proxy = ShardedRemoteServer(fleet, channels, resilience=resilience)
+    tree = FlatRTree.from_mbr_array(data.mbrs, max_entries=16)
+    windows = _workload_windows(tree, 32, 178, 0.002)
+    centers = data.mbrs[np.linspace(0, len(data) - 1, 178).astype(int), :2]
+    radii = np.full(178, 0.002)
+    counts = fleet.evaluate_count_batch(windows)
+    payloads = fleet.evaluate_window_batch(windows)
+    probes = fleet.evaluate_range_batch(centers, radii)
+
+    def reset():
+        proxy.reset_channels()
+        resilience.reset()
+
+    def book():
+        proxy.count_batch_prefetched(windows, counts)
+        proxy.book_window_batch(windows, payloads)
+        proxy.book_range_batch(centers, radii, probes)
+
+    reset()
+    book()
+    want = proxy.ledger_fingerprint(), resilience.summary()
+    benchmark.pedantic(book, setup=reset, rounds=200, warmup_rounds=5)
+    assert (proxy.ledger_fingerprint(), resilience.summary()) == want
+    assert resilience.failovers and resilience.retries
+    benchmark.extra_info.update(
+        exchanges=resilience.exchanges,
+        messages=sum(len(c.log) + len(c.retry_log) for c in channels),
+    )
+
+
 def test_bench_packetisation(benchmark):
     cfg = NetworkConfig()
 

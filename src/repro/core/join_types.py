@@ -16,13 +16,12 @@ they collected and applies the semi-join / iceberg post-aggregation.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
 from typing import List
 
 import numpy as np
 
-from repro.errors import InvalidInput, require_count
+from repro.errors import InvalidInput, require_count, require_finite
 from repro.geometry.predicates import (
     IntersectionPredicate,
     JoinPredicate,
@@ -60,10 +59,7 @@ class JoinSpec:
     min_matches: int = 1
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.epsilon) or self.epsilon < 0:
-            raise InvalidInput(
-                f"epsilon must be finite and non-negative, got {self.epsilon!r}"
-            )
+        require_finite(self.epsilon, "epsilon")
         if self.kind in (JoinKind.DISTANCE, JoinKind.ICEBERG_SEMI) and self.epsilon <= 0:
             raise InvalidInput(f"{self.kind.value} joins require epsilon > 0")
         if self.kind is JoinKind.INTERSECTION and self.epsilon != 0.0:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import inspect
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -193,8 +194,11 @@ class StackConfig:
                 f"unknown partition scheme {self.shard_scheme!r}; "
                 f"available: {PARTITION_SCHEMES}"
             )
-        # ``not >=`` also rejects NaN, a budget that could never fire.
-        if self.deadline_s is not None and not self.deadline_s >= 0:
+        # ``not >=`` also rejects NaN, a budget that could never fire; an
+        # infinite budget is no deadline, so this is not ``require_finite``.
+        if self.deadline_s is not None and not (
+            isinstance(self.deadline_s, numbers.Real) and self.deadline_s >= 0
+        ):
             raise InvalidInput(
                 f"deadline_s must be a non-negative number of simulated seconds, "
                 f"got {self.deadline_s!r}"

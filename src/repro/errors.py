@@ -69,11 +69,16 @@ def require_count(value, what: str, minimum: int = 1, unbounded: bool = False) -
         raise InvalidInput(f"{what} must be >= {minimum} and integral{bound}, got {value!r}")
 
 
-def require_finite(value, what: str, minimum: float = 0.0) -> None:
-    """A finite real >= ``minimum``, else :class:`InvalidInput` (NaN included,
-    which slips through a ``value < minimum`` check)."""
-    if not (isinstance(value, numbers.Real) and math.isfinite(value) and value >= minimum):
-        raise InvalidInput(f"{what} must be finite and >= {minimum:g}, got {value!r}")
+def require_finite(value, what: str, minimum: float = 0.0, maximum: float = math.inf) -> None:
+    """A finite real in ``[minimum, maximum]``, else :class:`InvalidInput`
+    (NaN included, which slips through a ``value < minimum`` check)."""
+    if not (
+        isinstance(value, numbers.Real)
+        and math.isfinite(value)
+        and minimum <= value <= maximum
+    ):
+        bound = f">= {minimum:g}" if maximum == math.inf else f"in [{minimum:g}, {maximum:g}]"
+        raise InvalidInput(f"{what} must be finite and {bound}, got {value!r}")
 
 
 class ChannelFault(ReproError):

@@ -268,9 +268,11 @@ def window_array(windows: Windows) -> np.ndarray:
 def pairwise_intersects(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """All-pairs intersection test between two MBR arrays.
 
-    Returns a boolean matrix of shape ``(len(a), len(b))``.  Used only by
-    small in-memory joins and by the brute-force oracle in the tests; the
-    production kernel is the epsilon-cell join of ``repro.index.hash_join``.
+    Returns a boolean matrix of shape ``(len(a), len(b))``.  It is the
+    shard fleet's router (``ShardedSpatialServer.route``: request windows
+    against the live shards' bounds, a few columns wide), and serves small
+    in-memory joins and the brute-force oracle in the tests; the join
+    kernel is the epsilon-cell join of ``repro.index.hash_join``.
     """
     if a.shape[0] == 0 or b.shape[0] == 0:
         return np.zeros((a.shape[0], b.shape[0]), dtype=bool)

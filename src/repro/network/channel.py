@@ -44,7 +44,7 @@ import numpy as np
 
 from repro.network.config import NetworkConfig
 from repro.network.messages import Message, MessageKind
-from repro.network.packets import num_packets, transferred_bytes
+from repro.network.packets import packetise
 
 __all__ = ["Channel", "TrafficLog", "TrafficRecord"]
 
@@ -95,11 +95,11 @@ class TrafficLog:
         config = self.config
         for direction, kind, label, sizes, n in self._entries:
             if not isinstance(sizes, np.ndarray):
-                wire, packets = transferred_bytes(sizes, config), num_packets(sizes, config)
+                wire, packets = packetise(sizes, config)
                 yield from repeat(make(direction, kind, sizes, wire, packets, label), n)
                 continue
             distinct, inverse = np.unique(sizes, return_inverse=True)
-            wire, packets = transferred_bytes(distinct, config), num_packets(distinct, config)
+            wire, packets = packetise(distinct, config)
             rows = [
                 make(direction, kind, *row, label)
                 for row in zip(distinct.tolist(), wire.tolist(), packets.tolist())
@@ -372,8 +372,7 @@ class Channel:
         log = self._lane_log(direction)
         if log is SUPPRESSED:
             return 0
-        wire = transferred_bytes(sizes, self.config)
-        packets = num_packets(sizes, self.config)
+        wire, packets = packetise(sizes, self.config)
         if isinstance(sizes, np.ndarray):
             wire, packets = int(wire.sum()), int(packets.sum())
         else:

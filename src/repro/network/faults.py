@@ -32,6 +32,7 @@ never sleep.
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass
 from enum import Enum
@@ -39,7 +40,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import require_count, require_finite
+from repro.errors import InvalidInput, require_count, require_finite
 
 __all__ = [
     "Disconnect",
@@ -79,8 +80,8 @@ class Outage:
     length: int
 
     def __post_init__(self) -> None:
-        if self.start < 0 or self.length < 1:
-            raise ValueError("outage start must be >= 0 and length >= 1")
+        require_count(self.start, "outage start", minimum=0)
+        require_count(self.length, "outage length")
 
     def covers(self, op_index: int) -> bool:
         return self.start <= op_index < self.start + self.length
@@ -120,8 +121,7 @@ class Disconnect:
     at: int
 
     def __post_init__(self) -> None:
-        if self.at < 0:
-            raise ValueError("disconnect index must be >= 0")
+        require_count(self.at, "disconnect index", minimum=0)
 
 
 @dataclass(frozen=True)
@@ -159,12 +159,13 @@ class FaultPlan:
     disconnects: Tuple[Disconnect, ...] = ()
 
     def __post_init__(self) -> None:
+        # The seed keys every channel's substream (``SeedSequence`` takes
+        # non-negative integers only).
+        require_count(self.seed, "seed", minimum=0)
         for name in ("drop_rate", "stall_rate", "duplicate_rate"):
-            rate = getattr(self, name)
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1]")
+            require_finite(getattr(self, name), name, maximum=1.0)
         if self.drop_rate + self.stall_rate + self.duplicate_rate > 1.0 + 1e-12:
-            raise ValueError("fault rates must sum to at most 1")
+            raise InvalidInput("fault rates must sum to at most 1")
         require_finite(self.stall_latency_s, "stall_latency_s")
         # Normalise to tuples so hand-built plans with lists still hash.
         object.__setattr__(self, "outages", tuple(self.outages))
@@ -210,6 +211,18 @@ class FaultInjector:
         self._rng = np.random.default_rng(
             (plan.seed, zlib.crc32(server_name.encode("utf-8")))
         )
+        # This channel's share of the schedule, found once: the first
+        # attempt its link is dead from, its outage windows as ``[lo, hi)``,
+        # and the draw's cumulative thresholds.
+        self._dead_from = min(
+            (d.at for d in plan.disconnects if d.server == server_name), default=math.inf
+        )
+        self._outages = tuple(
+            (o.start, o.start + o.length) for o in plan.outages if o.server == server_name
+        )
+        self._drop = plan.drop_rate
+        self._stall = plan.drop_rate + plan.stall_rate
+        self._duplicate = plan.drop_rate + plan.stall_rate + plan.duplicate_rate
         self._buffer: List[float] = []
         self._buffer_pos = 0
         self.op_index = 0
@@ -230,19 +243,18 @@ class FaultInjector:
         op = self.op_index
         self.op_index += 1
         draw = self._next_uniform()
-        plan = self.plan
         kind = FaultKind.OK
         latency = 0.0
-        if any(d.server == self.server and op >= d.at for d in plan.disconnects):
+        if op >= self._dead_from:
             kind = FaultKind.DISCONNECT
-        elif any(o.server == self.server and o.covers(op) for o in plan.outages):
+        elif self._outages and any(lo <= op < hi for lo, hi in self._outages):
             kind = FaultKind.UNAVAILABLE
-        elif draw < plan.drop_rate:
+        elif draw < self._drop:
             kind = FaultKind.DROP
-        elif draw < plan.drop_rate + plan.stall_rate:
+        elif draw < self._stall:
             kind = FaultKind.STALL
-            latency = plan.stall_latency_s
-        elif draw < plan.drop_rate + plan.stall_rate + plan.duplicate_rate:
+            latency = self.plan.stall_latency_s
+        elif draw < self._duplicate:
             kind = FaultKind.DUPLICATE
         event = FaultEvent(op_index=op, kind=kind, label=label, latency_s=latency)
         self.events.append(event)

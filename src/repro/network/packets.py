@@ -22,6 +22,7 @@ from repro.network.config import NetworkConfig
 
 __all__ = [
     "num_packets",
+    "packetise",
     "transferred_bytes",
     "object_payload_bytes",
     "query_bytes",
@@ -44,9 +45,16 @@ def num_packets(payload_bytes, config: NetworkConfig):
     return -(-payload_bytes // config.payload_per_packet)
 
 
+def packetise(payload_bytes, config: NetworkConfig):
+    """Eq. 1 evaluated once: ``(TB(B_D), packets)`` of a payload (``int`` or
+    ``int64`` array) -- what a channel books for every send."""
+    packets = num_packets(payload_bytes, config)
+    return payload_bytes + config.header_bytes * packets, packets
+
+
 def transferred_bytes(payload_bytes, config: NetworkConfig):
     """Wire bytes for a payload: Eq. 1, ``TB(B_D)`` (``int`` or ``int64`` array)."""
-    return payload_bytes + config.header_bytes * num_packets(payload_bytes, config)
+    return packetise(payload_bytes, config)[0]
 
 
 def object_payload_bytes(num_objects: int, config: NetworkConfig) -> int:

@@ -13,8 +13,10 @@ every experiment are read off its channels after the join finishes.
 
 Every batch endpoint is ``book(evaluate(...))``: the backing build answers
 the rows without touching its statistics (``evaluate_*``) and the
-connection books the answer (``count_batch_prefetched`` / ``book_*``) --
-the backing server's statistics by the one
+connection books the answer (``count_batch_prefetched`` / ``book_*``):
+it checks the requests once, then one private booker per kind
+(``_book_count`` / ``_book_window`` / ``_book_range`` / ``_book_bucket``)
+books the backing server's statistics by the one
 :class:`~repro.server.server.ServerQueryStats` rule of the kind, then the
 exchange.  The step driver (:mod:`repro.device.steps`) calls the same two
 halves, for one query or a whole wave, so nothing booked can tell who
@@ -368,10 +370,13 @@ class ResilienceController:
         }
 
 
-#: The batched protocols' query strings are sized by kind, never by window
-#: or probe: a uniform batch is accounted through one stand-in message.
-_ANY_WINDOW = Rect(0.0, 0.0, 0.0, 0.0)
-_ANY_POINT = Point(0.0, 0.0)
+#: The batched protocols' query strings and scalar answers are sized by
+#: kind, never by window, probe or value: a uniform batch is accounted
+#: through one stand-in message of its kind, built once.
+_COUNT_QUERY = CountQuery(Rect(0.0, 0.0, 0.0, 0.0))
+_COUNT_ANSWER = ScalarResponse(0.0)
+_WINDOW_QUERY = WindowQuery(Rect(0.0, 0.0, 0.0, 0.0))
+_RANGE_QUERY = RangeQuery(Point(0.0, 0.0), 0.0)
 
 class RemoteServer:
     """A metered proxy in front of one server, or one shard's replica set.
@@ -574,28 +579,11 @@ class RemoteServer:
         return self.book_window_batch(windows, self._server.evaluate_window_batch(windows))
 
     def window_batch_prefetched(self, windows: Windows, sizes: np.ndarray) -> None:
-        """Book a WINDOW batch evaluated elsewhere (``sizes[i]`` objects each).
-
-        The one booking rule of the kind: the backing server's statistics,
-        then one exchange of one query string per window (whatever the
-        window) and one object payload per window.  The scatter proxy
-        answers all its shards' sub-batches in one forest descent, then
-        books each shard's share here.
-        """
-        wins = rect_array.window_array(windows)
-        self._server.stats.book_window(wins.shape[0], int(sizes.sum()))
-        if not sizes.shape[0]:
-            # An empty batch never hits the wire, so it draws no fault
-            # event -- keeps fault streams aligned across execution paths.
-            return
-
-        def account(channel: Channel) -> None:
-            channel.send_uniform_batch(
-                WindowQuery(_ANY_WINDOW), sizes.shape[0], direction="up", label="window"
-            )
-            self._send_object_batch(channel, sizes, "window-result")
-
-        self._exchange("window-batch", account)
+        """Book a WINDOW batch evaluated elsewhere (``sizes[i]`` objects each):
+        the windows are checked, then :meth:`_book_window` books the sizes."""
+        if rect_array.window_array(windows).shape[0] != sizes.shape[0]:
+            raise ValueError("sizes must be parallel to windows")
+        self._book_window(sizes)
 
     def book_window_batch(
         self, windows: Windows, answer: Prefetched
@@ -609,11 +597,74 @@ class RemoteServer:
         self.window_batch_prefetched(windows, np.diff(answer.bounds))
         return answer.mbrs, answer.oids, answer.bounds
 
-    def _send_object_batch(self, channel: Channel, sizes: np.ndarray, label: str) -> None:
-        """One downlink object payload per request, ``sizes[i]`` objects each."""
-        channel.send_payload_batch(
-            MessageKind.OBJECTS, sizes * self.config.object_bytes, direction="down", label=label
-        )
+    # ------------------------------------------------------------------ #
+    # the bookers: one rule per kind, on requests already checked
+    # ------------------------------------------------------------------ #
+    #
+    # Each takes only what the statistics and the ledger read -- the
+    # request count, and the per-request object counts of a payload kind --
+    # and books the backing server's statistics, then one exchange.  An
+    # empty batch never hits the wire, so it draws no fault event: that
+    # keeps fault streams aligned across execution paths.  The public
+    # ``*_prefetched`` endpoints check their requests and call these; the
+    # scatter proxy checks a batch once and calls them per routed shard.
+
+    def _book_count(self, n: int) -> None:
+        """``n`` COUNTs: one query string and one scalar answer each."""
+        self._server.stats.book_count(n)
+        if not n:
+            return
+
+        def account(channel: Channel) -> None:
+            channel.send_uniform_batch(_COUNT_QUERY, n, direction="up", label="count")
+            channel.send_uniform_batch(_COUNT_ANSWER, n, direction="down", label="count-result")
+
+        self._exchange("count-batch", account)
+
+    def _book_window(self, sizes: np.ndarray) -> None:
+        """One WINDOW per entry of ``sizes``: a query string and an object
+        payload of ``sizes[i]`` objects each."""
+        self._server.stats.book_window(sizes.shape[0], int(sizes.sum()))
+        self._exchange_payloads(_WINDOW_QUERY, sizes, "window")
+
+    def _book_range(self, sizes: np.ndarray) -> None:
+        """One RANGE probe per entry of ``sizes`` (see :meth:`_book_window`)."""
+        self._server.stats.book_range(sizes.shape[0], int(sizes.sum()))
+        self._exchange_payloads(_RANGE_QUERY, sizes, "range")
+
+    def _exchange_payloads(self, query, sizes: np.ndarray, kind: str) -> None:
+        """The exchange of a WINDOW / RANGE batch: ``len(sizes)`` query
+        strings up, one object payload of ``sizes[i]`` objects each down."""
+        n = sizes.shape[0]
+        if not n:
+            return
+        payloads = sizes * self.config.object_bytes
+
+        def account(channel: Channel) -> None:
+            channel.send_uniform_batch(query, n, direction="up", label=kind)
+            channel.send_payload_batch(
+                MessageKind.OBJECTS, payloads, direction="down", label=kind + "-result"
+            )
+
+        self._exchange(kind + "-batch", account)
+
+    def _book_bucket(self, n_probes: int, n_objects: int) -> None:
+        """One bucket query of ``n_probes`` probes answered by ``n_objects``
+        objects: one exchange, whatever the probe count."""
+        self._server.stats.book_bucket(n_probes, n_objects)
+        # Sized by its probes alone: radii add nothing to the payload.
+        query = BucketRangeQuery.of_size(n_probes, 0.0)
+        # Eq. 5 of the paper charges one extra object-sized separator per
+        # probe in the bucket response (the "+ Bobj" term).
+        payload = np.array([(n_objects + n_probes) * self.config.object_bytes])
+
+        def account(channel: Channel) -> None:
+            channel.send_query(query, label="bucket-range")
+            channel.send_payload_batch(
+                MessageKind.OBJECTS, payload, direction="down", label="bucket-range-result"
+            )
+
+        self._exchange("bucket-range", account)
 
     def count_batch(self, windows: Windows) -> List[int]:
         """Issue many COUNT queries, evaluated server-side in one descent.
@@ -625,29 +676,14 @@ class RemoteServer:
     def count_batch_prefetched(
         self, windows: Windows, values: Sequence[int]
     ) -> List[int]:
-        """Book a COUNT batch answered elsewhere (``values`` its counts).
-
-        The one booking rule of the kind: the backing server's statistics,
-        then one exchange of one query string and one scalar response per
-        window -- what a loop of :meth:`count` calls writes.  An empty batch
-        never hits the wire and draws no fault event.
-        """
+        """Book a COUNT batch answered elsewhere (``values`` its counts): the
+        windows are checked, then :meth:`_book_count` books them -- what a
+        loop of :meth:`count` calls writes."""
         values = values.tolist() if isinstance(values, np.ndarray) else list(values)
         if len(values) != len(windows):
             raise ValueError("values must be parallel to windows")
         rect_array.window_array(windows)
-        n = len(values)
-        self._server.stats.book_count(n)
-        if not n:
-            return values
-
-        def account(channel: Channel) -> None:
-            channel.send_uniform_batch(CountQuery(_ANY_WINDOW), n, direction="up", label="count")
-            channel.send_uniform_batch(
-                ScalarResponse(0.0), n, direction="down", label="count-result"
-            )
-
-        self._exchange("count-batch", account)
+        self._book_count(len(values))
         return values
 
     def range(self, center: Point, epsilon: float) -> Tuple[np.ndarray, np.ndarray]:
@@ -688,19 +724,11 @@ class RemoteServer:
     def range_batch_prefetched(
         self, centers: Probes, radii: Sequence[float], sizes: np.ndarray
     ) -> None:
-        """Book a RANGE batch evaluated elsewhere (see :meth:`window_batch_prefetched`)."""
-        pts, _ = probe_arrays(centers, radii)
-        self._server.stats.book_range(pts.shape[0], int(sizes.sum()))
-        if not sizes.shape[0]:
-            return
-
-        def account(channel: Channel) -> None:
-            channel.send_uniform_batch(
-                RangeQuery(_ANY_POINT, 0.0), sizes.shape[0], direction="up", label="range"
-            )
-            self._send_object_batch(channel, sizes, "range-result")
-
-        self._exchange("range-batch", account)
+        """Book a RANGE batch evaluated elsewhere: the probes are checked,
+        then :meth:`_book_range` books the sizes."""
+        if probe_arrays(centers, radii)[0].shape[0] != sizes.shape[0]:
+            raise ValueError("sizes must be parallel to centers")
+        self._book_range(sizes)
 
     def book_range_batch(
         self, centers: Probes, radii: Sequence[float], answer: Prefetched
@@ -732,19 +760,9 @@ class RemoteServer:
     def bucket_range_prefetched(
         self, centers: Probes, epsilon: float, radii: Sequence[float], n_objects: int
     ) -> None:
-        """Book a bucket RANGE query evaluated elsewhere (``n_objects`` returned)."""
-        n_probes = bucket_probe_arrays(centers, epsilon, radii)[0].shape[0]
-        self._server.stats.book_bucket(n_probes, n_objects)
-
-        def account(channel: Channel) -> None:
-            channel.send_query(BucketRangeQuery.of_size(n_probes, epsilon), label="bucket-range")
-            # Eq. 5 of the paper charges one extra object-sized separator per
-            # probe in the bucket response (the "+ Bobj" term).
-            self._send_object_batch(
-                channel, np.array([n_objects + n_probes]), "bucket-range-result"
-            )
-
-        self._exchange("bucket-range", account)
+        """Book a bucket RANGE query evaluated elsewhere (``n_objects`` returned):
+        the probes are checked, then :meth:`_book_bucket` books the query."""
+        self._book_bucket(bucket_probe_arrays(centers, epsilon, radii)[0].shape[0], n_objects)
 
     def book_bucket_range(
         self,
@@ -1053,11 +1071,14 @@ class ShardedRemoteServer:
     composition ``book(evaluate(...))`` of a plain connection: the request
     batch becomes ``(shard, request)`` rows (request-major, shards
     ascending -- :meth:`ShardedSpatialServer.route`), **one** descent of
-    the fleet's forest answers every row, and the booker hands each routed
-    shard's proxy its own rows through that proxy's ``*_prefetched``
-    booker.  The merged answer is the descent's own output read at request
-    boundaries (summed COUNTs, payload rows request-major with shards
-    ascending inside a request), bit-identical to the union server's.  Four
+    the fleet's forest answers every row, and the booker checks the batch
+    once and hands each routed shard's proxy what its rows weigh -- their
+    count, and their object counts for a payload kind -- through that
+    proxy's private booker of the kind (:meth:`RemoteServer._book_count`
+    ...), which checks, slices and lists nothing again.  The merged answer
+    is the descent's own output read at request boundaries (summed COUNTs,
+    payload rows request-major with shards ascending inside a request),
+    bit-identical to the union server's.  Four
     ordering rules keep channels, ledgers, fault substreams, replica orders
     and statistics identical to a shard-by-shard scatter:
 
@@ -1105,24 +1126,24 @@ class ShardedRemoteServer:
         """Shard indices one window scatters to: the one-row case of the routing."""
         return self._fleet.route(rect_array.window_array([window]))[0].tolist()
 
-    @staticmethod
-    def _by_shard(shard: np.ndarray) -> Iterator[Tuple[int, np.ndarray]]:
-        """``(shard, its row positions)``, shards ascending, rows in request order."""
-        order = np.argsort(shard, kind="stable")
-        for at in np.split(order, np.flatnonzero(np.diff(shard.take(order))) + 1):
-            if at.shape[0]:
-                yield int(shard[at[0]]), at
+    def _shares(self, shard: np.ndarray) -> Iterator[Tuple[RemoteServer, int]]:
+        """``(proxy, rows routed to it)`` per routed shard, shards ascending."""
+        counts = np.bincount(shard, minlength=len(self._proxies)).tolist()
+        return ((proxy, n) for proxy, n in zip(self._proxies, counts) if n)
 
-    def _book(self, answer, per_row: np.ndarray, book) -> None:
-        """Book one evaluated batch shard by shard.
+    def _book_sizes(self, answer, sizes: np.ndarray, book) -> None:
+        """Book an evaluated payload batch shard by shard.
 
-        ``book(proxy, requests, values)`` attributes one shard's rows -- the
-        request indices it was routed, ascending, and their ``per_row``
-        values (objects returned, or counted) -- through that shard's
-        ``*_prefetched`` booker.
+        ``book(proxy, its sizes)`` hands one routed shard the ``sizes``
+        (objects returned) of its rows, in request order, through that
+        shard's booker.
         """
-        for si, at in self._by_shard(answer.shard):
-            book(self._proxies[si], answer.request.take(at), per_row.take(at))
+        shard = answer.shard
+        mine = sizes.take(np.argsort(shard, kind="stable"))
+        stop = 0
+        for proxy, n in self._shares(shard):
+            start, stop = stop, stop + n
+            book(proxy, mine[start:stop])
 
     @staticmethod
     def _request_bounds(request: np.ndarray, n_requests: int, bounds: np.ndarray) -> np.ndarray:
@@ -1157,11 +1178,7 @@ class ShardedRemoteServer:
         with this query's share of a descent it made for one or many queries.
         """
         windows = rect_array.window_array(windows)
-        self._book(
-            answer,
-            np.diff(answer.bounds),
-            lambda proxy, mine, sizes: proxy.window_batch_prefetched(windows[mine], sizes),
-        )
+        self._book_sizes(answer, np.diff(answer.bounds), RemoteServer._book_window)
         return (
             answer.mbrs,
             answer.oids,
@@ -1188,11 +1205,8 @@ class ShardedRemoteServer:
         windows = rect_array.window_array(windows)
         if len(values) != windows.shape[0]:
             raise ValueError("values must be parallel to windows")
-        self._book(
-            values,
-            values.rows,
-            lambda proxy, mine, counts: proxy.count_batch_prefetched(windows[mine], counts),
-        )
+        for proxy, n in self._shares(values.shard):
+            proxy._book_count(n)
         return list(values)
 
     def range(self, center: Point, epsilon: float) -> Tuple[np.ndarray, np.ndarray]:
@@ -1214,12 +1228,8 @@ class ShardedRemoteServer:
         self, centers: Probes, radii: Sequence[float], answer: Prefetched
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The book half of :meth:`range_batch_flat` (see :meth:`book_window_batch`)."""
-        pts, reach = probe_arrays(centers, radii)
-        self._book(
-            answer,
-            np.diff(answer.bounds),
-            lambda proxy, mine, sizes: proxy.range_batch_prefetched(pts[mine], reach[mine], sizes),
-        )
+        pts, _ = probe_arrays(centers, radii)
+        self._book_sizes(answer, np.diff(answer.bounds), RemoteServer._book_range)
         return (
             answer.mbrs,
             answer.oids,
@@ -1245,14 +1255,10 @@ class ShardedRemoteServer:
         answer: Prefetched,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The book half of :meth:`bucket_range`: one bucket exchange per routed shard."""
-        pts, reach = bucket_probe_arrays(centers, epsilon, radii)
+        bucket_probe_arrays(centers, epsilon, radii)
         sizes = np.diff(answer.bounds)
-        self._book(
-            answer,
-            sizes,
-            lambda proxy, mine, sizes: proxy.bucket_range_prefetched(
-                pts[mine], epsilon, reach[mine], int(sizes.sum())
-            ),
+        self._book_sizes(
+            answer, sizes, lambda proxy, mine: proxy._book_bucket(mine.shape[0], int(mine.sum()))
         )
         # Probe-major with ascending shards inside each probe: the rows' own order.
         return answer.mbrs, answer.oids, np.repeat(answer.request, sizes)

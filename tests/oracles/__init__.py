@@ -45,5 +45,8 @@ oracle                    shipped code it mirrors                         suite 
                           ``RemoteServer`` / ``ShardedRemoteServer``      ``test_server.py``,
                           and ``MobileDevice.count_window`` (now one-     ``test_leaf_pipeline.py``
                           row batch calls), ``FlatRTree._descend``
+``fault_scan``            ``FaultInjector.next_event`` (the schedule      ``test_fault_plan.py``              57dd8dc
+                          found once per channel, not scanned per
+                          attempt)
 ========================  ==============================================  ==================================  =========
 """

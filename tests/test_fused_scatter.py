@@ -26,6 +26,7 @@ from repro.index.flat import FlatRTree
 from repro.network.channel import Channel
 from repro.network.config import NetworkConfig
 from repro.network.faults import Disconnect, FaultPlan, Outage, RetryPolicy, replica_outages
+from repro.network.messages import CountQuery, MessageKind, ScalarResponse
 from repro.server import ShardedSpatialServer
 from repro.server.remote import ResilienceController, ShardedRemoteServer
 
@@ -489,3 +490,139 @@ class TestOneDescentPerScatter:
         assert calls == ["count_batch"]
         proxy.count_batch_prefetched(windows, values)
         assert calls == ["count_batch"]
+
+
+class TestBookingWork:
+    """A fleet batch is booked at the cost of its exchanges.
+
+    The scatter proxy checks a batch once at its boundary and books every
+    routed shard through that shard's private booker, which re-checks,
+    re-slices and re-lists nothing; a channel evaluates Eq. 1 once per
+    send.  Held as counts, so a change that puts per-shard work back fails
+    here and not only in ``server.remote.self_s_per_op``.
+    """
+
+    @staticmethod
+    def _spy(calls, name, original):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        return counted
+
+    @pytest.mark.parametrize("shards, replicas", [(1, 1), (4, 2), (16, 2)])
+    def test_one_window_or_probe_check_per_batch(self, shards, replicas, monkeypatch):
+        from repro.geometry import rect_array
+        from repro.server import remote
+
+        proxy, _ = _connect(shards, replicas, _plan("recoverable", shards, replicas))
+        fleet = proxy.backing_server
+        windows, centers, radii = _requests(5)
+        counts = fleet.evaluate_count_batch(windows)
+        payloads = fleet.evaluate_window_batch(windows)
+        probes = fleet.evaluate_range_batch(centers, radii)
+        live = sum(1 for shard in fleet.shards if len(shard))
+        # ``windows`` holds one window over everything: every live shard is booked.
+        assert np.unique(payloads.shard).shape[0] == np.unique(counts.shard).shape[0] == live
+
+        checks = []
+        monkeypatch.setattr(
+            rect_array, "window_array", self._spy(checks, "window", rect_array.window_array)
+        )
+        monkeypatch.setattr(remote, "probe_arrays", self._spy(checks, "probe", remote.probe_arrays))
+        monkeypatch.setattr(
+            remote, "bucket_probe_arrays", self._spy(checks, "bucket", remote.bucket_probe_arrays)
+        )
+        for book, want in (
+            (lambda: proxy.count_batch_prefetched(windows, counts), ["window"]),
+            (lambda: proxy.book_window_batch(windows, payloads), ["window"]),
+            (lambda: proxy.book_range_batch(centers, radii, probes), ["probe"]),
+            (lambda: proxy.book_bucket_range(centers, 0.05, radii, probes), ["bucket"]),
+        ):
+            checks.clear()
+            book()
+            assert checks == want
+
+    def test_one_eq1_evaluation_per_send(self, monkeypatch):
+        from repro.network import packets
+
+        evaluations, sends = [], []
+        monkeypatch.setattr(
+            packets, "num_packets", self._spy(evaluations, "eq1", packets.num_packets)
+        )
+        monkeypatch.setattr(Channel, "_send", self._spy(sends, "send", Channel._send))
+        channel = Channel(NetworkConfig(), name="S")
+        for send in (
+            lambda: channel.send_query(CountQuery(Rect(0.0, 0.0, 1.0, 1.0))),
+            lambda: channel.send_uniform_batch(ScalarResponse(0.0), 7, direction="down"),
+            lambda: channel.send_payload_batch(
+                MessageKind.OBJECTS, np.array([0, 40, 4000, 400000])
+            ),
+        ):
+            evaluations.clear()
+            send()
+            assert evaluations == ["eq1"]
+        # A whole fault-free fleet batch of every kind: one evaluation per send.
+        proxy, _ = _connect(4, 2, None)
+        windows, centers, radii = _requests(5)
+        evaluations.clear()
+        sends.clear()
+        proxy.count_batch(windows)
+        proxy.window_batch_flat(windows)
+        proxy.range_batch_flat(centers, radii)
+        proxy.bucket_range(tuple(centers), 0.05, radii)
+        assert len(sends) > 8 and len(evaluations) == len(sends)
+
+    @pytest.mark.parametrize("shards, replicas", [(4, 2), (16, 1)])
+    def test_a_bad_last_row_is_rejected_before_any_shard_is_booked(self, shards, replicas):
+        """The check is the batch's, not a shard's: a non-finite last window
+        or probe of a batch every shard is routed would otherwise be seen
+        only after the shards before it were booked."""
+        from repro.errors import InvalidInput
+
+        proxy, resilience = _connect(shards, replicas, _plan("recoverable", shards, replicas))
+        fleet = proxy.backing_server
+        windows, centers, radii = _requests(5)
+        counts = fleet.evaluate_count_batch(windows)
+        payloads = fleet.evaluate_window_batch(windows)
+        probes = fleet.evaluate_range_batch(centers, radii)
+        untouched = _observables(proxy, resilience)
+        bad_windows = windows[:-1] + [Rect(0.0, 0.0, float("nan"), 1.0)]
+        bad_centers = centers[:-1] + [Point(float("nan"), 0.5)]
+        attempts = [
+            lambda: proxy.count_batch_prefetched(bad_windows, counts),
+            lambda: proxy.book_window_batch(bad_windows, payloads),
+            lambda: proxy.book_range_batch(bad_centers, radii, probes),
+            lambda: proxy.book_bucket_range(bad_centers, 0.05, radii, probes),
+        ]
+        # Every shard connection's own public bookers check too.
+        sizes = np.ones(len(bad_windows), dtype=np.int64)
+        for shard in proxy._proxies:
+            attempts += [
+                lambda shard=shard: shard.count_batch_prefetched(bad_windows, [0] * len(sizes)),
+                lambda shard=shard: shard.window_batch_prefetched(bad_windows, sizes),
+                lambda shard=shard: shard.range_batch_prefetched(
+                    bad_centers, radii, np.ones(len(bad_centers), dtype=np.int64)
+                ),
+                lambda shard=shard: shard.bucket_range_prefetched(bad_centers, 0.05, radii, 3),
+            ]
+        for attempt in attempts:
+            with pytest.raises(InvalidInput, match="finite"):
+                attempt()
+        assert _observables(proxy, resilience) == untouched
+        assert not any(proxy.server_stats().values())
+
+    def test_a_shard_booker_takes_one_size_per_request(self):
+        """The public bookers check that the sizes are parallel to the
+        requests: the statistics and the ledger count the sizes, so a
+        mismatch would book a batch the caller did not ask for."""
+        proxy, resilience = _connect(4, 2, None)
+        shard = proxy._proxies[0]
+        windows, centers, radii = _requests(5)
+        untouched = _observables(proxy, resilience)
+        three = np.ones(3, dtype=np.int64)
+        with pytest.raises(ValueError, match="sizes must be parallel to windows"):
+            shard.window_batch_prefetched(windows[:2], three)
+        with pytest.raises(ValueError, match="sizes must be parallel to centers"):
+            shard.range_batch_prefetched(centers[:2], radii[:2], three)
+        assert _observables(proxy, resilience) == untouched
