@@ -23,7 +23,7 @@ from collections import deque
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.base import AlgorithmParameters
-from repro.core.join_types import JoinSpec
+from repro.core.join_types import JoinKind, JoinSpec
 from repro.core.planner import (
     ALGORITHMS,
     StackConfig,
@@ -42,7 +42,6 @@ from repro.errors import (
     ReproError,
     RetryExhausted,
     ServerUnavailable,
-    ServiceClosed,
 )
 from repro.geometry.rect import Rect
 from repro.network.config import NetworkConfig
@@ -51,8 +50,7 @@ from repro.datasets.partition import PARTITION_SCHEMES, partition_dataset
 from repro.obs import MetricsRegistry, Tracer
 from repro.server.server import SpatialServer
 from repro.server.sharded import ShardedSpatialServer
-from repro.service.broker import DEFAULT_CACHE_MAX_BYTES, QueryBroker, resolve_broker
-from repro.service.executor import QueryService
+from repro.service.broker import DEFAULT_CACHE_MAX_BYTES, QueryBroker
 from repro.service.query import JoinQuery, QueryOutcome
 
 __all__ = [
@@ -67,13 +65,11 @@ __all__ = [
     "PARTITION_SCHEMES",
     "QueryBroker",
     "QueryOutcome",
-    "QueryService",
     "QueryTimeout",
     "ReproError",
     "RetryExhausted",
     "RetryPolicy",
     "ServerUnavailable",
-    "ServiceClosed",
     "ShardedSpatialServer",
     "StackConfig",
     "Tracer",
@@ -216,11 +212,18 @@ def batch_join(
 
     Pass a ``broker`` to reuse its server builds, result cache and
     circuit breakers across several batches.  A passed broker carries its
-    own configuration, so combining it with any ``broker_kwargs`` is an
-    error rather than a silent override.  For continuous (non-batch)
-    admission use :class:`repro.api.QueryService`.
+    own configuration, so combining it with any ``broker_kwargs`` is
+    :class:`~repro.errors.InvalidInput` rather than a silent override.
+    A stream of arrivals is served by cutting it into batches: the broker
+    is the package's only way to serve queries.
     """
-    return resolve_broker(broker, broker_kwargs).run_batch(queries)
+    if broker is None:
+        broker = QueryBroker(**broker_kwargs)
+    elif broker_kwargs:
+        raise InvalidInput(
+            f"pass either a pre-built broker or {sorted(broker_kwargs)}, not both"
+        )
+    return broker.run_batch(queries)
 
 
 class AdHocJoinSession:
@@ -367,11 +370,13 @@ class AdHocJoinSession:
 
     @staticmethod
     def _spec_for(kind: str, epsilon: float, min_matches: int) -> JoinSpec:
+        # ``min_matches`` reaches every kind's spec, which checks it, and
+        # the intersection's spec takes no epsilon.
         k = kind.lower()
         if k in ("intersection", "intersect"):
-            return JoinSpec.intersection()
+            return JoinSpec(JoinKind.INTERSECTION, min_matches=min_matches)
         if k in ("distance", "within"):
-            return JoinSpec.distance(epsilon)
+            return JoinSpec(JoinKind.DISTANCE, epsilon, min_matches)
         if k in ("iceberg", "iceberg_semi", "semi"):
             return JoinSpec.iceberg(epsilon, min_matches)
         raise InvalidInput(f"unknown join kind {kind!r}")

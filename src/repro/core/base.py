@@ -17,6 +17,7 @@ steps of other queries -- the same gather / evaluate / book loop either way.
 from __future__ import annotations
 
 import math
+import numbers
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
@@ -64,12 +65,14 @@ class AlgorithmParameters:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        # ``nan`` fails the first comparison, ``inf`` the finiteness test.
-        if not 0.0 < self.alpha <= 1.0:
+        # ``nan`` fails the first comparison, ``inf`` the finiteness test,
+        # a string the type test.
+        if not (isinstance(self.alpha, numbers.Real) and 0.0 < self.alpha <= 1.0):
             raise InvalidInput("alpha must lie in (0, 1]")
-        if not (self.rho > 0 and math.isfinite(self.rho)):
+        if not (isinstance(self.rho, numbers.Real) and self.rho > 0 and math.isfinite(self.rho)):
             raise InvalidInput("rho must be positive")
         require_count(self.grid_k, "grid_k", minimum=2)
+        require_count(self.seed, "seed", minimum=0)
 
 
 class MobileJoinAlgorithm(ABC):

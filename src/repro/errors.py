@@ -4,8 +4,8 @@ Until PR 7 every failure surfaced as a bare ``RuntimeError``/``ValueError``
 (or a hung waiter).  A production-shaped service needs errors that callers
 can *dispatch on*: the broker isolates a :class:`QueryTimeout` differently
 from a :class:`ServerUnavailable` (the latter feeds the per-server circuit
-breaker), and the asynchronous service lane must fail pending tickets with
-something a client can distinguish from a join bug.
+breaker), and a failed query's outcome must carry something a client can
+distinguish from a join bug.
 
 Design rules:
 
@@ -14,8 +14,8 @@ Design rules:
   runtime-layer failures and never a programming error.
 * Where the seed code raised a stdlib type that callers may already catch,
   the typed replacement *also* subclasses that stdlib type
-  (:class:`QueryTimeout` is a ``TimeoutError``, :class:`ServiceClosed` is a
-  ``RuntimeError``), so the migration cannot break existing ``except``
+  (:class:`QueryTimeout` is a ``TimeoutError``, :class:`InvalidInput` a
+  ``ValueError``), so the migration cannot break existing ``except``
   clauses.
 * Faults carry their provenance (server name, per-channel exchange index,
   fault kind) and a ``recoverable`` flag: the retry layer keeps retrying
@@ -37,7 +37,6 @@ __all__ = [
     "RetryExhausted",
     "RoundRetry",
     "ServerUnavailable",
-    "ServiceClosed",
     "require_count",
     "require_finite",
 ]
@@ -129,10 +128,10 @@ class ServerUnavailable(ChannelFault):
 
 
 class QueryTimeout(ReproError, TimeoutError):
-    """A per-query deadline budget (or a client-side wait) expired.
+    """A per-query deadline budget expired.
 
-    Subclasses ``TimeoutError`` so callers that guarded
-    ``QueryService.result(timeout=...)`` with the stdlib type keep working.
+    Subclasses ``TimeoutError`` so callers that guard a deadline with the
+    stdlib type catch it too.
     """
 
 
@@ -146,15 +145,6 @@ class RetryExhausted(ReproError):
     def __init__(self, message: str, last_fault: Optional[ChannelFault] = None) -> None:
         super().__init__(message)
         self.last_fault = last_fault
-
-
-class ServiceClosed(ReproError, RuntimeError):
-    """The query service is shut down (or shutting down).
-
-    Raised on ``submit()`` after ``close()``, and used to fail every
-    pending ticket when the service stops before executing it -- a waiter
-    blocked in ``result()`` receives this instead of hanging forever.
-    """
 
 
 class RoundRetry(ReproError):

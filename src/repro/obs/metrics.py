@@ -4,7 +4,7 @@ A :class:`MetricsRegistry` hands out three instrument kinds -- monotonic
 :class:`Counter`, last-write-wins :class:`Gauge`, fixed-bucket
 :class:`Histogram` -- each supporting label sets (``metric.inc(1,
 server="R", lane="primary")``).  All state mutates under one registry
-re-entrant lock, so service client threads can bump the same counter safely.
+re-entrant lock, so several threads can bump the same counter safely.
 
 Exposition formats:
 

@@ -1,7 +1,7 @@
 """Deterministic span tracing for the join/service/fleet stack.
 
-A :class:`Tracer` records a tree of spans over one run -- service admission,
-broker waves, plan selection, per-query joins, frontier rounds, coalesced
+A :class:`Tracer` records a tree of spans over one run -- broker batches
+and their waves, plan selection, per-query joins, frontier rounds, coalesced
 COUNT exchanges, operator-leaf batches, result merges -- plus instant events
 for retries, failovers, breaker transitions and cache hits.  Two properties
 make it useful in a reproduction whose test suites pin bit-identity:

@@ -9,10 +9,9 @@ deduplicates it through the :class:`~repro.service.cache.ResultCache`
 cooperatively on the shared frontier engine -- coalescing the COUNT
 exchanges of all in-flight queries per backing server while keeping every
 query's metering ledger isolated and bit-identical to a standalone run.
-:class:`~repro.service.executor.QueryService` adds the asynchronous
-continuous-admission front-end (``submit``/``poll``/``result`` or
-callbacks) that turns the broker into a sustained-throughput server under
-open-loop load.
+``run_batch`` is also the package's only way to serve queries: a caller
+with a stream of arrivals cuts it into batches itself, and no thread is
+started anywhere in the package.
 """
 
 from repro.service.broker import BrokerStats, QueryBroker
@@ -22,7 +21,6 @@ from repro.service.cache import (
     freeze_result,
     query_key,
 )
-from repro.service.executor import QueryService
 from repro.service.query import JoinQuery, QueryOutcome
 
 __all__ = [
@@ -30,7 +28,6 @@ __all__ = [
     "JoinQuery",
     "QueryBroker",
     "QueryOutcome",
-    "QueryService",
     "ResultCache",
     "dataset_token",
     "freeze_result",

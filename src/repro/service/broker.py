@@ -66,7 +66,7 @@ from repro.server.server import SpatialServer
 from repro.service.cache import ResultCache, dataset_token, query_key
 from repro.service.query import JoinQuery, QueryOutcome
 
-__all__ = ["BrokerStats", "DEFAULT_CACHE_MAX_BYTES", "QueryBroker", "resolve_broker"]
+__all__ = ["BrokerStats", "DEFAULT_CACHE_MAX_BYTES", "QueryBroker"]
 
 #: Default byte budget for broker-built result caches: enough for tens of
 #: thousands of typical cached results, small enough that a long-lived
@@ -79,10 +79,10 @@ class BrokerStats:
     """Service-level accounting (metering of the joins themselves stays on
     each query's own channels).
 
-    Counter updates go through :meth:`bump`, which holds the stats lock.
-    Only the thread running :meth:`QueryBroker.run_batch` bumps them, but
-    client threads of the async service lane read :meth:`as_dict` while a
-    batch runs, and the lock gives them a consistent snapshot.
+    Counter updates go through :meth:`bump`, which holds the stats lock:
+    the thread running :meth:`QueryBroker.run_batch` bumps them, and a
+    caller reading :meth:`as_dict` from another thread while a batch runs
+    gets a consistent snapshot.
     """
 
     queries_submitted: int = 0
@@ -259,8 +259,8 @@ class QueryBroker:
                 metrics=metrics,
             )
         self.stats = BrokerStats()
-        # Guards the server-build cache and the breakers: a client thread
-        # may call clear_caches() while the admission thread executes.
+        # Guards the server-build cache and the breakers: a caller may call
+        # clear_caches() from another thread while a batch executes.
         self._lock = threading.RLock()
         self.max_server_builds = max_server_builds
         self._servers: "OrderedDict[Tuple, Tuple[SpatialServer, SpatialServer]]" = (
@@ -281,8 +281,6 @@ class QueryBroker:
         self._batch_span = None
         #: The live "wave" span (coordinator thread only).
         self._wave_span = None
-        #: Parent span supplied by a wrapping QueryService admission loop.
-        self._service_span = None
         self._m_queries = None
         self._m_query_bytes = None
         self._m_wave_occupancy = None
@@ -388,10 +386,7 @@ class QueryBroker:
         if self.tracer.enabled:
             self._batch_counter += 1
             self._batch_span = self.tracer.span(
-                "execute",
-                parent=self._service_span,
-                batch=self._batch_counter,
-                queries=len(batch),
+                "execute", batch=self._batch_counter, queries=len(batch)
             )
         try:
             return self._execute_batch(batch)
@@ -925,18 +920,3 @@ class QueryBroker:
                 entry.span.close()
             entry.gen = None
             entry.device = None
-
-
-def resolve_broker(broker: Optional[QueryBroker], broker_kwargs: Dict) -> QueryBroker:
-    """The pre-built ``broker``, or one built from ``broker_kwargs``.
-
-    A passed broker carries its own configuration, so combining it with
-    any constructor argument is an error rather than a silent override.
-    """
-    if broker is None:
-        return QueryBroker(**broker_kwargs)
-    if broker_kwargs:
-        raise ValueError(
-            f"pass either a pre-built broker or {sorted(broker_kwargs)}, not both"
-        )
-    return broker

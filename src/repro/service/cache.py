@@ -25,8 +25,8 @@ that raise on mutation, next to the pair set, which already is one
 (:func:`freeze_result`).  One caller mutating a hit can therefore never
 poison what the next caller is served.
 
-The cache is safe to share between the broker's wave loop and
-any number of client threads: ``get``/``put``/``clear`` and the
+The cache is safe to share between brokers and the threads that run
+them: ``get``/``put``/``clear`` and the
 hit/miss/eviction counters are guarded by one lock, and eviction is LRU --
 a hit refreshes an entry's recency (``OrderedDict.move_to_end``), so a hot
 result survives a long tail of one-shot queries.
@@ -170,7 +170,7 @@ def dataset_token(dataset: SpatialDataset) -> Tuple:
     objects holding the same rows, memoised on the (immutable) dataset so
     each one is digested once.  The digests cover dtype and shape, not just
     the raw bytes.  The memo write is an idempotent benign race under
-    concurrent submitters: both threads compute the same token.
+    concurrent callers: both threads compute the same token.
     """
     token = dataset.__dict__.get("_service_token_cache")
     if token is None:
@@ -244,8 +244,7 @@ class ResultCache:
     inserted (a single oversized result is cached alone rather than
     rejected).  ``None`` means unbounded on either axis; both bounds may be
     active at once.  All operations and counters are lock-guarded, so one
-    cache can back the broker's wave loop and concurrent service
-    submitters.
+    cache can back several brokers running batches on different threads.
     """
 
     def __init__(

@@ -109,7 +109,7 @@ class JoinQuery:
 
         The default-window computation is memoised on the (frozen) query:
         planning, cache-key derivation and wave execution all consult it,
-        possibly from different service threads, and must always see one
+        possibly from different threads, and must always see one
         identical Rect object.
         """
         if self.window is not None:
@@ -154,13 +154,6 @@ class QueryOutcome:
     ledger_readers: Optional[Tuple[Callable[[], Tuple], ...]] = field(
         default=None, repr=False, compare=False
     )
-    #: Ticket of the asynchronous submission that produced this outcome
-    #: (:meth:`~repro.service.executor.QueryService.submit`); ``None`` for
-    #: synchronous ``run_batch`` outcomes.
-    ticket: Optional[int] = None
-    #: Submission-to-completion seconds measured by the service lane
-    #: (queueing + execution); ``None`` outside the async front-end.
-    service_latency_s: Optional[float] = None
 
     @property
     def algorithm(self) -> Optional[str]:

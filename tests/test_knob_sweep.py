@@ -1,0 +1,153 @@
+"""Every numeric knob of the public entry points is typed at the boundary.
+
+The sweep finds each entry point's numeric parameters by signature and
+default -- a real-valued default, or an ``int`` / ``float`` annotation --
+and feeds each one NaN, inf, -1, 2.5 and ``"3"`` on top of an otherwise
+legal call.  Each value must raise :class:`~repro.errors.InvalidInput`, or
+be a legal value listed in :data:`LEGAL` with its reason.  A bare
+``ValueError`` / ``TypeError`` from inside the package, a failure only
+when the join runs, or a hostile value silently accepted fails the sweep.
+A knob added later is swept without touching this file.
+"""
+
+from __future__ import annotations
+
+import inspect
+import math
+import numbers
+
+import pytest
+
+from repro.api import (
+    AdHocJoinSession,
+    FaultPlan,
+    JoinQuery,
+    QueryBroker,
+    RetryPolicy,
+    ShardedSpatialServer,
+    StackConfig,
+    batch_join,
+    partition_dataset,
+    quick_join,
+)
+from repro.core.join_types import JoinSpec
+from repro.datasets.synthetic import clustered, uniform
+from repro.errors import InvalidInput
+from repro.network.config import NetworkConfig
+
+HOSTILE = (math.nan, math.inf, -1, 2.5, "3")
+
+#: Hostile values that are legal for the knob they are given to.
+LEGAL = {
+    ("epsilon", 2.5): "a legal distance: any positive finite epsilon",
+    ("rho", 2.5): "a density threshold may be any positive multiple of the average",
+    ("deadline_s", math.inf): "an infinite budget means no deadline",
+    ("deadline_s", 2.5): "a legal deadline in simulated seconds",
+    ("stall_latency_s", 2.5): "a legal stall latency",
+    ("base_backoff_s", 2.5): "a legal backoff",
+    ("max_backoff_s", 2.5): "a legal backoff cap",
+    ("backoff_factor", 2.5): "a legal backoff growth factor (>= 1)",
+    ("tariff_r", 2.5): "a legal per-byte tariff",
+    ("tariff_s", 2.5): "a legal per-byte tariff",
+}
+
+R = uniform(n=40, seed=1, name="R")
+S = clustered(n=40, clusters=2, seed=7, std=0.06, name="S")
+SPEC = JoinSpec.distance(0.03)
+
+
+def _query(**knobs):
+    return JoinQuery(R, S, SPEC, **{"buffer_size": 64, **knobs})
+
+
+def _all_ok(outcomes):
+    # The broker isolates a typed error into a failed outcome.
+    assert [o.error for o in outcomes if o.status != "ok"] == []
+
+
+def _join(**knobs):
+    return quick_join(R, S, epsilon=0.03, **knobs)
+
+
+#: Entry point -> (the callable whose signature names its knobs, a legal
+#: construction taking the swept knob as a keyword, what then uses the
+#: constructed object).  A hostile value must be refused by the
+#: construction; a legal one must then also run.
+TARGETS = {
+    "quick_join": (quick_join, lambda **k: quick_join(R, S, **{"epsilon": 0.03, **k}), None),
+    "AdHocJoinSession": (
+        AdHocJoinSession,
+        lambda **k: AdHocJoinSession(R, S, **k),
+        lambda session: session.run(epsilon=0.03),
+    ),
+    "AdHocJoinSession.run": (
+        AdHocJoinSession.run,
+        lambda **k: AdHocJoinSession(R, S).run(**{"epsilon": 0.03, **k}),
+        None,
+    ),
+    # ``batch_join`` forwards its keywords to the broker it builds.
+    "batch_join": (QueryBroker, lambda **k: batch_join([_query()], **k), _all_ok),
+    "QueryBroker": (
+        QueryBroker, QueryBroker, lambda broker: _all_ok(broker.run_batch([_query()]))
+    ),
+    "FaultPlan": (FaultPlan, FaultPlan, lambda plan: _join(faults=plan)),
+    "RetryPolicy": (RetryPolicy, RetryPolicy, lambda policy: _join(retry=policy)),
+    "NetworkConfig": (NetworkConfig, NetworkConfig, lambda config: _join(config=config)),
+    "StackConfig": (
+        StackConfig,
+        StackConfig,
+        lambda stack: _all_ok(QueryBroker().run_batch([_query(stack=stack)])),
+    ),
+    "JoinQuery": (JoinQuery, _query, lambda query: _all_ok(QueryBroker().run_batch([query]))),
+    "partition_dataset": (
+        partition_dataset, lambda **k: partition_dataset(R, **{"shards": 2, **k}), None
+    ),
+    "ShardedSpatialServer": (ShardedSpatialServer, lambda **k: ShardedSpatialServer(R, **k), None),
+}
+
+
+def _numeric(parameter: inspect.Parameter) -> bool:
+    if parameter.kind in (parameter.VAR_POSITIONAL, parameter.VAR_KEYWORD):
+        return False
+    default = parameter.default
+    if isinstance(default, numbers.Real) and not isinstance(default, bool):
+        return True
+    return parameter.annotation in ("int", "float", "Optional[int]", "Optional[float]")
+
+
+def _knobs(name: str):
+    owner = TARGETS[name][0]
+    return [p.name for p in inspect.signature(owner).parameters.values() if _numeric(p)]
+
+
+def _accepted(name: str, knobs) -> bool:
+    """False when the construction refuses ``knobs`` with InvalidInput;
+    any other exception, here or when the result is used, propagates."""
+    _, build, use = TARGETS[name]
+    try:
+        built = build(**knobs)
+    except InvalidInput:
+        return False
+    if use is not None:
+        use(built)
+    return True
+
+
+def test_the_sweep_covers_every_entry_point():
+    swept = {name: _knobs(name) for name in TARGETS}
+    assert all(swept.values()), swept
+    assert sum(map(len, swept.values())) >= 50
+    assert "max_wave" in swept["batch_join"] and "seed" in swept["AdHocJoinSession.run"]
+    assert swept["partition_dataset"] == ["shards"]
+
+
+@pytest.mark.parametrize("name", sorted(TARGETS))
+def test_every_hostile_value_is_invalid_input_or_legal(name):
+    assert _accepted(name, {})
+    offenders = [
+        (knob, value)
+        for knob in _knobs(name)
+        for value in HOSTILE
+        if _accepted(name, {knob: value}) != ((knob, value) in LEGAL)
+    ]
+    assert offenders == []

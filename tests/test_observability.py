@@ -38,7 +38,6 @@ from repro.obs import (
 from repro.obs.dump import main as dump_main
 from repro.service.broker import DEFAULT_CACHE_MAX_BYTES, QueryBroker
 from repro.service.cache import ResultCache
-from repro.service.executor import QueryService
 from repro.service.query import JoinQuery
 
 pytestmark = pytest.mark.obs
@@ -393,20 +392,35 @@ class TestNoOpBitIdentity:
             if event["ph"] == "X" and parent is not None:
                 assert parent in span_ids
 
-    def test_service_admission_span_and_latency_histogram(self):
+    def test_a_batch_is_one_root_execute_span_over_its_waves(self):
+        """``batch_join`` with a tracer: the batch's ``execute`` span is the
+        one root, it parents every ``wave``, and each wave parents the
+        ``query`` spans it ran."""
+        from repro.api import batch_join
+
         r, s = _datasets()
         spec = JoinSpec.distance(0.03)
-        tracer, metrics = Tracer(), MetricsRegistry()
-        with QueryService(tracer=tracer, metrics=metrics) as service:
-            tickets = service.submit_all(
-                [JoinQuery(r, s, spec, buffer_size=BUFFER) for _ in range(3)]
-            )
-            outcomes = [service.result(t) for t in tickets]
+        tracer = Tracer()
+        outcomes = batch_join(
+            [JoinQuery(r, s, spec, algorithm=name, buffer_size=BUFFER)
+             for name in ("upjoin", "srjoin", "mobijoin")],
+            max_wave=2, cache=False, tracer=tracer,
+        )
         assert all(o.status == "ok" for o in outcomes)
-        names = {span.name for span in tracer.spans()}
-        assert "admission" in names and "join" in names
-        hist = metrics.get("repro_query_latency_seconds")
-        assert hist is not None and hist.count() == 3
+        spans = tracer.spans()
+        by_id = {span.span_id: span for span in spans}
+        (root,) = [span for span in spans if span.parent_id is None]
+        assert root.name == "execute"
+        assert dict(root.labels) == {"batch": "1", "queries": "3"}
+        waves = [span for span in spans if span.name == "wave"]
+        assert len(waves) == 2
+        assert all(wave.parent_id == root.span_id for wave in waves)
+        queries = [span for span in spans if span.name == "query"]
+        assert sorted(dict(q.labels)["ticket"] for q in queries) == ["0", "1", "2"]
+        assert sorted(len([q for q in queries if q.parent_id == w.span_id]) for w in waves) == [1, 2]
+        joins = [span for span in spans if span.name == "join"]
+        assert len(joins) == 3
+        assert all(by_id[join.parent_id].name == "query" for join in joins)
 
 
 # --------------------------------------------------------------------- #

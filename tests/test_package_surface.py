@@ -11,11 +11,13 @@ from __future__ import annotations
 import ast
 import dataclasses
 import hashlib
+import importlib
 import inspect
 import textwrap
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import repro.api
 from repro.core.planner import ALGORITHMS
@@ -116,9 +118,9 @@ def test_no_entry_point_takes_an_implementation_selector():
 
 
 def test_the_broker_has_one_entry_point_and_a_stateless_planner():
-    # ``run_batch`` is the way in (``QueryService`` keeps its own queue and
-    # calls it), and a plan is a pure function of its query: no learned
-    # correction, no selector object, no per-query twin of one.
+    # ``run_batch`` is the way in, and a plan is a pure function of its
+    # query: no learned correction, no selector object, no per-query twin
+    # of one.
     from repro.core import costmodel
     from repro.service.broker import QueryBroker
 
@@ -127,6 +129,46 @@ def test_the_broker_has_one_entry_point_and_a_stateless_planner():
         assert not hasattr(broker, name), name
     assert not hasattr(costmodel, "CalibratedCostModel")
     assert len(inspect.signature(QueryBroker).parameters) == 9
+
+
+#: What starts a thread: the stdlib's thread and pool classes and the
+#: low-level spawn call.
+THREAD_STARTERS = {"Thread", "Timer", "ThreadPoolExecutor", "start_new_thread"}
+
+
+def _thread_starters(tree: ast.AST):
+    """Names of thread starters a module imports or reaches as attributes."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in THREAD_STARTERS:
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (a.name for a in node.names if a.name in THREAD_STARTERS)
+        elif isinstance(node, ast.Import):
+            yield from (a.name for a in node.names if a.name == "_thread")
+
+
+def test_the_broker_is_the_only_way_to_serve_queries():
+    # The asynchronous admission front-end is gone with its thread, its
+    # error and the outcome fields only it stamped: a caller cuts a stream
+    # of arrivals into ``run_batch`` calls itself.
+    import repro.errors
+    import repro.service
+    from repro.service.query import QueryOutcome
+
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.service.executor")
+    for module in (repro.api, repro.service, repro.errors):
+        for name in ("QueryService", "ServiceClosed"):
+            assert not hasattr(module, name), (module.__name__, name)
+            assert name not in getattr(module, "__all__", ()), (module.__name__, name)
+    fields = {f.name for f in dataclasses.fields(QueryOutcome)}
+    assert not fields & {"ticket", "service_latency_s"}
+    starters, mentions = [], []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        text = path.read_text()
+        starters += [(path.name, name) for name in _thread_starters(ast.parse(text))]
+        mentions += [path.name for name in ("QueryService", "ServiceClosed") if name in text]
+    assert starters == [] and mentions == []
 
 
 def _touches_servers(tree: ast.AST):

@@ -526,3 +526,26 @@ class TestBrokerDeterminism:
                     outcome.result.bytes_s,
                     _trace_tuples(outcome.result),
                 ) == reference[key]
+
+
+class TestBatchJoinEntry:
+    def test_broker_xor_kwargs(self):
+        """A pre-built broker plus *any* broker argument is refused --
+        ``cache=`` / ``breaker_threshold=`` included, whose defaults are not
+        ``None`` -- and a broker passed alone serves the batch."""
+        from repro.api import batch_join
+
+        broker = QueryBroker(cache=False)
+        for kwargs in (
+            {"max_wave": 2},
+            {"cache": False},
+            {"breaker_threshold": 3},
+            {"cache": False, "breaker_threshold": 3},
+        ):
+            with pytest.raises(InvalidInput, match="pre-built broker"):
+                batch_join([], broker=broker, **kwargs)
+        assert broker.stats.queries_submitted == 0
+        r, s = _datasets()
+        query = JoinQuery(r, s, JoinSpec.distance(0.03), algorithm="upjoin", buffer_size=BUFFER)
+        (outcome,) = batch_join([query], broker=broker)
+        assert outcome.status == "ok" and broker.stats.queries_submitted == 1
