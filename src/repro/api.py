@@ -230,8 +230,9 @@ class AdHocJoinSession:
     """A reusable two-server join session.
 
     The servers (and their R-tree indexes) are built once; every
-    :meth:`run` call resets the metered channels and the device buffer, so
-    byte totals of consecutive runs are independent and comparable.
+    :meth:`run` call resets the metered connections (ledgers and query
+    statistics) and the device buffer, so byte totals of consecutive runs
+    are independent and comparable.
     """
 
     def __init__(
@@ -254,9 +255,9 @@ class AdHocJoinSession:
     ) -> None:
         """``servers`` accepts a pre-built ``(server_r, server_s)`` pair.
 
-        Servers are read-only during a join (their query-statistics counters
-        are reset by every :meth:`run`), so a pair built once -- e.g. by the
-        experiment harness's workload cache -- can back many sessions and
+        A server build is immutable (the connections keep the query
+        statistics), so a pair built once -- e.g. by the experiment
+        harness for one sweep cell -- can back many sessions and
         algorithms without rebuilding the R-trees.  Channels and the device
         are created fresh for this session regardless.
 
@@ -348,8 +349,6 @@ class AdHocJoinSession:
             seed=seed,
         )
         self.device.reset()
-        self.server_r.stats.reset()
-        self.server_s.stats.reset()
         if self.device.resilience is not None:
             self.device.resilience.reset()
         self.device.buffer = buffer

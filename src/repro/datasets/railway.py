@@ -25,6 +25,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.datasets.dataset import SpatialDataset
+from repro.errors import InvalidInput, require_count, require_finite
 from repro.geometry.rect import Rect, UNIT_RECT
 
 __all__ = ["generate_railway_like"]
@@ -60,12 +61,13 @@ def generate_railway_like(
     bounds:
         Data space (defaults to the unit square).
     """
-    if n_segments < 1:
-        raise ValueError("n_segments must be >= 1")
-    if hubs < 2:
-        raise ValueError("hubs must be >= 2")
-    if not 0.0 <= branch_fraction < 1.0:
-        raise ValueError("branch_fraction must lie in [0, 1)")
+    require_count(n_segments, "n_segments")
+    require_count(seed, "seed", minimum=0)
+    require_count(hubs, "hubs", minimum=2)
+    require_finite(branch_fraction, "branch_fraction")
+    if branch_fraction >= 1.0:
+        raise InvalidInput(f"branch_fraction must lie in [0, 1), got {branch_fraction!r}")
+    require_finite(jitter, "jitter")
     rng = np.random.default_rng(seed)
 
     hub_xy = _place_hubs(rng, hubs, bounds)

@@ -50,6 +50,7 @@ def clustered(
     """
     require_count(n, "n", minimum=0)
     require_count(clusters, "clusters")
+    require_count(seed, "seed", minimum=0)
     require_finite(std, "std")
     if std == 0:
         raise InvalidInput("std must be > 0")
@@ -86,6 +87,7 @@ def uniform(
 ) -> SpatialDataset:
     """Uniformly distributed points over ``bounds``."""
     require_count(n, "n", minimum=0)
+    require_count(seed, "seed", minimum=0)
     rng = np.random.default_rng(seed)
     points = np.column_stack(
         [
@@ -115,6 +117,7 @@ def gaussian_mixture(
     paper (clusters placed in specific quadrants) and by the examples.
     """
     require_count(n, "n", minimum=0)
+    require_count(seed, "seed", minimum=0)
     require_finite(std, "std")
     if std == 0:
         raise InvalidInput("std must be > 0")

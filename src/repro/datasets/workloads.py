@@ -19,6 +19,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.errors import InvalidInput, require_count, require_finite
 from repro.geometry.rect import Rect, UNIT_RECT
 
 __all__ = ["WorkloadSpec", "paper_cluster_sweep", "random_query_windows"]
@@ -106,10 +107,11 @@ def random_query_windows(
     Used by the examples and by the multi-window ablation: each window has
     side ``relative_size * bounds.width`` and lies fully inside ``bounds``.
     """
-    if count < 0:
-        raise ValueError("count must be non-negative")
-    if not 0.0 < relative_size <= 1.0:
-        raise ValueError("relative_size must lie in (0, 1]")
+    require_count(count, "count", minimum=0)
+    require_finite(relative_size, "relative_size", maximum=1.0)
+    if relative_size == 0:
+        raise InvalidInput("relative_size must lie in (0, 1], got 0")
+    require_count(seed, "seed", minimum=0)
     rng = np.random.default_rng(seed)
     side_x = bounds.width * relative_size
     side_y = bounds.height * relative_size

@@ -15,7 +15,7 @@ server connection; they yield **steps** and receive the answers:
 
 There is one way to answer steps, for one query or for many: **gather**
 the requests into one :class:`Group` per (backing build, kind), **evaluate**
-each group in one stat-free descent of its build (``Kind.evaluate``), and
+each group in one descent of its build (``Kind.evaluate``), and
 have every query **book** its own share on its own connections, in step
 order (:func:`book_step`, ``Kind.book``).  :func:`run_steps` is that loop
 over a wave of one query -- what ``MobileJoinAlgorithm.run`` and
@@ -61,7 +61,7 @@ class Kind(NamedTuple):
 
     name: str
     #: Backing-build endpoint that answers the rows of many requests in one
-    #: descent without touching statistics: ``evaluate(*columns)``.
+    #: descent (a build counts nothing): ``evaluate(*columns)``.
     evaluate: str
     #: Positions in ``args`` of the per-row columns ``evaluate`` takes.
     columns: Tuple[int, ...]

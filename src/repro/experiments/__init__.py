@@ -17,8 +17,6 @@ from repro.experiments.harness import (
     ExperimentConfig,
     ExperimentResult,
     SeriesResult,
-    WorkloadCache,
-    WorkloadCell,
     run_experiment,
     run_single,
 )
@@ -45,8 +43,6 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentResult",
     "SeriesResult",
-    "WorkloadCache",
-    "WorkloadCell",
     "run_experiment",
     "run_single",
     "figure_6a",

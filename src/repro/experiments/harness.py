@@ -15,15 +15,15 @@ Execution layer
 ---------------
 
 Every algorithm series of a sweep cell joins the *same* (x-value, seed)
-datasets, and all server-side state -- the datasets, the aggregate R-tree
-and its flattened snapshots -- is immutable during a join.  The sweep
-therefore iterates cells in the outer loop and shares one pair of
-pre-built :class:`~repro.server.server.SpatialServer` instances (held in a
-:class:`WorkloadCache`) across all series of a cell: index construction is
-O(x-values x seeds) instead of O(series x x-values x seeds).  Only the
-metered channels and the device are rebuilt per run, so byte accounting is
-bit-identical to a cold build.  Cells run one after the other, in the
-process that called :func:`run_experiment`.
+datasets, and a server build is immutable (the connections count).  The
+sweep therefore iterates cells in the outer loop, builds the cell's two
+:class:`~repro.server.server.SpatialServer` instances once and hands them
+to every series of the cell: index construction is O(x-values x seeds)
+instead of O(series x x-values x seeds).  Only the metered connections and
+the device are rebuilt per run, so byte accounting is bit-identical to a
+cold build.  Cells run one after the other, in the process that called
+:func:`run_experiment`, and a cell's servers are released before the next
+cell is built.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.api import AdHocJoinSession
+from repro.core.planner import StackConfig
 from repro.core.result import JoinResult
 from repro.datasets.dataset import SpatialDataset
 from repro.datasets.railway import generate_railway_like
@@ -45,8 +46,6 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentResult",
     "SeriesResult",
-    "WorkloadCache",
-    "WorkloadCell",
     "build_datasets",
     "run_experiment",
     "run_single",
@@ -140,10 +139,10 @@ def run_single(
 ) -> JoinResult:
     """Run one algorithm once on a prepared workload.
 
-    ``servers`` injects pre-built server instances (typically from a
-    :class:`WorkloadCache`); channels, device and server statistics are
-    fresh / reset per run either way, so results are independent of any
-    previous run on the same servers.
+    ``servers`` injects pre-built server instances (typically a sweep
+    cell's); connections, their statistics and the device are fresh per
+    run either way, so results are independent of any previous run on the
+    same servers.
     """
     session = AdHocJoinSession(
         dataset_r,
@@ -159,76 +158,6 @@ def run_single(
     return session.run(**kwargs)  # type: ignore[arg-type]
 
 
-# --------------------------------------------------------------------------- #
-# the execution layer: shared immutable server stacks
-# --------------------------------------------------------------------------- #
-
-
-@dataclass(frozen=True)
-class WorkloadCell:
-    """One fully prepared (x-value, seed) sweep cell.
-
-    Everything here is immutable during a join: the datasets are frozen
-    array containers and the servers' index structures are read-only after
-    construction (only their statistics counters mutate, and those are
-    reset at the start of every run).  A cell can therefore back any number
-    of algorithm runs, sequentially, with bit-identical results.
-    """
-
-    x: object
-    seed: int
-    dataset_r: SpatialDataset
-    dataset_s: SpatialDataset
-    spec: WorkloadSpec
-    server_r: SpatialServer
-    server_s: SpatialServer
-
-    @property
-    def servers(self) -> Tuple[SpatialServer, SpatialServer]:
-        return (self.server_r, self.server_s)
-
-
-class WorkloadCache:
-    """Keyed cache of built workload cells for one experiment sweep.
-
-    The key is ``(x_value, seed)``: the workload factory is deterministic
-    in those two values, so one materialised cell (datasets + bulk-loaded
-    servers) serves every algorithm series of the sweep.  This turns the
-    O(series x x-values x seeds) index rebuilds of a naive sweep into
-    O(x-values x seeds) shared builds.
-    """
-
-    def __init__(self, config: ExperimentConfig) -> None:
-        self.config = config
-        self.hits = 0
-        self.misses = 0
-        self._cells: Dict[Tuple[object, int], WorkloadCell] = {}
-
-    def __len__(self) -> int:
-        return len(self._cells)
-
-    def get(self, x: object, seed: int) -> WorkloadCell:
-        """The built cell for ``(x, seed)``, constructing it on first use."""
-        key = (x, seed)
-        cell = self._cells.get(key)
-        if cell is not None:
-            self.hits += 1
-            return cell
-        self.misses += 1
-        dataset_r, dataset_s, spec = self.config.workload(x, seed)
-        cell = WorkloadCell(
-            x=x,
-            seed=seed,
-            dataset_r=dataset_r,
-            dataset_s=dataset_s,
-            spec=spec,
-            server_r=SpatialServer(dataset_r.rename("R"), name="R"),
-            server_s=SpatialServer(dataset_s.rename("S"), name="S"),
-        )
-        self._cells[key] = cell
-        return cell
-
-
 #: One measured run: (total_bytes, num_pairs, JoinResult or None).
 _RunRecord = Tuple[float, float, Optional[JoinResult]]
 
@@ -238,16 +167,15 @@ def _run_cell(
     x: object,
     seed: int,
     keep_runs: bool,
-    cache: Optional[WorkloadCache],
+    share_servers: bool,
 ) -> Dict[Tuple[str, object, int], _RunRecord]:
-    """Run every series of the sweep on one (x, seed) cell."""
-    if cache is not None:
-        cell = cache.get(x, seed)
-        dataset_r, dataset_s, spec = cell.dataset_r, cell.dataset_s, cell.spec
-        servers: Optional[Tuple[SpatialServer, SpatialServer]] = cell.servers
-    else:
-        dataset_r, dataset_s, spec = config.workload(x, seed)
-        servers = None
+    """Run every series of the sweep on one (x, seed) cell.
+
+    With ``share_servers`` the cell's two servers are built once and handed
+    to every series; otherwise every run builds its own.
+    """
+    dataset_r, dataset_s, spec = config.workload(x, seed)
+    servers = StackConfig().servers(dataset_r, dataset_s) if share_servers else None
     out: Dict[Tuple[str, object, int], _RunRecord] = {}
     for label, run_kwargs in config.series.items():
         run = run_single(
@@ -287,18 +215,15 @@ def run_experiment(
     share_servers:
         Share one pre-built server pair per (x-value, seed) cell across all
         algorithm series (the default).  ``False`` rebuilds the full stack
-        for every run -- the reference the equivalence tests hold the
-        cache against.
+        for every run -- the reference the equivalence tests hold sharing
+        against.
     """
     seeds = config.seeds if repetitions is None else tuple(range(repetitions))
     raw: Dict[Tuple[str, object, int], _RunRecord] = {}
     for x in config.x_values:
         for seed in seeds:
-            # One fresh cache per cell: every series of the cell shares the
-            # server build, and the cell is released before the next one is
-            # constructed (peak memory stays at a single cell).
-            cache = WorkloadCache(config) if share_servers else None
-            raw.update(_run_cell(config, x, seed, keep_runs, cache))
+            # Peak memory stays at a single cell's servers.
+            raw.update(_run_cell(config, x, seed, keep_runs, share_servers))
 
     # The series are reported series-major, then x, then seed.
     result = ExperimentResult(config=config)

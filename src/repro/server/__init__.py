@@ -25,7 +25,7 @@ Two layers:
 from __future__ import annotations
 
 from repro.server.server import SpatialServer
-from repro.server.sharded import FleetStats, ShardedSpatialServer
+from repro.server.sharded import ShardedSpatialServer
 from repro.server.remote import (
     IndexedRemoteServer,
     RemoteServer,
@@ -36,7 +36,6 @@ from repro.server.remote import (
 __all__ = [
     "SpatialServer",
     "ShardedSpatialServer",
-    "FleetStats",
     "RemoteServer",
     "IndexedRemoteServer",
     "ShardedRemoteServer",

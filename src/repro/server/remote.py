@@ -11,16 +11,16 @@ a byte-accounting :class:`~repro.network.channel.Channel`:
 ``RemoteServer`` therefore *is* the measurement harness: the byte totals of
 every experiment are read off its channels after the join finishes.
 
-Every batch endpoint is ``book(evaluate(...))``: the backing build answers
-the rows without touching its statistics (``evaluate_*``) and the
-connection books the answer (``count_batch_prefetched`` / ``book_*``):
-it checks the requests once, then one private booker per kind
-(``_book_count`` / ``_book_window`` / ``_book_range`` / ``_book_bucket``)
-books the backing server's statistics by the one
-:class:`~repro.server.server.ServerQueryStats` rule of the kind, then the
-exchange.  The step driver (:mod:`repro.device.steps`) calls the same two
-halves, for one query or a whole wave, so nothing booked can tell who
-evaluated the rows.  A single query is a batch of one: ``window`` /
+A server build is immutable; the connection counts.  Every batch endpoint
+is ``book(evaluate(...))``: the backing build answers the rows
+(``evaluate_*``) and the connection books the answer
+(``count_batch_prefetched`` / ``book_*``): it checks the requests once,
+then one private booker per kind (``_book_count`` / ``_book_window`` /
+``_book_range`` / ``_book_bucket``) books the connection's statistics by
+the one :class:`~repro.server.server.ServerQueryStats` rule of the kind,
+then the exchange.  The step driver (:mod:`repro.device.steps`) calls the
+same two halves, for one query or a whole wave, so nothing booked can tell
+who evaluated the rows.  A single query is a batch of one: ``window`` /
 ``count`` / ``range`` call their batch twins with one row, so there is one
 accounting path per kind.
 
@@ -33,7 +33,7 @@ metered exchange then runs through a retry loop against the deterministic
 fault stream of :mod:`repro.network.faults`.  The protocol is built on
 **idempotent request ids** -- the server caches the answer of the first
 evaluation of a request id, so a retried exchange re-sends bytes but never
-re-evaluates (and never re-bumps server statistics).  In the simulation
+re-evaluates (and never books statistics twice).  In the simulation
 that shows up as an *evaluate-once* structure: each method evaluates the
 backing server exactly once, then hands the channel-accounting closure to
 the controller, which accounts failed/duplicated attempts on the channel's
@@ -89,8 +89,8 @@ from repro.network.messages import (
     ScalarResponse,
     WindowQuery,
 )
-from repro.server.server import Prefetched, SpatialServer, per_request
-from repro.server.sharded import FleetStats, RoutedCounts, ShardedSpatialServer
+from repro.server.server import Prefetched, ServerQueryStats, SpatialServer, per_request
+from repro.server.sharded import RoutedCounts, ShardedSpatialServer
 
 __all__ = [
     "RemoteServer",
@@ -407,6 +407,10 @@ class RemoteServer:
        last-resort only.
 
     The broker marks (:meth:`apply_health`) live as long as the stack.
+
+    The connection keeps one :class:`~repro.server.server.ServerQueryStats`
+    per replica and books each request on the replica at the head of that
+    order, the one that evaluates it; :meth:`reset_channels` clears them.
     """
 
     def __init__(
@@ -434,6 +438,7 @@ class RemoteServer:
         self._down: set = set()
         self._probe: set = set()
         self._failed: set = set()
+        self._stats = tuple(ServerQueryStats() for _ in replicas)
         self._reorder()
         #: ``(replica_index, its primary log length)`` whenever the replica
         #: that carries the exchanges changes, in exchange order -- the
@@ -460,10 +465,13 @@ class RemoteServer:
         """Rank the replicas again (after a mark or a failure changed).
 
         Every booking reads the order and its head, :attr:`_server` -- the
-        replica the backing evaluation and its statistics follow.
+        replica the backing evaluation follows -- and :attr:`_booked`, that
+        replica's statistics.
         """
         self._tried = tuple(sorted(range(len(self._replicas)), key=self._rank))
-        self._server = self._replicas[self._tried[0]]
+        head = self._tried[0]
+        self._server = self._replicas[head]
+        self._booked = self._stats[head]
 
     def _order(self) -> Tuple[int, ...]:
         """Replica indices in the order the next exchange tries them."""
@@ -603,7 +611,7 @@ class RemoteServer:
     #
     # Each takes only what the statistics and the ledger read -- the
     # request count, and the per-request object counts of a payload kind --
-    # and books the backing server's statistics, then one exchange.  An
+    # and books the head replica's statistics, then one exchange.  An
     # empty batch never hits the wire, so it draws no fault event: that
     # keeps fault streams aligned across execution paths.  The public
     # ``*_prefetched`` endpoints check their requests and call these; the
@@ -611,7 +619,7 @@ class RemoteServer:
 
     def _book_count(self, n: int) -> None:
         """``n`` COUNTs: one query string and one scalar answer each."""
-        self._server.stats.book_count(n)
+        self._booked.book_count(n)
         if not n:
             return
 
@@ -624,12 +632,12 @@ class RemoteServer:
     def _book_window(self, sizes: np.ndarray) -> None:
         """One WINDOW per entry of ``sizes``: a query string and an object
         payload of ``sizes[i]`` objects each."""
-        self._server.stats.book_window(sizes.shape[0], int(sizes.sum()))
+        self._booked.book_window(sizes.shape[0], int(sizes.sum()))
         self._exchange_payloads(_WINDOW_QUERY, sizes, "window")
 
     def _book_range(self, sizes: np.ndarray) -> None:
         """One RANGE probe per entry of ``sizes`` (see :meth:`_book_window`)."""
-        self._server.stats.book_range(sizes.shape[0], int(sizes.sum()))
+        self._booked.book_range(sizes.shape[0], int(sizes.sum()))
         self._exchange_payloads(_RANGE_QUERY, sizes, "range")
 
     def _exchange_payloads(self, query, sizes: np.ndarray, kind: str) -> None:
@@ -651,7 +659,7 @@ class RemoteServer:
     def _book_bucket(self, n_probes: int, n_objects: int) -> None:
         """One bucket query of ``n_probes`` probes answered by ``n_objects``
         objects: one exchange, whatever the probe count."""
-        self._server.stats.book_bucket(n_probes, n_objects)
+        self._booked.book_bucket(n_probes, n_objects)
         # Sized by its probes alone: radii add nothing to the payload.
         query = BucketRangeQuery.of_size(n_probes, 0.0)
         # Eq. 5 of the paper charges one extra object-sized separator per
@@ -782,6 +790,7 @@ class RemoteServer:
 
     def average_mbr_area(self, window: Rect) -> float:
         value = self._server.average_mbr_area(window)
+        self._booked.book_aggregate()
 
         def account(channel: Channel) -> None:
             channel.send_query(
@@ -802,9 +811,11 @@ class RemoteServer:
         return self._channels
 
     def reset_channels(self) -> None:
-        """Zero every channel ledger and forget this query's failures."""
+        """Zero every channel ledger and the statistics, and forget this
+        query's failures."""
         for channel in self._channels:
             channel.reset()
+        self._stats = tuple(ServerQueryStats() for _ in self._replicas)
         self._runs.clear()
         self._serving = None
         self._failover_events.clear()
@@ -857,7 +868,11 @@ class RemoteServer:
 
     def server_stats(self) -> Dict[str, int]:
         """Replica-summed statistics (evaluation may move on failover)."""
-        return FleetStats(self._replicas).as_dict()
+        return _summed(self.replica_stats().values())
+
+    def replica_stats(self) -> Dict[str, Dict[str, int]]:
+        """Statistics per replica, keyed by replica name."""
+        return {name: stats.as_dict() for name, stats in zip(self._names, self._stats)}
 
     def total_bytes(self) -> int:
         """Total wire bytes moved over this connection so far."""
@@ -947,7 +962,9 @@ class IndexedRemoteServer(RemoteServer):
         windows = rect_array.window_array(windows)
         if not windows.shape[0]:
             return np.empty((0, 4)), np.empty(0, dtype=np.int64)
-        all_mbrs, all_oids, _ = self._server.window_batch_flat(windows)
+        answer = self._server.evaluate_window_batch(windows)
+        self._booked.book_window(answer.request.shape[0], answer.oids.shape[0])
+        all_mbrs, all_oids = answer.mbrs, answer.oids
         # Deduplicate objects returned by several windows, keeping the
         # first-seen order.
         _, first = np.unique(all_oids, return_index=True)
@@ -1032,6 +1049,12 @@ _SUMMED_SNAPSHOT_KEYS = (
 )
 
 
+def _summed(stats) -> Dict[str, int]:
+    """Statistics dicts summed key by key."""
+    stats = list(stats)
+    return {key: sum(s[key] for s in stats) for key in stats[0]}
+
+
 #: The primary-lane counters of a ledger fingerprint, in its order.
 _LEDGER_TOTALS = ("uplink_bytes", "downlink_bytes", "uplink_packets", "downlink_packets",
                   "messages_up", "messages_down")
@@ -1084,9 +1107,9 @@ class ShardedRemoteServer:
 
     1. shards are attributed in ascending order, one exchange each;
     2. a shard no row routes to is not touched and draws no fault event;
-    3. a shard's statistics are bumped at its attribution step, on the
-       replica at the head of its replica order at that moment, just before
-       its exchange;
+    3. a shard's statistics are booked on its connection at its
+       attribution step, on the replica at the head of its replica order at
+       that moment, just before its exchange;
     4. an unrecoverable fault at one shard propagates at once: the shards
        after it stay unbooked.
     """
@@ -1330,8 +1353,14 @@ class ShardedRemoteServer:
         return lambda: tuple(read() for read in readers)
 
     def server_stats(self) -> Dict[str, int]:
-        """Fleet-summed backing-server statistics."""
-        return self._fleet.stats.as_dict()
+        """Fleet-summed statistics (every replica of every shard)."""
+        return _summed(self.replica_stats().values())
+
+    def replica_stats(self) -> Dict[str, Dict[str, int]]:
+        """Statistics per replica of every shard, keyed by replica name."""
+        return {
+            name: stats for proxy in self._proxies for name, stats in proxy.replica_stats().items()
+        }
 
     def total_bytes(self) -> int:
         """Total wire bytes over all shard connections so far."""

@@ -2,15 +2,16 @@
 
 A :class:`SpatialServer` owns one :class:`~repro.datasets.dataset.SpatialDataset`
 and answers every primitive query (COUNT and the area aggregate, WINDOW,
-RANGE) from one array-native aggregate R-tree.  The server also keeps
-simple query statistics, which the experiments report to show how many
-aggregate vs. data queries each algorithm issued.
+RANGE) from one array-native aggregate R-tree.  A build is immutable once
+constructed: it keeps no per-query state.  The connection counts
+(:class:`~repro.server.remote.RemoteServer` books one
+:class:`ServerQueryStats` per replica), so any number of sessions and
+queries can share one build.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -31,15 +32,10 @@ __all__ = ["INDEX_FANOUT", "SpatialServer", "ServerQueryStats", "Prefetched", "p
 #: built at this fanout (SemiJoin's level-size estimate reads it too).
 INDEX_FANOUT = 16
 
-#: Monotonic registration ids: every server *build* (not view) gets a fresh
-#: uid, so ``breaker_token`` stays unique across the process lifetime even
-#: when Python recycles ``id()`` values of garbage-collected servers.
-_SERVER_UIDS = itertools.count(1)
-
 
 @dataclass
 class ServerQueryStats:
-    """Counters of queries answered by a server."""
+    """Counters of the queries one replica answered over one connection."""
 
     window_queries: int = 0
     count_queries: int = 0
@@ -80,18 +76,12 @@ class ServerQueryStats:
         self.bucket_range_probes += probes
         self.objects_returned += objects
 
-    def reset(self) -> None:
-        self.window_queries = 0
-        self.count_queries = 0
-        self.range_queries = 0
-        self.bucket_range_queries = 0
-        self.bucket_range_probes = 0
-        self.aggregate_queries = 0
-        self.objects_returned = 0
+    def book_aggregate(self) -> None:
+        self.aggregate_queries += 1
 
 
 class Prefetched:
-    """The answer rows of one stat-free payload descent, gathered once.
+    """The answer rows of one payload descent, gathered once.
 
     Row ``k`` answers request ``request[k]`` on shard ``shard[k]`` with the
     payload rows ``bounds[k]:bounds[k + 1]`` of ``mbrs`` / ``oids``.  Rows
@@ -157,8 +147,6 @@ class SpatialServer:
     def __init__(self, dataset: SpatialDataset, name: str = "server") -> None:
         self.dataset = dataset
         self.name = name
-        self.server_uid = next(_SERVER_UIDS)
-        self.stats = ServerQueryStats()
         # Array-native bulk load straight off the dataset's MBR array; no
         # per-object Rect materialisation.
         self._index = AggregateRTree.from_mbr_array(
@@ -168,53 +156,20 @@ class SpatialServer:
     def __len__(self) -> int:
         return len(self.dataset)
 
-    def shared_view(self) -> "SpatialServer":
-        """A server sharing this one's immutable state, with fresh statistics.
-
-        The dataset and the aggregate R-tree are shared by reference -- both
-        read-only during queries -- while the query-statistics counters are
-        private to the view.  The query broker hands every in-flight query
-        its own view of a cached server build, so concurrent queries meter
-        their server statistics in full isolation without re-running the
-        index construction.
-        """
-        view = SpatialServer.__new__(SpatialServer)
-        view.dataset = self.dataset
-        view.name = self.name
-        # Views share the build's identity: a breaker opened against the
-        # build must shed traffic from every view of it.
-        view.server_uid = self.server_uid
-        view.stats = ServerQueryStats()
-        view._index = self._index
-        return view
-
     def replica_view(self, name: str) -> "SpatialServer":
         """A *replica* of this server: shared build, independent identity.
 
-        Like :meth:`shared_view`, the dataset and index are shared by
-        reference -- replicas publish one immutable shard dataset build.
-        Unlike a view, a replica gets its own ``name``, a *fresh*
-        ``server_uid`` (and therefore its own ``breaker_token``) and private
-        statistics: replicas fail, breaker-trip and meter independently even
+        The dataset and index are shared by reference -- replicas publish
+        one immutable shard dataset build -- but a replica is its own object
+        under its own ``name``: its own breaker unit, channel and fault
+        substream, so replicas fail and breaker-trip independently even
         though they serve identical answers.
         """
         replica = SpatialServer.__new__(SpatialServer)
         replica.dataset = self.dataset
         replica.name = name
-        replica.server_uid = next(_SERVER_UIDS)
-        replica.stats = ServerQueryStats()
         replica._index = self._index
         return replica
-
-    @property
-    def breaker_token(self) -> Tuple[str, int]:
-        """Stable identity for circuit-breaker bookkeeping.
-
-        ``(name, server_uid)`` survives garbage collection: a *new* server
-        that happens to reuse a dead server's ``id()`` (or its name) gets a
-        fresh uid and therefore a closed breaker.
-        """
-        return (self.name, self.server_uid)
 
     def breaker_units(self) -> Tuple["SpatialServer", ...]:
         """The independently-breakable servers behind this one (itself)."""
@@ -231,16 +186,16 @@ class SpatialServer:
         return ((self,),)
 
     def evaluate_count_batch(self, windows: Windows) -> List[int]:
-        """Answer COUNTs without touching query statistics: the evaluate
-        half of every COUNT, whose connection books the statistics."""
+        """Answer COUNTs: the evaluate half of every COUNT, whose connection
+        books the statistics."""
         return self._index.count_batch(windows)
 
     def evaluate_window_batch(self, windows: Windows) -> Prefetched:
-        """Answer WINDOWs without touching query statistics (see :class:`Prefetched`)."""
+        """Answer WINDOWs (see :class:`Prefetched`)."""
         return self._prefetched(self._index.window_query_batch_flat(windows))
 
     def evaluate_range_batch(self, centers: Probes, radii: Sequence[float]) -> Prefetched:
-        """Answer RANGE probes without touching query statistics."""
+        """Answer RANGE probes."""
         return self._prefetched(self._index.range_query_batch_flat(centers, radii))
 
     def _prefetched(self, answer: Tuple[np.ndarray, np.ndarray]) -> Prefetched:
@@ -253,8 +208,7 @@ class SpatialServer:
     def prime_snapshot(self) -> None:
         """Nothing to force: the index is its own snapshot, built eagerly.
 
-        Kept for callers that warm a server before timing it or before
-        fanning queries out over threads.
+        Kept for callers that warm a server before timing it.
         """
 
     @property
@@ -269,7 +223,7 @@ class SpatialServer:
         return self._index
 
     # ------------------------------------------------------------------ #
-    # primitive queries
+    # primitive queries (answered, never counted: the connection counts)
     # ------------------------------------------------------------------ #
 
     def window(self, window: Rect) -> Tuple[np.ndarray, np.ndarray]:
@@ -278,12 +232,8 @@ class SpatialServer:
         return self.window_batch([window])[0]
 
     def window_batch(self, windows: Windows) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """Answer a batch of WINDOW queries in one index descent.
-
-        Statistics are updated exactly as if :meth:`window` had been called
-        once per window; the per-window payloads are slices of the flat
-        assembly of :meth:`window_batch_flat`.
-        """
+        """Answer a batch of WINDOW queries in one index descent; the
+        per-window payloads are slices of :meth:`window_batch_flat`."""
         return per_request(*self.window_batch_flat(windows))
 
     def window_batch_flat(
@@ -294,11 +244,9 @@ class SpatialServer:
         Returns ``(mbrs, oids, bounds)`` in CSR form: the concatenated
         payloads of all windows in window order, window ``i`` owning rows
         ``bounds[i]:bounds[i+1]`` (``len(bounds) == W + 1``).  The payload
-        is one take of the entry rows the index descent matched; statistics
-        are identical to a loop of :meth:`window` calls.
+        is one take of the entry rows the index descent matched.
         """
         answer = self.evaluate_window_batch(windows)
-        self.stats.book_window(answer.request.shape[0], answer.oids.shape[0])
         return answer.mbrs, answer.oids, answer.bounds
 
     def count(self, window: Rect) -> int:
@@ -307,9 +255,7 @@ class SpatialServer:
 
     def count_batch(self, windows: Windows) -> List[int]:
         """Answer a batch of COUNT queries in one aggregate-tree descent."""
-        values = self.evaluate_count_batch(windows)
-        self.stats.book_count(len(values))
-        return values
+        return self.evaluate_count_batch(windows)
 
     def range(self, center: Point, epsilon: float) -> Tuple[np.ndarray, np.ndarray]:
         """epsilon-RANGE query: the objects within ``epsilon`` of ``center``
@@ -320,12 +266,8 @@ class SpatialServer:
     def range_batch(
         self, centers: Probes, radii: Sequence[float]
     ) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """Answer a batch of RANGE queries in one index descent.
-
-        Statistics are updated exactly as if :meth:`range` had been called
-        once per probe; the per-probe payloads are slices of the flat
-        assembly of :meth:`range_batch_flat`.
-        """
+        """Answer a batch of RANGE queries in one index descent; the
+        per-probe payloads are slices of :meth:`range_batch_flat`."""
         return per_request(*self.range_batch_flat(centers, radii))
 
     def range_batch_flat(
@@ -334,14 +276,12 @@ class SpatialServer:
         """Answer a batch of RANGE queries, response assembled in one pass.
 
         ``centers`` is a sequence of :class:`Point` or a ``(P, 2)`` array,
-        checked before anything is counted.  Returns ``(mbrs, oids, bounds)`` in CSR form:
+        checked first.  Returns ``(mbrs, oids, bounds)`` in CSR form:
         the concatenated payloads of all probes in probe order, probe ``i``
         owning rows ``bounds[i]:bounds[i+1]`` (``len(bounds) == P + 1``).
-        The payload is one take of the entry rows the index descent matched;
-        statistics are identical to a loop of :meth:`range` calls.
+        The payload is one take of the entry rows the index descent matched.
         """
         answer = self.evaluate_range_batch(centers, radii)
-        self.stats.book_range(answer.request.shape[0], answer.oids.shape[0])
         return answer.mbrs, answer.oids, answer.bounds
 
     def bucket_range(
@@ -354,11 +294,8 @@ class SpatialServer:
         each answered independently (no deduplication across probes)."""
         pts, reach = bucket_probe_arrays(centers, epsilon, radii)
         answer = self.evaluate_range_batch(pts, reach)
-        self.stats.book_bucket(pts.shape[0], answer.oids.shape[0])
         return answer.mbrs, answer.oids, np.repeat(answer.request, np.diff(answer.bounds))
 
     def average_mbr_area(self, window: Rect) -> float:
         """Scalar aggregate: the average object-MBR area inside ``window``."""
-        value = self._index.average_mbr_area(window)
-        self.stats.aggregate_queries += 1
-        return value
+        return self._index.average_mbr_area(window)

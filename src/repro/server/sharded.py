@@ -8,10 +8,9 @@ queries -- the client side talks to the fleet through one scatter/merge
 connection (:class:`~repro.server.remote.ShardedRemoteServer`) that holds a
 :class:`~repro.server.remote.RemoteServer` per shard over the shard's
 replica set -- but it is the unit the query broker caches, primes, places
-and reuses:
+and reuses.  Like a single server build it is immutable once constructed:
+the connection counts, so every query connects to the cached fleet as it is.
 
-* ``shared_view()`` hands every in-flight query a statistics-isolated view
-  of the whole fleet (each shard's index and dataset shared by reference);
 * ``forest`` lays the shard indexes out as one
   :meth:`~repro.index.flat.FlatRTree.forest` (a root per shard; the shard
   trees' entries are slices of it), and ``route()`` turns a request batch
@@ -35,8 +34,9 @@ channels, ledgers and deterministic fault substreams.
 With a replication factor R > 1 each shard is published on R *replica*
 servers named ``"<name>#<i>/<j>"`` (``j`` in ``0..R-1``).  Replicas share
 one immutable shard dataset build (:meth:`SpatialServer.replica_view`) but
-each has its own ``breaker_token``, its own metered channel and its own
-deterministic fault substream, so they fail and recover independently --
+each is its own breaker unit, with its own metered channel, its own
+statistics on the shard's connection and its own deterministic fault
+substream, so they fail and recover independently --
 the shard's connection fails a scattered exchange over to a sibling replica
 instead of failing the query.  At R == 1 a shard is a replica set of one:
 the same connection, with nothing to fail over to.
@@ -44,7 +44,7 @@ the same connection, with nothing to fail over to.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -54,9 +54,9 @@ from repro.errors import require_count
 from repro.geometry.rect_array import Windows, pairwise_intersects, window_array
 from repro.index.aggregate_rtree import Probes, probe_arrays
 from repro.index.flat import FlatRTree
-from repro.server.server import Prefetched, ServerQueryStats, SpatialServer
+from repro.server.server import Prefetched, SpatialServer
 
-__all__ = ["ShardedSpatialServer", "FleetStats", "RoutedCounts", "probe_squares"]
+__all__ = ["ShardedSpatialServer", "RoutedCounts", "probe_squares"]
 
 
 class RoutedCounts(list):
@@ -93,40 +93,6 @@ def probe_squares(pts: np.ndarray, radii: np.ndarray) -> np.ndarray:
     """
     x, y = pts.T
     return np.column_stack([x - radii, y - radii, x + radii, y + radii])
-
-
-class FleetStats:
-    """Read-through statistics over a fleet of shard servers.
-
-    Quacks like :class:`~repro.server.server.ServerQueryStats` where the
-    rest of the stack needs it to -- ``as_dict()`` sums the per-shard
-    counters, ``reset()`` clears every shard -- while keeping the real
-    counters on the shards, where the metered proxies bump them.
-    """
-
-    def __init__(self, shards: Sequence[SpatialServer]) -> None:
-        self._shards = tuple(shards)
-
-    def as_dict(self) -> Dict[str, int]:
-        totals: Dict[str, int] = {}
-        for shard in self._shards:
-            for key, value in shard.stats.as_dict().items():
-                totals[key] = totals.get(key, 0) + value
-        return totals
-
-    def reset(self) -> None:
-        for shard in self._shards:
-            shard.stats.reset()
-
-    def per_shard(self) -> Dict[str, Dict[str, int]]:
-        """Per-shard counter dicts, keyed by shard server name."""
-        return {shard.name: shard.stats.as_dict() for shard in self._shards}
-
-    def __getattr__(self, key: str) -> int:
-        # Counter reads (``stats.count_queries`` etc.) sum over the fleet.
-        if key not in ServerQueryStats.__dataclass_fields__:
-            raise AttributeError(key)
-        return sum(getattr(shard.stats, key) for shard in self._shards)
 
 
 class ShardedSpatialServer:
@@ -185,9 +151,6 @@ class ShardedSpatialServer:
         self.shards: Tuple[SpatialServer, ...] = tuple(
             group[0] for group in self.replica_groups
         )
-        self.stats = FleetStats(
-            tuple(rep for group in self.replica_groups for rep in group)
-        )
         #: Every shard index in one layout, ``forest.roots[i]`` shard ``i``'s root.
         self.forest = FlatRTree.forest([shard.index.flat for shard in self.shards])
         # Routing table: the bounds (root boxes) of the non-empty shards;
@@ -197,33 +160,6 @@ class ShardedSpatialServer:
 
     def __len__(self) -> int:
         return len(self.dataset)
-
-    def shared_view(self) -> "ShardedSpatialServer":
-        """A fleet of statistics-isolated views over the same shard builds.
-
-        Mirrors :meth:`SpatialServer.shared_view`: the broker builds a
-        fleet once per dataset and hands each in-flight query its own view,
-        so concurrent queries meter per-shard statistics in isolation
-        without re-partitioning or re-indexing.
-        """
-        view = ShardedSpatialServer.__new__(ShardedSpatialServer)
-        view.dataset = self.dataset
-        view.name = self.name
-        view.scheme = self.scheme
-        view.replicas = self.replicas
-        view.replica_groups = tuple(
-            tuple(rep.shared_view() for rep in group)
-            for group in self.replica_groups
-        )
-        view.shard_names = self.shard_names
-        view.shards = tuple(group[0] for group in view.replica_groups)
-        view.stats = FleetStats(
-            tuple(rep for group in view.replica_groups for rep in group)
-        )
-        view.forest = self.forest
-        view._live = self._live
-        view._live_bounds = self._live_bounds
-        return view
 
     def breaker_units(self) -> Tuple[SpatialServer, ...]:
         """The independently-breakable servers: every replica of every shard."""
@@ -255,7 +191,7 @@ class ShardedSpatialServer:
         ``requests`` is the ``(N, 4)`` routing windows and ``query`` a batch
         query of :attr:`forest`, called with ``more`` (what it takes per
         request; the windows themselves by default) at the routed rows,
-        each row starting at its shard's root.  Statistics untouched.
+        each row starting at its shard's root.
         Returns ``(shard, request, answer)``.
         """
         shard, request = self.route(requests)
@@ -263,7 +199,7 @@ class ShardedSpatialServer:
         return shard, request, query(*args, self.forest.roots.take(shard))
 
     def evaluate_count_batch(self, windows: Windows) -> "RoutedCounts":
-        """Answer COUNTs in one routed descent, statistics untouched.
+        """Answer COUNTs in one routed descent.
 
         The shards partition the object set exactly, so summing a window's
         per-shard counts reproduces the union server's count bit for bit;
@@ -276,7 +212,7 @@ class ShardedSpatialServer:
         return RoutedCounts(totals.tolist(), shard, request, counts)
 
     def evaluate_window_batch(self, windows: Windows) -> Prefetched:
-        """Answer WINDOWs in one routed descent, statistics untouched.
+        """Answer WINDOWs in one routed descent.
 
         One row per ``(window, routed shard)``, window-major with shards
         ascending: the merged answer a scatter returns, still carrying the
@@ -285,7 +221,7 @@ class ShardedSpatialServer:
         return self._prefetched(self.forest.window_batch_flat, window_array(windows))
 
     def evaluate_range_batch(self, centers: Probes, radii: Sequence[float]) -> Prefetched:
-        """Answer RANGE probes in one routed descent, statistics untouched.
+        """Answer RANGE probes in one routed descent.
 
         Probes are routed through their :func:`probe_squares`.
         """

@@ -22,14 +22,14 @@ and
    one batch share a single execution;
 
 3. **executes** each wave cooperatively.  Every query runs on its own
-   session stack -- own metered channels, own device, own statistics
-   *view* of a cached server build
-   (:meth:`~repro.server.server.SpatialServer.shared_view`) -- as a step
+   session stack -- own metered connections (which keep its statistics),
+   own device -- to the cached server builds, which are immutable and
+   shared as they are, as a step
    generator (:mod:`repro.device.steps`): it *offers* every server
    evaluation it needs, COUNT rounds and the operators' WINDOW downloads
    and RANGE probes alike.  Per wave round the broker takes one step from
    each in-flight query, gathers all rows of one query kind that target
-   the same backing build into one group evaluated in **one** stat-free
+   the same backing build into one group evaluated in **one**
    descent, and has every query book its own share on its own connections
    (:func:`~repro.device.steps.gather` /
    :func:`~repro.device.steps.book_step`).  That is the loop a standalone
@@ -160,11 +160,11 @@ class _Breaker:
 
     A *unit* is one independently-breakable server: a plain base server,
     or one replica of a fleet's shard.  The registry keys breakers by the
-    unit's stable :attr:`~repro.server.server.SpatialServer.breaker_token`
-    (``(name, registration uid)``), never by ``id()``: a new server that
-    recycles a dead server's object id (routine once shard fleets are
-    built, dropped and rebuilt) gets a fresh token and therefore starts
-    with a closed breaker.
+    unit object itself: the key is a strong reference, so a dead server's
+    ``id()`` cannot be recycled while its entry lives, and a rebuilt server
+    of the same name is a new key that starts with a closed breaker.
+    Evicting a build (or :meth:`QueryBroker.clear_caches`) drops its units'
+    entries.
 
     States: *closed* while ``open_until_wave`` is ``None``; *open* (routed
     around, or shedding the query when no unit of its group is left; see
@@ -174,7 +174,6 @@ class _Breaker:
     single failed probe re-opens the breaker while a success closes it.
     """
 
-    unit: SpatialServer
     failures: int = 0
     open_until_wave: Optional[int] = None
 
@@ -268,9 +267,8 @@ class QueryBroker:
         )
         self.breaker_threshold = breaker_threshold
         self.breaker_cooldown_waves = breaker_cooldown_waves
-        #: Circuit breakers keyed by the unit's stable ``breaker_token``
-        #: (``(name, registration uid)``) -- see :class:`_Breaker`.
-        self._breakers: Dict[Tuple[str, int], _Breaker] = {}
+        #: Circuit breakers keyed by the unit itself -- see :class:`_Breaker`.
+        self._breakers: Dict[SpatialServer, _Breaker] = {}
         #: Monotone wave clock driving breaker cooldowns (counts every
         #: executed wave across all ``run_batch()`` calls).
         self._wave_counter = 0
@@ -548,18 +546,18 @@ class QueryBroker:
                         _, evicted = self._servers.popitem(last=False)
                         for base in evicted:
                             for unit in base.breaker_units():
-                                self._breakers.pop(unit.breaker_token, None)
+                                self._breakers.pop(unit, None)
         return pair
 
     def _build_stack(self, entry: _Admitted) -> None:
-        """One isolated session stack per query: statistics views of the
-        cached servers (looked up once, by :meth:`_check_breaker`), fresh
-        metered channels, a fresh device."""
+        """One isolated session stack per query: fresh metered connections
+        to the cached servers (looked up once, by :meth:`_check_breaker`)
+        and a fresh device."""
         query = entry.query
         algorithm = entry.plan.algorithm
         entry.device = query.stack.connect(
-            entry.base_r.shared_view(),
-            entry.base_s.shared_view(),
+            entry.base_r,
+            entry.base_s,
             config=query.config or self.config,
             indexed=algorithm == "semijoin",
             buffer_size=query.buffer_size,
@@ -627,7 +625,7 @@ class QueryBroker:
                 cooling = []
                 half_open = []
                 for unit in group:
-                    breaker = self._breakers.get(unit.breaker_token)
+                    breaker = self._breakers.get(unit)
                     if breaker is None or breaker.open_until_wave is None:
                         continue
                     if self._wave_counter < breaker.open_until_wave:
@@ -678,9 +676,7 @@ class QueryBroker:
 
     def _charge_breaker(self, unit: SpatialServer) -> None:
         """Book one failure against a unit; open its breaker at the threshold."""
-        breaker = self._breakers.get(unit.breaker_token)
-        if breaker is None:
-            breaker = self._breakers[unit.breaker_token] = _Breaker(unit)
+        breaker = self._breakers.setdefault(unit, _Breaker())
         breaker.failures += 1
         if breaker.failures >= self.breaker_threshold:
             breaker.open_until_wave = (
@@ -744,7 +740,7 @@ class QueryBroker:
             for unit in base.breaker_units():
                 if unit.name in faulted:
                     continue
-                breaker = self._breakers.get(unit.breaker_token)
+                breaker = self._breakers.get(unit)
                 if breaker is not None and breaker.open_until_wave is None:
                     if breaker.failures:
                         self._note_breaker_transition("close", unit.name)
@@ -868,13 +864,12 @@ class QueryBroker:
         round_index = 0
         while active:
             # Gather: one group per (backing build, query kind) across the
-            # steps of all active queries, in submission order -- the cached
-            # builds, so the queries' statistics views share a descent.
+            # steps of all active queries, in submission order.
             groups, gathered = gather(
                 ((entry.base_r, entry.base_s), entry.pending) for entry in active
             )
             slots = {entry.index: mine for entry, mine in zip(active, gathered)}
-            # Evaluate: one stat-free descent per group.
+            # Evaluate: one descent per group.
             for group in groups:
                 self._evaluate(group, round_index)
             # Book and advance: each query books its own shares on its own

@@ -52,8 +52,8 @@ class JoinQuery:
     ----------
     dataset_r, dataset_s:
         The two relations.  Queries over the same pair share one cached
-        server build inside the broker (each execution gets its own
-        statistics view).
+        server build inside the broker (each execution counts on its own
+        connections).
     spec:
         The join query (intersection / distance / iceberg).
     algorithm:
@@ -70,9 +70,9 @@ class JoinQuery:
     config:
         Wire constants / tariffs; ``None`` inherits the broker's config.
     servers:
-        Optional pre-built base ``(server_r, server_s)`` pair (e.g. from
-        the experiment harness's workload cache); the broker still hands
-        the execution its own statistics views of them.
+        Optional pre-built base ``(server_r, server_s)`` pair; the broker
+        connects the execution to them as they are (a build is immutable,
+        the query's own connections count).
     stack:
         Fleet topology and resilience of the query's stack
         (:class:`~repro.core.planner.StackConfig`): the broker builds (and

@@ -3,7 +3,7 @@
 Kept verbatim in behaviour as the oracle of "a single query is a batch of
 one" and of every batch endpoint's ledger: one query, one index descent
 from node 0 (``FlatRTree._descend``), hits in ascending entry order, the
-backing server's statistics bumped by one query, then one exchange of its
+connection's statistics booked for one query, then one exchange of its
 own -- the query message built from *this* window or probe, the response
 from *these* rows -- under the scalar labels ``"window"`` / ``"count"`` /
 ``"range"``.  A fleet scatters the query to every non-empty shard whose
@@ -16,7 +16,8 @@ Every function takes a live endpoint -- a
 :class:`~repro.server.remote.ShardedRemoteServer` -- and answers and books
 on it what ``endpoint.window(...)`` / ``.count(...)`` / ``.range(...)`` did
 then, so channels, ledgers, fault substreams, replica orders and
-statistics are the real ones.  Only the labels the fault streams are drawn
+statistics are the real ones.  A server build counts nothing: a
+connection books on the replica at the head of its order.  Only the labels the fault streams are drawn
 under differ from today's one-row batches (see :data:`BATCH_LABELS`).
 """
 
@@ -103,23 +104,17 @@ def range_rows(flat, center: Point, radius: float) -> np.ndarray:
 
 def _server_window(server: SpatialServer, window: Rect) -> Payload:
     rect_array.window_array([window])
-    mbrs, oids = server.index.entries_at(window_rows(server.index.flat, window))
-    server.stats.book_window(1, oids.shape[0])
-    return mbrs, oids
+    return server.index.entries_at(window_rows(server.index.flat, window))
 
 
 def _server_count(server: SpatialServer, window: Rect) -> int:
     rect_array.window_array([window])
-    value = int(window_rows(server.index.flat, window).shape[0])
-    server.stats.book_count(1)
-    return value
+    return int(window_rows(server.index.flat, window).shape[0])
 
 
 def _server_range(server: SpatialServer, center: Point, epsilon: float) -> Payload:
     probe_arrays([center], [epsilon])
-    mbrs, oids = server.index.entries_at(range_rows(server.index.flat, center, epsilon))
-    server.stats.book_range(1, oids.shape[0])
-    return mbrs, oids
+    return server.index.entries_at(range_rows(server.index.flat, center, epsilon))
 
 
 # --------------------------------------------------------------------------- #
@@ -129,6 +124,7 @@ def _server_range(server: SpatialServer, center: Point, epsilon: float) -> Paylo
 
 def _remote_window(proxy, window: Rect) -> Payload:
     mbrs, oids = _server_window(proxy.backing_server, window)
+    proxy._booked.book_window(1, oids.shape[0])
 
     def account(channel) -> None:
         channel.send_query(WindowQuery(window), label="window")
@@ -140,6 +136,7 @@ def _remote_window(proxy, window: Rect) -> Payload:
 
 def _remote_count(proxy, window: Rect) -> int:
     value = _server_count(proxy.backing_server, window)
+    proxy._booked.book_count(1)
 
     def account(channel) -> None:
         channel.send_query(CountQuery(window), label="count")
@@ -151,6 +148,7 @@ def _remote_count(proxy, window: Rect) -> int:
 
 def _remote_range(proxy, center: Point, epsilon: float) -> Payload:
     mbrs, oids = _server_range(proxy.backing_server, center, epsilon)
+    proxy._booked.book_range(1, oids.shape[0])
 
     def account(channel) -> None:
         channel.send_query(RangeQuery(center, epsilon), label="range")

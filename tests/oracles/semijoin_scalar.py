@@ -3,7 +3,8 @@
 Oracle of :class:`repro.core.semijoin.SemiJoin`'s flat relay: the small
 server's answer is relayed as a per-window payload list that is stacked
 client-side (``IndexedRemoteServer.upload_windows_and_collect`` before it
-became the flat form), and the result rows are collected pair by pair.
+became the flat form) and booked on the connection, and the result rows are
+collected pair by pair.
 Ships the same messages with the same payloads; ``tests/test_batch_queries.py``
 pins pairs, bytes, statistics and trace.
 """
@@ -31,6 +32,7 @@ def upload_windows_and_collect(
     if not windows:
         return np.empty((0, 4)), np.empty(0, dtype=np.int64)
     payloads = proxy.backing_server.window_batch(list(windows))
+    proxy._booked.book_window(len(payloads), sum(o.shape[0] for _, o in payloads))
     all_mbrs = np.vstack([m for m, _ in payloads]) if payloads else np.empty((0, 4))
     all_oids = (
         np.concatenate([o for _, o in payloads]) if payloads else np.empty(0, dtype=np.int64)

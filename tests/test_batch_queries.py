@@ -116,7 +116,7 @@ ONE_QUERY_STACKS = {"plain": (0, 1), "4 shards": (4, 1), "4x2 replicas": (4, 2)}
 
 
 def _one_query_stack(shards: int, replicas: int, faults: bool):
-    """One connection to S, its resilience controller and its replica servers."""
+    """One connection to S and its resilience controller."""
     data = clustered(n=400, clusters=4, seed=61, std=0.05, name="S")
     if shards:
         backing = ShardedSpatialServer(data, name="S", shards=shards, scheme="str", replicas=replicas)
@@ -139,7 +139,7 @@ def _one_query_stack(shards: int, replicas: int, faults: bool):
         proxy = ShardedRemoteServer(backing, channels, resilience=resilience)
     else:
         proxy = RemoteServer((backing,), channels, resilience=resilience)
-    return proxy, resilience, units
+    return proxy, resilience
 
 
 def _one_query_script():
@@ -162,7 +162,7 @@ def _assert_same_rows(got, want):
     assert np.array_equal(got_mbrs[g], want_mbrs[w])
 
 
-def _observed(proxy, resilience, units, labels=None):
+def _observed(proxy, resilience, labels=None):
     """Everything one stack booked; ``labels`` renames the exchange labels."""
     labels = labels or {}
 
@@ -173,7 +173,7 @@ def _observed(proxy, resilience, units, labels=None):
     summary = dict(resilience.summary(), fault_events=faults)
     summary["failover_events"] = relabel(summary["failover_events"])
     return {
-        "stats": [(unit.name, unit.stats.as_dict()) for unit in units],
+        "stats": list(proxy.replica_stats().items()),
         "snapshot": proxy.channel_snapshot(),
         "ledger": proxy.ledger_fingerprint(),
         "channels": [
@@ -203,10 +203,7 @@ class TestServerBatches:
         assert batched == looped
         assert pair_a.r.total_bytes() == pair_b.r.total_bytes()
         assert pair_a.r.channel.snapshot() == pair_b.r.channel.snapshot()
-        assert (
-            pair_a.r.backing_server.stats.as_dict()
-            == pair_b.r.backing_server.stats.as_dict()
-        )
+        assert pair_a.r.server_stats() == pair_b.r.server_stats()
 
     def test_window_batch_bytes_match_scalar_loop(self):
         pair_a = self._pair()
@@ -218,10 +215,7 @@ class TestServerBatches:
             assert sorted(oids_a.tolist()) == sorted(oids_b.tolist())
             assert mbrs_a.shape == mbrs_b.shape
         assert pair_a.s.total_bytes() == pair_b.s.total_bytes()
-        assert (
-            pair_a.s.backing_server.stats.as_dict()
-            == pair_b.s.backing_server.stats.as_dict()
-        )
+        assert pair_a.s.server_stats() == pair_b.s.server_stats()
 
     def test_range_batch_bytes_match_scalar_loop(self):
         pair_a = self._pair()
@@ -234,10 +228,7 @@ class TestServerBatches:
         for (_, oids_a), (_, oids_b) in zip(batched, looped):
             assert sorted(oids_a.tolist()) == sorted(oids_b.tolist())
         assert pair_a.r.total_bytes() == pair_b.r.total_bytes()
-        assert (
-            pair_a.r.backing_server.stats.as_dict()
-            == pair_b.r.backing_server.stats.as_dict()
-        )
+        assert pair_a.r.server_stats() == pair_b.r.server_stats()
 
     @pytest.mark.parametrize("endpoint", ["range_batch_flat", "bucket_range"])
     def test_probe_arrays_match_the_scalar_loop_too(self, endpoint):
@@ -266,7 +257,7 @@ class TestServerBatches:
         # A batch writes its queries, then its payloads; the loop alternates.
         assert Counter(pair_a.r.channel.log.records) == Counter(pair_b.r.channel.log.records)
         assert pair_a.r.channel.snapshot() == pair_b.r.channel.snapshot()
-        assert pair_a.r.backing_server.stats == pair_b.r.backing_server.stats
+        assert pair_a.r.server_stats() == pair_b.r.server_stats()
 
 
     @pytest.mark.parametrize("faults", [False, True], ids=["no_faults", "recoverable"])
@@ -279,16 +270,16 @@ class TestServerBatches:
         failover events.  Two things differ on purpose: a shipped answer
         lists its rows in the batch descent's order, and its exchanges draw
         fault events under the batch labels."""
-        shipped, shipped_res, shipped_units = _one_query_stack(*ONE_QUERY_STACKS[stack], faults)
-        oracle, oracle_res, oracle_units = _one_query_stack(*ONE_QUERY_STACKS[stack], faults)
+        shipped, shipped_res = _one_query_stack(*ONE_QUERY_STACKS[stack], faults)
+        oracle, oracle_res = _one_query_stack(*ONE_QUERY_STACKS[stack], faults)
         for window, center, radius in _one_query_script():
             assert shipped.count(window) == scalar_endpoints.count(oracle, window)
             _assert_same_rows(shipped.window(window), scalar_endpoints.window(oracle, window))
             _assert_same_rows(
                 shipped.range(center, radius), scalar_endpoints.range(oracle, center, radius)
             )
-        got = _observed(shipped, shipped_res, shipped_units)
-        want = _observed(oracle, oracle_res, oracle_units, scalar_endpoints.BATCH_LABELS)
+        got = _observed(shipped, shipped_res)
+        want = _observed(oracle, oracle_res, scalar_endpoints.BATCH_LABELS)
         for key in want:
             assert got[key] == want[key], key
         if faults:
@@ -309,7 +300,6 @@ class TestServerBatches:
             _assert_same_rows(
                 shipped.range(center, radius), scalar_endpoints.range(oracle, center, radius)
             )
-        assert shipped.stats == oracle.stats and shipped.stats.window_queries == 9
 
     def test_a_device_counts_one_window_as_the_scalar_oracle(self):
         r = clustered(n=200, clusters=3, seed=71, name="R")
@@ -354,7 +344,6 @@ class TestWindowBatchFlat:
         for i, (w_mbrs, w_oids) in enumerate(per_window):
             assert oids[bounds[i] : bounds[i + 1]].tolist() == w_oids.tolist()
             assert np.array_equal(mbrs[bounds[i] : bounds[i + 1]], w_mbrs)
-        assert server.stats.as_dict() == fresh.stats.as_dict()
 
     def test_remote_flat_ledger_identical_to_scalar_loop(self):
         pair_a = self._pair()
@@ -373,17 +362,13 @@ class TestWindowBatchFlat:
         assert sorted(pair_a.r.channel.log.fingerprint()) == sorted(
             pair_b.r.channel.log.fingerprint()
         )
-        assert (
-            pair_a.r.backing_server.stats.as_dict()
-            == pair_b.r.backing_server.stats.as_dict()
-        )
+        assert pair_a.r.server_stats() == pair_b.r.server_stats()
 
     def test_empty_batch(self):
         server = SpatialServer(uniform(n=50, seed=39), name="R")
         mbrs, oids, bounds = server.window_batch_flat([])
         assert mbrs.shape == (0, 4) and oids.shape == (0,)
         assert bounds.tolist() == [0]
-        assert server.stats.window_queries == 0
 
 
 class TestSemiJoinBatchExecution:

@@ -149,7 +149,7 @@ def _assert_twin_stacks_equal(shipped: MobileDevice, oracle: MobileDevice, order
         (shipped.servers.r, oracle.servers.r),
         (shipped.servers.s, oracle.servers.s),
     ):
-        assert a.backing_server.stats == b.backing_server.stats
+        assert a.server_stats() == b.server_stats()
         assert a.channel.snapshot() == b.channel.snapshot()
         got, want = a.channel.log.records, b.channel.log.records
         assert got == want if ordered else Counter(got) == Counter(want)

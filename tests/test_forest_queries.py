@@ -36,6 +36,7 @@ from repro.api import AdHocJoinSession
 from repro.datasets.synthetic import clustered
 from repro.index import flat
 from repro.index.flat import FlatRTree
+from repro.server.remote import ServerPair
 
 from tests.oracles import flat_rowwise
 from tests.test_flat_build import GEOMETRIES, _mbrs
@@ -346,7 +347,7 @@ def test_descents_on_slot_and_page_boundaries(geometry, fanout, scale, n_trees, 
 
 def test_pages_exist_once_per_index_that_answers_batches():
     """A fleet pays for one page table -- the forest's -- however it is
-    sharded, replicated, viewed or queried; shard trees never build one."""
+    sharded, replicated, connected to or queried; shard trees never build one."""
     r = clustered(n=3000, clusters=8, seed=5, std=0.05, name="R")
     s = clustered(n=3000, clusters=8, seed=6, std=0.05, name="S")
     session = AdHocJoinSession(
@@ -357,7 +358,9 @@ def test_pages_exist_once_per_index_that_answers_batches():
     for fleet in (session.server_r, session.server_s):
         table = fleet.forest._pages
         assert table is not None and fleet.forest._page_table() is table  # built once
-        assert fleet.shared_view().forest._pages is table
+        proxy = ServerPair.connect(fleet, fleet).r
+        proxy.count_batch([fleet.dataset.bounds()])
+        assert proxy.backing_server.forest._pages is table
         for replica in fleet.breaker_units():
             assert replica.index.flat._pages is None
             assert replica.replica_view("x").index.flat is replica.index.flat

@@ -4,12 +4,13 @@ The sweep runner shares one pre-built server pair per (x-value, seed) cell
 across all algorithm series (``share_servers=True``).  That is not allowed
 to change a single byte of the result: these tests pin
 
-* cold == cached, bit for bit, on the full
+* cold == shared, bit for bit, on the full
   :class:`~repro.experiments.harness.ExperimentResult` (means, stds, pair
   counts, the raw per-run results and their order), and
-* that a cached server pair is safely reusable across algorithms -- a run
+* that a shared server pair is safely reusable across algorithms -- a run
   on shared servers is indistinguishable from a run on freshly built ones,
-  in any order.
+  in any order -- and that a cell builds its servers once, however many
+  series it has.
 """
 
 from __future__ import annotations
@@ -18,15 +19,16 @@ import dataclasses
 
 import numpy as np
 
+from repro.core.planner import StackConfig
 from repro.datasets.workloads import WorkloadSpec
 from repro.experiments.harness import (
     ExperimentConfig,
     ExperimentResult,
-    WorkloadCache,
     build_datasets,
     run_experiment,
     run_single,
 )
+from repro.server.server import SpatialServer
 
 
 def _small_workload(x, seed):
@@ -99,15 +101,30 @@ class TestSweepEquivalence:
         assert list(cold.runs) == list(cached.runs) == canonical
 
 
-class TestWorkloadCache:
-    def test_cache_builds_once_per_cell(self):
+class TestSharedCell:
+    def test_cell_builds_its_servers_once(self, monkeypatch):
+        """Two servers per cell when shared, whatever the series count;
+        two per run when not."""
+        built = []
+        init = SpatialServer.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(SpatialServer, "__init__", counting_init)
         config = _mixed_config()
-        cache = WorkloadCache(config)
-        first = cache.get(1, 0)
-        again = cache.get(1, 0)
-        other = cache.get(4, 0)
-        assert first is again and first is not other
-        assert cache.misses == 2 and cache.hits == 1 and len(cache) == 2
+        cells = len(config.x_values) * len(config.seeds)
+        for series in (1, len(config.series)):
+            built.clear()
+            narrowed = dataclasses.replace(
+                config, series=dict(list(config.series.items())[:series])
+            )
+            run_experiment(narrowed, share_servers=True)
+            assert len(built) == 2 * cells
+            built.clear()
+            run_experiment(narrowed, share_servers=False)
+            assert len(built) == 2 * cells * series
 
     def test_cached_servers_safely_reusable_across_algorithms(self):
         """Shared servers must behave exactly like freshly built ones.
@@ -117,28 +134,28 @@ class TestWorkloadCache:
         first algorithm last to catch state leaked by the runs in between.
         """
         config = _mixed_config()
-        cache = WorkloadCache(config)
-        cell = cache.get(4, 1)
-        mbrs_before = cell.server_r.dataset.mbrs.copy()
-        index_len = len(cell.server_r.index)
+        dataset_r, dataset_s, spec = config.workload(4, 1)
+        servers = StackConfig().servers(dataset_r, dataset_s)
+        mbrs_before = servers[0].dataset.mbrs.copy()
+        index_len = len(servers[0].index)
 
         sequence = ["srJoin", "upJoin", "semiJoin", "naive", "srJoin"]
         for label in sequence:
             run_kwargs = config.series[label]
             shared = run_single(
-                cell.dataset_r,
-                cell.dataset_s,
-                cell.spec,
+                dataset_r,
+                dataset_s,
+                spec,
                 run_kwargs,
                 buffer_size=config.buffer_size,
                 config=config.config,
                 indexed=config.indexed,
-                servers=cell.servers,
+                servers=servers,
             )
             fresh = run_single(
-                cell.dataset_r,
-                cell.dataset_s,
-                cell.spec,
+                dataset_r,
+                dataset_s,
+                spec,
                 run_kwargs,
                 buffer_size=config.buffer_size,
                 config=config.config,
@@ -150,8 +167,8 @@ class TestWorkloadCache:
             assert shared.operator_counts == fresh.operator_counts
 
         # The cell's immutable state is untouched by five joins.
-        assert np.array_equal(cell.server_r.dataset.mbrs, mbrs_before)
-        assert len(cell.server_r.index) == index_len
+        assert np.array_equal(servers[0].dataset.mbrs, mbrs_before)
+        assert len(servers[0].index) == index_len
 
     def test_repetition_override_applies_to_cells(self):
         config = _mixed_config()

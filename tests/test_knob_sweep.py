@@ -31,9 +31,12 @@ from repro.api import (
     quick_join,
 )
 from repro.core.join_types import JoinSpec
-from repro.datasets.synthetic import clustered, uniform
+from repro.datasets.railway import generate_railway_like
+from repro.datasets.synthetic import clustered, gaussian_mixture, uniform
+from repro.datasets.workloads import random_query_windows
 from repro.errors import InvalidInput
 from repro.network.config import NetworkConfig
+from repro.network.faults import Disconnect, Outage
 
 HOSTILE = (math.nan, math.inf, -1, 2.5, "3")
 
@@ -49,6 +52,8 @@ LEGAL = {
     ("backoff_factor", 2.5): "a legal backoff growth factor (>= 1)",
     ("tariff_r", 2.5): "a legal per-byte tariff",
     ("tariff_s", 2.5): "a legal per-byte tariff",
+    ("std", 2.5): "a legal cluster spread: wide clusters are re-drawn into the bounds",
+    ("jitter", 2.5): "a legal corridor bend: segments are clipped to the bounds",
 }
 
 R = uniform(n=40, seed=1, name="R")
@@ -103,6 +108,31 @@ TARGETS = {
         partition_dataset, lambda **k: partition_dataset(R, **{"shards": 2, **k}), None
     ),
     "ShardedSpatialServer": (ShardedSpatialServer, lambda **k: ShardedSpatialServer(R, **k), None),
+    "clustered": (clustered, lambda **k: clustered(**{"n": 20, **k}), None),
+    "uniform": (uniform, lambda **k: uniform(**{"n": 20, **k}), None),
+    "gaussian_mixture": (
+        gaussian_mixture,
+        lambda **k: gaussian_mixture(**{"n": 20, "centers": [(0.5, 0.5)], **k}),
+        None,
+    ),
+    "generate_railway_like": (
+        generate_railway_like,
+        lambda **k: generate_railway_like(**{"n_segments": 50, "hubs": 4, **k}),
+        None,
+    ),
+    "random_query_windows": (
+        random_query_windows, lambda **k: random_query_windows(**{"count": 3, **k}), None
+    ),
+    "Outage": (
+        Outage,
+        lambda **k: Outage(**{"server": "R", "start": 0, "length": 1, **k}),
+        lambda outage: _join(faults=FaultPlan(outages=(outage,))),
+    ),
+    "Disconnect": (
+        Disconnect,
+        lambda **k: Disconnect(**{"server": "R", "at": 10**6, **k}),
+        lambda disconnect: _join(faults=FaultPlan(disconnects=(disconnect,))),
+    ),
 }
 
 

@@ -26,8 +26,10 @@ from repro.geometry.point import Point
 from repro.geometry.predicates import IntersectionPredicate, WithinDistancePredicate
 from repro.geometry.rect import Rect
 from repro.index.hash_join import JoinBatch, grid_hash_join, grid_hash_join_batch
+from repro.network.channel import Channel
+from repro.network.config import NetworkConfig
 from repro.server import ShardedSpatialServer
-from repro.server.remote import ServerPair
+from repro.server.remote import RemoteServer, ServerPair
 from repro.server.server import SpatialServer
 
 from tests.oracles import scalar_endpoints
@@ -475,12 +477,13 @@ def test_batch_payload_rows_are_dataset_rows():
 def test_batch_endpoints_equal_the_scalar_by_oid_path():
     dataset = _published()
     server = SpatialServer(dataset, name="P")
-    mbrs, oids, bounds = server.window_batch_flat(WINDOWS)
+    proxy = RemoteServer((server,), (Channel(NetworkConfig(), name="P"),))
+    mbrs, oids, bounds = proxy.window_batch_flat(WINDOWS)
     for i, window in enumerate(WINDOWS):
-        one_mbrs, one_oids = scalar_endpoints.window(server, window)
+        one_mbrs, one_oids = scalar_endpoints.window(proxy, window)
         assert np.array_equal(one_oids, oids[bounds[i] : bounds[i + 1]])
         assert np.array_equal(one_mbrs, mbrs[bounds[i] : bounds[i + 1]])
-    assert server.stats.objects_returned == 2 * int(oids.shape[0])
+    assert proxy.server_stats()["objects_returned"] == 2 * int(oids.shape[0])
 
 
 # ---------------------------------------------------------------------- #

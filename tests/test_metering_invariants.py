@@ -32,6 +32,7 @@ from repro.core.planner import ALGORITHMS
 from repro.datasets.synthetic import clustered
 from repro.network.messages import MessageKind
 from repro.network.packets import transferred_bytes
+from repro.server.server import ServerQueryStats
 
 from tests.oracles import scalar_endpoints
 from tests.oracles.recursive_driver import depth_first_algorithms
@@ -110,7 +111,7 @@ def test_device_count_queries_match_wire(name):
 def test_server_stats_match_wire(name, bucket):
     session, result = _run(name, bucket_queries=bucket)
     for side, server in (("R", session.device.servers.r), ("S", session.device.servers.s)):
-        stats = server.backing_server.stats
+        stats = ServerQueryStats(**server.server_stats())
         recs = _records(server.channel)
         by_kind: Dict[MessageKind, int] = {}
         for rec in recs:
@@ -244,10 +245,7 @@ class TestBatchedExchangeLedger:
         assert self._ledger(servers_a.s.channel) == self._ledger(servers_b.s.channel)
         assert servers_a.s.channel.snapshot() == servers_b.s.channel.snapshot()
         # Server-side statistics are per probe, exactly as in the loop.
-        assert (
-            servers_a.s.backing_server.stats.as_dict()
-            == servers_b.s.backing_server.stats.as_dict()
-        )
+        assert servers_a.s.server_stats() == servers_b.s.server_stats()
 
     @pytest.mark.parametrize("algorithm", ["upjoin", "srjoin", "mobijoin"])
     @pytest.mark.parametrize("bucket", [False, True])

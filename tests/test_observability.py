@@ -451,13 +451,13 @@ class TestSatellites:
         assert len(broker._servers) == 2
         # The evicted build's breaker state went with it; survivors keep
         # theirs available for lazy re-creation.
-        live_tokens = {
-            unit.breaker_token
+        live_units = {
+            unit
             for pair in broker._servers.values()
             for base in pair
             for unit in base.breaker_units()
         }
-        assert set(broker._breakers) <= live_tokens
+        assert set(broker._breakers) <= live_units
 
     def test_server_build_lru_validation(self):
         with pytest.raises(ValueError):

@@ -286,24 +286,90 @@ def _counter_writes(node: ast.AST, counters, function=None):
 
 
 def test_one_statistics_rule_per_query_kind():
-    # What answering a COUNT / WINDOW / RANGE / bucket batch counts is one
-    # ``ServerQueryStats.book_*`` method each.  No connection writes a
-    # counter, and no server endpoint re-states a rule beside it.
+    # What answering a COUNT / WINDOW / RANGE / bucket batch or an aggregate
+    # counts is one ``ServerQueryStats.book_*`` method each.  Nothing in the
+    # package writes a counter beside them.
     from repro.server.server import ServerQueryStats
 
     counters = {field.name for field in dataclasses.fields(ServerQueryStats)}
-    remote = ast.parse((PACKAGE / "server" / "remote.py").read_text())
-    assert list(_counter_writes(remote, counters)) == []
-    step_kinds = counters - {"aggregate_queries"}
     offenders = [
         (path.name, *write)
         for path in sorted(PACKAGE.rglob("*.py"))
-        for write in _counter_writes(ast.parse(path.read_text()), step_kinds)
+        for write in _counter_writes(ast.parse(path.read_text()), counters)
     ]
     assert offenders == []
-    assert {"book_count", "book_window", "book_range", "book_bucket"} <= set(vars(ServerQueryStats))
+    rules = {"book_count", "book_window", "book_range", "book_bucket", "book_aggregate"}
+    assert rules <= set(vars(ServerQueryStats))
     # ... and the ABC of scalar methods nothing called or checked is gone.
     assert not (PACKAGE / "server" / "interface.py").exists()
+
+
+#: What a server build carried to keep per-query counters of its own.
+BUILD_STATE_NAMES = ("stats", "shared_view", "breaker_token", "server_uid")
+
+
+def test_a_server_build_keeps_no_query_state():
+    # The connection counts: builds have no counters, views or tokens, and
+    # the names that existed only for them are gone.
+    from repro.datasets.dataset import SpatialDataset
+    from repro.server import ShardedSpatialServer, SpatialServer
+    from repro.server.remote import RemoteServer, ShardedRemoteServer
+
+    mbrs = np.array([[0.0, 0.0, 0.1, 0.1], [0.5, 0.5, 0.6, 0.6]])
+    dataset = SpatialDataset(mbrs, name="R")
+    builds = [SpatialServer(dataset, name="R"), ShardedSpatialServer(dataset, name="R", replicas=2)]
+    for build in builds:
+        for unit in (build, *build.breaker_units()):
+            for name in BUILD_STATE_NAMES:
+                assert not hasattr(unit, name), (type(unit).__name__, name)
+    for module, name in (
+        ("repro.server", "FleetStats"),
+        ("repro.server.sharded", "FleetStats"),
+        ("repro.server.server", "_SERVER_UIDS"),
+        ("repro.experiments", "WorkloadCache"),
+        ("repro.experiments", "WorkloadCell"),
+        ("repro.experiments.harness", "WorkloadCache"),
+        ("repro.experiments.harness", "WorkloadCell"),
+    ):
+        assert not hasattr(importlib.import_module(module), name), (module, name)
+    for cls in (RemoteServer, ShardedRemoteServer):
+        assert callable(cls.replica_stats)
+
+
+def test_serving_queries_writes_nothing_to_a_server_build():
+    # A plain build, a 2-shard x 2-replica fleet and every replica keep the
+    # very same attribute objects through a brokered batch under a
+    # recoverable fault plan and a session run: only the index's lazily
+    # built page table (inside an index object) may appear.
+    from repro.api import AdHocJoinSession
+    from repro.core.join_types import JoinSpec
+    from repro.datasets.synthetic import clustered
+    from repro.network.faults import FaultPlan, replica_outages
+    from repro.server import ShardedSpatialServer, SpatialServer
+    from repro.service import QueryBroker
+
+    r = clustered(n=300, clusters=3, seed=11, name="R")
+    s = clustered(n=300, clusters=4, seed=12, std=0.04, name="S")
+    plain = SpatialServer(r, name="R")
+    fleet = ShardedSpatialServer(s, name="S", shards=2, scheme="str", replicas=2)
+    units = (plain, fleet, *fleet.breaker_units())
+    before = [dict(vars(unit)) for unit in units]
+    plan = FaultPlan(
+        seed=5, drop_rate=0.05, stall_rate=0.05, duplicate_rate=0.05,
+        outages=replica_outages("S#0", 2, 0, 10**9, indices=[0]),
+    )
+    (outcome,) = QueryBroker(cache=False).run_batch([
+        JoinQuery(
+            r, s, JoinSpec.distance(0.03), algorithm="srjoin", buffer_size=96,
+            servers=(plain, fleet), stack=repro.api.StackConfig(faults=plan),
+        )
+    ])
+    assert outcome.status == "ok" and outcome.result.resilience["failovers"]
+    session = AdHocJoinSession(r, s, buffer_size=96, indexed=False, servers=(plain, fleet), faults=plan)
+    assert session.run(algorithm="upjoin", epsilon=0.03).num_pairs == outcome.result.num_pairs
+    for unit, state in zip(units, before):
+        assert vars(unit).keys() == state.keys(), unit.name
+        assert all(vars(unit)[key] is value for key, value in state.items()), unit.name
 
 
 def test_a_frontier_level_is_decided_as_a_table_never_window_by_window():

@@ -44,7 +44,7 @@ from repro.network.channel import Channel
 from repro.network.config import NetworkConfig
 from repro.network.faults import FaultPlan, Outage, replica_outages
 from repro.server import ShardedSpatialServer, SpatialServer
-from repro.server.remote import RemoteServer, ResilienceController
+from repro.server.remote import RemoteServer, ResilienceController, ServerPair
 from repro.service import JoinQuery, QueryBroker
 from repro.service.cache import ResultCache, result_weight
 
@@ -166,11 +166,11 @@ class TestReplicatedFleetConstruction:
                 assert sibling.dataset is primary.dataset
                 assert sibling._index is primary._index
 
-    def test_replicas_have_distinct_breaker_tokens(self):
+    def test_replicas_are_distinct_breaker_units(self):
         r, _ = _datasets()
         fleet = ShardedSpatialServer(r, name="R", shards=2, replicas=2)
-        tokens = [rep.breaker_token for rep in fleet.breaker_units()]
-        assert len(set(tokens)) == len(tokens) == 4
+        units = fleet.breaker_units()
+        assert len({id(unit) for unit in units}) == len(units) == 4
         assert fleet.breaker_groups() == fleet.replica_groups
 
     def test_unreplicated_fleet_keeps_plain_shard_names(self):
@@ -180,15 +180,19 @@ class TestReplicatedFleetConstruction:
             "R#0", "R#1"
         ]
 
-    def test_shared_view_preserves_replica_identities(self):
+    def test_connections_count_per_replica_and_share_the_build(self):
+        """Two connections to one fleet keep their own per-replica
+        statistics; the fleet and its replicas are shared as they are."""
         r, _ = _datasets()
         fleet = ShardedSpatialServer(r, name="R", shards=2, replicas=2)
-        view = fleet.shared_view()
-        for orig_group, view_group in zip(fleet.replica_groups, view.replica_groups):
-            for orig, copy in zip(orig_group, view_group):
-                assert copy.name == orig.name
-                assert copy.breaker_token == orig.breaker_token
-                assert copy.stats is not orig.stats
+        pair = ServerPair.connect(fleet, fleet)
+        first, second = pair.r, pair.s
+        assert first.backing_server is second.backing_server is fleet
+        first.count_batch([fleet.dataset.bounds()])
+        names = [unit.name for unit in fleet.breaker_units()]
+        assert list(first.replica_stats()) == list(second.replica_stats()) == names
+        assert first.server_stats()["count_queries"] == 2  # one per shard
+        assert not any(second.server_stats().values())
 
     def test_validation(self):
         r, _ = _datasets(n=10)
@@ -355,9 +359,9 @@ class TestReplicaOrder:
         """The backing evaluation runs on the head of the order."""
         head = list(proxy._order())[0]
         assert proxy.backing_server is replicas[head]
-        before = [rep.stats.count_queries for rep in replicas]
+        before = [stats["count_queries"] for stats in proxy.replica_stats().values()]
         proxy.count_batch([TestReplicaOrder.WINDOW])
-        after = [rep.stats.count_queries for rep in replicas]
+        after = [stats["count_queries"] for stats in proxy.replica_stats().values()]
         assert [b - a for a, b in zip(before, after)] == [int(i == head) for i in range(3)]
 
     def test_nothing_marked_keeps_index_order(self):
@@ -454,7 +458,7 @@ class TestReplicaOrder:
         assert resilience.summary()["retries"] and not resilience.summary()["failovers"]
         assert proxy.ledger_fingerprint() == channel.ledger_fingerprint()
         assert proxy.channel_snapshot() == channel.snapshot()
-        assert proxy.server_stats() == server.stats.as_dict()
+        assert proxy.server_stats() == proxy.replica_stats()[server.name]
         assert (proxy.total_bytes(), proxy.total_cost()) == (channel.total_bytes, channel.total_cost)
 
     def test_a_stall_past_the_deadline_stays_on_the_merged_ledger(self):
@@ -550,6 +554,20 @@ class TestFailover:
         assert survived.status == "ok"
         _assert_identical(survived.result, ref.result)
         assert survived.ledger_fingerprints == ref.ledger_fingerprints
+
+    def test_each_replica_of_a_shard_is_its_own_breaker_unit(self):
+        """A lost replica charges its own breaker, keyed by the cached
+        build's replica itself; its sibling and the other shards stay
+        clean."""
+        r, s = _datasets()
+        broker = QueryBroker(max_wave=1, cache=False, breaker_threshold=1)
+        kill0 = FaultPlan(
+            seed=3, outages=replica_outages("R#0", 2, 0, 10_000, indices=[0])
+        )
+        (outcome,) = broker.run_batch([self._query(r, s, 0.030, faults=kill0)])
+        assert outcome.status == "ok" and outcome.result.resilience["failovers"]
+        ((fleet_r, _),) = broker._servers.values()
+        assert list(broker._breakers) == [fleet_r.replica_groups[0][0]]
 
     def _query(self, r, s, eps, faults=None, **kwargs):
         kwargs.setdefault("buffer_size", BUFFER)

@@ -72,14 +72,15 @@ class TestSpatialServer:
         assert server.average_mbr_area(Rect(0, 0, 1, 1)) == 0.0
 
     def test_stats_counters(self, server):
-        server.stats.reset()
-        server.window(Rect(0, 0, 1, 1))
-        server.count(Rect(0, 0, 0.5, 0.5))
-        server.range(Point(0.5, 0.5), 0.1)
-        assert server.stats.window_queries == 1
-        assert server.stats.count_queries == 1
-        assert server.stats.range_queries == 1
-        assert server.stats.objects_returned >= 200
+        proxy = RemoteServer((server,), (Channel(NetworkConfig(), name=server.name),))
+        proxy.window(Rect(0, 0, 1, 1))
+        proxy.count(Rect(0, 0, 0.5, 0.5))
+        proxy.range(Point(0.5, 0.5), 0.1)
+        stats = proxy.server_stats()
+        assert stats["window_queries"] == 1
+        assert stats["count_queries"] == 1
+        assert stats["range_queries"] == 1
+        assert stats["objects_returned"] >= 200
 
 
 class TestRemoteServer:

@@ -422,25 +422,57 @@ class TestDefaultWindowWithAnEmptySide:
 
 
 class TestBreakerIdentity:
-    def test_tokens_are_stable_per_build_and_unique_across_builds(self):
-        r, _ = _datasets(n=20)
+    @staticmethod
+    def _query(r, s, servers=None, faults=None):
+        return JoinQuery(
+            r, s, JoinSpec.distance(EPSILON), algorithm="naive", buffer_size=BUFFER,
+            servers=servers, stack=StackConfig(faults=faults),
+        )
+
+    def test_a_rebuilt_build_with_the_same_name_starts_closed(self):
+        """Breakers are keyed by the build itself: a new build under a
+        dead one's name (the regression an ``id()``-keyed registry had)
+        does not inherit its open breaker."""
+        r, s = _datasets()
+        broker = QueryBroker(max_wave=1, cache=False, breaker_threshold=1,
+                             breaker_cooldown_waves=50)
+        server_s = SpatialServer(s, name="S")
         first = SpatialServer(r, name="R")
-        second = SpatialServer(r, name="R")
-        assert first.breaker_token[0] == "R"
-        # Same name, different build -> different token.  This is the
-        # regression the id()-keyed registry failed: a rebuilt server
-        # could inherit a dead server's open breaker.
-        assert first.breaker_token != second.breaker_token
-        assert second.server_uid > first.server_uid
-        # Views are the same build: same token, shared breaker state.
-        assert first.shared_view().breaker_token == first.breaker_token
+        outage = FaultPlan(seed=6, outages=(Outage("R", 0, 10_000),))
+        (failed,) = broker.run_batch([self._query(r, s, (first, server_s), outage)])
+        assert failed.status == "failed" and failed.error.kind == "unavailable"
+        assert list(broker._breakers) == [first]
+        (shed,) = broker.run_batch([self._query(r, s, (first, server_s))])
+        assert shed.status == "failed" and shed.error.kind == "breaker"
+        rebuilt = SpatialServer(r, name="R")
+        (healed,) = broker.run_batch([self._query(r, s, (rebuilt, server_s))])
+        assert healed.status == "ok"
+        assert list(broker._breakers) == [first]
+
+    def test_an_evicted_build_takes_its_breakers_along(self):
+        r, s = _datasets()
+        other_r, other_s = _datasets(n=60)
+        broker = QueryBroker(max_wave=1, cache=False, breaker_threshold=1,
+                             breaker_cooldown_waves=50, max_server_builds=1)
+        outage = FaultPlan(seed=6, outages=(Outage("R", 0, 10_000),))
+        (failed,) = broker.run_batch([self._query(r, s, faults=outage)])
+        assert failed.error.kind == "unavailable"
+        ((build_r, _),) = broker._servers.values()
+        assert list(broker._breakers) == [build_r]
+        # A second dataset pair evicts the first build, and its breaker.
+        (other,) = broker.run_batch([self._query(other_r, other_s)])
+        assert other.status == "ok"
+        assert broker._breakers == {}
+        # The first pair is rebuilt with a closed breaker: it executes.
+        (again,) = broker.run_batch([self._query(r, s)])
+        assert again.status == "ok"
 
     def test_fleet_exposes_shards_as_independent_breaker_units(self):
         r, _ = _datasets()
         fleet = ShardedSpatialServer(r, name="R", shards=3)
         units = fleet.breaker_units()
         assert [u.name for u in units] == ["R#0", "R#1", "R#2"]
-        assert len({u.breaker_token for u in units}) == 3
+        assert len({id(u) for u in units}) == 3
 
     def test_breaker_trips_per_shard_and_clear_caches_evicts(self):
         r, s = _datasets()
@@ -462,7 +494,7 @@ class TestBreakerIdentity:
         assert first.status == "failed"
         assert isinstance(first.error, ServerUnavailable)
         assert first.error.kind == "unavailable"
-        assert [token[0] for token in broker._breakers] == ["R#0"]
+        assert [unit.name for unit in broker._breakers] == ["R#0"]
         # Still within the cooldown: the next query on the same fleet is
         # shed by the open shard breaker without executing.
         (shed,) = broker.run_batch([

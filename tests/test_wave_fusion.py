@@ -102,7 +102,6 @@ def _observables(device) -> Dict[str, object]:
     if res is not None:
         out["resilience"] = res.summary()
     for side, proxy in (("R", device.servers.r), ("S", device.servers.s)):
-        stats = proxy.backing_server.stats
         out[side] = {
             "ledger": proxy.ledger_fingerprint(),
             "snapshot": proxy.channel_snapshot(),
@@ -110,7 +109,7 @@ def _observables(device) -> Dict[str, object]:
                 (c.name, c.ledger_fingerprint(), c.retry_bytes, c.retry_log.fingerprint())
                 for c in proxy.channels
             ],
-            "stats": stats.per_shard() if hasattr(stats, "per_shard") else stats.as_dict(),
+            "stats": proxy.replica_stats(),
             "failovers": proxy.failover_events(),
         }
     return out
@@ -457,7 +456,7 @@ class TestFusedEqualsStandalone:
         assert failed.status == "failed" and failed.result is None
         assert (type(failed.error), str(failed.error)) == (BufferExceededError, str(alone.value))
         assert _observables(devices[victim_at]) == _observables(device)
-        assert device.servers.r.backing_server.stats.objects_returned > BUFFER
+        assert device.servers.r.server_stats()["objects_returned"] > BUFFER
         for ticket, (query, outcome) in enumerate(zip(queries, outcomes)):
             if ticket != victim_at:
                 reference, on_its_own = _standalone(query)
