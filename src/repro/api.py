@@ -27,6 +27,7 @@ from repro.core.join_types import JoinKind, JoinSpec
 from repro.core.planner import (
     ALGORITHMS,
     StackConfig,
+    _algorithm_key,
     build_algorithm,
     build_session_stack,
     default_window,
@@ -164,7 +165,7 @@ def quick_join(
         dataset_s,
         buffer_size=buffer_size,
         config=config,
-        indexed=algorithm.lower() == "semijoin",
+        indexed=_algorithm_key(algorithm) == "semijoin",
         faults=faults,
         retry=retry,
         deadline_s=deadline_s,
@@ -326,13 +327,10 @@ class AdHocJoinSession:
         window: Optional[Rect] = None,
         seed: int = 0,
         buffer_size: Optional[int] = None,
-        **algorithm_kwargs: object,
     ) -> JoinResult:
         """Run one algorithm on this session's servers and record the result.
 
-        ``buffer_size`` overrides the session's device buffer for this run;
-        ``algorithm_kwargs`` are the algorithm's own options (see
-        :func:`~repro.core.planner.build_algorithm`).
+        ``buffer_size`` overrides the session's device buffer for this run.
         """
         validate_window(window)
         algorithm = self.stack.check_algorithm(algorithm)
@@ -352,7 +350,7 @@ class AdHocJoinSession:
         if self.device.resilience is not None:
             self.device.resilience.reset()
         self.device.buffer = buffer
-        algo = build_algorithm(algorithm, self.device, spec, params, **algorithm_kwargs)
+        algo = build_algorithm(algorithm, self.device, spec, params)
         result = algo.run(window or self.default_window())
         self._history.append(result)
         return result
@@ -369,9 +367,10 @@ class AdHocJoinSession:
 
     @staticmethod
     def _spec_for(kind: str, epsilon: float, min_matches: int) -> JoinSpec:
-        # ``min_matches`` reaches every kind's spec, which checks it, and
-        # the intersection's spec takes no epsilon.
-        k = kind.lower()
+        # The one check of the ``kind`` knob.  ``min_matches`` reaches every
+        # kind's spec, which checks it, and the intersection's spec takes no
+        # epsilon.
+        k = kind.lower() if isinstance(kind, str) else None
         if k in ("intersection", "intersect"):
             return JoinSpec(JoinKind.INTERSECTION, min_matches=min_matches)
         if k in ("distance", "within"):

@@ -225,10 +225,6 @@ class MobileJoinAlgorithm(ABC):
     def buffer_size(self) -> int:
         return self.device.buffer.capacity
 
-    def fits_in_buffer(self, count_r: int, count_s: int) -> bool:
-        """True when HBSJ on these counts respects the device buffer."""
-        return count_r + count_s <= self.buffer_size
-
     def query_window(self, server_name: str, window: Rect) -> Rect:
         """The window actually sent to one server for a cell.
 

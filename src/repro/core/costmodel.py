@@ -190,19 +190,6 @@ class CostModel:
         """Payload bytes of ``num_objects`` objects."""
         return num_objects * self._object
 
-    def expected_probe_matches(self, window, n_inner):
-        """Expected objects returned by one epsilon-RANGE probe (uniform assumption).
-
-        ``pi * eps^2 / (wx * wy) * |innerw|`` -- Section 3.1.  Degenerate
-        windows fall back to assuming all inner objects match (the safe,
-        pessimistic limit of the formula).
-        """
-        return _plain(self._probe_matches(_areas(window), n_inner))
-
-    def tdq(self, window, n_inner):
-        """Eq. 3: bytes of one probe (query up, expected matches down)."""
-        return _plain(self._tdq(_areas(window), n_inner))
-
     # ------------------------------------------------------------------ #
     # the four strategies
     # ------------------------------------------------------------------ #
@@ -213,14 +200,14 @@ class CostModel:
         n_r,
         n_s,
         buffer_size: Optional[int] = None,
-        enforce_buffer: bool = True,
     ):
-        """Eq. 2: HBSJ -- download both windows, join on the device."""
+        """Eq. 2: HBSJ -- download both windows, join on the device
+        (infeasible past ``buffer_size``; ``None`` costs it without the cut)."""
         tariff_r, tariff_s = self._tariff["R"], self._tariff["S"]
         cost = (tariff_r + tariff_s) * self._query
         cost = cost + tariff_r * self.tb(self.object_bytes(n_r))
         cost = cost + tariff_s * self.tb(self.object_bytes(n_s))
-        if enforce_buffer and buffer_size is not None:
+        if buffer_size is not None:
             cost = np.where(n_r + n_s > buffer_size, INFEASIBLE, cost)
         return _plain(cost)
 
@@ -253,7 +240,7 @@ class CostModel:
         sub_s = np.rint(np.asarray(n_s)[..., None] / (k * k)).astype(np.int64)
         cheapest = np.minimum(
             np.minimum(
-                self.c1(None, sub_r, sub_s, enforce_buffer=False),
+                self.c1(None, sub_r, sub_s),
                 self._nlsj(cells, n_outer=sub_r, n_inner=sub_s, outer="R"),
             ),
             self._nlsj(cells, n_outer=sub_s, n_inner=sub_r, outer="S"),
@@ -385,8 +372,9 @@ def predict_algorithm_costs(
 
     * ``naive``     -- ship both windows wholesale (``c1`` without the
       buffer cut);
-    * ``fixedgrid`` -- one fixed ``k x k`` repartitioning level (Eq. 8's
-      uniformity estimate, exactly ``c4``);
+    * ``fixedgrid`` -- one repartitioning level on the algorithm's own
+      ``FIXED_GRID x FIXED_GRID`` grid (Eq. 8's uniformity estimate, ``c4``
+      at that ``k``, whatever ``grid_k`` says);
     * ``mobijoin``  -- the cheapest of ``c1..c4`` at the root, i.e. the
       plan the algorithm's own optimiser would pick first;
     * ``upjoin`` / ``srjoin`` -- the same minimum with the statistics term
@@ -400,17 +388,20 @@ def predict_algorithm_costs(
     prediction is a pure function of its arguments: measured totals always
     come from the channels and never feed back into it.
     """
+    from repro.core.naive import FIXED_GRID  # deferred: naive imports this module
+
     model = CostModel(
         config,
         epsilon=spec.predicate().probe_radius(),
         bucket_queries=bucket_queries,
     )
     k = grid_k
-    c1_free = model.c1(window, n_r, n_s, buffer_size=None, enforce_buffer=False)
+    c1_free = model.c1(window, n_r, n_s)
     c1 = model.c1(window, n_r, n_s, buffer_size)
     c2 = model.c2(window, n_r, n_s)
     c3 = model.c3(window, n_r, n_s)
     c4 = model.c4_estimate(window, n_r, n_s, buffer_size, k=k)
+    fixed_grid = model.c4_estimate(window, n_r, n_s, buffer_size, k=FIXED_GRID)
     # Section 4.1: |Dw'4| = |Dw| - sum(|Dw'i|) saves one of the four
     # quadrant COUNTs per dataset per split.
     c4_derived = c4 - 2.0 * (k * k) * model.taq / 4.0
@@ -419,7 +410,7 @@ def predict_algorithm_costs(
     n_small, n_large = min(n_r, n_s), max(n_r, n_s)
     return {
         "naive": c1_free,
-        "fixedgrid": c4,
+        "fixedgrid": fixed_grid,
         "mobijoin": adaptive,
         "upjoin": adaptive_derived,
         "srjoin": adaptive_derived,

@@ -399,7 +399,7 @@ class CostedTable(LevelTable):
         algo, model = self.algo, self.algo.cost_model
         windows, count_r, count_s = self.windows[idx], self.int_r[idx], self.int_s[idx]
         areas = rect_array.areas(windows)
-        c1 = model.c1(areas, count_r, count_s, enforce_buffer=False)
+        c1 = model.c1(areas, count_r, count_s)
         c2 = model.c2(areas, count_r, count_s)
         c3 = model.c3(areas, count_r, count_s)
         outer_s = c3 <= c2

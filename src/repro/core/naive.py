@@ -3,57 +3,42 @@
 * :class:`NaiveDownloadJoin` -- download both datasets wholesale and join
   on the device ("in general, this is an infeasible solution, since mobile
   devices have limited storage capability"); provided as the upper-bound
-  baseline and as the correctness oracle's twin.
+  baseline and as the correctness oracle's twin.  The buffer is lifted for
+  the download: the baseline shows what ignoring the constraint costs.
 * :class:`FixedGridJoin` -- the divide-and-conquer alternative: impose a
-  regular grid, send a window query per cell to both servers, join each
-  cell on the device; with COUNT-based pruning of cells where either side
-  is empty ("we can achieve sublinear transfer cost by pruning areas that
-  do not contain any results").
+  regular :data:`FIXED_GRID` x :data:`FIXED_GRID` grid, COUNT every cell on
+  both servers, skip the cells where either side is empty ("we can achieve
+  sublinear transfer cost by pruning areas that do not contain any
+  results") and join each other cell on the device.
+
+Each runs one configuration: neither takes an option of its own.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.core.base import AlgorithmParameters, MobileJoinAlgorithm
-from repro.core.join_types import JoinSpec
+from repro.core.base import MobileJoinAlgorithm
 from repro.device.hbsj import HBSJRequest
-from repro.device.pda import MobileDevice
 from repro.device.steps import COUNT, Request, Steps
-from repro.errors import require_count
 from repro.geometry.rect import Rect
 
-__all__ = ["NaiveDownloadJoin", "FixedGridJoin"]
+__all__ = ["FIXED_GRID", "NaiveDownloadJoin", "FixedGridJoin"]
+
+#: The side of :class:`FixedGridJoin`'s grid, in cells.
+FIXED_GRID = 4
 
 
 class NaiveDownloadJoin(MobileJoinAlgorithm):
     """Download everything, join on the device.
 
-    The device buffer is *not* enforced by default (the whole point of the
-    baseline is to show what ignoring the constraint would cost); pass
-    ``enforce_buffer=True`` to make it spill through recursive HBSJ
-    partitioning instead.
+    The device buffer is *not* enforced: the whole point of the baseline is
+    to show what ignoring the constraint would cost.
     """
 
     name = "naive"
 
-    def __init__(
-        self,
-        device: MobileDevice,
-        spec: JoinSpec,
-        params: Optional[AlgorithmParameters] = None,
-        enforce_buffer: bool = False,
-    ) -> None:
-        super().__init__(device, spec, params)
-        self.enforce_buffer = enforce_buffer
-
     def _steps(self, window: Rect, count_r: int, count_s: int, depth: int) -> Steps:
         if count_r == 0 or count_s == 0:
             self.prune(window, depth, count_r, count_s)
-            return
-        if self.enforce_buffer:
-            # Let the HBSJ operator spill recursively; it re-counts as needed.
-            yield from self.hbsj_steps(window, depth, count_r, count_s, counts_exact=True)
             return
         # Temporarily lift the buffer constraint for the wholesale download.
         original_capacity = self.device.buffer.capacity
@@ -65,43 +50,16 @@ class NaiveDownloadJoin(MobileJoinAlgorithm):
 
 
 class FixedGridJoin(MobileJoinAlgorithm):
-    """Regular-grid partitioning with COUNT-based pruning.
-
-    Parameters
-    ----------
-    grid_size:
-        The grid is ``grid_size x grid_size`` over the join window.
-    prune_empty:
-        Issue COUNT queries per cell and skip cells where either side is
-        empty.  Disabling this reproduces the pure partition-based
-        technique (every cell downloaded).
-    """
+    """Regular :data:`FIXED_GRID` x :data:`FIXED_GRID` partitioning with
+    COUNT-based pruning of the cells where either side is empty."""
 
     name = "fixedgrid"
-
-    def __init__(
-        self,
-        device: MobileDevice,
-        spec: JoinSpec,
-        params: Optional[AlgorithmParameters] = None,
-        grid_size: int = 4,
-        prune_empty: bool = True,
-    ) -> None:
-        super().__init__(device, spec, params)
-        require_count(grid_size, "grid_size")
-        self.grid_size = grid_size
-        self.prune_empty = prune_empty
 
     def _steps(self, window: Rect, count_r: int, count_s: int, depth: int) -> Steps:
         if count_r == 0 or count_s == 0:
             self.prune(window, depth, count_r, count_s)
             return
-        cells = window.subdivide(self.grid_size)
-        if not self.prune_empty:
-            for cell in cells:
-                self.record(depth + 1, cell, "HBSJ", "")
-            yield from self._join_cells([HBSJRequest(window=cell) for cell in cells])
-            return
+        cells = window.subdivide(FIXED_GRID)
         # All per-cell COUNTs of the grid go out as two batches (one per
         # server): same queries and bytes as the per-cell loop, answered in
         # one index descent each.
@@ -118,10 +76,7 @@ class FixedGridJoin(MobileJoinAlgorithm):
                 continue
             self.record(depth + 1, cell, "HBSJ", "", cell_r, cell_s)
             surviving.append(HBSJRequest(window=cell, count_r=cell_r, count_s=cell_s))
-        yield from self._join_cells(surviving)
-
-    def _join_cells(self, requests) -> Steps:
-        """Join the surviving cells through one batched HBSJ pipeline: the
-        same downloads and counters as one operator call per cell."""
-        table = yield from self.device.hbsj_steps(requests, self.predicate)
+        # The surviving cells join through one batched HBSJ pipeline: the
+        # same downloads and counters as one operator call per cell.
+        table = yield from self.device.hbsj_steps(surviving, self.predicate)
         self._pairs.extend(table.pairs)

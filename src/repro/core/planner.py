@@ -7,11 +7,16 @@ bytes off the result.  :func:`run_join` is that one-call path;
 :func:`build_algorithm` exposes the intermediate pieces for callers that
 want to reuse servers across runs (the experiment harness does, to avoid
 rebuilding R-trees for every algorithm).
+
+An algorithm is a registry name plus the shared
+:class:`~repro.core.base.AlgorithmParameters`: no algorithm takes options
+of its own, so neither entry point forwards any.  :func:`_algorithm_key`
+is the one check of the ``algorithm`` knob on every entry path (a
+non-string or unknown name is :class:`~repro.errors.InvalidInput`).
 """
 
 from __future__ import annotations
 
-import inspect
 import math
 import numbers
 from dataclasses import dataclass
@@ -74,8 +79,9 @@ SELECTABLE_ALGORITHMS: Tuple[str, ...] = (
 
 
 def _algorithm_key(name: str) -> str:
-    """The registry key of an algorithm name, or :class:`InvalidInput`."""
-    key = name.lower()
+    """The registry key of an algorithm name, or :class:`InvalidInput`: the
+    one check of the ``algorithm`` knob on every entry path."""
+    key = name.lower() if isinstance(name, str) else None
     if key not in ALGORITHMS:
         raise InvalidInput(
             f"unknown algorithm {name!r}; available: {sorted(ALGORITHMS)}"
@@ -360,25 +366,13 @@ def build_algorithm(
     device: MobileDevice,
     spec: JoinSpec,
     params: Optional[AlgorithmParameters] = None,
-    **algorithm_kwargs: object,
 ) -> MobileJoinAlgorithm:
     """Instantiate an algorithm by registry name.
 
-    ``algorithm_kwargs`` are the algorithm's own constructor options
-    (``grid_size`` / ``prune_empty`` for ``fixedgrid``, ``enforce_buffer``
-    for ``naive``); one it does not take is :class:`~repro.errors.InvalidInput`.
+    An algorithm has no options of its own: its tunables are ``params``,
+    shared by all of them.
     """
-    key = _algorithm_key(name)
-    cls = ALGORITHMS[key]
-    if algorithm_kwargs:
-        accepted = tuple(inspect.signature(cls).parameters)[3:]  # after device, spec, params
-        unknown = sorted(set(algorithm_kwargs) - set(accepted))
-        if unknown:
-            raise InvalidInput(
-                f"algorithm {key!r} takes no option {', '.join(map(repr, unknown))}; "
-                f"it accepts: {', '.join(accepted) or 'none'}"
-            )
-    return cls(device, spec, params, **algorithm_kwargs)  # type: ignore[call-arg]
+    return ALGORITHMS[_algorithm_key(name)](device, spec, params)
 
 
 def run_join(
@@ -393,7 +387,6 @@ def run_join(
     stack: StackConfig = StackConfig(),
     tracer=None,
     metrics=None,
-    **algorithm_kwargs: object,
 ) -> JoinResult:
     """Build the full stack, run one algorithm, return the measured result.
 
@@ -431,7 +424,7 @@ def run_join(
         tracer=tracer,
         metrics=metrics,
     )
-    algo = build_algorithm(key, device, spec, params, **algorithm_kwargs)
+    algo = build_algorithm(key, device, spec, params)
     if window is None:
         window = default_window(dataset_r, dataset_s)
     return algo.run(window)

@@ -22,11 +22,7 @@ from repro.datasets.partition import (
 )
 from repro.datasets.synthetic import clustered, gaussian_mixture, uniform
 from repro.datasets.railway import generate_railway_like
-from repro.datasets.workloads import (
-    WorkloadSpec,
-    paper_cluster_sweep,
-    random_query_windows,
-)
+from repro.datasets.workloads import WorkloadSpec, random_query_windows
 
 __all__ = [
     "SpatialDataset",
@@ -38,6 +34,5 @@ __all__ = [
     "gaussian_mixture",
     "generate_railway_like",
     "WorkloadSpec",
-    "paper_cluster_sweep",
     "random_query_windows",
 ]

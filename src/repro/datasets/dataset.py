@@ -10,12 +10,11 @@ server interfaces), but tests and the brute-force oracles do.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from repro.geometry import rect_array
-from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 
 __all__ = ["SpatialDataset"]
@@ -75,19 +74,6 @@ class SpatialDataset:
             metadata=dict(metadata or {}),
         )
 
-    @staticmethod
-    def from_rects(
-        rects: Sequence[Rect],
-        name: str = "rects",
-        metadata: Optional[Dict[str, object]] = None,
-    ) -> "SpatialDataset":
-        """Build a dataset from a sequence of :class:`Rect` objects."""
-        if rects:
-            arr = np.array([r.as_tuple() for r in rects], dtype=rect_array.MBR_DTYPE)
-        else:
-            arr = rect_array.empty_mbrs()
-        return SpatialDataset(mbrs=arr, name=name, metadata=dict(metadata or {}))
-
     # ------------------------------------------------------------------ #
     # basic accessors
     # ------------------------------------------------------------------ #
@@ -99,16 +85,6 @@ class SpatialDataset:
         for row, oid in zip(self.mbrs, self.oids):
             yield Rect(float(row[0]), float(row[1]), float(row[2]), float(row[3])), int(oid)
 
-    @property
-    def is_point_data(self) -> bool:
-        """True when every object is a degenerate (point) MBR."""
-        if len(self) == 0:
-            return True
-        return bool(
-            np.all(self.mbrs[:, 0] == self.mbrs[:, 2])
-            and np.all(self.mbrs[:, 1] == self.mbrs[:, 3])
-        )
-
     def bounds(self) -> Rect:
         """The MBR of the whole dataset (raises for an empty dataset)."""
         return rect_array.bounding_rect(self.mbrs)
@@ -117,12 +93,6 @@ class SpatialDataset:
         """Object centres as an ``(N, 2)`` array."""
         return rect_array.centers(self.mbrs)
 
-    def rect_of(self, oid: int) -> Rect:
-        """The MBR of one object by id."""
-        idx = self._index_of(oid)
-        row = self.mbrs[idx]
-        return Rect(float(row[0]), float(row[1]), float(row[2]), float(row[3]))
-
     # ------------------------------------------------------------------ #
     # filtering (used by servers and oracles; vectorised)
     # ------------------------------------------------------------------ #
@@ -130,10 +100,6 @@ class SpatialDataset:
     def window_mask(self, window: Rect) -> np.ndarray:
         """Boolean mask of objects intersecting the window."""
         return rect_array.intersects_window(self.mbrs, window)
-
-    def count_in_window(self, window: Rect) -> int:
-        """Number of objects intersecting the window."""
-        return rect_array.count_in_window(self.mbrs, window)
 
     def subset(self, mask: np.ndarray, name: Optional[str] = None) -> "SpatialDataset":
         """A new dataset containing only the masked objects (ids preserved)."""
@@ -147,18 +113,6 @@ class SpatialDataset:
     def clip_to_window(self, window: Rect) -> "SpatialDataset":
         """Objects intersecting the window (ids preserved)."""
         return self.subset(self.window_mask(window), name=f"{self.name}|{window}")
-
-    def within_distance_of(self, center: Point, epsilon: float) -> "SpatialDataset":
-        """Objects within ``epsilon`` of ``center`` (ids preserved)."""
-        mask = rect_array.within_distance_of_point(self.mbrs, center.x, center.y, epsilon)
-        return self.subset(mask)
-
-    def average_mbr_area_in(self, window: Rect) -> float:
-        """Average object-MBR area over a window (0.0 when empty)."""
-        mask = self.window_mask(window)
-        if not np.any(mask):
-            return 0.0
-        return float(rect_array.areas(self.mbrs[mask]).mean())
 
     # ------------------------------------------------------------------ #
 
@@ -190,12 +144,6 @@ class SpatialDataset:
             cached = list(iter(self))
             object.__setattr__(self, "_entries_cache", cached)
         return list(cached)
-
-    def _index_of(self, oid: int) -> int:
-        idx = np.nonzero(self.oids == oid)[0]
-        if idx.size == 0:
-            raise KeyError(f"no object with id {oid} in dataset {self.name!r}")
-        return int(idx[0])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
         return f"SpatialDataset(name={self.name!r}, n={len(self)})"

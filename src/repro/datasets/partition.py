@@ -30,7 +30,7 @@ from typing import List, Tuple
 import numpy as np
 
 from repro.datasets.dataset import SpatialDataset
-from repro.errors import require_count
+from repro.errors import InvalidInput, require_count
 
 __all__ = ["PARTITION_SCHEMES", "partition_dataset", "shard_assignment"]
 
@@ -62,7 +62,7 @@ def shard_assignment(
     """
     require_count(shards, "shards")
     if scheme not in PARTITION_SCHEMES:
-        raise ValueError(
+        raise InvalidInput(
             f"unknown partition scheme {scheme!r}; available: {PARTITION_SCHEMES}"
         )
     n = len(dataset)

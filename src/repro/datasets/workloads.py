@@ -8,21 +8,21 @@ the corresponding region of the railway map.
 
 :class:`WorkloadSpec` bundles everything an experiment needs to regenerate
 a run (dataset parameters, join parameters, device parameters), and
-:func:`paper_cluster_sweep` yields the cluster-count sweep used on the
-x-axis of every figure.
+:data:`PAPER_CLUSTER_COUNTS` is the cluster-count sweep on the x-axis of
+every figure.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from repro.errors import InvalidInput, require_count, require_finite
 from repro.geometry.rect import Rect, UNIT_RECT
 
-__all__ = ["WorkloadSpec", "paper_cluster_sweep", "random_query_windows"]
+__all__ = ["WorkloadSpec", "random_query_windows"]
 
 #: The cluster counts on the x-axis of Figures 6, 7 and 8.
 PAPER_CLUSTER_COUNTS: Tuple[int, ...] = (1, 2, 4, 8, 16, 128)
@@ -77,23 +77,12 @@ class WorkloadSpec:
         if self.buffer_size < 1:
             raise ValueError("buffer_size must be >= 1")
 
-    def with_clusters(self, clusters: int) -> "WorkloadSpec":
-        return replace(self, clusters=clusters)
-
     def describe(self) -> str:
         return (
             f"{self.r_kind}({self.r_size}) x {self.s_kind}({self.s_size}), "
             f"k={self.clusters}, eps={self.epsilon:g}, buffer={self.buffer_size}, "
             f"bucket={self.bucket_queries}, seed={self.seed}"
         )
-
-
-def paper_cluster_sweep(
-    base: WorkloadSpec, cluster_counts: Sequence[int] = PAPER_CLUSTER_COUNTS
-) -> Iterator[WorkloadSpec]:
-    """Yield one workload per cluster count of the paper's x-axis."""
-    for k in cluster_counts:
-        yield base.with_clusters(k)
 
 
 def random_query_windows(

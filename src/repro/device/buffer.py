@@ -2,15 +2,17 @@
 
 The paper expresses the device's memory as a number of object slots
 ("the PDA's buffer size was set to 800 points").  The buffer enforces that
-capacity: HBSJ asks whether the two windows fit before downloading them,
-and the high-water mark is reported by the execution traces so experiments
-can verify the constraint was never violated.
+capacity: an operator level holds each of its downloads in turn with one
+:meth:`DeviceBuffer.hold_in_turn` call, which raises when one does not
+fit, and the high-water mark is reported by the execution traces so
+experiments can verify the constraint was never violated.  Nothing stays
+held between calls, so a download fits when it is no larger than the
+capacity.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,80 +38,30 @@ class DeviceBuffer:
     """
 
     capacity: int
-    used: int = 0
     high_water_mark: int = 0
-    #: Live allocations by token; a released token's slot is reclaimed.
-    _allocations: Dict[int, int] = field(default_factory=dict, repr=False)
-    _next_token: int = field(default=0, repr=False)
 
     def __post_init__(self) -> None:
         require_count(self.capacity, "buffer capacity")
 
-    # ------------------------------------------------------------------ #
-
-    @property
-    def free(self) -> int:
-        return self.capacity - self.used
-
-    def can_fit(self, num_objects: int) -> bool:
-        """True when ``num_objects`` additional objects fit right now."""
-        if num_objects < 0:
-            raise ValueError("num_objects must be non-negative")
-        return self.used + num_objects <= self.capacity
-
-    def allocate(self, num_objects: int) -> int:
-        """Reserve slots for ``num_objects``; returns an allocation token.
-
-        Raises
-        ------
-        BufferExceededError
-            When the objects do not fit.  Operators are expected to check
-            :meth:`can_fit` first; the exception is a safety net that keeps
-            the buffer constraint honest in the face of estimation errors.
-        """
-        if not self.can_fit(num_objects):
-            raise self._exceeded(num_objects)
-        self.used += num_objects
-        self.high_water_mark = max(self.high_water_mark, self.used)
-        token = self._next_token
-        self._next_token += 1
-        self._allocations[token] = num_objects
-        return token
-
-    def release(self, token: int) -> None:
-        """Release a previous allocation by token (a second release is a no-op)."""
-        if not 0 <= token < self._next_token:
-            raise ValueError(f"unknown allocation token {token}")
-        self.used -= self._allocations.pop(token, 0)
-
     def hold_in_turn(self, sizes: np.ndarray) -> None:
         """Hold ``sizes[0]`` objects, release them, hold ``sizes[1]``, ...
 
-        The accounting of one operator level in one call: the overflow
-        condition, the error and the :attr:`high_water_mark` are those of an
-        :meth:`allocate` / :meth:`release` pair per entry, in order.
+        The accounting of one operator level in one call: the entries before
+        the first that does not fit raise the :attr:`high_water_mark`, and
+        that one raises :class:`BufferExceededError`.
         """
         if not sizes.shape[0]:
             return
-        over = self.used + sizes > self.capacity
+        over = sizes > self.capacity
         if over.any():
             first = int(over.argmax())
             self.hold_in_turn(sizes[:first])
-            raise self._exceeded(int(sizes[first]))
-        self.high_water_mark = max(self.high_water_mark, self.used + int(sizes.max()))
-
-    def _exceeded(self, num_objects: int) -> BufferExceededError:
-        return BufferExceededError(
-            f"cannot hold {num_objects} more objects: "
-            f"{self.used}/{self.capacity} slots already used"
-        )
-
-    def release_all(self) -> None:
-        """Drop every allocation (end of an operator invocation)."""
-        self.used = 0
-        self._allocations.clear()
+            raise BufferExceededError(
+                f"cannot hold {int(sizes[first])} more objects: "
+                f"0/{self.capacity} slots already used"
+            )
+        self.high_water_mark = max(self.high_water_mark, int(sizes.max()))
 
     def reset(self) -> None:
-        """Release everything and clear the high-water mark."""
-        self.release_all()
+        """Clear the high-water mark."""
         self.high_water_mark = 0

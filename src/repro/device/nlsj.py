@@ -228,8 +228,8 @@ class _Outer:
         ``(r, s)`` block and the invocation of every row.
 
         ``probe_idx`` assigns every candidate row to the outer object whose
-        probe returned it.  The exact-predicate arithmetic matches
-        ``predicate.matches_matrix`` term for term.  The R partner of every
+        probe returned it.  The exact-predicate arithmetic is the minimum
+        MBR separation of the epsilon-cell kernel, term for term.  The R partner of every
         reported pair must intersect its invocation's unexpanded window:
         checked on the outer rows when the outer relation is R, on each
         candidate when it is S, so a partitioned execution assigns every

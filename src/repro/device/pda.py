@@ -247,10 +247,6 @@ class MobileDevice:
             for chan in server.channels
         )
 
-    def note_repartition(self) -> None:
-        """Record that an algorithm decided to repartition a window."""
-        self.counts.repartitions += 1
-
     def reset(self) -> None:
         """Reset buffer, counters and both channels (fresh experiment run)."""
         self.buffer.reset()

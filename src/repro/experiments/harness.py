@@ -104,11 +104,6 @@ class ExperimentResult:
     def x_values(self) -> Tuple[object, ...]:
         return self.config.x_values
 
-    def winner_at(self, x_value: object) -> str:
-        """The cheapest series at one x-value (by mean bytes)."""
-        idx = self.config.x_values.index(x_value)
-        return min(self.series, key=lambda label: self.series[label].mean_bytes[idx])
-
 
 def build_datasets(spec: WorkloadSpec) -> Tuple[SpatialDataset, SpatialDataset]:
     """Materialise the two datasets described by a workload spec."""

@@ -19,7 +19,6 @@ from repro.geometry.predicates import (
     JoinPredicate,
     IntersectionPredicate,
     WithinDistancePredicate,
-    predicate_for,
 )
 from repro.geometry import rect_array
 
@@ -30,6 +29,5 @@ __all__ = [
     "JoinPredicate",
     "IntersectionPredicate",
     "WithinDistancePredicate",
-    "predicate_for",
     "rect_array",
 ]

@@ -9,7 +9,6 @@ object should be accounted with a non-default wire size.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Iterator, Tuple
 
@@ -30,26 +29,6 @@ class Point:
     x: float
     y: float
     oid: int = field(default=-1, compare=False)
-
-    def distance_to(self, other: "Point") -> float:
-        """Euclidean distance to another point."""
-        return math.hypot(self.x - other.x, self.y - other.y)
-
-    def squared_distance_to(self, other: "Point") -> float:
-        """Squared Euclidean distance (avoids the sqrt on hot paths)."""
-        dx = self.x - other.x
-        dy = self.y - other.y
-        return dx * dx + dy * dy
-
-    def within_distance(self, other: "Point", epsilon: float) -> bool:
-        """Return True when ``other`` lies within ``epsilon`` of this point."""
-        if epsilon < 0:
-            raise ValueError("epsilon must be non-negative")
-        return self.squared_distance_to(other) <= epsilon * epsilon
-
-    def translated(self, dx: float, dy: float) -> "Point":
-        """Return a new point translated by ``(dx, dy)``."""
-        return Point(self.x + dx, self.y + dy, self.oid)
 
     def as_tuple(self) -> Tuple[float, float]:
         """Return ``(x, y)``."""

@@ -9,18 +9,16 @@ The paper studies three join flavours:
 
 The first two are pairwise predicates and are modelled here; the iceberg
 variant is a post-aggregation over a distance join and lives in
-:mod:`repro.core.join_types`.
+:mod:`repro.core.join_types`.  A predicate only describes the join: its
+window margin and RANGE probe radius.  The one evaluation of a predicate
+is the epsilon-cell kernel of :mod:`repro.index.hash_join`; the scalar and
+all-pairs formulas it replaced are reference code in the tests.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-
-import numpy as np
-
-from repro.geometry import rect_array
-from repro.geometry.rect import Rect
 
 
 class JoinPredicate(ABC):
@@ -34,14 +32,6 @@ class JoinPredicate(ABC):
     #: intersection joins), which guarantees that the cell containing the
     #: pair's contact point downloads both objects.
     window_margin: float = 0.0
-
-    @abstractmethod
-    def matches(self, a: Rect, b: Rect) -> bool:
-        """Scalar predicate between two MBRs."""
-
-    @abstractmethod
-    def matches_matrix(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """All-pairs boolean matrix between two ``(N, 4)`` MBR arrays."""
 
     @abstractmethod
     def probe_radius(self) -> float:
@@ -63,12 +53,6 @@ class IntersectionPredicate(JoinPredicate):
 
     window_margin: float = 0.0
 
-    def matches(self, a: Rect, b: Rect) -> bool:
-        return a.intersects(b)
-
-    def matches_matrix(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return rect_array.pairwise_intersects(a, b)
-
     def probe_radius(self) -> float:
         return 0.0
 
@@ -89,34 +73,8 @@ class WithinDistancePredicate(JoinPredicate):
         # the frozen dataclass we shadow it with an instance attribute.
         object.__setattr__(self, "window_margin", self.epsilon)
 
-    def matches(self, a: Rect, b: Rect) -> bool:
-        return a.within_distance(b, self.epsilon)
-
-    def matches_matrix(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return rect_array.pairwise_within_distance(a, b, self.epsilon)
-
     def probe_radius(self) -> float:
         return self.epsilon
 
     def describe(self) -> str:
         return f"within-distance(eps={self.epsilon:g})"
-
-
-def predicate_for(kind: str, epsilon: float = 0.0) -> JoinPredicate:
-    """Factory used by the public API.
-
-    Parameters
-    ----------
-    kind:
-        ``"intersection"`` or ``"distance"`` (``"within"`` is accepted as an
-        alias for ``"distance"``).
-    epsilon:
-        Distance threshold; required (> 0 recommended) for distance joins,
-        ignored for intersection joins.
-    """
-    k = kind.lower()
-    if k in ("intersection", "intersect", "intersects"):
-        return IntersectionPredicate()
-    if k in ("distance", "within", "within-distance", "epsilon"):
-        return WithinDistancePredicate(epsilon=epsilon)
-    raise ValueError(f"unknown join predicate kind: {kind!r}")

@@ -9,9 +9,8 @@ zero extent.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from repro.geometry.point import Point
 
@@ -41,11 +40,6 @@ class Rect:
     # ------------------------------------------------------------------ #
 
     @staticmethod
-    def from_point(p: Point) -> "Rect":
-        """Degenerate rectangle covering a single point."""
-        return Rect(p.x, p.y, p.x, p.y)
-
-    @staticmethod
     def from_points(points: Iterable[Point]) -> "Rect":
         """Minimum bounding rectangle of a non-empty point collection."""
         pts = list(points)
@@ -54,40 +48,6 @@ class Rect:
         xs = [p.x for p in pts]
         ys = [p.y for p in pts]
         return Rect(min(xs), min(ys), max(xs), max(ys))
-
-    @staticmethod
-    def from_center(cx: float, cy: float, width: float, height: float) -> "Rect":
-        """Rectangle centred at ``(cx, cy)`` with the given extent."""
-        if width < 0 or height < 0:
-            raise ValueError("width and height must be non-negative")
-        return Rect(cx - width / 2.0, cy - height / 2.0, cx + width / 2.0, cy + height / 2.0)
-
-    @staticmethod
-    def bounding(rects: Iterable["Rect"]) -> "Rect":
-        """Minimum bounding rectangle of a non-empty rectangle collection.
-
-        Large collections are reduced through the vectorised
-        :mod:`~repro.geometry.rect_array` kernels; short ones (the common
-        R-tree node case) keep the scalar loop, which is faster below the
-        array-construction break-even.  min/max reductions are exact, so
-        both paths return bit-identical bounds.
-        """
-        if not isinstance(rects, (list, tuple)):
-            rects = list(rects)
-        if not rects:
-            raise ValueError("cannot bound an empty rectangle collection")
-        if len(rects) > 32:
-            from repro.geometry import rect_array  # deferred: avoids a cycle
-
-            return rect_array.bounding_rect(rect_array.rects_to_array(rects))
-        first = rects[0]
-        xmin, ymin, xmax, ymax = first.xmin, first.ymin, first.xmax, first.ymax
-        for r in rects[1:]:
-            xmin = min(xmin, r.xmin)
-            ymin = min(ymin, r.ymin)
-            xmax = max(xmax, r.xmax)
-            ymax = max(ymax, r.ymax)
-        return Rect(xmin, ymin, xmax, ymax)
 
     # ------------------------------------------------------------------ #
     # basic properties
@@ -108,10 +68,6 @@ class Rect:
     @property
     def center(self) -> Point:
         return Point((self.xmin + self.xmax) / 2.0, (self.ymin + self.ymax) / 2.0)
-
-    def is_degenerate(self) -> bool:
-        """True when the rectangle has zero area (a point or a segment)."""
-        return self.width == 0.0 or self.height == 0.0
 
     def as_tuple(self) -> Tuple[float, float, float, float]:
         return (self.xmin, self.ymin, self.xmax, self.ymax)
@@ -134,10 +90,6 @@ class Rect:
             or self.ymax < other.ymin
             or other.ymax < self.ymin
         )
-
-    def contains_point(self, p: Point) -> bool:
-        """True when ``p`` lies inside or on the boundary of the rectangle."""
-        return self.xmin <= p.x <= self.xmax and self.ymin <= p.y <= self.ymax
 
     def contains_rect(self, other: "Rect") -> bool:
         """True when ``other`` lies entirely inside this rectangle."""
@@ -167,39 +119,6 @@ class Rect:
             max(self.xmax, other.xmax),
             max(self.ymax, other.ymax),
         )
-
-    def enlargement(self, other: "Rect") -> float:
-        """Area increase needed to include ``other`` (R-tree ChooseLeaf metric)."""
-        return self.union(other).area - self.area
-
-    def overlap_area(self, other: "Rect") -> float:
-        """Area of the intersection (0 when disjoint)."""
-        inter = self.intersection(other)
-        return 0.0 if inter is None else inter.area
-
-    # ------------------------------------------------------------------ #
-    # distances
-    # ------------------------------------------------------------------ #
-
-    def min_distance_to_point(self, p: Point) -> float:
-        """Minimum Euclidean distance from the rectangle to a point."""
-        dx = max(self.xmin - p.x, 0.0, p.x - self.xmax)
-        dy = max(self.ymin - p.y, 0.0, p.y - self.ymax)
-        return math.hypot(dx, dy)
-
-    def min_distance_to_rect(self, other: "Rect") -> float:
-        """Minimum Euclidean distance between two rectangles (0 when intersecting)."""
-        dx = max(self.xmin - other.xmax, 0.0, other.xmin - self.xmax)
-        dy = max(self.ymin - other.ymax, 0.0, other.ymin - self.ymax)
-        return math.hypot(dx, dy)
-
-    def within_distance(self, other: "Rect", epsilon: float) -> bool:
-        """True when the minimum distance between the rectangles is <= epsilon."""
-        if epsilon < 0:
-            raise ValueError("epsilon must be non-negative")
-        dx = max(self.xmin - other.xmax, 0.0, other.xmin - self.xmax)
-        dy = max(self.ymin - other.ymax, 0.0, other.ymin - self.ymax)
-        return dx * dx + dy * dy <= epsilon * epsilon
 
     # ------------------------------------------------------------------ #
     # derived rectangles

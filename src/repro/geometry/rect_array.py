@@ -103,42 +103,6 @@ def intersects_window(mbrs: np.ndarray, window: Rect) -> np.ndarray:
     )
 
 
-def count_in_window(mbrs: np.ndarray, window: Rect) -> int:
-    """Number of MBRs intersecting the window (the COUNT primitive)."""
-    return int(np.count_nonzero(intersects_window(mbrs, window)))
-
-
-def min_distance_to_point(mbrs: np.ndarray, x: float, y: float) -> np.ndarray:
-    """Minimum Euclidean distance from each MBR to the point ``(x, y)``."""
-    if mbrs.shape[0] == 0:
-        return np.zeros(0, dtype=MBR_DTYPE)
-    dx = np.maximum(np.maximum(mbrs[:, 0] - x, 0.0), x - mbrs[:, 2])
-    dy = np.maximum(np.maximum(mbrs[:, 1] - y, 0.0), y - mbrs[:, 3])
-    return np.hypot(dx, dy)
-
-
-def within_distance_of_point(
-    mbrs: np.ndarray, x: float, y: float, epsilon: float
-) -> np.ndarray:
-    """Boolean mask of MBRs whose minimum distance to ``(x, y)`` is <= epsilon."""
-    if epsilon < 0:
-        raise ValueError("epsilon must be non-negative")
-    if mbrs.shape[0] == 0:
-        return np.zeros(0, dtype=bool)
-    dx = np.maximum(np.maximum(mbrs[:, 0] - x, 0.0), x - mbrs[:, 2])
-    dy = np.maximum(np.maximum(mbrs[:, 1] - y, 0.0), y - mbrs[:, 3])
-    return dx * dx + dy * dy <= epsilon * epsilon
-
-
-def min_distance_to_rect(mbrs: np.ndarray, rect: Rect) -> np.ndarray:
-    """Minimum Euclidean distance from each MBR to a rectangle."""
-    if mbrs.shape[0] == 0:
-        return np.zeros(0, dtype=MBR_DTYPE)
-    dx = np.maximum(np.maximum(mbrs[:, 0] - rect.xmax, 0.0), rect.xmin - mbrs[:, 2])
-    dy = np.maximum(np.maximum(mbrs[:, 1] - rect.ymax, 0.0), rect.ymin - mbrs[:, 3])
-    return np.hypot(dx, dy)
-
-
 def expand_index_ranges(
     starts: np.ndarray, ends: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -279,24 +243,6 @@ def pairwise_intersects(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ax0, ay0, ax1, ay1 = (a[:, i][:, None] for i in range(4))
     bx0, by0, bx1, by1 = (b[:, i][None, :] for i in range(4))
     return ~((ax1 < bx0) | (bx1 < ax0) | (ay1 < by0) | (by1 < ay0))
-
-
-def pairwise_within_distance(a: np.ndarray, b: np.ndarray, epsilon: float) -> np.ndarray:
-    """All-pairs epsilon-distance test between two MBR arrays.
-
-    The distance between two MBRs is their minimum separation; intersecting
-    MBRs are at distance zero.  Returns a boolean matrix of shape
-    ``(len(a), len(b))``.
-    """
-    if epsilon < 0:
-        raise ValueError("epsilon must be non-negative")
-    if a.shape[0] == 0 or b.shape[0] == 0:
-        return np.zeros((a.shape[0], b.shape[0]), dtype=bool)
-    ax0, ay0, ax1, ay1 = (a[:, i][:, None] for i in range(4))
-    bx0, by0, bx1, by1 = (b[:, i][None, :] for i in range(4))
-    dx = np.maximum(np.maximum(ax0 - bx1, 0.0), bx0 - ax1)
-    dy = np.maximum(np.maximum(ay0 - by1, 0.0), by0 - ay1)
-    return dx * dx + dy * dy <= epsilon * epsilon
 
 
 def expand(mbrs: np.ndarray, margin: float) -> np.ndarray:

@@ -18,8 +18,8 @@ Contents
   partially-covered subtrees.
 * The in-memory join kernel, an epsilon-cell neighbourhood join:
   :func:`~repro.index.hash_join.grid_hash_join` (one item) and
-  ``grid_hash_join_batch``; :func:`~repro.index.plane_sweep.plane_sweep_join`
-  is the plane sweep it replaced, kept for its exported names.
+  ``grid_hash_join_batch``; :func:`~repro.index.plane_sweep.plane_sweep_pairs`
+  is the plane sweep it replaced, kept for its benchmarks.
 
 The insertable pointer R-tree the array-native build is pinned against is a
 test oracle (``tests/oracles/pointer_rtree.py``), not part of the package.
@@ -29,13 +29,12 @@ from __future__ import annotations
 
 from repro.index.flat import FlatRTree
 from repro.index.aggregate_rtree import AggregateRTree
-from repro.index.plane_sweep import plane_sweep_join, plane_sweep_pairs
+from repro.index.plane_sweep import plane_sweep_pairs
 from repro.index.hash_join import grid_hash_join
 
 __all__ = [
     "FlatRTree",
     "AggregateRTree",
-    "plane_sweep_join",
     "plane_sweep_pairs",
     "grid_hash_join",
 ]

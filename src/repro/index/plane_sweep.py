@@ -5,9 +5,9 @@ unindexed inputs (Brinkhoff et al., SIGMOD 1993): sort both by ``xmin`` and
 test only pairs whose x-extents overlap (within ``epsilon`` for distance
 joins).  The device's join kernel is the epsilon-cell join of
 :mod:`repro.index.hash_join`, which shares this sweep's exact mask but no
-code; this module stays because ``repro.index`` exports
-:func:`plane_sweep_join` / :func:`plane_sweep_pairs` and the end-to-end
-benchmark's layer table names its functions.  It moves to ``tests/oracles/``
+code; this module stays because the kernel benchmarks time
+:func:`plane_sweep_pairs` and the end-to-end benchmark's layer table names
+its functions.  It moves to ``tests/oracles/``
 once the benchmark stops naming them.
 
 :func:`plane_sweep_pair_arrays_segmented` is the sweep: many independent
@@ -28,7 +28,6 @@ from repro.geometry.rect_array import expand_index_ranges
 from repro.geometry.predicates import JoinPredicate, WithinDistancePredicate
 
 __all__ = [
-    "plane_sweep_join",
     "plane_sweep_pairs",
     "plane_sweep_pair_arrays",
     "plane_sweep_pair_arrays_segmented",
@@ -158,22 +157,7 @@ def plane_sweep_pairs(
 ) -> List[Tuple[int, int]]:
     """All index pairs ``(i, j)`` with ``predicate(a[i], b[j])`` true.
 
-    Returns positional indices into the two arrays; use
-    :func:`plane_sweep_join` to get oid pairs directly.
+    Returns positional indices into the two arrays.
     """
     i_idx, j_idx = plane_sweep_pair_arrays(a_mbrs, b_mbrs, predicate)
     return list(zip(i_idx.tolist(), j_idx.tolist()))
-
-
-def plane_sweep_join(
-    a_mbrs: np.ndarray,
-    a_oids: np.ndarray,
-    b_mbrs: np.ndarray,
-    b_oids: np.ndarray,
-    predicate: JoinPredicate,
-) -> List[Tuple[int, int]]:
-    """Join two MBR arrays, returning ``(a_oid, b_oid)`` pairs."""
-    i_idx, j_idx = plane_sweep_pair_arrays(a_mbrs, b_mbrs, predicate)
-    a_sel = np.asarray(a_oids)[i_idx]
-    b_sel = np.asarray(b_oids)[j_idx]
-    return [(int(a), int(b)) for a, b in zip(a_sel.tolist(), b_sel.tolist())]

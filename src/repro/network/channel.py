@@ -34,7 +34,6 @@ cost.
 
 from __future__ import annotations
 
-from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import repeat
@@ -110,17 +109,6 @@ class TrafficLog:
     def records(self) -> List[TrafficRecord]:
         """One :class:`TrafficRecord` per message, built on read."""
         return list(self._rows(TrafficRecord))
-
-    def count_by_kind(self) -> Dict[MessageKind, int]:
-        """Message counts per kind (reads :attr:`records`)."""
-        return dict(Counter(rec.kind for rec in self.records))
-
-    def bytes_by_kind(self) -> Dict[MessageKind, int]:
-        """Wire-byte totals per kind (reads :attr:`records`)."""
-        out: Counter = Counter()
-        for rec in self.records:
-            out[rec.kind] += rec.wire_bytes
-        return dict(out)
 
     def fingerprint(self) -> Tuple[Tuple, ...]:
         """A hashable, order-sensitive digest of the per-message ledger.

@@ -18,7 +18,7 @@ workloads in the 40 kB range reported by Figures 6-8.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.errors import InvalidInput, require_count, require_finite
 
@@ -60,25 +60,7 @@ class NetworkConfig:
         """Usable payload bytes per packet (``MTU - B_H``)."""
         return self.mtu - self.header_bytes
 
-    def tariff_for(self, server_name: str) -> float:
-        """Tariff by conventional server name (``"R"`` or ``"S"``)."""
-        name = server_name.upper()
-        if name == "R":
-            return self.tariff_r
-        if name == "S":
-            return self.tariff_s
-        raise ValueError(f"unknown server name {server_name!r} (expected 'R' or 'S')")
-
-    def with_tariffs(self, tariff_r: float, tariff_s: float) -> "NetworkConfig":
-        """A copy with different per-byte tariffs."""
-        return replace(self, tariff_r=tariff_r, tariff_s=tariff_s)
-
     @staticmethod
     def wifi() -> "NetworkConfig":
         """The prototype's WiFi configuration (paper defaults)."""
         return NetworkConfig()
-
-    @staticmethod
-    def dialup() -> "NetworkConfig":
-        """A dial-up style configuration (MTU 576), mentioned in Section 3.1."""
-        return NetworkConfig(mtu=576)

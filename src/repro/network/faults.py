@@ -83,9 +83,6 @@ class Outage:
         require_count(self.start, "outage start", minimum=0)
         require_count(self.length, "outage length")
 
-    def covers(self, op_index: int) -> bool:
-        return self.start <= op_index < self.start + self.length
-
 
 def replica_outages(
     shard: str,

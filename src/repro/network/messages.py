@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -62,9 +62,6 @@ class Message:
     def payload_bytes(self, config: NetworkConfig) -> int:
         """Logical payload size in bytes (before packetisation)."""
         raise NotImplementedError
-
-    def is_query(self) -> bool:
-        return isinstance(self, QueryMessage)
 
 
 class QueryMessage(Message):

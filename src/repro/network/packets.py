@@ -24,7 +24,6 @@ __all__ = [
     "num_packets",
     "packetise",
     "transferred_bytes",
-    "object_payload_bytes",
     "query_bytes",
     "aggregate_answer_bytes",
 ]
@@ -55,13 +54,6 @@ def packetise(payload_bytes, config: NetworkConfig):
 def transferred_bytes(payload_bytes, config: NetworkConfig):
     """Wire bytes for a payload: Eq. 1, ``TB(B_D)`` (``int`` or ``int64`` array)."""
     return packetise(payload_bytes, config)[0]
-
-
-def object_payload_bytes(num_objects: int, config: NetworkConfig) -> int:
-    """Payload bytes of ``num_objects`` spatial objects (``|D| * B_obj``)."""
-    if num_objects < 0:
-        raise ValueError("num_objects must be non-negative")
-    return num_objects * config.object_bytes
 
 
 def query_bytes(config: NetworkConfig) -> int:

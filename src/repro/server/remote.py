@@ -473,10 +473,6 @@ class RemoteServer:
         self._server = self._replicas[head]
         self._booked = self._stats[head]
 
-    def _order(self) -> Tuple[int, ...]:
-        """Replica indices in the order the next exchange tries them."""
-        return self._tried
-
     def _exchange(self, label: str, account: Callable[[Channel], None]) -> None:
         """Account one logical exchange, failing over between replicas on loss.
 
@@ -586,13 +582,6 @@ class RemoteServer:
         """
         return self.book_window_batch(windows, self._server.evaluate_window_batch(windows))
 
-    def window_batch_prefetched(self, windows: Windows, sizes: np.ndarray) -> None:
-        """Book a WINDOW batch evaluated elsewhere (``sizes[i]`` objects each):
-        the windows are checked, then :meth:`_book_window` books the sizes."""
-        if rect_array.window_array(windows).shape[0] != sizes.shape[0]:
-            raise ValueError("sizes must be parallel to windows")
-        self._book_window(sizes)
-
     def book_window_batch(
         self, windows: Windows, answer: Prefetched
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -600,9 +589,13 @@ class RemoteServer:
 
         ``answer`` is the build's :meth:`~SpatialServer.evaluate_window_batch`
         of exactly these windows (a step driver hands every query its
-        share of one descent over many queries' windows).
+        share of one descent over many queries' windows).  The windows are
+        checked, then :meth:`_book_window` books the answer's sizes.
         """
-        self.window_batch_prefetched(windows, np.diff(answer.bounds))
+        sizes = np.diff(answer.bounds)
+        if rect_array.window_array(windows).shape[0] != sizes.shape[0]:
+            raise ValueError("sizes must be parallel to windows")
+        self._book_window(sizes)
         return answer.mbrs, answer.oids, answer.bounds
 
     # ------------------------------------------------------------------ #
@@ -614,8 +607,9 @@ class RemoteServer:
     # and books the head replica's statistics, then one exchange.  An
     # empty batch never hits the wire, so it draws no fault event: that
     # keeps fault streams aligned across execution paths.  The public
-    # ``*_prefetched`` endpoints check their requests and call these; the
-    # scatter proxy checks a batch once and calls them per routed shard.
+    # ``count_batch_prefetched`` / ``book_*`` endpoints check their requests
+    # and call these; the scatter proxy checks a batch once and calls them
+    # per routed shard.
 
     def _book_count(self, n: int) -> None:
         """``n`` COUNTs: one query string and one scalar answer each."""
@@ -729,20 +723,16 @@ class RemoteServer:
             centers, radii, self._server.evaluate_range_batch(centers, radii)
         )
 
-    def range_batch_prefetched(
-        self, centers: Probes, radii: Sequence[float], sizes: np.ndarray
-    ) -> None:
-        """Book a RANGE batch evaluated elsewhere: the probes are checked,
-        then :meth:`_book_range` books the sizes."""
-        if probe_arrays(centers, radii)[0].shape[0] != sizes.shape[0]:
-            raise ValueError("sizes must be parallel to centers")
-        self._book_range(sizes)
-
     def book_range_batch(
         self, centers: Probes, radii: Sequence[float], answer: Prefetched
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """:meth:`range_batch_flat` over probes already answered (see :meth:`book_window_batch`)."""
-        self.range_batch_prefetched(centers, radii, np.diff(answer.bounds))
+        """:meth:`range_batch_flat` over probes already answered (see
+        :meth:`book_window_batch`): the probes are checked, then
+        :meth:`_book_range` books the answer's sizes."""
+        sizes = np.diff(answer.bounds)
+        if probe_arrays(centers, radii)[0].shape[0] != sizes.shape[0]:
+            raise ValueError("sizes must be parallel to centers")
+        self._book_range(sizes)
         return answer.mbrs, answer.oids, answer.bounds
 
     def bucket_range(
@@ -765,13 +755,6 @@ class RemoteServer:
             pts, epsilon, reach, self._server.evaluate_range_batch(pts, reach)
         )
 
-    def bucket_range_prefetched(
-        self, centers: Probes, epsilon: float, radii: Sequence[float], n_objects: int
-    ) -> None:
-        """Book a bucket RANGE query evaluated elsewhere (``n_objects`` returned):
-        the probes are checked, then :meth:`_book_bucket` books the query."""
-        self._book_bucket(bucket_probe_arrays(centers, epsilon, radii)[0].shape[0], n_objects)
-
     def book_bucket_range(
         self,
         centers: Probes,
@@ -782,9 +765,11 @@ class RemoteServer:
         """:meth:`bucket_range` over probes already answered (see :meth:`book_window_batch`).
 
         ``answer`` evaluated the probes with their per-probe ``radii``, as
-        the bucket query itself does.
+        the bucket query itself does.  The probes are checked, then
+        :meth:`_book_bucket` books the query.
         """
-        self.bucket_range_prefetched(centers, epsilon, radii, int(answer.oids.shape[0]))
+        n_probes = bucket_probe_arrays(centers, epsilon, radii)[0].shape[0]
+        self._book_bucket(n_probes, int(answer.oids.shape[0]))
         probes = np.repeat(answer.request, np.diff(answer.bounds))
         return answer.mbrs, answer.oids, probes
 

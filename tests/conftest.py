@@ -44,9 +44,9 @@ def distance_spec() -> JoinSpec:
 
 def brute_force_pairs(dataset_r, dataset_s, epsilon: float):
     """Oracle: all (r_oid, s_oid) pairs within ``epsilon`` (MBR min distance)."""
-    from repro.geometry import rect_array
+    from tests.oracles.operators_scalar import pairwise_within_distance
 
-    matrix = rect_array.pairwise_within_distance(dataset_r.mbrs, dataset_s.mbrs, epsilon)
+    matrix = pairwise_within_distance(dataset_r.mbrs, dataset_s.mbrs, epsilon)
     idx_r, idx_s = np.nonzero(matrix)
     return {
         (int(dataset_r.oids[i]), int(dataset_s.oids[j])) for i, j in zip(idx_r, idx_s)

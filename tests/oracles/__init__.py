@@ -31,9 +31,8 @@ oracle                    shipped code it mirrors                         suite 
 ``plane_sweep_scalar``    ``index.plane_sweep`` segmented kernel and      ``test_leaf_pipeline.py``,          408927d
                           the epsilon-cell join ``index.hash_join``       ``test_cell_join.py``,
                                                                           ``test_batch_queries.py``
-``wifi_event``            ``WifiLinkModel.replay_time`` (closed form      ``test_simulation_wifi.py``         408927d
-                          behind ``estimate_channel_time`` /
-                          ``simulate_channels``)
+``wifi_event``            ``WifiLinkModel.estimate_channel_time`` (the    ``test_simulation_wifi.py``         408927d
+                          closed form behind ``simulate_channels``)
 ``semijoin_scalar``       ``SemiJoin`` flat relay +                       ``test_batch_queries.py``           408927d
                           ``IndexedRemoteServer.upload_windows_and_
                           collect``
@@ -49,4 +48,13 @@ oracle                    shipped code it mirrors                         suite 
                           found once per channel, not scanned per
                           attempt)
 ========================  ==============================================  ==================================  =========
+
+A helper only an oracle calls lives in that oracle, not in the package
+(``test_package_surface.py::test_nothing_in_the_package_exists_only_for_tests``
+fails on package code nothing outside ``tests/`` reaches): the rectangle
+helpers of the pointer R-tree (``bounding``, ``enlargement``, the point
+distances), the token buffer and the all-pairs predicate matrices of
+``operators_scalar``, the per-record delay of ``wifi_event``, the outage
+window test of ``fault_scan`` and the buffer-fit test and repartition
+counter of ``frontier_generators``.
 """

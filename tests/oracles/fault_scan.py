@@ -16,7 +16,12 @@ from typing import List, Tuple
 
 import numpy as np
 
-from repro.network.faults import FaultEvent, FaultKind, FaultPlan
+from repro.network.faults import FaultEvent, FaultKind, FaultPlan, Outage
+
+
+def covers(outage: Outage, op_index: int) -> bool:
+    """Whether ``outage`` holds its server down at attempt ``op_index``."""
+    return outage.start <= op_index < outage.start + outage.length
 
 
 class ScanningInjector:
@@ -52,7 +57,7 @@ class ScanningInjector:
         latency = 0.0
         if any(d.server == self.server and op >= d.at for d in plan.disconnects):
             kind = FaultKind.DISCONNECT
-        elif any(o.server == self.server and o.covers(op) for o in plan.outages):
+        elif any(o.server == self.server and covers(o, op) for o in plan.outages):
             kind = FaultKind.UNAVAILABLE
         elif draw < plan.drop_rate:
             kind = FaultKind.DROP

@@ -320,6 +320,14 @@ class _Run:
 class _GeneratorEngine:
     """What ``FrontierAlgorithm`` provided its per-window generators with."""
 
+    def fits_in_buffer(self, count_r: int, count_s: int) -> bool:
+        """True when HBSJ on these counts respects the device buffer."""
+        return count_r + count_s <= self.buffer_size
+
+    def note_repartition(self) -> None:
+        """Record on the device that a window is repartitioned."""
+        self.device.counts.repartitions += 1
+
     def _root_task(self, window: Rect, count_r: int, count_s: int, depth: int):
         """Build the root task for the joined window (counts already known)."""
         raise NotImplementedError
@@ -349,7 +357,7 @@ class _GeneratorEngine:
         """
         model = self.cost_model
         areas = rect_array.areas(windows)
-        c1 = model.c1(areas, count_r, count_s, enforce_buffer=False)
+        c1 = model.c1(areas, count_r, count_s)
         c2 = model.c2(areas, count_r, count_s)
         c3 = model.c3(areas, count_r, count_s)
         outer_s = c3 <= c2
@@ -735,7 +743,7 @@ class GeneratorUpJoin(_GeneratorEngine, UpJoin):
         uniform) contributes estimated quarter counts, which conserve the
         parent total exactly.
         """
-        self.device.note_repartition()
+        self.note_repartition()
         rec("repartition", "2x2 grid")
         quad_r = state_r.quadrants or estimate_quadrant_counts(window, state_r.count)
         quad_s = state_s.quadrants or estimate_quadrant_counts(window, state_s.count)
@@ -841,7 +849,7 @@ class GeneratorMobiJoin(_GeneratorEngine, MobiJoin):
         # matching the ``2 k^2 * Taq`` term of Eq. 8; the frontier driver
         # merges the batches of all repartitioning windows of a depth into
         # one exchange per server.
-        self.device.note_repartition()
+        self.note_repartition()
         k = self.params.grid_k
         rec("repartition", f"{k}x{k} grid")
         cells = window.subdivide(k)
@@ -933,7 +941,7 @@ class GeneratorSrJoin(_GeneratorEngine, SrJoin):
                     task.counts_exact, rec,
                 )
             # Repartition aggressively, hoping the next level prunes.
-            self.device.note_repartition()
+            self.note_repartition()
             rec("recurse", "bitmaps differ", count_r, count_s)
 
         # Lines 1-2: quadrant statistics for both datasets (R counted on the

@@ -15,6 +15,12 @@ in-memory join kernel (which has its own oracle,
 :func:`device_nlsj` are ``MobileDevice.hbsj`` / ``.nlsj`` as they were: the
 scalar operator plus the device's operator bookkeeping.
 
+The operators hold their downloads in a :class:`TokenBuffer`, the
+allocate / release form of ``DeviceBuffer`` (the shipped buffer keeps only
+the one-call ``hold_in_turn``; ``TestDeviceBuffer`` holds the two equal),
+and verify NLSJ probes with :func:`matches_matrix`, the all-pairs
+predicate forms the shipped predicates used to carry.
+
 Where a window splits, this twin visits quadrants depth-first and the batch
 form level by level: results, counters, statistics and byte totals are
 equal, the *order* of ledger records may differ (``tests/test_device.py``
@@ -23,29 +29,127 @@ compares the record multiset there).
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from contextlib import contextmanager
+from dataclasses import dataclass, field
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.device.buffer import DeviceBuffer
+from repro.device.buffer import BufferExceededError
 from repro.device.hbsj import HBSJResult
 from repro.device.nlsj import NLSJResult
+from repro.errors import require_count
 from repro.geometry import rect_array
 from repro.geometry.point import Point
-from repro.geometry.predicates import IntersectionPredicate, JoinPredicate
+from repro.geometry.predicates import (
+    IntersectionPredicate,
+    JoinPredicate,
+    WithinDistancePredicate,
+)
 from repro.geometry.rect import Rect
 from repro.index.hash_join import grid_hash_join
 from repro.server.remote import RemoteServer, ServerPair
 
 __all__ = [
+    "TokenBuffer",
     "device_hbsj",
     "device_nlsj",
     "hash_based_spatial_join",
+    "matches_matrix",
     "nested_loop_spatial_join",
+    "pairwise_within_distance",
 ]
 
 #: Frozen copy of :data:`repro.device.hbsj.MAX_RECURSION_DEPTH`.
 MAX_RECURSION_DEPTH = 16
+
+
+# -------------------------------------------------------------------------- #
+# the token buffer and the all-pairs predicates
+# -------------------------------------------------------------------------- #
+
+
+@dataclass
+class TokenBuffer:
+    """A bounded pool of object slots, held by allocation token.
+
+    ``DeviceBuffer``'s contract: the same :attr:`high_water_mark` and the
+    same :class:`~repro.device.buffer.BufferExceededError` (type and
+    message) when an allocation does not fit.
+    """
+
+    capacity: int
+    used: int = 0
+    high_water_mark: int = 0
+    #: Live allocations by token; a released token's slot is reclaimed.
+    _allocations: Dict[int, int] = field(default_factory=dict, repr=False)
+    _next_token: int = field(default=0, repr=False)
+
+    def __post_init__(self) -> None:
+        require_count(self.capacity, "buffer capacity")
+
+    @property
+    def free(self) -> int:
+        return self.capacity - self.used
+
+    def can_fit(self, num_objects: int) -> bool:
+        """True when ``num_objects`` additional objects fit right now."""
+        if num_objects < 0:
+            raise ValueError("num_objects must be non-negative")
+        return self.used + num_objects <= self.capacity
+
+    def allocate(self, num_objects: int) -> int:
+        """Reserve slots for ``num_objects``; returns an allocation token.
+
+        Raises
+        ------
+        BufferExceededError
+            When the objects do not fit.  Operators are expected to check
+            :meth:`can_fit` first; the exception is a safety net that keeps
+            the buffer constraint honest in the face of estimation errors.
+        """
+        if not self.can_fit(num_objects):
+            raise BufferExceededError(
+                f"cannot hold {num_objects} more objects: "
+                f"{self.used}/{self.capacity} slots already used"
+            )
+        self.used += num_objects
+        self.high_water_mark = max(self.high_water_mark, self.used)
+        token = self._next_token
+        self._next_token += 1
+        self._allocations[token] = num_objects
+        return token
+
+    def release(self, token: int) -> None:
+        """Release a previous allocation by token (a second release is a no-op)."""
+        if not 0 <= token < self._next_token:
+            raise ValueError(f"unknown allocation token {token}")
+        self.used -= self._allocations.pop(token, 0)
+
+
+def pairwise_within_distance(a: np.ndarray, b: np.ndarray, epsilon: float) -> np.ndarray:
+    """All-pairs epsilon-distance test between two MBR arrays.
+
+    The distance between two MBRs is their minimum separation; intersecting
+    MBRs are at distance zero.  Returns a boolean matrix of shape
+    ``(len(a), len(b))``.
+    """
+    if epsilon < 0:
+        raise ValueError("epsilon must be non-negative")
+    if a.shape[0] == 0 or b.shape[0] == 0:
+        return np.zeros((a.shape[0], b.shape[0]), dtype=bool)
+    ax0, ay0, ax1, ay1 = (a[:, i][:, None] for i in range(4))
+    bx0, by0, bx1, by1 = (b[:, i][None, :] for i in range(4))
+    dx = np.maximum(np.maximum(ax0 - bx1, 0.0), bx0 - ax1)
+    dy = np.maximum(np.maximum(ay0 - by1, 0.0), by0 - ay1)
+    return dx * dx + dy * dy <= epsilon * epsilon
+
+
+def matches_matrix(predicate: JoinPredicate, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """All-pairs boolean matrix of ``predicate`` between two ``(N, 4)`` MBR arrays."""
+    if isinstance(predicate, WithinDistancePredicate):
+        return pairwise_within_distance(a, b, predicate.epsilon)
+    return rect_array.pairwise_intersects(a, b)
 
 
 # -------------------------------------------------------------------------- #
@@ -57,7 +161,7 @@ def hash_based_spatial_join(
     servers: ServerPair,
     window: Rect,
     predicate: JoinPredicate,
-    buffer: DeviceBuffer,
+    buffer: TokenBuffer,
     count_r: Optional[int] = None,
     count_s: Optional[int] = None,
     _depth: int = 0,
@@ -142,7 +246,7 @@ def _join_in_memory(
     window: Rect,
     window_s: Rect,
     predicate: JoinPredicate,
-    buffer: DeviceBuffer,
+    buffer: TokenBuffer,
     result: HBSJResult,
 ) -> None:
     """Download both sides and join them on the device."""
@@ -163,7 +267,7 @@ def _fallback_nested_loop(
     servers: ServerPair,
     window: Rect,
     predicate: JoinPredicate,
-    buffer: DeviceBuffer,
+    buffer: TokenBuffer,
     result: HBSJResult,
 ) -> None:
     """Finish an un-splittable, over-budget window with NLSJ probing."""
@@ -185,7 +289,7 @@ def nested_loop_spatial_join(
     servers: ServerPair,
     window: Rect,
     predicate: JoinPredicate,
-    buffer: DeviceBuffer,
+    buffer: TokenBuffer,
     outer: str = "S",
     bucket: bool = False,
 ) -> NLSJResult:
@@ -327,7 +431,7 @@ def _collect_matches(
     if outer == "R" and not outer_rect.intersects(window):
         return
     outer_row = np.array([outer_rect.as_tuple()], dtype=np.float64)
-    mask = predicate.matches_matrix(outer_row, inner_mbrs)[0]
+    mask = matches_matrix(predicate, outer_row, inner_mbrs)[0]
     if outer != "R":
         mask &= rect_array.intersects_window(inner_mbrs, window)
     matched = inner_oids[mask]
@@ -384,14 +488,15 @@ def device_hbsj(
 ) -> HBSJResult:
     """Run the scalar HBSJ on ``device``'s stack, booked as ``MobileDevice.hbsj`` books."""
     device.counts.hbsj_invocations += 1
-    result = hash_based_spatial_join(
-        device.servers,
-        window,
-        predicate,
-        device.buffer,
-        count_r=count_r,
-        count_s=count_s,
-    )
+    with _device_tokens(device) as buffer:
+        result = hash_based_spatial_join(
+            device.servers,
+            window,
+            predicate,
+            buffer,
+            count_r=count_r,
+            count_s=count_s,
+        )
     device.counts.count_queries += result.count_queries
     device.counts.windows_pruned += result.windows_pruned
     return result
@@ -406,6 +511,17 @@ def device_nlsj(
 ) -> NLSJResult:
     """Run the scalar NLSJ on ``device``'s stack, booked as ``MobileDevice.nlsj`` books."""
     device.counts.nlsj_invocations += 1
-    return nested_loop_spatial_join(
-        device.servers, window, predicate, device.buffer, outer=outer, bucket=bucket
-    )
+    with _device_tokens(device) as buffer:
+        return nested_loop_spatial_join(
+            device.servers, window, predicate, buffer, outer=outer, bucket=bucket
+        )
+
+
+@contextmanager
+def _device_tokens(device) -> Iterator[TokenBuffer]:
+    """A token buffer of the device's capacity; its peak becomes the device's."""
+    buffer = TokenBuffer(device.buffer.capacity)
+    try:
+        yield buffer
+    finally:
+        device.buffer.high_water_mark = max(device.buffer.high_water_mark, buffer.high_water_mark)

@@ -14,14 +14,16 @@ Verbatim in behaviour.  Two construction paths:
 The tree stores ``(mbr, oid)`` entries at the leaves.  Queries return
 object ids; callers resolve ids against their dataset container.  Batch
 queries run against :meth:`RTree.flat_view`.  This is also where a
-moving-object (insert / delete) index would start from.
+moving-object (insert / delete) index would start from.  The rectangle
+helpers only this tree uses (:func:`bounding`, :func:`enlargement`, the
+point distances) live here, not on ``Rect``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,7 +32,67 @@ from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.index.flat import FlatRTree, str_tiling
 
-__all__ = ["RTree", "RTreeNode", "RTreeStats", "flatten"]
+__all__ = [
+    "RTree",
+    "RTreeNode",
+    "RTreeStats",
+    "bounding",
+    "enlargement",
+    "flatten",
+    "min_distance_to_point",
+    "min_distances_to_point",
+]
+
+
+# ---------------------------------------------------------------------- #
+# the rectangle helpers only this tree uses
+# ---------------------------------------------------------------------- #
+
+
+def bounding(rects: Iterable[Rect]) -> Rect:
+    """Minimum bounding rectangle of a non-empty rectangle collection.
+
+    Large collections are reduced through the vectorised
+    :mod:`~repro.geometry.rect_array` kernels; short ones (the common
+    R-tree node case) keep the scalar loop, which is faster below the
+    array-construction break-even.  min/max reductions are exact, so
+    both paths return bit-identical bounds.
+    """
+    if not isinstance(rects, (list, tuple)):
+        rects = list(rects)
+    if not rects:
+        raise ValueError("cannot bound an empty rectangle collection")
+    if len(rects) > 32:
+        return rect_array.bounding_rect(rect_array.rects_to_array(rects))
+    first = rects[0]
+    xmin, ymin, xmax, ymax = first.xmin, first.ymin, first.xmax, first.ymax
+    for r in rects[1:]:
+        xmin = min(xmin, r.xmin)
+        ymin = min(ymin, r.ymin)
+        xmax = max(xmax, r.xmax)
+        ymax = max(ymax, r.ymax)
+    return Rect(xmin, ymin, xmax, ymax)
+
+
+def enlargement(rect: Rect, other: Rect) -> float:
+    """Area increase ``rect`` needs to include ``other`` (R-tree ChooseLeaf metric)."""
+    return rect.union(other).area - rect.area
+
+
+def min_distance_to_point(rect: Rect, p: Point) -> float:
+    """Minimum Euclidean distance from the rectangle to a point."""
+    dx = max(rect.xmin - p.x, 0.0, p.x - rect.xmax)
+    dy = max(rect.ymin - p.y, 0.0, p.y - rect.ymax)
+    return math.hypot(dx, dy)
+
+
+def min_distances_to_point(mbrs: np.ndarray, x: float, y: float) -> np.ndarray:
+    """Minimum Euclidean distance from each MBR to the point ``(x, y)``."""
+    if mbrs.shape[0] == 0:
+        return np.zeros(0, dtype=rect_array.MBR_DTYPE)
+    dx = np.maximum(np.maximum(mbrs[:, 0] - x, 0.0), x - mbrs[:, 2])
+    dy = np.maximum(np.maximum(mbrs[:, 1] - y, 0.0), y - mbrs[:, 3])
+    return np.hypot(dx, dy)
 
 
 class RTreeNode:
@@ -82,7 +144,7 @@ class RTreeNode:
             rects = [r for r, _ in self.entries]
         else:
             rects = [c.mbr for c in self.children if c.mbr is not None]
-        self.mbr = Rect.bounding(rects) if rects else None
+        self.mbr = bounding(rects) if rects else None
 
 
 @dataclass(frozen=True)
@@ -243,7 +305,7 @@ class RTree:
                     for mbr, oid in item.entries:
                         counter += 1
                         heapq.heappush(
-                            heap, (mbr.min_distance_to_point(center), counter, ("obj", oid))
+                            heap, (min_distance_to_point(mbr, center), counter, ("obj", oid))
                         )
                 else:
                     for child in item.children:
@@ -252,7 +314,7 @@ class RTree:
                         counter += 1
                         heapq.heappush(
                             heap,
-                            (child.mbr.min_distance_to_point(center), counter, child),
+                            (min_distance_to_point(child.mbr, center), counter, child),
                         )
             else:
                 _, oid = item  # ("obj", oid)
@@ -343,7 +405,7 @@ class RTree:
             best_key: Tuple[float, float] = (math.inf, math.inf)
             for child in node.children:
                 assert child.mbr is not None
-                key = (child.mbr.enlargement(mbr), child.mbr.area)
+                key = (enlargement(child.mbr, mbr), child.mbr.area)
                 if key < best_key:
                     best_key = key
                     best_child = child
@@ -415,12 +477,12 @@ class RTree:
             # If one group must take all remaining items to reach min_entries, do it.
             if len(group_a) + len(remaining) == self.min_entries:
                 group_a.extend(remaining)
-                mbr_a = Rect.bounding([mbr_a] + [r for r, _ in remaining])
+                mbr_a = bounding([mbr_a] + [r for r, _ in remaining])
                 remaining = []
                 break
             if len(group_b) + len(remaining) == self.min_entries:
                 group_b.extend(remaining)
-                mbr_b = Rect.bounding([mbr_b] + [r for r, _ in remaining])
+                mbr_b = bounding([mbr_b] + [r for r, _ in remaining])
                 remaining = []
                 break
             idx, prefer_a = _quadratic_pick_next(remaining, mbr_a, mbr_b)
@@ -482,11 +544,11 @@ class RTree:
     def _range_query(
         self, node: RTreeNode, center: Point, epsilon: float, out: List[int]
     ) -> None:
-        if node.mbr is None or node.mbr.min_distance_to_point(center) > epsilon:
+        if node.mbr is None or min_distance_to_point(node.mbr, center) > epsilon:
             return
         if node.is_leaf:
             mbrs, oids = node.leaf_arrays()
-            dists = rect_array.min_distance_to_point(mbrs, center.x, center.y)
+            dists = min_distances_to_point(mbrs, center.x, center.y)
             out.extend(oids[dists <= epsilon].tolist())
             return
         for child in node.children:
@@ -500,7 +562,7 @@ class RTree:
         if node.is_leaf:
             assert node.level == 0, "leaf nodes must be at level 0"
             if node.entries:
-                expected = Rect.bounding([r for r, _ in node.entries])
+                expected = bounding([r for r, _ in node.entries])
                 assert node.mbr == expected, "leaf MBR is not tight"
             if not is_root:
                 assert len(node.entries) <= self.max_entries, "leaf overflow"
@@ -514,7 +576,7 @@ class RTree:
             assert child.mbr is not None and node.mbr is not None
             assert node.mbr.contains_rect(child.mbr), "parent MBR does not cover child"
             total += self._validate_node(child)
-        expected = Rect.bounding([c.mbr for c in node.children if c.mbr is not None])
+        expected = bounding([c.mbr for c in node.children if c.mbr is not None])
         assert node.mbr == expected, "internal MBR is not tight"
         return total
 
@@ -545,8 +607,8 @@ def _quadratic_pick_next(
     best_diff = -1.0
     prefer_a = True
     for i, (rect, _) in enumerate(remaining):
-        da = mbr_a.enlargement(rect)
-        db = mbr_b.enlargement(rect)
+        da = enlargement(mbr_a, rect)
+        db = enlargement(mbr_b, rect)
         diff = abs(da - db)
         if diff > best_diff:
             best_diff = diff

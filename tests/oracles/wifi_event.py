@@ -1,7 +1,7 @@
 """The discrete-event replay of a traffic log ``repro.network`` shipped until PR 19.
 
-Oracle of :meth:`repro.network.wifi.WifiLinkModel.replay_time` (the NumPy
-closed form behind ``estimate_channel_time`` and ``simulate_channels``):
+Oracle of :meth:`repro.network.wifi.WifiLinkModel.estimate_channel_time`
+(the closed form behind ``simulate_channels``):
 
 * the generator-based simulation kernel (``Simulator``, ``SimProcess``,
   ``Event``, ``EventQueue`` -- a stand-in for ``simpy``), verbatim from
@@ -11,9 +11,9 @@ closed form behind ``estimate_channel_time`` and ``simulate_channels``):
 * :func:`simulate_channels_event` -- the event-stepped makespan that was
   ``simulate_channels(method="event")``.
 
-Both replays charge :meth:`WifiLinkModel.record_delay` per message, the one
-statement of the timing model; only the summation differs from the closed
-form (``tests/test_simulation_wifi.py`` pins them within float tolerance).
+Both replays charge :func:`record_delay` per message, the per-record form
+of the timing model; only the summation differs from the closed form
+(``tests/test_simulation_wifi.py`` pins them within float tolerance).
 
 The kernel is deterministic: ties in time are broken by insertion order.
 A process is a Python generator that ``yield``-s a delay in seconds, an
@@ -33,6 +33,7 @@ __all__ = [
     "SimProcess",
     "Simulator",
     "estimate_channel_time_scalar",
+    "record_delay",
     "replay_process",
     "simulate_channels_event",
 ]
@@ -203,15 +204,24 @@ class Simulator:
 # ---------------------------------------------------------------------- #
 
 
+def record_delay(link, rec) -> float:
+    """Replay delay of one logged message on ``link`` (a ``WifiLinkModel``)."""
+    delay = rec.packets * link.per_packet_latency_s
+    delay += (rec.wire_bytes * 8.0) / link.goodput_bps
+    if rec.direction == "up":
+        delay += link.server_latency_s
+    return delay
+
+
 def estimate_channel_time_scalar(link, channel) -> float:
     """Walk the channel's records one by one, summing their delays."""
-    return sum(link.record_delay(rec) for rec in channel.log.records)
+    return sum(record_delay(link, rec) for rec in channel.log.records)
 
 
 def replay_process(link, sim: Simulator, records) -> Generator:
     """A simulation process that replays a traffic log message by message."""
     for rec in records:
-        yield link.record_delay(rec)
+        yield record_delay(link, rec)
     return sim.now
 
 

@@ -47,15 +47,15 @@ class TestPrimitives:
     def test_expected_probe_matches_uniform_formula(self, model):
         # pi * eps^2 / area * n
         expected = math.pi * 0.01**2 / 1.0 * 500
-        assert model.expected_probe_matches(WINDOW, 500) == pytest.approx(expected)
+        assert model._probe_matches(WINDOW.area, 500) == pytest.approx(expected)
 
     def test_expected_probe_matches_capped_at_n(self):
         model = CostModel(NetworkConfig(), epsilon=2.0)
-        assert model.expected_probe_matches(WINDOW, 100) == 100.0
+        assert model._probe_matches(WINDOW.area, 100) == 100.0
 
     def test_expected_probe_matches_degenerate_window(self, model):
         degenerate = Rect(0.5, 0.5, 0.5, 0.5)
-        assert model.expected_probe_matches(degenerate, 42) == 42.0
+        assert model._probe_matches(degenerate.area, 42) == 42.0
 
     def test_negative_epsilon_rejected(self):
         with pytest.raises(ValueError):
@@ -73,7 +73,7 @@ class TestStrategies:
 
     def test_c1_infeasible_when_buffer_too_small(self, model):
         assert model.c1(WINDOW, 600, 600, buffer_size=800) == INFEASIBLE
-        assert model.c1(WINDOW, 600, 600, buffer_size=800, enforce_buffer=False) < INFEASIBLE
+        assert model.c1(WINDOW, 600, 600, buffer_size=None) < INFEASIBLE
 
     def test_c2_structure(self, model):
         """c2 = query + outer download + one Tdq per outer object (Eq. 4)."""
@@ -81,7 +81,7 @@ class TestStrategies:
         n_r, n_s = 50, 400
         expected = query_bytes(cfg)
         expected += transferred_bytes(n_r * cfg.object_bytes, cfg)
-        expected += n_r * model.tdq(WINDOW, n_s)
+        expected += n_r * model._tdq(WINDOW.area, n_s)
         assert model.c2(WINDOW, n_r, n_s) == pytest.approx(expected)
 
     def test_c2_c3_symmetry(self, model):
@@ -138,12 +138,12 @@ class TestStrategies:
     @settings(max_examples=60)
     def test_property_costs_nonnegative_and_monotone(self, n_r, n_s):
         model = CostModel(NetworkConfig(), epsilon=0.02)
-        c1 = model.c1(WINDOW, n_r, n_s, buffer_size=None, enforce_buffer=False)
+        c1 = model.c1(WINDOW, n_r, n_s, buffer_size=None)
         c2 = model.c2(WINDOW, n_r, n_s)
         c3 = model.c3(WINDOW, n_r, n_s)
         assert c1 >= 0 and c2 >= 0 and c3 >= 0
         # Adding objects never makes any strategy cheaper.
-        c1b = model.c1(WINDOW, n_r + 10, n_s, buffer_size=None, enforce_buffer=False)
+        c1b = model.c1(WINDOW, n_r + 10, n_s, buffer_size=None)
         assert c1b >= c1
         assert model.c2(WINDOW, n_r + 10, n_s) >= c2
         assert model.c3(WINDOW, n_r, n_s + 10) >= c3
@@ -219,23 +219,23 @@ class TestArrayValuedEqualsScalarOracle:
             model.tb(n_r * config.object_bytes),
             [oracle.tb(n * config.object_bytes) for n in n_r.tolist()],
         )
+        areas = np.array([w.area for w in rects])
         _exactly(
-            model.expected_probe_matches(mbrs, n_s),
+            model._probe_matches(areas, n_s),
             [oracle.expected_probe_matches(w, s) for w, _, s in rows],
         )
-        _exactly(model.tdq(mbrs, n_s), [oracle.tdq(w, s) for w, _, s in rows])
+        _exactly(model._tdq(areas, n_s), [oracle.tdq(w, s) for w, _, s in rows])
         _exactly(
             model.c1(mbrs, n_r, n_s, buffer_size=BUFFER),
             [oracle.c1(w, r, s, buffer_size=BUFFER) for w, r, s in rows],
         )
         _exactly(
-            model.c1(mbrs, n_r, n_s, buffer_size=None, enforce_buffer=False),
+            model.c1(mbrs, n_r, n_s, buffer_size=None),
             [oracle.c1(w, r, s, None, enforce_buffer=False) for w, r, s in rows],
         )
         _exactly(model.c2(mbrs, n_r, n_s), [oracle.c2(w, r, s) for w, r, s in rows])
         _exactly(model.c3(mbrs, n_r, n_s), [oracle.c3(w, r, s) for w, r, s in rows])
         # (N,) areas are accepted in place of (N, 4) windows.
-        areas = np.array([w.area for w in rects])
         _exactly(model.c3(areas, n_r, n_s), [oracle.c3(w, r, s) for w, r, s in rows])
         _exactly(
             worth_retrieving_statistics(n_r, model),
@@ -276,7 +276,6 @@ class TestArrayValuedEqualsScalarOracle:
             "c2": lambda m, w, r, s: m.c2(w, r, s),
             "c3": lambda m, w, r, s: m.c3(w, r, s),
             "c4": lambda m, w, r, s: m.c4_estimate(w, r, s, BUFFER, k=k),
-            "tdq": lambda m, w, r, s: m.tdq(w, s),
         }
         for name, call in calls.items():
             level_column = call(model, mbrs, n_r, n_s).tolist()
@@ -305,10 +304,10 @@ class TestArrayValuedEqualsScalarOracle:
                 for n_inner in (0, 1, 7):
                     assert model.c2(window, n_outer, n_inner) == oracle.c2(window, n_outer, n_inner)
                     assert model.c3(window, n_inner, n_outer) == oracle.c3(window, n_inner, n_outer)
-                    assert model.tdq(window, n_inner) == oracle.tdq(window, n_inner)
+                    assert model._tdq(area, n_inner) == oracle.tdq(window, n_inner)
             counts = np.array([0, 1, 7], dtype=np.int64)
             areas = np.full(3, area)
-            _exactly(model.tdq(areas, counts), [oracle.tdq(window, n) for n in (0, 1, 7)])
+            _exactly(model._tdq(areas, counts), [oracle.tdq(window, n) for n in (0, 1, 7)])
         assert CostModel(config, epsilon=0.002).c2(Rect(0, 0, 1e-160, 1e-155), 5, 0) == 668.0
 
     def test_cheapest_ties_resolve_in_name_order(self):
@@ -324,7 +323,7 @@ class TestArrayValuedEqualsScalarOracle:
             assert CostBreakdown(*row).cheapest() == name == oracle_cheapest(*row)
 
     def test_packetisation_array_matches_oracle(self):
-        for config in (NetworkConfig(), NetworkConfig.dialup()):
+        for config in (NetworkConfig(), NetworkConfig(mtu=576)):
             per_packet = config.payload_per_packet
             payloads = np.array(
                 [0, 1, per_packet - 1, per_packet, per_packet + 1, 7 * per_packet, 2_000_000],

@@ -11,12 +11,7 @@ from repro.datasets.dataset import SpatialDataset
 from repro.datasets.railway import generate_railway_like
 from repro.datasets.synthetic import clustered, gaussian_mixture, uniform
 from repro.errors import InvalidInput, ReproError
-from repro.datasets.workloads import (
-    PAPER_CLUSTER_COUNTS,
-    WorkloadSpec,
-    paper_cluster_sweep,
-    random_query_windows,
-)
+from repro.datasets.workloads import WorkloadSpec, random_query_windows
 from repro.geometry.rect import Rect, UNIT_RECT
 
 
@@ -25,7 +20,7 @@ class TestSpatialDataset:
         pts = np.array([[0.1, 0.2], [0.3, 0.4]])
         ds = SpatialDataset.from_points(pts)
         assert len(ds) == 2
-        assert ds.is_point_data
+        assert np.array_equal(ds.mbrs[:, :2], ds.mbrs[:, 2:])
         assert ds.oids.tolist() == [0, 1]
 
     def test_duplicate_oids_rejected(self):
@@ -50,33 +45,20 @@ class TestSpatialDataset:
     def test_window_mask_and_count(self):
         ds = SpatialDataset.from_points(np.array([[0.1, 0.1], [0.9, 0.9], [0.5, 0.5]]))
         window = Rect(0.0, 0.0, 0.6, 0.6)
-        assert ds.count_in_window(window) == 2
+        assert np.count_nonzero(ds.window_mask(window)) == 2
         assert ds.window_mask(window).tolist() == [True, False, True]
 
     def test_subset_preserves_ids(self):
         ds = SpatialDataset.from_points(np.random.default_rng(0).uniform(size=(20, 2)))
         sub = ds.clip_to_window(Rect(0.0, 0.0, 0.5, 0.5))
+        rects = {oid: rect for rect, oid in ds}
         for rect, oid in sub:
-            assert ds.rect_of(oid) == rect
-
-    def test_rect_of_unknown_oid(self):
-        ds = SpatialDataset.from_points(np.array([[0.1, 0.1]]))
-        with pytest.raises(KeyError):
-            ds.rect_of(99)
+            assert rects[oid] == rect
 
     def test_bounds_of_empty_dataset_raises(self):
         ds = SpatialDataset(np.empty((0, 4)))
         with pytest.raises(ValueError):
             ds.bounds()
-
-    def test_average_mbr_area(self):
-        ds = SpatialDataset(np.array([[0.0, 0.0, 0.2, 0.2], [0.5, 0.5, 0.6, 0.6]]))
-        assert ds.average_mbr_area_in(Rect(0, 0, 1, 1)) == pytest.approx(0.025)
-
-    def test_from_rects_roundtrip(self):
-        rects = [Rect(0.1, 0.1, 0.2, 0.3), Rect(0.4, 0.4, 0.5, 0.9)]
-        ds = SpatialDataset.from_rects(rects)
-        assert [r for r, _ in ds] == rects
 
     def test_immutable_arrays(self):
         ds = SpatialDataset.from_points(np.array([[0.1, 0.1]]))
@@ -88,7 +70,7 @@ class TestSyntheticGenerators:
     def test_clustered_size_and_bounds(self):
         ds = clustered(n=500, clusters=4, seed=1)
         assert len(ds) == 500
-        assert ds.is_point_data
+        assert np.array_equal(ds.mbrs[:, :2], ds.mbrs[:, 2:])
         bounds = ds.bounds()
         assert UNIT_RECT.contains_rect(bounds)
         assert ds.metadata["clusters"] == 4
@@ -126,7 +108,7 @@ class TestSyntheticGenerators:
         ds = gaussian_mixture(
             n=1000, centers=[(0.2, 0.2), (0.8, 0.8)], weights=[0.9, 0.1], std=0.02, seed=4
         )
-        near_first = ds.count_in_window(Rect(0.0, 0.0, 0.5, 0.5))
+        near_first = np.count_nonzero(ds.window_mask(Rect(0.0, 0.0, 0.5, 0.5)))
         assert near_first > 700
 
     def test_gaussian_mixture_validation(self):
@@ -217,11 +199,6 @@ class TestWorkloadsAndLoader:
             WorkloadSpec(epsilon=-1.0)
         with pytest.raises(ValueError):
             WorkloadSpec(buffer_size=0)
-
-    def test_paper_cluster_sweep(self):
-        base = WorkloadSpec()
-        specs = list(paper_cluster_sweep(base))
-        assert [s.clusters for s in specs] == list(PAPER_CLUSTER_COUNTS)
 
     def test_spec_describe_mentions_parameters(self):
         spec = WorkloadSpec(clusters=16, buffer_size=100)

@@ -54,7 +54,7 @@ class TestDeviceBuffer:
         assert DeviceBuffer(capacity=np.int64(1)).capacity == 1
 
     def test_allocate_and_release(self):
-        buf = DeviceBuffer(capacity=100)
+        buf = operators_scalar.TokenBuffer(capacity=100)
         token = buf.allocate(60)
         assert buf.used == 60
         assert buf.free == 40
@@ -63,20 +63,20 @@ class TestDeviceBuffer:
         assert buf.high_water_mark == 60
 
     def test_overflow_raises(self):
-        buf = DeviceBuffer(capacity=10)
+        buf = operators_scalar.TokenBuffer(capacity=10)
         buf.allocate(8)
         with pytest.raises(BufferExceededError):
             buf.allocate(5)
 
     def test_can_fit(self):
-        buf = DeviceBuffer(capacity=10)
+        buf = operators_scalar.TokenBuffer(capacity=10)
         assert buf.can_fit(10)
         buf.allocate(4)
         assert buf.can_fit(6)
         assert not buf.can_fit(7)
 
     def test_double_release_is_idempotent(self):
-        buf = DeviceBuffer(capacity=10)
+        buf = operators_scalar.TokenBuffer(capacity=10)
         token = buf.allocate(5)
         buf.release(token)
         buf.release(token)
@@ -84,17 +84,17 @@ class TestDeviceBuffer:
 
     def test_release_unknown_token(self):
         with pytest.raises(ValueError):
-            DeviceBuffer(capacity=5).release(3)
+            operators_scalar.TokenBuffer(capacity=5).release(3)
 
     def test_reset_clears_high_water_mark(self):
         buf = DeviceBuffer(capacity=10)
-        buf.allocate(9)
+        buf.hold_in_turn(np.array([9]))
         buf.reset()
-        assert buf.high_water_mark == 0 and buf.used == 0
+        assert buf.high_water_mark == 0
 
     def test_released_slots_are_reclaimed(self):
         """1,000 allocate / release cycles used to leave 1,000 zeroed entries."""
-        buf = DeviceBuffer(capacity=10)
+        buf = operators_scalar.TokenBuffer(capacity=10)
         held = buf.allocate(2)
         for _ in range(1000):
             buf.release(buf.allocate(3))
@@ -106,31 +106,32 @@ class TestDeviceBuffer:
         assert issubclass(BufferExceededError, ReproError)
         assert issubclass(BufferExceededError, RuntimeError)
 
-    @pytest.mark.parametrize("used", [0, 4])
     @pytest.mark.parametrize(
         "sizes", [[], [0], [3, 6, 1], [6, 6, 6], [2, 7, 3], [1, 2, 11, 9, 12], [11]]
     )
-    def test_hold_in_turn_is_allocate_release_per_entry(self, used, sizes):
-        """The per-level call: same high-water mark, same overflow condition,
-        same error (and the same state when it is raised) as the loop."""
+    def test_hold_in_turn_is_allocate_release_per_entry(self, sizes):
+        """The per-level call: same high-water mark, same overflow condition
+        and same error as the oracle's allocate / release loop."""
 
-        def outcome(run):
-            buf = DeviceBuffer(capacity=10)
-            buf.allocate(used)
+        def outcome(buf, run):
             try:
                 run(buf)
                 error = None
             except BufferExceededError as exc:
                 error = str(exc)
-            return error, buf.used, buf.high_water_mark, len(buf._allocations)
+            return error, buf.high_water_mark
 
         def loop(buf):
             for size in sizes:
                 buf.release(buf.allocate(size))
 
-        got = outcome(lambda buf: buf.hold_in_turn(np.array(sizes, dtype=np.int64)))
-        assert got == outcome(loop)
-        assert (got[0] is None) == (used + max(sizes, default=0) <= 10)
+        got = outcome(
+            DeviceBuffer(capacity=10), lambda buf: buf.hold_in_turn(np.array(sizes, dtype=np.int64))
+        )
+        oracle = operators_scalar.TokenBuffer(capacity=10)
+        assert got == outcome(oracle, loop)
+        assert oracle.used == 0 and not oracle._allocations
+        assert (got[0] is None) == (max(sizes, default=0) <= 10)
 
 
 # --------------------------------------------------------------------------- #
@@ -504,7 +505,8 @@ class TestNLSJ:
             device.nlsj(WINDOW, IntersectionPredicate(), outer="X")
         with pytest.raises(ValueError):
             operators_scalar.nested_loop_spatial_join(
-                device.servers, WINDOW, IntersectionPredicate(), device.buffer, outer="X"
+                device.servers, WINDOW, IntersectionPredicate(),
+                operators_scalar.TokenBuffer(10), outer="X",
             )
         assert device.total_bytes() == 0  # rejected before any exchange, both ways
 

@@ -21,7 +21,7 @@ from typing import Dict, Tuple
 import pytest
 
 from repro.api import AdHocJoinSession
-from repro.core.naive import FixedGridJoin
+from repro.core.naive import FIXED_GRID, FixedGridJoin
 from repro.core.planner import ALGORITHMS
 from repro.datasets.railway import generate_railway_like
 from repro.datasets.synthetic import clustered, uniform
@@ -162,11 +162,7 @@ class _PerCellFixedGrid(FixedGridJoin):
         if count_r == 0 or count_s == 0:
             self.prune(window, depth, count_r, count_s)
             return
-        cells = window.subdivide(self.grid_size)
-        if not self.prune_empty:
-            for cell in cells:
-                self._hbsj(cell, depth + 1, counts_exact=False)
-            return
+        cells = window.subdivide(FIXED_GRID)
         counts_r = self.device.count_windows("R", [self.query_window("R", c) for c in cells])
         counts_s = self.device.count_windows("S", [self.query_window("S", c) for c in cells])
         for cell, cell_r, cell_s in zip(cells, counts_r, counts_s):
@@ -214,16 +210,16 @@ FIXEDGRID_WORKLOADS = {
 class TestFixedGridBatchedEqualsPerCell:
     """One ``hbsj_batch`` over the surviving cells == one operator per cell."""
 
-    @pytest.mark.parametrize("prune_empty", [True, False], ids=["prune", "no-prune"])
-    @pytest.mark.parametrize("grid_size", [1, 4, 7])
+    # 24 is smaller than most cells, so the operator has to split them; 8
+    # splits them deep; 800 holds every cell whole.
+    @pytest.mark.parametrize("buffer_size", [8, 24, 800])
     @pytest.mark.parametrize("workload", sorted(FIXEDGRID_WORKLOADS))
-    def test_pairs_bytes_stats_and_trace(self, workload, grid_size, prune_empty, monkeypatch):
+    def test_pairs_bytes_stats_and_trace(self, workload, buffer_size, monkeypatch):
         monkeypatch.setitem(ALGORITHMS, "fixedgrid-percell", _PerCellFixedGrid)
         datasets, join = FIXEDGRID_WORKLOADS[workload]
-        # A buffer smaller than most cells: the operator has to split them.
-        session = _session(*datasets(), buffer_size=24)
+        session = _session(*datasets(), buffer_size=buffer_size)
         batched, per_cell = (
-            session.run(algorithm=name, grid_size=grid_size, prune_empty=prune_empty, **join)
+            session.run(algorithm=name, **join)
             for name in ("fixedgrid", "fixedgrid-percell")
         )
         assert batched.sorted_pairs() == per_cell.sorted_pairs()

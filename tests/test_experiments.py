@@ -64,11 +64,6 @@ class TestHarness:
         result = run_experiment(config, keep_runs=True)
         assert ("mobiJoin", 1, 0) in result.runs
 
-    def test_winner_at(self):
-        config = figure_7b(cluster_counts=(1,), seeds=(0,))
-        result = run_experiment(config)
-        assert result.winner_at(1) in result.series
-
     def test_repetition_override(self):
         config = figure_7b(cluster_counts=(1,), seeds=(0, 1, 2))
         result = run_experiment(config, repetitions=1)

@@ -595,15 +595,19 @@ class TestBookingWork:
             lambda: proxy.book_bucket_range(bad_centers, 0.05, radii, probes),
         ]
         # Every shard connection's own public bookers check too.
-        sizes = np.ones(len(bad_windows), dtype=np.int64)
         for shard in proxy._proxies:
+            build = shard.backing_server
             attempts += [
-                lambda shard=shard: shard.count_batch_prefetched(bad_windows, [0] * len(sizes)),
-                lambda shard=shard: shard.window_batch_prefetched(bad_windows, sizes),
-                lambda shard=shard: shard.range_batch_prefetched(
-                    bad_centers, radii, np.ones(len(bad_centers), dtype=np.int64)
+                lambda shard=shard: shard.count_batch_prefetched(bad_windows, [0] * len(windows)),
+                lambda shard=shard, build=build: shard.book_window_batch(
+                    bad_windows, build.evaluate_window_batch(windows)
                 ),
-                lambda shard=shard: shard.bucket_range_prefetched(bad_centers, 0.05, radii, 3),
+                lambda shard=shard, build=build: shard.book_range_batch(
+                    bad_centers, radii, build.evaluate_range_batch(centers, radii)
+                ),
+                lambda shard=shard, build=build: shard.book_bucket_range(
+                    bad_centers, 0.05, radii, build.evaluate_range_batch(centers, radii)
+                ),
             ]
         for attempt in attempts:
             with pytest.raises(InvalidInput, match="finite"):
@@ -618,10 +622,12 @@ class TestBookingWork:
         proxy, resilience = _connect(4, 2, None)
         shard = proxy._proxies[0]
         windows, centers, radii = _requests(5)
+        build = shard.backing_server
+        three_windows = build.evaluate_window_batch(windows[:3])
+        three_probes = build.evaluate_range_batch(centers[:3], radii[:3])
         untouched = _observables(proxy, resilience)
-        three = np.ones(3, dtype=np.int64)
         with pytest.raises(ValueError, match="sizes must be parallel to windows"):
-            shard.window_batch_prefetched(windows[:2], three)
+            shard.book_window_batch(windows[:2], three_windows)
         with pytest.raises(ValueError, match="sizes must be parallel to centers"):
-            shard.range_batch_prefetched(centers[:2], radii[:2], three)
+            shard.book_range_batch(centers[:2], radii[:2], three_probes)
         assert _observables(proxy, resilience) == untouched

@@ -1,4 +1,5 @@
-"""Unit and property tests for repro.geometry.rect."""
+"""Unit and property tests for repro.geometry.rect (and the rectangle
+helpers of the pointer R-tree oracle)."""
 
 from __future__ import annotations
 
@@ -10,6 +11,8 @@ from hypothesis import strategies as st
 
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect, UNIT_RECT
+
+from tests.oracles.pointer_rtree import bounding, enlargement, min_distance_to_point
 
 
 # ---------------------------------------------------------------------- #
@@ -43,40 +46,24 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Rect(0.0, 1.0, 1.0, 0.0)
 
-    def test_from_point_is_degenerate(self):
-        r = Rect.from_point(Point(0.3, 0.7))
-        assert r.is_degenerate()
-        assert r.area == 0.0
-        assert r.center == Point(0.3, 0.7)
-
     def test_from_points_bounds_all(self):
         pts = [Point(0.1, 0.9), Point(0.5, 0.2), Point(0.3, 0.4)]
         r = Rect.from_points(pts)
-        assert all(r.contains_point(p) for p in pts)
+        assert all(r.contains_rect(Rect(p.x, p.y, p.x, p.y)) for p in pts)
         assert r.xmin == 0.1 and r.ymax == 0.9
 
     def test_from_points_empty_raises(self):
         with pytest.raises(ValueError):
             Rect.from_points([])
 
-    def test_from_center(self):
-        r = Rect.from_center(0.5, 0.5, 0.2, 0.4)
-        assert r.width == pytest.approx(0.2)
-        assert r.height == pytest.approx(0.4)
-        assert r.center.x == pytest.approx(0.5)
-
-    def test_from_center_negative_raises(self):
-        with pytest.raises(ValueError):
-            Rect.from_center(0.0, 0.0, -1.0, 1.0)
-
     def test_bounding_empty_raises(self):
         with pytest.raises(ValueError):
-            Rect.bounding([])
+            bounding([])
 
     def test_bounding_covers_inputs(self):
         a = Rect(0.0, 0.0, 0.3, 0.3)
         b = Rect(0.5, 0.5, 0.9, 0.7)
-        bound = Rect.bounding([a, b])
+        bound = bounding([a, b])
         assert bound.contains_rect(a) and bound.contains_rect(b)
 
 
@@ -103,22 +90,22 @@ class TestPredicates:
         inner = Rect(0.2, 0.2, 0.8, 0.8)
         assert outer.contains_rect(inner)
         assert not inner.contains_rect(outer)
-        assert outer.contains_point(Point(1.0, 1.0))  # closed boundary
-        assert not outer.contains_point(Point(1.0001, 0.5))
+        assert outer.contains_rect(Rect(1.0, 1.0, 1.0, 1.0))  # closed boundary
+        assert not outer.contains_rect(Rect(1.0001, 0.5, 1.0001, 0.5))
 
     def test_intersection_area(self):
         a = Rect(0.0, 0.0, 0.6, 0.6)
         b = Rect(0.4, 0.4, 1.0, 1.0)
         inter = a.intersection(b)
         assert inter == Rect(0.4, 0.4, 0.6, 0.6)
-        assert a.overlap_area(b) == pytest.approx(0.04)
+        assert inter.area == pytest.approx(0.04)
 
     def test_union_and_enlargement(self):
         a = Rect(0.0, 0.0, 0.5, 0.5)
         b = Rect(0.5, 0.5, 1.0, 1.0)
         u = a.union(b)
         assert u == UNIT_RECT
-        assert a.enlargement(b) == pytest.approx(1.0 - 0.25)
+        assert enlargement(a, b) == pytest.approx(1.0 - 0.25)
 
     @given(rects(), rects())
     @settings(max_examples=80)
@@ -134,14 +121,6 @@ class TestPredicates:
         u = a.union(b)
         assert u.contains_rect(a) and u.contains_rect(b)
 
-    @given(rects(), rects())
-    @settings(max_examples=80)
-    def test_intersection_iff_zero_distance(self, a: Rect, b: Rect):
-        if a.intersects(b):
-            assert a.min_distance_to_rect(b) == 0.0
-        else:
-            assert a.min_distance_to_rect(b) > 0.0
-
 
 # ---------------------------------------------------------------------- #
 # distances
@@ -151,31 +130,22 @@ class TestPredicates:
 class TestDistances:
     def test_point_inside_distance_zero(self):
         r = Rect(0.0, 0.0, 1.0, 1.0)
-        assert r.min_distance_to_point(Point(0.5, 0.5)) == 0.0
+        assert min_distance_to_point(r, Point(0.5, 0.5)) == 0.0
 
     def test_point_outside_axis_distance(self):
         r = Rect(0.0, 0.0, 1.0, 1.0)
-        assert r.min_distance_to_point(Point(1.5, 0.5)) == pytest.approx(0.5)
+        assert min_distance_to_point(r, Point(1.5, 0.5)) == pytest.approx(0.5)
 
     def test_point_outside_corner_distance(self):
         r = Rect(0.0, 0.0, 1.0, 1.0)
-        assert r.min_distance_to_point(Point(1.3, 1.4)) == pytest.approx(math.hypot(0.3, 0.4))
-
-    def test_rect_distance_matches_manual(self):
-        a = Rect(0.0, 0.0, 0.2, 0.2)
-        b = Rect(0.5, 0.6, 0.7, 0.8)
-        assert a.min_distance_to_rect(b) == pytest.approx(math.hypot(0.3, 0.4))
-
-    def test_within_distance_negative_epsilon_raises(self):
-        with pytest.raises(ValueError):
-            Rect(0, 0, 1, 1).within_distance(Rect(2, 2, 3, 3), -0.1)
+        assert min_distance_to_point(r, Point(1.3, 1.4)) == pytest.approx(math.hypot(0.3, 0.4))
 
     @given(rects(), points())
     @settings(max_examples=80)
     def test_point_distance_nonnegative_and_zero_inside(self, r: Rect, p: Point):
-        d = r.min_distance_to_point(p)
+        d = min_distance_to_point(r, p)
         assert d >= 0.0
-        if r.contains_point(p):
+        if r.contains_rect(Rect(p.x, p.y, p.x, p.y)):
             assert d == 0.0
 
 
@@ -197,7 +167,7 @@ class TestDerived:
         quads = r.quadrants()
         assert len(quads) == 4
         assert sum(q.area for q in quads) == pytest.approx(r.area)
-        assert Rect.bounding(quads) == r
+        assert bounding(quads) == r
 
     def test_subdivide_row_major_and_tiles(self):
         r = UNIT_RECT

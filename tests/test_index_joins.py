@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 from repro.errors import InvalidInput
 from repro.geometry import rect_array
 from repro.geometry.predicates import IntersectionPredicate, WithinDistancePredicate
-from repro.geometry.rect import Rect
 from repro.index.hash_join import grid_hash_join
-from repro.index.plane_sweep import plane_sweep_join, plane_sweep_pairs
+from repro.index.plane_sweep import plane_sweep_pairs
+
+from tests.oracles.operators_scalar import matches_matrix
 
 
 def _random_mbrs(n: int, seed: int, extent: float = 0.0) -> np.ndarray:
@@ -23,7 +24,7 @@ def _random_mbrs(n: int, seed: int, extent: float = 0.0) -> np.ndarray:
 
 
 def _oracle_pairs(a: np.ndarray, b: np.ndarray, predicate) -> set:
-    matrix = predicate.matches_matrix(a, b)
+    matrix = matches_matrix(predicate, a, b)
     return {(int(i), int(j)) for i, j in zip(*np.nonzero(matrix))}
 
 
@@ -43,14 +44,6 @@ class TestPlaneSweep:
         pred = IntersectionPredicate()
         assert plane_sweep_pairs(a, empty, pred) == []
         assert plane_sweep_pairs(empty, a, pred) == []
-
-    def test_oid_mapping(self):
-        a = np.array([[0.1, 0.1, 0.2, 0.2]])
-        b = np.array([[0.15, 0.15, 0.3, 0.3], [0.8, 0.8, 0.9, 0.9]])
-        pairs = plane_sweep_join(
-            a, np.array([42]), b, np.array([7, 9]), IntersectionPredicate()
-        )
-        assert pairs == [(42, 7)]
 
     @given(
         st.integers(min_value=0, max_value=60),
@@ -134,11 +127,3 @@ class TestRectArray:
             InvalidInput, match=r"^1 row\(s\) hold non-finite coordinates \(first: row 4\)$"
         ):
             rect_array.as_mbr_array(points)
-
-    def test_count_in_window(self):
-        mbrs = rect_array.points_to_mbrs(np.array([[0.1, 0.1], [0.5, 0.5], [0.9, 0.9]]))
-        assert rect_array.count_in_window(mbrs, Rect(0.0, 0.0, 0.6, 0.6)) == 2
-
-    def test_within_distance_of_point_negative_eps_raises(self):
-        with pytest.raises(ValueError):
-            rect_array.within_distance_of_point(np.empty((0, 4)), 0.0, 0.0, -1.0)

@@ -11,7 +11,7 @@ from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.index.aggregate_rtree import AggregateRTree
 
-from tests.oracles.pointer_rtree import RTree
+from tests.oracles.pointer_rtree import RTree, min_distance_to_point
 
 
 def _random_entries(n: int, seed: int = 0, extent: float = 0.0):
@@ -30,7 +30,7 @@ def _brute_window(entries, window: Rect):
 
 
 def _brute_range(entries, center: Point, eps: float):
-    return sorted(oid for rect, oid in entries if rect.min_distance_to_point(center) <= eps)
+    return sorted(oid for rect, oid in entries if min_distance_to_point(rect, center) <= eps)
 
 
 class TestRTreeConstruction:
@@ -137,7 +137,7 @@ class TestRTreeQueries:
         dists = [d for d, _ in knn]
         assert dists == sorted(dists)
         # The closest reported distance must equal the brute-force minimum.
-        brute = min(rect.min_distance_to_point(center) for rect, _ in entries)
+        brute = min(min_distance_to_point(rect, center) for rect, _ in entries)
         assert dists[0] == pytest.approx(brute)
 
     def test_level_mbrs_cover_children(self):

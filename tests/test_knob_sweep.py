@@ -181,3 +181,53 @@ def test_every_hostile_value_is_invalid_input_or_legal(name):
         if _accepted(name, {knob: value}) != ((knob, value) in LEGAL)
     ]
     assert offenders == []
+
+
+#: Hostile values for a string knob: no string, a number, the empty name
+#: and a name in bytes.
+HOSTILE_STRINGS = (None, 3, "", b"upjoin")
+
+#: String knob -> entry point -> a call that takes the knob's value.  The
+#: shard scheme is ``scheme`` where a dataset is partitioned directly.
+STRING_KNOBS = {
+    "algorithm": {
+        "quick_join": lambda v: _join(algorithm=v),
+        "AdHocJoinSession.run": lambda v: AdHocJoinSession(R, S).run(algorithm=v, epsilon=0.03),
+        "JoinQuery": lambda v: _query(algorithm=v),
+    },
+    "kind": {
+        "quick_join": lambda v: _join(kind=v),
+        "AdHocJoinSession.run": lambda v: AdHocJoinSession(R, S).run(kind=v, epsilon=0.03),
+    },
+    "shard_scheme": {
+        "quick_join": lambda v: _join(shard_scheme=v, shards_r=2),
+        "AdHocJoinSession": lambda v: AdHocJoinSession(R, S, shard_scheme=v, shards_r=2),
+        "StackConfig": lambda v: StackConfig(shard_scheme=v),
+        "JoinQuery": lambda v: _query(stack=StackConfig(shard_scheme=v)),
+        "partition_dataset": lambda v: partition_dataset(R, shards=2, scheme=v),
+        "ShardedSpatialServer": lambda v: ShardedSpatialServer(R, shards=2, scheme=v),
+    },
+}
+
+#: Hostile string values that are legal for the entry point given them.
+LEGAL_STRINGS = {
+    ("algorithm", "JoinQuery", None): "no algorithm: the broker picks one",
+}
+
+
+@pytest.mark.parametrize(
+    "knob, entry",
+    [(knob, entry) for knob, entries in sorted(STRING_KNOBS.items()) for entry in sorted(entries)],
+)
+def test_every_hostile_string_is_invalid_input_or_legal(knob, entry):
+    call = STRING_KNOBS[knob][entry]
+    offenders = []
+    for value in HOSTILE_STRINGS:
+        try:
+            call(value)
+            refused = False
+        except InvalidInput:
+            refused = True
+        if refused == ((knob, entry, value) in LEGAL_STRINGS):
+            offenders.append(value)
+    assert offenders == []

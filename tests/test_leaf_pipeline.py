@@ -33,6 +33,7 @@ from repro.server.remote import RemoteServer, ServerPair
 from repro.server.server import SpatialServer
 
 from tests.oracles import scalar_endpoints
+from tests.oracles.operators_scalar import pairwise_within_distance
 from tests.oracles.plane_sweep_scalar import plane_sweep_pairs_scalar
 
 PREDICATES = [IntersectionPredicate(), WithinDistancePredicate(0.03)]
@@ -454,7 +455,10 @@ def test_batch_payload_rows_are_dataset_rows():
         sorted(dataset.oids[dataset.window_mask(w)].tolist()) for w in WINDOWS
     ]
     brute_probes = [
-        sorted(dataset.within_distance_of(c, r).oids.tolist())
+        sorted(
+            dataset.oids[pairwise_within_distance(dataset.mbrs, np.array([[*c, *c]]), r)[:, 0]]
+            .tolist()
+        )
         for c, r in zip(CENTERS, RADII)
     ]
     for label, endpoint in _endpoints(dataset):

@@ -3,7 +3,8 @@
 The reference twins (pointer R-tree, depth-first driver, scalar operators,
 per-lead sweep, event-replay kernel, SemiJoin's scalar loop) live in
 ``tests/oracles/``; this guard keeps them, and the options that used to
-select them, out of ``src/repro/``.
+select them, out of ``src/repro/`` -- and with them every definition that
+nothing but a test reaches.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import dataclasses
 import hashlib
 import importlib
 import inspect
+import re
 import textwrap
 from pathlib import Path
 
@@ -40,10 +42,11 @@ SELECTOR_NAMES = {"execution", "method", "fuse", "coalesce"}
 #: Options no caller ever set, each turned into the one value in use: the
 #: healthy-first replica order, index fanout 16, a serial sweep, the
 #: broker's default-built cost model, its calibration weight, calibration
-#: itself (on, or raw predictions) and the planner's candidate pool.
+#: itself (on, or raw predictions), the planner's candidate pool, the fixed
+#: grid's 4 x 4 cells and COUNT pruning, and the naive join's lifted buffer.
 REMOVED_OPTIONS = {
     "router", "index_fanout", "workers", "selector", "smoothing", "calibrate",
-    "calibrated", "candidates",
+    "calibrated", "candidates", "grid_size", "prune_empty", "enforce_buffer",
 }
 
 #: The batch and scalar endpoints of a server connection.
@@ -108,6 +111,13 @@ def test_no_entry_point_takes_an_implementation_selector():
             ]
     assert seen > 50
     assert not offenders
+    # An algorithm takes no options of its own, so nothing carries them.
+    from repro.api import AdHocJoinSession
+    from repro.core.planner import build_algorithm, run_join
+
+    for target in (build_algorithm, run_join, AdHocJoinSession.run):
+        kinds = {p.kind for p in inspect.signature(target).parameters.values()}
+        assert inspect.Parameter.VAR_KEYWORD not in kinds, target.__qualname__
     # ... nor does anything below the entry points.
     assert [
         (name, names & REMOVED_OPTIONS)
@@ -590,3 +600,150 @@ def test_the_benchmark_target_guard_is_unmodified_and_passes():
     assert digest == "62403bb2c5433b95872ae5db6c6296747b73136ea13a281b93ec08642c1e490b"
     test_benchmark_targets.test_every_traced_target_resolves()
     test_benchmark_targets.test_sized_targets_take_the_batch_first()
+
+
+#: Where a reference keeps package code alive besides the package itself.
+CALLERS = (ROOT / "examples", ROOT / "benchmarks")
+
+#: Definitions under ``src/repro/`` that nothing reaches and that stay on
+#: purpose: ``"module:qualname"`` -> why.
+UNREACHED_ON_PURPOSE: dict = {}
+
+_IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+#: The statements that define a function, class or method.
+_DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _docstrings(tree: ast.AST):
+    """The ids of the docstring constants under ``tree``."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, *_DEFINITIONS)):
+            first = node.body[0] if node.body else None
+            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant):
+                yield id(first.value)
+
+
+def _references(nodes, docstrings) -> set:
+    """Names, attributes and identifiers inside non-docstring strings under
+    ``nodes``; imports and ``__all__`` lists are not references."""
+    found = set()
+    stack = list(nodes)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if any(getattr(t, "id", None) == "__all__" for t in targets):
+                continue
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if id(node) not in docstrings:
+                found.update(_IDENTIFIER.findall(node.value))
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def _own_code(node):
+    """What runs as part of a definition itself: a function whole, a class
+    without its methods and nested classes (definitions of their own)."""
+    if isinstance(node, ast.ClassDef):
+        return [
+            *node.bases, *node.keywords, *node.decorator_list,
+            *(n for n in node.body if not isinstance(n, _DEFINITIONS)),
+        ]
+    return [node]
+
+
+def _definitions():
+    """``"module:qualname"`` -> (name, references) for every function, class
+    and method under ``src/repro/``, plus the references of the modules'
+    own top-level code."""
+    definitions, top_level = {}, set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        module = ".".join(path.relative_to(PACKAGE.parent).with_suffix("").parts)
+        module = module.removesuffix(".__init__")
+        tree = ast.parse(path.read_text())
+        docstrings = set(_docstrings(tree))
+
+        def walk(body, prefix):
+            for node in body:
+                if isinstance(node, _DEFINITIONS):
+                    key = f"{module}:{prefix}{node.name}"
+                    definitions[key] = (node.name, _references(_own_code(node), docstrings))
+                    if isinstance(node, ast.ClassDef):
+                        walk(node.body, f"{prefix}{node.name}.")
+
+        walk(tree.body, "")
+        top_level |= _references(
+            [n for n in tree.body if not isinstance(n, _DEFINITIONS)], docstrings
+        )
+    return definitions, top_level
+
+
+def _key(obj):
+    for unwrap in ("__func__", "fget", "func"):
+        obj = getattr(obj, unwrap, obj)
+    if inspect.isfunction(obj) or inspect.isclass(obj):
+        return f"{obj.__module__}:{obj.__qualname__}"
+    return None
+
+
+def _roots(definitions):
+    """Dunders, the public surface of ``repro.api``, the dataset generators
+    the knob sweep covers and the ``repro.obs.dump`` command line."""
+    from repro.obs import dump
+    from tests import test_knob_sweep
+
+    owners = [getattr(repro.api, name) for name in repro.api.__all__]
+    owners += [
+        owner for owner, _, _ in test_knob_sweep.TARGETS.values()
+        if owner.__module__.startswith("repro.datasets.")
+    ]
+    owners.append(dump.main)
+    roots = {
+        key for key, (name, _) in definitions.items()
+        if name.startswith("__") and name.endswith("__")
+    }
+    for owner in owners:
+        roots.add(_key(owner))
+        if inspect.isclass(owner):
+            roots |= {
+                _key(inspect.getattr_static(owner, name))
+                for name in dir(owner) if not name.startswith("_")
+            }
+    return roots & set(definitions)
+
+
+def unreached_definitions():
+    """Every definition under ``src/repro/`` that no root reaches through
+    package code, an example or a benchmark, walked to a fixpoint."""
+    definitions, names = _definitions()
+    for caller in CALLERS:
+        for path in sorted(caller.rglob("*.py")):
+            tree = ast.parse(path.read_text())
+            names |= _references([tree], set(_docstrings(tree)))
+    reached = set()
+    frontier = _roots(definitions)
+    while frontier:
+        reached |= frontier
+        for key in frontier:
+            names |= definitions[key][1]
+        frontier = {
+            key for key, (name, _) in definitions.items()
+            if key not in reached and name in names
+        }
+    return sorted(set(definitions) - reached)
+
+
+def test_nothing_in_the_package_exists_only_for_tests():
+    # Reference code belongs to the test that compares against it
+    # (``tests/oracles/``); what no caller outside ``tests/`` reaches is gone.
+    unreached = unreached_definitions()
+    assert [key for key in unreached if key not in UNREACHED_ON_PURPOSE] == []
+    # ... and every exception is still one.
+    assert set(UNREACHED_ON_PURPOSE) <= set(unreached)

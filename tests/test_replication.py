@@ -357,7 +357,7 @@ class TestReplicaOrder:
     @staticmethod
     def _head_evaluates(proxy, replicas) -> None:
         """The backing evaluation runs on the head of the order."""
-        head = list(proxy._order())[0]
+        head = list(proxy._tried)[0]
         assert proxy.backing_server is replicas[head]
         before = [stats["count_queries"] for stats in proxy.replica_stats().values()]
         proxy.count_batch([TestReplicaOrder.WINDOW])
@@ -366,60 +366,60 @@ class TestReplicaOrder:
 
     def test_nothing_marked_keeps_index_order(self):
         proxy, replicas = self._proxy()
-        assert list(proxy._order()) == [0, 1, 2]
+        assert list(proxy._tried) == [0, 1, 2]
         self._head_evaluates(proxy, replicas)
         # A verdict for a replica of another shard changes nothing.
         proxy.apply_health({"R#1/0": "down", "S#0/2": "probe"})
-        assert list(proxy._order()) == [0, 1, 2]
+        assert list(proxy._tried) == [0, 1, 2]
 
     def test_probe_comes_first_and_down_comes_last(self):
         proxy, replicas = self._proxy()
         proxy.apply_health({"R#0/0": "down", "R#0/2": "probe"})
-        assert list(proxy._order()) == [2, 1, 0]
+        assert list(proxy._tried) == [2, 1, 0]
         self._head_evaluates(proxy, replicas)
         # A later verdict replaces an earlier one.
         proxy.apply_health({"R#0/0": "probe", "R#0/2": "down"})
-        assert list(proxy._order()) == [0, 1, 2]
+        assert list(proxy._tried) == [0, 1, 2]
 
     def test_a_failed_replica_sinks_below_the_healthy_ones(self):
         proxy, replicas = self._proxy(dead=[0])
         proxy.count_batch([self.WINDOW])
         assert [event[1] for event in proxy.failover_events()] == ["R#0/0"]
-        assert list(proxy._order()) == [1, 2, 0]
+        assert list(proxy._tried) == [1, 2, 0]
         self._head_evaluates(proxy, replicas)
         # Failing this query outranks a probe verdict; only down sinks lower.
         proxy.apply_health({"R#0/0": "probe"})
-        assert list(proxy._order()) == [1, 2, 0]
+        assert list(proxy._tried) == [1, 2, 0]
         proxy.apply_health({"R#0/1": "down"})
-        assert list(proxy._order()) == [2, 0, 1]
+        assert list(proxy._tried) == [2, 0, 1]
 
     def test_a_failed_replica_that_carries_an_exchange_is_healthy_again(self):
         proxy, replicas = self._proxy(dead=[0], brief=[1])
         proxy.apply_health({"R#0/2": "down"})
         proxy.count_batch([self.WINDOW])  # 0 and 1 fail, the down replica carries it
-        assert list(proxy._order()) == [0, 1, 2]
+        assert list(proxy._tried) == [0, 1, 2]
         proxy.count_batch([self.WINDOW])  # 0 fails again, 1 is back
         assert [event[1] for event in proxy.failover_events()] == ["R#0/0", "R#0/1", "R#0/0"]
-        assert list(proxy._order()) == [1, 0, 2]
+        assert list(proxy._tried) == [1, 0, 2]
         self._head_evaluates(proxy, replicas)
 
     def test_ties_break_by_index(self):
         proxy, replicas = self._proxy(dead=[0, 1])
         proxy.count_batch([self.WINDOW])
-        assert list(proxy._order()) == [2, 0, 1]
+        assert list(proxy._tried) == [2, 0, 1]
         proxy.apply_health({"R#0/1": "probe", "R#0/2": "probe"})
-        assert list(proxy._order()) == [2, 0, 1]
+        assert list(proxy._tried) == [2, 0, 1]
         proxy.apply_health({"R#0/2": "down"})
-        assert list(proxy._order()) == [0, 1, 2]
+        assert list(proxy._tried) == [0, 1, 2]
         self._head_evaluates(proxy, replicas)
 
     def test_reset_forgets_failures_but_keeps_broker_marks(self):
         proxy, replicas = self._proxy(dead=[0])
         proxy.count_batch([self.WINDOW])
         proxy.apply_health({"R#0/2": "probe"})
-        assert list(proxy._order()) == [2, 1, 0]
+        assert list(proxy._tried) == [2, 1, 0]
         proxy.reset_channels()
-        assert list(proxy._order()) == [2, 0, 1]
+        assert list(proxy._tried) == [2, 0, 1]
         assert proxy.failover_events() == ()
         self._head_evaluates(proxy, replicas)
 
@@ -437,9 +437,9 @@ class TestReplicaOrder:
     def test_a_lone_replica_has_nothing_to_fail_over_to(self):
         dead = FaultPlan(seed=3, outages=(Outage("R#0/0", 0, 10**9),))
         proxy, _, _, resilience = self._lone("R#0/0", dead, shard="R#0")
-        assert list(proxy._order()) == [0]
+        assert list(proxy._tried) == [0]
         proxy.apply_health({"R#0/0": "down"})
-        assert list(proxy._order()) == [0]
+        assert list(proxy._tried) == [0]
         with pytest.raises(ServerUnavailable) as info:
             proxy.count_batch([self.WINDOW])
         # The replica's own verdict, not a shard-level one.
@@ -447,7 +447,7 @@ class TestReplicaOrder:
         assert info.value.op_index is not None
         assert proxy.failover_events() == ()
         assert resilience.summary()["failovers"] == 0
-        assert list(proxy._order()) == [0]
+        assert list(proxy._tried) == [0]
 
     def test_a_plain_server_is_a_set_of_one(self):
         chaos = FaultPlan(seed=5, drop_rate=0.2, stall_rate=0.2, duplicate_rate=0.2)

@@ -172,9 +172,9 @@ class TestIndexedRemoteServer:
         pairs = indexed_pair.r.upload_objects_and_join(
             s_dataset.mbrs, s_dataset.oids, epsilon=0.05
         )
-        from repro.geometry import rect_array
+        from tests.oracles.operators_scalar import pairwise_within_distance
 
-        matrix = rect_array.pairwise_within_distance(s_dataset.mbrs, r_dataset.mbrs, 0.05)
+        matrix = pairwise_within_distance(s_dataset.mbrs, r_dataset.mbrs, 0.05)
         expected = {
             (int(s_dataset.oids[i]), int(r_dataset.oids[j]))
             for i, j in zip(*np.nonzero(matrix))

@@ -479,6 +479,24 @@ class TestPlanSelection:
             picks[plan.algorithm] += 1
         assert picks == {"mobijoin": 912, "naive": 248, "srjoin": 40}
 
+    @pytest.mark.parametrize("grid_k", [2, 3, 5])
+    def test_fixedgrid_is_priced_at_the_grid_it_runs(self, grid_k):
+        """``fixedgrid`` runs one FIXED_GRID x FIXED_GRID level whatever
+        ``grid_k`` says (``grid_k`` is MobiJoin's), so that is its price."""
+        from repro.core.costmodel import CostModel
+        from repro.core.naive import FIXED_GRID
+
+        spec, window, buffer = JoinSpec.distance(0.002), Rect(0.0, 0.0, 0.3, 0.3), 100
+        plan = select_algorithm(
+            spec, window, 20000, 20000, config=NetworkConfig(), buffer_size=buffer,
+            params=AlgorithmParameters(grid_k=grid_k),
+        )
+        model = CostModel(NetworkConfig(), epsilon=0.002)
+        assert plan.predicted["fixedgrid"] == model.c4_estimate(
+            window, 20000, 20000, buffer, k=FIXED_GRID
+        )
+        assert FIXED_GRID == 4 and plan.algorithm == "naive"
+
 
 class TestBrokerDeterminism:
     def test_repeated_batches_identical(self):
