@@ -11,6 +11,7 @@ from repro.datasets.dataset import SpatialDataset
 from repro.datasets.railway import generate_railway_like
 from repro.datasets.synthetic import clustered, gaussian_mixture, uniform
 from repro.errors import InvalidInput, ReproError
+from repro.geometry import rect_array
 from repro.datasets.workloads import WorkloadSpec, random_query_windows
 from repro.geometry.rect import Rect, UNIT_RECT
 
@@ -59,6 +60,11 @@ class TestSpatialDataset:
         ds = SpatialDataset(np.empty((0, 4)))
         with pytest.raises(ValueError):
             ds.bounds()
+
+    def test_from_rects_roundtrip(self):
+        rects = [Rect(0.1, 0.1, 0.2, 0.3), Rect(0.4, 0.4, 0.5, 0.9)]
+        ds = SpatialDataset(rect_array.rects_to_array(rects))
+        assert [r for r, _ in ds] == rects
 
     def test_immutable_arrays(self):
         ds = SpatialDataset.from_points(np.array([[0.1, 0.1]]))

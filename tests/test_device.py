@@ -106,10 +106,12 @@ class TestDeviceBuffer:
         assert issubclass(BufferExceededError, ReproError)
         assert issubclass(BufferExceededError, RuntimeError)
 
+    # 6 is the room left beside a 4-object allocation in a 10-object buffer.
+    @pytest.mark.parametrize("capacity", [10, 6])
     @pytest.mark.parametrize(
         "sizes", [[], [0], [3, 6, 1], [6, 6, 6], [2, 7, 3], [1, 2, 11, 9, 12], [11]]
     )
-    def test_hold_in_turn_is_allocate_release_per_entry(self, sizes):
+    def test_hold_in_turn_is_allocate_release_per_entry(self, capacity, sizes):
         """The per-level call: same high-water mark, same overflow condition
         and same error as the oracle's allocate / release loop."""
 
@@ -126,12 +128,13 @@ class TestDeviceBuffer:
                 buf.release(buf.allocate(size))
 
         got = outcome(
-            DeviceBuffer(capacity=10), lambda buf: buf.hold_in_turn(np.array(sizes, dtype=np.int64))
+            DeviceBuffer(capacity=capacity),
+            lambda buf: buf.hold_in_turn(np.array(sizes, dtype=np.int64)),
         )
-        oracle = operators_scalar.TokenBuffer(capacity=10)
+        oracle = operators_scalar.TokenBuffer(capacity=capacity)
         assert got == outcome(oracle, loop)
         assert oracle.used == 0 and not oracle._allocations
-        assert (got[0] is None) == (max(sizes, default=0) <= 10)
+        assert (got[0] is None) == (max(sizes, default=0) <= capacity)
 
 
 # --------------------------------------------------------------------------- #

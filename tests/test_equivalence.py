@@ -210,9 +210,10 @@ FIXEDGRID_WORKLOADS = {
 class TestFixedGridBatchedEqualsPerCell:
     """One ``hbsj_batch`` over the surviving cells == one operator per cell."""
 
-    # 24 is smaller than most cells, so the operator has to split them; 8
-    # splits them deep; 800 holds every cell whole.
-    @pytest.mark.parametrize("buffer_size", [8, 24, 800])
+    # 16 and 24 are smaller than most cells, so the operator has to split
+    # them; 8 splits them deep; 100 and 800 (the paper's two buffers) hold
+    # most or every cell whole.
+    @pytest.mark.parametrize("buffer_size", [8, 16, 24, 100, 800])
     @pytest.mark.parametrize("workload", sorted(FIXEDGRID_WORKLOADS))
     def test_pairs_bytes_stats_and_trace(self, workload, buffer_size, monkeypatch):
         monkeypatch.setitem(ALGORITHMS, "fixedgrid-percell", _PerCellFixedGrid)

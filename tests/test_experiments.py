@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.datasets.workloads import WorkloadSpec
+from repro.datasets.workloads import PAPER_CLUSTER_COUNTS, WorkloadSpec
 from repro.experiments.adversarial import (
     figure2a_layout,
     figure2b_layout,
@@ -63,6 +63,10 @@ class TestHarness:
         config = figure_7b(cluster_counts=(1,), seeds=(0,))
         result = run_experiment(config, keep_runs=True)
         assert ("mobiJoin", 1, 0) in result.runs
+
+    def test_paper_cluster_sweep(self):
+        # The comparison figures sweep the paper's cluster counts by default.
+        assert figure_7b().x_values == tuple(PAPER_CLUSTER_COUNTS)
 
     def test_repetition_override(self):
         config = figure_7b(cluster_counts=(1,), seeds=(0, 1, 2))

@@ -52,6 +52,11 @@ class TestConstruction:
         assert all(r.contains_rect(Rect(p.x, p.y, p.x, p.y)) for p in pts)
         assert r.xmin == 0.1 and r.ymax == 0.9
 
+    def test_from_one_point_is_degenerate(self):
+        r = Rect.from_points([Point(0.3, 0.7)])
+        assert r.area == 0.0
+        assert r.center == Point(0.3, 0.7)
+
     def test_from_points_empty_raises(self):
         with pytest.raises(ValueError):
             Rect.from_points([])

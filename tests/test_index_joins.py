@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from repro.errors import InvalidInput
 from repro.geometry import rect_array
 from repro.geometry.predicates import IntersectionPredicate, WithinDistancePredicate
+from repro.geometry.rect import Rect
+from repro.index.aggregate_rtree import probe_arrays
 from repro.index.hash_join import grid_hash_join
 from repro.index.plane_sweep import plane_sweep_pairs
 
@@ -28,6 +30,14 @@ def _oracle_pairs(a: np.ndarray, b: np.ndarray, predicate) -> set:
     return {(int(i), int(j)) for i, j in zip(*np.nonzero(matrix))}
 
 
+def _grid_hash_pairs(a: np.ndarray, b: np.ndarray, predicate) -> list:
+    return grid_hash_join(a, np.arange(len(a)), b, np.arange(len(b)), predicate)
+
+
+# The two in-memory join kernels: both answer positional index pairs here.
+KERNELS = {"plane-sweep": plane_sweep_pairs, "grid-hash": _grid_hash_pairs}
+
+
 class TestPlaneSweep:
     @pytest.mark.parametrize("extent", [0.0, 0.05])
     @pytest.mark.parametrize("eps", [0.0, 0.02, 0.1])
@@ -44,6 +54,12 @@ class TestPlaneSweep:
         pred = IntersectionPredicate()
         assert plane_sweep_pairs(a, empty, pred) == []
         assert plane_sweep_pairs(empty, a, pred) == []
+
+    def test_oid_mapping(self):
+        a = np.array([[0.1, 0.1, 0.2, 0.2]])
+        b = np.array([[0.15, 0.15, 0.3, 0.3], [0.8, 0.8, 0.9, 0.9]])
+        pairs = grid_hash_join(a, np.array([42]), b, np.array([7, 9]), IntersectionPredicate())
+        assert pairs == [(42, 7)]
 
     @given(
         st.integers(min_value=0, max_value=60),
@@ -103,6 +119,68 @@ class TestGridHashJoin:
         assert got == _oracle_pairs(a, b, predicate)
 
 
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+class TestDistanceSemantics:
+    """What "within epsilon" means, the same in both kernels: the minimum
+    Euclidean distance between two MBRs, compared inclusively."""
+
+    def test_point_distance(self, kernel):
+        join = KERNELS[kernel]
+        a = rect_array.points_to_mbrs(np.array([[0.0, 0.0]]))
+        b = rect_array.points_to_mbrs(np.array([[3.0, 4.0]]))
+        assert join(a, b, WithinDistancePredicate(5.0)) == [(0, 0)]
+        assert join(a, b, WithinDistancePredicate(4.999)) == []
+
+    def test_within_distance_boundary_inclusive(self, kernel):
+        join = KERNELS[kernel]
+        a = rect_array.points_to_mbrs(np.array([[0.0, 0.0]]))
+        b = rect_array.points_to_mbrs(np.array([[0.0, 1.0], [0.0, 1.0001]]))
+        assert join(a, b, WithinDistancePredicate(1.0)) == [(0, 0)]
+
+    def test_rect_distance_matches_manual(self, kernel):
+        # The gap between the two boxes is (0.3, 0.4): distance 0.5.
+        join = KERNELS[kernel]
+        a = np.array([[0.0, 0.0, 0.2, 0.2]])
+        b = np.array([[0.5, 0.6, 0.7, 0.8]])
+        assert join(a, b, WithinDistancePredicate(0.5 + 1e-9)) == [(0, 0)]
+        assert join(a, b, WithinDistancePredicate(0.5 - 1e-9)) == []
+
+    @given(
+        st.integers(min_value=0, max_value=40),
+        st.integers(min_value=0, max_value=40),
+        st.integers(min_value=0, max_value=10_000),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_intersection_iff_zero_distance(self, kernel, na, nb, seed):
+        join = KERNELS[kernel]
+        a = _random_mbrs(na, seed=seed, extent=0.1)
+        b = _random_mbrs(nb, seed=seed + 31, extent=0.1)
+        assert sorted(join(a, b, IntersectionPredicate())) == sorted(
+            join(a, b, WithinDistancePredicate(0.0))
+        )
+
+    @given(
+        st.integers(min_value=0, max_value=40),
+        st.integers(min_value=0, max_value=40),
+        st.integers(min_value=0, max_value=10_000),
+        st.floats(min_value=0.0, max_value=0.2),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_distance_symmetry(self, kernel, na, nb, seed, eps):
+        join = KERNELS[kernel]
+        a = _random_mbrs(na, seed=seed, extent=0.05)
+        b = _random_mbrs(nb, seed=seed + 53, extent=0.05)
+        predicate = WithinDistancePredicate(eps)
+        assert sorted(join(a, b, predicate)) == sorted(
+            (i, j) for j, i in join(b, a, predicate)
+        )
+
+
+def test_within_distance_negative_raises():
+    with pytest.raises(ValueError, match="epsilon must be non-negative"):
+        WithinDistancePredicate(-0.5)
+
+
 class TestRectArray:
     def test_as_mbr_array_accepts_points(self):
         pts = np.array([[0.1, 0.2], [0.3, 0.4]])
@@ -127,3 +205,22 @@ class TestRectArray:
             InvalidInput, match=r"^1 row\(s\) hold non-finite coordinates \(first: row 4\)$"
         ):
             rect_array.as_mbr_array(points)
+
+    def test_intersects_window_is_closed(self):
+        mbrs = rect_array.points_to_mbrs(np.array([[0.1, 0.1], [0.6, 0.6], [0.9, 0.9]]))
+        mask = rect_array.intersects_window(mbrs, Rect(0.0, 0.0, 0.6, 0.6))
+        assert mask.tolist() == [True, True, False]
+
+    def test_areas(self):
+        mbrs = np.array([[0.0, 0.0, 0.2, 0.2], [0.5, 0.5, 0.6, 0.6]])
+        assert rect_array.areas(mbrs) == pytest.approx([0.04, 0.01])
+
+    def test_bounding_rect(self):
+        mbrs = np.array([[0.1, 0.5, 0.2, 0.6], [0.4, 0.0, 0.5, 0.3]])
+        assert rect_array.bounding_rect(mbrs) == Rect(0.1, 0.0, 0.5, 0.6)
+        with pytest.raises(ValueError):
+            rect_array.bounding_rect(np.empty((0, 4)))
+
+    def test_probe_around_a_point_refuses_negative_epsilon(self):
+        with pytest.raises(InvalidInput, match="epsilon must be non-negative"):
+            probe_arrays(np.array([[0.0, 0.0]]), [-1.0])

@@ -40,6 +40,13 @@ class TestConfig:
         assert cfg.header_bytes == 40
         assert cfg.payload_per_packet == 1460
 
+    def test_dialup_mtu(self):
+        cfg = NetworkConfig(mtu=576)
+        assert cfg.payload_per_packet == 536
+        # 1,000 payload bytes need two 576-byte packets, one at 1,500.
+        assert transferred_bytes(1000, cfg) == 1000 + 2 * 40
+        assert transferred_bytes(1000, NetworkConfig()) == 1000 + 40
+
     @pytest.mark.parametrize(
         "bad",
         [

@@ -127,7 +127,27 @@ class TestSimulator:
             sim.run_all()
 
 
+def _window_exchange(objects: int, cfg: NetworkConfig = NetworkConfig()) -> Channel:
+    channel = Channel(cfg, name="R")
+    channel.send_query(WindowQuery(Rect(0, 0, 1, 1)))
+    channel.send_response(ObjectPayload(np.zeros((objects, 4)), np.arange(objects)))
+    return channel
+
+
 class TestWifiLinkModel:
+    def test_transfer_time_increases_with_payload(self):
+        link = WifiLinkModel()
+        assert link.estimate_channel_time(_window_exchange(10_000)) > (
+            link.estimate_channel_time(_window_exchange(100))
+        )
+
+    def test_exchange_time_includes_server_latency(self):
+        channel = _window_exchange(100)
+        slow = WifiLinkModel(server_latency_s=0.5).estimate_channel_time(channel)
+        fast = WifiLinkModel(server_latency_s=0.0).estimate_channel_time(channel)
+        assert slow > 0.5
+        assert slow - fast == pytest.approx(0.5)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             WifiLinkModel(goodput_bps=0)
