@@ -75,6 +75,12 @@ class AlgorithmParameters:
         require_count(self.seed, "seed", minimum=0)
 
 
+#: The parameters of a query or algorithm that names none: one frozen
+#: instance, validated once (it compares by value, so cache keys and plans
+#: are those of a fresh ``AlgorithmParameters()``).
+DEFAULT_PARAMETERS = AlgorithmParameters()
+
+
 class MobileJoinAlgorithm(ABC):
     """Base class of the client-side join algorithms.
 
@@ -99,7 +105,7 @@ class MobileJoinAlgorithm(ABC):
     ) -> None:
         self.device = device
         self.spec = spec
-        self.params = params or AlgorithmParameters()
+        self.params = params or DEFAULT_PARAMETERS
         self.predicate: JoinPredicate = spec.predicate()
         self.cost_model = CostModel(
             device.config,
@@ -111,7 +117,6 @@ class MobileJoinAlgorithm(ABC):
         self._pairs = PairBlocks()
         #: The trace in parts: eager events and frontier level tables.
         self._trace: List[Sequence[TraceEvent]] = []
-        self._rng = np.random.default_rng(self.params.seed)
         # Observability state: the run's "join" span (None while the
         # device's tracer is the no-op default) plus deterministic sibling
         # counters for round / leaf-batch spans.

@@ -285,10 +285,8 @@ class CostModel:
     # SemiJoin estimate (Section 5.3) -- used by tests and ablations
     # ------------------------------------------------------------------ #
 
-    def semijoin_estimate(
-        self, n_level_mbrs: int, n_small_objects: int, n_result_rows: int
-    ) -> float:
-        """Transfer cost of the PDA-mediated SemiJoin.
+    def semijoin_estimate(self, n_level_mbrs, n_small_objects, n_result_rows):
+        """Transfer cost of the PDA-mediated SemiJoin (ints or ``(N,)`` columns).
 
         The MBRs of one tree level move large-server -> PDA -> small-server,
         the qualifying small-side objects move small-server -> PDA ->
@@ -353,11 +351,11 @@ class CostModel:
 
 def predict_algorithm_costs(
     spec,
-    window: Rect,
-    n_r: int,
-    n_s: int,
+    window,
+    n_r,
+    n_s,
     config: NetworkConfig,
-    buffer_size: int,
+    buffer_size,
     bucket_queries: bool,
     grid_k: int,
 ) -> Dict[str, float]:
@@ -383,6 +381,13 @@ def predict_algorithm_costs(
       split are enough);
     * ``semijoin``  -- the Section 5.3 relay estimate from index metadata.
 
+    Rows follow :class:`CostModel`'s convention: a ``Rect`` with ``int``
+    counts and buffer is one query and maps every name to a Python number;
+    an ``(N, 4)`` window array with ``(N,)`` counts and buffer sizes is
+    ``N`` queries sharing ``spec``'s probe radius, ``config``,
+    ``bucket_queries`` and ``grid_k``, and maps every name to an ``(N,)``
+    column whose row ``i`` ``==`` the one-query call on row ``i``.
+
     ``spec`` is a :class:`~repro.core.join_types.JoinSpec`; its predicate's
     probe radius parameterises the underlying :class:`CostModel`.  The
     prediction is a pure function of its arguments: measured totals always
@@ -405,18 +410,20 @@ def predict_algorithm_costs(
     # Section 4.1: |Dw'4| = |Dw| - sum(|Dw'i|) saves one of the four
     # quadrant COUNTs per dataset per split.
     c4_derived = c4 - 2.0 * (k * k) * model.taq / 4.0
-    adaptive = min(c1, c2, c3, c4)
-    adaptive_derived = min(c1, c2, c3, c4_derived)
-    n_small, n_large = min(n_r, n_s), max(n_r, n_s)
-    return {
+    # ``np.minimum`` folded left in ``min(c1, c2, c3, c4)``'s order.
+    adaptive_c3 = np.minimum(np.minimum(c1, c2), c3)
+    adaptive_derived = np.minimum(adaptive_c3, c4_derived)
+    n_small, n_large = np.minimum(n_r, n_s), np.maximum(n_r, n_s)
+    predicted = {
         "naive": c1_free,
         "fixedgrid": fixed_grid,
-        "mobijoin": adaptive,
+        "mobijoin": np.minimum(adaptive_c3, c4),
         "upjoin": adaptive_derived,
         "srjoin": adaptive_derived,
         "semijoin": model.semijoin_estimate(
-            n_level_mbrs=max(1, math.ceil(n_large / INDEX_FANOUT)),
+            n_level_mbrs=np.maximum(1, -(-n_large // INDEX_FANOUT)),
             n_small_objects=n_small,
             n_result_rows=n_small,
         ),
     }
+    return {name: _plain(value) for name, value in predicted.items()}

@@ -22,6 +22,8 @@ import numbers
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
+import numpy as np
+
 from repro.core.base import AlgorithmParameters, MobileJoinAlgorithm
 from repro.core.costmodel import predict_algorithm_costs
 from repro.core.join_types import JoinSpec
@@ -110,17 +112,22 @@ class PlanDecision:
         return min(self.predicted, key=lambda k: (self.predicted[k], k))
 
 
+#: :data:`SELECTABLE_ALGORITHMS` positions in name order: the first
+#: ``argmin`` over the columns in this order is :meth:`PlanDecision.cheapest`.
+_BY_NAME = sorted(range(len(SELECTABLE_ALGORITHMS)), key=SELECTABLE_ALGORITHMS.__getitem__)
+
+
 def select_algorithm(
     spec: JoinSpec,
-    window: Rect,
-    n_r: int,
-    n_s: int,
+    window,
+    n_r,
+    n_s,
     config: NetworkConfig,
-    buffer_size: int,
+    buffer_size,
     params: AlgorithmParameters,
-    algorithm: Optional[str] = None,
-) -> PlanDecision:
-    """Pick the algorithm for one query, or honour an explicit override.
+    algorithm=None,
+):
+    """Pick the algorithm for one query or ``N``, or honour explicit overrides.
 
     The pick is the cheapest of :data:`SELECTABLE_ALGORITHMS` under
     :func:`~repro.core.costmodel.predict_algorithm_costs` for the query's
@@ -128,17 +135,34 @@ def select_algorithm(
     (any registry name) short-circuits the choice but the prediction set is
     still computed and reported, so callers can compare the override
     against the model's preference.
+
+    Rows follow the cost model's convention: a ``Rect`` with ``int`` counts
+    and buffer (``algorithm`` one name or ``None``) returns one
+    :class:`PlanDecision`; an ``(N, 4)`` window array with ``(N,)`` counts
+    and buffer sizes (``algorithm`` ``N`` names or ``None`` s, or ``None``
+    for no overrides) plans ``N`` queries sharing ``spec``'s probe radius,
+    ``config``, ``params.bucket_queries`` and ``params.grid_k`` in one
+    evaluation and returns their ``N`` decisions, each ``==`` its
+    one-query call.
     """
     predicted = predict_algorithm_costs(
         spec, window, n_r, n_s, config, buffer_size, params.bucket_queries, params.grid_k
     )
-    predicted = {name: predicted[name] for name in SELECTABLE_ALGORITHMS}
-    if algorithm is not None:
-        return PlanDecision(
-            algorithm=_algorithm_key(algorithm), predicted=predicted, overridden=True
+    columns = np.array([predicted[name] for name in SELECTABLE_ALGORITHMS], dtype=np.float64)
+    one = columns.ndim == 1
+    columns = columns.reshape(len(SELECTABLE_ALGORITHMS), -1)
+    picks = np.take(_BY_NAME, np.argmin(columns[_BY_NAME], axis=0)).tolist()
+    if one or algorithm is None:
+        algorithm = [algorithm] * len(picks)
+    decisions = [
+        PlanDecision(
+            algorithm=SELECTABLE_ALGORITHMS[pick] if name is None else _algorithm_key(name),
+            predicted=dict(zip(SELECTABLE_ALGORITHMS, row)),
+            overridden=name is not None,
         )
-    chosen = min(predicted, key=lambda k: (predicted[k], k))
-    return PlanDecision(algorithm=chosen, predicted=predicted, overridden=False)
+        for pick, row, name in zip(picks, columns.T.tolist(), algorithm)
+    ]
+    return decisions[0] if one else decisions
 
 
 @dataclass(frozen=True)

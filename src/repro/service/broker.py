@@ -13,7 +13,11 @@ and
    configuration (:func:`~repro.core.costmodel.predict_algorithm_costs`, a
    pure function of the query) and picks the cheapest; an explicit
    ``algorithm=`` on the query overrides the choice, and
-   :meth:`QueryBroker.explain` reports predicted vs. chosen either way;
+   :meth:`QueryBroker.explain` reports predicted vs. chosen either way.
+   Queries that share a cost model (configuration, probe radius,
+   ``bucket_queries``, ``grid_k``) are planned as stacked rows of one
+   call, each row's decision ``==`` the query's own (``explain()`` is the
+   batch of one);
 
 2. **admits** the planned queries in deterministic waves of at most
    ``max_wave``, deduplicating identical queries through the result cache
@@ -53,7 +57,9 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, Generator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Generator, List, NamedTuple, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.planner import PlanDecision, build_algorithm, select_algorithm
 from repro.core.result import JoinResult
@@ -120,6 +126,18 @@ class BrokerStats:
                 for key, value in self.__dict__.items()
                 if not key.startswith("_")
             }
+
+
+class _PlanRow(NamedTuple):
+    """What planning reads of one query: its group key and its row."""
+
+    #: ``(config, probe radius, bucket_queries, grid_k)``: queries with one
+    #: key share a cost model, hence one planning call.
+    group: Tuple
+    query: JoinQuery
+    window: Tuple[float, float, float, float]
+    n_r: int
+    n_s: int
 
 
 @dataclass
@@ -336,17 +354,46 @@ class QueryBroker:
 
         ``overridden`` marks an explicit ``algorithm=`` on the query; the
         prediction set is reported either way so the override can be
-        compared against the model's own preference.
+        compared against the model's own preference.  A query is planned
+        as the batch of one :meth:`run_batch` would make of it.
         """
-        return select_algorithm(
-            query.spec,
-            query.resolved_window(),
+        (plan,) = self._plan_group([self._plan_row(query)])
+        return plan
+
+    def _plan_row(self, query: JoinQuery) -> _PlanRow:
+        """What planning reads of one query (a typed error is the query's)."""
+        params = query.resolved_params()
+        group = (
+            query.config or self.config,
+            query.spec.predicate().probe_radius(),
+            params.bucket_queries,
+            params.grid_k,
+        )
+        return _PlanRow(
+            group,
+            query,
+            query.resolved_window().as_tuple(),
             len(query.dataset_r),
             len(query.dataset_s),
-            config=query.config or self.config,
-            buffer_size=query.buffer_size,
-            params=query.resolved_params(),
-            algorithm=query.algorithm,
+        )
+
+    @staticmethod
+    def _plan_group(rows: List[_PlanRow]) -> List[PlanDecision]:
+        """One cost-model evaluation for queries sharing a planning group.
+
+        The group's first query lends its spec and parameters: the
+        prediction reads only the members of the group key of either.
+        """
+        lead = rows[0].query
+        return select_algorithm(
+            lead.spec,
+            np.array([row.window for row in rows], dtype=np.float64),
+            np.array([row.n_r for row in rows], dtype=np.int64),
+            np.array([row.n_s for row in rows], dtype=np.int64),
+            config=rows[0].group[0],
+            buffer_size=np.array([row.query.buffer_size for row in rows], dtype=np.int64),
+            params=lead.resolved_params(),
+            algorithm=[row.query.algorithm for row in rows],
         )
 
     # ------------------------------------------------------------------ #
@@ -358,11 +405,16 @@ class QueryBroker:
 
         Every query is planned and keyed before any executes, so a raise
         while planning leaves nothing behind (not even a
-        ``queries_submitted`` count).  The planning-time twin of
-        :meth:`_fail_entry`: a typed :class:`~repro.errors.ReproError`
-        while planning one query becomes that query's ``"failed"`` outcome
-        and its neighbours run untouched; anything else is a bug and
-        propagates.
+        ``queries_submitted`` count).  Queries sharing a cost model --
+        configuration, probe radius, ``bucket_queries`` and ``grid_k`` --
+        are planned in one :func:`~repro.core.planner.select_algorithm`
+        call on the rows they contribute (window, sizes, buffer, override:
+        all validated when the query was built).  The planning-time twin of
+        :meth:`_fail_entry`: each query's row is read inside its own error
+        boundary, so a typed
+        :class:`~repro.errors.ReproError` there (no default window over two
+        empty datasets) becomes that query's ``"failed"`` outcome and its
+        neighbours run untouched; anything else is a bug and propagates.
 
         Warm cache hits never execute; identical queries within the batch
         share one execution (the first occurrence leads) when the result
@@ -371,15 +423,20 @@ class QueryBroker:
         rounds with the steps they offer evaluated together per backing
         server.
         """
-        batch = []
-        for index, query in enumerate(queries):
+        batch = [_Admitted(query, None, None, index) for index, query in enumerate(queries)]
+        groups: Dict[Tuple, List[Tuple[_Admitted, _PlanRow]]] = {}
+        for entry in batch:
             try:
-                plan = self.explain(query)
-                key = query_key(query, plan.algorithm, self.config)
+                row = self._plan_row(entry.query)
             except ReproError as error:
-                batch.append(_Admitted(query, None, None, index, failure=error))
+                entry.failure = error
             else:
-                batch.append(_Admitted(query, plan, key, index))
+                groups.setdefault(row.group, []).append((entry, row))
+        for members in groups.values():
+            plans = self._plan_group([row for _, row in members])
+            for (entry, _), plan in zip(members, plans):
+                entry.plan = plan
+                entry.key = query_key(entry.query, plan.algorithm, self.config)
         self.stats.bump(queries_submitted=len(batch))
         if self.tracer.enabled:
             self._batch_counter += 1

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional, Tuple
 
-from repro.core.base import AlgorithmParameters
+from repro.core.base import DEFAULT_PARAMETERS, AlgorithmParameters
 from repro.core.join_types import JoinSpec
 from repro.core.planner import (
     PlanDecision,
@@ -60,11 +60,14 @@ class JoinQuery:
         Explicit registry algorithm, or ``None`` to let the broker pick
         the cheapest predicted one of
         :data:`~repro.core.planner.SELECTABLE_ALGORITHMS`
-        (:func:`~repro.core.planner.select_algorithm`).
+        (:func:`~repro.core.planner.select_algorithm`, one call per batch
+        for the queries sharing a cost model; the pick is the one the
+        query gets alone).
     buffer_size:
         Device buffer capacity in objects for this query.
     params:
-        Algorithm tunables; defaults to :class:`AlgorithmParameters`.
+        Algorithm tunables; defaults to :class:`AlgorithmParameters`
+        (one shared default instance).
     window:
         Joined region; defaults to the union MBR of both datasets.
     config:
@@ -121,7 +124,7 @@ class JoinQuery:
         return window
 
     def resolved_params(self) -> AlgorithmParameters:
-        return self.params if self.params is not None else AlgorithmParameters()
+        return self.params if self.params is not None else DEFAULT_PARAMETERS
 
 
 @dataclass

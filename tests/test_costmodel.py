@@ -10,10 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.costmodel import INFEASIBLE, CostBreakdown, CostModel
+from repro.core.costmodel import INFEASIBLE, CostBreakdown, CostModel, predict_algorithm_costs
+from repro.core.join_types import JoinSpec
 from repro.core.uniformity import worth_retrieving_statistics
 from repro.geometry.rect import Rect
 from repro.network.config import NetworkConfig
+from repro.server.server import INDEX_FANOUT
 from repro.network.packets import (
     aggregate_answer_bytes,
     num_packets,
@@ -286,6 +288,31 @@ class TestArrayValuedEqualsScalarOracle:
                 one_row = call(model, mbrs[i : i + 1], n_r[i : i + 1], n_s[i : i + 1])
                 assert scalar == one_row.tolist()[0] == level_column[i], name
                 assert scalar == call(oracle, rect, r, s), name
+
+    @given(configs, epsilons, st.booleans(), levels, st.sampled_from([2, 3]))
+    @settings(max_examples=30, deadline=None)
+    def test_algorithm_predictions_on_stacked_rows_match_one_query_calls(
+        self, config, epsilon, bucket, level, k
+    ):
+        """Row ``i`` of an N-row prediction == the one-query call on row ``i``
+        for every algorithm, SemiJoin's relay estimate (integer
+        ceil-division of the level size) included; one query is Python numbers."""
+        spec = JoinSpec.distance(epsilon) if epsilon else JoinSpec.intersection()
+        oracle = ScalarCostModel(config, epsilon=epsilon, bucket_queries=bucket)
+        rects, mbrs, n_r, n_s = _columns(level)
+        buffers = BUFFER + np.arange(len(rects), dtype=np.int64) % 3 - 1
+        columns = predict_algorithm_costs(spec, mbrs, n_r, n_s, config, buffers, bucket, k)
+        for i, rect in enumerate(rects):
+            r, s, buffer = int(n_r[i]), int(n_s[i]), int(buffers[i])
+            one = predict_algorithm_costs(spec, rect, r, s, config, buffer, bucket, k)
+            assert list(one) == list(columns)
+            for name, value in one.items():
+                assert type(value) is float, name
+                assert value == columns[name].tolist()[i], name
+            small, large = min(r, s), max(r, s)
+            assert one["semijoin"] == oracle.semijoin_estimate(
+                max(1, math.ceil(large / INDEX_FANOUT)), small, small
+            )
 
     @pytest.mark.parametrize("area", [5e-324, 1e-320, 1e-313])
     @pytest.mark.parametrize("bucket", [False, True])

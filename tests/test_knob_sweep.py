@@ -30,6 +30,7 @@ from repro.api import (
     partition_dataset,
     quick_join,
 )
+from repro.core.base import AlgorithmParameters
 from repro.core.join_types import JoinSpec
 from repro.datasets.railway import generate_railway_like
 from repro.datasets.synthetic import clustered, gaussian_mixture, uniform
@@ -104,6 +105,12 @@ TARGETS = {
         lambda stack: _all_ok(QueryBroker().run_batch([_query(stack=stack)])),
     ),
     "JoinQuery": (JoinQuery, _query, lambda query: _all_ok(QueryBroker().run_batch([query]))),
+    # ``grid_k`` and ``bucket_queries`` key the broker's planning groups.
+    "AlgorithmParameters": (
+        AlgorithmParameters,
+        AlgorithmParameters,
+        lambda params: _all_ok(QueryBroker().run_batch([_query(params=params)])),
+    ),
     "partition_dataset": (
         partition_dataset, lambda **k: partition_dataset(R, **{"shards": 2, **k}), None
     ),

@@ -91,6 +91,34 @@ def _raise_value_error(*args, **kwargs):
     raise ValueError("injected mid-wave failure")
 
 
+def _mixed_planning_batch() -> List[JoinQuery]:
+    """Queries spread over six planning groups, then one that cannot plan."""
+    r, s = _datasets()
+    spec = JoinSpec.distance(0.03)
+    empty = SpatialDataset(np.empty((0, 4)), name="S")
+    tariffed = NetworkConfig(mtu=576, tariff_r=2.0, tariff_s=0.5)
+    return [
+        JoinQuery(r, s, spec, buffer_size=50),
+        JoinQuery(r, s, spec, buffer_size=800),
+        JoinQuery(r, s, spec, algorithm="semijoin", buffer_size=BUFFER),
+        JoinQuery(r, s, spec, algorithm="upjoin", buffer_size=800),
+        JoinQuery(r, s, JoinSpec.intersection(), buffer_size=BUFFER),
+        JoinQuery(r, s, JoinSpec.distance(0.01), config=tariffed, buffer_size=BUFFER),
+        JoinQuery(
+            r, s, spec, params=AlgorithmParameters(bucket_queries=True), buffer_size=BUFFER
+        ),
+        JoinQuery(r, s, spec, params=AlgorithmParameters(grid_k=3), buffer_size=50),
+        JoinQuery(
+            r,
+            empty,
+            JoinSpec.distance(0.002),
+            buffer_size=BUFFER,
+            window=Rect(0.0, 0.0, 1e-160, 1e-155),
+        ),
+        JoinQuery(empty.rename("E"), empty, spec, buffer_size=BUFFER),
+    ]
+
+
 def _assert_identical(result, reference) -> None:
     assert result.sorted_pairs() == reference.sorted_pairs()
     assert result.objects == reference.objects
@@ -296,21 +324,23 @@ class TestResultCache:
 
     def test_a_batch_that_fails_to_plan_does_not_leak_into_the_next(self, monkeypatch):
         """Planning is all-or-nothing: the queries planned before the raise
-        used to stay queued and come back with the next batch's outcomes."""
+        used to stay queued and come back with the next batch's outcomes.
+        Two epsilons make two planning groups; the second group's
+        prediction raises after the first group's two queries are planned."""
         r, s = _datasets()
-        spec = JoinSpec.distance(0.03)
+        first, second = JoinSpec.distance(0.03), JoinSpec.distance(0.02)
         queries = [
             JoinQuery(r, s, spec, algorithm=name, buffer_size=BUFFER)
-            for name in ("upjoin", "srjoin", "mobijoin")
+            for spec, name in ((first, "upjoin"), (second, "srjoin"), (first, "mobijoin"))
         ]
-        predict, calls = planner.predict_algorithm_costs, iter(range(1, 10))
+        predict = planner.predict_algorithm_costs
 
-        def second_prediction_raises(*args, **kwargs):
-            if next(calls) == 2:
+        def second_group_raises(spec, *args, **kwargs):
+            if spec is second:
                 raise RuntimeError("injected planner bug")
-            return predict(*args, **kwargs)
+            return predict(spec, *args, **kwargs)
 
-        monkeypatch.setattr(planner, "predict_algorithm_costs", second_prediction_raises)
+        monkeypatch.setattr(planner, "predict_algorithm_costs", second_group_raises)
         broker = QueryBroker()
         with pytest.raises(RuntimeError, match="injected planner bug"):
             broker.run_batch(queries)
@@ -458,26 +488,91 @@ class TestPlanSelection:
         """UpJoin and SrJoin get one prediction and ties break alphabetically,
         so over 1,200 buffers x epsilons x counts x window sides the pick is
         SrJoin on the tie and never UpJoin.  The pick counts are pinned: a
-        change to the root estimates moves them only on purpose."""
+        change to the root estimates moves them only on purpose.  Each
+        spec's 300 points are also planned as stacked rows in one call, and
+        every row's decision == its one-query call."""
         counts = (0, 10, 100, 1000, 20000)
         picks = Counter()
-        for buffer, epsilon, n_r, n_s, side in itertools.product(
-            (50, 100, 800, 5000), (0, 0.001, 0.005, 0.03), counts, counts, (0.01, 0.3, 1.0)
-        ):
+        for epsilon in (0, 0.001, 0.005, 0.03):
             spec = JoinSpec.distance(epsilon) if epsilon else JoinSpec.intersection()
-            plan = select_algorithm(
+            rows = list(itertools.product((50, 100, 800, 5000), counts, counts, (0.01, 0.3, 1.0)))
+            buffers, n_r, n_s, sides = (np.array(column) for column in zip(*rows))
+            zeros = np.zeros_like(sides)
+            stacked = select_algorithm(
                 spec,
-                Rect(0.0, 0.0, side, side),
+                np.column_stack([zeros, zeros, sides, sides]),
                 n_r,
                 n_s,
                 config=NetworkConfig(),
-                buffer_size=buffer,
+                buffer_size=buffers,
                 params=AlgorithmParameters(),
             )
-            assert plan.predicted["upjoin"] == plan.predicted["srjoin"]
-            assert plan.algorithm != "upjoin"
-            picks[plan.algorithm] += 1
+            assert len(stacked) == len(rows)
+            for (buffer, rows_r, rows_s, side), row_plan in zip(rows, stacked):
+                plan = select_algorithm(
+                    spec,
+                    Rect(0.0, 0.0, side, side),
+                    rows_r,
+                    rows_s,
+                    config=NetworkConfig(),
+                    buffer_size=buffer,
+                    params=AlgorithmParameters(),
+                )
+                assert row_plan == plan
+                assert plan.predicted["upjoin"] == plan.predicted["srjoin"]
+                assert plan.algorithm != "upjoin" and plan.algorithm == plan.cheapest()
+                picks[plan.algorithm] += 1
         assert picks == {"mobijoin": 912, "naive": 248, "srjoin": 40}
+
+    def test_a_batch_plans_every_query_as_explain_does(self):
+        """Grouped planning is invisible: every outcome carries the plan its
+        query gets alone, across every member of the planning group key,
+        buffers, overrides, the denormal window and a windowless query."""
+        queries = _mixed_planning_batch()
+        broker = QueryBroker()
+        outcomes = broker.run_batch(queries)
+        *planned, windowless = outcomes
+        assert [o.status for o in planned] == ["ok"] * len(planned)
+        for outcome in planned:
+            assert outcome.plan == broker.explain(outcome.query)
+        assert {o.plan.overridden for o in planned} == {False, True}
+        assert len({o.algorithm for o in planned}) >= 3
+        assert windowless.status == "failed" and windowless.plan is None
+        assert isinstance(windowless.error, InvalidInput)
+        with pytest.raises(InvalidInput):
+            broker.explain(windowless.query)
+
+    def test_a_batch_makes_one_prediction_per_planning_group(self, monkeypatch):
+        """A batch of one configuration is one cost-model evaluation, not one
+        per query; a mixed batch is one per (config, probe radius,
+        ``bucket_queries``, ``grid_k``) group."""
+        calls = []
+        predict = planner.predict_algorithm_costs
+
+        def counted(*args, **kwargs):
+            calls.append(args[1].shape)
+            return predict(*args, **kwargs)
+
+        monkeypatch.setattr(planner, "predict_algorithm_costs", counted)
+        r, s = _datasets()
+        spec = JoinSpec.distance(0.03)
+        algorithms = (None, "upjoin", "srjoin", "mobijoin")
+        same_configuration = [
+            JoinQuery(
+                r,
+                s,
+                spec,
+                algorithm=algorithms[i % 4],
+                buffer_size=BUFFER + i,
+                window=Rect(0.0, 0.0, 0.5 + i / 32, 0.5 + i / 32),
+            )
+            for i in range(16)
+        ]
+        QueryBroker().run_batch(same_configuration)
+        assert calls == [(16, 4)]
+        calls.clear()
+        QueryBroker().run_batch(_mixed_planning_batch())
+        assert calls == [(4, 4), (1, 4), (1, 4), (1, 4), (1, 4), (1, 4)]
 
     @pytest.mark.parametrize("grid_k", [2, 3, 5])
     def test_fixedgrid_is_priced_at_the_grid_it_runs(self, grid_k):
