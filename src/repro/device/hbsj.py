@@ -76,16 +76,6 @@ class HBSJResult:
     objects_downloaded_s: int = 0
     nlsj_fallbacks: int = 0
 
-    def merge(self, other: "HBSJResult") -> None:
-        self.pairs.extend(other.pairs)
-        self.windows_joined += other.windows_joined
-        self.windows_pruned += other.windows_pruned
-        self.recursive_splits += other.recursive_splits
-        self.count_queries += other.count_queries
-        self.objects_downloaded_r += other.objects_downloaded_r
-        self.objects_downloaded_s += other.objects_downloaded_s
-        self.nlsj_fallbacks += other.nlsj_fallbacks
-
 
 class HBSJColumns(NamedTuple):
     """Many HBSJ invocations as columns: what the operator body runs on."""

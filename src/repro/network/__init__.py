@@ -7,10 +7,11 @@ exactly that:
 * :class:`~repro.network.config.NetworkConfig` -- MTU, TCP/IP header size,
   query/answer string sizes, object wire size and per-byte tariffs.
 * :mod:`repro.network.packets` -- Eq. 1 of the paper: payload-to-wire-bytes
-  packetisation, plus helpers for query and aggregate-answer costs.
-* :mod:`repro.network.messages` -- the wire messages exchanged between the
-  PDA and a server (window / count / range / bucket-range / aggregate
-  queries and their responses) with their byte sizes.
+  packetisation, the one payload rule that sizes every message by its kind
+  and object count, plus helpers for query and aggregate-answer costs.
+* :mod:`repro.network.messages` -- the kinds of wire message exchanged
+  between the PDA and a server (window / count / range / bucket-range /
+  aggregate queries, object and scalar responses).
 * :class:`~repro.network.channel.Channel` -- a byte-accounting conduit; all
   traffic of one PDA-server connection flows through one channel, which is
   the measured ground truth for every experiment.
@@ -23,24 +24,12 @@ exactly that:
 from __future__ import annotations
 
 from repro.network.config import NetworkConfig
+from repro.network.messages import MessageKind
 from repro.network.packets import (
     aggregate_answer_bytes,
     num_packets,
     query_bytes,
     transferred_bytes,
-)
-from repro.network.messages import (
-    AggregateQuery,
-    BucketRangeQuery,
-    CountQuery,
-    Message,
-    MessageKind,
-    ObjectPayload,
-    QueryMessage,
-    RangeQuery,
-    ResponseMessage,
-    ScalarResponse,
-    WindowQuery,
 )
 from repro.network.channel import Channel, TrafficLog, TrafficRecord
 from repro.network.wifi import WifiLinkModel
@@ -51,17 +40,7 @@ __all__ = [
     "num_packets",
     "query_bytes",
     "aggregate_answer_bytes",
-    "Message",
     "MessageKind",
-    "QueryMessage",
-    "ResponseMessage",
-    "WindowQuery",
-    "CountQuery",
-    "RangeQuery",
-    "BucketRangeQuery",
-    "AggregateQuery",
-    "ObjectPayload",
-    "ScalarResponse",
     "Channel",
     "TrafficLog",
     "TrafficRecord",

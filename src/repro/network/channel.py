@@ -2,8 +2,12 @@
 
 A :class:`Channel` represents the (logical) connection between the mobile
 device and one server.  Every request and response is passed through
-:meth:`Channel.send_query` / :meth:`Channel.send_response`, which packetise
-the payload with Eq. 1 and accumulate:
+:meth:`Channel.send_query` / :meth:`Channel.send_response` (or their batch
+forms), which name the message's kind and how many objects it carries.  The
+channel prices the payload by the one rule beside Eq. 1
+(:func:`~repro.network.packets.payload_size`: ``B_Q`` plus ``B_obj`` per
+carried object up, ``B_A`` for a scalar down, ``B_obj`` per object of an
+object payload), packetises it with Eq. 1 and accumulates:
 
 * raw wire bytes (the metric plotted in every figure of the paper), and
 * tariff-weighted cost (``bytes * b_X``), which is what the algorithms
@@ -42,10 +46,22 @@ from typing import Dict, Iterator, List, Optional, Tuple
 import numpy as np
 
 from repro.network.config import NetworkConfig
-from repro.network.messages import Message, MessageKind
-from repro.network.packets import packetise
+from repro.network.messages import MessageKind
+from repro.network.packets import packetise, payload_size
 
-__all__ = ["Channel", "TrafficLog", "TrafficRecord"]
+__all__ = ["COUNTERS", "Channel", "TrafficLog", "TrafficRecord"]
+
+#: A lane's counters, in ledger-fingerprint order: what
+#: :meth:`Channel.ledger_fingerprint` and :meth:`Channel.snapshot` report
+#: and what a replica set or a fleet sums over its channels.
+COUNTERS = (
+    "uplink_bytes",
+    "downlink_bytes",
+    "uplink_packets",
+    "downlink_packets",
+    "messages_up",
+    "messages_down",
+)
 
 #: Sentinel lane marker: the direction is out of the fault context's scope,
 #: so the message never hit the wire and must not be accounted anywhere.
@@ -217,45 +233,49 @@ class Channel:
         finally:
             self._fault_lane = previous
 
-    def send_query(self, message: Message, label: str = "") -> int:
-        """Account an uplink message; returns its wire bytes."""
-        return self._send("up", message.kind, label, message.payload_bytes(self.config), 1)
+    def send_query(self, kind: MessageKind, label: str = "", objects: int = 0) -> int:
+        """Account one uplink query carrying ``objects`` objects; returns its
+        wire bytes."""
+        return self._send("up", kind, label, objects, 1)
 
-    def send_response(self, message: Message, label: str = "") -> int:
-        """Account a downlink message; returns its wire bytes."""
-        return self._send("down", message.kind, label, message.payload_bytes(self.config), 1)
+    def send_response(self, kind: MessageKind, label: str = "", objects: int = 0) -> int:
+        """Account one downlink answer (a scalar, or ``objects`` objects);
+        returns its wire bytes."""
+        return self._send("down", kind, label, objects, 1)
 
     def send_uniform_batch(
-        self, message: Message, n: int, direction: str = "up", label: str = ""
+        self, kind: MessageKind, n: int, direction: str = "up", label: str = ""
     ) -> int:
-        """Account ``n`` identical messages in one call; returns total wire bytes.
+        """Account ``n`` messages of ``kind`` carrying no objects in one call;
+        returns total wire bytes.
 
         The per-message ledger is exactly what ``n`` :meth:`send_query` /
-        :meth:`send_response` calls would produce -- message payloads of the
-        batched protocols (query strings, scalar answers) do not depend on
-        the query parameters, so one packetisation suffices for the whole
-        batch and the traffic log receives one entry of one size and ``n``.
+        :meth:`send_response` calls would produce -- query strings and
+        scalar answers are sized by kind alone, so one packetisation
+        suffices for the whole batch and the traffic log receives one entry
+        of one size and ``n``.
         """
         if n <= 0:
             return 0
-        return self._send(direction, message.kind, label, message.payload_bytes(self.config), n)
+        return self._send(direction, kind, label, 0, n)
 
     def send_payload_batch(
         self,
         kind: MessageKind,
-        payload_sizes,
+        objects,
         direction: str = "down",
         label: str = "",
     ) -> int:
-        """Account many messages of one kind by payload size; returns wire total.
+        """Account one message of ``kind`` per entry of ``objects`` (the
+        objects each carries); returns wire total.
 
         Used for batched object responses, whose payloads vary per query:
-        ``payload_sizes`` (a list or an array) is kept as one ``int64``
-        column and packetised by one array evaluation of Eq. 1.  The
-        per-record ledger is identical to a loop of scalar sends.
+        the sizes are kept as one ``int64`` column and packetised by one
+        array evaluation of Eq. 1.  The per-record ledger is identical to a
+        loop of scalar sends.
         """
-        sizes = np.array(payload_sizes, dtype=np.int64)
-        return self._send(direction, kind, label, sizes, sizes.shape[0])
+        objects = np.asarray(objects, dtype=np.int64)
+        return self._send(direction, kind, label, objects, objects.shape[0])
 
     def ledger_fingerprint(self) -> Tuple:
         """Counters plus the per-message log digest, as one hashable value.
@@ -263,31 +283,17 @@ class Channel:
         Equality means the two channels carried bit-identical traffic:
         same byte/packet/message totals *and* the same record sequence.
         """
-        return (
-            self.name,
-            self.uplink_bytes,
-            self.downlink_bytes,
-            self.uplink_packets,
-            self.downlink_packets,
-            self.messages_up,
-            self.messages_down,
-            self.log.fingerprint(),
-        )
+        return (self.name, *[getattr(self, key) for key in COUNTERS], self.log.fingerprint())
 
     def snapshot(self) -> Dict[str, float]:
         """A summary dictionary (used by results and reports)."""
-        return {
-            "name": self.name,
-            "uplink_bytes": self.uplink_bytes,
-            "downlink_bytes": self.downlink_bytes,
-            "total_bytes": self.total_bytes,
-            "uplink_packets": self.uplink_packets,
-            "downlink_packets": self.downlink_packets,
-            "messages_up": self.messages_up,
-            "messages_down": self.messages_down,
-            "tariff": self.tariff,
-            "total_cost": self.total_cost,
-        }
+        snap: Dict[str, float] = {"name": self.name}
+        for key in COUNTERS:
+            snap[key] = getattr(self, key)
+        snap["total_bytes"] = self.total_bytes
+        snap["tariff"] = self.tariff
+        snap["total_cost"] = self.total_cost
+        return snap
 
     def reset(self) -> None:
         """Zero all counters (both lanes) and clear the logs."""
@@ -353,13 +359,15 @@ class Channel:
                 messages,
             )
 
-    def _send(self, direction: str, kind: MessageKind, label: str, sizes, n: int) -> int:
-        """Account ``n`` messages of payload ``sizes`` (one size for all or an
-        ``(n,)`` array) on the active lane as one log entry; returns their
-        wire bytes."""
+    def _send(self, direction: str, kind: MessageKind, label: str, objects, n: int) -> int:
+        """Account ``n`` messages of ``kind`` carrying ``objects`` objects
+        (one count for all or an ``(n,)`` array) on the active lane as one
+        log entry; returns their wire bytes.  The one send path: every
+        message is priced here, by :func:`payload_size`, then Eq. 1."""
         log = self._lane_log(direction)
         if log is SUPPRESSED:
             return 0
+        sizes = payload_size(kind, objects, self.config)
         wire, packets = packetise(sizes, self.config)
         if isinstance(sizes, np.ndarray):
             wire, packets = int(wire.sum()), int(packets.sum())

@@ -10,6 +10,12 @@ These helpers convert logical payload sizes into wire bytes.  Every byte
 count reported by the experiments, and every estimate of the planning cost
 model, goes through :func:`transferred_bytes`.
 
+:func:`payload_size` is the one payload rule a channel prices every send
+by, before Eq. 1: a query (any request kind) is the query string ``B_Q``
+plus ``B_obj`` per object it carries (bucket probes, relayed MBRs), a
+scalar answer is ``B_A``, and an object payload is ``B_obj`` per object
+(a bucket answer carries one extra separator object per probe, Eq. 5).
+
 :func:`num_packets` and :func:`transferred_bytes` are written in integer
 arithmetic that is valid on a Python ``int`` (the channels' per-message
 metering) and on an ``int64`` array alike (the cost model's per-level
@@ -19,14 +25,29 @@ tables): one implementation, exact on both.
 from __future__ import annotations
 
 from repro.network.config import NetworkConfig
+from repro.network.messages import MessageKind
 
 __all__ = [
+    "payload_size",
     "num_packets",
     "packetise",
     "transferred_bytes",
     "query_bytes",
     "aggregate_answer_bytes",
 ]
+
+
+def payload_size(kind: MessageKind, objects, config: NetworkConfig):
+    """Payload bytes of one message of ``kind`` carrying ``objects`` objects.
+
+    ``objects`` is an ``int`` or an ``int64`` array (one message per
+    element); a scalar answer carries none.
+    """
+    if kind is MessageKind.OBJECTS:
+        return objects * config.object_bytes
+    if kind is MessageKind.SCALAR:
+        return config.answer_bytes
+    return config.query_bytes + objects * config.object_bytes
 
 
 def num_packets(payload_bytes, config: NetworkConfig):

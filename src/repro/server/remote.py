@@ -8,6 +8,13 @@ a byte-accounting :class:`~repro.network.channel.Channel`:
   for bucket range queries),
 * the response is accounted on the downlink (objects or a scalar).
 
+A send names its :class:`~repro.network.messages.MessageKind` and how many
+objects it carries; the channel prices it by the one payload rule
+(:func:`~repro.network.packets.payload_size`: ``B_Q`` plus ``B_obj`` per
+carried object up, ``B_A`` for a scalar down, ``B_obj`` per object of an
+object payload).  Nothing here builds a window, an array or a bound to size
+a message.
+
 ``RemoteServer`` therefore *is* the measurement harness: the byte totals of
 every experiment are read off its channels after the join finishes.
 
@@ -76,19 +83,10 @@ from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.geometry.rect_array import Windows
 from repro.index.aggregate_rtree import Probes, bucket_probe_arrays, probe_arrays
-from repro.network.channel import Channel
+from repro.network.channel import COUNTERS, Channel
 from repro.network.config import NetworkConfig
 from repro.network.faults import FaultInjector, FaultKind, FaultPlan, RetryPolicy
-from repro.network.messages import (
-    AggregateQuery,
-    BucketRangeQuery,
-    CountQuery,
-    MessageKind,
-    ObjectPayload,
-    RangeQuery,
-    ScalarResponse,
-    WindowQuery,
-)
+from repro.network.messages import MessageKind
 from repro.server.server import Prefetched, ServerQueryStats, SpatialServer, per_request
 from repro.server.sharded import RoutedCounts, ShardedSpatialServer
 
@@ -370,14 +368,6 @@ class ResilienceController:
         }
 
 
-#: The batched protocols' query strings and scalar answers are sized by
-#: kind, never by window, probe or value: a uniform batch is accounted
-#: through one stand-in message of its kind, built once.
-_COUNT_QUERY = CountQuery(Rect(0.0, 0.0, 0.0, 0.0))
-_COUNT_ANSWER = ScalarResponse(0.0)
-_WINDOW_QUERY = WindowQuery(Rect(0.0, 0.0, 0.0, 0.0))
-_RANGE_QUERY = RangeQuery(Point(0.0, 0.0), 0.0)
-
 class RemoteServer:
     """A metered proxy in front of one server, or one shard's replica set.
 
@@ -618,8 +608,10 @@ class RemoteServer:
             return
 
         def account(channel: Channel) -> None:
-            channel.send_uniform_batch(_COUNT_QUERY, n, direction="up", label="count")
-            channel.send_uniform_batch(_COUNT_ANSWER, n, direction="down", label="count-result")
+            channel.send_uniform_batch(MessageKind.COUNT, n, direction="up", label="count")
+            channel.send_uniform_batch(
+                MessageKind.SCALAR, n, direction="down", label="count-result"
+            )
 
         self._exchange("count-batch", account)
 
@@ -627,43 +619,42 @@ class RemoteServer:
         """One WINDOW per entry of ``sizes``: a query string and an object
         payload of ``sizes[i]`` objects each."""
         self._booked.book_window(sizes.shape[0], int(sizes.sum()))
-        self._exchange_payloads(_WINDOW_QUERY, sizes, "window")
+        self._exchange_payloads(MessageKind.WINDOW, sizes)
 
     def _book_range(self, sizes: np.ndarray) -> None:
         """One RANGE probe per entry of ``sizes`` (see :meth:`_book_window`)."""
         self._booked.book_range(sizes.shape[0], int(sizes.sum()))
-        self._exchange_payloads(_RANGE_QUERY, sizes, "range")
+        self._exchange_payloads(MessageKind.RANGE, sizes)
 
-    def _exchange_payloads(self, query, sizes: np.ndarray, kind: str) -> None:
+    def _exchange_payloads(self, kind: MessageKind, sizes: np.ndarray) -> None:
         """The exchange of a WINDOW / RANGE batch: ``len(sizes)`` query
-        strings up, one object payload of ``sizes[i]`` objects each down."""
+        strings up, one object payload of ``sizes[i]`` objects each down,
+        labelled by the kind."""
         n = sizes.shape[0]
         if not n:
             return
-        payloads = sizes * self.config.object_bytes
+        label = kind.value
 
         def account(channel: Channel) -> None:
-            channel.send_uniform_batch(query, n, direction="up", label=kind)
+            channel.send_uniform_batch(kind, n, direction="up", label=label)
             channel.send_payload_batch(
-                MessageKind.OBJECTS, payloads, direction="down", label=kind + "-result"
+                MessageKind.OBJECTS, sizes, direction="down", label=label + "-result"
             )
 
-        self._exchange(kind + "-batch", account)
+        self._exchange(label + "-batch", account)
 
     def _book_bucket(self, n_probes: int, n_objects: int) -> None:
         """One bucket query of ``n_probes`` probes answered by ``n_objects``
         objects: one exchange, whatever the probe count."""
         self._booked.book_bucket(n_probes, n_objects)
-        # Sized by its probes alone: radii add nothing to the payload.
-        query = BucketRangeQuery.of_size(n_probes, 0.0)
-        # Eq. 5 of the paper charges one extra object-sized separator per
-        # probe in the bucket response (the "+ Bobj" term).
-        payload = np.array([(n_objects + n_probes) * self.config.object_bytes])
 
         def account(channel: Channel) -> None:
-            channel.send_query(query, label="bucket-range")
-            channel.send_payload_batch(
-                MessageKind.OBJECTS, payload, direction="down", label="bucket-range-result"
+            # The query carries its probes (a probe object encodes its own
+            # extent, so radii add nothing); Eq. 5 of the paper charges one
+            # extra object-sized separator per probe in the answer.
+            channel.send_query(MessageKind.BUCKET_RANGE, label="bucket-range", objects=n_probes)
+            channel.send_response(
+                MessageKind.OBJECTS, label="bucket-range-result", objects=n_objects + n_probes
             )
 
         self._exchange("bucket-range", account)
@@ -778,10 +769,8 @@ class RemoteServer:
         self._booked.book_aggregate()
 
         def account(channel: Channel) -> None:
-            channel.send_query(
-                AggregateQuery(window, "avg_mbr_area"), label="aggregate"
-            )
-            channel.send_response(ScalarResponse(value), label="aggregate-result")
+            channel.send_query(MessageKind.AGGREGATE, label="aggregate")
+            channel.send_response(MessageKind.SCALAR, label="aggregate-result")
 
         self._exchange("aggregate", account)
         return value
@@ -846,7 +835,7 @@ class RemoteServer:
                 spans.append(digests[idx][start : stop[idx]])
                 stop[idx] = start
             records = tuple(record for span in reversed(spans) for record in span)
-            sums = [sum(getattr(chan, key) for chan in channels) for key in _LEDGER_TOTALS]
+            sums = [sum(getattr(chan, key) for chan in channels) for key in COUNTERS]
             return (name, *sums, records)
 
         return fingerprint
@@ -882,13 +871,8 @@ class IndexedRemoteServer(RemoteServer):
         height = self._server.index.height
 
         def account(channel: Channel) -> None:
-            channel.send_query(
-                AggregateQuery(self._server.dataset.bounds(), "count"),
-                label="tree-height",
-            )
-            channel.send_response(
-                ScalarResponse(float(height)), label="tree-height-result"
-            )
+            channel.send_query(MessageKind.AGGREGATE, label="tree-height")
+            channel.send_response(MessageKind.SCALAR, label="tree-height-result")
 
         self._exchange("tree-height", account)
         return height
@@ -898,10 +882,8 @@ class IndexedRemoteServer(RemoteServer):
         n = len(self._server.dataset)
 
         def account(channel: Channel) -> None:
-            channel.send_query(
-                AggregateQuery(self._server.dataset.bounds(), "count"), label="size"
-            )
-            channel.send_response(ScalarResponse(float(n)), label="size-result")
+            channel.send_query(MessageKind.AGGREGATE, label="size")
+            channel.send_response(MessageKind.SCALAR, label="size-result")
 
         self._exchange("size", account)
         return n
@@ -915,15 +897,11 @@ class IndexedRemoteServer(RemoteServer):
         """
         mbrs = self._server.index.second_to_last_level_mbrs()
         rects = [Rect(*row) for row in mbrs.tolist()]
-        oids = np.arange(mbrs.shape[0], dtype=np.int64)
 
         def account(channel: Channel) -> None:
-            channel.send_query(
-                AggregateQuery(self._server.dataset.bounds(), "count"),
-                label="level-mbrs",
-            )
+            channel.send_query(MessageKind.AGGREGATE, label="level-mbrs")
             channel.send_response(
-                ObjectPayload(mbrs, oids), label="level-mbrs-result"
+                MessageKind.OBJECTS, label="level-mbrs-result", objects=len(rects)
             )
 
         self._exchange("level-mbrs", account)
@@ -961,10 +939,10 @@ class IndexedRemoteServer(RemoteServer):
             # The query string + one object per window: exactly what
             # shipping the MBR list costs.
             channel.send_query(
-                BucketRangeQuery.of_size(len(windows), 0.0), label="semijoin-windows"
+                MessageKind.BUCKET_RANGE, label="semijoin-windows", objects=windows.shape[0]
             )
             channel.send_response(
-                ObjectPayload(mbrs_out, oids_out), label="semijoin-objects"
+                MessageKind.OBJECTS, label="semijoin-objects", objects=oids_out.shape[0]
             )
 
         self._exchange("semijoin-windows", account)
@@ -1005,33 +983,17 @@ class IndexedRemoteServer(RemoteServer):
         pairs, _ = grid_hash_join_batch(
             JoinBatch.one(mbrs, oids, local.mbrs, local.oids), predicate
         )
-        result_mbrs = np.zeros((len(pairs), 4), dtype=np.float64)
-        result_oids = np.arange(len(pairs), dtype=np.int64)
 
         def account(channel: Channel) -> None:
             channel.send_query(
-                BucketRangeQuery.of_size(mbrs.shape[0], max(epsilon, 0.0)),
-                label="semijoin-upload",
+                MessageKind.BUCKET_RANGE, label="semijoin-upload", objects=mbrs.shape[0]
             )
             channel.send_response(
-                ObjectPayload(result_mbrs, result_oids), label="semijoin-result"
+                MessageKind.OBJECTS, label="semijoin-result", objects=pairs.shape[0]
             )
 
         self._exchange("semijoin-upload", account)
         return pairs
-
-
-#: The ledger totals a fleet snapshot sums over its members' snapshots.
-_SUMMED_SNAPSHOT_KEYS = (
-    "uplink_bytes",
-    "downlink_bytes",
-    "total_bytes",
-    "uplink_packets",
-    "downlink_packets",
-    "messages_up",
-    "messages_down",
-    "total_cost",
-)
 
 
 def _summed(stats) -> Dict[str, int]:
@@ -1040,17 +1002,12 @@ def _summed(stats) -> Dict[str, int]:
     return {key: sum(s[key] for s in stats) for key in stats[0]}
 
 
-#: The primary-lane counters of a ledger fingerprint, in its order.
-_LEDGER_TOTALS = ("uplink_bytes", "downlink_bytes", "uplink_packets", "downlink_packets",
-                  "messages_up", "messages_down")
-
-
 def _merge_snapshots(
     name: str, tariff: float, detail_key: str, snaps: List[Dict[str, object]]
 ) -> Dict[str, object]:
     """One ledger snapshot over member snapshots: summed totals plus the detail."""
     merged: Dict[str, object] = {"name": name}
-    for key in _SUMMED_SNAPSHOT_KEYS:
+    for key in (*COUNTERS, "total_bytes", "total_cost"):
         merged[key] = sum(snap[key] for snap in snaps)
     merged["tariff"] = tariff
     merged[detail_key] = snaps

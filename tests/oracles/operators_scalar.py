@@ -230,8 +230,20 @@ def hash_based_spatial_join(
             count_s=qs,
             _depth=_depth + 1,
         )
-        result.merge(sub)
+        _merge(result, sub)
     return result
+
+
+def _merge(result: HBSJResult, other: HBSJResult) -> None:
+    """Fold a quadrant's result into its parent's."""
+    result.pairs.extend(other.pairs)
+    result.windows_joined += other.windows_joined
+    result.windows_pruned += other.windows_pruned
+    result.recursive_splits += other.recursive_splits
+    result.count_queries += other.count_queries
+    result.objects_downloaded_r += other.objects_downloaded_r
+    result.objects_downloaded_s += other.objects_downloaded_s
+    result.nlsj_fallbacks += other.nlsj_fallbacks
 
 
 def _too_small_to_split(window: Rect, margin: float) -> bool:

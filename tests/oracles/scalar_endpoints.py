@@ -32,13 +32,7 @@ from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.geometry.rect_array import expand_index_ranges
 from repro.index.aggregate_rtree import probe_arrays
-from repro.network.messages import (
-    CountQuery,
-    ObjectPayload,
-    RangeQuery,
-    ScalarResponse,
-    WindowQuery,
-)
+from repro.network.messages import MessageKind
 from repro.server.remote import ShardedRemoteServer
 from repro.server.server import SpatialServer
 
@@ -127,8 +121,8 @@ def _remote_window(proxy, window: Rect) -> Payload:
     proxy._booked.book_window(1, oids.shape[0])
 
     def account(channel) -> None:
-        channel.send_query(WindowQuery(window), label="window")
-        channel.send_response(ObjectPayload(mbrs, oids), label="window-result")
+        channel.send_query(MessageKind.WINDOW, label="window")
+        channel.send_response(MessageKind.OBJECTS, label="window-result", objects=oids.shape[0])
 
     proxy._exchange("window", account)
     return mbrs, oids
@@ -139,8 +133,8 @@ def _remote_count(proxy, window: Rect) -> int:
     proxy._booked.book_count(1)
 
     def account(channel) -> None:
-        channel.send_query(CountQuery(window), label="count")
-        channel.send_response(ScalarResponse(float(value)), label="count-result")
+        channel.send_query(MessageKind.COUNT, label="count")
+        channel.send_response(MessageKind.SCALAR, label="count-result")
 
     proxy._exchange("count", account)
     return value
@@ -151,8 +145,8 @@ def _remote_range(proxy, center: Point, epsilon: float) -> Payload:
     proxy._booked.book_range(1, oids.shape[0])
 
     def account(channel) -> None:
-        channel.send_query(RangeQuery(center, epsilon), label="range")
-        channel.send_response(ObjectPayload(mbrs, oids), label="range-result")
+        channel.send_query(MessageKind.RANGE, label="range")
+        channel.send_response(MessageKind.OBJECTS, label="range-result", objects=oids.shape[0])
 
     proxy._exchange("range", account)
     return mbrs, oids

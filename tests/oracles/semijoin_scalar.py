@@ -19,7 +19,7 @@ from repro.core.semijoin import SemiJoin
 from repro.geometry import rect_array
 from repro.geometry.rect import Rect
 from repro.network.channel import Channel
-from repro.network.messages import BucketRangeQuery, ObjectPayload
+from repro.network.messages import MessageKind
 from repro.server.remote import IndexedRemoteServer
 
 __all__ = ["ScalarSemiJoin", "upload_windows_and_collect"]
@@ -44,9 +44,11 @@ def upload_windows_and_collect(
 
     def account(channel: Channel) -> None:
         channel.send_query(
-            BucketRangeQuery.of_size(len(windows), 0.0), label="semijoin-windows"
+            MessageKind.BUCKET_RANGE, label="semijoin-windows", objects=len(windows)
         )
-        channel.send_response(ObjectPayload(mbrs_out, oids_out), label="semijoin-objects")
+        channel.send_response(
+            MessageKind.OBJECTS, label="semijoin-objects", objects=oids_out.shape[0]
+        )
 
     proxy._exchange("semijoin-windows", account)
     return mbrs_out, oids_out

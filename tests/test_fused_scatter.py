@@ -26,7 +26,7 @@ from repro.index.flat import FlatRTree
 from repro.network.channel import Channel
 from repro.network.config import NetworkConfig
 from repro.network.faults import Disconnect, FaultPlan, Outage, RetryPolicy, replica_outages
-from repro.network.messages import CountQuery, MessageKind, ScalarResponse
+from repro.network.messages import MessageKind
 from repro.server import ShardedSpatialServer
 from repro.server.remote import ResilienceController, ShardedRemoteServer
 
@@ -552,11 +552,9 @@ class TestBookingWork:
         monkeypatch.setattr(Channel, "_send", self._spy(sends, "send", Channel._send))
         channel = Channel(NetworkConfig(), name="S")
         for send in (
-            lambda: channel.send_query(CountQuery(Rect(0.0, 0.0, 1.0, 1.0))),
-            lambda: channel.send_uniform_batch(ScalarResponse(0.0), 7, direction="down"),
-            lambda: channel.send_payload_batch(
-                MessageKind.OBJECTS, np.array([0, 40, 4000, 400000])
-            ),
+            lambda: channel.send_query(MessageKind.COUNT),
+            lambda: channel.send_uniform_batch(MessageKind.SCALAR, 7, direction="down"),
+            lambda: channel.send_payload_batch(MessageKind.OBJECTS, np.array([0, 2, 200, 20000])),
         ):
             evaluations.clear()
             send()

@@ -1,0 +1,214 @@
+"""Golden wire ledgers: every exchange's records, frozen as digests.
+
+``test_golden_figures.py`` freezes byte *totals* and
+``test_golden_traces.py`` the planner's decisions; this suite freezes the
+per-message ledgers themselves -- direction, kind, payload, wire bytes,
+packets and label of every record, in order -- so a change to how an
+exchange is priced or booked cannot hide behind equal totals.  Each case
+runs a small fixed join (or a direct call) on a fresh stack and digests
+both connections' :meth:`ledger_fingerprint` plus every channel's
+retry-lane counters and log fingerprint.
+
+The cases cover every booker and send path of the connections:
+
+* the six algorithms on one plain stack (SemiJoin's relay endpoints
+  included), and the relay's metadata endpoints called directly;
+* MobiJoin / UpJoin / SrJoin on 2 x 2 shards x 2 replicas under a
+  recoverable fault plan (scatter, failover, retry lanes);
+* UpJoin with bucket queries (the bucket booker);
+* ``average_mbr_area`` on the plain and the sharded stack;
+* one brokered four-query batch (the wave driver's bookings).
+
+Regenerate (only when a change to the wire is intentional and reviewed)
+with::
+
+    PYTHONPATH=src python tests/test_golden_ledgers.py --regen
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+from pathlib import Path
+from typing import Callable, Dict
+
+import pytest
+
+from repro.core.base import AlgorithmParameters
+from repro.core.join_types import JoinSpec
+from repro.core.planner import StackConfig, build_algorithm, build_session_stack
+from repro.datasets.synthetic import clustered
+from repro.geometry.rect import Rect
+from repro.network.faults import FaultPlan
+from repro.service import JoinQuery, QueryBroker
+
+FIXTURE_PATH = Path(__file__).parent / "fixtures" / "golden_ledgers.json"
+
+BUFFER = 64
+EPSILON = 0.03
+PLAIN_ALGORITHMS = ("mobijoin", "upjoin", "srjoin", "semijoin", "naive", "fixedgrid")
+FLEET_ALGORITHMS = ("mobijoin", "upjoin", "srjoin")
+FLEET = dict(shards_r=2, shards_s=2, replicas=2)
+RECOVERABLE_PLAN = FaultPlan(seed=3, drop_rate=0.10, stall_rate=0.08, duplicate_rate=0.08)
+#: Windows of the direct ``average_mbr_area`` calls: inside, across and
+#: outside the data.
+AREA_WINDOWS = (
+    Rect(0.0, 0.0, 1.0, 1.0),
+    Rect(0.2, 0.3, 0.55, 0.6),
+    Rect(0.7, 0.05, 0.72, 0.07),
+    Rect(5.0, 5.0, 6.0, 6.0),
+)
+
+
+def _datasets():
+    return (
+        clustered(n=80, clusters=3, seed=11, name="R"),
+        clustered(n=600, clusters=4, seed=12, std=0.04, name="S"),
+    )
+
+
+def _digest(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+def _stack_ledgers(device) -> Dict[str, object]:
+    """Both connections' primary fingerprints and every channel's retry lane."""
+    servers = device.servers
+    retry = [
+        (
+            c.name,
+            c.retry_uplink_bytes,
+            c.retry_downlink_bytes,
+            c.retry_uplink_packets,
+            c.retry_downlink_packets,
+            c.retry_messages_up,
+            c.retry_messages_down,
+            c.retry_log.fingerprint(),
+        )
+        for proxy in (servers.r, servers.s)
+        for c in proxy.channels
+    ]
+    primary = (servers.r.ledger_fingerprint(), servers.s.ledger_fingerprint())
+    return {
+        "primary": _digest(primary),
+        "retry": _digest(retry),
+        "wire_bytes": servers.total_bytes(),
+        "retry_bytes": sum(entry[1] + entry[2] for entry in retry),
+    }
+
+
+def _join(algorithm: str, stack: StackConfig = StackConfig(), params=None):
+    r, s = _datasets()
+    _, _, device = build_session_stack(
+        r, s, buffer_size=BUFFER, indexed=algorithm == "semijoin", stack=stack
+    )
+    algo = build_algorithm(algorithm, device, JoinSpec.distance(EPSILON), params)
+    algo.run(r.bounds().union(s.bounds()))
+    return device
+
+
+def _average_areas(stack: StackConfig):
+    r, s = _datasets()
+    _, _, device = build_session_stack(r, s, buffer_size=BUFFER, stack=stack)
+    for window in AREA_WINDOWS:
+        device.servers.r.average_mbr_area(window)
+        device.servers.s.average_mbr_area(window)
+    return device
+
+
+def _relay_metadata():
+    r, s = _datasets()
+    _, _, device = build_session_stack(r, s, buffer_size=BUFFER, indexed=True)
+    for proxy in (device.servers.r, device.servers.s):
+        proxy.tree_height()
+        proxy.object_count()
+        proxy.level_mbrs()
+    return device
+
+
+def _brokered_batch() -> Dict[str, object]:
+    r, s = _datasets()
+    spec = JoinSpec.distance(EPSILON)
+    queries = [
+        JoinQuery(r, s, spec, algorithm=name, buffer_size=BUFFER)
+        for name in ("upjoin", "srjoin", "mobijoin", "naive")
+    ]
+    outcomes = QueryBroker().run_batch(queries)
+    assert all(o.status == "ok" and o.ledger_fingerprints is not None for o in outcomes)
+    return {
+        "primary": _digest([o.ledger_fingerprints for o in outcomes]),
+        "wire_bytes": sum(o.result.total_bytes for o in outcomes),
+    }
+
+
+CASES: Dict[str, Callable[[], Dict[str, object]]] = {
+    **{
+        f"plain/{name}": (lambda name=name: _stack_ledgers(_join(name)))
+        for name in PLAIN_ALGORITHMS
+    },
+    **{
+        f"fleet_faults/{name}": (
+            lambda name=name: _stack_ledgers(
+                _join(name, StackConfig(**FLEET, faults=RECOVERABLE_PLAN))
+            )
+        )
+        for name in FLEET_ALGORITHMS
+    },
+    "bucket/upjoin": lambda: _stack_ledgers(
+        _join("upjoin", params=AlgorithmParameters(bucket_queries=True))
+    ),
+    "relay/metadata": lambda: _stack_ledgers(_relay_metadata()),
+    "average_mbr_area/plain": lambda: _stack_ledgers(_average_areas(StackConfig())),
+    "average_mbr_area/fleet": lambda: _stack_ledgers(_average_areas(StackConfig(**FLEET))),
+    "broker/batch4": _brokered_batch,
+}
+
+
+def _labels(device):
+    return {
+        record[-1]
+        for proxy in (device.servers.r, device.servers.s)
+        for channel in proxy.channels
+        for record in channel.log.fingerprint()
+    }
+
+
+def test_cases_reach_every_booker():
+    """The fixture is only as strong as its cases: the plain joins book
+    every per-request kind, the bucket case bucket exchanges, the SemiJoin
+    case its relay endpoints, and the fleet case spends retry traffic."""
+    assert {"count", "window", "range"} <= _labels(_join("upjoin"))
+    assert "bucket-range" in _labels(
+        _join("upjoin", params=AlgorithmParameters(bucket_queries=True))
+    )
+    assert {"size", "level-mbrs", "semijoin-windows", "semijoin-upload"} <= (
+        _labels(_join("semijoin"))
+    )
+    assert {"tree-height", "size", "level-mbrs"} <= _labels(_relay_metadata())
+    assert _stack_ledgers(_join("upjoin", StackConfig(**FLEET, faults=RECOVERABLE_PLAN)))[
+        "retry_bytes"
+    ] > 0
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_golden_ledgers_reproduce_fixture(case):
+    assert FIXTURE_PATH.exists(), (
+        "golden ledger fixture missing; regenerate with "
+        "`PYTHONPATH=src python tests/test_golden_ledgers.py --regen`"
+    )
+    golden = json.loads(FIXTURE_PATH.read_text())
+    assert sorted(golden) == sorted(CASES)
+    assert CASES[case]() == golden[case], f"{case}: the wire ledger drifted"
+
+
+if __name__ == "__main__":
+    import sys
+
+    if "--regen" not in sys.argv:
+        sys.exit("pass --regen to overwrite the golden ledger fixture")
+    FIXTURE_PATH.parent.mkdir(exist_ok=True)
+    FIXTURE_PATH.write_text(
+        json.dumps({case: run() for case, run in sorted(CASES.items())}, indent=2, sort_keys=True)
+        + "\n"
+    )
+    print(f"wrote {FIXTURE_PATH}")

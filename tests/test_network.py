@@ -1,4 +1,4 @@
-"""Tests for the network substrate: packets, messages, channels, config."""
+"""Tests for the network substrate: packets, the payload rule, channels, config."""
 
 from __future__ import annotations
 
@@ -10,24 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.geometry.point import Point
-from repro.geometry.rect import Rect
 from repro.network.channel import Channel
 from repro.network.config import NetworkConfig
-from repro.network.messages import (
-    AggregateQuery,
-    BucketRangeQuery,
-    CountQuery,
-    MessageKind,
-    ObjectPayload,
-    QueryMessage,
-    RangeQuery,
-    ScalarResponse,
-    WindowQuery,
-)
+from repro.network.messages import MessageKind
 from repro.network.packets import (
     aggregate_answer_bytes,
     num_packets,
+    payload_size,
     query_bytes,
     transferred_bytes,
 )
@@ -125,61 +114,92 @@ class TestPacketisation:
         assert transferred_bytes(a, cfg) + transferred_bytes(b, cfg) >= transferred_bytes(a + b, cfg)
 
 
-class TestMessages:
-    def test_query_payload_is_query_string(self):
+def _payloads(channel: Channel):
+    return [record.payload_bytes for record in channel.log.records]
+
+
+class TestPayloadRule:
+    """One rule prices every send: ``B_Q`` plus ``B_obj`` per carried object
+    up, ``B_A`` for a scalar down, ``B_obj`` per object of an object payload."""
+
+    QUERY_KINDS = (
+        MessageKind.WINDOW,
+        MessageKind.COUNT,
+        MessageKind.RANGE,
+        MessageKind.BUCKET_RANGE,
+        MessageKind.AGGREGATE,
+    )
+
+    def test_a_query_is_its_query_string(self):
         cfg = NetworkConfig()
-        w = Rect(0, 0, 1, 1)
-        assert WindowQuery(w).payload_bytes(cfg) == cfg.query_bytes
-        assert CountQuery(w).payload_bytes(cfg) == cfg.query_bytes
-        assert AggregateQuery(w).payload_bytes(cfg) == cfg.query_bytes
-        assert RangeQuery(Point(0.5, 0.5), 0.1).payload_bytes(cfg) == cfg.query_bytes
+        channel = Channel(cfg)
+        for kind in self.QUERY_KINDS:
+            channel.send_query(kind)
+        assert _payloads(channel) == [cfg.query_bytes] * len(self.QUERY_KINDS)
+        assert channel.uplink_bytes == len(self.QUERY_KINDS) * query_bytes(cfg)
 
-    def test_bucket_range_carries_probes(self):
+    def test_a_query_carries_its_objects(self):
         cfg = NetworkConfig()
-        probes = tuple(Point(0.1 * i, 0.1 * i) for i in range(5))
-        q = BucketRangeQuery(probes, 0.05)
-        assert q.payload_bytes(cfg) == cfg.query_bytes + 5 * cfg.object_bytes
-        sized = BucketRangeQuery.of_size(5, 0.05)
-        assert sized.payload_bytes(cfg) == q.payload_bytes(cfg)
-        assert sized.kind is q.kind and isinstance(sized, QueryMessage)
+        channel = Channel(cfg)
+        channel.send_query(MessageKind.BUCKET_RANGE, objects=5)
+        channel.send_query(MessageKind.BUCKET_RANGE, objects=500)
+        assert _payloads(channel) == [
+            cfg.query_bytes + 5 * cfg.object_bytes,
+            cfg.query_bytes + 500 * cfg.object_bytes,
+        ]
+        # 10,048 payload bytes need seven 1,500-byte packets.
+        assert channel.uplink_packets == 1 + 7
 
-    def test_bucket_range_validation(self):
-        with pytest.raises(ValueError):
-            BucketRangeQuery((), 0.1)
-        with pytest.raises(ValueError):
-            BucketRangeQuery((Point(0, 0),), -0.1)
-        with pytest.raises(ValueError):
-            BucketRangeQuery.of_size(0, 0.1)
-        with pytest.raises(ValueError):
-            BucketRangeQuery.of_size(3, -0.1)
-        with pytest.raises(ValueError):
-            BucketRangeQuery((Point(0, 0),), 0.1, probe_count=2)
-
-    def test_object_payload_size(self):
+    def test_a_scalar_answer_is_the_answer_string(self):
         cfg = NetworkConfig()
-        mbrs = np.zeros((7, 4))
-        payload = ObjectPayload(mbrs, np.arange(7))
-        assert payload.count == 7
-        assert payload.payload_bytes(cfg) == 7 * cfg.object_bytes
+        channel = Channel(cfg)
+        channel.send_response(MessageKind.SCALAR)
+        channel.send_uniform_batch(MessageKind.SCALAR, 3, direction="down")
+        assert _payloads(channel) == [cfg.answer_bytes] * 4
+        assert channel.downlink_bytes == 4 * aggregate_answer_bytes(cfg)
 
-    def test_object_payload_with_probe_overhead(self):
+    def test_an_object_payload_is_its_objects(self):
         cfg = NetworkConfig()
-        payload = ObjectPayload(np.zeros((3, 4)), np.arange(3), per_probe_overhead_objects=10)
-        assert payload.payload_bytes(cfg) == 13 * cfg.object_bytes
+        channel = Channel(cfg)
+        channel.send_response(MessageKind.OBJECTS, objects=7)
+        channel.send_response(MessageKind.OBJECTS)
+        assert _payloads(channel) == [7 * cfg.object_bytes, 0]
+        # An empty payload needs no packet.
+        assert channel.downlink_packets == 1
+        assert channel.downlink_bytes == transferred_bytes(7 * cfg.object_bytes, cfg)
 
-    def test_object_payload_validation(self):
-        with pytest.raises(ValueError):
-            ObjectPayload(np.zeros((3, 3)), np.arange(3))
-        with pytest.raises(ValueError):
-            ObjectPayload(np.zeros((3, 4)), np.arange(2))
+    @given(
+        st.sampled_from(list(MessageKind)),
+        st.lists(st.integers(min_value=0, max_value=100_000), min_size=1, max_size=8),
+    )
+    @settings(max_examples=60)
+    def test_one_rule_for_one_message_and_for_a_column(self, kind, objects):
+        """The rule on an ``int64`` column is the rule per element."""
+        cfg = NetworkConfig(mtu=576)
+        column = payload_size(kind, np.array(objects, dtype=np.int64), cfg)
+        for n, size in zip(objects, np.broadcast_to(column, len(objects)).tolist()):
+            assert payload_size(kind, n, cfg) == size
 
-    def test_scalar_response(self):
-        cfg = NetworkConfig()
-        assert ScalarResponse(42.0).payload_bytes(cfg) == cfg.answer_bytes
+    def test_a_batch_send_books_what_single_sends_book(self):
+        cfg = NetworkConfig(mtu=576)
+        batched, single = Channel(cfg, name="R"), Channel(cfg, name="R")
+        objects = [3, 0, 40, 2000]
+        batched.send_uniform_batch(MessageKind.RANGE, len(objects), direction="up", label="range")
+        batched.send_payload_batch(MessageKind.OBJECTS, objects, label="range-result")
+        for _ in objects:
+            single.send_query(MessageKind.RANGE, label="range")
+        for n in objects:
+            single.send_response(MessageKind.OBJECTS, label="range-result", objects=n)
+        assert batched.ledger_fingerprint() == single.ledger_fingerprint()
+        assert _payloads(batched)[len(objects):] == [n * cfg.object_bytes for n in objects]
 
-    def test_aggregate_query_validation(self):
+    def test_a_negative_object_count_is_refused(self):
+        channel = Channel(NetworkConfig())
         with pytest.raises(ValueError):
-            AggregateQuery(Rect(0, 0, 1, 1), what="median")
+            channel.send_response(MessageKind.OBJECTS, objects=-1)
+        with pytest.raises(ValueError):
+            channel.send_payload_batch(MessageKind.OBJECTS, [2, -1])
+        assert channel.total_bytes == 0 and len(channel.log) == 0
 
 
 class TestChannel:
@@ -187,16 +207,16 @@ class TestChannel:
         """A COUNT exchange must cost (B_H + B_Q) + (B_H + B_A) -- Eq. 7."""
         cfg = NetworkConfig()
         channel = Channel(cfg, name="R")
-        channel.send_query(CountQuery(Rect(0, 0, 1, 1)))
-        channel.send_response(ScalarResponse(5.0))
+        channel.send_query(MessageKind.COUNT)
+        channel.send_response(MessageKind.SCALAR)
         expected = (cfg.header_bytes + cfg.query_bytes) + (cfg.header_bytes + cfg.answer_bytes)
         assert channel.total_bytes == expected
 
     def test_direction_accounting(self):
         cfg = NetworkConfig()
         channel = Channel(cfg)
-        channel.send_query(WindowQuery(Rect(0, 0, 1, 1)))
-        channel.send_response(ObjectPayload(np.zeros((10, 4)), np.arange(10)))
+        channel.send_query(MessageKind.WINDOW)
+        channel.send_response(MessageKind.OBJECTS, objects=10)
         assert channel.messages_up == 1
         assert channel.messages_down == 1
         assert channel.uplink_bytes == cfg.header_bytes + cfg.query_bytes
@@ -205,21 +225,21 @@ class TestChannel:
     def test_tariff_weighting(self):
         cfg = NetworkConfig()
         channel = Channel(cfg, tariff=2.5)
-        channel.send_query(CountQuery(Rect(0, 0, 1, 1)))
+        channel.send_query(MessageKind.COUNT)
         assert channel.total_cost == pytest.approx(2.5 * channel.total_bytes)
 
     def test_reset_clears_everything(self):
         channel = Channel(NetworkConfig())
-        channel.send_query(CountQuery(Rect(0, 0, 1, 1)))
+        channel.send_query(MessageKind.COUNT)
         channel.reset()
         assert channel.total_bytes == 0
         assert channel.log.records == []
 
     def test_log_aggregation(self):
         channel = Channel(NetworkConfig())
-        channel.send_query(CountQuery(Rect(0, 0, 1, 1)))
-        channel.send_query(WindowQuery(Rect(0, 0, 1, 1)))
-        channel.send_response(ScalarResponse(1.0))
+        channel.send_query(MessageKind.COUNT)
+        channel.send_query(MessageKind.WINDOW)
+        channel.send_response(MessageKind.SCALAR)
         records = channel.log.records
         by_kind = Counter(rec.kind for rec in records)
         assert by_kind[MessageKind.COUNT] == 1
@@ -237,15 +257,14 @@ class TestChannel:
         and retry-lane records included."""
         config = NetworkConfig()
         channel = Channel(config, name="R")
-        window = Rect(0, 0, 1, 1)
-        sizes = [40, 0, 40, 3000, 0, 40]
-        channel.send_uniform_batch(CountQuery(window), 3, direction="up", label="count")
-        channel.send_payload_batch(MessageKind.OBJECTS, sizes, direction="down", label="objs")
-        channel.send_query(CountQuery(window), label="count")  # equal to, not the same as
-        channel.send_uniform_batch(CountQuery(window), 2, direction="up", label="count")
+        objects = [2, 0, 2, 150, 0, 2]
+        channel.send_uniform_batch(MessageKind.COUNT, 3, direction="up", label="count")
+        channel.send_payload_batch(MessageKind.OBJECTS, objects, direction="down", label="objs")
+        channel.send_query(MessageKind.COUNT, label="count")
+        channel.send_uniform_batch(MessageKind.COUNT, 2, direction="up", label="count")
         with channel.fault_lane("both"):
-            channel.send_uniform_batch(WindowQuery(window), 2, direction="up", label="window")
-            channel.send_payload_batch(MessageKind.OBJECTS, [40, 40], direction="down", label="objs")
+            channel.send_uniform_batch(MessageKind.WINDOW, 2, direction="up", label="window")
+            channel.send_payload_batch(MessageKind.OBJECTS, [2, 2], direction="down", label="objs")
         for log, n in ((channel.log, 12), (channel.retry_log, 4)):
             expected = tuple(
                 (r.direction, r.kind.value, r.payload_bytes, r.wire_bytes, r.packets, r.label)
@@ -254,4 +273,6 @@ class TestChannel:
             assert len(expected) == n == len(log)
             assert log.fingerprint() == expected
         assert channel.ledger_fingerprint()[-1] == channel.log.fingerprint()
-        assert [row[2] for row in channel.log.fingerprint()[3:9]] == sizes
+        assert [row[2] for row in channel.log.fingerprint()[3:9]] == [
+            n * config.object_bytes for n in objects
+        ]

@@ -594,6 +594,60 @@ def test_a_kept_answer_holds_no_object_per_pair():
     assert len(pairs) > 20000 and allocations < len(pairs) // 20, allocations
 
 
+#: The deleted wire-message classes and their one method: a message is its
+#: kind and object count, priced by ``network/packets.py::payload_size``.
+MESSAGE_BASES = {"Message", "QueryMessage", "ResponseMessage"}
+MESSAGE_NAMES = {
+    "payload_bytes", "ObjectPayload", "ScalarResponse", "BucketRangeQuery",
+    "AggregateQuery", "WindowQuery", "CountQuery", "RangeQuery",
+}
+#: The wire-size constants of ``NetworkConfig``.
+WIRE_SIZES = {"query_bytes", "answer_bytes", "object_bytes"}
+
+
+def test_a_message_is_its_kind_and_its_object_count():
+    """No message class, stand-in or size method is left: every send names a
+    ``MessageKind`` and an object count, and one rule prices it.  A logged
+    record's ``payload_bytes`` *field* (``TrafficRecord``) is data, not a
+    definition, and stays."""
+    from repro.network.messages import MessageKind
+
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        where = str(path.relative_to(PACKAGE))
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                bases = {getattr(base, "id", getattr(base, "attr", None)) for base in node.bases}
+                found += [(where, node.name) for _ in bases & (MESSAGE_BASES | MESSAGE_NAMES)]
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = {node.name}
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = {alias.asname or alias.name for alias in node.names}
+            elif isinstance(node, ast.Name) and node.id != "payload_bytes":
+                names = {node.id}  # a parameter of Eq. 1 may be called so
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                names = {node.func.attr}
+            else:
+                continue
+            found += [(where, name) for name in names & (MESSAGE_BASES | MESSAGE_NAMES)]
+    assert not found
+    assert {kind.name: kind.value for kind in MessageKind} == {
+        "WINDOW": "window", "COUNT": "count", "RANGE": "range",
+        "BUCKET_RANGE": "bucket_range", "AGGREGATE": "aggregate",
+        "OBJECTS": "objects", "SCALAR": "scalar",
+    }
+    # Past the config that holds them, the metering layers read the wire
+    # sizes in one place: the payload rule.
+    readers = {
+        str(path.relative_to(PACKAGE))
+        for layer in ("network", "server")
+        for path in (PACKAGE / layer).rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr in WIRE_SIZES
+    }
+    assert readers - {"network/config.py"} == {"network/packets.py"}
+
+
 def test_the_benchmark_target_guard_is_unmodified_and_passes():
     # benchmarks/e2e/layers.py is frozen; so is the test that holds src/ to it.
     digest = hashlib.sha256(Path(test_benchmark_targets.__file__).read_bytes()).hexdigest()

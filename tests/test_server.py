@@ -11,6 +11,7 @@ from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.network.channel import Channel
 from repro.network.config import NetworkConfig
+from repro.network.messages import MessageKind
 from repro.network.packets import transferred_bytes
 from repro.server.remote import IndexedRemoteServer, RemoteServer, ServerPair
 from repro.server.server import SpatialServer
@@ -152,6 +153,25 @@ class TestIndexedRemoteServer:
         assert indexed_pair.r.object_count() == 300
         assert indexed_pair.s.object_count() == 120
         assert indexed_pair.r.tree_height() >= 2
+
+    def test_relay_metadata_of_an_empty_server(self):
+        """An empty server publishes 0 objects, a one-level tree and no level
+        MBRs; each answer is one AGGREGATE query and its answer on the wire."""
+        empty = SpatialServer(uniform(0, seed=1), name="R")
+        pair = ServerPair.connect(empty, SpatialServer(uniform(50, seed=2), name="S"), indexed=True)
+        cfg = pair.r.config
+        for call, want, answer, payload in (
+            (pair.r.object_count, 0, MessageKind.SCALAR, cfg.answer_bytes),
+            (pair.r.tree_height, 1, MessageKind.SCALAR, cfg.answer_bytes),
+            (pair.r.level_mbrs, [], MessageKind.OBJECTS, 0),
+        ):
+            pair.reset()
+            assert call() == want
+            records = [(r.direction, r.kind, r.payload_bytes) for r in pair.r.channel.log.records]
+            assert records == [
+                ("up", MessageKind.AGGREGATE, cfg.query_bytes),
+                ("down", answer, payload),
+            ]
 
     def test_level_mbrs_cover_dataset(self, indexed_pair):
         rects = indexed_pair.r.level_mbrs()

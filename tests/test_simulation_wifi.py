@@ -10,9 +10,8 @@ import pytest
 
 from repro.network.channel import Channel
 from repro.network.config import NetworkConfig
-from repro.network.messages import CountQuery, ObjectPayload, ScalarResponse, WindowQuery
+from repro.network.messages import MessageKind
 from repro.network.wifi import WifiLinkModel
-from repro.geometry.rect import Rect
 
 import numpy as np
 
@@ -129,8 +128,8 @@ class TestSimulator:
 
 def _window_exchange(objects: int, cfg: NetworkConfig = NetworkConfig()) -> Channel:
     channel = Channel(cfg, name="R")
-    channel.send_query(WindowQuery(Rect(0, 0, 1, 1)))
-    channel.send_response(ObjectPayload(np.zeros((objects, 4)), np.arange(objects)))
+    channel.send_query(MessageKind.WINDOW)
+    channel.send_response(MessageKind.OBJECTS, objects=objects)
     return channel
 
 
@@ -157,18 +156,18 @@ class TestWifiLinkModel:
     def test_channel_estimate_consistent_with_traffic(self):
         cfg = NetworkConfig()
         channel = Channel(cfg, name="R")
-        channel.send_query(WindowQuery(Rect(0, 0, 1, 1)))
-        channel.send_response(ObjectPayload(np.zeros((100, 4)), np.arange(100)))
-        channel.send_query(CountQuery(Rect(0, 0, 1, 1)))
-        channel.send_response(ScalarResponse(1.0))
+        channel.send_query(MessageKind.WINDOW)
+        channel.send_response(MessageKind.OBJECTS, objects=100)
+        channel.send_query(MessageKind.COUNT)
+        channel.send_response(MessageKind.SCALAR)
         link = WifiLinkModel()
         estimate = link.estimate_channel_time(channel)
         assert estimate > 0
         # More traffic on another channel must yield a larger estimate.
         bigger = Channel(cfg, name="S")
         for _ in range(3):
-            bigger.send_query(WindowQuery(Rect(0, 0, 1, 1)))
-            bigger.send_response(ObjectPayload(np.zeros((500, 4)), np.arange(500)))
+            bigger.send_query(MessageKind.WINDOW)
+            bigger.send_response(MessageKind.OBJECTS, objects=500)
         assert link.estimate_channel_time(bigger) > estimate
 
     def test_simulate_channels_returns_makespan(self):
@@ -176,10 +175,10 @@ class TestWifiLinkModel:
         link = WifiLinkModel()
         a = Channel(cfg, name="R")
         b = Channel(cfg, name="S")
-        a.send_query(CountQuery(Rect(0, 0, 1, 1)))
-        a.send_response(ScalarResponse(1.0))
-        b.send_query(WindowQuery(Rect(0, 0, 1, 1)))
-        b.send_response(ObjectPayload(np.zeros((200, 4)), np.arange(200)))
+        a.send_query(MessageKind.COUNT)
+        a.send_response(MessageKind.SCALAR)
+        b.send_query(MessageKind.WINDOW)
+        b.send_response(MessageKind.OBJECTS, objects=200)
         makespan = link.simulate_channels([a, b])
         # Channels replay concurrently: the makespan equals the slower one.
         slower = max(link.estimate_channel_time(a), link.estimate_channel_time(b))
@@ -191,10 +190,6 @@ class TestClosedFormReplay:
 
     @staticmethod
     def _traffic_channels(seed: int):
-        import numpy as np
-
-        from repro.network.messages import MessageKind
-
         cfg = NetworkConfig()
         rng = np.random.default_rng(seed)
         channels = []
@@ -203,19 +198,15 @@ class TestClosedFormReplay:
             for _ in range(int(rng.integers(0, 40))):
                 kind = int(rng.integers(0, 4))
                 if kind == 0:
-                    channel.send_query(CountQuery(Rect(0, 0, 1, 1)))
-                    channel.send_response(ScalarResponse(1.0))
+                    channel.send_query(MessageKind.COUNT)
+                    channel.send_response(MessageKind.SCALAR)
                 elif kind == 1:
                     n = int(rng.integers(0, 300))
-                    channel.send_query(WindowQuery(Rect(0, 0, 1, 1)))
-                    channel.send_response(
-                        ObjectPayload(np.zeros((n, 4)), np.arange(n))
-                    )
+                    channel.send_query(MessageKind.WINDOW)
+                    channel.send_response(MessageKind.OBJECTS, objects=n)
                 elif kind == 2:
                     # Bulk-accounted exchanges land on the same ledger.
-                    channel.send_uniform_batch(
-                        CountQuery(Rect(0, 0, 1, 1)), int(rng.integers(1, 20))
-                    )
+                    channel.send_uniform_batch(MessageKind.COUNT, int(rng.integers(1, 20)))
                 else:
                     channel.send_payload_batch(
                         MessageKind.OBJECTS,
