@@ -9,7 +9,7 @@ The paper's evaluation uses
 The real dataset is not redistributable, so
 :func:`~repro.datasets.railway.generate_railway_like` synthesises a
 polyline network with the same cardinality, small-segment MBRs and strong
-1-D corridor clustering (see DESIGN.md for the substitution rationale).
+1-D corridor clustering.
 """
 
 from __future__ import annotations

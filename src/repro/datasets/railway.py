@@ -2,7 +2,7 @@
 
 The paper's "real" dataset is the MBRs of roughly 35 000 German railway
 segments.  That dataset is not redistributable, so this module synthesises
-a stand-in with the same statistical character (see DESIGN.md):
+a stand-in with the same statistical character:
 
 * a backbone of *hub cities* placed with a preferential bias towards a few
   dense regions (the Ruhr-like blob, a handful of metropolises),

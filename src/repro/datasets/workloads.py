@@ -14,8 +14,8 @@ every figure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from dataclasses import dataclass
+from typing import List, Tuple
 
 import numpy as np
 
@@ -38,8 +38,7 @@ class WorkloadSpec:
         Dataset generators for the two sides: ``"clustered"``, ``"uniform"``
         or ``"railway"``.
     r_size / s_size:
-        Object counts (ignored by the railway generator which has its own
-        default of ~35 000).
+        Object counts (segments for the railway generator).
     clusters:
         Cluster count for clustered sides.
     seed:
@@ -51,8 +50,8 @@ class WorkloadSpec:
         PDA buffer capacity in objects.
     bucket_queries:
         Whether servers accept bucket epsilon-RANGE queries.
-    window:
-        The joined region (defaults to the unit square).
+
+    A bad value is :class:`~repro.errors.InvalidInput` at construction.
     """
 
     r_kind: str = "clustered"
@@ -64,25 +63,18 @@ class WorkloadSpec:
     epsilon: float = 0.02
     buffer_size: int = 800
     bucket_queries: bool = False
-    window: Rect = UNIT_RECT
-    extra: Dict[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         valid = ("clustered", "uniform", "railway")
         for kind in (self.r_kind, self.s_kind):
             if kind not in valid:
-                raise ValueError(f"unknown dataset kind {kind!r}; valid: {valid}")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be non-negative")
-        if self.buffer_size < 1:
-            raise ValueError("buffer_size must be >= 1")
-
-    def describe(self) -> str:
-        return (
-            f"{self.r_kind}({self.r_size}) x {self.s_kind}({self.s_size}), "
-            f"k={self.clusters}, eps={self.epsilon:g}, buffer={self.buffer_size}, "
-            f"bucket={self.bucket_queries}, seed={self.seed}"
-        )
+                raise InvalidInput(f"unknown dataset kind {kind!r}; valid: {valid}")
+        require_count(self.r_size, "r_size")
+        require_count(self.s_size, "s_size")
+        require_count(self.clusters, "clusters")
+        require_count(self.seed, "seed", minimum=0)
+        require_finite(self.epsilon, "epsilon")
+        require_count(self.buffer_size, "buffer_size")
 
 
 def random_query_windows(

@@ -12,9 +12,9 @@ The paper motivates UpJoin and SrJoin with three drawn examples:
   repartitioning (both look skewed) although no pruning is possible, so the
   aggregate queries are wasted; SrJoin notices the similarity and stops.
 
-These layouts are used by the ablation benchmark E9 and by integration
-tests that verify the qualitative claims (e.g. MobiJoin's cost really does
-increase when the buffer grows on the Figure 2(b) layout).
+``examples/adversarial_layouts.py`` runs the three layouts and checks the
+qualitative claims (e.g. MobiJoin's cost really does increase when the
+buffer grows on the Figure 2(b) layout).
 """
 
 from __future__ import annotations

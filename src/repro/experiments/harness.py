@@ -1,15 +1,16 @@
 """Generic experiment machinery.
 
 An :class:`ExperimentConfig` describes a sweep: which algorithms to run,
-over which x-axis values (cluster counts, alpha values, ...), how many
-seeded repetitions to average, and how to build the workload for one
-(x-value, seed) combination.  :func:`run_experiment` executes it and
-returns an :class:`ExperimentResult` whose series can be printed as the
-paper's figures.
+over which cluster counts (the x-axis of every figure), on which seeds,
+and the base :class:`~repro.datasets.workloads.WorkloadSpec` every cell
+derives from.  :func:`run_experiment` executes it and returns an
+:class:`ExperimentResult` whose series can be printed as the paper's
+figures.
 
 The paper reports "the average of 10 executions with different datasets";
-the default here is 3 repetitions to keep the benchmark suite fast --
-every figure function accepts a ``repetitions`` override.
+the figures of :data:`repro.experiments.figures.FIGURES` run one or two
+seeds so the whole table takes about a second, and
+:func:`~repro.experiments.figures.paper_scale` gives the paper's ten.
 
 Execution layer
 ---------------
@@ -28,6 +29,7 @@ cell is built.
 
 from __future__ import annotations
 
+import dataclasses
 import statistics
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
@@ -51,32 +53,26 @@ __all__ = [
     "run_single",
 ]
 
-#: Type of a workload factory: (x_value, seed) -> (dataset_r, dataset_s, spec).
-WorkloadFactory = Callable[[object, int], Tuple[SpatialDataset, SpatialDataset, WorkloadSpec]]
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """A full sweep specification."""
 
     name: str
     description: str
-    #: Values on the x-axis (cluster counts, alpha values, ...).
-    x_values: Tuple[object, ...]
-    x_label: str
+    #: Cluster counts on the x-axis.
+    x_values: Tuple[int, ...]
     #: The series: algorithm label -> run keyword arguments passed to
     #: :meth:`AdHocJoinSession.run` (must include ``algorithm``).
     series: Dict[str, Dict[str, object]]
-    #: Workload factory for one (x_value, seed) pair.
-    workload: WorkloadFactory
+    #: The workload of every cell; a cell sets its ``clusters`` and ``seed``.
+    workload: WorkloadSpec
     #: Seeds averaged per x-value.
     seeds: Tuple[int, ...] = (0, 1, 2)
-    #: Device buffer capacity in objects.
-    buffer_size: int = 800
     #: Wire constants / tariffs.
     config: NetworkConfig = field(default_factory=NetworkConfig)
-    #: Build indexed (SemiJoin-capable) sessions.
-    indexed: bool = False
+    #: The figure's shape checks, ``result -> {claim: holds}``; the sweep
+    #: itself never calls them.
+    checks: Optional[Callable[["ExperimentResult"], Dict[str, bool]]] = None
 
 
 @dataclass
@@ -99,10 +95,7 @@ class ExperimentResult:
     config: ExperimentConfig
     series: Dict[str, SeriesResult] = field(default_factory=dict)
     #: Raw per-run results keyed by (series label, x_value, seed).
-    runs: Dict[Tuple[str, object, int], JoinResult] = field(default_factory=dict)
-
-    def x_values(self) -> Tuple[object, ...]:
-        return self.config.x_values
+    runs: Dict[Tuple[str, int, int], JoinResult] = field(default_factory=dict)
 
 
 def build_datasets(spec: WorkloadSpec) -> Tuple[SpatialDataset, SpatialDataset]:
@@ -127,24 +120,23 @@ def run_single(
     dataset_s: SpatialDataset,
     spec: WorkloadSpec,
     run_kwargs: Dict[str, object],
-    buffer_size: int,
     config: NetworkConfig,
-    indexed: bool,
     servers: Optional[Tuple[SpatialServer, SpatialServer]] = None,
 ) -> JoinResult:
     """Run one algorithm once on a prepared workload.
 
-    ``servers`` injects pre-built server instances (typically a sweep
-    cell's); connections, their statistics and the device are fresh per
-    run either way, so results are independent of any previous run on the
-    same servers.
+    The device buffer is the spec's; only SemiJoin runs on an indexed
+    session, as in the broker.  ``servers`` injects pre-built server
+    instances (typically a sweep cell's); connections, their statistics
+    and the device are fresh per run either way, so results are
+    independent of any previous run on the same servers.
     """
     session = AdHocJoinSession(
         dataset_r,
         dataset_s,
-        buffer_size=buffer_size,
+        buffer_size=spec.buffer_size,
         config=config,
-        indexed=indexed or str(run_kwargs.get("algorithm", "")).lower() == "semijoin",
+        indexed=str(run_kwargs.get("algorithm", "")).lower() == "semijoin",
         servers=servers,
     )
     kwargs = dict(run_kwargs)
@@ -159,29 +151,23 @@ _RunRecord = Tuple[float, float, Optional[JoinResult]]
 
 def _run_cell(
     config: ExperimentConfig,
-    x: object,
+    x: int,
     seed: int,
     keep_runs: bool,
     share_servers: bool,
-) -> Dict[Tuple[str, object, int], _RunRecord]:
+) -> Dict[Tuple[str, int, int], _RunRecord]:
     """Run every series of the sweep on one (x, seed) cell.
 
     With ``share_servers`` the cell's two servers are built once and handed
     to every series; otherwise every run builds its own.
     """
-    dataset_r, dataset_s, spec = config.workload(x, seed)
+    spec = dataclasses.replace(config.workload, clusters=x, seed=seed)
+    dataset_r, dataset_s = build_datasets(spec)
     servers = StackConfig().servers(dataset_r, dataset_s) if share_servers else None
-    out: Dict[Tuple[str, object, int], _RunRecord] = {}
+    out: Dict[Tuple[str, int, int], _RunRecord] = {}
     for label, run_kwargs in config.series.items():
         run = run_single(
-            dataset_r,
-            dataset_s,
-            spec,
-            run_kwargs,
-            buffer_size=spec.buffer_size or config.buffer_size,
-            config=config.config,
-            indexed=config.indexed,  # run_single adds the semijoin override
-            servers=servers,
+            dataset_r, dataset_s, spec, run_kwargs, config=config.config, servers=servers
         )
         out[(label, x, seed)] = (
             float(run.total_bytes),
@@ -193,7 +179,6 @@ def _run_cell(
 
 def run_experiment(
     config: ExperimentConfig,
-    repetitions: Optional[int] = None,
     keep_runs: bool = False,
     *,
     share_servers: bool = True,
@@ -202,8 +187,6 @@ def run_experiment(
 
     Parameters
     ----------
-    repetitions:
-        Override the config's seed tuple with ``range(repetitions)``.
     keep_runs:
         Keep every raw :class:`~repro.core.result.JoinResult` in
         ``result.runs``.
@@ -213,10 +196,9 @@ def run_experiment(
         for every run -- the reference the equivalence tests hold sharing
         against.
     """
-    seeds = config.seeds if repetitions is None else tuple(range(repetitions))
-    raw: Dict[Tuple[str, object, int], _RunRecord] = {}
+    raw: Dict[Tuple[str, int, int], _RunRecord] = {}
     for x in config.x_values:
-        for seed in seeds:
+        for seed in config.seeds:
             # Peak memory stays at a single cell's servers.
             raw.update(_run_cell(config, x, seed, keep_runs, share_servers))
 
@@ -227,7 +209,7 @@ def run_experiment(
         for x in config.x_values:
             totals: List[float] = []
             pair_counts: List[float] = []
-            for seed in seeds:
+            for seed in config.seeds:
                 total_bytes, num_pairs, run = raw[(label, x, seed)]
                 totals.append(total_bytes)
                 pair_counts.append(num_pairs)

@@ -1,9 +1,8 @@
 """Plain-text rendering of experiment results.
 
-The benchmarks print these tables so that a ``pytest benchmarks/`` run
-leaves a readable record of every reproduced figure (series per row,
-x-values per column, mean transferred bytes in the cells), mirroring the
-layout of the paper's plots.
+``python -m repro.experiments.run`` prints these tables as the record of
+every reproduced figure (series per row, cluster counts per column, mean
+transferred bytes in the cells), mirroring the layout of the paper's plots.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ def format_table(
 def render_experiment(result: ExperimentResult, show_pairs: bool = False) -> str:
     """Render one experiment as a bytes table (plus an optional pairs table)."""
     cfg = result.config
-    headers = [cfg.x_label] + [str(x) for x in cfg.x_values]
+    headers = ["clusters"] + [str(x) for x in cfg.x_values]
     rows: List[List[object]] = []
     for label, series in result.series.items():
         rows.append([label] + [round(b) for b in series.mean_bytes])

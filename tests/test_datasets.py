@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -199,17 +201,19 @@ class TestRailwayGenerator:
 
 class TestWorkloadsAndLoader:
     def test_workload_spec_validation(self):
-        with pytest.raises(ValueError):
-            WorkloadSpec(r_kind="postgres")
-        with pytest.raises(ValueError):
-            WorkloadSpec(epsilon=-1.0)
-        with pytest.raises(ValueError):
-            WorkloadSpec(buffer_size=0)
-
-    def test_spec_describe_mentions_parameters(self):
-        spec = WorkloadSpec(clusters=16, buffer_size=100)
-        text = spec.describe()
-        assert "k=16" in text and "buffer=100" in text
+        for knobs in (
+            {"r_kind": "postgres"},
+            {"epsilon": -1.0},
+            {"epsilon": math.nan},
+            {"epsilon": math.inf},
+            {"buffer_size": 0},
+            {"buffer_size": 2.5},
+            {"seed": -1},
+            {"clusters": 0},
+            {"r_size": -5},
+        ):
+            with pytest.raises(InvalidInput):
+                WorkloadSpec(**knobs)
 
     def test_random_query_windows(self):
         windows = random_query_windows(10, relative_size=0.2, seed=1)

@@ -1,38 +1,41 @@
-"""Tests for the experiment harness, figure configurations and adversarial cases.
+"""Tests for the experiment harness, the figure table, its runner and the
+adversarial cases.
 
-These use deliberately tiny workloads (overriding the figure defaults) so
-the suite stays fast; the full-size sweeps live in ``benchmarks/``.
+Most use deliberately tiny workloads (``dataclasses.replace`` on a
+``FIGURES`` entry); the shape tests run every entry at its own fast scale,
+and at the paper's scale in the ``slow`` lane.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.datasets.workloads import PAPER_CLUSTER_COUNTS, WorkloadSpec
+from repro.experiments import harness, run
 from repro.experiments.adversarial import (
     figure2a_layout,
     figure2b_layout,
     figure4_layout,
     run_adversarial_case,
 )
-from repro.experiments.figures import (
-    ablation_bucket,
-    ablation_fanout,
-    ablation_tariffs,
-    figure_6a,
-    figure_6b,
-    figure_7a,
-    figure_7b,
-    figure_8a,
-    figure_8b,
-)
-from repro.experiments.harness import ExperimentConfig, build_datasets, run_experiment
+from repro.experiments.figures import FIGURES, paper_scale, shape_checks
+from repro.experiments.harness import build_datasets, run_experiment
 from repro.experiments.report import format_table, render_experiment, render_shape_checks
 
-
-def _tiny(config: ExperimentConfig) -> ExperimentConfig:
-    """Not needed -- figure functions accept overrides; helper kept for clarity."""
-    return config
+#: Shape checks that fail at their figure's fast scale, with what was
+#: measured; each holds at the paper's scale.
+FAILING_AT_FAST_SCALE = {
+    ("ablation_bucket", "upJoin: bucket never costs more than per-object probing"):
+        "on the 3 000-segment railway, seed 0, bucket UpJoin moves 63 040 B at one "
+        "cluster against 18 172 B per-object; on 35 000 segments it moves less",
+}
 
 
 class TestHarness:
@@ -49,7 +52,7 @@ class TestHarness:
             build_datasets(spec)
 
     def test_run_experiment_produces_series(self):
-        config = figure_7b(cluster_counts=(1, 4), seeds=(0,))
+        config = dataclasses.replace(FIGURES["figure_7b"], x_values=(1, 4), seeds=(0,))
         result = run_experiment(config)
         assert set(result.series) == {"srJoin", "upJoin", "mobiJoin"}
         for series in result.series.values():
@@ -60,67 +63,155 @@ class TestHarness:
         assert len(set(pair_rows)) == 1
 
     def test_run_experiment_keep_runs(self):
-        config = figure_7b(cluster_counts=(1,), seeds=(0,))
+        config = dataclasses.replace(FIGURES["figure_7b"], x_values=(1,), seeds=(0,))
         result = run_experiment(config, keep_runs=True)
         assert ("mobiJoin", 1, 0) in result.runs
 
-    def test_paper_cluster_sweep(self):
-        # The comparison figures sweep the paper's cluster counts by default.
-        assert figure_7b().x_values == tuple(PAPER_CLUSTER_COUNTS)
+    def test_a_cell_is_the_base_workload_at_its_clusters_and_seed(self, monkeypatch):
+        specs = []
 
-    def test_repetition_override(self):
-        config = figure_7b(cluster_counts=(1,), seeds=(0, 1, 2))
-        result = run_experiment(config, repetitions=1)
-        assert len(result.series["mobiJoin"].mean_bytes) == 1
+        def recording(spec):
+            specs.append(spec)
+            return build_datasets(spec)
+
+        monkeypatch.setattr(harness, "build_datasets", recording)
+        config = dataclasses.replace(FIGURES["figure_7a"], x_values=(2, 16), seeds=(3, 5))
+        run_experiment(config)
+        base = config.workload
+        assert specs == [
+            dataclasses.replace(base, clusters=x, seed=seed)
+            for x in (2, 16)
+            for seed in (3, 5)
+        ]
+        assert {spec.buffer_size for spec in specs} == {100}
+
+    def test_paper_cluster_sweep(self):
+        # The comparison figures sweep the paper's cluster counts.
+        assert FIGURES["figure_7b"].x_values == tuple(PAPER_CLUSTER_COUNTS)
 
 
 class TestFigureConfigs:
-    @pytest.mark.parametrize(
-        "factory",
-        [figure_6a, figure_6b, figure_7a, figure_7b],
-    )
-    def test_synthetic_figures_have_paper_axes(self, factory):
-        config = factory()
+    @pytest.mark.parametrize("name", ["figure_6a", "figure_6b", "figure_7a", "figure_7b"])
+    def test_synthetic_figures_have_paper_axes(self, name):
+        config = FIGURES[name]
         assert config.x_values == (1, 2, 4, 8, 16, 128)
         assert len(config.series) >= 3
+        assert config.workload.r_kind == config.workload.s_kind == "clustered"
 
     def test_figure_6a_series_are_alphas(self):
-        config = figure_6a(alphas=(0.15, 0.25))
-        assert set(config.series) == {"alpha=0.15", "alpha=0.25"}
+        config = FIGURES["figure_6a"]
+        assert set(config.series) == {"alpha=0.15", "alpha=0.2", "alpha=0.25", "alpha=0.3"}
         assert all(kwargs["algorithm"] == "upjoin" for kwargs in config.series.values())
 
     def test_figure_6b_series_are_rhos(self):
-        config = figure_6b(rhos=(0.3, 2.0))
-        assert set(config.series) == {"rho=30%", "rho=200%"}
+        config = FIGURES["figure_6b"]
+        assert set(config.series) == {"rho=30%", "rho=50%", "rho=100%", "rho=200%", "rho=350%"}
+        assert config.series["rho=200%"] == {"algorithm": "srjoin", "rho": 2.0}
 
     def test_figure_7_buffers(self):
-        assert figure_7a().buffer_size == 100
-        assert figure_7b().buffer_size == 800
+        assert FIGURES["figure_7a"].workload.buffer_size == 100
+        assert FIGURES["figure_7b"].workload.buffer_size == 800
 
     def test_figure_8_uses_railway_workload(self):
-        config = figure_8a(cluster_counts=(1,), railway_size=300, seeds=(0,))
-        dataset_r, dataset_s, spec = config.workload(1, 0)
+        config = FIGURES["figure_8a"]
+        spec = dataclasses.replace(config.workload, r_size=300, clusters=1)
+        dataset_r, dataset_s = build_datasets(spec)
         assert spec.r_kind == "railway"
         assert len(dataset_r) <= 300
         assert spec.bucket_queries
 
     def test_figure_8b_includes_semijoin(self):
-        config = figure_8b(cluster_counts=(1,), railway_size=300, seeds=(0,))
-        assert "semiJoin" in config.series
-        assert config.indexed
+        assert FIGURES["figure_8b"].series["semiJoin"] == {"algorithm": "semijoin"}
 
     def test_ablation_configs_build(self):
-        assert len(ablation_fanout().series) == 3
-        assert len(ablation_bucket().series) == 4
-        tariff_configs = ablation_tariffs(tariff_ratios=(1.0, 2.0))
-        assert set(tariff_configs) == {1.0, 2.0}
-        assert tariff_configs[2.0].config.tariff_s == 2.0
+        assert len(FIGURES["ablation_fanout"].series) == 3
+        assert len(FIGURES["ablation_bucket"].series) == 4
+        tariffs = {name: FIGURES[name].config.tariff_s for name in FIGURES if "tariffs" in name}
+        assert tariffs == {
+            "ablation_tariffs_x1": 1.0,
+            "ablation_tariffs_x2": 2.0,
+            "ablation_tariffs_x5": 5.0,
+        }
 
     def test_small_real_experiment_runs(self):
-        config = figure_8a(cluster_counts=(2,), railway_size=400, seeds=(0,))
+        config = FIGURES["figure_8a"]
+        config = dataclasses.replace(
+            config,
+            x_values=(2,),
+            workload=dataclasses.replace(config.workload, r_size=400),
+        )
         result = run_experiment(config)
         for series in result.series.values():
             assert series.mean_bytes[0] > 0
+
+    def test_paper_scale_is_ten_seeds_and_the_full_railway(self):
+        for name, config in FIGURES.items():
+            full = paper_scale(config)
+            assert full.seeds == tuple(range(10)), name
+            expected = 35_000 if config.workload.r_kind == "railway" else 1000
+            assert full.workload.r_size == expected, name
+            assert dataclasses.replace(full, seeds=config.seeds, workload=config.workload) == config
+
+
+class TestFigureShapes:
+    @pytest.mark.parametrize("name", sorted(FIGURES))
+    def test_every_figure_holds_its_shape_at_fast_scale(self, name):
+        checks = shape_checks(run_experiment(FIGURES[name]))
+        assert checks["every series reports the same result pairs"]
+        failing = {(name, claim) for claim, holds in checks.items() if not holds}
+        assert failing == {key for key in FAILING_AT_FAST_SCALE if key[0] == name}
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("name", sorted(FIGURES))
+    def test_every_figure_holds_its_shape_at_paper_scale(self, name):
+        checks = shape_checks(run_experiment(paper_scale(FIGURES[name])))
+        assert all(checks.values()), checks
+
+
+class TestRunner:
+    NAME = "ablation_tariffs_x1"
+
+    def test_a_passing_figure_exits_zero_and_prints_its_tables(self, capsys):
+        assert run.main([self.NAME]) == 0
+        out = capsys.readouterr().out
+        expected = render_experiment(run_experiment(FIGURES[self.NAME]), show_pairs=True)
+        assert out.startswith(expected + "\nshape checks:\n")
+        assert "[ok] every series reports the same result pairs" in out
+
+    def test_a_failing_check_exits_nonzero(self, monkeypatch, capsys):
+        failing = dataclasses.replace(
+            FIGURES[self.NAME], checks=lambda result: {"an impossible claim": False}
+        )
+        monkeypatch.setitem(FIGURES, self.NAME, failing)
+        assert run.main([self.NAME]) == 1
+        assert "[FAIL] an impossible claim" in capsys.readouterr().out
+
+    def test_disagreeing_series_exit_nonzero(self, monkeypatch, capsys):
+        disagreeing = dataclasses.replace(
+            FIGURES[self.NAME],
+            series={
+                "narrow": {"algorithm": "naive", "epsilon": 0.005},
+                "wide": {"algorithm": "naive", "epsilon": 0.05},
+            },
+        )
+        monkeypatch.setitem(FIGURES, self.NAME, disagreeing)
+        assert run.main([self.NAME]) == 1
+        assert "[FAIL] every series reports the same result pairs" in capsys.readouterr().out
+
+    def test_an_unknown_name_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            run.main(["figure_9z"])
+        assert exit_info.value.code == 2
+        assert "figure_9z" in capsys.readouterr().err
+
+    def test_the_module_runs_as_a_command(self):
+        env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.experiments.run", self.NAME],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith(f"{self.NAME}: ")
 
 
 class TestReport:
@@ -134,7 +225,7 @@ class TestReport:
         assert len(widths) == 1
 
     def test_render_experiment_contains_series_and_values(self):
-        config = figure_7b(cluster_counts=(1,), seeds=(0,))
+        config = dataclasses.replace(FIGURES["figure_7b"], x_values=(1,), seeds=(0,))
         result = run_experiment(config)
         text = render_experiment(result, show_pairs=True)
         assert "mobiJoin" in text and "figure_7b" in text

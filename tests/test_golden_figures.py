@@ -1,8 +1,10 @@
 """Golden-figure regression tests.
 
-One small Figure 6(a) configuration and one small Figure 7(b) configuration
-are frozen as fixtures (``tests/fixtures/golden_figures.json``) from the
-seed state of the repository.  The experiment harness must keep reproducing
+A small version of every entry of ``FIGURES`` -- a cluster subset, seed 0,
+a railway of at most 1 000 segments -- is frozen as a fixture
+(``tests/fixtures/golden_figures.json``): Figures 6(a) and 7(b) from the
+seed state of the repository, the others from the figure factories the
+table replaced.  The experiment harness must keep reproducing
 those transfer numbers exactly: the byte totals are the paper's reported
 metric, so performance work (batching, vectorisation, index changes) is
 required to be *behaviour-preserving* down to the individual wire byte.
@@ -15,23 +17,45 @@ and reviewed) with::
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 from typing import Dict
 
-from repro.experiments.figures import figure_6a, figure_7b
+from repro.experiments.figures import FIGURES
 from repro.experiments.harness import ExperimentConfig, run_experiment
 
 FIXTURE_PATH = Path(__file__).parent / "fixtures" / "golden_figures.json"
 
 
+def _small(name: str, x_values, railway_size: int = 0, **changes) -> ExperimentConfig:
+    """``FIGURES[name]`` on a cluster subset and seed 0 (and a smaller railway)."""
+    config = FIGURES[name]
+    workload = config.workload
+    if railway_size:
+        workload = dataclasses.replace(workload, r_size=railway_size)
+    return dataclasses.replace(
+        config, x_values=x_values, seeds=(0,), workload=workload, **changes
+    )
+
+
 def _golden_configs() -> Dict[str, ExperimentConfig]:
-    """The two frozen configurations: small but non-trivial (pairs > 0)."""
+    """The frozen configurations: small but non-trivial (pairs > 0)."""
+    alpha = FIGURES["figure_6a"].series["alpha=0.25"]
     return {
-        "figure_6a_small": figure_6a(
-            alphas=(0.25,), cluster_counts=(4, 16, 128), seeds=(0,)
-        ),
-        "figure_7b_small": figure_7b(cluster_counts=(4, 16, 128), seeds=(0,)),
+        "figure_6a_small": _small("figure_6a", (4, 16, 128), series={"alpha=0.25": alpha}),
+        "figure_7b_small": _small("figure_7b", (4, 16, 128)),
+        "figure_6b_small": _small("figure_6b", (4, 16, 128)),
+        "figure_7a_small": _small("figure_7a", (4, 16, 128)),
+        "figure_8a_small": _small("figure_8a", (2, 16, 128), railway_size=1000),
+        "figure_8b_small": _small("figure_8b", (2, 16, 128), railway_size=1000),
+        "ablation_fanout_small": _small("ablation_fanout", (8, 128)),
+        "ablation_bucket_small": _small("ablation_bucket", (1, 8), railway_size=1000),
+        **{
+            f"{name}_small": _small(name, (8, 128))
+            for name in FIGURES
+            if name.startswith("ablation_tariffs")
+        },
     }
 
 
@@ -58,6 +82,7 @@ def test_golden_figures_reproduce_fixture():
     golden = json.loads(FIXTURE_PATH.read_text())
     measured = _measure()
     assert sorted(measured) == sorted(golden)
+    assert {name.removesuffix("_small") for name in golden} == set(FIGURES)
     for figure, series in golden.items():
         assert sorted(measured[figure]) == sorted(series), figure
         for label, values in series.items():

@@ -30,6 +30,7 @@ import pytest
 from repro.api import AdHocJoinSession
 from repro.datasets.workloads import WorkloadSpec
 from repro.experiments.harness import build_datasets
+from repro.geometry.rect import UNIT_RECT
 
 FIXTURE_PATH = Path(__file__).parent / "fixtures" / "golden_traces.json"
 
@@ -64,7 +65,7 @@ def _decision_log(
             kind="distance",
             epsilon=spec.epsilon,
             bucket_queries=spec.bucket_queries,
-            window=spec.window,
+            window=UNIT_RECT,
             seed=0,
         )
     grouped: Dict[str, List[List[object]]] = {}

@@ -31,31 +31,21 @@ from repro.experiments.harness import (
 from repro.server.server import SpatialServer
 
 
-def _small_workload(x, seed):
-    """Deterministic tiny workload: two clustered 200-point datasets."""
-    spec = WorkloadSpec(
-        r_size=200, s_size=200, clusters=int(x), seed=seed, epsilon=0.01
-    )
-    dataset_r, dataset_s = build_datasets(spec)
-    return dataset_r, dataset_s, spec
-
-
 def _mixed_config() -> ExperimentConfig:
     """A sweep mixing algorithms (including the indexed SemiJoin path)."""
     return ExperimentConfig(
         name="equivalence_mixed",
         description="cross-algorithm sweep for execution-layer equivalence",
         x_values=(1, 4),
-        x_label="clusters",
         series={
             "srJoin": {"algorithm": "srjoin"},
             "upJoin": {"algorithm": "upjoin"},
             "semiJoin": {"algorithm": "semijoin"},
             "naive": {"algorithm": "naive"},
         },
-        workload=_small_workload,
+        # Two clustered 200-point datasets.
+        workload=WorkloadSpec(r_size=200, s_size=200, epsilon=0.01, buffer_size=400),
         seeds=(0, 1),
-        buffer_size=400,
     )
 
 
@@ -134,7 +124,8 @@ class TestSharedCell:
         first algorithm last to catch state leaked by the runs in between.
         """
         config = _mixed_config()
-        dataset_r, dataset_s, spec = config.workload(4, 1)
+        spec = dataclasses.replace(config.workload, clusters=4, seed=1)
+        dataset_r, dataset_s = build_datasets(spec)
         servers = StackConfig().servers(dataset_r, dataset_s)
         mbrs_before = servers[0].dataset.mbrs.copy()
         index_len = len(servers[0].index)
@@ -143,24 +134,9 @@ class TestSharedCell:
         for label in sequence:
             run_kwargs = config.series[label]
             shared = run_single(
-                dataset_r,
-                dataset_s,
-                spec,
-                run_kwargs,
-                buffer_size=config.buffer_size,
-                config=config.config,
-                indexed=config.indexed,
-                servers=servers,
+                dataset_r, dataset_s, spec, run_kwargs, config=config.config, servers=servers
             )
-            fresh = run_single(
-                dataset_r,
-                dataset_s,
-                spec,
-                run_kwargs,
-                buffer_size=config.buffer_size,
-                config=config.config,
-                indexed=config.indexed,
-            )
+            fresh = run_single(dataset_r, dataset_s, spec, run_kwargs, config=config.config)
             assert shared.pairs == fresh.pairs
             assert shared.total_bytes == fresh.total_bytes
             assert shared.server_stats == fresh.server_stats
@@ -169,15 +145,3 @@ class TestSharedCell:
         # The cell's immutable state is untouched by five joins.
         assert np.array_equal(servers[0].dataset.mbrs, mbrs_before)
         assert len(servers[0].index) == index_len
-
-    def test_repetition_override_applies_to_cells(self):
-        config = _mixed_config()
-        serial = run_experiment(config, repetitions=1, keep_runs=True)
-        assert {seed for _, _, seed in serial.runs} == {0}
-        assert _snapshot(serial) == _snapshot(
-            run_experiment(dataclasses.replace(config, seeds=(0,)))
-        )
-        assert all(
-            len(series.mean_bytes) == len(config.x_values)
-            for series in serial.series.values()
-        )

@@ -34,8 +34,9 @@ from repro.core.base import AlgorithmParameters
 from repro.core.join_types import JoinSpec
 from repro.datasets.railway import generate_railway_like
 from repro.datasets.synthetic import clustered, gaussian_mixture, uniform
-from repro.datasets.workloads import random_query_windows
+from repro.datasets.workloads import WorkloadSpec, random_query_windows
 from repro.errors import InvalidInput
+from repro.experiments.harness import build_datasets
 from repro.network.config import NetworkConfig
 from repro.network.faults import Disconnect, Outage
 
@@ -130,6 +131,7 @@ TARGETS = {
     "random_query_windows": (
         random_query_windows, lambda **k: random_query_windows(**{"count": 3, **k}), None
     ),
+    "WorkloadSpec": (WorkloadSpec, WorkloadSpec, build_datasets),
     "Outage": (
         Outage,
         lambda **k: Outage(**{"server": "R", "start": 0, "length": 1, **k}),
