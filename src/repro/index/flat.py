@@ -251,8 +251,11 @@ class FlatRTree:
         Tree ``t`` keeps its node, child and entry order; its node ids grow
         by the nodes before it, its entry positions by the entries before
         it (``ent_start[roots[t]]``).  Afterwards every tree's
-        ``entry_cols`` / ``entry_oids`` *are* its slice of the forest's, so
-        a fleet holds its entries once however it is queried.
+        ``entry_cols`` / ``entry_oids`` *are* its read-only slice of the
+        forest's and the trees' own entry arrays are let go.  A fleet's
+        shard servers publish those slices as their datasets, so the only
+        arrays holding a fleet's coordinates are the user's dataset, this
+        entry block and the forest's page table.
         """
 
         def offsets(lengths) -> np.ndarray:
@@ -277,6 +280,8 @@ class FlatRTree:
             child_ids=shifted("child_ids", node_off),
             roots=node_off[:-1],
         )
+        forest.entry_cols.setflags(write=False)
+        forest.entry_oids.setflags(write=False)
         for tree, lo, hi in zip(trees, ent_off, ent_off[1:]):
             tree.entry_cols = forest.entry_cols[:, lo:hi]
             tree.entry_oids = forest.entry_oids[lo:hi]

@@ -206,10 +206,13 @@ class SpatialServer:
         )
 
     def prime_snapshot(self) -> None:
-        """Nothing to force: the index is its own snapshot, built eagerly.
+        """Build the index's page table now instead of on the first query.
 
-        Kept for callers that warm a server before timing it.
+        The tree itself is built eagerly; the page table its batch descents
+        read is derived lazily (:meth:`FlatRTree._page_table`), so a caller
+        that warms a server before timing it calls this.
         """
+        self._index.flat._page_table()
 
     @property
     def index(self) -> AggregateRTree:

@@ -13,9 +13,14 @@ the connection counts, so every query connects to the cached fleet as it is.
 
 * ``forest`` lays the shard indexes out as one
   :meth:`~repro.index.flat.FlatRTree.forest` (a root per shard; the shard
-  trees' entries are slices of it), and ``route()`` turns a request batch
-  into the ``(shard, window)`` rows it scatters to, so a whole scatter is
-  evaluated by *one* index descent whatever the shard count;
+  trees' entries are read-only slices of it), and ``route()`` turns a
+  request batch into the ``(shard, window)`` rows it scatters to, so a
+  whole scatter is evaluated by *one* index descent whatever the shard
+  count.  A shard server's dataset is a read-only view of its slice (rows
+  in the shard index's STR order, not partition order: only ``len()``
+  reads them), so the fleet holds each object's coordinates in three
+  arrays only -- the user's dataset, the forest's entry block and the
+  forest's page table -- and keeps no partition copy;
 * ``evaluate_count_batch()`` answers a COUNT batch by that routed descent,
   summing the per-shard counts (shards partition the object set exactly, so
   the sums equal the union server's counts bit for bit) and keeping the
@@ -33,7 +38,8 @@ channels, ledgers and deterministic fault substreams.
 
 With a replication factor R > 1 each shard is published on R *replica*
 servers named ``"<name>#<i>/<j>"`` (``j`` in ``0..R-1``).  Replicas share
-one immutable shard dataset build (:meth:`SpatialServer.replica_view`) but
+one immutable shard build, dataset view and index
+(:meth:`SpatialServer.replica_view`), but
 each is its own breaker unit, with its own metered channel, its own
 statistics on the shard's connection and its own deterministic fault
 substream, so they fail and recover independently --
@@ -44,7 +50,7 @@ the same connection, with nothing to fail over to.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -130,29 +136,27 @@ class ShardedSpatialServer:
         self.scheme = scheme
         self.replicas = replicas
         parts = partition_dataset(self.dataset, shards, scheme)
-        groups: List[Tuple[SpatialServer, ...]] = []
-        for part in parts:
-            # The primary replica keeps the bare shard name at R == 1 so an
-            # unreplicated fleet stays bit-identical to the PR 8 plane
-            # (channel names key ledgers and fault substreams).
-            primary_name = part.name if replicas == 1 else f"{part.name}/0"
-            primary = SpatialServer(part, name=primary_name)
-            group = [primary]
-            for j in range(1, replicas):
-                group.append(primary.replica_view(f"{part.name}/{j}"))
-            groups.append(tuple(group))
-        self.replica_groups: Tuple[Tuple[SpatialServer, ...], ...] = tuple(
-            groups
-        )
-        self.shard_names: Tuple[str, ...] = tuple(part.name for part in parts)
-        # ``shards`` stays the per-shard primaries: bounds routing, count
-        # evaluation and snapshot priming all run against the shared builds,
-        # which the primaries own.
+        # ``shards`` are the per-shard primaries, which own the shared
+        # builds.  At R == 1 a primary keeps the bare shard name
+        # ``"<name>#<i>"`` (channel names key ledgers and fault substreams).
         self.shards: Tuple[SpatialServer, ...] = tuple(
-            group[0] for group in self.replica_groups
+            SpatialServer(part, name=part.name if replicas == 1 else f"{part.name}/0")
+            for part in parts
         )
         #: Every shard index in one layout, ``forest.roots[i]`` shard ``i``'s root.
         self.forest = FlatRTree.forest([shard.index.flat for shard in self.shards])
+        for part, primary in zip(parts, self.shards):
+            # The shard's rows are now a read-only slice of the forest's
+            # entry block (STR order): the partition copy is let go.
+            tree = primary.index.flat
+            primary.dataset = SpatialDataset._trusted(
+                mbrs=tree.entry_mbrs, oids=tree.entry_oids, name=part.name, metadata=part.metadata
+            )
+        self.replica_groups: Tuple[Tuple[SpatialServer, ...], ...] = tuple(
+            (primary, *(primary.replica_view(f"{part.name}/{j}") for j in range(1, replicas)))
+            for part, primary in zip(parts, self.shards)
+        )
+        self.shard_names: Tuple[str, ...] = tuple(part.name for part in parts)
         # Routing table: the bounds (root boxes) of the non-empty shards;
         # an empty shard never answers and is never routed to.
         self._live = np.flatnonzero([len(shard) for shard in self.shards])
@@ -235,7 +239,12 @@ class ShardedSpatialServer:
         return Prefetched(shard, request, bounds, *self.forest.entries_at(rows))
 
     def prime_snapshot(self) -> None:
-        """Nothing to force (see :meth:`SpatialServer.prime_snapshot`)."""
+        """Build the forest's page table now (see :meth:`SpatialServer.prime_snapshot`).
+
+        Only the forest's: every scatter descends the forest, so a shard
+        tree never builds a table of its own.
+        """
+        self.forest._page_table()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
         return (

@@ -347,23 +347,44 @@ def test_descents_on_slot_and_page_boundaries(geometry, fanout, scale, n_trees, 
 
 def test_pages_exist_once_per_index_that_answers_batches():
     """A fleet pays for one page table -- the forest's -- however it is
-    sharded, replicated, connected to or queried; shard trees never build one."""
+    sharded, replicated, primed, connected to or queried; shard trees never
+    build one.  Priming builds it before the first query, which then reads it."""
     r = clustered(n=3000, clusters=8, seed=5, std=0.05, name="R")
     s = clustered(n=3000, clusters=8, seed=6, std=0.05, name="S")
     session = AdHocJoinSession(
         r, s, buffer_size=100, indexed=False, shards_r=4, shards_s=4, shard_scheme="str", replicas=2
     )
+    fleets = (session.server_r, session.server_s)
+    for fleet in fleets:
+        fleet.prime_snapshot()
+    primed = [fleet.forest._pages for fleet in fleets]
+    assert all(table is not None for table in primed)
+    for fleet in fleets:
+        assert all(replica.index.flat._pages is None for replica in fleet.breaker_units())
     found = {session.run(algorithm, epsilon=0.01).num_pairs for algorithm in ("upjoin", "srjoin", "mobijoin")}
     assert len(found) == 1 and found.pop() > 0
-    for fleet in (session.server_r, session.server_s):
-        table = fleet.forest._pages
-        assert table is not None and fleet.forest._page_table() is table  # built once
+    for fleet, table in zip(fleets, primed):
+        assert fleet.forest._pages is table  # the primed table answered the runs
+        assert fleet.forest._page_table() is table  # built once
         proxy = ServerPair.connect(fleet, fleet).r
         proxy.count_batch([fleet.dataset.bounds()])
         assert proxy.backing_server.forest._pages is table
         for replica in fleet.breaker_units():
             assert replica.index.flat._pages is None
             assert replica.replica_view("x").index.flat is replica.index.flat
+
+
+def test_priming_a_plain_server_builds_the_table_its_queries_read():
+    r = clustered(n=3000, clusters=8, seed=5, std=0.05, name="R")
+    s = clustered(n=3000, clusters=8, seed=6, std=0.05, name="S")
+    session = AdHocJoinSession(r, s, buffer_size=100)
+    trees = [server.index.flat for server in (session.server_r, session.server_s)]
+    for server in (session.server_r, session.server_s):
+        server.prime_snapshot()
+    primed = [tree._pages for tree in trees]
+    assert all(table is not None for table in primed)
+    assert session.run("upjoin", epsilon=0.01).num_pairs > 0
+    assert all(tree._pages is table for tree, table in zip(trees, primed))
 
 
 def test_page_table_costs_one_copy_of_the_entries():

@@ -23,8 +23,10 @@ bounds intersect the request windows.  The contracts under test:
 from __future__ import annotations
 
 import dataclasses
+import gc
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -353,6 +355,52 @@ class TestShardedJoinEquivalence:
         with pytest.raises(InvalidInput) as built:
             StackConfig(shards_r=2).check_algorithm("semijoin")
         assert str(injected.value) == str(built.value)
+
+
+# --------------------------------------------------------------------------- #
+# memory: a fleet holds each coordinate once
+# --------------------------------------------------------------------------- #
+
+
+class TestFleetHoldsEachObjectOnce:
+    """A shard server's dataset is a read-only view of its slice of the
+    forest's entry block (rows in STR order), shared by its replicas; the
+    partition copies it was built from are not kept."""
+
+    def test_shard_datasets_are_views_of_the_forest_entries(self):
+        data = clustered(n=4000, clusters=16, seed=21, name="R")
+        fleet = ShardedSpatialServer(data, "R", shards=16, scheme="str", replicas=2)
+        parts = partition_dataset(fleet.dataset, 16, "str")
+        assert len(fleet.replica_groups) == 16 and all(len(p) for p in parts)
+        for part, group in zip(parts, fleet.replica_groups):
+            assert len(group) == 2
+            for server in group:
+                shard = server.dataset
+                assert shard is group[0].dataset
+                assert np.shares_memory(shard.mbrs, fleet.forest.entry_cols)
+                assert np.shares_memory(shard.oids, fleet.forest.entry_oids)
+                assert not shard.mbrs.flags.writeable and not shard.oids.flags.writeable
+                assert shard.name == part.name and len(shard) == len(part)
+                assert set(shard.oids.tolist()) == set(part.oids.tolist())
+
+    def test_a_built_fleet_holds_no_partition_copy(self):
+        data = clustered(20000)
+        ShardedSpatialServer(data, "R", shards=4, scheme="str")  # imports, caches
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            fleet = ShardedSpatialServer(data, "R", shards=16, scheme="str", replicas=2)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        entries = fleet.forest.entry_cols.nbytes + fleet.forest.entry_oids.nbytes
+        assert entries == 20000 * 40
+        # The entry block once, plus node arrays (the shard trees' and the
+        # forest's, about 15% of it each); a kept partition copy would add a
+        # second whole entry block.
+        assert held < 1.5 * entries, (held, entries)
 
 
 # --------------------------------------------------------------------------- #
