@@ -14,6 +14,10 @@ import numpy as np
 import pytest
 
 from repro.core.costmodel import CostModel
+from repro.core.frontier import Level
+from repro.core.join_types import JoinSpec
+from repro.core.planner import ALGORITHMS
+from repro.core.srjoin import DIFFERENT
 from repro.datasets.synthetic import clustered, uniform
 from repro.device.hbsj import HBSJColumns
 from repro.device.pda import MobileDevice
@@ -461,3 +465,58 @@ def test_bench_level_cost_table(benchmark):
     ]
     benchmark.extra_info["one_row_calls_s"] = time.perf_counter() - start
     assert benchmark(level) == one_row
+
+
+def _scripted_counts(step) -> list:
+    """COUNT answers as a pure function of the rows: a density of 4,000
+    objects per unit area, a few rows empty -- enough to reach every stage
+    of a table (quadrants, derived fourths, probes, bitmaps)."""
+    answers = []
+    for request in step:
+        rows = np.asarray(request.args[0], dtype=np.float64)
+        counts = (rect_array.areas(rows) * 4000.0).astype(np.int64)
+        counts[(np.abs(rows[:, 0] * 977.0 + rows[:, 1] * 131.0).astype(np.int64) % 7) == 0] = 0
+        answers.append(counts.tolist())
+    return answers
+
+
+@pytest.mark.parametrize("windows", [1, 4, 12, 48])
+@pytest.mark.parametrize("algorithm", ["upjoin", "srjoin", "mobijoin"])
+def test_bench_level_table_width(benchmark, algorithm, windows):
+    """One frontier level of each engine table decided over 1 / 4 / 12 / 48
+    windows, its COUNT rounds answered from a script: what deciding a
+    level costs as its width grows (a table's fixed cost is what a wave's
+    like queries share when they decide together)."""
+    device = MobileDevice(
+        ServerPair.connect(
+            SpatialServer(uniform(n=8, seed=1), name="R"),
+            SpatialServer(uniform(n=8, seed=2), name="S"),
+        ),
+        buffer_size=100,
+    )
+    algo = ALGORITHMS[algorithm](device, JoinSpec.distance(0.002))
+    rng = np.random.default_rng(windows)
+    corners = rng.uniform(0.0, 0.8, size=(windows, 2))
+    cells = np.hstack([corners, corners + rng.uniform(0.05, 0.2, size=(windows, 2))])
+    counts = rect_array.areas(cells) * 4000.0
+    flags = {
+        "upjoin": (np.zeros(windows, dtype=bool),) * 2,
+        "srjoin": (np.full(windows, DIFFERENT),),
+        "mobijoin": (),
+    }[algorithm]
+    level = Level(2, cells, counts, counts * 1.1, np.ones(windows, dtype=bool), flags)
+
+    def decide():
+        steps = algo.table(algo, level).steps()
+        rounds = 0
+        try:
+            step = next(steps)
+            while True:
+                rounds += 1
+                step = steps.send(_scripted_counts(step))
+        except StopIteration as stop:
+            return stop.value, rounds
+
+    table, rounds = benchmark(decide)
+    benchmark.extra_info.update(rounds=rounds, leaves=int(np.count_nonzero(table.op)))
+    assert rounds > 0

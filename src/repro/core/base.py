@@ -254,26 +254,36 @@ class MobileJoinAlgorithm(ABC):
         download.  Books the windows on the device's COUNT counter and,
         while tracing, wraps the round in a "round" span that opens before
         the step is offered and closes when the answers arrive -- any
-        :class:`RoundRetry` replay included -- under the simulated clock.  Sibling rounds are told apart by a per-run
-        counter, keeping span ids deterministic under any wave width.
+        :class:`RoundRetry` replay included -- under the simulated clock.
         """
-        windows = sum(len(request.args[0]) for request in step)
-        self.device.counts.count_queries += windows
-        span = self._obs_span
-        if span is None:
-            return (yield step)
-        round_span = span.child(
-            "round",
-            sim=self.device.sim_now(),
-            round=self._obs_round,
-            servers=",".join(sorted(request.side for request in step)),
-            windows=windows,
+        round_span = self._open_round(
+            sum(len(request.args[0]) for request in step), [request.side for request in step]
         )
-        self._obs_round += 1
+        if round_span is None:
+            return (yield step)
         try:
             return (yield step)
         finally:
             round_span.close(sim=self.device.sim_now())
+
+    def _open_round(self, windows: int, sides: Sequence[str]):
+        """Count a COUNT round of ``windows`` rows to ``sides`` and open its
+        "round" span (``None`` while the tracer is off).  Sibling rounds are
+        told apart by a per-run counter, keeping span ids deterministic
+        under any wave width."""
+        self.device.counts.count_queries += windows
+        span = self._obs_span
+        if span is None:
+            return None
+        round_span = span.child(
+            "round",
+            sim=self.device.sim_now(),
+            round=self._obs_round,
+            servers=",".join(sorted(sides)),
+            windows=windows,
+        )
+        self._obs_round += 1
+        return round_span
 
     def should_stop_partitioning(self, windows: np.ndarray, depths) -> np.ndarray:
         """Mask of the ``(N, 4)`` windows whose repartitioning cannot pay off.

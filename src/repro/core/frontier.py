@@ -61,14 +61,15 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, 
 import numpy as np
 
 from repro.core.base import MobileJoinAlgorithm
-from repro.core.result import LevelTrace, TraceBatch
+from repro.core.result import JoinResult, LevelTrace, TraceBatch
 from repro.device.hbsj import UNKNOWN, HBSJColumns
 from repro.device.nlsj import NLSJColumns
-from repro.device.steps import COUNT, Request, Steps
+from repro.device.pda import DeviceGroup
+from repro.device.steps import COUNT, Request, Shared, Step, Steps, merge, split
 from repro.geometry import rect_array
 from repro.geometry.rect import Rect
 
-__all__ = ["CostedTable", "FrontierAlgorithm", "Level", "LevelTable"]
+__all__ = ["CostedTable", "Crew", "FrontierAlgorithm", "Level", "LevelTable"]
 
 SIDES = ("R", "S")
 #: :attr:`LevelTable.op` codes (0: no operator finishes the window).
@@ -91,9 +92,39 @@ class Level:
     #: What the parent decided for its children, one ``(N,)`` column each
     #: (UpJoin: the datasets known uniform; SrJoin: the bitmap verdict).
     flags: Tuple[np.ndarray, ...] = ()
+    #: ``(N,)`` ascending: the query of a :class:`Crew` each window belongs
+    #: to (``None``: all are one query's).  A query's windows are
+    #: contiguous and in its own path order.
+    query: Optional[np.ndarray] = None
 
     def __len__(self) -> int:
         return self.windows.shape[0]
+
+    def take(self, rows: np.ndarray) -> "Level":
+        """The level of windows ``rows`` (ascending) alone."""
+        return Level(
+            self.depth,
+            self.windows[rows],
+            self.count_r[rows],
+            self.count_s[rows],
+            self.exact[rows],
+            tuple(flag[rows] for flag in self.flags),
+            None if self.query is None else self.query[rows],
+        )
+
+    @classmethod
+    def stack(cls, levels: Dict[int, "Level"]) -> "Level":
+        """One level of the levels of several queries (keyed by query)."""
+        parts = list(levels.values())
+        return cls(
+            parts[0].depth,
+            np.concatenate([part.windows for part in parts]),
+            np.concatenate([part.count_r for part in parts]),
+            np.concatenate([part.count_s for part in parts]),
+            np.concatenate([part.exact for part in parts]),
+            tuple(np.concatenate(flag) for flag in zip(*(part.flags for part in parts))),
+            np.repeat(np.array(list(levels), dtype=np.intp), [len(part) for part in parts]),
+        )
 
     @classmethod
     def root(cls, window: Rect, count_r: int, count_s: int, depth: int, *flags) -> "Level":
@@ -117,6 +148,148 @@ class _Ask(NamedTuple):
     rows: Dict[str, np.ndarray]
 
 
+class Crew:
+    """Like queries decided as one: what a :class:`LevelTable` and the
+    leaves of a level need to know of the queries their windows belong to.
+
+    The members are algorithm instances of one class, spec, parameters,
+    configuration and buffer size, each with its own device -- so one cost
+    model, one predicate and one buffer capacity decide every window,
+    while counters, buffers, pairs, trace rows and spans stay per query.
+    A run on its own is a crew of one; :meth:`FrontierAlgorithm.run_group`
+    runs several.  A member whose booking failed leaves (:meth:`leave`): its
+    spans close, its device is dropped, and from then on it is asked
+    nothing, counted nothing and its windows go with the level they are in.
+    """
+
+    def __init__(self, algos: Sequence["FrontierAlgorithm"]) -> None:
+        self.algos = list(algos)
+        self.devices = DeviceGroup([algo.device for algo in self.algos])
+        self.alive = np.ones(len(self.algos), dtype=bool)
+        #: Per member: its spans open below its "join" span (a round, leaves).
+        self.spans: List[list] = [[] for _ in self.algos]
+
+    def __len__(self) -> int:
+        return len(self.algos)
+
+    def leave(self, q: int) -> None:
+        """Member ``q`` failed: close its spans as closing its run would."""
+        self.alive[q] = False
+        self.devices.leave(q)
+        self.close_spans(q)
+
+    def close_spans(self, q: int) -> None:
+        """Close member ``q``'s open spans and its "join" span."""
+        algo = self.algos[q]
+        sim = algo.device.sim_now()
+        for span in reversed(self.spans[q]):
+            span.close(sim=sim)
+        self.spans[q] = []
+        if algo._obs_span is not None:
+            algo._obs_span.close(sim=sim)
+
+    def members(self, query: np.ndarray) -> List[Tuple[int, int, int]]:
+        """``(member, first row, end row)`` of every live member with rows
+        in an ascending query column."""
+        if len(self.algos) == 1:
+            return [(0, 0, query.shape[0])] if query.shape[0] and self.alive[0] else []
+        bounds = np.searchsorted(query, np.arange(len(self.algos) + 1)).tolist()
+        return [
+            (q, bounds[q], bounds[q + 1])
+            for q in range(len(self.algos))
+            if bounds[q + 1] > bounds[q] and self.alive[q]
+        ]
+
+    def survivors(self, level: Optional[Level]) -> Optional[Level]:
+        """``level`` without the windows of members that left (``None`` if empty)."""
+        if level is None or self.alive.all():
+            return level
+        rows = np.flatnonzero(self.alive[level.query])
+        return level.take(rows) if rows.size else None
+
+    def count_round(self, step: Step, queries: List[np.ndarray], keys) -> Steps:
+        """A COUNT round over the members' rows (see
+        :meth:`~repro.core.base.MobileJoinAlgorithm.count_round`): each
+        member with rows in it counts them and opens its own "round" span."""
+        if len(self.algos) == 1:
+            return (yield from self.algos[0].count_round(step))
+        asked: Dict[int, List[Tuple[str, int]]] = {}
+        for request, query in zip(step, queries):
+            for q, lo, hi in self.members(query):
+                asked.setdefault(q, []).append((request.side, hi - lo))
+        opened = []
+        for q, rows in sorted(asked.items()):
+            span = self.algos[q]._open_round(sum(n for _, n in rows), [side for side, _ in rows])
+            if span is not None:
+                self.spans[q].append(span)
+                opened.append((q, span))
+        answers = yield Shared(step, queries, keys)
+        for q, span in opened:
+            if self.alive[q]:
+                self.spans[q].remove(span)
+                span.close(sim=self.algos[q].device.sim_now())
+        return answers
+
+    def relay(self, steps: Steps) -> Steps:
+        """Drive the group's steps by one step per member: a driver books
+        each member's share on its own connections and answers ``None``
+        for a member whose booking failed, which leaves.  Returns what
+        ``steps`` returns (``None`` once every member left)."""
+        try:
+            step = next(steps)
+            while True:
+                shares = split(step, self.alive)
+                answers: List[Optional[list]] = [None] * len(shares)
+                if any(shares):
+                    answers = yield shares
+                    for q, answer in enumerate(answers):
+                        if answer is None and self.alive[q]:
+                            self.leave(q)
+                if not self.alive.any():
+                    return None
+                step = steps.send(merge(step, answers))
+        except StopIteration as stop:
+            return stop.value
+        finally:
+            steps.close()
+
+    def add_pairs(self, found, query: np.ndarray) -> None:
+        """Hand each member the pairs its invocations found (``query`` is
+        the invocations' query column)."""
+        if len(self.algos) == 1:
+            self.algos[0]._pairs.extend(found.pairs)
+            return
+        for pairs, owner in zip(found.pairs.blocks, found.owners):
+            for q, lo, hi in self.members(query[owner]):
+                self.algos[q]._pairs.blocks.append(pairs[lo:hi])
+
+    def record(self, table: "LevelTable") -> None:
+        """Each member's trace rows of the level, as its own level table."""
+        if len(self.algos) == 1:
+            self.algos[0]._trace.append(table.events())
+            return
+        windows, batches = table.windows, table._trace
+        members = self.members(table.query)
+        ends = [end for _, lo, hi in members for end in (lo, hi)]
+        cuts = [np.searchsorted(batch.idx, ends).tolist() for batch in batches]
+        for k, (q, lo, hi) in enumerate(members):
+            mine = []
+            for batch, cut in zip(batches, cuts):
+                a, b = cut[2 * k], cut[2 * k + 1]
+                if b > a:
+                    mine.append(
+                        TraceBatch(
+                            batch.idx[a:b] - lo,
+                            batch.action,
+                            batch.detail,
+                            tuple(column[a:b] for column in batch.columns),
+                            None if batch.count_r is None else batch.count_r[a:b],
+                            None if batch.count_s is None else batch.count_s[a:b],
+                        )
+                    )
+            self.algos[q]._trace.append(LevelTrace(table.level.depth, windows[lo:hi], mine))
+
+
 class LevelTable:
     """The decision state of one frontier level, as columns.
 
@@ -126,11 +299,18 @@ class LevelTable:
     the leaves, :attr:`children` for the next level, and the trace rows.
     """
 
-    def __init__(self, algo: "FrontierAlgorithm", level: Level) -> None:
+    def __init__(
+        self, algo: "FrontierAlgorithm", level: Level, crew: Optional[Crew] = None
+    ) -> None:
+        #: The crew's first member: what its members share (parameters,
+        #: predicate, cost model, buffer size).
         self.algo = algo
+        self.crew = crew or Crew([algo])
         self.level = level
         self.windows = level.windows
         n = len(level)
+        #: The member each window belongs to.
+        self.query = np.zeros(n, dtype=np.intp) if level.query is None else level.query
         #: The counts rounded to integers, as every estimate and leaf uses them.
         self.int_r = np.rint(level.count_r).astype(np.int64)
         self.int_s = np.rint(level.count_s).astype(np.int64)
@@ -155,6 +335,10 @@ class LevelTable:
 
     def finish(self) -> None:
         """Called once no window waits for an answer (build :attr:`children`)."""
+
+    def tally(self, counter: str, idx: np.ndarray) -> None:
+        """One more on device counter ``counter`` per window of ``idx``."""
+        self.crew.devices.tally(counter, self.query[idx])
 
     # ------------------------------------------------------------------ #
     # the lock-step rounds
@@ -194,7 +378,10 @@ class LevelTable:
             # One cohort: its rows are the requests (R first when it asks both).
             (ask,) = asks
             step = [Request(COUNT, side, (rows,)) for side, rows in ask.rows.items()]
-            answers = yield from self.algo.count_round(step)
+            queries = None
+            if len(self.crew) > 1:
+                queries = [self.query[np.repeat(ask.idx, ask.per_window)]] * len(step)
+            answers = yield from self.crew.count_round(step, queries, None)
             ask.then(ask.idx, *(np.asarray(answer, dtype=np.int64) for answer in answers))
             return
         by_side: Dict[str, List[_Ask]] = {}
@@ -202,21 +389,30 @@ class LevelTable:
             for side in ask.rows:
                 by_side.setdefault(side, []).append(ask)
         sides = sorted(by_side, key=lambda side: (min(a.idx[0] for a in by_side[side]), side))
-        step, merges = [], []
+        step, merges, owners = [], [], []
         for side in sides:
             members = by_side[side]
             rows, src = members[0].rows[side], None
+            idx, per = members[0].idx, members[0].per_window
             if len(members) > 1:
                 # Several cohorts ask this server: interleave their rows by window.
                 idx = np.concatenate([a.idx for a in members])
                 per = np.concatenate([np.broadcast_to(a.per_window, a.idx.shape) for a in members])
                 order = np.argsort(idx, kind="stable")
-                first = (np.cumsum(per) - per)[order]
-                _, src = rect_array.expand_index_ranges(first, first + per[order])
+                idx, per, first = idx[order], per[order], (np.cumsum(per) - per)[order]
+                _, src = rect_array.expand_index_ranges(first, first + per)
                 rows = np.concatenate([a.rows[side] for a in members])[src]
             step.append(Request(COUNT, side, (rows,)))
             merges.append(src)
-        answers = yield from self.algo.count_round(step)
+            if len(self.crew) > 1:
+                owners.append(np.repeat(idx, per))
+        queries = keys = None
+        if owners:
+            # A member lists the servers in the order its own windows first
+            # name them: the key of a row is its window, R before S.
+            queries = [self.query[windows] for windows in owners]
+            keys = [2 * windows + (side == "S") for side, windows in zip(sides, owners)]
+        answers = yield from self.crew.count_round(step, queries, keys)
         shares: Dict[Tuple[int, str], np.ndarray] = {}
         for side, src, answer in zip(sides, merges, answers):
             counts = np.asarray(answer, dtype=np.int64)
@@ -295,7 +491,7 @@ class LevelTable:
         the algorithms -- the depth-first equivalence suite and the
         golden-trace fixtures compare both.
         """
-        self.algo.device.counts.windows_pruned += idx.size
+        self.tally("windows_pruned", idx)
         self.rec(
             idx, "prune", "empty side", (), count_r.astype(np.int64), count_s.astype(np.int64)
         )
@@ -328,6 +524,7 @@ class LevelTable:
                 count_s.reshape(-1).astype(np.float64),
                 exact.reshape(-1),
                 tuple(np.repeat(flag, fan_out) for flag in flags),
+                np.repeat(self.query[parents], fan_out),
             )
 
     # ------------------------------------------------------------------ #
@@ -349,8 +546,9 @@ class LevelTable:
         ``detail`` is a ``str.format`` template over ``columns`` (parallel
         to ``idx``; formatted from Python numbers when read); ``counts=True``
         records the windows' integer counts, ``count_r`` / ``count_s`` other
-        ones.  The rows stay columns -- one :class:`TraceBatch` per call --
-        and are spliced per level in window order (:meth:`events`), so the
+        ones.  ``idx`` is ascending (a cohort or part of one).  The rows stay
+        columns -- one :class:`TraceBatch` per call -- and are spliced per
+        level in window order (:meth:`events`), so the
         per-depth decision log is identical to a depth-first execution even
         though windows are decided together.
         """
@@ -374,8 +572,10 @@ class LevelTable:
 class CostedTable(LevelTable):
     """A level table with the cost columns UpJoin and SrJoin decide from."""
 
-    def __init__(self, algo: "FrontierAlgorithm", level: Level) -> None:
-        super().__init__(algo, level)
+    def __init__(
+        self, algo: "FrontierAlgorithm", level: Level, crew: Optional[Crew] = None
+    ) -> None:
+        super().__init__(algo, level, crew)
         n = len(level)
         #: :meth:`~repro.core.base.MobileJoinAlgorithm.should_stop_partitioning`.
         self.stop = np.zeros(n, dtype=bool)
@@ -429,60 +629,138 @@ class FrontierAlgorithm(MobileJoinAlgorithm):
     run_cooperative = MobileJoinAlgorithm.run_cooperative
 
     def _steps(self, window: Rect, count_r: int, count_s: int, depth: int) -> Steps:
-        """The level-order execution as a step generator.
+        """The level-order execution as a step generator: :meth:`_levels`
+        of a crew of one."""
+        yield from self._levels(Crew([self]), self._root_task(window, count_r, count_s, depth))
 
-        Per level: the lock-step COUNT rounds of its table, then the steps
-        of the batch operators that finish its leaves.  Everything else --
-        decisions, in-memory joins, the trace spliced in window order --
-        happens inside the generator between steps.
-        """
-        level = self._root_task(window, count_r, count_s, depth)
+    def _levels(self, crew: Crew, level: Optional[Level]) -> Steps:
+        """Per level: the lock-step COUNT rounds of its table, then the
+        steps of the batch operators that finish its leaves.  Everything
+        else -- decisions, in-memory joins, each member's trace rows
+        spliced in window order -- happens inside the generator between
+        steps."""
         while level is not None:
-            table = yield from self.table(self, level).steps()
+            table = yield from self.table(self, level, crew).steps()
             yield from self._run_leaves(table)
             if self.params.trace:
-                self._trace.append(table.events())
-            level = table.children
+                crew.record(table)
+            level = crew.survivors(table.children)
+
+    @staticmethod
+    def run_group(runs: Sequence[Tuple["FrontierAlgorithm", Rect]]) -> Steps:
+        """Run like queries -- ``(algorithm, window)`` pairs of one class,
+        spec, parameters, configuration, buffer size and backing builds --
+        as one step generator.
+
+        Their windows share every level table, leaf batch and kernel call
+        (a per-window query column says whose each one is), while every
+        member keeps its own counters, buffer, pairs, trace and spans.  It
+        yields one step per member (empty when a member has nothing to
+        ask), which a driver books on that member's connections
+        (:func:`~repro.device.steps.book_step`), and takes one answer list
+        per member back: ``None`` for a member whose booking raised, which
+        then leaves the group (:meth:`Crew.leave`) while the rest go on.
+        Returns every member's :class:`~repro.core.result.JoinResult`
+        (``None`` for one that left).
+        """
+        crew = Crew([algo for algo, _ in runs])
+        lead = crew.algos[0]
+        results = yield from crew.relay(lead._group_steps(crew, [window for _, window in runs]))
+        return results or [None] * len(crew)
+
+    def _group_steps(self, crew: Crew, windows: List[Rect]) -> Steps:
+        """:meth:`run_cooperative` of every member of ``crew`` at once:
+        the root COUNT round, then the members' root windows as one level."""
+        algos = crew.algos
+        try:
+            for algo, window in zip(algos, windows):
+                algo._pairs.clear()
+                algo._trace.clear()
+                algo._obs_open(window)
+            # Every member's root COUNTs, R then S, one row per member.
+            rows = {
+                side: [algo.query_window(side, w) for algo, w in zip(algos, windows)]
+                for side in SIDES
+            }
+            step = [Request(COUNT, side, (rect_array.rects_to_array(rows[side]),)) for side in SIDES]
+            members = np.arange(len(algos), dtype=np.intp)
+            counts_r, counts_s = yield from crew.count_round(step, [members, members], None)
+            roots: Dict[int, Level] = {}
+            for q, (algo, window) in enumerate(zip(algos, windows)):
+                if crew.alive[q]:
+                    count_r, count_s = int(counts_r[q]), int(counts_s[q])
+                    algo.record(0, window, "start", f"{algo.name}", count_r, count_s)
+                    roots[q] = algo._root_task(window, count_r, count_s, 0)
+            yield from self._levels(crew, Level.stack(roots))
+            results: List[Optional[JoinResult]] = [None] * len(algos)
+            for q in np.flatnonzero(crew.alive).tolist():
+                results[q] = algos[q]._assemble(windows[q])
+            return results
+        finally:
+            for q in np.flatnonzero(crew.alive).tolist():
+                crew.close_spans(q)
 
     def _run_leaves(self, table: LevelTable) -> Steps:
         """Execute the level's physical-operator leaves through the batch
         operators: one batched download / probe / kernel pipeline per
-        operator kind, fed the table's own columns -- no object per leaf."""
-        hbsj, nlsj = np.flatnonzero(table.op == HBSJ), np.flatnonzero(table.op == NLSJ)
+        operator kind for the whole crew, fed the table's own columns -- no
+        object per leaf."""
+        crew = table.crew
+        live = table.op != 0
+        if not crew.alive.all():
+            live &= crew.alive[table.query]
+        hbsj = np.flatnonzero(live & (table.op == HBSJ))
+        nlsj = np.flatnonzero(live & (table.op == NLSJ))
         if not hbsj.size and not nlsj.size:
             return
-        span = self._obs_span
-        leaves_span = None
-        if span is not None:
-            leaves_span = span.child(
-                "leaves",
-                sim=self.device.sim_now(),
-                batch=self._obs_leaf_batch,
-                hbsj=hbsj.size,
-                nlsj=nlsj.size,
-            )
-            self._obs_leaf_batch += 1
-        if hbsj.size:
-            # Estimated counts are not forwarded: the operator issues its own
-            # COUNTs -- the paper's "issue additional aggregate queries only
-            # when accuracy is crucial, i.e. when applying the physical
-            # operators".
-            exact = table.counts_exact[hbsj]
-            found = yield from self.device.hbsj_steps(
-                HBSJColumns(
-                    table.windows[hbsj],
-                    np.where(exact, table.int_r[hbsj], UNKNOWN),
-                    np.where(exact, table.int_s[hbsj], UNKNOWN),
-                ),
-                self.predicate,
-            )
-            self._pairs.extend(found.pairs)
-        if nlsj.size:
-            found = yield from self.device.nlsj_steps(
-                NLSJColumns(table.windows[nlsj], table.outer_s[nlsj]),
-                self.predicate,
-                bucket=self.params.bucket_queries,
-            )
-            self._pairs.extend(found.pairs)
-        if leaves_span is not None:
-            leaves_span.close(sim=self.device.sim_now())
+        # One "leaves" span per member with leaves here.
+        opened = []
+        n_hbsj = np.bincount(table.query[hbsj], minlength=len(crew)).tolist()
+        n_nlsj = np.bincount(table.query[nlsj], minlength=len(crew)).tolist()
+        for q, algo in enumerate(crew.algos):
+            span = algo._obs_span
+            if span is not None and crew.alive[q] and n_hbsj[q] + n_nlsj[q]:
+                leaves_span = span.child(
+                    "leaves",
+                    sim=algo.device.sim_now(),
+                    batch=algo._obs_leaf_batch,
+                    hbsj=n_hbsj[q],
+                    nlsj=n_nlsj[q],
+                )
+                algo._obs_leaf_batch += 1
+                crew.spans[q].append(leaves_span)
+                opened.append((q, leaves_span))
+        alone = len(crew) == 1
+        try:
+            if hbsj.size:
+                # Estimated counts are not forwarded: the operator issues its
+                # own COUNTs -- the paper's "issue additional aggregate queries
+                # only when accuracy is crucial, i.e. when applying the
+                # physical operators".
+                exact = table.counts_exact[hbsj]
+                query = table.query[hbsj]
+                found = yield from crew.devices.hbsj_steps(
+                    HBSJColumns(
+                        table.windows[hbsj],
+                        np.where(exact, table.int_r[hbsj], UNKNOWN),
+                        np.where(exact, table.int_s[hbsj], UNKNOWN),
+                        None if alone else query,
+                    ),
+                    self.predicate,
+                )
+                crew.add_pairs(found, query)
+            if nlsj.size:
+                query = table.query[nlsj]
+                found = yield from crew.devices.nlsj_steps(
+                    NLSJColumns(
+                        table.windows[nlsj], table.outer_s[nlsj], None if alone else query
+                    ),
+                    self.predicate,
+                    bucket=self.params.bucket_queries,
+                )
+                crew.add_pairs(found, query)
+        finally:
+            for q, leaves_span in opened:
+                if crew.alive[q]:
+                    crew.spans[q].remove(leaves_span)
+                    leaves_span.close(sim=crew.algos[q].device.sim_now())

@@ -76,7 +76,7 @@ class MobiJoinTable(LevelTable):
         # matching the ``2 k^2 * Taq`` term of Eq. 8; the windows of a depth
         # share one request per server.
         split = idx[~leaf]
-        algo.device.counts.repartitions += split.size
+        self.tally("repartitions", split)
         self.rec(split, "repartition", f"{k}x{k} grid")
         cells = rect_array.subdivide_window(self.windows[split], k).reshape(-1, 4)
         self.ask(

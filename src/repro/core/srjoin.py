@@ -89,7 +89,7 @@ class SrJoinTable(CostedTable):
         self.leaves(done, self.c1[done] <= self.nlsj_cost[done], level.exact[done])
         # Repartition aggressively, hoping the next level prunes.
         recurse = idx[~finish & (verdict != NO_PARENT)]
-        algo.device.counts.repartitions += recurse.size
+        self.tally("repartitions", recurse)
         self.rec(recurse, "recurse", "bitmaps differ", counts=True)
         # Lines 1-2: quadrant statistics for both datasets (R counted on the
         # raw quadrants, S on their epsilon-expanded query windows).

@@ -238,7 +238,7 @@ class UpJoinTable(CostedTable):
         )
         # Lines 11/14: decompose into the four quadrants.
         split = idx[~leaf]
-        self.algo.device.counts.repartitions += split.size
+        self.tally("repartitions", split)
         self.rec(split, "repartition", "2x2 grid")
         self._split.append(split)
 

@@ -13,12 +13,13 @@ capacity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.errors import ReproError, require_count
 
-__all__ = ["DeviceBuffer", "BufferExceededError"]
+__all__ = ["DeviceBuffer", "BufferExceededError", "capacity", "hold_each_in_turn"]
 
 
 class BufferExceededError(ReproError, RuntimeError):
@@ -65,3 +66,24 @@ class DeviceBuffer:
     def reset(self) -> None:
         """Clear the high-water mark."""
         self.high_water_mark = 0
+
+
+def hold_each_in_turn(
+    buffers: Sequence[Optional[DeviceBuffer]], sizes: np.ndarray, queries: Optional[np.ndarray]
+) -> None:
+    """:meth:`DeviceBuffer.hold_in_turn` for the entries of several queries:
+    entry ``k`` is held on ``buffers[queries[k]]``, each query's entries in
+    their order, none on a ``None`` buffer (a query that left its group);
+    ``queries`` is ``None``: all are the one buffer's."""
+    if queries is None:
+        buffers[0].hold_in_turn(sizes)
+        return
+    for q, buffer in enumerate(buffers):
+        mine = queries == q
+        if buffer is not None and mine.any():
+            buffer.hold_in_turn(sizes[mine])
+
+
+def capacity(buffers: Sequence[Optional[DeviceBuffer]]) -> int:
+    """The capacity the buffers of a query group share."""
+    return next(buffer for buffer in buffers if buffer is not None).capacity

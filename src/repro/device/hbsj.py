@@ -22,9 +22,9 @@ from typing import List, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.device.buffer import DeviceBuffer
+from repro.device.buffer import DeviceBuffer, capacity, hold_each_in_turn
 from repro.device.nlsj import NLSJColumns, nested_loop_spatial_join_steps
-from repro.device.steps import COUNT, WINDOW, OperatorTable, Request, Steps
+from repro.device.steps import COUNT, WINDOW, OperatorTable, Request, Shared, Steps
 from repro.geometry import rect_array
 from repro.geometry.predicates import JoinPredicate
 from repro.geometry.rect import Rect
@@ -86,6 +86,9 @@ class HBSJColumns(NamedTuple):
     #: margin-expanded window); :data:`UNKNOWN` where there is none.
     count_r: np.ndarray
     count_s: np.ndarray
+    #: ``(N,)`` ascending query of every invocation when they belong to the
+    #: queries of a group (``None``: all are one query's).
+    query: Optional[np.ndarray] = None
 
     @classmethod
     def of(cls, requests: "HBSJRequests") -> "HBSJColumns":
@@ -116,7 +119,7 @@ class HBSJTable(OperatorTable):
 
 
 def hash_based_spatial_join_steps(
-    requests: HBSJRequests, predicate: JoinPredicate, buffer: DeviceBuffer
+    requests: HBSJRequests, predicate: JoinPredicate, buffers: Sequence[Optional[DeviceBuffer]]
 ) -> Steps:
     """The HBSJ operator for many invocations, as a step generator.
 
@@ -132,32 +135,40 @@ def hash_based_spatial_join_steps(
     the prune / join / split / fallback classes are masks, and the joins of
     all buffer-feasible cells are one segmented grid-hash kernel call whose
     block is kept whole.
+
+    With a query column the invocations are several queries' (a query
+    group's): every step is :class:`~repro.device.steps.Shared` and a
+    download is held on the buffer of the query that asked for it
+    (``buffers`` is indexed by the column; else it is the one buffer).
     """
-    cells, count_r, count_s = HBSJColumns.of(requests)
+    cells, count_r, count_s, query = HBSJColumns.of(requests)
     table = HBSJTable(cells.shape[0])
     owner = np.arange(table.n, dtype=np.intp)
     count_r, count_s = count_r.copy(), count_s.copy()
     margin = predicate.window_margin
+    room = capacity(buffers)
 
     depth = 0
     while cells.shape[0]:
         # Resolve missing feasibility counts: one COUNT request per server
         # (R is asked for the raw rows, S for the rows grown by the margin).
         need_r, need_s = np.flatnonzero(count_r == UNKNOWN), np.flatnonzero(count_s == UNKNOWN)
-        step = []
+        step, rows = [], []
         if need_r.size:
             step.append(Request(COUNT, "R", (cells[need_r],)))
+            rows.append(need_r)
         if need_s.size:
             step.append(Request(COUNT, "S", (rect_array.expand(cells[need_s], margin),)))
+            rows.append(need_s)
         if step:
-            answers = iter((yield step))
+            answers = iter((yield _shared(step, query, owner, rows)))
             for need, counts in ((need_r, count_r), (need_s, count_s)):
                 if need.size:
                     counts[need] = next(answers)
                     np.add.at(table.count_queries, owner[need], 1)
 
         empty = (count_r == 0) | (count_s == 0)
-        fits = ~empty & (count_r + count_s <= buffer.capacity)
+        fits = ~empty & (count_r + count_s <= room)
         over = ~empty & ~fits
         stuck = over & _unsplittable(cells, margin, depth)
         joins, splits, fallbacks = (np.flatnonzero(m) for m in (fits, over & ~stuck, stuck))
@@ -165,13 +176,15 @@ def hash_based_spatial_join_steps(
 
         # One step for the level: the per-quadrant feasibility COUNTs of
         # every splitting cell, then the downloads of every feasible one.
-        step = []
+        step, rows = [], []
         if splits.size:
             children = rect_array.quadrant_cells(cells[splits]).reshape(-1, 4)
             step += _both_sides(COUNT, children, margin)
+            rows += [np.repeat(splits, 4)] * 2
         if joins.size:
             step += _both_sides(WINDOW, cells[joins], margin)
-        answers = (yield step) if step else []
+            rows += [joins] * 2
+        answers = (yield _shared(step, query, owner, rows)) if step else []
 
         # Feasible cells arrive in CSR form, which is what the batch kernel
         # joins -- no per-cell split, and its block is kept as it is.
@@ -183,18 +196,22 @@ def hash_based_spatial_join_steps(
             np.add.at(table.objects_downloaded_r, mine, got_r)
             np.add.at(table.objects_downloaded_s, mine, got_s)
             np.add.at(table.windows_joined, mine, 1)
-            buffer.hold_in_turn(got_r + got_s)
+            hold_each_in_turn(buffers, got_r + got_s, _rows_query(query, mine))
             table.add_pairs(pairs, np.repeat(mine, np.diff(starts)))
 
         # Un-splittable over-budget cells: finish with batched NLSJ (outer R).
         if fallbacks.size:
+            mine = owner[fallbacks]
             probed = yield from nested_loop_spatial_join_steps(
-                NLSJColumns(cells[fallbacks], np.zeros(fallbacks.size, dtype=bool)),
+                NLSJColumns(
+                    cells[fallbacks],
+                    np.zeros(fallbacks.size, dtype=bool),
+                    _rows_query(query, mine),
+                ),
                 predicate,
-                buffer,
+                buffers,
                 bucket=False,
             )
-            mine = owner[fallbacks]
             np.add.at(table.nlsj_fallbacks, mine, 1)
             np.add.at(table.objects_downloaded_r, mine, probed.outer_objects)
             np.add.at(table.objects_downloaded_s, mine, probed.inner_objects_received)
@@ -209,6 +226,16 @@ def hash_based_spatial_join_steps(
         count_r, count_s = (np.asarray(answer, dtype=np.int64) for answer in answers[:2])
         depth += 1
     return table
+
+
+def _rows_query(query: Optional[np.ndarray], invocations: np.ndarray) -> Optional[np.ndarray]:
+    """The query of every row owned by ``invocations`` (``None`` for one query)."""
+    return None if query is None else query[invocations]
+
+
+def _shared(step, query, owner: np.ndarray, rows: List[np.ndarray]):
+    """``step`` over the cells ``rows[i]`` of request ``i`` (see :class:`Shared`)."""
+    return Shared.of(step, None if query is None else [query[owner[cells]] for cells in rows])
 
 
 def _both_sides(kind, rows: np.ndarray, margin: float) -> List[Request]:

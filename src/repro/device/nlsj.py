@@ -25,12 +25,12 @@ the high-water mark stays meaningful.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import List, NamedTuple, Sequence, Tuple, Union
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.device.buffer import DeviceBuffer
-from repro.device.steps import BUCKET, RANGE, WINDOW, OperatorTable, Request, Steps
+from repro.device.buffer import DeviceBuffer, capacity, hold_each_in_turn
+from repro.device.steps import BUCKET, RANGE, WINDOW, OperatorTable, Request, Shared, Steps
 from repro.geometry import rect_array
 from repro.geometry.predicates import JoinPredicate, WithinDistancePredicate
 from repro.geometry.rect import Rect
@@ -72,6 +72,9 @@ class NLSJColumns(NamedTuple):
     windows: np.ndarray
     #: ``(N,)`` ``bool``: the outer relation is S.
     outer_s: np.ndarray
+    #: ``(N,)`` ascending query of every invocation when they belong to the
+    #: queries of a group (``None``: all are one query's).
+    query: Optional[np.ndarray] = None
 
     @classmethod
     def of(cls, requests: "NLSJRequests") -> "NLSJColumns":
@@ -106,7 +109,7 @@ class NLSJTable(OperatorTable):
 def nested_loop_spatial_join_steps(
     requests: NLSJRequests,
     predicate: JoinPredicate,
-    buffer: DeviceBuffer,
+    buffers: Sequence[Optional[DeviceBuffer]],
     bucket: bool = False,
 ) -> Steps:
     """The NLSJ operator for many invocations, as a step generator.
@@ -121,8 +124,14 @@ def nested_loop_spatial_join_steps(
     (each probe still its own exchange) or, bucket queries, one BUCKET
     request per invocation (merging them would change the wire payloads).
     Either way all candidates of a download are verified at once.
+
+    With a query column the invocations are several queries' (see
+    :func:`~repro.device.hbsj.hash_based_spatial_join_steps`): every step
+    is :class:`~repro.device.steps.Shared` (a bucket request carries one
+    invocation's probes) and the outer objects are held on the buffer of
+    their query.
     """
-    windows, outer_s = NLSJColumns.of(requests)
+    windows, outer_s, query = NLSJColumns.of(requests)
     table = NLSJTable(outer_s)
     margin = predicate.window_margin
 
@@ -139,7 +148,8 @@ def nested_loop_spatial_join_steps(
     if not step:
         return table
     outers: List[_Outer] = []
-    for (side, idxs), (mbrs, oids, bounds) in zip(asked, (yield step)):
+    rows = None if query is None else [query[idxs] for _, idxs in asked]
+    for (side, idxs), (mbrs, oids, bounds) in zip(asked, (yield Shared.of(step, rows))):
         table.outer_objects[idxs] = table.probes_sent[idxs] = np.diff(bounds)
         if mbrs.shape[0]:
             outers.append(_Outer(side, idxs, mbrs, oids, bounds, predicate))
@@ -157,10 +167,13 @@ def nested_loop_spatial_join_steps(
             for i, lo, hi, radius in zip(*outer.buckets())
         )
         table.bucket_queries[[i for i, *_ in buckets]] = 1
-        answers = yield [
+        step = [
             Request(BUCKET, outer.inner, (outer.centers[lo:hi], radius, outer.radii[lo:hi]))
             for _, outer, lo, hi, radius in buckets
         ]
+        if query is not None:
+            rows = [np.full(hi - lo, query[i]) for i, _, lo, hi, _ in buckets]
+        answers = yield Shared.of(step, rows)
         # A BUCKET answer names the probe of every row, counted from the
         # invocation's first outer row.
         candidates = []
@@ -172,22 +185,30 @@ def nested_loop_spatial_join_steps(
             ]
             candidates.append([np.concatenate(column) for column in zip(*mine)])
         held = table.outer_objects
+        held_by = query
     else:
         # One RANGE request per inner server; its answer is flat (one
         # concatenated payload, ``index`` its CSR offsets in probe order).
-        answers = yield [
-            Request(RANGE, outer.inner, (outer.centers, outer.radii)) for outer in outers
-        ]
+        step = [Request(RANGE, outer.inner, (outer.centers, outer.radii)) for outer in outers]
+        if query is not None:
+            rows = [query[outer.owner] for outer in outers]
+        answers = yield Shared.of(step, rows)
         candidates = [
             (mbrs, oids, np.repeat(np.arange(index.shape[0] - 1, dtype=np.intp), np.diff(index)))
             for mbrs, oids, index in answers
         ]
         held = np.concatenate([outer.sizes for outer in outers])
+        held_by = None if query is None else np.concatenate([query[o.idxs] for o in outers])
     for outer, (cand_mbrs, cand_oids, probe_idx) in zip(outers, candidates):
         table.inner_objects_received += np.bincount(outer.owner[probe_idx], minlength=table.n)
         table.add_pairs(*outer.verify(windows, cand_mbrs, cand_oids, probe_idx, predicate))
     # Each invocation holds its outer objects (capped) while it is verified.
-    buffer.hold_in_turn(np.minimum(held[held > 0], buffer.capacity))
+    live = held > 0
+    hold_each_in_turn(
+        buffers,
+        np.minimum(held[live], capacity(buffers)),
+        None if held_by is None else held_by[live],
+    )
     return table
 
 

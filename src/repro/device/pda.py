@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.device.buffer import DeviceBuffer
 from repro.device.hbsj import (
     HBSJColumns,
@@ -37,7 +39,7 @@ from repro.network.wifi import WifiLinkModel
 from repro.obs.trace import NULL_TRACER
 from repro.server.remote import ServerPair
 
-__all__ = ["MobileDevice", "OperatorCounts"]
+__all__ = ["DeviceGroup", "MobileDevice", "OperatorCounts"]
 
 
 @dataclass
@@ -190,29 +192,19 @@ class MobileDevice:
 
     def hbsj_steps(self, requests: HBSJRequests, predicate: JoinPredicate) -> Steps:
         """Many HBSJ invocations (a request list or :class:`HBSJColumns`) as a
-        step generator (:mod:`repro.device.steps`).
-
-        Books one invocation per request and adds their count / prune
-        counters to the device's; returns the operator's
-        :class:`~repro.device.hbsj.HBSJTable`.
-        """
-        requests = HBSJColumns.of(requests)
-        self.counts.hbsj_invocations += requests.windows.shape[0]
-        table = yield from hash_based_spatial_join_steps(requests, predicate, self.buffer)
-        self.counts.count_queries += int(table.count_queries.sum())
-        self.counts.windows_pruned += int(table.windows_pruned.sum())
-        return table
+        step generator (:mod:`repro.device.steps`): :meth:`DeviceGroup.hbsj_steps`
+        of this device alone; returns the operator's
+        :class:`~repro.device.hbsj.HBSJTable`."""
+        return (yield from DeviceGroup([self]).hbsj_steps(HBSJColumns.of(requests), predicate))
 
     def nlsj_steps(
         self, requests: NLSJRequests, predicate: JoinPredicate, bucket: bool = False
     ) -> Steps:
         """Many NLSJ invocations (a request list or :class:`NLSJColumns`) as a
         step generator; returns the operator's :class:`~repro.device.nlsj.NLSJTable`."""
-        requests = NLSJColumns.of(requests)
-        self.counts.nlsj_invocations += requests.windows.shape[0]
         return (
-            yield from nested_loop_spatial_join_steps(
-                requests, predicate, self.buffer, bucket=bucket
+            yield from DeviceGroup([self]).nlsj_steps(
+                NLSJColumns.of(requests), predicate, bucket=bucket
             )
         )
 
@@ -252,3 +244,66 @@ class MobileDevice:
         self.buffer.reset()
         self.counts = OperatorCounts()
         self.servers.reset()
+
+
+class DeviceGroup:
+    """The devices of a query group: one per query, in the group's order.
+
+    The operators of a group run once over the invocations of all its
+    queries (the columns' query column names each invocation's); each
+    device keeps its own counters and buffer.  A query that leaves the
+    group (:meth:`leave`) has its device dropped: nothing is counted or
+    held on it any more.
+    """
+
+    def __init__(self, devices: Sequence[MobileDevice]) -> None:
+        #: ``None`` where the query left the group.
+        self.devices: List[Optional[MobileDevice]] = list(devices)
+        #: Parallel to :attr:`devices`; the list the operators hold on.
+        self.buffers = [device.buffer for device in self.devices]
+
+    def leave(self, q: int) -> None:
+        """Query ``q`` left the group: count and hold nothing more on its device."""
+        self.devices[q] = None
+        self.buffers[q] = None
+
+    def tally(self, counter: str, query: np.ndarray, weights: Optional[np.ndarray] = None) -> None:
+        """Add one per row -- or each row's ``weights`` -- to counter
+        ``counter`` of the row's device (``query`` is the rows' query column)."""
+        if len(self.devices) == 1:
+            device = self.devices[0]
+            if device is not None:
+                n = query.shape[0] if weights is None else int(weights.sum())
+                setattr(device.counts, counter, getattr(device.counts, counter) + n)
+            return
+        per_query = np.bincount(query, weights, minlength=len(self.devices))
+        for device, n in zip(self.devices, per_query.astype(np.int64).tolist()):
+            if device is not None and n:
+                setattr(device.counts, counter, getattr(device.counts, counter) + n)
+
+    def hbsj_steps(self, requests: HBSJColumns, predicate: JoinPredicate) -> Steps:
+        """HBSJ over the invocations of the group's queries: books one
+        invocation per request and adds their count / prune counters to
+        their queries' devices."""
+        query = _query(requests.query, requests.windows)
+        self.tally("hbsj_invocations", query)
+        table = yield from hash_based_spatial_join_steps(requests, predicate, self.buffers)
+        self.tally("count_queries", query, table.count_queries)
+        self.tally("windows_pruned", query, table.windows_pruned)
+        return table
+
+    def nlsj_steps(
+        self, requests: NLSJColumns, predicate: JoinPredicate, bucket: bool = False
+    ) -> Steps:
+        """NLSJ over the invocations of the group's queries (see :meth:`hbsj_steps`)."""
+        self.tally("nlsj_invocations", _query(requests.query, requests.windows))
+        return (
+            yield from nested_loop_spatial_join_steps(
+                requests, predicate, self.buffers, bucket=bucket
+            )
+        )
+
+
+def _query(query: Optional[np.ndarray], windows: np.ndarray) -> np.ndarray:
+    """A columns' query column (all the first query's when there is none)."""
+    return np.zeros(windows.shape[0], dtype=np.intp) if query is None else query

@@ -13,6 +13,17 @@ server connection; they yield **steps** and receive the answers:
   in the order their exchanges are written to the query's ledgers;
 * the answer to a step is the parallel list of what the endpoints return.
 
+A request's *rows* are the entries of its per-row columns (``Kind.columns``:
+windows, probe centres and radii): one query string each on the wire.  A
+query group -- like queries of a broker wave that run as one step
+generator -- offers :class:`Shared` steps instead, whose requests hold the
+rows of all its queries: ``queries[i]`` is the query column of request
+``i``'s rows, each query's rows contiguous and in its own window order.
+:func:`split` cuts such a step into one ordinary step per query, each in
+the order that query's standalone step lists its requests, and
+:func:`merge` puts the queries' booked answers back together (a query
+that left its group contributes empty answers).
+
 There is one way to answer steps, for one query or for many: **gather**
 the requests into one :class:`Group` per (backing build, kind), **evaluate**
 each group in one descent of its build (``Kind.evaluate``), and
@@ -29,7 +40,7 @@ ledgers, statistics and fault streams cannot tell who answered.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from typing import Dict, Generator, Iterable, List, NamedTuple, Tuple
+from typing import Dict, Generator, Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -47,11 +58,14 @@ __all__ = [
     "Kind",
     "OperatorTable",
     "Request",
+    "Shared",
     "Step",
     "Steps",
     "book_step",
     "gather",
+    "merge",
     "run_steps",
+    "split",
 ]
 
 
@@ -89,6 +103,123 @@ class Request(NamedTuple):
 Step = List[Request]
 #: A step generator: yields steps, receives their answers, returns its result.
 Steps = Generator[Step, list, object]
+
+
+class Shared(list):
+    """A step over the rows of several queries (a query group's).
+
+    A list of requests like any step, in the group's order; ``queries[i]``
+    is the ascending ``(rows,)`` query column of request ``i``.  Where a
+    query's own order differs from the group's, ``keys[i]`` holds a sort
+    key per row: a query lists its requests by the key of its first row
+    (``None``: the group's order is every query's).
+    """
+
+    __slots__ = ("queries", "keys", "_shares")
+
+    def __init__(self, step: Step, queries: List[np.ndarray], keys=None) -> None:
+        super().__init__(step)
+        self.queries = queries
+        self.keys = keys
+        self._shares = None
+
+    @staticmethod
+    def of(step: Step, queries: List[np.ndarray], keys=None) -> Step:
+        """``step`` as offered by one query (``queries`` is ``None``) or a group."""
+        return step if queries is None else Shared(step, queries, keys)
+
+    def shares(self, n: int):
+        """Who asks what, for ``n`` queries: per query the ``(request, first
+        row, end row)`` of each request it has rows in, in the query's own
+        order; per request the ``(query, position in the query's step,
+        first row, end row)`` of each query with rows in it, queries
+        ascending."""
+        if self._shares is None:
+            mine: List[list] = [[] for _ in range(n)]
+            for i, queries in enumerate(self.queries):
+                bounds = np.searchsorted(queries, np.arange(n + 1)).tolist()
+                keys = None if self.keys is None else self.keys[i]
+                for q in range(n):
+                    lo, hi = bounds[q], bounds[q + 1]
+                    if hi > lo:
+                        mine[q].append((i if keys is None else int(keys[lo]), i, lo, hi))
+            asked: List[list] = [[] for _ in self]
+            for q, shares in enumerate(mine):
+                if self.keys is not None:
+                    shares.sort()
+                for at, (_, i, lo, hi) in enumerate(shares):
+                    asked[i].append((q, at, lo, hi))
+            for shares in asked:
+                shares.sort()
+            self._shares = [[share[1:] for share in shares] for shares in mine], asked
+        return self._shares
+
+
+def split(step: Step, alive: Sequence[bool]) -> List[Step]:
+    """One step per query of a group: its share of every request it has
+    rows in, in its own order (nothing for a query that left, ``alive``
+    false).  A plain step is a group of one's."""
+    if not isinstance(step, Shared):
+        return [step if alive[0] else []]
+    out: List[Step] = []
+    for q, shares in enumerate(step.shares(len(alive))[0]):
+        mine: Step = []
+        out.append(mine)
+        if not alive[q]:
+            continue
+        for i, lo, hi in shares:
+            request = step[i]
+            if lo == 0 and hi == step.queries[i].shape[0]:
+                mine.append(request)
+                continue
+            args = list(request.args)
+            for c in request.kind.columns:
+                args[c] = args[c][lo:hi]
+            mine.append(Request(request.kind, request.side, tuple(args)))
+    return out
+
+
+def merge(step: Step, answers: List[Optional[list]]) -> list:
+    """The group's answer to every request of ``step`` from the queries'
+    answers to their :func:`split` shares (``None``: the query left the
+    group; its rows get empty answers)."""
+    if not isinstance(step, Shared):
+        return answers[0]
+    merged = []
+    for request, asked in zip(step, step.shares(len(answers))[1]):
+        parts = [
+            _empty(request.kind, hi - lo) if answers[q] is None else answers[q][at]
+            for q, at, lo, hi in asked
+        ]
+        merged.append(parts[0] if len(parts) == 1 else _join(request.kind, parts))
+    return merged
+
+
+def _empty(kind: Kind, rows: int):
+    """The answer of ``rows`` rows that found nothing."""
+    if kind is COUNT:
+        return np.zeros(rows, dtype=np.int64)
+    found = (np.zeros((0, 4)), np.zeros(0, dtype=np.int64))
+    if kind is BUCKET:
+        return (*found, np.zeros(0, dtype=np.intp))
+    return (*found, np.zeros(rows + 1, dtype=np.int64))
+
+
+def _join(kind: Kind, parts: list):
+    """Answers to consecutive row ranges of one request as one answer:
+    counts end to end, payloads as one CSR (``mbrs`` column-contiguous,
+    as the endpoints return them)."""
+    if kind is COUNT:
+        if all(isinstance(part, list) for part in parts):
+            return [count for part in parts for count in part]
+        return np.concatenate([np.asarray(part, dtype=np.int64) for part in parts])
+    mbrs = np.concatenate([part[0].T for part in parts], axis=1).T
+    oids = np.concatenate([part[1] for part in parts])
+    bounds, at = [np.zeros(1, dtype=np.int64)], 0
+    for part in parts:
+        bounds.append(part[2][1:] + at)
+        at += part[1].shape[0]
+    return mbrs, oids, np.concatenate(bounds)
 
 
 class OperatorTable(Sequence):

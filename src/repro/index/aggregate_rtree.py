@@ -16,6 +16,7 @@ total object-MBR area.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -81,9 +82,18 @@ class AggregateRTree:
         ids = np.arange(n_nodes, dtype=np.intp)
         leaves = ids[flat.is_leaf]
         self._level = leaves[np.searchsorted(leaves, ids)] - ids
-        # Per-node total object area, summed left to right over the leaf's
-        # entries, then over each node's children, one level at a time.
-        area = np.zeros(n_nodes, dtype=np.float64)
+
+    @cached_property
+    def _area(self) -> np.ndarray:
+        """Per-node total object area, summed left to right over the leaf's
+        entries, then over each node's children, one level at a time.
+
+        Only the area aggregate reads it, so it is summed on first read,
+        not at every build."""
+        flat = self._flat
+        ids = np.arange(flat.boxes.shape[0], dtype=np.intp)
+        leaves = ids[flat.is_leaf]
+        area = np.zeros(ids.shape[0], dtype=np.float64)
         area[leaves] = _sequential_sums(
             rect_array.areas(flat.entry_mbrs), flat.ent_start[leaves], flat.ent_end[leaves]
         )
@@ -92,7 +102,7 @@ class AggregateRTree:
             area[nodes] = _sequential_sums(
                 area[flat.child_ids], flat.child_start[nodes], flat.child_end[nodes]
             )
-        self._area = area
+        return area
 
     # ------------------------------------------------------------------ #
     # public API

@@ -28,20 +28,28 @@ and
 3. **executes** each wave cooperatively.  Every query runs on its own
    session stack -- own metered connections (which keep its statistics),
    own device -- to the cached server builds, which are immutable and
-   shared as they are, as a step
-   generator (:mod:`repro.device.steps`): it *offers* every server
-   evaluation it needs, COUNT rounds and the operators' WINDOW downloads
-   and RANGE probes alike.  Per wave round the broker takes one step from
-   each in-flight query, gathers all rows of one query kind that target
-   the same backing build into one group evaluated in **one**
-   descent, and has every query book its own share on its own connections
+   shared as they are.  Like engine queries -- UpJoin, SrJoin or MobiJoin
+   queries sharing backing builds, algorithm, spec, resolved parameters,
+   configuration and buffer size -- form one *group* and run as one step
+   generator (:meth:`~repro.core.frontier.FrontierAlgorithm.run_group`):
+   one level table per depth and one leaf batch per level for all their
+   windows.  Every other query is a step generator of its own
+   (:mod:`repro.device.steps`).  A generator *offers* every server
+   evaluation its queries need, COUNT rounds and the operators' WINDOW
+   downloads and RANGE probes alike, as one step per query.  Per wave
+   round the broker takes those steps, gathers all rows of one query kind
+   that target the same backing build into one group evaluated in
+   **one** descent, and has every query book its own share on its own
+   connections, in its own step order
    (:func:`~repro.device.steps.gather` /
-   :func:`~repro.device.steps.book_step`).  That is the loop a standalone
-   run drives too (:func:`~repro.device.steps.run_steps`, a wave of one),
-   so pairs, bytes, server statistics, fault streams and decision traces
-   are bit-identical to running the query alone by construction -- under
-   any submission order, with the cache cold or warm (pinned by
-   ``tests/test_service_equivalence.py`` and ``tests/test_wave_fusion.py``).
+   :func:`~repro.device.steps.book_step`); a query whose booking raises a
+   typed error fails alone and its group goes on without it.  That is the
+   loop a standalone run drives too (:func:`~repro.device.steps.run_steps`,
+   a wave of one, a group of one), so pairs, bytes, server statistics,
+   fault streams, decision traces and spans are bit-identical to running
+   the query alone by construction -- under any submission order, with the
+   cache cold or warm (pinned by ``tests/test_service_equivalence.py`` and
+   ``tests/test_wave_fusion.py``).
 
    The per-query advances between the coalesced evaluations run inline on
    the executing thread, one query after the other: they are GIL-bound
@@ -61,10 +69,12 @@ from typing import Callable, Dict, Generator, List, NamedTuple, Optional, Sequen
 
 import numpy as np
 
+from repro.core.base import MobileJoinAlgorithm
+from repro.core.frontier import FrontierAlgorithm
 from repro.core.planner import PlanDecision, build_algorithm, select_algorithm
 from repro.core.result import JoinResult
 from repro.device.pda import MobileDevice
-from repro.device.steps import COUNT, Group, Step, book_step, gather
+from repro.device.steps import COUNT, Group, Step, Steps, book_step, gather
 from repro.errors import QueryTimeout, ReproError, ServerUnavailable, require_count
 from repro.network.config import NetworkConfig
 from repro.obs.trace import NULL_TRACER
@@ -156,9 +166,7 @@ class _Admitted:
     base_r: Optional[SpatialServer] = None
     base_s: Optional[SpatialServer] = None
     device: Optional[MobileDevice] = None
-    gen: Optional[Generator] = None
-    #: The step the query offered and waits to have answered.
-    pending: Optional[Step] = None
+    algo: Optional[MobileJoinAlgorithm] = None
     result: Optional[JoinResult] = None
     ledger_readers: Optional[Tuple[Callable[[], Tuple], ...]] = None
     #: The typed error that isolated this query from its wave, if any.
@@ -170,6 +178,31 @@ class _Admitted:
     replica_health: Optional[Dict[str, str]] = None
     #: The query's span under the wave span (None while tracing is off).
     span: Optional[object] = None
+
+
+@dataclass
+class _Unit:
+    """One step generator of a wave: a group of like engine queries
+    (:meth:`~repro.core.frontier.FrontierAlgorithm.run_group`) or one query."""
+
+    entries: List[_Admitted]
+    #: Yields one step per entry; returns one result per entry.
+    gen: Optional[Generator] = None
+    #: The steps the entries offered and wait to have answered.
+    pending: Optional[List[Step]] = None
+
+
+def _alone(steps: Steps) -> Steps:
+    """One query's step generator driven as a group of one."""
+    try:
+        step = next(steps)
+        while True:
+            (answers,) = yield [step]
+            step = steps.send(answers)
+    except StopIteration as stop:
+        return [stop.value]
+    finally:
+        steps.close()
 
 
 @dataclass
@@ -625,18 +658,50 @@ class QueryBroker:
         # The query's own "join" span (opened by the algorithm at run
         # start) parents under its wave-level query span.
         entry.device.trace_root = entry.span
-        algo = build_algorithm(
+        entry.algo = build_algorithm(
             algorithm, entry.device, query.spec, query.resolved_params()
         )
-        entry.gen = algo.run_cooperative(query.resolved_window())
+
+    def _units(self, entries: List[_Admitted]) -> List[_Unit]:
+        """The wave's step generators, in order of their first query.
+
+        Engine queries (UpJoin, SrJoin, MobiJoin) that share backing
+        builds, algorithm, spec, resolved parameters, configuration and
+        buffer size form one group: one generator decides all their
+        windows together.  Every other query runs alone.
+        """
+        units: Dict[object, _Unit] = {}
+        for entry in entries:
+            query, algo = entry.query, entry.algo
+            key = entry.index
+            if isinstance(algo, FrontierAlgorithm):
+                key = (
+                    id(entry.base_r),
+                    id(entry.base_s),
+                    entry.plan.algorithm,
+                    query.spec,
+                    algo.params,
+                    query.config or self.config,
+                    query.buffer_size,
+                )
+            units.setdefault(key, _Unit([])).entries.append(entry)
+        for unit in units.values():
+            runs = [(entry.algo, entry.query.resolved_window()) for entry in unit.entries]
+            if isinstance(runs[0][0], FrontierAlgorithm):
+                unit.gen = FrontierAlgorithm.run_group(runs)
+            else:
+                ((algo, window),) = runs
+                unit.gen = _alone(algo.run_cooperative(window))
+        return list(units.values())
 
     @staticmethod
-    def _advance(entry: _Admitted, answers) -> None:
+    def _advance(unit: _Unit, answers) -> None:
         try:
-            entry.pending = entry.gen.send(answers)
+            unit.pending = unit.gen.send(answers)
         except StopIteration as stop:
-            entry.pending = None
-            entry.result = stop.value
+            unit.pending = None
+            for entry, result in zip(unit.entries, stop.value):
+                entry.result = result
 
     # -------------------------- circuit breaker ----------------------- #
 
@@ -806,29 +871,54 @@ class QueryBroker:
     def _fail_entry(self, entry: _Admitted, error: BaseException) -> None:
         """Isolate one failed query from its wave."""
         entry.failure = error
-        entry.pending = None
-        if entry.gen is not None:
-            entry.gen.close()
         self._note_entry_failure(entry, error)
 
-    def _advance_all(self, entries: List[_Admitted], advance) -> None:
-        """Run ``advance(entry)`` for every entry, then settle the failures.
+    def _advance_all(self, units: List[_Unit], advance) -> None:
+        """Run ``advance(unit, failures)`` for every unit, then settle the failures.
 
-        One query's fault must not abort its neighbours, so every entry
-        advances before any failure is applied: typed faults isolate the
-        query; anything else is a bug and propagates (discarding the
-        batch, exactly as before the resilience layer existed).
+        One query's fault must not abort its neighbours, so every unit
+        advances before any failure is applied, in submission order.
+        ``advance`` appends ``(entry, error)`` for a query whose booking
+        raised; a generator that raises fails every query it still runs.
+        Typed faults isolate the query; anything else is a bug and
+        propagates (discarding the batch, exactly as before the
+        resilience layer existed).
         """
         failures: List[Tuple[_Admitted, Exception]] = []
-        for entry in entries:
+        for unit in units:
             try:
-                advance(entry)
+                advance(unit, failures)
             except Exception as error:  # noqa: BLE001 -- settled below
-                failures.append((entry, error))
-        for entry, error in failures:
+                unit.pending = None
+                failures.extend(
+                    (entry, error) for entry in unit.entries if entry.failure is None
+                )
+        for entry, error in sorted(failures, key=lambda failure: failure[0].index):
             if not isinstance(error, ReproError):
                 raise error
-            self._fail_entry(entry, error)
+            if entry.failure is None:
+                self._fail_entry(entry, error)
+
+    def _book_and_advance(self, unit: _Unit, slots, failures: list) -> None:
+        """Book each query's step on its own connections, in step order, then
+        advance the unit; a query whose booking raises a typed error gets
+        ``None`` (it books nothing more), and a unit none of whose queries
+        is left is closed."""
+        answers: List[Optional[list]] = []
+        for entry, step, mine in zip(unit.entries, unit.pending, slots):
+            if entry.failure is not None:
+                answers.append(None)
+                continue
+            try:
+                answers.append(book_step(entry.device.servers, step, mine) if step else [])
+            except ReproError as error:
+                failures.append((entry, error))
+                answers.append(None)
+        if all(answer is None for answer in answers):
+            unit.pending = None
+            unit.gen.close()
+            return
+        self._advance(unit, answers)
 
     # ------------------------------------------------------------------ #
 
@@ -914,18 +1004,25 @@ class QueryBroker:
                 self._fail_entry(entry, error)
                 continue
             building.append(entry)
-        # Priming stops every query at the first step it offers, its root
-        # COUNT round.
-        self._advance_all(building, lambda entry: self._advance(entry, None))
-        active = [entry for entry in building if entry.pending is not None]
+        # Like engine queries run as one generator; priming stops every
+        # generator at the first step it offers, its root COUNT round.
+        units = self._units(building)
+        self._advance_all(units, lambda unit, _: self._advance(unit, None))
+        active = [unit for unit in units if unit.pending is not None]
         round_index = 0
         while active:
             # Gather: one group per (backing build, query kind) across the
-            # steps of all active queries, in submission order.
+            # steps of all active queries, unit after unit.
+            asking = [
+                (entry, step)
+                for unit in active
+                for entry, step in zip(unit.entries, unit.pending)
+                if step and entry.failure is None
+            ]
             groups, gathered = gather(
-                ((entry.base_r, entry.base_s), entry.pending) for entry in active
+                ((entry.base_r, entry.base_s), step) for entry, step in asking
             )
-            slots = {entry.index: mine for entry, mine in zip(active, gathered)}
+            slots = {entry.index: mine for (entry, _), mine in zip(asking, gathered)}
             # Evaluate: one descent per group.
             for group in groups:
                 self._evaluate(group, round_index)
@@ -933,11 +1030,11 @@ class QueryBroker:
             # connections, in step order -- what its standalone run books.
             self._advance_all(
                 active,
-                lambda entry: self._advance(
-                    entry, book_step(entry.device.servers, entry.pending, slots[entry.index])
+                lambda unit, failures: self._book_and_advance(
+                    unit, [slots.get(entry.index) for entry in unit.entries], failures
                 ),
             )
-            active = [entry for entry in active if entry.pending is not None]
+            active = [unit for unit in active if unit.pending is not None]
             round_index += 1
         for entry in wave:
             # Keep the ledgers for provenance, digested only when read
@@ -970,5 +1067,5 @@ class QueryBroker:
                         total_bytes=entry.result.total_bytes,
                     )
                 entry.span.close()
-            entry.gen = None
+            entry.algo = None
             entry.device = None

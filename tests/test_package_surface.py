@@ -801,3 +801,18 @@ def test_nothing_in_the_package_exists_only_for_tests():
     assert [key for key in unreached if key not in UNREACHED_ON_PURPOSE] == []
     # ... and every exception is still one.
     assert set(UNREACHED_ON_PURPOSE) <= set(unreached)
+
+
+def test_setup_py_names_the_package_and_its_version():
+    """``setup.py`` is the one metadata file: an offline ``pip install -e .``
+    (the legacy ``setup.py develop`` path) registers ``repro`` at the
+    package's own version, not an empty ``UNKNOWN`` 0.0.0 distribution."""
+    import subprocess
+    import sys
+
+    out = subprocess.run(
+        [sys.executable, "setup.py", "--name", "--version"],
+        cwd=ROOT, capture_output=True, text=True, check=True,
+    ).stdout.split()
+    assert out[-2:] == ["repro", repro.__version__]
+    assert not (ROOT / "pyproject.toml").exists()

@@ -29,7 +29,8 @@ from repro.core.base import AlgorithmParameters
 from repro.core.join_types import JoinSpec
 from repro.core.planner import StackConfig, build_algorithm, build_session_stack
 from repro.datasets.synthetic import clustered
-from repro.errors import ChannelFault
+from repro.device.steps import run_steps
+from repro.errors import ChannelFault, ReproError
 from repro.geometry.rect import Rect
 from repro.index.flat import FlatRTree
 from repro.network.faults import Disconnect, FaultPlan, replica_outages
@@ -470,3 +471,242 @@ def _flat(fingerprint):
     if fingerprint and isinstance(fingerprint[0], tuple):
         return [fp for shard in fingerprint for fp in _flat(shard)]
     return [fingerprint]
+
+
+# --------------------------------------------------------------------------- #
+# query groups: like queries of a wave decide together
+# --------------------------------------------------------------------------- #
+
+GROUP_TOPOLOGIES = {
+    "plain": {},
+    "replicated": dict(shards_r=4, shards_s=4, shard_scheme="str", replicas=2),
+}
+GROUP_SPEC = JoinSpec.distance(0.02)
+GROUP_BUFFER = 40
+
+
+@functools.lru_cache(maxsize=None)
+def _group_datasets():
+    """Small enough for 16-query waves, deep enough (buffer 40) for several levels."""
+    return (
+        clustered(n=250, clusters=5, seed=31, name="R"),
+        clustered(n=250, clusters=6, seed=32, std=0.05, name="S"),
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _group_windows() -> tuple:
+    """Sixteen windows: one over a region only S has objects in, one
+    outside both datasets (both pruned at the root), then deep ones."""
+    r, s = _group_datasets()
+    whole = r.bounds().union(s.bounds())
+    margin = GROUP_SPEC.predicate().window_margin
+
+    def inside(mbrs, box) -> bool:
+        return bool(
+            ((mbrs[:, 2] >= box[0]) & (mbrs[:, 0] <= box[2])
+             & (mbrs[:, 3] >= box[1]) & (mbrs[:, 1] <= box[3])).any()
+        )
+
+    lonely = next(
+        Rect(x - 0.01, y - 0.01, x + 0.01, y + 0.01)
+        for x, y in s.mbrs[:, :2].tolist()
+        if not inside(r.mbrs, (x - 0.01 - margin, y - 0.01 - margin,
+                               x + 0.01 + margin, y + 0.01 + margin))
+    )
+    outside = Rect(whole.xmax + 1.0, whole.ymax + 1.0, whole.xmax + 2.0, whole.ymax + 2.0)
+    x, y, w, h = whole.xmin, whole.ymin, whole.width, whole.height
+    deep = [
+        Rect(x + a * w, y + b * h, x + (a + c) * w, y + (b + c) * h)
+        for a, b, c in (
+            (0.0, 0.0, 1.0), (0.1, 0.0, 0.7), (0.3, 0.2, 0.7), (0.0, 0.3, 0.6),
+            (0.2, 0.1, 0.5), (0.4, 0.4, 0.6), (0.05, 0.5, 0.5), (0.5, 0.0, 0.5),
+            (0.25, 0.25, 0.5), (0.0, 0.0, 0.45), (0.55, 0.55, 0.45), (0.15, 0.35, 0.4),
+            (0.35, 0.05, 0.55), (0.6, 0.3, 0.4),
+        )
+    ]
+    return (lonely, outside, *deep)
+
+
+def _group_queries(algorithm, windows, topology="plain", faults=None, bucket=False, trace=True):
+    r, s = _group_datasets()
+    params = AlgorithmParameters(bucket_queries=bucket, trace=trace)
+    return [
+        JoinQuery(
+            r, s, GROUP_SPEC, algorithm=algorithm, buffer_size=GROUP_BUFFER, params=params,
+            window=window, stack=StackConfig(faults=faults, **GROUP_TOPOLOGIES[topology]),
+        )
+        for window in windows
+    ]
+
+
+def _span_shape(spans, root) -> tuple:
+    """A span subtree by its deterministic fields, children in label order
+    (span ids are left out: they name the parents above ``root``)."""
+    kids = sorted(
+        (_span_shape(spans, span) for span in spans if span.parent_id == root.span_id),
+        key=repr,
+    )
+    events = tuple((name, labels, sim) for name, labels, _wall, sim in root.events)
+    return (
+        root.name, root.labels, tuple(sorted(root.annotations.items())),
+        root.sim_start, root.sim_end, events, tuple(kids),
+    )
+
+
+def _alone_traced(query: JoinQuery):
+    """``(result or error, device, span shape)`` of the query run on its own."""
+    tracer = Tracer()
+    _, _, device = build_session_stack(
+        query.dataset_r, query.dataset_s, buffer_size=query.buffer_size,
+        stack=query.stack, tracer=tracer,
+    )
+    algo = build_algorithm(query.algorithm, device, query.spec, query.resolved_params())
+    run = algo.run_cooperative(query.resolved_window())
+    try:
+        result = run_steps(run, device.servers)
+    except ReproError as error:
+        # A failed run is closed where it failed, as a driver closes it.
+        run.close()
+        result = error
+    (join,) = [span for span in tracer.spans() if span.name == "join"]
+    return result, device, _span_shape(tracer.spans(), join)
+
+
+def _brokered(queries, devices):
+    """The queries as one wave of a traced broker: outcomes and, per
+    ticket, the span shape of its "join"."""
+    tracer = Tracer()
+    outcomes = QueryBroker(cache=False, tracer=tracer).run_batch(queries)
+    spans = tracer.spans()
+    query_span = {
+        dict(span.labels)["ticket"]: span.span_id for span in spans if span.name == "query"
+    }
+    shapes = {
+        int(ticket): _span_shape(spans, join)
+        for ticket, parent in query_span.items()
+        for join in spans
+        if join.name == "join" and join.parent_id == parent
+    }
+    return outcomes, shapes
+
+
+def _assert_like_alone(query, outcome, device, shape):
+    reference, alone, alone_shape = _alone_traced(query)
+    if isinstance(reference, ReproError):
+        assert outcome.status != "ok" and outcome.result is None
+        assert (type(outcome.error), str(outcome.error)) == (type(reference), str(reference))
+    else:
+        assert outcome.status == "ok", outcome.error
+        assert _result_facts(outcome.result) == _result_facts(reference)
+    assert _observables(device) == _observables(alone)
+    assert outcome.ledger_fingerprints == (
+        alone.servers.r.ledger_fingerprint(), alone.servers.s.ledger_fingerprint()
+    )
+    assert shape == alone_shape
+    return reference
+
+
+class TestLikeQueriesDecideTogether:
+    """Like engine queries of a wave -- same builds, algorithm, spec,
+    parameters, configuration and buffer -- run as one step generator:
+    one level table per depth and one leaf batch per level for all of
+    them, while each query's pairs, bytes, ledgers, counters, statistics,
+    buffer, trace and spans stay those of its standalone run."""
+
+    @pytest.mark.parametrize("width", [1, 3, 16])
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_a_group_of_any_width_equals_its_standalone_runs(self, devices, algorithm, width):
+        queries = _group_queries(algorithm, _group_windows()[:width])
+        outcomes, shapes = _brokered(queries, devices)
+        starts = []
+        for ticket, (query, outcome) in enumerate(zip(queries, outcomes)):
+            reference = _assert_like_alone(query, outcome, devices[ticket], shapes[ticket])
+            starts.append(next(e for e in reference.trace if e.action == "start"))
+        if width > 1:
+            # The first window is pruned for an empty R, the second for both.
+            assert (starts[0].count_r, starts[1].count_r, starts[1].count_s) == (0, 0, 0)
+            assert starts[0].count_s > 0
+            assert max(e.depth for o in outcomes for e in o.result.trace) >= 2
+
+    @pytest.mark.parametrize("trace", [True, False], ids=["traced", "untraced"])
+    @pytest.mark.parametrize("bucket", [False, True], ids=["per-probe", "bucket"])
+    @pytest.mark.parametrize("faulty", [False, True], ids=["no-faults", "recoverable"])
+    @pytest.mark.parametrize("topology", sorted(GROUP_TOPOLOGIES))
+    def test_every_stack_and_option(self, devices, topology, faulty, bucket, trace):
+        faults = _faults(topology) if faulty else None
+        windows = _group_windows()[2:5]
+        queries = [
+            query
+            for algorithm in ALGORITHMS
+            for query in _group_queries(algorithm, windows, topology, faults, bucket, trace)
+        ]
+        outcomes, shapes = _brokered(queries, devices)
+        for ticket, (query, outcome) in enumerate(zip(queries, outcomes)):
+            _assert_like_alone(query, outcome, devices[ticket], shapes[ticket])
+        if faulty:
+            assert sum(o.result.resilience["retries"] for o in outcomes) > 0
+
+    @pytest.mark.parametrize("topology", sorted(GROUP_TOPOLOGIES))
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_a_member_lost_at_its_window_booking_fails_alone(self, devices, algorithm, topology):
+        queries = _group_queries(algorithm, _group_windows()[2:5], topology, FaultPlan(seed=0))
+        victim = queries[1]
+        healthy, _, _ = _alone_traced(victim)
+        channel, at = next(
+            (name, op)
+            for name, events in sorted(healthy.resilience["fault_events"].items())
+            if name.startswith("R")
+            for op, _, label in events
+            if label == "window-batch"
+        )
+        queries[1] = JoinQuery(
+            victim.dataset_r, victim.dataset_s, victim.spec, algorithm=algorithm,
+            buffer_size=GROUP_BUFFER, params=victim.params, window=victim.window,
+            stack=StackConfig(
+                faults=FaultPlan(seed=0, disconnects=(Disconnect(channel, at),)),
+                **GROUP_TOPOLOGIES[topology],
+            ),
+        )
+        outcomes, shapes = _brokered(queries, devices)
+        assert [o.status for o in outcomes] == ["ok", "failed", "ok"]
+        assert isinstance(outcomes[1].error, ChannelFault)
+        for ticket, (query, outcome) in enumerate(zip(queries, outcomes)):
+            _assert_like_alone(query, outcome, devices[ticket], shapes[ticket])
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_a_member_past_its_deadline_fails_alone(self, devices, algorithm):
+        queries = _group_queries(algorithm, _group_windows()[2:5])
+        victim = queries[0]
+        queries[0] = JoinQuery(
+            victim.dataset_r, victim.dataset_s, victim.spec, algorithm=algorithm,
+            buffer_size=GROUP_BUFFER, params=victim.params, window=victim.window,
+            stack=StackConfig(
+                faults=FaultPlan(seed=4, stall_rate=1.0, stall_latency_s=1.0), deadline_s=6.5
+            ),
+        )
+        outcomes, shapes = _brokered(queries, devices)
+        assert [o.status for o in outcomes] == ["timeout", "ok", "ok"]
+        for ticket, (query, outcome) in enumerate(zip(queries, outcomes)):
+            _assert_like_alone(query, outcome, devices[ticket], shapes[ticket])
+
+    def test_one_level_table_per_group_and_depth(self, monkeypatch):
+        """Three like queries build one table per depth, not one per query
+        and depth (and one leaf batch per level)."""
+        from repro.core import frontier
+
+        built: List[tuple] = []
+        init = frontier.LevelTable.__init__
+
+        def counted(self, algo, level, *args):
+            built.append((level.depth, len(level)))
+            init(self, algo, level, *args)
+
+        monkeypatch.setattr(frontier.LevelTable, "__init__", counted)
+        queries = _group_queries("mobijoin", _group_windows()[2:5])
+        outcomes = QueryBroker(cache=False).run_batch(queries)
+        assert all(o.status == "ok" for o in outcomes)
+        depths = [depth for depth, _ in built]
+        deepest = max(e.depth for o in outcomes for e in o.result.trace)
+        assert deepest >= 3
+        assert depths == sorted(set(depths)) == list(range(deepest + 1))
