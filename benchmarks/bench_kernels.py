@@ -217,17 +217,36 @@ def test_bench_clustered_generator_at_cold_join_shape(benchmark):
 
 
 def test_bench_page_build(benchmark):
-    """The page table the batch descents read, derived from a built index on
-    its first batch query -- ``cold_join`` pays it twice per op (50k entries
-    each), so it has to stay a few per cent of the bulk load above."""
+    """The constructor's page-table build: the nine arrays of a built 50k
+    index in, its page table laid out (the rest of the constructor only
+    stores references) -- ``cold_join`` pays it twice per op, so it has to
+    stay a few per cent of the bulk load above."""
     tree = FlatRTree.from_mbr_array(clustered(n=50000, clusters=128, seed=41000).mbrs, max_entries=16)
+    fields = dict(
+        node_cols=tree.node_cols,
+        is_leaf=tree.is_leaf,
+        entry_cols=np.ascontiguousarray(tree.entry_mbrs.T),
+        entry_oids=tree.entry_oids,
+        ent_start=tree.ent_start,
+        ent_end=tree.ent_end,
+        child_start=tree.child_start,
+        child_end=tree.child_end,
+        child_ids=tree.child_ids,
+    )
+    built = benchmark(FlatRTree, **fields)
+    assert built.pages.shape == tree.pages.shape and built.pages.shape[2] == 16
 
-    def build():
-        tree._pages = None
-        return tree._page_table()
 
-    pages, _, _ = benchmark(build)
-    assert pages.shape[0] == 4 and pages.shape[2] == 16
+@pytest.mark.parametrize("rows", [800, 20000])
+def test_bench_entries_at(benchmark, rows):
+    """The payload gather of a WINDOW answer: ``rows`` entry rows in descent
+    order (leaf runs, as a window batch lists them) out of a 20k tree's leaf
+    slots, maxima negated back."""
+    tree = FlatRTree.from_mbr_array(clustered(n=20000, clusters=128, seed=41000).mbrs, max_entries=16)
+    found = tree.window_batch_flat(_workload_windows(tree, 16, 64, 0.01))[1]
+    picked = np.resize(found, rows)
+    mbrs, oids = benchmark(tree.entries_at, picked)
+    assert mbrs.shape == (rows, 4) and oids.shape == (rows,)
 
 
 def _workload_windows(tree: FlatRTree, cells_per_side: int, n: int, grow: float) -> np.ndarray:
@@ -261,10 +280,9 @@ def test_bench_window_batch_at_workload_shape(benchmark):
 def test_bench_small_descent(benchmark, kind, windows):
     """A descent's fixed cost: one COUNT / WINDOW / RANGE call of a few rows
     (``broker_waves`` asks 37 windows per call on average, many calls far
-    fewer), on a 20k tree whose page table is built."""
+    fewer), on a 20k tree."""
     tree = FlatRTree.from_mbr_array(clustered(n=20000, clusters=128, seed=41000).mbrs, max_entries=16)
     wins = _workload_windows(tree, 32, windows, 0.002)
-    tree._page_table()
     if kind == "count":
         assert benchmark(tree.count_batch, wins).min() > 0
     elif kind == "window":

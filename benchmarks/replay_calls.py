@@ -96,7 +96,11 @@ def capture(workload: str, seed: int, out: Path) -> None:
         w.run_op(slot)
     arrays = [None] * len(trees)
     for key, tree in trees.values():
-        arrays[key] = {field: getattr(tree, field) for field in TREE_FIELDS}
+        # The entry block is not kept by the index: it is gathered back from the page table.
+        arrays[key] = {
+            field: np.ascontiguousarray(tree.entry_mbrs.T) if field == "entry_cols" else getattr(tree, field)
+            for field in TREE_FIELDS
+        }
     with open(out, "wb") as fh:
         pickle.dump({"workload": workload, "seed": seed, "trees": arrays, "calls": calls}, fh, protocol=4)
     by_method = {}

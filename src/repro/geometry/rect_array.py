@@ -219,11 +219,13 @@ def window_array(windows: Windows) -> np.ndarray:
 
     :func:`rects_to_array` plus the one check every window-taking endpoint
     of a server or connection makes before anything is answered, counted or
-    booked: a non-finite coordinate is :class:`~repro.errors.InvalidInput`
-    (a ``nan`` edge fails every "lies outside" comparison, so the window
-    would match the whole dataset).
+    booked: an array that is not ``(N, 4)`` or a non-finite coordinate is
+    :class:`~repro.errors.InvalidInput` (a ``nan`` edge fails every "lies
+    outside" comparison, so the window would match the whole dataset).
     """
     wins = rects_to_array(windows)
+    if wins.ndim != 2 or wins.shape[1] != 4:
+        raise InvalidInput(f"query windows must be an (N, 4) array, got shape {wins.shape}")
     if not np.isfinite(wins).all():
         raise InvalidInput("query windows need finite coordinates")
     return wins

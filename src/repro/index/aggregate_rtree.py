@@ -202,7 +202,7 @@ class AggregateRTree:
         if window.contains_rect(box):
             return float(self._area[node])
         if flat.is_leaf[node]:
-            mbrs = flat.entry_mbrs[flat.ent_start[node] : flat.ent_end[node]]
+            mbrs = flat.entries_at(np.arange(flat.ent_start[node], flat.ent_end[node]))[0]
             mask = rect_array.intersects_window(mbrs, window)
             return float(sum(rect_array.areas(mbrs[mask]).tolist()))
         kids = flat.child_ids[flat.child_start[node] : flat.child_end[node]]
@@ -218,12 +218,15 @@ def probe_arrays(centers: Probes, radii: Sequence[float]) -> Tuple[np.ndarray, n
     ``centers`` is a sequence of :class:`Point` or already the ``(P, 2)``
     array: every probe-taking endpoint accepts either and converts here,
     once, at its boundary -- which is also where probes are checked, before
-    anything is answered, metered or booked.  A negative or non-finite radius
-    (``nan`` would match nothing, ``inf`` everything) or a non-finite centre
-    is :class:`~repro.errors.InvalidInput`.
+    anything is answered, metered or booked.  A centre array that is not
+    ``(P, 2)``, a negative or non-finite radius (``nan`` would match
+    nothing, ``inf`` everything) or a non-finite centre is
+    :class:`~repro.errors.InvalidInput`.
     """
     if isinstance(centers, np.ndarray):
-        pts = centers.reshape(-1, 2)
+        pts = centers
+        if pts.ndim != 2 or pts.shape[1] != 2:
+            raise InvalidInput(f"probe centres must be a (P, 2) array, got shape {pts.shape}")
     else:
         pts = np.array([(p.x, p.y) for p in centers], dtype=np.float64).reshape(-1, 2)
     reach = np.asarray(radii, dtype=np.float64)

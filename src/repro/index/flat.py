@@ -6,18 +6,20 @@ level by level: each step *opens* every active (node, query) pair's page in
 one vectorised operation -- no per-node Python loop and no node object
 exists.
 
-Storage is literally structure-of-arrays: node boxes and entry MBRs are
-``(4, n)`` *column blocks* (:attr:`FlatRTree.node_cols`,
-:attr:`FlatRTree.entry_cols`; rows ``xmin, ymin, xmax, ymax``); ``boxes`` /
-``entry_mbrs`` are their ``(n, 4)`` transposed *views*.  The constructor
-arrays are what an index *is* (the build, :meth:`FlatRTree.forest`,
-:meth:`FlatRTree.entries_at` and the area aggregate read them).  What the
-descents read is derived from them on the first query:
+Storage is literally structure-of-arrays.  The constructor takes nine
+arrays -- node boxes and entry MBRs as ``(4, n)`` *column blocks* (rows
+``xmin, ymin, xmax, ymax``), the entry oids and the node ranges -- and
+keeps all of them but one: the entry block is laid into the page table at
+once and let go, so the page table is the only copy of the entries'
+coordinates an index holds.  :attr:`FlatRTree.node_cols` stays (``boxes``
+is its ``(n, 4)`` transposed *view*); :meth:`FlatRTree.entries_at` and
+:attr:`FlatRTree.entry_mbrs` gather entry MBRs back out of the leaf slots.
 
-**A node is a page.**  The page table is a ``(4, n_nodes, M)``
-block: row ``v`` of plane ``c`` holds coordinate ``c`` of the ``M`` boxes
-directly below node ``v`` -- the children of an inner node, the entries of a
-leaf -- side by side, as an R-tree page lays them out on disk.  A step of a
+**A node is a page.**  The page table :attr:`FlatRTree.pages` is a
+``(4, n_nodes, M)`` block: row ``v`` of plane ``c`` holds coordinate ``c``
+of the ``M`` boxes directly below node ``v`` -- the children of an inner
+node, the entries of a leaf -- side by side, as an R-tree page lays them
+out on disk.  A step of a
 descent gathers the pages of the nodes it opens with **one** ``take``, tests
 each page's ``M`` slots against its row's query by broadcasting, and opens
 the children that are reached but not covered next.  The frontier therefore
@@ -35,7 +37,10 @@ make this exact:
   ``~(bx1 < wx0 | wx1 < bx0 | ...)`` (``~(a < b)`` is ``a >= b`` unless a
   side is ``nan``) and of containment.  A probe's
   distance test negates the two planes back -- exact again -- and calls the
-  one ``_reaches``.  Non-finite windows and probes never get here:
+  one ``_reaches``.  Negation flips the sign bit only, so negating a leaf
+  slot's maxima back gives the entry MBR bit for bit (signed zeros
+  included): that is why the slots can be the entries' store.  Non-finite
+  windows and probes never get here:
   ``rect_array.window_array`` / ``aggregate_rtree.probe_arrays`` reject them
   at the server and connection boundary.
 * *Padding.*  A page with fewer than ``M`` boxes is padded with ``nan``
@@ -50,20 +55,20 @@ make this exact:
 
 An index is a forest with one tree.  :meth:`FlatRTree.forest` lays several
 trees out back to back (node ids, child ranges and entry positions shifted
-by what precedes them; the trees' entry arrays become slices of the forest's)
-and :attr:`FlatRTree.roots` names each tree's root node; the batch queries
-take an optional per-row ``roots`` array and start every row at its own
-root, so one descent answers rows that belong to different trees.  Each row
-descends exactly as it would through its own tree -- same steps, same
+by what precedes them; the trees' page tables and oids become slices of the
+forest's) and :attr:`FlatRTree.roots` names each tree's root node; the batch
+queries take an optional per-row ``roots`` array and start every row at its
+own root, so one descent answers rows that belong to different trees.  Each
+row descends exactly as it would through its own tree -- same steps, same
 order -- hence its answer, entry order included, is that tree's answer with
 the entry positions shifted by the tree's offset in the forest.
 
 :meth:`FlatRTree.from_mbr_array` is the index build: an STR bulk load that
 tiles level by level on arrays and writes the node arrays directly.  The
 constructor takes those arrays as they are -- it is the one place that says
-what an index holds.  The tests pin the build, array for array, against a
-pointer R-tree flattened into the same layout
-(``tests/oracles/pointer_rtree.py``).
+what an index holds, and it lays out the page table.  The tests pin the
+build, array for array, against a pointer R-tree flattened into the same
+layout (``tests/oracles/pointer_rtree.py``).
 
 Because the DFS layout keeps each subtree's entries contiguous, a child
 fully covered by a query window contributes its whole entry range when its
@@ -87,19 +92,25 @@ __all__ = ["FlatRTree", "str_tiling"]
 class FlatRTree:
     """A read-only R-tree in structure-of-arrays form.
 
-    The constructor stores the arrays it is given; build an index with
+    The constructor stores the arrays it is given, except the entry block,
+    which it lays into the page table; build an index with
     :meth:`from_mbr_array` (from data) or :meth:`forest` (from indexes).
 
     Attributes
     ----------
-    node_cols, entry_cols:
-        ``(4, n)`` coordinate column blocks (rows ``xmin, ymin, xmax,
-        ymax``) of the node boxes and the entry MBRs; :attr:`boxes` and
-        :attr:`entry_mbrs` are their ``(n, 4)`` views.
+    node_cols:
+        ``(4, n_nodes)`` coordinate column block (rows ``xmin, ymin, xmax,
+        ymax``) of the node boxes; :attr:`boxes` is its ``(n_nodes, 4)`` view.
+    pages:
+        The ``(4, n_nodes, M)`` page table (module docstring): the slots of
+        node ``v``'s page are its children ``child_ids[child_start[v]:]`` or,
+        for a leaf, its entries ``ent_start[v]:ent_end[v]``, left to right.
+        The only copy of the entry coordinates: :meth:`entries_at` and
+        :attr:`entry_mbrs` gather them back.
     is_leaf:
         Per node (preorder; a node's id is its position): has no children.
     entry_oids:
-        Object id of every entry, depth-first, parallel to ``entry_cols``.
+        Object id of every entry, depth-first.
     ent_start, ent_end:
         Per node, the range of entry positions its subtree holds.
     child_start, child_end, child_ids:
@@ -128,7 +139,6 @@ class FlatRTree:
     ) -> None:
         self.node_cols = node_cols
         self.is_leaf = is_leaf
-        self.entry_cols = entry_cols
         self.entry_oids = entry_oids
         self.ent_start = ent_start
         self.ent_end = ent_end
@@ -137,7 +147,42 @@ class FlatRTree:
         self.child_ids = child_ids
         self.size = int(entry_oids.shape[0])
         self.roots = np.zeros(1, dtype=np.intp) if roots is None else roots
-        self._pages = None  # derived from the fields above on first batch query
+        # Page ``v`` lists entries ``ent_start[v]:`` (a leaf) or children
+        # ``child_start[v]:``; both kinds of range run in node order, so the
+        # real slots, row by row, are the entries (the children) in the
+        # order ``entry_cols`` (``child_ids``) lists them.
+        base = np.where(is_leaf, ent_start, child_start)
+        width = np.where(is_leaf, ent_end, child_end) - base
+        real = np.arange(width.max()) < width[:, None]
+        entries = real & is_leaf[:, None]
+        real ^= entries  # what is left: child boxes
+        pages = np.full((4, *real.shape), np.nan)
+        for page, below, boxes in zip(pages, entry_cols, node_cols):
+            page[entries] = below
+            page[real] = boxes.take(child_ids)
+        np.negative(pages[2:], out=pages[2:])
+        self._bind(pages)
+
+    def _bind(self, pages: np.ndarray) -> None:
+        """Adopt ``pages`` as the page table, with the block index
+        :meth:`_slots` finds an entry row's slot by.
+
+        Row ``r`` of leaf ``v`` sits at flat slot ``r + shift[v]``, and a
+        full leaf's successor in node order has its shift, so the shift
+        changes only at a short leaf or where inner nodes come between two
+        leaves: few *runs* of rows share one.  Rows are cut into blocks of
+        ``2**bits <= M``; a block keeps the shift and the end row of the run
+        its first row lies in (arrays sized by the leaves).
+        """
+        self.pages = pages
+        leaves = np.flatnonzero(self.is_leaf)
+        shift = self._shift(leaves)
+        last = np.append(shift[1:] != shift[:-1], True)  # a leaf that ends its run
+        run_end = self.ent_end.take(leaves.compress(last))[np.cumsum(last) - last]
+        bits = max(pages.shape[2].bit_length() - 1, 0)
+        starts = np.arange(0, self.size, 1 << bits)
+        leaf = np.searchsorted(self.ent_start.take(leaves), starts, side="right") - 1
+        self._blocks = bits, shift.take(leaf), run_end.take(leaf)
 
     @property
     def boxes(self) -> np.ndarray:
@@ -146,8 +191,8 @@ class FlatRTree:
 
     @property
     def entry_mbrs(self) -> np.ndarray:
-        """Entry MBRs as ``(size, 4)`` rows: a view of :attr:`entry_cols`."""
-        return self.entry_cols.T
+        """Every entry MBR as ``(size, 4)`` rows, gathered from the leaf slots."""
+        return self.entries_at(np.arange(self.size))[0]
 
     @classmethod
     def from_mbr_array(
@@ -250,12 +295,11 @@ class FlatRTree:
 
         Tree ``t`` keeps its node, child and entry order; its node ids grow
         by the nodes before it, its entry positions by the entries before
-        it (``ent_start[roots[t]]``).  Afterwards every tree's
-        ``entry_cols`` / ``entry_oids`` *are* its read-only slice of the
-        forest's and the trees' own entry arrays are let go.  A fleet's
-        shard servers publish those slices as their datasets, so the only
-        arrays holding a fleet's coordinates are the user's dataset, this
-        entry block and the forest's page table.
+        it (``ent_start[roots[t]]``).  The forest's page table is the trees'
+        tables back to back, padded to the widest page.  Afterwards every
+        tree's ``pages`` / ``entry_oids`` *are* its read-only slice of the
+        forest's and the trees' own tables are let go, so a fleet holds one
+        page table however many shards answer from it.
         """
 
         def offsets(lengths) -> np.ndarray:
@@ -268,10 +312,16 @@ class FlatRTree:
         def shifted(name: str, off: np.ndarray) -> np.ndarray:
             return np.concatenate([getattr(t, name) + o for t, o in zip(trees, off)])
 
+        # Tree by tree, and each tree's own table goes once its entries are
+        # out: a fleet build never holds the trees' tables beside the forest's.
+        entries = np.empty((4, ent_off[-1]))
+        for tree, start in zip(trees, ent_off):
+            entries[:, start : start + tree.size] = tree.entry_mbrs.T
+            tree.pages = None
         forest = cls(
             node_cols=np.concatenate([t.node_cols for t in trees], axis=1),
             is_leaf=np.concatenate([t.is_leaf for t in trees]),
-            entry_cols=np.concatenate([t.entry_cols for t in trees], axis=1),
+            entry_cols=entries,
             entry_oids=np.concatenate([t.entry_oids for t in trees]),
             ent_start=shifted("ent_start", ent_off),
             ent_end=shifted("ent_end", ent_off),
@@ -280,11 +330,11 @@ class FlatRTree:
             child_ids=shifted("child_ids", node_off),
             roots=node_off[:-1],
         )
-        forest.entry_cols.setflags(write=False)
+        forest.pages.setflags(write=False)
         forest.entry_oids.setflags(write=False)
-        for tree, lo, hi in zip(trees, ent_off, ent_off[1:]):
-            tree.entry_cols = forest.entry_cols[:, lo:hi]
-            tree.entry_oids = forest.entry_oids[lo:hi]
+        for tree, lo, hi, start in zip(trees, node_off, node_off[1:], ent_off):
+            tree._bind(forest.pages[:, lo:hi])
+            tree.entry_oids = forest.entry_oids[start : start + tree.size]
         return forest
 
     # ------------------------------------------------------------------ #
@@ -319,10 +369,9 @@ class FlatRTree:
 
         Returns ``(bounds, rows)`` with ``len(bounds) == W + 1``: the
         entries of window ``i`` are ``rows[bounds[i]:bounds[i+1]]``,
-        positions into :attr:`entry_cols` / :attr:`entry_oids` (gather
-        them with :meth:`entries_at`).  The traversal has just tested these
-        very rows, so a consumer never looks an oid up again.  ``roots`` as
-        in :meth:`count_batch`.
+        entry positions (gather them with :meth:`entries_at`).  The
+        traversal has just tested these very rows, so a consumer never looks
+        an oid up again.  ``roots`` as in :meth:`count_batch`.
         """
         return self._rows_by_query(wins.shape[0], roots, *_window_tests(wins))
 
@@ -352,39 +401,48 @@ class FlatRTree:
         return self._rows_by_query(pts.shape[0], roots, reached, None)
 
     def entries_at(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """The ``(mbrs, oids)`` payload of the entry rows a query matched: one take each."""
-        return self.entry_cols.take(rows, axis=1).T, self.entry_oids.take(rows)
+        """The ``(mbrs, oids)`` payload of the entry rows a query matched.
+
+        One take of the rows' leaf slots, maxima negated back (exact, so the
+        MBRs are the ones the index was built from, bit for bit); ``mbrs``
+        is an ``(k, 4)`` view of a ``(4, k)`` block, contiguous per column.
+        """
+        cols = self.pages.reshape(4, -1).take(self._slots(rows), axis=1)
+        np.negative(cols[2:], out=cols[2:])
+        return cols.T, self.entry_oids.take(rows)
 
     # ------------------------------------------------------------------ #
     # internals
     # ------------------------------------------------------------------ #
 
-    def _page_table(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The page table ``(pages, base)``, built on first use.
+    def _leaf_of(self, rows: np.ndarray) -> np.ndarray:
+        """The leaf holding each entry row: ``ent_start`` never decreases in
+        preorder and a leaf comes after every node that starts where it
+        does, so it is the last node starting at or before the row."""
+        return np.searchsorted(self.ent_start, rows, side="right") - 1
 
-        ``pages[:, v]`` is node ``v``'s page (module docstring).  Slot ``c``
-        of page ``v`` is entry row ``base[v] + c`` if ``v`` is a leaf, else
-        node ``child_ids[base[v] + c]``.  Both kinds of range run in node
-        order, so the real slots, row by row, are the entries (the
-        children) in the order their arrays already list them.
+    def _shift(self, leaf: np.ndarray) -> np.ndarray:
+        """Row ``r`` of ``leaf`` sits at flat slot ``r + shift`` of the page planes."""
+        return leaf * self.pages.shape[2] - self.ent_start.take(leaf)
+
+    def _slots(self, rows: np.ndarray) -> np.ndarray:
+        """Where entry ``rows`` sit in the flattened page planes.
+
+        A row before its block's end row lies in the run the block starts in
+        (:meth:`_bind`); only the others search for their leaf.
         """
-        if self._pages is None:
-            base = np.where(self.is_leaf, self.ent_start, self.child_start)
-            width = np.where(self.is_leaf, self.ent_end, self.child_end) - base
-            real = np.arange(width.max()) < width[:, None]
-            entries = real & self.is_leaf[:, None]
-            real ^= entries  # what is left: child boxes
-            pages = np.full((4, *real.shape), np.nan)
-            for page, below, boxes in zip(pages, self.entry_cols, self.node_cols):
-                page[entries] = below
-                page[real] = boxes.take(self.child_ids)
-            np.negative(pages[2:], out=pages[2:])
-            self._pages = pages, base
-        return self._pages
+        bits, block_shift, block_end = self._blocks
+        block = rows >> bits
+        slots = rows + block_shift.take(block)
+        past = (block_end.take(block) <= rows).nonzero()[0]
+        if past.shape[0]:
+            later = rows.take(past)
+            slots[past] = later + self._shift(self._leaf_of(later))
+        return slots
 
     def _open(self, nodes: np.ndarray) -> np.ndarray:
         """The ``(4, k, M)`` pages of ``nodes``: the one gather of box coordinates a step makes."""
-        return self._page_table()[0].take(nodes, axis=1)
+        return self.pages.take(nodes, axis=1)
 
     def _frontier(self, n_rows: int, roots: Optional[np.ndarray], met, inside):
         """Level-synchronous descent of ``n_rows`` queries, a page per (node, query).
@@ -407,8 +465,7 @@ class FlatRTree:
         level of one tree is all inner or all leaf pages, so it is settled
         once; only a forest of unequal heights mixes them and splits.
         """
-        pages, base = self._page_table()
-        M = pages.shape[2]
+        M = self.pages.shape[2]
         nodes = np.zeros(n_rows, dtype=np.intp) if roots is None else roots
         qids = np.arange(n_rows, dtype=np.intp)
         none = qids[:0]
@@ -427,7 +484,8 @@ class FlatRTree:
                 mask = mask & ~leaf[:, None]
             at = mask.ravel().nonzero()[0]
             row, col = np.divmod(at, M)
-            kid, q = self.child_ids.take(base.take(nodes.take(row)) + col), qids.take(row)
+            kid = self.child_ids.take(self.child_start.take(nodes.take(row)) + col)
+            q = qids.take(row)
             if inside is not None:
                 whole = inside(page.reshape(4, -1).take(at, axis=1)[:, :, None], q)[:, 0]
                 found[0].append(q.compress(whole))

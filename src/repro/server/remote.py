@@ -673,9 +673,8 @@ class RemoteServer:
         windows are checked, then :meth:`_book_count` books them -- what a
         loop of :meth:`count` calls writes."""
         values = values.tolist() if isinstance(values, np.ndarray) else list(values)
-        if len(values) != len(windows):
+        if len(values) != rect_array.window_array(windows).shape[0]:
             raise ValueError("values must be parallel to windows")
-        rect_array.window_array(windows)
         self._book_count(len(values))
         return values
 

@@ -206,13 +206,12 @@ class SpatialServer:
         )
 
     def prime_snapshot(self) -> None:
-        """Build the index's page table now instead of on the first query.
+        """Warm the build before timing it: nothing is left to build.
 
-        The tree itself is built eagerly; the page table its batch descents
-        read is derived lazily (:meth:`FlatRTree._page_table`), so a caller
-        that warms a server before timing it calls this.
+        The index lays out its page table when it is built
+        (:class:`~repro.index.flat.FlatRTree`), so the first query reads the
+        table every later one reads.  Warm-up code calls this on any build.
         """
-        self._index.flat._page_table()
 
     @property
     def index(self) -> AggregateRTree:

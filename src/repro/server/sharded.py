@@ -13,14 +13,16 @@ the connection counts, so every query connects to the cached fleet as it is.
 
 * ``forest`` lays the shard indexes out as one
   :meth:`~repro.index.flat.FlatRTree.forest` (a root per shard; the shard
-  trees' entries are read-only slices of it), and ``route()`` turns a
-  request batch into the ``(shard, window)`` rows it scatters to, so a
-  whole scatter is evaluated by *one* index descent whatever the shard
-  count.  A shard server's dataset is a read-only view of its slice (rows
-  in the shard index's STR order, not partition order: only ``len()``
-  reads them), so the fleet holds each object's coordinates in three
-  arrays only -- the user's dataset, the forest's entry block and the
-  forest's page table -- and keeps no partition copy;
+  trees' page tables and oids are read-only slices of it), and ``route()``
+  turns a request batch into the ``(shard, window)`` rows it scatters to,
+  so a whole scatter is evaluated by *one* index descent whatever the
+  shard count.  The fleet keeps one read-only ``(mbrs, oids)`` block of
+  every shard's objects in forest order, its oids the forest's own; a
+  shard server's dataset is a view of its slice (rows in the shard index's
+  STR order, not partition order: only ``len()`` reads them).  So the
+  fleet holds each object's coordinates in three arrays only -- the user's
+  dataset, that block and the forest's page table -- and keeps no
+  partition copy;
 * ``evaluate_count_batch()`` answers a COUNT batch by that routed descent,
   summing the per-shard counts (shards partition the object set exactly, so
   the sums equal the union server's counts bit for bit) and keeping the
@@ -145,12 +147,17 @@ class ShardedSpatialServer:
         )
         #: Every shard index in one layout, ``forest.roots[i]`` shard ``i``'s root.
         self.forest = FlatRTree.forest([shard.index.flat for shard in self.shards])
-        for part, primary in zip(parts, self.shards):
-            # The shard's rows are now a read-only slice of the forest's
-            # entry block (STR order): the partition copy is let go.
+        # The shards' objects in forest (STR) order, read only by ``len()``
+        # of the shard datasets; the partition copies are let go.
+        mbrs = self.forest.entry_mbrs
+        mbrs.setflags(write=False)
+        for part, primary, lo in zip(parts, self.shards, self.forest.ent_start[self.forest.roots]):
             tree = primary.index.flat
             primary.dataset = SpatialDataset._trusted(
-                mbrs=tree.entry_mbrs, oids=tree.entry_oids, name=part.name, metadata=part.metadata
+                mbrs=mbrs[lo : lo + tree.size],
+                oids=tree.entry_oids,
+                name=part.name,
+                metadata=part.metadata,
             )
         self.replica_groups: Tuple[Tuple[SpatialServer, ...], ...] = tuple(
             (primary, *(primary.replica_view(f"{part.name}/{j}") for j in range(1, replicas)))
@@ -239,12 +246,11 @@ class ShardedSpatialServer:
         return Prefetched(shard, request, bounds, *self.forest.entries_at(rows))
 
     def prime_snapshot(self) -> None:
-        """Build the forest's page table now (see :meth:`SpatialServer.prime_snapshot`).
+        """Warm the fleet before timing it (see :meth:`SpatialServer.prime_snapshot`).
 
-        Only the forest's: every scatter descends the forest, so a shard
-        tree never builds a table of its own.
+        Nothing is left to build: the forest laid out the fleet's one page
+        table when the fleet was built, and every scatter descends it.
         """
-        self.forest._page_table()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
         return (

@@ -77,7 +77,7 @@ def _descend(flat, keep) -> np.ndarray:
         kid = expand_index_ranges(flat.child_start[nodes], flat.child_end[nodes])[1]
         nodes = flat.child_ids[kid]
     ent = expand_index_ranges(flat.ent_start[nodes], flat.ent_end[nodes])[1]
-    return ent[keep(flat.entry_cols.take(ent, axis=1))]
+    return ent[keep(flat.entries_at(ent)[0].T)]
 
 
 def window_rows(flat, window: Rect) -> np.ndarray:

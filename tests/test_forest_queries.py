@@ -148,12 +148,78 @@ def test_forest_members_are_slices_of_the_forest():
     for t, (tree, twin) in enumerate(zip(members, twins)):
         assert np.array_equal(tree.entry_mbrs, twin.entry_mbrs)
         lo = forest.ent_start[forest.roots[t]]
-        assert np.shares_memory(tree.entry_cols, forest.entry_cols) or tree.size == 0
+        node = slice(forest.roots[t], forest.roots[t] + tree.is_leaf.shape[0])
+        assert np.shares_memory(tree.pages, forest.pages)  # a view: one table per forest
+        assert tree.pages.shape == forest.pages[:, node].shape
+        assert np.array_equal(tree.pages, forest.pages[:, node], equal_nan=True)
+        assert np.shares_memory(tree.entry_oids, forest.entry_oids) or tree.size == 0
         assert np.array_equal(tree.entry_mbrs, forest.entry_mbrs[lo : lo + tree.size])
         assert np.array_equal(tree.entry_oids, forest.entry_oids[lo : lo + tree.size])
     assert forest.boxes.base is forest.node_cols  # (n, 4) views, nothing held twice
-    assert forest.entry_mbrs.base is forest.entry_cols
+    assert not forest.pages.flags.writeable and not forest.entry_oids.flags.writeable
+    assert not hasattr(forest, "entry_cols")  # the page table is the entries' store
     assert FlatRTree.from_mbr_array(np.zeros((0, 4))).roots.tolist() == [0]
+
+
+#: Coordinates whose bits a careless round trip loses: signed zeros,
+#: denormals and the extremes of the finite range.
+HOSTILE = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e308, 1e308, np.finfo(float).max])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    geometry=st.sampled_from(GEOMETRIES + ("hostile",)),
+    fanout=st.sampled_from((4, 16)),
+    n=st.sampled_from([0, 1, 4, 17, 300]),
+    n_trees=st.sampled_from((1, 3)),
+    seed=st.integers(0, 2**16),
+)
+def test_entries_at_gives_back_the_constructor_entries_bit_for_bit(
+    geometry, fanout, n, n_trees, seed
+):
+    """``entries_at(rows)`` is ``entry_cols.take(rows, axis=1).T`` of the block
+    the constructor was given -- compared as ``int64`` bits, so ``-0.0``
+    against ``0.0`` fails -- with the same ``(k, 4)`` column-contiguous
+    layout and dtype, for a tree and for the forest that adopts it."""
+    rng = np.random.default_rng(seed)
+    trees, given_cols = [], []
+    for t in range(n_trees):
+        if geometry == "hostile":
+            mbrs = np.sort(rng.choice(HOSTILE, (n, 2, 2)), axis=1).reshape(n, 4)  # lo <= hi
+        else:
+            mbrs = _mbrs(n, geometry, seed + t)
+        with np.errstate(over="ignore"):  # centres of +-1e308 boxes: inf, and sorted as such
+            built = FlatRTree.from_mbr_array(mbrs, max_entries=fanout)
+        cols = np.ascontiguousarray(mbrs[built.entry_oids].T)  # oids are rows: entry order
+        tree = FlatRTree(
+            node_cols=built.node_cols,
+            is_leaf=built.is_leaf,
+            entry_cols=cols,
+            entry_oids=built.entry_oids,
+            ent_start=built.ent_start,
+            ent_end=built.ent_end,
+            child_start=built.child_start,
+            child_end=built.child_end,
+            child_ids=built.child_ids,
+        )
+        trees.append(tree)
+        given_cols.append(cols)
+    rows = [rng.integers(0, n, 2 * n) if n else np.zeros(0, dtype=np.intp) for _ in trees]
+    rows = [np.concatenate([r, np.arange(n)]) for r in rows]  # every entry, and repeats
+    for tree, cols, r in zip(trees, given_cols, rows):
+        got, oids = tree.entries_at(r)
+        want = cols.take(r, axis=1).T
+        assert got.dtype == want.dtype and got.shape == want.shape == (r.shape[0], 4)
+        assert got.flags.f_contiguous and got.T.flags.c_contiguous
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert np.array_equal(oids, tree.entry_oids.take(r))
+        assert np.array_equal(tree.entry_mbrs.view(np.int64), cols.T.view(np.int64))
+    forest = FlatRTree.forest(trees)
+    for t, (tree, cols, r) in enumerate(zip(trees, given_cols, rows)):
+        lo = forest.ent_start[forest.roots[t]]
+        want = cols.take(r, axis=1).T
+        for got in (forest.entries_at(r + lo)[0], tree.entries_at(r)[0]):  # tree: a forest view now
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 @settings(max_examples=60, deadline=None)
@@ -232,20 +298,22 @@ def _page_sizes(fanout: int):
     return [0, 1, fanout, fanout + 1, fanout * fanout + 1, 70, 300]
 
 
-def _assert_pages_equal_arrays(index: FlatRTree) -> None:
-    pages, base = index._page_table()
+def _assert_pages_equal_arrays(index: FlatRTree, entries: np.ndarray) -> None:
+    """``index.pages`` against the node arrays and ``entries``, the ``(size, 4)``
+    entry MBRs the index was built from."""
+    pages = index.pages
     n_nodes = index.is_leaf.shape[0]
     # No page for a root: a descent starts by opening the root node itself.
-    assert pages.dtype == np.float64 and pages.shape[:2] == (4, n_nodes) and base.shape == (n_nodes,)
+    assert pages.dtype == np.float64 and pages.shape[:2] == (4, n_nodes)
     for v in range(n_nodes):
         if index.is_leaf[v]:
             below = np.arange(index.ent_start[v], index.ent_end[v])
-            boxes, refs = index.entry_mbrs[below], base[v] + np.arange(below.shape[0])
+            boxes = entries[below]
+            assert np.array_equal(index.entries_at(below)[0], boxes), v  # entry rows round-trip
         else:
             below = index.child_ids[index.child_start[v] : index.child_end[v]]
-            boxes, refs = index.boxes[below], index.child_ids[base[v] : base[v] + below.shape[0]]
+            boxes = index.boxes[below]
         width = below.shape[0]
-        assert refs.tolist() == below.tolist(), v  # child ids / entry rows round-trip
         assert np.array_equal(pages[:, v, :width], (boxes * [1.0, 1.0, -1.0, -1.0]).T), v
         assert np.isnan(pages[:, v, width:]).all(), v  # padding can match nothing
 
@@ -262,15 +330,15 @@ def test_page_table_equals_the_nine_arrays(geometry, fanout, n_trees, seed):
     sizes = rng.choice(_page_sizes(fanout), n_trees).tolist()  # unequal heights, empty trees
     if n_trees == 1 and seed % 4 == 0:
         sizes = [5000 + seed % 17]
-    trees = [
-        FlatRTree.from_mbr_array(_mbrs(n, geometry, seed + t), max_entries=fanout)
-        for t, n in enumerate(sizes)
-    ]
-    for tree in trees:
-        _assert_pages_equal_arrays(tree)
+    data = [_mbrs(n, geometry, seed + t) for t, n in enumerate(sizes)]
+    trees = [FlatRTree.from_mbr_array(mbrs, max_entries=fanout) for mbrs in data]
+    entries = [mbrs[tree.entry_oids] for mbrs, tree in zip(data, trees)]  # oids are rows
+    for tree, mine in zip(trees, entries):
+        _assert_pages_equal_arrays(tree, mine)
+    widths = [tree.pages.shape[2] for tree in trees]
     forest = FlatRTree.forest(trees)
-    _assert_pages_equal_arrays(forest)
-    assert forest._page_table()[0].shape[2] == max(t._page_table()[0].shape[2] for t in trees)
+    _assert_pages_equal_arrays(forest, np.concatenate(entries))
+    assert forest.pages.shape[2] == max(widths)  # back to back, padded to the widest page
 
 
 def _boundary_windows(mbrs: np.ndarray, tree: FlatRTree, seed: int) -> np.ndarray:
@@ -345,52 +413,115 @@ def test_descents_on_slot_and_page_boundaries(geometry, fanout, scale, n_trees, 
             assert got_ent[got_bounds[row] : got_bounds[row + 1]].tolist() == expected.tolist(), (kind, row)
 
 
-def test_pages_exist_once_per_index_that_answers_batches():
+def _tables_opened(monkeypatch, run):
+    """``run()``'s result and the page table every ``_open`` call of it read."""
+    opened = []
+    original = flat.FlatRTree._open
+
+    def spy(self, nodes):
+        opened.append(self.pages)
+        return original(self, nodes)
+
+    monkeypatch.setattr(flat.FlatRTree, "_open", spy)
+    result = run()
+    monkeypatch.undo()
+    return result, opened
+
+
+def test_pages_exist_once_per_index_that_answers_batches(monkeypatch):
     """A fleet pays for one page table -- the forest's -- however it is
-    sharded, replicated, primed, connected to or queried; shard trees never
-    build one.  Priming builds it before the first query, which then reads it."""
+    sharded, replicated, primed, connected to or queried: every shard tree's
+    table is a read-only view of it, and every descent opens it."""
     r = clustered(n=3000, clusters=8, seed=5, std=0.05, name="R")
     s = clustered(n=3000, clusters=8, seed=6, std=0.05, name="S")
     session = AdHocJoinSession(
         r, s, buffer_size=100, indexed=False, shards_r=4, shards_s=4, shard_scheme="str", replicas=2
     )
     fleets = (session.server_r, session.server_s)
+    built = [fleet.forest.pages for fleet in fleets]
     for fleet in fleets:
-        fleet.prime_snapshot()
-    primed = [fleet.forest._pages for fleet in fleets]
-    assert all(table is not None for table in primed)
-    for fleet in fleets:
-        assert all(replica.index.flat._pages is None for replica in fleet.breaker_units())
-    found = {session.run(algorithm, epsilon=0.01).num_pairs for algorithm in ("upjoin", "srjoin", "mobijoin")}
+        fleet.prime_snapshot()  # builds nothing: the table came with the forest
+    assert all(fleet.forest.pages is table for fleet, table in zip(fleets, built))
+    for fleet, table in zip(fleets, built):
+        for replica in fleet.breaker_units():
+            assert replica.index.flat.pages.base is table  # a view, not a table of its own
+            assert not replica.index.flat.pages.flags.writeable
+    algorithms = ("upjoin", "srjoin", "mobijoin")
+    found, opened = _tables_opened(
+        monkeypatch, lambda: {session.run(name, epsilon=0.01).num_pairs for name in algorithms}
+    )
     assert len(found) == 1 and found.pop() > 0
-    for fleet, table in zip(fleets, primed):
-        assert fleet.forest._pages is table  # the primed table answered the runs
-        assert fleet.forest._page_table() is table  # built once
+    assert opened and all(any(pages is table for table in built) for pages in opened)
+    for fleet, table in zip(fleets, built):
+        assert fleet.forest.pages is table  # the table built with the forest answered the runs
         proxy = ServerPair.connect(fleet, fleet).r
         proxy.count_batch([fleet.dataset.bounds()])
-        assert proxy.backing_server.forest._pages is table
+        assert proxy.backing_server.forest.pages is table
         for replica in fleet.breaker_units():
-            assert replica.index.flat._pages is None
+            assert replica.index.flat.pages.base is table
             assert replica.replica_view("x").index.flat is replica.index.flat
 
 
-def test_priming_a_plain_server_builds_the_table_its_queries_read():
+def test_a_plain_server_builds_the_table_its_queries_read_with_its_index(monkeypatch):
     r = clustered(n=3000, clusters=8, seed=5, std=0.05, name="R")
     s = clustered(n=3000, clusters=8, seed=6, std=0.05, name="S")
     session = AdHocJoinSession(r, s, buffer_size=100)
     trees = [server.index.flat for server in (session.server_r, session.server_s)]
+    built = [tree.pages for tree in trees]
+    assert all(table.shape[:2] == (4, tree.is_leaf.shape[0]) for table, tree in zip(built, trees))
     for server in (session.server_r, session.server_s):
-        server.prime_snapshot()
-    primed = [tree._pages for tree in trees]
-    assert all(table is not None for table in primed)
-    assert session.run("upjoin", epsilon=0.01).num_pairs > 0
-    assert all(tree._pages is table for tree, table in zip(trees, primed))
+        server.prime_snapshot()  # builds nothing
+    assert all(tree.pages is table for tree, table in zip(trees, built))
+    result, opened = _tables_opened(monkeypatch, lambda: session.run("upjoin", epsilon=0.01))
+    assert result.num_pairs > 0
+    assert opened and all(any(pages is table for table in built) for pages in opened)
+    assert all(tree.pages is table for tree, table in zip(trees, built))
 
 
 def test_page_table_costs_one_copy_of_the_entries():
     data = clustered(n=20000, clusters=128, seed=41000)
     tree = FlatRTree.from_mbr_array(data.mbrs, max_entries=16)
-    pages, base = tree._page_table()
+    pages = tree.pages
     inner = np.count_nonzero(~tree.is_leaf) * pages[:, 0].nbytes  # no root page
+    entries = data.mbrs.nbytes  # one (size, 4) float64 block
     assert pages.shape[1] == tree.is_leaf.shape[0]
-    assert pages.nbytes + base.nbytes <= 1.1 * tree.entry_cols.nbytes + inner
+    assert pages.nbytes <= 1.1 * entries + inner
+    # ... and the table is that one copy: no other array is as large as the entries.
+    assert not hasattr(tree, "entry_cols")
+    arrays = {name: value for name, value in vars(tree).items() if isinstance(value, np.ndarray)}
+    by_size = [name for name, value in arrays.items() if value.size >= tree.size]
+    assert sorted(by_size) == ["entry_oids", "pages"]
+
+
+def _node_arrays(index) -> int:
+    """Bytes of the arrays sized by the nodes of ``index`` (an ``AggregateRTree``)."""
+    tree = index.flat
+    held = [value for name, value in vars(tree).items() if name not in ("pages", "entry_oids")]
+    held += list(tree._blocks) + [index._level]
+    return sum(value.nbytes for value in held if isinstance(value, np.ndarray))
+
+
+def test_a_built_server_holds_its_pages_oids_and_node_arrays_only():
+    """A plain server over 20k points keeps the page table, the oids and
+    node-sized arrays -- nothing the size of a second entry block (32 B per
+    object, 0.61 MiB here), and no copy of the dataset."""
+    import gc
+    import tracemalloc
+
+    from repro.server.server import SpatialServer
+
+    data = clustered(n=20000, clusters=128, seed=41000)
+    SpatialServer(clustered(n=500, seed=1), name="warm")  # imports, caches
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        server = SpatialServer(data, name="R")
+        server.prime_snapshot()
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    tree = server.index.flat
+    allowed = tree.pages.nbytes + tree.entry_oids.nbytes + _node_arrays(server.index)
+    assert held <= allowed + 16 * 1024, (held, allowed)  # the slack: the Python objects

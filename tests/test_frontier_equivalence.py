@@ -557,8 +557,9 @@ class TestDescentsOpenPages:
     at the root node and makes one page gather per level -- ``height - 1``
     of inner nodes, one of leaves -- whatever the number of windows and
     trees, not eight coordinate gathers per (child, query); it never reads
-    ``node_cols`` / ``entry_cols``, and a WINDOW expands index ranges once,
-    for the entries of every subtree it covers.
+    ``node_cols`` (the page table is the only store of entry coordinates),
+    and a WINDOW expands index ranges once, for the entries of every
+    subtree it covers.
     """
 
     @staticmethod
@@ -580,7 +581,7 @@ class TestDescentsOpenPages:
         monkeypatch.setattr(flat, "expand_index_ranges", counted_expand)
         # The columns are not there to be gathered from: pages are all a descent reads.
         monkeypatch.setattr(tree, "node_cols", None)
-        monkeypatch.setattr(tree, "entry_cols", None)
+        assert not hasattr(tree, "entry_cols")
         return opened, expanded
 
     @staticmethod
@@ -626,7 +627,6 @@ class TestDescentsOpenPages:
         tree_of_row = np.arange(3 * wins.shape[0]) % 3
         row_wins, roots = wins[np.arange(3 * wins.shape[0]) // 3], forest.roots[tree_of_row]
         want = [(t.count_batch(wins), t.window_batch_flat(wins)) for t in trees]
-        forest._page_table()  # built from the columns, before they go
 
         opened, expanded = self._count_gathers(forest, monkeypatch)
         counts = forest.count_batch(row_wins, roots)

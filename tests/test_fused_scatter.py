@@ -446,6 +446,99 @@ def test_unusable_windows_are_rejected_before_anything_is_booked(topology, bad, 
     assert not any(proxy.server_stats().values())
 
 
+_BAD_WINDOW_SHAPES = {
+    "(2, 3)": np.array([[0.1, 0.1, 0.4], [0.2, 0.2, 0.9]]),  # was a bare IndexError in the descent
+    "(2, 4, 1)": np.array([[[0.1], [0.1], [0.4], [0.4]]] * 2),  # was a broadcast ValueError
+    "(8,)": np.array([0.1, 0.1, 0.4, 0.4] * 2),
+    "(2, 5)": np.array([[0.1, 0.1, 0.4, 0.4, 0.5]] * 2),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_BAD_WINDOW_SHAPES))
+@pytest.mark.parametrize("topology", ["plain", "sharded-4x4", "replicated"])
+def test_misshapen_windows_are_rejected_before_anything_is_booked(topology, shape):
+    """A window array must be ``(N, 4)``: any other shape used to reach the
+    descent and fail there with a bare NumPy error, or be reinterpreted.
+    Every window-taking entry path raises ``InvalidInput`` instead, with no
+    statistic bumped, no byte booked and no fault event drawn."""
+    from repro.errors import InvalidInput
+
+    proxy, resilience = _stack(topology)
+    build = proxy.backing_server
+    untouched = _observed(proxy, resilience)
+    good, _, _ = _requests(1)
+    answer = build.evaluate_window_batch(good[:2])
+    windows = _BAD_WINDOW_SHAPES[shape]
+    attempts = [
+        lambda: proxy.count_batch(windows),
+        lambda: proxy.window_batch_flat(windows),
+        lambda: proxy.window_batch(windows),
+        lambda: build.evaluate_count_batch(windows),
+        lambda: build.evaluate_window_batch(windows),
+        lambda: proxy.count_batch_prefetched(windows, [0, 0]),
+        lambda: proxy.book_window_batch(windows, answer),
+    ]
+    if topology == "plain":
+        attempts += [
+            lambda: build.count_batch(windows),
+            lambda: build.window_batch_flat(windows),
+            lambda: build.window_batch(windows),
+            lambda: build.index.count_batch(windows),
+            lambda: build.index.window_query_batch_flat(windows),
+        ]
+    for attempt in attempts:
+        with pytest.raises(InvalidInput, match=r"\(N, 4\) array"):
+            attempt()
+    assert _observed(proxy, resilience) == untouched
+    assert not any(proxy.server_stats().values())
+
+
+_BAD_CENTRE_SHAPES = {
+    "(2, 3)": np.arange(6.0).reshape(2, 3) / 6,  # was silently answered as three probes
+    "(3, 2, 1)": np.arange(6.0).reshape(3, 2, 1) / 6,
+    "(6,)": np.arange(6.0) / 6,
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_BAD_CENTRE_SHAPES))
+@pytest.mark.parametrize("topology", ["plain", "sharded-4x4", "replicated"])
+def test_misshapen_probe_centres_are_rejected_before_anything_is_booked(topology, shape):
+    """Probe centres must be a ``(P, 2)`` array: an even-sized array of any
+    other shape used to be reshaped to ``(-1, 2)`` and answered.  Every
+    probe-taking entry path raises ``InvalidInput`` instead, with nothing
+    counted, booked or drawn -- even where the radii are parallel to the
+    reshaped rows."""
+    from repro.errors import InvalidInput
+
+    proxy, resilience = _stack(topology)
+    build = proxy.backing_server
+    untouched = _observed(proxy, resilience)
+    _, good_centers, good_radii = _requests(1)
+    answer = build.evaluate_range_batch(good_centers[:1], good_radii[:1])
+    centers, radii = _BAD_CENTRE_SHAPES[shape], [0.1] * 3
+    attempts = [
+        lambda: proxy.range_batch_flat(centers, radii),
+        lambda: proxy.range_batch(centers, radii),
+        lambda: proxy.bucket_range(centers, 0.05, radii),
+        lambda: proxy.bucket_range(centers, 0.05),
+        lambda: build.evaluate_range_batch(centers, radii),
+        lambda: proxy.book_range_batch(centers, radii, answer),
+        lambda: proxy.book_bucket_range(centers, 0.05, radii, answer),
+    ]
+    if topology == "plain":
+        attempts += [
+            lambda: build.range_batch_flat(centers, radii),
+            lambda: build.range_batch(centers, radii),
+            lambda: build.bucket_range(centers, 0.05, radii),
+            lambda: build.index.range_query_batch_flat(centers, radii),
+        ]
+    for attempt in attempts:
+        with pytest.raises(InvalidInput, match=r"\(P, 2\) array"):
+            attempt()
+    assert _observed(proxy, resilience) == untouched
+    assert not any(proxy.server_stats().values())
+
+
 class TestOneDescentPerScatter:
     """One batch call of the scatter proxy is one ``FlatRTree`` batch call.
 

@@ -4,7 +4,8 @@ Every dataset a figure, a trace or a benchmark workload joins comes out of
 ``repro.datasets.synthetic``.  The sha256 of each generated ``mbrs`` block
 is frozen in ``tests/fixtures/golden_datasets.json`` for a grid of sizes,
 cluster counts and seeds (a ``std=2.0`` case takes the clamp after the last
-rejection round), ``uniform`` and the three adversarial layouts.  A change
+rejection round), ``uniform``, the railway generator and the three
+adversarial layouts.  A change
 to a generator must reproduce every digest: only an exactly-equal rewrite
 (same RNG stream, same arithmetic) qualifies.
 
@@ -24,8 +25,10 @@ from typing import Callable, Dict
 import pytest
 
 from repro.datasets.dataset import SpatialDataset
+from repro.datasets.railway import generate_railway_like
 from repro.datasets.synthetic import clustered, gaussian_mixture, uniform
 from repro.experiments.adversarial import figure2a_layout, figure2b_layout, figure4_layout
+from repro.geometry.rect import Rect
 
 FIXTURE_PATH = Path(__file__).parent / "fixtures" / "golden_datasets.json"
 
@@ -45,6 +48,17 @@ def _cases() -> Dict[str, Callable[[], SpatialDataset]]:
         cases[f"uniform(n={n},seed={seed})"] = lambda n=n, seed=seed: uniform(n=n, seed=seed)
     cases["mixture(weights=[3,1],std=0.3)"] = lambda: gaussian_mixture(
         n=2000, centers=[(0.1, 0.1), (0.9, 0.5)], weights=[3.0, 1.0], std=0.3, seed=9
+    )
+    # The railway: the tiny-buffer pair of hub-heavy networks, the fast and
+    # paper scales of the figures, and one non-unit data space.
+    railways = [(70, 1, 6), (70, 51, 5), (35000, 0, 60)]
+    railways += [(n, seed, 60) for n in (1000, 3000) for seed in (0, 1)]
+    for n, seed, hubs in railways:
+        cases[f"railway(n={n},seed={seed},hubs={hubs})"] = (
+            lambda n=n, seed=seed, hubs=hubs: generate_railway_like(n, seed=seed, hubs=hubs)
+        )
+    cases["railway(n=1000,seed=2,bounds=(-10,5,30,25))"] = lambda: generate_railway_like(
+        1000, seed=2, bounds=Rect(-10.0, 5.0, 30.0, 25.0)
     )
     for layout in (figure2a_layout, figure2b_layout, figure4_layout):
         for side in ("r", "s"):

@@ -431,9 +431,11 @@ def test_every_flat_rtree_is_built_by_the_field_constructor():
         [FlatRTree.from_mbr_array(mbrs[:100]), FlatRTree.from_mbr_array(mbrs[100:])]
     )
     flattened = pointer_rtree.flatten(pointer_rtree.RTree.from_mbr_array(mbrs, max_entries=8))
-    # The constructor fields, ``size`` and the page table derived from them
-    # on the first batch query (PR 24) -- nothing else.
-    fields = set(inspect.signature(FlatRTree).parameters) | {"size", "_pages"}
+    # The constructor fields, ``size``, and in place of the entry block the
+    # page table laid out from it with the block index that reads it back --
+    # nothing else, and nothing added by a query.
+    fields = set(inspect.signature(FlatRTree).parameters) - {"entry_cols"}
+    fields |= {"size", "pages", "_blocks"}
     for index in (built, forest, flattened):
         assert set(vars(index)) == fields
         index.count_batch(np.array([[0.0, 0.0, 1.0, 1.0]]))

@@ -364,8 +364,9 @@ class TestShardedJoinEquivalence:
 
 class TestFleetHoldsEachObjectOnce:
     """A shard server's dataset is a read-only view of its slice of the
-    forest's entry block (rows in STR order), shared by its replicas; the
-    partition copies it was built from are not kept."""
+    fleet's one ``(mbrs, oids)`` block (rows in STR order, the oids the
+    forest's own), shared by its replicas; the partition copies it was
+    built from are not kept."""
 
     def test_shard_datasets_are_views_of_the_forest_entries(self):
         data = clustered(n=4000, clusters=16, seed=21, name="R")
@@ -377,8 +378,11 @@ class TestFleetHoldsEachObjectOnce:
             for server in group:
                 shard = server.dataset
                 assert shard is group[0].dataset
-                assert np.shares_memory(shard.mbrs, fleet.forest.entry_cols)
+                assert shard.mbrs.base is fleet.shards[0].dataset.mbrs.base  # one block
                 assert np.shares_memory(shard.oids, fleet.forest.entry_oids)
+                lo = fleet.forest.ent_start[fleet.forest.roots[fleet.replica_groups.index(group)]]
+                rows = np.arange(lo, lo + len(shard))
+                assert np.array_equal(shard.mbrs, fleet.forest.entries_at(rows)[0])  # forest order
                 assert not shard.mbrs.flags.writeable and not shard.oids.flags.writeable
                 assert shard.name == part.name and len(shard) == len(part)
                 assert set(shard.oids.tolist()) == set(part.oids.tolist())
@@ -395,12 +399,14 @@ class TestFleetHoldsEachObjectOnce:
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        entries = fleet.forest.entry_cols.nbytes + fleet.forest.entry_oids.nbytes
+        block = fleet.shards[0].dataset.mbrs.base
+        assert all(shard.dataset.mbrs.base is block for shard in fleet.shards)
+        entries = block.nbytes + fleet.forest.entry_oids.nbytes
         assert entries == 20000 * 40
-        # The entry block once, plus node arrays (the shard trees' and the
-        # forest's, about 15% of it each); a kept partition copy would add a
-        # second whole entry block.
-        assert held < 1.5 * entries, (held, entries)
+        # The fleet's page table and its entry block once each, plus node
+        # arrays (the shard trees' and the forest's, about 15% of the block
+        # each); a kept partition copy would add a second whole entry block.
+        assert held < fleet.forest.pages.nbytes + 1.5 * entries, (held, entries)
 
 
 # --------------------------------------------------------------------------- #
