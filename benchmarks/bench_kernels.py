@@ -20,7 +20,7 @@ from repro.core.planner import ALGORITHMS
 from repro.core.srjoin import DIFFERENT
 from repro.datasets.synthetic import clustered, uniform
 from repro.device.hbsj import HBSJColumns
-from repro.device.pda import MobileDevice
+from repro.device.pda import DeviceGroup, MobileDevice
 from repro.device.steps import run_steps
 from repro.geometry import rect_array
 from repro.geometry.predicates import WithinDistancePredicate
@@ -93,7 +93,9 @@ def test_bench_hbsj_operator_body(benchmark):
 
     def run():
         device.reset()
-        return run_steps(device.hbsj_steps(requests, WithinDistancePredicate(eps)), servers)
+        return run_steps(
+            DeviceGroup([device]).hbsj_steps(requests, WithinDistancePredicate(eps)), servers
+        )
 
     table = benchmark(run)
     assert len(table.pairs) > 0 and table.windows_joined.sum() == 1000

@@ -1,17 +1,17 @@
 """Shared machinery of the mobile join algorithms.
 
-:class:`MobileJoinAlgorithm` factors out everything MobiJoin, UpJoin and
-SrJoin have in common: the device/servers handles, the cost model, pair
-collection, tracing, recursion-depth safety valves, and the final assembly
-of a :class:`~repro.core.result.JoinResult` from the measured channels.
+:class:`MobileJoinAlgorithm` factors out everything the algorithms have in
+common: the device/servers handles, the cost model, pair collection,
+tracing, the recursion stopping rule, and the final assembly of a
+:class:`~repro.core.result.JoinResult` from the measured channels.
 
-Subclasses implement :meth:`_steps` (the planning logic, as a step
-generator -- see :mod:`repro.device.steps`) and use the provided
-``hbsj_steps`` / ``count_round`` / ``prune`` helpers, which keep the
-bookkeeping consistent across algorithms.  :meth:`run_cooperative` is the
-generator; :meth:`run` drives it as a wave of one
+Subclasses implement :meth:`run_cooperative`, the run as a step generator
+(see :mod:`repro.device.steps`); :meth:`run` drives it as a wave of one
 (:func:`~repro.device.steps.run_steps`), the query broker together with the
 steps of other queries -- the same gather / evaluate / book loop either way.
+Every algorithm but SemiJoin is a level table of the frontier engine
+(:mod:`repro.core.frontier`), whose runs start with the one root COUNT
+round (:meth:`repro.core.frontier.Crew.start`), SemiJoin's too.
 """
 
 from __future__ import annotations
@@ -27,10 +27,10 @@ import numpy as np
 from repro.core.costmodel import CostModel
 from repro.core.join_types import JoinSpec
 from repro.core.result import JoinResult, Trace, TraceEvent, TraceRows
-from repro.device.hbsj import HBSJRequest
+from repro.device.hbsj import too_small_to_split
 from repro.device.pda import MobileDevice
-from repro.device.steps import COUNT, Request, Step, Steps, run_steps
-from repro.errors import InvalidInput, RoundRetry, require_count
+from repro.device.steps import Steps, run_steps
+from repro.errors import InvalidInput, require_count
 from repro.geometry.predicates import JoinPredicate
 from repro.geometry.rect import Rect
 from repro.index.pairs import PairBlocks, PairSet
@@ -133,8 +133,8 @@ class MobileJoinAlgorithm(ABC):
         :meth:`run_cooperative` driven as a wave of one."""
         return run_steps(self.run_cooperative(window), self.device.servers)
 
-    def _obs_open(self, window: Rect):
-        """Open the run's "join" span (None when the tracer is off).
+    def _obs_open(self, window: Rect) -> None:
+        """Open the run's "join" span (none when the tracer is off).
 
         Also points the resilience controller's event hook at the new span
         so retries/faults/failovers land on the owning query's subtree.
@@ -145,7 +145,7 @@ class MobileJoinAlgorithm(ABC):
         device = self.device
         tracer = device.tracer
         if not tracer.enabled:
-            return None
+            return
         span = tracer.span(
             "join",
             parent=device.trace_root,
@@ -157,8 +157,8 @@ class MobileJoinAlgorithm(ABC):
         res = device.resilience
         if res is not None:
             res.trace_span = span
-        return span
 
+    @abstractmethod
     def run_cooperative(self, window: Rect) -> Steps:
         """Generator form of :meth:`run` for an external driver (the query broker).
 
@@ -168,59 +168,9 @@ class MobileJoinAlgorithm(ABC):
         :class:`~repro.core.result.JoinResult` via ``StopIteration``.  A
         driver evaluates a step's rows alone (:meth:`run`) or with other
         queries' (the query broker) but books them on this query's own
-        connections in step order (:func:`~repro.device.steps.book_step`),
-        which keeps pairs, bytes, statistics, fault streams and decision
-        traces bit-identical whoever drives it.
-
-        This is also the one re-offer point: a driver that hits a
-        transient failure while evaluating a step can
-        ``throw(RoundRetry)`` into the generator, which then offers the
-        *identical* step again instead of unwinding (and destroying the
-        query's execution state).  Answering a step is idempotent -- its
-        requests are a pure function of the execution state, which the
-        retry does not touch.
-        """
-        steps = self._cooperative_steps(window)
-        try:
-            step = next(steps)
-            while True:
-                try:
-                    answers = yield step
-                except RoundRetry:
-                    continue
-                step = steps.send(answers)
-        except StopIteration as stop:
-            return stop.value
-        finally:
-            steps.close()
-
-    def _cooperative_steps(self, window: Rect) -> Steps:
-        self._pairs.clear()
-        self._trace.clear()
-        span = self._obs_open(window)
-        try:
-            count_r, count_s = yield from self.count_round(
-                [
-                    Request(COUNT, "R", ([self.query_window("R", window)],)),
-                    Request(COUNT, "S", ([self.query_window("S", window)],)),
-                ]
-            )
-            count_r, count_s = int(count_r[0]), int(count_s[0])
-            self.record(0, window, "start", f"{self.name}", count_r, count_s)
-            yield from self._steps(window, count_r, count_s, depth=0)
-            return self._assemble(window)
-        finally:
-            if span is not None:
-                span.close(sim=self.device.sim_now())
-
-    # ------------------------------------------------------------------ #
-    # to be provided by each algorithm
-    # ------------------------------------------------------------------ #
-
-    @abstractmethod
-    def _steps(self, window: Rect, count_r: int, count_s: int, depth: int) -> Steps:
-        """Plan and execute the join of one window (counts already known),
-        offering every server evaluation as a step."""
+        connections in step order, so the run is bit-identical whoever
+        drives it; a ``throw(RoundRetry)`` re-offers the identical step
+        (:func:`~repro.device.steps.reoffer`)."""
 
     # ------------------------------------------------------------------ #
     # helpers shared by the algorithms
@@ -245,27 +195,6 @@ class MobileJoinAlgorithm(ABC):
             return window.expanded(margin)
         return window
 
-    def count_round(self, step: Step) -> Steps:
-        """Offer one planning round of COUNT requests; returns its answers.
-
-        Every planning COUNT of the algorithms is offered here, on query
-        windows with the margins of :meth:`query_window` applied -- so
-        COUNTs are consistent with the windows the physical operators later
-        download.  Books the windows on the device's COUNT counter and,
-        while tracing, wraps the round in a "round" span that opens before
-        the step is offered and closes when the answers arrive -- any
-        :class:`RoundRetry` replay included -- under the simulated clock.
-        """
-        round_span = self._open_round(
-            sum(len(request.args[0]) for request in step), [request.side for request in step]
-        )
-        if round_span is None:
-            return (yield step)
-        try:
-            return (yield step)
-        finally:
-            round_span.close(sim=self.device.sim_now())
-
     def _open_round(self, windows: int, sides: Sequence[str]):
         """Count a COUNT round of ``windows`` rows to ``sides`` and open its
         "round" span (``None`` while the tracer is off).  Sibling rounds are
@@ -286,22 +215,12 @@ class MobileJoinAlgorithm(ABC):
         return round_span
 
     def should_stop_partitioning(self, windows: np.ndarray, depths) -> np.ndarray:
-        """Mask of the ``(N, 4)`` windows whose repartitioning cannot pay off.
-
-        Splitting stops at :data:`MAX_DEPTH`, and -- for distance joins --
-        once a cell's children would be smaller than twice the S-side
-        expansion: at that scale every child's expanded S window covers
-        nearly the same region as the parent's, so the extra aggregate
-        queries can no longer expose prunable empty space.
-        """
-        stop = np.asarray(depths) >= MAX_DEPTH
-        margin = self.predicate.window_margin
-        if margin > 0:
-            extent = np.minimum(
-                windows[:, 2] - windows[:, 0], windows[:, 3] - windows[:, 1]
-            )
-            stop = stop | (extent / 2.0 <= 2.0 * margin)
-        return stop
+        """Mask of the ``(N, 4)`` windows whose repartitioning cannot pay off:
+        at :data:`MAX_DEPTH`, or once a cell is too small to split
+        (:func:`~repro.device.hbsj.too_small_to_split`)."""
+        return (np.asarray(depths) >= MAX_DEPTH) | too_small_to_split(
+            windows, self.predicate.window_margin
+        )
 
     def refinement_worthwhile(self, data_cost):
         """True where refining a window can possibly repay its statistics.
@@ -323,30 +242,6 @@ class MobileJoinAlgorithm(ABC):
         """Record that a window produced no work (one side empty)."""
         self.device.counts.windows_pruned += 1
         self.record(depth, window, "prune", "empty side", count_r, count_s)
-
-    def hbsj_steps(
-        self,
-        window: Rect,
-        depth: int,
-        count_r: Optional[int] = None,
-        count_s: Optional[int] = None,
-        counts_exact: bool = True,
-    ) -> Steps:
-        """Run HBSJ on the window and collect its pairs (a step generator).
-
-        When the counts are only estimates (``counts_exact=False``) they are
-        not forwarded to the operator, which will issue its own COUNT
-        queries -- the paper's "issue additional aggregate queries only when
-        accuracy is crucial, i.e. when applying the physical operators".
-        """
-        self.record(depth, window, "HBSJ", "", count_r, count_s)
-        request = HBSJRequest(
-            window,
-            count_r=count_r if counts_exact else None,
-            count_s=count_s if counts_exact else None,
-        )
-        table = yield from self.device.hbsj_steps([request], self.predicate)
-        self._pairs.extend(table.pairs)
 
     def record(
         self,

@@ -1,14 +1,16 @@
-"""The shared frontier execution engine for the adaptive join algorithms.
+"""The shared frontier execution engine of the join algorithms.
 
-Every partition-based algorithm in this reproduction (MobiJoin, UpJoin,
-SrJoin) is a recursion over windows: inspect a window with COUNT queries,
-then either prune it, finish it with a physical operator, or decompose it
-and recurse.  The paper's recursion constrains *which* windows are queried
-and what bytes cross the wire -- not the order in which exchanges are
-flushed -- so sibling windows at one recursion depth can legally share one
-batched round trip.  They also share one *decision*: everything a window's
-fate depends on is a handful of numbers, so the windows of a depth are kept
-as columns (a :class:`Level`) and decided together, as a table.
+Every algorithm in this reproduction but SemiJoin is a recursion over
+windows: inspect a window with COUNT queries, then either prune it, finish
+it with a physical operator, or decompose it and recurse -- MobiJoin,
+UpJoin and SrJoin adaptively, the naive join by finishing the root window
+whole, FixedGrid by one fixed split.  The paper's recursion constrains
+*which* windows are queried and what bytes cross the wire -- not the order
+in which exchanges are flushed -- so sibling windows at one recursion
+depth can legally share one batched round trip.  They also share one
+*decision*: everything a window's fate depends on is a handful of numbers,
+so the windows of a depth are kept as columns (a :class:`Level`) and
+decided together, as a table.
 
 * A :class:`LevelTable` is the decision state of one level.  The algorithm
   supplies its rule as column operations over *cohorts* -- index arrays of
@@ -22,16 +24,16 @@ as columns (a :class:`Level`) and decided together, as a table.
   the windows first ask for them (:meth:`LevelTable._round`).  Windows
   drift out of phase -- one needs a fourth quadrant COUNT, its neighbour
   does not -- which is why a round merges the cohorts of several stages.
-* The engine (:meth:`FrontierAlgorithm._steps`) runs level after level: the
-  table's lock-step rounds, then the level's physical-operator leaves
-  through the device's batch operators
-  (:meth:`~repro.device.pda.MobileDevice.hbsj_steps` /
-  :meth:`~repro.device.pda.MobileDevice.nlsj_steps`), then the level's
-  trace rows, spliced in window order.  It is a step generator
-  (:mod:`repro.device.steps`): every COUNT round and every operator
-  exchange is *yielded*, never performed; ``run`` answers the steps as a
-  wave of one, the query broker answers the steps of all in-flight queries
-  together.
+* Every run is a group (a :class:`Crew`; a run on its own is a crew of
+  one): the root COUNT round (:meth:`Crew.start`), then
+  :meth:`FrontierAlgorithm._levels` level after level -- the table's
+  lock-step rounds, then the level's physical-operator leaves through the
+  group's batch operators (:class:`~repro.device.pda.DeviceGroup`), then
+  each member's trace rows, spliced in window order.  It is a step
+  generator (:mod:`repro.device.steps`): every COUNT round and every
+  operator exchange is *yielded*, never performed; ``run`` answers the
+  steps as a wave of one, the query broker answers the steps of all
+  in-flight queries together.
 
 Float work stays column by column in the scalar operation order, and trace
 details are formatted from ``.tolist()`` Python numbers: costs pick
@@ -39,9 +41,10 @@ strategies and strategies pick bytes, so a last-bit drift is wire-visible.
 The per-window generators this table replaced live on, behaviour-intact, as
 ``tests/oracles/frontier_generators.py``; ``tests/test_level_table.py``
 holds the table against them level by level, and the depth-first driver
-(``tests/oracles/recursive_driver.py``) runs them one window at a time to
-bit-identical pairs, bytes, statistics and decision logs
-(``tests/test_frontier_equivalence.py``, ``tests/test_golden_traces.py``).
+(``tests/oracles/recursive_driver.py``, swapped in for :meth:`_levels`)
+runs them one window at a time to bit-identical pairs, bytes, statistics
+and decision logs (``tests/test_frontier_equivalence.py``,
+``tests/test_golden_traces.py``).
 See ARCHITECTURE.md, "Frontier execution".
 
 Sharded data plane (PR 8).  The engine addresses servers by their *logical*
@@ -65,7 +68,7 @@ from repro.core.result import JoinResult, LevelTrace, TraceBatch
 from repro.device.hbsj import UNKNOWN, HBSJColumns
 from repro.device.nlsj import NLSJColumns
 from repro.device.pda import DeviceGroup
-from repro.device.steps import COUNT, Request, Shared, Step, Steps, merge, split
+from repro.device.steps import COUNT, Request, Shared, Step, Steps, merge, reoffer, split
 from repro.geometry import rect_array
 from repro.geometry.rect import Rect
 
@@ -156,10 +159,11 @@ class Crew:
     configuration and buffer size, each with its own device -- so one cost
     model, one predicate and one buffer capacity decide every window,
     while counters, buffers, pairs, trace rows and spans stay per query.
-    A run on its own is a crew of one; :meth:`FrontierAlgorithm.run_group`
-    runs several.  A member whose booking failed leaves (:meth:`leave`): its
-    spans close, its device is dropped, and from then on it is asked
-    nothing, counted nothing and its windows go with the level they are in.
+    A run on its own is a crew of one (SemiJoin's too, for its root round);
+    :meth:`FrontierAlgorithm.run_group` runs several.  A member whose
+    booking failed leaves (:meth:`leave`): its spans close, its device is
+    dropped, and from then on it is asked nothing, counted nothing and its
+    windows go with the level they are in.
     """
 
     def __init__(self, algos: Sequence["FrontierAlgorithm"]) -> None:
@@ -207,12 +211,32 @@ class Crew:
         rows = np.flatnonzero(self.alive[level.query])
         return level.take(rows) if rows.size else None
 
+    def start(self, windows: Sequence[Rect]) -> Steps:
+        """Open every member's run over its window and ask its root COUNTs:
+        one round, R then S, one row per member.  Returns each member's
+        ``(count_r, count_s)`` (``None`` for one that left), recorded as
+        its "start" trace row."""
+        algos = self.algos
+        for algo, window in zip(algos, windows):
+            algo._pairs.clear()
+            algo._trace.clear()
+            algo._obs_open(window)
+        rows = {side: [a.query_window(side, w) for a, w in zip(algos, windows)] for side in SIDES}
+        step = [Request(COUNT, side, (rect_array.rects_to_array(rows[side]),)) for side in SIDES]
+        members = np.arange(len(algos), dtype=np.intp)
+        counts_r, counts_s = yield from self.count_round(step, [members, members], None)
+        counts: List[Optional[Tuple[int, int]]] = [None] * len(algos)
+        for q in np.flatnonzero(self.alive).tolist():
+            algo, counts[q] = algos[q], (int(counts_r[q]), int(counts_s[q]))
+            algo.record(0, windows[q], "start", algo.name, *counts[q])
+        return counts
+
     def count_round(self, step: Step, queries: List[np.ndarray], keys) -> Steps:
-        """A COUNT round over the members' rows (see
-        :meth:`~repro.core.base.MobileJoinAlgorithm.count_round`): each
-        member with rows in it counts them and opens its own "round" span."""
-        if len(self.algos) == 1:
-            return (yield from self.algos[0].count_round(step))
+        """Offer one COUNT round over the members' rows (query windows, the
+        margins of ``query_window`` applied); returns its answers.  Each
+        member with rows in it counts them and opens its own "round" span,
+        closed when the answers arrive (any ``RoundRetry`` replay included)
+        or by :meth:`close_spans`."""
         asked: Dict[int, List[Tuple[str, int]]] = {}
         for request, query in zip(step, queries):
             for q, lo, hi in self.members(query):
@@ -234,7 +258,12 @@ class Crew:
         """Drive the group's steps by one step per member: a driver books
         each member's share on its own connections and answers ``None``
         for a member whose booking failed, which leaves.  Returns what
-        ``steps`` returns (``None`` once every member left)."""
+        ``steps`` returns (``None`` once every member left).  A
+        ``throw(RoundRetry)`` re-offers the identical shares
+        (:func:`~repro.device.steps.reoffer`)."""
+        return (yield from reoffer(self._relay(steps)))
+
+    def _relay(self, steps: Steps) -> Steps:
         try:
             step = next(steps)
             while True:
@@ -256,9 +285,6 @@ class Crew:
     def add_pairs(self, found, query: np.ndarray) -> None:
         """Hand each member the pairs its invocations found (``query`` is
         the invocations' query column)."""
-        if len(self.algos) == 1:
-            self.algos[0]._pairs.extend(found.pairs)
-            return
         for pairs, owner in zip(found.pairs.blocks, found.owners):
             for q, lo, hi in self.members(query[owner]):
                 self.algos[q]._pairs.blocks.append(pairs[lo:hi])
@@ -378,9 +404,7 @@ class LevelTable:
             # One cohort: its rows are the requests (R first when it asks both).
             (ask,) = asks
             step = [Request(COUNT, side, (rows,)) for side, rows in ask.rows.items()]
-            queries = None
-            if len(self.crew) > 1:
-                queries = [self.query[np.repeat(ask.idx, ask.per_window)]] * len(step)
+            queries = [self.query[np.repeat(ask.idx, ask.per_window)]] * len(step)
             answers = yield from self.crew.count_round(step, queries, None)
             ask.then(ask.idx, *(np.asarray(answer, dtype=np.int64) for answer in answers))
             return
@@ -404,14 +428,11 @@ class LevelTable:
                 rows = np.concatenate([a.rows[side] for a in members])[src]
             step.append(Request(COUNT, side, (rows,)))
             merges.append(src)
-            if len(self.crew) > 1:
-                owners.append(np.repeat(idx, per))
-        queries = keys = None
-        if owners:
-            # A member lists the servers in the order its own windows first
-            # name them: the key of a row is its window, R before S.
-            queries = [self.query[windows] for windows in owners]
-            keys = [2 * windows + (side == "S") for side, windows in zip(sides, owners)]
+            owners.append(np.repeat(idx, per))
+        # A member lists the servers in the order its own windows first
+        # name them: the key of a row is its window, R before S.
+        queries = [self.query[windows] for windows in owners]
+        keys = [2 * windows + (side == "S") for side, windows in zip(sides, owners)]
         answers = yield from self.crew.count_round(step, queries, keys)
         shares: Dict[Tuple[int, str], np.ndarray] = {}
         for side, src, answer in zip(sides, merges, answers):
@@ -495,6 +516,14 @@ class LevelTable:
         self.rec(
             idx, "prune", "empty side", (), count_r.astype(np.int64), count_s.astype(np.int64)
         )
+
+    def prune_empty(self) -> np.ndarray:
+        """Prune the windows whose integer counts have an empty side; the
+        others' indices."""
+        empty = (self.int_r == 0) | (self.int_s == 0)
+        dead = np.flatnonzero(empty)
+        self.prune(dead, self.int_r[dead], self.int_s[dead])
+        return np.flatnonzero(~empty)
 
     def leaves(self, idx: np.ndarray, hbsj: np.ndarray, counts_exact: np.ndarray) -> None:
         """Finish windows ``idx`` with HBSJ where ``hbsj``, NLSJ (outer
@@ -613,8 +642,9 @@ class CostedTable(LevelTable):
 class FrontierAlgorithm(MobileJoinAlgorithm):
     """Base class of algorithms driven by the frontier engine.
 
-    Subclasses name their :class:`LevelTable` and implement
-    :meth:`_root_task`; the engine executes them level by level.
+    Subclasses name their :class:`LevelTable` (and override
+    :meth:`_root_task` when their levels carry flags); the engine executes
+    them level by level.
     """
 
     #: The algorithm's decision rule.
@@ -622,16 +652,12 @@ class FrontierAlgorithm(MobileJoinAlgorithm):
 
     def _root_task(self, window: Rect, count_r: int, count_s: int, depth: int) -> Level:
         """The level of one for the joined window (counts already known)."""
-        raise NotImplementedError
+        return Level.root(window, count_r, count_s, depth)
 
-    #: ``benchmarks/e2e/layers.py`` (frozen) times the cooperative run of the
-    #: engine algorithms under this class's name.
-    run_cooperative = MobileJoinAlgorithm.run_cooperative
-
-    def _steps(self, window: Rect, count_r: int, count_s: int, depth: int) -> Steps:
-        """The level-order execution as a step generator: :meth:`_levels`
-        of a crew of one."""
-        yield from self._levels(Crew([self]), self._root_task(window, count_r, count_s, depth))
+    def run_cooperative(self, window: Rect) -> Steps:
+        """The run as a group of one: :meth:`_group_steps` of a crew of one."""
+        (result,) = yield from reoffer(self._group_steps(Crew([self]), [window]))
+        return result
 
     def _levels(self, crew: Crew, level: Optional[Level]) -> Steps:
         """Per level: the lock-step COUNT rounds of its table, then the
@@ -673,24 +699,12 @@ class FrontierAlgorithm(MobileJoinAlgorithm):
         the root COUNT round, then the members' root windows as one level."""
         algos = crew.algos
         try:
-            for algo, window in zip(algos, windows):
-                algo._pairs.clear()
-                algo._trace.clear()
-                algo._obs_open(window)
-            # Every member's root COUNTs, R then S, one row per member.
-            rows = {
-                side: [algo.query_window(side, w) for algo, w in zip(algos, windows)]
-                for side in SIDES
+            counts = yield from crew.start(windows)
+            roots = {
+                q: algos[q]._root_task(windows[q], *count, 0)
+                for q, count in enumerate(counts)
+                if count is not None
             }
-            step = [Request(COUNT, side, (rect_array.rects_to_array(rows[side]),)) for side in SIDES]
-            members = np.arange(len(algos), dtype=np.intp)
-            counts_r, counts_s = yield from crew.count_round(step, [members, members], None)
-            roots: Dict[int, Level] = {}
-            for q, (algo, window) in enumerate(zip(algos, windows)):
-                if crew.alive[q]:
-                    count_r, count_s = int(counts_r[q]), int(counts_s[q])
-                    algo.record(0, window, "start", f"{algo.name}", count_r, count_s)
-                    roots[q] = algo._root_task(window, count_r, count_s, 0)
             yield from self._levels(crew, Level.stack(roots))
             results: List[Optional[JoinResult]] = [None] * len(algos)
             for q in np.flatnonzero(crew.alive).tolist():
@@ -730,7 +744,6 @@ class FrontierAlgorithm(MobileJoinAlgorithm):
                 algo._obs_leaf_batch += 1
                 crew.spans[q].append(leaves_span)
                 opened.append((q, leaves_span))
-        alone = len(crew) == 1
         try:
             if hbsj.size:
                 # Estimated counts are not forwarded: the operator issues its
@@ -744,7 +757,7 @@ class FrontierAlgorithm(MobileJoinAlgorithm):
                         table.windows[hbsj],
                         np.where(exact, table.int_r[hbsj], UNKNOWN),
                         np.where(exact, table.int_s[hbsj], UNKNOWN),
-                        None if alone else query,
+                        query,
                     ),
                     self.predicate,
                 )
@@ -752,9 +765,7 @@ class FrontierAlgorithm(MobileJoinAlgorithm):
             if nlsj.size:
                 query = table.query[nlsj]
                 found = yield from crew.devices.nlsj_steps(
-                    NLSJColumns(
-                        table.windows[nlsj], table.outer_s[nlsj], None if alone else query
-                    ),
+                    NLSJColumns(table.windows[nlsj], table.outer_s[nlsj], query),
                     self.predicate,
                     bucket=self.params.bucket_queries,
                 )

@@ -31,9 +31,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.costmodel import STRATEGIES
-from repro.core.frontier import FrontierAlgorithm, Level, LevelTable
+from repro.core.frontier import FrontierAlgorithm, LevelTable
 from repro.geometry import rect_array
-from repro.geometry.rect import Rect
 
 __all__ = ["MobiJoin"]
 
@@ -43,10 +42,7 @@ class MobiJoinTable(LevelTable):
 
     def start(self) -> None:
         algo, k = self.algo, self.algo.params.grid_k
-        empty = (self.int_r == 0) | (self.int_s == 0)
-        dead = np.flatnonzero(empty)
-        self.prune(dead, self.int_r[dead], self.int_s[dead])
-        idx = np.flatnonzero(~empty)
+        idx = self.prune_empty()
         if not idx.size:
             return
         windows = self.windows[idx]
@@ -99,6 +95,3 @@ class MobiJoin(FrontierAlgorithm):
 
     name = "mobijoin"
     table = MobiJoinTable
-
-    def _root_task(self, window: Rect, count_r: int, count_s: int, depth: int) -> Level:
-        return Level.root(window, count_r, count_s, depth)

@@ -1,25 +1,30 @@
-"""Baseline strategies from Section 3 of the paper.
+"""Baseline strategies from Section 3 of the paper, as level tables.
 
 * :class:`NaiveDownloadJoin` -- download both datasets wholesale and join
   on the device ("in general, this is an infeasible solution, since mobile
   devices have limited storage capability"); provided as the upper-bound
-  baseline and as the correctness oracle's twin.  The buffer is lifted for
-  the download: the baseline shows what ignoring the constraint costs.
-* :class:`FixedGridJoin` -- the divide-and-conquer alternative: impose a
-  regular :data:`FIXED_GRID` x :data:`FIXED_GRID` grid, COUNT every cell on
-  both servers, skip the cells where either side is empty ("we can achieve
-  sublinear transfer cost by pruning areas that do not contain any
-  results") and join each other cell on the device.
+  baseline and as the correctness oracle's twin.  Its root window is one
+  HBSJ leaf run with the buffer lifted: the baseline shows what ignoring
+  the constraint costs.
+* :class:`FixedGridJoin` -- the divide-and-conquer alternative: split the
+  root window into a regular :data:`FIXED_GRID` x :data:`FIXED_GRID` grid,
+  COUNT every cell on both servers (one round, R then S), skip the cells
+  where either side is empty ("we can achieve sublinear transfer cost by
+  pruning areas that do not contain any results") and join each other
+  cell on the device with HBSJ.
 
-Each runs one configuration: neither takes an option of its own.
+Both run on the frontier engine (:mod:`repro.core.frontier`), so the query
+broker groups like baseline queries as it groups the adaptive ones.  Each
+runs one configuration: neither takes an option of its own.
 """
 
 from __future__ import annotations
 
-from repro.core.base import MobileJoinAlgorithm
-from repro.device.hbsj import HBSJRequest
-from repro.device.steps import COUNT, Request, Steps
-from repro.geometry.rect import Rect
+import numpy as np
+
+from repro.core.frontier import FrontierAlgorithm, LevelTable
+from repro.device.steps import Steps
+from repro.geometry import rect_array
 
 __all__ = ["FIXED_GRID", "NaiveDownloadJoin", "FixedGridJoin"]
 
@@ -27,7 +32,40 @@ __all__ = ["FIXED_GRID", "NaiveDownloadJoin", "FixedGridJoin"]
 FIXED_GRID = 4
 
 
-class NaiveDownloadJoin(MobileJoinAlgorithm):
+class NaiveTable(LevelTable):
+    """The root windows: pruned when a side is empty, else one HBSJ leaf."""
+
+    def start(self) -> None:
+        live = self.prune_empty()
+        self.leaves(live, np.ones(live.size, dtype=bool), True)
+
+
+class FixedGridTable(NaiveTable):
+    """The root windows split into the fixed grid; the cells (depth 1)
+    pruned when a side is empty, else one HBSJ leaf each."""
+
+    def start(self) -> None:
+        if self.level.depth:
+            return super().start()
+        live = self.prune_empty()
+        n = FIXED_GRID * FIXED_GRID
+        cells = rect_array.subdivide_window(self.windows[live], FIXED_GRID).reshape(-1, 4)
+        self.ask(
+            live,
+            lambda live, count_r, count_s: self.child_level(
+                live,
+                cells,
+                count_r.reshape(-1, n),
+                count_s.reshape(-1, n),
+                np.ones(cells.shape[0], dtype=bool),
+            ),
+            n,
+            R=cells,
+            S=rect_array.expand(cells, self.algo.predicate.window_margin),
+        )
+
+
+class NaiveDownloadJoin(FrontierAlgorithm):
     """Download everything, join on the device.
 
     The device buffer is *not* enforced: the whole point of the baseline is
@@ -35,48 +73,25 @@ class NaiveDownloadJoin(MobileJoinAlgorithm):
     """
 
     name = "naive"
+    table = NaiveTable
 
-    def _steps(self, window: Rect, count_r: int, count_s: int, depth: int) -> Steps:
-        if count_r == 0 or count_s == 0:
-            self.prune(window, depth, count_r, count_s)
-            return
-        # Temporarily lift the buffer constraint for the wholesale download.
-        original_capacity = self.device.buffer.capacity
-        self.device.buffer.capacity = max(original_capacity, count_r + count_s)
+    def _run_leaves(self, table: LevelTable) -> Steps:
+        """The leaves with every live member's buffer lifted to the crew's
+        largest download, and restored afterwards."""
+        need = int((table.int_r + table.int_s).max())
+        lifted = [(b, b.capacity) for b in table.crew.devices.buffers if b is not None]
+        for buffer, capacity in lifted:
+            buffer.capacity = max(capacity, need)
         try:
-            yield from self.hbsj_steps(window, depth, count_r, count_s, counts_exact=True)
+            yield from super()._run_leaves(table)
         finally:
-            self.device.buffer.capacity = original_capacity
+            for buffer, capacity in lifted:
+                buffer.capacity = capacity
 
 
-class FixedGridJoin(MobileJoinAlgorithm):
+class FixedGridJoin(FrontierAlgorithm):
     """Regular :data:`FIXED_GRID` x :data:`FIXED_GRID` partitioning with
     COUNT-based pruning of the cells where either side is empty."""
 
     name = "fixedgrid"
-
-    def _steps(self, window: Rect, count_r: int, count_s: int, depth: int) -> Steps:
-        if count_r == 0 or count_s == 0:
-            self.prune(window, depth, count_r, count_s)
-            return
-        cells = window.subdivide(FIXED_GRID)
-        # All per-cell COUNTs of the grid go out as two batches (one per
-        # server): same queries and bytes as the per-cell loop, answered in
-        # one index descent each.
-        counts_r, counts_s = yield from self.count_round(
-            [
-                Request(COUNT, side, ([self.query_window(side, cell) for cell in cells],))
-                for side in ("R", "S")
-            ]
-        )
-        surviving = []
-        for cell, cell_r, cell_s in zip(cells, counts_r, counts_s):
-            if cell_r == 0 or cell_s == 0:
-                self.prune(cell, depth + 1, cell_r, cell_s)
-                continue
-            self.record(depth + 1, cell, "HBSJ", "", cell_r, cell_s)
-            surviving.append(HBSJRequest(window=cell, count_r=cell_r, count_s=cell_s))
-        # The surviving cells join through one batched HBSJ pipeline: the
-        # same downloads and counters as one operator call per cell.
-        table = yield from self.device.hbsj_steps(surviving, self.predicate)
-        self._pairs.extend(table.pairs)
+    table = FixedGridTable

@@ -33,9 +33,10 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.base import AlgorithmParameters, MobileJoinAlgorithm
+from repro.core.frontier import Crew
 from repro.core.join_types import JoinSpec
 from repro.device.pda import MobileDevice
-from repro.device.steps import Steps
+from repro.device.steps import Steps, reoffer
 from repro.geometry import rect_array
 from repro.geometry.rect import Rect
 from repro.server.remote import IndexedRemoteServer
@@ -64,12 +65,20 @@ class SemiJoin(MobileJoinAlgorithm):
 
     # ------------------------------------------------------------------ #
 
-    def _steps(self, window: Rect, count_r: int, count_s: int, depth: int) -> Steps:
-        # The index-publishing exchanges below are no step kind: a driver
-        # sees none of them, they run on the query's own connections.
-        self._execute(window, count_r, count_s, depth)
-        return
-        yield  # pragma: no cover -- a step generator that offers no step
+    def run_cooperative(self, window: Rect) -> Steps:
+        """The root COUNT round of a crew of one (:meth:`Crew.start`), then
+        the index relay, which is no step kind: a driver sees none of its
+        exchanges, they run on the query's own connections."""
+        return (yield from reoffer(self._relay(window)))
+
+    def _relay(self, window: Rect) -> Steps:
+        crew = Crew([self])
+        try:
+            ((count_r, count_s),) = yield from crew.start([window])
+            self._execute(window, count_r, count_s, 0)
+            return self._assemble(window)
+        finally:
+            crew.close_spans(0)
 
     def _execute(self, window: Rect, count_r: int, count_s: int, depth: int) -> None:
         if count_r == 0 or count_s == 0:

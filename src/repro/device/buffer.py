@@ -69,15 +69,11 @@ class DeviceBuffer:
 
 
 def hold_each_in_turn(
-    buffers: Sequence[Optional[DeviceBuffer]], sizes: np.ndarray, queries: Optional[np.ndarray]
+    buffers: Sequence[Optional[DeviceBuffer]], sizes: np.ndarray, queries: np.ndarray
 ) -> None:
     """:meth:`DeviceBuffer.hold_in_turn` for the entries of several queries:
     entry ``k`` is held on ``buffers[queries[k]]``, each query's entries in
-    their order, none on a ``None`` buffer (a query that left its group);
-    ``queries`` is ``None``: all are the one buffer's."""
-    if queries is None:
-        buffers[0].hold_in_turn(sizes)
-        return
+    their order, none on a ``None`` buffer (a query that left its group)."""
     for q, buffer in enumerate(buffers):
         mine = queries == q
         if buffer is not None and mine.any():

@@ -38,6 +38,7 @@ __all__ = [
     "HBSJTable",
     "UNKNOWN",
     "hash_based_spatial_join_steps",
+    "too_small_to_split",
 ]
 
 #: Safety valve against pathological inputs (e.g. more coincident points
@@ -86,8 +87,8 @@ class HBSJColumns(NamedTuple):
     #: margin-expanded window); :data:`UNKNOWN` where there is none.
     count_r: np.ndarray
     count_s: np.ndarray
-    #: ``(N,)`` ascending query of every invocation when they belong to the
-    #: queries of a group (``None``: all are one query's).
+    #: ``(N,)`` ascending query of every invocation in its query group
+    #: (``None``: all are the group's first query's).
     query: Optional[np.ndarray] = None
 
     @classmethod
@@ -119,14 +120,15 @@ class HBSJTable(OperatorTable):
 
 
 def hash_based_spatial_join_steps(
-    requests: HBSJRequests, predicate: JoinPredicate, buffers: Sequence[Optional[DeviceBuffer]]
+    requests: HBSJColumns, predicate: JoinPredicate, buffers: Sequence[Optional[DeviceBuffer]]
 ) -> Steps:
     """The HBSJ operator for many invocations, as a step generator.
 
-    ``requests`` is a request list or :class:`HBSJColumns`; the body runs on
-    the columns and returns an :class:`HBSJTable`.  Per-invocation results
-    and the wire bytes are those of running the invocations one at a time
-    (pinned against the depth-first ``tests/oracles/operators_scalar.py``).
+    ``requests`` are the invocations' columns, their query column filled
+    in (:class:`~repro.device.pda.DeviceGroup`); the body returns an
+    :class:`HBSJTable`.  Per-invocation results and the wire bytes are
+    those of running the invocations one at a time (pinned against the
+    depth-first ``tests/oracles/operators_scalar.py``).
     The quadrant recursion is a frontier whose worklist is columns -- the
     ``(C, 4)`` cells of a depth, the invocation each belongs to (ascending)
     and their two counts: the feasibility COUNTs of every active cell travel
@@ -136,12 +138,12 @@ def hash_based_spatial_join_steps(
     all buffer-feasible cells are one segmented grid-hash kernel call whose
     block is kept whole.
 
-    With a query column the invocations are several queries' (a query
-    group's): every step is :class:`~repro.device.steps.Shared` and a
-    download is held on the buffer of the query that asked for it
-    (``buffers`` is indexed by the column; else it is the one buffer).
+    The invocations are a query group's (one query's, standalone): every
+    step is :class:`~repro.device.steps.Shared` and a download is held on
+    the buffer of the query that asked for it (``buffers`` is indexed by
+    the query column).
     """
-    cells, count_r, count_s, query = HBSJColumns.of(requests)
+    cells, count_r, count_s, query = requests
     table = HBSJTable(cells.shape[0])
     owner = np.arange(table.n, dtype=np.intp)
     count_r, count_s = count_r.copy(), count_s.copy()
@@ -196,7 +198,7 @@ def hash_based_spatial_join_steps(
             np.add.at(table.objects_downloaded_r, mine, got_r)
             np.add.at(table.objects_downloaded_s, mine, got_s)
             np.add.at(table.windows_joined, mine, 1)
-            hold_each_in_turn(buffers, got_r + got_s, _rows_query(query, mine))
+            hold_each_in_turn(buffers, got_r + got_s, query[mine])
             table.add_pairs(pairs, np.repeat(mine, np.diff(starts)))
 
         # Un-splittable over-budget cells: finish with batched NLSJ (outer R).
@@ -206,7 +208,7 @@ def hash_based_spatial_join_steps(
                 NLSJColumns(
                     cells[fallbacks],
                     np.zeros(fallbacks.size, dtype=bool),
-                    _rows_query(query, mine),
+                    query[mine],
                 ),
                 predicate,
                 buffers,
@@ -228,14 +230,9 @@ def hash_based_spatial_join_steps(
     return table
 
 
-def _rows_query(query: Optional[np.ndarray], invocations: np.ndarray) -> Optional[np.ndarray]:
-    """The query of every row owned by ``invocations`` (``None`` for one query)."""
-    return None if query is None else query[invocations]
-
-
 def _shared(step, query, owner: np.ndarray, rows: List[np.ndarray]):
     """``step`` over the cells ``rows[i]`` of request ``i`` (see :class:`Shared`)."""
-    return Shared.of(step, None if query is None else [query[owner[cells]] for cells in rows])
+    return Shared(step, [query[owner[cells]] for cells in rows])
 
 
 def _both_sides(kind, rows: np.ndarray, margin: float) -> List[Request]:
@@ -245,10 +242,18 @@ def _both_sides(kind, rows: np.ndarray, margin: float) -> List[Request]:
 
 def _unsplittable(cells: np.ndarray, margin: float, depth: int) -> np.ndarray:
     """Where splitting cannot shrink the working set: the recursion is at
-    its depth limit, or child cells would be dominated by the S-side
-    expansion (``True`` per cell; the fallback is NLSJ probing)."""
+    its depth limit, or the cells are too small to split (``True`` per
+    cell; the fallback is NLSJ probing)."""
     if depth >= MAX_RECURSION_DEPTH:
         return np.ones(cells.shape[0], dtype=bool)
+    return too_small_to_split(cells, margin)
+
+
+def too_small_to_split(cells: np.ndarray, margin: float) -> np.ndarray:
+    """``True`` per ``(N, 4)`` cell whose children would be smaller than
+    twice the S-side expansion ``margin``: every child's expanded S window
+    would cover nearly the parent's.  The operator's and the algorithms'
+    one rule; each keeps its own depth limit."""
     if margin <= 0:
         return np.zeros(cells.shape[0], dtype=bool)
     extent = np.minimum(cells[:, 2] - cells[:, 0], cells[:, 3] - cells[:, 1])

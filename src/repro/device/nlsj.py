@@ -72,8 +72,8 @@ class NLSJColumns(NamedTuple):
     windows: np.ndarray
     #: ``(N,)`` ``bool``: the outer relation is S.
     outer_s: np.ndarray
-    #: ``(N,)`` ascending query of every invocation when they belong to the
-    #: queries of a group (``None``: all are one query's).
+    #: ``(N,)`` ascending query of every invocation in its query group
+    #: (``None``: all are the group's first query's).
     query: Optional[np.ndarray] = None
 
     @classmethod
@@ -107,17 +107,18 @@ class NLSJTable(OperatorTable):
 
 
 def nested_loop_spatial_join_steps(
-    requests: NLSJRequests,
+    requests: NLSJColumns,
     predicate: JoinPredicate,
     buffers: Sequence[Optional[DeviceBuffer]],
     bucket: bool = False,
 ) -> Steps:
     """The NLSJ operator for many invocations, as a step generator.
 
-    ``requests`` is a request list or :class:`NLSJColumns`; the body runs on
-    the columns and returns an :class:`NLSJTable`.  Per-invocation results
-    and the wire bytes are those of running the invocations one at a time
-    (pinned against ``tests/oracles/operators_scalar.py``).  Two steps
+    ``requests`` are the invocations' columns, their query column filled
+    in (:class:`~repro.device.pda.DeviceGroup`); the body returns an
+    :class:`NLSJTable`.  Per-invocation results and the wire bytes are
+    those of running the invocations one at a time (pinned against
+    ``tests/oracles/operators_scalar.py``).  Two steps
     (:mod:`repro.device.steps`): the outer downloads, one WINDOW request per
     outer server; then the epsilon probes -- centres and radii of a whole
     download computed in one pass -- as one RANGE request per inner server
@@ -125,13 +126,13 @@ def nested_loop_spatial_join_steps(
     request per invocation (merging them would change the wire payloads).
     Either way all candidates of a download are verified at once.
 
-    With a query column the invocations are several queries' (see
-    :func:`~repro.device.hbsj.hash_based_spatial_join_steps`): every step
-    is :class:`~repro.device.steps.Shared` (a bucket request carries one
+    The invocations are a query group's (see
+    :func:`~repro.device.hbsj.hash_based_spatial_join_steps`): every step is
+    :class:`~repro.device.steps.Shared` (a bucket request carries one
     invocation's probes) and the outer objects are held on the buffer of
     their query.
     """
-    windows, outer_s, query = NLSJColumns.of(requests)
+    windows, outer_s, query = requests
     table = NLSJTable(outer_s)
     margin = predicate.window_margin
 
@@ -148,8 +149,8 @@ def nested_loop_spatial_join_steps(
     if not step:
         return table
     outers: List[_Outer] = []
-    rows = None if query is None else [query[idxs] for _, idxs in asked]
-    for (side, idxs), (mbrs, oids, bounds) in zip(asked, (yield Shared.of(step, rows))):
+    rows = [query[idxs] for _, idxs in asked]
+    for (side, idxs), (mbrs, oids, bounds) in zip(asked, (yield Shared(step, rows))):
         table.outer_objects[idxs] = table.probes_sent[idxs] = np.diff(bounds)
         if mbrs.shape[0]:
             outers.append(_Outer(side, idxs, mbrs, oids, bounds, predicate))
@@ -171,9 +172,8 @@ def nested_loop_spatial_join_steps(
             Request(BUCKET, outer.inner, (outer.centers[lo:hi], radius, outer.radii[lo:hi]))
             for _, outer, lo, hi, radius in buckets
         ]
-        if query is not None:
-            rows = [np.full(hi - lo, query[i]) for i, _, lo, hi, _ in buckets]
-        answers = yield Shared.of(step, rows)
+        rows = [np.full(hi - lo, query[i]) for i, _, lo, hi, _ in buckets]
+        answers = yield Shared(step, rows)
         # A BUCKET answer names the probe of every row, counted from the
         # invocation's first outer row.
         candidates = []
@@ -190,25 +190,19 @@ def nested_loop_spatial_join_steps(
         # One RANGE request per inner server; its answer is flat (one
         # concatenated payload, ``index`` its CSR offsets in probe order).
         step = [Request(RANGE, outer.inner, (outer.centers, outer.radii)) for outer in outers]
-        if query is not None:
-            rows = [query[outer.owner] for outer in outers]
-        answers = yield Shared.of(step, rows)
+        answers = yield Shared(step, [query[outer.owner] for outer in outers])
         candidates = [
             (mbrs, oids, np.repeat(np.arange(index.shape[0] - 1, dtype=np.intp), np.diff(index)))
             for mbrs, oids, index in answers
         ]
         held = np.concatenate([outer.sizes for outer in outers])
-        held_by = None if query is None else np.concatenate([query[o.idxs] for o in outers])
+        held_by = np.concatenate([query[o.idxs] for o in outers])
     for outer, (cand_mbrs, cand_oids, probe_idx) in zip(outers, candidates):
         table.inner_objects_received += np.bincount(outer.owner[probe_idx], minlength=table.n)
         table.add_pairs(*outer.verify(windows, cand_mbrs, cand_oids, probe_idx, predicate))
     # Each invocation holds its outer objects (capped) while it is verified.
     live = held > 0
-    hold_each_in_turn(
-        buffers,
-        np.minimum(held[live], capacity(buffers)),
-        None if held_by is None else held_by[live],
-    )
+    hold_each_in_turn(buffers, np.minimum(held[live], capacity(buffers)), held_by[live])
     return table
 
 

@@ -181,32 +181,17 @@ class MobileDevice:
         return self.nlsj_batch([NLSJRequest(window, outer)], predicate, bucket=bucket)[0]
 
     def hbsj_batch(self, requests: HBSJRequests, predicate: JoinPredicate) -> List[HBSJResult]:
-        """Run many HBSJ invocations: :meth:`hbsj_steps` on this device's connections."""
-        return list(run_steps(self.hbsj_steps(requests, predicate), self.servers))
+        """Run many HBSJ invocations: the operator of this device alone
+        (:meth:`DeviceGroup.hbsj_steps`) on its connections."""
+        steps = DeviceGroup([self]).hbsj_steps(HBSJColumns.of(requests), predicate)
+        return list(run_steps(steps, self.servers))
 
     def nlsj_batch(
         self, requests: NLSJRequests, predicate: JoinPredicate, bucket: bool = False
     ) -> List[NLSJResult]:
-        """Run many NLSJ invocations: :meth:`nlsj_steps` on this device's connections."""
-        return list(run_steps(self.nlsj_steps(requests, predicate, bucket=bucket), self.servers))
-
-    def hbsj_steps(self, requests: HBSJRequests, predicate: JoinPredicate) -> Steps:
-        """Many HBSJ invocations (a request list or :class:`HBSJColumns`) as a
-        step generator (:mod:`repro.device.steps`): :meth:`DeviceGroup.hbsj_steps`
-        of this device alone; returns the operator's
-        :class:`~repro.device.hbsj.HBSJTable`."""
-        return (yield from DeviceGroup([self]).hbsj_steps(HBSJColumns.of(requests), predicate))
-
-    def nlsj_steps(
-        self, requests: NLSJRequests, predicate: JoinPredicate, bucket: bool = False
-    ) -> Steps:
-        """Many NLSJ invocations (a request list or :class:`NLSJColumns`) as a
-        step generator; returns the operator's :class:`~repro.device.nlsj.NLSJTable`."""
-        return (
-            yield from DeviceGroup([self]).nlsj_steps(
-                NLSJColumns.of(requests), predicate, bucket=bucket
-            )
-        )
+        """Run many NLSJ invocations (see :meth:`hbsj_batch`)."""
+        steps = DeviceGroup([self]).nlsj_steps(NLSJColumns.of(requests), predicate, bucket=bucket)
+        return list(run_steps(steps, self.servers))
 
     # ------------------------------------------------------------------ #
     # accounting
@@ -270,12 +255,6 @@ class DeviceGroup:
     def tally(self, counter: str, query: np.ndarray, weights: Optional[np.ndarray] = None) -> None:
         """Add one per row -- or each row's ``weights`` -- to counter
         ``counter`` of the row's device (``query`` is the rows' query column)."""
-        if len(self.devices) == 1:
-            device = self.devices[0]
-            if device is not None:
-                n = query.shape[0] if weights is None else int(weights.sum())
-                setattr(device.counts, counter, getattr(device.counts, counter) + n)
-            return
         per_query = np.bincount(query, weights, minlength=len(self.devices))
         for device, n in zip(self.devices, per_query.astype(np.int64).tolist()):
             if device is not None and n:
@@ -285,25 +264,26 @@ class DeviceGroup:
         """HBSJ over the invocations of the group's queries: books one
         invocation per request and adds their count / prune counters to
         their queries' devices."""
-        query = _query(requests.query, requests.windows)
-        self.tally("hbsj_invocations", query)
+        requests = _with_query(requests)
+        self.tally("hbsj_invocations", requests.query)
         table = yield from hash_based_spatial_join_steps(requests, predicate, self.buffers)
-        self.tally("count_queries", query, table.count_queries)
-        self.tally("windows_pruned", query, table.windows_pruned)
+        self.tally("count_queries", requests.query, table.count_queries)
+        self.tally("windows_pruned", requests.query, table.windows_pruned)
         return table
 
     def nlsj_steps(
         self, requests: NLSJColumns, predicate: JoinPredicate, bucket: bool = False
     ) -> Steps:
         """NLSJ over the invocations of the group's queries (see :meth:`hbsj_steps`)."""
-        self.tally("nlsj_invocations", _query(requests.query, requests.windows))
-        return (
-            yield from nested_loop_spatial_join_steps(
-                requests, predicate, self.buffers, bucket=bucket
-            )
-        )
+        requests = _with_query(requests)
+        self.tally("nlsj_invocations", requests.query)
+        steps = nested_loop_spatial_join_steps(requests, predicate, self.buffers, bucket)
+        return (yield from steps)
 
 
-def _query(query: Optional[np.ndarray], windows: np.ndarray) -> np.ndarray:
-    """A columns' query column (all the first query's when there is none)."""
-    return np.zeros(windows.shape[0], dtype=np.intp) if query is None else query
+def _with_query(requests):
+    """Operator columns with their query column (all the first query's
+    when there is none)."""
+    if requests.query is not None:
+        return requests
+    return requests._replace(query=np.zeros(requests.windows.shape[0], dtype=np.intp))

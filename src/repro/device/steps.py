@@ -16,9 +16,10 @@ server connection; they yield **steps** and receive the answers:
 A request's *rows* are the entries of its per-row columns (``Kind.columns``:
 windows, probe centres and radii): one query string each on the wire.  A
 query group -- like queries of a broker wave that run as one step
-generator -- offers :class:`Shared` steps instead, whose requests hold the
-rows of all its queries: ``queries[i]`` is the query column of request
-``i``'s rows, each query's rows contiguous and in its own window order.
+generator, or a run on its own as a group of one -- offers :class:`Shared`
+steps, whose requests hold the rows of all its queries: ``queries[i]`` is
+the query column of request ``i``'s rows, each query's rows contiguous and
+in its own window order.
 :func:`split` cuts such a step into one ordinary step per query, each in
 the order that query's standalone step lists its requests, and
 :func:`merge` puts the queries' booked answers back together (a query
@@ -44,6 +45,7 @@ from typing import Dict, Generator, Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from repro.errors import RoundRetry
 from repro.geometry import rect_array
 from repro.index.aggregate_rtree import probe_arrays
 from repro.index.pairs import PairBlocks
@@ -64,6 +66,7 @@ __all__ = [
     "book_step",
     "gather",
     "merge",
+    "reoffer",
     "run_steps",
     "split",
 ]
@@ -123,11 +126,6 @@ class Shared(list):
         self.keys = keys
         self._shares = None
 
-    @staticmethod
-    def of(step: Step, queries: List[np.ndarray], keys=None) -> Step:
-        """``step`` as offered by one query (``queries`` is ``None``) or a group."""
-        return step if queries is None else Shared(step, queries, keys)
-
     def shares(self, n: int):
         """Who asks what, for ``n`` queries: per query the ``(request, first
         row, end row)`` of each request it has rows in, in the query's own
@@ -155,12 +153,10 @@ class Shared(list):
         return self._shares
 
 
-def split(step: Step, alive: Sequence[bool]) -> List[Step]:
+def split(step: Shared, alive: Sequence[bool]) -> List[Step]:
     """One step per query of a group: its share of every request it has
     rows in, in its own order (nothing for a query that left, ``alive``
-    false).  A plain step is a group of one's."""
-    if not isinstance(step, Shared):
-        return [step if alive[0] else []]
+    false)."""
     out: List[Step] = []
     for q, shares in enumerate(step.shares(len(alive))[0]):
         mine: Step = []
@@ -179,12 +175,10 @@ def split(step: Step, alive: Sequence[bool]) -> List[Step]:
     return out
 
 
-def merge(step: Step, answers: List[Optional[list]]) -> list:
+def merge(step: Shared, answers: List[Optional[list]]) -> list:
     """The group's answer to every request of ``step`` from the queries'
     answers to their :func:`split` shares (``None``: the query left the
     group; its rows get empty answers)."""
-    if not isinstance(step, Shared):
-        return answers[0]
     merged = []
     for request, asked in zip(step, step.shares(len(answers))[1]):
         parts = [
@@ -361,6 +355,25 @@ def book_step(servers: ServerPair, step: Step, slots: List[Slot]) -> list:
         )
         for (kind, side, args), (group, member) in zip(step, slots)
     ]
+
+
+def reoffer(steps: Steps) -> Steps:
+    """``steps`` for a driver that may ``throw(RoundRetry)`` at an offer
+    (a transient failure): the *identical* step is offered again instead of
+    unwinding the query.  Answering a step is idempotent -- its requests are
+    a pure function of the execution state, which the retry does not touch."""
+    try:
+        step = next(steps)
+        while True:
+            try:
+                answers = yield step
+            except RoundRetry:
+                continue
+            step = steps.send(answers)
+    except StopIteration as stop:
+        return stop.value
+    finally:
+        steps.close()
 
 
 def run_steps(steps: Steps, servers: ServerPair):

@@ -28,12 +28,12 @@ and
 3. **executes** each wave cooperatively.  Every query runs on its own
    session stack -- own metered connections (which keep its statistics),
    own device -- to the cached server builds, which are immutable and
-   shared as they are.  Like engine queries -- UpJoin, SrJoin or MobiJoin
-   queries sharing backing builds, algorithm, spec, resolved parameters,
+   shared as they are.  Like queries -- queries of any algorithm but
+   SemiJoin sharing backing builds, algorithm, spec, resolved parameters,
    configuration and buffer size -- form one *group* and run as one step
    generator (:meth:`~repro.core.frontier.FrontierAlgorithm.run_group`):
    one level table per depth and one leaf batch per level for all their
-   windows.  Every other query is a step generator of its own
+   windows.  A SemiJoin query is a step generator of its own
    (:mod:`repro.device.steps`).  A generator *offers* every server
    evaluation its queries need, COUNT rounds and the operators' WINDOW
    downloads and RANGE probes alike, as one step per query.  Per wave
@@ -182,8 +182,9 @@ class _Admitted:
 
 @dataclass
 class _Unit:
-    """One step generator of a wave: a group of like engine queries
-    (:meth:`~repro.core.frontier.FrontierAlgorithm.run_group`) or one query."""
+    """One step generator of a wave: a group of like queries
+    (:meth:`~repro.core.frontier.FrontierAlgorithm.run_group`) or one
+    SemiJoin query."""
 
     entries: List[_Admitted]
     #: Yields one step per entry; returns one result per entry.
@@ -193,7 +194,7 @@ class _Unit:
 
 
 def _alone(steps: Steps) -> Steps:
-    """One query's step generator driven as a group of one."""
+    """A SemiJoin query's step generator driven as a group of one."""
     try:
         step = next(steps)
         while True:
@@ -665,10 +666,10 @@ class QueryBroker:
     def _units(self, entries: List[_Admitted]) -> List[_Unit]:
         """The wave's step generators, in order of their first query.
 
-        Engine queries (UpJoin, SrJoin, MobiJoin) that share backing
-        builds, algorithm, spec, resolved parameters, configuration and
-        buffer size form one group: one generator decides all their
-        windows together.  Every other query runs alone.
+        Queries of the frontier engine (every algorithm but SemiJoin) that
+        share backing builds, algorithm, spec, resolved parameters,
+        configuration and buffer size form one group: one generator
+        decides all their windows together.  A SemiJoin query runs alone.
         """
         units: Dict[object, _Unit] = {}
         for entry in entries:

@@ -451,6 +451,20 @@ def _advance_run(run: _Run, response) -> None:
         run.outcome = stop.value
 
 
+def count_round(algo, step) -> Generator:
+    """Offer one COUNT round of one query, as ``MobileJoinAlgorithm.count_round``
+    did until every run became a group: its windows counted on the device,
+    the round spanned until the answers arrive."""
+    span = algo._open_round(
+        sum(len(request.args[0]) for request in step), [request.side for request in step]
+    )
+    try:
+        return (yield step)
+    finally:
+        if span is not None:
+            span.close(sim=algo.device.sim_now())
+
+
 def level_rounds(algo, tasks: Sequence) -> Generator:
     """Decide the tasks of one level in lock-step rounds; returns the runs.
 
@@ -458,7 +472,7 @@ def level_rounds(algo, tasks: Sequence) -> Generator:
     gathers the pending COUNT requests of all still-active windows into one
     COUNT request per server -- the same queries, in task order, that a
     depth-first execution issues one window at a time -- and offers them as
-    one step through ``algo.count_round``.  A run's ``outcome`` is ``None``,
+    one step through :func:`count_round`.  A run's ``outcome`` is ``None``,
     an :class:`OperatorLeaf` or its child tasks; its ``events`` are the
     window's trace rows.
     """
@@ -469,8 +483,8 @@ def level_rounds(algo, tasks: Sequence) -> Generator:
         for run in pending:
             for req in run.pending:
                 batches.setdefault(req.server, []).extend(req.rects)
-        counts = yield from algo.count_round(
-            [Request(COUNT, server, (rects,)) for server, rects in batches.items()]
+        counts = yield from count_round(
+            algo, [Request(COUNT, server, (rects,)) for server, rects in batches.items()]
         )
         answers = dict(zip(batches, counts))
         cursors = {server: 0 for server in batches}

@@ -1,9 +1,9 @@
 """The depth-first driver ``FrontierAlgorithm(execution="recursive")`` ran until PR 19.
 
 Oracle of the frontier engine's level-order execution
-(:meth:`repro.core.frontier.FrontierAlgorithm._steps`) and, since PR 22, of
-the level tables it decides with.  It drives the *oracle* per-window
-decision generators (:mod:`tests.oracles.frontier_generators`:
+(:meth:`repro.core.frontier.FrontierAlgorithm._levels`, the level driver it
+replaces) and of the level tables it decides with.  It drives the *oracle*
+per-window decision generators (:mod:`tests.oracles.frontier_generators`:
 ``_root_task``, ``_window_steps``, ``_level_costs`` of a level of one) one
 window at a time: every COUNT request is answered immediately through the
 device, a leaf runs as soon as it is reached, children recurse in order.
@@ -23,8 +23,8 @@ from contextlib import contextmanager
 from typing import Iterator, List, Sequence
 
 from repro.core import planner
-from repro.core.frontier import FrontierAlgorithm
 from repro.device.pda import MobileDevice
+from repro.geometry.rect import Rect
 
 from tests.oracles.frontier_generators import (
     GENERATORS,
@@ -107,10 +107,24 @@ def depth_first(cls: type) -> type:
     """The depth-first twin of one :class:`FrontierAlgorithm` subclass."""
 
     class DepthFirst(GENERATORS[cls]):
-        def _steps(self, window, count_r, count_s, depth):
-            # Every exchange runs on the query's own connections: a step
+        # The engine's root level, which the swapped level driver reads.
+        _root_task = cls._root_task
+
+        def _levels(self, crew, level):
+            # Every member's root window, one after the other; every
+            # exchange runs on the member's own connections: a step
             # generator that offers no step.
-            _execute_recursive(self, self._root_task(window, count_r, count_s, depth))
+            for q, lo, hi in crew.members(level.query):
+                algo = crew.algos[q]
+                for row in range(lo, hi):
+                    task = GENERATORS[cls]._root_task(
+                        algo,
+                        Rect(*level.windows[row].tolist()),
+                        int(level.count_r[row]),
+                        int(level.count_s[row]),
+                        level.depth,
+                    )
+                    _execute_recursive(algo, task)
             return
             yield
 
@@ -120,10 +134,11 @@ def depth_first(cls: type) -> type:
 
 @contextmanager
 def depth_first_algorithms() -> Iterator[None]:
-    """Run every engine algorithm of the planner registry depth-first meanwhile."""
+    """Run every algorithm of the planner registry that has a per-window
+    generator twin (UpJoin, MobiJoin, SrJoin) depth-first meanwhile."""
     shipped = dict(planner.ALGORITHMS)
     for name, cls in shipped.items():
-        if issubclass(cls, FrontierAlgorithm):
+        if cls in GENERATORS:
             planner.ALGORITHMS[name] = depth_first(cls)
     try:
         yield

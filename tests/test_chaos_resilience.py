@@ -581,6 +581,68 @@ class TestResumableRounds:
             assert mine.ledger_fingerprint() == twin.ledger_fingerprint()
             assert mine.channel.retry_log.records == twin.channel.retry_log.records == []
 
+    @pytest.mark.parametrize(
+        "algorithm, bucket", [("srjoin", False), ("mobijoin", False), ("upjoin", True)]
+    )
+    def test_round_retry_reoffers_identical_shares_in_a_group(self, algorithm, bucket):
+        """Three like queries run as one group: a transient failure thrown
+        twice before every step re-offers every member's very same share,
+        and each member ends as its standalone run."""
+        from repro.core.frontier import FrontierAlgorithm
+        from repro.device.steps import book_step, gather
+        from repro.geometry.rect import Rect
+
+        r = clustered(n=600, clusters=8, seed=11, name="R")
+        s = clustered(n=600, clusters=9, seed=12, std=0.05, name="S")
+        spec = JoinSpec.distance(0.015)
+        params = AlgorithmParameters(bucket_queries=bucket)
+        whole = r.bounds().union(s.bounds())
+        x, y, w, h = whole.xmin, whole.ymin, whole.width, whole.height
+        windows = [
+            whole,
+            Rect(x, y, x + 0.6 * w, y + 0.7 * h),
+            Rect(x + 0.3 * w, y + 0.2 * h, x + w, y + h),
+        ]
+        runs = []
+        for window in windows:
+            _, _, device = build_session_stack(r, s, buffer_size=60)
+            runs.append((build_algorithm(algorithm, device, spec, params), window))
+
+        def answer(algo, step):
+            """One member's share, evaluated and booked on its own stack."""
+            servers = algo.device.servers
+            groups, (slots,) = gather([(servers.backing, step)])
+            for group in groups:
+                group.evaluate()
+            return book_step(servers, step, slots)
+
+        retried = Counter()
+        gen = FrontierAlgorithm.run_group(runs)
+        shares = next(gen)
+        while True:
+            offered = [self._snapshot(step) for step in shares]
+            for _ in range(2):
+                shares = gen.throw(RoundRetry())
+                assert [self._snapshot(step) for step in shares] == offered
+            retried.update(kind.name for step in shares for kind, _, _ in step)
+            try:
+                shares = gen.send([answer(algo, step) for (algo, _), step in zip(runs, shares)])
+            except StopIteration as stop:
+                results = stop.value
+                break
+        assert retried["count"] > 0 and retried["window"] > 0
+        assert retried["bucket" if bucket else "range"] > 0
+        for (algo, window), result in zip(runs, results):
+            _, _, twin_device = build_session_stack(r, s, buffer_size=60)
+            reference = build_algorithm(algorithm, twin_device, spec, params).run(window)
+            _assert_identical(result, reference)
+            for mine, twin in (
+                (algo.device.servers.r, twin_device.servers.r),
+                (algo.device.servers.s, twin_device.servers.s),
+            ):
+                assert mine.ledger_fingerprint() == twin.ledger_fingerprint()
+                assert mine.channel.retry_log.records == twin.channel.retry_log.records == []
+
     def test_closing_a_suspended_run_closes_its_spans(self):
         """The broker isolates a failed query by closing its generator: the
         "join" span must close with it, not at garbage collection."""

@@ -8,7 +8,7 @@ step sequence -- kind, side and row count of every request -- so the wire
 order is pinned where it is decided, not only through the ledgers it leaves.
 
 Every case also runs the *columnar* form -- ``HBSJColumns`` / ``NLSJColumns``
-handed to ``MobileDevice.hbsj_steps`` / ``.nlsj_steps``, which is how a
+handed to ``DeviceGroup.hbsj_steps`` / ``.nlsj_steps``, which is how a
 frontier level runs its leaves -- on a third stack: the same steps (``==`` on
 every row), the same per-request result objects out of the operator's table
 and the same stack state as the request-list form.
@@ -26,7 +26,7 @@ from repro.datasets.synthetic import clustered, gaussian_mixture, uniform
 from repro.device.buffer import BufferExceededError, DeviceBuffer
 from repro.device.hbsj import UNKNOWN, HBSJColumns, HBSJRequest
 from repro.device.nlsj import NLSJColumns, NLSJRequest
-from repro.device.pda import MobileDevice
+from repro.device.pda import DeviceGroup, MobileDevice
 from repro.device.steps import run_steps
 from repro.errors import InvalidInput, ReproError
 from repro.geometry.predicates import IntersectionPredicate, WithinDistancePredicate
@@ -219,11 +219,14 @@ def _hbsj_steps(r, s, buffer_size, predicate, requests=None, **counts):
     recording = MobileDevice(_servers(r, s), buffer_size=buffer_size)
     shipped = MobileDevice(_servers(r, s), buffer_size=buffer_size)
     columnar = MobileDevice(_servers(r, s), buffer_size=buffer_size)
-    got, shapes, rows = _drive_recording(recording.hbsj_steps(requests, predicate), recording.servers)
+    got, shapes, rows = _drive_recording(
+        DeviceGroup([recording]).hbsj_steps(HBSJColumns.of(requests), predicate),
+        recording.servers,
+    )
     assert got == shipped.hbsj_batch(requests, predicate)
     _assert_twin_stacks_equal(recording, shipped, ordered=True)
     table, column_shapes, column_rows = _drive_recording(
-        columnar.hbsj_steps(_hbsj_columns(requests), predicate), columnar.servers
+        DeviceGroup([columnar]).hbsj_steps(_hbsj_columns(requests), predicate), columnar.servers
     )
     assert column_shapes == shapes and list(table) == list(got)
     _assert_same_rows(column_rows, rows)
@@ -238,12 +241,14 @@ def _nlsj_steps(r, s, buffer_size, predicate, requests, bucket=False):
     shipped = MobileDevice(_servers(r, s), buffer_size=buffer_size)
     columnar = MobileDevice(_servers(r, s), buffer_size=buffer_size)
     got, shapes, rows = _drive_recording(
-        recording.nlsj_steps(requests, predicate, bucket=bucket), recording.servers
+        DeviceGroup([recording]).nlsj_steps(NLSJColumns.of(requests), predicate, bucket=bucket),
+        recording.servers,
     )
     assert got == shipped.nlsj_batch(requests, predicate, bucket=bucket)
     _assert_twin_stacks_equal(recording, shipped, ordered=True)
     table, column_shapes, column_rows = _drive_recording(
-        columnar.nlsj_steps(_nlsj_columns(requests), predicate, bucket=bucket), columnar.servers
+        DeviceGroup([columnar]).nlsj_steps(_nlsj_columns(requests), predicate, bucket=bucket),
+        columnar.servers,
     )
     assert column_shapes == shapes and list(table) == list(got)
     _assert_same_rows(column_rows, rows)

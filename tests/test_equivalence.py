@@ -25,7 +25,7 @@ from repro.core.naive import FIXED_GRID, FixedGridJoin
 from repro.core.planner import ALGORITHMS
 from repro.datasets.railway import generate_railway_like
 from repro.datasets.synthetic import clustered, uniform
-from repro.device.steps import run_steps
+from repro.geometry.rect import Rect
 
 ALGO_NAMES = sorted(ALGORITHMS)
 
@@ -151,10 +151,11 @@ class _PerCellFixedGrid(FixedGridJoin):
     """The per-cell loop ``FixedGridJoin`` ran before its cells were batched:
     one depth-first scalar HBSJ operator per cell (kept as the oracle)."""
 
-    def _steps(self, window, count_r, count_s, depth):
-        # Every exchange runs on the query's own connections: a step
-        # generator that offers no step.
-        self._per_cell(window, count_r, count_s, depth)
+    def _levels(self, crew, level):
+        # The root level of a run on its own; every exchange runs on the
+        # query's own connections: a step generator that offers no step.
+        (window,) = level.windows.tolist()
+        self._per_cell(Rect(*window), int(level.count_r[0]), int(level.count_s[0]), level.depth)
         return
         yield
 
@@ -169,10 +170,8 @@ class _PerCellFixedGrid(FixedGridJoin):
             if cell_r == 0 or cell_s == 0:
                 self.prune(cell, depth + 1, cell_r, cell_s)
                 continue
-            self._hbsj(cell, depth + 1, cell_r, cell_s, counts_exact=True)
-
-    def _hbsj(self, cell, depth, *counts, **options):
-        run_steps(self.hbsj_steps(cell, depth, *counts, **options), self.device.servers)
+            self.record(depth + 1, cell, "HBSJ", "", cell_r, cell_s)
+            self._pairs.extend(self.device.hbsj(cell, self.predicate, cell_r, cell_s).pairs)
 
 
 FIXEDGRID_WORKLOADS = {

@@ -23,6 +23,7 @@ from __future__ import annotations
 import functools
 from typing import Dict, List
 
+import numpy as np
 import pytest
 
 from repro.core.base import AlgorithmParameters
@@ -425,17 +426,17 @@ class TestFusedEqualsStandalone:
         neighbours in its wave finish bit-identical to their standalone
         runs.  (As a bare ``RuntimeError`` it discarded the whole batch.)"""
         from repro.core import planner
-        from repro.core.base import MobileJoinAlgorithm
+        from repro.core.frontier import FrontierAlgorithm, LevelTable
         from repro.device.buffer import BufferExceededError
-        from repro.device.hbsj import HBSJRequest
 
-        class TrustsWrongCounts(MobileJoinAlgorithm):
+        class TrustsWrongCounts(FrontierAlgorithm):
             name = "overrun"
 
-            def _steps(self, window, count_r, count_s, depth):
-                request = HBSJRequest(window, count_r=1, count_s=1)
-                table = yield from self.device.hbsj_steps([request], self.predicate)
-                self._pairs.extend(table.pairs)
+            class table(LevelTable):
+                def start(self):
+                    # The root window is one HBSJ leaf that trusts counts of 1.
+                    self.int_r[:] = self.int_s[:] = 1
+                    self.leaves(np.arange(1), np.ones(1, dtype=bool), True)
 
         monkeypatch.setitem(planner.ALGORITHMS, "overrun", TrustsWrongCounts)
         queries = _queries("plain", None, bucket=False)
@@ -483,6 +484,9 @@ GROUP_TOPOLOGIES = {
 }
 GROUP_SPEC = JoinSpec.distance(0.02)
 GROUP_BUFFER = 40
+#: Every algorithm a wave groups: the adaptive three and the naive /
+#: FixedGrid baselines (one level table at depth 0, or at depths 0 and 1).
+GROUPED = (*ALGORITHMS, "naive", "fixedgrid")
 
 
 @functools.lru_cache(maxsize=None)
@@ -638,7 +642,7 @@ class TestLikeQueriesDecideTogether:
         windows = _group_windows()[2:5]
         queries = [
             query
-            for algorithm in ALGORITHMS
+            for algorithm in GROUPED
             for query in _group_queries(algorithm, windows, topology, faults, bucket, trace)
         ]
         outcomes, shapes = _brokered(queries, devices)
@@ -648,7 +652,7 @@ class TestLikeQueriesDecideTogether:
             assert sum(o.result.resilience["retries"] for o in outcomes) > 0
 
     @pytest.mark.parametrize("topology", sorted(GROUP_TOPOLOGIES))
-    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @pytest.mark.parametrize("algorithm", GROUPED)
     def test_a_member_lost_at_its_window_booking_fails_alone(self, devices, algorithm, topology):
         queries = _group_queries(algorithm, _group_windows()[2:5], topology, FaultPlan(seed=0))
         victim = queries[1]
@@ -710,3 +714,26 @@ class TestLikeQueriesDecideTogether:
         deepest = max(e.depth for o in outcomes for e in o.result.trace)
         assert deepest >= 3
         assert depths == sorted(set(depths)) == list(range(deepest + 1))
+
+    @pytest.mark.parametrize("algorithm, deepest", [("naive", 0), ("fixedgrid", 1)])
+    def test_the_baselines_build_one_level_table_per_group_and_depth(
+        self, monkeypatch, algorithm, deepest
+    ):
+        """Three like baseline queries build one table per depth too: the
+        naive join its root level, FixedGrid its root and its cells."""
+        from repro.core import frontier
+
+        built: List[tuple] = []
+        init = frontier.LevelTable.__init__
+
+        def counted(self, algo, level, *args):
+            built.append((level.depth, len(level)))
+            init(self, algo, level, *args)
+
+        monkeypatch.setattr(frontier.LevelTable, "__init__", counted)
+        queries = _group_queries(algorithm, _group_windows()[2:5])
+        outcomes = QueryBroker(cache=False).run_batch(queries)
+        assert all(o.status == "ok" for o in outcomes)
+        assert max(e.depth for o in outcomes for e in o.result.trace) == deepest
+        assert [depth for depth, _ in built] == list(range(deepest + 1))
+        assert built[0] == (0, 3)
