@@ -454,6 +454,18 @@ def test_bench_fleet_booking(benchmark):
     )
 
 
+def test_bench_fleet_build_at_fleet_faults_shape(benchmark):
+    """One ``fleet_faults`` fleet build: 20k clustered points partitioned
+    into 4 STR shards, a shard index each, laid out as one forest, 2
+    replicas a shard (``fleet_faults`` builds 16 such fleets in set-up)."""
+    from repro.server.sharded import ShardedSpatialServer
+
+    data = clustered(n=20000, clusters=128, seed=41500, name="S")
+    fleet = benchmark(ShardedSpatialServer, data, name="S", shards=4, scheme="str", replicas=2)
+    assert len(fleet.breaker_units()) == 8
+    assert sum(len(shard) for shard in fleet.shards) == len(fleet) == 20000
+
+
 def test_bench_packetisation(benchmark):
     cfg = NetworkConfig()
 

@@ -14,6 +14,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
+from repro.errors import InvalidInput
 from repro.geometry import rect_array
 from repro.geometry.rect import Rect
 
@@ -102,12 +103,24 @@ class SpatialDataset:
         return rect_array.intersects_window(self.mbrs, window)
 
     def subset(self, mask: np.ndarray, name: Optional[str] = None) -> "SpatialDataset":
-        """A new dataset containing only the masked objects (ids preserved)."""
-        return SpatialDataset(
-            mbrs=self.mbrs[mask],
-            oids=self.oids[mask],
-            name=name or self.name,
-            metadata=dict(self.metadata),
+        """A new dataset containing only the masked objects (ids preserved).
+
+        ``mask`` is a boolean array of length ``len(self)``, else
+        :class:`~repro.errors.InvalidInput`: a mask cannot repeat a row, so
+        the rows it keeps are as finite, upright and uniquely identified as
+        this dataset's and are wrapped without being checked again.
+        """
+        mask = np.asarray(mask)
+        if mask.dtype != np.bool_ or mask.shape != (len(self),):
+            raise InvalidInput(
+                f"a subset takes a boolean mask of shape ({len(self)},), "
+                f"got {mask.dtype} of shape {mask.shape}"
+            )
+        mbrs, oids = self.mbrs[mask], self.oids[mask]
+        mbrs.setflags(write=False)
+        oids.setflags(write=False)
+        return self._trusted(
+            mbrs=mbrs, oids=oids, name=name or self.name, metadata=dict(self.metadata)
         )
 
     def clip_to_window(self, window: Rect) -> "SpatialDataset":
@@ -124,8 +137,9 @@ class SpatialDataset:
 
     @classmethod
     def _trusted(cls, **fields) -> "SpatialDataset":
-        """Wrap the arrays of an existing dataset, which a public construction
-        validated and froze: no ``__post_init__`` (finite / inverted / unique scans)."""
+        """Wrap arrays taken from an existing dataset -- its own, or the rows a
+        :meth:`subset` mask kept -- which a public construction validated, and
+        frozen: no ``__post_init__`` (finite / inverted / unique scans)."""
         self = object.__new__(cls)
         self.__dict__.update(fields)
         return self

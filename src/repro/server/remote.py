@@ -878,7 +878,7 @@ class IndexedRemoteServer(RemoteServer):
 
     def object_count(self) -> int:
         """Total object count (metadata; accounted as an aggregate exchange)."""
-        n = len(self._server.dataset)
+        n = len(self._server)
 
         def account(channel: Channel) -> None:
             channel.send_query(MessageKind.AGGREGATE, label="size")
@@ -1024,12 +1024,12 @@ class ShardedRemoteServer:
     come for free.
 
     Routing is by bounds intersection: a request window is scattered only
-    to the non-empty shards whose dataset bounds it intersects; a range
-    probe is routed through its Chebyshev square ``centre +- radius``
-    (min-distance <= radius implies the object MBR intersects that square,
-    and every shard object's MBR lies inside the shard bounds, so routing
-    never loses an answer).  Requests routed to zero shards produce empty
-    answers without touching any wire.
+    to the non-empty shards whose bounds (their index roots' boxes) it
+    intersects; a range probe is routed through its Chebyshev square
+    ``centre +- radius`` (min-distance <= radius implies the object MBR
+    intersects that square, and every shard object's MBR lies inside the
+    shard bounds, so routing never loses an answer).  Requests routed to
+    zero shards produce empty answers without touching any wire.
 
     A batch endpoint is *evaluate once, attribute per shard* -- the
     composition ``book(evaluate(...))`` of a plain connection: the request

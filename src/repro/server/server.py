@@ -1,9 +1,9 @@
 """The spatial server proper.
 
-A :class:`SpatialServer` owns one :class:`~repro.datasets.dataset.SpatialDataset`
+A :class:`SpatialServer` publishes one :class:`~repro.datasets.dataset.SpatialDataset`
 and answers every primitive query (COUNT and the area aggregate, WINDOW,
-RANGE) from one array-native aggregate R-tree.  A build is immutable once
-constructed: it keeps no per-query state.  The connection counts
+RANGE) from one array-native aggregate R-tree built over it.  A build is
+immutable once constructed: it keeps no per-query state.  The connection counts
 (:class:`~repro.server.remote.RemoteServer` books one
 :class:`ServerQueryStats` per replica), so any number of sessions and
 queries can share one build.
@@ -141,7 +141,12 @@ class SpatialServer:
     name:
         Server name used in traces (conventionally ``"R"`` or ``"S"``).
 
-    The index is an aggregate R-tree of fanout :data:`INDEX_FANOUT`.
+    The index is an aggregate R-tree of fanout :data:`INDEX_FANOUT`, and
+    every answer comes from it: ``len()`` is its entry count.  ``dataset``
+    is the published dataset on a plain server (SemiJoin's final join reads
+    it); a shard server of a :class:`~repro.server.sharded.ShardedSpatialServer`
+    has ``dataset = None``, since the fleet lets the partition it was built
+    from go and its objects live only in the fleet's page table.
     """
 
     def __init__(self, dataset: SpatialDataset, name: str = "server") -> None:
@@ -154,16 +159,16 @@ class SpatialServer:
         )
 
     def __len__(self) -> int:
-        return len(self.dataset)
+        return len(self._index)
 
     def replica_view(self, name: str) -> "SpatialServer":
         """A *replica* of this server: shared build, independent identity.
 
-        The dataset and index are shared by reference -- replicas publish
-        one immutable shard dataset build -- but a replica is its own object
-        under its own ``name``: its own breaker unit, channel and fault
-        substream, so replicas fail and breaker-trip independently even
-        though they serve identical answers.
+        The dataset (``None`` on a shard) and index are shared by
+        reference -- replicas publish one immutable build -- but a replica
+        is its own object under its own ``name``: its own breaker unit,
+        channel and fault substream, so replicas fail and breaker-trip
+        independently even though they serve identical answers.
         """
         replica = SpatialServer.__new__(SpatialServer)
         replica.dataset = self.dataset

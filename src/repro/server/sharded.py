@@ -16,13 +16,11 @@ the connection counts, so every query connects to the cached fleet as it is.
   trees' page tables and oids are read-only slices of it), and ``route()``
   turns a request batch into the ``(shard, window)`` rows it scatters to,
   so a whole scatter is evaluated by *one* index descent whatever the
-  shard count.  The fleet keeps one read-only ``(mbrs, oids)`` block of
-  every shard's objects in forest order, its oids the forest's own; a
-  shard server's dataset is a view of its slice (rows in the shard index's
-  STR order, not partition order: only ``len()`` reads them).  So the
-  fleet holds each object's coordinates in three arrays only -- the user's
-  dataset, that block and the forest's page table -- and keeps no
-  partition copy;
+  shard count.  A shard server keeps its index and name only (its
+  ``dataset`` is ``None``; ``len()`` counts its index's entries), so the
+  fleet holds each object's coordinates where a plain server does -- the
+  user's dataset and the (forest's) page table -- and keeps no partition
+  copy;
 * ``evaluate_count_batch()`` answers a COUNT batch by that routed descent,
   summing the per-shard counts (shards partition the object set exactly, so
   the sums equal the union server's counts bit for bit) and keeping the
@@ -40,7 +38,7 @@ channels, ledgers and deterministic fault substreams.
 
 With a replication factor R > 1 each shard is published on R *replica*
 servers named ``"<name>#<i>/<j>"`` (``j`` in ``0..R-1``).  Replicas share
-one immutable shard build, dataset view and index
+one immutable shard build and index
 (:meth:`SpatialServer.replica_view`), but
 each is its own breaker unit, with its own metered channel, its own
 statistics on the shard's connection and its own deterministic fault
@@ -138,6 +136,7 @@ class ShardedSpatialServer:
         self.scheme = scheme
         self.replicas = replicas
         parts = partition_dataset(self.dataset, shards, scheme)
+        self.shard_names: Tuple[str, ...] = tuple(part.name for part in parts)
         # ``shards`` are the per-shard primaries, which own the shared
         # builds.  At R == 1 a primary keeps the bare shard name
         # ``"<name>#<i>"`` (channel names key ledgers and fault substreams).
@@ -145,25 +144,17 @@ class ShardedSpatialServer:
             SpatialServer(part, name=part.name if replicas == 1 else f"{part.name}/0")
             for part in parts
         )
+        # A shard answers from its index alone, ``len()`` included: the
+        # partition copies it was built from go before the forest is laid out.
+        del parts
+        for primary in self.shards:
+            primary.dataset = None
         #: Every shard index in one layout, ``forest.roots[i]`` shard ``i``'s root.
         self.forest = FlatRTree.forest([shard.index.flat for shard in self.shards])
-        # The shards' objects in forest (STR) order, read only by ``len()``
-        # of the shard datasets; the partition copies are let go.
-        mbrs = self.forest.entry_mbrs
-        mbrs.setflags(write=False)
-        for part, primary, lo in zip(parts, self.shards, self.forest.ent_start[self.forest.roots]):
-            tree = primary.index.flat
-            primary.dataset = SpatialDataset._trusted(
-                mbrs=mbrs[lo : lo + tree.size],
-                oids=tree.entry_oids,
-                name=part.name,
-                metadata=part.metadata,
-            )
         self.replica_groups: Tuple[Tuple[SpatialServer, ...], ...] = tuple(
-            (primary, *(primary.replica_view(f"{part.name}/{j}") for j in range(1, replicas)))
-            for part, primary in zip(parts, self.shards)
+            (primary, *(primary.replica_view(f"{name}/{j}") for j in range(1, replicas)))
+            for name, primary in zip(self.shard_names, self.shards)
         )
-        self.shard_names: Tuple[str, ...] = tuple(part.name for part in parts)
         # Routing table: the bounds (root boxes) of the non-empty shards;
         # an empty shard never answers and is never routed to.
         self._live = np.flatnonzero([len(shard) for shard in self.shards])

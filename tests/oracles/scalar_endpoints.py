@@ -27,6 +27,7 @@ from typing import List, Tuple
 
 import numpy as np
 
+from repro.datasets.partition import partition_dataset
 from repro.geometry import rect_array
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
@@ -158,12 +159,13 @@ def _remote_range(proxy, center: Point, epsilon: float) -> Payload:
 
 
 def _routed(proxy: ShardedRemoteServer, window: Rect) -> List[int]:
-    """Non-empty shards whose bounds meet ``window``, ascending."""
-    return [
-        si
-        for si, shard in enumerate(proxy.backing_server.shards)
-        if len(shard) and shard.dataset.bounds().intersects(window)
-    ]
+    """Non-empty shards whose bounds meet ``window``, ascending.
+
+    A shard's bounds are those of its partition (a shard server keeps no
+    dataset), equal bit for bit to its index root's box."""
+    fleet = proxy.backing_server
+    parts = partition_dataset(fleet.dataset, len(fleet.shards), fleet.scheme)
+    return [si for si, part in enumerate(parts) if len(part) and part.bounds().intersects(window)]
 
 
 def _stack_payloads(parts: List[Payload]) -> Payload:

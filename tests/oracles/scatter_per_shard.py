@@ -13,14 +13,20 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.datasets.partition import partition_dataset
 from repro.geometry.rect import Rect
 
 ENDPOINTS = ("count_batch", "window_batch_flat", "range_batch_flat", "bucket_range")
 
 
 def _scatter(proxy, windows):
-    """Group request indices by routed shard, shards ascending."""
-    bounds = [s.dataset.bounds() if len(s) else None for s in proxy.backing_server.shards]
+    """Group request indices by routed shard, shards ascending.
+
+    A shard's bounds are those of its partition (a shard server keeps no
+    dataset), equal bit for bit to its index root's box."""
+    fleet = proxy.backing_server
+    parts = partition_dataset(fleet.dataset, len(fleet.shards), fleet.scheme)
+    bounds = [part.bounds() if len(part) else None for part in parts]
     per_shard = {}
     for wi, window in enumerate(windows):
         for si, b in enumerate(bounds):

@@ -58,6 +58,39 @@ class TestSpatialDataset:
         for rect, oid in sub:
             assert rects[oid] == rect
 
+    def test_subset_of_a_mask_is_read_only_and_equal_to_the_masked_rows(self):
+        ds = clustered(n=300, clusters=4, seed=3)
+        mask = ds.centers()[:, 0] < 0.5
+        sub = ds.subset(mask, name="left")
+        assert np.array_equal(sub.mbrs, ds.mbrs[mask]) and sub.mbrs.dtype == ds.mbrs.dtype
+        assert np.array_equal(sub.oids, ds.oids[mask]) and sub.oids.dtype == ds.oids.dtype
+        assert not sub.mbrs.flags.writeable and not sub.oids.flags.writeable
+        assert sub.name == "left" and sub.metadata == ds.metadata
+        assert sub.metadata is not ds.metadata
+        assert len(ds.subset(np.zeros(len(ds), dtype=bool))) == 0
+
+    @pytest.mark.parametrize(
+        "mask",
+        [
+            np.array([0, 1, 1]),  # an index array that repeats a row
+            np.array([0, 2]),  # an index array without repeats
+            [True, False, True],  # a list of the wrong length
+            np.ones(2, dtype=bool),  # too short
+            np.ones(5, dtype=bool),  # too long
+            np.ones((4, 1), dtype=bool),  # 2-D
+            np.ones((2, 2), dtype=bool),  # 2-D, as many cells as rows
+            np.ones(4, dtype=np.int8),  # 0 / 1 integers are indices, not a mask
+        ],
+        ids=["repeating-indices", "indices", "list", "short", "long", "column", "square", "int8"],
+    )
+    def test_subset_takes_a_boolean_mask_of_its_length_only(self, mask):
+        # A mask cannot repeat a row, which is what lets a subset skip the
+        # uniqueness scan; an index array could (before, a repeated row was
+        # caught late, by the "oids must be unique" check).
+        ds = SpatialDataset.from_points(np.random.default_rng(1).uniform(size=(4, 2)))
+        with pytest.raises(InvalidInput, match="boolean mask of shape \\(4,\\)"):
+            ds.subset(mask)
+
     def test_bounds_of_empty_dataset_raises(self):
         ds = SpatialDataset(np.empty((0, 4)))
         with pytest.raises(ValueError):

@@ -43,8 +43,11 @@ from repro.datasets.dataset import SpatialDataset
 from repro.datasets.synthetic import clustered, uniform
 from repro.errors import InvalidInput, ServerUnavailable
 from repro.geometry.rect import Rect
+from repro.network.channel import Channel
+from repro.network.config import NetworkConfig
 from repro.network.faults import FaultPlan, Outage, RetryPolicy
 from repro.server import ShardedSpatialServer, SpatialServer
+from repro.server.remote import IndexedRemoteServer
 from repro.service import JoinQuery, QueryBroker
 
 BUFFER = 96
@@ -362,51 +365,93 @@ class TestShardedJoinEquivalence:
 # --------------------------------------------------------------------------- #
 
 
+def _node_bytes(tree, *more: np.ndarray) -> int:
+    """Bytes of the arrays of ``tree`` (a ``FlatRTree``) and ``more`` sized by
+    nodes: everything it holds but its page table and its oids."""
+    held = [value for name, value in vars(tree).items() if name not in ("pages", "entry_oids")]
+    held += [*tree._blocks, *more]
+    return sum(value.nbytes for value in held if isinstance(value, np.ndarray))
+
+
+def _arrays_reached(obj, seen=None):
+    """Every array ``obj`` reaches through attributes, tuples and lists."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from _arrays_reached(item, seen)
+    elif hasattr(obj, "__dict__") and not isinstance(obj, type):
+        for value in vars(obj).values():
+            yield from _arrays_reached(value, seen)
+
+
 class TestFleetHoldsEachObjectOnce:
-    """A shard server's dataset is a read-only view of its slice of the
-    fleet's one ``(mbrs, oids)`` block (rows in STR order, the oids the
-    forest's own), shared by its replicas; the partition copies it was
-    built from are not kept."""
+    """A fleet holds what a plain server holds: the user's dataset and the
+    (forest's) page table.  A shard server keeps its index and name only --
+    ``dataset`` is ``None``, ``len()`` counts its index's entries -- and the
+    partition copies it was built from are let go."""
 
-    def test_shard_datasets_are_views_of_the_forest_entries(self):
-        data = clustered(n=4000, clusters=16, seed=21, name="R")
-        fleet = ShardedSpatialServer(data, "R", shards=16, scheme="str", replicas=2)
-        parts = partition_dataset(fleet.dataset, 16, "str")
-        assert len(fleet.replica_groups) == 16 and all(len(p) for p in parts)
+    @pytest.mark.parametrize("scheme", PARTITION_SCHEMES)
+    @pytest.mark.parametrize("replicas", [1, 2])
+    @pytest.mark.parametrize("n", [10, 2000])  # 10 over 16 shards: some empty
+    def test_shard_servers_count_from_their_index(self, n, replicas, scheme):
+        data = clustered(n=n, clusters=8, seed=21, name="R")
+        fleet = ShardedSpatialServer(data, "R", shards=16, scheme=scheme, replicas=replicas)
+        parts = partition_dataset(fleet.dataset, 16, scheme)
+        if n == 10:
+            assert not all(len(part) for part in parts)
+        forest = fleet.forest
         for part, group in zip(parts, fleet.replica_groups):
-            assert len(group) == 2
+            assert len(group) == replicas
             for server in group:
-                shard = server.dataset
-                assert shard is group[0].dataset
-                assert shard.mbrs.base is fleet.shards[0].dataset.mbrs.base  # one block
-                assert np.shares_memory(shard.oids, fleet.forest.entry_oids)
-                lo = fleet.forest.ent_start[fleet.forest.roots[fleet.replica_groups.index(group)]]
-                rows = np.arange(lo, lo + len(shard))
-                assert np.array_equal(shard.mbrs, fleet.forest.entries_at(rows)[0])  # forest order
-                assert not shard.mbrs.flags.writeable and not shard.oids.flags.writeable
-                assert shard.name == part.name and len(shard) == len(part)
-                assert set(shard.oids.tolist()) == set(part.oids.tolist())
+                assert server.dataset is None and len(server) == len(part)
+                assert server.index is group[0].index
+                n_nodes = server.index.flat.is_leaf.shape[0]
+                for array in _arrays_reached(server):
+                    if np.shares_memory(array, forest.pages):
+                        continue
+                    if np.shares_memory(array, forest.entry_oids):
+                        continue
+                    # Node-sized (``node_cols`` is ``(4, n_nodes)``), not a row per object.
+                    assert array.size <= 4 * n_nodes, (array.shape, n_nodes, len(part))
+            channels = [Channel(NetworkConfig(), name=server.name) for server in group]
+            connection = IndexedRemoteServer(group, channels, name=part.name)
+            assert connection.object_count() == len(part)
+        assert len(fleet) == n
 
-    def test_a_built_fleet_holds_no_partition_copy(self):
-        data = clustered(20000)
-        ShardedSpatialServer(data, "R", shards=4, scheme="str")  # imports, caches
+    def test_a_built_fleet_holds_its_pages_oids_and_node_arrays_only(self):
+        """The bound a plain server keeps
+        (``test_forest_queries.py::test_a_built_server_holds_its_pages_oids_and_node_arrays_only``):
+        no coordinate block beside the page table (32 B per object, 0.61
+        MiB here) and no partition copy.  NumPy's buffers are held to the
+        arrays named, within 1 KiB; the Python objects -- servers, trees,
+        array headers, about 2.9 KiB a shard -- are bounded apart."""
+        data = clustered(n=20000, clusters=128, seed=41000)
+        ShardedSpatialServer(clustered(n=500, seed=1), "W", shards=16, scheme="str", replicas=2)
         gc.collect()
         tracemalloc.start()
         try:
-            before = tracemalloc.get_traced_memory()[0]
+            before = tracemalloc.take_snapshot()
             fleet = ShardedSpatialServer(data, "R", shards=16, scheme="str", replicas=2)
             gc.collect()
-            held = tracemalloc.get_traced_memory()[0] - before
+            after = tracemalloc.take_snapshot()
         finally:
             tracemalloc.stop()
-        block = fleet.shards[0].dataset.mbrs.base
-        assert all(shard.dataset.mbrs.base is block for shard in fleet.shards)
-        entries = block.nbytes + fleet.forest.entry_oids.nbytes
-        assert entries == 20000 * 40
-        # The fleet's page table and its entry block once each, plus node
-        # arrays (the shard trees' and the forest's, about 15% of the block
-        # each); a kept partition copy would add a second whole entry block.
-        assert held < fleet.forest.pages.nbytes + 1.5 * entries, (held, entries)
+
+        def held(numpy: bool) -> int:
+            only = [tracemalloc.DomainFilter(numpy, np.lib.tracemalloc_domain)]
+            grown = after.filter_traces(only).compare_to(before.filter_traces(only), "filename")
+            return sum(stat.size_diff for stat in grown)
+
+        forest = fleet.forest
+        allowed = forest.pages.nbytes + forest.entry_oids.nbytes + _node_bytes(forest)
+        allowed += sum(_node_bytes(shard.index.flat, shard.index._level) for shard in fleet.shards)
+        assert held(True) <= allowed + 1024, (held(True), allowed)
+        assert held(False) <= 4 * 1024 * len(fleet.shards), held(False)
 
 
 # --------------------------------------------------------------------------- #
