@@ -29,7 +29,6 @@ from repro.index.hash_join import grid_hash_join
 from repro.index.pairs import unique_pairs
 from repro.index.plane_sweep import plane_sweep_pair_arrays_segmented, plane_sweep_pairs
 from repro.index.flat import FlatRTree, str_tiling
-from repro.index.aggregate_rtree import AggregateRTree
 from repro.network.config import NetworkConfig
 from repro.network.packets import transferred_bytes
 from repro.server.remote import ServerPair
@@ -324,11 +323,11 @@ def test_bench_small_join_batch(benchmark, items):
 
 def test_bench_aggregate_count(benchmark):
     dataset = clustered(n=5000, clusters=16, seed=7)
-    agg = AggregateRTree(dataset.entries(), max_entries=16)
-    windows = Rect(0, 0, 1, 1).subdivide(8)
+    agg = FlatRTree.from_mbr_array(dataset.mbrs, dataset.oids, max_entries=16)
+    windows = [rect_array.window_array([w]) for w in Rect(0, 0, 1, 1).subdivide(8)]
 
     def run():
-        return sum(agg.count(w) for w in windows)
+        return sum(int(agg.count_batch(w)[0]) for w in windows)
 
     total = benchmark(run)
     assert total >= 5000  # replication-free counts over a tiling >= n

@@ -242,7 +242,7 @@ class AdHocJoinSession:
         dataset_s: SpatialDataset,
         buffer_size: int = 800,
         config: Optional[NetworkConfig] = None,
-        indexed: bool = True,
+        indexed: Optional[bool] = None,
         servers: Optional[Tuple[SpatialServer, SpatialServer]] = None,
         faults: Optional[FaultPlan] = None,
         retry: Optional[RetryPolicy] = None,
@@ -267,6 +267,10 @@ class AdHocJoinSession:
         :class:`~repro.core.planner.StackConfig` (kept as :attr:`stack`),
         documented and validated there; its topology members go unused
         when ``servers`` injects pre-built instances.
+
+        ``indexed`` asks for the SemiJoin-capable connections; by default
+        (``None``) a session has them unless a side is a fleet, and an
+        explicit ``True`` on a fleet is :class:`~repro.errors.InvalidInput`.
 
         ``tracer``/``metrics`` attach the read-only observability hooks
         (see :mod:`repro.obs`) for every run on this session.

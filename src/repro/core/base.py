@@ -169,8 +169,7 @@ class MobileJoinAlgorithm(ABC):
         driver evaluates a step's rows alone (:meth:`run`) or with other
         queries' (the query broker) but books them on this query's own
         connections in step order, so the run is bit-identical whoever
-        drives it; a ``throw(RoundRetry)`` re-offers the identical step
-        (:func:`~repro.device.steps.reoffer`)."""
+        drives it."""
 
     # ------------------------------------------------------------------ #
     # helpers shared by the algorithms

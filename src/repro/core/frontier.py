@@ -68,7 +68,7 @@ from repro.core.result import JoinResult, LevelTrace, TraceBatch
 from repro.device.hbsj import UNKNOWN, HBSJColumns
 from repro.device.nlsj import NLSJColumns
 from repro.device.pda import DeviceGroup
-from repro.device.steps import COUNT, Request, Shared, Step, Steps, merge, reoffer, split
+from repro.device.steps import COUNT, Request, Shared, Step, Steps, merge, split
 from repro.geometry import rect_array
 from repro.geometry.rect import Rect
 
@@ -235,8 +235,7 @@ class Crew:
         """Offer one COUNT round over the members' rows (query windows, the
         margins of ``query_window`` applied); returns its answers.  Each
         member with rows in it counts them and opens its own "round" span,
-        closed when the answers arrive (any ``RoundRetry`` replay included)
-        or by :meth:`close_spans`."""
+        closed when the answers arrive or by :meth:`close_spans`."""
         asked: Dict[int, List[Tuple[str, int]]] = {}
         for request, query in zip(step, queries):
             for q, lo, hi in self.members(query):
@@ -258,12 +257,7 @@ class Crew:
         """Drive the group's steps by one step per member: a driver books
         each member's share on its own connections and answers ``None``
         for a member whose booking failed, which leaves.  Returns what
-        ``steps`` returns (``None`` once every member left).  A
-        ``throw(RoundRetry)`` re-offers the identical shares
-        (:func:`~repro.device.steps.reoffer`)."""
-        return (yield from reoffer(self._relay(steps)))
-
-    def _relay(self, steps: Steps) -> Steps:
+        ``steps`` returns (``None`` once every member left)."""
         try:
             step = next(steps)
             while True:
@@ -656,7 +650,7 @@ class FrontierAlgorithm(MobileJoinAlgorithm):
 
     def run_cooperative(self, window: Rect) -> Steps:
         """The run as a group of one: :meth:`_group_steps` of a crew of one."""
-        (result,) = yield from reoffer(self._group_steps(Crew([self]), [window]))
+        (result,) = yield from self._group_steps(Crew([self]), [window])
         return result
 
     def _levels(self, crew: Crew, level: Optional[Level]) -> Steps:

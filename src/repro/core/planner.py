@@ -267,7 +267,7 @@ class StackConfig:
 
         def side(dataset: SpatialDataset, name: str, shards: int):
             if shards == 1 and self.replicas == 1:
-                return SpatialServer(dataset.rename(name), name=name)
+                return SpatialServer(dataset, name=name)
             return ShardedSpatialServer(
                 dataset,
                 name=name,
@@ -348,7 +348,7 @@ def build_session_stack(
     dataset_s: SpatialDataset,
     buffer_size: int = 800,
     config: Optional[NetworkConfig] = None,
-    indexed: bool = False,
+    indexed: Optional[bool] = False,
     servers: Optional[Tuple[SpatialServer, SpatialServer]] = None,
     stack: StackConfig = StackConfig(),
     tracer=None,
@@ -365,14 +365,18 @@ def build_session_stack(
 
     ``stack`` is the :class:`StackConfig` describing fleet topology and
     resilience; ``indexed=True`` asks for SemiJoin-capable connections and
-    therefore for a stack SemiJoin can run on.  ``tracer`` / ``metrics``
-    are the read-only observability hooks (:meth:`StackConfig.connect`).
+    therefore for a stack SemiJoin can run on, and ``indexed=None`` for
+    them wherever the servers allow it (neither side is a fleet).
+    ``tracer`` / ``metrics`` are the read-only observability hooks
+    (:meth:`StackConfig.connect`).
     """
     if indexed:
         stack.check_algorithm("semijoin")
     if servers is None:
         servers = stack.servers(dataset_r, dataset_s)
     server_r, server_s = servers
+    if indexed is None:
+        indexed = not any(isinstance(server, ShardedSpatialServer) for server in servers)
     device = stack.connect(
         server_r,
         server_s,

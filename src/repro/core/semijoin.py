@@ -36,10 +36,12 @@ from repro.core.base import AlgorithmParameters, MobileJoinAlgorithm
 from repro.core.frontier import Crew
 from repro.core.join_types import JoinSpec
 from repro.device.pda import MobileDevice
-from repro.device.steps import Steps, reoffer
+from repro.device.steps import Steps
+from repro.errors import InvalidInput
 from repro.geometry import rect_array
 from repro.geometry.rect import Rect
-from repro.server.remote import IndexedRemoteServer
+from repro.server.remote import SEMIJOIN_NEEDS_ONE_INDEX, IndexedRemoteServer
+from repro.server.sharded import ShardedSpatialServer
 
 __all__ = ["SemiJoin"]
 
@@ -56,12 +58,14 @@ class SemiJoin(MobileJoinAlgorithm):
         params: Optional[AlgorithmParameters] = None,
     ) -> None:
         super().__init__(device, spec, params)
-        for proxy in (device.servers.r, device.servers.s):
-            if not isinstance(proxy, IndexedRemoteServer):
-                raise TypeError(
-                    "SemiJoin requires IndexedRemoteServer proxies "
-                    "(build the session with indexed=True)"
-                )
+        servers = device.servers
+        if any(isinstance(build, ShardedSpatialServer) for build in servers.backing):
+            raise InvalidInput(SEMIJOIN_NEEDS_ONE_INDEX)
+        if not all(isinstance(proxy, IndexedRemoteServer) for proxy in (servers.r, servers.s)):
+            raise InvalidInput(
+                "semijoin needs index-published connections "
+                "(build the session with indexed=True)"
+            )
 
     # ------------------------------------------------------------------ #
 
@@ -69,9 +73,6 @@ class SemiJoin(MobileJoinAlgorithm):
         """The root COUNT round of a crew of one (:meth:`Crew.start`), then
         the index relay, which is no step kind: a driver sees none of its
         exchanges, they run on the query's own connections."""
-        return (yield from reoffer(self._relay(window)))
-
-    def _relay(self, window: Rect) -> Steps:
         crew = Crew([self])
         try:
             ((count_r, count_s),) = yield from crew.start([window])

@@ -45,7 +45,6 @@ from typing import Dict, Generator, Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import RoundRetry
 from repro.geometry import rect_array
 from repro.index.aggregate_rtree import probe_arrays
 from repro.index.pairs import PairBlocks
@@ -66,7 +65,6 @@ __all__ = [
     "book_step",
     "gather",
     "merge",
-    "reoffer",
     "run_steps",
     "split",
 ]
@@ -355,25 +353,6 @@ def book_step(servers: ServerPair, step: Step, slots: List[Slot]) -> list:
         )
         for (kind, side, args), (group, member) in zip(step, slots)
     ]
-
-
-def reoffer(steps: Steps) -> Steps:
-    """``steps`` for a driver that may ``throw(RoundRetry)`` at an offer
-    (a transient failure): the *identical* step is offered again instead of
-    unwinding the query.  Answering a step is idempotent -- its requests are
-    a pure function of the execution state, which the retry does not touch."""
-    try:
-        step = next(steps)
-        while True:
-            try:
-                answers = yield step
-            except RoundRetry:
-                continue
-            step = steps.send(answers)
-    except StopIteration as stop:
-        return stop.value
-    finally:
-        steps.close()
 
 
 def run_steps(steps: Steps, servers: ServerPair):

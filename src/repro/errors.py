@@ -35,7 +35,6 @@ __all__ = [
     "QueryTimeout",
     "ReproError",
     "RetryExhausted",
-    "RoundRetry",
     "ServerUnavailable",
     "require_count",
     "require_finite",
@@ -145,14 +144,3 @@ class RetryExhausted(ReproError):
     def __init__(self, message: str, last_fault: Optional[ChannelFault] = None) -> None:
         super().__init__(message)
         self.last_fault = last_fault
-
-
-class RoundRetry(ReproError):
-    """Control-flow signal: re-yield the current COUNT round.
-
-    A driver of the frontier engine's cooperative generators throws this
-    *into* the generator when a coalesced exchange failed transiently and
-    will be retried: the generator re-yields the identical round instead of
-    unwinding, so one failed rendezvous does not destroy the query's
-    execution state.  Never escapes to user code.
-    """

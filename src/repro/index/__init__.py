@@ -11,11 +11,14 @@ node MBRs can be shipped between servers.
 Contents
 --------
 
-* :class:`~repro.index.flat.FlatRTree` -- the servers' index: an R-tree
-  held as parallel arrays, STR bulk loaded straight from an MBR array.
-* :class:`~repro.index.aggregate_rtree.AggregateRTree` -- the aR-tree view
-  over it: subtree counts and areas, giving COUNT queries that touch only
-  partially-covered subtrees.
+* :class:`~repro.index.flat.FlatRTree` -- the servers' one index class: an
+  R-tree held as parallel arrays, STR bulk loaded straight from an MBR
+  array.  It is the aggregate R-tree the paper's COUNT needs (a subtree's
+  count is the width of its entry range, so a COUNT touches only
+  partially-covered subtrees) and answers WINDOW / RANGE from the same
+  arrays.
+* :mod:`~repro.index.aggregate_rtree` -- the checked range-probe arrays
+  and the per-node object-area aggregate behind the scalar aggregate query.
 * The in-memory join kernel, an epsilon-cell neighbourhood join:
   :func:`~repro.index.hash_join.grid_hash_join` (one item) and
   ``grid_hash_join_batch``; :func:`~repro.index.plane_sweep.plane_sweep_pairs`
@@ -28,13 +31,11 @@ test oracle (``tests/oracles/pointer_rtree.py``), not part of the package.
 from __future__ import annotations
 
 from repro.index.flat import FlatRTree
-from repro.index.aggregate_rtree import AggregateRTree
 from repro.index.plane_sweep import plane_sweep_pairs
 from repro.index.hash_join import grid_hash_join
 
 __all__ = [
     "FlatRTree",
-    "AggregateRTree",
     "plane_sweep_pairs",
     "grid_hash_join",
 ]

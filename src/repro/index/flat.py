@@ -84,7 +84,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import require_count
-from repro.geometry.rect_array import expand_index_ranges
+from repro.geometry.rect_array import empty_mbrs, expand_index_ranges
 
 __all__ = ["FlatRTree", "str_tiling"]
 
@@ -193,6 +193,28 @@ class FlatRTree:
     def entry_mbrs(self) -> np.ndarray:
         """Every entry MBR as ``(size, 4)`` rows, gathered from the leaf slots."""
         return self.entries_at(np.arange(self.size))[0]
+
+    @property
+    def height(self) -> int:
+        """Number of levels of tree 0 (a lone root leaf has height 1): the
+        first leaf in preorder ends the walk down the first children."""
+        return int(np.argmax(self.is_leaf)) + 1
+
+    def second_to_last_level_mbrs(self) -> np.ndarray:
+        """The ``(K, 4)`` node boxes SemiJoin transfers.
+
+        The leaf-parent level (the root box for a single-leaf tree, nothing
+        for an empty one), last node first: the order in which a stack-based
+        walk of a pointer tree meets them, which the frozen traces record.
+        A leaf parent is an inner node whose first child, the node right
+        after it in preorder, is a leaf.
+        """
+        if not self.size:
+            return empty_mbrs()
+        if self.height == 1:
+            return self.boxes[self.is_leaf]
+        leaf_parent = ~self.is_leaf & np.append(self.is_leaf[1:], False)
+        return self.boxes[leaf_parent][::-1]
 
     @classmethod
     def from_mbr_array(

@@ -978,9 +978,9 @@ class IndexedRemoteServer(RemoteServer):
             if epsilon > 0
             else IntersectionPredicate()
         )
-        local = self._server.dataset
+        local = self._server.index
         pairs, _ = grid_hash_join_batch(
-            JoinBatch.one(mbrs, oids, local.mbrs, local.oids), predicate
+            JoinBatch.one(mbrs, oids, local.entry_mbrs, local.entry_oids), predicate
         )
 
         def account(channel: Channel) -> None:
@@ -1235,7 +1235,7 @@ class ShardedRemoteServer:
         weight = 0
         for si in self._routed(window):
             proxy = self._proxies[si]
-            n = proxy.backing_server.index.count(window)
+            n = int(proxy.backing_server.index.count_batch(rect_array.window_array([window]))[0])
             value = proxy.average_mbr_area(window)
             total += value * n
             weight += n

@@ -2,9 +2,10 @@
 
 A :class:`SpatialServer` publishes one :class:`~repro.datasets.dataset.SpatialDataset`
 and answers every primitive query (COUNT and the area aggregate, WINDOW,
-RANGE) from one array-native aggregate R-tree built over it.  A build is
-immutable once constructed: it keeps no per-query state.  The connection counts
-(:class:`~repro.server.remote.RemoteServer` books one
+RANGE) from one array-native aggregate R-tree built over it.  A server is
+its name and its index: the dataset goes once the index is built.  A build
+is immutable once constructed: it keeps no per-query state.  The
+connection counts (:class:`~repro.server.remote.RemoteServer` books one
 :class:`ServerQueryStats` per replica), so any number of sessions and
 queries can share one build.
 """
@@ -19,12 +20,14 @@ import numpy as np
 from repro.datasets.dataset import SpatialDataset
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
-from repro.geometry.rect_array import Windows
+from repro.geometry.rect_array import Windows, window_array
 from repro.index.aggregate_rtree import (
-    AggregateRTree,
     Probes,
+    average_mbr_area,
     bucket_probe_arrays,
+    probe_arrays,
 )
+from repro.index.flat import FlatRTree
 
 __all__ = ["INDEX_FANOUT", "SpatialServer", "ServerQueryStats", "Prefetched", "per_request"]
 
@@ -141,39 +144,39 @@ class SpatialServer:
     name:
         Server name used in traces (conventionally ``"R"`` or ``"S"``).
 
-    The index is an aggregate R-tree of fanout :data:`INDEX_FANOUT`, and
-    every answer comes from it: ``len()`` is its entry count.  ``dataset``
-    is the published dataset on a plain server (SemiJoin's final join reads
-    it); a shard server of a :class:`~repro.server.sharded.ShardedSpatialServer`
-    has ``dataset = None``, since the fleet lets the partition it was built
-    from go and its objects live only in the fleet's page table.
+    A server is its name and its :attr:`index`, an aggregate R-tree
+    (:class:`~repro.index.flat.FlatRTree`) of fanout :data:`INDEX_FANOUT`
+    bulk loaded from the dataset's MBR array, and every answer comes from
+    it: ``len()`` is its entry count and SemiJoin's final join reads its
+    entries.  The dataset is not kept, so plain, shard and replica servers
+    hold the same two fields.
+
+    :attr:`index` is *server private* state: the mobile-join algorithms
+    never touch it.  Only the SemiJoin comparator (via
+    :class:`~repro.server.remote.IndexedRemoteServer`), the fleet that lays
+    its shards' indexes out as one forest, and the tests read it.
     """
 
     def __init__(self, dataset: SpatialDataset, name: str = "server") -> None:
-        self.dataset = dataset
         self.name = name
-        # Array-native bulk load straight off the dataset's MBR array; no
-        # per-object Rect materialisation.
-        self._index = AggregateRTree.from_mbr_array(
+        self.index = FlatRTree.from_mbr_array(
             dataset.mbrs, dataset.oids, max_entries=INDEX_FANOUT
         )
 
     def __len__(self) -> int:
-        return len(self._index)
+        return self.index.size
 
     def replica_view(self, name: str) -> "SpatialServer":
         """A *replica* of this server: shared build, independent identity.
 
-        The dataset (``None`` on a shard) and index are shared by
-        reference -- replicas publish one immutable build -- but a replica
-        is its own object under its own ``name``: its own breaker unit,
-        channel and fault substream, so replicas fail and breaker-trip
-        independently even though they serve identical answers.
+        The index is shared by reference -- replicas publish one immutable
+        build -- but a replica is its own object under its own ``name``: its
+        own breaker unit, channel and fault substream, so replicas fail and
+        breaker-trip independently even though they serve identical answers.
         """
         replica = SpatialServer.__new__(SpatialServer)
-        replica.dataset = self.dataset
         replica.name = name
-        replica._index = self._index
+        replica.index = self.index
         return replica
 
     def breaker_units(self) -> Tuple["SpatialServer", ...]:
@@ -193,21 +196,21 @@ class SpatialServer:
     def evaluate_count_batch(self, windows: Windows) -> List[int]:
         """Answer COUNTs: the evaluate half of every COUNT, whose connection
         books the statistics."""
-        return self._index.count_batch(windows)
+        return self.index.count_batch(window_array(windows)).tolist()
 
     def evaluate_window_batch(self, windows: Windows) -> Prefetched:
         """Answer WINDOWs (see :class:`Prefetched`)."""
-        return self._prefetched(self._index.window_query_batch_flat(windows))
+        return self._prefetched(self.index.window_batch_flat(window_array(windows)))
 
     def evaluate_range_batch(self, centers: Probes, radii: Sequence[float]) -> Prefetched:
         """Answer RANGE probes."""
-        return self._prefetched(self._index.range_query_batch_flat(centers, radii))
+        return self._prefetched(self.index.range_batch_flat(*probe_arrays(centers, radii)))
 
     def _prefetched(self, answer: Tuple[np.ndarray, np.ndarray]) -> Prefetched:
         bounds, rows = answer
         request = np.arange(bounds.shape[0] - 1, dtype=np.intp)
         return Prefetched(
-            np.zeros_like(request), request, bounds, *self._index.entries_at(rows)
+            np.zeros_like(request), request, bounds, *self.index.entries_at(rows)
         )
 
     def prime_snapshot(self) -> None:
@@ -217,17 +220,6 @@ class SpatialServer:
         (:class:`~repro.index.flat.FlatRTree`), so the first query reads the
         table every later one reads.  Warm-up code calls this on any build.
         """
-
-    @property
-    def index(self) -> AggregateRTree:
-        """The internal index.
-
-        This is *server private* state: the mobile-join algorithms never
-        touch it.  Only the SemiJoin comparator (via
-        :class:`~repro.server.remote.IndexedRemoteServer`) and the tests
-        read it.
-        """
-        return self._index
 
     # ------------------------------------------------------------------ #
     # primitive queries (answered, never counted: the connection counts)
@@ -305,4 +297,4 @@ class SpatialServer:
 
     def average_mbr_area(self, window: Rect) -> float:
         """Scalar aggregate: the average object-MBR area inside ``window``."""
-        return self._index.average_mbr_area(window)
+        return average_mbr_area(self.index, window)

@@ -16,11 +16,10 @@ the connection counts, so every query connects to the cached fleet as it is.
   trees' page tables and oids are read-only slices of it), and ``route()``
   turns a request batch into the ``(shard, window)`` rows it scatters to,
   so a whole scatter is evaluated by *one* index descent whatever the
-  shard count.  A shard server keeps its index and name only (its
-  ``dataset`` is ``None``; ``len()`` counts its index's entries), so the
-  fleet holds each object's coordinates where a plain server does -- the
-  user's dataset and the (forest's) page table -- and keeps no partition
-  copy;
+  shard count.  A shard server is, like every server, its name and its
+  index (``len()`` counts the index's entries), so the fleet holds each
+  object's coordinates where a plain server does -- the user's dataset and
+  the (forest's) page table -- and keeps no partition copy;
 * ``evaluate_count_batch()`` answers a COUNT batch by that routed descent,
   summing the per-shard counts (shards partition the object set exactly, so
   the sums equal the union server's counts bit for bit) and keeping the
@@ -144,13 +143,11 @@ class ShardedSpatialServer:
             SpatialServer(part, name=part.name if replicas == 1 else f"{part.name}/0")
             for part in parts
         )
-        # A shard answers from its index alone, ``len()`` included: the
-        # partition copies it was built from go before the forest is laid out.
+        # The partition copies the shards were built from go before the
+        # forest is laid out.
         del parts
-        for primary in self.shards:
-            primary.dataset = None
         #: Every shard index in one layout, ``forest.roots[i]`` shard ``i``'s root.
-        self.forest = FlatRTree.forest([shard.index.flat for shard in self.shards])
+        self.forest = FlatRTree.forest([shard.index for shard in self.shards])
         self.replica_groups: Tuple[Tuple[SpatialServer, ...], ...] = tuple(
             (primary, *(primary.replica_view(f"{name}/{j}") for j in range(1, replicas)))
             for name, primary in zip(self.shard_names, self.shards)

@@ -99,17 +99,17 @@ def range_rows(flat, center: Point, radius: float) -> np.ndarray:
 
 def _server_window(server: SpatialServer, window: Rect) -> Payload:
     rect_array.window_array([window])
-    return server.index.entries_at(window_rows(server.index.flat, window))
+    return server.index.entries_at(window_rows(server.index, window))
 
 
 def _server_count(server: SpatialServer, window: Rect) -> int:
     rect_array.window_array([window])
-    return int(window_rows(server.index.flat, window).shape[0])
+    return int(window_rows(server.index, window).shape[0])
 
 
 def _server_range(server: SpatialServer, center: Point, epsilon: float) -> Payload:
     probe_arrays([center], [epsilon])
-    return server.index.entries_at(range_rows(server.index.flat, center, epsilon))
+    return server.index.entries_at(range_rows(server.index, center, epsilon))
 
 
 # --------------------------------------------------------------------------- #

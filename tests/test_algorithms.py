@@ -273,7 +273,7 @@ class TestSessionBehaviour:
         r = uniform(n=30, seed=18)
         s = uniform(n=30, seed=19)
         session = AdHocJoinSession(r, s, indexed=False)
-        with pytest.raises(TypeError):
+        with pytest.raises(InvalidInput, match="indexed=True"):
             session.run(algorithm="semijoin", epsilon=0.05)
 
     def test_trace_records_decisions(self):

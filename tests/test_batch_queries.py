@@ -23,7 +23,7 @@ from repro.geometry import rect_array
 from repro.geometry.point import Point
 from repro.geometry.predicates import IntersectionPredicate, WithinDistancePredicate
 from repro.geometry.rect import Rect
-from repro.index.aggregate_rtree import AggregateRTree
+from repro.index.flat import FlatRTree
 from repro.index.plane_sweep import plane_sweep_pairs
 from repro.device.pda import MobileDevice
 from repro.network.channel import Channel
@@ -87,9 +87,11 @@ class TestFlatTreeBatches:
 
     def test_aggregate_count_batch_matches_scalar(self):
         ds = generate_railway_like(n_segments=300, seed=11, hubs=6)
-        agg = AggregateRTree(ds.entries(), max_entries=8)
+        agg = FlatRTree.from_mbr_array(ds.mbrs, ds.oids, max_entries=8)
         windows = _random_windows(30, seed=13)
-        assert agg.count_batch(windows) == [agg.count(w) for w in windows]
+        assert agg.count_batch(rect_array.window_array(windows)).tolist() == [
+            int(agg.count_batch(rect_array.window_array([w]))[0]) for w in windows
+        ]
 
     def test_flat_view_rebuilt_after_insert(self):
         tree = RTree(max_entries=4)
@@ -106,8 +108,8 @@ class TestFlatTreeBatches:
         assert flat.window_batch(np.empty((0, 4))) == []
         assert flat.count_batch(np.array([[0.0, 0.0, 1.0, 1.0]])).tolist() == [0]
         assert flat.range_batch(np.empty((0, 2)), np.empty(0)) == []
-        empty = AggregateRTree([], max_entries=4)
-        assert empty.count_batch([Rect(0, 0, 1, 1)]) == [0]
+        empty = FlatRTree.from_mbr_array(np.empty((0, 4)), max_entries=4)
+        assert empty.count_batch(rect_array.window_array([Rect(0, 0, 1, 1)])).tolist() == [0]
 
 
 #: Stacks a one-query call is held to the scalar oracle on: (shards,

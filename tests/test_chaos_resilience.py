@@ -24,12 +24,10 @@ from __future__ import annotations
 
 import math
 import random
-from collections import Counter
 from typing import Dict, List
 
 import pytest
 
-from repro.core.base import AlgorithmParameters
 from repro.core.join_types import JoinSpec
 from repro.core.planner import (
     ALGORITHMS,
@@ -45,7 +43,6 @@ from repro.errors import (
     InvalidInput,
     QueryTimeout,
     RetryExhausted,
-    RoundRetry,
     ServerUnavailable,
 )
 from repro.network.faults import (
@@ -516,132 +513,13 @@ class TestCircuitBreaker:
 
 
 # --------------------------------------------------------------------------- #
-# resumable COUNT rounds (the frontier engine's retry seam)
+# suspended runs (a driver that stops sending closes the generator)
 # --------------------------------------------------------------------------- #
 
 
 class TestResumableRounds:
-    """``throw(RoundRetry)`` into a cooperative run re-offers the very same
-    step -- a COUNT round or an operator's WINDOW / RANGE step alike --
-    instead of unwinding, and the run ends as if nothing had happened."""
-
-    @staticmethod
-    def _snapshot(step):
-        """Everything a driver could evaluate a step from, by value."""
-
-        def plain(value):
-            if isinstance(value, (list, tuple)):
-                return tuple(plain(item) for item in value)
-            return getattr(value, "as_tuple", lambda: value)()
-
-        return [(kind.name, side, plain(args)) for kind, side, args in step]
-
-    @pytest.mark.parametrize(
-        "algorithm, bucket", [("srjoin", False), ("mobijoin", False), ("upjoin", True)]
-    )
-    def test_round_retry_reoffers_identical_step_and_result(self, algorithm, bucket):
-        # Large enough for every algorithm to finish windows with both operators.
-        r = clustered(n=600, clusters=8, seed=11, name="R")
-        s = clustered(n=600, clusters=9, seed=12, std=0.05, name="S")
-        spec = JoinSpec.distance(0.015)
-        params = AlgorithmParameters(bucket_queries=bucket)
-        _, _, device = build_session_stack(r, s, buffer_size=60)
-        algo = build_algorithm(algorithm, device, spec, params)
-        window = r.bounds().union(s.bounds())
-
-        retried = Counter()
-
-        def retrying(gen):
-            """Relays ``gen``'s steps to the driver, throwing a transient
-            failure into it twice before offering each one: the generator
-            must offer the very same step again instead of unwinding."""
-            step = next(gen)
-            while True:
-                offered = self._snapshot(step)
-                for _ in range(2):
-                    step = gen.throw(RoundRetry())
-                    assert self._snapshot(step) == offered
-                retried.update(kind.name for kind, _, _ in step)
-                try:
-                    step = gen.send((yield step))
-                except StopIteration as stop:
-                    return stop.value
-
-        result = run_steps(retrying(algo.run_cooperative(window)), device.servers)
-        # The retries covered planning rounds and leaf steps.
-        assert retried["count"] > 0 and retried["window"] > 0
-        assert retried["bucket" if bucket else "range"] > 0
-        _, _, twin_device = build_session_stack(r, s, buffer_size=60)
-        reference = build_algorithm(algorithm, twin_device, spec, params).run(window)
-        _assert_identical(result, reference)
-        for mine, twin in (
-            (device.servers.r, twin_device.servers.r),
-            (device.servers.s, twin_device.servers.s),
-        ):
-            assert mine.ledger_fingerprint() == twin.ledger_fingerprint()
-            assert mine.channel.retry_log.records == twin.channel.retry_log.records == []
-
-    @pytest.mark.parametrize(
-        "algorithm, bucket", [("srjoin", False), ("mobijoin", False), ("upjoin", True)]
-    )
-    def test_round_retry_reoffers_identical_shares_in_a_group(self, algorithm, bucket):
-        """Three like queries run as one group: a transient failure thrown
-        twice before every step re-offers every member's very same share,
-        and each member ends as its standalone run."""
-        from repro.core.frontier import FrontierAlgorithm
-        from repro.device.steps import book_step, gather
-        from repro.geometry.rect import Rect
-
-        r = clustered(n=600, clusters=8, seed=11, name="R")
-        s = clustered(n=600, clusters=9, seed=12, std=0.05, name="S")
-        spec = JoinSpec.distance(0.015)
-        params = AlgorithmParameters(bucket_queries=bucket)
-        whole = r.bounds().union(s.bounds())
-        x, y, w, h = whole.xmin, whole.ymin, whole.width, whole.height
-        windows = [
-            whole,
-            Rect(x, y, x + 0.6 * w, y + 0.7 * h),
-            Rect(x + 0.3 * w, y + 0.2 * h, x + w, y + h),
-        ]
-        runs = []
-        for window in windows:
-            _, _, device = build_session_stack(r, s, buffer_size=60)
-            runs.append((build_algorithm(algorithm, device, spec, params), window))
-
-        def answer(algo, step):
-            """One member's share, evaluated and booked on its own stack."""
-            servers = algo.device.servers
-            groups, (slots,) = gather([(servers.backing, step)])
-            for group in groups:
-                group.evaluate()
-            return book_step(servers, step, slots)
-
-        retried = Counter()
-        gen = FrontierAlgorithm.run_group(runs)
-        shares = next(gen)
-        while True:
-            offered = [self._snapshot(step) for step in shares]
-            for _ in range(2):
-                shares = gen.throw(RoundRetry())
-                assert [self._snapshot(step) for step in shares] == offered
-            retried.update(kind.name for step in shares for kind, _, _ in step)
-            try:
-                shares = gen.send([answer(algo, step) for (algo, _), step in zip(runs, shares)])
-            except StopIteration as stop:
-                results = stop.value
-                break
-        assert retried["count"] > 0 and retried["window"] > 0
-        assert retried["bucket" if bucket else "range"] > 0
-        for (algo, window), result in zip(runs, results):
-            _, _, twin_device = build_session_stack(r, s, buffer_size=60)
-            reference = build_algorithm(algorithm, twin_device, spec, params).run(window)
-            _assert_identical(result, reference)
-            for mine, twin in (
-                (algo.device.servers.r, twin_device.servers.r),
-                (algo.device.servers.s, twin_device.servers.s),
-            ):
-                assert mine.ledger_fingerprint() == twin.ledger_fingerprint()
-                assert mine.channel.retry_log.records == twin.channel.retry_log.records == []
+    """A cooperative run suspended at a step is left by closing it: ``close()``
+    reaches the innermost step generator through every ``yield from``."""
 
     def test_closing_a_suspended_run_closes_its_spans(self):
         """The broker isolates a failed query by closing its generator: the

@@ -21,7 +21,7 @@ from repro.datasets.synthetic import clustered
 from repro.errors import InvalidInput
 from repro.geometry import rect_array
 from repro.geometry.rect import Rect
-from repro.index.aggregate_rtree import AggregateRTree
+from repro.index.aggregate_rtree import probe_arrays, total_mbr_area
 from repro.index.flat import FlatRTree, str_tiling
 
 from tests.oracles.pointer_rtree import RTree, flatten
@@ -199,12 +199,16 @@ def _pointer_area(node, window: Rect) -> float:
 )
 def test_aggregates_equal_pointer_tree_recursion(fanout, geometry, n, seed):
     mbrs = _mbrs(n, geometry, seed)
-    index = AggregateRTree.from_mbr_array(mbrs, max_entries=fanout)
+    index = FlatRTree.from_mbr_array(mbrs, max_entries=fanout)
     tree = RTree.from_mbr_array(mbrs, max_entries=fanout)
     everything = Rect(-1.0, -1.0, 3.0, 3.0)
-    assert len(index) == index.count(everything) == len(tree) == n
+
+    def count(window: Rect) -> int:
+        return int(index.count_batch(rect_array.window_array([window]))[0])
+
+    assert index.size == count(everything) == len(tree) == n
     assert index.height == tree.height
-    assert index.bounds() == tree.root.mbr
+    assert (Rect(*index.boxes[0].tolist()) if n else None) == tree.root.mbr
     assert [Rect(*row) for row in index.second_to_last_level_mbrs().tolist()] == (
         tree.second_to_last_level_mbrs()
     )
@@ -213,11 +217,11 @@ def test_aggregates_equal_pointer_tree_recursion(fanout, geometry, n, seed):
         Rect(x, y, x + w * 0.5, y + h * 0.5) for x, y, w, h in rng.random((6, 4))
     ]
     for window in windows:
-        _, rows = index.window_query_batch_flat([window])
-        assert index.flat.entry_oids[np.sort(rows)].tolist() == tree.window_query(window)
-        assert index.count(window) == len(tree.window_query(window))
+        _, rows = index.window_batch_flat(rect_array.window_array([window]))
+        assert index.entry_oids[np.sort(rows)].tolist() == tree.window_query(window)
+        assert count(window) == len(tree.window_query(window))
         # Exact, not approx: the sums must round the same way.
-        assert index.total_mbr_area(window) == _pointer_area(tree.root, window)
+        assert total_mbr_area(index, window) == _pointer_area(tree.root, window)
         center, radius = window.center, window.width
-        _, rows = index.range_query_batch_flat([center], [radius])
-        assert index.flat.entry_oids[np.sort(rows)].tolist() == tree.range_query(center, radius)
+        _, rows = index.range_batch_flat(*probe_arrays([center], [radius]))
+        assert index.entry_oids[np.sort(rows)].tolist() == tree.range_query(center, radius)

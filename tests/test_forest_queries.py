@@ -444,8 +444,8 @@ def test_pages_exist_once_per_index_that_answers_batches(monkeypatch):
     assert all(fleet.forest.pages is table for fleet, table in zip(fleets, built))
     for fleet, table in zip(fleets, built):
         for replica in fleet.breaker_units():
-            assert replica.index.flat.pages.base is table  # a view, not a table of its own
-            assert not replica.index.flat.pages.flags.writeable
+            assert replica.index.pages.base is table  # a view, not a table of its own
+            assert not replica.index.pages.flags.writeable
     algorithms = ("upjoin", "srjoin", "mobijoin")
     found, opened = _tables_opened(
         monkeypatch, lambda: {session.run(name, epsilon=0.01).num_pairs for name in algorithms}
@@ -458,15 +458,15 @@ def test_pages_exist_once_per_index_that_answers_batches(monkeypatch):
         proxy.count_batch([fleet.dataset.bounds()])
         assert proxy.backing_server.forest.pages is table
         for replica in fleet.breaker_units():
-            assert replica.index.flat.pages.base is table
-            assert replica.replica_view("x").index.flat is replica.index.flat
+            assert replica.index.pages.base is table
+            assert replica.replica_view("x").index is replica.index
 
 
 def test_a_plain_server_builds_the_table_its_queries_read_with_its_index(monkeypatch):
     r = clustered(n=3000, clusters=8, seed=5, std=0.05, name="R")
     s = clustered(n=3000, clusters=8, seed=6, std=0.05, name="S")
     session = AdHocJoinSession(r, s, buffer_size=100)
-    trees = [server.index.flat for server in (session.server_r, session.server_s)]
+    trees = [server.index for server in (session.server_r, session.server_s)]
     built = [tree.pages for tree in trees]
     assert all(table.shape[:2] == (4, tree.is_leaf.shape[0]) for table, tree in zip(built, trees))
     for server in (session.server_r, session.server_s):
@@ -493,11 +493,10 @@ def test_page_table_costs_one_copy_of_the_entries():
     assert sorted(by_size) == ["entry_oids", "pages"]
 
 
-def _node_arrays(index) -> int:
-    """Bytes of the arrays sized by the nodes of ``index`` (an ``AggregateRTree``)."""
-    tree = index.flat
+def _node_arrays(tree) -> int:
+    """Bytes of the arrays sized by the nodes of ``tree`` (a ``FlatRTree``)."""
     held = [value for name, value in vars(tree).items() if name not in ("pages", "entry_oids")]
-    held += list(tree._blocks) + [index._level]
+    held += list(tree._blocks)
     return sum(value.nbytes for value in held if isinstance(value, np.ndarray))
 
 
@@ -522,6 +521,6 @@ def test_a_built_server_holds_its_pages_oids_and_node_arrays_only():
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    tree = server.index.flat
-    allowed = tree.pages.nbytes + tree.entry_oids.nbytes + _node_arrays(server.index)
+    tree = server.index
+    allowed = tree.pages.nbytes + tree.entry_oids.nbytes + _node_arrays(tree)
     assert held <= allowed + 16 * 1024, (held, allowed)  # the slack: the Python objects

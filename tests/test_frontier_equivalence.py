@@ -593,10 +593,10 @@ class TestDescentsOpenPages:
     @pytest.mark.parametrize("windows", [1, 40, 2000])
     def test_one_page_gather_per_level_and_kind(self, windows, monkeypatch):
         from repro.datasets.synthetic import clustered
-        from repro.index.aggregate_rtree import AggregateRTree
+        from repro.index.flat import FlatRTree
 
-        index = AggregateRTree.from_mbr_array(clustered(n=20000, clusters=128, seed=41000).mbrs)
-        tree, height = index.flat, index.height
+        tree = FlatRTree.from_mbr_array(clustered(n=20000, clusters=128, seed=41000).mbrs)
+        height = tree.height
         wins = self._windows(windows, windows)
         want = tree.count_batch(wins), tree.window_batch_flat(wins)
 
@@ -615,13 +615,11 @@ class TestDescentsOpenPages:
         """An empty tree, a one-leaf tree and a three-level tree: their roots
         are opened together, and the short trees' leaves settle at depth 0."""
         from repro.datasets.synthetic import uniform
-        from repro.index.aggregate_rtree import AggregateRTree
         from repro.index.flat import FlatRTree
 
         sizes = (0, 10, 3000)
-        indexes = [AggregateRTree.from_mbr_array(uniform(n=n, seed=n).mbrs) for n in sizes]
-        assert [index.height for index in indexes] == [1, 1, 3]
-        trees = [index.flat for index in indexes]
+        trees = [FlatRTree.from_mbr_array(uniform(n=n, seed=n).mbrs) for n in sizes]
+        assert [tree.height for tree in trees] == [1, 1, 3]
         forest = FlatRTree.forest(trees)
         wins = np.vstack([self._windows(windows, windows), [[0.0, 0.0, 1.0, 1.0]]])
         tree_of_row = np.arange(3 * wins.shape[0]) % 3

@@ -20,8 +20,10 @@ import pytest
 
 from repro.datasets.synthetic import clustered
 from repro.errors import ChannelFault
+from repro.geometry import rect_array
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
+from repro.index.aggregate_rtree import probe_arrays
 from repro.index.flat import FlatRTree
 from repro.network.channel import Channel
 from repro.network.config import NetworkConfig
@@ -436,8 +438,8 @@ def test_unusable_windows_are_rejected_before_anything_is_booked(topology, bad, 
             lambda: build.count(window),
             lambda: build.window(window),
             lambda: build.average_mbr_area(window),
-            lambda: build.index.count(window),
-            lambda: build.index.window_query_batch_flat([window]),
+            lambda: build.index.count_batch(rect_array.window_array([window])),
+            lambda: build.index.window_batch_flat(rect_array.window_array([window])),
         ]
     for attempt in attempts:
         with pytest.raises(InvalidInput, match="finite"):
@@ -483,8 +485,8 @@ def test_misshapen_windows_are_rejected_before_anything_is_booked(topology, shap
             lambda: build.count_batch(windows),
             lambda: build.window_batch_flat(windows),
             lambda: build.window_batch(windows),
-            lambda: build.index.count_batch(windows),
-            lambda: build.index.window_query_batch_flat(windows),
+            lambda: build.index.count_batch(rect_array.window_array(windows)),
+            lambda: build.index.window_batch_flat(rect_array.window_array(windows)),
         ]
     for attempt in attempts:
         with pytest.raises(InvalidInput, match=r"\(N, 4\) array"):
@@ -530,7 +532,7 @@ def test_misshapen_probe_centres_are_rejected_before_anything_is_booked(topology
             lambda: build.range_batch_flat(centers, radii),
             lambda: build.range_batch(centers, radii),
             lambda: build.bucket_range(centers, 0.05, radii),
-            lambda: build.index.range_query_batch_flat(centers, radii),
+            lambda: build.index.range_batch_flat(*probe_arrays(centers, radii)),
         ]
     for attempt in attempts:
         with pytest.raises(InvalidInput, match=r"\(P, 2\) array"):

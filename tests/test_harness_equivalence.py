@@ -127,8 +127,8 @@ class TestSharedCell:
         spec = dataclasses.replace(config.workload, clusters=4, seed=1)
         dataset_r, dataset_s = build_datasets(spec)
         servers = StackConfig().servers(dataset_r, dataset_s)
-        mbrs_before = servers[0].dataset.mbrs.copy()
-        index_len = len(servers[0].index)
+        mbrs_before = servers[0].index.entry_mbrs.copy()
+        index_len = servers[0].index.size
 
         sequence = ["srJoin", "upJoin", "semiJoin", "naive", "srJoin"]
         for label in sequence:
@@ -143,5 +143,5 @@ class TestSharedCell:
             assert shared.operator_counts == fresh.operator_counts
 
         # The cell's immutable state is untouched by five joins.
-        assert np.array_equal(servers[0].dataset.mbrs, mbrs_before)
-        assert len(servers[0].index) == index_len
+        assert np.array_equal(servers[0].index.entry_mbrs, mbrs_before)
+        assert servers[0].index.size == index_len

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.geometry import rect_array
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
-from repro.index.aggregate_rtree import AggregateRTree
+from repro.index.aggregate_rtree import average_mbr_area, probe_arrays
+from repro.index.flat import FlatRTree
 
 from tests.oracles.pointer_rtree import RTree, min_distance_to_point
 
@@ -159,38 +161,48 @@ class TestRTreeQueries:
         assert sorted(tree.window_query(window)) == _brute_window(entries, window)
 
 
+def _aggregate(entries, max_entries: int = 16) -> FlatRTree:
+    """The servers' index -- the aggregate R-tree -- over ``(mbr, oid)`` entries."""
+    mbrs = rect_array.rects_to_array([rect for rect, _ in entries])
+    return FlatRTree.from_mbr_array(mbrs, [oid for _, oid in entries], max_entries)
+
+
+def _count(index: FlatRTree, window: Rect) -> int:
+    return int(index.count_batch(rect_array.window_array([window]))[0])
+
+
 class TestAggregateRTree:
     def test_count_matches_window_query(self):
         entries = _random_entries(400, seed=7, extent=0.03)
-        agg = AggregateRTree(entries, max_entries=8)
+        agg = _aggregate(entries, max_entries=8)
         for window in (
             Rect(0.0, 0.0, 0.5, 0.5),
             Rect(0.3, 0.3, 0.31, 0.31),
             Rect(0.0, 0.0, 1.0, 1.0),
         ):
-            bounds, _ = agg.window_query_batch_flat([window])
-            assert agg.count(window) == bounds[1]
+            bounds, _ = agg.window_batch_flat(rect_array.window_array([window]))
+            assert _count(agg, window) == bounds[1]
 
     def test_average_mbr_area(self):
         entries = [
             (Rect(0.0, 0.0, 0.2, 0.2), 0),  # area 0.04
             (Rect(0.5, 0.5, 0.6, 0.6), 1),  # area 0.01
         ]
-        agg = AggregateRTree(entries)
-        assert agg.average_mbr_area(Rect(0, 0, 1, 1)) == pytest.approx(0.025)
-        assert agg.average_mbr_area(Rect(0.4, 0.4, 0.7, 0.7)) == pytest.approx(0.01)
-        assert agg.average_mbr_area(Rect(0.8, 0.8, 0.9, 0.9)) == 0.0
+        agg = _aggregate(entries)
+        assert average_mbr_area(agg, Rect(0, 0, 1, 1)) == pytest.approx(0.025)
+        assert average_mbr_area(agg, Rect(0.4, 0.4, 0.7, 0.7)) == pytest.approx(0.01)
+        assert average_mbr_area(agg, Rect(0.8, 0.8, 0.9, 0.9)) == 0.0
 
     def test_empty_aggregate_tree(self):
-        agg = AggregateRTree([])
-        assert len(agg) == 0
-        assert agg.count(Rect(0, 0, 1, 1)) == 0
+        agg = _aggregate([])
+        assert agg.size == 0
+        assert _count(agg, Rect(0, 0, 1, 1)) == 0
 
     def test_range_query_delegation(self):
         entries = _random_entries(100, seed=8)
-        agg = AggregateRTree(entries)
+        agg = _aggregate(entries)
         center = Point(0.5, 0.5)
-        _, rows = agg.range_query_batch_flat([center], [0.1])
+        _, rows = agg.range_batch_flat(*probe_arrays([center], [0.1]))
         _, oids = agg.entries_at(rows)
         assert sorted(oids.tolist()) == _brute_range(entries, center, 0.1)
 
@@ -198,6 +210,6 @@ class TestAggregateRTree:
     @settings(max_examples=25, deadline=None)
     def test_property_count_equals_brute_force(self, n, seed):
         entries = _random_entries(n, seed=seed, extent=0.05)
-        agg = AggregateRTree(entries, max_entries=6)
+        agg = _aggregate(entries, max_entries=6)
         window = Rect(0.1, 0.2, 0.6, 0.9)
-        assert agg.count(window) == len(_brute_window(entries, window))
+        assert _count(agg, window) == len(_brute_window(entries, window))

@@ -251,7 +251,6 @@ def test_a_single_query_is_a_batch_of_one():
     # Every one-query endpoint is one statement calling its batch twin, so a
     # query kind has one evaluation and one accounting path at every layer.
     from repro.device.pda import MobileDevice
-    from repro.index.aggregate_rtree import AggregateRTree
     from repro.server.remote import RemoteServer, ShardedRemoteServer
     from repro.server.server import SpatialServer
 
@@ -269,9 +268,8 @@ def test_a_single_query_is_a_batch_of_one():
         ]
         assert calls == [twin], (cls.__name__, name)
     # ... and the index has no one-query descent beside its batch descents.
-    for cls in (FlatRTree, AggregateRTree):
-        for name in ("_descend", "window_rows", "range_rows", "window_query", "range_query"):
-            assert not hasattr(cls, name), (cls.__name__, name)
+    for name in ("_descend", "window_rows", "range_rows", "window_query", "range_query"):
+        assert not hasattr(FlatRTree, name), name
     assert not hasattr(flat, "_meets")
 
 

@@ -162,9 +162,10 @@ class TestReplicatedFleetConstruction:
         for group in fleet.replica_groups:
             primary = group[0]
             for sibling in group[1:]:
-                # One immutable shard dataset build, shared by identity.
-                assert sibling.dataset is primary.dataset
-                assert sibling._index is primary._index
+                # One immutable shard build, shared by identity: a replica
+                # is, like every server, its name and its index.
+                assert set(vars(sibling)) == set(vars(primary)) == {"name", "index"}
+                assert sibling.index is primary.index
 
     def test_replicas_are_distinct_breaker_units(self):
         r, _ = _datasets()

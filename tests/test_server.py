@@ -20,8 +20,13 @@ from tests.oracles import scalar_endpoints
 
 
 @pytest.fixture
-def server() -> SpatialServer:
-    return SpatialServer(uniform(n=200, seed=5), name="R")
+def dataset() -> SpatialDataset:
+    return uniform(n=200, seed=5)
+
+
+@pytest.fixture
+def server(dataset) -> SpatialServer:
+    return SpatialServer(dataset, name="R")
 
 
 @pytest.fixture
@@ -32,10 +37,23 @@ def pair() -> ServerPair:
 
 
 class TestSpatialServer:
-    def test_window_matches_dataset_filter(self, server):
+    def test_a_server_is_its_name_and_its_index(self, server, dataset):
+        """Plain, shard and replica servers hold the same two fields: the
+        dataset goes once the index is built from it."""
+        from repro.index.flat import FlatRTree
+        from repro.server.sharded import ShardedSpatialServer
+
+        fleet = ShardedSpatialServer(dataset, "R", shards=4, scheme="str", replicas=2)
+        for unit in (server, server.replica_view("R/1"), *fleet.breaker_units()):
+            assert set(vars(unit)) == {"name", "index"}, unit.name
+            assert type(unit.index) is FlatRTree and len(unit) == unit.index.size
+        assert sorted(server.index.entry_oids.tolist()) == sorted(dataset.oids.tolist())
+        assert sum(len(shard) for shard in fleet.shards) == len(dataset)
+
+    def test_window_matches_dataset_filter(self, server, dataset):
         window = Rect(0.2, 0.2, 0.7, 0.7)
         mbrs, oids = server.window(window)
-        expected = set(server.dataset.oids[server.dataset.window_mask(window)].tolist())
+        expected = set(dataset.oids[dataset.window_mask(window)].tolist())
         assert set(oids.tolist()) == expected
         assert mbrs.shape == (len(expected), 4)
 
@@ -44,13 +62,13 @@ class TestSpatialServer:
         assert server.count(window) == len(server.window(window)[1])
         assert server.count(window) == scalar_endpoints.count(server, window)
 
-    def test_range_query_semantics(self, server):
+    def test_range_query_semantics(self, server, dataset):
         center = Point(0.5, 0.5)
         eps = 0.2
         _, oids = server.range(center, eps)
-        centers = server.dataset.centers()
+        centers = dataset.centers()
         dists = np.hypot(centers[:, 0] - 0.5, centers[:, 1] - 0.5)
-        expected = set(server.dataset.oids[dists <= eps].tolist())
+        expected = set(dataset.oids[dists <= eps].tolist())
         assert set(oids.tolist()) == expected
 
     def test_range_negative_eps_raises(self, server):
@@ -138,12 +156,18 @@ class TestRemoteServer:
         )
 
 
+def _indexed_data():
+    """The datasets behind ``indexed_pair``: R, then S."""
+    return clustered(n=300, clusters=3, seed=3), clustered(n=120, clusters=3, seed=4)
+
+
 class TestIndexedRemoteServer:
     @pytest.fixture
     def indexed_pair(self) -> ServerPair:
-        r = SpatialServer(clustered(n=300, clusters=3, seed=3), name="R")
-        s = SpatialServer(clustered(n=120, clusters=3, seed=4), name="S")
-        return ServerPair.connect(r, s, indexed=True)
+        r, s = _indexed_data()
+        return ServerPair.connect(
+            SpatialServer(r, name="R"), SpatialServer(s, name="S"), indexed=True
+        )
 
     def test_proxies_are_indexed(self, indexed_pair):
         assert isinstance(indexed_pair.r, IndexedRemoteServer)
@@ -176,7 +200,7 @@ class TestIndexedRemoteServer:
     def test_level_mbrs_cover_dataset(self, indexed_pair):
         rects = indexed_pair.r.level_mbrs()
         assert rects
-        dataset = indexed_pair.r.backing_server.dataset
+        dataset, _ = _indexed_data()
         for rect, _ in dataset:
             assert any(level.contains_rect(rect) for level in rects)
 
@@ -187,8 +211,7 @@ class TestIndexedRemoteServer:
         assert len(oids) == 120  # the full window returns every object exactly once
 
     def test_upload_objects_and_join_matches_oracle(self, indexed_pair):
-        s_dataset = indexed_pair.s.backing_server.dataset
-        r_dataset = indexed_pair.r.backing_server.dataset
+        r_dataset, s_dataset = _indexed_data()
         pairs = indexed_pair.r.upload_objects_and_join(
             s_dataset.mbrs, s_dataset.oids, epsilon=0.05
         )

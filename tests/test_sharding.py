@@ -359,17 +359,51 @@ class TestShardedJoinEquivalence:
             StackConfig(shards_r=2).check_algorithm("semijoin")
         assert str(injected.value) == str(built.value)
 
+    @pytest.mark.parametrize(
+        "topology", [{"shards_r": 4}, {"replicas": 2}], ids=["4 shards", "2 replicas"]
+    )
+    def test_a_default_fleet_session_needs_no_indexed_false(self, topology):
+        """Nobody asked for SemiJoin, so a session over fleets -- built from
+        the topology knobs or injected -- connects without an index and runs
+        UpJoin with the pairs and bytes of ``quick_join``."""
+        r, s = _datasets(n=300)
+        expected = quick_join(r, s, algorithm="upjoin", epsilon=EPSILON, **topology)
+        built = AdHocJoinSession(r, s, **topology)
+        injected = AdHocJoinSession(r, s, servers=StackConfig(**topology).servers(r, s))
+        for session in (built, injected):
+            result = session.run("upjoin", epsilon=EPSILON)
+            assert result.pairs == expected.pairs and result.num_pairs > 0
+            assert result.total_bytes == expected.total_bytes
+
+    @pytest.mark.parametrize(
+        "topology",
+        [{"shards_r": 2}, {"shards_s": 2}, {"replicas": 2}],
+        ids=["R sharded", "S sharded", "replicated"],
+    )
+    def test_semijoin_where_it_cannot_run_is_invalid_input(self, topology):
+        # A plain session connected without an index names the knob; over
+        # injected fleets the message is the fleet rule's, as at connect.
+        r, s = _datasets(n=10)
+        with pytest.raises(InvalidInput, match=r"indexed=True"):
+            AdHocJoinSession(r, s, indexed=False).run("semijoin", epsilon=EPSILON)
+        fleets = AdHocJoinSession(r, s, servers=StackConfig(**topology).servers(r, s))
+        with pytest.raises(InvalidInput) as injected:
+            fleets.run("semijoin", epsilon=EPSILON)
+        with pytest.raises(InvalidInput) as built:
+            StackConfig(**topology).check_algorithm("semijoin")
+        assert str(injected.value) == str(built.value)
+
 
 # --------------------------------------------------------------------------- #
 # memory: a fleet holds each coordinate once
 # --------------------------------------------------------------------------- #
 
 
-def _node_bytes(tree, *more: np.ndarray) -> int:
-    """Bytes of the arrays of ``tree`` (a ``FlatRTree``) and ``more`` sized by
-    nodes: everything it holds but its page table and its oids."""
+def _node_bytes(tree) -> int:
+    """Bytes of the arrays of ``tree`` (a ``FlatRTree``) sized by nodes:
+    everything it holds but its page table and its oids."""
     held = [value for name, value in vars(tree).items() if name not in ("pages", "entry_oids")]
-    held += [*tree._blocks, *more]
+    held += tree._blocks
     return sum(value.nbytes for value in held if isinstance(value, np.ndarray))
 
 
@@ -391,8 +425,8 @@ def _arrays_reached(obj, seen=None):
 
 class TestFleetHoldsEachObjectOnce:
     """A fleet holds what a plain server holds: the user's dataset and the
-    (forest's) page table.  A shard server keeps its index and name only --
-    ``dataset`` is ``None``, ``len()`` counts its index's entries -- and the
+    (forest's) page table.  A shard server, like every server, is its name
+    and its index -- ``len()`` counts the index's entries -- and the
     partition copies it was built from are let go."""
 
     @pytest.mark.parametrize("scheme", PARTITION_SCHEMES)
@@ -408,9 +442,9 @@ class TestFleetHoldsEachObjectOnce:
         for part, group in zip(parts, fleet.replica_groups):
             assert len(group) == replicas
             for server in group:
-                assert server.dataset is None and len(server) == len(part)
+                assert not hasattr(server, "dataset") and len(server) == len(part)
                 assert server.index is group[0].index
-                n_nodes = server.index.flat.is_leaf.shape[0]
+                n_nodes = server.index.is_leaf.shape[0]
                 for array in _arrays_reached(server):
                     if np.shares_memory(array, forest.pages):
                         continue
@@ -449,7 +483,7 @@ class TestFleetHoldsEachObjectOnce:
 
         forest = fleet.forest
         allowed = forest.pages.nbytes + forest.entry_oids.nbytes + _node_bytes(forest)
-        allowed += sum(_node_bytes(shard.index.flat, shard.index._level) for shard in fleet.shards)
+        allowed += sum(_node_bytes(shard.index) for shard in fleet.shards)
         assert held(True) <= allowed + 1024, (held(True), allowed)
         assert held(False) <= 4 * 1024 * len(fleet.shards), held(False)
 
