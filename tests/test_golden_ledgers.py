@@ -17,7 +17,11 @@ The cases cover every booker and send path of the connections:
   recoverable fault plan (scatter, failover, retry lanes);
 * UpJoin with bucket queries (the bucket booker);
 * ``average_mbr_area`` on the plain and the sharded stack;
-* one brokered four-query batch (the wave driver's bookings).
+* SemiJoin where its relay stops early: a window the root COUNT round
+  prunes, and one where the small side has no object near the large
+  side's level MBRs, so nothing is uploaded for the final join;
+* one brokered four-query batch (the wave driver's bookings), and one
+  wave of two SemiJoin queries and an UpJoin query on shared builds.
 
 Regenerate (only when a change to the wire is intentional and reviewed)
 with::
@@ -58,6 +62,14 @@ AREA_WINDOWS = (
     Rect(0.7, 0.05, 0.72, 0.07),
     Rect(5.0, 5.0, 6.0, 6.0),
 )
+#: A window only S has objects in: SemiJoin's root COUNT round prunes it.
+EMPTY_SIDE_WINDOW = Rect(0.7, 0.1, 0.99, 0.39)
+#: Both root counts are positive here, yet no R object (the small side)
+#: lies within epsilon of S's second-to-last-level MBRs: SemiJoin's relay
+#: collects nothing and stops before the final join.
+NO_SMALL_OBJECTS_WINDOW = Rect(0.29, 0.72, 0.57, 0.98)
+#: A window whose SemiJoin reaches the final join, beside the whole one.
+SEMIJOIN_PART_WINDOW = Rect(0.1, 0.0, 0.5, 0.5)
 
 
 def _datasets():
@@ -97,13 +109,13 @@ def _stack_ledgers(device) -> Dict[str, object]:
     }
 
 
-def _join(algorithm: str, stack: StackConfig = StackConfig(), params=None):
+def _join(algorithm: str, stack: StackConfig = StackConfig(), params=None, window=None):
     r, s = _datasets()
     _, _, device = build_session_stack(
         r, s, buffer_size=BUFFER, indexed=algorithm == "semijoin", stack=stack
     )
     algo = build_algorithm(algorithm, device, JoinSpec.distance(EPSILON), params)
-    algo.run(r.bounds().union(s.bounds()))
+    algo.run(window or r.bounds().union(s.bounds()))
     return device
 
 
@@ -141,6 +153,26 @@ def _brokered_batch() -> Dict[str, object]:
     }
 
 
+def _brokered_semijoins() -> Dict[str, object]:
+    """One wave: two SemiJoin queries and an UpJoin query on shared builds."""
+    r, s = _datasets()
+    spec = JoinSpec.distance(EPSILON)
+    queries = [
+        JoinQuery(r, s, spec, algorithm=name, buffer_size=BUFFER, window=window)
+        for name, window in (
+            ("semijoin", None),
+            ("upjoin", None),
+            ("semijoin", SEMIJOIN_PART_WINDOW),
+        )
+    ]
+    outcomes = QueryBroker().run_batch(queries)
+    assert all(o.status == "ok" and o.wave == 0 for o in outcomes)
+    return {
+        "primary": _digest([o.ledger_fingerprints for o in outcomes]),
+        "wire_bytes": sum(o.result.total_bytes for o in outcomes),
+    }
+
+
 CASES: Dict[str, Callable[[], Dict[str, object]]] = {
     **{
         f"plain/{name}": (lambda name=name: _stack_ledgers(_join(name)))
@@ -160,7 +192,12 @@ CASES: Dict[str, Callable[[], Dict[str, object]]] = {
     "relay/metadata": lambda: _stack_ledgers(_relay_metadata()),
     "average_mbr_area/plain": lambda: _stack_ledgers(_average_areas(StackConfig())),
     "average_mbr_area/fleet": lambda: _stack_ledgers(_average_areas(StackConfig(**FLEET))),
+    "semijoin/empty-side": lambda: _stack_ledgers(_join("semijoin", window=EMPTY_SIDE_WINDOW)),
+    "semijoin/no-small-objects": lambda: _stack_ledgers(
+        _join("semijoin", window=NO_SMALL_OBJECTS_WINDOW)
+    ),
     "broker/batch4": _brokered_batch,
+    "broker/semijoin": _brokered_semijoins,
 }
 
 
@@ -188,6 +225,17 @@ def test_cases_reach_every_booker():
     assert _stack_ledgers(_join("upjoin", StackConfig(**FLEET, faults=RECOVERABLE_PLAN)))[
         "retry_bytes"
     ] > 0
+
+
+def test_semijoin_cases_stop_where_they_say():
+    """The empty-side window is pruned by the root COUNT round alone; the
+    no-small-objects window collects from the small side and uploads
+    nothing; the brokered SemiJoin on its part window reaches the join."""
+    assert _labels(_join("semijoin", window=EMPTY_SIDE_WINDOW)) == {"count", "count-result"}
+    stopped = _labels(_join("semijoin", window=NO_SMALL_OBJECTS_WINDOW))
+    assert {"level-mbrs", "semijoin-windows", "semijoin-objects"} <= stopped
+    assert "semijoin-upload" not in stopped
+    assert "semijoin-upload" in _labels(_join("semijoin", window=SEMIJOIN_PART_WINDOW))
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
