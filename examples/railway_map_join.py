@@ -27,7 +27,7 @@ def main() -> None:
     print(f"server R: {len(railway)} railway segment MBRs")
     print(f"server S: {len(pois)} points of interest\n")
 
-    session = AdHocJoinSession(railway, pois, buffer_size=800, indexed=True)
+    session = AdHocJoinSession(railway, pois, buffer_size=800)
 
     print("bucket-query algorithms (Figure 8a setting):")
     for algorithm in ("mobijoin", "upjoin", "srjoin"):

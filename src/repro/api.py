@@ -27,7 +27,6 @@ from repro.core.join_types import JoinKind, JoinSpec
 from repro.core.planner import (
     ALGORITHMS,
     StackConfig,
-    _algorithm_key,
     build_algorithm,
     build_session_stack,
     default_window,
@@ -165,7 +164,6 @@ def quick_join(
         dataset_s,
         buffer_size=buffer_size,
         config=config,
-        indexed=_algorithm_key(algorithm) == "semijoin",
         faults=faults,
         retry=retry,
         deadline_s=deadline_s,
@@ -268,9 +266,10 @@ class AdHocJoinSession:
         documented and validated there; its topology members go unused
         when ``servers`` injects pre-built instances.
 
-        ``indexed`` asks for the SemiJoin-capable connections; by default
-        (``None``) a session has them unless a side is a fleet, and an
-        explicit ``True`` on a fleet is :class:`~repro.errors.InvalidInput`.
+        ``indexed`` is a name kept for callers that still pass it: every
+        session runs SemiJoin where its servers allow it, and ``True`` only
+        refuses, as :class:`~repro.errors.InvalidInput`, a side SemiJoin
+        cannot run on (a fleet).
 
         ``tracer``/``metrics`` attach the read-only observability hooks
         (see :mod:`repro.obs`) for every run on this session.
@@ -293,12 +292,15 @@ class AdHocJoinSession:
             dataset_s,
             buffer_size=buffer_size,
             config=self.config,
-            indexed=indexed,
             servers=servers,
             stack=self.stack,
             tracer=tracer,
             metrics=metrics,
         )
+        if indexed:
+            # A kept name (the frozen benchmark harness passes it): refuses,
+            # as SemiJoin itself would, servers SemiJoin cannot run on.
+            build_algorithm("semijoin", self.device, JoinSpec(JoinKind.INTERSECTION))
         self._history: Deque[JoinResult] = deque(maxlen=HISTORY_LIMIT)
 
     # ------------------------------------------------------------------ #

@@ -11,7 +11,9 @@ Subclasses implement :meth:`run_cooperative`, the run as a step generator
 steps of other queries -- the same gather / evaluate / book loop either way.
 Every algorithm but SemiJoin is a level table of the frontier engine
 (:mod:`repro.core.frontier`), whose runs start with the one root COUNT
-round (:meth:`repro.core.frontier.Crew.start`), SemiJoin's too.
+round (:meth:`repro.core.frontier.Crew.start`), SemiJoin's too.  Like
+queries reach a driver as one step generator,
+:meth:`MobileJoinAlgorithm.run_group`.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import math
 import numbers
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -157,6 +159,40 @@ class MobileJoinAlgorithm(ABC):
         res = device.resilience
         if res is not None:
             res.trace_span = span
+
+    @staticmethod
+    def run_group(runs: Sequence[Tuple["MobileJoinAlgorithm", Rect]]) -> Steps:
+        """Run like queries -- ``(algorithm, window)`` pairs of one class,
+        spec, parameters, configuration, buffer size and backing builds --
+        as one step generator, here their own runs side by side.
+
+        It yields one step per member (empty once a member is done), which
+        a driver books on that member's connections, and takes one answer
+        list per member back: ``None`` for a member whose booking raised,
+        whose run is then closed while the rest go on.  Returns every
+        member's :class:`~repro.core.result.JoinResult` (``None`` for one
+        that left).
+        """
+        live = dict(enumerate(algo.run_cooperative(window) for algo, window in runs))
+        results: List[Optional[JoinResult]] = [None] * len(live)
+        answers: List[Optional[list]] = [None] * len(live)
+        try:
+            while True:
+                steps: List[list] = [[] for _ in results]
+                for q, run in list(live.items()):
+                    try:
+                        steps[q] = run.send(answers[q])
+                    except StopIteration as stop:
+                        results[q] = stop.value
+                        del live[q]
+                if not live:
+                    return results
+                answers = yield steps
+                for q in [q for q in live if answers[q] is None]:
+                    live.pop(q).close()
+        finally:
+            for run in live.values():
+                run.close()
 
     @abstractmethod
     def run_cooperative(self, window: Rect) -> Steps:

@@ -668,21 +668,11 @@ class FrontierAlgorithm(MobileJoinAlgorithm):
 
     @staticmethod
     def run_group(runs: Sequence[Tuple["FrontierAlgorithm", Rect]]) -> Steps:
-        """Run like queries -- ``(algorithm, window)`` pairs of one class,
-        spec, parameters, configuration, buffer size and backing builds --
-        as one step generator.
-
-        Their windows share every level table, leaf batch and kernel call
-        (a per-window query column says whose each one is), while every
-        member keeps its own counters, buffer, pairs, trace and spans.  It
-        yields one step per member (empty when a member has nothing to
-        ask), which a driver books on that member's connections
-        (:func:`~repro.device.steps.book_step`), and takes one answer list
-        per member back: ``None`` for a member whose booking raised, which
-        then leaves the group (:meth:`Crew.leave`) while the rest go on.
-        Returns every member's :class:`~repro.core.result.JoinResult`
-        (``None`` for one that left).
-        """
+        """:meth:`MobileJoinAlgorithm.run_group` as one crew: the members'
+        windows share every level table, leaf batch and kernel call (a
+        per-window query column says whose each one is), while every
+        member keeps its own counters, buffer, pairs, trace and spans.  A
+        member answered ``None`` leaves the crew (:meth:`Crew.leave`)."""
         crew = Crew([algo for algo, _ in runs])
         lead = crew.algos[0]
         results = yield from crew.relay(lead._group_steps(crew, [window for _, window in runs]))

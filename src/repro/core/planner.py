@@ -30,7 +30,7 @@ from repro.core.join_types import JoinSpec
 from repro.core.mobijoin import MobiJoin
 from repro.core.naive import FixedGridJoin, NaiveDownloadJoin
 from repro.core.result import JoinResult
-from repro.core.semijoin import SemiJoin
+from repro.core.semijoin import SEMIJOIN_NEEDS_ONE_INDEX, SemiJoin
 from repro.core.srjoin import SrJoin
 from repro.core.upjoin import UpJoin
 from repro.datasets.dataset import SpatialDataset
@@ -41,7 +41,7 @@ from repro.geometry.rect import Rect
 from repro.network.config import NetworkConfig
 from repro.network.faults import FaultPlan, RetryPolicy
 from repro.obs.metrics import ChannelMetricsObserver
-from repro.server.remote import SEMIJOIN_NEEDS_ONE_INDEX, ResilienceController, ServerPair
+from repro.server.remote import ResilienceController, ServerPair
 from repro.server.server import SpatialServer
 from repro.server.sharded import ShardedSpatialServer
 
@@ -248,7 +248,8 @@ class StackConfig:
         """The registry key of ``name``, if it can run on this stack.
 
         The one SemiJoin-on-a-fleet rule for stacks built from a config;
-        :meth:`ServerPair.connect` holds its twin for injected servers.
+        :class:`~repro.core.semijoin.SemiJoin` holds its twin for injected
+        servers.
         """
         key = _algorithm_key(name)
         if key == "semijoin" and self.fleet:
@@ -289,7 +290,6 @@ class StackConfig:
         server_r: SpatialServer,
         server_s: SpatialServer,
         config: NetworkConfig,
-        indexed: bool = False,
         buffer_size: int = 800,
         tracer=None,
         metrics=None,
@@ -309,7 +309,6 @@ class StackConfig:
             server_r,
             server_s,
             config=config,
-            indexed=indexed,
             resilience=self.resilience(metrics),
             replica_health=replica_health,
             observer=ChannelMetricsObserver(metrics) if metrics is not None else None,
@@ -348,7 +347,6 @@ def build_session_stack(
     dataset_s: SpatialDataset,
     buffer_size: int = 800,
     config: Optional[NetworkConfig] = None,
-    indexed: Optional[bool] = False,
     servers: Optional[Tuple[SpatialServer, SpatialServer]] = None,
     stack: StackConfig = StackConfig(),
     tracer=None,
@@ -364,24 +362,16 @@ def build_session_stack(
     device are always fresh, so byte accounting starts from zero either way.
 
     ``stack`` is the :class:`StackConfig` describing fleet topology and
-    resilience; ``indexed=True`` asks for SemiJoin-capable connections and
-    therefore for a stack SemiJoin can run on, and ``indexed=None`` for
-    them wherever the servers allow it (neither side is a fleet).
-    ``tracer`` / ``metrics`` are the read-only observability hooks
-    (:meth:`StackConfig.connect`).
+    resilience; ``tracer`` / ``metrics`` are the read-only observability
+    hooks (:meth:`StackConfig.connect`).
     """
-    if indexed:
-        stack.check_algorithm("semijoin")
     if servers is None:
         servers = stack.servers(dataset_r, dataset_s)
     server_r, server_s = servers
-    if indexed is None:
-        indexed = not any(isinstance(server, ShardedSpatialServer) for server in servers)
     device = stack.connect(
         server_r,
         server_s,
         config=config or NetworkConfig(),
-        indexed=indexed,
         buffer_size=buffer_size,
         tracer=tracer,
         metrics=metrics,
@@ -447,7 +437,6 @@ def run_join(
         dataset_s,
         buffer_size=buffer_size,
         config=config,
-        indexed=key == "semijoin",
         stack=stack,
         tracer=tracer,
         metrics=metrics,

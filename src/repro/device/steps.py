@@ -6,15 +6,19 @@ server connection; they yield **steps** and receive the answers:
 
 * a :class:`Request` is one batch of one primitive query kind for one side
   of the join -- ``Request(kind, side, args)``, ``kind`` one of
-  :data:`COUNT` / :data:`WINDOW` / :data:`RANGE` / :data:`BUCKET`, ``side``
-  ``"R"`` or ``"S"``, ``args`` exactly what the connection's batch endpoint
-  of that kind takes;
+  :data:`COUNT` / :data:`WINDOW` / :data:`RANGE` / :data:`BUCKET`, or one
+  of SemiJoin's index relay (:data:`SIZE` / :data:`LEVELS` /
+  :data:`COLLECT` / :data:`JOIN`), ``side`` ``"R"`` or ``"S"``, ``args``
+  exactly what the connection's endpoint of that kind takes;
 * a **step** is a list of requests none of which needs another's answer,
   in the order their exchanges are written to the query's ledgers;
 * the answer to a step is the parallel list of what the endpoints return.
 
 A request's *rows* are the entries of its per-row columns (``Kind.columns``:
 windows, probe centres and radii): one query string each on the wire.  A
+kind without row columns is answered per request, whole: its build answers
+every request of a group at once, one answer each (the relay's metadata,
+and the final join, whose answer is the pairs of each upload).  A
 query group -- like queries of a broker wave that run as one step
 generator, or a run on its own as a group of one -- offers :class:`Shared`
 steps, whose requests hold the rows of all its queries: ``queries[i]`` is
@@ -52,8 +56,12 @@ from repro.server.remote import ServerPair
 
 __all__ = [
     "BUCKET",
+    "COLLECT",
     "COUNT",
+    "JOIN",
+    "LEVELS",
     "RANGE",
+    "SIZE",
     "WINDOW",
     "Group",
     "Kind",
@@ -76,9 +84,12 @@ class Kind(NamedTuple):
 
     name: str
     #: Backing-build endpoint that answers the rows of many requests in one
-    #: descent (a build counts nothing): ``evaluate(*columns)``.
+    #: descent (a build counts nothing): ``evaluate(*columns)``; for a kind
+    #: without row columns ``evaluate(requests)``, one answer per request's
+    #: ``args``.
     evaluate: str
-    #: Positions in ``args`` of the per-row columns ``evaluate`` takes.
+    #: Positions in ``args`` of the per-row columns ``evaluate`` takes
+    #: (none: the request is one row, answered whole).
     columns: Tuple[int, ...]
     #: Connection endpoint that books a request whose rows were evaluated
     #: and returns the request's answer: ``book(*args, share)``.
@@ -91,6 +102,13 @@ RANGE = Kind("range", "evaluate_range_batch", (0, 1), "book_range_batch")
 #: One bucket query: ``args`` are ``(centers, radius, radii)``; its probes
 #: are evaluated with their per-probe ``radii``.
 BUCKET = Kind("bucket", "evaluate_range_batch", (0, 2), "book_bucket_range")
+#: SemiJoin's index relay (:mod:`repro.core.semijoin`): object count and
+#: level MBRs (``()``), the objects inside ``(windows,)``, each once, and the
+#: final join of an upload ``(mbrs, oids, epsilon)`` (its own pairs each).
+SIZE = Kind("size", "evaluate_size", (), "book_size")
+LEVELS = Kind("levels", "evaluate_level_mbrs", (), "book_level_mbrs")
+COLLECT = Kind("collect", "evaluate_window_batch", (0,), "book_collect")
+JOIN = Kind("join", "evaluate_join_batch", (), "book_join")
 
 
 class Request(NamedTuple):
@@ -284,8 +302,9 @@ class Group:
 
     def add(self, args: tuple) -> Tuple["Group", int]:
         """Append one request's rows; its slot ``(group, member)``."""
+        at = self.kind.columns
         self.members.append(args)
-        self.offsets.append(self.offsets[-1] + len(args[self.kind.columns[0]]))
+        self.offsets.append(self.offsets[-1] + (len(args[at[0]]) if at else 1))
         return self, len(self.members) - 1
 
     def evaluate(self) -> None:
@@ -294,10 +313,13 @@ class Group:
         A lone member's columns go as they are; several members' rows go
         back to back as arrays -- windows (``Rect`` lists or the frontier
         tables' ``(N, 4)`` arrays) as one ``(N, 4)`` array, probes as
-        ``(P, 2)`` centres and ``(P,)`` radii.
+        ``(P, 2)`` centres and ``(P,)`` radii.  A kind without row columns
+        hands the build every member's ``args``.
         """
         members, at = self.members, self.kind.columns
-        if len(members) == 1:
+        if not at:
+            columns = [members]
+        elif len(members) == 1:
             columns = [members[0][i] for i in at]
         elif len(at) == 1:
             columns = [np.concatenate([rect_array.rects_to_array(args[at[0]]) for args in members])]
@@ -308,6 +330,8 @@ class Group:
 
     def share(self, member: int):
         """Member ``member``'s share of the answer (a lone member's is all of it)."""
+        if not self.kind.columns:
+            return self.answer[member]
         if len(self.members) == 1:
             return self.answer
         return self.answer[self.offsets[member] : self.offsets[member + 1]]

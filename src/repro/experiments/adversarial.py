@@ -156,9 +156,7 @@ def run_adversarial_case(
     bucket_queries: bool = False,
 ) -> Dict[str, JoinResult]:
     """Run several algorithms on one adversarial layout; returns name -> result."""
-    session = AdHocJoinSession(
-        case.dataset_r, case.dataset_s, buffer_size=buffer_size, indexed=False
-    )
+    session = AdHocJoinSession(case.dataset_r, case.dataset_s, buffer_size=buffer_size)
     return {
         name: session.run(
             algorithm=name, epsilon=case.epsilon, bucket_queries=bucket_queries

@@ -125,8 +125,7 @@ def run_single(
 ) -> JoinResult:
     """Run one algorithm once on a prepared workload.
 
-    The device buffer is the spec's; only SemiJoin runs on an indexed
-    session, as in the broker.  ``servers`` injects pre-built server
+    The device buffer is the spec's.  ``servers`` injects pre-built server
     instances (typically a sweep cell's); connections, their statistics
     and the device are fresh per run either way, so results are
     independent of any previous run on the same servers.
@@ -136,7 +135,6 @@ def run_single(
         dataset_s,
         buffer_size=spec.buffer_size,
         config=config,
-        indexed=str(run_kwargs.get("algorithm", "")).lower() == "semijoin",
         servers=servers,
     )
     kwargs = dict(run_kwargs)

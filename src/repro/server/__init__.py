@@ -12,10 +12,9 @@ Two layers:
 * :class:`~repro.server.remote.RemoteServer` -- the client-side proxy that
   the mobile device holds.  Every call is metered through a
   :class:`~repro.network.channel.Channel`, so the measured byte totals are
-  produced here, not inside the algorithms.
-* :class:`~repro.server.remote.IndexedRemoteServer` -- the privileged proxy
-  used only by the SemiJoin comparator, exposing R-tree level MBRs (the
-  paper assumes the servers publish them for that algorithm only).
+  produced here, not inside the algorithms.  Its index relay (R-tree level
+  MBRs, uploaded windows and objects) serves the SemiJoin comparator alone:
+  the paper assumes the servers publish it for that algorithm only.
 * :class:`~repro.server.sharded.ShardedSpatialServer` /
   :class:`~repro.server.remote.ShardedRemoteServer` -- the sharded data
   plane: one logical dataset partitioned across a fleet of shard servers,
@@ -26,18 +25,12 @@ from __future__ import annotations
 
 from repro.server.server import SpatialServer
 from repro.server.sharded import ShardedSpatialServer
-from repro.server.remote import (
-    IndexedRemoteServer,
-    RemoteServer,
-    ServerPair,
-    ShardedRemoteServer,
-)
+from repro.server.remote import RemoteServer, ServerPair, ShardedRemoteServer
 
 __all__ = [
     "SpatialServer",
     "ShardedSpatialServer",
     "RemoteServer",
-    "IndexedRemoteServer",
     "ShardedRemoteServer",
     "ServerPair",
 ]

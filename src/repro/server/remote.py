@@ -31,9 +31,9 @@ who evaluated the rows.  A single query is a batch of one: ``window`` /
 ``count`` / ``range`` call their batch twins with one row, so there is one
 accounting path per kind.
 
-:class:`IndexedRemoteServer` additionally exposes the R-tree level MBRs and
-a "forwarded window" operation; only the SemiJoin comparator uses it (the
-paper assumes R-tree-published servers for that algorithm alone).
+SemiJoin's index relay is the same composition on every connection to
+one server (``book_size`` / ``book_level_mbrs`` / ``book_collect`` /
+``book_join``); the paper lets that comparator alone ask it.
 
 Resilience (PR 7).  A proxy may carry a :class:`ResilienceController`: every
 metered exchange then runs through a retry loop against the deterministic
@@ -73,7 +73,6 @@ import numpy as np
 
 from repro.errors import (
     ChannelFault,
-    InvalidInput,
     QueryTimeout,
     RetryExhausted,
     ServerUnavailable,
@@ -92,10 +91,8 @@ from repro.server.sharded import RoutedCounts, ShardedSpatialServer
 
 __all__ = [
     "RemoteServer",
-    "IndexedRemoteServer",
     "ShardedRemoteServer",
     "ResilienceController",
-    "SEMIJOIN_NEEDS_ONE_INDEX",
     "ServerPair",
 ]
 
@@ -647,17 +644,33 @@ class RemoteServer:
         """One bucket query of ``n_probes`` probes answered by ``n_objects``
         objects: one exchange, whatever the probe count."""
         self._booked.book_bucket(n_probes, n_objects)
+        # The query carries its probes (a probe object encodes its own
+        # extent, so radii add nothing); Eq. 5 of the paper charges one
+        # extra object-sized separator per probe in the answer.
+        self._book_exchange(
+            "bucket-range", MessageKind.BUCKET_RANGE, MessageKind.OBJECTS,
+            n_probes, n_objects + n_probes,
+        )
+
+    def _book_exchange(
+        self,
+        label: str,
+        query: MessageKind,
+        answer: MessageKind,
+        sent: int = 0,
+        received: int = 0,
+        answer_label: Optional[str] = None,
+    ) -> None:
+        """One request carrying ``sent`` objects and its one answer carrying
+        ``received``, labelled ``label`` (the answer ``label + "-result"``
+        unless ``answer_label`` names it)."""
+        answer_label = answer_label or label + "-result"
 
         def account(channel: Channel) -> None:
-            # The query carries its probes (a probe object encodes its own
-            # extent, so radii add nothing); Eq. 5 of the paper charges one
-            # extra object-sized separator per probe in the answer.
-            channel.send_query(MessageKind.BUCKET_RANGE, label="bucket-range", objects=n_probes)
-            channel.send_response(
-                MessageKind.OBJECTS, label="bucket-range-result", objects=n_objects + n_probes
-            )
+            channel.send_query(query, label=label, objects=sent)
+            channel.send_response(answer, label=answer_label, objects=received)
 
-        self._exchange("bucket-range", account)
+        self._exchange(label, account)
 
     def count_batch(self, windows: Windows) -> List[int]:
         """Issue many COUNT queries, evaluated server-side in one descent.
@@ -766,13 +779,99 @@ class RemoteServer:
     def average_mbr_area(self, window: Rect) -> float:
         value = self._server.average_mbr_area(window)
         self._booked.book_aggregate()
-
-        def account(channel: Channel) -> None:
-            channel.send_query(MessageKind.AGGREGATE, label="aggregate")
-            channel.send_response(MessageKind.SCALAR, label="aggregate-result")
-
-        self._exchange("aggregate", account)
+        self._book_exchange("aggregate", MessageKind.AGGREGATE, MessageKind.SCALAR)
         return value
+
+    # ------------------------------------------------------------------ #
+    # SemiJoin's index relay: ``book(evaluate(...))`` of one request each
+    # ------------------------------------------------------------------ #
+
+    def tree_height(self) -> int:
+        """Height of the server's R-tree (metadata; accounted as an aggregate)."""
+        return self.book_height(*self._server.evaluate_height([()]))
+
+    def object_count(self) -> int:
+        """Total object count (metadata; accounted as an aggregate exchange)."""
+        return self.book_size(*self._server.evaluate_size([()]))
+
+    def level_mbrs(self) -> List[Rect]:
+        """Download the MBRs of the second-to-last R-tree level."""
+        boxes = self.book_level_mbrs(*self._server.evaluate_level_mbrs([()]))
+        return [Rect(*row) for row in boxes.tolist()]
+
+    def upload_windows_and_collect(self, windows: Windows) -> Tuple[np.ndarray, np.ndarray]:
+        """Ship a batch of windows (MBRs) to the server; get back all objects
+        inside, each once (see :meth:`book_collect`)."""
+        return self.book_collect(windows, self._server.evaluate_window_batch(windows))
+
+    #: The name ``benchmarks/e2e/layers.py`` (frozen) still patches.
+    upload_windows_and_collect_flat = upload_windows_and_collect
+
+    def upload_objects_and_join(
+        self, mbrs: np.ndarray, oids: np.ndarray, epsilon: float
+    ) -> np.ndarray:
+        """Ship foreign objects to this server and let it perform the final
+        join (see :meth:`book_join`)."""
+        return self.book_join(
+            mbrs, oids, epsilon, *self._server.evaluate_join_batch([(mbrs, oids, epsilon)])
+        )
+
+    def book_height(self, height: int) -> int:
+        """The index height: one aggregate exchange."""
+        self._book_exchange("tree-height", MessageKind.AGGREGATE, MessageKind.SCALAR)
+        return height
+
+    def book_size(self, size: int) -> int:
+        """The object count: one aggregate exchange."""
+        self._book_exchange("size", MessageKind.AGGREGATE, MessageKind.SCALAR)
+        return size
+
+    def book_level_mbrs(self, mbrs: np.ndarray) -> np.ndarray:
+        """The level's ``(K, 4)`` boxes: one object payload of ``K`` objects
+        (an MBR weighs one ``B_obj``, like any other spatial object)."""
+        self._book_exchange(
+            "level-mbrs", MessageKind.AGGREGATE, MessageKind.OBJECTS, received=mbrs.shape[0]
+        )
+        return mbrs
+
+    def book_collect(self, windows: Windows, answer: Prefetched) -> Tuple[np.ndarray, np.ndarray]:
+        """SemiJoin's "all the objects of R inside these MBRs will be
+        transferred back", with the PDA as mediator, over windows the build
+        already answered (``answer``, their WINDOW descent).
+
+        The upload is charged as an object payload (one ``B_obj`` per
+        window) and the answer as one object payload; an object inside
+        several windows is shipped once, first seen first (the server
+        deduplicates before shipping, as the original algorithm does).
+        Statistics count the windows and every object they matched.
+        """
+        n = rect_array.window_array(windows).shape[0]
+        if n != answer.bounds.shape[0] - 1:
+            raise ValueError("answer must be parallel to windows")
+        self._booked.book_window(n, answer.oids.shape[0])
+        _, first = np.unique(answer.oids, return_index=True)
+        keep = np.sort(first)
+        if n:
+            self._book_exchange(
+                "semijoin-windows", MessageKind.BUCKET_RANGE, MessageKind.OBJECTS,
+                n, keep.shape[0], "semijoin-objects",
+            )
+        return answer.mbrs[keep], answer.oids[keep]
+
+    def book_join(
+        self, mbrs: np.ndarray, oids: np.ndarray, epsilon: float, pairs: np.ndarray
+    ) -> np.ndarray:
+        """SemiJoin's last step over an upload the build already joined
+        against its own objects (``pairs``, sorted ``(foreign_oid,
+        local_oid)`` rows): the upload is charged as an object payload, the
+        result as one object-sized row per pair.  An empty upload is not
+        sent."""
+        if mbrs.shape[0]:
+            self._book_exchange(
+                "semijoin-upload", MessageKind.BUCKET_RANGE, MessageKind.OBJECTS,
+                mbrs.shape[0], pairs.shape[0], "semijoin-result",
+            )
+        return pairs
 
     # ------------------------------------------------------------------ #
     # connection introspection (one channel per replica)
@@ -856,143 +955,9 @@ class RemoteServer:
         return sum(chan.total_cost for chan in self._channels)
 
 
-class IndexedRemoteServer(RemoteServer):
-    """A remote server that additionally publishes its R-tree (SemiJoin only).
-
-    The paper's SemiJoin comparator assumes both datasets are R-tree
-    indexed and that the intermediate-level MBRs can be shipped between the
-    servers (through the PDA, since the servers do not cooperate).  Those
-    privileged operations are metered exactly like ordinary queries.
-    """
-
-    def tree_height(self) -> int:
-        """Height of the server's R-tree (metadata; accounted as an aggregate)."""
-        height = self._server.index.height
-
-        def account(channel: Channel) -> None:
-            channel.send_query(MessageKind.AGGREGATE, label="tree-height")
-            channel.send_response(MessageKind.SCALAR, label="tree-height-result")
-
-        self._exchange("tree-height", account)
-        return height
-
-    def object_count(self) -> int:
-        """Total object count (metadata; accounted as an aggregate exchange)."""
-        n = len(self._server)
-
-        def account(channel: Channel) -> None:
-            channel.send_query(MessageKind.AGGREGATE, label="size")
-            channel.send_response(MessageKind.SCALAR, label="size-result")
-
-        self._exchange("size", account)
-        return n
-
-    def level_mbrs(self) -> List[Rect]:
-        """Download the MBRs of the second-to-last R-tree level.
-
-        The response is accounted as one object payload whose size is the
-        number of MBRs (an MBR weighs one ``B_obj``, like any other spatial
-        object on the wire).
-        """
-        mbrs = self._server.index.second_to_last_level_mbrs()
-        rects = [Rect(*row) for row in mbrs.tolist()]
-
-        def account(channel: Channel) -> None:
-            channel.send_query(MessageKind.AGGREGATE, label="level-mbrs")
-            channel.send_response(
-                MessageKind.OBJECTS, label="level-mbrs-result", objects=len(rects)
-            )
-
-        self._exchange("level-mbrs", account)
-        return rects
-
-    def upload_windows_and_collect(
-        self, windows: Windows
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Ship a batch of windows (MBRs) to the server; get back all objects inside.
-
-        This is the SemiJoin step "all the objects of R inside these MBRs
-        will be transferred back" with the PDA acting as mediator: the
-        upload is charged as an object payload (one ``B_obj`` per MBR) and
-        the response as a normal object payload.  Duplicate objects that
-        fall in several windows are returned once (the server deduplicates
-        before shipping, as the original algorithm does).  The server side
-        reads the CSR window batch directly, so the relayed object set is
-        assembled over one concatenated array.  ``windows`` is a sequence of
-        :class:`Rect` or an ``(N, 4)`` array.
-        """
-        windows = rect_array.window_array(windows)
-        if not windows.shape[0]:
-            return np.empty((0, 4)), np.empty(0, dtype=np.int64)
-        answer = self._server.evaluate_window_batch(windows)
-        self._booked.book_window(answer.request.shape[0], answer.oids.shape[0])
-        all_mbrs, all_oids = answer.mbrs, answer.oids
-        # Deduplicate objects returned by several windows, keeping the
-        # first-seen order.
-        _, first = np.unique(all_oids, return_index=True)
-        keep = np.sort(first)
-        mbrs_out = all_mbrs[keep]
-        oids_out = all_oids[keep]
-
-        def account(channel: Channel) -> None:
-            # The query string + one object per window: exactly what
-            # shipping the MBR list costs.
-            channel.send_query(
-                MessageKind.BUCKET_RANGE, label="semijoin-windows", objects=windows.shape[0]
-            )
-            channel.send_response(
-                MessageKind.OBJECTS, label="semijoin-objects", objects=oids_out.shape[0]
-            )
-
-        self._exchange("semijoin-windows", account)
-        return mbrs_out, oids_out
-
-    #: The name ``benchmarks/e2e/layers.py`` (frozen) still patches.
-    upload_windows_and_collect_flat = upload_windows_and_collect
-
-    def upload_objects_and_join(
-        self,
-        mbrs: np.ndarray,
-        oids: np.ndarray,
-        epsilon: float,
-    ) -> np.ndarray:
-        """Ship foreign objects to this server and let it perform the final join.
-
-        This is SemiJoin's last step: the qualifying objects of the small
-        dataset are uploaded (through the PDA) and the server joins them
-        against its own data with an in-memory kernel, returning the sorted
-        ``(foreign_oid, local_oid)`` pairs as a ``(k, 2)`` ``int64`` block.
-        The upload is charged as an object payload, the result as one
-        object-sized row per pair.
-        """
-        from repro.geometry.predicates import (  # local import: avoids a cycle
-            IntersectionPredicate,
-            WithinDistancePredicate,
-        )
-        from repro.index.hash_join import JoinBatch, grid_hash_join_batch
-
-        if mbrs.shape[0] == 0:
-            return np.empty((0, 2), dtype=np.int64)
-        predicate = (
-            WithinDistancePredicate(epsilon=epsilon)
-            if epsilon > 0
-            else IntersectionPredicate()
-        )
-        local = self._server.index
-        pairs, _ = grid_hash_join_batch(
-            JoinBatch.one(mbrs, oids, local.entry_mbrs, local.entry_oids), predicate
-        )
-
-        def account(channel: Channel) -> None:
-            channel.send_query(
-                MessageKind.BUCKET_RANGE, label="semijoin-upload", objects=mbrs.shape[0]
-            )
-            channel.send_response(
-                MessageKind.OBJECTS, label="semijoin-result", objects=pairs.shape[0]
-            )
-
-        self._exchange("semijoin-upload", account)
-        return pairs
+#: The name ``benchmarks/e2e/layers.py::TARGETS`` (frozen) still patches
+#: SemiJoin's relay endpoints under; every connection to one server has them.
+IndexedRemoteServer = RemoteServer
 
 
 def _summed(stats) -> Dict[str, int]:
@@ -1312,15 +1277,6 @@ class ShardedRemoteServer:
         return sum(proxy.total_cost() for proxy in self._proxies)
 
 
-#: Why SemiJoin cannot run on a fleet -- the one wording of the rule, for
-#: injected servers (:meth:`ServerPair.connect`) and for stacks built from a
-#: :class:`~repro.core.planner.StackConfig` (its ``check_algorithm``).
-SEMIJOIN_NEEDS_ONE_INDEX = (
-    "semijoin needs index-published servers; a sharded or replicated fleet "
-    "does not publish a single R-tree"
-)
-
-
 @dataclass
 class ServerPair:
     """The two metered connections a join session holds.
@@ -1353,7 +1309,6 @@ class ServerPair:
         server_r: SpatialServer,
         server_s: SpatialServer,
         config: Optional[NetworkConfig] = None,
-        indexed: bool = False,
         resilience: Optional[ResilienceController] = None,
         replica_health: Optional[Dict[str, str]] = None,
         observer=None,
@@ -1373,12 +1328,6 @@ class ServerPair:
         :class:`Channel`).
         """
         config = config or NetworkConfig()
-        sharded = isinstance(server_r, ShardedSpatialServer) or isinstance(
-            server_s, ShardedSpatialServer
-        )
-        if indexed and sharded:
-            raise InvalidInput(SEMIJOIN_NEEDS_ONE_INDEX)
-        proxy_cls = IndexedRemoteServer if indexed else RemoteServer
 
         def _connect_one(server, tariff: float):
             # One channel per breaker unit: the server itself, or every
@@ -1393,7 +1342,7 @@ class ServerPair:
             if isinstance(server, ShardedSpatialServer):
                 proxy = ShardedRemoteServer(server, chans, resilience=resilience)
             else:
-                proxy = proxy_cls((server,), chans, resilience=resilience)
+                proxy = RemoteServer((server,), chans, resilience=resilience)
             if replica_health:
                 proxy.apply_health(replica_health)
             return proxy

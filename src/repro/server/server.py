@@ -19,6 +19,7 @@ import numpy as np
 
 from repro.datasets.dataset import SpatialDataset
 from repro.geometry.point import Point
+from repro.geometry.predicates import IntersectionPredicate, WithinDistancePredicate
 from repro.geometry.rect import Rect
 from repro.geometry.rect_array import Windows, window_array
 from repro.index.aggregate_rtree import (
@@ -28,6 +29,7 @@ from repro.index.aggregate_rtree import (
     probe_arrays,
 )
 from repro.index.flat import FlatRTree
+from repro.index.hash_join import JoinBatch, grid_hash_join_batch
 
 __all__ = ["INDEX_FANOUT", "SpatialServer", "ServerQueryStats", "Prefetched", "per_request"]
 
@@ -152,9 +154,9 @@ class SpatialServer:
     hold the same two fields.
 
     :attr:`index` is *server private* state: the mobile-join algorithms
-    never touch it.  Only the SemiJoin comparator (via
-    :class:`~repro.server.remote.IndexedRemoteServer`), the fleet that lays
-    its shards' indexes out as one forest, and the tests read it.
+    never touch it.  Only the build's own answers (SemiJoin's index relay
+    among them), the fleet that lays its shards' indexes out as one forest,
+    and the tests read it.
     """
 
     def __init__(self, dataset: SpatialDataset, name: str = "server") -> None:
@@ -205,6 +207,42 @@ class SpatialServer:
     def evaluate_range_batch(self, centers: Probes, radii: Sequence[float]) -> Prefetched:
         """Answer RANGE probes."""
         return self._prefetched(self.index.range_batch_flat(*probe_arrays(centers, radii)))
+
+    # SemiJoin's index relay: one answer per request, every request whole.
+
+    def evaluate_size(self, requests: Sequence[tuple]) -> List[int]:
+        """The object count."""
+        return [len(self)] * len(requests)
+
+    def evaluate_height(self, requests: Sequence[tuple]) -> List[int]:
+        """The index height."""
+        return [self.index.height] * len(requests)
+
+    def evaluate_level_mbrs(self, requests: Sequence[tuple]) -> List[np.ndarray]:
+        """The ``(K, 4)`` boxes of the index's second-to-last level."""
+        return [self.index.second_to_last_level_mbrs()] * len(requests)
+
+    def evaluate_join_batch(self, requests: Sequence[tuple]) -> List[Optional[np.ndarray]]:
+        """Answer JOIN requests, SemiJoin's final join: each upload
+        ``(mbrs, oids, epsilon)`` joined against this index's entries, the
+        sorted ``(foreign_oid, local_oid)`` pairs of each as a ``(k, 2)``
+        ``int64`` block.  The uploads of one ``epsilon`` are the items of
+        one kernel call."""
+        entries = (self.index.entry_mbrs, self.index.entry_oids)
+        answers: List[Optional[np.ndarray]] = [None] * len(requests)
+        by_radius: Dict[float, List[int]] = {}
+        for i, (_, _, epsilon) in enumerate(requests):
+            by_radius.setdefault(epsilon, []).append(i)
+        for epsilon, members in by_radius.items():
+            items = [(*requests[i][:2], *entries) for i in members]
+            pairs, starts = grid_hash_join_batch(
+                JoinBatch.one(*items[0]) if len(items) == 1 else items,
+                WithinDistancePredicate(epsilon) if epsilon > 0 else IntersectionPredicate(),
+            )
+            bounds = starts.tolist()
+            for k, i in enumerate(members):
+                answers[i] = pairs[bounds[k] : bounds[k + 1]]
+        return answers
 
     def _prefetched(self, answer: Tuple[np.ndarray, np.ndarray]) -> Prefetched:
         bounds, rows = answer

@@ -28,15 +28,15 @@ and
 3. **executes** each wave cooperatively.  Every query runs on its own
    session stack -- own metered connections (which keep its statistics),
    own device -- to the cached server builds, which are immutable and
-   shared as they are.  Like queries -- queries of any algorithm but
-   SemiJoin sharing backing builds, algorithm, spec, resolved parameters,
-   configuration and buffer size -- form one *group* and run as one step
-   generator (:meth:`~repro.core.frontier.FrontierAlgorithm.run_group`):
-   one level table per depth and one leaf batch per level for all their
-   windows.  A SemiJoin query is a step generator of its own
-   (:mod:`repro.device.steps`).  A generator *offers* every server
-   evaluation its queries need, COUNT rounds and the operators' WINDOW
-   downloads and RANGE probes alike, as one step per query.  Per wave
+   shared as they are.  Like queries -- queries sharing backing builds,
+   algorithm, spec, resolved parameters, configuration and buffer size --
+   form one *group* and run as one step generator, their algorithm's
+   :meth:`~repro.core.base.MobileJoinAlgorithm.run_group` (for the frontier
+   engine one level table per depth and one leaf batch per level for all
+   their windows).  A generator *offers* every server evaluation its
+   queries need -- COUNT rounds, the operators' WINDOW downloads and RANGE
+   probes, an index relay's requests -- as one step per query
+   (:mod:`repro.device.steps`).  Per wave
    round the broker takes those steps, gathers all rows of one query kind
    that target the same backing build into one group evaluated in
    **one** descent, and has every query book its own share on its own
@@ -54,10 +54,6 @@ and
    The per-query advances between the coalesced evaluations run inline on
    the executing thread, one query after the other: they are GIL-bound
    Python, and a thread pool over them measured 0.6-0.7x of this loop.
-
-SemiJoin's index relay is no step kind: it still runs through the broker
-on its own isolated stack, inside the advance that follows its root COUNT
-round, and contributes no further shared rounds.
 """
 
 from __future__ import annotations
@@ -70,11 +66,10 @@ from typing import Callable, Dict, Generator, List, NamedTuple, Optional, Sequen
 import numpy as np
 
 from repro.core.base import MobileJoinAlgorithm
-from repro.core.frontier import FrontierAlgorithm
 from repro.core.planner import PlanDecision, build_algorithm, select_algorithm
 from repro.core.result import JoinResult
 from repro.device.pda import MobileDevice
-from repro.device.steps import COUNT, Group, Step, Steps, book_step, gather
+from repro.device.steps import COUNT, Group, Step, book_step, gather
 from repro.errors import QueryTimeout, ReproError, ServerUnavailable, require_count
 from repro.network.config import NetworkConfig
 from repro.obs.trace import NULL_TRACER
@@ -183,27 +178,13 @@ class _Admitted:
 @dataclass
 class _Unit:
     """One step generator of a wave: a group of like queries
-    (:meth:`~repro.core.frontier.FrontierAlgorithm.run_group`) or one
-    SemiJoin query."""
+    (:meth:`~repro.core.base.MobileJoinAlgorithm.run_group`)."""
 
     entries: List[_Admitted]
     #: Yields one step per entry; returns one result per entry.
     gen: Optional[Generator] = None
     #: The steps the entries offered and wait to have answered.
     pending: Optional[List[Step]] = None
-
-
-def _alone(steps: Steps) -> Steps:
-    """A SemiJoin query's step generator driven as a group of one."""
-    try:
-        step = next(steps)
-        while True:
-            (answers,) = yield [step]
-            step = steps.send(answers)
-    except StopIteration as stop:
-        return [stop.value]
-    finally:
-        steps.close()
 
 
 @dataclass
@@ -645,12 +626,10 @@ class QueryBroker:
         to the cached servers (looked up once, by :meth:`_check_breaker`)
         and a fresh device."""
         query = entry.query
-        algorithm = entry.plan.algorithm
         entry.device = query.stack.connect(
             entry.base_r,
             entry.base_s,
             config=query.config or self.config,
-            indexed=algorithm == "semijoin",
             buffer_size=query.buffer_size,
             tracer=self.tracer,
             metrics=self.metrics,
@@ -660,39 +639,32 @@ class QueryBroker:
         # start) parents under its wave-level query span.
         entry.device.trace_root = entry.span
         entry.algo = build_algorithm(
-            algorithm, entry.device, query.spec, query.resolved_params()
+            entry.plan.algorithm, entry.device, query.spec, query.resolved_params()
         )
 
     def _units(self, entries: List[_Admitted]) -> List[_Unit]:
         """The wave's step generators, in order of their first query.
 
-        Queries of the frontier engine (every algorithm but SemiJoin) that
-        share backing builds, algorithm, spec, resolved parameters,
-        configuration and buffer size form one group: one generator
-        decides all their windows together.  A SemiJoin query runs alone.
+        Queries that share backing builds, algorithm, spec, resolved
+        parameters, configuration and buffer size form one group, run as
+        one generator by their algorithm's ``run_group``.
         """
         units: Dict[object, _Unit] = {}
         for entry in entries:
-            query, algo = entry.query, entry.algo
-            key = entry.index
-            if isinstance(algo, FrontierAlgorithm):
-                key = (
-                    id(entry.base_r),
-                    id(entry.base_s),
-                    entry.plan.algorithm,
-                    query.spec,
-                    algo.params,
-                    query.config or self.config,
-                    query.buffer_size,
-                )
+            query = entry.query
+            key = (
+                id(entry.base_r),
+                id(entry.base_s),
+                entry.plan.algorithm,
+                query.spec,
+                entry.algo.params,
+                query.config or self.config,
+                query.buffer_size,
+            )
             units.setdefault(key, _Unit([])).entries.append(entry)
         for unit in units.values():
             runs = [(entry.algo, entry.query.resolved_window()) for entry in unit.entries]
-            if isinstance(runs[0][0], FrontierAlgorithm):
-                unit.gen = FrontierAlgorithm.run_group(runs)
-            else:
-                ((algo, window),) = runs
-                unit.gen = _alone(algo.run_cooperative(window))
+            unit.gen = runs[0][0].run_group(runs)
         return list(units.values())
 
     @staticmethod

@@ -57,6 +57,12 @@ def upload_windows_and_collect(
 class ScalarSemiJoin(SemiJoin):
     """SemiJoin with the seed's per-window relay and per-pair collection."""
 
+    def _relay(self, window: Rect, count_r: int, count_s: int):
+        """The entry seam: the synchronous relay below, run inside the
+        advance that follows the root round (it yields no step)."""
+        self._execute(window, count_r, count_s, 0)
+        yield from ()
+
     def _execute(self, window: Rect, count_r: int, count_s: int, depth: int) -> None:
         if count_r == 0 or count_s == 0:
             self.prune(window, depth, count_r, count_s)

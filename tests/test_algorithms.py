@@ -7,7 +7,11 @@ return exactly the same pair set while respecting the device buffer.
 
 from __future__ import annotations
 
+import functools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import HISTORY_LIMIT, AdHocJoinSession, available_algorithms, quick_join
 from repro.core.join_types import JoinSpec
@@ -21,7 +25,7 @@ ALL_ALGORITHMS = ("naive", "fixedgrid", "mobijoin", "upjoin", "srjoin", "semijoi
 
 
 def _session(r, s, buffer_size=300) -> AdHocJoinSession:
-    return AdHocJoinSession(r, s, buffer_size=buffer_size, indexed=True)
+    return AdHocJoinSession(r, s, buffer_size=buffer_size)
 
 
 class TestExactness:
@@ -269,12 +273,28 @@ class TestSessionBehaviour:
         assert result.pairs == brute_force_pairs(r, s, 0.05)
         assert result.operator_counts["count_queries"] >= 2 * 16
 
-    def test_semijoin_requires_indexed_session(self):
+    def test_semijoin_runs_on_every_plain_session(self):
+        # Every connection to one server publishes its index: a session
+        # built with ``indexed=False`` runs SemiJoin exactly as the default.
         r = uniform(n=30, seed=18)
         s = uniform(n=30, seed=19)
-        session = AdHocJoinSession(r, s, indexed=False)
-        with pytest.raises(InvalidInput, match="indexed=True"):
-            session.run(algorithm="semijoin", epsilon=0.05)
+        sessions = [AdHocJoinSession(r, s, indexed=False), AdHocJoinSession(r, s)]
+        off, default = (session.run(algorithm="semijoin", epsilon=0.05) for session in sessions)
+        assert off.pairs == default.pairs == brute_force_pairs(r, s, 0.05)
+        assert off.num_pairs > 0
+        assert (off.total_bytes, off.bytes_r, off.bytes_s) == (
+            default.total_bytes, default.bytes_r, default.bytes_s
+        )
+        assert off.server_stats == default.server_stats
+        assert off.channel_stats == default.channel_stats
+        off_ledgers, default_ledgers = (
+            (session.device.servers.r.ledger_fingerprint(),
+             session.device.servers.s.ledger_fingerprint())
+            for session in sessions
+        )
+        assert off_ledgers == default_ledgers
+        assert list(off.trace) == list(default.trace)
+        assert [e.action for e in off.trace][-1] == "semijoin-join"
 
     def test_trace_records_decisions(self):
         r = clustered(n=200, clusters=2, seed=20, std=0.03)
@@ -291,3 +311,37 @@ class TestSessionBehaviour:
         result = _session(r, s).run(algorithm="mobijoin", epsilon=0.02)
         assert result.total_cost == pytest.approx(float(result.total_bytes))
         assert result.total_bytes == result.bytes_r + result.bytes_s
+
+
+@functools.lru_cache(maxsize=None)
+def _relay_session(seed: int) -> AdHocJoinSession:
+    """Clustered R (smaller than S for seed 0, larger after) x uniform S."""
+    r = clustered(n=40 + 60 * seed, clusters=3, seed=60 + seed, std=0.04, name="R")
+    return AdHocJoinSession(r, uniform(n=80, seed=70 + seed, name="S"))
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(0, 2),
+    corner=st.tuples(st.floats(-0.1, 1.0), st.floats(-0.1, 1.0)),
+    size=st.tuples(st.floats(0.0, 0.6), st.floats(0.0, 0.6)),
+    epsilon=st.sampled_from([0.0, 0.001, 0.03]),
+)
+def test_every_semijoin_past_its_root_round_uploads_a_window(seed, corner, size, epsilon):
+    """Both root counts positive => a level MBR of the large side meets the
+    window: the relay records ``semijoin-mbrs`` then ``semijoin-objects``
+    and the small side is asked at least one window (see the argument in
+    ``repro.core.semijoin``)."""
+    (x, y), (w, h) = corner, size
+    result = _relay_session(seed).run(
+        "semijoin", epsilon=epsilon, kind="distance" if epsilon else "intersection",
+        window=Rect(x, y, x + w, y + h),
+    )
+    start, *rest = result.trace
+    if not (start.count_r and start.count_s):
+        assert [e.action for e in rest] == ["prune"]
+        return
+    actions = [e.action for e in rest]
+    assert actions[:3] == ["semijoin-plan", "semijoin-mbrs", "semijoin-objects"]
+    small = rest[0].detail[len("small=")]
+    assert result.server_stats[small]["window_queries"] >= 1

@@ -384,7 +384,7 @@ class TestSemiJoinBatchExecution:
 
         r = clustered(n=150, clusters=3, seed=seed, name="R")
         s = uniform(n=90, seed=seed + 7, name="S")
-        session = AdHocJoinSession(r, s, buffer_size=200, indexed=True)
+        session = AdHocJoinSession(r, s, buffer_size=200)
         with mock.patch.dict(ALGORITHMS, {"semijoin": ScalarSemiJoin} if scalar else {}):
             return session.run(algorithm="semijoin", kind="distance", epsilon=epsilon)
 
@@ -412,7 +412,6 @@ class TestSemiJoinBatchExecution:
             ServerPair.connect(
                 SpatialServer(clustered(n=200, clusters=3, seed=47, name="R"), name="R"),
                 SpatialServer(uniform(n=50, seed=48, name="S"), name="S"),
-                indexed=True,
             )
             for _ in range(2)
         )

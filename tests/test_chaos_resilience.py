@@ -575,7 +575,7 @@ class TestSessionReuse:
         r, s = _datasets()
         plan = RECOVERABLE_PLANS[1]
         session = AdHocJoinSession(
-            r, s, buffer_size=BUFFER, faults=plan, indexed=False,
+            r, s, buffer_size=BUFFER, faults=plan,
             shards_r=2, shards_s=3,
         )
         before = session.run("srjoin", epsilon=0.03)

@@ -45,12 +45,9 @@ EPSILON_SWEEP = (0.005, 0.02, 0.05, 0.1)
 
 
 def _session(dataset_r, dataset_s, buffer_size: int = 96) -> AdHocJoinSession:
-    # Indexed sessions so SemiJoin runs too; the extra index never changes
-    # the accounting of the other algorithms.  A small buffer exercises the
-    # HBSJ recursive-split and NLSJ fallback paths.
-    return AdHocJoinSession(
-        dataset_r, dataset_s, buffer_size=buffer_size, indexed=True
-    )
+    # A small buffer exercises the HBSJ recursive-split and NLSJ fallback
+    # paths.
+    return AdHocJoinSession(dataset_r, dataset_s, buffer_size=buffer_size)
 
 
 def _run_all(session: AdHocJoinSession, **run_kwargs) -> Dict[str, frozenset]:

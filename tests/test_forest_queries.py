@@ -435,7 +435,7 @@ def test_pages_exist_once_per_index_that_answers_batches(monkeypatch):
     r = clustered(n=3000, clusters=8, seed=5, std=0.05, name="R")
     s = clustered(n=3000, clusters=8, seed=6, std=0.05, name="S")
     session = AdHocJoinSession(
-        r, s, buffer_size=100, indexed=False, shards_r=4, shards_s=4, shard_scheme="str", replicas=2
+        r, s, buffer_size=100, shards_r=4, shards_s=4, shard_scheme="str", replicas=2
     )
     fleets = (session.server_r, session.server_s)
     built = [fleet.forest.pages for fleet in fleets]

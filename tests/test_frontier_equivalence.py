@@ -282,7 +282,7 @@ class TestFrontierMatchesOracle:
             datasets, algorithm, "recursive", kind="distance", epsilon=0.03, seed=seed
         )
         r, s = datasets
-        session = AdHocJoinSession(r, s, buffer_size=96, indexed=False)
+        session = AdHocJoinSession(r, s, buffer_size=96)
         window = Rect(0.0, 0.0, 1.0, 1.0).union(
             r.bounds() if len(r) else Rect(0, 0, 1, 1)
         )

@@ -111,9 +111,7 @@ def _stack_ledgers(device) -> Dict[str, object]:
 
 def _join(algorithm: str, stack: StackConfig = StackConfig(), params=None, window=None):
     r, s = _datasets()
-    _, _, device = build_session_stack(
-        r, s, buffer_size=BUFFER, indexed=algorithm == "semijoin", stack=stack
-    )
+    _, _, device = build_session_stack(r, s, buffer_size=BUFFER, stack=stack)
     algo = build_algorithm(algorithm, device, JoinSpec.distance(EPSILON), params)
     algo.run(window or r.bounds().union(s.bounds()))
     return device
@@ -130,7 +128,7 @@ def _average_areas(stack: StackConfig):
 
 def _relay_metadata():
     r, s = _datasets()
-    _, _, device = build_session_stack(r, s, buffer_size=BUFFER, indexed=True)
+    _, _, device = build_session_stack(r, s, buffer_size=BUFFER)
     for proxy in (device.servers.r, device.servers.s):
         proxy.tree_height()
         proxy.object_count()

@@ -47,7 +47,7 @@ STANDARD_ALGOS = [n for n in ALGO_NAMES if n != "semijoin"]
 def _fresh_session(buffer_size: int = 96) -> AdHocJoinSession:
     r = clustered(n=80, clusters=3, seed=41)
     s = clustered(n=80, clusters=2, seed=42, std=0.05)
-    return AdHocJoinSession(r, s, buffer_size=buffer_size, indexed=True)
+    return AdHocJoinSession(r, s, buffer_size=buffer_size)
 
 
 def _records(channel) -> List:

@@ -373,7 +373,7 @@ def test_serving_queries_writes_nothing_to_a_server_build():
         )
     ])
     assert outcome.status == "ok" and outcome.result.resilience["failovers"]
-    session = AdHocJoinSession(r, s, buffer_size=96, indexed=False, servers=(plain, fleet), faults=plan)
+    session = AdHocJoinSession(r, s, buffer_size=96, servers=(plain, fleet), faults=plan)
     assert session.run(algorithm="upjoin", epsilon=0.03).num_pairs == outcome.result.num_pairs
     for unit, state in zip(units, before):
         assert vars(unit).keys() == state.keys(), unit.name
@@ -512,12 +512,9 @@ def test_a_stack_is_described_in_one_place():
 
 
 #: The classes of ``server/remote.py``: per-query resilience state, the
-#: connection to one server or one shard's replica set, its SemiJoin
-#: subclass, the fleet's scatter/merge connection and the session's pair.
-REMOTE_CLASSES = {
-    "ResilienceController", "RemoteServer", "IndexedRemoteServer", "ShardedRemoteServer",
-    "ServerPair",
-}
+#: connection to one server or one shard's replica set (SemiJoin's relay
+#: included), the fleet's scatter/merge connection and the session's pair.
+REMOTE_CLASSES = {"ResilienceController", "RemoteServer", "ShardedRemoteServer", "ServerPair"}
 
 #: Connection classes, past and present.
 CONNECTION_CLASSES = {
@@ -546,8 +543,8 @@ def test_one_connection_class_per_server_and_per_shard():
             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
                 named = {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node.args[1])}
                 checks += [(str(path.relative_to(PACKAGE)), name) for name in named & CONNECTION_CLASSES]
-    # ... and no caller dispatches on one, but SemiJoin asking for the published index.
-    assert checks == [("core/semijoin.py", "IndexedRemoteServer")]
+    # ... and no caller dispatches on one.
+    assert checks == []
     sharded = next(
         node for node in remote.body
         if isinstance(node, ast.ClassDef) and node.name == "ShardedRemoteServer"
@@ -560,6 +557,32 @@ def test_one_connection_class_per_server_and_per_shard():
         if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "len"
     }
     assert sized == {"channels"}  # the one-channel-per-replica check, nothing per group
+
+
+def test_indexed_is_a_parameter_of_the_session_alone():
+    """Every connection to one server runs SemiJoin: ``indexed`` reaches
+    nothing below the API, and only the session keeps the name."""
+    owners = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for scope in ast.walk(ast.parse(path.read_text())):
+            for node in ast.iter_child_nodes(scope):
+                if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                    continue
+                args = node.args
+                if "indexed" in {a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)}:
+                    where = f"{getattr(scope, 'name', '')}.{getattr(node, 'name', '<lambda>')}"
+                    owners.append((str(path.relative_to(PACKAGE)), where))
+    assert owners == [("api.py", "AdHocJoinSession.__init__")]
+
+
+def test_the_broker_names_no_algorithm():
+    """Every algorithm reaches the broker through ``run_group``: its source
+    names no algorithm, by registry key or by class."""
+    from repro.core.frontier import FrontierAlgorithm
+
+    names = {*ALGORITHMS, *(cls.__name__ for cls in ALGORITHMS.values()), FrontierAlgorithm.__name__}
+    source = (PACKAGE / "service" / "broker.py").read_text().lower()
+    assert [name for name in sorted(names) if name.lower() in source] == []
 
 
 def test_a_kept_answer_holds_no_object_per_pair():

@@ -13,7 +13,7 @@ from repro.network.channel import Channel
 from repro.network.config import NetworkConfig
 from repro.network.messages import MessageKind
 from repro.network.packets import transferred_bytes
-from repro.server.remote import IndexedRemoteServer, RemoteServer, ServerPair
+from repro.server.remote import RemoteServer, ServerPair
 from repro.server.server import SpatialServer
 
 from tests.oracles import scalar_endpoints
@@ -162,16 +162,19 @@ def _indexed_data():
 
 
 class TestIndexedRemoteServer:
+    """SemiJoin's relay endpoints, on every connection to one server."""
+
     @pytest.fixture
     def indexed_pair(self) -> ServerPair:
         r, s = _indexed_data()
-        return ServerPair.connect(
-            SpatialServer(r, name="R"), SpatialServer(s, name="S"), indexed=True
-        )
+        return ServerPair.connect(SpatialServer(r, name="R"), SpatialServer(s, name="S"))
 
     def test_proxies_are_indexed(self, indexed_pair):
-        assert isinstance(indexed_pair.r, IndexedRemoteServer)
-        assert isinstance(indexed_pair.s, IndexedRemoteServer)
+        # One connection class: the relay's name is only an alias of it.
+        from repro.server import remote
+
+        assert remote.IndexedRemoteServer is RemoteServer
+        assert type(indexed_pair.r) is RemoteServer and type(indexed_pair.s) is RemoteServer
 
     def test_object_count_and_height(self, indexed_pair):
         assert indexed_pair.r.object_count() == 300
@@ -182,7 +185,7 @@ class TestIndexedRemoteServer:
         """An empty server publishes 0 objects, a one-level tree and no level
         MBRs; each answer is one AGGREGATE query and its answer on the wire."""
         empty = SpatialServer(uniform(0, seed=1), name="R")
-        pair = ServerPair.connect(empty, SpatialServer(uniform(50, seed=2), name="S"), indexed=True)
+        pair = ServerPair.connect(empty, SpatialServer(uniform(50, seed=2), name="S"))
         cfg = pair.r.config
         for call, want, answer, payload in (
             (pair.r.object_count, 0, MessageKind.SCALAR, cfg.answer_bytes),
@@ -212,15 +215,37 @@ class TestIndexedRemoteServer:
 
     def test_upload_objects_and_join_matches_oracle(self, indexed_pair):
         r_dataset, s_dataset = _indexed_data()
+        # The two datasets' clusters lie more than 0.1 apart: a smaller
+        # epsilon would hold the join to an empty answer.
         pairs = indexed_pair.r.upload_objects_and_join(
-            s_dataset.mbrs, s_dataset.oids, epsilon=0.05
+            s_dataset.mbrs, s_dataset.oids, epsilon=0.15
         )
         from tests.oracles.operators_scalar import pairwise_within_distance
 
-        matrix = pairwise_within_distance(s_dataset.mbrs, r_dataset.mbrs, 0.05)
+        matrix = pairwise_within_distance(s_dataset.mbrs, r_dataset.mbrs, 0.15)
         expected = {
             (int(s_dataset.oids[i]), int(r_dataset.oids[j]))
             for i, j in zip(*np.nonzero(matrix))
         }
+        assert expected
         assert pairs.dtype == np.int64 and pairs.shape[1:] == (2,)
         assert set(map(tuple, pairs.tolist())) == expected
+
+
+def test_a_join_batch_answers_each_upload_its_own_pairs():
+    """Uploads of several queries meet in one JOIN group: uploads of one
+    epsilon share a kernel call, yet each gets exactly the pairs it gets
+    alone, and an empty upload gets none."""
+    r, _ = _indexed_data()
+    server = SpatialServer(r, name="R")
+    uploads = [
+        (r.mbrs[:60], r.oids[:60] + 1000, 0.05),
+        (r.mbrs[40:], r.oids[40:] + 1000, 0.0),
+        (r.mbrs[:0], r.oids[:0], 0.05),
+        (r.mbrs[10:90], r.oids[10:90] + 1000, 0.05),
+    ]
+    batch = server.evaluate_join_batch(uploads)
+    for upload, pairs in zip(uploads, batch):
+        (alone,) = server.evaluate_join_batch([upload])
+        assert pairs.dtype == np.int64 and np.array_equal(pairs, alone)
+    assert [p.shape[0] > 0 for p in batch] == [True, True, False, True]

@@ -47,7 +47,7 @@ from repro.network.channel import Channel
 from repro.network.config import NetworkConfig
 from repro.network.faults import FaultPlan, Outage, RetryPolicy
 from repro.server import ShardedSpatialServer, SpatialServer
-from repro.server.remote import IndexedRemoteServer
+from repro.server.remote import RemoteServer
 from repro.service import JoinQuery, QueryBroker
 
 BUFFER = 96
@@ -189,11 +189,11 @@ class TestShardedJoinEquivalence:
         # diverge from the union server.
         r = uniform(n=120, seed=5, name="R")
         s = uniform(n=120, seed=6, name="S")
-        plain = AdHocJoinSession(r, s, buffer_size=BUFFER, indexed=False).run(
+        plain = AdHocJoinSession(r, s, buffer_size=BUFFER).run(
             "upjoin", epsilon=EPSILON
         )
         fleet = AdHocJoinSession(
-            r, s, buffer_size=BUFFER, indexed=False,
+            r, s, buffer_size=BUFFER,
             servers=(
                 ShardedSpatialServer(r, name="R", shards=1),
                 ShardedSpatialServer(s, name="S", shards=1),
@@ -335,7 +335,7 @@ class TestShardedJoinEquivalence:
         [
             lambda r, s, spec, **kw: quick_join(r, s, epsilon=EPSILON, **kw),
             lambda r, s, spec, window=None, algorithm="srjoin", **kw: AdHocJoinSession(
-                r, s, indexed=False, **kw
+                r, s, **kw
             ).run(algorithm, epsilon=EPSILON, window=window),
             lambda r, s, spec, **kw: run_join(r, s, spec, **_with_stack(kw)),
             lambda r, s, spec, **kw: JoinQuery(r, s, spec, **_with_stack(kw)),
@@ -381,11 +381,9 @@ class TestShardedJoinEquivalence:
         ids=["R sharded", "S sharded", "replicated"],
     )
     def test_semijoin_where_it_cannot_run_is_invalid_input(self, topology):
-        # A plain session connected without an index names the knob; over
-        # injected fleets the message is the fleet rule's, as at connect.
+        # Over injected fleets SemiJoin refuses its builds with the message
+        # of the config rule.
         r, s = _datasets(n=10)
-        with pytest.raises(InvalidInput, match=r"indexed=True"):
-            AdHocJoinSession(r, s, indexed=False).run("semijoin", epsilon=EPSILON)
         fleets = AdHocJoinSession(r, s, servers=StackConfig(**topology).servers(r, s))
         with pytest.raises(InvalidInput) as injected:
             fleets.run("semijoin", epsilon=EPSILON)
@@ -453,7 +451,7 @@ class TestFleetHoldsEachObjectOnce:
                     # Node-sized (``node_cols`` is ``(4, n_nodes)``), not a row per object.
                     assert array.size <= 4 * n_nodes, (array.shape, n_nodes, len(part))
             channels = [Channel(NetworkConfig(), name=server.name) for server in group]
-            connection = IndexedRemoteServer(group, channels, name=part.name)
+            connection = RemoteServer(group, channels, name=part.name)
             assert connection.object_count() == len(part)
         assert len(fleet) == n
 
@@ -505,7 +503,7 @@ def _run_paths():
     return {
         "quick_join": lambda r, s, spec, **kw: quick_join(r, s, epsilon=EPSILON, **kw),
         "AdHocJoinSession": lambda r, s, spec, algorithm="srjoin", **kw: AdHocJoinSession(
-            r, s, indexed=False, **kw
+            r, s, **kw
         ).run(algorithm, epsilon=EPSILON),
         "run_join": lambda r, s, spec, **kw: run_join(r, s, spec, **_with_stack(kw)),
         "QueryBroker": brokered,

@@ -484,9 +484,30 @@ GROUP_TOPOLOGIES = {
 }
 GROUP_SPEC = JoinSpec.distance(0.02)
 GROUP_BUFFER = 40
-#: Every algorithm a wave groups: the adaptive three and the naive /
-#: FixedGrid baselines (one level table at depth 0, or at depths 0 and 1).
-GROUPED = (*ALGORITHMS, "naive", "fixedgrid")
+#: Every algorithm a wave groups: the adaptive three, the naive /
+#: FixedGrid baselines (one level table at depth 0, or at depths 0 and 1)
+#: and SemiJoin (its members' index relays side by side; plain stacks only).
+GROUPED = (*ALGORITHMS, "naive", "fixedgrid", "semijoin")
+#: Where a member of each group is lost: the first booking of this label on
+#: this side's channels (SemiJoin at each exchange of its index relay;
+#: R is its small side, S its large one, on the group datasets).
+LOST_AT = [
+    *(
+        pytest.param(algorithm, topology, "R", "window-batch", id=f"{algorithm}-{topology}")
+        for algorithm in GROUPED
+        if algorithm != "semijoin"
+        for topology in sorted(GROUP_TOPOLOGIES)
+    ),
+    *(
+        pytest.param("semijoin", "plain", side, label, id=f"semijoin-plain-{label}")
+        for side, label in (("S", "level-mbrs"), ("R", "semijoin-windows"), ("S", "semijoin-upload"))
+    ),
+]
+
+
+def _grouped(topology: str) -> List[str]:
+    """The grouped algorithms that run on ``topology`` (SemiJoin needs one index)."""
+    return [a for a in GROUPED if topology == "plain" or a != "semijoin"]
 
 
 @functools.lru_cache(maxsize=None)
@@ -642,7 +663,7 @@ class TestLikeQueriesDecideTogether:
         windows = _group_windows()[2:5]
         queries = [
             query
-            for algorithm in GROUPED
+            for algorithm in _grouped(topology)
             for query in _group_queries(algorithm, windows, topology, faults, bucket, trace)
         ]
         outcomes, shapes = _brokered(queries, devices)
@@ -651,18 +672,19 @@ class TestLikeQueriesDecideTogether:
         if faulty:
             assert sum(o.result.resilience["retries"] for o in outcomes) > 0
 
-    @pytest.mark.parametrize("topology", sorted(GROUP_TOPOLOGIES))
-    @pytest.mark.parametrize("algorithm", GROUPED)
-    def test_a_member_lost_at_its_window_booking_fails_alone(self, devices, algorithm, topology):
+    @pytest.mark.parametrize("algorithm, topology, side, label", LOST_AT)
+    def test_a_member_lost_at_its_window_booking_fails_alone(
+        self, devices, algorithm, topology, side, label
+    ):
         queries = _group_queries(algorithm, _group_windows()[2:5], topology, FaultPlan(seed=0))
         victim = queries[1]
         healthy, _, _ = _alone_traced(victim)
         channel, at = next(
             (name, op)
             for name, events in sorted(healthy.resilience["fault_events"].items())
-            if name.startswith("R")
-            for op, _, label in events
-            if label == "window-batch"
+            if name.startswith(side)
+            for op, _, booked in events
+            if booked == label
         )
         queries[1] = JoinQuery(
             victim.dataset_r, victim.dataset_s, victim.spec, algorithm=algorithm,
@@ -678,7 +700,7 @@ class TestLikeQueriesDecideTogether:
         for ticket, (query, outcome) in enumerate(zip(queries, outcomes)):
             _assert_like_alone(query, outcome, devices[ticket], shapes[ticket])
 
-    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @pytest.mark.parametrize("algorithm", (*ALGORITHMS, "semijoin"))
     def test_a_member_past_its_deadline_fails_alone(self, devices, algorithm):
         queries = _group_queries(algorithm, _group_windows()[2:5])
         victim = queries[0]
