@@ -33,6 +33,7 @@ from repro.core.planner import (
     validate_window,
 )
 from repro.core.result import JoinResult
+from repro.core.semijoin import SemiJoin
 from repro.datasets.dataset import SpatialDataset
 from repro.device.buffer import DeviceBuffer
 from repro.errors import (
@@ -268,8 +269,8 @@ class AdHocJoinSession:
 
         ``indexed`` is a name kept for callers that still pass it: every
         session runs SemiJoin where its servers allow it, and ``True`` only
-        refuses, as :class:`~repro.errors.InvalidInput`, a side SemiJoin
-        cannot run on (a fleet).
+        refuses, as :class:`~repro.errors.InvalidInput` and before anything
+        is built, a side SemiJoin cannot run on (a fleet).
 
         ``tracer``/``metrics`` attach the read-only observability hooks
         (see :mod:`repro.obs`) for every run on this session.
@@ -287,6 +288,13 @@ class AdHocJoinSession:
             retry=retry,
             deadline_s=deadline_s,
         )
+        if indexed:
+            # A kept name (the frozen benchmark harness passes it): refuses,
+            # before anything is built, servers SemiJoin cannot run on.
+            if servers is None:
+                self.stack.check_algorithm("semijoin")
+            else:
+                SemiJoin.check_builds(servers)
         self.server_r, self.server_s, self.device = build_session_stack(
             dataset_r,
             dataset_s,
@@ -297,10 +305,6 @@ class AdHocJoinSession:
             tracer=tracer,
             metrics=metrics,
         )
-        if indexed:
-            # A kept name (the frozen benchmark harness passes it): refuses,
-            # as SemiJoin itself would, servers SemiJoin cannot run on.
-            build_algorithm("semijoin", self.device, JoinSpec(JoinKind.INTERSECTION))
         self._history: Deque[JoinResult] = deque(maxlen=HISTORY_LIMIT)
 
     # ------------------------------------------------------------------ #

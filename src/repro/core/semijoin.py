@@ -78,9 +78,13 @@ class SemiJoin(MobileJoinAlgorithm):
         params: Optional[AlgorithmParameters] = None,
     ) -> None:
         super().__init__(device, spec, params)
-        # The SemiJoin-on-a-fleet rule for injected builds (a stack built
-        # from a config is refused by ``StackConfig.check_algorithm``).
-        if any(isinstance(build, ShardedSpatialServer) for build in device.servers.backing):
+        self.check_builds(device.servers.backing)
+
+    @staticmethod
+    def check_builds(builds) -> None:
+        """The SemiJoin-on-a-fleet rule for injected builds (a stack built
+        from a config is refused by ``StackConfig.check_algorithm``)."""
+        if any(isinstance(build, ShardedSpatialServer) for build in builds):
             raise InvalidInput(SEMIJOIN_NEEDS_ONE_INDEX)
 
     # ------------------------------------------------------------------ #

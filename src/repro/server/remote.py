@@ -788,7 +788,9 @@ class RemoteServer:
 
     def tree_height(self) -> int:
         """Height of the server's R-tree (metadata; accounted as an aggregate)."""
-        return self.book_height(*self._server.evaluate_height([()]))
+        height = self._server.index.height
+        self._book_exchange("tree-height", MessageKind.AGGREGATE, MessageKind.SCALAR)
+        return height
 
     def object_count(self) -> int:
         """Total object count (metadata; accounted as an aggregate exchange)."""
@@ -815,11 +817,6 @@ class RemoteServer:
         return self.book_join(
             mbrs, oids, epsilon, *self._server.evaluate_join_batch([(mbrs, oids, epsilon)])
         )
-
-    def book_height(self, height: int) -> int:
-        """The index height: one aggregate exchange."""
-        self._book_exchange("tree-height", MessageKind.AGGREGATE, MessageKind.SCALAR)
-        return height
 
     def book_size(self, size: int) -> int:
         """The object count: one aggregate exchange."""

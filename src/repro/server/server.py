@@ -214,35 +214,23 @@ class SpatialServer:
         """The object count."""
         return [len(self)] * len(requests)
 
-    def evaluate_height(self, requests: Sequence[tuple]) -> List[int]:
-        """The index height."""
-        return [self.index.height] * len(requests)
-
     def evaluate_level_mbrs(self, requests: Sequence[tuple]) -> List[np.ndarray]:
         """The ``(K, 4)`` boxes of the index's second-to-last level."""
         return [self.index.second_to_last_level_mbrs()] * len(requests)
 
-    def evaluate_join_batch(self, requests: Sequence[tuple]) -> List[Optional[np.ndarray]]:
+    def evaluate_join_batch(self, requests: Sequence[tuple]) -> List[np.ndarray]:
         """Answer JOIN requests, SemiJoin's final join: each upload
         ``(mbrs, oids, epsilon)`` joined against this index's entries, the
         sorted ``(foreign_oid, local_oid)`` pairs of each as a ``(k, 2)``
-        ``int64`` block.  The uploads of one ``epsilon`` are the items of
-        one kernel call."""
+        ``int64`` block.  Each upload is its own kernel call."""
         entries = (self.index.entry_mbrs, self.index.entry_oids)
-        answers: List[Optional[np.ndarray]] = [None] * len(requests)
-        by_radius: Dict[float, List[int]] = {}
-        for i, (_, _, epsilon) in enumerate(requests):
-            by_radius.setdefault(epsilon, []).append(i)
-        for epsilon, members in by_radius.items():
-            items = [(*requests[i][:2], *entries) for i in members]
-            pairs, starts = grid_hash_join_batch(
-                JoinBatch.one(*items[0]) if len(items) == 1 else items,
+        return [
+            grid_hash_join_batch(
+                JoinBatch.one(mbrs, oids, *entries),
                 WithinDistancePredicate(epsilon) if epsilon > 0 else IntersectionPredicate(),
-            )
-            bounds = starts.tolist()
-            for k, i in enumerate(members):
-                answers[i] = pairs[bounds[k] : bounds[k + 1]]
-        return answers
+            )[0]
+            for mbrs, oids, epsilon in requests
+        ]
 
     def _prefetched(self, answer: Tuple[np.ndarray, np.ndarray]) -> Prefetched:
         bounds, rows = answer

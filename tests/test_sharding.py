@@ -391,6 +391,27 @@ class TestShardedJoinEquivalence:
             StackConfig(**topology).check_algorithm("semijoin")
         assert str(injected.value) == str(built.value)
 
+    @pytest.mark.parametrize(
+        "topology",
+        [{"shards_r": 2}, {"shards_s": 2}, {"replicas": 2}],
+        ids=["R sharded", "S sharded", "replicated"],
+    )
+    def test_indexed_over_a_fleet_is_refused_before_any_build(self, topology, monkeypatch):
+        """``indexed=True`` over a config fleet refuses before a shard index
+        is built, and over injected fleets with the same message."""
+        r, s = _datasets(n=10)
+        fleets = StackConfig(**topology).servers(r, s)
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("built servers before refusing")
+
+        monkeypatch.setattr(StackConfig, "servers", no_build)
+        with pytest.raises(InvalidInput) as built:
+            AdHocJoinSession(r, s, indexed=True, **topology)
+        with pytest.raises(InvalidInput) as injected:
+            AdHocJoinSession(r, s, indexed=True, servers=fleets)
+        assert str(injected.value) == str(built.value)
+
 
 # --------------------------------------------------------------------------- #
 # memory: a fleet holds each coordinate once
