@@ -22,7 +22,7 @@ import math
 import numbers
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from repro.core.join_types import JoinSpec
 from repro.core.result import JoinResult, Trace, TraceEvent, TraceRows
 from repro.device.hbsj import too_small_to_split
 from repro.device.pda import MobileDevice
-from repro.device.steps import Steps, run_steps
+from repro.device.steps import Shared, Steps, run_steps
 from repro.errors import InvalidInput, require_count
 from repro.geometry.predicates import JoinPredicate
 from repro.geometry.rect import Rect
@@ -166,30 +166,35 @@ class MobileJoinAlgorithm(ABC):
         spec, parameters, configuration, buffer size and backing builds --
         as one step generator, here their own runs side by side.
 
-        It yields one step per member (empty once a member is done), which
-        a driver books on that member's connections, and takes one answer
-        list per member back: ``None`` for a member whose booking raised,
-        whose run is then closed while the rest go on.  Returns every
-        member's :class:`~repro.core.result.JoinResult` (``None`` for one
-        that left).
+        Each step is one :class:`~repro.device.steps.Shared` holding every
+        running member's requests, member after member (a request's rows
+        are its member's).  A driver answers it with ``(answers, failed)``:
+        every request's answer and the members whose booking raised, whose
+        runs are then closed while the rest go on.  Returns every member's
+        :class:`~repro.core.result.JoinResult` (``None`` for one that left).
         """
         live = dict(enumerate(algo.run_cooperative(window) for algo, window in runs))
         results: List[Optional[JoinResult]] = [None] * len(live)
-        answers: List[Optional[list]] = [None] * len(live)
+        answers: Dict[int, Optional[list]] = dict.fromkeys(live)
         try:
             while True:
-                steps: List[list] = [[] for _ in results]
+                step, queries, at = [], [], {}
                 for q, run in list(live.items()):
                     try:
-                        steps[q] = run.send(answers[q])
+                        mine = run.send(answers[q])
                     except StopIteration as stop:
                         results[q] = stop.value
                         del live[q]
+                        continue
+                    at[q] = len(step), len(step) + len(mine)
+                    step += mine
+                    queries += [np.full(request.rows, q, dtype=np.intp) for request in mine]
                 if not live:
                     return results
-                answers = yield steps
-                for q in [q for q in live if answers[q] is None]:
+                answered, failed = yield Shared(step, queries)
+                for q in failed:
                     live.pop(q).close()
+                answers = {q: answered[lo:hi] for q, (lo, hi) in at.items()}
         finally:
             for run in live.values():
                 run.close()

@@ -68,7 +68,7 @@ from repro.core.result import JoinResult, LevelTrace, TraceBatch
 from repro.device.hbsj import UNKNOWN, HBSJColumns
 from repro.device.nlsj import NLSJColumns
 from repro.device.pda import DeviceGroup
-from repro.device.steps import COUNT, Request, Shared, Step, Steps, merge, split
+from repro.device.steps import COUNT, Request, Shared, Step, Steps
 from repro.geometry import rect_array
 from repro.geometry.rect import Rect
 
@@ -160,10 +160,12 @@ class Crew:
     model, one predicate and one buffer capacity decide every window,
     while counters, buffers, pairs, trace rows and spans stay per query.
     A run on its own is a crew of one (SemiJoin's too, for its root round);
-    :meth:`FrontierAlgorithm.run_group` runs several.  A member whose
-    booking failed leaves (:meth:`leave`): its spans close, its device is
-    dropped, and from then on it is asked nothing, counted nothing and its
-    windows go with the level they are in.
+    :meth:`FrontierAlgorithm.run_group` runs several.  Every step it offers
+    is :class:`~repro.device.steps.Shared` over all members' rows, answered
+    whole.  A member whose booking failed leaves (:meth:`leave`): its spans
+    close, its device is dropped, and from then on it is booked nothing and
+    counted nothing; its rows still ride in the crew's requests (evaluated,
+    never booked) until its windows go with the level they are in.
     """
 
     def __init__(self, algos: Sequence["FrontierAlgorithm"]) -> None:
@@ -254,23 +256,19 @@ class Crew:
         return answers
 
     def relay(self, steps: Steps) -> Steps:
-        """Drive the group's steps by one step per member: a driver books
-        each member's share on its own connections and answers ``None``
-        for a member whose booking failed, which leaves.  Returns what
-        ``steps`` returns (``None`` once every member left)."""
+        """Offer the group's steps whole to a driver that answers each with
+        ``(answers, failed)``: every request's answer and the members whose
+        booking failed, which leave.  Returns what ``steps`` returns
+        (``None`` once every member left)."""
         try:
             step = next(steps)
             while True:
-                shares = split(step, self.alive)
-                answers: List[Optional[list]] = [None] * len(shares)
-                if any(shares):
-                    answers = yield shares
-                    for q, answer in enumerate(answers):
-                        if answer is None and self.alive[q]:
-                            self.leave(q)
+                answers, failed = yield step
+                for q in failed:
+                    self.leave(q)
                 if not self.alive.any():
                     return None
-                step = steps.send(merge(step, answers))
+                step = steps.send(answers)
         except StopIteration as stop:
             return stop.value
         finally:
@@ -671,8 +669,10 @@ class FrontierAlgorithm(MobileJoinAlgorithm):
         """:meth:`MobileJoinAlgorithm.run_group` as one crew: the members'
         windows share every level table, leaf batch and kernel call (a
         per-window query column says whose each one is), while every
-        member keeps its own counters, buffer, pairs, trace and spans.  A
-        member answered ``None`` leaves the crew (:meth:`Crew.leave`)."""
+        member keeps its own counters, buffer, pairs, trace and spans.  Its
+        steps are the crew's own :class:`~repro.device.steps.Shared` steps
+        (:meth:`Crew.relay`); a member whose booking failed leaves the crew
+        (:meth:`Crew.leave`)."""
         crew = Crew([algo for algo, _ in runs])
         lead = crew.algos[0]
         results = yield from crew.relay(lead._group_steps(crew, [window for _, window in runs]))

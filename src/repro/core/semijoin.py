@@ -127,7 +127,9 @@ class SemiJoin(MobileJoinAlgorithm):
 
         # Step 3: the small server returns its qualifying objects; the PDA
         # relays them to the large server.
-        ((small_mbrs, small_oids),) = yield [Request(COLLECT, small, (clipped[valid],))]
+        (collected,) = yield [Request(COLLECT, small, (clipped[valid],))]
+        small_mbrs, small_oids = collected.first_seen
+        del collected  # the payload before deduplication
         self.record(0, window, "semijoin-objects", f"{small_oids.shape[0]} small-side objects")
         if small_oids.shape[0] == 0:
             return

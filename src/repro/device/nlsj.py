@@ -174,13 +174,13 @@ def nested_loop_spatial_join_steps(
         ]
         rows = [np.full(hi - lo, query[i]) for i, _, lo, hi, _ in buckets]
         answers = yield Shared(step, rows)
-        # A BUCKET answer names the probe of every row, counted from the
-        # invocation's first outer row.
+        # A BUCKET answer's probes are counted from the invocation's first
+        # outer row.
         candidates = []
         for outer in outers:
             mine = [
-                (mbrs, oids, probes + lo)
-                for (_, its, lo, _, _), (mbrs, oids, probes) in zip(buckets, answers)
+                (answer.mbrs, answer.oids, answer.probes() + lo)
+                for (_, its, lo, _, _), answer in zip(buckets, answers)
                 if its is outer
             ]
             candidates.append([np.concatenate(column) for column in zip(*mine)])
@@ -188,13 +188,10 @@ def nested_loop_spatial_join_steps(
         held_by = query
     else:
         # One RANGE request per inner server; its answer is flat (one
-        # concatenated payload, ``index`` its CSR offsets in probe order).
+        # concatenated payload in probe order).
         step = [Request(RANGE, outer.inner, (outer.centers, outer.radii)) for outer in outers]
         answers = yield Shared(step, [query[outer.owner] for outer in outers])
-        candidates = [
-            (mbrs, oids, np.repeat(np.arange(index.shape[0] - 1, dtype=np.intp), np.diff(index)))
-            for mbrs, oids, index in answers
-        ]
+        candidates = [(answer.mbrs, answer.oids, answer.probes()) for answer in answers]
         held = np.concatenate([outer.sizes for outer in outers])
         held_by = np.concatenate([query[o.idxs] for o in outers])
     for outer, (cand_mbrs, cand_oids, probe_idx) in zip(outers, candidates):

@@ -12,7 +12,9 @@ server connection; they yield **steps** and receive the answers:
   exactly what the connection's endpoint of that kind takes;
 * a **step** is a list of requests none of which needs another's answer,
   in the order their exchanges are written to the query's ledgers;
-* the answer to a step is the parallel list of what the endpoints return.
+* the answer to a step is the parallel list of the requests' answers:
+  each one's share of its build's evaluation (a COUNT list, a payload
+  :class:`~repro.server.server.Prefetched`, one relay answer).
 
 A request's *rows* are the entries of its per-row columns (``Kind.columns``:
 windows, probe centres and radii): one query string each on the wire.  A
@@ -23,23 +25,23 @@ query group -- like queries of a broker wave that run as one step
 generator, or a run on its own as a group of one -- offers :class:`Shared`
 steps, whose requests hold the rows of all its queries: ``queries[i]`` is
 the query column of request ``i``'s rows, each query's rows contiguous and
-in its own window order.
-:func:`split` cuts such a step into one ordinary step per query, each in
-the order that query's standalone step lists its requests, and
-:func:`merge` puts the queries' booked answers back together (a query
-that left its group contributes empty answers).
+in its own window order, and :meth:`Shared.shares` names, per query, the
+rows it asks in the order its own standalone step lists them.
 
 There is one way to answer steps, for one query or for many: **gather**
 the requests into one :class:`Group` per (backing build, kind), **evaluate**
-each group in one descent of its build (``Kind.evaluate``), and
-have every query **book** its own share on its own connections, in step
-order (:func:`book_step`, ``Kind.book``).  :func:`run_steps` is that loop
-over a wave of one query -- what ``MobileJoinAlgorithm.run`` and
-``MobileDevice.hbsj_batch`` / ``.nlsj_batch`` drive -- and the query broker
-runs the same :func:`gather` and :func:`book_step` over the steps of every
-in-flight query.  A connection's
-own batch endpoints are the same composition, ``book(evaluate(...))``, so
-ledgers, statistics and fault streams cannot tell who answered.
+each group in one descent of its build (``Kind.evaluate``), answer every
+request with its share of that evaluation, read once, and have every query
+**book** its own share on its own connections, in its own order
+(:func:`book_step`, ``Kind.book``).  :func:`run_steps` is that loop over a
+wave of one query, its steps booked whole -- what
+``MobileJoinAlgorithm.run`` and ``MobileDevice.hbsj_batch`` /
+``.nlsj_batch`` drive -- and the query broker runs the same :func:`gather`
+over one step per group of queries, each query booking its shares.  A
+connection's own batch endpoints are ``book(evaluate(...))``, and a
+booker reads its answer by the rule a step generator reads it with, so
+ledgers, statistics, fault streams and answers cannot tell who evaluated
+the rows.
 """
 
 from __future__ import annotations
@@ -72,9 +74,7 @@ __all__ = [
     "Steps",
     "book_step",
     "gather",
-    "merge",
     "run_steps",
-    "split",
 ]
 
 
@@ -91,8 +91,9 @@ class Kind(NamedTuple):
     #: Positions in ``args`` of the per-row columns ``evaluate`` takes
     #: (none: the request is one row, answered whole).
     columns: Tuple[int, ...]
-    #: Connection endpoint that books a request whose rows were evaluated
-    #: and returns the request's answer: ``book(*args, share)``.
+    #: Connection endpoint that books a request whose rows were evaluated:
+    #: ``book(*args, share)``; it returns the answer it booked, as a
+    #: driver reads it off the share.
     book: str
 
 
@@ -118,6 +119,12 @@ class Request(NamedTuple):
     side: str
     args: tuple
 
+    @property
+    def rows(self) -> int:
+        """Its rows: the length of its row columns (one for a kind without)."""
+        at = self.kind.columns
+        return len(self.args[at[0]]) if at else 1
+
 
 Step = List[Request]
 #: A step generator: yields steps, receives their answers, returns its result.
@@ -142,12 +149,10 @@ class Shared(list):
         self.keys = keys
         self._shares = None
 
-    def shares(self, n: int):
+    def shares(self, n: int) -> List[List[Tuple[int, int, int]]]:
         """Who asks what, for ``n`` queries: per query the ``(request, first
         row, end row)`` of each request it has rows in, in the query's own
-        order; per request the ``(query, position in the query's step,
-        first row, end row)`` of each query with rows in it, queries
-        ascending."""
+        order."""
         if self._shares is None:
             mine: List[list] = [[] for _ in range(n)]
             for i, queries in enumerate(self.queries):
@@ -157,79 +162,11 @@ class Shared(list):
                     lo, hi = bounds[q], bounds[q + 1]
                     if hi > lo:
                         mine[q].append((i if keys is None else int(keys[lo]), i, lo, hi))
-            asked: List[list] = [[] for _ in self]
-            for q, shares in enumerate(mine):
-                if self.keys is not None:
+            if self.keys is not None:
+                for shares in mine:
                     shares.sort()
-                for at, (_, i, lo, hi) in enumerate(shares):
-                    asked[i].append((q, at, lo, hi))
-            for shares in asked:
-                shares.sort()
-            self._shares = [[share[1:] for share in shares] for shares in mine], asked
+            self._shares = [[share[1:] for share in shares] for shares in mine]
         return self._shares
-
-
-def split(step: Shared, alive: Sequence[bool]) -> List[Step]:
-    """One step per query of a group: its share of every request it has
-    rows in, in its own order (nothing for a query that left, ``alive``
-    false)."""
-    out: List[Step] = []
-    for q, shares in enumerate(step.shares(len(alive))[0]):
-        mine: Step = []
-        out.append(mine)
-        if not alive[q]:
-            continue
-        for i, lo, hi in shares:
-            request = step[i]
-            if lo == 0 and hi == step.queries[i].shape[0]:
-                mine.append(request)
-                continue
-            args = list(request.args)
-            for c in request.kind.columns:
-                args[c] = args[c][lo:hi]
-            mine.append(Request(request.kind, request.side, tuple(args)))
-    return out
-
-
-def merge(step: Shared, answers: List[Optional[list]]) -> list:
-    """The group's answer to every request of ``step`` from the queries'
-    answers to their :func:`split` shares (``None``: the query left the
-    group; its rows get empty answers)."""
-    merged = []
-    for request, asked in zip(step, step.shares(len(answers))[1]):
-        parts = [
-            _empty(request.kind, hi - lo) if answers[q] is None else answers[q][at]
-            for q, at, lo, hi in asked
-        ]
-        merged.append(parts[0] if len(parts) == 1 else _join(request.kind, parts))
-    return merged
-
-
-def _empty(kind: Kind, rows: int):
-    """The answer of ``rows`` rows that found nothing."""
-    if kind is COUNT:
-        return np.zeros(rows, dtype=np.int64)
-    found = (np.zeros((0, 4)), np.zeros(0, dtype=np.int64))
-    if kind is BUCKET:
-        return (*found, np.zeros(0, dtype=np.intp))
-    return (*found, np.zeros(rows + 1, dtype=np.int64))
-
-
-def _join(kind: Kind, parts: list):
-    """Answers to consecutive row ranges of one request as one answer:
-    counts end to end, payloads as one CSR (``mbrs`` column-contiguous,
-    as the endpoints return them)."""
-    if kind is COUNT:
-        if all(isinstance(part, list) for part in parts):
-            return [count for part in parts for count in part]
-        return np.concatenate([np.asarray(part, dtype=np.int64) for part in parts])
-    mbrs = np.concatenate([part[0].T for part in parts], axis=1).T
-    oids = np.concatenate([part[1] for part in parts])
-    bounds, at = [np.zeros(1, dtype=np.int64)], 0
-    for part in parts:
-        bounds.append(part[2][1:] + at)
-        at += part[1].shape[0]
-    return mbrs, oids, np.concatenate(bounds)
 
 
 class OperatorTable(Sequence):
@@ -284,7 +221,7 @@ class Group:
     """One evaluation: all rows of a step -- or of a wave round's steps --
     that ask one backing build for one query kind."""
 
-    __slots__ = ("base", "kind", "members", "offsets", "answer")
+    __slots__ = ("base", "kind", "members", "queries", "offsets", "answer")
 
     def __init__(self, base, kind: Kind) -> None:
         self.base = base
@@ -292,6 +229,9 @@ class Group:
         #: The member requests' ``args``, in the order they joined; member
         #: ``i`` owns rows ``offsets[i]:offsets[i + 1]`` of the evaluation.
         self.members: List[tuple] = []
+        #: Parallel to :attr:`members`: the query column of a
+        #: :class:`Shared` request's rows (``None``: one query's request).
+        self.queries: List[Optional[np.ndarray]] = []
         self.offsets = [0]
         #: The build's answer to all rows.
         self.answer = None
@@ -300,11 +240,17 @@ class Group:
     def rows(self) -> int:
         return self.offsets[-1]
 
-    def add(self, args: tuple) -> Tuple["Group", int]:
+    @property
+    def requests(self) -> int:
+        """The requests its queries would flush standalone: one per query
+        with rows in a member request."""
+        return sum(1 if query is None else _askers(query) for query in self.queries)
+
+    def add(self, request: Request, queries: Optional[np.ndarray] = None) -> Tuple["Group", int]:
         """Append one request's rows; its slot ``(group, member)``."""
-        at = self.kind.columns
-        self.members.append(args)
-        self.offsets.append(self.offsets[-1] + (len(args[at[0]]) if at else 1))
+        self.members.append(request.args)
+        self.queries.append(queries)
+        self.offsets.append(self.offsets[-1] + request.rows)
         return self, len(self.members) - 1
 
     def evaluate(self) -> None:
@@ -329,7 +275,8 @@ class Group:
         self.answer = getattr(self.base, self.kind.evaluate)(*columns)
 
     def share(self, member: int):
-        """Member ``member``'s share of the answer (a lone member's is all of it)."""
+        """Member ``member``'s share of the answer (a lone member's is all
+        of it): the member request's answer."""
         if not self.kind.columns:
             return self.answer[member]
         if len(self.members) == 1:
@@ -337,52 +284,73 @@ class Group:
         return self.answer[self.offsets[member] : self.offsets[member + 1]]
 
 
+def _askers(query: np.ndarray) -> int:
+    """How many queries an ascending query column names."""
+    if not query.shape[0]:
+        return 0
+    if query[0] == query[-1]:
+        return 1
+    return int(np.count_nonzero(np.diff(query))) + 1
+
+
 #: Where one request's rows went: its group and its member index there.
 Slot = Tuple[Group, int]
 
 
-def gather(queries: Iterable[Tuple[tuple, Step]]) -> Tuple[List[Group], List[List[Slot]]]:
-    """Group the requests of many queries' steps by (backing build, kind).
+def gather(steps: Iterable[Tuple[tuple, Step]]) -> Tuple[List[Group], List[List[Slot]]]:
+    """Group the requests of many steps by (backing build, kind).
 
-    ``queries`` yields ``((base_r, base_s), step)`` per query: the builds
-    that back its two sides and the step it offers.  Returns the groups, in
-    the order their first request was met, and per query the slot of each
-    request of its step.
+    ``steps`` yields ``((base_r, base_s), step)`` per step: the builds
+    that back its two sides and the step -- one query's, or a
+    :class:`Shared` one of a query group.  Returns the groups, in the order
+    their first request was met, and per step the slot of each request.
     """
     groups: Dict[Tuple[int, str], Group] = {}
     slots: List[List[Slot]] = []
-    for (base_r, base_s), step in queries:
+    for (base_r, base_s), step in steps:
+        queries = getattr(step, "queries", None)
         mine = []
-        for kind, side, args in step:
-            base = base_r if side.upper() == "R" else base_s
-            key = (id(base), kind.name)
+        for i, request in enumerate(step):
+            base = base_r if request.side.upper() == "R" else base_s
+            key = (id(base), request.kind.name)
             group = groups.get(key)
             if group is None:
-                group = groups[key] = Group(base, kind)
-            mine.append(group.add(args))
+                group = groups[key] = Group(base, request.kind)
+            mine.append(group.add(request, None if queries is None else queries[i]))
         slots.append(mine)
     return list(groups.values()), slots
 
 
-def book_step(servers: ServerPair, step: Step, slots: List[Slot]) -> list:
-    """Book a step on the query's own connections once its groups are
-    evaluated; returns the step's answers.
+def book_step(
+    servers: ServerPair, step: Step, answers: list, shares: Optional[list] = None
+) -> None:
+    """Book a step on one query's own connections once its groups are
+    evaluated.
 
-    ``slots`` is what :func:`gather` returned for this step.  Requests are
-    booked in step order and a fault at one leaves the later ones unbooked.
+    ``answers`` are the requests' shares of their evaluations; ``shares``
+    the ``(request, first row, end row)`` of a query's rows in a
+    :class:`Shared` step, in its own order (:meth:`Shared.shares`; ``None``:
+    every request whole, in step order).  A fault at one booking leaves
+    the later ones unbooked.
     """
-    return [
-        getattr(servers.r if side.upper() == "R" else servers.s, kind.book)(
-            *args, group.share(member)
-        )
-        for (kind, side, args), (group, member) in zip(step, slots)
-    ]
+    if shares is None:
+        shares = [(i, 0, None) for i in range(len(step))]
+    for i, lo, hi in shares:
+        request, answer = step[i], answers[i]
+        args = request.args
+        if hi is not None and hi - lo != request.rows:
+            args = list(args)
+            for c in request.kind.columns:
+                args[c] = args[c][lo:hi]
+            answer = answer[lo:hi]
+        server = servers.r if request.side.upper() == "R" else servers.s
+        getattr(server, request.kind.book)(*args, answer)
 
 
 def run_steps(steps: Steps, servers: ServerPair):
     """Drive a step generator to its return value: each step gathered,
-    evaluated on the connections' backing builds and booked on the
-    connections -- a wave of one."""
+    evaluated on the connections' backing builds, booked whole on the
+    connections and answered -- a wave of one."""
     builds = servers.backing
     try:
         step = next(steps)
@@ -390,6 +358,9 @@ def run_steps(steps: Steps, servers: ServerPair):
             groups, (slots,) = gather([(builds, step)])
             for group in groups:
                 group.evaluate()
-            step = steps.send(book_step(servers, step, slots))
+            answers = [group.share(member) for group, member in slots]
+            book_step(servers, step, answers)
+            step = steps.send(answers)
+            del answers  # not held through the next evaluation
     except StopIteration as stop:
         return stop.value

@@ -59,8 +59,3 @@ class NetworkConfig:
     def payload_per_packet(self) -> int:
         """Usable payload bytes per packet (``MTU - B_H``)."""
         return self.mtu - self.header_bytes
-
-    @staticmethod
-    def wifi() -> "NetworkConfig":
-        """The prototype's WiFi configuration (paper defaults)."""
-        return NetworkConfig()

@@ -579,11 +579,10 @@ class RemoteServer:
         share of one descent over many queries' windows).  The windows are
         checked, then :meth:`_book_window` books the answer's sizes.
         """
-        sizes = np.diff(answer.bounds)
-        if rect_array.window_array(windows).shape[0] != sizes.shape[0]:
+        if rect_array.window_array(windows).shape[0] != answer.sizes.shape[0]:
             raise ValueError("sizes must be parallel to windows")
-        self._book_window(sizes)
-        return answer.mbrs, answer.oids, answer.bounds
+        self._book_window(answer.sizes)
+        return answer
 
     # ------------------------------------------------------------------ #
     # the bookers: one rule per kind, on requests already checked
@@ -732,11 +731,10 @@ class RemoteServer:
         """:meth:`range_batch_flat` over probes already answered (see
         :meth:`book_window_batch`): the probes are checked, then
         :meth:`_book_range` books the answer's sizes."""
-        sizes = np.diff(answer.bounds)
-        if probe_arrays(centers, radii)[0].shape[0] != sizes.shape[0]:
+        if probe_arrays(centers, radii)[0].shape[0] != answer.sizes.shape[0]:
             raise ValueError("sizes must be parallel to centers")
-        self._book_range(sizes)
-        return answer.mbrs, answer.oids, answer.bounds
+        self._book_range(answer.sizes)
+        return answer
 
     def bucket_range(
         self,
@@ -773,8 +771,7 @@ class RemoteServer:
         """
         n_probes = bucket_probe_arrays(centers, epsilon, radii)[0].shape[0]
         self._book_bucket(n_probes, int(answer.oids.shape[0]))
-        probes = np.repeat(answer.request, np.diff(answer.bounds))
-        return answer.mbrs, answer.oids, probes
+        return answer.mbrs, answer.oids, answer.probes()
 
     def average_mbr_area(self, window: Rect) -> float:
         value = self._server.average_mbr_area(window)
@@ -837,23 +834,21 @@ class RemoteServer:
         already answered (``answer``, their WINDOW descent).
 
         The upload is charged as an object payload (one ``B_obj`` per
-        window) and the answer as one object payload; an object inside
-        several windows is shipped once, first seen first (the server
-        deduplicates before shipping, as the original algorithm does).
+        window) and the answer as one object payload of what the server
+        ships, :attr:`~repro.server.server.Prefetched.first_seen`.
         Statistics count the windows and every object they matched.
         """
         n = rect_array.window_array(windows).shape[0]
         if n != answer.bounds.shape[0] - 1:
             raise ValueError("answer must be parallel to windows")
         self._booked.book_window(n, answer.oids.shape[0])
-        _, first = np.unique(answer.oids, return_index=True)
-        keep = np.sort(first)
+        shipped = answer.first_seen
         if n:
             self._book_exchange(
                 "semijoin-windows", MessageKind.BUCKET_RANGE, MessageKind.OBJECTS,
-                n, keep.shape[0], "semijoin-objects",
+                n, shipped[1].shape[0], "semijoin-objects",
             )
-        return answer.mbrs[keep], answer.oids[keep]
+        return shipped
 
     def book_join(
         self, mbrs: np.ndarray, oids: np.ndarray, epsilon: float, pairs: np.ndarray
@@ -1002,9 +997,9 @@ class ShardedRemoteServer:
     count, and their object counts for a payload kind -- through that
     proxy's private booker of the kind (:meth:`RemoteServer._book_count`
     ...), which checks, slices and lists nothing again.  The merged answer
-    is the descent's own output read at request boundaries (summed COUNTs,
-    payload rows request-major with shards ascending inside a request),
-    bit-identical to the union server's.  Four
+    is the build's own, read at request boundaries when it evaluated
+    (summed COUNTs, payload rows request-major with shards ascending inside
+    a request), bit-identical to the union server's.  Four
     ordering rules keep channels, ledgers, fault substreams, replica orders
     and statistics identical to a shard-by-shard scatter:
 
@@ -1057,24 +1052,19 @@ class ShardedRemoteServer:
         counts = np.bincount(shard, minlength=len(self._proxies)).tolist()
         return ((proxy, n) for proxy, n in zip(self._proxies, counts) if n)
 
-    def _book_sizes(self, answer, sizes: np.ndarray, book) -> None:
+    def _book_sizes(self, answer: Prefetched, book) -> None:
         """Book an evaluated payload batch shard by shard.
 
-        ``book(proxy, its sizes)`` hands one routed shard the ``sizes``
+        ``book(proxy, its sizes)`` hands one routed shard the sizes
         (objects returned) of its rows, in request order, through that
         shard's booker.
         """
         shard = answer.shard
-        mine = sizes.take(np.argsort(shard, kind="stable"))
+        mine = answer.sizes.take(np.argsort(shard, kind="stable"))
         stop = 0
         for proxy, n in self._shares(shard):
             start, stop = stop, stop + n
             book(proxy, mine[start:stop])
-
-    @staticmethod
-    def _request_bounds(request: np.ndarray, n_requests: int, bounds: np.ndarray) -> np.ndarray:
-        """Row-level CSR ``bounds`` read at request boundaries (rows are request-major)."""
-        return bounds.take(np.searchsorted(request, np.arange(n_requests + 1)))
 
     # ------------------------------------------------------------------ #
     # metered primitive queries (scatter to shards, merge answers)
@@ -1103,13 +1093,9 @@ class ShardedRemoteServer:
         The book half of :meth:`window_batch_flat`; a step driver calls it
         with this query's share of a descent it made for one or many queries.
         """
-        windows = rect_array.window_array(windows)
-        self._book_sizes(answer, np.diff(answer.bounds), RemoteServer._book_window)
-        return (
-            answer.mbrs,
-            answer.oids,
-            self._request_bounds(answer.request, len(windows), answer.bounds),
-        )
+        rect_array.window_array(windows)
+        self._book_sizes(answer, RemoteServer._book_window)
+        return answer
 
     def count(self, window: Rect) -> int:
         """One COUNT query: a batch of one."""
@@ -1154,13 +1140,9 @@ class ShardedRemoteServer:
         self, centers: Probes, radii: Sequence[float], answer: Prefetched
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The book half of :meth:`range_batch_flat` (see :meth:`book_window_batch`)."""
-        pts, _ = probe_arrays(centers, radii)
-        self._book_sizes(answer, np.diff(answer.bounds), RemoteServer._book_range)
-        return (
-            answer.mbrs,
-            answer.oids,
-            self._request_bounds(answer.request, pts.shape[0], answer.bounds),
-        )
+        probe_arrays(centers, radii)
+        self._book_sizes(answer, RemoteServer._book_range)
+        return answer
 
     def bucket_range(
         self,
@@ -1182,12 +1164,10 @@ class ShardedRemoteServer:
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The book half of :meth:`bucket_range`: one bucket exchange per routed shard."""
         bucket_probe_arrays(centers, epsilon, radii)
-        sizes = np.diff(answer.bounds)
         self._book_sizes(
-            answer, sizes, lambda proxy, mine: proxy._book_bucket(mine.shape[0], int(mine.sum()))
+            answer, lambda proxy, mine: proxy._book_bucket(mine.shape[0], int(mine.sum()))
         )
-        # Probe-major with ascending shards inside each probe: the rows' own order.
-        return answer.mbrs, answer.oids, np.repeat(answer.request, sizes)
+        return answer.mbrs, answer.oids, answer.probes()
 
     def average_mbr_area(self, window: Rect) -> float:
         # Weighted mean of the per-shard aggregates; the weight (the

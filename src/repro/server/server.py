@@ -12,6 +12,8 @@ queries can share one build.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -85,47 +87,64 @@ class ServerQueryStats:
         self.aggregate_queries += 1
 
 
-class Prefetched:
-    """The answer rows of one payload descent, gathered once.
+class Prefetched(tuple):
+    """The answer of one payload descent: ``(mbrs, oids, bounds)``, request
+    ``i`` owning payload rows ``bounds[i]:bounds[i + 1]`` -- the triple a
+    WINDOW / RANGE endpoint returns -- plus the routed rows it was read from.
 
-    Row ``k`` answers request ``request[k]`` on shard ``shard[k]`` with the
-    payload rows ``bounds[k]:bounds[k + 1]`` of ``mbrs`` / ``oids``.  Rows
-    are request-major (a fleet lists the shards of one request ascending;
-    a plain server has exactly one row per request, on shard 0), so the
-    share of a contiguous run of requests is one slice of every array:
-    ``answer[i:j]`` is that share, its requests renumbered from 0.  A
-    build evaluates, a connection to the same build books
-    (``book_window_batch`` / ``book_range_batch`` / ``book_bucket_range``);
-    nothing else needs to look inside.
+    Routed row ``k`` answers request ``request[k]`` on shard ``shard[k]``
+    with ``sizes[k]`` objects.  Rows are request-major (a fleet lists the
+    shards of one request ascending; a plain server has exactly one row per
+    request, on shard 0), so the share of a contiguous run of requests is
+    one slice of every array: ``answer[i:j]`` is that share, its requests
+    renumbered from 0 (a slice takes requests, never fields of the triple).
+    A build evaluates, a connection to the same build books the routed
+    rows (``book_window_batch`` / ``book_range_batch`` /
+    ``book_bucket_range`` / ``book_collect``), and every reader -- booker
+    or step generator -- reads the answer by the same rule: the triple,
+    :meth:`probes` for the request of every payload row (a bucket's probe
+    index) and :attr:`first_seen` for what COLLECT ships.
     """
 
-    __slots__ = ("shard", "request", "bounds", "mbrs", "oids")
+    def __new__(cls, mbrs, oids, bounds, shard, request, sizes) -> "Prefetched":
+        answer = super().__new__(cls, (mbrs, oids, bounds))
+        answer.shard, answer.request, answer.sizes = shard, request, sizes
+        return answer
 
-    def __init__(
-        self,
-        shard: np.ndarray,
-        request: np.ndarray,
-        bounds: np.ndarray,
-        mbrs: np.ndarray,
-        oids: np.ndarray,
-    ) -> None:
-        self.shard = shard
-        self.request = request
-        self.bounds = bounds
-        self.mbrs = mbrs
-        self.oids = oids
+    mbrs = property(operator.itemgetter(0))
+    oids = property(operator.itemgetter(1))
+    bounds = property(operator.itemgetter(2))
 
-    def __getitem__(self, requests: slice) -> "Prefetched":
-        first = requests.start
-        a, b = np.searchsorted(self.request, (first, requests.stop)).tolist()
-        lo, hi = self.bounds[a], self.bounds[b]
+    def __getitem__(self, key):
+        if not isinstance(key, slice):
+            return super().__getitem__(key)
+        first, stop = key.start, key.stop
+        a, b = np.searchsorted(self.request, (first, stop)).tolist()
+        mbrs, oids, bounds = self
+        lo, hi = bounds[first], bounds[stop]
         return Prefetched(
+            mbrs[lo:hi],
+            oids[lo:hi],
+            bounds[first : stop + 1] - lo,
             self.shard[a:b],
             self.request[a:b] - first,
-            self.bounds[a : b + 1] - lo,
-            self.mbrs[lo:hi],
-            self.oids[lo:hi],
+            self.sizes[a:b],
         )
+
+    def probes(self) -> np.ndarray:
+        """The request of every payload row (a bucket's probe index)."""
+        bounds = self[2]
+        return np.repeat(np.arange(bounds.shape[0] - 1, dtype=np.intp), np.diff(bounds))
+
+    @functools.cached_property
+    def first_seen(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(mbrs, oids)`` of the payload, an object inside several windows
+        once, first seen first: what SemiJoin's COLLECT ships (the server
+        deduplicates before shipping, as the original algorithm does)."""
+        mbrs, oids, _ = self
+        _, first = np.unique(oids, return_index=True)
+        keep = np.sort(first)
+        return mbrs[keep], oids[keep]
 
 
 def per_request(
@@ -236,7 +255,7 @@ class SpatialServer:
         bounds, rows = answer
         request = np.arange(bounds.shape[0] - 1, dtype=np.intp)
         return Prefetched(
-            np.zeros_like(request), request, bounds, *self.index.entries_at(rows)
+            *self.index.entries_at(rows), bounds, np.zeros_like(request), request, np.diff(bounds)
         )
 
     def prime_snapshot(self) -> None:
@@ -271,8 +290,7 @@ class SpatialServer:
         ``bounds[i]:bounds[i+1]`` (``len(bounds) == W + 1``).  The payload
         is one take of the entry rows the index descent matched.
         """
-        answer = self.evaluate_window_batch(windows)
-        return answer.mbrs, answer.oids, answer.bounds
+        return self.evaluate_window_batch(windows)
 
     def count(self, window: Rect) -> int:
         """COUNT query: the number of objects intersecting ``window`` (a batch of one)."""
@@ -306,8 +324,7 @@ class SpatialServer:
         owning rows ``bounds[i]:bounds[i+1]`` (``len(bounds) == P + 1``).
         The payload is one take of the entry rows the index descent matched.
         """
-        answer = self.evaluate_range_batch(centers, radii)
-        return answer.mbrs, answer.oids, answer.bounds
+        return self.evaluate_range_batch(centers, radii)
 
     def bucket_range(
         self,
@@ -319,7 +336,7 @@ class SpatialServer:
         each answered independently (no deduplication across probes)."""
         pts, reach = bucket_probe_arrays(centers, epsilon, radii)
         answer = self.evaluate_range_batch(pts, reach)
-        return answer.mbrs, answer.oids, np.repeat(answer.request, np.diff(answer.bounds))
+        return answer.mbrs, answer.oids, answer.probes()
 
     def average_mbr_area(self, window: Rect) -> float:
         """Scalar aggregate: the average object-MBR area inside ``window``."""

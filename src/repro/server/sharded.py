@@ -231,7 +231,11 @@ class ShardedSpatialServer:
 
     def _prefetched(self, query, requests: np.ndarray, *more: np.ndarray) -> Prefetched:
         shard, request, (bounds, rows) = self.descend(query, requests, *more)
-        return Prefetched(shard, request, bounds, *self.forest.entries_at(rows))
+        # The routed rows' CSR read at request boundaries: the merged answer.
+        merged = bounds.take(np.searchsorted(request, np.arange(requests.shape[0] + 1)))
+        return Prefetched(
+            *self.forest.entries_at(rows), merged, shard, request, np.diff(bounds)
+        )
 
     def prime_snapshot(self) -> None:
         """Warm the fleet before timing it (see :meth:`SpatialServer.prime_snapshot`).

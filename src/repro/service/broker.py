@@ -35,17 +35,18 @@ and
    engine one level table per depth and one leaf batch per level for all
    their windows).  A generator *offers* every server evaluation its
    queries need -- COUNT rounds, the operators' WINDOW downloads and RANGE
-   probes, an index relay's requests -- as one step per query
-   (:mod:`repro.device.steps`).  Per wave
-   round the broker takes those steps, gathers all rows of one query kind
-   that target the same backing build into one group evaluated in
-   **one** descent, and has every query book its own share on its own
-   connections, in its own step order
-   (:func:`~repro.device.steps.gather` /
-   :func:`~repro.device.steps.book_step`); a query whose booking raises a
-   typed error fails alone and its group goes on without it.  That is the
-   loop a standalone run drives too (:func:`~repro.device.steps.run_steps`,
-   a wave of one, a group of one), so pairs, bytes, server statistics,
+   probes, an index relay's requests -- as one step over all its queries'
+   rows (a :class:`~repro.device.steps.Shared` step).  Per wave round the
+   broker gathers the groups' steps as they are, evaluates all rows of one
+   query kind that target the same backing build in **one** descent, and
+   has every query book its own shares on its own connections, in its own
+   order (:func:`~repro.device.steps.gather` /
+   :func:`~repro.device.steps.book_step`); the group gets every request's
+   answer, read once off the evaluation, and the queries whose booking
+   raised a typed error, which fail alone while the group goes on without
+   them.  That is the loop a standalone run drives too
+   (:func:`~repro.device.steps.run_steps`, a wave of one, a group of one,
+   its steps booked whole), so pairs, bytes, server statistics,
    fault streams, decision traces and spans are bit-identical to running
    the query alone by construction -- under any submission order, with the
    cache cold or warm (pinned by ``tests/test_service_equivalence.py`` and
@@ -69,7 +70,7 @@ from repro.core.base import MobileJoinAlgorithm
 from repro.core.planner import PlanDecision, build_algorithm, select_algorithm
 from repro.core.result import JoinResult
 from repro.device.pda import MobileDevice
-from repro.device.steps import COUNT, Group, Step, book_step, gather
+from repro.device.steps import COUNT, Group, Shared, book_step, gather
 from repro.errors import QueryTimeout, ReproError, ServerUnavailable, require_count
 from repro.network.config import NetworkConfig
 from repro.obs.trace import NULL_TRACER
@@ -181,10 +182,13 @@ class _Unit:
     (:meth:`~repro.core.base.MobileJoinAlgorithm.run_group`)."""
 
     entries: List[_Admitted]
-    #: Yields one step per entry; returns one result per entry.
+    #: Yields one step over all its entries' rows at a time, takes
+    #: ``(answers, failed entries)``; returns one result per entry.
     gen: Optional[Generator] = None
-    #: The steps the entries offered and wait to have answered.
-    pending: Optional[List[Step]] = None
+    #: The step the unit offered and waits to have answered.
+    pending: Optional[Shared] = None
+    #: Where the gather put each request of :attr:`pending`.
+    slots: Optional[list] = None
 
 
 @dataclass
@@ -872,26 +876,23 @@ class QueryBroker:
             if entry.failure is None:
                 self._fail_entry(entry, error)
 
-    def _book_and_advance(self, unit: _Unit, slots, failures: list) -> None:
-        """Book each query's step on its own connections, in step order, then
-        advance the unit; a query whose booking raises a typed error gets
-        ``None`` (it books nothing more), and a unit none of whose queries
-        is left is closed."""
-        answers: List[Optional[list]] = []
-        for entry, step, mine in zip(unit.entries, unit.pending, slots):
-            if entry.failure is not None:
-                answers.append(None)
+    def _book_and_advance(self, unit: _Unit, failures: list) -> None:
+        """Answer the unit's step off its evaluations, have each live query
+        book its shares on its own connections, in its own order, then
+        advance the unit with the answers and the queries whose booking
+        raised a typed error (they book nothing more)."""
+        step = unit.pending
+        answers = [group.share(member) for group, member in unit.slots]
+        failed = []
+        for q, (entry, mine) in enumerate(zip(unit.entries, step.shares(len(unit.entries)))):
+            if entry.failure is not None or not mine:
                 continue
             try:
-                answers.append(book_step(entry.device.servers, step, mine) if step else [])
+                book_step(entry.device.servers, step, answers, mine)
             except ReproError as error:
                 failures.append((entry, error))
-                answers.append(None)
-        if all(answer is None for answer in answers):
-            unit.pending = None
-            unit.gen.close()
-            return
-        self._advance(unit, answers)
+                failed.append(q)
+        self._advance(unit, (answers, failed))
 
     # ------------------------------------------------------------------ #
 
@@ -899,8 +900,8 @@ class QueryBroker:
         """Drive all queries of one wave in lock-step coalesced rounds.
 
         Between rounds every query advances in turn -- priming, decisions,
-        in-memory joins, booking; the steps the queries offer are gathered
-        and evaluated in submission order.
+        in-memory joins, booking; the step each group of queries offers is
+        gathered as it is and evaluated, in submission order.
 
         A query that raises a typed :class:`~repro.errors.ReproError` --
         an unrecoverable channel fault, retry exhaustion, a deadline
@@ -931,7 +932,7 @@ class QueryBroker:
     def _evaluate(self, group: Group, round_index: int) -> None:
         """Answer all rows of one group in one descent of its backing build."""
         base, kind = group.base, group.kind
-        rows, requests = group.rows, len(group.members)
+        rows, requests = group.rows, group.requests
         span = None
         if self._wave_span is not None:
             span = self._wave_span.child(
@@ -985,28 +986,19 @@ class QueryBroker:
         round_index = 0
         while active:
             # Gather: one group per (backing build, query kind) across the
-            # steps of all active queries, unit after unit.
-            asking = [
-                (entry, step)
+            # steps of all active units, unit after unit.
+            groups, slots = gather(
+                ((unit.entries[0].base_r, unit.entries[0].base_s), unit.pending)
                 for unit in active
-                for entry, step in zip(unit.entries, unit.pending)
-                if step and entry.failure is None
-            ]
-            groups, gathered = gather(
-                ((entry.base_r, entry.base_s), step) for entry, step in asking
             )
-            slots = {entry.index: mine for (entry, _), mine in zip(asking, gathered)}
+            for unit, mine in zip(active, slots):
+                unit.slots = mine
             # Evaluate: one descent per group.
             for group in groups:
                 self._evaluate(group, round_index)
             # Book and advance: each query books its own shares on its own
-            # connections, in step order -- what its standalone run books.
-            self._advance_all(
-                active,
-                lambda unit, failures: self._book_and_advance(
-                    unit, [slots.get(entry.index) for entry in unit.entries], failures
-                ),
-            )
+            # connections, in its own order -- what its standalone run books.
+            self._advance_all(active, self._book_and_advance)
             active = [unit for unit in active if unit.pending is not None]
             round_index += 1
         for entry in wave:

@@ -24,7 +24,7 @@ from repro.network.packets import (
 
 class TestConfig:
     def test_defaults_are_wifi(self):
-        cfg = NetworkConfig.wifi()
+        cfg = NetworkConfig()
         assert cfg.mtu == 1500
         assert cfg.header_bytes == 40
         assert cfg.payload_per_packet == 1460
