@@ -1,20 +1,19 @@
 """Shared machinery of the mobile join algorithms.
 
 :class:`MobileJoinAlgorithm` factors out everything the algorithms have in
-common: the device/servers handles, the cost model, pair collection,
-tracing, the recursion stopping rule, and the final assembly of a
+common: the device/servers handles, the cost model, pair collection, the
+recursion stopping rule, and the final assembly of a
 :class:`~repro.core.result.JoinResult` from the measured channels.
 
 Subclasses implement :meth:`run_cooperative`, the run as a step generator
 (see :mod:`repro.device.steps`); :meth:`run` drives it as a wave of one
 (:func:`~repro.device.steps.run_steps`), the query broker together with the
 steps of other queries -- the same gather / evaluate / book loop either way.
-Every algorithm but SemiJoin is a level table of the frontier engine
-(:mod:`repro.core.frontier`), whose runs start with the one root COUNT
-round (:meth:`repro.core.frontier.Crew.start`), SemiJoin's too.  Like
-queries reach a driver as one step generator,
-:meth:`MobileJoinAlgorithm.run_group`.
-"""
+Every algorithm is a level table of the frontier engine
+(:mod:`repro.core.frontier`): its runs start with the one root COUNT round
+(:meth:`repro.core.frontier.Crew.start`), like queries run as one crew
+(:meth:`repro.core.frontier.FrontierAlgorithm.run_group`), and every trace
+row is a row of a :class:`~repro.core.result.LevelTrace`."""
 
 from __future__ import annotations
 
@@ -22,16 +21,16 @@ import math
 import numbers
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.core.costmodel import CostModel
 from repro.core.join_types import JoinSpec
-from repro.core.result import JoinResult, Trace, TraceEvent, TraceRows
+from repro.core.result import JoinResult, LevelTrace, Trace
 from repro.device.hbsj import too_small_to_split
 from repro.device.pda import MobileDevice
-from repro.device.steps import Shared, Steps, run_steps
+from repro.device.steps import Steps, run_steps
 from repro.errors import InvalidInput, require_count
 from repro.geometry.predicates import JoinPredicate
 from repro.geometry.rect import Rect
@@ -117,8 +116,8 @@ class MobileJoinAlgorithm(ABC):
         #: Every pair block the operators reported, duplicates and all;
         #: :meth:`_assemble` deduplicates once.
         self._pairs = PairBlocks()
-        #: The trace in parts: eager events and frontier level tables.
-        self._trace: List[Sequence[TraceEvent]] = []
+        #: The trace in parts: the ``start`` row and the level tables.
+        self._trace: List[LevelTrace] = []
         # Observability state: the run's "join" span (None while the
         # device's tracer is the no-op default) plus deterministic sibling
         # counters for round / leaf-batch spans.
@@ -159,45 +158,6 @@ class MobileJoinAlgorithm(ABC):
         res = device.resilience
         if res is not None:
             res.trace_span = span
-
-    @staticmethod
-    def run_group(runs: Sequence[Tuple["MobileJoinAlgorithm", Rect]]) -> Steps:
-        """Run like queries -- ``(algorithm, window)`` pairs of one class,
-        spec, parameters, configuration, buffer size and backing builds --
-        as one step generator, here their own runs side by side.
-
-        Each step is one :class:`~repro.device.steps.Shared` holding every
-        running member's requests, member after member (a request's rows
-        are its member's).  A driver answers it with ``(answers, failed)``:
-        every request's answer and the members whose booking raised, whose
-        runs are then closed while the rest go on.  Returns every member's
-        :class:`~repro.core.result.JoinResult` (``None`` for one that left).
-        """
-        live = dict(enumerate(algo.run_cooperative(window) for algo, window in runs))
-        results: List[Optional[JoinResult]] = [None] * len(live)
-        answers: Dict[int, Optional[list]] = dict.fromkeys(live)
-        try:
-            while True:
-                step, queries, at = [], [], {}
-                for q, run in list(live.items()):
-                    try:
-                        mine = run.send(answers[q])
-                    except StopIteration as stop:
-                        results[q] = stop.value
-                        del live[q]
-                        continue
-                    at[q] = len(step), len(step) + len(mine)
-                    step += mine
-                    queries += [np.full(request.rows, q, dtype=np.intp) for request in mine]
-                if not live:
-                    return results
-                answered, failed = yield Shared(step, queries)
-                for q in failed:
-                    live.pop(q).close()
-                answers = {q: answered[lo:hi] for q, (lo, hi) in at.items()}
-        finally:
-            for run in live.values():
-                run.close()
 
     @abstractmethod
     def run_cooperative(self, window: Rect) -> Steps:
@@ -277,39 +237,6 @@ class MobileJoinAlgorithm(ABC):
         """
         stats_cost = 2.0 * (self.params.grid_k ** 2) * self.cost_model.taq
         return data_cost > 2.0 * stats_cost
-
-    def prune(self, window: Rect, depth: int, count_r: int, count_s: int) -> None:
-        """Record that a window produced no work (one side empty)."""
-        self.device.counts.windows_pruned += 1
-        self.record(depth, window, "prune", "empty side", count_r, count_s)
-
-    def record(
-        self,
-        depth: int,
-        window: Rect,
-        action: str,
-        detail: str = "",
-        count_r: Optional[int] = None,
-        count_s: Optional[int] = None,
-        sink: Optional[List[TraceEvent]] = None,
-    ) -> None:
-        """Append one trace row (no-op when tracing is disabled).
-
-        The row is kept as the event's arguments until the trace is read.
-        ``sink`` redirects a built event into a caller-owned buffer instead
-        (the per-window oracle generators buffer a window's events and
-        splice them in window order).  The frontier engine records its
-        levels as columns (:meth:`LevelTable.rec`).
-        """
-        if not self.params.trace:
-            return
-        row = (depth, window, action, detail, count_r, count_s)
-        if sink is not None:
-            sink.append(TraceEvent(*row))
-            return
-        if not (self._trace and isinstance(self._trace[-1], TraceRows)):
-            self._trace.append(TraceRows())
-        self._trace[-1].rows.append(row)
 
     # ------------------------------------------------------------------ #
     # result assembly

@@ -60,7 +60,6 @@ from repro.network.packets import (
     query_bytes,
     transferred_bytes,
 )
-from repro.server.server import INDEX_FANOUT
 
 __all__ = ["CostModel", "CostBreakdown", "predict_algorithm_costs"]
 
@@ -282,28 +281,6 @@ class CostModel:
         )
 
     # ------------------------------------------------------------------ #
-    # SemiJoin estimate (Section 5.3) -- used by tests and ablations
-    # ------------------------------------------------------------------ #
-
-    def semijoin_estimate(self, n_level_mbrs, n_small_objects, n_result_rows):
-        """Transfer cost of the PDA-mediated SemiJoin (ints or ``(N,)`` columns).
-
-        The MBRs of one tree level move large-server -> PDA -> small-server,
-        the qualifying small-side objects move small-server -> PDA ->
-        large-server, and the result rows come back to the PDA.  Every hop
-        is charged at the corresponding tariff.
-        """
-        cfg = self.config
-        mbr_payload = self.object_bytes(n_level_mbrs)
-        obj_payload = self.object_bytes(n_small_objects)
-        res_payload = self.object_bytes(n_result_rows)
-        cost = (cfg.tariff_r + cfg.tariff_s) * (2 * query_bytes(cfg))
-        cost += (cfg.tariff_r + cfg.tariff_s) * self.tb(mbr_payload)
-        cost += (cfg.tariff_r + cfg.tariff_s) * self.tb(obj_payload)
-        cost += max(cfg.tariff_r, cfg.tariff_s) * self.tb(res_payload)
-        return cost
-
-    # ------------------------------------------------------------------ #
     # internals (areas instead of windows; any broadcastable shapes)
     # ------------------------------------------------------------------ #
 
@@ -359,7 +336,7 @@ def predict_algorithm_costs(
     bucket_queries: bool,
     grid_k: int,
 ) -> Dict[str, float]:
-    """Predicted tariff-weighted wire cost of every registry algorithm.
+    """Predicted tariff-weighted wire cost of every selectable algorithm.
 
     The query broker's planning signal: the Section 3.1 equations cost
     *strategies* for one window, the broker needs to know which registry
@@ -375,11 +352,12 @@ def predict_algorithm_costs(
       at that ``k``, whatever ``grid_k`` says);
     * ``mobijoin``  -- the cheapest of ``c1..c4`` at the root, i.e. the
       plan the algorithm's own optimiser would pick first;
-    * ``upjoin`` / ``srjoin`` -- the same minimum with the statistics term
-      discounted by the three-queries-plus-derivation optimisation
-      (Section 4.1: three of the four quadrant COUNTs per dataset per
-      split are enough);
-    * ``semijoin``  -- the Section 5.3 relay estimate from index metadata.
+    * ``srjoin``    -- the same minimum with the statistics term discounted
+      by the three-queries-plus-derivation optimisation (Section 4.1: three
+      of the four quadrant COUNTs per dataset per split are enough).
+
+    UpJoin would get the very estimate SrJoin gets and lose every tie by
+    name, and SemiJoin is never picked: neither is priced.
 
     Rows follow :class:`CostModel`'s convention: a ``Rect`` with ``int``
     counts and buffer is one query and maps every name to a Python number;
@@ -412,18 +390,10 @@ def predict_algorithm_costs(
     c4_derived = c4 - 2.0 * (k * k) * model.taq / 4.0
     # ``np.minimum`` folded left in ``min(c1, c2, c3, c4)``'s order.
     adaptive_c3 = np.minimum(np.minimum(c1, c2), c3)
-    adaptive_derived = np.minimum(adaptive_c3, c4_derived)
-    n_small, n_large = np.minimum(n_r, n_s), np.maximum(n_r, n_s)
     predicted = {
         "naive": c1_free,
         "fixedgrid": fixed_grid,
         "mobijoin": np.minimum(adaptive_c3, c4),
-        "upjoin": adaptive_derived,
-        "srjoin": adaptive_derived,
-        "semijoin": model.semijoin_estimate(
-            n_level_mbrs=np.maximum(1, -(-n_large // INDEX_FANOUT)),
-            n_small_objects=n_small,
-            n_result_rows=n_small,
-        ),
+        "srjoin": np.minimum(adaptive_c3, c4_derived),
     }
     return {name: _plain(value) for name, value in predicted.items()}

@@ -1,10 +1,11 @@
 """The shared frontier execution engine of the join algorithms.
 
-Every algorithm in this reproduction but SemiJoin is a recursion over
-windows: inspect a window with COUNT queries, then either prune it, finish
-it with a physical operator, or decompose it and recurse -- MobiJoin,
-UpJoin and SrJoin adaptively, the naive join by finishing the root window
-whole, FixedGrid by one fixed split.  The paper's recursion constrains
+Every algorithm in this reproduction is a recursion over windows: inspect
+a window with COUNT queries, then either prune it, finish it with a
+physical operator, or decompose it and recurse -- MobiJoin, UpJoin and
+SrJoin adaptively, the naive join by finishing the root window whole,
+FixedGrid by one fixed split, SemiJoin by relaying the root window through
+the two servers' indexes.  The paper's recursion constrains
 *which* windows are queried and what bytes cross the wire -- not the order
 in which exchanges are flushed -- so sibling windows at one recursion
 depth can legally share one batched round trip.  They also share one
@@ -28,8 +29,11 @@ decided together, as a table.
   one): the root COUNT round (:meth:`Crew.start`), then
   :meth:`FrontierAlgorithm._levels` level after level -- the table's
   lock-step rounds, then the level's physical-operator leaves through the
-  group's batch operators (:class:`~repro.device.pda.DeviceGroup`), then
-  each member's trace rows, spliced in window order.  It is a step
+  group's batch operators (:class:`~repro.device.pda.DeviceGroup`; for
+  SemiJoin, its index relay), then each member's trace rows, spliced in
+  window order.  Every trace row is a row of a
+  :class:`~repro.core.result.LevelTrace`, the "start" row a table of one
+  of its own.  It is a step
   generator (:mod:`repro.device.steps`): every COUNT round and every
   operator exchange is *yielded*, never performed; ``run`` answers the
   steps as a wave of one, the query broker answers the steps of all
@@ -159,7 +163,7 @@ class Crew:
     configuration and buffer size, each with its own device -- so one cost
     model, one predicate and one buffer capacity decide every window,
     while counters, buffers, pairs, trace rows and spans stay per query.
-    A run on its own is a crew of one (SemiJoin's too, for its root round);
+    A run on its own is a crew of one;
     :meth:`FrontierAlgorithm.run_group` runs several.  Every step it offers
     is :class:`~repro.device.steps.Shared` over all members' rows, answered
     whole.  A member whose booking failed leaves (:meth:`leave`): its spans
@@ -217,7 +221,7 @@ class Crew:
         """Open every member's run over its window and ask its root COUNTs:
         one round, R then S, one row per member.  Returns each member's
         ``(count_r, count_s)`` (``None`` for one that left), recorded as
-        its "start" trace row."""
+        its "start" trace row: a one-row level table of its own."""
         algos = self.algos
         for algo, window in zip(algos, windows):
             algo._pairs.clear()
@@ -230,7 +234,11 @@ class Crew:
         counts: List[Optional[Tuple[int, int]]] = [None] * len(algos)
         for q in np.flatnonzero(self.alive).tolist():
             algo, counts[q] = algos[q], (int(counts_r[q]), int(counts_s[q]))
-            algo.record(0, windows[q], "start", algo.name, *counts[q])
+            if algo.params.trace:
+                count_r, count_s = (np.array([count]) for count in counts[q])
+                start = TraceBatch(np.zeros(1, np.intp), "start", algo.name, (), count_r, count_s)
+                root = rect_array.rects_to_array([windows[q]])
+                algo._trace.append(LevelTrace(0, root, [start]))
         return counts
 
     def count_round(self, step: Step, queries: List[np.ndarray], keys) -> Steps:
@@ -666,13 +674,17 @@ class FrontierAlgorithm(MobileJoinAlgorithm):
 
     @staticmethod
     def run_group(runs: Sequence[Tuple["FrontierAlgorithm", Rect]]) -> Steps:
-        """:meth:`MobileJoinAlgorithm.run_group` as one crew: the members'
-        windows share every level table, leaf batch and kernel call (a
-        per-window query column says whose each one is), while every
-        member keeps its own counters, buffer, pairs, trace and spans.  Its
-        steps are the crew's own :class:`~repro.device.steps.Shared` steps
-        (:meth:`Crew.relay`); a member whose booking failed leaves the crew
-        (:meth:`Crew.leave`)."""
+        """Run like queries -- ``(algorithm, window)`` pairs of one class,
+        spec, parameters, configuration, buffer size and backing builds --
+        as one crew: the members' windows share every level table, leaf
+        batch and kernel call (a per-window query column says whose each
+        one is), while every member keeps its own counters, buffer, pairs,
+        trace and spans.  Its steps are the crew's own
+        :class:`~repro.device.steps.Shared` steps (:meth:`Crew.relay`): a
+        driver answers each with ``(answers, failed)``, and a member whose
+        booking failed leaves the crew (:meth:`Crew.leave`).  Returns every
+        member's :class:`~repro.core.result.JoinResult` (``None`` for one
+        that left)."""
         crew = Crew([algo for algo, _ in runs])
         lead = crew.algos[0]
         results = yield from crew.relay(lead._group_steps(crew, [window for _, window in runs]))

@@ -70,10 +70,10 @@ ALGORITHMS: Dict[str, type] = {
 
 #: Algorithms eligible for *automatic* selection.  SemiJoin assumes
 #: cooperating, index-publishing servers (the paper notes it "cannot be
-#: applied in our problem"); it runs only when a query names it explicitly.
+#: applied in our problem"), and UpJoin would get SrJoin's estimate and
+#: lose the tie by name; either runs only when a query names it.
 SELECTABLE_ALGORITHMS: Tuple[str, ...] = (
     "mobijoin",
-    "upjoin",
     "srjoin",
     "naive",
     "fixedgrid",

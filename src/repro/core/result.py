@@ -6,13 +6,12 @@ broken down per server and per direction, the operator bookkeeping, and an
 optional step-by-step trace that the examples print and the tests inspect.
 
 The trace is kept as the columns it was decided from and becomes objects
-only when read.  A frontier level's rows stay a :class:`LevelTrace` -- the
-level's ``(N, 4)`` windows plus one :class:`TraceBatch` per recording call
-(window indices, action, detail template and its argument columns, counts)
--- and :attr:`JoinResult.trace` is a :class:`Trace`: those tables and the
-few events recorded one at a time (``start``, SemiJoin, naive, FixedGrid;
-kept as :class:`TraceRows` of constructor arguments) concatenated into one
-read-only ``Sequence[TraceEvent]``.  An event, its :class:`Rect` and its
+only when read.  Every row is a row of a :class:`LevelTrace` -- a level's
+``(N, 4)`` windows plus one :class:`TraceBatch` per recording call (window
+indices, action, detail template and its argument columns, counts); a
+run's ``start`` row is a table of one -- and :attr:`JoinResult.trace` is a
+:class:`Trace`: those tables concatenated into one read-only
+``Sequence[TraceEvent]``.  An event, its :class:`Rect` and its
 detail string are built when indexed or iterated, details from
 ``.tolist()`` Python numbers; ``len`` builds nothing.  The tables hold
 arrays, strings and numbers only, so a result pins no algorithm, table or
@@ -25,7 +24,7 @@ import operator
 from bisect import bisect_right
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, repeat, starmap
+from itertools import accumulate, chain, repeat
 from typing import AbstractSet, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -34,7 +33,7 @@ from repro.core.join_types import JoinSpec
 from repro.geometry.rect import Rect
 from repro.index.pairs import PairSet
 
-__all__ = ["JoinResult", "LevelTrace", "Trace", "TraceBatch", "TraceEvent", "TraceRows"]
+__all__ = ["JoinResult", "LevelTrace", "Trace", "TraceBatch", "TraceEvent"]
 
 
 @dataclass(frozen=True)
@@ -115,24 +114,6 @@ class _Events(SequenceABC):
     append = extend = insert = remove = pop = clear = sort = reverse = _read_only
 
 
-class TraceRows(_Events):
-    """Events recorded one at a time, kept as their constructor arguments."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self) -> None:
-        self.rows: List[tuple] = []
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def _event(self, k: int) -> TraceEvent:
-        return TraceEvent(*self.rows[k])
-
-    def __iter__(self) -> Iterator[TraceEvent]:
-        return starmap(TraceEvent, self.rows)
-
-
 class LevelTrace(_Events):
     """The trace rows of one frontier level, as recorded.
 
@@ -169,7 +150,7 @@ class LevelTrace(_Events):
 
 
 class Trace(_Events):
-    """A join's decision log: eager events and level tables, in order."""
+    """A join's decision log: its level tables, in order."""
 
     __slots__ = ("_parts", "_ends")
 

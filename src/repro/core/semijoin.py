@@ -20,14 +20,19 @@ Every hop is metered, so the comparison against UpJoin/SrJoin in Figure
 applied in our problem" in practice (servers do not publish indexes); it is
 reproduced here strictly as the comparator.
 
-The relay is four step kinds of :mod:`repro.device.steps` -- ``SIZE`` (both
-sides, one step), ``LEVELS``, ``COLLECT`` and ``JOIN`` -- yielded after the
-root COUNT round like any other request, so a driver evaluates and books
-them (a wave of one, or the query broker with other queries' requests) and
-the run makes no exchange of its own.  The seed's per-window payload relay
-and per-pair collection loop lives on as ``tests/oracles/semijoin_scalar.py``;
-both ship the same messages with the same payloads, so pairs, bytes and
-statistics are identical (pinned by ``tests/test_batch_queries.py``).
+SemiJoin is a frontier algorithm like the others (:mod:`repro.core.frontier`):
+its level table (:class:`SemiJoinTable`) prunes a root window with an
+empty side and marks every other one, and its leaves are the index relay
+(:meth:`SemiJoin._run_leaves`).  The relay is four step kinds of
+:mod:`repro.device.steps` -- ``SIZE`` (both sides, one step), ``LEVELS``,
+``COLLECT`` and ``JOIN`` -- each stage one crew step over the members still
+in the relay, so a driver evaluates and books them (a wave of one, or the
+query broker with other queries' requests) and the run makes no exchange
+of its own.  Its four trace rows are rows of the root level table.  The
+seed's per-window payload relay and per-pair collection loop lives on as
+``tests/oracles/semijoin_scalar.py``; both ship the same messages with the
+same payloads, so pairs, bytes and statistics are identical (pinned by
+``tests/test_batch_queries.py``).
 
 The relay has no "no level MBR meets the window" branch: it cannot be
 reached.  Past the root round both counts are positive, so some large-side
@@ -42,19 +47,24 @@ inclusive.  At least one window is uploaded (pinned by
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional, Sequence
 
-from repro.core.base import AlgorithmParameters, MobileJoinAlgorithm
-from repro.core.frontier import Crew
+import numpy as np
+
+from repro.core.base import AlgorithmParameters
+from repro.core.frontier import FrontierAlgorithm, LevelTable
 from repro.core.join_types import JoinSpec
 from repro.device.pda import MobileDevice
-from repro.device.steps import COLLECT, JOIN, LEVELS, SIZE, Request, Steps
+from repro.device.steps import COLLECT, JOIN, LEVELS, SIZE, Request, Shared, Step, Steps
 from repro.errors import InvalidInput
 from repro.geometry import rect_array
-from repro.geometry.rect import Rect
 from repro.server.sharded import ShardedSpatialServer
 
-__all__ = ["SEMIJOIN_NEEDS_ONE_INDEX", "SemiJoin"]
+__all__ = ["RELAY", "SEMIJOIN_NEEDS_ONE_INDEX", "SemiJoin", "SemiJoinTable"]
+
+#: :attr:`~repro.core.frontier.LevelTable.op` of a root window the index
+#: relay finishes.
+RELAY = 3
 
 #: Why SemiJoin cannot run on a fleet -- the one wording of the rule, for
 #: injected servers (:class:`SemiJoin` checks its builds) and for stacks
@@ -66,10 +76,36 @@ SEMIJOIN_NEEDS_ONE_INDEX = (
 )
 
 
-class SemiJoin(MobileJoinAlgorithm):
+class SemiJoinTable(LevelTable):
+    """The root windows: pruned when a side is empty, else relayed."""
+
+    def start(self) -> None:
+        self.op[self.prune_empty()] = RELAY
+
+
+def _stage(table: LevelTable, idx: np.ndarray, asks: Sequence[Step]) -> Steps:
+    """One relay stage: window ``idx[k]`` asks ``asks[k]``, every window's
+    requests in one crew step, each member's in its own order.  Returns the
+    windows whose members are still in the crew and their answers."""
+    if not idx.size:
+        return idx, []
+    step: Step = []
+    queries: List[np.ndarray] = []
+    at = [0]
+    for q, mine in zip(table.query[idx].tolist(), asks):
+        step += mine
+        queries += [np.full(request.rows, q, dtype=np.intp) for request in mine]
+        at.append(len(step))
+    answers = yield Shared(step, queries)
+    stay = np.flatnonzero(table.crew.alive[table.query[idx]]).tolist()
+    return idx[stay], [answers[at[k] : at[k + 1]] for k in stay]
+
+
+class SemiJoin(FrontierAlgorithm):
     """The PDA-mediated, R-tree-based semi-join comparator."""
 
     name = "semijoin"
+    table = SemiJoinTable
 
     def __init__(
         self,
@@ -89,54 +125,70 @@ class SemiJoin(MobileJoinAlgorithm):
 
     # ------------------------------------------------------------------ #
 
-    def run_cooperative(self, window: Rect) -> Steps:
-        """The root COUNT round of a crew of one (:meth:`Crew.start`), then
-        the index relay (:meth:`_relay`) unless a side is empty."""
-        crew = Crew([self])
-        try:
-            ((count_r, count_s),) = yield from crew.start([window])
-            if count_r == 0 or count_s == 0:
-                self.prune(window, 0, count_r, count_s)
-            else:
-                yield from self._relay(window, count_r, count_s)
-            return self._assemble(window)
-        finally:
-            crew.close_spans(0)
-
-    def _relay(self, window: Rect, count_r: int, count_s: int) -> Steps:
+    def _run_leaves(self, table: LevelTable) -> Steps:
+        """The index relay of every marked root window (one per member)."""
+        crew, query = table.crew, table.query
+        idx = np.flatnonzero((table.op == RELAY) & crew.alive[query])
         # Step 1: identify the smaller dataset from index metadata.
-        size_r, size_s = yield [Request(SIZE, "R", ()), Request(SIZE, "S", ())]
-        small, large = ("R", "S") if size_r <= size_s else ("S", "R")
-        self.record(
-            0, window, "semijoin-plan",
-            f"small={small} ({min(size_r, size_s)} objects), "
-            f"large={large} ({max(size_r, size_s)} objects)",
-            count_r, count_s,
+        idx, sizes = yield from _stage(
+            table, idx, [[Request(SIZE, "R", ()), Request(SIZE, "S", ())]] * idx.size
         )
+        if not idx.size:
+            return
+        size_r, size_s = np.array(sizes, dtype=np.int64).T
+        small_r = np.zeros(len(table.level), dtype=bool)
+        small_r[idx] = size_r <= size_s
+        small, large = np.where(small_r, "R", "S"), np.where(small_r, "S", "R")
+        table.rec(
+            idx,
+            "semijoin-plan",
+            "small={} ({} objects), large={} ({} objects)",
+            (small[idx], np.minimum(size_r, size_s), large[idx], np.maximum(size_r, size_s)),
+            counts=True,
+        )
+        small, large = small.tolist(), large.tolist()
 
         # Step 2: ship one level of the large side's R-tree MBRs to the
         # small server (through the PDA).
-        (level_mbrs,) = yield [Request(LEVELS, large, ())]
-        self.record(0, window, "semijoin-mbrs", f"{level_mbrs.shape[0]} level MBRs")
+        idx, answers = yield from _stage(
+            table, idx, [[Request(LEVELS, large[i], ())] for i in idx.tolist()]
+        )
+        table.rec(idx, "semijoin-mbrs", "{} level MBRs", ([m.shape[0] for (m,) in answers],))
         epsilon = self.predicate.probe_radius()
-        # Expand every level MBR by epsilon and clip it to the (expanded)
-        # join window, dropping disjoint ones -- all in array form.
-        if epsilon > 0:
-            level_mbrs = rect_array.expand(level_mbrs, epsilon)
-        clipped, valid = rect_array.clip_to_window(level_mbrs, window.expanded(epsilon))
+        uploads = []
+        for window, (level_mbrs,) in zip(table.rects(idx), answers):
+            # Expand every level MBR by epsilon and clip it to the
+            # (expanded) join window, dropping disjoint ones.
+            if epsilon > 0:
+                level_mbrs = rect_array.expand(level_mbrs, epsilon)
+            clipped, valid = rect_array.clip_to_window(level_mbrs, window.expanded(epsilon))
+            uploads.append(clipped[valid])
 
         # Step 3: the small server returns its qualifying objects; the PDA
         # relays them to the large server.
-        (collected,) = yield [Request(COLLECT, small, (clipped[valid],))]
-        small_mbrs, small_oids = collected.first_seen
-        del collected  # the payload before deduplication
-        self.record(0, window, "semijoin-objects", f"{small_oids.shape[0]} small-side objects")
-        if small_oids.shape[0] == 0:
-            return
+        idx, answers = yield from _stage(
+            table,
+            idx,
+            [[Request(COLLECT, small[i], (up,))] for i, up in zip(idx.tolist(), uploads)],
+        )
+        collected = [answer.first_seen for (answer,) in answers]
+        del answers  # the payloads before deduplication
+        table.rec(
+            idx, "semijoin-objects", "{} small-side objects", ([o.shape[0] for _, o in collected],)
+        )
+        nonempty = [k for k, (_, oids) in enumerate(collected) if oids.shape[0]]
 
         # Step 4: the large server joins the uploaded objects against its
         # own data and returns the result rows.
-        (pairs,) = yield [Request(JOIN, large, (small_mbrs, small_oids, epsilon))]
-        self.record(0, window, "semijoin-join", f"{len(pairs)} result pairs")
-        # Orient the (small, large) columns as (R, S).
-        self._pairs.extend(pairs if small == "R" else pairs[:, ::-1])
+        idx, answers = yield from _stage(
+            table,
+            idx[nonempty],
+            [
+                [Request(JOIN, large[i], (*collected[k], epsilon))]
+                for i, k in zip(idx[nonempty].tolist(), nonempty)
+            ],
+        )
+        table.rec(idx, "semijoin-join", "{} result pairs", ([len(p) for (p,) in answers],))
+        for i, (pairs,) in zip(idx.tolist(), answers):
+            # Orient the (small, large) columns as (R, S).
+            crew.algos[query[i]]._pairs.extend(pairs if small[i] == "R" else pairs[:, ::-1])

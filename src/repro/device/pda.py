@@ -50,7 +50,6 @@ class OperatorCounts:
     nlsj_invocations: int = 0
     windows_pruned: int = 0
     count_queries: int = 0
-    aggregate_queries: int = 0
     repartitions: int = 0
 
     def as_dict(self) -> Dict[str, int]:
@@ -59,7 +58,6 @@ class OperatorCounts:
             "nlsj_invocations": self.nlsj_invocations,
             "windows_pruned": self.windows_pruned,
             "count_queries": self.count_queries,
-            "aggregate_queries": self.aggregate_queries,
             "repartitions": self.repartitions,
         }
 

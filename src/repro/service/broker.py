@@ -31,12 +31,12 @@ and
    shared as they are.  Like queries -- queries sharing backing builds,
    algorithm, spec, resolved parameters, configuration and buffer size --
    form one *group* and run as one step generator, their algorithm's
-   :meth:`~repro.core.base.MobileJoinAlgorithm.run_group` (for the frontier
-   engine one level table per depth and one leaf batch per level for all
-   their windows).  A generator *offers* every server evaluation its
-   queries need -- COUNT rounds, the operators' WINDOW downloads and RANGE
-   probes, an index relay's requests -- as one step over all its queries'
-   rows (a :class:`~repro.device.steps.Shared` step).  Per wave round the
+   ``run_group``: one :class:`~repro.core.frontier.Crew`, with one level
+   table per depth and one leaf batch per level for all their windows.  A
+   generator *offers* every server evaluation its queries need -- COUNT
+   rounds, the operators' WINDOW downloads and RANGE probes, an index
+   relay's requests -- as one step over all its queries' rows (a
+   :class:`~repro.device.steps.Shared` step).  Per wave round the
    broker gathers the groups' steps as they are, evaluates all rows of one
    query kind that target the same backing build in **one** descent, and
    has every query book its own shares on its own connections, in its own
@@ -178,8 +178,8 @@ class _Admitted:
 
 @dataclass
 class _Unit:
-    """One step generator of a wave: a group of like queries
-    (:meth:`~repro.core.base.MobileJoinAlgorithm.run_group`)."""
+    """One step generator of a wave: a group of like queries, run as one
+    crew (:class:`~repro.core.frontier.Crew`)."""
 
     entries: List[_Admitted]
     #: Yields one step over all its entries' rows at a time, takes

@@ -174,30 +174,6 @@ class ScalarCostModel:
         return cost
 
     # ------------------------------------------------------------------ #
-    # SemiJoin estimate (Section 5.3) -- used by tests and ablations
-    # ------------------------------------------------------------------ #
-
-    def semijoin_estimate(
-        self, n_level_mbrs: int, n_small_objects: int, n_result_rows: int
-    ) -> float:
-        """Transfer cost of the PDA-mediated SemiJoin.
-
-        The MBRs of one tree level move large-server -> PDA -> small-server,
-        the qualifying small-side objects move small-server -> PDA ->
-        large-server, and the result rows come back to the PDA.  Every hop
-        is charged at the corresponding tariff.
-        """
-        cfg = self.config
-        mbr_payload = self.object_bytes(n_level_mbrs)
-        obj_payload = self.object_bytes(n_small_objects)
-        res_payload = self.object_bytes(n_result_rows)
-        cost = (cfg.tariff_r + cfg.tariff_s) * (2 * query_bytes(cfg))
-        cost += (cfg.tariff_r + cfg.tariff_s) * self.tb(mbr_payload)
-        cost += (cfg.tariff_r + cfg.tariff_s) * self.tb(obj_payload)
-        cost += max(cfg.tariff_r, cfg.tariff_s) * self.tb(res_payload)
-        return cost
-
-    # ------------------------------------------------------------------ #
     # internals
     # ------------------------------------------------------------------ #
 

@@ -11,8 +11,9 @@ here now.  The bodies below are those generators, moved behaviour-intact;
 only their homes changed (methods of :class:`GeneratorUpJoin` /
 :class:`GeneratorMobiJoin` / :class:`GeneratorSrJoin`, which subclass the
 shipped algorithms for the *containers and endpoints* they share -- device,
-cost model, parameters, ``record``, ``query_window``, ``_probe_uv`` -- and
-override everything the shipped table decides).
+cost model, parameters, ``query_window``, ``_probe_uv`` -- record with
+:class:`~tests.oracles.eager_trace.EagerTrace` and override everything the
+shipped table decides).
 
 Two drivers run them: :func:`level_rounds` advances the windows of one level
 in lock-step rounds, as ``FrontierAlgorithm._level_rounds`` did (round ``k``
@@ -37,6 +38,8 @@ from repro.core.upjoin import UpJoin
 from repro.device.steps import COUNT, Request
 from repro.geometry import rect_array
 from repro.geometry.rect import Rect
+
+from tests.oracles.eager_trace import EagerTrace
 
 __all__ = [
     "CountRequest",
@@ -317,7 +320,7 @@ class _Run:
     outcome: Optional[object] = None
 
 
-class _GeneratorEngine:
+class _GeneratorEngine(EagerTrace):
     """What ``FrontierAlgorithm`` provided its per-window generators with."""
 
     def fits_in_buffer(self, count_r: int, count_s: int) -> bool:

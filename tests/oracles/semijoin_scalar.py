@@ -15,12 +15,14 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from repro.core.semijoin import SemiJoin
+from repro.core.semijoin import RELAY, SemiJoin
 from repro.geometry import rect_array
 from repro.geometry.rect import Rect
 from repro.network.channel import Channel
 from repro.network.messages import MessageKind
 from repro.server.remote import IndexedRemoteServer
+
+from tests.oracles.eager_trace import EagerTrace
 
 __all__ = ["ScalarSemiJoin", "upload_windows_and_collect"]
 
@@ -54,13 +56,16 @@ def upload_windows_and_collect(
     return mbrs_out, oids_out
 
 
-class ScalarSemiJoin(SemiJoin):
+class ScalarSemiJoin(EagerTrace, SemiJoin):
     """SemiJoin with the seed's per-window relay and per-pair collection."""
 
-    def _relay(self, window: Rect, count_r: int, count_s: int):
-        """The entry seam: the synchronous relay below, run inside the
-        advance that follows the root round (it yields no step)."""
-        self._execute(window, count_r, count_s, 0)
+    def _run_leaves(self, table):
+        """The entry seam: the synchronous relay below for the relayed root
+        window of a run on its own, run inside the advance that follows the
+        root round (it yields no step)."""
+        for i in np.flatnonzero(table.op == RELAY).tolist():
+            window = Rect(*table.windows[i].tolist())
+            self._execute(window, int(table.int_r[i]), int(table.int_s[i]), 0)
         yield from ()
 
     def _execute(self, window: Rect, count_r: int, count_s: int, depth: int) -> None:

@@ -15,7 +15,6 @@ from repro.core.join_types import JoinSpec
 from repro.core.uniformity import worth_retrieving_statistics
 from repro.geometry.rect import Rect
 from repro.network.config import NetworkConfig
-from repro.server.server import INDEX_FANOUT
 from repro.network.packets import (
     aggregate_answer_bytes,
     num_packets,
@@ -127,11 +126,6 @@ class TestStrategies:
     def test_breakdown_prefers_hbsj_when_feasible_and_small(self, model):
         breakdown = model.breakdown(WINDOW, 50, 50, buffer_size=800)
         assert breakdown.cheapest() == "c1"
-
-    def test_semijoin_estimate_monotone_in_result_size(self, model):
-        small = model.semijoin_estimate(10, 100, 10)
-        large = model.semijoin_estimate(10, 100, 10_000)
-        assert large > small
 
     @given(
         st.integers(min_value=0, max_value=5000),
@@ -295,10 +289,8 @@ class TestArrayValuedEqualsScalarOracle:
         self, config, epsilon, bucket, level, k
     ):
         """Row ``i`` of an N-row prediction == the one-query call on row ``i``
-        for every algorithm, SemiJoin's relay estimate (integer
-        ceil-division of the level size) included; one query is Python numbers."""
+        for every algorithm; one query is Python numbers."""
         spec = JoinSpec.distance(epsilon) if epsilon else JoinSpec.intersection()
-        oracle = ScalarCostModel(config, epsilon=epsilon, bucket_queries=bucket)
         rects, mbrs, n_r, n_s = _columns(level)
         buffers = BUFFER + np.arange(len(rects), dtype=np.int64) % 3 - 1
         columns = predict_algorithm_costs(spec, mbrs, n_r, n_s, config, buffers, bucket, k)
@@ -309,10 +301,6 @@ class TestArrayValuedEqualsScalarOracle:
             for name, value in one.items():
                 assert type(value) is float, name
                 assert value == columns[name].tolist()[i], name
-            small, large = min(r, s), max(r, s)
-            assert one["semijoin"] == oracle.semijoin_estimate(
-                max(1, math.ceil(large / INDEX_FANOUT)), small, small
-            )
 
     @pytest.mark.parametrize("area", [5e-324, 1e-320, 1e-313])
     @pytest.mark.parametrize("bucket", [False, True])

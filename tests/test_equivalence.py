@@ -27,6 +27,8 @@ from repro.datasets.railway import generate_railway_like
 from repro.datasets.synthetic import clustered, uniform
 from repro.geometry.rect import Rect
 
+from tests.oracles.eager_trace import EagerTrace
+
 ALGO_NAMES = sorted(ALGORITHMS)
 
 #: Randomized distance-join workloads: (workload id, R factory kwargs,
@@ -144,7 +146,7 @@ class TestDeterminism:
         assert [e.detail for e in first.trace] == [e.detail for e in second.trace]
 
 
-class _PerCellFixedGrid(FixedGridJoin):
+class _PerCellFixedGrid(EagerTrace, FixedGridJoin):
     """The per-cell loop ``FixedGridJoin`` ran before its cells were batched:
     one depth-first scalar HBSJ operator per cell (kept as the oracle)."""
 

@@ -105,3 +105,53 @@ def test_a_lone_group_is_evaluated_on_its_own_request_arrays(monkeypatch):
 def test_the_step_protocol_cuts_no_step_per_query():
     assert not hasattr(steps, "split")
     assert not hasattr(steps, "merge")
+
+
+def test_semijoin_queries_run_as_one_crew(monkeypatch):
+    """SemiJoin is a level table like every other algorithm: three
+    SemiJoin queries run as one crew through ``FrontierAlgorithm.run_group``,
+    and their root COUNT round hands ``evaluate_count_batch`` the crew's own
+    arrays, one row per member on each side."""
+    groups: List[List[str]] = []
+    offered: List[object] = []
+    run_group = FrontierAlgorithm.run_group
+
+    def recording(runs):
+        groups.append([algo.name for algo, _ in runs])
+        gen = run_group(runs)
+        answer = None
+        try:
+            while True:
+                step = gen.send(answer)
+                offered.append(step)
+                answer = yield step
+        except StopIteration as stop:
+            return stop.value
+        finally:
+            gen.close()
+
+    monkeypatch.setattr(FrontierAlgorithm, "run_group", staticmethod(recording))
+    counted: List[np.ndarray] = []
+    original = SpatialServer.evaluate_count_batch
+
+    def spied(self, windows):
+        counted.append(windows)
+        return original(self, windows)
+
+    monkeypatch.setattr(SpatialServer, "evaluate_count_batch", spied)
+
+    r, s = _datasets()
+    queries = [
+        JoinQuery(
+            r, s, JoinSpec.distance(0.02), algorithm="semijoin", buffer_size=40,
+            params=AlgorithmParameters(), window=window,
+        )
+        for window in _windows()
+    ]
+    outcomes = QueryBroker(cache=False).run_batch(queries)
+    assert [o.status for o in outcomes] == ["ok"] * 3
+    assert groups == [["semijoin"] * 3]
+    own: Set[int] = set()
+    _arrays(offered, own)
+    assert [windows.shape for windows in counted] == [(3, 4), (3, 4)]
+    assert all(id(windows) in own for windows in counted)

@@ -585,6 +585,52 @@ def test_the_broker_names_no_algorithm():
     assert [name for name in sorted(names) if name.lower() in source] == []
 
 
+def test_every_algorithm_is_a_level_table_with_one_group_driver():
+    """One algorithm shape: every registry class is a ``FrontierAlgorithm``,
+    whose ``run_group`` is the one group driver, and every trace row is a
+    level-table row -- no eager recorder on the base class, no eager row
+    class in ``repro.core.result``."""
+    from repro.core import result
+    from repro.core.base import MobileJoinAlgorithm
+    from repro.core.frontier import FrontierAlgorithm
+
+    others = [name for name, cls in ALGORITHMS.items() if not issubclass(cls, FrontierAlgorithm)]
+    assert others == []
+    drivers = [
+        (str(path.relative_to(PACKAGE)), node.name)
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef)
+        and any(getattr(item, "name", None) == "run_group" for item in node.body)
+    ]
+    assert drivers == [("core/frontier.py", "FrontierAlgorithm")]
+    assert not hasattr(MobileJoinAlgorithm, "record")
+    assert not hasattr(MobileJoinAlgorithm, "prune")
+    assert [cls.__name__ for cls in result._Events.__subclasses__()] == ["LevelTrace", "Trace"]
+    assert "TraceRows" not in vars(result)
+
+
+@pytest.mark.parametrize("window", [None, (0.0, 0.0, 0.01, 0.01)], ids=["whole", "empty"])
+def test_every_trace_row_is_a_level_table_row(window):
+    """Each algorithm's trace, the ``start`` row and SemiJoin's relay and
+    prune rows included, is level tables and nothing else."""
+    from repro.api import AdHocJoinSession
+    from repro.core.result import LevelTrace
+    from repro.datasets.synthetic import clustered, uniform
+    from repro.geometry.rect import Rect
+
+    session = AdHocJoinSession(
+        uniform(n=300, seed=1, name="R"),
+        clustered(n=300, clusters=4, seed=7, std=0.06, name="S"),
+        buffer_size=40,
+    )
+    for name in ALGORITHMS:
+        result = session.run(algorithm=name, epsilon=0.03, window=window and Rect(*window))
+        actions = [event.action for event in result.trace]
+        assert actions[0] == "start" and len(actions) > 1, name
+        assert {type(part) for part in result.trace._parts} == {LevelTrace}, name
+
+
 def test_a_kept_answer_holds_no_object_per_pair():
     """Nothing under ``src/`` builds a tuple per pair: a kept 20k x 20k
     answer is a ``PairSet`` over one block, and what the package allocated
