@@ -61,7 +61,14 @@ from repro.network.packets import (
     transferred_bytes,
 )
 
-__all__ = ["CostModel", "CostBreakdown", "predict_algorithm_costs"]
+__all__ = ["CostModel", "CostBreakdown", "SELECTABLE_ALGORITHMS", "predict_algorithm_costs"]
+
+#: The algorithms eligible for *automatic* selection, in name order (the
+#: order ties go in): the ones :func:`predict_algorithm_costs` prices.
+#: SemiJoin assumes cooperating, index-publishing servers (the paper notes
+#: it "cannot be applied in our problem"), and UpJoin would get SrJoin's
+#: estimate and lose the tie by name; either runs only when a query names it.
+SELECTABLE_ALGORITHMS = ("fixedgrid", "mobijoin", "naive", "srjoin")
 
 #: A stand-in for the paper's "infinite" cost of an infeasible strategy.
 INFEASIBLE = math.inf
@@ -336,7 +343,7 @@ def predict_algorithm_costs(
     bucket_queries: bool,
     grid_k: int,
 ) -> Dict[str, float]:
-    """Predicted tariff-weighted wire cost of every selectable algorithm.
+    """Predicted tariff-weighted wire cost of each of :data:`SELECTABLE_ALGORITHMS`.
 
     The query broker's planning signal: the Section 3.1 equations cost
     *strategies* for one window, the broker needs to know which registry
@@ -355,9 +362,6 @@ def predict_algorithm_costs(
     * ``srjoin``    -- the same minimum with the statistics term discounted
       by the three-queries-plus-derivation optimisation (Section 4.1: three
       of the four quadrant COUNTs per dataset per split are enough).
-
-    UpJoin would get the very estimate SrJoin gets and lose every tie by
-    name, and SemiJoin is never picked: neither is priced.
 
     Rows follow :class:`CostModel`'s convention: a ``Rect`` with ``int``
     counts and buffer is one query and maps every name to a Python number;
@@ -391,9 +395,9 @@ def predict_algorithm_costs(
     # ``np.minimum`` folded left in ``min(c1, c2, c3, c4)``'s order.
     adaptive_c3 = np.minimum(np.minimum(c1, c2), c3)
     predicted = {
-        "naive": c1_free,
         "fixedgrid": fixed_grid,
         "mobijoin": np.minimum(adaptive_c3, c4),
+        "naive": c1_free,
         "srjoin": np.minimum(adaptive_c3, c4_derived),
     }
-    return {name: _plain(value) for name, value in predicted.items()}
+    return {name: _plain(predicted[name]) for name in SELECTABLE_ALGORITHMS}

@@ -25,7 +25,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.core.base import AlgorithmParameters, MobileJoinAlgorithm
-from repro.core.costmodel import predict_algorithm_costs
+from repro.core.costmodel import SELECTABLE_ALGORITHMS, predict_algorithm_costs
 from repro.core.join_types import JoinSpec
 from repro.core.mobijoin import MobiJoin
 from repro.core.naive import FixedGridJoin, NaiveDownloadJoin
@@ -68,18 +68,6 @@ ALGORITHMS: Dict[str, type] = {
     "fixedgrid": FixedGridJoin,
 }
 
-#: Algorithms eligible for *automatic* selection.  SemiJoin assumes
-#: cooperating, index-publishing servers (the paper notes it "cannot be
-#: applied in our problem"), and UpJoin would get SrJoin's estimate and
-#: lose the tie by name; either runs only when a query names it.
-SELECTABLE_ALGORITHMS: Tuple[str, ...] = (
-    "mobijoin",
-    "srjoin",
-    "naive",
-    "fixedgrid",
-)
-
-
 def _algorithm_key(name: str) -> str:
     """The registry key of an algorithm name, or :class:`InvalidInput`: the
     one check of the ``algorithm`` knob on every entry path."""
@@ -110,11 +98,6 @@ class PlanDecision:
     def cheapest(self) -> str:
         """The model's own choice (ties resolved alphabetically)."""
         return min(self.predicted, key=lambda k: (self.predicted[k], k))
-
-
-#: :data:`SELECTABLE_ALGORITHMS` positions in name order: the first
-#: ``argmin`` over the columns in this order is :meth:`PlanDecision.cheapest`.
-_BY_NAME = sorted(range(len(SELECTABLE_ALGORITHMS)), key=SELECTABLE_ALGORITHMS.__getitem__)
 
 
 def select_algorithm(
@@ -148,10 +131,11 @@ def select_algorithm(
     predicted = predict_algorithm_costs(
         spec, window, n_r, n_s, config, buffer_size, params.bucket_queries, params.grid_k
     )
-    columns = np.array([predicted[name] for name in SELECTABLE_ALGORITHMS], dtype=np.float64)
+    columns = np.array(list(predicted.values()), dtype=np.float64)
     one = columns.ndim == 1
     columns = columns.reshape(len(SELECTABLE_ALGORITHMS), -1)
-    picks = np.take(_BY_NAME, np.argmin(columns[_BY_NAME], axis=0)).tolist()
+    # Names are in name order: the first ``argmin`` is :meth:`PlanDecision.cheapest`.
+    picks = np.argmin(columns, axis=0).tolist()
     if one or algorithm is None:
         algorithm = [algorithm] * len(picks)
     decisions = [

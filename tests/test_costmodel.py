@@ -369,3 +369,16 @@ class TestArrayValuedEqualsScalarOracle:
         ):
             with pytest.raises(ValueError):
                 call()
+
+
+def test_the_prediction_prices_the_selectable_algorithms_in_name_order():
+    """One list of what the planner may pick: the prediction's names are
+    :data:`SELECTABLE_ALGORITHMS`, in the name order ties go in."""
+    from repro.core import planner
+    from repro.core.costmodel import SELECTABLE_ALGORITHMS
+
+    predicted = predict_algorithm_costs(
+        JoinSpec.distance(0.01), Rect(0, 0, 1, 1), 500, 700, NetworkConfig(), BUFFER, False, 2
+    )
+    assert tuple(predicted) == SELECTABLE_ALGORITHMS == tuple(sorted(SELECTABLE_ALGORITHMS))
+    assert planner.SELECTABLE_ALGORITHMS is SELECTABLE_ALGORITHMS

@@ -14,6 +14,7 @@ import functools
 from typing import List, Set
 
 import numpy as np
+import pytest
 
 from repro.core.base import AlgorithmParameters
 from repro.core.frontier import FrontierAlgorithm
@@ -155,3 +156,92 @@ def test_semijoin_queries_run_as_one_crew(monkeypatch):
     _arrays(offered, own)
     assert [windows.shape for windows in counted] == [(3, 4), (3, 4)]
     assert all(id(windows) in own for windows in counted)
+
+
+class TestUpJoinStepsAreEvaluatedAndBooked:
+    """UpJoin, which the planner never picks, run by name on every stack:
+    its steps -- recount cohorts beside quadrant cohorts, rows keyed per
+    window -- are evaluated on the backing builds, at most once per
+    (build, kind) and step, every evaluation booked, no build endpoint that
+    bumps statistics asked."""
+
+    ASKED = ("count_batch", "window_batch_flat", "range_batch_flat", "bucket_range")
+    TOPOLOGIES = {
+        "plain": {},
+        "sharded": dict(shards_r=4, shards_s=4, shard_scheme="str"),
+        "replicated": dict(shards_r=4, shards_s=4, shard_scheme="str", replicas=2),
+    }
+
+    @pytest.mark.parametrize("bucket", [False, True], ids=["per-probe", "bucket"])
+    @pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
+    def test_steps_are_evaluated_on_the_builds_and_booked(self, monkeypatch, topology, bucket):
+        from repro.core.frontier import Crew
+        from repro.core.planner import StackConfig, run_join
+        from repro.core.upjoin import UpJoinTable
+        from repro.server import ShardedSpatialServer
+
+        log: List[tuple] = []
+
+        def spy(cls, name, event):
+            original = getattr(cls, name)
+
+            def spied(self, *args, **kwargs):
+                log.append((event, name, id(self)))
+                return original(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, name, spied)
+
+        for name in self.ASKED:
+            spy(SpatialServer, name, "asked")
+        for cls in (SpatialServer, ShardedSpatialServer):
+            for name in EVALUATED:
+                spy(cls, name, "evaluated")
+        book_step = steps.book_step
+
+        def booked(*args):
+            log.append(("booked",))
+            return book_step(*args)
+
+        monkeypatch.setattr(steps, "book_step", booked)
+        keyed: List[bool] = []
+        count_round = Crew.count_round
+
+        def counted(self, step, queries, keys):
+            keyed.append(keys is not None)
+            return count_round(self, step, queries, keys)
+
+        monkeypatch.setattr(Crew, "count_round", counted)
+        recounted: List[int] = []
+        recount = UpJoinTable._recounted_r
+
+        def confirming(self, idx, real_r):
+            recounted.append(idx.size)
+            return recount(self, idx, real_r)
+
+        monkeypatch.setattr(UpJoinTable, "_recounted_r", confirming)
+
+        r = clustered(n=600, clusters=8, seed=11, name="R")
+        s = clustered(n=600, clusters=9, seed=12, std=0.05, name="S")
+        whole = r.bounds().union(s.bounds())
+        x, y, w, h = whole.xmin, whole.ymin, whole.width, whole.height
+        result = run_join(
+            r, s, JoinSpec.distance(0.015), algorithm="upjoin", buffer_size=60,
+            params=AlgorithmParameters(bucket_queries=bucket),
+            window=Rect(x, y, x + 0.6 * w, y + 0.7 * h),
+            stack=StackConfig(**self.TOPOLOGIES[topology]),
+        )
+        assert result.pairs
+        # Estimated zeros were confirmed, in rounds keyed across cohorts.
+        assert sum(recounted) and any(keyed)
+        assert not [event for event in log if event[0] == "asked"]
+        per_step: List[List[tuple]] = [[]]
+        for event in log:
+            if event[0] == "booked":
+                per_step.append([])
+            else:
+                per_step[-1].append(event[1:])
+        assert per_step.pop() == []  # nothing is evaluated that is not booked
+        for evaluations in per_step:
+            assert evaluations and len(evaluations) == len(set(evaluations))
+        made = {name for evaluations in per_step for name, _ in evaluations}
+        assert made == set(EVALUATED)
