@@ -8,7 +8,8 @@ recursion stopping rule, and the final assembly of a
 Subclasses implement :meth:`run_cooperative`, the run as a step generator
 (see :mod:`repro.device.steps`); :meth:`run` drives it as a wave of one
 (:func:`~repro.device.steps.run_steps`), the query broker together with the
-steps of other queries -- the same gather / evaluate / book loop either way.
+steps of other queries -- one loop, :func:`~repro.device.steps.drive`,
+either way.
 Every algorithm is a level table of the frontier engine
 (:mod:`repro.core.frontier`): its runs start with the one root COUNT round
 (:meth:`repro.core.frontier.Crew.start`), like queries run as one crew
@@ -131,7 +132,9 @@ class MobileJoinAlgorithm(ABC):
 
     def run(self, window: Rect) -> JoinResult:
         """Execute the join over ``window`` and assemble the result:
-        :meth:`run_cooperative` driven as a wave of one."""
+        :meth:`run_cooperative` driven as a wave of one.  A run that fails
+        -- a typed error from its connections, say -- is closed, every span
+        it opened with it, before the error is raised."""
         return run_steps(self.run_cooperative(window), self.device.servers)
 
     def _obs_open(self, window: Rect) -> None:

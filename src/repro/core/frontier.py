@@ -35,9 +35,9 @@ decided together, as a table.
   :class:`~repro.core.result.LevelTrace`, the "start" row a table of one
   of its own.  It is a step
   generator (:mod:`repro.device.steps`): every COUNT round and every
-  operator exchange is *yielded*, never performed; ``run`` answers the
-  steps as a wave of one, the query broker answers the steps of all
-  in-flight queries together.
+  operator exchange is *yielded*, never performed, and one driver,
+  :func:`~repro.device.steps.drive`, answers the steps -- ``run`` as a
+  wave of one, the query broker those of all in-flight groups together.
 
 Float work stays column by column in the scalar operation order, and trace
 details are formatted from ``.tolist()`` Python numbers: costs pick
@@ -72,7 +72,7 @@ from repro.core.result import JoinResult, LevelTrace, TraceBatch
 from repro.device.hbsj import UNKNOWN, HBSJColumns
 from repro.device.nlsj import NLSJColumns
 from repro.device.pda import DeviceGroup
-from repro.device.steps import COUNT, Request, Shared, Step, Steps
+from repro.device.steps import COUNT, Request, Shared, Step, Steps, Unit
 from repro.geometry import rect_array
 from repro.geometry.rect import Rect
 
@@ -165,11 +165,12 @@ class Crew:
     while counters, buffers, pairs, trace rows and spans stay per query.
     A run on its own is a crew of one;
     :meth:`FrontierAlgorithm.run_group` runs several.  Every step it offers
-    is :class:`~repro.device.steps.Shared` over all members' rows, answered
-    whole.  A member whose booking failed leaves (:meth:`leave`): its spans
-    close, its device is dropped, and from then on it is booked nothing and
-    counted nothing; its rows still ride in the crew's requests (evaluated,
-    never booked) until its windows go with the level they are in.
+    is :class:`~repro.device.steps.Shared` over all members' rows, and it
+    receives that step's answers.  A member whose booking failed leaves
+    (:meth:`leave`, which the driver calls): its spans close, its device is
+    dropped, and from then on it is booked nothing and counted nothing; its
+    rows still ride in the crew's requests (evaluated, never booked) until
+    its windows go with the level they are in.
     """
 
     def __init__(self, algos: Sequence["FrontierAlgorithm"]) -> None:
@@ -262,25 +263,6 @@ class Crew:
                 self.spans[q].remove(span)
                 span.close(sim=self.algos[q].device.sim_now())
         return answers
-
-    def relay(self, steps: Steps) -> Steps:
-        """Offer the group's steps whole to a driver that answers each with
-        ``(answers, failed)``: every request's answer and the members whose
-        booking failed, which leave.  Returns what ``steps`` returns
-        (``None`` once every member left)."""
-        try:
-            step = next(steps)
-            while True:
-                answers, failed = yield step
-                for q in failed:
-                    self.leave(q)
-                if not self.alive.any():
-                    return None
-                step = steps.send(answers)
-        except StopIteration as stop:
-            return stop.value
-        finally:
-            steps.close()
 
     def add_pairs(self, found, query: np.ndarray) -> None:
         """Hand each member the pairs its invocations found (``query`` is
@@ -673,22 +655,19 @@ class FrontierAlgorithm(MobileJoinAlgorithm):
             level = crew.survivors(table.children)
 
     @staticmethod
-    def run_group(runs: Sequence[Tuple["FrontierAlgorithm", Rect]]) -> Steps:
+    def run_group(runs: Sequence[Tuple["FrontierAlgorithm", Rect]]) -> Unit:
         """Run like queries -- ``(algorithm, window)`` pairs of one class,
         spec, parameters, configuration, buffer size and backing builds --
         as one crew: the members' windows share every level table, leaf
         batch and kernel call (a per-window query column says whose each
         one is), while every member keeps its own counters, buffer, pairs,
-        trace and spans.  Its steps are the crew's own
-        :class:`~repro.device.steps.Shared` steps (:meth:`Crew.relay`): a
-        driver answers each with ``(answers, failed)``, and a member whose
-        booking failed leaves the crew (:meth:`Crew.leave`).  Returns every
-        member's :class:`~repro.core.result.JoinResult` (``None`` for one
-        that left)."""
+        trace and spans.  Returns the crew's :class:`~repro.device.steps.Unit`:
+        its steps, its members' connections and :meth:`Crew.leave`; its
+        result is every member's :class:`~repro.core.result.JoinResult`
+        (``None`` for one that left)."""
         crew = Crew([algo for algo, _ in runs])
-        lead = crew.algos[0]
-        results = yield from crew.relay(lead._group_steps(crew, [window for _, window in runs]))
-        return results or [None] * len(crew)
+        steps = crew.algos[0]._group_steps(crew, [window for _, window in runs])
+        return Unit(steps, [algo.device.servers for algo in crew.algos], crew.leave)
 
     def _group_steps(self, crew: Crew, windows: List[Rect]) -> Steps:
         """:meth:`run_cooperative` of every member of ``crew`` at once:

@@ -28,20 +28,22 @@ the query column of request ``i``'s rows, each query's rows contiguous and
 in its own window order, and :meth:`Shared.shares` names, per query, the
 rows it asks in the order its own standalone step lists them.
 
-There is one way to answer steps, for one query or for many: **gather**
-the requests into one :class:`Group` per (backing build, kind), **evaluate**
-each group in one descent of its build (``Kind.evaluate``), answer every
-request with its share of that evaluation, read once, and have every query
-**book** its own share on its own connections, in its own order
-(:func:`book_step`, ``Kind.book``).  :func:`run_steps` is that loop over a
-wave of one query, its steps booked whole -- what
+There is one way to answer steps, for one query or for many, and one
+loop that does it, :func:`drive`: it advances units (:class:`Unit`, a
+step generator with the connections of the queries it runs) in lock-step
+rounds.  Each round it **gathers** the step every unit offers into one
+:class:`Group` per (backing build, kind), **evaluates** each group in one
+descent of its build (``Kind.evaluate``), answers every request with its
+share of that evaluation, read once, has every query **book** its own
+shares on its own connections, in its own order (:func:`book_step`,
+``Kind.book``), and advances every unit with its step's answers.
+:func:`run_steps` is that loop over a unit of one query -- what
 ``MobileJoinAlgorithm.run`` and ``MobileDevice.hbsj_batch`` /
-``.nlsj_batch`` drive -- and the query broker runs the same :func:`gather`
-over one step per group of queries, each query booking its shares.  A
-connection's own batch endpoints are ``book(evaluate(...))``, and a
-booker reads its answer by the rule a step generator reads it with, so
-ledgers, statistics, fault streams and answers cannot tell who evaluated
-the rows.
+``.nlsj_batch`` drive -- and the query broker drives its wave's groups
+through it.  A connection's own batch endpoints are
+``book(evaluate(...))``, and a booker reads its answer by the rule a step
+generator reads it with, so ledgers, statistics, fault streams and answers
+cannot tell who evaluated the rows.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ from typing import Dict, Generator, Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from repro.errors import ReproError
 from repro.geometry import rect_array
 from repro.index.aggregate_rtree import probe_arrays
 from repro.index.pairs import PairBlocks
@@ -72,7 +75,9 @@ __all__ = [
     "Shared",
     "Step",
     "Steps",
+    "Unit",
     "book_step",
+    "drive",
     "gather",
     "run_steps",
 ]
@@ -229,9 +234,9 @@ class Group:
         #: The member requests' ``args``, in the order they joined; member
         #: ``i`` owns rows ``offsets[i]:offsets[i + 1]`` of the evaluation.
         self.members: List[tuple] = []
-        #: Parallel to :attr:`members`: the query column of a
-        #: :class:`Shared` request's rows (``None``: one query's request).
-        self.queries: List[Optional[np.ndarray]] = []
+        #: Parallel to :attr:`members`: the query column of each member
+        #: request's rows.
+        self.queries: List[np.ndarray] = []
         self.offsets = [0]
         #: The build's answer to all rows.
         self.answer = None
@@ -244,9 +249,9 @@ class Group:
     def requests(self) -> int:
         """The requests its queries would flush standalone: one per query
         with rows in a member request."""
-        return sum(1 if query is None else _askers(query) for query in self.queries)
+        return sum(_askers(query) for query in self.queries)
 
-    def add(self, request: Request, queries: Optional[np.ndarray] = None) -> Tuple["Group", int]:
+    def add(self, request: Request, queries: np.ndarray) -> Tuple["Group", int]:
         """Append one request's rows; its slot ``(group, member)``."""
         self.members.append(request.args)
         self.queries.append(queries)
@@ -297,48 +302,42 @@ def _askers(query: np.ndarray) -> int:
 Slot = Tuple[Group, int]
 
 
-def gather(steps: Iterable[Tuple[tuple, Step]]) -> Tuple[List[Group], List[List[Slot]]]:
+def gather(steps: Iterable[Tuple[tuple, Shared]]) -> Tuple[List[Group], List[List[Slot]]]:
     """Group the requests of many steps by (backing build, kind).
 
-    ``steps`` yields ``((base_r, base_s), step)`` per step: the builds
-    that back its two sides and the step -- one query's, or a
-    :class:`Shared` one of a query group.  Returns the groups, in the order
-    their first request was met, and per step the slot of each request.
+    ``steps`` yields ``((base_r, base_s), step)`` per :class:`Shared` step:
+    the builds that back its two sides and the step.  Returns the groups,
+    in the order their first request was met, and per step the slot of
+    each request.
     """
     groups: Dict[Tuple[int, str], Group] = {}
     slots: List[List[Slot]] = []
     for (base_r, base_s), step in steps:
-        queries = getattr(step, "queries", None)
         mine = []
-        for i, request in enumerate(step):
+        for request, queries in zip(step, step.queries):
             base = base_r if request.side.upper() == "R" else base_s
             key = (id(base), request.kind.name)
             group = groups.get(key)
             if group is None:
                 group = groups[key] = Group(base, request.kind)
-            mine.append(group.add(request, None if queries is None else queries[i]))
+            mine.append(group.add(request, queries))
         slots.append(mine)
     return list(groups.values()), slots
 
 
-def book_step(
-    servers: ServerPair, step: Step, answers: list, shares: Optional[list] = None
-) -> None:
-    """Book a step on one query's own connections once its groups are
-    evaluated.
+def book_step(servers: ServerPair, step: Step, answers: list, shares: list) -> None:
+    """Book one query's shares of a step on its own connections once the
+    step's groups are evaluated.
 
     ``answers`` are the requests' shares of their evaluations; ``shares``
-    the ``(request, first row, end row)`` of a query's rows in a
-    :class:`Shared` step, in its own order (:meth:`Shared.shares`; ``None``:
-    every request whole, in step order).  A fault at one booking leaves
-    the later ones unbooked.
+    the ``(request, first row, end row)`` of the query's rows, in its own
+    order (:meth:`Shared.shares`).  A fault at one booking leaves the later
+    ones unbooked.
     """
-    if shares is None:
-        shares = [(i, 0, None) for i in range(len(step))]
     for i, lo, hi in shares:
         request, answer = step[i], answers[i]
         args = request.args
-        if hi is not None and hi - lo != request.rows:
+        if hi - lo != request.rows:
             args = list(args)
             for c in request.kind.columns:
                 args[c] = args[c][lo:hi]
@@ -347,20 +346,109 @@ def book_step(
         getattr(server, request.kind.book)(*args, answer)
 
 
-def run_steps(steps: Steps, servers: ServerPair):
-    """Drive a step generator to its return value: each step gathered,
-    evaluated on the connections' backing builds, booked whole on the
-    connections and answered -- a wave of one."""
-    builds = servers.backing
+class Unit:
+    """One step generator a drive advances, and the queries it runs.
+
+    ``servers[q]`` are query ``q``'s own connections, ``None`` once its
+    booking failed (it is booked nothing more); ``leave(q)``, if given (a
+    crew's :meth:`~repro.core.frontier.Crew.leave`), tells the generator.
+    A finished unit keeps only its :attr:`result`, so a failed query's
+    error -- traceback and all -- holds no generator, connection or crew.
+    """
+
+    __slots__ = ("steps", "servers", "leave", "builds", "step", "result")
+
+    def __init__(self, steps: Steps, servers: Sequence[ServerPair], leave=None) -> None:
+        self.steps, self.servers, self.leave = steps, list(servers), leave
+        #: What its steps are evaluated on: the builds behind the connections.
+        self.builds = self.servers[0].backing
+        #: The step it waits to have answered (``None`` once finished), and
+        #: what its generator returned.
+        self.step = self.result = None
+
+    def finish(self, result=None) -> None:
+        """Close the generator (a no-op once it ended); keep only ``result``."""
+        self.steps.close()
+        self.steps = self.servers = self.leave = self.step = None
+        self.result = result
+
+    def fail(self, error: Exception, failures: list) -> None:
+        """The unit raised: every query still in it fails with ``error``."""
+        failures.extend((self, q, error) for q, pair in enumerate(self.servers) if pair is not None)
+        self.finish()
+
+
+def _evaluate(group: Group, round_index: int) -> None:
+    group.evaluate()
+
+
+def drive(units: Sequence[Unit], evaluate=_evaluate, settle=lambda failures: None) -> None:
+    """Drive step generators to their ends in lock-step rounds.
+
+    Each round gathers the step every unit offers, evaluates each (backing
+    build, kind) group once (``evaluate(group, round)``), has every live
+    query book its shares on its own connections (:func:`book_step`) and
+    advances every unit with its step's answers.  A query whose booking
+    raised a typed error leaves its unit; a unit with no query left is
+    closed, and one that raises fails every query still in it.  Once the
+    units are primed and after every round, ``settle`` gets that phase's
+    ``(unit, query, error)`` failures, if any, in unit order.  No round's
+    groups, slots or answers are held into the next evaluation.
+    """
+    failures: list = []
+    for unit in units:
+        _advance(unit, None, failures)
+    round_index = 0
+    while True:
+        if failures:
+            settle(failures)
+        active = [unit for unit in units if unit.step is not None]
+        if not active:
+            return
+        groups, slots = gather((unit.builds, unit.step) for unit in active)
+        for group in groups:
+            evaluate(group, round_index)
+        failures = []
+        for unit, mine in zip(active, slots):
+            step, answers = unit.step, [group.share(member) for group, member in mine]
+            try:
+                for q, shares in enumerate(step.shares(len(unit.servers))):
+                    if unit.servers[q] is not None and shares:
+                        try:
+                            book_step(unit.servers[q], step, answers, shares)
+                        except ReproError as error:
+                            failures.append((unit, q, error))
+                            unit.servers[q] = None
+                            if unit.leave is not None:
+                                unit.leave(q)
+            except Exception as error:  # noqa: BLE001 -- settled by the caller
+                unit.fail(error, failures)
+            else:
+                _advance(unit, answers, failures)
+        del groups, slots, mine, step, answers
+        round_index += 1
+
+
+def _advance(unit: Unit, answers: Optional[list], failures: list) -> None:
+    """Send a unit its step's answers (``None`` primes it); close it instead
+    if no query is left in it."""
     try:
-        step = next(steps)
-        while True:
-            groups, (slots,) = gather([(builds, step)])
-            for group in groups:
-                group.evaluate()
-            answers = [group.share(member) for group, member in slots]
-            book_step(servers, step, answers)
-            step = steps.send(answers)
-            del answers  # not held through the next evaluation
+        if all(pair is None for pair in unit.servers):
+            unit.finish()
+        else:
+            unit.step = unit.steps.send(answers)
     except StopIteration as stop:
-        return stop.value
+        unit.finish(stop.value)
+    except Exception as error:  # noqa: BLE001 -- settled by the caller
+        unit.fail(error, failures)
+
+
+def run_steps(steps: Steps, servers: ServerPair):
+    """Drive one query's step generator to its return value: :func:`drive`
+    over a unit of one.  A failed run is closed -- its spans with it --
+    before its error is raised."""
+    unit, failures = Unit(steps, [servers]), []
+    drive([unit], settle=failures.extend)
+    if failures:
+        raise failures[0][2]
+    return unit.result

@@ -36,21 +36,18 @@ and
    generator *offers* every server evaluation its queries need -- COUNT
    rounds, the operators' WINDOW downloads and RANGE probes, an index
    relay's requests -- as one step over all its queries' rows (a
-   :class:`~repro.device.steps.Shared` step).  Per wave round the
-   broker gathers the groups' steps as they are, evaluates all rows of one
-   query kind that target the same backing build in **one** descent, and
-   has every query book its own shares on its own connections, in its own
-   order (:func:`~repro.device.steps.gather` /
-   :func:`~repro.device.steps.book_step`); the group gets every request's
-   answer, read once off the evaluation, and the queries whose booking
-   raised a typed error, which fail alone while the group goes on without
-   them.  That is the loop a standalone run drives too
-   (:func:`~repro.device.steps.run_steps`, a wave of one, a group of one,
-   its steps booked whole), so pairs, bytes, server statistics,
-   fault streams, decision traces and spans are bit-identical to running
-   the query alone by construction -- under any submission order, with the
-   cache cold or warm (pinned by ``tests/test_service_equivalence.py`` and
-   ``tests/test_wave_fusion.py``).
+   :class:`~repro.device.steps.Shared` step) and receives its answers.
+   The wave is one :func:`~repro.device.steps.drive` over the groups: per
+   round it evaluates all rows of one query kind that target the same
+   backing build in **one** descent (:meth:`_evaluate`, which counts it),
+   and every query books its own shares on its own connections, in its
+   own order; a query whose booking raised a typed error leaves its group,
+   which goes on without it.  A standalone run is the same loop over a
+   group of one (:func:`~repro.device.steps.run_steps`), so pairs, bytes,
+   server statistics, fault streams, decision traces and spans are
+   bit-identical to running the query alone by construction -- under any
+   submission order, with the cache cold or warm (pinned by
+   ``tests/test_service_equivalence.py`` and ``tests/test_wave_fusion.py``).
 
    The per-query advances between the coalesced evaluations run inline on
    the executing thread, one query after the other: they are GIL-bound
@@ -62,7 +59,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, Generator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -70,7 +67,7 @@ from repro.core.base import MobileJoinAlgorithm
 from repro.core.planner import PlanDecision, build_algorithm, select_algorithm
 from repro.core.result import JoinResult
 from repro.device.pda import MobileDevice
-from repro.device.steps import COUNT, Group, Shared, book_step, gather
+from repro.device.steps import COUNT, Group, Unit, drive
 from repro.errors import QueryTimeout, ReproError, ServerUnavailable, require_count
 from repro.network.config import NetworkConfig
 from repro.obs.trace import NULL_TRACER
@@ -174,21 +171,6 @@ class _Admitted:
     replica_health: Optional[Dict[str, str]] = None
     #: The query's span under the wave span (None while tracing is off).
     span: Optional[object] = None
-
-
-@dataclass
-class _Unit:
-    """One step generator of a wave: a group of like queries, run as one
-    crew (:class:`~repro.core.frontier.Crew`)."""
-
-    entries: List[_Admitted]
-    #: Yields one step over all its entries' rows at a time, takes
-    #: ``(answers, failed entries)``; returns one result per entry.
-    gen: Optional[Generator] = None
-    #: The step the unit offered and waits to have answered.
-    pending: Optional[Shared] = None
-    #: Where the gather put each request of :attr:`pending`.
-    slots: Optional[list] = None
 
 
 @dataclass
@@ -646,14 +628,15 @@ class QueryBroker:
             entry.plan.algorithm, entry.device, query.spec, query.resolved_params()
         )
 
-    def _units(self, entries: List[_Admitted]) -> List[_Unit]:
-        """The wave's step generators, in order of their first query.
+    def _units(self, entries: List[_Admitted]) -> Dict[Unit, List[_Admitted]]:
+        """The wave's step generators, in order of their first query, and
+        the queries each runs.
 
         Queries that share backing builds, algorithm, spec, resolved
         parameters, configuration and buffer size form one group, run as
         one generator by their algorithm's ``run_group``.
         """
-        units: Dict[object, _Unit] = {}
+        groups: Dict[object, List[_Admitted]] = {}
         for entry in entries:
             query = entry.query
             key = (
@@ -665,20 +648,12 @@ class QueryBroker:
                 query.config or self.config,
                 query.buffer_size,
             )
-            units.setdefault(key, _Unit([])).entries.append(entry)
-        for unit in units.values():
-            runs = [(entry.algo, entry.query.resolved_window()) for entry in unit.entries]
-            unit.gen = runs[0][0].run_group(runs)
-        return list(units.values())
-
-    @staticmethod
-    def _advance(unit: _Unit, answers) -> None:
-        try:
-            unit.pending = unit.gen.send(answers)
-        except StopIteration as stop:
-            unit.pending = None
-            for entry, result in zip(unit.entries, stop.value):
-                entry.result = result
+            groups.setdefault(key, []).append(entry)
+        units: Dict[Unit, List[_Admitted]] = {}
+        for members in groups.values():
+            runs = [(entry.algo, entry.query.resolved_window()) for entry in members]
+            units[runs[0][0].run_group(runs)] = members
+        return units
 
     # -------------------------- circuit breaker ----------------------- #
 
@@ -850,63 +825,19 @@ class QueryBroker:
         entry.failure = error
         self._note_entry_failure(entry, error)
 
-    def _advance_all(self, units: List[_Unit], advance) -> None:
-        """Run ``advance(unit, failures)`` for every unit, then settle the failures.
-
-        One query's fault must not abort its neighbours, so every unit
-        advances before any failure is applied, in submission order.
-        ``advance`` appends ``(entry, error)`` for a query whose booking
-        raised; a generator that raises fails every query it still runs.
-        Typed faults isolate the query; anything else is a bug and
-        propagates (discarding the batch, exactly as before the
-        resilience layer existed).
-        """
-        failures: List[Tuple[_Admitted, Exception]] = []
-        for unit in units:
-            try:
-                advance(unit, failures)
-            except Exception as error:  # noqa: BLE001 -- settled below
-                unit.pending = None
-                failures.extend(
-                    (entry, error) for entry in unit.entries if entry.failure is None
-                )
-        for entry, error in sorted(failures, key=lambda failure: failure[0].index):
-            if not isinstance(error, ReproError):
-                raise error
-            if entry.failure is None:
-                self._fail_entry(entry, error)
-
-    def _book_and_advance(self, unit: _Unit, failures: list) -> None:
-        """Answer the unit's step off its evaluations, have each live query
-        book its shares on its own connections, in its own order, then
-        advance the unit with the answers and the queries whose booking
-        raised a typed error (they book nothing more)."""
-        step = unit.pending
-        answers = [group.share(member) for group, member in unit.slots]
-        failed = []
-        for q, (entry, mine) in enumerate(zip(unit.entries, step.shares(len(unit.entries)))):
-            if entry.failure is not None or not mine:
-                continue
-            try:
-                book_step(entry.device.servers, step, answers, mine)
-            except ReproError as error:
-                failures.append((entry, error))
-                failed.append(q)
-        self._advance(unit, (answers, failed))
-
     # ------------------------------------------------------------------ #
 
     def _execute_wave(self, wave: List[_Admitted], wave_index: int) -> None:
         """Drive all queries of one wave in lock-step coalesced rounds.
 
-        Between rounds every query advances in turn -- priming, decisions,
-        in-memory joins, booking; the step each group of queries offers is
-        gathered as it is and evaluated, in submission order.
+        Between rounds every group advances in turn -- priming, decisions,
+        in-memory joins, booking; the step each group offers is gathered as
+        it is and evaluated, in submission order.
 
         A query that raises a typed :class:`~repro.errors.ReproError` --
         an unrecoverable channel fault, retry exhaustion, a deadline
-        timeout, an open breaker -- is isolated via :meth:`_fail_entry`:
-        its generator is closed, its failure recorded, and the rest of
+        timeout, an open breaker -- leaves its group and is isolated via
+        :meth:`_fail_entry` once its round is over, and the rest of
         the wave continues bit-identically (each query's fault stream and
         ledger are private, so a neighbour's failure cannot perturb
         them).  Anything else is a programming error and keeps the
@@ -978,29 +909,26 @@ class QueryBroker:
                 self._fail_entry(entry, error)
                 continue
             building.append(entry)
-        # Like engine queries run as one generator; priming stops every
-        # generator at the first step it offers, its root COUNT round.
+        # Like queries run as one generator, all of them driven in
+        # lock-step rounds: one evaluation per (backing build, kind) and
+        # round, each query booking its own shares on its own connections
+        # -- what its standalone run books.
         units = self._units(building)
-        self._advance_all(units, lambda unit, _: self._advance(unit, None))
-        active = [unit for unit in units if unit.pending is not None]
-        round_index = 0
-        while active:
-            # Gather: one group per (backing build, query kind) across the
-            # steps of all active units, unit after unit.
-            groups, slots = gather(
-                ((unit.entries[0].base_r, unit.entries[0].base_s), unit.pending)
-                for unit in active
-            )
-            for unit, mine in zip(active, slots):
-                unit.slots = mine
-            # Evaluate: one descent per group.
-            for group in groups:
-                self._evaluate(group, round_index)
-            # Book and advance: each query books its own shares on its own
-            # connections, in its own order -- what its standalone run books.
-            self._advance_all(active, self._book_and_advance)
-            active = [unit for unit in active if unit.pending is not None]
-            round_index += 1
+
+        def settle(failures: list) -> None:
+            # Applied once every group advanced, in submission order: one
+            # query's fault must not abort its neighbours.  A typed fault
+            # isolates its query; anything else is a bug and ends the batch.
+            failed = [(units[unit][q], error) for unit, q, error in failures]
+            for entry, error in sorted(failed, key=lambda failure: failure[0].index):
+                if not isinstance(error, ReproError):
+                    raise error
+                self._fail_entry(entry, error)
+
+        drive(list(units), self._evaluate, settle)
+        for unit, entries in units.items():
+            for entry, result in zip(entries, unit.result or ()):
+                entry.result = result
         for entry in wave:
             # Keep the ledgers for provenance, digested only when read
             # (also for failed queries whose stack got built: the primary

@@ -85,7 +85,9 @@ class TestExactness:
         result = _session(r, s, buffer_size=200).run(algorithm=algorithm, epsilon=0.03)
         assert result.pairs == expected
 
-    @pytest.mark.parametrize("algorithm", ("upjoin", "srjoin"))
+    # SemiJoin breaks this rule (ROADMAP reading 10): on these inputs it
+    # returns 24 pairs, 2 of them with R outside the window.
+    @pytest.mark.parametrize("algorithm", ("upjoin", "srjoin", "mobijoin", "naive", "fixedgrid"))
     def test_sub_window_join(self, algorithm):
         r = uniform(n=300, seed=9)
         s = uniform(n=300, seed=10)

@@ -537,6 +537,30 @@ class TestResumableRounds:
         gen.close()
         assert tracer.spans() and all(span.wall_end is not None for span in tracer.spans())
 
+    @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+    def test_a_failed_standalone_run_closes_its_spans_before_it_raises(self, algorithm):
+        """Every exchange stalls past the deadline: ``run`` raises
+        :class:`QueryTimeout` with the run's generator already closed, so no
+        span stays open while the caller holds the error, whose traceback
+        reaches the driver's frames."""
+        from repro.api import AdHocJoinSession
+
+        tracer = Tracer()
+        session = AdHocJoinSession(
+            uniform(2000, seed=1),
+            clustered(2000, 8, seed=2),
+            buffer_size=100,
+            faults=FaultPlan(seed=4, stall_rate=1.0, stall_latency_s=1.0),
+            deadline_s=2.5,
+            tracer=tracer,
+        )
+        with pytest.raises(QueryTimeout) as raised:
+            session.run(algorithm=algorithm, epsilon=0.005)
+        assert raised.value is not None  # still held
+        spans = tracer.spans()
+        assert "join" in {span.name for span in spans}
+        assert [span.name for span in spans if span.wall_end is None] == []
+
 
 # --------------------------------------------------------------------------- #
 # session reuse

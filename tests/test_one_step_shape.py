@@ -60,8 +60,7 @@ def test_a_lone_group_is_evaluated_on_its_own_request_arrays(monkeypatch):
     offered: List[object] = []
     run_group = FrontierAlgorithm.run_group
 
-    def recording(runs):
-        gen = run_group(runs)
+    def recorded(gen):
         answer = None
         try:
             while True:
@@ -72,6 +71,11 @@ def test_a_lone_group_is_evaluated_on_its_own_request_arrays(monkeypatch):
             return stop.value
         finally:
             gen.close()
+
+    def recording(runs):
+        unit = run_group(runs)
+        unit.steps = recorded(unit.steps)
+        return unit
 
     monkeypatch.setattr(FrontierAlgorithm, "run_group", staticmethod(recording))
     evaluated: List[tuple] = []
@@ -117,9 +121,7 @@ def test_semijoin_queries_run_as_one_crew(monkeypatch):
     offered: List[object] = []
     run_group = FrontierAlgorithm.run_group
 
-    def recording(runs):
-        groups.append([algo.name for algo, _ in runs])
-        gen = run_group(runs)
+    def recorded(gen):
         answer = None
         try:
             while True:
@@ -130,6 +132,12 @@ def test_semijoin_queries_run_as_one_crew(monkeypatch):
             return stop.value
         finally:
             gen.close()
+
+    def recording(runs):
+        groups.append([algo.name for algo, _ in runs])
+        unit = run_group(runs)
+        unit.steps = recorded(unit.steps)
+        return unit
 
     monkeypatch.setattr(FrontierAlgorithm, "run_group", staticmethod(recording))
     counted: List[np.ndarray] = []

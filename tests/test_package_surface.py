@@ -205,15 +205,23 @@ def test_the_operators_ask_for_server_work_and_never_do_it():
         tree = ast.parse((PACKAGE / "device" / name).read_text())
         assert list(_touches_servers(tree)) == [], name
     # ... and the protocol module reaches a connection in its one booking
-    # path only; the driver reads nothing of the pair but the builds behind
-    # it, which it evaluates on.
+    # path only; everything else reads nothing of a pair but the builds
+    # behind it, which the driver evaluates on.
+    tree = ast.parse((PACKAGE / "device" / "steps.py").read_text())
     touching = {}
-    for node in ast.parse((PACKAGE / "device" / "steps.py").read_text()).body:
+    for node in tree.body:
         touched = list(_touches_servers(node))
         if touched:
             touching[node.name] = touched
-    assert set(touching) == {"book_step", "run_steps"}
-    assert touching["run_steps"] == ["servers.backing"]
+    assert set(touching) == {"book_step"}
+    read = {
+        node.attr
+        for top in tree.body
+        if getattr(top, "name", None) != "book_step"
+        for node in ast.walk(top)
+        if isinstance(node, ast.Attribute) and "servers" in ast.unparse(node.value)
+    }
+    assert read == {"backing"}
     # A kind is evaluated by a build and booked by a connection: there is
     # no third way to answer it.
     from repro.device import steps
@@ -608,6 +616,40 @@ def test_every_algorithm_is_a_level_table_with_one_group_driver():
     assert not hasattr(MobileJoinAlgorithm, "prune")
     assert [cls.__name__ for cls in result._Events.__subclasses__()] == ["LevelTrace", "Trace"]
     assert "TraceRows" not in vars(result)
+
+
+def test_one_step_driver():
+    """Every step is answered by ``steps.drive``: a standalone run drives a
+    unit of one through it, the broker its wave's groups.  So the broker
+    neither gathers nor books, a crew hears of a failed member only through
+    ``Crew.leave`` (no second answer protocol), only ``drive`` gathers and
+    books in the protocol module, and every booking names its shares."""
+    from repro.core.frontier import Crew
+    from repro.device import steps
+
+    broker = ast.parse((PACKAGE / "service" / "broker.py").read_text())
+    imported = {
+        alias.name
+        for node in ast.walk(broker)
+        if isinstance(node, ast.ImportFrom) and node.module == "repro.device.steps"
+        for alias in node.names
+    }
+    called = {
+        node.func.id
+        for node in ast.walk(broker)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    }
+    assert "drive" in imported and "drive" in called
+    assert not imported & {"gather", "book_step"}
+    assert not hasattr(Crew, "relay")
+    callers = {}
+    for top in ast.parse((PACKAGE / "device" / "steps.py").read_text()).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("gather", "book_step"):
+                callers.setdefault(node.func.id, set()).add(top.name)
+    assert callers == {"gather": {"drive"}, "book_step": {"drive"}}
+    shares = inspect.signature(steps.book_step).parameters["shares"]
+    assert shares.default is inspect.Parameter.empty
 
 
 @pytest.mark.parametrize("window", [None, (0.0, 0.0, 0.01, 0.01)], ids=["whole", "empty"])

@@ -169,8 +169,11 @@ def devices(monkeypatch) -> Dict[int, object]:
 @pytest.fixture
 def descents(monkeypatch) -> List[tuple]:
     """A log of ``("descent", method, tree id)`` and ``("advance", +1 / -1)``
-    events: every ``FlatRTree`` batch call, and when the broker is inside
-    the phase that books and advances the queries of a wave."""
+    events: every ``FlatRTree`` batch call, and when the driver is inside
+    the phase that books and advances the queries of a wave (a query's
+    ``book_step``, a unit's advance)."""
+    from repro.device import steps
+
     log: List[tuple] = []
     for name in DESCENTS:
         original = getattr(FlatRTree, name)
@@ -180,16 +183,16 @@ def descents(monkeypatch) -> List[tuple]:
             return _original(self, *args, **kwargs)
 
         monkeypatch.setattr(FlatRTree, name, counted)
-    advance_all = QueryBroker._advance_all
+    for name in ("book_step", "_advance"):
 
-    def bracketed(self, entries, advance):
-        log.append(("advance", +1))
-        try:
-            return advance_all(self, entries, advance)
-        finally:
-            log.append(("advance", -1))
+        def bracketed(*args, _original=getattr(steps, name)):
+            log.append(("advance", +1))
+            try:
+                return _original(*args)
+            finally:
+                log.append(("advance", -1))
 
-    monkeypatch.setattr(QueryBroker, "_advance_all", bracketed)
+        monkeypatch.setattr(steps, name, bracketed)
     return log
 
 
