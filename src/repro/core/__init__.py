@@ -10,8 +10,11 @@ Modules
 * :mod:`repro.core.uniformity` -- the uniformity test (Eq. 9), the
   "is it worth asking for statistics" rule (Eq. 10) and the density
   bitmaps (Eq. 11).
-* :mod:`repro.core.frontier` -- the level-order engine every algorithm but
-  SemiJoin runs on: a recursion depth decided as one table of columns,
+* :mod:`repro.core.base` -- the tunables the algorithms share
+  (:class:`~repro.core.base.AlgorithmParameters`).
+* :mod:`repro.core.frontier` -- the level-order engine every algorithm runs
+  on, and :class:`~repro.core.frontier.FrontierAlgorithm`, the one class
+  they all derive from: a recursion depth decided as one table of columns,
   quadrant COUNT retrieval with the three-queries-plus-derivation
   optimisation.
 * :mod:`repro.core.mobijoin` -- the MobiJoin baseline (Section 3.2).

@@ -1,4 +1,4 @@
-"""The shared frontier execution engine of the join algorithms.
+"""The join algorithms' one class and the frontier engine it runs.
 
 Every algorithm in this reproduction is a recursion over windows: inspect
 a window with COUNT queries, then either prune it, finish it with a
@@ -25,6 +25,10 @@ decided together, as a table.
   the windows first ask for them (:meth:`LevelTable._round`).  Windows
   drift out of phase -- one needs a fourth quadrant COUNT, its neighbour
   does not -- which is why a round merges the cohorts of several stages.
+* :class:`FrontierAlgorithm` is the one algorithm class: every algorithm
+  derives from it directly and names its table.  It holds what they share
+  -- device, spec, parameters, cost model, pair collection, the stopping
+  rules, the spans and the assembly of the result -- and runs the tables.
 * Every run is a group (a :class:`Crew`; a run on its own is a crew of
   one): the root COUNT round (:meth:`Crew.start`), then
   :meth:`FrontierAlgorithm._levels` level after level -- the table's
@@ -67,20 +71,29 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, 
 
 import numpy as np
 
-from repro.core.base import MobileJoinAlgorithm
-from repro.core.result import JoinResult, LevelTrace, TraceBatch
-from repro.device.hbsj import UNKNOWN, HBSJColumns
+from repro.core.base import DEFAULT_PARAMETERS, AlgorithmParameters
+from repro.core.costmodel import CostModel
+from repro.core.join_types import JoinSpec
+from repro.core.result import JoinResult, LevelTrace, Trace, TraceBatch
+from repro.device.hbsj import UNKNOWN, HBSJColumns, too_small_to_split
 from repro.device.nlsj import NLSJColumns
-from repro.device.pda import DeviceGroup
-from repro.device.steps import COUNT, Request, Shared, Step, Steps, Unit
+from repro.device.pda import DeviceGroup, MobileDevice
+from repro.device.steps import COUNT, Request, Shared, Step, Steps, Unit, run_steps
 from repro.geometry import rect_array
+from repro.geometry.predicates import JoinPredicate
 from repro.geometry.rect import Rect
+from repro.index.pairs import PairBlocks, PairSet
 
 __all__ = ["CostedTable", "Crew", "FrontierAlgorithm", "Level", "LevelTable"]
 
 SIDES = ("R", "S")
 #: :attr:`LevelTable.op` codes (0: no operator finishes the window).
 HBSJ, NLSJ = 1, 2
+#: Hard recursion limit shared by every algorithm; beyond it the current
+#: window is finished with a physical operator regardless of the heuristics.
+#: (The data space halves per level, so 32 levels is far deeper than any
+#: realistic workload needs; the limit only guards pathological inputs.)
+MAX_DEPTH = 32
 
 
 @dataclass
@@ -331,7 +344,6 @@ class LevelTable:
         self.children: Optional[Level] = None
         self._asks: List[_Ask] = []
         self._trace: List[TraceBatch] = []
-        self._quad_windows: List[np.ndarray] = []
 
     # ------------------------------------------------------------------ #
     # to be provided by each algorithm
@@ -432,57 +444,6 @@ class LevelTable:
             ask.then(ask.idx, *(shares[id(ask), side] for side in ask.rows))
 
     # ------------------------------------------------------------------ #
-    # quadrant statistics (three COUNTs, the fourth derived or confirmed)
-    # ------------------------------------------------------------------ #
-
-    def quad_windows(self, side: int) -> np.ndarray:
-        """``(N, 4, 4)``: every window's quadrants as server ``side`` is asked
-        for them (R raw, S grown by the predicate margin)."""
-        if not self._quad_windows:
-            cells = rect_array.quadrant_cells(self.windows)
-            self._quad_windows = [
-                cells, rect_array.expand(cells, self.algo.predicate.window_margin)
-            ]
-        return self._quad_windows[side]
-
-    def quadrant_counts(self, side: int, idx: np.ndarray, then: Callable) -> None:
-        """Retrieve the quadrant counts of windows ``idx`` from server ``side``.
-
-        Section 4.1: "UpJoin can identify a skewed dataset by issuing only
-        three aggregate queries, since |Dw'4| = |Dw| - sum(|Dw'i|)".  The
-        derivation is exact for points; for extended objects it is an
-        underestimate, so a derived value that is not positive is confirmed
-        with a real COUNT in the next round before anyone prunes on it.
-        Fills ``self.quads[side]`` / ``self.quad_exact[side]`` (which the
-        table allocates) and calls ``then(idx)`` -- per cohort, as the
-        counts complete.
-        """
-        name = SIDES[side]
-        quads, exact = self.quads[side], self.quad_exact[side]
-        total = (self.int_r, self.int_s)[side]
-
-        def lead(idx: np.ndarray, counts: np.ndarray) -> None:
-            lead3 = counts.reshape(-1, 3).astype(np.float64)
-            quads[idx, :3] = lead3
-            # parent - sum(counts), summed left to right.
-            derived = total[idx] - ((lead3[:, 0] + lead3[:, 1]) + lead3[:, 2])
-            positive = derived > 0
-            quads[idx, 3] = derived
-            exact[idx, 3] = ~positive
-            if positive.all():
-                then(idx)
-            else:
-                suspicious = idx[~positive]
-                self.ask(suspicious, fourth, 1, **{name: self.quad_windows(side)[suspicious, 3]})
-                then(idx[positive])
-
-        def fourth(idx: np.ndarray, counts: np.ndarray) -> None:
-            quads[idx, 3] = counts
-            then(idx)
-
-        self.ask(idx, lead, 3, **{name: self.quad_windows(side)[idx, :3].reshape(-1, 4)})
-
-    # ------------------------------------------------------------------ #
     # outcomes
     # ------------------------------------------------------------------ #
 
@@ -581,24 +542,28 @@ class LevelTable:
 
 
 class CostedTable(LevelTable):
-    """A level table with the cost columns UpJoin and SrJoin decide from."""
+    """A level table with the cost columns and the quadrant statistics
+    UpJoin and SrJoin decide from."""
 
     def __init__(
         self, algo: "FrontierAlgorithm", level: Level, crew: Optional[Crew] = None
     ) -> None:
         super().__init__(algo, level, crew)
         n = len(level)
-        #: :meth:`~repro.core.base.MobileJoinAlgorithm.should_stop_partitioning`.
+        #: :meth:`FrontierAlgorithm.should_stop_partitioning`.
         self.stop = np.zeros(n, dtype=bool)
         #: Eq. 2 without the buffer cut.
         self.c1 = np.zeros(n)
         #: The cheaper NLSJ orientation (:attr:`outer_s`: ``c3``, which also
         #: wins ties; else ``c2``).
         self.nlsj_cost = np.zeros(n)
-        #: :meth:`~repro.core.base.MobileJoinAlgorithm.refinement_worthwhile`.
+        #: :meth:`FrontierAlgorithm.refinement_worthwhile`.
         self.worthwhile = np.zeros(n, dtype=bool)
+        #: Per side, every window's quadrant counts and whether each is a
+        #: real COUNT (:meth:`quadrant_counts`).
         self.quads = np.zeros((2, n, 4))
         self.quad_exact = np.ones((2, n, 4), dtype=bool)
+        self._quad_windows: List[np.ndarray] = []
 
     def cost(self, idx: np.ndarray) -> None:
         """Cost windows ``idx`` (both integer counts positive) in one call.
@@ -620,24 +585,224 @@ class CostedTable(LevelTable):
         self.nlsj_cost[idx] = np.where(outer_s, c3, c2)
         self.worthwhile[idx] = algo.refinement_worthwhile(c1)
 
+    # ------------------------------------------------------------------ #
+    # quadrant statistics (three COUNTs, the fourth derived or confirmed)
+    # ------------------------------------------------------------------ #
 
-class FrontierAlgorithm(MobileJoinAlgorithm):
-    """Base class of algorithms driven by the frontier engine.
+    def quad_windows(self, side: int) -> np.ndarray:
+        """``(N, 4, 4)``: every window's quadrants as server ``side`` is asked
+        for them (R raw, S grown by the predicate margin)."""
+        if not self._quad_windows:
+            cells = rect_array.quadrant_cells(self.windows)
+            self._quad_windows = [
+                cells, rect_array.expand(cells, self.algo.predicate.window_margin)
+            ]
+        return self._quad_windows[side]
 
-    Subclasses name their :class:`LevelTable` (and override
-    :meth:`_root_task` when their levels carry flags); the engine executes
-    them level by level.
+    def quadrant_counts(self, side: int, idx: np.ndarray, then: Callable) -> None:
+        """Retrieve the quadrant counts of windows ``idx`` from server ``side``.
+
+        Section 4.1: "UpJoin can identify a skewed dataset by issuing only
+        three aggregate queries, since |Dw'4| = |Dw| - sum(|Dw'i|)".  The
+        derivation is exact for points in raw quadrants; for extended
+        objects, and for S's quadrants grown by a distance join's margin
+        (they overlap), it is an underestimate, so a derived value that is
+        not positive is confirmed with a real COUNT in the next round before
+        anyone prunes on it.
+        Fills ``self.quads[side]`` / ``self.quad_exact[side]`` and calls
+        ``then(idx)`` -- per cohort, as the counts complete.
+        """
+        name = SIDES[side]
+        quads, exact = self.quads[side], self.quad_exact[side]
+        total = (self.int_r, self.int_s)[side]
+
+        def lead(idx: np.ndarray, counts: np.ndarray) -> None:
+            lead3 = counts.reshape(-1, 3).astype(np.float64)
+            quads[idx, :3] = lead3
+            # parent - sum(counts), summed left to right.
+            derived = total[idx] - ((lead3[:, 0] + lead3[:, 1]) + lead3[:, 2])
+            positive = derived > 0
+            quads[idx, 3] = derived
+            exact[idx, 3] = ~positive
+            if positive.all():
+                then(idx)
+            else:
+                suspicious = idx[~positive]
+                self.ask(suspicious, fourth, 1, **{name: self.quad_windows(side)[suspicious, 3]})
+                then(idx[positive])
+
+        def fourth(idx: np.ndarray, counts: np.ndarray) -> None:
+            quads[idx, 3] = counts
+            then(idx)
+
+        self.ask(idx, lead, 3, **{name: self.quad_windows(side)[idx, :3].reshape(-1, 4)})
+
+
+class FrontierAlgorithm:
+    """Base class of the client-side join algorithms, run by the frontier engine.
+
+    It holds what every algorithm shares -- the device handles, the cost
+    model, pair collection, the recursion stopping rule and the final
+    assembly of a :class:`~repro.core.result.JoinResult` from the measured
+    channels -- and executes the algorithm's :class:`LevelTable` level by
+    level.  Subclasses name their table (and override :meth:`_root_task`
+    when their levels carry flags).
+
+    Parameters
+    ----------
+    device:
+        The mobile device (buffer + metered server connections).
+    spec:
+        The join query.
+    params:
+        Algorithm tunables.
     """
 
+    #: Short name used in results and reports; subclasses override.
+    name: str = "abstract"
     #: The algorithm's decision rule.
     table: Type[LevelTable]
+
+    def __init__(
+        self,
+        device: MobileDevice,
+        spec: JoinSpec,
+        params: Optional[AlgorithmParameters] = None,
+    ) -> None:
+        self.device = device
+        self.spec = spec
+        self.params = params or DEFAULT_PARAMETERS
+        self.predicate: JoinPredicate = spec.predicate()
+        self.cost_model = CostModel(
+            device.config,
+            epsilon=self.predicate.probe_radius(),
+            bucket_queries=self.params.bucket_queries,
+        )
+        #: Every pair block the operators reported, duplicates and all;
+        #: :meth:`_assemble` deduplicates once.
+        self._pairs = PairBlocks()
+        #: The trace in parts: the ``start`` row and the level tables.
+        self._trace: List[LevelTrace] = []
+        # Observability state: the run's "join" span (None while the
+        # device's tracer is the no-op default) plus deterministic sibling
+        # counters for round / leaf-batch spans.
+        self._obs_span = None
+        self._obs_round = 0
+        self._obs_leaf_batch = 0
+
+    def run(self, window: Rect) -> JoinResult:
+        """Execute the join over ``window`` and assemble the result:
+        :meth:`run_cooperative` driven as a wave of one.  A run that fails
+        -- a typed error from its connections, say -- is closed, every span
+        it opened with it, before the error is raised."""
+        return run_steps(self.run_cooperative(window), self.device.servers)
+
+    def _obs_open(self, window: Rect) -> None:
+        """Open the run's "join" span (none when the tracer is off).
+
+        Also points the resilience controller's event hook at the new span
+        so retries/faults/failovers land on the owning query's subtree.
+        """
+        self._obs_span = None
+        self._obs_round = 0
+        self._obs_leaf_batch = 0
+        device = self.device
+        tracer = device.tracer
+        if not tracer.enabled:
+            return
+        span = tracer.span(
+            "join",
+            parent=device.trace_root,
+            sim=device.sim_now(),
+            algorithm=self.name,
+            window=repr(window),
+        )
+        self._obs_span = span
+        res = device.resilience
+        if res is not None:
+            res.trace_span = span
+
+    @property
+    def buffer_size(self) -> int:
+        return self.device.buffer.capacity
+
+    def query_window(self, server_name: str, window: Rect) -> Rect:
+        """The window actually sent to one server for a cell.
+
+        The reproduction anchors pairs at the R object: R is always queried
+        with the unexpanded cell while S is queried with the cell expanded
+        by the predicate margin (``epsilon`` for distance joins), so that
+        pairs straddling a cell boundary are neither lost by pruning nor
+        missed by downloads (Section 3 of the paper extends cells before
+        sending them as window queries).
+        """
+        margin = self.predicate.window_margin
+        if server_name.upper() == "S" and margin > 0:
+            return window.expanded(margin)
+        return window
+
+    def _open_round(self, windows: int, sides: Sequence[str]):
+        """Count a COUNT round of ``windows`` rows to ``sides`` and open its
+        "round" span (``None`` while the tracer is off).  Sibling rounds are
+        told apart by a per-run counter, keeping span ids deterministic
+        under any wave width."""
+        self.device.counts.count_queries += windows
+        span = self._obs_span
+        if span is None:
+            return None
+        round_span = span.child(
+            "round",
+            sim=self.device.sim_now(),
+            round=self._obs_round,
+            servers=",".join(sorted(sides)),
+            windows=windows,
+        )
+        self._obs_round += 1
+        return round_span
+
+    def should_stop_partitioning(self, windows: np.ndarray, depths) -> np.ndarray:
+        """Mask of the ``(N, 4)`` windows whose repartitioning cannot pay off:
+        at :data:`MAX_DEPTH`, or once a cell is too small to split
+        (:func:`~repro.device.hbsj.too_small_to_split`)."""
+        return (np.asarray(depths) >= MAX_DEPTH) | too_small_to_split(
+            windows, self.predicate.window_margin
+        )
+
+    def refinement_worthwhile(self, data_cost):
+        """True where refining a window can possibly repay its statistics.
+
+        ``data_cost`` is the window's ``c1`` without the buffer cut (a number
+        or an ``(N,)`` column).  One more refinement level costs ``2 k^2``
+        aggregate queries before a single byte of data is saved (Eq. 8's
+        fixed term).  When the whole window can be shipped for less than
+        twice that amount, asking for more statistics can never win -- the
+        same economics as Eq. 10, lifted from a single dataset to the
+        repartitioning decision.  UpJoin and SrJoin consult this before
+        recursing; MobiJoin's own cost model already embodies the trade-off
+        through ``c4``.
+        """
+        stats_cost = 2.0 * (self.params.grid_k ** 2) * self.cost_model.taq
+        return data_cost > 2.0 * stats_cost
+
+    # ------------------------------------------------------------------ #
+    # the engine
+    # ------------------------------------------------------------------ #
 
     def _root_task(self, window: Rect, count_r: int, count_s: int, depth: int) -> Level:
         """The level of one for the joined window (counts already known)."""
         return Level.root(window, count_r, count_s, depth)
 
     def run_cooperative(self, window: Rect) -> Steps:
-        """The run as a group of one: :meth:`_group_steps` of a crew of one."""
+        """Generator form of :meth:`run` for an external driver (the query broker).
+
+        Yields every server evaluation of the run as a step
+        (:mod:`repro.device.steps`) -- the root COUNTs, the planning rounds,
+        the operators' downloads and probes -- and returns the
+        :class:`~repro.core.result.JoinResult` via ``StopIteration``.  A
+        driver evaluates a step's rows alone (:meth:`run`) or with other
+        queries' (the query broker) but books them on this query's own
+        connections in step order, so the run is bit-identical whoever
+        drives it.  It is :meth:`_group_steps` of a crew of one."""
         (result,) = yield from self._group_steps(Crew([self]), [window])
         return result
 
@@ -750,3 +915,56 @@ class FrontierAlgorithm(MobileJoinAlgorithm):
                 if crew.alive[q]:
                     crew.spans[q].remove(leaves_span)
                     leaves_span.close(sim=crew.algos[q].device.sim_now())
+
+    # ------------------------------------------------------------------ #
+    # result assembly
+    # ------------------------------------------------------------------ #
+
+    def _assemble(self, window: Rect) -> JoinResult:
+        # Every block the operators reported is concatenated and
+        # deduplicated once; the public pairs are a set view over the
+        # sorted distinct block, not a tuple per pair.
+        answer = self.spec.finalise(self._pairs.block())
+        span = self._obs_span
+        merge_span = None
+        if span is not None:
+            merge_span = span.child(
+                "merge", sim=self.device.sim_now(), candidates=answer.pairs.shape[0]
+            )
+        servers = self.device.servers
+        result = JoinResult(
+            algorithm=self.name,
+            spec=self.spec,
+            pairs=PairSet.over(answer.pairs),
+            objects=answer.objects,
+            total_bytes=servers.total_bytes(),
+            bytes_r=servers.r.total_bytes(),
+            bytes_s=servers.s.total_bytes(),
+            total_cost=servers.total_cost(),
+            estimated_time_s=self.device.estimated_response_time(),
+            operator_counts=self.device.counts.as_dict(),
+            server_stats={
+                "R": servers.r.server_stats(),
+                "S": servers.s.server_stats(),
+            },
+            channel_stats={
+                "R": servers.r.channel_snapshot(),
+                "S": servers.s.channel_snapshot(),
+            },
+            buffer_high_water_mark=self.device.buffer.high_water_mark,
+            trace=Trace(self._trace),
+            resilience=(
+                res.summary()
+                if (res := self.device.resilience) is not None and res.plan is not None
+                else None
+            ),
+        )
+        if merge_span is not None:
+            merge_span.annotate(pairs=len(result.pairs))
+            merge_span.close(sim=self.device.sim_now())
+            span.annotate(
+                pairs=len(result.pairs),
+                total_bytes=result.total_bytes,
+                total_cost=result.total_cost,
+            )
+        return result

@@ -24,8 +24,9 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.core.base import AlgorithmParameters, MobileJoinAlgorithm
+from repro.core.base import AlgorithmParameters
 from repro.core.costmodel import SELECTABLE_ALGORITHMS, predict_algorithm_costs
+from repro.core.frontier import FrontierAlgorithm
 from repro.core.join_types import JoinSpec
 from repro.core.mobijoin import MobiJoin
 from repro.core.naive import FixedGridJoin, NaiveDownloadJoin
@@ -368,7 +369,7 @@ def build_algorithm(
     device: MobileDevice,
     spec: JoinSpec,
     params: Optional[AlgorithmParameters] = None,
-) -> MobileJoinAlgorithm:
+) -> FrontierAlgorithm:
     """Instantiate an algorithm by registry name.
 
     An algorithm has no options of its own: its tunables are ``params``,

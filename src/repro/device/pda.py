@@ -41,6 +41,9 @@ from repro.server.remote import ServerPair
 
 __all__ = ["DeviceGroup", "MobileDevice", "OperatorCounts"]
 
+#: The 802.11b timing model every device's response-time estimate uses.
+LINK = WifiLinkModel()
+
 
 @dataclass
 class OperatorCounts:
@@ -71,8 +74,6 @@ class MobileDevice:
         The metered R/S connections.
     buffer_size:
         Buffer capacity in objects (the paper uses 100 and 800 points).
-    link:
-        Optional 802.11b timing model used for response-time estimates.
     tracer:
         Optional :class:`repro.obs.trace.Tracer`; defaults to the no-op
         tracer, which the algorithms' instrumentation guards treat as
@@ -83,12 +84,10 @@ class MobileDevice:
         self,
         servers: ServerPair,
         buffer_size: int = 800,
-        link: Optional[WifiLinkModel] = None,
         tracer=None,
     ) -> None:
         self.servers = servers
         self.buffer = DeviceBuffer(capacity=buffer_size)
-        self.link = link or WifiLinkModel()
         self.counts = OperatorCounts()
         self.tracer = tracer if tracer is not None else NULL_TRACER
         # Parent span for the per-run "join" span (the broker points this
@@ -205,7 +204,7 @@ class MobileDevice:
         return self.servers.total_cost()
 
     def estimated_response_time(self) -> float:
-        """Estimated wall-clock seconds to replay all traffic over the link.
+        """Estimated wall-clock seconds to replay all traffic over the link (:data:`LINK`).
 
         Every connection channel log -- one per server, one per shard for a
         sharded connection, one per *replica* for a replicated fleet (the
@@ -218,7 +217,7 @@ class MobileDevice:
         ``tests/oracles/wifi_event.py``.
         """
         return sum(
-            self.link.estimate_channel_time(chan)
+            LINK.estimate_channel_time(chan)
             for server in (self.servers.r, self.servers.s)
             for chan in server.channels
         )

@@ -38,7 +38,7 @@ share of that evaluation, read once, has every query **book** its own
 shares on its own connections, in its own order (:func:`book_step`,
 ``Kind.book``), and advances every unit with its step's answers.
 :func:`run_steps` is that loop over a unit of one query -- what
-``MobileJoinAlgorithm.run`` and ``MobileDevice.hbsj_batch`` /
+``FrontierAlgorithm.run`` and ``MobileDevice.hbsj_batch`` /
 ``.nlsj_batch`` drive -- and the query broker drives its wave's groups
 through it.  A connection's own batch endpoints are
 ``book(evaluate(...))``, and a booker reads its answer by the rule a step

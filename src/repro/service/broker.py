@@ -59,11 +59,10 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.base import MobileJoinAlgorithm
 from repro.core.planner import PlanDecision, build_algorithm, select_algorithm
 from repro.core.result import JoinResult
 from repro.device.pda import MobileDevice
@@ -159,7 +158,8 @@ class _Admitted:
     base_r: Optional[SpatialServer] = None
     base_s: Optional[SpatialServer] = None
     device: Optional[MobileDevice] = None
-    algo: Optional[MobileJoinAlgorithm] = None
+    #: The query's algorithm, built with its stack (:meth:`_build_stack`).
+    algo: Any = None
     result: Optional[JoinResult] = None
     ledger_readers: Optional[Tuple[Callable[[], Tuple], ...]] = None
     #: The typed error that isolated this query from its wave, if any.

@@ -86,8 +86,21 @@ class TestExactness:
         assert result.pairs == expected
 
     # SemiJoin breaks this rule (ROADMAP reading 10): on these inputs it
-    # returns 24 pairs, 2 of them with R outside the window.
-    @pytest.mark.parametrize("algorithm", ("upjoin", "srjoin", "mobijoin", "naive", "fixedgrid"))
+    # returns 24 pairs, 2 of them with R outside the window.  Strict, so the
+    # fix has to remove the mark.
+    @pytest.mark.parametrize(
+        "algorithm",
+        (
+            "upjoin",
+            "srjoin",
+            "mobijoin",
+            "naive",
+            "fixedgrid",
+            pytest.param(
+                "semijoin", marks=pytest.mark.xfail(strict=True, reason="ROADMAP reading 10")
+            ),
+        ),
+    )
     def test_sub_window_join(self, algorithm):
         r = uniform(n=300, seed=9)
         s = uniform(n=300, seed=10)

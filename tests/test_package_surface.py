@@ -43,10 +43,12 @@ SELECTOR_NAMES = {"execution", "method", "fuse", "coalesce"}
 #: healthy-first replica order, index fanout 16, a serial sweep, the
 #: broker's default-built cost model, its calibration weight, calibration
 #: itself (on, or raw predictions), the planner's candidate pool, the fixed
-#: grid's 4 x 4 cells and COUNT pruning, and the naive join's lifted buffer.
+#: grid's 4 x 4 cells and COUNT pruning, the naive join's lifted buffer and
+#: the device's 802.11b link model.
 REMOVED_OPTIONS = {
     "router", "index_fanout", "workers", "selector", "smoothing", "calibrate",
     "calibrated", "candidates", "grid_size", "prune_empty", "enforce_buffer",
+    "link",
 }
 
 #: The batch and scalar endpoints of a server connection.
@@ -616,6 +618,38 @@ def test_every_algorithm_is_a_level_table_with_one_group_driver():
     assert not hasattr(MobileJoinAlgorithm, "prune")
     assert [cls.__name__ for cls in result._Events.__subclasses__()] == ["LevelTrace", "Trace"]
     assert "TraceRows" not in vars(result)
+
+
+def test_one_algorithm_class():
+    """``FrontierAlgorithm`` is the one algorithm class: it has no base of
+    its own, every registry class derives from it directly, the old base
+    ``MobileJoinAlgorithm`` is only its alias (the frozen benchmark tracer
+    patches that name), nothing under ``core/`` is an ABC, and the quadrant
+    statistics live on the one table that allocates the columns they fill."""
+    from repro.core import base
+    from repro.core.frontier import FrontierAlgorithm
+
+    assert FrontierAlgorithm.__bases__ == (object,)
+    indirect = {
+        name: [b.__name__ for b in cls.__bases__]
+        for name, cls in ALGORITHMS.items()
+        if cls.__bases__ != (FrontierAlgorithm,)
+    }
+    assert indirect == {}
+    assert base.MobileJoinAlgorithm is FrontierAlgorithm
+    core = sorted((PACKAGE / "core").rglob("*.py"))
+    assert [
+        str(path.relative_to(PACKAGE)) for path in core if "abc" in set(_imported_modules(path))
+    ] == []
+    owners = sorted(
+        (name, node.name)
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef)
+        for name in ("quad_windows", "quadrant_counts")
+        if any(getattr(item, "name", None) == name for item in node.body)
+    )
+    assert owners == [("quad_windows", "CostedTable"), ("quadrant_counts", "CostedTable")]
 
 
 def test_one_step_driver():
