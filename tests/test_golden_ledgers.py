@@ -20,6 +20,9 @@ The cases cover every booker and send path of the connections:
 * SemiJoin where its relay stops early: a window the root COUNT round
   prunes, and one where the small side has no object near the large
   side's level MBRs, so nothing is uploaded for the final join;
+* a windowed SemiJoin that finds pairs, once with R the small side and
+  once with S the small side (with the pair count: a join window anchors
+  R, so only pairs whose R object meets it count);
 * one brokered four-query batch (the wave driver's bookings), and one
   wave of two SemiJoin queries and an UpJoin query on shared builds.
 
@@ -41,7 +44,7 @@ import pytest
 from repro.core.base import AlgorithmParameters
 from repro.core.join_types import JoinSpec
 from repro.core.planner import StackConfig, build_algorithm, build_session_stack
-from repro.datasets.synthetic import clustered
+from repro.datasets.synthetic import clustered, uniform
 from repro.geometry.rect import Rect
 from repro.network.faults import FaultPlan
 from repro.service import JoinQuery, QueryBroker
@@ -70,6 +73,11 @@ EMPTY_SIDE_WINDOW = Rect(0.7, 0.1, 0.99, 0.39)
 NO_SMALL_OBJECTS_WINDOW = Rect(0.29, 0.72, 0.57, 0.98)
 #: A window whose SemiJoin reaches the final join, beside the whole one.
 SEMIJOIN_PART_WINDOW = Rect(0.1, 0.0, 0.5, 0.5)
+#: Thin windows of the windowed SemiJoin cases, over a uniform and a
+#: clustered dataset: the first meets the uniform one only (the small R),
+#: the second both (the clustered R is larger than the uniform S).
+SMALL_R_WINDOW = Rect(0.1, 0.3, 0.5, 0.35)
+SMALL_S_WINDOW = Rect(0.3, 0.4, 0.7, 0.45)
 
 
 def _datasets():
@@ -115,6 +123,16 @@ def _join(algorithm: str, stack: StackConfig = StackConfig(), params=None, windo
     algo = build_algorithm(algorithm, device, JoinSpec.distance(EPSILON), params)
     algo.run(window or r.bounds().union(s.bounds()))
     return device
+
+
+def _windowed_semijoin(small: str) -> Dict[str, object]:
+    """SemiJoin over a thin window with ``small`` the small side."""
+    few, many = uniform(800, seed=5), clustered(900, 3, seed=6)
+    r, s, window = (few, many, SMALL_R_WINDOW) if small == "R" else (many, few, SMALL_S_WINDOW)
+    _, _, device = build_session_stack(r, s, buffer_size=100)
+    algo = build_algorithm("semijoin", device, JoinSpec.distance(0.05))
+    result = algo.run(window)
+    return {**_stack_ledgers(device), "pairs": len(result.pairs)}
 
 
 def _average_areas(stack: StackConfig):
@@ -194,6 +212,8 @@ CASES: Dict[str, Callable[[], Dict[str, object]]] = {
     "semijoin/no-small-objects": lambda: _stack_ledgers(
         _join("semijoin", window=NO_SMALL_OBJECTS_WINDOW)
     ),
+    "semijoin/window-small-r": lambda: _windowed_semijoin("R"),
+    "semijoin/window-small-s": lambda: _windowed_semijoin("S"),
     "broker/batch4": _brokered_batch,
     "broker/semijoin": _brokered_semijoins,
 }
