@@ -241,8 +241,9 @@ class Crew:
             algo._pairs.clear()
             algo._trace.clear()
             algo._obs_open(window)
-        rows = {side: [a.query_window(side, w) for a, w in zip(algos, windows)] for side in SIDES}
-        step = [Request(COUNT, side, (rect_array.rects_to_array(rows[side]),)) for side in SIDES]
+        roots = rect_array.rects_to_array(windows)
+        rule = algos[0].predicate.request_windows
+        step = [Request(COUNT, side, (rule(side, roots),)) for side in SIDES]
         members = np.arange(len(algos), dtype=np.intp)
         counts_r, counts_s = yield from self.count_round(step, [members, members], None)
         counts: List[Optional[Tuple[int, int]]] = [None] * len(algos)
@@ -251,13 +252,12 @@ class Crew:
             if algo.params.trace:
                 count_r, count_s = (np.array([count]) for count in counts[q])
                 start = TraceBatch(np.zeros(1, np.intp), "start", algo.name, (), count_r, count_s)
-                root = rect_array.rects_to_array([windows[q]])
-                algo._trace.append(LevelTrace(0, root, [start]))
+                algo._trace.append(LevelTrace(0, roots[q : q + 1], [start]))
         return counts
 
     def count_round(self, step: Step, queries: List[np.ndarray], keys) -> Steps:
-        """Offer one COUNT round over the members' rows (query windows, the
-        margins of ``query_window`` applied); returns its answers.  Each
+        """Offer one COUNT round over the members' rows (request windows,
+        the window rule applied); returns its answers.  Each
         member with rows in it counts them and opens its own "round" span,
         closed when the answers arrive or by :meth:`close_spans`."""
         asked: Dict[int, List[Tuple[str, int]]] = {}
@@ -373,17 +373,22 @@ class LevelTable:
         self.finish()
         return self
 
-    def ask(self, idx: np.ndarray, then: Callable, per_window, **rows: np.ndarray) -> None:
+    def ask(self, idx: np.ndarray, then: Callable, per_window, **cells: np.ndarray) -> None:
         """Register the next request of the windows ``idx`` (ascending).
 
-        ``rows[side]`` holds the query windows (margins applied) for that
-        server, window after window, ``per_window`` rows each (an ``int`` or
-        an ``(len(idx),)`` column; the same for both sides).  Once the round
-        is answered, ``then(idx, *counts)`` continues with one flat ``int64``
-        count column per side asked, in the order given -- ``R`` before
-        ``S``, the order a window's own requests are written in.
+        ``cells[side]`` holds the cells to COUNT on that server, window
+        after window, ``per_window`` rows each (an ``int`` or an
+        ``(len(idx),)`` column; the same for both sides); the server is
+        asked for the window rule's windows of them
+        (:meth:`~repro.geometry.predicates.JoinPredicate.request_windows`).
+        Once the round is answered, ``then(idx, *counts)`` continues with
+        one flat ``int64`` count column per side asked, in the order given
+        -- ``R`` before ``S``, the order a window's own requests are
+        written in.
         """
         if idx.size:
+            rule = self.algo.predicate.request_windows
+            rows = {side: rule(side, rows) for side, rows in cells.items()}
             self._asks.append(_Ask(idx, then, per_window, rows))
 
     def _round(self, asks: List["_Ask"]) -> Steps:
@@ -563,7 +568,7 @@ class CostedTable(LevelTable):
         #: real COUNT (:meth:`quadrant_counts`).
         self.quads = np.zeros((2, n, 4))
         self.quad_exact = np.ones((2, n, 4), dtype=bool)
-        self._quad_windows: List[np.ndarray] = []
+        self._quad_windows: Optional[np.ndarray] = None
 
     def cost(self, idx: np.ndarray) -> None:
         """Cost windows ``idx`` (both integer counts positive) in one call.
@@ -589,15 +594,11 @@ class CostedTable(LevelTable):
     # quadrant statistics (three COUNTs, the fourth derived or confirmed)
     # ------------------------------------------------------------------ #
 
-    def quad_windows(self, side: int) -> np.ndarray:
-        """``(N, 4, 4)``: every window's quadrants as server ``side`` is asked
-        for them (R raw, S grown by the predicate margin)."""
-        if not self._quad_windows:
-            cells = rect_array.quadrant_cells(self.windows)
-            self._quad_windows = [
-                cells, rect_array.expand(cells, self.algo.predicate.window_margin)
-            ]
-        return self._quad_windows[side]
+    def quad_windows(self) -> np.ndarray:
+        """``(N, 4, 4)``: every window's quadrant cells (computed once)."""
+        if self._quad_windows is None:
+            self._quad_windows = rect_array.quadrant_cells(self.windows)
+        return self._quad_windows
 
     def quadrant_counts(self, side: int, idx: np.ndarray, then: Callable) -> None:
         """Retrieve the quadrant counts of windows ``idx`` from server ``side``.
@@ -628,14 +629,14 @@ class CostedTable(LevelTable):
                 then(idx)
             else:
                 suspicious = idx[~positive]
-                self.ask(suspicious, fourth, 1, **{name: self.quad_windows(side)[suspicious, 3]})
+                self.ask(suspicious, fourth, 1, **{name: self.quad_windows()[suspicious, 3]})
                 then(idx[positive])
 
         def fourth(idx: np.ndarray, counts: np.ndarray) -> None:
             quads[idx, 3] = counts
             then(idx)
 
-        self.ask(idx, lead, 3, **{name: self.quad_windows(side)[idx, :3].reshape(-1, 4)})
+        self.ask(idx, lead, 3, **{name: self.quad_windows()[idx, :3].reshape(-1, 4)})
 
 
 class FrontierAlgorithm:
@@ -727,7 +728,9 @@ class FrontierAlgorithm:
         return self.device.buffer.capacity
 
     def query_window(self, server_name: str, window: Rect) -> Rect:
-        """The window actually sent to one server for a cell.
+        """The window actually sent to one server for a cell: the window
+        rule's one-``Rect`` case
+        (:meth:`~repro.geometry.predicates.JoinPredicate.request_windows`).
 
         The reproduction anchors pairs at the R object: R is always queried
         with the unexpanded cell while S is queried with the cell expanded
@@ -736,10 +739,8 @@ class FrontierAlgorithm:
         missed by downloads (Section 3 of the paper extends cells before
         sending them as window queries).
         """
-        margin = self.predicate.window_margin
-        if server_name.upper() == "S" and margin > 0:
-            return window.expanded(margin)
-        return window
+        rows = self.predicate.request_windows(server_name, rect_array.rects_to_array([window]))
+        return Rect(*rows[0].tolist())
 
     def _open_round(self, windows: int, sides: Sequence[str]):
         """Count a COUNT round of ``windows`` rows to ``sides`` and open its

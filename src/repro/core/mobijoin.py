@@ -86,7 +86,7 @@ class MobiJoinTable(LevelTable):
             ),
             k * k,
             R=cells,
-            S=rect_array.expand(cells, algo.predicate.window_margin),
+            S=cells,
         )
 
 

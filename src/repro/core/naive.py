@@ -61,7 +61,7 @@ class FixedGridTable(NaiveTable):
             ),
             n,
             R=cells,
-            S=rect_array.expand(cells, self.algo.predicate.window_margin),
+            S=cells,
         )
 
 

@@ -34,15 +34,30 @@ seed's per-window payload relay and per-pair collection loop lives on as
 same payloads, so pairs, bytes and statistics are identical (pinned by
 ``tests/test_batch_queries.py``).
 
-The relay has no "no level MBR meets the window" branch: it cannot be
-reached.  Past the root round both counts are positive, so some large-side
-object meets its COUNT window -- the window itself for R, the window
-expanded by the predicate's ``window_margin`` for S, and that margin is
-``probe_radius()``.  The object lies inside a second-to-last-level MBR, so
-that MBR expanded by epsilon meets ``window.expanded(epsilon)``: both are
-grown by the same ``Rect.expanded`` floats, and ``clip_to_window`` is
-inclusive.  At least one window is uploaded (pinned by
-``tests/test_algorithms.py``).
+The relay keeps the window rule of every other algorithm
+(:meth:`~repro.geometry.predicates.JoinPredicate.request_windows`): R is
+asked within the join window, S within the window grown by
+``window_margin`` (which is ``probe_radius()``).  COLLECT clips the large
+side's epsilon-expanded level MBRs to the small side's request window, so
+a small R uploads only objects that meet the window; the JOIN request
+carries the large side's request window, and the large server joins only
+its objects inside it, so a large R joins only objects that meet the
+window.  Every pair's R object meets the window either way, and the pairs
+are the naive join's.  The window rides in the JOIN query string, as a
+WINDOW query's does: the bytes are those of an unwindowed JOIN, and a run
+over the default window (every object meets it) ships exactly what it did
+before the rule was applied.
+
+The relay has no "no level MBR meets the window" branch.  When S is small
+it cannot be reached: past the root round R's count is positive, so some R
+object meets the window; it lies inside a second-to-last-level MBR, and
+that MBR expanded by epsilon meets the window grown by the same margin
+(both are grown by the same floats, and ``clip_to_window`` is inclusive).
+When R is small, the level MBRs are S's, grown by epsilon and clipped to
+the raw window; some S object meets the grown window, so its expanded MBR
+meets the window but for the last bit of the two roundings.  Should that
+upload come out empty anyway, COLLECT books no exchange for it (no windows,
+no message), no small object comes back and no JOIN is sent.
 """
 
 from __future__ import annotations
@@ -155,13 +170,16 @@ class SemiJoin(FrontierAlgorithm):
         )
         table.rec(idx, "semijoin-mbrs", "{} level MBRs", ([m.shape[0] for (m,) in answers],))
         epsilon = self.predicate.probe_radius()
+        windows = dict(zip(idx.tolist(), table.rects(idx)))
         uploads = []
-        for window, (level_mbrs,) in zip(table.rects(idx), answers):
-            # Expand every level MBR by epsilon and clip it to the
-            # (expanded) join window, dropping disjoint ones.
+        for i, (level_mbrs,) in zip(idx.tolist(), answers):
+            # Expand every level MBR by epsilon and clip it to the small
+            # side's request window, dropping disjoint ones.
             if epsilon > 0:
                 level_mbrs = rect_array.expand(level_mbrs, epsilon)
-            clipped, valid = rect_array.clip_to_window(level_mbrs, window.expanded(epsilon))
+            clipped, valid = rect_array.clip_to_window(
+                level_mbrs, self.query_window(small[i], windows[i])
+            )
             uploads.append(clipped[valid])
 
         # Step 3: the small server returns its qualifying objects; the PDA
@@ -179,15 +197,12 @@ class SemiJoin(FrontierAlgorithm):
         nonempty = [k for k, (_, oids) in enumerate(collected) if oids.shape[0]]
 
         # Step 4: the large server joins the uploaded objects against its
-        # own data and returns the result rows.
-        idx, answers = yield from _stage(
-            table,
-            idx[nonempty],
-            [
-                [Request(JOIN, large[i], (*collected[k], epsilon))]
-                for i, k in zip(idx[nonempty].tolist(), nonempty)
-            ],
-        )
+        # own objects inside its request window and returns the result rows.
+        joins = []
+        for i, k in zip(idx[nonempty].tolist(), nonempty):
+            within = self.query_window(large[i], windows[i])
+            joins.append([Request(JOIN, large[i], (*collected[k], epsilon, within))])
+        idx, answers = yield from _stage(table, idx[nonempty], joins)
         table.rec(idx, "semijoin-join", "{} result pairs", ([len(p) for (p,) in answers],))
         for i, (pairs,) in zip(idx.tolist(), answers):
             # Orient the (small, large) columns as (R, S).

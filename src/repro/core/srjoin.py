@@ -40,7 +40,6 @@ import numpy as np
 
 from repro.core.frontier import CostedTable, FrontierAlgorithm, Level
 from repro.core.uniformity import bitmaps_equal, density_bitmap
-from repro.geometry import rect_array
 from repro.geometry.rect import Rect
 
 __all__ = ["SrJoin"]
@@ -101,7 +100,7 @@ class SrJoinTable(CostedTable):
         """Lines 3-5: the density bitmaps (Eq. 11) and their comparison."""
         if not idx.size:
             return
-        cells = self.quad_windows(0)[idx]
+        cells = self.quad_windows()[idx]
         rho = self.algo.params.rho
         bits = [
             density_bitmap(self.windows[idx], cells, total[idx], self.quads[side][idx], rho)
@@ -135,7 +134,7 @@ class SrJoinTable(CostedTable):
                 lambda _, real_r, real_s: self._confirmed(idx[window], quadrant, real_r, real_s),
                 suspicious.sum(axis=1)[suspicious.any(axis=1)],
                 R=cells,
-                S=rect_array.expand(cells, self.algo.predicate.window_margin),
+                S=cells,
             )
 
     def _confirmed(self, window, quadrant, real_r: np.ndarray, real_s: np.ndarray) -> None:
@@ -148,7 +147,7 @@ class SrJoinTable(CostedTable):
         split = np.sort(np.concatenate([np.empty(0, dtype=np.intp), *self._split]))
         self.child_level(
             split,
-            self.quad_windows(0)[split],
+            self.quad_windows()[split],
             self.quads[0][split],
             self.quads[1][split],
             self.quad_exact[0][split] & self.quad_exact[1][split],

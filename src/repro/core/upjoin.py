@@ -95,7 +95,7 @@ class UpJoinTable(CostedTable):
             idx,
             partial(self._recounted_s, real_r),
             1,
-            S=rect_array.expand(self.windows[idx], self.algo.predicate.window_margin),
+            S=self.windows[idx],
         )
 
     def _recounted_s(self, real_r: np.ndarray, idx: np.ndarray, real_s: np.ndarray) -> None:
@@ -176,18 +176,13 @@ class UpJoinTable(CostedTable):
         idx = idx[uniform]
         if idx.size:
             name, algo, depth = SIDES[side], self.algo, self.level.depth
-            probes = [
-                algo.query_window(
-                    name, window.sample_subwindow(0.5, 0.5, *algo._probe_uv(window, depth, name))
-                )
-                for window in self.rects(idx)
-            ]
-            self.ask(
-                idx,
-                partial(self._probed, side),
-                1,
-                **{name: np.array([p.as_tuple() for p in probes], dtype=np.float64)},
+            probes = rect_array.rects_to_array(
+                [
+                    window.sample_subwindow(0.5, 0.5, *algo._probe_uv(window, depth, name))
+                    for window in self.rects(idx)
+                ]
             )
+            self.ask(idx, partial(self._probed, side), 1, **{name: probes})
 
     def _probed(self, side: int, idx: np.ndarray, probe: np.ndarray) -> None:
         total = (self.int_r, self.int_s)[side][idx]
@@ -263,7 +258,7 @@ class UpJoinTable(CostedTable):
             exact.append(have & self.quad_exact[side][split])
         self.child_level(
             split,
-            self.quad_windows(0)[split],
+            self.quad_windows()[split],
             *counts,
             exact[0] & exact[1],
             self.uniform[0][split],

@@ -147,20 +147,20 @@ def hash_based_spatial_join_steps(
     table = HBSJTable(cells.shape[0])
     owner = np.arange(table.n, dtype=np.intp)
     count_r, count_s = count_r.copy(), count_s.copy()
-    margin = predicate.window_margin
+    rule = predicate.request_windows
     room = capacity(buffers)
 
     depth = 0
     while cells.shape[0]:
         # Resolve missing feasibility counts: one COUNT request per server
-        # (R is asked for the raw rows, S for the rows grown by the margin).
+        # (the window rule's windows of the cells).
         need_r, need_s = np.flatnonzero(count_r == UNKNOWN), np.flatnonzero(count_s == UNKNOWN)
         step, rows = [], []
         if need_r.size:
             step.append(Request(COUNT, "R", (cells[need_r],)))
             rows.append(need_r)
         if need_s.size:
-            step.append(Request(COUNT, "S", (rect_array.expand(cells[need_s], margin),)))
+            step.append(Request(COUNT, "S", (rule("S", cells[need_s]),)))
             rows.append(need_s)
         if step:
             answers = iter((yield _shared(step, query, owner, rows)))
@@ -172,7 +172,7 @@ def hash_based_spatial_join_steps(
         empty = (count_r == 0) | (count_s == 0)
         fits = ~empty & (count_r + count_s <= room)
         over = ~empty & ~fits
-        stuck = over & _unsplittable(cells, margin, depth)
+        stuck = over & _unsplittable(cells, predicate, depth)
         joins, splits, fallbacks = (np.flatnonzero(m) for m in (fits, over & ~stuck, stuck))
         np.add.at(table.windows_pruned, owner[empty], 1)
 
@@ -181,10 +181,10 @@ def hash_based_spatial_join_steps(
         step, rows = [], []
         if splits.size:
             children = rect_array.quadrant_cells(cells[splits]).reshape(-1, 4)
-            step += _both_sides(COUNT, children, margin)
+            step += _both_sides(COUNT, children, rule)
             rows += [np.repeat(splits, 4)] * 2
         if joins.size:
-            step += _both_sides(WINDOW, cells[joins], margin)
+            step += _both_sides(WINDOW, cells[joins], rule)
             rows += [joins] * 2
         answers = (yield _shared(step, query, owner, rows)) if step else []
 
@@ -235,18 +235,18 @@ def _shared(step, query, owner: np.ndarray, rows: List[np.ndarray]):
     return Shared(step, [query[owner[cells]] for cells in rows])
 
 
-def _both_sides(kind, rows: np.ndarray, margin: float) -> List[Request]:
-    """One request per server over the rows: R raw, S grown by the margin."""
-    return [Request(kind, "R", (rows,)), Request(kind, "S", (rect_array.expand(rows, margin),))]
+def _both_sides(kind, cells: np.ndarray, rule) -> List[Request]:
+    """One request per server over the cells, through the window rule."""
+    return [Request(kind, side, (rule(side, cells),)) for side in ("R", "S")]
 
 
-def _unsplittable(cells: np.ndarray, margin: float, depth: int) -> np.ndarray:
+def _unsplittable(cells: np.ndarray, predicate: JoinPredicate, depth: int) -> np.ndarray:
     """Where splitting cannot shrink the working set: the recursion is at
     its depth limit, or the cells are too small to split (``True`` per
     cell; the fallback is NLSJ probing)."""
     if depth >= MAX_RECURSION_DEPTH:
         return np.ones(cells.shape[0], dtype=bool)
-    return too_small_to_split(cells, margin)
+    return too_small_to_split(cells, predicate.window_margin)
 
 
 def too_small_to_split(cells: np.ndarray, margin: float) -> np.ndarray:

@@ -134,17 +134,13 @@ def nested_loop_spatial_join_steps(
     """
     windows, outer_s, query = requests
     table = NLSJTable(outer_s)
-    margin = predicate.window_margin
 
-    # Outer downloads: one WINDOW request per outer server (R keeps the raw
-    # rows, S the rows grown by the margin), invocation order preserved.
+    # Outer downloads: one WINDOW request per outer server (the window
+    # rule's windows of the cells), invocation order preserved.
     step, asked = [], []
     for side, idxs in (("R", np.flatnonzero(~outer_s)), ("S", np.flatnonzero(outer_s))):
         if idxs.size:
-            rows = windows[idxs]
-            step.append(
-                Request(WINDOW, side, (rect_array.expand(rows, margin) if side == "S" else rows,))
-            )
+            step.append(Request(WINDOW, side, (predicate.request_windows(side, windows[idxs]),)))
             asked.append((side, idxs))
     if not step:
         return table

@@ -110,7 +110,8 @@ RANGE = Kind("range", "evaluate_range_batch", (0, 1), "book_range_batch")
 BUCKET = Kind("bucket", "evaluate_range_batch", (0, 2), "book_bucket_range")
 #: SemiJoin's index relay (:mod:`repro.core.semijoin`): object count and
 #: level MBRs (``()``), the objects inside ``(windows,)``, each once, and the
-#: final join of an upload ``(mbrs, oids, epsilon)`` (its own pairs each).
+#: final join of an upload ``(mbrs, oids, epsilon, window)`` against the
+#: objects that meet ``window`` (all of them for ``None``; its own pairs each).
 SIZE = Kind("size", "evaluate_size", (), "book_size")
 LEVELS = Kind("levels", "evaluate_level_mbrs", (), "book_level_mbrs")
 COLLECT = Kind("collect", "evaluate_window_batch", (0,), "book_collect")

@@ -10,15 +10,20 @@ The paper studies three join flavours:
 The first two are pairwise predicates and are modelled here; the iceberg
 variant is a post-aggregation over a distance join and lives in
 :mod:`repro.core.join_types`.  A predicate only describes the join: its
-window margin and RANGE probe radius.  The one evaluation of a predicate
-is the epsilon-cell kernel of :mod:`repro.index.hash_join`; the scalar and
-all-pairs formulas it replaced are reference code in the tests.
+window rule (:meth:`JoinPredicate.request_windows`) and RANGE probe
+radius.  The one evaluation of a predicate is the epsilon-cell kernel of
+:mod:`repro.index.hash_join`; the scalar and all-pairs formulas it
+replaced are reference code in the tests.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+
+import numpy as np
+
+from repro.geometry import rect_array
 
 
 class JoinPredicate(ABC):
@@ -32,6 +37,21 @@ class JoinPredicate(ABC):
     #: intersection joins), which guarantees that the cell containing the
     #: pair's contact point downloads both objects.
     window_margin: float = 0.0
+
+    def request_windows(self, side: str, rows: np.ndarray) -> np.ndarray:
+        """The window rule: the windows server ``side`` is asked for the
+        ``(N, 4)`` cells ``rows``.
+
+        A join window restricts R only; S is searched wherever it meets an
+        R object.  So R is asked for the rows unchanged and S for the rows
+        grown by :attr:`window_margin` (:func:`~repro.geometry.rect_array.expand`,
+        ``Rect.expanded`` row by row).  Every request window of a join --
+        COUNT, WINDOW, the operators' downloads and SemiJoin's relay --
+        comes from here.
+        """
+        if side == "S":
+            return rect_array.expand(rows, self.window_margin)
+        return rows
 
     @abstractmethod
     def probe_radius(self) -> float:

@@ -810,10 +810,9 @@ class RemoteServer:
         self, mbrs: np.ndarray, oids: np.ndarray, epsilon: float
     ) -> np.ndarray:
         """Ship foreign objects to this server and let it perform the final
-        join (see :meth:`book_join`)."""
-        return self.book_join(
-            mbrs, oids, epsilon, *self._server.evaluate_join_batch([(mbrs, oids, epsilon)])
-        )
+        join against all of its objects (see :meth:`book_join`)."""
+        upload = (mbrs, oids, epsilon, None)
+        return self.book_join(*upload, *self._server.evaluate_join_batch([upload]))
 
     def book_size(self, size: int) -> int:
         """The object count: one aggregate exchange."""
@@ -851,13 +850,20 @@ class RemoteServer:
         return shipped
 
     def book_join(
-        self, mbrs: np.ndarray, oids: np.ndarray, epsilon: float, pairs: np.ndarray
+        self,
+        mbrs: np.ndarray,
+        oids: np.ndarray,
+        epsilon: float,
+        window: Optional[Rect],
+        pairs: np.ndarray,
     ) -> np.ndarray:
         """SemiJoin's last step over an upload the build already joined
         against its own objects (``pairs``, sorted ``(foreign_oid,
-        local_oid)`` rows): the upload is charged as an object payload, the
-        result as one object-sized row per pair.  An empty upload is not
-        sent."""
+        local_oid)`` rows, its objects that meet ``window`` when one is
+        given): the upload is charged as an object payload, the result as
+        one object-sized row per pair.  The window rides in the query
+        string, as a WINDOW query's does, so it costs no bytes of its own.
+        An empty upload is not sent."""
         if mbrs.shape[0]:
             self._book_exchange(
                 "semijoin-upload", MessageKind.BUCKET_RANGE, MessageKind.OBJECTS,

@@ -23,7 +23,7 @@ from repro.datasets.dataset import SpatialDataset
 from repro.geometry.point import Point
 from repro.geometry.predicates import IntersectionPredicate, WithinDistancePredicate
 from repro.geometry.rect import Rect
-from repro.geometry.rect_array import Windows, window_array
+from repro.geometry.rect_array import Windows, intersects_window, window_array
 from repro.index.aggregate_rtree import (
     Probes,
     average_mbr_area,
@@ -239,17 +239,21 @@ class SpatialServer:
 
     def evaluate_join_batch(self, requests: Sequence[tuple]) -> List[np.ndarray]:
         """Answer JOIN requests, SemiJoin's final join: each upload
-        ``(mbrs, oids, epsilon)`` joined against this index's entries, the
-        sorted ``(foreign_oid, local_oid)`` pairs of each as a ``(k, 2)``
-        ``int64`` block.  Each upload is its own kernel call."""
-        entries = (self.index.entry_mbrs, self.index.entry_oids)
-        return [
-            grid_hash_join_batch(
-                JoinBatch.one(mbrs, oids, *entries),
-                WithinDistancePredicate(epsilon) if epsilon > 0 else IntersectionPredicate(),
-            )[0]
-            for mbrs, oids, epsilon in requests
-        ]
+        ``(mbrs, oids, epsilon, window)`` joined against this index's
+        entries that meet ``window`` (every entry when it is ``None`` or
+        left out), the sorted ``(foreign_oid, local_oid)`` pairs of each as
+        a ``(k, 2)`` ``int64`` block.  Each upload is its own kernel call."""
+        entry_mbrs, entry_oids = self.index.entry_mbrs, self.index.entry_oids
+        answers = []
+        for mbrs, oids, epsilon, *window in requests:
+            entries = (entry_mbrs, entry_oids)
+            if window and window[0] is not None:
+                meets = intersects_window(entry_mbrs, window[0])
+                if not meets.all():
+                    entries = (entry_mbrs[meets], entry_oids[meets])
+            predicate = WithinDistancePredicate(epsilon) if epsilon > 0 else IntersectionPredicate()
+            answers.append(grid_hash_join_batch(JoinBatch.one(mbrs, oids, *entries), predicate)[0])
+        return answers
 
     def _prefetched(self, answer: Tuple[np.ndarray, np.ndarray]) -> Prefetched:
         bounds, rows = answer

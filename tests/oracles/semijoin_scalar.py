@@ -6,7 +6,9 @@ client-side (``IndexedRemoteServer.upload_windows_and_collect`` before it
 became the flat form) and booked on the connection, and the result rows are
 collected pair by pair.
 Ships the same messages with the same payloads; ``tests/test_batch_queries.py``
-pins pairs, bytes, statistics and trace.
+pins pairs, bytes, statistics and trace.  It keeps the engine's window rule:
+COLLECT clips to the small side's request window, and the JOIN carries the
+large side's, inside which the large server joins its objects.
 """
 
 from __future__ import annotations
@@ -93,7 +95,9 @@ class ScalarSemiJoin(EagerTrace, SemiJoin):
         level_arr = rect_array.rects_to_array(level_mbrs)
         if epsilon > 0:
             level_arr = rect_array.expand(level_arr, epsilon)
-        clipped, valid = rect_array.clip_to_window(level_arr, window.expanded(epsilon))
+        clipped, valid = rect_array.clip_to_window(
+            level_arr, self.query_window("R" if small_is_r else "S", window)
+        )
         probe_windows = [
             Rect(float(r[0]), float(r[1]), float(r[2]), float(r[3]))
             for r in clipped[valid]
@@ -107,7 +111,9 @@ class ScalarSemiJoin(EagerTrace, SemiJoin):
         if small_oids.shape[0] == 0:
             return
 
-        pairs = large.upload_objects_and_join(small_mbrs, small_oids, epsilon)
+        within = self.query_window("S" if small_is_r else "R", window)
+        upload = (small_mbrs, small_oids, epsilon, within)
+        pairs = large.book_join(*upload, *large.backing_server.evaluate_join_batch([upload]))
         self.record(depth, window, "semijoin-join", f"{len(pairs)} result pairs")
         for small_oid, large_oid in pairs:
             if small_is_r:

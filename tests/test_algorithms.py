@@ -85,22 +85,7 @@ class TestExactness:
         result = _session(r, s, buffer_size=200).run(algorithm=algorithm, epsilon=0.03)
         assert result.pairs == expected
 
-    # SemiJoin breaks this rule (ROADMAP reading 10): on these inputs it
-    # returns 24 pairs, 2 of them with R outside the window.  Strict, so the
-    # fix has to remove the mark.
-    @pytest.mark.parametrize(
-        "algorithm",
-        (
-            "upjoin",
-            "srjoin",
-            "mobijoin",
-            "naive",
-            "fixedgrid",
-            pytest.param(
-                "semijoin", marks=pytest.mark.xfail(strict=True, reason="ROADMAP reading 10")
-            ),
-        ),
-    )
+    @pytest.mark.parametrize("algorithm", ALL_ALGORITHMS)
     def test_sub_window_join(self, algorithm):
         r = uniform(n=300, seed=9)
         s = uniform(n=300, seed=10)

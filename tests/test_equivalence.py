@@ -9,6 +9,10 @@ and intersection predicates, an epsilon sweep) so that any behavioural
 drift introduced by performance work in the kernels, indexes, servers or
 refinement paths is caught immediately.
 
+Each randomized case also joins over one random window of its own: every
+algorithm returns naive's pairs over that window, each of them a pair of
+the full join whose R object meets the window.
+
 A determinism section additionally pins that repeated executions of the
 same workload produce identical pair sets, byte totals and traces, so no
 algorithm depends on dict/set iteration order or unseeded randomness.
@@ -18,6 +22,7 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
+import numpy as np
 import pytest
 
 from repro.api import AdHocJoinSession
@@ -60,6 +65,32 @@ def _run_all(session: AdHocJoinSession, **run_kwargs) -> Dict[str, frozenset]:
     return out
 
 
+def _random_window(case: int) -> Rect:
+    """Case ``case``'s join window: a seeded corner and size, so it lies
+    inside the data, straddles its edge or misses it."""
+    rng = np.random.default_rng(1000 + case)
+    x, y = rng.uniform(-0.2, 0.9, size=2).tolist()
+    w, h = rng.uniform(0.05, 0.7, size=2).tolist()
+    return Rect(x, y, x + w, y + h)
+
+
+def _assert_window_rule(
+    session: AdHocJoinSession, pair_sets: Dict[str, frozenset], case: int, **run_kwargs
+) -> None:
+    """Every algorithm over the case's random window returns naive's pairs
+    there: full-join pairs whose R object meets the window.  (With point
+    R objects these are all such pairs, ``tests/test_window_rule.py``; an
+    extended R object's partners outside the window grown by the
+    predicate margin are not searched.)"""
+    window = _random_window(case)
+    r = session.dataset_r
+    inside = set(r.oids[r.window_mask(window)].tolist())
+    windowed = _run_all(session, window=window, **run_kwargs)
+    assert all(pair[0] in inside for pair in windowed["naive"])
+    assert windowed["naive"] <= pair_sets["naive"]
+    _assert_all_match_naive(windowed)
+
+
 def _assert_all_match_naive(pair_sets: Dict[str, frozenset]) -> None:
     oracle = pair_sets["naive"]
     for name, pairs in pair_sets.items():
@@ -79,6 +110,7 @@ class TestDistanceJoins:
         session = _session(r, s)
         pair_sets = _run_all(session, kind="distance", epsilon=epsilon, seed=seed)
         _assert_all_match_naive(pair_sets)
+        _assert_window_rule(session, pair_sets, seed, kind="distance", epsilon=epsilon, seed=seed)
 
     @pytest.mark.parametrize("epsilon", EPSILON_SWEEP)
     def test_epsilon_sweep(self, epsilon):
@@ -87,6 +119,8 @@ class TestDistanceJoins:
         session = _session(r, s)
         pair_sets = _run_all(session, kind="distance", epsilon=epsilon)
         _assert_all_match_naive(pair_sets)
+        case = 10 + EPSILON_SWEEP.index(epsilon)
+        _assert_window_rule(session, pair_sets, case, kind="distance", epsilon=epsilon)
 
     def test_extended_objects(self):
         # Railway segments are extended MBRs: exercises the derived-count
@@ -96,6 +130,7 @@ class TestDistanceJoins:
         session = _session(r, s)
         pair_sets = _run_all(session, kind="distance", epsilon=0.03)
         _assert_all_match_naive(pair_sets)
+        _assert_window_rule(session, pair_sets, 20, kind="distance", epsilon=0.03)
 
 
 class TestIntersectionJoins:
@@ -106,6 +141,7 @@ class TestIntersectionJoins:
         session = _session(r, s)
         pair_sets = _run_all(session, kind="intersection")
         _assert_all_match_naive(pair_sets)
+        _assert_window_rule(session, pair_sets, 30 + seed, kind="intersection")
 
 
 class TestIcebergSemiJoin:

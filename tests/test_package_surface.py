@@ -652,6 +652,49 @@ def test_one_algorithm_class():
     assert owners == [("quad_windows", "CostedTable"), ("quadrant_counts", "CostedTable")]
 
 
+def test_one_window_rule():
+    """Every request window comes from ``JoinPredicate.request_windows``:
+    outside its module no package module reads ``window_margin``, except as
+    the margin of ``too_small_to_split`` (a cell too small to split is not
+    a request).  The rule grows S's rows, not R's, and ``query_window`` is
+    its one-``Rect`` case."""
+    from repro.core.frontier import FrontierAlgorithm
+    from repro.core.join_types import JoinSpec
+    from repro.geometry.rect import Rect
+
+    rule = PACKAGE / "geometry" / "predicates.py"
+    reads = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path == rule:
+            continue
+        tree = ast.parse(path.read_text())
+        margins = {
+            id(arg)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "too_small_to_split"
+            for arg in node.args
+        }
+        reads += [
+            f"{path.relative_to(PACKAGE)}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and node.attr == "window_margin"
+            and id(node) not in margins
+        ]
+    assert reads == []
+
+    predicate = JoinSpec.distance(0.25).predicate()
+    rows = np.array([[0.0, 1.0, 2.0, 3.0]])
+    assert predicate.request_windows("R", rows) is rows
+    assert predicate.request_windows("S", rows).tolist() == [[-0.25, 0.75, 2.25, 3.25]]
+    algo = FrontierAlgorithm.__new__(FrontierAlgorithm)
+    algo.predicate = predicate
+    window = Rect(0.1, 0.2, 0.3, 0.4)
+    assert algo.query_window("R", window) == window
+    assert algo.query_window("S", window) == window.expanded(0.25)
+
+
 def test_one_step_driver():
     """Every step is answered by ``steps.drive``: a standalone run drives a
     unit of one through it, the broker its wave's groups.  So the broker
