@@ -156,12 +156,10 @@ def hash_based_spatial_join_steps(
         # (the window rule's windows of the cells).
         need_r, need_s = np.flatnonzero(count_r == UNKNOWN), np.flatnonzero(count_s == UNKNOWN)
         step, rows = [], []
-        if need_r.size:
-            step.append(Request(COUNT, "R", (cells[need_r],)))
-            rows.append(need_r)
-        if need_s.size:
-            step.append(Request(COUNT, "S", (rule("S", cells[need_s]),)))
-            rows.append(need_s)
+        for side, need in (("R", need_r), ("S", need_s)):
+            if need.size:
+                step.append(Request(COUNT, side, (rule(side, cells[need]),)))
+                rows.append(need)
         if step:
             answers = iter((yield _shared(step, query, owner, rows)))
             for need, counts in ((need_r, count_r), (need_s, count_s)):
