@@ -44,9 +44,8 @@ carries the large side's request window, and the large server joins only
 its objects inside it, so a large R joins only objects that meet the
 window.  Every pair's R object meets the window either way, and the pairs
 are the naive join's.  The window rides in the JOIN query string, as a
-WINDOW query's does: the bytes are those of an unwindowed JOIN, and a run
-over the default window (every object meets it) ships exactly what it did
-before the rule was applied.
+WINDOW query's does, so it costs no bytes; over the default window every
+object meets it and the large server joins all of its objects.
 
 The relay has no "no level MBR meets the window" branch.  When S is small
 it cannot be reached: past the root round R's count is positive, so some R
