@@ -7,6 +7,7 @@ and proves its outputs unchanged on the calls the end-to-end workloads make
     python3 benchmarks/replay_calls.py capture warm_session 41 --out /root/scratch/warm.pkl
     python3 benchmarks/replay_calls.py replay /root/scratch/warm.pkl /root/scratch/parent . --rounds 9
     python3 benchmarks/replay_calls.py compare /root/scratch/warm.parent.npz /root/scratch/warm.repo.npz
+    python3 benchmarks/replay_calls.py replay warm.pkl ../parent . --rounds 5 --memory
 
 ``capture`` runs one cycle of a ``benchmarks/e2e`` workload (the harness is
 imported, never edited) with wrappers around the three ``FlatRTree`` batch
@@ -19,10 +20,14 @@ times every call -- alternating the checkouts when given two -- and saves
 the first round's outputs as ``<capture stem>.<checkout name>.npz``.  Per
 method it prints the smallest pass total, the sum over calls of each call's
 minimum across rounds, and a call's fixed cost (the intercept of a
-least-squares line of call time against rows).  ``compare`` is
-``array_equal`` + dtype, call by call.  Timings on a shared box wobble +-10%
-even as a minimum pass: judge a change by the sum of call minima, over at
-least five alternating rounds.
+least-squares line of call time against rows).  With ``--memory`` the
+first round of every checkout also replays each call once more, untimed,
+under ``tracemalloc`` and prints each method's largest peak (MiB over what
+was allocated before the call: its working set and its answer) beside the
+times -- the calls the workloads really make, held to the transient budget
+(``repro.index.budget``).  ``compare`` is ``array_equal`` + dtype, call by
+call.  Timings on a shared box wobble +-10% even as a minimum pass: judge a
+change by the sum of call minima, over at least five alternating rounds.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ import pickle
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -110,8 +116,9 @@ def capture(workload: str, seed: int, out: Path) -> None:
     print(json.dumps({"out": str(out), "trees": len(arrays), "calls (n, rows)": by_method}))
 
 
-def _worker(capture_path: str, checkout: str, save: str) -> None:
-    """One timed pass over every captured call against ``checkout``'s package."""
+def _worker(capture_path: str, checkout: str, save: str, memory: bool) -> None:
+    """One timed pass over every captured call against ``checkout``'s package
+    (and, with ``memory``, one untimed pass measuring each call's peak)."""
     sys.path.insert(0, str(Path(checkout).resolve() / "src"))
     from repro.geometry import predicates
     from repro.index.flat import FlatRTree
@@ -126,19 +133,22 @@ def _worker(capture_path: str, checkout: str, save: str) -> None:
         name, radius = spec
         return predicates.WithinDistancePredicate(radius) if name == "WithinDistancePredicate" else getattr(predicates, name)()
 
-    timed, outputs = [], {}
+    def bound(name, key, args):
+        """``(call, args, rows)`` of one captured call."""
+        if name in DESCENTS:
+            return getattr(trees[key], name), args, args[0].shape[0]
+        if name == "sweep":
+            args = (*args[:4], predicate(args[4]))
+            return plane_sweep_pair_arrays_segmented, args, args[0].shape[0] + args[2].shape[0]
+        # (Captures made before the kernel lost its ``grids=`` option
+        # carry an empty third argument.)
+        batch = JoinBatch(*args[0])
+        return grid_hash_join_batch, (batch, predicate(args[1])), batch.a_mbrs.shape[0] + batch.b_mbrs.shape[0]
+
+    timed, outputs, peaks = [], {}, []
     gc.collect()
     for i, (name, key, args) in enumerate(cap["calls"]):
-        if name in DESCENTS:
-            call, rows = getattr(trees[key], name), args[0].shape[0]
-        elif name == "sweep":
-            call, args = plane_sweep_pair_arrays_segmented, (*args[:4], predicate(args[4]))
-            rows = args[0].shape[0] + args[2].shape[0]
-        else:
-            # (Captures made before the kernel lost its ``grids=`` option
-            # carry an empty third argument.)
-            call, args = grid_hash_join_batch, (JoinBatch(*args[0]), predicate(args[1]))
-            rows = args[0].a_mbrs.shape[0] + args[0].b_mbrs.shape[0]
+        call, args, rows = bound(name, key, args)
         t0 = time.perf_counter()
         result = call(*args)
         timed.append((name, rows, time.perf_counter() - t0))
@@ -151,11 +161,24 @@ def _worker(capture_path: str, checkout: str, save: str) -> None:
                 outputs[f"{i:06d}.{name}.{k}"] = part
     if save:
         np.savez(save, **outputs)
-    print(json.dumps(timed))
+    if memory:
+        gc.collect()
+        tracemalloc.start()
+        for name, key, args in cap["calls"]:
+            call, args, _ = bound(name, key, args)
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            result = call(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            del result
+        tracemalloc.stop()
+    print(json.dumps({"timed": timed, "peaks": peaks}))
 
 
-def replay(capture_path: Path, checkouts, rounds: int) -> None:
-    """Per checkout and method, three readings over ``rounds`` passes:
+def replay(capture_path: Path, checkouts, rounds: int, memory: bool = False) -> None:
+    """Per checkout and method, three readings over ``rounds`` passes (and,
+    with ``memory``, a fourth: ``tracemalloc peak MiB``, the largest peak of
+    one call):
 
     * ``min pass``: the smallest per-pass total (what one pass costs when
       nothing interferes with the whole of it);
@@ -166,18 +189,21 @@ def replay(capture_path: Path, checkouts, rounds: int) -> None:
       least-squares line through the call minima against the call's rows
       (windows / probes for a descent, both sides' rows for a kernel).
     """
-    passes, minima = {}, {}
+    passes, minima, peaks = {}, {}, {}
     for rnd in range(rounds):
         # Alternate which checkout runs first.
         for checkout in checkouts if rnd % 2 == 0 else checkouts[::-1]:
             label = Path(checkout).resolve().name
             save = str(capture_path.with_suffix(f".{label}.npz")) if rnd == 0 else ""
+            flags = ["--memory"] if memory and rnd == 0 else []
             done = subprocess.run(
-                [sys.executable, __file__, "_worker", str(capture_path), checkout, save],
+                [sys.executable, __file__, "_worker", str(capture_path), checkout, save, *flags],
                 check=True, capture_output=True, text=True,
             )
-            timed = json.loads(done.stdout.strip().splitlines()[-1])
-            names, rows, seconds = map(np.array, zip(*timed))
+            out = json.loads(done.stdout.strip().splitlines()[-1])
+            names, rows, seconds = map(np.array, zip(*out["timed"]))
+            if out["peaks"]:
+                peaks[label] = np.array(out["peaks"]) / 2**20
             minima[label] = np.minimum(minima.get(label, seconds), seconds)
             mine = passes.setdefault(label, {})
             for name in dict.fromkeys(names.tolist()):
@@ -192,6 +218,11 @@ def replay(capture_path: Path, checkouts, rounds: int) -> None:
             "intercept us": {
                 name: 1e6 * np.polyfit(rows[at], minima[label][at], 1)[1] for name, at in of.items()
             },
+            **(
+                {"tracemalloc peak MiB": {name: peaks[label][at].max() for name, at in of.items()}}
+                if label in peaks
+                else {}
+            ),
         }
         for label, mine in passes.items()
     }
@@ -199,7 +230,7 @@ def replay(capture_path: Path, checkouts, rounds: int) -> None:
     # join), ``join`` contains the sweeps it made; ``sweep`` replays them alone.
     for label, reading in readings.items():
         for what, values in reading.items():
-            digits = 1 if what == "intercept us" else 4
+            digits = 1 if what == "intercept us" else 2 if what.startswith("tracemalloc") else 4
             print(label, what, json.dumps({k: round(float(v), digits) for k, v in values.items()}))
     if len(readings) == 2:
         (a, ra), (b, rb) = readings.items()
@@ -229,6 +260,7 @@ def main(argv=None) -> int:
     p.add_argument("capture", type=Path)
     p.add_argument("checkouts", nargs="+")
     p.add_argument("--rounds", type=int, default=5)
+    p.add_argument("--memory", action="store_true", help="also print each method's tracemalloc peak")
     p = sub.add_parser("compare")
     p.add_argument("a")
     p.add_argument("b")
@@ -236,15 +268,16 @@ def main(argv=None) -> int:
     p.add_argument("capture")
     p.add_argument("checkout")
     p.add_argument("save")
+    p.add_argument("--memory", action="store_true")
     args = parser.parse_args(argv)
     if args.cmd == "capture":
         capture(args.workload, args.seed, args.out)
     elif args.cmd == "replay":
-        replay(args.capture, args.checkouts, args.rounds)
+        replay(args.capture, args.checkouts, args.rounds, args.memory)
     elif args.cmd == "compare":
         return compare(args.a, args.b)
     else:
-        _worker(args.capture, args.checkout, args.save)
+        _worker(args.capture, args.checkout, args.save, args.memory)
     return 0
 
 

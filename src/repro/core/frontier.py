@@ -78,7 +78,7 @@ from repro.core.result import JoinResult, LevelTrace, Trace, TraceBatch
 from repro.device.hbsj import UNKNOWN, HBSJColumns, too_small_to_split
 from repro.device.nlsj import NLSJColumns
 from repro.device.pda import DeviceGroup, MobileDevice
-from repro.device.steps import COUNT, Request, Shared, Step, Steps, Unit, run_steps
+from repro.device.steps import COUNT, MAX_DEPTH, Request, Shared, Step, Steps, Unit, run_steps
 from repro.geometry import rect_array
 from repro.geometry.predicates import JoinPredicate
 from repro.geometry.rect import Rect
@@ -89,11 +89,6 @@ __all__ = ["CostedTable", "Crew", "FrontierAlgorithm", "Level", "LevelTable"]
 SIDES = ("R", "S")
 #: :attr:`LevelTable.op` codes (0: no operator finishes the window).
 HBSJ, NLSJ = 1, 2
-#: Hard recursion limit shared by every algorithm; beyond it the current
-#: window is finished with a physical operator regardless of the heuristics.
-#: (The data space halves per level, so 32 levels is far deeper than any
-#: realistic workload needs; the limit only guards pathological inputs.)
-MAX_DEPTH = 32
 
 
 @dataclass
@@ -179,11 +174,13 @@ class Crew:
     A run on its own is a crew of one;
     :meth:`FrontierAlgorithm.run_group` runs several.  Every step it offers
     is :class:`~repro.device.steps.Shared` over all members' rows, and it
-    receives that step's answers.  A member whose booking failed leaves
-    (:meth:`leave`, which the driver calls): its spans close, its device is
-    dropped, and from then on it is booked nothing and counted nothing; its
-    rows still ride in the crew's requests (evaluated, never booked) until
-    its windows go with the level they are in.
+    receives that step's answers.  A member whose booking failed, or whose
+    step outgrew its work budget, leaves (:meth:`leave`, which
+    :func:`~repro.device.steps.drive` calls): its spans close, its device
+    is dropped, and from then on it is booked nothing and counted nothing;
+    its rows still ride in the crew's requests (evaluated, never booked)
+    until its windows go with the level they are in -- or, inside an HBSJ
+    operator's recursion, its cells with their depth.
     """
 
     def __init__(self, algos: Sequence["FrontierAlgorithm"]) -> None:
@@ -763,7 +760,7 @@ class FrontierAlgorithm:
 
     def should_stop_partitioning(self, windows: np.ndarray, depths) -> np.ndarray:
         """Mask of the ``(N, 4)`` windows whose repartitioning cannot pay off:
-        at :data:`MAX_DEPTH`, or once a cell is too small to split
+        at :data:`~repro.device.steps.MAX_DEPTH`, or once a cell is too small to split
         (:func:`~repro.device.hbsj.too_small_to_split`)."""
         return (np.asarray(depths) >= MAX_DEPTH) | too_small_to_split(
             windows, self.predicate.window_margin

@@ -87,8 +87,13 @@ class SpatialDataset:
             yield Rect(float(row[0]), float(row[1]), float(row[2]), float(row[3])), int(oid)
 
     def bounds(self) -> Rect:
-        """The MBR of the whole dataset (raises for an empty dataset)."""
-        return rect_array.bounding_rect(self.mbrs)
+        """The MBR of the whole dataset (raises for an empty dataset),
+        computed once and cached: the dataset is frozen."""
+        cached = self.__dict__.get("_bounds_cache")
+        if cached is None:
+            cached = rect_array.bounding_rect(self.mbrs)
+            object.__setattr__(self, "_bounds_cache", cached)
+        return cached
 
     def centers(self) -> np.ndarray:
         """Object centres as an ``(N, 2)`` array."""

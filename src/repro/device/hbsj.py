@@ -225,6 +225,11 @@ def hash_based_spatial_join_steps(
         cells, owner = children, np.repeat(owner[splits], 4)
         count_r, count_s = (np.asarray(answer, dtype=np.int64) for answer in answers[:2])
         depth += 1
+        if any(buffer is None for buffer in buffers):
+            # A query left the group: its cells go with the depth they are in.
+            alive = np.array([buffer is not None for buffer in buffers])
+            keep = np.flatnonzero(alive[query[owner]])
+            cells, owner, count_r, count_s = (c[keep] for c in (cells, owner, count_r, count_s))
     return table
 
 

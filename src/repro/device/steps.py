@@ -44,6 +44,12 @@ through it.  A connection's own batch endpoints are
 ``book(evaluate(...))``, and a booker reads its answer by the rule a step
 generator reads it with, so ledgers, statistics, fault streams and answers
 cannot tell who evaluated the rows.
+
+The loop also holds every query to a **work budget** (:func:`work_budget`):
+the rows one step may ask for it, from :data:`MAX_DEPTH` and the sizes of
+its two inputs.  A query whose share of a new step is wider fails with
+:class:`~repro.errors.WorkBudgetExceeded` before the step is evaluated and
+leaves its unit, as a query whose booking failed does.
 """
 
 from __future__ import annotations
@@ -53,7 +59,7 @@ from typing import Dict, Generator, Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import ReproError
+from repro.errors import ReproError, WorkBudgetExceeded
 from repro.geometry import rect_array
 from repro.index.aggregate_rtree import probe_arrays
 from repro.index.pairs import PairBlocks
@@ -65,6 +71,7 @@ __all__ = [
     "COUNT",
     "JOIN",
     "LEVELS",
+    "MAX_DEPTH",
     "RANGE",
     "SIZE",
     "WINDOW",
@@ -80,7 +87,30 @@ __all__ = [
     "drive",
     "gather",
     "run_steps",
+    "work_budget",
 ]
+
+#: Hard recursion limit shared by every algorithm: a window this deep is
+#: finished with a physical operator, whatever the heuristics say.  (The
+#: data space halves per level, so 32 levels is far deeper than any
+#: realistic workload needs; the limit only guards pathological inputs.)
+MAX_DEPTH = 32
+
+
+def work_budget(builds: Tuple[object, object]) -> int:
+    """The rows one step may ask for one query over the two ``builds``:
+    :data:`MAX_DEPTH` per object of the two inputs, and one object's worth
+    more (a join over empty inputs still asks its root COUNTs).
+
+    A step that separates its objects asks at most a few rows per object (a
+    split window's quadrants on both sides); no tier-1 run asks more than
+    0.85 per object.  A frontier over objects that overlap in every
+    quadrant -- more of them than the buffer holds -- separates nothing and
+    grows fourfold per level; this is where it stops, long before its width
+    can exhaust memory.
+    """
+    base_r, base_s = builds
+    return MAX_DEPTH * (len(base_r) + len(base_s) + 1)
 
 
 class Kind(NamedTuple):
@@ -159,7 +189,10 @@ class Shared(list):
         """Who asks what, for ``n`` queries: per query the ``(request, first
         row, end row)`` of each request it has rows in, in the query's own
         order."""
-        if self._shares is None:
+        if self._shares is None and n == 1 and self.keys is None:
+            # One query: its share is every row of every request.
+            self._shares = [[(i, 0, q.shape[0]) for i, q in enumerate(self.queries) if q.shape[0]]]
+        elif self._shares is None:
             mine: List[list] = [[] for _ in range(n)]
             for i, queries in enumerate(self.queries):
                 bounds = np.searchsorted(queries, np.arange(n + 1)).tolist()
@@ -357,12 +390,14 @@ class Unit:
     error -- traceback and all -- holds no generator, connection or crew.
     """
 
-    __slots__ = ("steps", "servers", "leave", "builds", "step", "result")
+    __slots__ = ("steps", "servers", "leave", "builds", "budget", "taken", "step", "result")
 
     def __init__(self, steps: Steps, servers: Sequence[ServerPair], leave=None) -> None:
         self.steps, self.servers, self.leave = steps, list(servers), leave
         #: What its steps are evaluated on: the builds behind the connections.
         self.builds = self.servers[0].backing
+        #: The rows a step may ask per query, and the steps offered so far.
+        self.budget, self.taken = work_budget(self.builds), 0
         #: The step it waits to have answered (``None`` once finished), and
         #: what its generator returned.
         self.step = self.result = None
@@ -378,6 +413,30 @@ class Unit:
         failures.extend((self, q, error) for q, pair in enumerate(self.servers) if pair is not None)
         self.finish()
 
+    def drop(self, q: int, error: ReproError, failures: list) -> None:
+        """Query ``q`` fails with ``error``: it is booked nothing more and
+        leaves its generator."""
+        failures.append((self, q, error))
+        self.servers[q] = None
+        if self.leave is not None:
+            self.leave(q)
+
+    def hold_to_budget(self, failures: list) -> None:
+        """Before its new step is evaluated: every query whose share of it
+        is wider than :attr:`budget` fails with
+        :class:`~repro.errors.WorkBudgetExceeded`; the unit closes if none is
+        left."""
+        self.taken += 1
+        step, n = self.step, len(self.servers)
+        if sum(q.shape[0] for q in step.queries) <= self.budget:  # no query can be over
+            return
+        for q, shares in enumerate(step.shares(n)):
+            width = sum(hi - lo for _, lo, hi in shares)
+            if width > self.budget and self.servers[q] is not None:
+                self.drop(q, WorkBudgetExceeded(q, self.taken, width, self.budget), failures)
+        if all(pair is None for pair in self.servers):
+            self.finish()
+
 
 def _evaluate(group: Group, round_index: int) -> None:
     group.evaluate()
@@ -389,9 +448,11 @@ def drive(units: Sequence[Unit], evaluate=_evaluate, settle=lambda failures: Non
     Each round gathers the step every unit offers, evaluates each (backing
     build, kind) group once (``evaluate(group, round)``), has every live
     query book its shares on its own connections (:func:`book_step`) and
-    advances every unit with its step's answers.  A query whose booking
-    raised a typed error leaves its unit; a unit with no query left is
-    closed, and one that raises fails every query still in it.  Once the
+    advances every unit with its step's answers.  A query whose share of
+    a new step is wider than its work budget (:meth:`Unit.hold_to_budget`,
+    checked before the step is evaluated) or whose booking raised a typed
+    error leaves its unit; a unit with no query left is closed, and one
+    that raises fails every query still in it.  Once the
     units are primed and after every round, ``settle`` gets that phase's
     ``(unit, query, error)`` failures, if any, in unit order.  No round's
     groups, slots or answers are held into the next evaluation.
@@ -418,10 +479,7 @@ def drive(units: Sequence[Unit], evaluate=_evaluate, settle=lambda failures: Non
                         try:
                             book_step(unit.servers[q], step, answers, shares)
                         except ReproError as error:
-                            failures.append((unit, q, error))
-                            unit.servers[q] = None
-                            if unit.leave is not None:
-                                unit.leave(q)
+                            unit.drop(q, error, failures)
             except Exception as error:  # noqa: BLE001 -- settled by the caller
                 unit.fail(error, failures)
             else:
@@ -431,13 +489,14 @@ def drive(units: Sequence[Unit], evaluate=_evaluate, settle=lambda failures: Non
 
 
 def _advance(unit: Unit, answers: Optional[list], failures: list) -> None:
-    """Send a unit its step's answers (``None`` primes it); close it instead
-    if no query is left in it."""
+    """Send a unit its step's answers (``None`` primes it) and hold its new
+    step to the work budget; close it instead if no query is left in it."""
     try:
         if all(pair is None for pair in unit.servers):
             unit.finish()
         else:
             unit.step = unit.steps.send(answers)
+            unit.hold_to_budget(failures)
     except StopIteration as stop:
         unit.finish(stop.value)
     except Exception as error:  # noqa: BLE001 -- settled by the caller

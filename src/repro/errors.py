@@ -36,6 +36,7 @@ __all__ = [
     "ReproError",
     "RetryExhausted",
     "ServerUnavailable",
+    "WorkBudgetExceeded",
     "require_count",
     "require_finite",
 ]
@@ -144,3 +145,33 @@ class RetryExhausted(ReproError):
     def __init__(self, message: str, last_fault: Optional[ChannelFault] = None) -> None:
         super().__init__(message)
         self.last_fault = last_fault
+
+
+class WorkBudgetExceeded(ReproError):
+    """A query asked more rows in one step than its work budget allows.
+
+    The budget (``repro.device.steps.work_budget``) bounds the rows of one
+    step by the depth limit and the sizes of the two inputs; a frontier
+    past it no longer separates its objects -- every split finds the same
+    overlapping objects in every quadrant -- and would grow fourfold per
+    level until the process ran out of memory.  ``steps.drive`` raises
+    this before such a step is evaluated, so the query fails with a typed error
+    and the process lives on.
+
+    ``query`` is the query's position in the group that ran it (0 for a
+    run on its own), ``step`` the step's number in that run, ``width`` the
+    rows the query asked in it and ``budget`` the rows it may ask.
+    """
+
+    def __init__(self, query: int, step: int, width: int, budget: int) -> None:
+        super().__init__(
+            f"query {query}: step {step} asks {width} rows, over its work budget of "
+            f"{budget} rows per step"
+        )
+        self.query = query
+        self.step = step
+        self.width = width
+        self.budget = budget
+
+    def __reduce__(self):
+        return type(self), (self.query, self.step, self.width, self.budget)

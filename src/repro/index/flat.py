@@ -85,6 +85,7 @@ import numpy as np
 
 from repro.errors import require_count
 from repro.geometry.rect_array import empty_mbrs, expand_index_ranges
+from repro.index import budget
 
 __all__ = ["FlatRTree", "str_tiling"]
 
@@ -227,17 +228,17 @@ class FlatRTree:
 
         Tiles bottom-up on arrays -- each level is one STR tiling of the
         boxes below it, its own boxes one ``reduceat`` -- then lays the
-        levels out in preorder top-down.
+        levels out in preorder top-down.  A per-entry temporary goes as soon
+        as it has been used (the transient budget, :mod:`repro.index.budget`):
+        the entry block, the leaf tiling's order and the depth-first order
+        are the only ones that outlive a step.
         """
         require_count(max_entries, "max_entries", minimum=4)
         arr = np.asarray(mbrs, dtype=np.float64).reshape(-1, 4)
         n = arr.shape[0]
-        if oids is None:
-            oid_arr = np.arange(n, dtype=np.int64)
-        else:
-            oid_arr = np.asarray(oids, dtype=np.int64)
-            if oid_arr.shape != (n,):
-                raise ValueError("oids must be a 1D array parallel to mbrs")
+        oid_arr = None if oids is None else np.asarray(oids, dtype=np.int64)
+        if oid_arr is not None and oid_arr.shape != (n,):
+            raise ValueError("oids must be a 1D array parallel to mbrs")
 
         # Bottom-up.  Level k's nodes are the STR tiles of level k-1's boxes
         # (level 0 tiles the entries); ``weight`` counts the entries below.
@@ -248,17 +249,19 @@ class FlatRTree:
             zeros = np.zeros(2, dtype=np.intp)
             tiles.append((zeros[:0], zeros, np.zeros((4, 1)), zeros[:1]))
         entries = np.ascontiguousarray(arr.T)
-        cols, weight = entries, np.ones(n, dtype=np.intp)
+        del arr
+        cols, weight = entries, None
         while not tiles or cols.shape[1] > 1:
             perm, offs = str_tiling(cols.T, max_entries)
-            members, starts = cols.take(perm, axis=1), offs[:-1]
-            cols = np.concatenate(
+            starts = offs[:-1]
+            cols = np.stack(
                 [
-                    np.minimum.reduceat(members[:2], starts, axis=1),
-                    np.maximum.reduceat(members[2:], starts, axis=1),
+                    reduce.reduceat(row.take(perm), starts)
+                    for reduce, row in zip(_BOX_REDUCE, cols)
                 ]
             )
-            weight = np.add.reduceat(weight[perm], starts)
+            # A leaf tile holds one entry per member.
+            weight = np.diff(offs) if weight is None else np.add.reduceat(weight[perm], starts)
             tiles.append((perm, offs, cols, weight))
 
         # Top-down.  ``order`` lists a level's nodes left to right: the
@@ -269,10 +272,10 @@ class FlatRTree:
         order = np.zeros(1, dtype=np.intp)
         columns = []
         block_end = 0
-        for level in range(len(tiles) - 1, -1, -1):
-            perm, offs, cols, weight = tiles[level]
+        while tiles:
+            perm, offs, cols, weight = tiles.pop()
             lo, hi = offs[order], offs[order + 1]
-            fanout = hi - lo if level else np.zeros_like(lo)
+            fanout = hi - lo if tiles else np.zeros_like(lo)
             block_end += order.shape[0]
             columns.append(
                 (
@@ -284,6 +287,7 @@ class FlatRTree:
                 )
             )
             order = perm[expand_index_ranges(lo, hi)[1]]
+        del perm
         cols, ent_end, weight, kid_end, fanout = (
             np.concatenate(column, axis=-1) for column in zip(*columns)
         )
@@ -299,11 +303,16 @@ class FlatRTree:
 
         ent_end = ent_end[pre]
         child_end = np.cumsum(fanout)
+        entry_cols = entries.take(order, axis=1)
+        del entries
+        # Default oids are ``range(n)``: the depth-first order itself.
+        entry_oids = order.astype(np.int64, copy=False) if oid_arr is None else oid_arr[order]
+        del order
         return cls(
             node_cols=cols.take(pre, axis=1),
             is_leaf=fanout == 0,
-            entry_cols=entries.take(order, axis=1),
-            entry_oids=oid_arr[order],
+            entry_cols=entry_cols,
+            entry_oids=entry_oids,
             ent_start=ent_end - weight[pre],
             ent_end=ent_end,
             child_start=child_end - fanout,
@@ -373,9 +382,11 @@ class FlatRTree:
         out = np.zeros(W, dtype=np.int64)
         if self.size == 0 or W == 0:
             return out
-        qids, covered, leaf_q, _, mask = self._frontier(W, roots, *_window_tests(wins))
-        np.add.at(out, qids, self.ent_end.take(covered) - self.ent_start.take(covered))
-        np.add.at(out, leaf_q, np.add.reduce(mask, axis=1))
+        chunks = self._frontier(W, roots, lambda lo, hi: _window_tests(wins[lo:hi]))
+        for lo, hi, (qids, covered, leaf_q, _, mask) in chunks:
+            part = out[lo:hi]
+            np.add.at(part, qids, self.ent_end.take(covered) - self.ent_start.take(covered))
+            np.add.at(part, leaf_q, np.add.reduce(mask, axis=1))
         return out
 
     def window_batch(self, wins: np.ndarray) -> List[np.ndarray]:
@@ -395,7 +406,7 @@ class FlatRTree:
         traversal has just tested these very rows, so a consumer never looks
         an oid up again.  ``roots`` as in :meth:`count_batch`.
         """
-        return self._rows_by_query(wins.shape[0], roots, *_window_tests(wins))
+        return self._rows_by_query(wins.shape[0], roots, lambda lo, hi: _window_tests(wins[lo:hi]))
 
     def range_batch(self, pts: np.ndarray, radii: np.ndarray) -> List[np.ndarray]:
         """Qualifying oids for every probe of ``(P, 2)`` centres / radii."""
@@ -413,14 +424,19 @@ class FlatRTree:
         positions like :meth:`window_batch_flat`'s.  ``roots`` as in
         :meth:`count_batch`.
         """
-        px, py = np.ascontiguousarray(pts.T)
 
-        def reached(page: np.ndarray, qids: np.ndarray) -> np.ndarray:
-            x0, y0, nx1, ny1 = page
-            at = px.take(qids)[:, None], py.take(qids)[:, None]
-            return _reaches((x0, y0, -nx1, -ny1), at, radii.take(qids)[:, None])
+        def tests(lo: int, hi: int):
+            px, py = np.ascontiguousarray(pts[lo:hi].T)
+            r = radii[lo:hi]
 
-        return self._rows_by_query(pts.shape[0], roots, reached, None)
+            def reached(page: np.ndarray, qids: np.ndarray) -> np.ndarray:
+                x0, y0, nx1, ny1 = page
+                at = px.take(qids)[:, None], py.take(qids)[:, None]
+                return _reaches((x0, y0, -nx1, -ny1), at, r.take(qids)[:, None])
+
+            return reached, None
+
+        return self._rows_by_query(pts.shape[0], roots, tests)
 
     def entries_at(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """The ``(mbrs, oids)`` payload of the entry rows a query matched.
@@ -466,71 +482,116 @@ class FlatRTree:
         """The ``(4, k, M)`` pages of ``nodes``: the one gather of box coordinates a step makes."""
         return self.pages.take(nodes, axis=1)
 
-    def _frontier(self, n_rows: int, roots: Optional[np.ndarray], met, inside):
+    def _frontier(self, n_rows: int, roots: Optional[np.ndarray], tests):
         """Level-synchronous descent of ``n_rows`` queries, a page per (node, query).
 
+        ``tests(lo, hi)`` gives ``(met, inside)`` for query rows ``lo:hi``:
         ``met(page, qids)`` masks the ``(k, M)`` slots of the ``(4, k, M)``
-        opened pages that each row's query reaches; ``inside`` likewise the
-        slots it covers whole (``None``: none ever).  Returns ``(qids,
-        nodes, leaf_qids, leaves, met)``: the (query, node) pairs whose
+        opened pages that each row's query reaches (``qids`` counted from
+        ``lo``); ``inside`` likewise the slots it covers whole (``None``:
+        none ever).  Yields, per chunk of query rows, ``(lo, hi, (qids,
+        nodes, leaf_qids, leaves, met))``: the (query, node) pairs whose
         subtree is covered, then the (query, leaf) pairs opened with the
         ``(k, M)`` mask of the leaf entries met, each depth by depth and
-        within a depth by query, then left to right.  Children met but not
-        covered are opened next.
+        within a depth by query, then left to right, ``qids`` counted from
+        ``lo``.  Children met but not covered are opened next.
 
         Row ``i`` starts by opening its root (``roots[i]``, else node 0):
         a root box bounds every box below it, so skipping its test changes
         no count, row or row order.  A missed root's children are all
         missed (both tests are monotone in the box bounds);
         a covered root's children are all covered, and their entry ranges
-        join up into the root's range; every entry is still tested.  A
-        level of one tree is all inner or all leaf pages, so it is settled
-        once; only a forest of unequal heights mixes them and splits.
-        """
-        M = self.pages.shape[2]
-        nodes = np.zeros(n_rows, dtype=np.intp) if roots is None else roots
-        qids = np.arange(n_rows, dtype=np.intp)
-        none = qids[:0]
-        found = [none], [none], [none], [none], [np.zeros((0, M), dtype=bool)]
-        while nodes.shape[0]:
-            page = self._open(nodes)
-            mask = met(page, qids)
-            leaf = self.is_leaf.take(nodes)
-            if np.logical_and.reduce(leaf):  # a tree's leaf level: the last
-                for chunks, part in zip(found[2:], (qids, nodes, mask)):
-                    chunks.append(part)
-                break
-            if np.logical_or.reduce(leaf):  # a forest whose trees differ in height
-                for chunks, part in zip(found[2:], (qids, nodes, mask)):
-                    chunks.append(part.compress(leaf, axis=0))
-                mask = mask & ~leaf[:, None]
-            at = mask.ravel().nonzero()[0]
-            row, col = np.divmod(at, M)
-            kid = self.child_ids.take(self.child_start.take(nodes.take(row)) + col)
-            q = qids.take(row)
-            if inside is not None:
-                whole = inside(page.reshape(4, -1).take(at, axis=1)[:, :, None], q)[:, 0]
-                found[0].append(q.compress(whole))
-                found[1].append(kid.compress(whole))
-                part = (~whole).nonzero()[0]
-                kid, q = kid.take(part), q.take(part)
-            nodes, qids = kid, q
-        return [np.concatenate(chunks) for chunks in found]
+        join up into the root's range; every entry is still tested.
 
-    def _rows_by_query(self, n_rows: int, roots, met, inside) -> Tuple[np.ndarray, np.ndarray]:
-        """The entry rows a :meth:`_frontier` descent qualifies, in CSR form."""
+        The working set is held to the transient budget (:mod:`repro.index.budget`):
+        a chunk is as many query rows as the budget holds opened pages of,
+        and a level wider than that opens its pages a slice of that many
+        pairs at a time.  A query's pairs all lie in one chunk and the
+        slices run in frontier order, so every chunk lists its rows exactly
+        as one descent of the whole batch would.
+        """
+        limit = budget.chunk_rows(_PAIR_PAGES * self.pages[:, 0].nbytes)
+        M = self.pages.shape[2]
+        none = np.zeros(0, dtype=np.intp)
+        for lo in range(0, n_rows, limit):
+            hi = min(lo + limit, n_rows)
+            nodes = np.zeros(hi - lo, dtype=np.intp) if roots is None else roots[lo:hi]
+            qids = np.arange(hi - lo, dtype=np.intp)
+            met, inside = tests(lo, hi)
+            found = [none], [none], [none], [none], [np.zeros((0, M), dtype=bool)]
+            while nodes.shape[0]:
+                if nodes.shape[0] <= limit:
+                    nodes, qids = self._open_level(nodes, qids, met, inside, found)
+                    continue
+                parts = [
+                    self._open_level(nodes[at : at + limit], qids[at : at + limit], met, inside, found)
+                    for at in range(0, nodes.shape[0], limit)
+                ]
+                nodes, qids = (np.concatenate(part) for part in zip(*parts))
+            yield lo, hi, [np.concatenate(chunks) for chunks in found]
+
+    def _open_level(self, nodes, qids, met, inside, found):
+        """Open the pages of one level's (node, query) pairs: append the
+        covered subtrees and the leaves opened to ``found``; return the
+        (child, query) pairs to open next.  A level of one tree is all
+        inner or all leaf pages, so it is settled once; only a forest of
+        unequal heights mixes them and splits."""
+        M = self.pages.shape[2]
+        page = self._open(nodes)
+        mask = met(page, qids)
+        leaf = self.is_leaf.take(nodes)
+        if np.logical_and.reduce(leaf):  # a tree's leaf level: the last
+            for chunks, part in zip(found[2:], (qids, nodes, mask)):
+                chunks.append(part)
+            return nodes[:0], qids[:0]
+        if np.logical_or.reduce(leaf):  # a forest whose trees differ in height
+            for chunks, part in zip(found[2:], (qids, nodes, mask)):
+                chunks.append(part.compress(leaf, axis=0))
+            mask = mask & ~leaf[:, None]
+        at = mask.ravel().nonzero()[0]
+        row, col = np.divmod(at, M)
+        kid = self.child_ids.take(self.child_start.take(nodes.take(row)) + col)
+        q = qids.take(row)
+        if inside is not None:
+            whole = inside(page.reshape(4, -1).take(at, axis=1)[:, :, None], q)[:, 0]
+            found[0].append(q.compress(whole))
+            found[1].append(kid.compress(whole))
+            part = (~whole).nonzero()[0]
+            kid, q = kid.take(part), q.take(part)
+        return kid, q
+
+    def _rows_by_query(self, n_rows: int, roots, tests) -> Tuple[np.ndarray, np.ndarray]:
+        """The entry rows a :meth:`_frontier` descent qualifies, in CSR form,
+        chunk after chunk."""
         if self.size == 0 or n_rows == 0:
             return np.zeros(n_rows + 1, dtype=np.intp), np.empty(0, dtype=np.intp)
-        qids, covered, leaf_q, leaves, mask = self._frontier(n_rows, roots, met, inside)
-        of, ent = expand_index_ranges(self.ent_start.take(covered), self.ent_end.take(covered))
-        row, col = np.divmod(mask.ravel().nonzero()[0], mask.shape[1])
-        # A query's leaf entries are met at its tree's leaf depth, after every
-        # depth it covered a subtree at: a stable sort by query keeps its order.
-        q = np.concatenate([qids.take(of), leaf_q.take(row)])
-        order = np.argsort(q, kind="stable")
-        rows = np.concatenate([ent, self.ent_start.take(leaves.take(row)) + col])
-        return np.searchsorted(q[order], np.arange(n_rows + 1)), rows[order]
+        bounds, rows = [], []
+        for lo, hi, (qids, covered, leaf_q, leaves, mask) in self._frontier(n_rows, roots, tests):
+            of, ent = expand_index_ranges(self.ent_start.take(covered), self.ent_end.take(covered))
+            row, col = np.divmod(mask.ravel().nonzero()[0], mask.shape[1])
+            # A query's leaf entries are met at its tree's leaf depth, after
+            # every depth it covered a subtree at: a stable sort by query
+            # keeps its order.
+            q = np.concatenate([qids.take(of), leaf_q.take(row)])
+            order = np.argsort(q, kind="stable")
+            rows.append(np.concatenate([ent, self.ent_start.take(leaves.take(row)) + col])[order])
+            bounds.append(np.searchsorted(q[order], np.arange(hi - lo + 1)))
+        if len(rows) == 1:
+            return bounds[0], rows[0]
+        ends = np.cumsum([0] + [r.shape[0] for r in rows[:-1]])
+        return (
+            np.concatenate([bounds[0]] + [b[1:] + e for b, e in zip(bounds[1:], ends[1:])]),
+            np.concatenate(rows),
+        )
 
+
+#: The working bytes of one opened (node, query) pair, in pages: the page
+#: itself and its tests (a probe's distance test holds about two pages of
+#: temporaries).
+_PAIR_PAGES = 3
+
+#: How a tile's box comes from its members' boxes, coordinate by coordinate.
+_BOX_REDUCE = (np.minimum, np.minimum, np.maximum, np.maximum)
 
 #: A box ``xmin, ymin, xmax, ymax`` times this is its page slot ``xmin, ymin, -xmax, -ymax``.
 _SIGN = np.array([1.0, 1.0, -1.0, -1.0])
@@ -575,18 +636,29 @@ def str_tiling(boxes: np.ndarray, capacity: int) -> Tuple[np.ndarray, np.ndarray
     n = boxes.shape[0]
     slice_count = math.ceil(math.sqrt(math.ceil(n / capacity)))
     slice_size = math.ceil(n / slice_count)
-    cx = (boxes[:, 0] + boxes[:, 2]) / 2.0
-    cy = (boxes[:, 1] + boxes[:, 3]) / 2.0
     rank = np.arange(n, dtype=np.intp)
-    by_x = _stable_order(cx)
+    by_x = _stable_order(_centre(boxes, 0))
     x_pos = np.empty_like(by_x)
     x_pos[by_x] = rank
-    by_y = _stable_order(cy, then=x_pos)
-    key = x_pos[by_y] // slice_size * n + rank
+    del by_x
+    by_y = _stable_order(_centre(boxes, 1), then=x_pos)
+    key = x_pos.take(by_y)
+    del x_pos
+    key //= slice_size
+    key *= n
+    key += rank
     key.sort()
-    perm = by_y[key % n]
+    key %= n
+    perm = by_y.take(key)
     offs = np.append(rank[rank % slice_size % capacity == 0], n)
     return perm, offs
+
+
+def _centre(boxes: np.ndarray, axis: int) -> np.ndarray:
+    """The boxes' centre coordinate on ``axis`` (0: x, 1: y)."""
+    centre = boxes[:, axis] + boxes[:, axis + 2]
+    centre /= 2.0
+    return centre
 
 
 def _stable_order(keys: np.ndarray, then: Optional[np.ndarray] = None) -> np.ndarray:

@@ -21,6 +21,13 @@ joins them in memory.  :func:`grid_hash_join_batch` joins all the windows
   ``(item, a_oid, b_oid)`` and drops the repeats a B row covering several
   cells of one neighbourhood produced.
 
+All of this runs a chunk of items at a time, so the working set follows the
+transient budget (:mod:`repro.index.budget`), not the batch: about even
+chunks of whole items, as many as the budget holds rows of; an item larger
+than that is a chunk of its own, whose A rows read its one B cell table a
+budget of rows at a time.  Items share nothing, so the chunks' pairs, one
+after the other, are the whole batch's.
+
 The mask is the plane sweep's (``tests/oracles/plane_sweep_scalar.py``):
 ``dx <= 0 and dy <= 0`` without epsilon, else ``dx * dx + dy * dy <= eps *
 eps`` and both x-cuts ``b.xmin <= a.xmax + eps``, ``a.xmin <= b.xmax +
@@ -63,6 +70,7 @@ import numpy as np
 
 from repro.geometry.predicates import JoinPredicate, WithinDistancePredicate
 from repro.geometry.rect_array import expand_index_ranges
+from repro.index.budget import TRANSIENT_BUDGET, chunk_rows, cuts
 from repro.index.pairs import unique_rows
 
 __all__ = ["JoinBatch", "grid_hash_join", "grid_hash_join_batch"]
@@ -70,9 +78,13 @@ __all__ = ["JoinBatch", "grid_hash_join", "grid_hash_join_batch"]
 #: Rows (both sides) an item's cells hold on average, when its extent and
 #: not epsilon sizes them.
 _PER_CELL = 0.25
+#: Working bytes per row of a join item, both sides: its cells, the B cell
+#: table and an A row's bands (against the transient budget).
+_ROW_BYTES = 208
 #: Candidate pairs one mask evaluation takes (whole bands: one band of
-#: more candidates is a chunk of its own).
-_CHUNK = 1 << 17
+#: more candidates is a chunk of its own): what the transient budget holds
+#: at 128 working bytes a candidate.
+_CHUNK = TRANSIENT_BUDGET // 128
 #: The cell side's margins over epsilon: relative, and absolute for the
 #: squares that underflow (see the module docstring).
 _MARGIN = 2.0**-20
@@ -145,24 +157,39 @@ def grid_hash_join_batch(
     ``int64`` block of ``(a_oid, b_oid)`` rows, item after item, each item's
     rows sorted and duplicate-free, item ``i`` owning rows
     ``starts[i]:starts[i + 1]``.
+
+    The items are joined a chunk at a time (module docstring).
     """
     batch = items if isinstance(items, JoinBatch) else JoinBatch.from_items(items)
     n_items = batch.a_bounds.shape[0] - 1
-    live = (np.diff(batch.a_bounds) > 0) & (np.diff(batch.b_bounds) > 0)
-    a, a_oids, n_a = _live_rows(batch.a_mbrs, batch.a_oids, batch.a_bounds, live)
-    b, b_oids, n_b = _live_rows(batch.b_mbrs, batch.b_oids, batch.b_bounds, live)
     eps = predicate.probe_radius() if isinstance(predicate, WithinDistancePredicate) else 0.0
+    a_bounds, b_bounds, limit = batch.a_bounds, batch.b_bounds, chunk_rows(_ROW_BYTES)
+    if a_bounds[-1] - a_bounds[0] + b_bounds[-1] - b_bounds[0] <= limit:
+        at = [0, n_items]
+    else:
+        at = cuts(np.diff(a_bounds) + np.diff(b_bounds), limit)
+    parts = [_join_items(batch, lo, hi, eps) for lo, hi in zip(at, at[1:])]
+    owner, a_oid, b_oid = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
+    starts = np.zeros(n_items + 1, dtype=np.int64)
+    np.cumsum(np.bincount(owner, minlength=n_items), out=starts[1:])
+    return np.column_stack((a_oid, b_oid)), starts
+
+
+def _join_items(batch: JoinBatch, lo: int, hi: int, eps: float) -> List[np.ndarray]:
+    """Items ``lo:hi`` of the batch: their accepted ``(item, a_oid, b_oid)``
+    rows, sorted and duplicate-free."""
+    a_bounds, b_bounds = batch.a_bounds[lo : hi + 1], batch.b_bounds[lo : hi + 1]
+    live = (np.diff(a_bounds) > 0) & (np.diff(b_bounds) > 0)
+    a, a_oids, n_a = _live_rows(batch.a_mbrs, batch.a_oids, a_bounds, live)
+    b, b_oids, n_b = _live_rows(batch.b_mbrs, batch.b_oids, b_bounds, live)
     i_idx, j_idx = _cell_join(a, n_a, b, n_b, eps)
-    owner = np.repeat(live.nonzero()[0], n_a)[i_idx]
+    owner = np.repeat(lo + live.nonzero()[0], n_a)[i_idx]
     a_oid, b_oid = a_oids[i_idx], b_oids[j_idx]
     del a, b, i_idx, j_idx
 
     # Sort by (item, a_oid, b_oid) and drop the repeats: one integer-key
     # sort of the triples.
-    owner, a_oid, b_oid = unique_rows(owner, a_oid, b_oid)
-    starts = np.zeros(n_items + 1, dtype=np.int64)
-    np.cumsum(np.bincount(owner, minlength=n_items), out=starts[1:])
-    return np.column_stack((a_oid, b_oid)), starts
+    return unique_rows(owner, a_oid, b_oid)
 
 
 def _live_rows(
@@ -187,7 +214,9 @@ def _cell_join(
     the mask accepts, each at least once.
 
     ``a`` / ``b`` are ``(4, n)`` coordinate columns holding the items' rows
-    back to back, ``n_a`` / ``n_b`` the rows per item (none empty).
+    back to back, ``n_a`` / ``n_b`` the rows per item (none empty).  The B
+    rows go into one cell table; the A rows read it a budget of rows at a
+    time.
     """
     if n_a.shape[0] == 0:
         empty = np.empty(0, dtype=np.intp)
@@ -245,9 +274,31 @@ def _cell_join(
     np.cumsum(np.bincount(cell, minlength=run.shape[0] - 1), out=run[1:])
     del x0, y0, x1, y1, stride, cell, wide, covered, order
 
-    # A: per row band of its footprint grown by one cell, one run of B
-    # cells, from one left of its first cell to one right of its last.
-    x0, y0, x1, y1, stride, first = (v[:split] for v in rows)
+    # A: its rows read the table a budget of rows at a time.
+    step = chunk_rows(_ROW_BYTES)
+    if split <= step:
+        cells = [v[:split] for v in rows]
+        del rows
+        i_idx, j_idx = _read_runs(a, cells, run, b_cells, eps)
+        return i_idx, b_rows.take(j_idx)
+    step = -(-split // -(-split // step))  # even pieces
+    i_parts, j_parts = [], []
+    for start in range(0, split, step):
+        piece = slice(start, min(start + step, split))
+        i_idx, j_idx = _read_runs(a[:, piece], [v[piece] for v in rows], run, b_cells, eps)
+        i_parts.append(i_idx + start)
+        j_parts.append(b_rows.take(j_idx))
+    return np.concatenate(i_parts), np.concatenate(j_parts)
+
+
+def _read_runs(a, cells: list, run, b_cells, eps: float) -> Tuple[np.ndarray, np.ndarray]:
+    """The accepted ``(i, j)`` of A rows ``a`` (placed at ``cells``) and
+    slots ``j`` of the cell table ``b_cells``: per row band of an A row's
+    footprint grown by one cell, one run of B cells, from one left of its
+    first cell to one right of its last.  ``cells`` is emptied, so the cell
+    arrays go once the bands are read."""
+    x0, y0, x1, y1, stride, first = cells
+    cells.clear()
     if np.array_equal(y0, y1):  # one cell tall: the three bands of 3 x 3 cells
         band_row = np.repeat(np.arange(y0.shape[0]), 3)
         left = ((first - 1)[:, None] + np.array([-1, 0, 1]) * stride[:, None]).ravel()
@@ -256,24 +307,24 @@ def _cell_join(
         left = first.take(band_row) + (band - 1) * stride.take(band_row) - 1
     run_lo = run.take(left)
     count = run.take(left + (x1 - x0 + 3).take(band_row)) - run_lo
-    del rows, x0, x1, y0, y1, stride, first, left
+    del x0, x1, y0, y1, stride, first, left
 
     # The candidates, run by run: candidate ``t`` of a band reads B slot
     # ``t + shift`` of its band.  Chunks hold whole bands.
     end = np.cumsum(count)
     shift = run_lo - end + count
-    cuts = [0, end.shape[0]]
+    at = [0, end.shape[0]]
     if end[-1] > _CHUNK:
-        cuts[1:1] = (np.flatnonzero(np.diff(end // _CHUNK)) + 1).tolist()
+        at[1:1] = (np.flatnonzero(np.diff(end // _CHUNK)) + 1).tolist()
     i_parts, j_parts = [], []
-    for start, stop in zip(cuts, cuts[1:]):
+    for start, stop in zip(at, at[1:]):
         take = count[start:stop]
         i_idx = np.repeat(band_row[start:stop], take)
-        at = np.repeat(shift[start:stop], take)
-        at += np.arange(end[start] - take[0], end[stop - 1])
-        keep = _mask(a.take(i_idx, axis=1), b_cells.take(at, axis=1), eps)
+        slot = np.repeat(shift[start:stop], take)
+        slot += np.arange(end[start] - take[0], end[stop - 1])
+        keep = _mask(a.take(i_idx, axis=1), b_cells.take(slot, axis=1), eps)
         i_parts.append(i_idx[keep])
-        j_parts.append(b_rows.take(at[keep]))
+        j_parts.append(slot[keep])
     return np.concatenate(i_parts), np.concatenate(j_parts)
 
 

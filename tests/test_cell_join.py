@@ -23,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry.predicates import IntersectionPredicate, WithinDistancePredicate
+from repro.index import budget, hash_join
 from repro.index.hash_join import JoinBatch, grid_hash_join_batch
 
 from tests.oracles.plane_sweep_scalar import plane_sweep_pairs_scalar
@@ -234,11 +235,12 @@ def test_items_with_an_empty_side_answer_nothing():
 
 
 class TestCellJoinSortsOnce:
-    """One kernel call sorts one integer array, however many items and
-    whatever their shape: the B side by cell id.  No float ``argsort``, no
-    ``searchsorted`` and no ``lexsort`` (the grid-hash-plus-sweep kernel it
-    replaced sorted both sides of every bucket by a float key and ran four
-    ``searchsorted`` passes)."""
+    """One kernel call sorts one integer array per chunk of items the
+    transient budget cuts it into, whatever their shape: the B side by cell
+    id (an item larger than a chunk is one chunk: its A rows read one B
+    table).  No float ``argsort``, no ``searchsorted`` and no ``lexsort``
+    (the grid-hash-plus-sweep kernel it replaced sorted both sides of every
+    bucket by a float key and ran four ``searchsorted`` passes)."""
 
     @staticmethod
     def _batch(shape: str):
@@ -259,10 +261,22 @@ class TestCellJoinSortsOnce:
         wide = np.hstack([lo, lo + rng.random((3000, 2)) * 0.05])
         return JoinBatch.one(wide, np.arange(3000), wide[::-1].copy(), np.arange(3000))
 
+    @staticmethod
+    def _chunks(batch) -> int:
+        """The chunks the budget cuts a batch of equal items into: as many
+        whole items as its rows hold, at least one."""
+        items = batch.a_bounds.shape[0] - 1
+        rows = (batch.a_bounds[-1] + batch.b_bounds[-1]) // items
+        per_chunk = max(1, budget.chunk_rows(hash_join._ROW_BYTES) // rows)
+        return -(-items // per_chunk)
+
     @pytest.mark.parametrize("shape", ["one-large-item", "level", "extended"])
     @pytest.mark.parametrize("predicate", [IntersectionPredicate(), WithinDistancePredicate(0.002)])
     def test_one_integer_argsort_and_no_search(self, shape, predicate, monkeypatch):
         batch = self._batch(shape)
+        chunks = self._chunks(batch)
+        # The level's 400 items of 80 rows span several chunks.
+        assert (chunks > 1) == (shape == "level")
         calls = defaultdict(int)
         for name in ("argsort", "searchsorted", "lexsort"):
             original = getattr(np, name)
@@ -276,4 +290,4 @@ class TestCellJoinSortsOnce:
         pairs, _ = grid_hash_join_batch(batch, predicate)
         monkeypatch.undo()
         assert pairs.shape[0] > 0
-        assert dict(calls) == {"argsort:int": 1}
+        assert dict(calls) == {"argsort:int": chunks}

@@ -556,7 +556,9 @@ class TestDescentsOpenPages:
     The deterministic twin of the descents' wall-clock claim: a call starts
     at the root node and makes one page gather per level -- ``height - 1``
     of inner nodes, one of leaves -- whatever the number of windows and
-    trees, not eight coordinate gathers per (child, query); it never reads
+    trees, as long as a level fits the transient budget (a wider one opens
+    a budget-sized slice of pairs per gather, ``tests/test_transient_budget.py``),
+    not eight coordinate gathers per (child, query); it never reads
     ``node_cols`` (the page table is the only store of entry coordinates),
     and a WINDOW expands index ranges once, for the entries of every
     subtree it covers.
@@ -593,6 +595,7 @@ class TestDescentsOpenPages:
     @pytest.mark.parametrize("windows", [1, 40, 2000])
     def test_one_page_gather_per_level_and_kind(self, windows, monkeypatch):
         from repro.datasets.synthetic import clustered
+        from repro.index import budget
         from repro.index.flat import FlatRTree
 
         tree = FlatRTree.from_mbr_array(clustered(n=20000, clusters=128, seed=41000).mbrs)
@@ -601,6 +604,9 @@ class TestDescentsOpenPages:
         want = tree.count_batch(wins), tree.window_batch_flat(wins)
 
         opened, expanded = self._count_gathers(tree, monkeypatch)
+        # 2,000 windows of up to 0.1 a side open more pages at a level than
+        # the transient budget holds: a budget that holds them all.
+        monkeypatch.setattr(budget, "TRANSIENT_BUDGET", 1 << 40)
         counts = tree.count_batch(wins)
         assert dict(opened) == {"inner": height - 1, "leaf": 1} and not expanded
         opened.clear()
