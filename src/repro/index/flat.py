@@ -520,6 +520,8 @@ class FlatRTree:
             met, inside = tests(lo, hi)
             found = [none], [none], [none], [none], [np.zeros((0, M), dtype=bool)]
             while nodes.shape[0]:
+                # A level that fits is opened whole: one comparison, not a
+                # slicing loop that runs once (small calls feel its cost).
                 if nodes.shape[0] <= limit:
                     nodes, qids = self._open_level(nodes, qids, met, inside, found)
                     continue
@@ -527,7 +529,7 @@ class FlatRTree:
                     self._open_level(nodes[at : at + limit], qids[at : at + limit], met, inside, found)
                     for at in range(0, nodes.shape[0], limit)
                 ]
-                nodes, qids = (np.concatenate(part) for part in zip(*parts))
+                nodes, qids = map(np.concatenate, zip(*parts))
             yield lo, hi, [np.concatenate(chunks) for chunks in found]
 
     def _open_level(self, nodes, qids, met, inside, found):

@@ -16,8 +16,9 @@ joins them in memory.  :func:`grid_hash_join_batch` joins all the windows
   the one contiguous run of B cells from one left of its first cell to one
   right of its last: a point reads the three bands of its 3 x 3
   neighbourhood;
-* the candidates go through the exact mask in chunks of about ``_CHUNK``,
-  and :func:`~repro.index.pairs.unique_rows` sorts the accepted pairs by
+* the candidates go through the exact mask in chunks of about
+  ``chunk_rows(_CANDIDATE_BYTES)``, and
+  :func:`~repro.index.pairs.unique_rows` sorts the accepted pairs by
   ``(item, a_oid, b_oid)`` and drops the repeats a B row covering several
   cells of one neighbourhood produced.
 
@@ -70,7 +71,7 @@ import numpy as np
 
 from repro.geometry.predicates import JoinPredicate, WithinDistancePredicate
 from repro.geometry.rect_array import expand_index_ranges
-from repro.index.budget import TRANSIENT_BUDGET, chunk_rows, cuts
+from repro.index.budget import chunk_rows, cuts
 from repro.index.pairs import unique_rows
 
 __all__ = ["JoinBatch", "grid_hash_join", "grid_hash_join_batch"]
@@ -81,10 +82,10 @@ _PER_CELL = 0.25
 #: Working bytes per row of a join item, both sides: its cells, the B cell
 #: table and an A row's bands (against the transient budget).
 _ROW_BYTES = 208
-#: Candidate pairs one mask evaluation takes (whole bands: one band of
-#: more candidates is a chunk of its own): what the transient budget holds
-#: at 128 working bytes a candidate.
-_CHUNK = TRANSIENT_BUDGET // 128
+#: Working bytes per candidate pair of a mask evaluation (against the
+#: transient budget; whole bands: one band of more candidates is a chunk of
+#: its own).
+_CANDIDATE_BYTES = 128
 #: The cell side's margins over epsilon: relative, and absolute for the
 #: squares that underflow (see the module docstring).
 _MARGIN = 2.0**-20
@@ -164,12 +165,14 @@ def grid_hash_join_batch(
     n_items = batch.a_bounds.shape[0] - 1
     eps = predicate.probe_radius() if isinstance(predicate, WithinDistancePredicate) else 0.0
     a_bounds, b_bounds, limit = batch.a_bounds, batch.b_bounds, chunk_rows(_ROW_BYTES)
+    # A batch that fits is one chunk: one comparison of its row count,
+    # before the per-item sizes ``cuts`` needs are computed.
     if a_bounds[-1] - a_bounds[0] + b_bounds[-1] - b_bounds[0] <= limit:
         at = [0, n_items]
     else:
         at = cuts(np.diff(a_bounds) + np.diff(b_bounds), limit)
     parts = [_join_items(batch, lo, hi, eps) for lo, hi in zip(at, at[1:])]
-    owner, a_oid, b_oid = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
+    owner, a_oid, b_oid = map(_joined, zip(*parts))
     starts = np.zeros(n_items + 1, dtype=np.int64)
     np.cumsum(np.bincount(owner, minlength=n_items), out=starts[1:])
     return np.column_stack((a_oid, b_oid)), starts
@@ -274,14 +277,17 @@ def _cell_join(
     np.cumsum(np.bincount(cell, minlength=run.shape[0] - 1), out=run[1:])
     del x0, y0, x1, y1, stride, cell, wide, covered, order
 
-    # A: its rows read the table a budget of rows at a time.
+    # A: its rows read the table a budget of rows at a time, in even
+    # pieces.  The rows that fit read it at once, without the offsets and
+    # the concatenation of pieces, and their cell arrays go as soon as
+    # their bands are read.
     step = chunk_rows(_ROW_BYTES)
     if split <= step:
         cells = [v[:split] for v in rows]
         del rows
         i_idx, j_idx = _read_runs(a, cells, run, b_cells, eps)
         return i_idx, b_rows.take(j_idx)
-    step = -(-split // -(-split // step))  # even pieces
+    step = -(-split // -(-split // step))
     i_parts, j_parts = [], []
     for start in range(0, split, step):
         piece = slice(start, min(start + step, split))
@@ -313,9 +319,10 @@ def _read_runs(a, cells: list, run, b_cells, eps: float) -> Tuple[np.ndarray, np
     # ``t + shift`` of its band.  Chunks hold whole bands.
     end = np.cumsum(count)
     shift = run_lo - end + count
+    limit = chunk_rows(_CANDIDATE_BYTES)
     at = [0, end.shape[0]]
-    if end[-1] > _CHUNK:
-        at[1:1] = (np.flatnonzero(np.diff(end // _CHUNK)) + 1).tolist()
+    if end[-1] > limit:
+        at[1:1] = (np.flatnonzero(np.diff(end // limit)) + 1).tolist()
     i_parts, j_parts = [], []
     for start, stop in zip(at, at[1:]):
         take = count[start:stop]
@@ -325,7 +332,12 @@ def _read_runs(a, cells: list, run, b_cells, eps: float) -> Tuple[np.ndarray, np
         keep = _mask(a.take(i_idx, axis=1), b_cells.take(slot, axis=1), eps)
         i_parts.append(i_idx[keep])
         j_parts.append(slot[keep])
-    return np.concatenate(i_parts), np.concatenate(j_parts)
+    return _joined(i_parts), _joined(j_parts)
+
+
+def _joined(parts: List[np.ndarray]) -> np.ndarray:
+    """The chunks' arrays one after the other (one chunk as it is)."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def _mask(a: np.ndarray, b: np.ndarray, eps: float) -> np.ndarray:

@@ -557,8 +557,8 @@ class TestDescentsOpenPages:
     at the root node and makes one page gather per level -- ``height - 1``
     of inner nodes, one of leaves -- whatever the number of windows and
     trees, as long as a level fits the transient budget (a wider one opens
-    a budget-sized slice of pairs per gather, ``tests/test_transient_budget.py``),
-    not eight coordinate gathers per (child, query); it never reads
+    a budget-sized slice of pairs per gather, in frontier order), not eight
+    coordinate gathers per (child, query); it never reads
     ``node_cols`` (the page table is the only store of entry coordinates),
     and a WINDOW expands index ranges once, for the entries of every
     subtree it covers.
@@ -566,13 +566,15 @@ class TestDescentsOpenPages:
 
     @staticmethod
     def _count_gathers(tree, monkeypatch):
+        """Spy on ``tree``'s page gathers: ``opened`` gets ``(kind,
+        pairs)`` per gather, ``expanded`` the ranges per index expansion."""
         from repro.index import flat
 
-        opened, expanded = defaultdict(int), []
+        opened, expanded = [], []
         open_pages, expand = flat.FlatRTree._open, flat.expand_index_ranges
 
         def counted_open(self, nodes):
-            opened["leaf" if self.is_leaf[nodes].all() else "inner"] += 1
+            opened.append(("leaf" if self.is_leaf[nodes].all() else "inner", nodes.shape[0]))
             return open_pages(self, nodes)
 
         def counted_expand(starts, ends):
@@ -587,6 +589,13 @@ class TestDescentsOpenPages:
         return opened, expanded
 
     @staticmethod
+    def _per_kind(opened) -> Dict[str, int]:
+        kinds: Dict[str, int] = defaultdict(int)
+        for kind, _ in opened:
+            kinds[kind] += 1
+        return dict(kinds)
+
+    @staticmethod
     def _windows(n, seed):
         rng = np.random.default_rng(seed)
         lo = rng.random((n, 2)) * 0.9
@@ -594,24 +603,40 @@ class TestDescentsOpenPages:
 
     @pytest.mark.parametrize("windows", [1, 40, 2000])
     def test_one_page_gather_per_level_and_kind(self, windows, monkeypatch):
+        """At the transient budget's ``limit`` of (node, query) pairs per
+        gather: a level of a chunk of query rows is ``ceil(pairs / limit)``
+        gathers of at most ``limit`` pairs each, one when it fits.  The
+        pairs per level come from the same chunks descended under a budget
+        that holds every level: there each level is one gather."""
         from repro.datasets.synthetic import clustered
-        from repro.index import budget
+        from repro.index import budget, flat
         from repro.index.flat import FlatRTree
 
         tree = FlatRTree.from_mbr_array(clustered(n=20000, clusters=128, seed=41000).mbrs)
         height = tree.height
         wins = self._windows(windows, windows)
         want = tree.count_batch(wins), tree.window_batch_flat(wins)
+        limit = budget.chunk_rows(flat._PAIR_PAGES * tree.pages[:, 0].nbytes)
 
         opened, expanded = self._count_gathers(tree, monkeypatch)
+        levels = []
+        with monkeypatch.context() as raised:
+            raised.setattr(budget, "TRANSIENT_BUDGET", 1 << 40)
+            for lo in range(0, windows, limit):
+                tree.count_batch(wins[lo : lo + limit])
+                assert self._per_kind(opened) == {"inner": height - 1, "leaf": 1}
+                levels += opened
+                opened.clear()
+        slices = [(kind, min(limit, pairs - at)) for kind, pairs in levels for at in range(0, pairs, limit)]
         # 2,000 windows of up to 0.1 a side open more pages at a level than
-        # the transient budget holds: a budget that holds them all.
-        monkeypatch.setattr(budget, "TRANSIENT_BUDGET", 1 << 40)
+        # the budget holds; 1 and 40 windows open every level at once.
+        assert (max(pairs for _, pairs in levels) > limit) == (windows == 2000)
+
         counts = tree.count_batch(wins)
-        assert dict(opened) == {"inner": height - 1, "leaf": 1} and not expanded
+        assert opened == slices and not expanded
         opened.clear()
         bounds, rows = tree.window_batch_flat(wins)
-        assert dict(opened) == {"inner": height - 1, "leaf": 1} and len(expanded) == 1
+        assert opened == slices and len(expanded) == -(-windows // limit)
         monkeypatch.undo()
         assert counts.tolist() == want[0].tolist() and counts.sum() > 0
         assert bounds.tolist() == want[1][0].tolist() and rows.tolist() == want[1][1].tolist()
@@ -634,10 +659,10 @@ class TestDescentsOpenPages:
 
         opened, expanded = self._count_gathers(forest, monkeypatch)
         counts = forest.count_batch(row_wins, roots)
-        assert dict(opened) == {"inner": 2, "leaf": 1} and not expanded
+        assert self._per_kind(opened) == {"inner": 2, "leaf": 1} and not expanded
         opened.clear()
         bounds, rows = forest.window_batch_flat(row_wins, roots)
-        assert dict(opened) == {"inner": 2, "leaf": 1} and len(expanded) == 1
+        assert self._per_kind(opened) == {"inner": 2, "leaf": 1} and len(expanded) == 1
         monkeypatch.undo()
         offsets = forest.ent_start[forest.roots]
         for t, (want_counts, (want_bounds, want_rows)) in enumerate(want):

@@ -308,11 +308,13 @@ def test_a_key_that_ranks_cannot_fit_raises(monkeypatch):
 def test_chunks_do_not_change_the_answer(monkeypatch):
     """The candidates pushed through the mask a few dozen at a time."""
     import repro.index.hash_join as hash_join
+    from repro.index.budget import TRANSIENT_BUDGET, chunk_rows
 
     predicate = WithinDistancePredicate(0.03)
     batch = _straddling_batch()
     expected = _per_item(grid_hash_join_batch(batch, predicate))
-    monkeypatch.setattr(hash_join, "_CHUNK", 50)
+    monkeypatch.setattr(hash_join, "_CANDIDATE_BYTES", TRANSIENT_BUDGET // 50)
+    assert chunk_rows(hash_join._CANDIDATE_BYTES) == 50
     assert _per_item(grid_hash_join_batch(batch, predicate)) == expected
 
 

@@ -140,6 +140,27 @@ def test_the_join_kernel_holds_the_budget_and_its_answer(predicate, width):
     assert peak < C * (budget.TRANSIENT_BUDGET + _nbytes(answer)), (peak, _nbytes(answer))
 
 
+@pytest.mark.parametrize("predicate", [IntersectionPredicate(), WithinDistancePredicate(0.002)])
+def test_an_item_larger_than_the_budget_reads_its_a_rows_in_pieces(predicate, monkeypatch):
+    """One item of 100,000 A points against 2,000 B boxes, four times the
+    rows the budget holds: its A rows read the one B cell table in pieces,
+    and that holds about two thirds of the peak of reading them at once
+    (an item whose B side is as large keeps the peak its B cell table
+    sets, pieces or not)."""
+    from repro.index import hash_join
+
+    rng = np.random.default_rng(5)
+    a, b = rng.random((100_000, 2)), rng.random((2_000, 2))
+    batch = JoinBatch.one(np.hstack([a, a]), np.arange(100_000), np.hstack([b, b + 0.001]), np.arange(2_000))
+    assert a.shape[0] > budget.chunk_rows(hash_join._ROW_BYTES)
+    pieces, peak = _peak(lambda: grid_hash_join_batch(batch, predicate))
+    monkeypatch.setattr(hash_join, "_ROW_BYTES", 1)  # every row in one piece
+    whole, whole_peak = _peak(lambda: grid_hash_join_batch(batch, predicate))
+    _assert_same(pieces, whole)
+    assert pieces[0].shape[0] > 0
+    assert peak < 0.8 * whole_peak, (peak, whole_peak)
+
+
 @pytest.mark.parametrize("width", WIDTHS)
 def test_the_build_holds_about_what_it_builds(width):
     rng = np.random.default_rng(width)
