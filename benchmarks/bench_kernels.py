@@ -501,7 +501,7 @@ def test_bench_level_cost_table(benchmark):
 def _scripted_counts(step) -> list:
     """COUNT answers as a pure function of the rows: a density of 4,000
     objects per unit area, a few rows empty -- enough to reach every stage
-    of a table (quadrants, derived fourths, probes, bitmaps)."""
+    of a table (quadrants, probes, bitmaps)."""
     answers = []
     for request in step:
         rows = np.asarray(request.args[0], dtype=np.float64)

@@ -66,9 +66,10 @@ __all__ = ["CostModel", "CostBreakdown", "SELECTABLE_ALGORITHMS", "predict_algor
 #: The algorithms eligible for *automatic* selection, in name order (the
 #: order ties go in): the ones :func:`predict_algorithm_costs` prices.
 #: SemiJoin assumes cooperating, index-publishing servers (the paper notes
-#: it "cannot be applied in our problem"), and UpJoin would get SrJoin's
-#: estimate and lose the tie by name; either runs only when a query names it.
-SELECTABLE_ALGORITHMS = ("fixedgrid", "mobijoin", "naive", "srjoin")
+#: it "cannot be applied in our problem"), and UpJoin and SrJoin ask the
+#: same ``2 k^2`` COUNTs per split as MobiJoin, so they would get its
+#: estimate and lose the tie by name; each runs only when a query names it.
+SELECTABLE_ALGORITHMS = ("fixedgrid", "mobijoin", "naive")
 
 #: A stand-in for the paper's "infinite" cost of an infeasible strategy.
 INFEASIBLE = math.inf
@@ -358,10 +359,11 @@ def predict_algorithm_costs(
       ``FIXED_GRID x FIXED_GRID`` grid (Eq. 8's uniformity estimate, ``c4``
       at that ``k``, whatever ``grid_k`` says);
     * ``mobijoin``  -- the cheapest of ``c1..c4`` at the root, i.e. the
-      plan the algorithm's own optimiser would pick first;
-    * ``srjoin``    -- the same minimum with the statistics term discounted
-      by the three-queries-plus-derivation optimisation (Section 4.1: three
-      of the four quadrant COUNTs per dataset per split are enough).
+      plan the algorithm's own optimiser would pick first.
+
+    UpJoin and SrJoin are not priced: they COUNT all four quadrants of
+    both datasets per split, as MobiJoin does, so this estimate would be
+    theirs too.
 
     Rows follow :class:`CostModel`'s convention: a ``Rect`` with ``int``
     counts and buffer is one query and maps every name to a Python number;
@@ -382,22 +384,16 @@ def predict_algorithm_costs(
         epsilon=spec.predicate().probe_radius(),
         bucket_queries=bucket_queries,
     )
-    k = grid_k
     c1_free = model.c1(window, n_r, n_s)
     c1 = model.c1(window, n_r, n_s, buffer_size)
     c2 = model.c2(window, n_r, n_s)
     c3 = model.c3(window, n_r, n_s)
-    c4 = model.c4_estimate(window, n_r, n_s, buffer_size, k=k)
+    c4 = model.c4_estimate(window, n_r, n_s, buffer_size, k=grid_k)
     fixed_grid = model.c4_estimate(window, n_r, n_s, buffer_size, k=FIXED_GRID)
-    # Section 4.1: |Dw'4| = |Dw| - sum(|Dw'i|) saves one of the four
-    # quadrant COUNTs per dataset per split.
-    c4_derived = c4 - 2.0 * (k * k) * model.taq / 4.0
     # ``np.minimum`` folded left in ``min(c1, c2, c3, c4)``'s order.
-    adaptive_c3 = np.minimum(np.minimum(c1, c2), c3)
     predicted = {
         "fixedgrid": fixed_grid,
-        "mobijoin": np.minimum(adaptive_c3, c4),
+        "mobijoin": np.minimum(np.minimum(np.minimum(c1, c2), c3), c4),
         "naive": c1_free,
-        "srjoin": np.minimum(adaptive_c3, c4_derived),
     }
     return {name: _plain(predicted[name]) for name in SELECTABLE_ALGORITHMS}

@@ -23,8 +23,9 @@ decided together, as a table.
   pin it): round ``k`` of a level carries each still-undecided window's
   ``k``-th request, rows per server in window order, servers in the order
   the windows first ask for them (:meth:`LevelTable._round`).  Windows
-  drift out of phase -- one needs a fourth quadrant COUNT, its neighbour
-  does not -- which is why a round merges the cohorts of several stages.
+  drift out of phase -- one asks its R quadrants while its neighbour,
+  which knows R uniform, asks S's -- which is why a round merges the
+  cohorts of several stages.
 * :class:`FrontierAlgorithm` is the one algorithm class: every algorithm
   derives from it directly and names its table.  It holds what they share
   -- device, spec, parameters, cost model, pair collection, the stopping
@@ -545,7 +546,8 @@ class LevelTable:
 
 class CostedTable(LevelTable):
     """A level table with the cost columns and the quadrant statistics
-    UpJoin and SrJoin decide from."""
+    UpJoin and SrJoin decide from: four real COUNTs per side and split, no
+    derived quadrant (:meth:`quadrant_counts`)."""
 
     def __init__(
         self, algo: "FrontierAlgorithm", level: Level, crew: Optional[Crew] = None
@@ -561,19 +563,14 @@ class CostedTable(LevelTable):
         self.nlsj_cost = np.zeros(n)
         #: :meth:`FrontierAlgorithm.refinement_worthwhile`.
         self.worthwhile = np.zeros(n, dtype=bool)
-        #: Per side, every window's quadrant counts and whether each is a
-        #: real COUNT (:meth:`quadrant_counts`).
+        #: Per side, every window's quadrant counts (:meth:`quadrant_counts`).
         self.quads = np.zeros((2, n, 4))
-        self.quad_exact = np.ones((2, n, 4), dtype=bool)
         self._quad_windows: Optional[np.ndarray] = None
 
     def cost(self, idx: np.ndarray) -> None:
-        """Cost windows ``idx`` (both integer counts positive) in one call.
-
-        The one place these algorithms evaluate the cost model: a window is
-        costed when its level starts, or -- an estimated zero that a real
-        COUNT refuted -- together with the others confirmed in that round.
-        """
+        """Cost windows ``idx`` (both counts positive) in one call, when
+        the level starts: the one place these algorithms evaluate the cost
+        model."""
         algo, model = self.algo, self.algo.cost_model
         windows, count_r, count_s = self.windows[idx], self.int_r[idx], self.int_s[idx]
         areas = rect_array.areas(windows)
@@ -588,7 +585,7 @@ class CostedTable(LevelTable):
         self.worthwhile[idx] = algo.refinement_worthwhile(c1)
 
     # ------------------------------------------------------------------ #
-    # quadrant statistics (three COUNTs, the fourth derived or confirmed)
+    # quadrant statistics (four real COUNTs per side)
     # ------------------------------------------------------------------ #
 
     def quad_windows(self) -> np.ndarray:
@@ -597,43 +594,25 @@ class CostedTable(LevelTable):
             self._quad_windows = rect_array.quadrant_cells(self.windows)
         return self._quad_windows
 
-    def quadrant_counts(self, side: int, idx: np.ndarray, then: Callable) -> None:
-        """Retrieve the quadrant counts of windows ``idx`` from server ``side``.
+    def quadrant_counts(self, sides: Sequence[int], idx: np.ndarray, then: Callable) -> None:
+        """COUNT the four quadrants of windows ``idx`` on every side of
+        ``sides`` (R before S) in one request each; fill ``self.quads`` and
+        call ``then(idx)``.
 
-        Section 4.1: "UpJoin can identify a skewed dataset by issuing only
-        three aggregate queries, since |Dw'4| = |Dw| - sum(|Dw'i|)".  The
-        derivation is exact for points in raw quadrants; for extended
-        objects, and for S's quadrants grown by a distance join's margin
-        (they overlap), it is an underestimate, so a derived value that is
-        not positive is confirmed with a real COUNT in the next round before
-        anyone prunes on it.
-        Fills ``self.quads[side]`` / ``self.quad_exact[side]`` and calls
-        ``then(idx)`` -- per cohort, as the counts complete.
+        Every count is a real COUNT of the quadrant the window rule asks
+        (S's grown by the margin).  Section 4.1 derives the fourth as
+        ``|Dw| - sum(three)`` to save one query, but that is exact only for
+        points in raw quadrants: S's grown quadrants overlap and extended
+        objects straddle them, so a derived count undercounts.
         """
-        name = SIDES[side]
-        quads, exact = self.quads[side], self.quad_exact[side]
-        total = (self.int_r, self.int_s)[side]
 
-        def lead(idx: np.ndarray, counts: np.ndarray) -> None:
-            lead3 = counts.reshape(-1, 3).astype(np.float64)
-            quads[idx, :3] = lead3
-            # parent - sum(counts), summed left to right.
-            derived = total[idx] - ((lead3[:, 0] + lead3[:, 1]) + lead3[:, 2])
-            positive = derived > 0
-            quads[idx, 3] = derived
-            exact[idx, 3] = ~positive
-            if positive.all():
-                then(idx)
-            else:
-                suspicious = idx[~positive]
-                self.ask(suspicious, fourth, 1, **{name: self.quad_windows()[suspicious, 3]})
-                then(idx[positive])
-
-        def fourth(idx: np.ndarray, counts: np.ndarray) -> None:
-            quads[idx, 3] = counts
+        def fill(idx: np.ndarray, *counts: np.ndarray) -> None:
+            for side, count in zip(sides, counts):
+                self.quads[side][idx] = count.reshape(-1, 4)
             then(idx)
 
-        self.ask(idx, lead, 3, **{name: self.quad_windows()[idx, :3].reshape(-1, 4)})
+        cells = self.quad_windows()[idx].reshape(-1, 4)
+        self.ask(idx, fill, 4, **{SIDES[side]: cells for side in sides})
 
 
 class FrontierAlgorithm:

@@ -8,7 +8,11 @@ to expose prunable empty regions, so the algorithm recurses aggressively.
 
 For the current window SrJoin:
 
-1. imposes a 2 x 2 grid and retrieves the quadrant counts of both datasets;
+1. imposes a 2 x 2 grid and retrieves the quadrant counts of both datasets:
+   four real COUNTs per dataset, R and S in one round (the paper derives
+   the fourth, which only raw point quadrants allow -- see
+   :meth:`~repro.core.frontier.CostedTable.quadrant_counts`), so every
+   count a quadrant inherits is real and every zero is pruned at once;
 2. builds a 4-bit *density bitmap* per dataset (Eq. 11): a quadrant's bit
    is set when its count exceeds ``rho`` times the window's average density
    times the quadrant area;
@@ -25,7 +29,7 @@ The logic is written once, as column operations over the windows of a
 recursion depth (:class:`SrJoinTable`), and executed by the shared frontier
 engine (:mod:`repro.core.frontier`).  A window that decomposes spawns one
 child row per quadrant, carrying the parent's bitmap verdict and the
-quadrant's (confirmed) counts; the *child* then resolves its fate -- prune,
+quadrant's counts; the *child* then resolves its fate -- prune,
 operator leaf, or recurse into its own statistics retrieval.  Keeping every
 trace event with the window it is about is what makes the per-depth
 decision log identical between the engine's level-order execution and the
@@ -56,10 +60,9 @@ class SrJoinTable(CostedTable):
 
     def start(self) -> None:
         level, algo = self.level, self.algo
-        self._split = []
-        self.similar = np.zeros(len(level), dtype=bool)
-        # Zeros are exact here: the root counts come from real COUNTs and
-        # suspicious quadrant zeros were confirmed by the parent.
+        #: The windows that reached their statistics, and their bitmap verdicts.
+        self._split = self._verdict = np.empty(0, dtype=np.intp)
+        # Every count is a real COUNT: the root's, or a quadrant's.
         empty = (level.count_r <= 0) | (level.count_s <= 0)
         dead = np.flatnonzero(empty)
         self.prune(dead, level.count_r[dead], level.count_s[dead])
@@ -85,21 +88,17 @@ class SrJoinTable(CostedTable):
         # HBSJ repartitions recursively itself when the quadrant does not fit
         # the device buffer; c1 is evaluated without the hard buffer cut, so
         # the estimate stays finite.
-        self.leaves(done, self.c1[done] <= self.nlsj_cost[done], level.exact[done])
+        self.leaves(done, self.c1[done] <= self.nlsj_cost[done], True)
         # Repartition aggressively, hoping the next level prunes.
         recurse = idx[~finish & (verdict != NO_PARENT)]
         self.tally("repartitions", recurse)
         self.rec(recurse, "recurse", "bitmaps differ", counts=True)
         # Lines 1-2: quadrant statistics for both datasets (R counted on the
         # raw quadrants, S on their epsilon-expanded query windows).
-        self.quadrant_counts(
-            0, idx[~finish], lambda idx: self.quadrant_counts(1, idx, self._bitmaps)
-        )
+        self.quadrant_counts((0, 1), idx[~finish], self._bitmaps)
 
     def _bitmaps(self, idx: np.ndarray) -> None:
         """Lines 3-5: the density bitmaps (Eq. 11) and their comparison."""
-        if not idx.size:
-            return
         cells = self.quad_windows()[idx]
         rho = self.algo.params.rho
         bits = [
@@ -107,7 +106,6 @@ class SrJoinTable(CostedTable):
             for side, total in enumerate((self.int_r, self.int_s))
         ]
         similar = bitmaps_equal(*bits)
-        self.similar[idx] = similar
         self.rec(
             idx,
             "bitmaps",
@@ -119,39 +117,18 @@ class SrJoinTable(CostedTable):
             ),
             counts=True,
         )
-        self._split.append(idx)
-        # Lines 8 / 14 preparation: estimated zeros must be confirmed with a
-        # real COUNT before pruning (extended objects can hide behind a
-        # derived-count underestimate).  All suspicious quadrants of a
-        # window are confirmed in one request per server.
-        quads, exact = self.quads[:, idx], self.quad_exact[:, idx]
-        suspicious = ((quads[0] <= 0) | (quads[1] <= 0)) & ~(exact[0] & exact[1])
-        window, quadrant = np.nonzero(suspicious)
-        if window.size:
-            cells = cells[window, quadrant]
-            self.ask(
-                idx[suspicious.any(axis=1)],
-                lambda _, real_r, real_s: self._confirmed(idx[window], quadrant, real_r, real_s),
-                suspicious.sum(axis=1)[suspicious.any(axis=1)],
-                R=cells,
-                S=cells,
-            )
-
-    def _confirmed(self, window, quadrant, real_r: np.ndarray, real_s: np.ndarray) -> None:
-        self.quads[0][window, quadrant] = real_r
-        self.quads[1][window, quadrant] = real_s
-        self.quad_exact[:, window, quadrant] = True
+        self._split, self._verdict = idx, np.where(similar, SIMILAR, DIFFERENT)
 
     def finish(self) -> None:
         """One child per quadrant of every window that reached its statistics."""
-        split = np.sort(np.concatenate([np.empty(0, dtype=np.intp), *self._split]))
+        split = self._split
         self.child_level(
             split,
             self.quad_windows()[split],
             self.quads[0][split],
             self.quads[1][split],
-            self.quad_exact[0][split] & self.quad_exact[1][split],
-            np.where(self.similar[split], SIMILAR, DIFFERENT),
+            np.ones((split.size, 4), dtype=bool),
+            self._verdict,
         )
 
 

@@ -7,10 +7,11 @@ committing to a physical operator:
 
 1. prune when either side is empty;
 2. for each dataset that is "large" (Eq. 10) and not already known to be
-   uniform, impose a 2 x 2 grid, retrieve the quadrant counts (three COUNT
-   queries, the fourth derived) and test Eq. 9; a positive test is
-   confirmed with one extra COUNT over a randomly placed quadrant-sized
-   window;
+   uniform, impose a 2 x 2 grid, retrieve the quadrant counts (four COUNT
+   queries: the paper derives the fourth, which only raw point quadrants
+   allow -- see :meth:`~repro.core.frontier.CostedTable.quadrant_counts`)
+   and test Eq. 9; a positive test is confirmed with one extra COUNT over a
+   randomly placed quadrant-sized window;
 3. compute ``c1`` (HBSJ) and the cheaper NLSJ orientation;
 4. if HBSJ is cheapest: run it only when *both* datasets are uniform and
    the windows fit the buffer, otherwise repartition;
@@ -30,10 +31,9 @@ The decision logic above is written once, as column operations over the
 windows of a recursion depth (:class:`UpJoinTable`), and executed level by
 level by the shared frontier engine (:mod:`repro.core.frontier`).  A
 window's requests form a fixed sequence it walks as far as its answers send
-it -- confirm an estimated zero on R, then on S; three quadrant COUNTs on R,
-the fourth if the derived one is not positive, the confirmation probe if
-Eq. 9 holds; the same on S -- and round ``k`` of a level carries every
-window's ``k``-th request.  The per-window generator this replaced
+it -- four quadrant COUNTs on R, the confirmation probe if Eq. 9 holds; the
+same on S -- and round ``k`` of a level carries every window's ``k``-th
+request.  The per-window generator this replaced
 (``tests/oracles/frontier_generators.py``) and the depth-first driver
 (``tests/oracles/recursive_driver.py``) reproduce pairs, bytes and per-depth
 traces bit for bit (``tests/test_level_table.py``,
@@ -71,8 +71,6 @@ class UpJoinTable(CostedTable):
 
     def start(self) -> None:
         level, n = self.level, len(self.level)
-        self.count = [level.count_r, level.count_s]
-        self.exact = level.exact
         #: Per dataset: the verdict so far, and whether quadrant counts were retrieved.
         self.uniform = [level.flags[0].copy(), level.flags[1].copy()]
         self.have_quads = np.zeros((2, n), dtype=bool)
@@ -80,36 +78,13 @@ class UpJoinTable(CostedTable):
         self.stats = np.zeros((2, n), dtype=bool)
         self._split = []
 
-        # Line 1: prune windows where at least one dataset is empty.  An
-        # estimated (inexact) zero is confirmed before pruning, so extended
-        # objects can never be lost to the count-derivation shortcut.
+        # Line 1: prune windows where at least one dataset is empty.  A zero
+        # is a real COUNT: the only estimates are quarters of a positive
+        # parent.
         empty = (level.count_r <= 0) | (level.count_s <= 0)
-        dead = np.flatnonzero(empty & level.exact)
+        dead = np.flatnonzero(empty)
         self.prune(dead, level.count_r[dead], level.count_s[dead])
-        doubtful = np.flatnonzero(empty & ~level.exact)
-        self.ask(doubtful, self._recounted_r, 1, R=self.windows[doubtful])
         self._costed(np.flatnonzero(~empty))
-
-    def _recounted_r(self, idx: np.ndarray, real_r: np.ndarray) -> None:
-        self.ask(
-            idx,
-            partial(self._recounted_s, real_r),
-            1,
-            S=self.windows[idx],
-        )
-
-    def _recounted_s(self, real_r: np.ndarray, idx: np.ndarray, real_s: np.ndarray) -> None:
-        empty = (real_r == 0) | (real_s == 0)
-        self.prune(idx[empty], real_r[empty], real_s[empty])
-        idx, real_r, real_s = idx[~empty], real_r[~empty], real_s[~empty]
-        if idx.size:
-            # The one decision input not known when the level started: the
-            # confirmed counts are costed as one sub-table.
-            self.count = [self.count[0].copy(), self.count[1].copy()]
-            self.exact = self.exact.copy()
-            self.count[0][idx], self.count[1][idx], self.exact[idx] = real_r, real_s, True
-            self.int_r[idx], self.int_s[idx] = real_r, real_s
-            self._costed(idx)
 
     def _costed(self, idx: np.ndarray) -> None:
         """Line 8's strategy costs, then the economics gate.
@@ -136,7 +111,7 @@ class UpJoinTable(CostedTable):
         done = idx[small]
         self.rec(done, "finish-small", "c1={:.0f}", (self.c1[done],), counts=True)
         fits = self.int_r[done] + self.int_s[done] <= self.algo.buffer_size
-        self.leaves(done, (self.c1[done] <= self.nlsj_cost[done]) & fits, self.exact[done])
+        self.leaves(done, (self.c1[done] <= self.nlsj_cost[done]) & fits, self.level.exact[done])
         self._characterise(0, idx[~small])
 
     # ------------------------------------------------------------------ #
@@ -159,7 +134,7 @@ class UpJoinTable(CostedTable):
         # windows, consistently with the physical operators).
         asked = idx[~known & worth]
         self.have_quads[side, asked] = True
-        self.quadrant_counts(side, asked, partial(self._test_uniform, side))
+        self.quadrant_counts((side,), asked, partial(self._test_uniform, side))
         self._characterised(side, idx[known | ~worth])
 
     def _test_uniform(self, side: int, idx: np.ndarray) -> None:
@@ -227,9 +202,9 @@ class UpJoinTable(CostedTable):
         nlsj = ~cheaper_hbsj & np.where(outer_s, uniform_r, uniform_s)
         leaf = hbsj | nlsj
         # A dataset's count is exact unless it arrived known uniform.
-        flags = self.level.flags
+        exact, flags = self.level.exact, self.level.flags
         self.leaves(
-            idx[leaf], hbsj[leaf], (self.exact[idx] & ~flags[0][idx] & ~flags[1][idx])[leaf]
+            idx[leaf], hbsj[leaf], (exact[idx] & ~flags[0][idx] & ~flags[1][idx])[leaf]
         )
         # Lines 11/14: decompose into the four quadrants.
         split = idx[~leaf]
@@ -249,18 +224,16 @@ class UpJoinTable(CostedTable):
         split = np.sort(np.concatenate([np.empty(0, dtype=np.intp), *self._split]))
         if not split.size:
             return
-        counts, exact = [], []
-        for side in (0, 1):
-            have = self.have_quads[side, split, None]
-            counts.append(
-                np.where(have, self.quads[side][split], (self.count[side][split] / 4.0)[:, None])
-            )
-            exact.append(have & self.quad_exact[side][split])
+        have = self.have_quads[:, split, None]
+        counts = [
+            np.where(have[side], self.quads[side][split], (count[split] / 4.0)[:, None])
+            for side, count in enumerate((self.level.count_r, self.level.count_s))
+        ]
         self.child_level(
             split,
             self.quad_windows()[split],
             *counts,
-            exact[0] & exact[1],
+            np.repeat(have[0] & have[1], 4, axis=1),
             self.uniform[0][split],
             self.uniform[1][split],
         )

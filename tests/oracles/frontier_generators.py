@@ -13,7 +13,10 @@ only their homes changed (methods of :class:`GeneratorUpJoin` /
 shipped algorithms for the *containers and endpoints* they share -- device,
 cost model, parameters, ``query_window``, ``_probe_uv`` -- record with
 :class:`~tests.oracles.eager_trace.EagerTrace` and override everything the
-shipped table decides).
+shipped table decides).  One rule was changed on purpose, in both: quadrant
+statistics are four real COUNTs per dataset, none derived as Section 4.1
+does (ARCHITECTURE.md, "Quadrant statistics: four real COUNTs"), so UpJoin
+prunes every zero at once and SrJoin asks R's and S's quadrants in one step.
 
 Two drivers run them: :func:`level_rounds` advances the windows of one level
 in lock-step rounds, as ``FrontierAlgorithm._level_rounds`` did (round ``k``
@@ -26,7 +29,7 @@ time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, Generator, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -167,8 +170,8 @@ class QuadrantCounts:
     window: Rect
     quadrants: Tuple[Rect, Rect, Rect, Rect]
     counts: Tuple[float, float, float, float]
-    #: Whether each count came from a real COUNT query (False = derived or
-    #: estimated from a uniformity assumption).
+    #: Whether each count came from a real COUNT query (False = estimated
+    #: from a uniformity assumption).
     exact: Tuple[bool, bool, bool, bool]
     #: Number of COUNT queries actually issued to obtain these statistics.
     queries_issued: int
@@ -183,64 +186,25 @@ class QuadrantCounts:
         return float(sum(self.counts))
 
 
-def quadrant_count_steps(
-    server_name: str,
-    window: Rect,
-    parent_count: int,
-    derive_fourth: bool = True,
-    margin: float = 0.0,
-) -> CountSteps:
-    """Retrieve the quadrant counts of ``window`` for one server.
+def quadrant_count_steps(server_name: str, window: Rect, margin: float = 0.0) -> CountSteps:
+    """Retrieve the quadrant counts of ``window`` for one server: four real
+    COUNTs, one request.
 
-    A request generator: yields :class:`CountRequest` batches and receives
-    the counts; returns the assembled :class:`QuadrantCounts`.
-
-    Parameters
-    ----------
-    server_name:
-        ``"R"`` or ``"S"``.
-    window:
-        The window being decomposed.
-    parent_count:
-        The already-known count of the whole window (from the caller's
-        earlier COUNT query), used to derive the last quadrant.
-    derive_fourth:
-        Apply the three-queries-plus-derivation optimisation.  When the
-        derived value would be non-positive a real COUNT is issued instead,
-        so pruning decisions are always based on exact zeros.
-    margin:
-        Per-side expansion applied to each quadrant before counting
-        (``epsilon / 2`` for distance joins), keeping the statistics
-        consistent with the windows the physical operators download.
+    A request generator: yields one :class:`CountRequest` batch and
+    receives the counts; returns the assembled :class:`QuadrantCounts`.
+    ``margin`` is the per-side expansion applied to each quadrant before
+    counting (the predicate's window margin for S), keeping the statistics
+    consistent with the windows the physical operators download.
     """
     quadrants = tuple(window.quadrants())
-    probes = [q.expanded(margin) if margin > 0 else q for q in quadrants]
-    # The three (or four) unconditional COUNTs are shipped as one batch: the
-    # same queries in the same order, answered in a single index descent.
-    lead = probes[:3] if derive_fourth else probes
-    lead_counts = (yield [CountRequest(server_name, tuple(lead))])[0]
-    counts: List[float] = [float(c) for c in lead_counts]
-    exact: List[bool] = [True] * len(counts)
-    issued = len(counts)
-    if derive_fourth:
-        derived = parent_count - sum(counts)
-        if derived > 0:
-            counts.append(float(derived))
-            exact.append(False)
-        else:
-            # Derived value suspicious (0 or negative, possible for extended
-            # objects or overlapping expanded quadrants): confirm with a
-            # real query before anyone prunes on it.
-            real = (yield [CountRequest(server_name, (probes[3],))])[0][0]
-            issued += 1
-            counts.append(float(real))
-            exact.append(True)
+    probes = tuple(q.expanded(margin) if margin > 0 else q for q in quadrants)
+    counts = (yield [CountRequest(server_name, probes)])[0]
     return QuadrantCounts(
         window=window,
         quadrants=quadrants,  # type: ignore[arg-type]
-        counts=tuple(counts),  # type: ignore[arg-type]
-        exact=tuple(exact),  # type: ignore[arg-type]
-        queries_issued=issued,
+        counts=tuple(float(c) for c in counts),  # type: ignore[arg-type]
+        exact=(True, True, True, True),
+        queries_issued=len(probes),
     )
 
 
@@ -581,22 +545,12 @@ class GeneratorUpJoin(_GeneratorEngine, UpJoin):
         count_r, count_s = task.count_r, task.count_s
         counts_exact = task.counts_exact
 
-        # Line 1: prune windows where at least one dataset is empty.  An
-        # estimated (inexact) zero is confirmed before pruning, so extended
-        # objects can never be lost to the count-derivation shortcut.
+        # Line 1: prune windows where at least one dataset is empty.  A zero
+        # is a real COUNT: the only estimates are quarters of a positive
+        # parent.
         if count_r <= 0 or count_s <= 0:
-            if counts_exact:
-                self._prune_window(rec, int(count_r), int(count_s))
-                return None
-            exact_r = (yield [CountRequest("R", (self.query_window("R", window),))])[0][0]
-            exact_s = (yield [CountRequest("S", (self.query_window("S", window),))])[0][0]
-            if exact_r == 0 or exact_s == 0:
-                self._prune_window(rec, exact_r, exact_s)
-                return None
-            count_r, count_s, counts_exact = float(exact_r), float(exact_s), True
-            # The one decision input not known when the level started: cost
-            # the confirmed counts as a level of one.
-            costs = self._level_costs([replace(task, count_r=count_r, count_s=count_s)])[0]
+            self._prune_window(rec, int(count_r), int(count_s))
+            return None
 
         # Line 8's strategy costs, read from the level cost table.  c4 is
         # never estimated -- the decision to repartition is driven by the
@@ -698,8 +652,6 @@ class GeneratorUpJoin(_GeneratorEngine, UpJoin):
         quadrants = yield from quadrant_count_steps(
             server_name,
             window,
-            int_count,
-            derive_fourth=True,
             margin=self.predicate.window_margin if server_name.upper() == "S" else 0.0,
         )
         uniform = is_uniform(int_count, quadrants.counts, self.params.alpha)
@@ -893,16 +845,13 @@ class SrJoinTask:
     ``parent_similar`` carries the bitmap verdict of the parent window
     (``None`` for the root, which always proceeds to its own statistics):
     a quadrant of a *similar* parent is finished immediately, a quadrant of
-    a *different* parent may still recurse.  ``counts_exact`` tells whether
-    the counts came from real COUNT queries (suspicious zeros are confirmed
-    by the parent before the task is created, so pruning decisions are
-    always based on exact values).
+    a *different* parent may still recurse.  Every count is a real COUNT
+    (the root's, or one of the parent's four quadrant COUNTs).
     """
 
     window: Rect
     count_r: float
     count_s: float
-    counts_exact: bool
     parent_similar: Optional[bool]
     depth: int
 
@@ -917,7 +866,6 @@ class GeneratorSrJoin(_GeneratorEngine, SrJoin):
             window=window,
             count_r=count_r,
             count_s=count_s,
-            counts_exact=True,
             parent_similar=None,
             depth=depth,
         )
@@ -927,8 +875,7 @@ class GeneratorSrJoin(_GeneratorEngine, SrJoin):
         count_r, count_s = task.count_r, task.count_s
 
         if count_r <= 0 or count_s <= 0:
-            # Zeros are exact here: the root counts come from real COUNTs
-            # and suspicious quadrant zeros were confirmed by the parent.
+            # Every count is a real COUNT: the root's, or a quadrant's.
             self._prune_window(rec, int(count_r), int(count_s))
             return None
 
@@ -942,8 +889,7 @@ class GeneratorSrJoin(_GeneratorEngine, SrJoin):
                 # Lines 7-11: distributions match (or the quadrant is too
                 # small for further refinement) -- finish it now.
                 return self._operator_leaf(
-                    window, count_r, count_s, c1, nlsj_outer, nlsj_cost,
-                    task.counts_exact, rec,
+                    window, count_r, count_s, c1, nlsj_outer, nlsj_cost, rec
                 )
 
             # Lines 13-19: distributions differ.
@@ -954,30 +900,26 @@ class GeneratorSrJoin(_GeneratorEngine, SrJoin):
             ):
                 # The quadrant is too small for more statistics to pay off.
                 return self._operator_leaf(
-                    window, count_r, count_s, c1, nlsj_outer, nlsj_cost,
-                    task.counts_exact, rec,
+                    window, count_r, count_s, c1, nlsj_outer, nlsj_cost, rec
                 )
             # Repartition aggressively, hoping the next level prunes.
             self.note_repartition()
             rec("recurse", "bitmaps differ", count_r, count_s)
 
         # Lines 1-2: quadrant statistics for both datasets (R counted on the
-        # raw quadrants, S on their epsilon-expanded query windows).
-        quad_r = yield from quadrant_count_steps(
-            "R", window, count_r, derive_fourth=True, margin=0.0
-        )
-        quad_s = yield from quadrant_count_steps(
-            "S",
-            window,
-            count_s,
-            derive_fourth=True,
-            margin=self.predicate.window_margin,
-        )
+        # raw quadrants, S on their epsilon-expanded query windows), four
+        # real COUNTs each, R and S in one step.
         quadrants = self.quadrants_of(window)
+        real_r, real_s = yield [
+            CountRequest(side, tuple(self.query_window(side, cell) for cell in quadrants))
+            for side in ("R", "S")
+        ]
+        quad_r = [float(count) for count in real_r]
+        quad_s = [float(count) for count in real_s]
 
         # Lines 3-5: density bitmaps (Eq. 11).
-        bits_r = density_bitmap(window, quadrants, count_r, quad_r.counts, self.params.rho)
-        bits_s = density_bitmap(window, quadrants, count_s, quad_s.counts, self.params.rho)
+        bits_r = density_bitmap(window, quadrants, count_r, quad_r, self.params.rho)
+        bits_s = density_bitmap(window, quadrants, count_s, quad_s, self.params.rho)
         similar = bitmaps_equal(bits_r, bits_s)
         rec(
             "bitmaps",
@@ -987,46 +929,16 @@ class GeneratorSrJoin(_GeneratorEngine, SrJoin):
             count_r,
             count_s,
         )
-
-        # Lines 8 / 14 preparation: estimated zeros must be confirmed with a
-        # real COUNT before pruning (extended objects can hide behind a
-        # derived-count underestimate).  All suspicious quadrants are
-        # confirmed in one batch per server -- the same queries the per-cell
-        # loop used to issue one at a time.
-        suspicious = [
-            i
-            for i in range(len(quadrants))
-            if (quad_r.count(i) <= 0 or quad_s.count(i) <= 0)
-            and not (quad_r.is_exact(i) and quad_s.is_exact(i))
-        ]
-        confirmed = {}
-        if suspicious:
-            cells = [quadrants[i] for i in suspicious]
-            real_r, real_s = yield [
-                CountRequest("R", tuple(self.query_window("R", c) for c in cells)),
-                CountRequest("S", tuple(self.query_window("S", c) for c in cells)),
-            ]
-            confirmed = dict(zip(suspicious, zip(real_r, real_s)))
-
-        children = []
-        for i, cell in enumerate(quadrants):
-            cell_r = quad_r.count(i)
-            cell_s = quad_s.count(i)
-            exact = quad_r.is_exact(i) and quad_s.is_exact(i)
-            if i in confirmed:
-                real_r_i, real_s_i = confirmed[i]
-                cell_r, cell_s, exact = float(real_r_i), float(real_s_i), True
-            children.append(
-                SrJoinTask(
-                    window=cell,
-                    count_r=cell_r,
-                    count_s=cell_s,
-                    counts_exact=exact,
-                    parent_similar=similar,
-                    depth=depth + 1,
-                )
+        return [
+            SrJoinTask(
+                window=cell,
+                count_r=quad_r[i],
+                count_s=quad_s[i],
+                parent_similar=similar,
+                depth=depth + 1,
             )
-        return children
+            for i, cell in enumerate(quadrants)
+        ]
 
     # ------------------------------------------------------------------ #
 
@@ -1038,7 +950,6 @@ class GeneratorSrJoin(_GeneratorEngine, SrJoin):
         c1: float,
         nlsj_outer: str,
         nlsj_cost: float,
-        counts_exact: bool,
         rec,
     ) -> OperatorLeaf:
         """Finish a quadrant with the cheaper physical operator (lines 9-11/16-18)."""
@@ -1047,7 +958,7 @@ class GeneratorSrJoin(_GeneratorEngine, SrJoin):
             # quadrant does not fit the device buffer.  c1 is evaluated
             # without the hard buffer cut, so the estimate stays finite.
             rec("HBSJ", "", count_r, count_s)
-            return OperatorLeaf("hbsj", cell, count_r, count_s, counts_exact=counts_exact)
+            return OperatorLeaf("hbsj", cell, count_r, count_s)
         rec(
             "NLSJ",
             f"outer={nlsj_outer}, bucket={self.params.bucket_queries}",

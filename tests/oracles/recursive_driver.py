@@ -51,11 +51,11 @@ def execute_count_requests(
 
 
 def fetch_quadrant_counts(
-    device: MobileDevice, server_name: str, window, parent_count: int, **options
+    device: MobileDevice, server_name: str, window, margin: float = 0.0
 ) -> QuadrantCounts:
     """Drive :func:`~tests.oracles.frontier_generators.quadrant_count_steps`
-    to its result, depth-first."""
-    gen = quadrant_count_steps(server_name, window, parent_count, **options)
+    to its result, depth-first: the four quadrant COUNTs of ``window``."""
+    gen = quadrant_count_steps(server_name, window, margin)
     try:
         requests = gen.send(None)
         while True:

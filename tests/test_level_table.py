@@ -7,9 +7,8 @@ per-window generators they replaced live on in
 levels* -- not levels a join happened to reach -- to both: 1 to ~300
 windows, exact and estimated counts, zeros of both kinds, coincident and
 zero-area windows, epsilon 0 and > 0, bucket on / off, trace on / off --
-answers every COUNT from a script (so a derived fourth quadrant can be zero
-or negative, a confirmation probe can refute, an estimated zero can turn
-out real) and asserts equal
+answers every COUNT from a script (so a quadrant count can be zero, a
+confirmation probe can refute) and asserts equal
 
 * step sequences: kinds, sides, rows, ``==`` on every coordinate -- the wire
   order is the contract;
@@ -35,8 +34,9 @@ from repro.core.join_types import JoinSpec
 from repro.core.mobijoin import MobiJoin
 from repro.core.srjoin import DIFFERENT, NO_PARENT, SIMILAR, SrJoin
 from repro.core.upjoin import UpJoin
-from repro.datasets.synthetic import uniform
+from repro.datasets.synthetic import clustered, uniform
 from repro.device.pda import MobileDevice
+from repro.device.steps import run_steps
 from repro.geometry.rect import Rect
 from repro.server.remote import ServerPair
 from repro.server.server import SpatialServer
@@ -49,6 +49,7 @@ from tests.oracles.frontier_generators import (
     UpJoinTask,
     level_rounds,
 )
+from tests.test_metamorphic_mirror import _mirrored
 
 _R, _S = uniform(n=8, seed=1), uniform(n=8, seed=2)
 
@@ -150,8 +151,8 @@ def _tasks(cls, columns):
     if cls is SrJoin:
         # Every third window has no parent verdict (a root's row).
         return [
-            SrJoinTask(w, r, s, e, None if i % 3 == 0 else a, depth)
-            for i, (w, r, s, e, a, _) in enumerate(rows)
+            SrJoinTask(w, r, s, None if i % 3 == 0 else a, depth)
+            for i, (w, r, s, _, a, _) in enumerate(rows)
         ]
     return [MobiJoinTask(w, int(r), int(s), depth) for w, r, s, *_ in rows]
 
@@ -187,7 +188,7 @@ def _oracle_outcome(cls, runs):
                 if cls is UpJoin:
                     row += (task.counts_exact, task.known_uniform_r, task.known_uniform_s)
                 elif cls is SrJoin:
-                    row += (task.counts_exact, task.parent_similar)
+                    row += (True, task.parent_similar)
                 else:
                     row += (True,)
                 children.append(row)
@@ -250,9 +251,9 @@ def test_table_equals_generators(cls, generated, epsilon, bucket, trace, buffer_
 
 
 def test_rounds_interleave_out_of_phase_windows():
-    """Two UpJoin windows a stage apart: round 2 carries one window's fourth
-    R quadrant and the other's S quadrants, S listed first because its window
-    comes first."""
+    """Two UpJoin windows a stage apart share rounds: round 1 carries one
+    window's S quadrants and the other's R quadrants, S listed first because
+    its window comes first; round 2 carries the second window's S quadrants."""
     algo = _algorithm(UpJoin, 0.0, False, True, 800)
     windows = np.array([[0.0, 0.0, 1.0, 1.0], [0.0, 0.0, 0.5, 0.5]])
     level = Level(
@@ -262,12 +263,34 @@ def test_rounds_interleave_out_of_phase_windows():
 
     class _Skewed(_Script):
         def count(self, side, row):
-            # All mass in one quadrant: the derived fourth count is 0.
+            # All mass in one quadrant: Eq. 9 fails, no probe is asked.
             return 40000 if row[0] == 0.0 and row[1] == 0.0 else 0
 
     _, offered = _drive(algo.table(algo, level).steps(), _Skewed("noise", 0.0, 0))
     shapes = [[(side, len(rows)) for _, side, rows in step] for step in offered]
     # Window 0 knows R uniform and starts on S; window 1 starts on R.
-    assert shapes[0] == [("S", 3), ("R", 3)]
-    assert shapes[1] == [("S", 1), ("R", 1)]  # both fourth quadrants, confirmed
-    assert shapes[2] == [("S", 3)]  # window 1 moves on to S
+    assert shapes == [[("S", 4), ("R", 4)], [("S", 4)]]
+
+
+def test_every_s_quadrant_count_is_the_servers_count_of_its_grown_quadrant():
+    """Under a distance join S's quadrants are grown by the margin and
+    overlap, so the paper's ``|Dw| - sum(three)`` undercounts the fourth.
+    Every S quadrant count UpJoin's and SrJoin's tables record is the
+    server's COUNT of that grown quadrant: on this x-mirrored root window
+    the derivation put the fourth at 246 where the server counts 322."""
+    r, s = (
+        _mirrored(clustered(n=1500, clusters=8, seed=seed, name=name))
+        for seed, name in ((3, "R"), (4, "S"))
+    )
+    window = r.bounds().union(s.bounds())
+    for cls in (UpJoin, SrJoin):
+        server_s = SpatialServer(s, name="S")
+        device = MobileDevice(
+            ServerPair.connect(SpatialServer(r, name="R"), server_s), buffer_size=100
+        )
+        algo = cls(device, JoinSpec.distance(0.005), AlgorithmParameters())
+        root = algo._root_task(window, len(r), len(s), 0)
+        table = run_steps(algo.table(algo, root).steps(), device.servers)
+        grown = algo.predicate.request_windows("S", table.quad_windows()[0])
+        assert table.quads[1][0].tolist() == server_s.evaluate_count_batch(grown)
+        assert table.quads[1][0, 3] == 322

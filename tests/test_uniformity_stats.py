@@ -23,7 +23,7 @@ from repro.core.uniformity import (
     is_uniform,
     worth_retrieving_statistics,
 )
-from repro.datasets.synthetic import clustered, gaussian_mixture, uniform
+from repro.datasets.synthetic import uniform
 from repro.device.pda import MobileDevice
 from repro.geometry.rect import Rect
 from repro.network.config import NetworkConfig
@@ -182,28 +182,9 @@ def _device_for(dataset_r, dataset_s, buffer_size=500) -> MobileDevice:
 
 
 class TestQuadrantCounts:
-    def test_point_data_fourth_quadrant_derived_exactly(self):
-        dataset = uniform(n=400, seed=1)
-        device = _device_for(dataset, uniform(n=10, seed=2))
-        counts = fetch_quadrant_counts(device, "R", WINDOW, 400, derive_fourth=True)
-        assert counts.queries_issued == 3
-        assert not counts.is_exact(3)
-        # For point data the derivation is exact.
-        real = np.count_nonzero(dataset.window_mask(WINDOW.quadrants()[3]))
-        assert counts.count(3) == pytest.approx(real)
-
-    def test_derived_zero_triggers_real_count(self):
-        # All the data sits in the first quadrant: the derived fourth count
-        # would be zero, so a real COUNT must be issued before pruning.
-        dataset = gaussian_mixture(n=200, centers=[(0.2, 0.2)], std=0.03, seed=3)
-        device = _device_for(dataset, uniform(n=10, seed=4))
-        counts = fetch_quadrant_counts(device, "R", WINDOW, 200, derive_fourth=True)
-        assert counts.queries_issued == 4
-        assert counts.is_exact(3)
-
     def test_no_derivation_issues_four_queries(self):
         device = _device_for(uniform(n=100, seed=5), uniform(n=10, seed=6))
-        counts = fetch_quadrant_counts(device, "R", WINDOW, 100, derive_fourth=False)
+        counts = fetch_quadrant_counts(device, "R", WINDOW)
         assert counts.queries_issued == 4
         assert all(counts.is_exact(i) for i in range(4))
 
@@ -211,10 +192,8 @@ class TestQuadrantCounts:
         # With a margin, quadrant counts may overlap and exceed the parent.
         dataset = uniform(n=500, seed=7)
         device = _device_for(uniform(n=10, seed=8), dataset)
-        no_margin = fetch_quadrant_counts(device, "S", WINDOW, 500, derive_fourth=False)
-        with_margin = fetch_quadrant_counts(
-            device, "S", WINDOW, 500, derive_fourth=False, margin=0.05
-        )
+        no_margin = fetch_quadrant_counts(device, "S", WINDOW)
+        with_margin = fetch_quadrant_counts(device, "S", WINDOW, margin=0.05)
         assert with_margin.total() >= no_margin.total()
 
     def test_estimated_counts_are_quarters(self):
@@ -243,6 +222,6 @@ class TestQuadrantCounts:
     def test_counts_are_metered(self):
         device = _device_for(uniform(n=300, seed=9), uniform(n=10, seed=10))
         before = device.total_bytes()
-        fetch_quadrant_counts(device, "R", WINDOW, 300, derive_fourth=True)
+        fetch_quadrant_counts(device, "R", WINDOW)
         assert device.total_bytes() > before
-        assert device.counts.count_queries == 3
+        assert device.counts.count_queries == 4
