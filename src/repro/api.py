@@ -35,7 +35,6 @@ from repro.core.planner import (
 from repro.core.result import JoinResult
 from repro.core.semijoin import SemiJoin
 from repro.datasets.dataset import SpatialDataset
-from repro.device.buffer import DeviceBuffer
 from repro.errors import (
     ChannelFault,
     InvalidInput,
@@ -203,12 +202,11 @@ def batch_join(
     result is bit-identical to running the same query standalone through
     :func:`quick_join` / :func:`~repro.core.planner.run_join`.
 
-    ``broker_kwargs`` are :class:`QueryBroker` constructor arguments:
-    ``config`` and ``max_wave``; ``cache_max_bytes``, which bounds the
-    result cache (default :data:`DEFAULT_CACHE_MAX_BYTES`; ``None`` means
-    unbounded); ``tracer``/``metrics``, which attach the read-only
-    observability hooks (see :mod:`repro.obs`) -- outcomes stay
-    bit-identical with or without them.
+    ``broker_kwargs`` are the four :class:`QueryBroker` constructor
+    arguments: ``config``, ``cache`` (the result-cache toggle) and
+    ``tracer``/``metrics``, which attach the read-only observability hooks
+    (see :mod:`repro.obs`) -- outcomes stay bit-identical with or without
+    them.
 
     Pass a ``broker`` to reuse its server builds, result cache and
     circuit breakers across several batches.  A passed broker carries its
@@ -333,33 +331,28 @@ class AdHocJoinSession:
         alpha: float = 0.25,
         rho: float = 0.30,
         grid_k: int = 2,
-        trace: bool = True,
         window: Optional[Rect] = None,
         seed: int = 0,
-        buffer_size: Optional[int] = None,
     ) -> JoinResult:
         """Run one algorithm on this session's servers and record the result.
 
-        ``buffer_size`` overrides the session's device buffer for this run.
+        The run uses the session's device buffer (the constructor's
+        ``buffer_size``) and records its decision trace in
+        :attr:`JoinResult.trace`.
         """
         validate_window(window)
         algorithm = self.stack.check_algorithm(algorithm)
-        # A fresh buffer per run, so a per-run size meets the constructor's
-        # capacity check before anything is exchanged.
-        buffer = DeviceBuffer(self.buffer_size if buffer_size is None else buffer_size)
         spec = self._spec_for(kind, epsilon, min_matches)
         params = AlgorithmParameters(
             alpha=alpha,
             rho=rho,
             grid_k=grid_k,
             bucket_queries=bucket_queries,
-            trace=trace,
             seed=seed,
         )
         self.device.reset()
         if self.device.resilience is not None:
             self.device.resilience.reset()
-        self.device.buffer = buffer
         algo = build_algorithm(algorithm, self.device, spec, params)
         result = algo.run(window or self.default_window())
         self._history.append(result)

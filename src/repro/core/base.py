@@ -19,7 +19,12 @@ __all__ = ["AlgorithmParameters"]
 
 @dataclass(frozen=True)
 class AlgorithmParameters:
-    """Tunables shared by the algorithms (each uses the subset it needs)."""
+    """Tunables shared by the algorithms (each uses the subset it needs).
+
+    Every run records each decision in :attr:`JoinResult.trace`; the rows
+    stay columns until read (1-2% of a warm 20k x 20k UpJoin / MobiJoin,
+    ~2,500 rows, 2-core box), and iterating the trace builds its events.
+    """
 
     #: Eq. 9 uniformity tolerance (UpJoin); the paper settles on 0.25.
     alpha: float = 0.25
@@ -30,10 +35,6 @@ class AlgorithmParameters:
     grid_k: int = 2
     #: Use bucket epsilon-RANGE queries when running NLSJ.
     bucket_queries: bool = False
-    #: Record every decision in :attr:`JoinResult.trace`.  Rows stay columns
-    #: until read: 1-2% of a warm 20k x 20k UpJoin / MobiJoin (~2,500 rows,
-    #: 2-core box); iterating the trace builds its events.
-    trace: bool = True
     #: Seed for the algorithm's own randomness (UpJoin's confirmation window).
     seed: int = 0
 

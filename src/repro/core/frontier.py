@@ -247,10 +247,9 @@ class Crew:
         counts: List[Optional[Tuple[int, int]]] = [None] * len(algos)
         for q in np.flatnonzero(self.alive).tolist():
             algo, counts[q] = algos[q], (int(counts_r[q]), int(counts_s[q]))
-            if algo.params.trace:
-                count_r, count_s = (np.array([count]) for count in counts[q])
-                start = TraceBatch(np.zeros(1, np.intp), "start", algo.name, (), count_r, count_s)
-                algo._trace.append(LevelTrace(0, roots[q : q + 1], [start]))
+            count_r, count_s = (np.array([count]) for count in counts[q])
+            start = TraceBatch(np.zeros(1, np.intp), "start", algo.name, (), count_r, count_s)
+            algo._trace.append(LevelTrace(0, roots[q : q + 1], [start]))
         return counts
 
     def count_round(self, step: Step, queries: List[np.ndarray], keys) -> Steps:
@@ -516,7 +515,7 @@ class LevelTable:
         count_s: Optional[np.ndarray] = None,
         counts: bool = False,
     ) -> None:
-        """Record one trace row per window of ``idx`` (no-op when tracing is off).
+        """Record one trace row per window of ``idx``.
 
         ``detail`` is a ``str.format`` template over ``columns`` (parallel
         to ``idx``; formatted from Python numbers when read); ``counts=True``
@@ -527,7 +526,7 @@ class LevelTable:
         per-depth decision log is identical to a depth-first execution even
         though windows are decided together.
         """
-        if not self.algo.params.trace or not idx.size:
+        if not idx.size:
             return
         if counts:
             count_r, count_s = self.int_r[idx], self.int_s[idx]
@@ -792,8 +791,7 @@ class FrontierAlgorithm:
         while level is not None:
             table = yield from self.table(self, level, crew).steps()
             yield from self._run_leaves(table)
-            if self.params.trace:
-                crew.record(table)
+            crew.record(table)
             level = crew.survivors(table.children)
 
     @staticmethod

@@ -193,7 +193,7 @@ class JoinResult:
     server_stats: Dict[str, Dict[str, int]] = field(default_factory=dict)
     channel_stats: Dict[str, Dict[str, float]] = field(default_factory=dict)
     buffer_high_water_mark: int = 0
-    #: Step-by-step trace (may be empty when tracing is disabled).
+    #: Step-by-step decision trace (every run records one).
     trace: Sequence[TraceEvent] = field(default_factory=Trace)
     #: Retry/fault counters and retry-lane traffic of a fault-injected run
     #: (``None`` when the session ran without a fault plan).  Never part of

@@ -16,15 +16,17 @@ Execution layer
 ---------------
 
 Every algorithm series of a sweep cell joins the *same* (x-value, seed)
-datasets, and a server build is immutable (the connections count).  The
-sweep therefore iterates cells in the outer loop, builds the cell's two
-:class:`~repro.server.server.SpatialServer` instances once and hands them
-to every series of the cell: index construction is O(x-values x seeds)
-instead of O(series x x-values x seeds).  Only the metered connections and
-the device are rebuilt per run, so byte accounting is bit-identical to a
-cold build.  Cells run one after the other, in the process that called
-:func:`run_experiment`, and a cell's servers are released before the next
-cell is built.
+datasets, a side whose generator takes no cluster count (uniform, railway)
+joins the same dataset at every x-value of a seed, and a server build is
+immutable (the connections count).  The sweep therefore runs seed by seed
+and builds each distinct dataset -- keyed by ``(kind, size, seed,
+clusters if the kind uses them)`` -- and its side's
+:class:`~repro.server.server.SpatialServer` once, handing them to every
+cell and series that uses them.  Only the metered connections and the
+device are rebuilt per run, so byte accounting is bit-identical to a cold
+build.  Seeds run one after the other, in the process that called
+:func:`run_experiment`, and a seed's builds are released before the next
+seed's are made.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.api import AdHocJoinSession
-from repro.core.planner import StackConfig
 from repro.core.result import JoinResult
 from repro.datasets.dataset import SpatialDataset
 from repro.datasets.railway import generate_railway_like
@@ -48,7 +49,6 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentResult",
     "SeriesResult",
-    "build_datasets",
     "run_experiment",
     "run_single",
 ]
@@ -98,21 +98,28 @@ class ExperimentResult:
     runs: Dict[Tuple[str, int, int], JoinResult] = field(default_factory=dict)
 
 
-def build_datasets(spec: WorkloadSpec) -> Tuple[SpatialDataset, SpatialDataset]:
-    """Materialise the two datasets described by a workload spec."""
+def _sides(spec: WorkloadSpec) -> List[Tuple]:
+    """Each side's dataset key, ``(kind, size, seed, clusters)``: R at
+    ``spec.seed``, S at ``spec.seed + 1000``; the cluster count is ``None``
+    where the generator takes none."""
+    return [
+        (kind, size, seed, spec.clusters if kind == "clustered" else None)
+        for kind, size, seed in (
+            (spec.r_kind, spec.r_size, spec.seed),
+            (spec.s_kind, spec.s_size, spec.seed + 1000),
+        )
+    ]
 
-    def build(kind: str, size: int, seed: int, clusters: int) -> SpatialDataset:
-        if kind == "clustered":
-            return clustered(n=size, clusters=clusters, seed=seed)
-        if kind == "uniform":
-            return uniform(n=size, seed=seed)
-        if kind == "railway":
-            return generate_railway_like(n_segments=size, seed=seed)
-        raise ValueError(f"unknown dataset kind {kind!r}")
 
-    dataset_r = build(spec.r_kind, spec.r_size, spec.seed, spec.clusters)
-    dataset_s = build(spec.s_kind, spec.s_size, spec.seed + 1000, spec.clusters)
-    return dataset_r, dataset_s
+def _dataset(kind: str, size: int, seed: int, clusters: Optional[int]) -> SpatialDataset:
+    """The dataset one key describes."""
+    if kind == "clustered":
+        return clustered(n=size, clusters=clusters, seed=seed)
+    if kind == "uniform":
+        return uniform(n=size, seed=seed)
+    if kind == "railway":
+        return generate_railway_like(n_segments=size, seed=seed)
+    raise ValueError(f"unknown dataset kind {kind!r}")
 
 
 def run_single(
@@ -143,62 +150,44 @@ def run_single(
     return session.run(**kwargs)  # type: ignore[arg-type]
 
 
-#: One measured run: (total_bytes, num_pairs, JoinResult or None).
-_RunRecord = Tuple[float, float, Optional[JoinResult]]
-
-
-def _run_cell(
-    config: ExperimentConfig,
-    x: int,
-    seed: int,
-    keep_runs: bool,
-    share_servers: bool,
-) -> Dict[Tuple[str, int, int], _RunRecord]:
-    """Run every series of the sweep on one (x, seed) cell.
-
-    With ``share_servers`` the cell's two servers are built once and handed
-    to every series; otherwise every run builds its own.
-    """
-    spec = dataclasses.replace(config.workload, clusters=x, seed=seed)
-    dataset_r, dataset_s = build_datasets(spec)
-    servers = StackConfig().servers(dataset_r, dataset_s) if share_servers else None
-    out: Dict[Tuple[str, int, int], _RunRecord] = {}
-    for label, run_kwargs in config.series.items():
-        run = run_single(
-            dataset_r, dataset_s, spec, run_kwargs, config=config.config, servers=servers
-        )
-        out[(label, x, seed)] = (
-            float(run.total_bytes),
-            float(run.num_pairs),
-            run if keep_runs else None,
-        )
-    return out
-
-
-def run_experiment(
-    config: ExperimentConfig,
-    keep_runs: bool = False,
-    *,
-    share_servers: bool = True,
-) -> ExperimentResult:
+def run_experiment(config: ExperimentConfig, keep_runs: bool = False) -> ExperimentResult:
     """Execute a sweep: every series at every x-value, averaged over seeds.
+
+    Each distinct dataset of a seed and its side's server are built once and
+    shared by every cell and series that joins them (see "Execution layer"
+    above).
 
     Parameters
     ----------
     keep_runs:
         Keep every raw :class:`~repro.core.result.JoinResult` in
         ``result.runs``.
-    share_servers:
-        Share one pre-built server pair per (x-value, seed) cell across all
-        algorithm series (the default).  ``False`` rebuilds the full stack
-        for every run -- the reference the equivalence tests hold sharing
-        against.
     """
-    raw: Dict[Tuple[str, int, int], _RunRecord] = {}
-    for x in config.x_values:
-        for seed in config.seeds:
-            # Peak memory stays at a single cell's servers.
-            raw.update(_run_cell(config, x, seed, keep_runs, share_servers))
+    # One measured run: (total_bytes, num_pairs, JoinResult or None).
+    raw: Dict[Tuple[str, int, int], Tuple[float, float, Optional[JoinResult]]] = {}
+    for seed in config.seeds:
+        # Peak memory stays at one seed's builds.  A side's server is keyed
+        # by its dataset; the two sides of a seed draw different generator
+        # seeds, so they never share one.
+        builds: Dict[Tuple, Tuple[SpatialDataset, SpatialServer]] = {}
+        for x in config.x_values:
+            spec = dataclasses.replace(config.workload, clusters=x, seed=seed)
+            sides = []
+            for name, key in zip("RS", _sides(spec)):
+                if (name, key) not in builds:
+                    dataset = _dataset(*key)
+                    builds[(name, key)] = dataset, SpatialServer(dataset, name=name)
+                sides.append(builds[(name, key)])
+            (dataset_r, server_r), (dataset_s, server_s) = sides
+            for label, run_kwargs in config.series.items():
+                run = run_single(
+                    dataset_r, dataset_s, spec, run_kwargs, config.config, (server_r, server_s)
+                )
+                raw[(label, x, seed)] = (
+                    float(run.total_bytes),
+                    float(run.num_pairs),
+                    run if keep_runs else None,
+                )
 
     # The series are reported series-major, then x, then seed.
     result = ExperimentResult(config=config)

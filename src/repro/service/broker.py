@@ -20,7 +20,7 @@ and
    batch of one);
 
 2. **admits** the planned queries in deterministic waves of at most
-   ``max_wave``, deduplicating identical queries through the result cache
+   :data:`MAX_WAVE`, deduplicating identical queries through the result cache
    (keyed on datasets, spec, algorithm and configuration): a warm cache
    serves a query without executing anything, and identical queries inside
    one batch share a single execution;
@@ -67,7 +67,7 @@ from repro.core.planner import PlanDecision, build_algorithm, select_algorithm
 from repro.core.result import JoinResult
 from repro.device.pda import MobileDevice
 from repro.device.steps import COUNT, Group, Unit, drive
-from repro.errors import QueryTimeout, ReproError, ServerUnavailable, require_count
+from repro.errors import QueryTimeout, ReproError, ServerUnavailable
 from repro.network.config import NetworkConfig
 from repro.obs.trace import NULL_TRACER
 from repro.server.server import SpatialServer
@@ -76,10 +76,24 @@ from repro.service.query import JoinQuery, QueryOutcome
 
 __all__ = ["BrokerStats", "DEFAULT_CACHE_MAX_BYTES", "QueryBroker"]
 
-#: Default byte budget for broker-built result caches: enough for tens of
-#: thousands of typical cached results, small enough that a long-lived
-#: broker cannot grow without bound on result payloads alone.
+#: Byte budget of the result cache: enough for tens of thousands of typical
+#: cached results, small enough that a long-lived broker cannot grow without
+#: bound on result payloads alone.
 DEFAULT_CACHE_MAX_BYTES = 64 * 1024 * 1024
+#: LRU entry cap of the result cache.
+CACHE_MAX_ENTRIES = 4096
+#: Admission width: at most this many distinct queries execute per wave.
+#: Waves are formed in submission order, so scheduling is deterministic.
+MAX_WAVE = 16
+#: Consecutive :class:`ServerUnavailable` failures against one breaker unit
+#: before its circuit breaker opens and the broker sheds queries to it.
+BREAKER_THRESHOLD = 3
+#: Waves an open breaker stays open before going half-open (one probing
+#: query decides between closing and re-opening).
+BREAKER_COOLDOWN_WAVES = 2
+#: LRU entry cap on the cached server builds (index builds per distinct
+#: dataset pair and topology); evicting a build drops its breaker entries.
+MAX_SERVER_BUILDS = 32
 
 
 @dataclass
@@ -209,33 +223,11 @@ class QueryBroker:
     ----------
     config:
         Default wire constants / tariffs for queries that carry none.
-    max_wave:
-        Admission width: at most this many distinct queries execute
-        concurrently (per wave).  Waves are formed in submission order, so
-        scheduling is deterministic.
     cache:
-        Result-cache toggle, or a pre-built :class:`ResultCache` to share
-        between brokers.  Broker-built caches are bounded on both axes
-        (LRU, 4096 entries, ``cache_max_bytes`` payload budget); pass your
-        own ``ResultCache(max_entries=None)`` for an unbounded one.
-        :meth:`clear_caches` releases both the result cache and the server
-        builds of a long-lived broker.
-    cache_max_bytes:
-        Payload byte budget of the broker-built result cache
-        (:data:`DEFAULT_CACHE_MAX_BYTES` by default; ``None`` for
-        unbounded).  Ignored when a pre-built cache is passed.
-    breaker_threshold:
-        Consecutive :class:`ServerUnavailable` failures against one
-        backing server before its circuit breaker opens and the broker
-        sheds further queries to it without executing.
-    breaker_cooldown_waves:
-        Waves an open breaker stays open before going half-open (one
-        probing query decides between closing and re-opening).
-    max_server_builds:
-        LRU entry cap on the cached server builds (index builds per
-        distinct dataset pair and shard layout).  Evicting a build also
-        drops its breaker entries, exactly like :meth:`clear_caches`.
-        ``None`` disables the bound (the pre-cap behaviour).
+        Result-cache toggle.  The cache is bounded on both axes (LRU,
+        :data:`CACHE_MAX_ENTRIES` entries, :data:`DEFAULT_CACHE_MAX_BYTES`
+        of payload); :meth:`clear_caches` releases both the result cache and
+        the server builds of a long-lived broker.
     tracer:
         Optional :class:`repro.obs.Tracer`; threads span instrumentation
         through every wave, query and coalesced exchange.  Defaults to
@@ -245,47 +237,36 @@ class QueryBroker:
         histograms through the cache, channels, resilience controllers
         and wave loop.  Strictly read-only either way: results are
         bit-identical with hooks on or off.
+
+    Admission, the circuit breakers and the server-build cache run at the
+    module constants :data:`MAX_WAVE`, :data:`BREAKER_THRESHOLD`,
+    :data:`BREAKER_COOLDOWN_WAVES` and :data:`MAX_SERVER_BUILDS`, read
+    when they are used.
     """
 
     def __init__(
         self,
         config: Optional[NetworkConfig] = None,
-        max_wave: int = 16,
-        cache: object = True,
-        breaker_threshold: int = 3,
-        breaker_cooldown_waves: int = 2,
-        cache_max_bytes: Optional[int] = DEFAULT_CACHE_MAX_BYTES,
-        max_server_builds: Optional[int] = 32,
+        cache: bool = True,
         tracer=None,
         metrics=None,
     ) -> None:
-        require_count(max_wave, "max_wave")
-        require_count(breaker_threshold, "breaker_threshold")
-        require_count(breaker_cooldown_waves, "breaker_cooldown_waves")
-        require_count(max_server_builds, "max_server_builds", unbounded=True)
         self.config = config or NetworkConfig()
-        self.max_wave = max_wave
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics
-        if isinstance(cache, ResultCache):
-            self.cache = cache
-        else:
-            self.cache = ResultCache(
-                enabled=bool(cache),
-                max_entries=4096,
-                max_bytes=cache_max_bytes,
-                metrics=metrics,
-            )
+        self.cache = ResultCache(
+            enabled=bool(cache),
+            max_entries=CACHE_MAX_ENTRIES,
+            max_bytes=DEFAULT_CACHE_MAX_BYTES,
+            metrics=metrics,
+        )
         self.stats = BrokerStats()
         # Guards the server-build cache and the breakers: a caller may call
         # clear_caches() from another thread while a batch executes.
         self._lock = threading.RLock()
-        self.max_server_builds = max_server_builds
         self._servers: "OrderedDict[Tuple, Tuple[SpatialServer, SpatialServer]]" = (
             OrderedDict()
         )
-        self.breaker_threshold = breaker_threshold
-        self.breaker_cooldown_waves = breaker_cooldown_waves
         #: Circuit breakers keyed by the unit itself -- see :class:`_Breaker`.
         self._breakers: Dict[SpatialServer, _Breaker] = {}
         #: Monotone wave clock driving breaker cooldowns (counts every
@@ -420,7 +401,7 @@ class QueryBroker:
         Warm cache hits never execute; identical queries within the batch
         share one execution (the first occurrence leads) when the result
         cache is enabled.  The remaining distinct queries run in waves of
-        at most ``max_wave``, all queries of a wave advancing in lock-step
+        at most :data:`MAX_WAVE`, all queries of a wave advancing in lock-step
         rounds with the steps they offer evaluated together per backing
         server.
         """
@@ -454,8 +435,8 @@ class QueryBroker:
     def _execute_batch(self, batch: List[_Admitted]) -> List[QueryOutcome]:
         pending, leaders, followers = self._admit(batch)
         waves = [
-            pending[i : i + self.max_wave]
-            for i in range(0, len(pending), self.max_wave)
+            pending[i : i + MAX_WAVE]
+            for i in range(0, len(pending), MAX_WAVE)
         ]
         for wave_index, wave in enumerate(waves):
             self._execute_wave(wave, wave_index)
@@ -599,12 +580,11 @@ class QueryBroker:
                 # The evicted build's breaker entries go with it -- breaker
                 # state must never outlive the server it was charged
                 # against (same contract as clear_caches()).
-                if self.max_server_builds is not None:
-                    while len(self._servers) > self.max_server_builds:
-                        _, evicted = self._servers.popitem(last=False)
-                        for base in evicted:
-                            for unit in base.breaker_units():
-                                self._breakers.pop(unit, None)
+                while len(self._servers) > MAX_SERVER_BUILDS:
+                    _, evicted = self._servers.popitem(last=False)
+                    for base in evicted:
+                        for unit in base.breaker_units():
+                            self._breakers.pop(unit, None)
         return pair
 
     def _build_stack(self, entry: _Admitted) -> None:
@@ -720,7 +700,7 @@ class QueryBroker:
                     )
                 for unit, breaker in half_open:
                     breaker.open_until_wave = None
-                    breaker.failures = self.breaker_threshold - 1
+                    breaker.failures = BREAKER_THRESHOLD - 1
                     health[unit.name] = "probe"
                     self._note_breaker_transition("half-open", unit.name)
                 for unit, _breaker in cooling:
@@ -752,9 +732,9 @@ class QueryBroker:
         """Book one failure against a unit; open its breaker at the threshold."""
         breaker = self._breakers.setdefault(unit, _Breaker())
         breaker.failures += 1
-        if breaker.failures >= self.breaker_threshold:
+        if breaker.failures >= BREAKER_THRESHOLD:
             breaker.open_until_wave = (
-                self._wave_counter + 1 + self.breaker_cooldown_waves
+                self._wave_counter + 1 + BREAKER_COOLDOWN_WAVES
             )
             self._note_breaker_transition("open", unit.name)
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.join_types import JoinSpec
+from repro.datasets.railway import generate_railway_like
 from repro.datasets.synthetic import clustered, uniform
 from repro.geometry.rect import Rect
 from repro.network.config import NetworkConfig
@@ -51,6 +52,23 @@ def brute_force_pairs(dataset_r, dataset_s, epsilon: float):
     return {
         (int(dataset_r.oids[i]), int(dataset_s.oids[j])) for i, j in zip(idx_r, idx_s)
     }
+
+
+def build_datasets(spec):
+    """The two datasets a :class:`~repro.datasets.workloads.WorkloadSpec`
+    describes, straight from the generators: R at ``spec.seed``, S at
+    ``spec.seed + 1000`` (what a sweep cell joins)."""
+
+    def build(kind: str, size: int, seed: int):
+        if kind == "clustered":
+            return clustered(n=size, clusters=spec.clusters, seed=seed)
+        if kind == "uniform":
+            return uniform(n=size, seed=seed)
+        if kind == "railway":
+            return generate_railway_like(n_segments=size, seed=seed)
+        raise ValueError(f"unknown dataset kind {kind!r}")
+
+    return build(spec.r_kind, spec.r_size, spec.seed), build(spec.s_kind, spec.s_size, spec.seed + 1000)
 
 
 @pytest.fixture

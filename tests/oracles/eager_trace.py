@@ -32,11 +32,9 @@ class EagerTrace:
         count_s: Optional[int] = None,
         sink: Optional[List[TraceEvent]] = None,
     ) -> None:
-        """Append one trace event (no-op when tracing is disabled): to
-        ``sink`` when given (a caller splices it in window order), else to
-        the run's trace, after the parts recorded so far."""
-        if not self.params.trace:
-            return
+        """Append one trace event: to ``sink`` when given (a caller splices
+        it in window order), else to the run's trace, after the parts
+        recorded so far."""
         event = TraceEvent(depth, window, action, detail, count_r, count_s)
         if sink is not None:
             sink.append(event)

@@ -200,18 +200,16 @@ class TestSessionBehaviour:
     @pytest.mark.parametrize("algorithm", ALL_ALGORITHMS)
     @pytest.mark.parametrize("buffer_size", [0, -1, 2.5, float("nan"), "800"])
     def test_run_rejects_an_unusable_buffer_before_any_exchange(self, algorithm, buffer_size):
-        # A per-run buffer_size used to be assigned past the constructor's
-        # check: 0 joined on a zero-slot device, -1 died mid-join (or not at
-        # all, on naive / semijoin) after exchanges had been metered; 2.5 ran,
-        # nan and "800" failed with untyped errors.
-        session = _session(uniform(n=60, seed=18), uniform(n=60, seed=19))
+        # A run's buffer is its session's: an unusable size is refused when
+        # the session is built, before any run exchanges anything (0 once
+        # joined on a zero-slot device, -1 died mid-join after exchanges had
+        # been metered, 2.5 ran, nan and "800" failed with untyped errors).
+        r, s = uniform(n=60, seed=18), uniform(n=60, seed=19)
         with pytest.raises(InvalidInput):
-            session.run(algorithm=algorithm, epsilon=0.01, buffer_size=buffer_size)
-        assert session.device.total_bytes() == 0
-        assert session.history == []
-        # The session is intact: the next run uses its own buffer size.
-        assert session.run(algorithm=algorithm, epsilon=0.01).pairs == brute_force_pairs(
-            session.dataset_r, session.dataset_s, 0.01
+            quick_join(r, s, algorithm=algorithm, epsilon=0.01, buffer_size=buffer_size)
+        # The same datasets join at a usable size.
+        assert quick_join(r, s, algorithm=algorithm, epsilon=0.01).pairs == brute_force_pairs(
+            r, s, 0.01
         )
 
     @pytest.mark.parametrize(
@@ -299,7 +297,7 @@ class TestSessionBehaviour:
     def test_trace_records_decisions(self):
         r = clustered(n=200, clusters=2, seed=20, std=0.03)
         s = clustered(n=200, clusters=2, seed=21, std=0.03)
-        result = _session(r, s).run(algorithm="upjoin", epsilon=0.02, trace=True)
+        result = _session(r, s).run(algorithm="upjoin", epsilon=0.02)
         assert result.trace
         assert result.trace[0].action == "start"
         assert "upjoin" in result.format_trace(5)

@@ -54,6 +54,7 @@ from repro.network.faults import (
 )
 from repro.obs import Tracer
 from repro.service import JoinQuery, QueryBroker
+from repro.service import broker as service_broker
 from repro.service.cache import ResultCache
 
 pytestmark = pytest.mark.chaos
@@ -141,7 +142,7 @@ class TestFaultPlanDeterminism:
         assert all(k is FaultKind.OK for k in kinds[4:])
 
     @pytest.mark.parametrize("plan", RECOVERABLE_PLANS)
-    def test_events_independent_of_scheduling(self, plan):
+    def test_events_independent_of_scheduling(self, plan, monkeypatch):
         """Per-server drawn fault sequences depend only on the plan seed
         and the query's own exchange sequence -- never on wave width or
         submission order."""
@@ -166,7 +167,8 @@ class TestFaultPlanDeterminism:
             ]
             if order_seed is not None:
                 random.Random(order_seed).shuffle(queries)
-            outcomes = QueryBroker(max_wave=max_wave, cache=False).run_batch(queries)
+            monkeypatch.setattr(service_broker, "MAX_WAVE", max_wave)
+            outcomes = QueryBroker(cache=False).run_batch(queries)
             for outcome in outcomes:
                 assert outcome.status == "ok"
                 assert (
@@ -424,12 +426,12 @@ class TestCircuitBreaker:
             for spec, plan in specs_and_plans
         ]
 
-    def test_open_shed_halfopen_close_cycle(self):
+    def test_open_shed_halfopen_close_cycle(self, monkeypatch):
         r, s = _datasets()
-        broker = QueryBroker(
-            max_wave=1, cache=False, breaker_threshold=1,
-            breaker_cooldown_waves=1,
-        )
+        monkeypatch.setattr(service_broker, "MAX_WAVE", 1)
+        monkeypatch.setattr(service_broker, "BREAKER_THRESHOLD", 1)
+        monkeypatch.setattr(service_broker, "BREAKER_COOLDOWN_WAVES", 1)
+        broker = QueryBroker(cache=False)
         # Wave 1 fails genuinely -> breaker opens.  Wave 2 is shed without
         # executing.  Wave 3 is the half-open probe; it fails too (same
         # outage plan) -> re-open.
@@ -461,13 +463,13 @@ class TestCircuitBreaker:
                          buffer_size=BUFFER)
         _assert_identical(second[2].result, clean)
 
-    def test_breaker_fast_fail_does_not_count_as_server_failure(self):
+    def test_breaker_fast_fail_does_not_count_as_server_failure(self, monkeypatch):
         """Shed queries must not extend the outage window themselves."""
         r, s = _datasets()
-        broker = QueryBroker(
-            max_wave=1, cache=False, breaker_threshold=1,
-            breaker_cooldown_waves=3,
-        )
+        monkeypatch.setattr(service_broker, "MAX_WAVE", 1)
+        monkeypatch.setattr(service_broker, "BREAKER_THRESHOLD", 1)
+        monkeypatch.setattr(service_broker, "BREAKER_COOLDOWN_WAVES", 3)
+        broker = QueryBroker(cache=False)
         outcomes = broker.run_batch(self._queries(
             r, s,
             (JoinSpec.distance(0.030), self.OUTAGE),
@@ -483,33 +485,14 @@ class TestCircuitBreaker:
         assert all(o.error.kind == "breaker" for o in outcomes[1:4])
         assert broker.stats.breaker_rejections == 3
 
-    @pytest.mark.parametrize(
-        "make, knob, unbounded",
-        [
-            (QueryBroker, "max_wave", False),
-            (QueryBroker, "breaker_threshold", False),
-            (QueryBroker, "breaker_cooldown_waves", False),
-            (QueryBroker, "max_server_builds", True),
-            (QueryBroker, "cache_max_bytes", True),
-            (ResultCache, "max_entries", True),
-            (ResultCache, "max_bytes", True),
-        ],
-    )
+    @pytest.mark.parametrize("knob", ["max_entries", "max_bytes"])
     @pytest.mark.parametrize("bad", [2.5, 1.5, 0, math.nan, math.inf, "2"])
-    def test_broker_and_cache_counts_are_checked_at_construction(
-        self, make, knob, unbounded, bad
-    ):
-        """``max_wave=2.5`` constructed and then died inside ``run_batch``;
-        ``breaker_cooldown_waves=nan`` made an open breaker half-open at once,
-        so it never shed."""
-        with pytest.raises(InvalidInput, match=f"{knob.replace('cache_', '')} must be >= 1"):
-            make(**{knob: bad})
-        assert make(**{knob: 2}) is not None
-        if unbounded:
-            make(**{knob: None})
-        else:
-            with pytest.raises(InvalidInput):
-                make(**{knob: None})
+    def test_cache_counts_are_checked_at_construction(self, knob, bad):
+        """A result cache's bounds are counts or ``None`` (unbounded)."""
+        with pytest.raises(InvalidInput, match=f"{knob} must be >= 1"):
+            ResultCache(**{knob: bad})
+        assert ResultCache(**{knob: 2}) is not None
+        ResultCache(**{knob: None})
 
 
 # --------------------------------------------------------------------------- #

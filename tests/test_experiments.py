@@ -26,8 +26,11 @@ from repro.experiments.adversarial import (
     run_adversarial_case,
 )
 from repro.experiments.figures import FIGURES, paper_scale, shape_checks
-from repro.experiments.harness import build_datasets, run_experiment
+from repro.experiments.harness import run_experiment
 from repro.experiments.report import format_table, render_experiment, render_shape_checks
+from repro.server.server import SpatialServer
+
+from tests.conftest import build_datasets
 
 #: Shape checks that fail at their figure's fast scale, with what was
 #: measured; each holds at the paper's scale.
@@ -45,11 +48,14 @@ class TestHarness:
         assert 450 <= len(dataset_r) <= 500
         assert len(dataset_s) == 100
 
-    def test_build_datasets_unknown_kind(self):
-        spec = WorkloadSpec()
+    def test_an_unknown_dataset_kind_is_refused(self):
+        spec = WorkloadSpec(r_size=50, s_size=50)
         object.__setattr__(spec, "r_kind", "bogus")
-        with pytest.raises(ValueError):
-            build_datasets(spec)
+        config = dataclasses.replace(
+            FIGURES["figure_7b"], x_values=(1,), seeds=(0,), workload=spec
+        )
+        with pytest.raises(ValueError, match="bogus"):
+            run_experiment(config)
 
     def test_run_experiment_produces_series(self):
         config = dataclasses.replace(FIGURES["figure_7b"], x_values=(1, 4), seeds=(0,))
@@ -69,21 +75,56 @@ class TestHarness:
 
     def test_a_cell_is_the_base_workload_at_its_clusters_and_seed(self, monkeypatch):
         specs = []
+        run_single = harness.run_single
 
-        def recording(spec):
+        def recording(dataset_r, dataset_s, spec, *args, **kwargs):
             specs.append(spec)
-            return build_datasets(spec)
+            return run_single(dataset_r, dataset_s, spec, *args, **kwargs)
 
-        monkeypatch.setattr(harness, "build_datasets", recording)
+        monkeypatch.setattr(harness, "run_single", recording)
         config = dataclasses.replace(FIGURES["figure_7a"], x_values=(2, 16), seeds=(3, 5))
         run_experiment(config)
         base = config.workload
-        assert specs == [
+        # Seed-major: one seed's builds are alive at a time.
+        assert list(dict.fromkeys(specs)) == [
             dataclasses.replace(base, clusters=x, seed=seed)
-            for x in (2, 16)
             for seed in (3, 5)
+            for x in (2, 16)
         ]
+        assert len(specs) == 4 * len(config.series)
         assert {spec.buffer_size for spec in specs} == {100}
+
+    def test_each_dataset_and_server_is_built_once_per_sweep(self, monkeypatch):
+        """The railway side takes no cluster count: one railway per seed,
+        and one server on it, however many x-values and series join it."""
+        railways = []
+        generate = harness.generate_railway_like
+
+        def spy(*args, **kwargs):
+            railways.append(kwargs["seed"])
+            return generate(*args, **kwargs)
+
+        servers = []
+        init = SpatialServer.__init__
+
+        def counting_init(self, dataset, *args, **kwargs):
+            servers.append((kwargs.get("name"), len(dataset)))
+            init(self, dataset, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "generate_railway_like", spy)
+        monkeypatch.setattr(SpatialServer, "__init__", counting_init)
+        base = FIGURES["figure_8a"]
+        config = dataclasses.replace(
+            base,
+            x_values=(1, 4, 16),
+            seeds=(0, 1),
+            workload=dataclasses.replace(base.workload, r_size=300, s_size=200),
+        )
+        run_experiment(config)
+        assert railways == [0, 1]
+        names = [name for name, _ in servers]
+        assert names.count("R") == 2 and names.count("S") == 6
+        assert {size for name, size in servers if name == "S"} == {200}
 
     def test_paper_cluster_sweep(self):
         # The comparison figures sweep the paper's cluster counts.

@@ -357,7 +357,7 @@ class TestLevelDecisions:
     """A level is decided by a handful of column operations, however wide.
 
     The deterministic twin of the wall-clock claim: the Python-level calls
-    into the level tables, and (traced or not) the ``Rect`` objects built
+    into the level tables, and the ``Rect`` objects built
     outside the leaf requests, grow with levels and rounds, not with
     windows.  A change that re-introduces a per-window decision path fails
     here rather than only in the benchmark.
@@ -405,22 +405,17 @@ class TestLevelDecisions:
             clustered(n=30000, clusters=128, seed=542, name="S"),
         )
         session = AdHocJoinSession(*datasets, buffer_size=100)
-        work = {}
-        for trace in (True, False):
-            seen.update(dict.fromkeys(seen, 0))
-            session.run(algorithm=algorithm, kind="distance", epsilon=0.002, trace=trace)
-            work[trace] = dict(seen)
-        for counts in work.values():
-            steps = counts["levels"] + counts["rounds"]
-            assert counts["windows"] >= 1000 and counts["windows"] >= 25 * steps, (
-                "workload too narrow to tell"
-            )
-            assert counts["leaves"] >= 500
-            # ~25-35 table calls per level, ~10 per round, whatever the width.
-            assert counts["calls"] <= 60 * steps
-            # Only UpJoin's rare confirmation probes build a Rect (the leaf
-            # requests are not run here); tracing records columns, not Rects.
-            assert counts["rects"] <= 4 * steps
+        session.run(algorithm=algorithm, kind="distance", epsilon=0.002)
+        steps = seen["levels"] + seen["rounds"]
+        assert seen["windows"] >= 1000 and seen["windows"] >= 25 * steps, (
+            "workload too narrow to tell"
+        )
+        assert seen["leaves"] >= 500
+        # ~25-35 table calls per level, ~10 per round, whatever the width.
+        assert seen["calls"] <= 60 * steps
+        # Only UpJoin's rare confirmation probes build a Rect (the leaf
+        # requests are not run here); tracing records columns, not Rects.
+        assert seen["rects"] <= 4 * steps
 
     @pytest.mark.parametrize("algorithm", ["upjoin", "mobijoin"])
     def test_logs_stay_columns_until_read(self, algorithm, monkeypatch):
@@ -457,7 +452,7 @@ class TestLevelDecisions:
         )
         session = AdHocJoinSession(*datasets, buffer_size=100)
         seen.update(dict.fromkeys(seen, 0))
-        result = session.run(algorithm=algorithm, kind="distance", epsilon=0.002, trace=True)
+        result = session.run(algorithm=algorithm, kind="distance", epsilon=0.002)
         assert seen["windows"] >= 1000
         assert seen["events"] == 0 and seen["records"] == 0
         assert seen["rects"] <= 4 * seen["steps"] < seen["windows"]
@@ -472,7 +467,7 @@ class TestLevelDecisions:
     @pytest.mark.parametrize("algorithm", ["upjoin", "mobijoin"])
     def test_leaves_run_without_an_object_per_leaf(self, algorithm, monkeypatch):
         """The leaves of a level go to the operators as the table's own
-        columns: with tracing off a 1,000+-leaf run builds ``Rect`` /
+        columns: a 1,000+-leaf run builds ``Rect`` /
         ``Point`` / ``HBSJRequest`` / ``NLSJRequest`` objects in proportion to
         its levels and rounds, not to its leaves (it built a ``Rect`` and a
         request per leaf and a ``Point`` per NLSJ outer object)."""
@@ -508,7 +503,7 @@ class TestLevelDecisions:
         )
         session = AdHocJoinSession(*datasets, buffer_size=100)
         seen.update(dict.fromkeys(seen, 0))
-        result = session.run(algorithm=algorithm, kind="distance", epsilon=0.002, trace=False)
+        result = session.run(algorithm=algorithm, kind="distance", epsilon=0.002)
         operators = result.operator_counts
         assert seen["leaves"] >= 1000
         assert seen["leaves"] == operators["hbsj_invocations"] + operators["nlsj_invocations"]

@@ -28,8 +28,8 @@ from typing import Dict, List
 import pytest
 
 from repro.api import AdHocJoinSession
+from repro.datasets.synthetic import clustered
 from repro.datasets.workloads import WorkloadSpec
-from repro.experiments.harness import build_datasets
 from repro.geometry.rect import UNIT_RECT
 
 FIXTURE_PATH = Path(__file__).parent / "fixtures" / "golden_traces.json"
@@ -52,7 +52,9 @@ CONFIGS = {
 def _decision_log(
     algorithm: str, execution: str, spec: WorkloadSpec
 ) -> Dict[str, List[List[object]]]:
-    dataset_r, dataset_s = build_datasets(spec)
+    # The sweep cell's datasets: both sides clustered, S at ``seed + 1000``.
+    dataset_r = clustered(n=spec.r_size, clusters=spec.clusters, seed=spec.seed)
+    dataset_s = clustered(n=spec.s_size, clusters=spec.clusters, seed=spec.seed + 1000)
     session = AdHocJoinSession(dataset_r, dataset_s, buffer_size=spec.buffer_size)
     mode = nullcontext()
     if execution == "recursive":  # the depth-first oracle; --regen never imports it

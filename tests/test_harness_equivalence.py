@@ -1,12 +1,13 @@
 """Equivalence tests for the experiment execution layer.
 
-The sweep runner shares one pre-built server pair per (x-value, seed) cell
-across all algorithm series (``share_servers=True``).  That is not allowed
-to change a single byte of the result: these tests pin
+The sweep runner builds each distinct dataset of a seed, and its side's
+server, once and shares them across every cell and algorithm series that
+joins them.  That is not allowed to change a single byte of the result:
+these tests pin
 
-* cold == shared, bit for bit, on the full
-  :class:`~repro.experiments.harness.ExperimentResult` (means, stds, pair
-  counts, the raw per-run results and their order), and
+* shared == cold, bit for bit: every raw per-run result of the sweep and
+  the series statistics equal a reference loop that builds the datasets
+  and the full stack for every run (:func:`_cold_runs`), and
 * that a shared server pair is safely reusable across algorithms -- a run
   on shared servers is indistinguishable from a run on freshly built ones,
   in any order -- and that a cell builds its servers once, however many
@@ -16,19 +17,16 @@ to change a single byte of the result: these tests pin
 from __future__ import annotations
 
 import dataclasses
+import statistics
 
 import numpy as np
 
 from repro.core.planner import StackConfig
 from repro.datasets.workloads import WorkloadSpec
-from repro.experiments.harness import (
-    ExperimentConfig,
-    ExperimentResult,
-    build_datasets,
-    run_experiment,
-    run_single,
-)
+from repro.experiments.harness import ExperimentConfig, run_experiment, run_single
 from repro.server.server import SpatialServer
+
+from tests.conftest import build_datasets
 
 
 def _mixed_config() -> ExperimentConfig:
@@ -49,22 +47,24 @@ def _mixed_config() -> ExperimentConfig:
     )
 
 
-def _snapshot(result: ExperimentResult):
-    """Everything a figure is drawn from, in comparable form."""
-    return {
-        label: (
-            tuple(series.mean_bytes),
-            tuple(series.std_bytes),
-            tuple(series.mean_pairs),
-        )
-        for label, series in result.series.items()
-    }
+def _cold_runs(config: ExperimentConfig):
+    """The reference sweep: every run builds its own datasets and stack, in
+    the canonical order (series-major, then x, then seed)."""
+    runs = {}
+    for label, run_kwargs in config.series.items():
+        for x in config.x_values:
+            for seed in config.seeds:
+                spec = dataclasses.replace(config.workload, clusters=x, seed=seed)
+                runs[(label, x, seed)] = run_single(
+                    *build_datasets(spec), spec, run_kwargs, config=config.config
+                )
+    return runs
 
 
-def _assert_identical_runs(a: ExperimentResult, b: ExperimentResult) -> None:
-    assert set(a.runs) == set(b.runs) and a.runs
-    for key in a.runs:
-        run_a, run_b = a.runs[key], b.runs[key]
+def _assert_identical_runs(a, b) -> None:
+    assert set(a) == set(b) and a
+    for key in a:
+        run_a, run_b = a[key], b[key]
         assert run_a.pairs == run_b.pairs
         assert run_a.total_bytes == run_b.total_bytes
         assert run_a.bytes_r == run_b.bytes_r
@@ -76,25 +76,25 @@ def _assert_identical_runs(a: ExperimentResult, b: ExperimentResult) -> None:
 class TestSweepEquivalence:
     def test_cached_matches_cold_serial(self):
         config = _mixed_config()
-        cold = run_experiment(config, keep_runs=True, share_servers=False)
-        cached = run_experiment(config, keep_runs=True, share_servers=True)
-        assert _snapshot(cold) == _snapshot(cached)
-        _assert_identical_runs(cold, cached)
+        cold = _cold_runs(config)
+        shared = run_experiment(config, keep_runs=True)
+        _assert_identical_runs(cold, shared.runs)
+        for label, series in shared.series.items():
+            for i, x in enumerate(config.x_values):
+                totals = [float(cold[(label, x, seed)].total_bytes) for seed in config.seeds]
+                pairs = [float(cold[(label, x, seed)].num_pairs) for seed in config.seeds]
+                assert series.mean_bytes[i] == statistics.fmean(totals)
+                assert series.std_bytes[i] == statistics.pstdev(totals)
+                assert series.mean_pairs[i] == statistics.fmean(pairs)
         # The raw runs are in the canonical order: series-major, then x,
         # then seed -- not the order the cells ran in.
-        canonical = [
-            (label, x, seed)
-            for label in config.series
-            for x in config.x_values
-            for seed in config.seeds
-        ]
-        assert list(cold.runs) == list(cached.runs) == canonical
+        assert list(shared.runs) == list(cold)
 
 
 class TestSharedCell:
     def test_cell_builds_its_servers_once(self, monkeypatch):
-        """Two servers per cell when shared, whatever the series count;
-        two per run when not."""
+        """Two servers per cell, whatever the series count (every dataset
+        of this sweep is distinct: both sides are clustered)."""
         built = []
         init = SpatialServer.__init__
 
@@ -110,11 +110,8 @@ class TestSharedCell:
             narrowed = dataclasses.replace(
                 config, series=dict(list(config.series.items())[:series])
             )
-            run_experiment(narrowed, share_servers=True)
+            run_experiment(narrowed)
             assert len(built) == 2 * cells
-            built.clear()
-            run_experiment(narrowed, share_servers=False)
-            assert len(built) == 2 * cells * series
 
     def test_cached_servers_safely_reusable_across_algorithms(self):
         """Shared servers must behave exactly like freshly built ones.

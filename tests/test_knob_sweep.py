@@ -26,7 +26,6 @@ from repro.api import (
     RetryPolicy,
     ShardedSpatialServer,
     StackConfig,
-    batch_join,
     partition_dataset,
     quick_join,
 )
@@ -36,9 +35,10 @@ from repro.datasets.railway import generate_railway_like
 from repro.datasets.synthetic import clustered, gaussian_mixture, uniform
 from repro.datasets.workloads import WorkloadSpec, random_query_windows
 from repro.errors import InvalidInput
-from repro.experiments.harness import build_datasets
 from repro.network.config import NetworkConfig
 from repro.network.faults import Disconnect, Outage
+
+from tests.conftest import build_datasets
 
 HOSTILE = (math.nan, math.inf, -1, 2.5, "3")
 
@@ -91,11 +91,6 @@ TARGETS = {
         AdHocJoinSession.run,
         lambda **k: AdHocJoinSession(R, S).run(**{"epsilon": 0.03, **k}),
         None,
-    ),
-    # ``batch_join`` forwards its keywords to the broker it builds.
-    "batch_join": (QueryBroker, lambda **k: batch_join([_query()], **k), _all_ok),
-    "QueryBroker": (
-        QueryBroker, QueryBroker, lambda broker: _all_ok(broker.run_batch([_query()]))
     ),
     "FaultPlan": (FaultPlan, FaultPlan, lambda plan: _join(faults=plan)),
     "RetryPolicy": (RetryPolicy, RetryPolicy, lambda policy: _join(retry=policy)),
@@ -176,7 +171,7 @@ def test_the_sweep_covers_every_entry_point():
     swept = {name: _knobs(name) for name in TARGETS}
     assert all(swept.values()), swept
     assert sum(map(len, swept.values())) >= 50
-    assert "max_wave" in swept["batch_join"] and "seed" in swept["AdHocJoinSession.run"]
+    assert "seed" in swept["AdHocJoinSession.run"]
     assert swept["partition_dataset"] == ["shards"]
 
 

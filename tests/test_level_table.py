@@ -6,7 +6,7 @@ per-window generators they replaced live on in
 ``tests/oracles/frontier_generators.py``.  This suite feeds *generated
 levels* -- not levels a join happened to reach -- to both: 1 to ~300
 windows, exact and estimated counts, zeros of both kinds, coincident and
-zero-area windows, epsilon 0 and > 0, bucket on / off, trace on / off --
+zero-area windows, epsilon 0 and > 0, bucket on / off --
 answers every COUNT from a script (so a quadrant count can be zero, a
 confirmation probe can refute) and asserts equal
 
@@ -54,13 +54,13 @@ from tests.test_metamorphic_mirror import _mirrored
 _R, _S = uniform(n=8, seed=1), uniform(n=8, seed=2)
 
 
-def _algorithm(cls, epsilon: float, bucket: bool, trace: bool, buffer_size: int):
+def _algorithm(cls, epsilon: float, bucket: bool, buffer_size: int):
     device = MobileDevice(
         ServerPair.connect(SpatialServer(_R, name="R"), SpatialServer(_S, name="S")),
         buffer_size=buffer_size,
     )
     spec = JoinSpec.distance(epsilon) if epsilon > 0 else JoinSpec.intersection()
-    params = AlgorithmParameters(bucket_queries=bucket, trace=trace, seed=5)
+    params = AlgorithmParameters(bucket_queries=bucket, seed=5)
     return cls(device, spec, params)
 
 
@@ -228,14 +228,13 @@ def _table_outcome(cls, table):
     generated=levels(),
     epsilon=st.sampled_from([0.0, 0.004, 0.05]),
     bucket=st.booleans(),
-    trace=st.booleans(),
     buffer_size=st.sampled_from([40, 800]),
 )
 @settings(max_examples=40, deadline=None)
-def test_table_equals_generators(cls, generated, epsilon, bucket, trace, buffer_size):
+def test_table_equals_generators(cls, generated, epsilon, bucket, buffer_size):
     columns, script = generated
-    shipped = _algorithm(cls, epsilon, bucket, trace, buffer_size)
-    oracle = _algorithm(GENERATORS[cls], epsilon, bucket, trace, buffer_size)
+    shipped = _algorithm(cls, epsilon, bucket, buffer_size)
+    oracle = _algorithm(GENERATORS[cls], epsilon, bucket, buffer_size)
 
     table, table_steps = _drive(shipped.table(shipped, _level(cls, columns)).steps(), script)
     runs, oracle_steps = _drive(level_rounds(oracle, _tasks(cls, columns)), script)
@@ -247,14 +246,14 @@ def test_table_equals_generators(cls, generated, epsilon, bucket, trace, buffer_
     want = [event for run in runs for event in run.events]
     assert got == want
     assert [event.format() for event in got] == [event.format() for event in want]
-    assert bool(got) == (trace and len(columns[0]) > 0)
+    assert bool(got) == (len(columns[0]) > 0)
 
 
 def test_rounds_interleave_out_of_phase_windows():
     """Two UpJoin windows a stage apart share rounds: round 1 carries one
     window's S quadrants and the other's R quadrants, S listed first because
     its window comes first; round 2 carries the second window's S quadrants."""
-    algo = _algorithm(UpJoin, 0.0, False, True, 800)
+    algo = _algorithm(UpJoin, 0.0, False, 800)
     windows = np.array([[0.0, 0.0, 1.0, 1.0], [0.0, 0.0, 0.5, 0.5]])
     level = Level(
         1, windows, np.array([40000.0, 40000.0]), np.array([40000.0, 40000.0]),

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.api import AdHocJoinSession
-from repro.core.planner import ALGORITHMS
+from repro.core.planner import ALGORITHMS, StackConfig
 from repro.datasets.dataset import SpatialDataset
 from repro.datasets.synthetic import clustered, uniform
 from repro.geometry.rect import Rect
@@ -39,15 +39,23 @@ def _datasets(k: int):
 
 
 @functools.lru_cache(maxsize=None)
-def _session(k: int, grown: bool) -> AdHocJoinSession:
-    """Seed ``k``'s servers, with S grown or not (built once)."""
+def _servers(k: int, grown: bool):
+    """Seed ``k``'s datasets and servers, with S grown or not (built once)."""
     r, s, more = _datasets(k)
-    return AdHocJoinSession(r, more if grown else s)
+    s = more if grown else s
+    return r, s, StackConfig().servers(r, s)
+
+
+@functools.lru_cache(maxsize=None)
+def _session(k: int, grown: bool, buffer_size: int) -> AdHocJoinSession:
+    """A session over seed ``k``'s servers with the given buffer."""
+    r, s, servers = _servers(k, grown)
+    return AdHocJoinSession(r, s, buffer_size=buffer_size, servers=servers)
 
 
 def _pairs(algorithm, k, grown, epsilon, buffer_size):
-    result = _session(k, grown).run(
-        algorithm=algorithm, epsilon=epsilon, window=WINDOW, buffer_size=buffer_size, trace=False
+    result = _session(k, grown, buffer_size).run(
+        algorithm=algorithm, epsilon=epsilon, window=WINDOW
     )
     return result.pairs
 

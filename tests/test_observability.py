@@ -36,6 +36,7 @@ from repro.obs import (
     trace_fingerprint,
 )
 from repro.obs.dump import main as dump_main
+from repro.service import broker as service_broker
 from repro.service.broker import DEFAULT_CACHE_MAX_BYTES, QueryBroker
 from repro.service.cache import ResultCache
 from repro.service.query import JoinQuery
@@ -392,7 +393,7 @@ class TestNoOpBitIdentity:
             if event["ph"] == "X" and parent is not None:
                 assert parent in span_ids
 
-    def test_a_batch_is_one_root_execute_span_over_its_waves(self):
+    def test_a_batch_is_one_root_execute_span_over_its_waves(self, monkeypatch):
         """``batch_join`` with a tracer: the batch's ``execute`` span is the
         one root, it parents every ``wave``, and each wave parents the
         ``query`` spans it ran."""
@@ -401,10 +402,11 @@ class TestNoOpBitIdentity:
         r, s = _datasets()
         spec = JoinSpec.distance(0.03)
         tracer = Tracer()
+        monkeypatch.setattr(service_broker, "MAX_WAVE", 2)
         outcomes = batch_join(
             [JoinQuery(r, s, spec, algorithm=name, buffer_size=BUFFER)
              for name in ("upjoin", "srjoin", "mobijoin")],
-            max_wave=2, cache=False, tracer=tracer,
+            cache=False, tracer=tracer,
         )
         assert all(o.status == "ok" for o in outcomes)
         spans = tracer.spans()
@@ -429,15 +431,18 @@ class TestNoOpBitIdentity:
 
 
 class TestSatellites:
-    def test_broker_cache_byte_budget_default(self):
+    def test_broker_cache_byte_budget_default(self, monkeypatch):
         broker = QueryBroker()
         assert DEFAULT_CACHE_MAX_BYTES == 64 * 1024 * 1024
         assert broker.cache.max_bytes == DEFAULT_CACHE_MAX_BYTES
-        assert QueryBroker(cache_max_bytes=None).cache.max_bytes is None
-        assert QueryBroker(cache_max_bytes=1024).cache.max_bytes == 1024
+        monkeypatch.setattr(service_broker, "DEFAULT_CACHE_MAX_BYTES", None)
+        assert QueryBroker().cache.max_bytes is None
+        monkeypatch.setattr(service_broker, "DEFAULT_CACHE_MAX_BYTES", 1024)
+        assert QueryBroker().cache.max_bytes == 1024
 
-    def test_server_build_lru_eviction(self):
-        broker = QueryBroker(max_server_builds=2)
+    def test_server_build_lru_eviction(self, monkeypatch):
+        monkeypatch.setattr(service_broker, "MAX_SERVER_BUILDS", 2)
+        broker = QueryBroker()
         spec = JoinSpec.distance(0.03)
         pairs = [
             (
@@ -458,12 +463,6 @@ class TestSatellites:
             for unit in base.breaker_units()
         }
         assert set(broker._breakers) <= live_units
-
-    def test_server_build_lru_validation(self):
-        with pytest.raises(ValueError):
-            QueryBroker(max_server_builds=0)
-        broker = QueryBroker(max_server_builds=None)
-        assert broker.max_server_builds is None
 
     def test_result_cache_metrics(self):
         r, s = _datasets()

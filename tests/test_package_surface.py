@@ -43,12 +43,16 @@ SELECTOR_NAMES = {"execution", "method", "fuse", "coalesce"}
 #: healthy-first replica order, index fanout 16, a serial sweep, the
 #: broker's default-built cost model, its calibration weight, calibration
 #: itself (on, or raw predictions), the planner's candidate pool, the fixed
-#: grid's 4 x 4 cells and COUNT pruning, the naive join's lifted buffer and
-#: the device's 802.11b link model.
+#: grid's 4 x 4 cells and COUNT pruning, the naive join's lifted buffer,
+#: the device's 802.11b link model, the broker's admission width, breaker
+#: threshold and cooldown, result-cache byte budget and server-build cap
+#: (``repro.service.broker``'s module constants) and the sweep's shared
+#: builds.
 REMOVED_OPTIONS = {
     "router", "index_fanout", "workers", "selector", "smoothing", "calibrate",
     "calibrated", "candidates", "grid_size", "prune_empty", "enforce_buffer",
-    "link",
+    "link", "max_wave", "breaker_threshold", "breaker_cooldown_waves",
+    "cache_max_bytes", "max_server_builds", "share_servers",
 }
 
 #: The batch and scalar endpoints of a server connection.
@@ -140,7 +144,23 @@ def test_the_broker_has_one_entry_point_and_a_stateless_planner():
     for name in ("submit", "execute", "selector", "calibrate", "_pending"):
         assert not hasattr(broker, name), name
     assert not hasattr(costmodel, "CalibratedCostModel")
-    assert len(inspect.signature(QueryBroker).parameters) == 9
+    assert tuple(inspect.signature(QueryBroker).parameters) == (
+        "config", "cache", "tracer", "metrics"
+    )
+
+
+def test_every_run_keeps_its_trace_and_its_sessions_buffer():
+    # ``trace`` cannot join REMOVED_OPTIONS: it is also ``JoinResult.trace``.
+    # A run records its decision trace, and its buffer is its session's.
+    from repro.api import AdHocJoinSession
+    from repro.core.base import AlgorithmParameters
+
+    fields = tuple(f.name for f in dataclasses.fields(AlgorithmParameters))
+    assert fields == ("alpha", "rho", "grid_k", "bucket_queries", "seed")
+    assert tuple(inspect.signature(AdHocJoinSession.run).parameters) == (
+        "self", "algorithm", "epsilon", "kind", "min_matches", "bucket_queries",
+        "alpha", "rho", "grid_k", "window", "seed",
+    )
 
 
 #: What starts a thread: the stdlib's thread and pool classes and the

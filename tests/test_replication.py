@@ -46,6 +46,7 @@ from repro.network.faults import FaultPlan, Outage, replica_outages
 from repro.server import ShardedSpatialServer, SpatialServer
 from repro.server.remote import RemoteServer, ResilienceController, ServerPair
 from repro.service import JoinQuery, QueryBroker
+from repro.service import broker as service_broker
 from repro.service.cache import ResultCache, result_weight
 
 pytestmark = pytest.mark.chaos
@@ -556,12 +557,14 @@ class TestFailover:
         _assert_identical(survived.result, ref.result)
         assert survived.ledger_fingerprints == ref.ledger_fingerprints
 
-    def test_each_replica_of_a_shard_is_its_own_breaker_unit(self):
+    def test_each_replica_of_a_shard_is_its_own_breaker_unit(self, monkeypatch):
         """A lost replica charges its own breaker, keyed by the cached
         build's replica itself; its sibling and the other shards stay
         clean."""
         r, s = _datasets()
-        broker = QueryBroker(max_wave=1, cache=False, breaker_threshold=1)
+        monkeypatch.setattr(service_broker, "MAX_WAVE", 1)
+        monkeypatch.setattr(service_broker, "BREAKER_THRESHOLD", 1)
+        broker = QueryBroker(cache=False)
         kill0 = FaultPlan(
             seed=3, outages=replica_outages("R#0", 2, 0, 10_000, indices=[0])
         )
@@ -587,14 +590,16 @@ class TestFailover:
             if rep["name"].startswith(shard)
         }
 
-    def test_cooling_replica_is_routed_around_then_probed(self):
+    def test_cooling_replica_is_routed_around_then_probed(self, monkeypatch):
         """Losing one replica opens only its own breaker: the next wave
         routes around the cooling replica (no shed), the wave after sends
         the half-open probe to the recovering replica, and success closes
         the breaker."""
         r, s = _datasets()
-        broker = QueryBroker(max_wave=1, cache=False, breaker_threshold=1,
-                             breaker_cooldown_waves=1)
+        monkeypatch.setattr(service_broker, "MAX_WAVE", 1)
+        monkeypatch.setattr(service_broker, "BREAKER_THRESHOLD", 1)
+        monkeypatch.setattr(service_broker, "BREAKER_COOLDOWN_WAVES", 1)
+        broker = QueryBroker(cache=False)
         kill0 = FaultPlan(
             seed=3, outages=replica_outages("R#0", 2, 0, 10_000, indices=[0])
         )
@@ -615,10 +620,12 @@ class TestFailover:
         # Wave 4: breaker closed, healthy-first order restored.
         assert by_wave[3]["R#0/0"] > 0 and by_wave[3]["R#0/1"] == 0
 
-    def test_shard_sheds_only_when_every_replica_is_cooling(self):
+    def test_shard_sheds_only_when_every_replica_is_cooling(self, monkeypatch):
         r, s = _datasets()
-        broker = QueryBroker(max_wave=1, cache=False, breaker_threshold=1,
-                             breaker_cooldown_waves=1)
+        monkeypatch.setattr(service_broker, "MAX_WAVE", 1)
+        monkeypatch.setattr(service_broker, "BREAKER_THRESHOLD", 1)
+        monkeypatch.setattr(service_broker, "BREAKER_COOLDOWN_WAVES", 1)
+        broker = QueryBroker(cache=False)
         kill_all = FaultPlan(
             seed=3, outages=replica_outages("R#0", 2, 0, 10_000)
         )

@@ -45,6 +45,7 @@ from repro.errors import InvalidInput
 from repro.geometry.rect import Rect
 from repro.network.config import NetworkConfig
 from repro.service import JoinQuery, QueryBroker
+from repro.service import broker as service_broker
 from repro.service.cache import query_key
 
 from tests.oracles.recursive_driver import depth_first_algorithms
@@ -194,7 +195,7 @@ class TestBrokerEqualsStandalone:
         assert repeat[0].ledger_fingerprints is not None
         assert repeat[1].ledger_fingerprints is None
 
-    def test_mixed_dataset_pairs_specs_and_buffers(self):
+    def test_mixed_dataset_pairs_specs_and_buffers(self, monkeypatch):
         r1, s1 = _datasets()
         r2, s2 = _other_datasets()
         queries = [
@@ -204,21 +205,23 @@ class TestBrokerEqualsStandalone:
             JoinQuery(r2, s2, JoinSpec.distance(0.02), algorithm="mobijoin", buffer_size=96),
             JoinQuery(r1, s1, JoinSpec.distance(0.03), algorithm="naive", buffer_size=64),
         ]
-        outcomes = QueryBroker(max_wave=8).run_batch(queries)
+        monkeypatch.setattr(service_broker, "MAX_WAVE", 8)
+        outcomes = QueryBroker().run_batch(queries)
         for outcome in outcomes:
             _assert_identical(
                 outcome.result, _standalone(outcome.query, outcome.algorithm)
             )
 
     @pytest.mark.parametrize("max_wave", [1, 2, 16])
-    def test_admission_width_never_changes_results(self, max_wave):
+    def test_admission_width_never_changes_results(self, max_wave, monkeypatch):
         r, s = _datasets()
         spec = JoinSpec.distance(0.03)
         queries = [
             JoinQuery(r, s, spec, algorithm=name, buffer_size=BUFFER)
             for name in sorted(ALGORITHMS)
         ]
-        broker = QueryBroker(max_wave=max_wave, cache=False)
+        monkeypatch.setattr(service_broker, "MAX_WAVE", max_wave)
+        broker = QueryBroker(cache=False)
         outcomes = broker.run_batch(queries)
         expected_waves = -(-len(queries) // max_wave)
         assert broker.stats.waves == expected_waves
@@ -390,13 +393,12 @@ class TestResultCache:
         assert warm.cached and warm.result is cold.result
         assert broker.stats.cache_hits == 1 and broker.stats.queries_executed == 1
 
-    def test_result_cache_eviction_is_bounded(self):
-        from repro.service import ResultCache
-
+    def test_result_cache_eviction_is_bounded(self, monkeypatch):
         r, s = _datasets()
         spec = JoinSpec.distance(0.03)
-        cache = ResultCache(max_entries=1)
-        broker = QueryBroker(cache=cache)
+        monkeypatch.setattr(service_broker, "CACHE_MAX_ENTRIES", 1)
+        broker = QueryBroker()
+        cache = broker.cache
         a = JoinQuery(r, s, spec, algorithm="upjoin", buffer_size=64)
         b = JoinQuery(r, s, spec, algorithm="upjoin", buffer_size=128)
         broker.run_batch([a])
@@ -644,16 +646,17 @@ class TestBrokerDeterminism:
 class TestBatchJoinEntry:
     def test_broker_xor_kwargs(self):
         """A pre-built broker plus *any* broker argument is refused --
-        ``cache=`` / ``breaker_threshold=`` included, whose defaults are not
-        ``None`` -- and a broker passed alone serves the batch."""
+        ``cache=``, whose default is not ``None``, and an explicit
+        ``tracer=None`` included -- and a broker passed alone serves the
+        batch."""
         from repro.api import batch_join
 
         broker = QueryBroker(cache=False)
         for kwargs in (
-            {"max_wave": 2},
+            {"config": NetworkConfig()},
             {"cache": False},
-            {"breaker_threshold": 3},
-            {"cache": False, "breaker_threshold": 3},
+            {"tracer": None},
+            {"cache": False, "metrics": None},
         ):
             with pytest.raises(InvalidInput, match="pre-built broker"):
                 batch_join([], broker=broker, **kwargs)

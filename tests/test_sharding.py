@@ -49,6 +49,7 @@ from repro.network.faults import FaultPlan, Outage, RetryPolicy
 from repro.server import ShardedSpatialServer, SpatialServer
 from repro.server.remote import RemoteServer
 from repro.service import JoinQuery, QueryBroker
+from repro.service import broker as service_broker
 
 BUFFER = 96
 EPSILON = 0.03
@@ -581,13 +582,15 @@ class TestBreakerIdentity:
             servers=servers, stack=StackConfig(faults=faults),
         )
 
-    def test_a_rebuilt_build_with_the_same_name_starts_closed(self):
+    def test_a_rebuilt_build_with_the_same_name_starts_closed(self, monkeypatch):
         """Breakers are keyed by the build itself: a new build under a
         dead one's name (the regression an ``id()``-keyed registry had)
         does not inherit its open breaker."""
         r, s = _datasets()
-        broker = QueryBroker(max_wave=1, cache=False, breaker_threshold=1,
-                             breaker_cooldown_waves=50)
+        monkeypatch.setattr(service_broker, "MAX_WAVE", 1)
+        monkeypatch.setattr(service_broker, "BREAKER_THRESHOLD", 1)
+        monkeypatch.setattr(service_broker, "BREAKER_COOLDOWN_WAVES", 50)
+        broker = QueryBroker(cache=False)
         server_s = SpatialServer(s, name="S")
         first = SpatialServer(r, name="R")
         outage = FaultPlan(seed=6, outages=(Outage("R", 0, 10_000),))
@@ -601,11 +604,14 @@ class TestBreakerIdentity:
         assert healed.status == "ok"
         assert list(broker._breakers) == [first]
 
-    def test_an_evicted_build_takes_its_breakers_along(self):
+    def test_an_evicted_build_takes_its_breakers_along(self, monkeypatch):
         r, s = _datasets()
         other_r, other_s = _datasets(n=60)
-        broker = QueryBroker(max_wave=1, cache=False, breaker_threshold=1,
-                             breaker_cooldown_waves=50, max_server_builds=1)
+        monkeypatch.setattr(service_broker, "MAX_WAVE", 1)
+        monkeypatch.setattr(service_broker, "BREAKER_THRESHOLD", 1)
+        monkeypatch.setattr(service_broker, "BREAKER_COOLDOWN_WAVES", 50)
+        monkeypatch.setattr(service_broker, "MAX_SERVER_BUILDS", 1)
+        broker = QueryBroker(cache=False)
         outage = FaultPlan(seed=6, outages=(Outage("R", 0, 10_000),))
         (failed,) = broker.run_batch([self._query(r, s, faults=outage)])
         assert failed.error.kind == "unavailable"
@@ -626,13 +632,13 @@ class TestBreakerIdentity:
         assert [u.name for u in units] == ["R#0", "R#1", "R#2"]
         assert len({id(u) for u in units}) == 3
 
-    def test_breaker_trips_per_shard_and_clear_caches_evicts(self):
+    def test_breaker_trips_per_shard_and_clear_caches_evicts(self, monkeypatch):
         r, s = _datasets()
         spec = JoinSpec.distance(EPSILON)
-        broker = QueryBroker(
-            max_wave=1, cache=False, breaker_threshold=1,
-            breaker_cooldown_waves=50,
-        )
+        monkeypatch.setattr(service_broker, "MAX_WAVE", 1)
+        monkeypatch.setattr(service_broker, "BREAKER_THRESHOLD", 1)
+        monkeypatch.setattr(service_broker, "BREAKER_COOLDOWN_WAVES", 50)
+        broker = QueryBroker(cache=False)
         # An outage pinned to shard channel "R#0" (the shard this workload
         # actually routes to) must open exactly that shard's breaker, not
         # the whole logical side.

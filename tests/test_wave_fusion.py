@@ -37,6 +37,7 @@ from repro.index.flat import FlatRTree
 from repro.network.faults import Disconnect, FaultPlan, replica_outages
 from repro.obs import Tracer
 from repro.service import JoinQuery, QueryBroker
+from repro.service import broker as service_broker
 
 BUFFER = 60
 SPEC = JoinSpec.distance(0.015)
@@ -200,11 +201,12 @@ class TestOneDescentPerWaveStep:
     @pytest.mark.parametrize("topology", ["plain", "replicated"])
     @pytest.mark.parametrize("max_wave", [1, 3, 16])
     def test_no_descent_inside_an_advance_and_one_per_build_and_kind(
-        self, descents, topology, max_wave
+        self, descents, topology, max_wave, monkeypatch
     ):
         queries = _queries(topology, None, bucket=False, windows=_windows())
         assert len(queries) == 12
-        broker = QueryBroker(max_wave=max_wave, cache=False)
+        monkeypatch.setattr(service_broker, "MAX_WAVE", max_wave)
+        broker = QueryBroker(cache=False)
         broker.run_batch(queries[:1])  # builds the servers
         descents.clear()
         before = broker.stats.as_dict()
@@ -556,9 +558,9 @@ def _group_windows() -> tuple:
     return (lonely, outside, *deep)
 
 
-def _group_queries(algorithm, windows, topology="plain", faults=None, bucket=False, trace=True):
+def _group_queries(algorithm, windows, topology="plain", faults=None, bucket=False):
     r, s = _group_datasets()
-    params = AlgorithmParameters(bucket_queries=bucket, trace=trace)
+    params = AlgorithmParameters(bucket_queries=bucket)
     return [
         JoinQuery(
             r, s, GROUP_SPEC, algorithm=algorithm, buffer_size=GROUP_BUFFER, params=params,
@@ -657,17 +659,16 @@ class TestLikeQueriesDecideTogether:
             assert starts[0].count_s > 0
             assert max(e.depth for o in outcomes for e in o.result.trace) >= 2
 
-    @pytest.mark.parametrize("trace", [True, False], ids=["traced", "untraced"])
     @pytest.mark.parametrize("bucket", [False, True], ids=["per-probe", "bucket"])
     @pytest.mark.parametrize("faulty", [False, True], ids=["no-faults", "recoverable"])
     @pytest.mark.parametrize("topology", sorted(GROUP_TOPOLOGIES))
-    def test_every_stack_and_option(self, devices, topology, faulty, bucket, trace):
+    def test_every_stack_and_option(self, devices, topology, faulty, bucket):
         faults = _faults(topology) if faulty else None
         windows = _group_windows()[2:5]
         queries = [
             query
             for algorithm in _grouped(topology)
-            for query in _group_queries(algorithm, windows, topology, faults, bucket, trace)
+            for query in _group_queries(algorithm, windows, topology, faults, bucket)
         ]
         outcomes, shapes = _brokered(queries, devices)
         for ticket, (query, outcome) in enumerate(zip(queries, outcomes)):
