@@ -485,6 +485,42 @@ class TestCircuitBreaker:
         assert all(o.error.kind == "breaker" for o in outcomes[1:4])
         assert broker.stats.breaker_rejections == 3
 
+    @pytest.mark.parametrize("threshold", [1, 2, 3, 4])
+    def test_the_breaker_opens_at_its_threshold(self, threshold, monkeypatch):
+        """``BREAKER_THRESHOLD`` is read when a failure is booked: exactly
+        that many queries fail against the server before it is shed."""
+        r, s = _datasets()
+        monkeypatch.setattr(service_broker, "MAX_WAVE", 1)
+        monkeypatch.setattr(service_broker, "BREAKER_THRESHOLD", threshold)
+        monkeypatch.setattr(service_broker, "BREAKER_COOLDOWN_WAVES", 10)
+        broker = QueryBroker(cache=False)
+        outcomes = broker.run_batch(self._queries(
+            r, s,
+            *((JoinSpec.distance(0.030 + 0.001 * i), self.OUTAGE) for i in range(threshold + 2)),
+        ))
+        assert [o.error.kind for o in outcomes] == (
+            ["unavailable"] * threshold + ["breaker"] * 2
+        )
+        assert broker.stats.breaker_rejections == 2
+
+    @pytest.mark.parametrize("cooldown", [1, 2, 3, 4])
+    def test_an_open_breaker_sheds_for_its_cooldown(self, cooldown, monkeypatch):
+        """``BREAKER_COOLDOWN_WAVES`` is read when the breaker opens: that
+        many waves are shed, and the next one probes and closes it."""
+        r, s = _datasets()
+        monkeypatch.setattr(service_broker, "MAX_WAVE", 1)
+        monkeypatch.setattr(service_broker, "BREAKER_THRESHOLD", 1)
+        monkeypatch.setattr(service_broker, "BREAKER_COOLDOWN_WAVES", cooldown)
+        broker = QueryBroker(cache=False)
+        outcomes = broker.run_batch(self._queries(
+            r, s,
+            (JoinSpec.distance(0.030), self.OUTAGE),
+            *((JoinSpec.distance(0.031 + 0.001 * i), None) for i in range(cooldown + 1)),
+        ))
+        assert [o.status for o in outcomes] == ["failed"] * (cooldown + 1) + ["ok"]
+        assert [o.error.kind for o in outcomes[1:-1]] == ["breaker"] * cooldown
+        assert broker.stats.breaker_rejections == cooldown
+
     @pytest.mark.parametrize("knob", ["max_entries", "max_bytes"])
     @pytest.mark.parametrize("bad", [2.5, 1.5, 0, math.nan, math.inf, "2"])
     def test_cache_counts_are_checked_at_construction(self, knob, bad):
@@ -493,6 +529,48 @@ class TestCircuitBreaker:
             ResultCache(**{knob: bad})
         assert ResultCache(**{knob: 2}) is not None
         ResultCache(**{knob: None})
+
+
+class TestBrokerBounds:
+    """The broker's admission width and result-cache entry cap are module
+    constants, read when a batch runs or a broker is built."""
+
+    SPECS = tuple(JoinSpec.distance(0.030 + 0.001 * i) for i in range(6))
+
+    def _queries(self, r, s, specs):
+        return [JoinQuery(r, s, spec, algorithm="naive", buffer_size=BUFFER) for spec in specs]
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 4, 6, 16])
+    def test_a_batch_runs_in_waves_of_the_admission_width(self, width, monkeypatch):
+        r, s = _datasets()
+        monkeypatch.setattr(service_broker, "MAX_WAVE", width)
+        broker = QueryBroker(cache=False)
+        outcomes = broker.run_batch(self._queries(r, s, self.SPECS))
+        assert broker.stats.waves == math.ceil(len(self.SPECS) / width)
+        for spec, outcome in zip(self.SPECS, outcomes):
+            assert outcome.status == "ok", outcome.error
+            _assert_identical(
+                outcome.result,
+                run_join(r, s, spec, algorithm="naive", buffer_size=BUFFER),
+            )
+
+    @pytest.mark.parametrize("cap", [1, 2, 3])
+    def test_the_result_cache_keeps_its_entry_cap(self, cap, monkeypatch):
+        r, s = _datasets()
+        monkeypatch.setattr(service_broker, "CACHE_MAX_ENTRIES", cap)
+        broker = QueryBroker()
+        specs = self.SPECS[:4]
+        broker.run_batch(self._queries(r, s, specs))
+        assert broker.cache.max_entries == cap
+        assert len(broker.cache) == cap
+        # The newest ``cap`` results are served warm; the oldest was evicted
+        # and executes again.
+        executed = broker.stats.queries_executed
+        broker.run_batch(self._queries(r, s, specs[-cap:]))
+        assert broker.stats.queries_executed == executed
+        assert broker.stats.cache_hits == cap
+        broker.run_batch(self._queries(r, s, specs[:1]))
+        assert broker.stats.queries_executed == executed + 1
 
 
 # --------------------------------------------------------------------------- #

@@ -38,7 +38,7 @@ from repro.obs import (
 from repro.obs.dump import main as dump_main
 from repro.service import broker as service_broker
 from repro.service.broker import DEFAULT_CACHE_MAX_BYTES, QueryBroker
-from repro.service.cache import ResultCache
+from repro.service.cache import ResultCache, dataset_token
 from repro.service.query import JoinQuery
 
 pytestmark = pytest.mark.obs
@@ -463,6 +463,25 @@ class TestSatellites:
             for unit in base.breaker_units()
         }
         assert set(broker._breakers) <= live_units
+
+    @pytest.mark.parametrize("cap", [1, 2, 3])
+    def test_the_server_build_cap_is_read_when_a_build_is_cached(self, cap, monkeypatch):
+        """Only the ``MAX_SERVER_BUILDS`` newest builds stay, oldest out first."""
+        monkeypatch.setattr(service_broker, "MAX_SERVER_BUILDS", cap)
+        broker = QueryBroker()
+        spec = JoinSpec.distance(0.03)
+        pairs = [
+            (
+                clustered(n=60, clusters=2, seed=100 + i, name="R"),
+                clustered(n=60, clusters=2, seed=200 + i, name="S"),
+            )
+            for i in range(4)
+        ]
+        for r, s in pairs:
+            broker.run_batch([JoinQuery(r, s, spec, buffer_size=BUFFER)])
+        assert [key[:2] for key in broker._servers] == [
+            (dataset_token(r), dataset_token(s)) for r, s in pairs[-cap:]
+        ]
 
     def test_result_cache_metrics(self):
         r, s = _datasets()

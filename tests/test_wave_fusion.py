@@ -604,8 +604,9 @@ def _alone_traced(query: JoinQuery):
 
 
 def _brokered(queries, devices):
-    """The queries as one wave of a traced broker: outcomes and, per
-    ticket, the span shape of its "join"."""
+    """The queries as one batch of a traced broker (one wave unless a test
+    narrows ``MAX_WAVE``): outcomes and, per ticket, the span shape of its
+    "join"."""
     tracer = Tracer()
     outcomes = QueryBroker(cache=False, tracer=tracer).run_batch(queries)
     spans = tracer.spans()
@@ -659,10 +660,19 @@ class TestLikeQueriesDecideTogether:
             assert starts[0].count_s > 0
             assert max(e.depth for o in outcomes for e in o.result.trace) >= 2
 
+    #: ``MAX_WAVE`` 2 cuts each like group of three windows across waves,
+    #: so a wave holds members of two groups side by side.
+    @pytest.mark.parametrize("width", [16, 2], ids=["one-wave", "cut-waves"])
     @pytest.mark.parametrize("bucket", [False, True], ids=["per-probe", "bucket"])
     @pytest.mark.parametrize("faulty", [False, True], ids=["no-faults", "recoverable"])
     @pytest.mark.parametrize("topology", sorted(GROUP_TOPOLOGIES))
-    def test_every_stack_and_option(self, devices, topology, faulty, bucket):
+    def test_every_stack_and_option(self, devices, topology, faulty, bucket, width, monkeypatch):
+        monkeypatch.setattr(service_broker, "MAX_WAVE", width)
+        if width < 16:
+            # Replica failures booked in one wave open a breaker that routes
+            # the next wave around that replica, by design; no breaker opens
+            # here so that a later wave's query still equals its lone run.
+            monkeypatch.setattr(service_broker, "BREAKER_THRESHOLD", 10**6)
         faults = _faults(topology) if faulty else None
         windows = _group_windows()[2:5]
         queries = [
