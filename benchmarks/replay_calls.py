@@ -11,8 +11,9 @@ and proves its outputs unchanged on the calls the end-to-end workloads make
 
 ``capture`` runs one cycle of a ``benchmarks/e2e`` workload (the harness is
 imported, never edited) with wrappers around the three ``FlatRTree`` batch
-descents, the join kernel and the plane sweep (which no workload reaches
-since the kernel stopped calling it), and pickles *version-agnostic*
+descents, the join kernel (in every module that imports it, SemiJoin's
+server JOIN included) and the plane sweep (which no workload reaches since
+the kernel stopped calling it), and pickles *version-agnostic*
 arguments: plain arrays, the queried trees as their constructor arrays, the
 predicate as ``(class name, probe radius)``.  ``replay`` rebuilds them in one
 subprocess per checkout and round (``<checkout>/src`` first on ``sys.path``),
@@ -58,6 +59,7 @@ def capture(workload: str, seed: int, out: Path) -> None:
     from repro.device import hbsj
     from repro.index import hash_join, plane_sweep
     from repro.index.flat import FlatRTree
+    from repro.server import server
 
     trees, calls = {}, []
 
@@ -92,6 +94,7 @@ def capture(workload: str, seed: int, out: Path) -> None:
     plane_sweep.plane_sweep_pair_arrays_segmented = sweep
     hash_join.grid_hash_join_batch = join
     hbsj.grid_hash_join_batch = join
+    server.grid_hash_join_batch = join  # SemiJoin's server JOIN
 
     w = harness.make_workload(harness.load_spec(workload), seed)
     w.setup()

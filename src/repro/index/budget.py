@@ -10,8 +10,9 @@ works in *chunks* sized to :data:`TRANSIENT_BUDGET`:
 * :class:`~repro.index.flat.FlatRTree` descends query rows a chunk at a
   time and opens a level's pages a slice of pairs at a time;
 * :func:`~repro.index.hash_join.grid_hash_join_batch` joins its items a
-  chunk at a time, an item larger than a chunk on its A rows against one B
-  cell table, and tests candidates a chunk at a time;
+  chunk at a time, an item larger than a chunk in bands of its cell rows
+  (each band's A rows against the B rows they read, in a cell table of the
+  band's rows alone), and tests candidates a chunk at a time;
 * :meth:`~repro.index.flat.FlatRTree.from_mbr_array` lets each per-entry
   temporary go as soon as it has been used.
 

@@ -35,12 +35,12 @@ make this exact:
   negation is exact and reverses order (``-0.0 == 0.0`` either way), so on
   finite input these are the very comparisons of the closed-box test
   ``~(bx1 < wx0 | wx1 < bx0 | ...)`` (``~(a < b)`` is ``a >= b`` unless a
-  side is ``nan``) and of containment.  A probe's
-  distance test negates the two planes back -- exact again -- and calls the
-  one ``_reaches``.  Negation flips the sign bit only, so negating a leaf
-  slot's maxima back gives the entry MBR bit for bit (signed zeros
-  included): that is why the slots can be the entries' store.  Non-finite
-  windows and probes never get here:
+  side is ``nan``) and of containment.  A probe's distance test negates
+  the two planes of its gathered pages back in place -- exact again -- and
+  calls the one ``_reaches``.  Negation flips the sign bit only, so
+  negating a leaf slot's maxima back gives the entry MBR bit for bit
+  (signed zeros included): that is why the slots can be the entries'
+  store.  Non-finite windows and probes never get here:
   ``rect_array.window_array`` / ``aggregate_rtree.probe_arrays`` reject them
   at the server and connection boundary.
 * *Padding.*  A page with fewer than ``M`` boxes is padded with ``nan``
@@ -430,9 +430,11 @@ class FlatRTree:
             r = radii[lo:hi]
 
             def reached(page: np.ndarray, qids: np.ndarray) -> np.ndarray:
-                x0, y0, nx1, ny1 = page
+                # The page is this level's own gather, read by nothing after
+                # its test: its maxima are negated back where they lie.
+                np.negative(page[2:], out=page[2:])
                 at = px.take(qids)[:, None], py.take(qids)[:, None]
-                return _reaches((x0, y0, -nx1, -ny1), at, r.take(qids)[:, None])
+                return _reaches(page, at, r.take(qids)[:, None])
 
             return reached, None
 
@@ -489,7 +491,8 @@ class FlatRTree:
         ``met(page, qids)`` masks the ``(k, M)`` slots of the ``(4, k, M)``
         opened pages that each row's query reaches (``qids`` counted from
         ``lo``); ``inside`` likewise the slots it covers whole (``None``:
-        none ever).  Yields, per chunk of query rows, ``(lo, hi, (qids,
+        none ever, and ``met`` may then overwrite the pages, a gather of
+        their own).  Yields, per chunk of query rows, ``(lo, hi, (qids,
         nodes, leaf_qids, leaves, met))``: the (query, node) pairs whose
         subtree is covered, then the (query, leaf) pairs opened with the
         ``(k, M)`` mask of the leaf entries met, each depth by depth and
@@ -610,14 +613,20 @@ def _window_tests(wins: np.ndarray):
 
 
 def _reaches(boxes, pts, radii) -> np.ndarray:
-    """Boxes whose minimum distance to their point ``(x, y)`` is within its radius."""
+    """Boxes whose minimum distance to their point ``(x, y)`` is within its
+    radius (each axis's separation computed in place)."""
     bx0, by0, bx1, by1 = boxes
     px, py = pts
-    dx = np.maximum(np.maximum(bx0 - px, 0.0), px - bx1)
-    dy = np.maximum(np.maximum(by0 - py, 0.0), py - by1)
+    dx = bx0 - px
+    np.maximum(dx, 0.0, out=dx)
+    np.maximum(dx, px - bx1, out=dx)
+    dy = by0 - py
+    np.maximum(dy, 0.0, out=dy)
+    np.maximum(dy, py - by1, out=dy)
     # A distance is no smaller than either of its components, so only boxes
     # within the radius on both axes need the (slow) hypotenuse.
-    near = (dx <= radii) & (dy <= radii)
+    near = dx <= radii
+    near &= dy <= radii
     return near & (np.hypot(dx, dy, out=dx, where=near) <= radii)
 
 

@@ -12,9 +12,9 @@ joins them in memory.  :func:`grid_hash_join_batch` joins all the windows
 * a row sits in every cell its own MBR covers (a point in one);
 * the B side is sorted once by cell id (one integer ``argsort``) into a
   dense cell -> run table (``bincount`` + ``cumsum``);
-* an A row reads, for every row band of its footprint grown by one cell,
+* an A row reads, for every cell row of its footprint grown by one cell,
   the one contiguous run of B cells from one left of its first cell to one
-  right of its last: a point reads the three bands of its 3 x 3
+  right of its last: a point reads the three runs of its 3 x 3
   neighbourhood;
 * the candidates go through the exact mask in chunks of about
   ``chunk_rows(_CANDIDATE_BYTES)``, and
@@ -24,10 +24,19 @@ joins them in memory.  :func:`grid_hash_join_batch` joins all the windows
 
 All of this runs a chunk of items at a time, so the working set follows the
 transient budget (:mod:`repro.index.budget`), not the batch: about even
-chunks of whole items, as many as the budget holds rows of; an item larger
-than that is a chunk of its own, whose A rows read its one B cell table a
-budget of rows at a time.  Items share nothing, so the chunks' pairs, one
-after the other, are the whole batch's.
+chunks of whole items, as many as the budget holds rows of.  Items share
+nothing, so the chunks' pairs, one after the other, are the whole batch's.
+
+An item larger than that is a chunk of its own, joined in *bands* of its
+own grid's cell rows, each through a cell table of its own.  An A row
+belongs to the band of its lowest cell row; a band takes the B rows whose
+cell rows meet its A rows' cell rows grown by one, and its table holds
+just those rows, ``low`` (one below its first) to ``high`` (one above its
+A rows' top), each B row's cells clipped to them.  A cell row weighs its A
+rows and the B rows that meet it grown by one, and the bands are about even
+cuts of those weights, each within the budget.  Every band keeps the whole
+item's cell side and origin, so a row's cells are the ones the item's one
+table would give it.
 
 The mask is the plane sweep's (``tests/oracles/plane_sweep_scalar.py``):
 ``dx <= 0 and dy <= 0`` without epsilon, else ``dx * dx + dy * dy <= eps *
@@ -58,9 +67,20 @@ some cell of ``b`` are at most one apart on each axis, so ``b`` is in a run
 The top cell row and column of an item are those of its MBR's ``xmax`` /
 ``ymax``, by the very expression that places rows, so no row leaves its
 grid, and the empty cells around it keep every read inside the item.
+
+Bands change none of this.  An A row reads cell rows one below its first
+to one above its last, all within its band's ``low..high``; every B row
+with a cell there meets those rows, so the band took it, and the cells
+clipping keeps are exactly its cells in those rows, laid out as in the
+item's table (its ids shifted by one constant).  So an A row reads in its
+band the very runs it would read in the item's one table, and each A row
+is in one band: no new margin, and the pairs of the bands, one after the
+other, are the item's.
+
 Hence the output is the mask's pair set, item by item, sorted and
-duplicate-free (``tests/test_cell_join.py``).  :func:`grid_hash_join` is
-the one-item case.
+duplicate-free (``tests/test_cell_join.py``), at any budget
+(``tests/test_transient_budget.py``).  :func:`grid_hash_join` is the
+one-item case.
 """
 
 from __future__ import annotations
@@ -80,10 +100,10 @@ __all__ = ["JoinBatch", "grid_hash_join", "grid_hash_join_batch"]
 #: not epsilon sizes them.
 _PER_CELL = 0.25
 #: Working bytes per row of a join item, both sides: its cells, the B cell
-#: table and an A row's bands (against the transient budget).
+#: table and an A row's runs (against the transient budget).
 _ROW_BYTES = 208
 #: Working bytes per candidate pair of a mask evaluation (against the
-#: transient budget; whole bands: one band of more candidates is a chunk of
+#: transient budget; whole runs: one run of more candidates is a chunk of
 #: its own).
 _CANDIDATE_BYTES = 128
 #: The cell side's margins over epsilon: relative, and absolute for the
@@ -217,19 +237,15 @@ def _cell_join(
     the mask accepts, each at least once.
 
     ``a`` / ``b`` are ``(4, n)`` coordinate columns holding the items' rows
-    back to back, ``n_a`` / ``n_b`` the rows per item (none empty).  The B
-    rows go into one cell table; the A rows read it a budget of rows at a
-    time.
+    back to back, ``n_a`` / ``n_b`` the rows per item (none empty).  Items
+    that fit the budget share one cell table; a larger one (always alone,
+    :func:`~repro.index.budget.cuts`) is joined in bands of its cell rows.
     """
     if n_a.shape[0] == 0:
         empty = np.empty(0, dtype=np.intp)
         return empty, empty
-    # Per item: the union MBR of both sides, the cell side, the cells per
-    # axis (the highest is the cell of the MBR's top edge) and the first id
-    # of its cells.  Cell ``(x, y)`` of an item is ``base + (y + 1) * (nx +
-    # 1) + x``: an empty row of cells below and above the item's, and one
-    # empty cell between two rows -- to the right of one, the left of the
-    # next -- so every neighbour an A row reads is inside its item.
+    # Per item: the union MBR of both sides, the cell side and the cells per
+    # axis (the highest is the cell of the MBR's top edge).
     first_a, first_b = np.cumsum(n_a) - n_a, np.cumsum(n_b) - n_b
     lo = np.minimum(
         np.minimum.reduceat(a[:2], first_a, axis=1), np.minimum.reduceat(b[:2], first_b, axis=1)
@@ -237,9 +253,6 @@ def _cell_join(
     hi = np.maximum(
         np.maximum.reduceat(a[2:], first_a, axis=1), np.maximum.reduceat(b[2:], first_b, axis=1)
     )
-    items = np.arange(n_a.shape[0])
-    item = np.concatenate([np.repeat(items, n_a), np.repeat(items, n_b)])
-    corner = np.concatenate([a, b], axis=1)
     # An extent beyond the float range makes the side infinite: the item is
     # one cell (``fmax`` turns the ``inf / inf`` of its rows into 0).
     with np.errstate(over="ignore", invalid="ignore"):
@@ -248,21 +261,110 @@ def _cell_join(
             eps * (1.0 + _MARGIN) + _FLOOR, extent.max(axis=0) / np.sqrt((n_a + n_b) / _PER_CELL)
         )
         nx, ny = np.fmax(extent / side, 0.0).astype(np.intp) + 1
+    limit = chunk_rows(_ROW_BYTES)
+    if a.shape[1] + b.shape[1] <= limit:
+        return _table_join(a, n_a, b, n_b, (lo, side, nx, ny), eps)
+    return _band_join(a, b, (lo, side, nx, ny), eps, limit)
+
+
+def _band_join(a, b, grid, eps: float, limit: int) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`_cell_join` of one item of more than ``limit`` rows, in bands
+    of its cell rows (``grid`` its ``(lo, side, nx, ny)``, kept in every
+    band).
+
+    An A row joins in the band of its lowest cell row, against the B rows
+    that meet the band's A rows' cell rows grown by one: all it reads.  A
+    cell row weighs what a band of that row alone holds -- the A rows that
+    start in it and the B rows that meet it grown by one -- and the bands
+    cut the rows at about even shares of those weights, no share above
+    ``limit``.  Neighbouring rows share B rows, so a band holds no more than
+    its weight, bar the B rows that its A rows reaching above its last row
+    read there.
+    """
+    lo, side = grid[:2]
+    ny = int(grid[3][0])
+    y_a = _cell_rows(a[1], lo[1], side)
+    y_b0, y_b1 = _cell_rows(b[1], lo[1], side), _cell_rows(b[3], lo[1], side)
+    # How many B rows, grown by one, meet each cell row (entry k: row
+    # k - 1), then the weights' running sum.
+    meet = np.bincount(y_b0, minlength=ny + 3) - np.bincount(y_b1 + 3, minlength=ny + 3)
+    end = np.cumsum(np.bincount(y_a, minlength=ny) + np.cumsum(meet)[1:-2])
+    share = -(-end[-1] // -(-end[-1] // limit))
+    at = [0, *(np.flatnonzero(np.diff((end - 1) // share)) + 1).tolist(), ny]
+    del meet, end
+    i_parts, j_parts = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+    for row_lo, row_hi in zip(at, at[1:]):
+        a_at = np.flatnonzero((y_a >= row_lo) & (y_a < row_hi))
+        if a_at.shape[0] == 0:
+            continue
+        band_a = a.take(a_at, axis=1)
+        # Its reads: one row below its first and one above its A rows' top
+        # (the highest ``ymax``'s, as the cell row is monotone in ``y``).
+        rows = (row_lo - 1, int(_cell_rows(band_a[3].max(), lo[1], side)[0]) + 1)
+        b_at = np.flatnonzero((y_b1 >= rows[0]) & (y_b0 <= rows[1]))
+        if b_at.shape[0] == 0:
+            continue
+        i_idx, j_idx = _table_join(
+            band_a, np.array(a_at.shape), b.take(b_at, axis=1), np.array(b_at.shape), grid, eps, rows
+        )
+        i_parts.append(a_at.take(i_idx))
+        j_parts.append(b_at.take(j_idx))
+    return np.concatenate(i_parts), np.concatenate(j_parts)
+
+
+def _cell_rows(y: np.ndarray, lo: np.ndarray, side: np.ndarray) -> np.ndarray:
+    """The cell rows of coordinates ``y`` of one item: the expression
+    :func:`_table_join` places rows by, operation for operation."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = y - lo
+        y /= side
+        np.fmax(y, 0.0, out=y)
+    return y.astype(np.intp)
+
+
+def _table_join(a, n_a, b, n_b, grid, eps: float, rows=None) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`_cell_join` through one cell table: the B rows sorted into it
+    by cell id, the A rows reading it.
+
+    ``grid`` is ``(lo, side, nx, ny)`` per item.  The table holds each
+    item's cell rows with an empty row below and above, or, given ``rows =
+    (low, high)`` for a band of one item, only cell rows ``low..high``: the
+    B rows' cells beyond them go.
+    """
+    # Cell ``(x, y)`` of an item is ``base + (y - low) * (nx + 1) + x``,
+    # ``low`` its table's lowest cell row, and one empty cell lies between
+    # two rows -- to the right of one, the left of the next -- so every
+    # neighbour an A row reads is inside its item's table.
+    lo, side, nx, ny = grid
+    low, height = (-1, ny + 2) if rows is None else (rows[0], rows[1] - rows[0] + 1)
+    stride = nx + 1
+    end = np.cumsum(stride * height)
+    base = end - stride * height + 1  # and cell 0 is empty, left of the first row
+    corner = np.concatenate([a, b], axis=1)
+    lo = np.vstack([lo, lo])
+    if n_a.shape[0] == 1:  # one item: its grid broadcasts over its rows
+        stride = np.full(corner.shape[1], stride[0])
+    else:  # each row takes its item's
+        items = np.arange(n_a.shape[0])
+        item = np.concatenate([np.repeat(items, n_a), np.repeat(items, n_b)])
+        lo, side, stride, base = lo.take(item, axis=1), side.take(item), stride.take(item), base.take(item)
+        del item
+    with np.errstate(over="ignore", invalid="ignore"):
         # Both sides' rows at once: the cells of each row's low and high
         # corner, its item's row stride and the id of its first cell.
-        corner -= np.vstack([lo, lo]).take(item, axis=1)
-        corner /= side.take(item)
+        corner -= lo
+        corner /= side
         np.fmax(corner, 0.0, out=corner)
-    size = (nx + 1) * (ny + 2)
-    base = np.cumsum(size) - size + 1  # and cell 0 is empty, left of the first row
     x0, y0, x1, y1 = corner.astype(np.intp)
-    stride = (nx + 1).take(item)
-    rows = (x0, y0, x1, y1, stride, base.take(item) + (y0 + 1) * stride + x0)
     split = a.shape[1]
-    del item, corner, x0, y0, x1, y1, stride
+    if rows is not None:  # the band's B rows meet rows low..high
+        np.maximum(y0[split:], low, out=y0[split:])
+        np.minimum(y1[split:], rows[1], out=y1[split:])
+    cells = (x0, y0, x1, y1, stride, base + (y0 - low) * stride + x0)
+    del lo, side, base, corner, x0, y0, x1, y1, stride
 
     # B: every cell a row covers, sorted by id into a cell -> run table.
-    x0, y0, x1, y1, stride, cell = (v[split:] for v in rows)
+    x0, y0, x1, y1, stride, cell = (v[split:] for v in cells)
     wide = x1 - x0 + 1
     covered = wide * (y1 - y0 + 1)
     b_rows = np.arange(covered.shape[0])
@@ -270,53 +372,39 @@ def _cell_join(
         b_rows, rank = expand_index_ranges(np.zeros_like(covered), covered)
         wide = wide.take(b_rows)
         cell = cell.take(b_rows) + rank // wide * stride.take(b_rows) + rank % wide
-    order = np.argsort(cell)  # the kernel's one sort
+    order = np.argsort(cell)  # the table's one sort
     b_rows = b_rows.take(order)
     b_cells = b.take(b_rows, axis=1)  # the rows of every cell, cell after cell
-    run = np.zeros(base[-1] + size[-1] + 1, dtype=np.intp)
+    run = np.zeros(end[-1] + 2, dtype=np.intp)
     np.cumsum(np.bincount(cell, minlength=run.shape[0] - 1), out=run[1:])
     del x0, y0, x1, y1, stride, cell, wide, covered, order
 
-    # A: its rows read the table a budget of rows at a time, in even
-    # pieces.  The rows that fit read it at once, without the offsets and
-    # the concatenation of pieces, and their cell arrays go as soon as
-    # their bands are read.
-    step = chunk_rows(_ROW_BYTES)
-    if split <= step:
-        cells = [v[:split] for v in rows]
-        del rows
-        i_idx, j_idx = _read_runs(a, cells, run, b_cells, eps)
-        return i_idx, b_rows.take(j_idx)
-    step = -(-split // -(-split // step))
-    i_parts, j_parts = [], []
-    for start in range(0, split, step):
-        piece = slice(start, min(start + step, split))
-        i_idx, j_idx = _read_runs(a[:, piece], [v[piece] for v in rows], run, b_cells, eps)
-        i_parts.append(i_idx + start)
-        j_parts.append(b_rows.take(j_idx))
-    return np.concatenate(i_parts), np.concatenate(j_parts)
+    # A: its cell arrays go as soon as its runs are found.
+    cells = [v[:split] for v in cells]
+    i_idx, j_idx = _read_runs(a, cells, run, b_cells, eps)
+    return i_idx, b_rows.take(j_idx)
 
 
 def _read_runs(a, cells: list, run, b_cells, eps: float) -> Tuple[np.ndarray, np.ndarray]:
     """The accepted ``(i, j)`` of A rows ``a`` (placed at ``cells``) and
-    slots ``j`` of the cell table ``b_cells``: per row band of an A row's
+    slots ``j`` of the cell table ``b_cells``: per cell row of an A row's
     footprint grown by one cell, one run of B cells, from one left of its
     first cell to one right of its last.  ``cells`` is emptied, so the cell
-    arrays go once the bands are read."""
+    arrays go once the runs are found."""
     x0, y0, x1, y1, stride, first = cells
     cells.clear()
-    if np.array_equal(y0, y1):  # one cell tall: the three bands of 3 x 3 cells
-        band_row = np.repeat(np.arange(y0.shape[0]), 3)
+    if np.array_equal(y0, y1):  # one cell tall: the three runs of 3 x 3 cells
+        reader = np.repeat(np.arange(y0.shape[0]), 3)
         left = ((first - 1)[:, None] + np.array([-1, 0, 1]) * stride[:, None]).ravel()
     else:
-        band_row, band = expand_index_ranges(np.zeros_like(y0), y1 - y0 + 3)
-        left = first.take(band_row) + (band - 1) * stride.take(band_row) - 1
+        reader, k = expand_index_ranges(np.zeros_like(y0), y1 - y0 + 3)
+        left = first.take(reader) + (k - 1) * stride.take(reader) - 1
     run_lo = run.take(left)
-    count = run.take(left + (x1 - x0 + 3).take(band_row)) - run_lo
+    count = run.take(left + (x1 - x0 + 3).take(reader)) - run_lo
     del x0, x1, y0, y1, stride, first, left
 
-    # The candidates, run by run: candidate ``t`` of a band reads B slot
-    # ``t + shift`` of its band.  Chunks hold whole bands.
+    # The candidates, run by run: candidate ``t`` of a run reads B slot
+    # ``t + shift`` of its run.  Chunks hold whole runs.
     end = np.cumsum(count)
     shift = run_lo - end + count
     limit = chunk_rows(_CANDIDATE_BYTES)
@@ -326,7 +414,7 @@ def _read_runs(a, cells: list, run, b_cells, eps: float) -> Tuple[np.ndarray, np
     i_parts, j_parts = [], []
     for start, stop in zip(at, at[1:]):
         take = count[start:stop]
-        i_idx = np.repeat(band_row[start:stop], take)
+        i_idx = np.repeat(reader[start:stop], take)
         slot = np.repeat(shift[start:stop], take)
         slot += np.arange(end[start] - take[0], end[stop - 1])
         keep = _mask(a.take(i_idx, axis=1), b_cells.take(slot, axis=1), eps)

@@ -237,8 +237,8 @@ def test_items_with_an_empty_side_answer_nothing():
 class TestCellJoinSortsOnce:
     """One kernel call sorts one integer array per chunk of items the
     transient budget cuts it into, whatever their shape: the B side by cell
-    id (an item larger than a chunk is one chunk: its A rows read one B
-    table).  No float ``argsort``, no ``searchsorted`` and no ``lexsort``
+    id (an item larger than a chunk sorts once per band of its cell rows;
+    none here is).  No float ``argsort``, no ``searchsorted`` and no ``lexsort``
     (the grid-hash-plus-sweep kernel it replaced sorted both sides of every
     bucket by a float key and ran four ``searchsorted`` passes)."""
 

@@ -29,7 +29,7 @@ from repro.api import AdHocJoinSession
 from repro.core.naive import FIXED_GRID, FixedGridJoin
 from repro.core.planner import ALGORITHMS
 from repro.datasets.railway import generate_railway_like
-from repro.datasets.synthetic import clustered, uniform
+from repro.datasets.synthetic import clustered, gaussian_mixture, uniform
 from repro.errors import WorkBudgetExceeded
 from repro.geometry.rect import Rect
 
@@ -210,15 +210,21 @@ class _PerCellFixedGrid(EagerTrace, FixedGridJoin):
             self._pairs.extend(self.device.hbsj(cell, self.predicate, cell_r, cell_s).pairs)
 
 
+def _around_r(seed: int):
+    """Two 70-point clustered sets, S drawn around R's cluster centres (which
+    ``clustered`` draws first from its seed) so that each has pairs."""
+    k = 1 + seed % 4
+    rng = np.random.default_rng(seed)
+    centres = np.column_stack([rng.uniform(0.0, 1.0, size=k), rng.uniform(0.0, 1.0, size=k)])
+    return (
+        clustered(n=70, clusters=k, seed=seed),
+        gaussian_mixture(70, centres.tolist(), std=0.04, seed=seed + 100),
+    )
+
+
 FIXEDGRID_WORKLOADS = {
     **{
-        f"clustered-seed{seed}": (
-            lambda seed=seed: (
-                clustered(n=70, clusters=1 + seed % 4, seed=seed),
-                clustered(n=70, clusters=1 + (seed + 1) % 3, seed=seed + 100, std=0.04),
-            ),
-            dict(kind="distance", epsilon=0.03),
-        )
+        f"clustered-seed{seed}": (lambda seed=seed: _around_r(seed), dict(kind="distance", epsilon=0.03))
         for seed in range(4)
     },
     "uniform-vs-clustered": (
@@ -252,6 +258,12 @@ def _result_or_budget_error(session: AdHocJoinSession, **run_kwargs):
 
 class TestFixedGridBatchedEqualsPerCell:
     """One ``hbsj_batch`` over the surviving cells == one operator per cell."""
+
+    @pytest.mark.parametrize("workload", sorted(FIXEDGRID_WORKLOADS))
+    def test_every_workload_has_pairs(self, workload):
+        """No workload compares two empty answers."""
+        datasets, join = FIXEDGRID_WORKLOADS[workload]
+        assert _session(*datasets(), buffer_size=800).run(algorithm="naive", **join).sorted_pairs()
 
     # 16 and 24 are smaller than most cells, so the operator has to split
     # them; 8 splits them deep, 4 and 1 down to the depth limit; 100 and 800

@@ -140,24 +140,45 @@ def test_the_join_kernel_holds_the_budget_and_its_answer(predicate, width):
     assert peak < C * (budget.TRANSIENT_BUDGET + _nbytes(answer)), (peak, _nbytes(answer))
 
 
-@pytest.mark.parametrize("predicate", [IntersectionPredicate(), WithinDistancePredicate(0.002)])
-def test_an_item_larger_than_the_budget_reads_its_a_rows_in_pieces(predicate, monkeypatch):
-    """One item of 100,000 A points against 2,000 B boxes, four times the
-    rows the budget holds: its A rows read the one B cell table in pieces,
-    and that holds about two thirds of the peak of reading them at once
-    (an item whose B side is as large keeps the peak its B cell table
-    sets, pieces or not)."""
-    from repro.index import hash_join
-
+def _oversized(shape: str) -> JoinBatch:
+    """One join item of several times the rows the budget holds: 100,000 A
+    points against 2,000 B boxes, the reverse, or ``warm_session``'s naive
+    item -- 20,000 against 20,000 ``clustered(128)`` points."""
+    if shape == "balanced":
+        a, b = (clustered(n=20_000, clusters=128, seed=seed).mbrs for seed in (3, 4))
+        return JoinBatch.one(a, np.arange(20_000), b, np.arange(20_000))
     rng = np.random.default_rng(5)
     a, b = rng.random((100_000, 2)), rng.random((2_000, 2))
-    batch = JoinBatch.one(np.hstack([a, a]), np.arange(100_000), np.hstack([b, b + 0.001]), np.arange(2_000))
-    assert a.shape[0] > budget.chunk_rows(hash_join._ROW_BYTES)
-    pieces, peak = _peak(lambda: grid_hash_join_batch(batch, predicate))
-    monkeypatch.setattr(hash_join, "_ROW_BYTES", 1)  # every row in one piece
+    sides = (np.hstack([a, a]), np.arange(100_000)), (np.hstack([b, b + 0.001]), np.arange(2_000))
+    return JoinBatch.one(*sides[0], *sides[1]) if shape == "a-heavy" else JoinBatch.one(*sides[1], *sides[0])
+
+
+@pytest.mark.parametrize(
+    "shape, predicate",
+    [
+        pytest.param(shape, predicate, id=f"{shape}-{name}")
+        for shape in ("a-heavy", "b-heavy", "balanced")
+        for name, predicate in (("intersection", IntersectionPredicate()), ("distance", WithinDistancePredicate(0.002)))
+        if shape != "balanced" or name == "distance"
+    ],
+)
+def test_an_item_larger_than_the_budget_joins_in_bands(shape, predicate, monkeypatch):
+    """An item larger than the budget joins in bands of its cell rows, each
+    band's A rows against the B rows they read: whichever side is the
+    larger, it holds the budget and its answer, and less than 0.8 times the
+    peak of joining it in one band (the parent's A-row pieces left a
+    B-heavy or balanced item at the one-band peak, 20.2 and 8.1 MiB)."""
+    from repro.index import hash_join
+
+    batch = _oversized(shape)
+    rows = batch.a_mbrs.shape[0] + batch.b_mbrs.shape[0]
+    assert rows > 1.5 * budget.chunk_rows(hash_join._ROW_BYTES)
+    bands, peak = _peak(lambda: grid_hash_join_batch(batch, predicate))
+    monkeypatch.setattr(hash_join, "_ROW_BYTES", 1)  # the whole item in one band
     whole, whole_peak = _peak(lambda: grid_hash_join_batch(batch, predicate))
-    _assert_same(pieces, whole)
-    assert pieces[0].shape[0] > 0
+    _assert_same(bands, whole)
+    assert bands[0].shape[0] > 0
+    assert peak < C * (budget.TRANSIENT_BUDGET + _nbytes(bands)), (peak, _nbytes(bands))
     assert peak < 0.8 * whole_peak, (peak, whole_peak)
 
 
@@ -217,8 +238,12 @@ def test_descents_answer_as_one_whole_batch(small, monkeypatch):
 @pytest.mark.parametrize("small", [1, 3_000, 40_000])
 @pytest.mark.parametrize("predicate", [IntersectionPredicate(), WithinDistancePredicate(0.01)])
 def test_the_join_kernel_answers_as_one_whole_batch(predicate, small, monkeypatch):
-    """Items of many sizes, some with an empty side, and one larger than
-    any chunk: it is cut on its A rows against one B cell table."""
+    """Items of many sizes, some with an empty side, and several larger
+    than any chunk: they are joined in bands of their cell rows.  One is
+    two railways, whose segments span several cell rows: some B segment
+    meets several bands and some A segment crosses a band's edge."""
+    from repro.index import hash_join
+
     rng = np.random.default_rng(small)
     items = []
     for k, (n_a, n_b) in enumerate([(30, 40), (0, 5), (2000, 1500), (7, 0), (1, 1), (300, 200)]):
@@ -228,11 +253,31 @@ def test_the_join_kernel_answers_as_one_whole_batch(predicate, small, monkeypatc
         items.append(
             (np.hstack([a, a + wide]), rng.permutation(5 * n_a + 1)[:n_a], np.hstack([b, b]), np.arange(n_b))
         )
+    railways = [generate_railway_like(n_segments=n, seed=seed, hubs=5).mbrs for n, seed in ((400, 3), (300, 4))]
+    items.append((railways[0], np.arange(400), railways[1], np.arange(300)))
     batch = JoinBatch.from_items(items)
     want = grid_hash_join_batch(batch, predicate)
     assert want[0].shape[0] > 0
     monkeypatch.setattr(budget, "TRANSIENT_BUDGET", small)
     _assert_same(grid_hash_join_batch(batch, predicate), want)
+
+    # The railway item alone, its bands seen through the table each joins in.
+    bands, table_join = [], hash_join._table_join
+
+    def seen(a, n_a, b, n_b, grid, eps, rows=None):
+        lo, side = grid[:2]
+        bands.append((rows, hash_join._cell_rows(b[1], lo[1], side), hash_join._cell_rows(b[3], lo[1], side)))
+        return table_join(a, n_a, b, n_b, grid, eps, rows)
+
+    monkeypatch.setattr(hash_join, "_table_join", seen)
+    alone = grid_hash_join_batch([items[-1]], predicate)
+    _assert_same(alone, (want[0][want[1][-2] :], np.array([0, want[0].shape[0] - want[1][-2]])))
+    assert len(bands) > 1 and all(rows is not None for rows, _, _ in bands)
+    # A B segment reaching past a band's rows meets the next band too.
+    assert any((y0 < low).any() or (y1 > high).any() for (low, high), y0, y1 in bands)
+    # A band reads one row above its tallest A segment: one reaching into
+    # the next band's rows (which start one above that band's lowest read).
+    assert any(high >= low + 2 for ((_, high), _, _), ((low, _), _, _) in zip(bands, bands[1:]))
 
 
 # ---------------------------------------------------------------------- #
